@@ -48,6 +48,15 @@ cargo test -q --offline --workspace
 echo "==> cargo test --release (core + net)"
 cargo test -q --offline --release -p threelc -p threelc-net
 
+echo "==> step ledger (builds against the crates' public API; --quick smoke)"
+# ledger/ is a package of its own, not a workspace member, so no stage above
+# compiles it: an API change in tensor/learning/distsim/net that breaks the
+# benchmark would otherwise surface only in the benchmark driver. --quick is
+# one short and one 5-step real loopback run plus a 3-step replay, with
+# every output check on. Build output goes to ledger/target (git-ignored).
+cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
+
 echo "==> codec dispatch matrix (forced scalar / swar / simd tiers)"
 threelc=target/release/threelc
 matrixdir=target/codec-matrix

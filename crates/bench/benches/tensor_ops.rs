@@ -27,6 +27,37 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three GEMMs of one `W × W` dense layer at the step ledger's shapes
+/// (`mlp1024-*`: batch 8, width 1024; `mlp512-*`: batch 32, width 512), so
+/// the kernel has a micro number next to the ledger's `tensor.matmul_us`,
+/// plus the `m = 1024` test-set forward that is most of `setup_s`. Dense
+/// normal operands: in the model half of `X` is ReLU zeros, whose terms the
+/// kernels skip.
+fn bench_gemm_layouts(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm");
+    for &(batch, width) in &[(8usize, 1024usize), (32, 512), (1024, 1024), (1024, 512)] {
+        let x = gaussian(&[batch, width], 1);
+        let w = gaussian(&[width, width], 2);
+        let dy = gaussian(&[batch, width], 3);
+        let shape = format!("b{batch}_w{width}");
+        group.throughput(Throughput::Elements((2 * batch * width * width) as u64));
+        group.bench_function(BenchmarkId::new("forward_a_b", &shape), |bench| {
+            bench.iter(|| x.matmul(&w).expect("Y = X · W"));
+        });
+        if batch > 32 {
+            // Evaluation only runs the forward pass.
+            continue;
+        }
+        group.bench_function(BenchmarkId::new("grad_input_a_bt", &shape), |bench| {
+            bench.iter(|| dy.matmul_nt(&w).expect("dX = dY · Wᵀ"));
+        });
+        group.bench_function(BenchmarkId::new("grad_weight_at_b", &shape), |bench| {
+            bench.iter(|| x.matmul_tn(&dy).expect("dW = Xᵀ · dY"));
+        });
+    }
+    group.finish();
+}
+
 fn bench_reductions(c: &mut Criterion) {
     const N: usize = 1 << 16;
     let t = gaussian(&[N], 3);
@@ -65,6 +96,6 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_matmul, bench_reductions, bench_elementwise
+    targets = bench_matmul, bench_gemm_layouts, bench_reductions, bench_elementwise
 }
 criterion_main!(benches);

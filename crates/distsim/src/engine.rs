@@ -245,6 +245,12 @@ impl WorkerReplica {
 
     /// Runs each gradient through its push compression context (or passes
     /// it through raw), measuring codec CPU time.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the tensor and the codec's error, if a context
+    /// rejects its gradient: a shape that is not the model's, or — what a
+    /// diverged model produces — a non-finite value.
     pub fn encode_push(&mut self, grads: Vec<Tensor>) -> EncodedPush {
         let mut payloads = Vec::with_capacity(grads.len());
         let mut codec_seconds = 0.0f64;
@@ -252,7 +258,9 @@ impl WorkerReplica {
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
-                    let wire = ctx.compress(&grad).expect("gradient shape matches context");
+                    let wire = ctx.compress(&grad).unwrap_or_else(|e| {
+                        panic!("cannot compress the gradient of tensor {i}: {e}")
+                    });
                     codec_seconds += t0.elapsed().as_secs_f64();
                     payloads.push(TensorPayload::Compressed(wire));
                 }
@@ -1338,6 +1346,24 @@ mod tests {
             seed: 11,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot compress the gradient of tensor 4: input tensor contains a non-finite value"
+    )]
+    fn encode_push_names_the_tensor_and_the_codec_error() {
+        let problem = Problem::build(&ExperimentConfig {
+            model_width: 32,
+            ..tiny(SchemeKind::three_lc(1.0))
+        });
+        let mut worker = WorkerReplica::new(&problem, 0);
+        let (_, mut grads) = worker.compute(&problem.data, 8);
+        // What a diverged model hands the codec. Tensor 4 is the first
+        // block's fc1 weight (32 × 32, above the compression threshold).
+        assert!(problem.compressible[4]);
+        grads[4].as_mut_slice()[0] = f32::NAN;
+        worker.encode_push(grads);
     }
 
     /// Drives one BSP step directly through the engine types, the way the

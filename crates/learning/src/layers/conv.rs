@@ -123,6 +123,51 @@ impl Conv2dLayer {
         out
     }
 
+    /// The parameter gradients and, if `input_gradient`, the gradient with
+    /// respect to the layer's input (a GEMM and a col2im per example that
+    /// the bottom layer of a network has no use for).
+    fn gradients(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        input_gradient: bool,
+    ) -> (Option<Tensor>, Vec<Tensor>) {
+        let batch = grad_output.shape().dim(0);
+        let (h, w, o) = (self.height, self.width, self.out_channels);
+        let row_len = self.in_channels * self.kernel * self.kernel;
+        let mut grad_weight = Tensor::zeros(self.weight.shape().clone());
+        let mut grad_bias = vec![0.0f32; o];
+        let mut grad_input = input_gradient.then(|| vec![0.0f32; batch * self.in_dim()]);
+        for b in 0..batch {
+            let col = &cache.tensors[b];
+            let go = &grad_output.as_slice()[b * self.out_dim_len()..(b + 1) * self.out_dim_len()];
+            // Reassemble dY as [H·W, O].
+            let mut dy = vec![0.0f32; h * w * o];
+            for pix in 0..h * w {
+                for oc in 0..o {
+                    let g = go[oc * h * w + pix];
+                    dy[pix * o + oc] = g;
+                    grad_bias[oc] += g;
+                }
+            }
+            let dy = Tensor::from_vec(dy, [h * w, o]);
+            // dW += colᵀ · dY
+            let dw = col.matmul_tn(&dy).expect("dims match");
+            grad_weight.add_assign(&dw).expect("same shape");
+            if let Some(grad_input) = &mut grad_input {
+                // dcol = dY · Wᵀ, then scatter back.
+                let dcol = dy.matmul_nt(&self.weight).expect("dims match");
+                debug_assert_eq!(dcol.shape().dims(), &[h * w, row_len]);
+                let dx = self.col2im(&dcol);
+                grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
+            }
+        }
+        (
+            grad_input.map(|g| Tensor::from_vec(g, [batch, self.in_dim()])),
+            vec![grad_weight, Tensor::from_vec(grad_bias, [1, o])],
+        )
+    }
+
     fn in_dim(&self) -> usize {
         self.in_channels * self.height * self.width
     }
@@ -170,40 +215,15 @@ impl Layer for Conv2dLayer {
     }
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let batch = grad_output.shape().dim(0);
-        let (h, w, o) = (self.height, self.width, self.out_channels);
-        let row_len = self.in_channels * self.kernel * self.kernel;
-        let mut grad_weight = Tensor::zeros(self.weight.shape().clone());
-        let mut grad_bias = vec![0.0f32; o];
-        let mut grad_input = vec![0.0f32; batch * self.in_dim()];
-        let w_t = self.weight.transpose().expect("rank 2");
-        for b in 0..batch {
-            let col = &cache.tensors[b];
-            let go = &grad_output.as_slice()[b * self.out_dim_len()..(b + 1) * self.out_dim_len()];
-            // Reassemble dY as [H·W, O].
-            let mut dy = vec![0.0f32; h * w * o];
-            for pix in 0..h * w {
-                for oc in 0..o {
-                    let g = go[oc * h * w + pix];
-                    dy[pix * o + oc] = g;
-                    grad_bias[oc] += g;
-                }
-            }
-            let dy = Tensor::from_vec(dy, [h * w, o]);
-            // dW += colᵀ · dY
-            let col_t = col.transpose().expect("rank 2");
-            let dw = col_t.matmul(&dy).expect("dims match");
-            grad_weight.add_assign(&dw).expect("same shape");
-            // dcol = dY · Wᵀ, then scatter back.
-            let dcol = dy.matmul(&w_t).expect("dims match");
-            debug_assert_eq!(dcol.shape().dims(), &[h * w, row_len]);
-            let dx = self.col2im(&dcol);
-            grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
-        }
+        let (grad_input, param_grads) = self.gradients(cache, grad_output, true);
         LayerBackward {
-            grad_input: Tensor::from_vec(grad_input, [batch, self.in_dim()]),
-            param_grads: vec![grad_weight, Tensor::from_vec(grad_bias, [1, o])],
+            grad_input: grad_input.expect("input gradient was requested"),
+            param_grads,
         }
+    }
+
+    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
+        self.gradients(cache, grad_output, false).1
     }
 
     fn params(&self) -> Vec<&Tensor> {

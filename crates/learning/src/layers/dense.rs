@@ -82,12 +82,20 @@ impl Layer for DenseLayer {
     }
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
+        // dX = dY · Wᵀ
+        let grad_input = grad_output
+            .matmul_nt(&self.weight)
+            .expect("grad dims match");
+        LayerBackward {
+            grad_input,
+            param_grads: self.backward_params(cache, grad_output),
+        }
+    }
+
+    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
         let input = &cache.tensors[0];
-        // dX = dY · Wᵀ ; dW = Xᵀ · dY ; db = column-sum(dY).
-        let w_t = self.weight.transpose().expect("weight is rank 2");
-        let grad_input = grad_output.matmul(&w_t).expect("grad dims match");
-        let x_t = input.transpose().expect("input is rank 2");
-        let grad_weight = x_t.matmul(grad_output).expect("grad dims match");
+        // dW = Xᵀ · dY ; db = column-sum(dY).
+        let grad_weight = input.matmul_tn(grad_output).expect("grad dims match");
         let (batch, out_dim) = (grad_output.shape().dim(0), grad_output.shape().dim(1));
         let mut grad_bias = vec![0.0f32; out_dim];
         let g = grad_output.as_slice();
@@ -96,10 +104,7 @@ impl Layer for DenseLayer {
                 grad_bias[c] += g[r * out_dim + c];
             }
         }
-        LayerBackward {
-            grad_input,
-            param_grads: vec![grad_weight, Tensor::from_vec(grad_bias, [1, out_dim])],
-        }
+        vec![grad_weight, Tensor::from_vec(grad_bias, [1, out_dim])]
     }
 
     fn params(&self) -> Vec<&Tensor> {

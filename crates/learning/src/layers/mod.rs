@@ -73,6 +73,14 @@ pub trait Layer: Send {
     /// compatible input.
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward;
 
+    /// The `param_grads` of [`backward`](Layer::backward) alone, for the
+    /// bottom layer of a network, whose input gradient nobody reads. Layers
+    /// whose input gradient costs a GEMM override this to skip it; the
+    /// parameter gradients are bit-identical either way.
+    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
+        self.backward(cache, grad_output).param_grads
+    }
+
     /// Immutable views of the layer's parameter tensors.
     fn params(&self) -> Vec<&Tensor>;
 
@@ -113,6 +121,11 @@ pub(crate) mod gradcheck {
         let (out, cache) = layer.forward(input);
         let probe = Tensor::from_fn(out.shape().clone(), |i| ((i % 7) as f32 - 3.0) * 0.25);
         let back = layer.backward(&cache, &probe);
+        assert_eq!(
+            layer.backward_params(&cache, &probe),
+            back.param_grads,
+            "skipping the input gradient must not change a parameter gradient"
+        );
 
         let eps = 1e-3f32;
         // Input gradient.

@@ -55,12 +55,13 @@ impl Layer for ResidualBlock {
 
     fn forward(&self, input: &Tensor) -> (Tensor, LayerCache) {
         let mut children = Vec::with_capacity(6);
-        let mut h = input.clone();
+        let mut h = None;
         for layer in self.path() {
-            let (out, cache) = layer.forward(&h);
+            let (out, cache) = layer.forward(h.as_ref().unwrap_or(input));
             children.push(cache);
-            h = out;
+            h = Some(out);
         }
+        let h = h.expect("the path has six layers");
         let out = input.add(&h).expect("residual path preserves shape");
         (
             out,
@@ -73,15 +74,16 @@ impl Layer for ResidualBlock {
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
         // Backprop through the transform path in reverse.
-        let mut grad = grad_output.clone();
+        let mut grad = None;
         let path = self.path();
         let mut path_param_grads: Vec<Vec<Tensor>> = vec![Vec::new(); path.len()];
         for (i, layer) in path.iter().enumerate().rev() {
-            let back = layer.backward(&cache.children[i], &grad);
-            grad = back.grad_input;
+            let back = layer.backward(&cache.children[i], grad.as_ref().unwrap_or(grad_output));
+            grad = Some(back.grad_input);
             path_param_grads[i] = back.param_grads;
         }
         // Shortcut: the identity contributes grad_output directly.
+        let grad = grad.expect("the path has six layers");
         let grad_input = grad.add(grad_output).expect("shapes match");
         LayerBackward {
             grad_input,

@@ -51,13 +51,15 @@ impl Layer for Residual {
 
     fn forward(&self, input: &Tensor) -> (Tensor, LayerCache) {
         let mut children = Vec::with_capacity(self.path.len());
-        let mut h = input.clone();
+        let mut h = None;
         for layer in &self.path {
-            let (out, cache) = layer.forward(&h);
+            let (out, cache) = layer.forward(h.as_ref().unwrap_or(input));
             children.push(cache);
-            h = out;
+            h = Some(out);
         }
-        let out = input.add(&h).expect("residual path preserves shape");
+        let out = input
+            .add(h.as_ref().unwrap_or(input))
+            .expect("residual path preserves shape");
         (
             out,
             LayerCache {
@@ -68,14 +70,18 @@ impl Layer for Residual {
     }
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let mut grad = grad_output.clone();
+        let mut grad = None;
         let mut grads: Vec<Vec<Tensor>> = vec![Vec::new(); self.path.len()];
         for (i, layer) in self.path.iter().enumerate().rev() {
-            let back = layer.backward(&cache.children[i], &grad);
-            grad = back.grad_input;
+            let back = layer.backward(&cache.children[i], grad.as_ref().unwrap_or(grad_output));
+            grad = Some(back.grad_input);
             grads[i] = back.param_grads;
         }
-        let grad_input = grad.add(grad_output).expect("shapes match");
+        let grad_input = grad
+            .as_ref()
+            .unwrap_or(grad_output)
+            .add(grad_output)
+            .expect("shapes match");
         LayerBackward {
             grad_input,
             param_grads: grads.into_iter().flatten().collect(),

@@ -60,18 +60,17 @@ impl Network {
 
     /// Runs the forward pass, returning logits.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        let mut h = input.clone();
-        for layer in &self.layers {
-            let (out, _) = layer.forward(&h);
-            h = out;
-        }
-        h
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        rest.iter()
+            .fold(first.forward(input).0, |h, layer| layer.forward(&h).0)
     }
 
     /// Computes mean cross-entropy loss and per-parameter gradients for a
     /// batch. Gradient order matches [`param_names`](Network::param_names).
     pub fn loss_and_gradients(&self, batch: &Batch) -> (f32, Vec<Tensor>) {
-        self.loss_and_gradients_with(batch.inputs.clone(), |logits| {
+        self.loss_and_gradients_with(&batch.inputs, |logits| {
             softmax_cross_entropy(logits, &batch.labels)
         })
     }
@@ -84,25 +83,28 @@ impl Network {
     /// classification path uses softmax cross-entropy.
     pub fn loss_and_gradients_with(
         &self,
-        inputs: Tensor,
+        inputs: &Tensor,
         loss: impl FnOnce(&Tensor) -> (f32, Tensor),
     ) -> (f32, Vec<Tensor>) {
         // Forward, keeping caches.
         let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = inputs;
+        let mut h = None;
         for layer in &self.layers {
-            let (out, cache) = layer.forward(&h);
+            let (out, cache) = layer.forward(h.as_ref().unwrap_or(inputs));
             caches.push(cache);
-            h = out;
+            h = Some(out);
         }
-        let (loss_value, mut grad) = loss(&h);
+        let (loss_value, mut grad) = loss(h.as_ref().unwrap_or(inputs));
 
-        // Backward.
+        // Backward. Nothing reads the bottom layer's input gradient.
         let mut per_layer_grads: Vec<Vec<Tensor>> = vec![Vec::new(); self.layers.len()];
-        for (i, layer) in self.layers.iter().enumerate().rev() {
+        for (i, layer) in self.layers.iter().enumerate().skip(1).rev() {
             let back = layer.backward(&caches[i], &grad);
             grad = back.grad_input;
             per_layer_grads[i] = back.param_grads;
+        }
+        if let Some(bottom) = self.layers.first() {
+            per_layer_grads[0] = bottom.backward_params(&caches[0], &grad);
         }
         (loss_value, per_layer_grads.into_iter().flatten().collect())
     }

@@ -132,9 +132,7 @@ impl SyntheticRegression {
 pub fn regression_loss_and_gradients(net: &Network, batch: &RegressionBatch) -> (f32, Vec<Tensor>) {
     // Manual forward with caches (mirrors Network::loss_and_gradients but
     // swaps the loss function).
-    net.loss_and_gradients_with(batch.inputs.clone(), |logits| {
-        mse_loss(logits, &batch.targets)
-    })
+    net.loss_and_gradients_with(&batch.inputs, |logits| mse_loss(logits, &batch.targets))
 }
 
 #[cfg(test)]

@@ -1,0 +1,273 @@
+//! Matrix multiplication: one blocked GEMM core and the three operand
+//! layouts the training framework needs.
+//!
+//! | method | computes | used for |
+//! |---|---|---|
+//! | [`Tensor::matmul`] | `A · B` | forward `Y = X · W` |
+//! | [`Tensor::matmul_nt`] | `A · Bᵀ` | input gradient `dX = dY · Wᵀ` |
+//! | [`Tensor::matmul_tn`] | `Aᵀ · B` | weight gradient `dW = Xᵀ · dY` |
+//!
+//! No layout materialises a transposed operand. All three run the same
+//! loop nest (`gemm`) and differ only in how an element of the left
+//! operand is addressed and in whether the right operand's tile is copied
+//! or turned as it is packed.
+//!
+//! The arithmetic contract — term order, no fusion, the zero-skip and when
+//! it is exact — is stated on [`Tensor::matmul`]. Blocking only changes
+//! *which elements* are advanced together, never the order of the additions
+//! into any one of them: DESIGN.md §17 has the argument,
+//! `tests/gemm_identity.rs` the differential test against the naive loop.
+
+use crate::{Tensor, TensorError};
+
+/// Width of a right-hand panel: the output columns advanced together.
+const NC: usize = 256;
+
+/// Height of a right-hand panel: the inner indices advanced together. A
+/// packed `KC × NC` panel is 32 KiB — the only scratch a GEMM allocates —
+/// and stays in L1 while every output row takes its terms from it, so each
+/// right-hand element is read from memory once per GEMM.
+const KC: usize = 32;
+
+/// Adds the first `N` listed terms to every element of an output row
+/// strip: `out[j] = (…((out[j] + c₀·r₀[j]) + c₁·r₁[j]) + …)`, where `rₜ` is
+/// the panel row starting at `offset[t]`. `N` terms of each element's sum
+/// cost one load and one store of it; the loop vectorises across `j`,
+/// which reorders nothing.
+#[inline(always)]
+fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], panel: &[f32]) {
+    let c: [f32; N] = std::array::from_fn(|t| coef[t]);
+    let rows: [&[f32]; N] = std::array::from_fn(|t| &panel[offset[t]..][..out.len()]);
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut acc = *o;
+        for t in 0..N {
+            acc += c[t] * rows[t][j];
+        }
+        *o = acc;
+    }
+}
+
+/// `out[i][j] = Σ_l a(i, l) · b(l, j)` for an `m × k` left and a `k × n`
+/// right operand, where `a(i, l) = a[i·a_row + l·a_col]` and the right
+/// operand is stored either as `k × n` row-major (`b_transposed = false`)
+/// or as `n × k` row-major (`b_transposed = true`).
+///
+/// For each `KC × NC` panel of the right operand, packed into contiguous
+/// rows, every output row lists its nonzero left factors over the panel's
+/// inner indices (in ascending order) and adds their terms eight at a
+/// time.
+fn gemm(
+    (m, n, k): (usize, usize, usize),
+    a: &[f32],
+    (a_row, a_col): (usize, usize),
+    b: &[f32],
+    b_transposed: bool,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+    let mut coef = [0.0f32; KC];
+    let mut offset = [0usize; KC];
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for l0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - l0);
+            let panel = &mut panel[..kc * nc];
+            if b_transposed {
+                for j in 0..nc {
+                    let src = &b[(j0 + j) * k + l0..][..kc];
+                    for (l, &v) in src.iter().enumerate() {
+                        panel[l * nc + j] = v;
+                    }
+                }
+            } else {
+                for (l, dst) in panel.chunks_exact_mut(nc).enumerate() {
+                    dst.copy_from_slice(&b[(l0 + l) * n + j0..][..nc]);
+                }
+            }
+            for i in 0..m {
+                // Branch-free compaction: a zero is overwritten by the next
+                // candidate because `count` did not move past it.
+                let mut count = 0;
+                for l in 0..kc {
+                    let v = a[i * a_row + (l0 + l) * a_col];
+                    coef[count] = v;
+                    offset[count] = l * nc;
+                    count += usize::from(v != 0.0);
+                }
+                let out_row = &mut out[i * n + j0..][..nc];
+                let (mut coef, mut offset) = (&coef[..count], &offset[..count]);
+                while coef.len() >= 8 {
+                    add_terms::<8>(out_row, coef, offset, panel);
+                    (coef, offset) = (&coef[8..], &offset[8..]);
+                }
+                if coef.len() >= 4 {
+                    add_terms::<4>(out_row, coef, offset, panel);
+                    (coef, offset) = (&coef[4..], &offset[4..]);
+                }
+                if coef.len() >= 2 {
+                    add_terms::<2>(out_row, coef, offset, panel);
+                    (coef, offset) = (&coef[2..], &offset[2..]);
+                }
+                if coef.len() == 1 {
+                    add_terms::<1>(out_row, coef, offset, panel);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The two dimensions of a rank-2 tensor.
+fn matrix_dims(t: &Tensor) -> Result<(usize, usize), TensorError> {
+    if t.shape().rank() != 2 {
+        return Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: t.shape().rank(),
+        });
+    }
+    Ok((t.shape().dim(0), t.shape().dim(1)))
+}
+
+fn check_inner(left: usize, right: usize) -> Result<(), TensorError> {
+    if left != right {
+        return Err(TensorError::InnerDimMismatch {
+            left_cols: left,
+            right_rows: right,
+        });
+    }
+    Ok(())
+}
+
+impl Tensor {
+    /// Matrix multiply of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
+    ///
+    /// Every output element is `((0 + a₀·b₀) + a₁·b₁) + …`: products added
+    /// to a `+0.0` accumulator in ascending inner-index order, one IEEE
+    /// multiply and one IEEE add each, never fused, never reassociated —
+    /// bit-identical to the naive triple loop, as are
+    /// [`matmul_nt`](Tensor::matmul_nt) and [`matmul_tn`](Tensor::matmul_tn).
+    ///
+    /// Terms whose left factor is exactly zero are skipped (half of a ReLU
+    /// output is zeros). That is exact only while `other` is finite: the
+    /// skipped product is then `±0.0`, which cannot change an accumulator
+    /// that started at `+0.0`; opposite an infinity or a NaN in `other` the
+    /// naive loop would produce NaN and this method does not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] if either operand is not rank 2
+    /// and [`TensorError::InnerDimMismatch`] if the inner dimensions differ.
+    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
+        let (m, k) = matrix_dims(self)?;
+        let (k2, n) = matrix_dims(other)?;
+        check_inner(k, k2)?;
+        let out = gemm((m, n, k), self.as_slice(), (k, 1), other.as_slice(), false);
+        Ok(Tensor::from_vec(out, [m, n]))
+    }
+
+    /// `self · otherᵀ` without forming the transpose:
+    /// `[m, k] × [n, k]ᵀ → [m, n]`. Bit-identical to
+    /// `self.matmul(&other.transpose()?)`, zero-skip included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] if either operand is not rank 2
+    /// and [`TensorError::InnerDimMismatch`] if the operands' column counts
+    /// differ.
+    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor, TensorError> {
+        let (m, k) = matrix_dims(self)?;
+        let (n, k2) = matrix_dims(other)?;
+        check_inner(k, k2)?;
+        let out = gemm((m, n, k), self.as_slice(), (k, 1), other.as_slice(), true);
+        Ok(Tensor::from_vec(out, [m, n]))
+    }
+
+    /// `selfᵀ · other` without forming the transpose:
+    /// `[k, m]ᵀ × [k, n] → [m, n]`. Bit-identical to
+    /// `self.transpose()?.matmul(other)`, zero-skip included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] if either operand is not rank 2
+    /// and [`TensorError::InnerDimMismatch`] if the operands' row counts
+    /// differ.
+    pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor, TensorError> {
+        let (k, m) = matrix_dims(self)?;
+        let (k2, n) = matrix_dims(other)?;
+        check_inner(k, k2)?;
+        let out = gemm((m, n, k), self.as_slice(), (1, m), other.as_slice(), false);
+        Ok(Tensor::from_vec(out, [m, n]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matmul_known_values() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
+        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], [3, 2]);
+        let c = a.matmul(&b).unwrap();
+        assert_eq!(c.shape().dims(), &[2, 2]);
+        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn matmul_identity() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+        let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
+        assert_eq!(a.matmul(&i).unwrap(), a);
+        assert_eq!(i.matmul(&a).unwrap(), a);
+    }
+
+    #[test]
+    fn transposed_layouts_known_values() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
+        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], [2, 3]);
+        // a · bᵀ: rows of a against rows of b.
+        let nt = a.matmul_nt(&b).unwrap();
+        assert_eq!(nt.shape().dims(), &[2, 2]);
+        assert_eq!(nt.as_slice(), &[50.0, 68.0, 122.0, 167.0]);
+        // aᵀ · b: columns of a against columns of b.
+        let tn = a.matmul_tn(&b).unwrap();
+        assert_eq!(tn.shape().dims(), &[3, 3]);
+        assert_eq!(
+            tn.as_slice(),
+            &[47.0, 52.0, 57.0, 64.0, 71.0, 78.0, 81.0, 90.0, 99.0]
+        );
+    }
+
+    #[test]
+    fn every_layout_checks_rank_and_inner_dimension() {
+        let a = Tensor::zeros([2, 3]);
+        let bad_rank = Tensor::zeros([3]);
+        let rank = Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: 1,
+        });
+        assert_eq!(a.matmul(&bad_rank), rank);
+        assert_eq!(a.matmul_nt(&bad_rank), rank);
+        assert_eq!(bad_rank.matmul_tn(&a), rank);
+        let inner = |left_cols, right_rows| {
+            Err(TensorError::InnerDimMismatch {
+                left_cols,
+                right_rows,
+            })
+        };
+        assert_eq!(a.matmul(&Tensor::zeros([4, 2])), inner(3, 4));
+        assert_eq!(a.matmul_nt(&Tensor::zeros([2, 4])), inner(3, 4));
+        assert_eq!(a.matmul_tn(&Tensor::zeros([3, 2])), inner(2, 3));
+    }
+
+    #[test]
+    fn zero_skip_departs_from_the_naive_sum_only_on_non_finite_right_operands() {
+        let a = Tensor::from_vec(vec![0.0, 1.0], [1, 2]);
+        let b = Tensor::from_vec(vec![f32::INFINITY, 2.0], [2, 1]);
+        // Naive: 0·inf + 1·2 = NaN. Skipping the zero term leaves 2.
+        assert_eq!(a.matmul(&b).unwrap().as_slice(), &[2.0]);
+        // A NaN on the left is not a zero and is never skipped.
+        let nan = Tensor::from_vec(vec![f32::NAN, 1.0], [1, 2]);
+        assert!(nan.matmul(&b).unwrap().as_slice()[0].is_nan());
+    }
+}

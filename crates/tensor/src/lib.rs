@@ -19,6 +19,7 @@
 //! ```
 
 mod error;
+mod gemm;
 pub mod init;
 mod ops;
 mod shape;

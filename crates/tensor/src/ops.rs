@@ -174,55 +174,6 @@ impl Tensor {
             .sum())
     }
 
-    /// Matrix multiply of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if either operand is not rank 2
-    /// and [`TensorError::InnerDimMismatch`] if the inner dimensions differ.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.shape().rank(),
-            });
-        }
-        if other.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: other.shape().rank(),
-            });
-        }
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        let (k2, n) = (other.shape().dim(0), other.shape().dim(1));
-        if k != k2 {
-            return Err(TensorError::InnerDimMismatch {
-                left_cols: k,
-                right_rows: k2,
-            });
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        // Loop order (i, l, j) keeps the inner loop contiguous over both the
-        // output row and the right-hand matrix row, which the compiler
-        // auto-vectorizes.
-        for i in 0..m {
-            for l in 0..k {
-                let a_il = a[i * k + l];
-                if a_il == 0.0 {
-                    continue;
-                }
-                let b_row = &b[l * n..(l + 1) * n];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_il * bv;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, [m, n]))
-    }
-
     /// Transpose of a rank-2 tensor.
     ///
     /// # Errors
@@ -340,38 +291,6 @@ mod tests {
         let a = t(&[1.0, 2.0, 3.0]);
         let b = t(&[4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
-    }
-
-    #[test]
-    fn matmul_known_values() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], [3, 2]);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape().dims(), &[2, 2]);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-        let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_errors() {
-        let a = Tensor::zeros([2, 3]);
-        let bad_rank = Tensor::zeros([3]);
-        assert!(matches!(
-            a.matmul(&bad_rank),
-            Err(TensorError::RankMismatch { .. })
-        ));
-        let bad_inner = Tensor::zeros([4, 2]);
-        assert!(matches!(
-            a.matmul(&bad_inner),
-            Err(TensorError::InnerDimMismatch { .. })
-        ));
     }
 
     #[test]

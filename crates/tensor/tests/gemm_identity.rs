@@ -1,0 +1,122 @@
+//! Differential test of the GEMM core: all three layouts against the naive
+//! triple loop, compared by bit pattern.
+//!
+//! The oracle is the definition — for every output element, products added
+//! to `+0.0` in ascending inner-index order, no zero-skip, no blocking. The
+//! kernels may differ from it only on non-finite operands (their zero-skip,
+//! see `gemm.rs`), so every generated value is finite.
+
+use proptest::prelude::*;
+use rand::Rng as _;
+use threelc_tensor::{Rng, Tensor};
+
+/// `out[i][j] = Σ_l a(i, l) · b(l, j)` straight from the definition.
+fn naive(
+    (m, n, k): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for l in 0..k {
+                out[i * n + j] += a(i, l) * b(l, j);
+            }
+        }
+    }
+    out
+}
+
+/// Finite values that stress the contract: both zeros (half of a ReLU
+/// output), subnormals, magnitudes far enough apart that any reordering of
+/// a sum changes its rounding, and ordinary values.
+fn value(rng: &mut Rng) -> f32 {
+    match rng.gen_range(0..10u32) {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+        4 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+        5 => rng.gen_range(-1e-20f32..1e-20),
+        6 => rng.gen_range(-1e12f32..1e12),
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
+}
+
+/// A `rows × cols` matrix of [`value`]s in which about one row in four is
+/// all zeros.
+fn matrix(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let dead = rng.gen_range(0..4u32) == 0;
+        data.extend((0..cols).map(|_| if dead { 0.0 } else { value(rng) }));
+    }
+    Tensor::from_vec(data, [rows, cols])
+}
+
+/// The first position at which two results differ in any bit, with both
+/// bit patterns (a whole-vector `assert_eq!` prints ten thousand numbers).
+fn first_difference(got: &[f32], want: &[f32]) -> Option<(usize, u32, u32)> {
+    assert_eq!(got.len(), want.len());
+    (0..got.len())
+        .map(|i| (i, got[i].to_bits(), want[i].to_bits()))
+        .find(|&(_, g, w)| g != w)
+}
+
+proptest! {
+    #[test]
+    fn every_layout_matches_the_naive_sum_bit_for_bit(
+        // Below, at and above the eight terms added per pass; 33 also
+        // exceeds a panel's height when it is the inner dimension.
+        m in prop_oneof![Just(1usize), Just(7usize), Just(8usize), Just(9usize), Just(33usize)],
+        // Panels are 32 × 256: both ranges cross a tile edge and neither is
+        // confined to multiples of it; `k = 0` is the empty sum.
+        k in 0usize..70,
+        n in 1usize..300,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = threelc_tensor::rng(seed);
+
+        let a = matrix(&mut rng, m, k);
+        let b = matrix(&mut rng, k, n);
+        let (x, y) = (a.as_slice(), b.as_slice());
+        let got = a.matmul(&b).unwrap();
+        prop_assert_eq!(got.shape().dims(), &[m, n]);
+        let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[l * n + j]);
+        prop_assert_eq!(first_difference(got.as_slice(), &want), None);
+
+        let b = matrix(&mut rng, n, k);
+        let y = b.as_slice();
+        let got = a.matmul_nt(&b).unwrap();
+        prop_assert_eq!(got.shape().dims(), &[m, n]);
+        let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[j * k + l]);
+        prop_assert_eq!(first_difference(got.as_slice(), &want), None);
+
+        // The weight-gradient shape: the inner dimension is the batch `m`.
+        let c = matrix(&mut rng, m, n);
+        let z = c.as_slice();
+        let got = a.matmul_tn(&c).unwrap();
+        prop_assert_eq!(got.shape().dims(), &[k, n]);
+        let want = naive((k, n, m), |i, l| x[l * k + i], |l, j| z[l * n + j]);
+        prop_assert_eq!(first_difference(got.as_slice(), &want), None);
+    }
+}
+
+#[test]
+fn transposed_layouts_equal_transpose_then_matmul() {
+    let mut rng = threelc_tensor::rng(3);
+    let a = matrix(&mut rng, 9, 70);
+    let w = matrix(&mut rng, 300, 70);
+    let d = matrix(&mut rng, 9, 300);
+    let nt = a.matmul_nt(&w).unwrap();
+    let via_transpose = a.matmul(&w.transpose().unwrap()).unwrap();
+    assert_eq!(
+        first_difference(nt.as_slice(), via_transpose.as_slice()),
+        None
+    );
+    let tn = a.matmul_tn(&d).unwrap();
+    let via_transpose = a.transpose().unwrap().matmul(&d).unwrap();
+    assert_eq!(
+        first_difference(tn.as_slice(), via_transpose.as_slice()),
+        None
+    );
+}

@@ -1,0 +1,106 @@
+//! Pins the final model of short fixed-seed training runs by CRC-32.
+//!
+//! The repository's spine is bit-identity: the same seed must train the
+//! same model whatever happens to the kernels underneath. These constants
+//! were captured before the GEMM kernels were blocked (PR 12) and must
+//! never change without a stated reason; a change that reorders a single
+//! floating-point add inside `threelc-tensor` or a layer's backward pass
+//! moves the `Float32` hashes, whose every gradient bit reaches the model.
+//!
+//! The CRC is `threelc_net::model_crc32`, the number `threelc simulate` and
+//! `threelc serve` print as `final model crc32`.
+
+use threelc_baselines::{build_compressor, SchemeKind};
+use threelc_distsim::{run_experiment, Cluster, ExperimentConfig};
+use threelc_learning::{models, SgdMomentum, SyntheticImages};
+use threelc_net::model_crc32;
+
+const STEPS: u64 = 3;
+
+/// Width 40 and batch 9 are multiples of no GEMM tile, so the ragged edges
+/// of every kernel run; the final evaluation is the `m = 1024` forward.
+fn dense_config(scheme: SchemeKind) -> ExperimentConfig {
+    ExperimentConfig {
+        scheme,
+        workers: 2,
+        batch_per_worker: 9,
+        total_steps: STEPS,
+        warmup_steps: 0,
+        model_width: 40,
+        model_blocks: 1,
+        seed: 7,
+        ..Default::default()
+    }
+}
+
+/// `"<final model crc32> <final test loss bits>"`, both in hex, of the
+/// simulator's `residual_mlp` run.
+fn dense_run(scheme: SchemeKind) -> String {
+    let config = dense_config(scheme);
+    let mut cluster = Cluster::new(config);
+    for _ in 0..STEPS {
+        cluster.step();
+    }
+    let result = run_experiment(&config);
+    assert_eq!(
+        result.final_eval,
+        cluster.evaluate(),
+        "run_experiment drives the same cluster"
+    );
+    format!(
+        "{:08x} {:08x}",
+        model_crc32(cluster.global_model()),
+        result.final_eval.loss.to_bits()
+    )
+}
+
+/// Three single-node SGD steps of the convolutional ResNet, every gradient
+/// passed through `scheme`'s compression context first (the experiment
+/// harness only builds `residual_mlp`, so the conv layers are driven here).
+fn conv_run(scheme: SchemeKind) -> String {
+    let data = SyntheticImages::standard(11);
+    let mut net = models::conv_resnet(&data.spec(), 3, 1, 5);
+    let mut ctxs: Vec<_> = net
+        .params()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| build_compressor(&scheme, p.shape().clone(), i as u64))
+        .collect();
+    let mut rng = threelc_tensor::rng(13);
+    let mut optimizer = SgdMomentum::paper_defaults();
+    for _ in 0..STEPS {
+        let batch = data.sample_train_batch(&mut rng, 3);
+        let (loss, grads) = net.loss_and_gradients(&batch);
+        assert!(loss.is_finite());
+        let decoded: Vec<_> = grads
+            .iter()
+            .zip(&mut ctxs)
+            .map(|(g, ctx)| {
+                let wire = ctx.compress(g).expect("gradient matches its context");
+                ctx.decompress(&wire).expect("own payload decodes")
+            })
+            .collect();
+        optimizer.apply(&mut net, &decoded, 0.05);
+    }
+    format!("{:08x}", model_crc32(&net))
+}
+
+#[test]
+fn dense_float32_model_is_pinned() {
+    assert_eq!(dense_run(SchemeKind::Float32), "ccef37b4 405122a2");
+}
+
+#[test]
+fn dense_three_lc_model_is_pinned() {
+    assert_eq!(dense_run(SchemeKind::three_lc(1.0)), "f50c5d02 40531939");
+}
+
+#[test]
+fn conv_float32_model_is_pinned() {
+    assert_eq!(conv_run(SchemeKind::Float32), "ea01a13a");
+}
+
+#[test]
+fn conv_three_lc_model_is_pinned() {
+    assert_eq!(conv_run(SchemeKind::three_lc(1.0)), "557a1d00");
+}
