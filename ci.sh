@@ -350,83 +350,9 @@ rc=0
 wait "$w1" || rc=$?
 echo "    --max-rejoins 0 aborts on the injected fault; gate holds both ways"
 
-echo "==> aggregation-mode matrix (per-mode crc: serve == simulate; exact == f32)"
-aggdir=target/agg-smoke
-rm -rf "$aggdir"
-mkdir -p "$aggdir"
-# The per-mode loopback and chaos integration tests ride along here, so
-# both non-default modes re-run the in-process net suite as well as the
-# shell-level crc comparison below.
-cargo test -q --offline -p threelc-net --test loopback --test faults
-for mode in f32 exact compressed; do
-    "$threelc" simulate "${chaos_flags[@]}" --aggregate "$mode" \
-        >"$aggdir/sim-$mode.txt"
-    mode_sim_crc="$(crc_of "$aggdir/sim-$mode.txt")"
-    if [ -z "$mode_sim_crc" ]; then
-        echo "--aggregate $mode simulate printed no fingerprint" >&2
-        exit 1
-    fi
-    port=$((20000 + RANDOM % 20000))
-    addr="127.0.0.1:$port"
-    "$threelc" serve --addr "$addr" "${chaos_flags[@]}" --aggregate "$mode" \
-        >"$aggdir/serve-$mode.log" &
-    serve_pid=$!
-    "$threelc" worker --addr "$addr" --id 0 >"$aggdir/w0-$mode.log" &
-    w0=$!
-    "$threelc" worker --addr "$addr" --id 1 >"$aggdir/w1-$mode.log" &
-    w1=$!
-    wait "$w0"
-    wait "$w1"
-    wait "$serve_pid"
-    mode_net_crc="$(crc_of "$aggdir/serve-$mode.log")"
-    if [ "$mode_net_crc" != "$mode_sim_crc" ]; then
-        echo "--aggregate $mode: serve crc $mode_net_crc != simulate crc $mode_sim_crc" >&2
-        exit 1
-    fi
-    echo "    $mode: crc $mode_net_crc matches the simulator"
-done
-# Exact mode is the default and bit-identical to the seed f32 path, so
-# the f32 and exact fingerprints — and the default-mode chaos baseline
-# above — must all be one value.
-if [ "$(crc_of "$aggdir/sim-f32.txt")" != "$(crc_of "$aggdir/sim-exact.txt")" ]; then
-    echo "exact-mode model diverged from the f32 aggregation path" >&2
-    exit 1
-fi
-if [ "$(crc_of "$aggdir/sim-exact.txt")" != "$sim_crc" ]; then
-    echo "default aggregation no longer matches exact mode" >&2
-    exit 1
-fi
-echo "    f32 == exact == default: bit-identity holds at the model level"
-
-# kill@2 + --rejoin under --aggregate compressed: replay-based resync
-# must land exactly on the compressed-mode simulator model too.
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --aggregate compressed \
-    >"$aggdir/kill-serve.log" &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
-    --aggregate compressed >"$aggdir/kill-w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 --aggregate compressed \
-    >"$aggdir/kill-w1.log" &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" != 43 ]; then
-    echo "compressed kill@2 worker exited $rc, expected the kill exit code 43" >&2
-    exit 1
-fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin >"$aggdir/kill-w0b.log" &
-w0b=$!
-wait "$w0b"
-wait "$w1"
-wait "$serve_pid"
-if [ "$(crc_of "$aggdir/kill-serve.log")" != "$(crc_of "$aggdir/sim-compressed.txt")" ]; then
-    echo "compressed kill@2 + --rejoin diverged from the simulator" >&2
-    exit 1
-fi
-echo "    compressed kill@2 + --rejoin resumed; crc matches the simulator"
+# (No aggregation-mode matrix: there is one aggregation path, and its
+# serve == simulate crc is asserted by the chaos smoke above and by
+# loopback_run_matches_simulator_bit_for_bit under `cargo test`.)
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke
@@ -671,24 +597,6 @@ for attempt in 1 2 3; do
 done
 if [ "$gate_ok" != 1 ]; then
     echo "analyze bench gate failed on all attempts" >&2
-    exit 1
-fi
-
-echo "==> aggregate bench gate vs BENCH_pr10.json"
-gate_ok=0
-for attempt in 1 2 3; do
-    cargo run -q --release --offline -p threelc-bench --bin bench_aggregate -- \
-        target/bench/BENCH_aggregate_current.json --reps 10
-    if cargo run -q --release --offline -p threelc-bench --bin bench_aggregate -- \
-        --gate target/bench/BENCH_aggregate_current.json BENCH_pr10.json; then
-        gate_ok=1
-        break
-    fi
-    echo "aggregate bench gate attempt $attempt failed; re-measuring" >&2
-    sleep 2
-done
-if [ "$gate_ok" != 1 ]; then
-    echo "aggregate bench gate failed on all attempts" >&2
     exit 1
 fi
 

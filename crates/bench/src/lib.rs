@@ -11,7 +11,6 @@
 //!   (`--steps`, `--quick`, `--seed`, `--fresh`) and the experiment grids.
 //! - [`table`] — fixed-width text table rendering.
 
-pub mod aggregate_perf;
 pub mod analyze_perf;
 pub mod cache;
 pub mod harness;

@@ -335,7 +335,6 @@ mod tests {
                 ..ExperimentConfig::for_scheme(SchemeKind::Float32)
             }),
             final_model_crc32: 0,
-            aggregate_mode: "exact".into(),
             connections: vec![],
             faults: Default::default(),
             node_traces,

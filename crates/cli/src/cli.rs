@@ -23,13 +23,13 @@ usage:
                      [--policy SPEC] [--width N] [--blocks N] [--batch N]
                      [--eval-every N] [--threads N] [--json report.json]
                      [--rejoin-timeout SECS] [--max-rejoins N]
-                     [--flight dump.flight.json] [--aggregate MODE]
+                     [--flight dump.flight.json]
   threelc worker     --addr A --id N [--threads N] [--max-rejoins N]
                      [--inject-fault SPEC] [--rejoin] [--policy SPEC]
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme ...]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
-                     [--threads N] [--aggregate MODE]
+                     [--threads N]
   threelc metrics    <addr> [--json|--prom] [--watch SECS]
   threelc metrics    --from <log.jsonl|report.json> [--json|--prom]
   threelc top        <addr> [--interval SECS] [--once] [--json]
@@ -54,13 +54,6 @@ a deterministic fault (disconnect@N, drop-after-push@N, kill@N, crc@N[:S],
 delay@N:MS; also via THREELC_FAULT); --rejoin resumes a previous worker's
 run after a kill. simulate runs the same experiment in-process and prints
 the same `final model crc32` line a fault-free or recovered serve prints.
-
---aggregate picks the server's aggregation path: `exact` (default)
-accumulates worker-order float sums straight from decoded symbols and is
-bit-identical to `f32` (the decode-then-sum seed path); `compressed`
-groups workers by scale and sums symbols in integer lanes — fastest, and
-deterministic (serve == simulate == rejoin replay) but not bit-identical
-to the other two.
 
 --policy selects the compression-policy engine deciding the sparsity
 multiplier per tensor per step: `static` (default), `fixed:S`,
@@ -928,49 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_flag_selects_the_server_aggregation_path() {
-        let base = [
-            "simulate",
-            "--workers",
-            "2",
-            "--steps",
-            "3",
-            "--width",
-            "16",
-            "--blocks",
-            "1",
-            "--batch",
-            "8",
-            "--scheme",
-            "3lc",
-        ];
-        let run_with = |mode: &str| {
-            let mut args = s(&base);
-            args.extend(["--aggregate".to_string(), mode.to_string()]);
-            run(&args).expect("simulate run")
-        };
-        let crc = |out: &str| {
-            out.lines()
-                .find(|l| l.starts_with("final model crc32: "))
-                .expect("fingerprint line")
-                .to_string()
-        };
-        // The default (exact) and the seed f32 path are bit-identical.
-        let f32_out = run_with("f32");
-        let exact_out = run_with("exact");
-        let default_out = run(&s(&base)).expect("simulate run");
-        assert_eq!(crc(&f32_out), crc(&exact_out));
-        assert_eq!(crc(&exact_out), crc(&default_out));
-        // Compressed mode runs to completion (its fingerprint may differ).
-        let _ = run_with("compressed");
-        // Unknown modes are a flag error, not a silent default.
-        let mut bad = s(&base);
-        bad.extend(["--aggregate".to_string(), "fp32".to_string()]);
-        let err = run(&bad).expect_err("unknown aggregate mode");
-        assert!(err.to_string().contains("--aggregate"), "got: {err}");
-    }
-
-    #[test]
     fn serve_and_worker_commands_run_a_loopback_experiment() {
         // Reserve an ephemeral port, then immediately reuse it. The worker
         // commands retry with backoff, so they tolerate starting first.
@@ -1270,7 +1220,6 @@ mod tests {
             node_traces: vec![],
             anomalies: vec![],
             final_model_crc32: 0,
-            aggregate_mode: "exact".into(),
             faults: threelc_net::FaultsReport::default(),
             series: Default::default(),
             analysis: None,

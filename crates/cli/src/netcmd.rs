@@ -11,7 +11,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 use threelc::SparsityMultiplier;
 use threelc_baselines::SchemeKind;
-use threelc_distsim::{AggregateMode, Cluster, ExperimentConfig, PolicySpec};
+use threelc_distsim::{Cluster, ExperimentConfig, PolicySpec};
 use threelc_net::{
     model_crc32, run_worker, scrape_metrics, serve, FaultPlan, ServeOptions, WorkerOptions,
 };
@@ -81,7 +81,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "--batch",
     "--eval-every",
     "--policy",
-    "--aggregate",
 ];
 
 /// Builds the experiment configuration from the shared [`CONFIG_FLAGS`],
@@ -119,10 +118,6 @@ fn config_from_flags(args: &[String]) -> Result<ExperimentConfig, Box<dyn Error>
     if let Some(spec) = flag_value(args, "--policy") {
         config.policy = PolicySpec::parse(spec).map_err(|e| format!("--policy: {e}"))?;
     }
-    if let Some(name) = flag_value(args, "--aggregate") {
-        config.aggregate = AggregateMode::parse(name)
-            .ok_or_else(|| format!("--aggregate: unknown mode `{name}` (f32|exact|compressed)"))?;
-    }
     Ok(config)
 }
 
@@ -141,7 +136,6 @@ pub fn serve_cmd(args: &[String]) -> CliResult {
         "--batch",
         "--eval-every",
         "--policy",
-        "--aggregate",
         "--threads",
         "--json",
         "--rejoin-timeout",
@@ -537,7 +531,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
         "--max-rejoins",
         "--inject-fault",
         "--policy",
-        "--aggregate",
     ];
     const BOOL_FLAGS: &[&str] = &["--rejoin"];
     check_flags(args, FLAGS, BOOL_FLAGS)?;
@@ -555,10 +548,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
     // same arguments to every role.
     if let Some(spec) = flag_value(args, "--policy") {
         PolicySpec::parse(spec).map_err(|e| format!("--policy: {e}"))?;
-    }
-    if let Some(name) = flag_value(args, "--aggregate") {
-        AggregateMode::parse(name)
-            .ok_or_else(|| format!("--aggregate: unknown mode `{name}` (f32|exact|compressed)"))?;
     }
     wopts.start_rejoined = args.iter().any(|a| a == "--rejoin");
     wopts.fault = match flag_value(args, "--inject-fault") {

@@ -378,12 +378,12 @@ pub fn pack_ternary(imp: CodecImpl, srcs: &[&[i8]; 5], out: &mut [u8]) {
 
 /// Dequantize-assign: `out[i] = syms[i] as f32 · scale`.
 ///
-/// The first accepted worker of an exact-mode compressed-domain
-/// aggregation *assigns* into the accumulator (rather than adding to a
-/// zeroed one) so that `-0.0` products — e.g. `scale == 0.0`, `sym == -1`
-/// — survive exactly as they did when the seed path moved the first
-/// decoded tensor into the sum. Each element is one IEEE multiply, so
-/// every tier is bit-identical by construction.
+/// The first accepted worker of a symbol-domain aggregation *assigns*
+/// into the accumulator (rather than adding to a zeroed one) so that
+/// `-0.0` products — e.g. `scale == 0.0`, `sym == -1` — survive exactly
+/// as they do when the dense reference moves the first decoded tensor
+/// into the sum. Each element is one IEEE multiply, so every tier is
+/// bit-identical by construction.
 ///
 /// # Panics
 ///
@@ -403,8 +403,8 @@ pub fn dequant_assign(imp: CodecImpl, syms: &[i8], scale: f32, out: &mut [f32]) 
 
 /// Dequantize-accumulate: `out[i] += syms[i] as f32 · scale`.
 ///
-/// Exact-mode aggregation applies this once per accepted worker after the
-/// first, reproducing the seed path's worker-order `Tensor::add_assign`
+/// Aggregation applies this once per accepted worker after the first,
+/// reproducing the dense reference's worker-order `Tensor::add_assign`
 /// float sums element for element (one multiply + one add per element,
 /// both IEEE-exact, no FMA contraction from explicit `a * b + c` split
 /// across statements).
@@ -420,96 +420,6 @@ pub fn dequant_add(imp: CodecImpl, syms: &[i8], scale: f32, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
         CodecImpl::Simd => unsafe { simd_x86::dequant_add(syms, scale, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
-/// Accumulates one worker's ternary symbols into widened integer lanes:
-/// element `e` adds the biased digit `syms[e] + 1 ∈ {0,1,2}` to u16 lane
-/// `e % 4` of `acc[e / 4]`.
-///
-/// This is the compressed-aggregation inner loop: workers sharing a scale
-/// sum their symbols as integers (exact, order-free) and defer the float
-/// multiply to one [`symbol_lanes_drain_assign`]/[`symbol_lanes_drain_add`]
-/// pass per scale group. The bias keeps lanes non-negative so no borrow
-/// can cross lanes; the caller must keep the group size ≤ 32767 members
-/// (each add contributes ≤ 2 per lane) or lanes overflow into neighbours.
-///
-/// # Panics
-///
-/// Panics if `acc` is shorter than `syms.len().div_ceil(4)` words.
-pub fn symbol_lanes_add(imp: CodecImpl, syms: &[i8], acc: &mut [u64]) {
-    assert!(
-        acc.len() >= syms.len().div_ceil(4),
-        "lane buffer must hold ceil(n/4) words"
-    );
-    match runnable(imp) {
-        CodecImpl::Scalar => scalar::symbol_lanes_add(syms, acc),
-        CodecImpl::Swar => swar::symbol_lanes_add(syms, acc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::symbol_lanes_add(syms, acc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
-/// Drains biased symbol lanes to floats: `out[e] = (lane_e − members) as
-/// f32 · scale`, where `members` is how many workers were accumulated
-/// (removing `members` copies of the +1 bias in one integer subtract).
-///
-/// The lane sum is exact integer arithmetic, so the result is a single
-/// IEEE multiply per element — deterministic and tier-identical.
-///
-/// # Panics
-///
-/// Panics if `acc` is shorter than `out.len().div_ceil(4)` words.
-pub fn symbol_lanes_drain_assign(
-    imp: CodecImpl,
-    acc: &[u64],
-    members: u32,
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert!(
-        acc.len() >= out.len().div_ceil(4),
-        "lane buffer must hold ceil(n/4) words"
-    );
-    match runnable(imp) {
-        CodecImpl::Scalar => scalar::symbol_lanes_drain_assign(acc, members, scale, out),
-        CodecImpl::Swar => swar::symbol_lanes_drain_assign(acc, members, scale, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::symbol_lanes_drain_assign(acc, members, scale, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
-/// [`symbol_lanes_drain_assign`] that accumulates (`out[e] += …`): scale
-/// groups after the first add their drained sums onto the group-0 result.
-///
-/// # Panics
-///
-/// Panics if `acc` is shorter than `out.len().div_ceil(4)` words.
-pub fn symbol_lanes_drain_add(
-    imp: CodecImpl,
-    acc: &[u64],
-    members: u32,
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert!(
-        acc.len() >= out.len().div_ceil(4),
-        "lane buffer must hold ceil(n/4) words"
-    );
-    match runnable(imp) {
-        CodecImpl::Scalar => scalar::symbol_lanes_drain_add(acc, members, scale, out),
-        CodecImpl::Swar => swar::symbol_lanes_drain_add(acc, members, scale, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::symbol_lanes_drain_add(acc, members, scale, out) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }

@@ -91,26 +91,6 @@ pub(super) fn dequant_add(syms: &[i8], scale: f32, out: &mut [f32]) {
     }
 }
 
-pub(super) fn symbol_lanes_add(syms: &[i8], acc: &mut [u64]) {
-    for (e, &s) in syms.iter().enumerate() {
-        acc[e / 4] += ((s + 1) as u64) << (16 * (e % 4));
-    }
-}
-
-pub(super) fn symbol_lanes_drain_assign(acc: &[u64], members: u32, scale: f32, out: &mut [f32]) {
-    for (e, o) in out.iter_mut().enumerate() {
-        let lane = ((acc[e / 4] >> (16 * (e % 4))) & 0xffff) as i32;
-        *o = (lane - members as i32) as f32 * scale;
-    }
-}
-
-pub(super) fn symbol_lanes_drain_add(acc: &[u64], members: u32, scale: f32, out: &mut [f32]) {
-    for (e, o) in out.iter_mut().enumerate() {
-        let lane = ((acc[e / 4] >> (16 * (e % 4))) & 0xffff) as i32;
-        *o += (lane - members as i32) as f32 * scale;
-    }
-}
-
 pub(super) fn pack_ternary(srcs: &[&[i8]; 5], out: &mut [u8]) {
     for (i, o) in out.iter_mut().enumerate() {
         let mut byte = 0u8;

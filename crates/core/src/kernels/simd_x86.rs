@@ -181,93 +181,6 @@ pub(super) unsafe fn dequant_add(syms: &[i8], scale: f32, out: &mut [f32]) {
     }
 }
 
-/// Symbol-lane accumulate: adds the biased digit `syms[e] + 1` to u16
-/// lane `e % 4` of `acc[e / 4]`, sixteen elements per iteration. On this
-/// little-endian target the u64 words are just a contiguous u16 lane
-/// array, so the kernel widens sixteen symbol bytes to i16
-/// (`vpmovsxbw`), biases, and does one `vpaddw` against the lanes in
-/// place. Pure integer arithmetic — trivially identical to the SWAR
-/// word loop. The dispatcher's `ceil(n/4)`-words assertion makes every
-/// 32-byte lane access in-bounds (`2·(i+16) ≤ 2n ≤ 8·acc.len()`).
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn symbol_lanes_add(syms: &[i8], acc: &mut [u64]) {
-    let ones = _mm256_set1_epi16(1);
-    let base = acc.as_mut_ptr() as *mut u8;
-    let n = syms.len();
-    let mut i = 0;
-    while i + 16 <= n {
-        let b = _mm_loadu_si128(syms.as_ptr().add(i) as *const __m128i);
-        let d = _mm256_add_epi16(_mm256_cvtepi8_epi16(b), ones);
-        let p = base.add(2 * i) as *mut __m256i;
-        _mm256_storeu_si256(p, _mm256_add_epi16(_mm256_loadu_si256(p), d));
-        i += 16;
-    }
-    while i < n {
-        acc[i / 4] += ((syms[i] + 1) as u64) << (16 * (i % 4));
-        i += 1;
-    }
-}
-
-/// Lane drain: `out[e] = (lane_e − members) as f32 · scale`, eight lanes
-/// per iteration — zero-extend eight u16 lanes (`vpmovzxwd`), one exact
-/// integer subtract, an exact i32→f32 convert (lane sums stay ≤ 65534,
-/// far under 2²⁴), then the single IEEE multiply the scalar loop does.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn symbol_lanes_drain_assign(
-    acc: &[u64],
-    members: u32,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let sv = _mm256_set1_ps(scale);
-    let bias = _mm256_set1_epi32(members as i32);
-    let base = acc.as_ptr() as *const u8;
-    let n = out.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let lanes = _mm_loadu_si128(base.add(2 * i) as *const __m128i);
-        let v = _mm256_sub_epi32(_mm256_cvtepu16_epi32(lanes), bias);
-        let f = _mm256_mul_ps(_mm256_cvtepi32_ps(v), sv);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), f);
-        i += 8;
-    }
-    while i < n {
-        let lane = ((acc[i / 4] >> (16 * (i % 4))) & 0xffff) as i32;
-        out[i] = (lane - members as i32) as f32 * scale;
-        i += 1;
-    }
-}
-
-/// [`symbol_lanes_drain_assign`] that accumulates: the drained product
-/// goes through an explicit `vmulps` + `vaddps` pair — the scalar
-/// path's two roundings, never an FMA.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn symbol_lanes_drain_add(
-    acc: &[u64],
-    members: u32,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let sv = _mm256_set1_ps(scale);
-    let bias = _mm256_set1_epi32(members as i32);
-    let base = acc.as_ptr() as *const u8;
-    let n = out.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let lanes = _mm_loadu_si128(base.add(2 * i) as *const __m128i);
-        let v = _mm256_sub_epi32(_mm256_cvtepu16_epi32(lanes), bias);
-        let f = _mm256_mul_ps(_mm256_cvtepi32_ps(v), sv);
-        let p = out.as_mut_ptr().add(i);
-        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), f));
-        i += 8;
-    }
-    while i < n {
-        let lane = ((acc[i / 4] >> (16 * (i % 4))) & 0xffff) as i32;
-        out[i] += (lane - members as i32) as f32 * scale;
-        i += 1;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn pack_chunk(
     srcs: &[&[f32]; 5],

@@ -290,73 +290,6 @@ pub(super) fn dequant_add(syms: &[i8], scale: f32, out: &mut [f32]) {
     }
 }
 
-/// Spreads the low four bytes of `x` into the four u16 lanes of a u64
-/// (byte `k` → lane `k`): the widening step between [`tern_digits8`]'s
-/// byte digits and the u16 accumulator lanes.
-#[inline(always)]
-fn spread4(x: u64) -> u64 {
-    let x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
-    (x | (x << 8)) & 0x00ff_00ff_00ff_00ff
-}
-
-pub(super) fn symbol_lanes_add(syms: &[i8], acc: &mut [u64]) {
-    // Eight symbols per iteration: one carry-suppressed byte-lane +1
-    // (`tern_digits8`), then two spreads widen the eight byte digits into
-    // the u16 lanes of two consecutive accumulator words. Plain adds are
-    // safe: the caller caps group size at 32767 members, so every lane
-    // stays ≤ 65534 and nothing can carry across lanes.
-    let n = syms.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let d = tern_digits8(&syms[i..i + 8]);
-        acc[i / 4] += spread4(d & 0xffff_ffff);
-        acc[i / 4 + 1] += spread4(d >> 32);
-        i += 8;
-    }
-    while i < n {
-        acc[i / 4] += ((syms[i] + 1) as u64) << (16 * (i % 4));
-        i += 1;
-    }
-}
-
-pub(super) fn symbol_lanes_drain_assign(acc: &[u64], members: u32, scale: f32, out: &mut [f32]) {
-    let n = out.len();
-    let bias = members as i32;
-    let mut i = 0;
-    while i + 4 <= n {
-        let w = acc[i / 4];
-        for k in 0..4 {
-            let lane = ((w >> (16 * k)) & 0xffff) as i32;
-            out[i + k] = (lane - bias) as f32 * scale;
-        }
-        i += 4;
-    }
-    while i < n {
-        let lane = ((acc[i / 4] >> (16 * (i % 4))) & 0xffff) as i32;
-        out[i] = (lane - bias) as f32 * scale;
-        i += 1;
-    }
-}
-
-pub(super) fn symbol_lanes_drain_add(acc: &[u64], members: u32, scale: f32, out: &mut [f32]) {
-    let n = out.len();
-    let bias = members as i32;
-    let mut i = 0;
-    while i + 4 <= n {
-        let w = acc[i / 4];
-        for k in 0..4 {
-            let lane = ((w >> (16 * k)) & 0xffff) as i32;
-            out[i + k] += (lane - bias) as f32 * scale;
-        }
-        i += 4;
-    }
-    while i < n {
-        let lane = ((acc[i / 4] >> (16 * (i % 4))) & 0xffff) as i32;
-        out[i] += (lane - bias) as f32 * scale;
-        i += 1;
-    }
-}
-
 pub(super) fn find_invalid_quartic(h: &[u8]) -> Option<usize> {
     let mut i = 0;
     let mut chunks = h.chunks_exact(8);

@@ -251,47 +251,6 @@ proptest! {
             let got_bits: Vec<u32> = got.iter().map(|f| f.to_bits()).collect();
             prop_assert!(got_bits == want_bits, "dequant diverged on {}", imp);
         }
-
-        // Lane accumulate + drain: every tier must agree with the scalar
-        // tier on the packed words AND the drained floats, and draining
-        // must equal the integer symbol sum times the scale.
-        let members = workers.len() as u32;
-        let mut want_lanes = vec![0u64; n.div_ceil(4)];
-        for syms in &workers {
-            kernels::symbol_lanes_add(CodecImpl::Scalar, syms, &mut want_lanes);
-        }
-        let mut want_drained = vec![7.0f32; n];
-        kernels::symbol_lanes_drain_assign(
-            CodecImpl::Scalar, &want_lanes, members, scale, &mut want_drained,
-        );
-        for (e, &d) in want_drained.iter().enumerate() {
-            let isum: i32 = workers.iter().map(|syms| syms[e] as i32).sum();
-            prop_assert!(
-                d.to_bits() == (isum as f32 * scale).to_bits(),
-                "drain is not the integer sum times scale at {}", e
-            );
-        }
-        for imp in available_tiers() {
-            let mut lanes = vec![0u64; n.div_ceil(4)];
-            for syms in &workers {
-                kernels::symbol_lanes_add(imp, syms, &mut lanes);
-            }
-            prop_assert!(lanes == want_lanes, "lane words diverged on {}", imp);
-            let mut drained = vec![7.0f32; n];
-            kernels::symbol_lanes_drain_assign(imp, &lanes, members, scale, &mut drained);
-            let a: Vec<u32> = drained.iter().map(|f| f.to_bits()).collect();
-            let b: Vec<u32> = want_drained.iter().map(|f| f.to_bits()).collect();
-            prop_assert!(a == b, "drain-assign diverged on {}", imp);
-            let mut added = want_drained.clone();
-            let mut added_want = want_drained.clone();
-            kernels::symbol_lanes_drain_add(imp, &lanes, members, scale, &mut added);
-            kernels::symbol_lanes_drain_add(
-                CodecImpl::Scalar, &want_lanes, members, scale, &mut added_want,
-            );
-            let a: Vec<u32> = added.iter().map(|f| f.to_bits()).collect();
-            let b: Vec<u32> = added_want.iter().map(|f| f.to_bits()).collect();
-            prop_assert!(a == b, "drain-add diverged on {}", imp);
-        }
     }
 
     #[test]

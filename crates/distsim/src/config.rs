@@ -64,59 +64,6 @@ impl TimingModel {
     }
 }
 
-/// How the server turns accepted worker payloads into the averaged
-/// gradient (the aggregate phase of `ServerCore::apply_step`).
-///
-/// All three modes are deterministic; [`F32`](AggregateMode::F32) and
-/// [`Exact`](AggregateMode::Exact) are additionally bit-identical to each
-/// other — exact mode computes the same worker-order float sums from
-/// decoded symbols instead of materialized tensors (DESIGN.md §16).
-/// [`Compressed`](AggregateMode::Compressed) sums symbols in widened
-/// integer lanes per scale group, deferring the float multiply to one
-/// pass per group; it is bit-reproducible run-to-run (simulate == serve
-/// == rejoin-replay) but not bit-identical to the other two.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AggregateMode {
-    /// The seed path: decode every payload to an f32 `Tensor`, then sum.
-    F32,
-    /// Symbol-domain float accumulation `Σ scale_w · sym_w` per element in
-    /// worker order — bit-identical to `F32` without the per-worker tensor
-    /// allocations and separate dequantize pass. The default.
-    #[default]
-    Exact,
-    /// Scale-grouped integer symbol summation with one deferred float
-    /// multiply per group.
-    Compressed,
-}
-
-impl AggregateMode {
-    /// The mode's lowercase name (`f32`, `exact`, `compressed`), as
-    /// accepted by the `--aggregate` CLI flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            AggregateMode::F32 => "f32",
-            AggregateMode::Exact => "exact",
-            AggregateMode::Compressed => "compressed",
-        }
-    }
-
-    /// Parses a mode name (the values accepted by `--aggregate`).
-    pub fn parse(s: &str) -> Option<AggregateMode> {
-        match s {
-            "f32" => Some(AggregateMode::F32),
-            "exact" => Some(AggregateMode::Exact),
-            "compressed" => Some(AggregateMode::Compressed),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for AggregateMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Full configuration of one distributed-training experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -184,12 +131,6 @@ pub struct ExperimentConfig {
     /// workers, so every replica applies the identical decision sequence.
     #[serde(default)]
     pub policy: PolicySpec,
-    /// How the server aggregates accepted pushes. The default,
-    /// [`AggregateMode::Exact`], is bit-identical to the seed
-    /// [`AggregateMode::F32`] path (configs serialized before the field
-    /// existed load as `Exact` and reproduce their original models).
-    #[serde(default)]
-    pub aggregate: AggregateMode,
     /// The simulated-time model.
     pub timing: TimingModel,
 }
@@ -220,7 +161,6 @@ impl Default for ExperimentConfig {
             shared_pull_compression: true,
             seed: 42,
             policy: PolicySpec::Static,
-            aggregate: AggregateMode::Exact,
             timing: TimingModel::default(),
         }
     }
@@ -302,41 +242,6 @@ mod tests {
         let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
         assert!(back.policy.is_adaptive());
-    }
-
-    #[test]
-    fn aggregate_mode_names_parse_and_display() {
-        for mode in [
-            AggregateMode::F32,
-            AggregateMode::Exact,
-            AggregateMode::Compressed,
-        ] {
-            assert_eq!(AggregateMode::parse(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(AggregateMode::parse("fp32"), None);
-        assert_eq!(AggregateMode::parse("Exact"), None, "names are lowercase");
-        assert_eq!(AggregateMode::default(), AggregateMode::Exact);
-    }
-
-    #[test]
-    fn aggregate_defaults_to_exact_on_old_configs() {
-        // Configs serialized before the aggregate field existed must load
-        // with the bit-identical default mode.
-        let c = ExperimentConfig::default();
-        let json = serde_json::to_string(&c).unwrap();
-        let stripped = json.replace(",\"aggregate\":\"Exact\"", "");
-        assert_ne!(stripped, json, "aggregate field must have been serialized");
-        let back: ExperimentConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.aggregate, AggregateMode::Exact);
-        // And a compressed-mode config roundtrips.
-        let c = ExperimentConfig {
-            aggregate: AggregateMode::Compressed,
-            ..ExperimentConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.aggregate, AggregateMode::Compressed);
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //! a pure function of the payload and the tensor shape: compression state
 //! (error-accumulation buffers, RNG draws) only affects `compress`.
 
-use crate::config::{AggregateMode, ExperimentConfig};
+use crate::config::ExperimentConfig;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use threelc::kernels::{self, CodecImpl};
 use threelc::parallel::{self, split_off_ranges, split_ranges};
-use threelc::{CompressionStats, Compressor, SparsityMultiplier};
+use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
 use threelc_obs::{trace, Histogram};
@@ -159,6 +160,21 @@ pub enum EngineError {
         /// The step that had no accepted pushes.
         step: u64,
     },
+    /// An accepted worker's compressed payload does not decode. Frame
+    /// CRCs prove transport, not content: a well-framed push can still
+    /// carry a truncated body, a lying length field or an out-of-range
+    /// quartic byte, and the networked server hands such bodies to
+    /// [`ServerCore::apply_step`] as they arrived.
+    UndecodablePush {
+        /// The step being aggregated.
+        step: u64,
+        /// The worker whose payload failed.
+        worker: usize,
+        /// The parameter tensor the payload was for.
+        tensor: usize,
+        /// What the decoder rejected.
+        source: DecodeError,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -168,11 +184,27 @@ impl fmt::Display for EngineError {
                 f,
                 "step {step}: every worker's push was rejected; nothing to aggregate"
             ),
+            EngineError::UndecodablePush {
+                step,
+                worker,
+                tensor,
+                source,
+            } => write!(
+                f,
+                "step {step}: worker {worker}'s push of tensor {tensor} does not decode: {source}"
+            ),
         }
     }
 }
 
-impl std::error::Error for EngineError {}
+impl std::error::Error for EngineError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EngineError::NoAcceptedPushes { .. } => None,
+            EngineError::UndecodablePush { source, .. } => Some(source),
+        }
+    }
+}
 
 /// A per-tensor state-change payload: compressed wire bytes, or the raw
 /// tensor for small layers excluded from compression.
@@ -374,189 +406,56 @@ pub struct ServerCore {
     threads: usize,
     /// Cached handle into the global registry (see [`WorkerReplica`]).
     apply_seconds: Arc<Histogram>,
-    /// `engine.shard.busy_seconds` — per-shard busy time of sharded steps.
-    shard_busy: Arc<Histogram>,
-    /// `engine.shard.lock_wait_seconds` — time shards spent waiting on the
-    /// striped stats accumulators (the contention signal).
-    shard_lock_wait: Arc<Histogram>,
-    /// `engine.aggregate.symbol_decode_seconds` — payload→symbol (or
-    /// payload→tensor, in f32 mode) decode time per aggregation pass (per
-    /// shard when sharded). With `engine.aggregate.accumulate_seconds`
-    /// this splits the aggregate phase so `threelc analyze` can attribute
-    /// symbol-domain wins to the right half.
+    shard_meters: ShardMeters,
+    /// `engine.aggregate.symbol_decode_seconds` — payload→symbol decode
+    /// time (payload→tensor for schemes without a symbol form), recorded
+    /// once per aggregation pass per shard. With
+    /// `engine.aggregate.accumulate_seconds` this splits the aggregate
+    /// phase so `threelc analyze` can attribute time to the right half.
     aggregate_decode_seconds: Arc<Histogram>,
     /// `engine.aggregate.accumulate_seconds` — pure accumulate arithmetic
-    /// (dequantize-sum, integer lane sums, float adds) per aggregation
-    /// pass (per shard when sharded).
+    /// (dequantize-sum, float adds), once per pass per shard.
     aggregate_accumulate_seconds: Arc<Histogram>,
-}
-
-/// The largest accepted-worker count compressed-mode aggregation can sum
-/// in u16 symbol lanes: each worker contributes a biased digit ≤ 2 per
-/// lane, so 32767 workers max out at 65534 < 2¹⁶. Bigger steps fall back
-/// to exact mode (deterministically — the choice depends only on the
-/// accepted count, which replays identically).
-pub const MAX_COMPRESSED_LANE_WORKERS: usize = 32767;
-
-/// Reusable scratch for one aggregation pass: symbol buffers, scale-group
-/// tables, and widened integer lanes. One instance per pass (per shard
-/// when sharded) — tensors reuse the allocations instead of paying a
-/// per-worker `Tensor` per tensor per step like the f32 path.
-#[derive(Default)]
-struct AggScratch {
-    /// Current worker's decoded symbols (exact mode).
-    syms: Vec<i8>,
-    /// Per-accepted-member symbol buffers (compressed mode pass 1).
-    pool: Vec<Vec<i8>>,
-    /// Per-member payload scale, in worker order (compressed mode).
-    scales: Vec<f32>,
-    /// Distinct scale bit patterns in first-occurrence worker order: the
-    /// scale-grouping rule (DESIGN.md §16). Grouping by *bit pattern*
-    /// keeps `0.0` and `-0.0` apart, which preserves signed-zero products.
-    groups: Vec<u32>,
-    /// Member → group index, parallel to `scales`.
-    membership: Vec<usize>,
-    /// Widened u16 symbol lanes, 4 per u64 word.
-    lanes: Vec<u64>,
 }
 
 /// The aggregate phase's two-way timing split (DESIGN.md §16).
 #[derive(Default, Clone, Copy)]
 struct AggTimings {
-    /// Payload→symbol decode (payload→tensor in f32 mode).
+    /// Payload→symbol decode (payload→tensor without a symbol form).
     decode: f64,
-    /// Accumulate arithmetic: dequantize-sums, lane sums, float adds.
+    /// Accumulate arithmetic: dequantize-sums and float adds.
     accumulate: f64,
 }
 
-/// Decodes and averages one tensor's accepted pushes under `mode`.
+/// Decodes and averages one tensor's accepted pushes in the symbol
+/// domain: each payload decodes to i8 symbols plus a scale (into the
+/// reused `syms` buffer) and the accumulator takes the per-element
+/// worker-order float sum `Σ scale_w · sym_w`. That is bit-identical to
+/// decoding every payload to a dense tensor and summing those — each term
+/// is the one IEEE multiply `sym as f32 · scale` the dequantizer would
+/// have produced, and the adds run in the same order — without a tensor
+/// allocation per worker or a separate dequantize pass. The first
+/// accepted worker *assigns* (preserving `-0.0` products exactly as moving
+/// the first decoded tensor into a sum does); schemes without a symbol
+/// form decode densely per payload and accumulate the same float values.
 ///
-/// `ctx_row` holds the tensor's per-worker decode contexts; `stats`,
-/// `codec`, and `timings` accumulate the pass's bookkeeping. The caller
+/// `ctx_row` holds the tensor's per-worker decode contexts. The caller
 /// guarantees at least one accepted worker ([`ServerCore::apply_step`]
-/// returns [`EngineError::NoAcceptedPushes`] otherwise) and, for
-/// [`AggregateMode::Compressed`], at most [`MAX_COMPRESSED_LANE_WORKERS`]
-/// of them.
-#[allow(clippy::too_many_arguments)] // one bookkeeping sink per output, shared by both shard layouts
+/// returns [`EngineError::NoAcceptedPushes`] otherwise). A payload that
+/// does not decode fails the tensor with the worker's id and the
+/// decoder's error.
+#[allow(clippy::too_many_arguments)] // one bookkeeping sink per output
 fn aggregate_tensor(
-    mode: AggregateMode,
     imp: CodecImpl,
     shape: &Shape,
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
     i: usize,
     accepted_count: usize,
-    scratch: &mut AggScratch,
+    syms: &mut Vec<i8>,
     stats: &mut CompressionStats,
-    codec: &mut f64,
     timings: &mut AggTimings,
-) -> Tensor {
-    match mode {
-        AggregateMode::F32 => aggregate_tensor_f32(
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            stats,
-            codec,
-            timings,
-        ),
-        AggregateMode::Exact => aggregate_tensor_exact(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        ),
-        AggregateMode::Compressed => aggregate_tensor_compressed(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        ),
-    }
-}
-
-/// The seed aggregation path: decode every accepted payload to an f32
-/// [`Tensor`], sum in worker order, divide by the accepted count.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_f32(
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
-    let mut sum: Option<Tensor> = None;
-    for (w, worker_payloads) in payloads.iter().enumerate() {
-        if worker_payloads.is_empty() {
-            continue; // dropped straggler
-        }
-        let grad = match &worker_payloads[i] {
-            TensorPayload::Compressed(wire) => {
-                let t0 = Instant::now();
-                let g = ctx_row[w]
-                    .as_ref()
-                    .expect("compressed payload implies a context")
-                    .decompress(wire)
-                    .expect("payload produced by matching context");
-                let dt = t0.elapsed().as_secs_f64();
-                *codec += dt;
-                timings.decode += dt;
-                stats.record(shape.num_elements(), wire.len());
-                g
-            }
-            TensorPayload::Raw(grad) => grad.clone(),
-        };
-        let a0 = Instant::now();
-        match &mut sum {
-            Some(s) => s.add_assign(&grad).expect("same shapes"),
-            None => sum = Some(grad),
-        }
-        timings.accumulate += a0.elapsed().as_secs_f64();
-    }
-    let mut avg = sum.expect("caller guarantees an accepted worker");
-    avg.scale_inplace(1.0 / accepted_count as f32);
-    avg
-}
-
-/// Exact-mode aggregation: decode payloads to i8 symbols and perform the
-/// same per-element worker-order float accumulation `Σ scale_w · sym_w`
-/// the f32 path computes — bit-identical to it (each term is the one IEEE
-/// multiply `sym as f32 · scale` the dequantizer would have produced, and
-/// the adds run in the same order), without per-worker tensor
-/// allocations or a separate dequantize pass. The first accepted worker
-/// *assigns* (preserving `-0.0` products exactly as moving the first
-/// decoded tensor into the sum did); schemes without a symbol form fall
-/// back to dense decode per payload, accumulating the same float values.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_exact(
-    imp: CodecImpl,
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    scratch: &mut AggScratch,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
+) -> Result<Tensor, (usize, DecodeError)> {
     let n = shape.num_elements();
     let mut acc = vec![0f32; n];
     let mut first = true;
@@ -566,36 +465,28 @@ fn aggregate_tensor_exact(
         }
         match &worker_payloads[i] {
             TensorPayload::Compressed(wire) => {
-                let ctx = ctx_row[w]
-                    .as_ref()
-                    .expect("compressed payload implies a context");
+                let ctx = ctx_row[w].as_ref().ok_or_else(|| {
+                    let reason = "compressed payload for a tensor sent uncompressed".into();
+                    (w, DecodeError::Malformed { reason })
+                })?;
                 let t0 = Instant::now();
-                match ctx
-                    .decompress_symbols(wire, &mut scratch.syms)
-                    .expect("payload produced by matching context")
-                {
+                match ctx.decompress_symbols(wire, syms).map_err(|e| (w, e))? {
                     Some(scale) => {
-                        let dt = t0.elapsed().as_secs_f64();
-                        *codec += dt;
-                        timings.decode += dt;
+                        timings.decode += t0.elapsed().as_secs_f64();
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
                         if first {
-                            kernels::dequant_assign(imp, &scratch.syms, scale, &mut acc);
+                            kernels::dequant_assign(imp, syms, scale, &mut acc);
                         } else {
-                            kernels::dequant_add(imp, &scratch.syms, scale, &mut acc);
+                            kernels::dequant_add(imp, syms, scale, &mut acc);
                         }
                         timings.accumulate += a0.elapsed().as_secs_f64();
                     }
                     None => {
                         // No symbol form (f32/baseline schemes): dense
                         // decode, then accumulate the identical floats.
-                        let g = ctx
-                            .decompress(wire)
-                            .expect("payload produced by matching context");
-                        let dt = t0.elapsed().as_secs_f64();
-                        *codec += dt;
-                        timings.decode += dt;
+                        let g = ctx.decompress(wire).map_err(|e| (w, e))?;
+                        timings.decode += t0.elapsed().as_secs_f64();
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
                         accumulate_dense(g.as_slice(), first, &mut acc);
@@ -615,10 +506,10 @@ fn aggregate_tensor_exact(
     let mut avg = Tensor::from_vec(acc, shape.clone());
     avg.scale_inplace(1.0 / accepted_count as f32);
     timings.accumulate += a0.elapsed().as_secs_f64();
-    avg
+    Ok(avg)
 }
 
-/// `acc = xs` (first worker) or `acc += xs`: the dense half of exact-mode
+/// `acc = xs` (first worker) or `acc += xs`: the dense half of the
 /// accumulation, element-for-element what `Tensor::add_assign` (and
 /// moving the first tensor into the sum) computes.
 fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
@@ -629,136 +520,6 @@ fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
             *a += x;
         }
     }
-}
-
-/// Compressed-mode aggregation: group accepted workers by payload scale
-/// (bit pattern, first-occurrence worker order), sum each group's symbols
-/// in widened u16 integer lanes — exact, order-free integer arithmetic —
-/// and defer the float multiply to one drain pass per group. Group
-/// results combine in group order, so the whole computation is a
-/// deterministic function of the payloads alone: simulate, serve, and
-/// rejoin-replay reproduce it bit for bit (though it is *not*
-/// bit-identical to exact/f32 mode, whose float sums associate
-/// per-worker). Tensors whose payloads have no symbol form (raw small
-/// layers, baseline schemes) take the exact path instead.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_compressed(
-    imp: CodecImpl,
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    scratch: &mut AggScratch,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
-    let n = shape.num_elements();
-    // Probe the first accepted payload: one scheme serves every worker of
-    // a tensor, so raw payloads or a scheme without a symbol form send
-    // the whole tensor down the exact path (before any stats are
-    // recorded). The probe is cheap — the no-symbol default returns
-    // `None` without decoding.
-    let probe = payloads.iter().enumerate().find(|(_, p)| !p.is_empty());
-    let symbolic = match probe {
-        Some((w, worker_payloads)) => match &worker_payloads[i] {
-            TensorPayload::Raw(_) => false,
-            TensorPayload::Compressed(wire) => ctx_row[w]
-                .as_ref()
-                .expect("compressed payload implies a context")
-                .decompress_symbols(wire, &mut scratch.syms)
-                .expect("payload produced by matching context")
-                .is_some(),
-        },
-        None => unreachable!("caller guarantees an accepted worker"),
-    };
-    if !symbolic {
-        return aggregate_tensor_exact(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        );
-    }
-
-    // Pass 1: decode every accepted worker's symbols and scale.
-    scratch.scales.clear();
-    let mut member = 0usize;
-    for (w, worker_payloads) in payloads.iter().enumerate() {
-        if worker_payloads.is_empty() {
-            continue; // dropped straggler
-        }
-        let wire = match &worker_payloads[i] {
-            TensorPayload::Compressed(wire) => wire,
-            TensorPayload::Raw(_) => {
-                unreachable!("payload kinds are uniform across workers for a tensor")
-            }
-        };
-        if scratch.pool.len() <= member {
-            scratch.pool.push(Vec::new());
-        }
-        let t0 = Instant::now();
-        let scale = ctx_row[w]
-            .as_ref()
-            .expect("compressed payload implies a context")
-            .decompress_symbols(wire, &mut scratch.pool[member])
-            .expect("payload produced by matching context")
-            .expect("symbol form is uniform across workers for a tensor");
-        let dt = t0.elapsed().as_secs_f64();
-        *codec += dt;
-        timings.decode += dt;
-        stats.record(n, wire.len());
-        scratch.scales.push(scale);
-        member += 1;
-    }
-
-    let a0 = Instant::now();
-    // Scale grouping: distinct bit patterns in first-occurrence order.
-    scratch.groups.clear();
-    scratch.membership.clear();
-    for &scale in &scratch.scales {
-        let bits = scale.to_bits();
-        let g = match scratch.groups.iter().position(|&b| b == bits) {
-            Some(g) => g,
-            None => {
-                scratch.groups.push(bits);
-                scratch.groups.len() - 1
-            }
-        };
-        scratch.membership.push(g);
-    }
-
-    // Pass 2: per group, integer lane sums then one deferred multiply.
-    let mut acc = vec![0f32; n];
-    let words = n.div_ceil(4);
-    for (g, &bits) in scratch.groups.iter().enumerate() {
-        scratch.lanes.clear();
-        scratch.lanes.resize(words, 0);
-        let mut members = 0u32;
-        for (m, syms) in scratch.pool[..scratch.membership.len()].iter().enumerate() {
-            if scratch.membership[m] == g {
-                kernels::symbol_lanes_add(imp, syms, &mut scratch.lanes);
-                members += 1;
-            }
-        }
-        let scale = f32::from_bits(bits);
-        if g == 0 {
-            kernels::symbol_lanes_drain_assign(imp, &scratch.lanes, members, scale, &mut acc);
-        } else {
-            kernels::symbol_lanes_drain_add(imp, &scratch.lanes, members, scale, &mut acc);
-        }
-    }
-    let mut avg = Tensor::from_vec(acc, shape.clone());
-    avg.scale_inplace(1.0 / accepted_count as f32);
-    timings.accumulate += a0.elapsed().as_secs_f64();
-    avg
 }
 
 /// A striped accumulator for the bookkeeping shards must share: traffic
@@ -772,6 +533,64 @@ fn stats_stripes(shards: usize) -> Vec<StatsStripe> {
     (0..shards.div_ceil(2).max(1))
         .map(|_| Mutex::new((CompressionStats::new(), 0.0)))
         .collect()
+}
+
+/// The per-shard histograms of a step that runs more than one shard.
+struct ShardMeters {
+    /// `engine.shard.busy_seconds` — per-shard busy time.
+    busy: Arc<Histogram>,
+    /// `engine.shard.lock_wait_seconds` — time shards spent waiting on the
+    /// striped stats accumulators (the contention signal).
+    lock_wait: Arc<Histogram>,
+}
+
+/// Runs one server phase over `split_ranges(rows.len(), shards)`: `body`
+/// gets a contiguous tensor index range, that range's exclusive slice of
+/// the per-tensor context `rows`, and private traffic-stats and
+/// codec-seconds accumulators. A single range runs inline on the calling
+/// thread, so one shard and many execute the same body; tensors are
+/// independent and keep their worker-id order inside `body`, so the shard
+/// count never changes a result. Only the (order-insensitive) `u64`
+/// traffic counters and measured codec seconds flow through the striped
+/// locks; their totals come back beside the per-shard outputs, in range
+/// order.
+fn run_shards<C: Send, T: Send>(
+    rows: &mut [C],
+    shards: usize,
+    meters: &ShardMeters,
+    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats, &mut f64) -> T + Sync,
+) -> (Vec<T>, CompressionStats, f64) {
+    let ranges = split_ranges(rows.len(), shards);
+    let sharded = ranges.len() > 1;
+    let stripes = stats_stripes(ranges.len());
+    let chunks = split_off_ranges(rows, &ranges);
+    let tasks: Vec<_> = ranges.into_iter().zip(chunks).collect();
+    let outs = parallel::run_tasks(tasks, |k, (range, chunk)| {
+        let t0 = Instant::now();
+        let mut stats = CompressionStats::new();
+        let mut codec = 0.0f64;
+        let out = body(range, chunk, &mut stats, &mut codec);
+        let w0 = Instant::now();
+        let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
+        if sharded {
+            meters.lock_wait.record(w0.elapsed().as_secs_f64());
+        }
+        stripe.0.merge(&stats);
+        stripe.1 += codec;
+        drop(stripe);
+        if sharded {
+            meters.busy.record(t0.elapsed().as_secs_f64());
+        }
+        out
+    });
+    let mut stats = CompressionStats::new();
+    let mut codec = 0.0f64;
+    for stripe in stripes {
+        let (s, c) = stripe.into_inner().expect("stripe poisoned");
+        stats.merge(&s);
+        codec += c;
+    }
+    (outs, stats, codec)
 }
 
 impl ServerCore {
@@ -819,8 +638,10 @@ impl ServerCore {
             step: 0,
             threads: 1,
             apply_seconds: reg.histogram("engine.apply_step_seconds"),
-            shard_busy: reg.histogram("engine.shard.busy_seconds"),
-            shard_lock_wait: reg.histogram("engine.shard.lock_wait_seconds"),
+            shard_meters: ShardMeters {
+                busy: reg.histogram("engine.shard.busy_seconds"),
+                lock_wait: reg.histogram("engine.shard.lock_wait_seconds"),
+            },
             aggregate_decode_seconds: reg.histogram("engine.aggregate.symbol_decode_seconds"),
             aggregate_accumulate_seconds: reg.histogram("engine.aggregate.accumulate_seconds"),
             config,
@@ -917,15 +738,18 @@ impl ServerCore {
     ///
     /// Returns [`EngineError::NoAcceptedPushes`] when every worker's
     /// payload list is empty (or `accepted_count` is zero): an all-rejected
-    /// step has nothing to aggregate. The model, optimizer, and step
-    /// counter are untouched on error.
+    /// step has nothing to aggregate. Returns
+    /// [`EngineError::UndecodablePush`] — naming the lowest tensor, then
+    /// the lowest worker, that fails — when an accepted compressed payload
+    /// does not decode: the networked runtime validates a push's framing
+    /// (step, order, count, CRC) but not its 3LC body, so this is where a
+    /// hostile or corrupted body is caught. The model, optimizer, traffic
+    /// statistics and step counter are untouched on error.
     ///
     /// # Panics
     ///
-    /// Panics if payload counts disagree with the model, or if a payload
-    /// fails to decode (payloads come from matching contexts; failures are
-    /// programming errors here — the networked runtime validates frames
-    /// before this point).
+    /// Panics if payload counts or raw tensor shapes disagree with the
+    /// model (both runtimes build them from the model's own shapes).
     pub fn apply_step(
         &mut self,
         payloads: &[Vec<TensorPayload>],
@@ -940,15 +764,6 @@ impl ServerCore {
         let n_params = self.shapes.len();
         let shards = self.plan_shards(n_params);
         let mut server_codec = 0.0f64;
-        // Compressed mode's u16 lanes hold at most 32767 workers' digits;
-        // bigger steps take the exact path (a deterministic choice — it
-        // depends only on the accepted count, which replays identically).
-        let mode = match self.config.aggregate {
-            AggregateMode::Compressed if accepted_count > MAX_COMPRESSED_LANE_WORKERS => {
-                AggregateMode::Exact
-            }
-            m => m,
-        };
 
         // The decisions governing this step also apply to the pull side:
         // the server re-encodes model deltas at the same multiplier the
@@ -962,16 +777,13 @@ impl ServerCore {
         }
 
         // Trace the three server phases by measured boundaries rather than
-        // RAII guards: the sharded twins run on pool threads that carry no
-        // trace scope, so the spans are recorded here on the calling
-        // thread (a no-op unless a `TraceScope` is active).
+        // RAII guards: shards may run on pool threads that carry no trace
+        // scope, so the spans are recorded here on the calling thread (a
+        // no-op unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        let aggregated = if shards > 1 {
-            self.decode_aggregate_sharded(payloads, accepted_count, mode, shards, &mut server_codec)
-        } else {
-            self.decode_aggregate_serial(payloads, accepted_count, mode, &mut server_codec)
-        };
+        let aggregated =
+            self.decode_aggregate(payloads, accepted_count, shards, &mut server_codec)?;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);
@@ -990,11 +802,7 @@ impl ServerCore {
         } else {
             0
         };
-        let (pulls, step_deltas) = if shards > 1 {
-            self.compress_pulls_sharded(&global_now, shards, &mut server_codec)
-        } else {
-            self.compress_pulls_serial(&global_now, &mut server_codec)
-        };
+        let (pulls, step_deltas) = self.compress_pulls(&global_now, shards, &mut server_codec);
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
         }
@@ -1074,153 +882,74 @@ impl ServerCore {
         self.policy.is_some()
     }
 
-    /// Decode + aggregate in worker-id order, one tensor at a time, under
-    /// the step's resolved [`AggregateMode`].
-    fn decode_aggregate_serial(
+    /// Decode + aggregate: every tensor's accepted pushes, in worker-id
+    /// order within the tensor ([`aggregate_tensor`]), over `shards` tensor
+    /// ranges ([`run_shards`]). Nothing on `self` changes unless every
+    /// payload decodes.
+    fn decode_aggregate(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
-        mode: AggregateMode,
-        server_codec: &mut f64,
-    ) -> Vec<Tensor> {
-        let imp = kernels::active();
-        let n_params = self.shapes.len();
-        let mut scratch = AggScratch::default();
-        let mut timings = AggTimings::default();
-        let mut aggregated: Vec<Tensor> = Vec::with_capacity(n_params);
-        for i in 0..n_params {
-            aggregated.push(aggregate_tensor(
-                mode,
-                imp,
-                &self.shapes[i],
-                &self.decode_ctxs[i],
-                payloads,
-                i,
-                accepted_count,
-                &mut scratch,
-                &mut self.push_stats,
-                server_codec,
-                &mut timings,
-            ));
-        }
-        self.aggregate_decode_seconds.record(timings.decode);
-        self.aggregate_accumulate_seconds.record(timings.accumulate);
-        aggregated
-    }
-
-    /// The sharded twin of [`Self::decode_aggregate_serial`]: tensors are
-    /// split into `shards` contiguous index ranges, each shard decoding and
-    /// averaging its range on its own thread. Bit-identical to the serial
-    /// path because tensors are independent and the worker-id summation
-    /// order within each tensor is unchanged; only the (order-insensitive)
-    /// `u64` traffic counters and measured codec seconds flow through the
-    /// striped locks.
-    fn decode_aggregate_sharded(
-        &mut self,
-        payloads: &[Vec<TensorPayload>],
-        accepted_count: usize,
-        mode: AggregateMode,
         shards: usize,
         server_codec: &mut f64,
-    ) -> Vec<Tensor> {
+    ) -> Result<Vec<Tensor>, EngineError> {
         let imp = kernels::active();
-        let ranges = split_ranges(self.shapes.len(), shards);
-        let ctx_chunks = split_off_ranges(self.decode_ctxs.as_mut_slice(), &ranges);
-        let stripes = stats_stripes(shards);
+        let step = self.step;
         let shapes = &self.shapes;
-        let shard_busy = &self.shard_busy;
-        let shard_lock_wait = &self.shard_lock_wait;
-        let aggregate_decode_seconds = &self.aggregate_decode_seconds;
-        let aggregate_accumulate_seconds = &self.aggregate_accumulate_seconds;
-        let tasks: Vec<_> = ranges.iter().cloned().zip(ctx_chunks).collect();
-        let results = parallel::run_tasks(tasks, |k, (range, ctx_rows)| {
-            let t0 = Instant::now();
-            let mut local_stats = CompressionStats::new();
-            let mut local_codec = 0.0f64;
-            let mut scratch = AggScratch::default();
-            let mut timings = AggTimings::default();
-            let mut out = Vec::with_capacity(range.len());
-            for (ctx_row, i) in ctx_rows.iter().zip(range) {
-                out.push(aggregate_tensor(
-                    mode,
-                    imp,
-                    &shapes[i],
-                    ctx_row,
-                    payloads,
-                    i,
-                    accepted_count,
-                    &mut scratch,
-                    &mut local_stats,
-                    &mut local_codec,
-                    &mut timings,
-                ));
-            }
-            aggregate_decode_seconds.record(timings.decode);
-            aggregate_accumulate_seconds.record(timings.accumulate);
-            let w0 = Instant::now();
-            let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
-            shard_lock_wait.record(w0.elapsed().as_secs_f64());
-            stripe.0.merge(&local_stats);
-            stripe.1 += local_codec;
-            drop(stripe);
-            shard_busy.record(t0.elapsed().as_secs_f64());
-            out
-        });
-        for stripe in &stripes {
-            let stripe = stripe.lock().expect("stripe poisoned");
-            self.push_stats.merge(&stripe.0);
-            *server_codec += stripe.1;
+        let decode_seconds = &self.aggregate_decode_seconds;
+        let accumulate_seconds = &self.aggregate_accumulate_seconds;
+        let (outs, stats, codec) = run_shards(
+            &mut self.decode_ctxs,
+            shards,
+            &self.shard_meters,
+            |range, ctx_rows, stats, codec| {
+                let mut syms = Vec::new();
+                let mut timings = AggTimings::default();
+                let out: Result<Vec<Tensor>, EngineError> = ctx_rows
+                    .iter()
+                    .zip(range)
+                    .map(|(ctx_row, i)| {
+                        aggregate_tensor(
+                            imp,
+                            &shapes[i],
+                            ctx_row,
+                            payloads,
+                            i,
+                            accepted_count,
+                            &mut syms,
+                            stats,
+                            &mut timings,
+                        )
+                        .map_err(|(worker, source)| {
+                            EngineError::UndecodablePush {
+                                step,
+                                worker,
+                                tensor: i,
+                                source,
+                            }
+                        })
+                    })
+                    .collect();
+                decode_seconds.record(timings.decode);
+                accumulate_seconds.record(timings.accumulate);
+                *codec += timings.decode;
+                out
+            },
+        );
+        let mut aggregated = Vec::with_capacity(shapes.len());
+        for out in outs {
+            aggregated.extend(out?);
         }
-        results.into_iter().flatten().collect()
+        self.push_stats.merge(&stats);
+        *server_codec += codec;
+        Ok(aggregated)
     }
 
-    /// Compress this step's model deltas through the shared pull contexts.
-    fn compress_pulls_serial(
-        &mut self,
-        global_now: &[Tensor],
-        server_codec: &mut f64,
-    ) -> (Vec<TensorPayload>, Vec<Tensor>) {
-        let workers = self.config.workers;
-        let n_params = self.shapes.len();
-        let mut pulls = Vec::with_capacity(n_params);
-        let mut step_deltas = Vec::with_capacity(n_params);
-        for (i, now) in global_now.iter().enumerate() {
-            let delta = now
-                .sub(&self.prev_global[i])
-                .expect("snapshots share shapes");
-            match &mut self.pull_ctxs[i] {
-                Some(ctx) => {
-                    let t0 = Instant::now();
-                    let wire = ctx.compress(&delta).expect("delta shape matches context");
-                    let decoded = ctx
-                        .decompress(&wire)
-                        .expect("payload produced by this context");
-                    let elapsed = t0.elapsed().as_secs_f64();
-                    *server_codec += elapsed;
-                    if !self.config.shared_pull_compression {
-                        // Ablation: without sharing, the server pays the
-                        // codec cost once per worker.
-                        *server_codec += elapsed * (workers as f64 - 1.0);
-                    }
-                    self.pull_stats
-                        .record(delta.len() * workers, wire.len() * workers);
-                    pulls.push(TensorPayload::Compressed(wire));
-                    step_deltas.push(decoded);
-                }
-                None => {
-                    pulls.push(TensorPayload::Raw(delta.clone()));
-                    step_deltas.push(delta);
-                }
-            }
-        }
-        (pulls, step_deltas)
-    }
-
-    /// The sharded twin of [`Self::compress_pulls_serial`]. Pull contexts
-    /// are per tensor, so each shard owns the contexts of its tensor range
-    /// exclusively; compression state never crosses a shard boundary and
-    /// the payloads are bit-identical to the serial path.
-    fn compress_pulls_sharded(
+    /// Re-encode: compresses this step's model deltas through the shared
+    /// pull contexts (Fig. 2b), over `shards` tensor ranges
+    /// ([`run_shards`]). Pull contexts are per tensor, so compression
+    /// state never crosses a shard boundary.
+    fn compress_pulls(
         &mut self,
         global_now: &[Tensor],
         shards: usize,
@@ -1228,62 +957,50 @@ impl ServerCore {
     ) -> (Vec<TensorPayload>, Vec<Tensor>) {
         let workers = self.config.workers;
         let shared_pull = self.config.shared_pull_compression;
-        let ranges = split_ranges(self.shapes.len(), shards);
-        let ctx_chunks = split_off_ranges(self.pull_ctxs.as_mut_slice(), &ranges);
-        let stripes = stats_stripes(shards);
         let prev_global = &self.prev_global;
-        let shard_busy = &self.shard_busy;
-        let shard_lock_wait = &self.shard_lock_wait;
-        let tasks: Vec<_> = ranges.iter().cloned().zip(ctx_chunks).collect();
-        let results = parallel::run_tasks(tasks, |k, (range, ctxs)| {
-            let t0 = Instant::now();
-            let mut local_stats = CompressionStats::new();
-            let mut local_codec = 0.0f64;
-            let mut pulls = Vec::with_capacity(range.len());
-            let mut deltas = Vec::with_capacity(range.len());
-            for (ctx, i) in ctxs.iter_mut().zip(range) {
-                let delta = global_now[i]
-                    .sub(&prev_global[i])
-                    .expect("snapshots share shapes");
-                match ctx {
-                    Some(ctx) => {
-                        let c0 = Instant::now();
-                        let wire = ctx.compress(&delta).expect("delta shape matches context");
-                        let decoded = ctx
-                            .decompress(&wire)
-                            .expect("payload produced by this context");
-                        let elapsed = c0.elapsed().as_secs_f64();
-                        local_codec += elapsed;
-                        if !shared_pull {
-                            local_codec += elapsed * (workers as f64 - 1.0);
+        let (outs, stats, codec) = run_shards(
+            &mut self.pull_ctxs,
+            shards,
+            &self.shard_meters,
+            |range, ctxs, stats, codec| {
+                let mut pulls = Vec::with_capacity(range.len());
+                let mut deltas = Vec::with_capacity(range.len());
+                for (ctx, i) in ctxs.iter_mut().zip(range) {
+                    let delta = global_now[i]
+                        .sub(&prev_global[i])
+                        .expect("snapshots share shapes");
+                    match ctx {
+                        Some(ctx) => {
+                            let t0 = Instant::now();
+                            let wire = ctx.compress(&delta).expect("delta shape matches context");
+                            let decoded = ctx
+                                .decompress(&wire)
+                                .expect("payload produced by this context");
+                            let elapsed = t0.elapsed().as_secs_f64();
+                            *codec += elapsed;
+                            if !shared_pull {
+                                // Ablation: without sharing, the server pays
+                                // the codec cost once per worker.
+                                *codec += elapsed * (workers as f64 - 1.0);
+                            }
+                            stats.record(delta.len() * workers, wire.len() * workers);
+                            pulls.push(TensorPayload::Compressed(wire));
+                            deltas.push(decoded);
                         }
-                        local_stats.record(delta.len() * workers, wire.len() * workers);
-                        pulls.push(TensorPayload::Compressed(wire));
-                        deltas.push(decoded);
-                    }
-                    None => {
-                        pulls.push(TensorPayload::Raw(delta.clone()));
-                        deltas.push(delta);
+                        None => {
+                            pulls.push(TensorPayload::Raw(delta.clone()));
+                            deltas.push(delta);
+                        }
                     }
                 }
-            }
-            let w0 = Instant::now();
-            let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
-            shard_lock_wait.record(w0.elapsed().as_secs_f64());
-            stripe.0.merge(&local_stats);
-            stripe.1 += local_codec;
-            drop(stripe);
-            shard_busy.record(t0.elapsed().as_secs_f64());
-            (pulls, deltas)
-        });
-        for stripe in &stripes {
-            let stripe = stripe.lock().expect("stripe poisoned");
-            self.pull_stats.merge(&stripe.0);
-            *server_codec += stripe.1;
-        }
-        let mut pulls = Vec::with_capacity(self.shapes.len());
-        let mut step_deltas = Vec::with_capacity(self.shapes.len());
-        for (p, d) in results {
+                (pulls, deltas)
+            },
+        );
+        self.pull_stats.merge(&stats);
+        *server_codec += codec;
+        let mut pulls = Vec::with_capacity(global_now.len());
+        let mut step_deltas = Vec::with_capacity(global_now.len());
+        for (p, d) in outs {
             pulls.extend(p);
             step_deltas.extend(d);
         }
@@ -1466,8 +1183,8 @@ mod tests {
 
     #[test]
     fn all_rejected_step_is_a_typed_error_not_a_panic() {
-        // Both the serial and the sharded aggregation paths must refuse an
-        // all-rejected step with `NoAcceptedPushes` and leave the server
+        // One shard or several, aggregation must refuse an all-rejected
+        // step with `NoAcceptedPushes` and leave the server
         // untouched, so the very next valid step behaves like step 0.
         for threads in [1usize, 4] {
             let config = tiny(SchemeKind::three_lc(1.5));
@@ -1513,106 +1230,95 @@ mod tests {
         }
     }
 
-    /// Runs `steps` BSP steps under one aggregation mode and returns
-    /// everything that must be bit-reproducible: per-step pull wires,
-    /// deltas, the final global model, and push statistics.
-    fn run_mode(
-        config: &ExperimentConfig,
-        threads: usize,
-        steps: usize,
-    ) -> (Vec<ServerStepOutput>, Vec<Tensor>, CompressionStats) {
-        let problem = Problem::build(config);
-        let mut workers: Vec<WorkerReplica> = (0..config.workers)
-            .map(|w| WorkerReplica::new(&problem, w))
-            .collect();
-        let mut server = ServerCore::new(&problem);
-        server.set_threads(threads);
-        let outs: Vec<ServerStepOutput> = (0..steps)
-            .map(|_| engine_step(&problem, &mut workers, &mut server))
-            .collect();
-        let global = server.global().snapshot();
-        let stats = server.push_stats().clone();
-        (outs, global, stats)
-    }
+    #[test]
+    fn undecodable_push_is_a_typed_error_naming_worker_and_tensor() {
+        // Zero-run encoding off, so a byte above 242 is an invalid quartic
+        // byte rather than a zero-run token.
+        let config = tiny(SchemeKind::ThreeLc {
+            sparsity: 1.5,
+            zero_run_encoding: false,
+            error_accumulation: true,
+        });
+        let problem = Problem::build(&config);
+        let tensor = problem
+            .compressible
+            .iter()
+            .rposition(|&c| c)
+            .expect("a compressible tensor");
+        let raw_tensor = problem
+            .compressible
+            .iter()
+            .position(|&c| !c)
+            .expect("an uncompressed tensor");
+        // (tensor to corrupt, corruption, the decoder's verdict as the
+        // error text must report it)
+        type Corruption = (usize, fn(&mut Vec<u8>), &'static str);
+        let corruptions: [Corruption; 4] = [
+            (
+                tensor,
+                |wire| wire.truncate(4),
+                "payload truncated: 4 bytes",
+            ),
+            // Byte 5 is the low byte of the element-count field.
+            (tensor, |wire| wire[5] ^= 1, "payload element count"),
+            (
+                tensor,
+                |wire| *wire.last_mut().expect("a body") = 250,
+                "invalid quartic byte 250",
+            ),
+            // A compressed body where the model sends raw floats.
+            (raw_tensor, |_| {}, "sent uncompressed"),
+        ];
+        for threads in [1usize, 4] {
+            for (case, &(target, corrupt, expected)) in corruptions.iter().enumerate() {
+                let mut workers: Vec<WorkerReplica> = (0..config.workers)
+                    .map(|w| WorkerReplica::new(&problem, w))
+                    .collect();
+                let mut server = ServerCore::new(&problem);
+                server.set_threads(threads);
+                engine_step(&problem, &mut workers, &mut server);
+                let before = server.global().snapshot();
+                let stats_before = server.push_stats().clone();
 
-    fn assert_runs_identical(a: &[ServerStepOutput], b: &[ServerStepOutput], label: &str) {
-        for (step, (oa, ob)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                oa.step_deltas, ob.step_deltas,
-                "{label}: deltas step={step}"
-            );
-            assert_eq!(oa.pulls.len(), ob.pulls.len(), "{label}: pulls step={step}");
-            for (i, (x, y)) in oa.pulls.iter().zip(&ob.pulls).enumerate() {
-                match (x, y) {
-                    (TensorPayload::Compressed(wa), TensorPayload::Compressed(wb)) => {
-                        assert_eq!(wa, wb, "{label}: pull wire step={step} tensor={i}")
-                    }
-                    (TensorPayload::Raw(ta), TensorPayload::Raw(tb)) => {
-                        assert_eq!(ta, tb, "{label}: raw pull step={step} tensor={i}")
-                    }
-                    _ => panic!("{label}: payload kind diverged step={step} tensor={i}"),
-                }
+                let mut payloads: Vec<Vec<TensorPayload>> = workers
+                    .iter_mut()
+                    .map(|w| {
+                        let (_, grads) = w.compute(&problem.data, config.batch_per_worker);
+                        w.encode_push(grads).payloads
+                    })
+                    .collect();
+                let mut wire = match &payloads[1][tensor] {
+                    TensorPayload::Compressed(wire) => wire.clone(),
+                    TensorPayload::Raw(_) => unreachable!("tensor is compressible"),
+                };
+                corrupt(&mut wire);
+                payloads[1][target] = TensorPayload::Compressed(wire);
+
+                let label = format!("threads={threads} case={case}");
+                let err = server
+                    .apply_step(&payloads, config.workers, 0.0)
+                    .err()
+                    .unwrap_or_else(|| panic!("{label}: a corrupt payload must fail the step"));
+                assert!(
+                    matches!(
+                        err,
+                        EngineError::UndecodablePush { step: 1, worker: 1, tensor: t, .. }
+                            if t == target
+                    ),
+                    "{label}: wrong error {err:?}"
+                );
+                let text = err.to_string();
+                assert!(
+                    text.contains("worker 1")
+                        && text.contains(&format!("tensor {target}"))
+                        && text.contains(expected),
+                    "{label}: error text must name the worker, the tensor and `{expected}`: {text}"
+                );
+                assert_eq!(server.step_number(), 1, "{label}: step counter moved");
+                assert_eq!(server.global().snapshot(), before, "{label}: model moved");
+                assert_eq!(server.push_stats(), &stats_before, "{label}: stats moved");
             }
         }
-    }
-
-    #[test]
-    fn exact_mode_is_bit_identical_to_f32_mode() {
-        // The tentpole's core claim: symbol-domain worker-order
-        // accumulation reproduces the dense f32 path bit for bit — same
-        // pull wires, same deltas, same model, same traffic stats — at
-        // every thread count, for 3LC and for schemes with no symbol form.
-        for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
-            for threads in [1usize, 4] {
-                let mut f32_cfg = tiny(scheme);
-                f32_cfg.aggregate = AggregateMode::F32;
-                let mut exact_cfg = tiny(scheme);
-                exact_cfg.aggregate = AggregateMode::Exact;
-                let (a, ga, sa) = run_mode(&f32_cfg, threads, 4);
-                let (b, gb, sb) = run_mode(&exact_cfg, threads, 4);
-                let label = format!("{scheme} threads={threads}");
-                assert_runs_identical(&a, &b, &label);
-                assert_eq!(ga, gb, "{label}: global model diverged");
-                assert_eq!(sa, sb, "{label}: push stats diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_mode_is_deterministic_across_thread_counts() {
-        // Compressed-lane aggregation reorders float math (per scale
-        // group), so it is not bit-identical to exact mode — but it must be
-        // bit-identical to *itself* regardless of sharding.
-        let mut config = tiny(SchemeKind::three_lc(1.5));
-        config.workers = 4;
-        config.aggregate = AggregateMode::Compressed;
-        let (a, ga, sa) = run_mode(&config, 1, 4);
-        let (b, gb, sb) = run_mode(&config, 4, 4);
-        assert_runs_identical(&a, &b, "compressed serial-vs-sharded");
-        assert_eq!(ga, gb, "compressed: global model diverged across shards");
-        assert_eq!(sa, sb, "compressed: push stats diverged across shards");
-        // And it must still converge on the same training signal: traffic
-        // stats match exact mode (same payloads flow either way).
-        let mut exact_cfg = config;
-        exact_cfg.aggregate = AggregateMode::Exact;
-        let (_, _, se) = run_mode(&exact_cfg, 1, 4);
-        assert_eq!(sa, se, "compressed: traffic stats diverged from exact");
-    }
-
-    #[test]
-    fn compressed_mode_with_uniform_scales_matches_exact() {
-        // Single accepted worker ⇒ one scale group whose drain computes
-        // the same `sym × scale` products in the same order as exact mode,
-        // so the two modes coincide bitwise.
-        let mut compressed_cfg = tiny(SchemeKind::three_lc(1.0));
-        compressed_cfg.workers = 1;
-        compressed_cfg.aggregate = AggregateMode::Compressed;
-        let mut exact_cfg = compressed_cfg;
-        exact_cfg.aggregate = AggregateMode::Exact;
-        let (a, ga, _) = run_mode(&compressed_cfg, 1, 4);
-        let (b, gb, _) = run_mode(&exact_cfg, 1, 4);
-        assert_runs_identical(&a, &b, "single-worker compressed-vs-exact");
-        assert_eq!(ga, gb, "single-worker: global model diverged");
     }
 
     #[test]

@@ -33,11 +33,8 @@ pub mod netmodel;
 pub mod trace;
 
 pub use cluster::Cluster;
-pub use config::{AggregateMode, ExperimentConfig, TimingModel};
-pub use engine::{
-    base_sparsity, EngineError, Problem, ServerCore, TensorPayload, WorkerReplica,
-    MAX_COMPRESSED_LANE_WORKERS,
-};
+pub use config::{ExperimentConfig, TimingModel};
+pub use engine::{base_sparsity, EngineError, Problem, ServerCore, TensorPayload, WorkerReplica};
 pub use experiment::{run_experiment, ExperimentResult};
 pub use netmodel::NetworkModel;
 pub use threelc_policy::{PolicySpec, PolicyTrace};

@@ -1,8 +1,17 @@
-//! Property tests for the tentpole claim: **exact-mode symbol-domain
-//! aggregation is bit-identical to the seed f32 path** — same pull wires,
-//! same per-step deltas, same global model bit patterns — across thread
-//! counts and adversarial inputs (all-zero tensors, denormal scales,
-//! single-worker steps, and payloads rejected mid-step).
+//! Property tests holding the server's symbol-domain aggregation to a
+//! dense f32 reference: **summing `scale · sym` straight from decoded
+//! symbols is bit-identical to decoding every accepted payload to a
+//! tensor, summing those in worker order, and dividing** — same pull
+//! wires, same per-step deltas, same global model bit patterns — across
+//! thread counts and adversarial inputs (all-zero tensors, denormal
+//! scales, ±0.0, single-worker steps, and payloads rejected mid-step).
+//!
+//! The reference is [`oracle_average`], the whole of the old f32 path that
+//! is worth keeping. Its average reaches a second, identically built
+//! [`ServerCore`] as one worker's *raw* push: aggregating a single raw
+//! payload is `x · (1.0 / 1)`, exact, so that server's optimizer and
+//! re-encode run on the oracle's numbers and every output must match the
+//! server under test bit for bit.
 //!
 //! Codec-tier coverage (scalar / SWAR / SIMD) comes from re-running this
 //! suite under `THREELC_CODEC_IMPL` in ci.sh's codec matrix: the engine
@@ -14,25 +23,57 @@
 use proptest::prelude::*;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::engine::ServerStepOutput;
-use threelc_distsim::{
-    AggregateMode, ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica,
-};
+use threelc_distsim::{ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica};
 use threelc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(workers: usize, aggregate: AggregateMode) -> ExperimentConfig {
+fn config(workers: usize, scheme: SchemeKind) -> ExperimentConfig {
     ExperimentConfig {
-        scheme: SchemeKind::three_lc(1.5),
+        scheme,
         workers,
         batch_per_worker: 8,
         total_steps: 8,
         model_width: 16,
         model_blocks: 1,
         seed: 11,
-        aggregate,
         ..Default::default()
     }
+}
+
+/// The f32 reference: decode every accepted payload of every tensor with
+/// `Compressor::decompress`, sum the tensors in worker order, divide by
+/// the accepted count. Returned as worker 0's all-raw push for a
+/// one-accepted-worker step (see the module docs).
+fn oracle_average(
+    problem: &Problem,
+    decode_ctxs: &[Vec<Option<Box<dyn threelc::Compressor>>>],
+    payloads: &[Vec<TensorPayload>],
+    accepted: usize,
+) -> Vec<Vec<TensorPayload>> {
+    let average = (0..problem.num_tensors()).map(|i| {
+        let mut sum: Option<Tensor> = None;
+        for (w, push) in payloads.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            let grad = match &push[i] {
+                TensorPayload::Compressed(wire) => decode_ctxs[w][i]
+                    .as_ref()
+                    .expect("compressed payload implies a context")
+                    .decompress(wire)
+                    .expect("payload produced by a matching context"),
+                TensorPayload::Raw(grad) => grad.clone(),
+            };
+            match &mut sum {
+                Some(s) => s.add_assign(&grad).expect("same shapes"),
+                None => sum = Some(grad),
+            }
+        }
+        let mut avg = sum.expect("at least one accepted worker");
+        avg.scale_inplace(1.0 / accepted as f32);
+        TensorPayload::Raw(avg)
+    });
+    let mut as_push = vec![average.collect()];
+    as_push.resize_with(payloads.len(), Vec::new);
+    as_push
 }
 
 /// Bit patterns of a model snapshot (or any tensor list).
@@ -73,8 +114,17 @@ fn assert_outputs_identical(
 /// pathology; `seed` varies the pattern between workers and steps.
 fn fill(kind: u8, seed: u64, n: usize) -> Vec<f32> {
     match kind % 4 {
-        // All-zero gradient: 3LC's scale collapses to 0.0.
-        0 => vec![0.0; n],
+        // All-zero gradient, in both signs of zero: 3LC's scale collapses
+        // to 0.0, and raw small layers must carry `-0.0` through the sum.
+        0 => (0..n)
+            .map(|i| {
+                if (i as u64 + seed).is_multiple_of(2) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect(),
         // Subnormal magnitudes: the wire scale itself goes denormal.
         1 => (0..n)
             .map(|i| {
@@ -137,12 +187,13 @@ fn crafted_push(
 }
 
 proptest! {
-    /// Feeds both aggregation modes the *same* crafted payload bytes —
-    /// adversarial value patterns, per-step rejection masks (a payload
-    /// dropped mid-step, exactly what the networked server does on a CRC
-    /// failure), single-worker steps — and demands bitwise-equal output.
+    /// Feeds the server crafted payload bytes — adversarial value
+    /// patterns, per-step rejection masks (a payload dropped mid-step,
+    /// exactly what the networked server does on a CRC failure),
+    /// single-worker steps — and demands output bitwise equal to the
+    /// oracle's.
     #[test]
-    fn exact_matches_f32_on_adversarial_pushes(
+    fn symbol_aggregation_matches_the_f32_oracle_on_adversarial_pushes(
         workers in 1usize..5,
         threads_idx in 0usize..4,
         kinds in prop::collection::vec(0u8..4, 4..5),
@@ -150,15 +201,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let threads = THREAD_COUNTS[threads_idx];
-        let problem_a = Problem::build(&config(workers, AggregateMode::F32));
-        let problem_b = Problem::build(&config(workers, AggregateMode::Exact));
-        let mut server_a = ServerCore::new(&problem_a);
-        let mut server_b = ServerCore::new(&problem_b);
-        server_a.set_threads(threads);
-        server_b.set_threads(threads);
-        // One stateful context set, shared by both servers: the payload
-        // bytes under test are identical by construction.
-        let mut ctxs: Vec<_> = (0..workers).map(|w| problem_a.push_ctxs(w)).collect();
+        let problem = Problem::build(&config(workers, SchemeKind::three_lc(1.5)));
+        let mut server = ServerCore::new(&problem);
+        let mut reference = ServerCore::new(&problem);
+        server.set_threads(threads);
+        reference.set_threads(threads);
+        // One stateful context set per worker: it compresses the crafted
+        // gradients and, decode being pure, decodes them for the oracle.
+        let mut ctxs: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
 
         for (step, &mask) in masks.iter().enumerate() {
             let rejected = |w: usize| w != 0 && (mask >> w) & 1 == 1;
@@ -168,7 +218,7 @@ proptest! {
                 // A rejected worker still compressed (its residual state
                 // advances) — the server just never sees the bytes.
                 let push = crafted_push(
-                    &problem_a,
+                    &problem,
                     &mut ctxs[w],
                     kinds[w % kinds.len()].wrapping_add(step as u8),
                     seed ^ (w as u64) << 32 ^ step as u64,
@@ -180,80 +230,76 @@ proptest! {
                     accepted += 1;
                 }
             }
-            let out_a = server_a
+            let out = server
                 .apply_step(&payloads, accepted, 0.0)
                 .expect("worker 0 always accepted");
-            let out_b = server_b
-                .apply_step(&payloads, accepted, 0.0)
-                .expect("worker 0 always accepted");
-            assert_outputs_identical(&out_a, &out_b, &format!("step {step}"))?;
+            let want = reference
+                .apply_step(&oracle_average(&problem, &ctxs, &payloads, accepted), 1, 0.0)
+                .expect("the oracle's push is accepted");
+            assert_outputs_identical(&want, &out, &format!("step {step}"))?;
         }
         prop_assert!(
-            bits(&server_a.global().snapshot()) == bits(&server_b.global().snapshot()),
+            bits(&reference.global().snapshot()) == bits(&server.global().snapshot()),
             "global model diverged"
         );
     }
 
     /// Full training loop (real gradients, error accumulation in every
     /// worker) with one worker's push rejected at a random step: pull
-    /// wires, worker residual norms, and the final model must stay
-    /// bit-identical between f32 and exact aggregation.
+    /// wires and the final model must stay bit-identical to the oracle's,
+    /// for 3LC and for a scheme with no symbol form.
     #[test]
-    fn exact_matches_f32_through_training(
+    fn symbol_aggregation_matches_the_f32_oracle_through_training(
+        scheme in prop_oneof![Just(SchemeKind::three_lc(1.5)), Just(SchemeKind::Float32)],
         threads_idx in 0usize..4,
         drop_step in 0usize..4,
         drop_worker in 0usize..2,
     ) {
         let threads = THREAD_COUNTS[threads_idx];
         let workers = 2usize;
-        let mut runs = [AggregateMode::F32, AggregateMode::Exact].map(|mode| {
-            let problem = Problem::build(&config(workers, mode));
-            let replicas: Vec<WorkerReplica> = (0..workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut server = ServerCore::new(&problem);
-            server.set_threads(threads);
-            (problem, replicas, server)
-        });
+        let problem = Problem::build(&config(workers, scheme));
+        let mut replicas: Vec<WorkerReplica> = (0..workers)
+            .map(|w| WorkerReplica::new(&problem, w))
+            .collect();
+        let mut server = ServerCore::new(&problem);
+        let mut reference = ServerCore::new(&problem);
+        server.set_threads(threads);
+        reference.set_threads(threads);
+        let decode_ctxs: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
 
         for step in 0..4usize {
-            let mut outs = Vec::with_capacity(2);
-            for (problem, replicas, server) in runs.iter_mut() {
-                let mut payloads = Vec::with_capacity(workers);
-                let mut residual = 0.0f64;
-                for w in replicas.iter_mut() {
-                    let (_loss, grads) =
-                        w.compute(&problem.data, problem.config.batch_per_worker);
-                    payloads.push(w.encode_push(grads).payloads);
-                    residual = residual.max(w.residual_l2());
-                }
-                let mut accepted = workers;
-                if step == drop_step {
-                    // The networked server rejects this worker's frame
-                    // (bad CRC); the worker itself is none the wiser.
-                    payloads[drop_worker].clear();
-                    accepted -= 1;
-                }
-                let out = server
-                    .apply_step(&payloads, accepted, residual)
-                    .expect("at most one worker rejected");
-                for w in replicas.iter_mut() {
-                    w.apply_deltas(&out.step_deltas);
-                    w.apply_policy(&out.next_decisions);
-                }
-                outs.push(out);
+            let mut payloads = Vec::with_capacity(workers);
+            let mut residual = 0.0f64;
+            for w in replicas.iter_mut() {
+                let (_loss, grads) = w.compute(&problem.data, problem.config.batch_per_worker);
+                payloads.push(w.encode_push(grads).payloads);
+                residual = residual.max(w.residual_l2());
             }
-            assert_outputs_identical(&outs[0], &outs[1], &format!("step {step}"))?;
-            let residuals = |replicas: &[WorkerReplica]| -> Vec<u64> {
-                replicas.iter().map(|w| w.residual_l2().to_bits()).collect()
-            };
-            prop_assert!(
-                residuals(&runs[0].1) == residuals(&runs[1].1),
-                "worker residual bit patterns diverged at step {step}"
-            );
+            let mut accepted = workers;
+            if step == drop_step {
+                // The networked server rejects this worker's frame (bad
+                // CRC); the worker itself is none the wiser.
+                payloads[drop_worker].clear();
+                accepted -= 1;
+            }
+            let out = server
+                .apply_step(&payloads, accepted, residual)
+                .expect("at most one worker rejected");
+            let want = reference
+                .apply_step(
+                    &oracle_average(&problem, &decode_ctxs, &payloads, accepted),
+                    1,
+                    residual,
+                )
+                .expect("the oracle's push is accepted");
+            assert_outputs_identical(&want, &out, &format!("step {step}"))?;
+            for w in replicas.iter_mut() {
+                w.apply_deltas(&out.step_deltas);
+                w.apply_policy(&out.next_decisions);
+            }
         }
         prop_assert!(
-            bits(&runs[0].2.global().snapshot()) == bits(&runs[1].2.global().snapshot()),
+            bits(&reference.global().snapshot()) == bits(&server.global().snapshot()),
             "global model diverged"
         );
     }

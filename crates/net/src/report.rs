@@ -59,12 +59,6 @@ pub struct NetReport {
     /// Zero in reports written before the field existed.
     #[serde(default)]
     pub final_model_crc32: u32,
-    /// The server aggregation mode the run used (`f32`, `exact`, or
-    /// `compressed` — [`threelc_distsim::AggregateMode::name`]). Empty in
-    /// reports written before the field existed (those runs predate the
-    /// mode switch and aggregated on the `f32` path).
-    #[serde(default)]
-    pub aggregate_mode: String,
     /// Per-connection transport counters, in worker-id order. Workers
     /// that reconnected mid-run report the totals across all their
     /// connections.
@@ -122,7 +116,6 @@ mod tests {
         let report = NetReport {
             result: result.clone(),
             final_model_crc32: 0xDEAD_BEEF,
-            aggregate_mode: "exact".into(),
             connections: vec![ConnReport {
                 worker: 0,
                 peer: "127.0.0.1:9".into(),
@@ -160,7 +153,6 @@ mod tests {
             )
             .replace(",\"anomalies\":[]", "")
             .replace("\"final_model_crc32\":3735928559,", "")
-            .replace("\"aggregate_mode\":\"exact\",", "")
             .replace(
                 ",\"faults\":{\"disconnects\":1,\"rejoins\":1,\"events\":\
                  [{\"step\":3,\"worker\":0,\"kind\":\"rejoin\",\
@@ -186,11 +178,14 @@ mod tests {
         assert!(old.analysis.is_none());
         assert_eq!(old.metrics, Snapshot::default());
         assert_eq!(old.final_model_crc32, 0);
-        assert!(
-            !stripped.contains("aggregate_mode"),
-            "aggregate_mode key not stripped"
+        // And reports from builds that recorded fields since retired
+        // (PRs 10-12 wrote the server's aggregation mode) parse too:
+        // unknown keys are ignored.
+        let with_retired = json.replacen('{', "{\"retired_key\":\"exact\",", 1);
+        assert_eq!(
+            serde_json::from_str::<NetReport>(&with_retired).unwrap(),
+            report
         );
-        assert_eq!(old.aggregate_mode, "");
         assert_eq!(old.faults, FaultsReport::default());
         // The embedded result stays readable by ExperimentResult readers
         // (bench's cache schema).

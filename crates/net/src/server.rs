@@ -40,7 +40,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload};
 use threelc_distsim::trace::{EvalRecord, StepRecord, TrainingTrace};
-use threelc_distsim::{AggregateMode, ExperimentConfig, ExperimentResult};
+use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_learning::Evaluation;
 use threelc_obs::flight::trigger;
 use threelc_obs::{
@@ -76,11 +76,6 @@ pub struct ServeOptions {
     /// anomalies. `None` disables dumping (series are still recorded and
     /// scrapeable).
     pub flight: Option<String>,
-    /// Overrides the configuration's server aggregation mode for this run
-    /// (`None` keeps [`ExperimentConfig::aggregate`]). The effective mode
-    /// lands in the config broadcast to workers and in the report, so a
-    /// matching `simulate` run stays bit-comparable.
-    pub aggregate: Option<AggregateMode>,
 }
 
 impl Default for ServeOptions {
@@ -92,7 +87,6 @@ impl Default for ServeOptions {
             max_rejoins: 4,
             threads: 1,
             flight: None,
-            aggregate: None,
         }
     }
 }
@@ -267,16 +261,6 @@ fn serve_run(
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
     validate_config(config)?;
-    // Resolve the effective aggregation mode up front: everything
-    // downstream — the server core, the config JSON workers receive, the
-    // report — sees one consistent config.
-    let config = &{
-        let mut c = *config;
-        if let Some(mode) = opts.aggregate {
-            c.aggregate = mode;
-        }
-        c
-    };
     let problem = Problem::build(config);
     let n_params = problem.num_tensors();
     if n_params > usize::from(u16::MAX) {
@@ -858,7 +842,6 @@ fn serve_run(
             trace,
         },
         final_model_crc32: model_crc32(server.global()),
-        aggregate_mode: config.aggregate.name().into(),
         connections: connections
             .into_iter()
             .map(|c| c.expect("every slot reported"))
@@ -1014,10 +997,11 @@ fn validate_config(config: &ExperimentConfig) -> Result<(), NetError> {
     Ok(())
 }
 
-/// Names an engine aggregation failure as the run's error. The seed
-/// engine `panic!`ed here (taking the coordinator thread down with an
-/// opaque abort); now the serve loop finishes with a typed [`NetError`]
-/// that reaches the caller and the report like any other run failure.
+/// Names an engine aggregation failure — an all-rejected step, or a push
+/// whose framing was valid but whose 3LC body does not decode — as the
+/// run's error: the serve loop finishes with a typed [`NetError`] that
+/// reaches the caller and the report like any other run failure, instead
+/// of a panic taking the coordinator thread down.
 fn aggregation_error(e: EngineError) -> NetError {
     NetError::Protocol(format!("server aggregation failed: {e}"))
 }
@@ -1467,6 +1451,23 @@ mod tests {
             msg.contains("rejected"),
             "error must explain the cause: {msg}"
         );
+    }
+
+    #[test]
+    fn undecodable_push_maps_to_a_run_error_naming_worker_tensor_and_cause() {
+        let msg = aggregation_error(EngineError::UndecodablePush {
+            step: 3,
+            worker: 1,
+            tensor: 4,
+            source: threelc::DecodeError::InvalidQuarticByte {
+                byte: 250,
+                offset: 17,
+            },
+        })
+        .to_string();
+        for part in ["step 3", "worker 1", "tensor 4", "250"] {
+            assert!(msg.contains(part), "error must mention `{part}`: {msg}");
+        }
     }
 
     #[test]

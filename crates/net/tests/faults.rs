@@ -118,25 +118,6 @@ fn disconnect_fault_rejoins_and_matches_simulator() {
     let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 0);
-}
-
-#[test]
-fn compressed_aggregation_survives_disconnect_and_matches_simulator() {
-    // Rejoin replay must land on the same model under `--aggregate
-    // compressed` too: scale-grouped integer-lane sums are a different
-    // float reduction than the seed path, so this pins that the mode is
-    // deterministic through a disconnect + replay, not just in a clean
-    // run. (The kill@2 + --rejoin variant needs a real process exit and
-    // lives in ci.sh's chaos smoke.)
-    let config = ExperimentConfig {
-        aggregate: threelc_distsim::AggregateMode::Compressed,
-        ..chaos_config(8)
-    };
-    let fault = FaultPlan::parse("disconnect@3").expect("spec");
-    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
-    let report = report.expect("server survived the fault");
-    assert_eq!(report.aggregate_mode, "compressed");
-    assert_bit_identical(&config, &report, &outcomes, 0);
     // The disconnect and the rejoin both happened at the armed step: the
     // coordinator parked that barrier instead of aborting.
     for event in &report.faults.events {

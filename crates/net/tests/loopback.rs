@@ -6,9 +6,11 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 use threelc_baselines::SchemeKind;
-use threelc_distsim::{run_experiment, Cluster, ExperimentConfig};
+use threelc_distsim::{
+    run_experiment, Cluster, ExperimentConfig, Problem, TensorPayload, WorkerReplica,
+};
 use threelc_net::frame::{read_frame, write_frame};
-use threelc_net::protocol::encode_hello;
+use threelc_net::protocol::{encode_hello, encode_push_done, tensor_to_bytes};
 use threelc_net::{
     run_worker, scrape_metrics, scrape_series, serve, MsgType, ServeOptions, WorkerOptions,
 };
@@ -259,74 +261,6 @@ fn sharded_loopback_matches_simulator_bit_for_bit() {
 }
 
 #[test]
-fn compressed_aggregation_loopback_matches_simulator_bit_for_bit() {
-    // `--aggregate compressed` changes the server's float math (scale
-    // groups, integer symbol lanes), so its model differs from the f32
-    // path — but serve and simulate must still agree bit for bit, serial
-    // and sharded alike. The mode arrives via the ServeOptions override
-    // here, proving the effective config (not the caller's) is what the
-    // run trains, reports, and broadcasts.
-    let base = ExperimentConfig {
-        total_steps: 8,
-        eval_every: 0,
-        ..loopback_config(SchemeKind::three_lc(1.0))
-    };
-    let effective = ExperimentConfig {
-        aggregate: threelc_distsim::AggregateMode::Compressed,
-        ..base
-    };
-    for threads in [1usize, 2] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        let opts = ServeOptions {
-            threads,
-            aggregate: Some(threelc_distsim::AggregateMode::Compressed),
-            ..ServeOptions::default()
-        };
-        let server = thread::spawn(move || serve(&listener, &base, &opts));
-        let clients: Vec<_> = (0..base.workers as u16)
-            .map(|w| {
-                let addr = addr.clone();
-                thread::spawn(move || run_worker(&WorkerOptions::new(addr, w)))
-            })
-            .collect();
-        let outcomes: Vec<_> = clients
-            .into_iter()
-            .map(|c| c.join().expect("client thread").expect("worker run"))
-            .collect();
-        let report = server.join().expect("server thread").expect("serve run");
-
-        assert_eq!(report.aggregate_mode, "compressed", "threads={threads}");
-        assert_eq!(report.result.config, effective, "threads={threads}");
-        let mut cluster = Cluster::new(effective);
-        for _ in 0..effective.total_steps {
-            cluster.step();
-        }
-        assert_eq!(
-            report.final_model_crc32,
-            threelc_net::model_crc32(cluster.global_model()),
-            "threads={threads}: compressed-mode serve diverged from simulate"
-        );
-        for (w, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(
-                outcome.model.snapshot(),
-                cluster.worker_model(w).snapshot(),
-                "threads={threads}: worker {w} replica diverged"
-            );
-        }
-        // Same traffic accounting as any mode: aggregation happens after
-        // the bytes are counted.
-        let simulated = run_experiment(&effective);
-        assert_eq!(report.result.final_eval, simulated.final_eval);
-        for (net, sim) in report.result.trace.steps.iter().zip(&simulated.trace.steps) {
-            assert_eq!(net.loss.to_bits(), sim.loss.to_bits(), "step {}", sim.step);
-            assert_eq!(net.push_bytes, sim.push_bytes, "step {}", sim.step);
-            assert_eq!(net.pull_bytes, sim.pull_bytes, "step {}", sim.step);
-        }
-    }
-}
-
-#[test]
 fn loopback_uncompressed_scheme_also_matches() {
     let config = ExperimentConfig {
         total_steps: 6,
@@ -498,6 +432,71 @@ fn server_rejects_a_garbage_hello() {
     stream.write_all(&[0xAB; 64]).expect("write garbage");
     let result = server.join().expect("server thread");
     assert!(result.is_err(), "garbage magic must abort the handshake");
+}
+
+#[test]
+fn server_rejects_an_undecodable_push_with_a_named_error() {
+    // A worker that handshakes and frames correctly but sends one garbage
+    // 3LC body: frame CRCs pass (they prove transport, not content), so
+    // the body reaches aggregation — which must abort the run naming the
+    // tensor, not panic the coordinator or hang until the step timeout.
+    let config = ExperimentConfig {
+        workers: 1,
+        ..loopback_config(SchemeKind::three_lc(1.0))
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let opts = ServeOptions {
+        io_timeout: Duration::from_secs(2),
+        step_timeout: Duration::from_secs(2),
+        ..ServeOptions::default()
+    };
+    let server = thread::spawn(move || serve(&listener, &config, &opts));
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+    let ack = read_frame(&mut &stream).expect("hello ack");
+    assert_eq!(ack.msg, MsgType::HelloAck);
+
+    let problem = Problem::build(&config);
+    let mut replica = WorkerReplica::new(&problem, 0);
+    let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
+    let mut payloads = replica.encode_push(grads).payloads;
+    let bad = problem
+        .compressible
+        .iter()
+        .rposition(|&c| c)
+        .expect("a compressible tensor");
+    payloads[bad] = TensorPayload::Compressed(vec![0xFF; 16]);
+    for (i, payload) in payloads.iter().enumerate() {
+        match payload {
+            TensorPayload::Compressed(wire) => {
+                write_frame(&mut &stream, MsgType::PushTensor, i as u16, 0, wire)
+            }
+            TensorPayload::Raw(t) => write_frame(
+                &mut &stream,
+                MsgType::PushRaw,
+                i as u16,
+                0,
+                &tensor_to_bytes(t),
+            ),
+        }
+        .expect("push frame");
+    }
+    let done = encode_push_done(loss, 0.0, 0.0, 0.0);
+    write_frame(&mut &stream, MsgType::PushDone, 0, 0, &done).expect("push done");
+
+    let err = server
+        .join()
+        .expect("the coordinator must not panic")
+        .expect_err("an undecodable push must abort the run");
+    let text = err.to_string();
+    assert!(
+        text.contains("worker 0")
+            && text.contains(&format!("tensor {bad}"))
+            && text.contains("does not decode"),
+        "error must name the worker, the tensor and the cause: {text}"
+    );
 }
 
 #[test]

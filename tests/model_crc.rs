@@ -34,10 +34,11 @@ fn dense_config(scheme: SchemeKind) -> ExperimentConfig {
 }
 
 /// `"<final model crc32> <final test loss bits>"`, both in hex, of the
-/// simulator's `residual_mlp` run.
-fn dense_run(scheme: SchemeKind) -> String {
+/// simulator's `residual_mlp` run on `threads` codec/aggregation threads.
+fn dense_run(scheme: SchemeKind, threads: usize) -> String {
     let config = dense_config(scheme);
     let mut cluster = Cluster::new(config);
+    cluster.set_threads(threads);
     for _ in 0..STEPS {
         cluster.step();
     }
@@ -87,12 +88,19 @@ fn conv_run(scheme: SchemeKind) -> String {
 
 #[test]
 fn dense_float32_model_is_pinned() {
-    assert_eq!(dense_run(SchemeKind::Float32), "ccef37b4 405122a2");
+    assert_eq!(dense_run(SchemeKind::Float32, 1), "ccef37b4 405122a2");
 }
 
 #[test]
 fn dense_three_lc_model_is_pinned() {
-    assert_eq!(dense_run(SchemeKind::three_lc(1.0)), "f50c5d02 40531939");
+    assert_eq!(dense_run(SchemeKind::three_lc(1.0), 1), "f50c5d02 40531939");
+}
+
+/// One shard and four run the same per-tensor server code, so the thread
+/// count must not move the model.
+#[test]
+fn dense_three_lc_model_is_pinned_on_four_threads() {
+    assert_eq!(dense_run(SchemeKind::three_lc(1.0), 4), "f50c5d02 40531939");
 }
 
 #[test]
