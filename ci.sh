@@ -54,6 +54,22 @@ echo "==> step ledger (builds against the crates' public API; --quick smoke)"
 # benchmark would otherwise surface only in the benchmark driver. --quick is
 # one short and one 5-step real loopback run plus a 3-step replay, with
 # every output check on. Build output goes to ledger/target (git-ignored).
+#
+# A change that claims a gain (ISSUE.md's archetype is perf_opt) is judged
+# by its parent commit's benchmark, so it may not touch ledger/ or
+# BENCHMARK.json: the unedited ledger must build against the changed
+# crates. Each PR of the stack is one commit, so the parent is HEAD while
+# the change is still uncommitted and HEAD~1 once it is HEAD.
+if [ -n "$status_before" ]; then base=HEAD; else base=HEAD~1; fi
+if grep -q '^# ISSUE [0-9]* · \[perf_opt\]' ISSUE.md && {
+    ! git diff --quiet "$base" -- ledger BENCHMARK.json ||
+        [ -n "$(git status --porcelain -- ledger BENCHMARK.json)" ]
+}; then
+    echo "a gain-claiming change may not edit ledger/ or BENCHMARK.json:" >&2
+    git status --porcelain -- ledger BENCHMARK.json >&2
+    git diff --stat "$base" -- ledger BENCHMARK.json >&2
+    exit 1
+fi
 cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 

@@ -6,6 +6,7 @@ use crate::telemetry::{l2_norm, CompressTelemetry};
 use crate::tlq::{SparsityMultiplier, TernaryTensor};
 use crate::{quartic, zrle, CompressError, Compressor, DecodeError};
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use threelc_obs::{log_enabled, Level, TraceSpan};
 use threelc_tensor::{Shape, Tensor};
@@ -67,8 +68,11 @@ impl Default for ThreeLcOptions {
 
 /// A 3LC compression context for one tensor (paper §3, Figure 3).
 ///
-/// Owns the error-accumulation buffer. Each [`compress`](Compressor::compress)
-/// call performs, in order:
+/// Owns the error-accumulation buffer and the quartic-byte scratch, both
+/// allocated on first use and kept for the context's life, so a
+/// steady-state `compress` allocates only the payload it returns and a
+/// context that only ever decodes never holds a residual buffer. Each
+/// [`compress`](Compressor::compress) call performs, in order:
 ///
 /// 1. accumulate the input into the local buffer,
 /// 2. 3-value quantization with sparsity multiplication of the buffer,
@@ -92,12 +96,22 @@ impl Default for ThreeLcOptions {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ThreeLcCompressor {
     shape: Shape,
     options: ThreeLcOptions,
-    /// Error accumulation buffer (zeros when `error_accumulation` is off).
-    buffer: Tensor,
+    /// Error accumulation buffer: all zeros until the first `compress`
+    /// allocates it, never allocated when `error_accumulation` is off.
+    buffer: OnceLock<Tensor>,
+    /// The tensor's `⌈n / 5⌉` quartic bytes: the pack output on encode,
+    /// the zero-run expansion on symbol decode. One buffer for both,
+    /// allocated by whichever runs first; the mutex is only there because
+    /// decoding takes `&self` (`compress` reaches it through `&mut self`
+    /// without locking).
+    quartic: Mutex<Vec<u8>>,
+    /// Body length of the last zero-run-encoded payload (0 before the
+    /// first): sizes the next payload's allocation.
+    last_body_len: usize,
     /// Cached handles to the global `threelc.*` metrics.
     telemetry: CompressTelemetry,
     /// Worker-thread budget for the chunk-parallel codec paths (1 = serial).
@@ -118,11 +132,12 @@ impl ThreeLcCompressor {
 
     /// Creates a context with explicit options.
     pub fn with_options(shape: Shape, options: ThreeLcOptions) -> Self {
-        let buffer = Tensor::zeros(shape.clone());
         ThreeLcCompressor {
             shape,
             options,
-            buffer,
+            buffer: OnceLock::new(),
+            quartic: Mutex::new(Vec::new()),
+            last_body_len: 0,
             telemetry: CompressTelemetry::from_global(),
             threads: 1,
             parallel_min_values: DEFAULT_PARALLEL_MIN_VALUES,
@@ -211,6 +226,24 @@ impl ThreeLcCompressor {
     }
 }
 
+impl Clone for ThreeLcCompressor {
+    /// Clones the stream state (options, residual); the clone allocates
+    /// its own scratch on first use.
+    fn clone(&self) -> Self {
+        ThreeLcCompressor {
+            shape: self.shape.clone(),
+            options: self.options,
+            buffer: self.buffer.clone(),
+            quartic: Mutex::new(Vec::new()),
+            last_body_len: self.last_body_len,
+            telemetry: self.telemetry.clone(),
+            threads: self.threads,
+            parallel_min_values: self.parallel_min_values,
+            codec: self.codec,
+        }
+    }
+}
+
 impl Compressor for ThreeLcCompressor {
     fn name(&self) -> String {
         let mut name = format!("3LC (s={:.2})", self.options.sparsity.value());
@@ -227,14 +260,8 @@ impl Compressor for ThreeLcCompressor {
         self.check_shape(input)?;
         let n = input.len();
         let parts = self.plan_parts(n);
-        let (body, flags, scale) = self.encode(input, parts)?;
+        let wire = self.encode(input, parts)?;
         self.telemetry.record_encode(self.codec);
-
-        let mut wire = Vec::with_capacity(HEADER_LEN + body.len());
-        wire.push(flags);
-        wire.extend_from_slice(&scale.to_le_bytes());
-        wire.extend_from_slice(&(n as u32).to_le_bytes());
-        wire.extend_from_slice(&body);
         let raw_bytes = n * std::mem::size_of::<f32>();
         self.telemetry
             .ratio
@@ -265,11 +292,18 @@ impl Compressor for ThreeLcCompressor {
     }
 
     fn residual(&self) -> Option<&Tensor> {
-        if self.options.error_accumulation {
-            Some(&self.buffer)
-        } else {
-            None
-        }
+        self.options.error_accumulation.then(|| {
+            self.buffer
+                .get_or_init(|| Tensor::zeros(self.shape.clone()))
+        })
+    }
+
+    fn residual_sq(&self) -> f64 {
+        // No buffer yet means nothing was ever compressed: an all-zero
+        // residual, answered without materialising one.
+        self.buffer.get().map_or(0.0, |r| {
+            r.as_slice().iter().map(|&x| x as f64 * x as f64).sum()
+        })
     }
 
     fn set_threads(&mut self, threads: usize) {
@@ -291,7 +325,9 @@ impl ThreeLcCompressor {
     /// paper's steps, running on this context's codec tier
     /// ([`Self::codec_impl`]) over `parts` chunks (`parts = 1` is the
     /// serial path on the calling thread; `run_tasks` runs the first
-    /// chunk inline either way).
+    /// chunk inline either way). Returns the complete wire payload: the
+    /// quartic bytes land in this context's scratch and the body is
+    /// written once, straight behind the header.
     ///
     /// Output is bit-for-bit independent of both `parts` and the codec
     /// tier, by construction:
@@ -310,15 +346,20 @@ impl ThreeLcCompressor {
     ///   [`zrle::align_token_boundary`]): the serial encoder is memoryless
     ///   at those positions, so encoding the segments independently and
     ///   concatenating in order reproduces the serial stream.
-    fn encode(
-        &mut self,
-        input: &Tensor,
-        parts: usize,
-    ) -> Result<(Vec<u8>, u8, f32), CompressError> {
+    fn encode(&mut self, input: &Tensor, parts: usize) -> Result<Vec<u8>, CompressError> {
         let imp = self.codec;
         let n = input.len();
         let ea = self.options.error_accumulation;
         let in_slice = input.as_slice();
+        // The residual, allocated by the first compress; untouched (and
+        // never allocated) without error accumulation.
+        let mut buffer = if ea {
+            self.buffer
+                .get_or_init(|| Tensor::zeros(self.shape.clone()));
+            self.buffer.get_mut()
+        } else {
+            None
+        };
 
         // Distributed-tracing phase spans: inert unless the caller
         // installed a `TraceScope` (see `threelc_obs::trace`). The
@@ -330,8 +371,8 @@ impl ThreeLcCompressor {
         // Phase 1: accumulate (error accumulation only) and reduce
         // max |x| + finiteness per chunk.
         let elem_ranges = split_ranges(n, parts);
-        let partials: Vec<(f32, bool)> = if ea {
-            let chunks = split_off_ranges(self.buffer.as_mut_slice(), &elem_ranges);
+        let partials: Vec<(f32, bool)> = if let Some(buffer) = buffer.as_deref_mut() {
+            let chunks = split_off_ranges(buffer.as_mut_slice(), &elem_ranges);
             let tasks: Vec<_> = chunks
                 .into_iter()
                 .zip(elem_ranges.iter().cloned())
@@ -364,12 +405,18 @@ impl ThreeLcCompressor {
         let quartic_start = Instant::now();
         let bl = n.div_ceil(quartic::VALUES_PER_BYTE); // partition length L
         let byte_ranges = split_ranges(bl, parts);
-        let mut quartic_bytes = vec![0u8; bl];
-        let out_chunks = split_off_ranges(&mut quartic_bytes, &byte_ranges);
+        // Every byte is overwritten by the pack, so the scratch is only
+        // ever sized, not cleared.
+        let quartic_bytes = self
+            .quartic
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        quartic_bytes.resize(bl, 0);
+        let out_chunks = split_off_ranges(quartic_bytes, &byte_ranges);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
 
         // chunk_info[k] = (last non-zero byte index in chunk k, busy secs).
-        let chunk_info: Vec<(Option<usize>, f64)> = if ea {
+        let chunk_info: Vec<(Option<usize>, f64)> = if let Some(buffer) = buffer.as_deref_mut() {
             // The 5 · parts strided element ranges, ascending in (j, chunk)
             // order, so the buffer splits into disjoint mutable views.
             let pw = byte_ranges.len();
@@ -379,7 +426,7 @@ impl ThreeLcCompressor {
                     strided.push((j * bl + r.start).min(n)..(j * bl + r.end).min(n));
                 }
             }
-            let srcs = split_off_ranges(self.buffer.as_mut_slice(), &strided);
+            let srcs = split_off_ranges(buffer.as_mut_slice(), &strided);
             let mut groups: Vec<Vec<&mut [f32]>> = (0..pw).map(|_| Vec::with_capacity(5)).collect();
             for (idx, s) in srcs.into_iter().enumerate() {
                 groups[idx % pw].push(s); // idx = j · pw + chunk
@@ -420,56 +467,83 @@ impl ThreeLcCompressor {
         }
 
         let debug_probes = log_enabled(Level::Debug);
-        if debug_probes && ea {
+        if let (true, Some(buffer)) = (debug_probes, &buffer) {
             self.telemetry
                 .residual_l2
-                .record(l2_norm(self.buffer.as_slice()));
+                .record(l2_norm(buffer.as_slice()));
         }
 
-        // Phase 3: zero-run encoding of token-aligned segments.
-        let (body, flags) = if self.options.zero_run_encoding {
+        // Phase 3: the payload. Zero-run encoding never expands, so `bl`
+        // body bytes always suffice; after the first payload the previous
+        // one's length plus a quarter sizes the allocation instead, which
+        // keeps a steady-state encode's allocation proportional to what it
+        // sends (a payload that outgrows the estimate grows the `Vec`).
+        let zre = self.options.zero_run_encoding;
+        let body_capacity = match self.last_body_len {
+            0 => bl,
+            last => (last + last / 4).min(bl),
+        };
+        let mut wire = Vec::with_capacity(HEADER_LEN + body_capacity);
+        wire.push(if zre { FLAG_ZRE } else { 0 });
+        wire.extend_from_slice(&scale.to_le_bytes());
+        wire.extend_from_slice(&(n as u32).to_le_bytes());
+        if zre {
             let zre_start = Instant::now();
-            let mut bounds = Vec::with_capacity(byte_ranges.len() + 1);
-            bounds.push(0usize);
-            let mut last_nz: Option<usize> = None;
-            for k in 1..byte_ranges.len() {
-                if let Some(i) = chunk_info[k - 1].0 {
-                    last_nz = Some(i);
-                }
-                let b = zrle::align_token_boundary(&quartic_bytes, byte_ranges[k].start, last_nz);
-                // Tiny chunks can align past a later chunk's start; clamping
-                // to the previous boundary keeps segments well-formed (the
-                // clamped value is itself a token boundary).
-                bounds.push(b.max(*bounds.last().expect("non-empty")));
-            }
-            bounds.push(bl);
-            let segments: Vec<&[u8]> = bounds
-                .windows(2)
-                .map(|w| &quartic_bytes[w[0]..w[1]])
-                .collect();
             let run_hist = &self.telemetry.zero_run_length;
-            let encoded: Vec<Vec<u8>> = parallel::run_tasks(segments, |_, seg| {
+            if byte_ranges.len() == 1 {
                 if debug_probes {
-                    zrle::encode_with_runs_impl(imp, seg, |run| run_hist.record(run as f64))
+                    zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |run| {
+                        run_hist.record(run as f64)
+                    })
                 } else {
-                    zrle::encode_with_runs_impl(imp, seg, |_| {})
+                    zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
                 }
-                .expect("quartic output is always in range 0..=242")
-            });
-            let total: usize = encoded.iter().map(Vec::len).sum();
-            let mut body = Vec::with_capacity(total);
-            for seg in &encoded {
-                body.extend_from_slice(seg);
+                .expect("quartic output is always in range 0..=242");
+            } else {
+                // Token-aligned segments encode independently and
+                // concatenate to the serial stream.
+                let mut bounds = Vec::with_capacity(byte_ranges.len() + 1);
+                bounds.push(0usize);
+                let mut last_nz: Option<usize> = None;
+                for k in 1..byte_ranges.len() {
+                    if let Some(i) = chunk_info[k - 1].0 {
+                        last_nz = Some(i);
+                    }
+                    let b =
+                        zrle::align_token_boundary(quartic_bytes, byte_ranges[k].start, last_nz);
+                    // Tiny chunks can align past a later chunk's start;
+                    // clamping to the previous boundary keeps segments
+                    // well-formed (the clamped value is itself a token
+                    // boundary).
+                    bounds.push(b.max(*bounds.last().expect("non-empty")));
+                }
+                bounds.push(bl);
+                let segments: Vec<&[u8]> = bounds
+                    .windows(2)
+                    .map(|w| &quartic_bytes[w[0]..w[1]])
+                    .collect();
+                let encoded: Vec<Vec<u8>> = parallel::run_tasks(segments, |_, seg| {
+                    if debug_probes {
+                        zrle::encode_with_runs_impl(imp, seg, |run| run_hist.record(run as f64))
+                    } else {
+                        zrle::encode_with_runs_impl(imp, seg, |_| {})
+                    }
+                    .expect("quartic output is always in range 0..=242")
+                });
+                for seg in &encoded {
+                    wire.extend_from_slice(seg);
+                }
             }
             self.telemetry
                 .zre_seconds
                 .record(zre_start.elapsed().as_secs_f64());
-            (body, FLAG_ZRE)
+            wire.shrink_to_fit();
+            self.last_body_len = wire.len() - HEADER_LEN;
         } else {
-            (quartic_bytes, 0)
-        };
+            wire.extend_from_slice(quartic_bytes);
+        }
         encode_span.finish();
-        Ok((body, flags, scale))
+        Ok(wire)
     }
 
     /// The symbol half of [`Self::decompress_inner`]: identical header and
@@ -501,10 +575,13 @@ impl ThreeLcCompressor {
         }
         let body = &payload[HEADER_LEN..];
         let quartic_len = count.div_ceil(quartic::VALUES_PER_BYTE);
-        let quartic_owned: Vec<u8>;
+        let mut scratch;
         let quartic_bytes: &[u8] = if flags & FLAG_ZRE != 0 {
-            quartic_owned = zrle::decode_exact(body, quartic_len)?;
-            &quartic_owned
+            // A poisoned scratch is still a valid one: it is overwritten
+            // whole before it is read.
+            scratch = self.quartic.lock().unwrap_or_else(PoisonError::into_inner);
+            zrle::decode_exact_into(body, quartic_len, &mut scratch)?;
+            &scratch
         } else {
             if body.len() != quartic_len {
                 return Err(DecodeError::BodyLengthMismatch {

@@ -58,6 +58,20 @@ pub fn encode_with_runs(input: &[u8], on_run: impl FnMut(usize)) -> Result<Vec<u
 }
 
 /// [`encode_with_runs`] on an explicit codec tier.
+pub fn encode_with_runs_impl(
+    imp: crate::kernels::CodecImpl,
+    input: &[u8],
+    on_run: impl FnMut(usize),
+) -> Result<Vec<u8>, DecodeError> {
+    let mut out = Vec::with_capacity(input.len());
+    encode_into_impl(imp, input, &mut out, on_run)?;
+    Ok(out)
+}
+
+/// [`encode_with_runs_impl`] appending to a caller-owned buffer, so a
+/// payload can be encoded straight behind its header. Nothing is appended
+/// on error. The output is never longer than the input, so a buffer with
+/// `input.len()` spare bytes does not grow.
 ///
 /// The scan-structured rewrite of the original byte-at-a-time loop:
 /// validate the whole stream, then alternate between bulk-copying the
@@ -65,18 +79,22 @@ pub fn encode_with_runs(input: &[u8], on_run: impl FnMut(usize)) -> Result<Vec<u
 /// the next non-zero byte into escapes of at most [`MAX_RUN`]. Emission
 /// order, run chunking, `on_run` reports, and error offsets are identical
 /// to the original loop on every tier (see [`crate::kernels`]).
-pub fn encode_with_runs_impl(
+///
+/// # Errors
+///
+/// Same as [`encode`].
+pub fn encode_into_impl(
     imp: crate::kernels::CodecImpl,
     input: &[u8],
+    out: &mut Vec<u8>,
     mut on_run: impl FnMut(usize),
-) -> Result<Vec<u8>, DecodeError> {
+) -> Result<(), DecodeError> {
     if let Some(offset) = crate::kernels::find_invalid_quartic(imp, input) {
         return Err(DecodeError::InvalidQuarticByte {
             byte: input[offset],
             offset,
         });
     }
-    let mut out = Vec::with_capacity(input.len());
     let mut i = 0;
     while i < input.len() {
         // Literal span: everything up to the next zero byte passes
@@ -102,7 +120,7 @@ pub fn encode_with_runs_impl(
         }
         i = end;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decodes a zero-run-encoded stream back into quartic bytes.
@@ -209,14 +227,35 @@ pub fn decode_into(input: &[u8], out: &mut [u8]) {
 /// Returns [`DecodeError::BodyLengthMismatch`] if the decoded length
 /// differs from `expected_len`.
 pub fn decode_exact(input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecodeError> {
-    let out = decode(input);
-    if out.len() != expected_len {
+    let mut out = Vec::new();
+    decode_exact_into(input, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_exact`] into a caller-owned buffer, resized to `expected_len`
+/// and overwritten; a buffer reused across calls of one length never
+/// reallocates. The stream is sized with [`decoded_len`] first, so a
+/// hostile body — every byte may expand 14× — is rejected before anything
+/// is allocated for it, leaving `out` untouched.
+///
+/// # Errors
+///
+/// Same as [`decode_exact`].
+pub fn decode_exact_into(
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    let decoded = decoded_len(input);
+    if decoded != expected_len {
         return Err(DecodeError::BodyLengthMismatch {
-            decoded: out.len(),
+            decoded,
             expected: expected_len,
         });
     }
-    Ok(out)
+    out.resize(expected_len, ZERO_BYTE);
+    decode_into(input, out);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use threelc_learning::{Batch, Evaluation, Network, SyntheticImages};
 use threelc_obs::trace::{self, TraceScope, TraceSpan};
 use threelc_obs::{RunRecorder, RunSeries, WorkerDelta};
 use threelc_policy::PolicyTrace;
-use threelc_tensor::{Rng, Tensor};
+use threelc_tensor::Rng;
 
 /// An in-process parameter-server cluster (paper Figures 1–2).
 ///
@@ -33,9 +33,9 @@ pub struct Cluster {
     /// RNG for per-step straggler jitter (separate stream so enabling
     /// jitter does not perturb data sampling).
     straggler_rng: Rng,
-    /// Stale-pull pipeline: decoded per-tensor deltas waiting to be
+    /// Stale-pull pipeline: pull batches, still compressed, waiting to be
     /// applied to workers (`config.staleness` steps deep; empty in BSP).
-    pending_deltas: std::collections::VecDeque<Vec<Tensor>>,
+    pending_pulls: std::collections::VecDeque<Vec<TensorPayload>>,
     /// Every policy decision taken so far (empty under a static policy).
     policy_log: PolicyTrace,
     /// Per-worker/run-level time series, fed once per step with the same
@@ -68,7 +68,7 @@ impl Cluster {
             data: problem.data,
             test: problem.test,
             straggler_rng: threelc_tensor::rng(config.seed ^ 0x5357_4147), // "STAG"
-            pending_deltas: std::collections::VecDeque::new(),
+            pending_pulls: std::collections::VecDeque::new(),
             policy_log: PolicyTrace {
                 label: config.policy.label(),
                 records: Vec::new(),
@@ -306,17 +306,19 @@ impl Cluster {
             }
         }
 
-        // Apply the deltas that have cleared the staleness pipeline. In BSP
-        // (staleness 0) that is this step's own deltas; with staleness k,
+        // Apply the pulls that have cleared the staleness pipeline. In BSP
+        // (staleness 0) that is this step's own batch; with staleness k,
         // workers run k steps behind the server's global model and pull
-        // transfers overlap subsequent compute.
-        self.pending_deltas.push_back(out.step_deltas);
-        while self.pending_deltas.len() > self.config.staleness as usize {
-            let deltas = self.pending_deltas.pop_front().expect("nonempty");
+        // transfers overlap subsequent compute. Every worker decodes the
+        // shared batch itself, as a networked worker does.
+        self.pending_pulls.push_back(out.pulls);
+        while self.pending_pulls.len() > self.config.staleness as usize {
+            let pulls = self.pending_pulls.pop_front().expect("nonempty");
             for (wi, w) in self.workers.iter_mut().enumerate() {
                 let _scope = worker_scope(wi);
                 let pull_span = TraceSpan::start("pull");
-                w.apply_deltas(&deltas);
+                w.apply_pulls(&pulls)
+                    .expect("the server's own pull contexts produced these payloads");
                 pull_span.finish();
             }
         }

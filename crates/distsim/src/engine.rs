@@ -12,14 +12,20 @@
 //!   configuration (dataset, test batch, initial model, tensor shapes,
 //!   compression eligibility);
 //! - [`WorkerReplica`] — one worker's state: a model replica, its
-//!   data-sampling RNG, and its per-tensor push compression contexts;
+//!   data-sampling RNG, its per-tensor push compression contexts and
+//!   decode-only mirrors of the pull contexts;
 //! - [`ServerCore`] — the server's state: the global model, the optimizer,
 //!   per-worker push *decode* contexts, and the shared pull contexts.
 //!
-//! The server decodes pushes with its own mirror contexts rather than the
-//! workers' contexts. That is sound because every scheme's `decompress` is
-//! a pure function of the payload and the tensor shape: compression state
-//! (error-accumulation buffers, RNG draws) only affects `compress`.
+//! The server decodes pushes, and the workers pulls, with their own mirror
+//! contexts rather than the encoder's. That is sound because every
+//! scheme's `decompress` is a pure function of the payload and the tensor
+//! shape: compression state (error-accumulation buffers, RNG draws) only
+//! affects `compress`.
+//!
+//! Every model-sized buffer of a step has one owner that lives as long as
+//! the run (DESIGN.md §18): after the first step neither side allocates
+//! anything proportional to the model, only the payloads it sends.
 
 use crate::config::ExperimentConfig;
 use std::fmt;
@@ -233,12 +239,23 @@ pub struct EncodedPush {
     pub codec_seconds: f64,
 }
 
-/// One worker's state: a local model replica, a data-sampling RNG, and a
-/// push compression context per compressible tensor.
+/// One worker's state: a local model replica, a data-sampling RNG, a
+/// push compression context per compressible tensor, and what decoding a
+/// pull needs.
 pub struct WorkerReplica {
     model: Network,
     rng: Rng,
     push_ctxs: Vec<Option<Box<dyn Compressor>>>,
+    /// Decode-only mirrors of the server's pull contexts.
+    pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
+    /// Symbol scratch of [`Self::apply_pulls`], reused across tensors and
+    /// steps (it settles at the largest tensor's element count).
+    syms: Vec<i8>,
+    /// The gradient tensors, between steps: [`Self::compute`] hands them
+    /// out filled, [`Self::encode_push`] takes them back, and the next
+    /// `compute` overwrites them in place. Empty before the first step and
+    /// whenever a caller keeps the gradients instead of pushing them.
+    grads: Vec<Tensor>,
     /// Cached handle into the global registry — the sharded registry lock
     /// is only touched here, at construction, never per step.
     encode_seconds: Arc<Histogram>,
@@ -251,6 +268,9 @@ impl WorkerReplica {
             model: problem.init.clone(),
             rng: threelc_tensor::rng(worker_rng_seed(&problem.config, w)),
             push_ctxs: problem.push_ctxs(w),
+            pull_ctxs: problem.pull_ctxs(),
+            syms: Vec::new(),
+            grads: Vec::new(),
             encode_seconds: threelc_obs::global().histogram("engine.encode_push_seconds"),
         }
     }
@@ -272,11 +292,14 @@ impl WorkerReplica {
         batch_per_worker: usize,
     ) -> (f32, Vec<Tensor>) {
         let batch = data.sample_train_batch(&mut self.rng, batch_per_worker);
-        self.model.loss_and_gradients(&batch)
+        let mut grads = std::mem::take(&mut self.grads);
+        let loss = self.model.loss_and_gradients_into(&batch, &mut grads);
+        (loss, grads)
     }
 
     /// Runs each gradient through its push compression context (or passes
-    /// it through raw), measuring codec CPU time.
+    /// it through raw), measuring codec CPU time. The tensors themselves
+    /// are kept as the next [`Self::compute`]'s gradient buffers.
     ///
     /// # Panics
     ///
@@ -286,19 +309,21 @@ impl WorkerReplica {
     pub fn encode_push(&mut self, grads: Vec<Tensor>) -> EncodedPush {
         let mut payloads = Vec::with_capacity(grads.len());
         let mut codec_seconds = 0.0f64;
-        for (i, grad) in grads.into_iter().enumerate() {
+        for (i, grad) in grads.iter().enumerate() {
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
-                    let wire = ctx.compress(&grad).unwrap_or_else(|e| {
+                    let wire = ctx.compress(grad).unwrap_or_else(|e| {
                         panic!("cannot compress the gradient of tensor {i}: {e}")
                     });
                     codec_seconds += t0.elapsed().as_secs_f64();
                     payloads.push(TensorPayload::Compressed(wire));
                 }
-                None => payloads.push(TensorPayload::Raw(grad)),
+                // A sub-threshold tensor: the copy is what is sent.
+                None => payloads.push(TensorPayload::Raw(grad.clone())),
             }
         }
+        self.grads = grads;
         self.encode_seconds.record(codec_seconds);
         EncodedPush {
             payloads,
@@ -341,7 +366,57 @@ impl WorkerReplica {
             .sqrt()
     }
 
-    /// Applies decoded model deltas to the local replica.
+    /// Applies one step's pull batch to the local replica: each compressed
+    /// payload decodes to symbols in a reused buffer and
+    /// [`kernels::dequant_add`] adds `sym as f32 · scale` straight into the
+    /// parameter — the product `decompress` would have stored in a dense
+    /// tensor and the `+=` [`Self::apply_deltas`] would have applied to
+    /// it, without the tensor. Schemes without a symbol form decode
+    /// densely and add; raw tensors add as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the first tensor whose payload does not decode
+    /// (or is compressed where the model sends raw floats) with the
+    /// decoder's error. Tensors before it have been applied: the caller
+    /// must abandon the replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload count or a raw tensor's shape disagrees with
+    /// the model.
+    pub fn apply_pulls(&mut self, pulls: &[TensorPayload]) -> Result<(), (usize, DecodeError)> {
+        let imp = kernels::active();
+        let mut params = self.model.params_mut();
+        assert_eq!(params.len(), pulls.len(), "pull count mismatch");
+        for (i, (param, pull)) in params.iter_mut().zip(pulls).enumerate() {
+            match pull {
+                TensorPayload::Compressed(wire) => {
+                    let ctx = self.pull_ctxs[i].as_ref().ok_or_else(|| {
+                        let reason = "compressed payload for a tensor sent uncompressed".into();
+                        (i, DecodeError::Malformed { reason })
+                    })?;
+                    match ctx
+                        .decompress_symbols(wire, &mut self.syms)
+                        .map_err(|e| (i, e))?
+                    {
+                        Some(scale) => {
+                            kernels::dequant_add(imp, &self.syms, scale, param.as_mut_slice())
+                        }
+                        None => param
+                            .add_assign(&ctx.decompress(wire).map_err(|e| (i, e))?)
+                            .expect("a context decodes to its tensor's shape"),
+                    }
+                }
+                TensorPayload::Raw(delta) => param.add_assign(delta).expect("same shapes"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies decoded model deltas to the local replica: the dense
+    /// reference [`Self::apply_pulls`] is tested against (and what the
+    /// step ledger's replay still times).
     ///
     /// # Panics
     ///
@@ -355,17 +430,15 @@ impl WorkerReplica {
     }
 }
 
-/// The output of one server step: what the workers pull, and the decoded
-/// deltas they will apply.
+/// The output of one server step: what the workers pull.
 pub struct ServerStepOutput {
     /// Learning rate used this step (warmup-scaled cosine schedule).
     pub lr: f32,
-    /// Per-tensor pull payloads (one shared payload per tensor).
+    /// Per-tensor pull payloads (one shared payload per tensor). Every
+    /// worker applies them with [`WorkerReplica::apply_pulls`]; decoding is
+    /// pure, so all replicas move identically.
     pub pulls: Vec<TensorPayload>,
-    /// Decoded deltas — exactly what every worker obtains by decoding
-    /// `pulls` (identical by decode purity).
-    pub step_deltas: Vec<Tensor>,
-    /// Measured server-side codec CPU seconds (push decode + pull codec).
+    /// Measured server-side codec CPU seconds (push decode + pull encode).
     pub server_codec_seconds: f64,
     /// The policy decisions that governed **this** step, resolved against
     /// the step's observed telemetry (empty when the policy is static).
@@ -382,12 +455,21 @@ pub struct ServerStepOutput {
 pub struct ServerCore {
     config: ExperimentConfig,
     global: Network,
-    prev_global: Vec<Tensor>,
     /// Per-*tensor*, per-worker push decode contexts (mirrors of the
     /// workers' compression contexts; decode is pure, so mirrors decode
     /// identically). Tensor-major so sharded aggregation can hand each
     /// shard a disjoint `&mut` block of tensor rows.
     decode_ctxs: Vec<Vec<Option<Box<dyn Compressor>>>>,
+    /// One model-sized buffer per tensor for the whole step, kept across
+    /// steps: the worker-order gradient sum and its average (the first
+    /// accepted worker *assigns*, so nothing is re-zeroed), then — left in
+    /// the gradient's place by the optimizer's own sweep — the model delta
+    /// `global_after − global_before` the pull contexts encode. Holds a
+    /// partial sum after a step that failed to decode.
+    update: Vec<Tensor>,
+    /// One symbol scratch per aggregation shard, kept across steps (each
+    /// settles at its shard's largest tensor's element count).
+    syms: Vec<Vec<i8>>,
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
     optimizer: SgdMomentum,
     schedule: LrSchedule,
@@ -436,18 +518,20 @@ struct AggTimings {
 /// have produced, and the adds run in the same order — without a tensor
 /// allocation per worker or a separate dequantize pass. The first
 /// accepted worker *assigns* (preserving `-0.0` products exactly as moving
-/// the first decoded tensor into a sum does); schemes without a symbol
-/// form decode densely per payload and accumulate the same float values.
+/// the first decoded tensor into a sum does — and making `avg`'s previous
+/// contents irrelevant, so the accumulator is reused without re-zeroing);
+/// schemes without a symbol form decode densely per payload and accumulate
+/// the same float values.
 ///
 /// `ctx_row` holds the tensor's per-worker decode contexts. The caller
 /// guarantees at least one accepted worker ([`ServerCore::apply_step`]
 /// returns [`EngineError::NoAcceptedPushes`] otherwise). A payload that
 /// does not decode fails the tensor with the worker's id and the
-/// decoder's error.
+/// decoder's error, leaving a partial sum in `avg`.
 #[allow(clippy::too_many_arguments)] // one bookkeeping sink per output
 fn aggregate_tensor(
     imp: CodecImpl,
-    shape: &Shape,
+    avg: &mut Tensor,
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
     i: usize,
@@ -455,9 +539,9 @@ fn aggregate_tensor(
     syms: &mut Vec<i8>,
     stats: &mut CompressionStats,
     timings: &mut AggTimings,
-) -> Result<Tensor, (usize, DecodeError)> {
-    let n = shape.num_elements();
-    let mut acc = vec![0f32; n];
+) -> Result<(), (usize, DecodeError)> {
+    let n = avg.len();
+    let acc = avg.as_mut_slice();
     let mut first = true;
     for (w, worker_payloads) in payloads.iter().enumerate() {
         if worker_payloads.is_empty() {
@@ -476,9 +560,9 @@ fn aggregate_tensor(
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
                         if first {
-                            kernels::dequant_assign(imp, syms, scale, &mut acc);
+                            kernels::dequant_assign(imp, syms, scale, acc);
                         } else {
-                            kernels::dequant_add(imp, syms, scale, &mut acc);
+                            kernels::dequant_add(imp, syms, scale, acc);
                         }
                         timings.accumulate += a0.elapsed().as_secs_f64();
                     }
@@ -489,24 +573,23 @@ fn aggregate_tensor(
                         timings.decode += t0.elapsed().as_secs_f64();
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
-                        accumulate_dense(g.as_slice(), first, &mut acc);
+                        accumulate_dense(g.as_slice(), first, acc);
                         timings.accumulate += a0.elapsed().as_secs_f64();
                     }
                 }
             }
             TensorPayload::Raw(grad) => {
                 let a0 = Instant::now();
-                accumulate_dense(grad.as_slice(), first, &mut acc);
+                accumulate_dense(grad.as_slice(), first, acc);
                 timings.accumulate += a0.elapsed().as_secs_f64();
             }
         }
         first = false;
     }
     let a0 = Instant::now();
-    let mut avg = Tensor::from_vec(acc, shape.clone());
     avg.scale_inplace(1.0 / accepted_count as f32);
     timings.accumulate += a0.elapsed().as_secs_f64();
-    Ok(avg)
+    Ok(())
 }
 
 /// `acc = xs` (first worker) or `acc += xs`: the dense half of the
@@ -544,9 +627,10 @@ struct ShardMeters {
     lock_wait: Arc<Histogram>,
 }
 
-/// Runs one server phase over `split_ranges(rows.len(), shards)`: `body`
-/// gets a contiguous tensor index range, that range's exclusive slice of
-/// the per-tensor context `rows`, and private traffic-stats and
+/// Runs one server phase over `split_ranges(rows.len(), scratch.len())`,
+/// one shard per entry of the per-shard `scratch`: `body` gets a
+/// contiguous tensor index range, that range's exclusive slice of the
+/// per-tensor `rows`, its shard's scratch, and private traffic-stats and
 /// codec-seconds accumulators. A single range runs inline on the calling
 /// thread, so one shard and many execute the same body; tensors are
 /// independent and keep their worker-id order inside `body`, so the shard
@@ -554,22 +638,22 @@ struct ShardMeters {
 /// traffic counters and measured codec seconds flow through the striped
 /// locks; their totals come back beside the per-shard outputs, in range
 /// order.
-fn run_shards<C: Send, T: Send>(
+fn run_shards<C: Send, S: Send, T: Send>(
     rows: &mut [C],
-    shards: usize,
+    scratch: &mut [S],
     meters: &ShardMeters,
-    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats, &mut f64) -> T + Sync,
+    body: impl Fn(Range<usize>, &mut [C], &mut S, &mut CompressionStats, &mut f64) -> T + Sync,
 ) -> (Vec<T>, CompressionStats, f64) {
-    let ranges = split_ranges(rows.len(), shards);
+    let ranges = split_ranges(rows.len(), scratch.len());
     let sharded = ranges.len() > 1;
     let stripes = stats_stripes(ranges.len());
     let chunks = split_off_ranges(rows, &ranges);
-    let tasks: Vec<_> = ranges.into_iter().zip(chunks).collect();
-    let outs = parallel::run_tasks(tasks, |k, (range, chunk)| {
+    let tasks: Vec<_> = ranges.into_iter().zip(chunks).zip(scratch).collect();
+    let outs = parallel::run_tasks(tasks, |k, ((range, chunk), scratch)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
         let mut codec = 0.0f64;
-        let out = body(range, chunk, &mut stats, &mut codec);
+        let out = body(range, chunk, scratch, &mut stats, &mut codec);
         let w0 = Instant::now();
         let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
         if sharded {
@@ -625,8 +709,13 @@ impl ServerCore {
         let reg = threelc_obs::global();
         ServerCore {
             global: problem.init.clone(),
-            prev_global: problem.init.snapshot(),
             decode_ctxs,
+            update: problem
+                .shapes
+                .iter()
+                .map(|s| Tensor::zeros(s.clone()))
+                .collect(),
+            syms: vec![Vec::new()],
             pull_ctxs: problem.pull_ctxs(),
             optimizer: SgdMomentum::new(config.momentum, config.weight_decay),
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
@@ -671,6 +760,8 @@ impl ServerCore {
             threads
         };
         self.threads = threads;
+        self.syms
+            .resize_with(self.plan_shards(self.shapes.len()), Vec::new);
         for ctx in self.decode_ctxs.iter_mut().flatten().flatten() {
             ctx.set_threads(threads);
         }
@@ -679,7 +770,7 @@ impl ServerCore {
         }
     }
 
-    /// Shard count for a step over `n` tensors.
+    /// Shard count for a step over `n` tensors (the length of `syms`).
     fn plan_shards(&self, n: usize) -> usize {
         if self.threads <= 1 || n < 2 {
             1
@@ -762,7 +853,6 @@ impl ServerCore {
         let step_start = Instant::now();
         let lr = self.lr();
         let n_params = self.shapes.len();
-        let shards = self.plan_shards(n_params);
         let mut server_codec = 0.0f64;
 
         // The decisions governing this step also apply to the pull side:
@@ -782,8 +872,7 @@ impl ServerCore {
         // no-op unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        let aggregated =
-            self.decode_aggregate(payloads, accepted_count, shards, &mut server_codec)?;
+        self.decode_aggregate(payloads, accepted_count, &mut server_codec)?;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);
@@ -791,10 +880,12 @@ impl ServerCore {
         } else {
             0
         };
-        self.optimizer.apply(&mut self.global, &aggregated, lr);
+        // The optimizer's own sweep turns the averaged gradient into the
+        // step's model delta where it lies; nothing snapshots the model.
+        self.optimizer
+            .apply_with_delta(&mut self.global, &mut self.update, lr);
 
         // Compress model deltas (shared pull contexts, Fig. 2b).
-        let global_now = self.global.snapshot();
         let t_reencode = if tracing {
             let t = trace::now_ns();
             trace::record_span("aggregate", t_aggregate, t);
@@ -802,11 +893,10 @@ impl ServerCore {
         } else {
             0
         };
-        let (pulls, step_deltas) = self.compress_pulls(&global_now, shards, &mut server_codec);
+        let pulls = self.compress_pulls(&mut server_codec);
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
         }
-        self.prev_global = global_now;
         let step = self.step;
         self.step += 1;
 
@@ -869,7 +959,6 @@ impl ServerCore {
         Ok(ServerStepOutput {
             lr,
             pulls,
-            step_deltas,
             server_codec_seconds: server_codec,
             policy_records,
             next_decisions,
@@ -883,40 +972,41 @@ impl ServerCore {
     }
 
     /// Decode + aggregate: every tensor's accepted pushes, in worker-id
-    /// order within the tensor ([`aggregate_tensor`]), over `shards` tensor
-    /// ranges ([`run_shards`]). Nothing on `self` changes unless every
-    /// payload decodes.
+    /// order within the tensor ([`aggregate_tensor`]), into `update`,
+    /// over one tensor range per shard ([`run_shards`]). The model,
+    /// optimizer and traffic statistics do not change unless every payload
+    /// decodes.
     fn decode_aggregate(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
-        shards: usize,
         server_codec: &mut f64,
-    ) -> Result<Vec<Tensor>, EngineError> {
+    ) -> Result<(), EngineError> {
         let imp = kernels::active();
         let step = self.step;
-        let shapes = &self.shapes;
         let decode_seconds = &self.aggregate_decode_seconds;
         let accumulate_seconds = &self.aggregate_accumulate_seconds;
+        // Each tensor's contexts beside its accumulator, so a shard owns
+        // both (`&mut` because a context is `Send`, not `Sync`).
+        let mut rows: Vec<_> = self.decode_ctxs.iter_mut().zip(&mut self.update).collect();
         let (outs, stats, codec) = run_shards(
-            &mut self.decode_ctxs,
-            shards,
+            &mut rows,
+            &mut self.syms,
             &self.shard_meters,
-            |range, ctx_rows, stats, codec| {
-                let mut syms = Vec::new();
+            |range, rows, syms, stats, codec| {
                 let mut timings = AggTimings::default();
-                let out: Result<Vec<Tensor>, EngineError> = ctx_rows
-                    .iter()
+                let out = rows
+                    .iter_mut()
                     .zip(range)
-                    .map(|(ctx_row, i)| {
+                    .try_for_each(|((ctx_row, avg), i)| {
                         aggregate_tensor(
                             imp,
-                            &shapes[i],
+                            avg,
                             ctx_row,
                             payloads,
                             i,
                             accepted_count,
-                            &mut syms,
+                            syms,
                             stats,
                             &mut timings,
                         )
@@ -928,54 +1018,43 @@ impl ServerCore {
                                 source,
                             }
                         })
-                    })
-                    .collect();
+                    });
                 decode_seconds.record(timings.decode);
                 accumulate_seconds.record(timings.accumulate);
                 *codec += timings.decode;
                 out
             },
         );
-        let mut aggregated = Vec::with_capacity(shapes.len());
-        for out in outs {
-            aggregated.extend(out?);
-        }
+        // Shards come back in range order: the first error is the lowest
+        // tensor's.
+        outs.into_iter().collect::<Result<(), _>>()?;
         self.push_stats.merge(&stats);
         *server_codec += codec;
-        Ok(aggregated)
+        Ok(())
     }
 
-    /// Re-encode: compresses this step's model deltas through the shared
-    /// pull contexts (Fig. 2b), over `shards` tensor ranges
+    /// Re-encode: compresses this step's model delta through the shared
+    /// pull contexts (Fig. 2b), over one tensor range per shard
     /// ([`run_shards`]). Pull contexts are per tensor, so compression
     /// state never crosses a shard boundary.
-    fn compress_pulls(
-        &mut self,
-        global_now: &[Tensor],
-        shards: usize,
-        server_codec: &mut f64,
-    ) -> (Vec<TensorPayload>, Vec<Tensor>) {
+    fn compress_pulls(&mut self, server_codec: &mut f64) -> Vec<TensorPayload> {
         let workers = self.config.workers;
         let shared_pull = self.config.shared_pull_compression;
-        let prev_global = &self.prev_global;
+        let delta = &self.update;
+        // The encode side needs no scratch of ours: `syms` only says how
+        // many shards there are.
         let (outs, stats, codec) = run_shards(
             &mut self.pull_ctxs,
-            shards,
+            &mut self.syms,
             &self.shard_meters,
-            |range, ctxs, stats, codec| {
+            |range, ctxs, _syms, stats, codec| {
                 let mut pulls = Vec::with_capacity(range.len());
-                let mut deltas = Vec::with_capacity(range.len());
                 for (ctx, i) in ctxs.iter_mut().zip(range) {
-                    let delta = global_now[i]
-                        .sub(&prev_global[i])
-                        .expect("snapshots share shapes");
+                    let delta = &delta[i];
                     match ctx {
                         Some(ctx) => {
                             let t0 = Instant::now();
-                            let wire = ctx.compress(&delta).expect("delta shape matches context");
-                            let decoded = ctx
-                                .decompress(&wire)
-                                .expect("payload produced by this context");
+                            let wire = ctx.compress(delta).expect("delta shape matches context");
                             let elapsed = t0.elapsed().as_secs_f64();
                             *codec += elapsed;
                             if !shared_pull {
@@ -985,26 +1064,16 @@ impl ServerCore {
                             }
                             stats.record(delta.len() * workers, wire.len() * workers);
                             pulls.push(TensorPayload::Compressed(wire));
-                            deltas.push(decoded);
                         }
-                        None => {
-                            pulls.push(TensorPayload::Raw(delta.clone()));
-                            deltas.push(delta);
-                        }
+                        None => pulls.push(TensorPayload::Raw(delta.clone())),
                     }
                 }
-                (pulls, deltas)
+                pulls
             },
         );
         self.pull_stats.merge(&stats);
         *server_codec += codec;
-        let mut pulls = Vec::with_capacity(global_now.len());
-        let mut step_deltas = Vec::with_capacity(global_now.len());
-        for (p, d) in outs {
-            pulls.extend(p);
-            step_deltas.extend(d);
-        }
-        (pulls, step_deltas)
+        outs.into_iter().flatten().collect()
     }
 }
 
@@ -1101,7 +1170,7 @@ mod tests {
             .apply_step(&payloads, workers.len(), residual)
             .expect("every worker accepted in engine tests");
         for w in workers.iter_mut() {
-            w.apply_deltas(&out.step_deltas);
+            w.apply_pulls(&out.pulls).expect("the server's own pulls");
             w.apply_policy(&out.next_decisions);
         }
         out
@@ -1169,13 +1238,20 @@ mod tests {
                         _ => panic!("payload kind diverged: step={step} tensor={i}"),
                     }
                 }
-                assert_eq!(a.step_deltas, b.step_deltas, "deltas diverged: step={step}");
             }
             assert_eq!(
                 serial.global().snapshot(),
                 sharded.global().snapshot(),
                 "global model diverged under {scheme}"
             );
+            // What the pulls decode to, four steps of it.
+            for (a, b) in serial_workers.iter().zip(&sharded_workers) {
+                assert_eq!(
+                    a.model().snapshot(),
+                    b.model().snapshot(),
+                    "replicas diverged under {scheme}"
+                );
+            }
             assert_eq!(serial.push_stats(), sharded.push_stats());
             assert_eq!(serial.pull_stats(), sharded.pull_stats());
         }

@@ -2,9 +2,16 @@
 //! dense f32 reference: **summing `scale · sym` straight from decoded
 //! symbols is bit-identical to decoding every accepted payload to a
 //! tensor, summing those in worker order, and dividing** — same pull
-//! wires, same per-step deltas, same global model bit patterns — across
+//! wires, same decoded pulls, same global model bit patterns — across
 //! thread counts and adversarial inputs (all-zero tensors, denormal
 //! scales, ±0.0, single-worker steps, and payloads rejected mid-step).
+//!
+//! The pull side is held to its dense reference the same way: **adding
+//! `scale · sym` straight into the parameters
+//! ([`WorkerReplica::apply_pulls`]) is bit-identical to decoding every
+//! pull to a tensor and adding that** (`decompress` + `apply_deltas`) —
+//! over the same generators, without zero-run encoding, for a scheme with
+//! no symbol form, and through [`Cluster`]'s staleness queue.
 //!
 //! The reference is [`oracle_average`], the whole of the old f32 path that
 //! is worth keeping. Its average reaches a second, identically built
@@ -23,7 +30,9 @@
 use proptest::prelude::*;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::engine::ServerStepOutput;
-use threelc_distsim::{ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica};
+use threelc_distsim::{
+    Cluster, ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica,
+};
 use threelc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -83,14 +92,33 @@ fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The dense pull decode: every payload through a decode-only mirror of
+/// the pull contexts, as `decompress` returns it.
+fn decode_pulls(problem: &Problem, pulls: &[TensorPayload]) -> Vec<Tensor> {
+    let ctxs = problem.pull_ctxs();
+    pulls
+        .iter()
+        .zip(&ctxs)
+        .map(|(pull, ctx)| match pull {
+            TensorPayload::Compressed(wire) => ctx
+                .as_ref()
+                .expect("compressed payload implies a context")
+                .decompress(wire)
+                .expect("payload produced by a matching context"),
+            TensorPayload::Raw(delta) => delta.clone(),
+        })
+        .collect()
+}
+
 fn assert_outputs_identical(
+    problem: &Problem,
     a: &ServerStepOutput,
     b: &ServerStepOutput,
     label: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert!(
-        bits(&a.step_deltas) == bits(&b.step_deltas),
-        "{label}: step deltas diverged"
+        bits(&decode_pulls(problem, &a.pulls)) == bits(&decode_pulls(problem, &b.pulls)),
+        "{label}: decoded pulls diverged"
     );
     prop_assert!(a.pulls.len() == b.pulls.len(), "{label}: pull count");
     for (i, (x, y)) in a.pulls.iter().zip(&b.pulls).enumerate() {
@@ -236,7 +264,7 @@ proptest! {
             let want = reference
                 .apply_step(&oracle_average(&problem, &ctxs, &payloads, accepted), 1, 0.0)
                 .expect("the oracle's push is accepted");
-            assert_outputs_identical(&want, &out, &format!("step {step}"))?;
+            assert_outputs_identical(&problem, &want, &out, &format!("step {step}"))?;
         }
         prop_assert!(
             bits(&reference.global().snapshot()) == bits(&server.global().snapshot()),
@@ -292,9 +320,9 @@ proptest! {
                     residual,
                 )
                 .expect("the oracle's push is accepted");
-            assert_outputs_identical(&want, &out, &format!("step {step}"))?;
+            assert_outputs_identical(&problem, &want, &out, &format!("step {step}"))?;
             for w in replicas.iter_mut() {
-                w.apply_deltas(&out.step_deltas);
+                w.apply_pulls(&out.pulls).expect("the server's own pulls");
                 w.apply_policy(&out.next_decisions);
             }
         }
@@ -302,5 +330,99 @@ proptest! {
             bits(&reference.global().snapshot()) == bits(&server.global().snapshot()),
             "global model diverged"
         );
+    }
+
+    /// The fused pull-apply against its dense reference, on crafted pull
+    /// batches: two replicas start equal, one applies each batch with
+    /// `apply_pulls`, the other decodes it with `decompress` and adds the
+    /// tensors with `apply_deltas`; their models must agree bit for bit
+    /// after every batch. Covers 3LC with and without the zero-run flag
+    /// and `Float32`, which has no symbol form.
+    #[test]
+    fn fused_pull_apply_matches_decompress_then_apply_deltas(
+        scheme in prop_oneof![
+            Just(SchemeKind::three_lc(1.5)),
+            Just(SchemeKind::ThreeLc {
+                sparsity: 1.0,
+                zero_run_encoding: false,
+                error_accumulation: true,
+            }),
+            Just(SchemeKind::Float32),
+        ],
+        kinds in prop::collection::vec(0u8..4, 3..6),
+        seed in any::<u64>(),
+    ) {
+        let problem = Problem::build(&config(1, scheme));
+        let mut fused = WorkerReplica::new(&problem, 0);
+        let mut dense = WorkerReplica::new(&problem, 0);
+        // The server's side of the pull: stateful, so later batches carry
+        // the error-accumulation history of earlier ones.
+        let mut encode_ctxs = problem.pull_ctxs();
+        for (step, &kind) in kinds.iter().enumerate() {
+            let pulls = crafted_push(&problem, &mut encode_ctxs, kind, seed ^ step as u64);
+            fused.apply_pulls(&pulls).expect("own payloads decode");
+            dense.apply_deltas(&decode_pulls(&problem, &pulls));
+            prop_assert!(
+                bits(&fused.model().snapshot()) == bits(&dense.model().snapshot()),
+                "replica diverged at batch {step} (kind {kind})"
+            );
+        }
+    }
+}
+
+/// `Cluster` applies pulls through `apply_pulls`, its staleness queue
+/// holding them compressed. A hand-driven engine that decodes every pull
+/// densely, queues the tensors and adds them with `apply_deltas` must end
+/// on the same replicas and the same global model, in BSP and two steps
+/// stale, with and without a symbol form.
+#[test]
+fn cluster_pulls_match_the_dense_reference_at_staleness_0_and_2() {
+    for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
+        for staleness in [0u32, 2] {
+            let config = ExperimentConfig {
+                staleness,
+                ..config(2, scheme)
+            };
+            let mut cluster = Cluster::new(config);
+            let problem = Problem::build(&config);
+            let mut replicas: Vec<WorkerReplica> = (0..config.workers)
+                .map(|w| WorkerReplica::new(&problem, w))
+                .collect();
+            let mut server = ServerCore::new(&problem);
+            let mut pending = std::collections::VecDeque::new();
+            for _ in 0..6 {
+                cluster.step();
+                let mut payloads = Vec::new();
+                let mut residual = 0.0f64;
+                for w in replicas.iter_mut() {
+                    let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
+                    payloads.push(w.encode_push(grads).payloads);
+                    residual = residual.max(w.residual_l2());
+                }
+                let out = server
+                    .apply_step(&payloads, config.workers, residual)
+                    .expect("every worker accepted");
+                pending.push_back(decode_pulls(&problem, &out.pulls));
+                while pending.len() > staleness as usize {
+                    let deltas = pending.pop_front().expect("nonempty");
+                    for w in replicas.iter_mut() {
+                        w.apply_deltas(&deltas);
+                    }
+                }
+            }
+            let label = format!("{scheme}, staleness {staleness}");
+            assert_eq!(
+                bits(&cluster.global_model().snapshot()),
+                bits(&server.global().snapshot()),
+                "global model diverged: {label}"
+            );
+            for (w, replica) in replicas.iter().enumerate() {
+                assert_eq!(
+                    bits(&cluster.worker_model(w).snapshot()),
+                    bits(&replica.model().snapshot()),
+                    "worker {w} diverged: {label}"
+                );
+            }
+        }
     }
 }

@@ -1,0 +1,146 @@
+//! A steady-state BSP step allocates in proportion to what it **sends**,
+//! not to the model: after warm-up, the bytes `ServerCore::apply_step` and
+//! `WorkerReplica::apply_pulls` ask the allocator for stay below twice the
+//! step's wire bytes plus a small per-tensor constant. Accumulators, symbol
+//! and quartic scratch, the model delta and the residual buffers all have
+//! an owner that outlives the step (DESIGN.md §18); a per-step
+//! `vec![0f32; n]`, model snapshot or dense pull decode — each four bytes
+//! per value against 3LC's fraction of a bit — breaks the bound at once.
+//! The worker's half, `compute` + `encode_push`, keeps its gradient tensors
+//! from step to step and allocates activations, GEMM panels and payloads
+//! only: less than the model, where fresh gradients alone are all of it.
+//!
+//! Its own test binary, because the counting `#[global_allocator]` is
+//! process-wide. Counting is per thread, so the harness's own threads do
+//! not disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use threelc_baselines::SchemeKind;
+use threelc_distsim::{ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica};
+
+thread_local! {
+    /// Bytes this thread has asked for while counting, or `None` when not
+    /// counting. Const-initialised and without a destructor, so touching
+    /// it from inside the allocator allocates nothing.
+    static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    COUNTED.with(|c| {
+        if let Some(total) = c.get() {
+            c.set(Some(total + bytes));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter beside it touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are `System.dealloc`'s.
+        unsafe { System.dealloc(p, layout) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: the caller's obligations are `System.realloc`'s.
+        unsafe { System.realloc(p, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes `f` asked the allocator for on this thread.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    COUNTED.with(|c| c.set(Some(0)));
+    let out = f();
+    let bytes = COUNTED.with(|c| c.take()).expect("counting was on");
+    (out, bytes)
+}
+
+#[test]
+fn a_steady_state_step_allocates_in_proportion_to_its_wire_bytes() {
+    const WARM_UP: usize = 2;
+    /// Bookkeeping a step may allocate per tensor whatever it sends:
+    /// payload vectors, shard ranges, the parameter view.
+    const PER_TENSOR: usize = 1024;
+    let config = ExperimentConfig {
+        scheme: SchemeKind::three_lc(1.0),
+        workers: 2,
+        batch_per_worker: 8,
+        total_steps: 8,
+        model_width: 256,
+        model_blocks: 2,
+        seed: 3,
+        ..Default::default()
+    };
+    let problem = Problem::build(&config);
+    let mut replicas: Vec<WorkerReplica> = (0..config.workers)
+        .map(|w| WorkerReplica::new(&problem, w))
+        .collect();
+    let mut server = ServerCore::new(&problem);
+    let model_bytes = 4 * server.global().num_params();
+
+    for step in 0..WARM_UP + 3 {
+        let mut pushes = Vec::new();
+        let mut residual = 0.0f64;
+        for w in replicas.iter_mut() {
+            let (push, worker_allocated) = allocated_by(|| {
+                let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
+                w.encode_push(grads).payloads
+            });
+            assert!(
+                step < WARM_UP || worker_allocated < model_bytes,
+                "step {step}: compute + encode_push allocated {worker_allocated} bytes; the \
+                 model's gradients are {model_bytes}"
+            );
+            pushes.push(push);
+            residual = residual.max(w.residual_l2());
+        }
+        let (out, mut allocated) = allocated_by(|| {
+            server
+                .apply_step(&pushes, config.workers, residual)
+                .expect("every worker accepted")
+        });
+        for w in replicas.iter_mut() {
+            let ((), bytes) = allocated_by(|| w.apply_pulls(&out.pulls).expect("own pulls"));
+            allocated += bytes;
+        }
+        if step < WARM_UP {
+            continue;
+        }
+        let wire: u64 = pushes
+            .iter()
+            .flatten()
+            .chain(&out.pulls)
+            .map(TensorPayload::wire_len)
+            .sum();
+        let bound = 2 * wire as usize + PER_TENSOR * problem.num_tensors();
+        assert!(
+            allocated <= bound,
+            "step {step}: apply_step + apply_pulls allocated {allocated} bytes for {wire} wire \
+             bytes (bound {bound}; the model is {model_bytes} bytes)"
+        );
+        assert!(
+            bound < model_bytes / 2,
+            "step {step}: the bound ({bound}) must stay far below the model ({model_bytes}) to \
+             mean anything"
+        );
+    }
+}

@@ -55,6 +55,14 @@ impl DenseLayer {
     pub fn out_dim(&self) -> usize {
         self.weight.shape().dim(1)
     }
+
+    /// Fresh gradient tensors for the entry points that return them.
+    fn zero_grads(&self) -> Vec<Tensor> {
+        vec![
+            Tensor::zeros(self.weight.shape().clone()),
+            Tensor::zeros(self.bias.shape().clone()),
+        ]
+    }
 }
 
 impl Layer for DenseLayer {
@@ -82,29 +90,57 @@ impl Layer for DenseLayer {
     }
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        // dX = dY · Wᵀ
-        let grad_input = grad_output
-            .matmul_nt(&self.weight)
-            .expect("grad dims match");
+        let mut param_grads = self.zero_grads();
+        let grad_input = self.backward_into(cache, grad_output, &mut param_grads);
         LayerBackward {
             grad_input,
-            param_grads: self.backward_params(cache, grad_output),
+            param_grads,
         }
     }
 
     fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
+        let mut grads = self.zero_grads();
+        self.backward_params_into(cache, grad_output, &mut grads);
+        grads
+    }
+
+    fn backward_into(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+    ) -> Tensor {
+        self.backward_params_into(cache, grad_output, param_grads);
+        // dX = dY · Wᵀ
+        grad_output
+            .matmul_nt(&self.weight)
+            .expect("grad dims match")
+    }
+
+    fn backward_params_into(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+    ) {
+        let [grad_weight, grad_bias] = param_grads else {
+            panic!("a dense layer has two parameters");
+        };
         let input = &cache.tensors[0];
         // dW = Xᵀ · dY ; db = column-sum(dY).
-        let grad_weight = input.matmul_tn(grad_output).expect("grad dims match");
+        input
+            .matmul_tn_into(grad_output, grad_weight)
+            .expect("grad dims match and the slot has the weight's shape");
         let (batch, out_dim) = (grad_output.shape().dim(0), grad_output.shape().dim(1));
-        let mut grad_bias = vec![0.0f32; out_dim];
+        assert_eq!(grad_bias.len(), out_dim, "the slot has the bias's shape");
+        let grad_bias = grad_bias.as_mut_slice();
+        grad_bias.fill(0.0);
         let g = grad_output.as_slice();
         for r in 0..batch {
             for c in 0..out_dim {
                 grad_bias[c] += g[r * out_dim + c];
             }
         }
-        vec![grad_weight, Tensor::from_vec(grad_bias, [1, out_dim])]
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -81,6 +81,42 @@ pub trait Layer: Send {
         self.backward(cache, grad_output).param_grads
     }
 
+    /// [`backward`](Layer::backward) with the parameter gradients written
+    /// into `param_grads` — one tensor per parameter, of the parameter's
+    /// shape, whatever it held before — and the input gradient returned. A
+    /// training loop hands the same tensors in every step. The default
+    /// moves `backward`'s fresh tensors into the slots; layers whose
+    /// parameter gradients are as large as the model overwrite the slots in
+    /// place instead. The values are bit-identical either way.
+    fn backward_into(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+    ) -> Tensor {
+        let back = self.backward(cache, grad_output);
+        for (slot, grad) in param_grads.iter_mut().zip(back.param_grads) {
+            *slot = grad;
+        }
+        back.grad_input
+    }
+
+    /// [`backward_params`](Layer::backward_params) into `param_grads`, as
+    /// [`backward_into`](Layer::backward_into) is to `backward`.
+    fn backward_params_into(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+    ) {
+        for (slot, grad) in param_grads
+            .iter_mut()
+            .zip(self.backward_params(cache, grad_output))
+        {
+            *slot = grad;
+        }
+    }
+
     /// Immutable views of the layer's parameter tensors.
     fn params(&self) -> Vec<&Tensor>;
 
@@ -100,6 +136,21 @@ pub trait Layer: Send {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
+/// Splits `param_grads` — one slot per parameter of `layers`, in order —
+/// into each layer's own slots, for [`Layer::backward_into`].
+pub(crate) fn split_slots<'a, 'l>(
+    layers: impl IntoIterator<Item = &'l dyn Layer>,
+    mut param_grads: &'a mut [Tensor],
+) -> Vec<&'a mut [Tensor]> {
+    let mut slots = Vec::new();
+    for layer in layers {
+        let (mine, rest) = param_grads.split_at_mut(layer.params().len());
+        slots.push(mine);
+        param_grads = rest;
+    }
+    slots
+}
+
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
@@ -111,6 +162,13 @@ pub(crate) mod gradcheck {
     //! Finite-difference gradient checking shared by layer tests.
 
     use super::*;
+
+    /// Bit patterns of a tensor list, for exact comparisons.
+    pub fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
+        ts.iter()
+            .map(|t| t.as_slice().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
 
     /// Verifies `backward` against central finite differences through a
     /// scalar loss `sum(output * probe)`.
@@ -125,6 +183,29 @@ pub(crate) mod gradcheck {
             layer.backward_params(&cache, &probe),
             back.param_grads,
             "skipping the input gradient must not change a parameter gradient"
+        );
+        // The reusing variants, over slots that hold something else.
+        let stale = || -> Vec<Tensor> {
+            let params = layer.params();
+            params
+                .iter()
+                .map(|p| Tensor::full(p.shape().clone(), f32::NAN))
+                .collect()
+        };
+        let mut slots = stale();
+        let grad_input = layer.backward_into(&cache, &probe, &mut slots);
+        assert_eq!(bits(&slots), bits(&back.param_grads), "backward_into");
+        assert_eq!(
+            bits(std::slice::from_ref(&grad_input)),
+            bits(std::slice::from_ref(&back.grad_input)),
+            "backward_into's input gradient"
+        );
+        let mut slots = stale();
+        layer.backward_params_into(&cache, &probe, &mut slots);
+        assert_eq!(
+            bits(&slots),
+            bits(&back.param_grads),
+            "backward_params_into"
         );
 
         let eps = 1e-3f32;

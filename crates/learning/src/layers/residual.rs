@@ -1,6 +1,6 @@
 //! Residual (identity-mapping) blocks.
 
-use super::{BatchNormLayer, DenseLayer, Layer, LayerBackward, LayerCache, ReluLayer};
+use super::{split_slots, BatchNormLayer, DenseLayer, Layer, LayerBackward, LayerCache, ReluLayer};
 use threelc_tensor::{Rng, Tensor};
 
 /// A pre-activation residual block:
@@ -73,22 +73,34 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
+        let mut param_grads: Vec<Tensor> = self
+            .params()
+            .iter()
+            .map(|p| Tensor::zeros(p.shape().clone()))
+            .collect();
+        let grad_input = self.backward_into(cache, grad_output, &mut param_grads);
+        LayerBackward {
+            grad_input,
+            param_grads,
+        }
+    }
+
+    fn backward_into(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+    ) -> Tensor {
+        let path = self.path();
+        let slots = split_slots(path, param_grads);
         // Backprop through the transform path in reverse.
         let mut grad = None;
-        let path = self.path();
-        let mut path_param_grads: Vec<Vec<Tensor>> = vec![Vec::new(); path.len()];
-        for (i, layer) in path.iter().enumerate().rev() {
-            let back = layer.backward(&cache.children[i], grad.as_ref().unwrap_or(grad_output));
-            grad = Some(back.grad_input);
-            path_param_grads[i] = back.param_grads;
+        for ((layer, cache), slots) in path.iter().zip(&cache.children).zip(slots).rev() {
+            grad = Some(layer.backward_into(cache, grad.as_ref().unwrap_or(grad_output), slots));
         }
         // Shortcut: the identity contributes grad_output directly.
         let grad = grad.expect("the path has six layers");
-        let grad_input = grad.add(grad_output).expect("shapes match");
-        LayerBackward {
-            grad_input,
-            param_grads: path_param_grads.into_iter().flatten().collect(),
-        }
+        grad.add(grad_output).expect("shapes match")
     }
 
     fn params(&self) -> Vec<&Tensor> {

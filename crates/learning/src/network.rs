@@ -1,7 +1,7 @@
 //! The [`Network`] type: an ordered layer stack with named parameters.
 
 use crate::data::Batch;
-use crate::layers::Layer;
+use crate::layers::{split_slots, Layer};
 use crate::loss::softmax_cross_entropy;
 use threelc_tensor::Tensor;
 
@@ -70,9 +70,23 @@ impl Network {
     /// Computes mean cross-entropy loss and per-parameter gradients for a
     /// batch. Gradient order matches [`param_names`](Network::param_names).
     pub fn loss_and_gradients(&self, batch: &Batch) -> (f32, Vec<Tensor>) {
-        self.loss_and_gradients_with(&batch.inputs, |logits| {
-            softmax_cross_entropy(logits, &batch.labels)
-        })
+        let mut grads = Vec::new();
+        let loss = self.loss_and_gradients_into(batch, &mut grads);
+        (loss, grads)
+    }
+
+    /// [`loss_and_gradients`](Network::loss_and_gradients) into tensors the
+    /// caller keeps: `grads` comes back holding one gradient per parameter,
+    /// and handed in again — as a training loop does every step — its
+    /// tensors are overwritten in place instead of reallocated
+    /// ([`Layer::backward_into`]). Anything else in `grads` (nothing, or
+    /// tensors of other shapes) is replaced.
+    pub fn loss_and_gradients_into(&self, batch: &Batch, grads: &mut Vec<Tensor>) -> f32 {
+        self.backprop(
+            &batch.inputs,
+            |logits| softmax_cross_entropy(logits, &batch.labels),
+            grads,
+        )
     }
 
     /// Computes gradients under an arbitrary loss: `loss` maps the
@@ -86,6 +100,33 @@ impl Network {
         inputs: &Tensor,
         loss: impl FnOnce(&Tensor) -> (f32, Tensor),
     ) -> (f32, Vec<Tensor>) {
+        let mut grads = Vec::new();
+        let loss = self.backprop(inputs, loss, &mut grads);
+        (loss, grads)
+    }
+
+    /// Forward, loss, backward: the gradients land in `grads`' tensors.
+    fn backprop(
+        &self,
+        inputs: &Tensor,
+        loss: impl FnOnce(&Tensor) -> (f32, Tensor),
+        grads: &mut Vec<Tensor>,
+    ) -> f32 {
+        // One slot per parameter, of its shape.
+        let params = self.params();
+        let reusable = grads.len() == params.len()
+            && grads
+                .iter()
+                .zip(&params)
+                .all(|(g, p)| g.shape() == p.shape());
+        if !reusable {
+            *grads = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
+        }
+        let slots = split_slots(self.layers.iter().map(|l| &**l), grads);
+
         // Forward, keeping caches.
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut h = None;
@@ -97,16 +138,15 @@ impl Network {
         let (loss_value, mut grad) = loss(h.as_ref().unwrap_or(inputs));
 
         // Backward. Nothing reads the bottom layer's input gradient.
-        let mut per_layer_grads: Vec<Vec<Tensor>> = vec![Vec::new(); self.layers.len()];
-        for (i, layer) in self.layers.iter().enumerate().skip(1).rev() {
-            let back = layer.backward(&caches[i], &grad);
-            grad = back.grad_input;
-            per_layer_grads[i] = back.param_grads;
+        let mut layers = self.layers.iter().zip(&caches).zip(slots);
+        let bottom = layers.next();
+        for ((layer, cache), slots) in layers.rev() {
+            grad = layer.backward_into(cache, &grad, slots);
         }
-        if let Some(bottom) = self.layers.first() {
-            per_layer_grads[0] = bottom.backward_params(&caches[0], &grad);
+        if let Some(((layer, cache), slots)) = bottom {
+            layer.backward_params_into(cache, &grad, slots);
         }
-        (loss_value, per_layer_grads.into_iter().flatten().collect())
+        loss_value
     }
 
     /// Mean loss on a batch without computing gradients.
@@ -229,6 +269,25 @@ mod tests {
                 Box::new(DenseLayer::new("b", 9, 3, &mut rng)), // wrong input dim
             ],
         );
+    }
+
+    #[test]
+    fn gradients_into_reused_buffers_match_fresh_ones_bit_for_bit() {
+        use crate::layers::gradcheck::bits;
+        let net = tiny_net(1);
+        // Starts empty, is then reused across different batches, and
+        // recovers from tensors that are not the model's.
+        let mut grads = Vec::new();
+        for seed in [2, 3, 4] {
+            let batch = tiny_batch(seed);
+            let (want_loss, want) = net.loss_and_gradients(&batch);
+            let loss = net.loss_and_gradients_into(&batch, &mut grads);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss, batch {seed}");
+            assert_eq!(bits(&grads), bits(&want), "gradients, batch {seed}");
+            if seed == 3 {
+                grads[0] = Tensor::zeros([2, 2]);
+            }
+        }
     }
 
     #[test]

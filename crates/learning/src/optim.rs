@@ -42,6 +42,40 @@ impl SgdMomentum {
     /// or shapes), or differs from the shapes seen on the first call.
     pub fn apply(&mut self, net: &mut Network, grads: &[Tensor], lr: f32) {
         let mut params = net.params_mut();
+        self.check(&params, grads);
+        let (momentum, weight_decay) = (self.momentum, self.weight_decay);
+        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+            let (pd, gd, vd) = (p.as_mut_slice(), g.as_slice(), v.as_mut_slice());
+            for i in 0..pd.len() {
+                step(&mut pd[i], gd[i], &mut vd[i], momentum, weight_decay, lr);
+            }
+        }
+    }
+
+    /// [`apply`](Self::apply), leaving in place of each gradient the change
+    /// it caused, `param_after − param_before` — the f32 subtraction a
+    /// before/after snapshot pair would perform, from inside the same sweep
+    /// and without the two model copies or a tensor to put the result in.
+    /// Parameters and velocity end bit-identical to `apply`'s.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply`](Self::apply).
+    pub fn apply_with_delta(&mut self, net: &mut Network, grads: &mut [Tensor], lr: f32) {
+        let mut params = net.params_mut();
+        self.check(&params, grads);
+        let (momentum, weight_decay) = (self.momentum, self.weight_decay);
+        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+            let (pd, gd, vd) = (p.as_mut_slice(), g.as_mut_slice(), v.as_mut_slice());
+            for i in 0..pd.len() {
+                gd[i] = step(&mut pd[i], gd[i], &mut vd[i], momentum, weight_decay, lr);
+            }
+        }
+    }
+
+    /// Holds `grads` to the parameter list and, on the first call, creates
+    /// the velocity.
+    fn check(&mut self, params: &[&mut Tensor], grads: &[Tensor]) {
         assert_eq!(params.len(), grads.len(), "gradient count mismatch");
         if self.velocity.is_empty() {
             self.velocity = grads
@@ -50,14 +84,8 @@ impl SgdMomentum {
                 .collect();
         }
         assert_eq!(self.velocity.len(), grads.len(), "velocity count mismatch");
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
+        for (p, g) in params.iter().zip(grads) {
             assert_eq!(p.shape(), g.shape(), "gradient shape mismatch");
-            let (pd, gd, vd) = (p.as_mut_slice(), g.as_slice(), v.as_mut_slice());
-            for i in 0..pd.len() {
-                let grad = gd[i] + self.weight_decay * pd[i];
-                vd[i] = self.momentum * vd[i] + grad;
-                pd[i] -= lr * vd[i];
-            }
         }
     }
 
@@ -75,6 +103,17 @@ impl SgdMomentum {
     pub fn weight_decay(&self) -> f32 {
         self.weight_decay
     }
+}
+
+/// One element's update — what [`SgdMomentum::apply`] and
+/// [`SgdMomentum::apply_with_delta`] both do to it — returning the
+/// parameter's change `after − before`.
+#[inline(always)]
+fn step(p: &mut f32, grad: f32, v: &mut f32, momentum: f32, weight_decay: f32, lr: f32) -> f32 {
+    let before = *p;
+    *v = momentum * *v + (grad + weight_decay * before);
+    *p = before - lr * *v;
+    *p - before
 }
 
 /// Applies a raw delta to every parameter: `param += delta`.
@@ -141,6 +180,59 @@ mod tests {
         opt.apply(&mut net, &g, 1.0);
         // p = 1 − 1.0 · (0 + 0.1·1) = 0.9
         assert!((net.params()[0].as_slice()[0] - 0.9).abs() < 1e-7);
+    }
+
+    #[test]
+    fn apply_with_delta_matches_apply_and_a_snapshot_difference_bit_for_bit() {
+        use crate::layers::{gradcheck::bits, ReluLayer};
+        let net = || {
+            let mut rng = threelc_tensor::rng(5);
+            Network::new(
+                7,
+                vec![
+                    Box::new(DenseLayer::new("a", 7, 9, &mut rng)) as Box<dyn Layer>,
+                    Box::new(ReluLayer::new()),
+                    Box::new(DenseLayer::new("b", 9, 3, &mut rng)),
+                ],
+            )
+        };
+        let (mut plain, mut fused) = (net(), net());
+        let mut plain_opt = SgdMomentum::new(0.9, 1e-2);
+        let mut fused_opt = plain_opt.clone();
+        let mut rng = threelc_tensor::rng(6);
+        let normal = threelc_tensor::Initializer::Normal {
+            mean: 0.0,
+            std_dev: 0.3,
+        };
+        for step in 0..4 {
+            let grads: Vec<Tensor> = plain
+                .params()
+                .iter()
+                .map(|p| normal.init(&mut rng, p.shape().clone()))
+                .collect();
+            let before = plain.snapshot();
+            plain_opt.apply(&mut plain, &grads, 0.05);
+            let want: Vec<Tensor> = plain
+                .snapshot()
+                .iter()
+                .zip(&before)
+                .map(|(now, was)| now.sub(was).unwrap())
+                .collect();
+            let mut deltas = grads.clone();
+            fused_opt.apply_with_delta(&mut fused, &mut deltas, 0.05);
+            assert_eq!(
+                bits(&fused.snapshot()),
+                bits(&plain.snapshot()),
+                "params, step {step}"
+            );
+            assert_eq!(
+                bits(&fused_opt.velocity),
+                bits(&plain_opt.velocity),
+                "velocity, step {step}"
+            );
+            assert_eq!(bits(&deltas), bits(&want), "delta, step {step}");
+            assert!(want.iter().any(|d| d.max_abs() > 0.0), "a vacuous step");
+        }
     }
 
     #[test]

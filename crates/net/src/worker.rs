@@ -297,8 +297,6 @@ fn run_session(
     let n_params = problem.num_tensors();
     let mut replica = WorkerReplica::new(&problem, usize::from(opts.worker));
     replica.set_threads(opts.threads);
-    // Decode-only mirrors of the server's pull contexts (decode is pure).
-    let pull_ctxs = problem.pull_ctxs();
     // Adaptive policies: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of
@@ -343,7 +341,7 @@ fn run_session(
         let (_loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
         let _ = replica.encode_push(grads);
         let (pull_frames, policy) = read_pull_batch(&mut reader, conn, step, n_params)?;
-        decode_and_apply(pull_frames, &pull_ctxs, &problem, &mut replica, conn)?;
+        decode_and_apply(pull_frames, &problem, &mut replica, conn)?;
         if let Some(decisions) = policy {
             replica.apply_policy(&decisions);
         }
@@ -395,13 +393,14 @@ fn run_session(
         let mut codec_seconds = encoded.codec_seconds;
         let serialize_span = TraceSpan::start("serialize");
         for (i, payload) in encoded.payloads.iter().enumerate() {
-            let (msg, bytes) = match payload {
-                TensorPayload::Compressed(wire) => (MsgType::PushTensor, wire.clone()),
+            let raw;
+            let (msg, bytes): (MsgType, &[u8]) = match payload {
+                TensorPayload::Compressed(wire) => (MsgType::PushTensor, wire),
                 TensorPayload::Raw(t) => {
                     let t1 = Instant::now();
-                    let bytes = tensor_to_bytes(t);
+                    raw = tensor_to_bytes(t);
                     codec_seconds += t1.elapsed().as_secs_f64();
-                    (MsgType::PushRaw, bytes)
+                    (MsgType::PushRaw, &raw)
                 }
             };
             if i == 0 && injector.crc_due(step) {
@@ -410,7 +409,7 @@ fn run_session(
                 // deterministically chosen payload byte, and send it raw.
                 // The server's CRC check rejects it and drops us.
                 let len = bytes.len();
-                let mut raw = Frame::new(msg, 0, step, bytes).encode();
+                let mut raw = Frame::new(msg, 0, step, bytes.to_vec()).encode();
                 injector.corrupt_push(step, &mut raw, HEADER_LEN);
                 threelc_obs::event!(
                     Level::Warn,
@@ -424,7 +423,7 @@ fn run_session(
                 continue;
             }
             let t0 = Instant::now();
-            write_frame(&mut writer, msg, i as u16, step, &bytes)?;
+            write_frame(&mut writer, msg, i as u16, step, bytes)?;
             conn.note_write(bytes.len(), t0.elapsed().as_secs_f64());
         }
         conn.note_codec(codec_seconds);
@@ -472,7 +471,7 @@ fn run_session(
 
         // Decode the shared model delta and apply it.
         let pull_span = TraceSpan::start("pull");
-        decode_and_apply(pull_frames, &pull_ctxs, &problem, &mut replica, conn)?;
+        decode_and_apply(pull_frames, &problem, &mut replica, conn)?;
         // Decisions broadcast with step N's pull govern step N+1's push
         // encode, so they take effect after the delta is applied.
         if let Some(decisions) = policy {
@@ -603,35 +602,32 @@ fn read_pull_batch<R: io::Read>(
     }
 }
 
-/// Decodes one step's pull batch and applies the shared delta to the
-/// replica.
+/// Applies one step's pull batch to the replica
+/// ([`WorkerReplica::apply_pulls`]: compressed payloads decode to symbols
+/// and add straight into the parameters, no dense delta in between), timed
+/// whole as codec time.
 fn decode_and_apply(
     pull_frames: Vec<(MsgType, Vec<u8>)>,
-    pull_ctxs: &[Option<Box<dyn threelc::Compressor>>],
     problem: &Problem,
     replica: &mut WorkerReplica,
     conn: &mut Conn,
 ) -> Result<(), NetError> {
-    let mut deltas = Vec::with_capacity(pull_frames.len());
-    for (i, (msg, payload)) in pull_frames.into_iter().enumerate() {
-        let t1 = Instant::now();
-        let delta = if msg == MsgType::PullTensor {
-            pull_ctxs[i]
-                .as_ref()
-                .ok_or_else(|| {
-                    NetError::Protocol(format!(
-                        "server compressed tensor {i}, which is below the threshold"
-                    ))
-                })?
-                .decompress(&payload)
-                .map_err(|e| NetError::Protocol(format!("pull payload {i} does not decode: {e}")))?
-        } else {
-            bytes_to_tensor(&payload, &problem.shapes[i])?
-        };
-        conn.note_codec(t1.elapsed().as_secs_f64());
-        deltas.push(delta);
-    }
-    replica.apply_deltas(&deltas);
+    let t0 = Instant::now();
+    let pulls = pull_frames
+        .into_iter()
+        .enumerate()
+        .map(|(i, (msg, payload))| {
+            Ok(if msg == MsgType::PullTensor {
+                TensorPayload::Compressed(payload)
+            } else {
+                TensorPayload::Raw(bytes_to_tensor(&payload, &problem.shapes[i])?)
+            })
+        })
+        .collect::<Result<Vec<_>, NetError>>()?;
+    replica
+        .apply_pulls(&pulls)
+        .map_err(|(i, e)| NetError::Protocol(format!("pull payload {i} does not decode: {e}")))?;
+    conn.note_codec(t0.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -7,6 +7,10 @@
 //! | [`Tensor::matmul_nt`] | `A · Bᵀ` | input gradient `dX = dY · Wᵀ` |
 //! | [`Tensor::matmul_tn`] | `Aᵀ · B` | weight gradient `dW = Xᵀ · dY` |
 //!
+//! [`Tensor::matmul_tn_into`] is `matmul_tn` into a tensor the caller
+//! keeps: the weight gradient is the one product as large as the model,
+//! and a training loop reuses its buffer every step.
+//!
 //! No layout materialises a transposed operand. All three run the same
 //! loop nest (`gemm`) and differ only in how an element of the left
 //! operand is addressed and in whether the right operand's tile is copied
@@ -57,13 +61,27 @@ fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], pa
 /// inner indices (in ascending order) and adds their terms eight at a
 /// time.
 fn gemm(
+    dims: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    b_transposed: bool,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; dims.0 * dims.1];
+    gemm_into(dims, a, a_strides, b, b_transposed, &mut out);
+    out
+}
+
+/// [`gemm`] adding its terms to `out`, an `m × n` buffer the caller has
+/// filled with `+0.0`.
+fn gemm_into(
     (m, n, k): (usize, usize, usize),
     a: &[f32],
     (a_row, a_col): (usize, usize),
     b: &[f32],
     b_transposed: bool,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
+    out: &mut [f32],
+) {
     let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
     let mut coef = [0.0f32; KC];
     let mut offset = [0usize; KC];
@@ -114,7 +132,6 @@ fn gemm(
             }
         }
     }
-    out
 }
 
 /// The two dimensions of a rank-2 tensor.
@@ -197,6 +214,37 @@ impl Tensor {
         check_inner(k, k2)?;
         let out = gemm((m, n, k), self.as_slice(), (1, m), other.as_slice(), false);
         Ok(Tensor::from_vec(out, [m, n]))
+    }
+
+    /// [`matmul_tn`](Tensor::matmul_tn) into `out`, an `[m, n]` tensor whose
+    /// contents are overwritten: the same sums from the same `+0.0` start,
+    /// without a new tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`matmul_tn`](Tensor::matmul_tn), and
+    /// [`TensorError::ShapeMismatch`] if `out` is not `[m, n]`.
+    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+        let (k, m) = matrix_dims(self)?;
+        let (k2, n) = matrix_dims(other)?;
+        check_inner(k, k2)?;
+        if out.shape().dims() != [m, n] {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![m, n],
+                right: out.shape().dims().to_vec(),
+            });
+        }
+        let out = out.as_mut_slice();
+        out.fill(0.0);
+        gemm_into(
+            (m, n, k),
+            self.as_slice(),
+            (1, m),
+            other.as_slice(),
+            false,
+            out,
+        );
+        Ok(())
     }
 }
 

@@ -98,7 +98,25 @@ proptest! {
         prop_assert_eq!(got.shape().dims(), &[k, n]);
         let want = naive((k, n, m), |i, l| x[l * k + i], |l, j| z[l * n + j]);
         prop_assert_eq!(first_difference(got.as_slice(), &want), None);
+
+        // The same product into a buffer that still holds something else.
+        let mut reused = Tensor::full([k, n], f32::NAN);
+        a.matmul_tn_into(&c, &mut reused).unwrap();
+        prop_assert_eq!(first_difference(reused.as_slice(), &want), None);
     }
+}
+
+#[test]
+fn matmul_tn_into_rejects_an_output_of_the_wrong_shape() {
+    let (a, c) = (Tensor::zeros([4, 3]), Tensor::zeros([4, 5]));
+    let mut out = Tensor::zeros([5, 3]);
+    assert_eq!(
+        a.matmul_tn_into(&c, &mut out),
+        Err(threelc_tensor::TensorError::ShapeMismatch {
+            left: vec![3, 5],
+            right: vec![5, 3],
+        })
+    );
 }
 
 #[test]
