@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, build, the full test suite, and
-# the parallel-codec benchmark gate. Everything runs offline against the
-# vendored compat/ stubs.
+# Repository CI gate: formatting, lints, build, the full test suite, the
+# step-ledger smoke, the end-to-end CLI smokes and the policy / recorder /
+# analyze overhead gates. Everything runs offline against the vendored
+# compat/ stubs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -533,34 +534,7 @@ if [ -n "${THREELC_CODEC_IMPL:-}" ]; then
     echo "    for the performance gates."
 else
 
-echo "==> bench smoke (criterion --test mode)"
-cargo bench --offline -p threelc-bench --bench parallel -- --test
-
-echo "==> bench gate vs BENCH_pr8.json (+ encode bar vs BENCH_pr3.json)"
-# Shared CI hosts see multi-second load spikes that best-of-N inside one
-# measurement window cannot escape, so a failed gate re-measures (up to
-# 3 attempts). Transient noise clears between attempts; a genuine
-# regression fails all of them. The extra --encode-bar reference is the
-# pre-SWAR PR 3 report: single-thread encode must beat its calibration-
-# scaled figures by 3x (the kernel-rewrite throughput bar).
 mkdir -p target/bench
-gate_ok=0
-for attempt in 1 2 3; do
-    cargo run -q --release --offline -p threelc-bench --bin bench_parallel -- \
-        target/bench/BENCH_current.json --reps 10
-    if cargo run -q --release --offline -p threelc-bench --bin bench_gate -- \
-        target/bench/BENCH_current.json BENCH_pr8.json \
-        --encode-bar BENCH_pr3.json; then
-        gate_ok=1
-        break
-    fi
-    echo "bench gate attempt $attempt failed; re-measuring" >&2
-    sleep 2
-done
-if [ "$gate_ok" != 1 ]; then
-    echo "bench gate failed on all attempts" >&2
-    exit 1
-fi
 
 echo "==> policy bench gate vs BENCH_pr6.json"
 gate_ok=0

@@ -15,10 +15,10 @@
 //!
 //! The gated metric is `analyze_step_ns / static_step_ns`: the fraction
 //! of one training step that analyzing one step costs. Best-of-N and the
-//! calibration-scaling scheme from [`crate::perf`] keep the <2% gate out
+//! calibration-scaling scheme from [`crate::harness`] keep the <2% gate out
 //! of wall-clock-jitter territory.
 
-use crate::perf::{best_of, calibrate};
+use crate::harness::{best_of, calibrate};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use threelc_baselines::SchemeKind;
@@ -224,7 +224,7 @@ pub fn measure(reps: usize) -> AnalyzeBenchReport {
     let render_ns = measure_render(reps);
     let static_step_ns = measure_step(reps);
     AnalyzeBenchReport {
-        host_cpus: threelc::parallel::available_threads(),
+        host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         calibration_ns: calibrate(reps),
         steps: TRACE_STEPS,
         workers: TRACE_WORKERS,

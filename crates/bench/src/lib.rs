@@ -14,7 +14,6 @@
 pub mod analyze_perf;
 pub mod cache;
 pub mod harness;
-pub mod perf;
 pub mod plot;
 pub mod policy_perf;
 pub mod recorder_perf;

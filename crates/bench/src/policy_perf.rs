@@ -16,9 +16,9 @@
 //! step times, because a <2% threshold would otherwise drown in
 //! wall-clock jitter; the end-to-end feedback step time is still
 //! recorded for eyeballing. Cross-host comparisons reuse the
-//! calibration-scaling scheme from [`crate::perf`].
+//! calibration-scaling scheme from [`crate::harness`].
 
-use crate::perf::{best_of, calibrate};
+use crate::harness::{best_of, calibrate};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use threelc_baselines::SchemeKind;
@@ -127,7 +127,7 @@ pub fn measure(reps: usize) -> PolicyBenchReport {
     feedback.policy = feedback_spec();
     let feedback_step_ns = measure_step(feedback, reps);
     PolicyBenchReport {
-        host_cpus: threelc::parallel::available_threads(),
+        host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         calibration_ns: calibrate(reps),
         tensors: DECIDE_TENSORS,
         decide_ns,

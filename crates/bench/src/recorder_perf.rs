@@ -15,10 +15,10 @@
 //!
 //! The gated metric is `record_ns / static_step_ns`: the fraction of a
 //! step the always-on recorder costs. Best-of-N measurements and the
-//! calibration-scaling scheme from [`crate::perf`] keep the <2% gate out
+//! calibration-scaling scheme from [`crate::harness`] keep the <2% gate out
 //! of wall-clock-jitter territory, exactly as the policy gate does.
 
-use crate::perf::{best_of, calibrate};
+use crate::harness::{best_of, calibrate};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use threelc_baselines::SchemeKind;
@@ -150,7 +150,7 @@ pub fn measure(reps: usize) -> RecorderBenchReport {
     let snapshot_ns = measure_snapshot(reps);
     let static_step_ns = measure_step(reps);
     RecorderBenchReport {
-        host_cpus: threelc::parallel::available_threads(),
+        host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         calibration_ns: calibrate(reps),
         workers: RECORD_WORKERS,
         record_ns,

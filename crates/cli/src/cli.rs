@@ -13,8 +13,7 @@ use threelc_tensor::{Shape, Tensor, TensorStats};
 pub const USAGE: &str = "\
 usage:
   threelc compress   <input.f32> <output.3lc> [--sparsity S] [--no-zre]
-                     [--threads N]
-  threelc decompress <input.3lc> <output.f32> [--threads N]
+  threelc decompress <input.3lc> <output.f32>
   threelc inspect    <input.3lc>
   threelc stats      <input.f32> [--sparsity S]
   threelc codec
@@ -24,7 +23,7 @@ usage:
                      [--eval-every N] [--threads N] [--json report.json]
                      [--rejoin-timeout SECS] [--max-rejoins N]
                      [--flight dump.flight.json]
-  threelc worker     --addr A --id N [--threads N] [--max-rejoins N]
+  threelc worker     --addr A --id N [--max-rejoins N]
                      [--inject-fault SPEC] [--rejoin] [--policy SPEC]
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme ...]
                      [--sparsity S] [--policy SPEC] [--width N]
@@ -38,8 +37,8 @@ usage:
   threelc analyze    <report.json|flight.json|addr> [--json] [--steps N]
                      [--check] [--expect-blame NODE:PHASE]
 
---threads N uses up to N codec/aggregation threads (0 = one per core);
-output is bit-identical at every setting.
+--threads N (serve, simulate) splits server aggregation over up to N
+tensor shards (0 = one per core); the model is bit-identical at every N.
 
 codec prints the encode implementation tier in use (scalar, swar, or
 simd — auto-selected at startup, overridable via THREELC_CODEC_IMPL)
@@ -148,30 +147,10 @@ fn parse_sparsity(args: &[String]) -> Result<(SparsityMultiplier, bool), Box<dyn
                     SparsityMultiplier::new(v).map_err(|_| "sparsity must be in [1.0, 2.0)")?;
             }
             "--no-zre" => zre = false,
-            "--threads" => {
-                let _ = it.next(); // validated by parse_threads
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`").into());
-            }
-            _ => {}
+            _ => {} // positional() has already rejected unknown flags
         }
     }
     Ok((sparsity, zre))
-}
-
-/// Parses `--threads N` (default 1; `0` = one thread per hardware core).
-fn parse_threads(args: &[String]) -> Result<usize, Box<dyn Error>> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            let v = it.next().ok_or("--threads requires a value")?;
-            return v
-                .parse()
-                .map_err(|_| format!("invalid --threads value `{v}`").into());
-        }
-    }
-    Ok(1)
 }
 
 fn read_f32_file(path: &Path) -> Result<Tensor, Box<dyn Error>> {
@@ -192,16 +171,24 @@ fn read_f32_file(path: &Path) -> Result<Tensor, Box<dyn Error>> {
     Ok(Tensor::from_vec(data, [n]))
 }
 
-/// Extracts exactly `count` positional (non-flag) arguments, skipping
-/// flag values such as the one following `--sparsity`.
-fn positional(args: &[String], count: usize) -> Result<Vec<&String>, Box<dyn Error>> {
+/// Extracts exactly `count` positional (non-flag) arguments. Flags in
+/// `valued` take exactly one value (skipped here), flags in `boolean`
+/// take none; any other `--flag` is an error.
+fn positional<'a>(
+    args: &'a [String],
+    count: usize,
+    valued: &[&str],
+    boolean: &[&str],
+) -> Result<Vec<&'a String>, Box<dyn Error>> {
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--sparsity" || a == "--threads" {
-            let _ = it.next();
+        if valued.contains(&a.as_str()) {
+            it.next().ok_or_else(|| format!("{a} requires a value"))?;
         } else if !a.starts_with("--") {
             out.push(a);
+        } else if !boolean.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}`").into());
         }
     }
     if out.len() != count {
@@ -211,17 +198,15 @@ fn positional(args: &[String], count: usize) -> Result<Vec<&String>, Box<dyn Err
 }
 
 fn compress(args: &[String]) -> CliResult {
-    let files = positional(args, 2)?;
+    let files = positional(args, 2, &["--sparsity"], &["--no-zre"])?;
     let (sparsity, zre) = parse_sparsity(args)?;
-    let threads = parse_threads(args)?;
     let tensor = read_f32_file(Path::new(files[0]))?;
     let options = ThreeLcOptions {
         sparsity,
         zero_run_encoding: zre,
         error_accumulation: false, // one-shot file compression has no stream
     };
-    let mut ctx =
-        ThreeLcCompressor::with_options(tensor.shape().clone(), options).with_threads(threads);
+    let mut ctx = ThreeLcCompressor::with_options(tensor.shape().clone(), options);
     let wire = ctx.compress(&tensor)?;
 
     let mut out = Vec::with_capacity(FILE_HEADER_LEN + wire.len());
@@ -345,11 +330,10 @@ fn parse_container(bytes: &[u8], path: &str) -> Result<Container, Box<dyn Error>
 }
 
 fn decompress(args: &[String]) -> CliResult {
-    let files = positional(args, 2)?;
+    let files = positional(args, 2, &[], &[])?;
     let bytes = std::fs::read(files[0]).map_err(|e| format!("{}: {e}", files[0]))?;
     let Container { count, wire, .. } = parse_container(&bytes, files[0])?;
-    let ctx = ThreeLcCompressor::new(Shape::new(&[count]), SparsityMultiplier::default())
-        .with_threads(parse_threads(args)?);
+    let ctx = ThreeLcCompressor::new(Shape::new(&[count]), SparsityMultiplier::default());
     let tensor = ctx.decompress(&wire)?;
     let mut out = Vec::with_capacity(tensor.len() * 4);
     for &x in tensor.iter() {
@@ -408,7 +392,7 @@ fn chunk_stats(body: &[u8], zre: bool) -> Vec<ChunkStat> {
 }
 
 fn inspect(args: &[String]) -> CliResult {
-    let files = positional(args, 1)?;
+    let files = positional(args, 1, &[], &[])?;
     let bytes = std::fs::read(files[0]).map_err(|e| format!("{}: {e}", files[0]))?;
     let Container {
         count,
@@ -507,7 +491,7 @@ fn inspect(args: &[String]) -> CliResult {
 }
 
 fn stats(args: &[String]) -> CliResult {
-    let files = positional(args, 1)?;
+    let files = positional(args, 1, &["--sparsity"], &["--no-zre"])?;
     let (sparsity, _) = parse_sparsity(args)?;
     let tensor = read_f32_file(Path::new(files[0]))?;
     let s = TensorStats::of(&tensor);
@@ -670,45 +654,53 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_changes_nothing_but_is_accepted() {
-        let input = tmp("t.f32");
-        let serial = tmp("t1.3lc");
-        let parallel = tmp("t4.3lc");
-        let data: Vec<f32> = (0..9000).map(|i| ((i as f32) * 0.11).sin() * 0.2).collect();
-        write_f32(&input, &data);
-        run(&s(&[
-            "compress",
-            input.to_str().unwrap(),
-            serial.to_str().unwrap(),
-        ]))
-        .expect("serial compress");
-        run(&s(&[
-            "compress",
-            input.to_str().unwrap(),
-            parallel.to_str().unwrap(),
-            "--threads",
-            "4",
-        ]))
-        .expect("parallel compress");
-        assert_eq!(
-            std::fs::read(&serial).unwrap(),
-            std::fs::read(&parallel).unwrap(),
-            "--threads must not change the wire bytes"
-        );
+    fn threads_is_an_aggregation_flag_only() {
+        // The file codec and the worker have no thread knob: the flag is
+        // an unknown-flag error there, named in the message.
+        for cmd in [
+            &["compress", "a", "b", "--threads", "2"][..],
+            &["decompress", "a", "b", "--threads", "2"],
+            &[
+                "worker",
+                "--addr",
+                "127.0.0.1:1",
+                "--id",
+                "0",
+                "--threads",
+                "2",
+            ],
+        ] {
+            let err = run(&s(cmd)).expect_err("--threads must be rejected");
+            assert!(err.to_string().contains("`--threads`"), "{cmd:?}: {err}");
+        }
+        // serve and simulate still take it (aggregation shards): serve
+        // gets past flag checking to the missing --addr, simulate runs.
+        let err = run(&s(&["serve", "--threads", "2"])).expect_err("no --addr");
+        assert!(err.to_string().contains("--addr is required"), "{err}");
+        let args = ["simulate", "--steps", "2", "--width", "8", "--blocks", "1"];
+        let serial = run(&s(&args)).expect("simulate");
+        let sharded = run(&s(&[&args[..], &["--threads", "2"]].concat())).expect("simulate");
+        let crc = |out: &str| {
+            let line = out.lines().find(|l| l.starts_with("final model crc32"));
+            line.expect("crc line").to_string()
+        };
+        assert_eq!(crc(&serial), crc(&sharded));
+    }
 
-        let back = tmp("t4.f32");
-        run(&s(&[
-            "decompress",
-            parallel.to_str().unwrap(),
-            back.to_str().unwrap(),
-            "--threads",
-            "0",
-        ]))
-        .expect("parallel decompress");
-        assert_eq!(read_f32_file(&back).expect("read back").len(), data.len());
-
-        assert!(run(&s(&["compress", "a", "b", "--threads"])).is_err());
-        assert!(run(&s(&["compress", "a", "b", "--threads", "x"])).is_err());
+    #[test]
+    fn file_commands_reject_unknown_flags() {
+        for cmd in [
+            &["decompress", "a", "b", "--bogus"][..],
+            &["inspect", "a", "--bogus"],
+            &["decompress", "a", "b", "--sparsity"],
+        ] {
+            let err = run(&s(cmd)).expect_err("unknown flag must be rejected");
+            assert!(
+                err.to_string().contains(cmd[cmd.len() - 1]),
+                "{cmd:?}: {err}"
+            );
+        }
+        assert!(run(&s(&["compress", "a", "b", "--sparsity"])).is_err());
     }
 
     #[test]

@@ -527,7 +527,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
     const FLAGS: &[&str] = &[
         "--addr",
         "--id",
-        "--threads",
         "--max-rejoins",
         "--inject-fault",
         "--policy",
@@ -539,7 +538,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
     let id: u16 = parse_flag(args, "--id")?.ok_or("--id is required (0-based worker id)")?;
 
     let mut wopts = WorkerOptions::new(addr, id);
-    wopts.threads = parse_flag(args, "--threads")?.unwrap_or(1);
     if let Some(v) = parse_flag(args, "--max-rejoins")? {
         wopts.max_rejoins = v;
     }

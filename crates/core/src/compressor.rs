@@ -1,11 +1,9 @@
 //! The stateful 3LC compression context and its wire format.
 
 use crate::kernels::{self, CodecImpl};
-use crate::parallel::{self, split_off_ranges, split_ranges};
 use crate::telemetry::{l2_norm, CompressTelemetry};
-use crate::tlq::{SparsityMultiplier, TernaryTensor};
+use crate::tlq::SparsityMultiplier;
 use crate::{quartic, zrle, CompressError, Compressor, DecodeError};
-use std::ops::Range;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use threelc_obs::{log_enabled, Level, TraceSpan};
@@ -17,18 +15,6 @@ const HEADER_LEN: usize = 9;
 
 /// Flags bit: the body is zero-run encoded.
 const FLAG_ZRE: u8 = crate::sizing::WIRE_FLAG_ZRE;
-
-/// Default minimum element count before encode/decode go chunk-parallel.
-///
-/// Below this, thread-spawn overhead beats the win on every machine we
-/// care about; above it, the quantize+quartic pass dominates. The SWAR
-/// and SIMD kernels moved this break-even point up by several times —
-/// BENCH_pr3 recorded *negative* thread scaling at 256 Ki elements, so
-/// tensors up to that size now stay serial (the bench gate's small-tensor
-/// check enforces that the floor keeps multi-thread configs from losing
-/// to one thread). Tests and benchmarks can lower it with
-/// [`ThreeLcCompressor::set_parallel_min_values`].
-pub const DEFAULT_PARALLEL_MIN_VALUES: usize = 256 * 1024;
 
 /// Configuration for a [`ThreeLcCompressor`].
 ///
@@ -114,10 +100,6 @@ pub struct ThreeLcCompressor {
     last_body_len: usize,
     /// Cached handles to the global `threelc.*` metrics.
     telemetry: CompressTelemetry,
-    /// Worker-thread budget for the chunk-parallel codec paths (1 = serial).
-    threads: usize,
-    /// Minimum element count before the codec paths go parallel.
-    parallel_min_values: usize,
     /// Codec implementation tier the encode kernels run on. Every tier is
     /// bit-identical (see [`crate::kernels`]); this is purely a speed knob.
     codec: CodecImpl,
@@ -139,8 +121,6 @@ impl ThreeLcCompressor {
             quartic: Mutex::new(Vec::new()),
             last_body_len: 0,
             telemetry: CompressTelemetry::from_global(),
-            threads: 1,
-            parallel_min_values: DEFAULT_PARALLEL_MIN_VALUES,
             codec: kernels::active(),
         }
     }
@@ -166,43 +146,6 @@ impl ThreeLcCompressor {
     /// The codec implementation tier this context encodes with.
     pub fn codec_impl(&self) -> CodecImpl {
         self.codec
-    }
-
-    /// Returns the context configured to use up to `threads` codec worker
-    /// threads (`0` = one per hardware core).
-    ///
-    /// Purely a performance knob: the parallel paths produce bit-for-bit
-    /// the same wire payloads and decoded tensors as the serial ones (the
-    /// property tests in `tests/parallel_identity.rs` enforce this), so the
-    /// setting never affects results and can change at any time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        Compressor::set_threads(&mut self, threads);
-        self
-    }
-
-    /// The resolved codec worker-thread budget (≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the element-count threshold below which the codec stays
-    /// serial. Meant for tests and benchmarks that need to force the
-    /// parallel paths onto small tensors; production code should keep
-    /// the built-in default (`DEFAULT_PARALLEL_MIN_VALUES`).
-    pub fn set_parallel_min_values(&mut self, min_values: usize) {
-        self.parallel_min_values = min_values.max(1);
-    }
-
-    /// How many chunks an `n`-element tensor is split into under the
-    /// current thread budget (1 = the serial path).
-    fn plan_parts(&self, n: usize) -> usize {
-        if self.threads <= 1 || n < self.parallel_min_values {
-            return 1;
-        }
-        // Keep every chunk above a quarter of the threshold so a barely
-        // eligible tensor is not shredded into spawn-overhead confetti.
-        let min_per_chunk = (self.parallel_min_values / 4).max(1);
-        (n / min_per_chunk).clamp(1, self.threads)
     }
 
     /// The options this context was created with.
@@ -237,8 +180,6 @@ impl Clone for ThreeLcCompressor {
             quartic: Mutex::new(Vec::new()),
             last_body_len: self.last_body_len,
             telemetry: self.telemetry.clone(),
-            threads: self.threads,
-            parallel_min_values: self.parallel_min_values,
             codec: self.codec,
         }
     }
@@ -258,11 +199,9 @@ impl Compressor for ThreeLcCompressor {
 
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         self.check_shape(input)?;
-        let n = input.len();
-        let parts = self.plan_parts(n);
-        let wire = self.encode(input, parts)?;
+        let wire = self.encode(input)?;
         self.telemetry.record_encode(self.codec);
-        let raw_bytes = n * std::mem::size_of::<f32>();
+        let raw_bytes = input.len() * std::mem::size_of::<f32>();
         self.telemetry
             .ratio
             .record(raw_bytes as f64 / wire.len() as f64);
@@ -306,14 +245,6 @@ impl Compressor for ThreeLcCompressor {
         })
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            parallel::available_threads()
-        } else {
-            threads
-        };
-    }
-
     fn set_sparsity(&mut self, s: SparsityMultiplier) {
         self.options.sparsity = s;
     }
@@ -322,31 +253,12 @@ impl Compressor for ThreeLcCompressor {
 impl ThreeLcCompressor {
     /// The encode pipeline: accumulate + max-reduce, fused quantize +
     /// error write-back + quartic pack, then zero-run encoding — the
-    /// paper's steps, running on this context's codec tier
-    /// ([`Self::codec_impl`]) over `parts` chunks (`parts = 1` is the
-    /// serial path on the calling thread; `run_tasks` runs the first
-    /// chunk inline either way). Returns the complete wire payload: the
+    /// paper's steps, each one sequential pass on this context's codec
+    /// tier ([`Self::codec_impl`]). Returns the complete wire payload: the
     /// quartic bytes land in this context's scratch and the body is
-    /// written once, straight behind the header.
-    ///
-    /// Output is bit-for-bit independent of both `parts` and the codec
-    /// tier, by construction:
-    ///
-    /// - the max-magnitude reduction splits into per-chunk folds combined
-    ///   in chunk order (`f32::max` is exactly associative, so the scale
-    ///   comes out identical);
-    /// - quantization, error write-back, and quartic packing are fused and
-    ///   partitioned by *output byte* ranges — each worker owns quartic
-    ///   bytes `[lo, hi)` and therefore the five strided element ranges
-    ///   `[j·L + lo, j·L + hi) ∩ [0, n)`, which are pairwise disjoint
-    ///   across workers; every element sees the same arithmetic in every
-    ///   chunking and every tier (the tier argument is
-    ///   [`crate::kernels`]' bit-identity contract);
-    /// - zero-run encoding splits at *serial token boundaries* (see
-    ///   [`zrle::align_token_boundary`]): the serial encoder is memoryless
-    ///   at those positions, so encoding the segments independently and
-    ///   concatenating in order reproduces the serial stream.
-    fn encode(&mut self, input: &Tensor, parts: usize) -> Result<Vec<u8>, CompressError> {
+    /// written once, straight behind the header. Output is bit-for-bit
+    /// independent of the tier ([`crate::kernels`]' bit-identity contract).
+    fn encode(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         let imp = self.codec;
         let n = input.len();
         let ea = self.options.error_accumulation;
@@ -369,25 +281,13 @@ impl ThreeLcCompressor {
         let quantize_span = TraceSpan::start("quantize");
 
         // Phase 1: accumulate (error accumulation only) and reduce
-        // max |x| + finiteness per chunk.
-        let elem_ranges = split_ranges(n, parts);
-        let partials: Vec<(f32, bool)> = if let Some(buffer) = buffer.as_deref_mut() {
-            let chunks = split_off_ranges(buffer.as_mut_slice(), &elem_ranges);
-            let tasks: Vec<_> = chunks
-                .into_iter()
-                .zip(elem_ranges.iter().cloned())
-                .collect();
-            parallel::run_tasks(tasks, |_, (chunk, range)| {
-                kernels::accumulate_max_abs_finite(imp, chunk, &in_slice[range])
-            })
-        } else {
-            parallel::run_ranges(&elem_ranges, |_, r| {
-                kernels::max_abs_finite(imp, &in_slice[r])
-            })
+        // max |x| + finiteness.
+        let (max_abs, finite) = match buffer.as_deref_mut() {
+            Some(buffer) => {
+                kernels::accumulate_max_abs_finite(imp, buffer.as_mut_slice(), in_slice)
+            }
+            None => kernels::max_abs_finite(imp, in_slice),
         };
-        let (max_abs, finite) = partials
-            .into_iter()
-            .fold((0.0f32, true), |(m, ok), (cm, cok)| (m.max(cm), ok && cok));
         if !finite {
             return Err(CompressError::NonFiniteInput);
         }
@@ -395,16 +295,17 @@ impl ThreeLcCompressor {
         quantize_span.finish();
 
         let encode_span = TraceSpan::start("encode");
-        // Phase 2: fused quantize + error write-back + quartic pack, one
-        // worker per quartic byte range. A zero scale makes `inv = 0`:
-        // every finite `x · 0 = ±0` quantizes to digit 1 (byte 121) and
-        // the write-back `x − 0·scale` returns `x` bit-exactly, so no
-        // special casing is needed — including the subnormal-scale corner
-        // where `inv` overflows to infinity (the kernels clamp to valid
-        // ternary digits there; see `crate::kernels`).
+        // Phase 2: fused quantize + error write-back + quartic pack. A
+        // zero scale makes `inv = 0`: every finite `x · 0 = ±0` quantizes
+        // to digit 1 (byte 121) and the write-back `x − 0·scale` returns
+        // `x` bit-exactly, so no special casing is needed — including the
+        // subnormal-scale corner where `inv` overflows to infinity (the
+        // kernels clamp to valid ternary digits there; see
+        // `crate::kernels`).
         let quartic_start = Instant::now();
-        let bl = n.div_ceil(quartic::VALUES_PER_BYTE); // partition length L
-        let byte_ranges = split_ranges(bl, parts);
+        // The partition length `L`: quartic partition `j` is elements
+        // `[j·L, (j+1)·L) ∩ [0, n)`.
+        let bl = n.div_ceil(quartic::VALUES_PER_BYTE);
         // Every byte is overwritten by the pack, so the scratch is only
         // ever sized, not cleared.
         let quartic_bytes = self
@@ -412,59 +313,24 @@ impl ThreeLcCompressor {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         quartic_bytes.resize(bl, 0);
-        let out_chunks = split_off_ranges(quartic_bytes, &byte_ranges);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
-
-        // chunk_info[k] = (last non-zero byte index in chunk k, busy secs).
-        let chunk_info: Vec<(Option<usize>, f64)> = if let Some(buffer) = buffer.as_deref_mut() {
-            // The 5 · parts strided element ranges, ascending in (j, chunk)
-            // order, so the buffer splits into disjoint mutable views.
-            let pw = byte_ranges.len();
-            let mut strided: Vec<Range<usize>> = Vec::with_capacity(5 * pw);
-            for j in 0..quartic::VALUES_PER_BYTE {
-                for r in &byte_ranges {
-                    strided.push((j * bl + r.start).min(n)..(j * bl + r.end).min(n));
-                }
-            }
-            let srcs = split_off_ranges(buffer.as_mut_slice(), &strided);
-            let mut groups: Vec<Vec<&mut [f32]>> = (0..pw).map(|_| Vec::with_capacity(5)).collect();
-            for (idx, s) in srcs.into_iter().enumerate() {
-                groups[idx % pw].push(s); // idx = j · pw + chunk
-            }
-            let tasks: Vec<_> = groups
-                .into_iter()
-                .zip(byte_ranges.iter().cloned())
-                .zip(out_chunks)
-                .collect();
-            parallel::run_tasks(tasks, |_, ((srcs, range), out)| {
-                let t0 = Instant::now();
-                let mut five: [&mut [f32]; 5] = srcs.try_into().expect("five partitions per chunk");
-                let last = kernels::pack_chunk_ea(imp, &mut five, inv, scale, out, range.start);
-                (last, t0.elapsed().as_secs_f64())
-            })
+        if let Some(buffer) = buffer.as_deref_mut() {
+            let mut rest = buffer.as_mut_slice();
+            let mut five: [&mut [f32]; 5] = std::array::from_fn(|_| {
+                let len = bl.min(rest.len());
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                head
+            });
+            kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes);
         } else {
-            let tasks: Vec<_> = byte_ranges.iter().cloned().zip(out_chunks).collect();
-            parallel::run_tasks(tasks, |_, (range, out)| {
-                let t0 = Instant::now();
-                let five: [&[f32]; 5] = std::array::from_fn(|j| {
-                    &in_slice[(j * bl + range.start).min(n)..(j * bl + range.end).min(n)]
-                });
-                let last = kernels::pack_chunk(imp, &five, inv, out, range.start);
-                (last, t0.elapsed().as_secs_f64())
-            })
-        };
-        let wall = quartic_start.elapsed().as_secs_f64();
-        self.telemetry.quartic_seconds.record(wall);
-        if parts > 1 {
-            let mut busy_total = 0.0;
-            for &(_, busy) in &chunk_info {
-                self.telemetry.chunk_seconds.record(busy);
-                busy_total += busy;
-            }
-            if wall > 0.0 {
-                self.telemetry.parallel_speedup.record(busy_total / wall);
-            }
+            let five: [&[f32]; 5] =
+                std::array::from_fn(|j| &in_slice[(j * bl).min(n)..((j + 1) * bl).min(n)]);
+            kernels::pack_chunk(imp, &five, inv, quartic_bytes);
         }
+        self.telemetry
+            .quartic_seconds
+            .record(quartic_start.elapsed().as_secs_f64());
 
         let debug_probes = log_enabled(Level::Debug);
         if let (true, Some(buffer)) = (debug_probes, &buffer) {
@@ -490,50 +356,14 @@ impl ThreeLcCompressor {
         if zre {
             let zre_start = Instant::now();
             let run_hist = &self.telemetry.zero_run_length;
-            if byte_ranges.len() == 1 {
-                if debug_probes {
-                    zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |run| {
-                        run_hist.record(run as f64)
-                    })
-                } else {
-                    zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
-                }
-                .expect("quartic output is always in range 0..=242");
+            if debug_probes {
+                zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |run| {
+                    run_hist.record(run as f64)
+                })
             } else {
-                // Token-aligned segments encode independently and
-                // concatenate to the serial stream.
-                let mut bounds = Vec::with_capacity(byte_ranges.len() + 1);
-                bounds.push(0usize);
-                let mut last_nz: Option<usize> = None;
-                for k in 1..byte_ranges.len() {
-                    if let Some(i) = chunk_info[k - 1].0 {
-                        last_nz = Some(i);
-                    }
-                    let b =
-                        zrle::align_token_boundary(quartic_bytes, byte_ranges[k].start, last_nz);
-                    // Tiny chunks can align past a later chunk's start;
-                    // clamping to the previous boundary keeps segments
-                    // well-formed (the clamped value is itself a token
-                    // boundary).
-                    bounds.push(b.max(*bounds.last().expect("non-empty")));
-                }
-                bounds.push(bl);
-                let segments: Vec<&[u8]> = bounds
-                    .windows(2)
-                    .map(|w| &quartic_bytes[w[0]..w[1]])
-                    .collect();
-                let encoded: Vec<Vec<u8>> = parallel::run_tasks(segments, |_, seg| {
-                    if debug_probes {
-                        zrle::encode_with_runs_impl(imp, seg, |run| run_hist.record(run as f64))
-                    } else {
-                        zrle::encode_with_runs_impl(imp, seg, |_| {})
-                    }
-                    .expect("quartic output is always in range 0..=242")
-                });
-                for seg in &encoded {
-                    wire.extend_from_slice(seg);
-                }
+                zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
             }
+            .expect("quartic output is always in range 0..=242");
             self.telemetry
                 .zre_seconds
                 .record(zre_start.elapsed().as_secs_f64());
@@ -546,12 +376,9 @@ impl ThreeLcCompressor {
         Ok(wire)
     }
 
-    /// The symbol half of [`Self::decompress_inner`]: identical header and
-    /// body validation (same errors at the same offsets), stopping after
-    /// the ternary decode instead of dequantizing into a `Tensor`. Always
-    /// serial — symbol decoding is the cheap half of a decode, and its
-    /// callers (server aggregation) already parallelize across tensors.
-    fn decode_symbols_inner(&self, payload: &[u8], out: &mut Vec<i8>) -> Result<f32, DecodeError> {
+    /// Validates the 9-byte header against this context's shape and
+    /// returns `(zero-run encoded?, scale, body)`.
+    fn parse_header<'a>(&self, payload: &'a [u8]) -> Result<(bool, f32, &'a [u8]), DecodeError> {
         if payload.len() < HEADER_LEN {
             return Err(DecodeError::TruncatedHeader {
                 have: payload.len(),
@@ -573,10 +400,18 @@ impl ThreeLcCompressor {
                 expected: self.shape.num_elements(),
             });
         }
-        let body = &payload[HEADER_LEN..];
+        Ok((flags & FLAG_ZRE != 0, scale, &payload[HEADER_LEN..]))
+    }
+
+    /// Header check, zero-run expansion into this context's scratch and
+    /// quartic decode: the payload's ternary symbols in `out`, its scale
+    /// returned.
+    fn decode_symbols_inner(&self, payload: &[u8], out: &mut Vec<i8>) -> Result<f32, DecodeError> {
+        let (zre, scale, body) = self.parse_header(payload)?;
+        let count = self.shape.num_elements();
         let quartic_len = count.div_ceil(quartic::VALUES_PER_BYTE);
         let mut scratch;
-        let quartic_bytes: &[u8] = if flags & FLAG_ZRE != 0 {
+        let quartic_bytes: &[u8] = if zre {
             // A poisoned scratch is still a valid one: it is overwritten
             // whole before it is read.
             scratch = self.quartic.lock().unwrap_or_else(PoisonError::into_inner);
@@ -595,141 +430,13 @@ impl ThreeLcCompressor {
         Ok(scale)
     }
 
+    /// The dense decode: the symbols, then one multiply per element
+    /// (`sym as f32 · scale`, Equation 3).
     fn decompress_inner(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        if payload.len() < HEADER_LEN {
-            return Err(DecodeError::TruncatedHeader {
-                have: payload.len(),
-                need: HEADER_LEN,
-            });
-        }
-        let flags = payload[0];
-        if flags & !FLAG_ZRE != 0 {
-            return Err(DecodeError::UnknownFormat { flags });
-        }
-        let scale = f32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
-        if !scale.is_finite() {
-            return Err(DecodeError::NonFiniteScale);
-        }
-        let count = u32::from_le_bytes(payload[5..9].try_into().expect("4 bytes")) as usize;
-        if count != self.shape.num_elements() {
-            return Err(DecodeError::ElementCountMismatch {
-                payload: count,
-                expected: self.shape.num_elements(),
-            });
-        }
-        let body = &payload[HEADER_LEN..];
-        let quartic_len = count.div_ceil(quartic::VALUES_PER_BYTE);
-        let parts = self.plan_parts(count);
-        if parts > 1 {
-            return self.decode_parallel(body, flags, scale, count, quartic_len, parts);
-        }
-        let quartic_bytes = if flags & FLAG_ZRE != 0 {
-            zrle::decode_exact(body, quartic_len)?
-        } else {
-            if body.len() != quartic_len {
-                return Err(DecodeError::BodyLengthMismatch {
-                    decoded: body.len() * quartic::VALUES_PER_BYTE,
-                    expected: count,
-                });
-            }
-            body.to_vec()
-        };
-        let ternary = quartic::decode(&quartic_bytes, count)?;
-        Ok(TernaryTensor::from_parts(self.shape.clone(), ternary, scale).dequantize())
-    }
-
-    /// Chunk-parallel body decode: ZRE expansion in a sizing pass plus a
-    /// scatter pass, then a fused quartic-decode + dequantize over disjoint
-    /// output ranges. Returns exactly what the serial path returns —
-    /// including identical error values at identical offsets for malformed
-    /// bodies (length mismatches and the *first* invalid quartic byte).
-    fn decode_parallel(
-        &self,
-        body: &[u8],
-        flags: u8,
-        scale: f32,
-        count: usize,
-        quartic_len: usize,
-        parts: usize,
-    ) -> Result<Tensor, DecodeError> {
-        let quartic_owned: Vec<u8>;
-        let quartic_bytes: &[u8] = if flags & FLAG_ZRE != 0 {
-            // Pass 1: per-segment decoded lengths; a serial prefix sum
-            // fixes each segment's output offset.
-            let body_ranges = split_ranges(body.len(), parts);
-            let lens = parallel::run_ranges(&body_ranges, |_, r| zrle::decoded_len(&body[r]));
-            let total: usize = lens.iter().sum();
-            if total != quartic_len {
-                return Err(DecodeError::BodyLengthMismatch {
-                    decoded: total,
-                    expected: quartic_len,
-                });
-            }
-            // Pass 2: decode every segment into its disjoint output slice.
-            let mut out = vec![0u8; total];
-            let mut out_ranges = Vec::with_capacity(lens.len());
-            let mut offset = 0;
-            for &len in &lens {
-                out_ranges.push(offset..offset + len);
-                offset += len;
-            }
-            let chunks = split_off_ranges(&mut out, &out_ranges);
-            let tasks: Vec<_> = body_ranges.into_iter().zip(chunks).collect();
-            parallel::run_tasks(tasks, |_, (r, chunk)| zrle::decode_into(&body[r], chunk));
-            quartic_owned = out;
-            &quartic_owned
-        } else {
-            if body.len() != quartic_len {
-                return Err(DecodeError::BodyLengthMismatch {
-                    decoded: body.len() * quartic::VALUES_PER_BYTE,
-                    expected: count,
-                });
-            }
-            body
-        };
-
-        // Validate in parallel, reporting the first bad offset (chunks are
-        // ascending, so the first hit is the global first) like the serial
-        // decoder does.
-        let bl = quartic_bytes.len();
-        let byte_ranges = split_ranges(bl, parts);
-        let bad = parallel::run_ranges(&byte_ranges, |_, r| {
-            let start = r.start;
-            quartic_bytes[r]
-                .iter()
-                .position(|&b| b > quartic::MAX_QUARTIC_BYTE)
-                .map(|d| start + d)
-        });
-        if let Some(offset) = bad.into_iter().flatten().next() {
-            return Err(DecodeError::InvalidQuarticByte {
-                byte: quartic_bytes[offset],
-                offset,
-            });
-        }
-
-        // Fused quartic decode + dequantize over disjoint element ranges.
-        // Element idx decodes from byte idx % bl at stride-partition digit
-        // j = idx / bl; iterating j-outer keeps the divisor a constant per
-        // inner loop (strength-reduced by the compiler, like the serial
-        // `quartic::decode`) instead of a per-element division by `bl`.
-        let mut values = vec![0f32; count];
-        let elem_ranges = split_ranges(count, parts);
-        let chunks = split_off_ranges(&mut values, &elem_ranges);
-        let tasks: Vec<_> = elem_ranges.iter().cloned().zip(chunks).collect();
-        parallel::run_tasks(tasks, |_, (r, chunk)| {
-            for (j, weight) in [81u16, 27, 9, 3, 1].into_iter().enumerate() {
-                let lo = r.start.max(j * bl);
-                let hi = r.end.min((j + 1) * bl);
-                if lo >= hi {
-                    continue; // partition j does not intersect this range
-                }
-                let out = &mut chunk[lo - r.start..hi - r.start];
-                for (&b, o) in quartic_bytes[lo - j * bl..hi - j * bl].iter().zip(out) {
-                    let digit = (b as u16 / weight) % 3;
-                    *o = (digit as i8 - 1) as f32 * scale;
-                }
-            }
-        });
+        let mut syms = Vec::new();
+        let scale = self.decode_symbols_inner(payload, &mut syms)?;
+        let mut values = vec![0f32; syms.len()];
+        kernels::dequant_assign(self.codec, &syms, scale, &mut values);
         Ok(Tensor::from_vec(values, self.shape.clone()))
     }
 }

@@ -62,7 +62,7 @@
 //!
 //! `tests/dispatch_identity.rs` enforces all of this differentially on
 //! adversarial inputs (NaN/inf/subnormals, all-zero and no-zero tensors,
-//! lengths straddling the 5-symbol and chunk boundaries).
+//! lengths straddling the 5-symbol and word/vector block boundaries).
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -307,30 +307,22 @@ pub fn quantize_ternary(imp: CodecImpl, xs: &[f32], inv: f32, out: &mut [i8]) {
     }
 }
 
-/// Fused quantize + quartic pack for one chunk of output bytes.
+/// Fused quantize + quartic pack of one tensor's `L = out.len()` bytes.
 ///
-/// `srcs[j]` holds this chunk's slice of quartic partition `j`
-/// (`input[j·L + lo .. j·L + hi]` clamped to the tensor length); output
-/// byte `i` combines digit `round(srcs[j][i] · inv) + 1` across the five
-/// partitions, with the padding digit 1 past each slice's end. Returns
-/// the absolute index (`base` + chunk offset) of the last byte that is
-/// not the all-zero byte 121, for zero-run boundary alignment.
-pub fn pack_chunk(
-    imp: CodecImpl,
-    srcs: &[&[f32]; 5],
-    inv: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+/// `srcs[j]` is quartic partition `j` (`input[j·L .. (j+1)·L]` clamped
+/// to the tensor length); output byte `i` combines digit
+/// `round(srcs[j][i] · inv) + 1` across the five partitions, with the
+/// padding digit 1 past each slice's end.
+pub fn pack_chunk(imp: CodecImpl, srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     for s in srcs {
         debug_assert!(s.len() <= out.len());
     }
     match runnable(imp) {
-        CodecImpl::Scalar => scalar::pack_chunk(srcs, inv, out, base),
-        CodecImpl::Swar => swar::pack_chunk(srcs, inv, out, base),
+        CodecImpl::Scalar => scalar::pack_chunk(srcs, inv, out),
+        CodecImpl::Swar => swar::pack_chunk(srcs, inv, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::pack_chunk(srcs, inv, out, base) },
+        CodecImpl::Simd => unsafe { simd_x86::pack_chunk(srcs, inv, out) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }
@@ -345,17 +337,16 @@ pub fn pack_chunk_ea(
     inv: f32,
     scale: f32,
     out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+) {
     for s in srcs.iter() {
         debug_assert!(s.len() <= out.len());
     }
     match runnable(imp) {
-        CodecImpl::Scalar => scalar::pack_chunk_ea(srcs, inv, scale, out, base),
-        CodecImpl::Swar => swar::pack_chunk_ea(srcs, inv, scale, out, base),
+        CodecImpl::Scalar => scalar::pack_chunk_ea(srcs, inv, scale, out),
+        CodecImpl::Swar => swar::pack_chunk_ea(srcs, inv, scale, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::pack_chunk_ea(srcs, inv, scale, out, base) },
+        CodecImpl::Simd => unsafe { simd_x86::pack_chunk_ea(srcs, inv, scale, out) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }

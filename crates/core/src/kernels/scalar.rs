@@ -2,7 +2,6 @@
 //! SWAR and SIMD tiers must match bit for bit.
 
 use super::{digit_of, WEIGHTS};
-use crate::quartic::ZERO_BYTE;
 
 pub(super) fn max_abs_finite(xs: &[f32]) -> (f32, bool) {
     xs.iter().fold((0.0f32, true), |(m, ok), &x| {
@@ -27,13 +26,7 @@ pub(super) fn quantize_ternary(xs: &[f32], inv: f32, out: &mut [i8]) {
     }
 }
 
-pub(super) fn pack_chunk(
-    srcs: &[&[f32]; 5],
-    inv: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
-    let mut last_nonzero = None;
+pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     for (i, o) in out.iter_mut().enumerate() {
         let mut byte = 0u8;
         for (j, w) in WEIGHTS.into_iter().enumerate() {
@@ -42,21 +35,10 @@ pub(super) fn pack_chunk(
             byte += digit * w;
         }
         *o = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
-pub(super) fn pack_chunk_ea(
-    srcs: &mut [&mut [f32]; 5],
-    inv: f32,
-    scale: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
-    let mut last_nonzero = None;
+pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, out: &mut [u8]) {
     for (i, o) in out.iter_mut().enumerate() {
         let mut byte = 0u8;
         for (j, w) in WEIGHTS.into_iter().enumerate() {
@@ -72,11 +54,7 @@ pub(super) fn pack_chunk_ea(
             byte += digit * w;
         }
         *o = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
 pub(super) fn dequant_assign(syms: &[i8], scale: f32, out: &mut [f32]) {

@@ -24,7 +24,6 @@
 //!   `trailing_zeros`, so error offsets are exact, not rounded to a
 //!   vector boundary.
 
-use super::swar::{last_nonzero_in_word, ZERO_WORD};
 use super::{HALF_BITS, INF_BITS, WEIGHTS};
 use crate::quartic::{MAX_QUARTIC_BYTE, ZERO_BYTE};
 use core::arch::x86_64::*;
@@ -182,12 +181,7 @@ pub(super) unsafe fn dequant_add(syms: &[i8], scale: f32, out: &mut [f32]) {
 }
 
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn pack_chunk(
-    srcs: &[&[f32]; 5],
-    inv: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+pub(super) unsafe fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     let full = srcs
         .iter()
         .map(|s| s.len())
@@ -196,7 +190,6 @@ pub(super) unsafe fn pack_chunk(
         .min(out.len());
     let blocks = full / 8;
     let invv = _mm256_set1_ps(inv);
-    let mut last_nonzero = None;
     for b in 0..blocks {
         let i = b * 8;
         let mut acc = _mm256_setzero_si256();
@@ -209,9 +202,6 @@ pub(super) unsafe fn pack_chunk(
         }
         let word = pack_low_bytes(acc);
         out[i..i + 8].copy_from_slice(&word.to_le_bytes());
-        if word != ZERO_WORD {
-            last_nonzero = Some(base + i + last_nonzero_in_word(word));
-        }
     }
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
@@ -225,11 +215,7 @@ pub(super) unsafe fn pack_chunk(
             byte += digit * w;
         }
         out[i] = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
 #[target_feature(enable = "avx2")]
@@ -238,8 +224,7 @@ pub(super) unsafe fn pack_chunk_ea(
     inv: f32,
     scale: f32,
     out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+) {
     let full = srcs
         .iter()
         .map(|s| s.len())
@@ -250,7 +235,6 @@ pub(super) unsafe fn pack_chunk_ea(
     let invv = _mm256_set1_ps(inv);
     let scalev = _mm256_set1_ps(scale);
     let one = _mm256_set1_epi32(1);
-    let mut last_nonzero = None;
     for b in 0..blocks {
         let i = b * 8;
         let mut acc = _mm256_setzero_si256();
@@ -269,9 +253,6 @@ pub(super) unsafe fn pack_chunk_ea(
         }
         let word = pack_low_bytes(acc);
         out[i..i + 8].copy_from_slice(&word.to_le_bytes());
-        if word != ZERO_WORD {
-            last_nonzero = Some(base + i + last_nonzero_in_word(word));
-        }
     }
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
@@ -288,11 +269,7 @@ pub(super) unsafe fn pack_chunk_ea(
             byte += digit * w;
         }
         out[i] = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
 #[target_feature(enable = "avx2")]

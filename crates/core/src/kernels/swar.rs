@@ -25,7 +25,7 @@ use super::{digit_of, INF_BITS, WEIGHTS};
 use crate::quartic::{MAX_QUARTIC_BYTE, ZERO_BYTE};
 
 /// Eight copies of [`ZERO_BYTE`] (the all-zero quartic byte 121).
-pub(super) const ZERO_WORD: u64 = 0x7979_7979_7979_7979;
+const ZERO_WORD: u64 = 0x7979_7979_7979_7979;
 /// Low 7 bits of every byte lane.
 const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 /// Top bit of every byte lane.
@@ -123,19 +123,7 @@ fn digits8_ea(s: &mut [f32], inv: f32, scale: f32) -> u64 {
     d
 }
 
-/// Index of the last byte of `word` differing from [`ZERO_BYTE`].
-/// Requires `word != ZERO_WORD`.
-#[inline(always)]
-pub(super) fn last_nonzero_in_word(word: u64) -> usize {
-    7 - ((word ^ ZERO_WORD).leading_zeros() / 8) as usize
-}
-
-pub(super) fn pack_chunk(
-    srcs: &[&[f32]; 5],
-    inv: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     // The word loop runs while all five partitions still have 8 elements;
     // only the ragged tail (at most the last partition boundary) pays the
     // padded per-byte path.
@@ -146,7 +134,6 @@ pub(super) fn pack_chunk(
         .expect("5 srcs")
         .min(out.len());
     let blocks = full / 8;
-    let mut last_nonzero = None;
     for b in 0..blocks {
         let i = b * 8;
         let mut acc = 0u64;
@@ -155,9 +142,6 @@ pub(super) fn pack_chunk(
                 acc.wrapping_add(digits8(&srcs[j][i..i + 8], inv).wrapping_mul(WEIGHTS[j] as u64));
         }
         out[i..i + 8].copy_from_slice(&acc.to_le_bytes());
-        if acc != ZERO_WORD {
-            last_nonzero = Some(base + i + last_nonzero_in_word(acc));
-        }
     }
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
@@ -167,20 +151,10 @@ pub(super) fn pack_chunk(
             byte += digit * w;
         }
         out[i] = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
-pub(super) fn pack_chunk_ea(
-    srcs: &mut [&mut [f32]; 5],
-    inv: f32,
-    scale: f32,
-    out: &mut [u8],
-    base: usize,
-) -> Option<usize> {
+pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, out: &mut [u8]) {
     let full = srcs
         .iter()
         .map(|s| s.len())
@@ -188,7 +162,6 @@ pub(super) fn pack_chunk_ea(
         .expect("5 srcs")
         .min(out.len());
     let blocks = full / 8;
-    let mut last_nonzero = None;
     for b in 0..blocks {
         let i = b * 8;
         let mut acc = 0u64;
@@ -198,9 +171,6 @@ pub(super) fn pack_chunk_ea(
             );
         }
         out[i..i + 8].copy_from_slice(&acc.to_le_bytes());
-        if acc != ZERO_WORD {
-            last_nonzero = Some(base + i + last_nonzero_in_word(acc));
-        }
     }
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
@@ -217,11 +187,7 @@ pub(super) fn pack_chunk_ea(
             byte += digit * w;
         }
         out[i] = byte;
-        if byte != ZERO_BYTE {
-            last_nonzero = Some(base + i);
-        }
     }
-    last_nonzero
 }
 
 /// Eight ternary values (`{-1,0,1}` as `i8`) shifted to digits `{0,1,2}`,

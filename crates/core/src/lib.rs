@@ -46,7 +46,6 @@ pub mod elias;
 mod error;
 pub mod huffman;
 pub mod kernels;
-pub mod parallel;
 pub mod quartic;
 pub mod sizing;
 pub mod telemetry;
@@ -54,7 +53,7 @@ pub mod tlq;
 mod traits;
 pub mod zrle;
 
-pub use compressor::{ThreeLcCompressor, ThreeLcOptions, DEFAULT_PARALLEL_MIN_VALUES};
+pub use compressor::{ThreeLcCompressor, ThreeLcOptions};
 pub use error::{CompressError, DecodeError};
 pub use kernels::{CodecImpl, CodecSelection, SelectionSource, CODEC_IMPL_ENV};
 pub use telemetry::CompressTelemetry;

@@ -36,15 +36,6 @@ pub struct CompressTelemetry {
     /// error-accumulation buffer after each compress. Only recorded under
     /// `THREELC_LOG=debug`.
     pub residual_l2: Arc<Histogram>,
-    /// `threelc.compress.parallel_speedup` — effective speedup of each
-    /// chunk-parallel encode: summed per-chunk busy seconds divided by the
-    /// wall time of the parallel section. 1.0 means no win; the upper
-    /// bound is the chunk count. Only recorded on the parallel path.
-    pub parallel_speedup: Arc<Histogram>,
-    /// `threelc.compress.chunk_seconds` — busy seconds of each parallel
-    /// encode chunk (one sample per chunk), exposing stragglers among the
-    /// codec workers. Only recorded on the parallel path.
-    pub chunk_seconds: Arc<Histogram>,
     /// `threelc.codec.encode.{scalar,swar,simd}` — encode calls per codec
     /// implementation tier, indexed like [`CodecImpl::ALL`]. Makes the
     /// tier that actually ran attributable from any metrics dump, so a
@@ -64,8 +55,6 @@ impl CompressTelemetry {
             decompress_seconds: reg.histogram("threelc.decompress.seconds"),
             zero_run_length: reg.histogram("threelc.compress.zero_run_length"),
             residual_l2: reg.histogram("threelc.compress.residual_l2"),
-            parallel_speedup: reg.histogram("threelc.compress.parallel_speedup"),
-            chunk_seconds: reg.histogram("threelc.compress.chunk_seconds"),
             codec_encodes: [
                 reg.counter("threelc.codec.encode.scalar"),
                 reg.counter("threelc.codec.encode.swar"),
@@ -114,7 +103,9 @@ mod tests {
         assert!(Arc::ptr_eq(&a.ratio, &b.ratio));
         let before = a.ratio.count();
         b.ratio.record(4.0);
-        assert_eq!(a.ratio.count(), before + 1);
+        // Not `==`: the histogram is process-global and the compressor
+        // tests running beside this one record into it too.
+        assert!(a.ratio.count() > before);
     }
 
     #[test]

@@ -88,15 +88,6 @@ pub trait Compressor: Send {
         })
     }
 
-    /// Requests that this context use up to `threads` worker threads for
-    /// large tensors (`0` means one thread per hardware core).
-    ///
-    /// A performance hint only: implementations **must** produce bit-for-bit
-    /// identical payloads and decoded tensors at every thread count —
-    /// changing it mid-stream is always safe. The default ignores the hint
-    /// (serial schemes simply stay serial).
-    fn set_threads(&mut self, _threads: usize) {}
-
     /// Changes the sparsity multiplier for **subsequent** `compress` calls
     /// without rebuilding the context (the error-accumulation buffer and
     /// every other piece of stream state survive).

@@ -143,49 +143,9 @@ pub fn decode(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Returns the serial-encoder token boundary at or after position `p`.
-///
-/// The serial encoder is memoryless at token boundaries: its only state is
-/// the input cursor, literals are single-byte tokens, and zero runs are
-/// consumed in chunks of at most [`MAX_RUN`] starting from the first zero
-/// after a non-zero byte (or the stream start). Encoding the segments
-/// between any set of token boundaries independently and concatenating the
-/// results therefore reproduces the serial output byte for byte — this is
-/// what makes chunk-parallel ZRE bit-identical.
-///
-/// `last_nonzero_before` is the index of the last non-zero byte strictly
-/// before `p`, or `None` if `input[..p]` is all zeros. (Callers track this
-/// during the quartic pass so no backward scan is needed here; the forward
-/// scan below is bounded by [`MAX_RUN`] bytes.)
-pub fn align_token_boundary(input: &[u8], p: usize, last_nonzero_before: Option<usize>) -> usize {
-    debug_assert!(p <= input.len());
-    debug_assert!(last_nonzero_before.is_none_or(|i| i < p && input[i] != ZERO_BYTE));
-    if p == input.len() {
-        return p;
-    }
-    // The zero run containing position p (if any) starts right after the
-    // last non-zero byte.
-    let run_start = last_nonzero_before.map_or(0, |i| i + 1);
-    let off = (p - run_start) % MAX_RUN;
-    if off == 0 {
-        // Either input[p - 1] is non-zero (p starts a fresh token) or the
-        // run has consumed whole MAX_RUN chunks up to p.
-        return p;
-    }
-    // The token covering p ends at run end or after MAX_RUN zeros,
-    // whichever comes first. Only a bounded forward peek is needed.
-    let window = (MAX_RUN - off).min(input.len() - p);
-    let to_run_end = input[p..p + window]
-        .iter()
-        .position(|&b| b != ZERO_BYTE)
-        .unwrap_or(window);
-    p + to_run_end
-}
-
 /// Number of quartic bytes a ZRE stream (or any slice of one) decodes to.
 ///
 /// Escape bytes expand to their run length; everything else is one byte.
-/// Used by the parallel decoder's sizing pass.
 pub fn decoded_len(input: &[u8]) -> usize {
     input
         .iter()
@@ -203,9 +163,8 @@ pub fn decoded_len(input: &[u8]) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != decoded_len(input)`; callers size the output
-/// with [`decoded_len`] first.
-pub fn decode_into(input: &[u8], out: &mut [u8]) {
+/// Panics if `out.len() != decoded_len(input)`.
+fn decode_into(input: &[u8], out: &mut [u8]) {
     let mut pos = 0;
     for &b in input {
         if b >= ESCAPE_BASE {
@@ -359,75 +318,6 @@ mod tests {
         assert!(decode(&[]).is_empty());
     }
 
-    /// Token boundaries the serial encoder actually visits (its cursor
-    /// positions), for brute-force comparison with `align_token_boundary`.
-    fn serial_token_starts(input: &[u8]) -> Vec<usize> {
-        let mut starts = vec![];
-        let mut i = 0;
-        while i < input.len() {
-            starts.push(i);
-            if input[i] != ZERO_BYTE {
-                i += 1;
-            } else {
-                let mut run = 1;
-                while run < MAX_RUN && i + run < input.len() && input[i + run] == ZERO_BYTE {
-                    run += 1;
-                }
-                i += run;
-            }
-        }
-        starts.push(input.len());
-        starts
-    }
-
-    #[test]
-    fn align_token_boundary_matches_serial_cursor() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![121; 40],
-            vec![7; 10],
-            vec![1, 121, 121, 121, 2, 121, 121, 121, 121, 121, 3],
-            {
-                // 30 zeros, a literal, 20 zeros.
-                let mut v = vec![121u8; 30];
-                v.push(9);
-                v.extend(vec![121u8; 20]);
-                v
-            },
-        ];
-        for input in cases {
-            let starts = serial_token_starts(&input);
-            for p in 0..=input.len() {
-                let last_nz = input[..p].iter().rposition(|&b| b != ZERO_BYTE);
-                let b = align_token_boundary(&input, p, last_nz);
-                assert!(b >= p && b <= input.len());
-                assert!(
-                    starts.contains(&b),
-                    "aligned {b} from p={p} is not a serial token start in {input:?}"
-                );
-                // The boundary must also be the *nearest* one at or after p.
-                let nearest = *starts.iter().find(|&&s| s >= p).unwrap();
-                assert_eq!(b, nearest, "p={p} in {input:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn segmented_encode_at_aligned_boundaries_matches_serial() {
-        let mut input = vec![121u8; 37];
-        input.push(5);
-        input.extend(vec![121u8; 29]);
-        input.push(6);
-        let serial = encode(&input).unwrap();
-        for split in 0..=input.len() {
-            let last_nz = input[..split].iter().rposition(|&b| b != ZERO_BYTE);
-            let b = align_token_boundary(&input, split, last_nz);
-            let mut joined = encode(&input[..b]).unwrap();
-            joined.extend(encode(&input[b..]).unwrap());
-            assert_eq!(joined, serial, "split at {split} (aligned {b})");
-        }
-    }
-
     #[test]
     fn decoded_len_and_decode_into_roundtrip() {
         let mut input = vec![121u8; 17];
@@ -438,14 +328,6 @@ mod tests {
         let mut out = vec![0u8; input.len()];
         decode_into(&enc, &mut out);
         assert_eq!(out, input);
-        // Segments of the encoded stream decode independently.
-        let mid = enc.len() / 2;
-        let (a, b) = enc.split_at(mid);
-        let mut out2 = vec![0u8; input.len()];
-        let (oa, ob) = out2.split_at_mut(decoded_len(a));
-        decode_into(a, oa);
-        decode_into(b, ob);
-        assert_eq!(out2, input);
     }
 
     #[test]

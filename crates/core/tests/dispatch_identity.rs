@@ -162,51 +162,45 @@ proptest! {
         opts in options(),
     ) {
         let input = Tensor::from_slice(&v);
-        // Three steps so error-accumulation divergence would compound; the
-        // forced-parallel config (threshold 1, 4 threads) stresses chunk
-        // edges in the same pass.
-        for threads in [1usize, 4] {
-            let mut tiers: Vec<(CodecImpl, ThreeLcCompressor)> = available_tiers()
-                .into_iter()
-                .map(|imp| {
-                    let mut cx = ThreeLcCompressor::with_options(input.shape().clone(), opts)
-                        .with_codec_impl(imp)
-                        .with_threads(threads);
-                    cx.set_parallel_min_values(1);
-                    (imp, cx)
+        // Three steps so error-accumulation divergence would compound.
+        let mut tiers: Vec<(CodecImpl, ThreeLcCompressor)> = available_tiers()
+            .into_iter()
+            .map(|imp| {
+                let cx = ThreeLcCompressor::with_options(input.shape().clone(), opts)
+                    .with_codec_impl(imp);
+                (imp, cx)
+            })
+            .collect();
+        for step in 0..3 {
+            // Compress can legitimately fail at step ≥ 1: an
+            // inf-overflowed scale leaves NaN in the EA buffer, which
+            // the next accumulate rejects as NonFiniteInput. Tiers
+            // must agree on the full outcome, success or error.
+            let mut want = None;
+            for (imp, cx) in tiers.iter_mut() {
+                let wire = cx.compress(&input);
+                match &want {
+                    None => want = Some(wire),
+                    Some(w) => prop_assert!(w == &wire, "wire diverged on {} (step={})", imp, step),
+                }
+            }
+            // Compare residual *bit patterns*: f32 equality would
+            // false-alarm on NaN residuals (scale can overflow to
+            // +inf on f32::MAX inputs, making 0·scale = NaN), which
+            // must still be bit-identical across tiers.
+            let residuals: Vec<Option<Vec<u32>>> = tiers
+                .iter()
+                .map(|(_, cx)| {
+                    cx.residual()
+                        .map(|r| r.as_slice().iter().map(|f| f.to_bits()).collect())
                 })
                 .collect();
-            for step in 0..3 {
-                // Compress can legitimately fail at step ≥ 1: an
-                // inf-overflowed scale leaves NaN in the EA buffer, which
-                // the next accumulate rejects as NonFiniteInput. Tiers
-                // must agree on the full outcome, success or error.
-                let mut want = None;
-                for (imp, cx) in tiers.iter_mut() {
-                    let wire = cx.compress(&input);
-                    match &want {
-                        None => want = Some(wire),
-                        Some(w) => prop_assert!(w == &wire, "wire diverged on {} (threads={}, step={})", imp, threads, step),
-                    }
-                }
-                // Compare residual *bit patterns*: f32 equality would
-                // false-alarm on NaN residuals (scale can overflow to
-                // +inf on f32::MAX inputs, making 0·scale = NaN), which
-                // must still be bit-identical across tiers.
-                let residuals: Vec<Option<Vec<u32>>> = tiers
-                    .iter()
-                    .map(|(_, cx)| {
-                        cx.residual()
-                            .map(|r| r.as_slice().iter().map(|f| f.to_bits()).collect())
-                    })
-                    .collect();
-                for (i, r) in residuals.iter().enumerate().skip(1) {
-                    prop_assert!(
-                        r == &residuals[0],
-                        "residual diverged on {} (threads={}, step={})",
-                        tiers[i].0, threads, step
-                    );
-                }
+            for (i, r) in residuals.iter().enumerate().skip(1) {
+                prop_assert!(
+                    r == &residuals[0],
+                    "residual diverged on {} (step={})",
+                    tiers[i].0, step
+                );
             }
         }
     }
@@ -340,7 +334,7 @@ fn symbol_decode_errors_match_decompress_errors() {
 fn all_tiers_handle_boundary_straddling_lengths() {
     // Deterministic sweep over every length around the 5-symbol quartic
     // boundary, the kernels' 8-wide word blocks, and the 32-byte vector
-    // blocks — with a forced chunk split to stress ragged partitions.
+    // blocks.
     let mut r = threelc_tensor::rng(29);
     use rand::Rng as _;
     let lens: Vec<usize> = (1..=48)
@@ -361,28 +355,24 @@ fn all_tiers_handle_boundary_straddling_lengths() {
         let input = Tensor::from_slice(&v);
         let mut want: Option<(Vec<u8>, Vec<u32>)> = None;
         for imp in available_tiers() {
-            for threads in [1usize, 3] {
-                let mut cx = ThreeLcCompressor::new(
-                    input.shape().clone(),
-                    SparsityMultiplier::new(1.5).unwrap(),
-                )
-                .with_codec_impl(imp)
-                .with_threads(threads);
-                cx.set_parallel_min_values(1);
-                let wire = cx.compress(&input).unwrap();
-                let residual: Vec<u32> = cx
-                    .residual()
-                    .unwrap()
-                    .as_slice()
-                    .iter()
-                    .map(|f| f.to_bits())
-                    .collect();
-                match &want {
-                    None => want = Some((wire, residual)),
-                    Some((w, res)) => {
-                        assert_eq!(&wire, w, "n={n} {imp} threads={threads}");
-                        assert_eq!(&residual, res, "n={n} {imp} threads={threads}");
-                    }
+            let mut cx = ThreeLcCompressor::new(
+                input.shape().clone(),
+                SparsityMultiplier::new(1.5).unwrap(),
+            )
+            .with_codec_impl(imp);
+            let wire = cx.compress(&input).unwrap();
+            let residual: Vec<u32> = cx
+                .residual()
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|f| f.to_bits())
+                .collect();
+            match &want {
+                None => want = Some((wire, residual)),
+                Some((w, res)) => {
+                    assert_eq!(&wire, w, "n={n} {imp}");
+                    assert_eq!(&residual, res, "n={n} {imp}");
                 }
             }
         }

@@ -83,16 +83,12 @@ impl Cluster {
         &self.config
     }
 
-    /// Requests up to `threads` codec/aggregation threads cluster-wide
-    /// (`0` = one per hardware core): sharded server aggregation plus
-    /// chunk-parallel compression in every context. A pure performance
+    /// Requests up to `threads` server aggregation shards (`0` = one per
+    /// hardware core; see [`ServerCore::set_threads`]). A pure performance
     /// hint — training dynamics are bit-identical at any setting, so the
     /// thread count is deliberately *not* part of [`ExperimentConfig`].
     pub fn set_threads(&mut self, threads: usize) {
         self.server.set_threads(threads);
-        for w in &mut self.workers {
-            w.set_threads(threads);
-        }
     }
 
     /// The server's full-precision global model.

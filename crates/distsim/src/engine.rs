@@ -30,10 +30,9 @@
 use crate::config::ExperimentConfig;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use threelc::kernels::{self, CodecImpl};
-use threelc::parallel::{self, split_off_ranges, split_ranges};
 use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
@@ -331,15 +330,6 @@ impl WorkerReplica {
         }
     }
 
-    /// Requests up to `threads` codec worker threads for this replica's
-    /// push compression contexts (`0` = one per hardware core). A pure
-    /// performance hint: payloads stay bit-identical at any setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        for ctx in self.push_ctxs.iter_mut().flatten() {
-            ctx.set_threads(threads);
-        }
-    }
-
     /// Applies per-tensor policy decisions to this replica's push
     /// compression contexts, effective from the next `encode_push`.
     /// Decisions always come from the server (directly in the simulator,
@@ -488,7 +478,9 @@ pub struct ServerCore {
     threads: usize,
     /// Cached handle into the global registry (see [`WorkerReplica`]).
     apply_seconds: Arc<Histogram>,
-    shard_meters: ShardMeters,
+    /// `engine.shard.busy_seconds` — per-shard busy time of a step that
+    /// runs more than one shard.
+    shard_busy_seconds: Arc<Histogram>,
     /// `engine.aggregate.symbol_decode_seconds` — payload→symbol decode
     /// time (payload→tensor for schemes without a symbol form), recorded
     /// once per aggregation pass per shard. With
@@ -605,26 +597,75 @@ fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
     }
 }
 
-/// A striped accumulator for the bookkeeping shards must share: traffic
-/// statistics (order-insensitive `u64` sums) and measured codec seconds.
-/// Stripes are deliberately fewer than shards so the lock-wait histogram
-/// actually observes contention; the model tensors themselves are never
-/// behind a lock — each shard owns a disjoint tensor range.
-type StatsStripe = Mutex<(CompressionStats, f64)>;
-
-fn stats_stripes(shards: usize) -> Vec<StatsStripe> {
-    (0..shards.div_ceil(2).max(1))
-        .map(|_| Mutex::new((CompressionStats::new(), 0.0)))
-        .collect()
+/// Splits `0..len` into at most `parts` contiguous ascending ranges whose
+/// sizes differ by at most one (the first `len % parts` ranges get the
+/// extra element). Always returns at least one range; never returns more
+/// ranges than `len` (except `len == 0`, which yields a single empty
+/// range).
+fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, len.max(1));
+    let base = len / parts;
+    let extra = len % parts;
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for k in 0..parts {
+        let size = base + usize::from(k < extra);
+        out.push(start..start + size);
+        start += size;
+    }
+    debug_assert_eq!(start, len);
+    out
 }
 
-/// The per-shard histograms of a step that runs more than one shard.
-struct ShardMeters {
-    /// `engine.shard.busy_seconds` — per-shard busy time.
-    busy: Arc<Histogram>,
-    /// `engine.shard.lock_wait_seconds` — time shards spent waiting on the
-    /// striped stats accumulators (the contention signal).
-    lock_wait: Arc<Histogram>,
+/// Splits a mutable slice into disjoint sub-slices described by `ranges`,
+/// which must be ascending and non-overlapping (gaps are allowed and
+/// skipped). Empty ranges yield empty sub-slices.
+///
+/// # Panics
+///
+/// Panics if the ranges are not ascending or exceed the slice length.
+fn split_off_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
+    let mut out = Vec::with_capacity(ranges.len());
+    let mut pos = 0;
+    for r in ranges {
+        assert!(
+            r.start >= pos && r.end >= r.start,
+            "ranges must be ascending and non-overlapping"
+        );
+        let (_gap, rest) = slice.split_at_mut(r.start - pos);
+        let (take, rest) = rest.split_at_mut(r.end - r.start);
+        out.push(take);
+        slice = rest;
+        pos = r.end;
+    }
+    out
+}
+
+/// Runs `f(task)` for every task, each on its own scoped thread (the
+/// first task runs on the calling thread), and returns the results in
+/// task order. With zero or one task no thread is spawned.
+///
+/// Panics in a shard propagate to the caller.
+fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if tasks.len() <= 1 {
+        return tasks.into_iter().map(f).collect();
+    }
+    std::thread::scope(|scope| {
+        let mut iter = tasks.into_iter();
+        let first = iter.next().expect("len > 1");
+        let handles: Vec<_> = iter
+            .map(|task| {
+                let f = &f;
+                scope.spawn(move || f(task))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
+        for h in handles {
+            out.push(h.join().expect("aggregation shard panicked"));
+        }
+        out
+    })
 }
 
 /// Runs one server phase over `split_ranges(rows.len(), scratch.len())`,
@@ -634,43 +675,36 @@ struct ShardMeters {
 /// codec-seconds accumulators. A single range runs inline on the calling
 /// thread, so one shard and many execute the same body; tensors are
 /// independent and keep their worker-id order inside `body`, so the shard
-/// count never changes a result. Only the (order-insensitive) `u64`
-/// traffic counters and measured codec seconds flow through the striped
-/// locks; their totals come back beside the per-shard outputs, in range
-/// order.
+/// count never changes a result. Every shard hands its (order-insensitive)
+/// `u64` traffic counters and measured codec seconds back by value; their
+/// totals, merged in range order, come back beside the per-shard outputs.
+/// `busy` is `engine.shard.busy_seconds`, recorded once per shard of a
+/// phase that runs more than one.
 fn run_shards<C: Send, S: Send, T: Send>(
     rows: &mut [C],
     scratch: &mut [S],
-    meters: &ShardMeters,
+    busy: &Histogram,
     body: impl Fn(Range<usize>, &mut [C], &mut S, &mut CompressionStats, &mut f64) -> T + Sync,
 ) -> (Vec<T>, CompressionStats, f64) {
     let ranges = split_ranges(rows.len(), scratch.len());
     let sharded = ranges.len() > 1;
-    let stripes = stats_stripes(ranges.len());
     let chunks = split_off_ranges(rows, &ranges);
     let tasks: Vec<_> = ranges.into_iter().zip(chunks).zip(scratch).collect();
-    let outs = parallel::run_tasks(tasks, |k, ((range, chunk), scratch)| {
+    let shards = run_tasks(tasks, |((range, chunk), scratch)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
         let mut codec = 0.0f64;
         let out = body(range, chunk, scratch, &mut stats, &mut codec);
-        let w0 = Instant::now();
-        let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
         if sharded {
-            meters.lock_wait.record(w0.elapsed().as_secs_f64());
+            busy.record(t0.elapsed().as_secs_f64());
         }
-        stripe.0.merge(&stats);
-        stripe.1 += codec;
-        drop(stripe);
-        if sharded {
-            meters.busy.record(t0.elapsed().as_secs_f64());
-        }
-        out
+        (out, stats, codec)
     });
+    let mut outs = Vec::with_capacity(shards.len());
     let mut stats = CompressionStats::new();
     let mut codec = 0.0f64;
-    for stripe in stripes {
-        let (s, c) = stripe.into_inner().expect("stripe poisoned");
+    for (out, s, c) in shards {
+        outs.push(out);
         stats.merge(&s);
         codec += c;
     }
@@ -727,10 +761,7 @@ impl ServerCore {
             step: 0,
             threads: 1,
             apply_seconds: reg.histogram("engine.apply_step_seconds"),
-            shard_meters: ShardMeters {
-                busy: reg.histogram("engine.shard.busy_seconds"),
-                lock_wait: reg.histogram("engine.shard.lock_wait_seconds"),
-            },
+            shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
             aggregate_decode_seconds: reg.histogram("engine.aggregate.symbol_decode_seconds"),
             aggregate_accumulate_seconds: reg.histogram("engine.aggregate.accumulate_seconds"),
             config,
@@ -748,26 +779,18 @@ impl ServerCore {
     }
 
     /// Requests up to `threads` aggregation shards for [`Self::apply_step`]
-    /// (`0` = one per hardware core). The budget is also forwarded to every
-    /// decode and pull compression context. A pure performance hint: the
-    /// sharded step is bit-identical to the serial one (each shard owns a
-    /// disjoint tensor range, and per-tensor arithmetic keeps worker-id
-    /// order).
+    /// (`0` = one per hardware core); every codec context stays serial. A
+    /// pure performance hint: the sharded step is bit-identical to the
+    /// serial one (each shard owns a disjoint tensor range, and per-tensor
+    /// arithmetic keeps worker-id order).
     pub fn set_threads(&mut self, threads: usize) {
-        let threads = if threads == 0 {
-            parallel::available_threads()
+        self.threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             threads
         };
-        self.threads = threads;
         self.syms
             .resize_with(self.plan_shards(self.shapes.len()), Vec::new);
-        for ctx in self.decode_ctxs.iter_mut().flatten().flatten() {
-            ctx.set_threads(threads);
-        }
-        for ctx in self.pull_ctxs.iter_mut().flatten() {
-            ctx.set_threads(threads);
-        }
     }
 
     /// Shard count for a step over `n` tensors (the length of `syms`).
@@ -992,7 +1015,7 @@ impl ServerCore {
         let (outs, stats, codec) = run_shards(
             &mut rows,
             &mut self.syms,
-            &self.shard_meters,
+            &self.shard_busy_seconds,
             |range, rows, syms, stats, codec| {
                 let mut timings = AggTimings::default();
                 let out = rows
@@ -1046,7 +1069,7 @@ impl ServerCore {
         let (outs, stats, codec) = run_shards(
             &mut self.pull_ctxs,
             &mut self.syms,
-            &self.shard_meters,
+            &self.shard_busy_seconds,
             |range, ctxs, _syms, stats, codec| {
                 let mut pulls = Vec::with_capacity(range.len());
                 for (ctx, i) in ctxs.iter_mut().zip(range) {
@@ -1215,11 +1238,7 @@ mod tests {
                 .collect();
             let mut serial = ServerCore::new(&problem);
             let mut sharded_workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| {
-                    let mut r = WorkerReplica::new(&problem, w);
-                    r.set_threads(2);
-                    r
-                })
+                .map(|w| WorkerReplica::new(&problem, w))
                 .collect();
             let mut sharded = ServerCore::new(&problem);
             sharded.set_threads(4);
@@ -1395,6 +1414,68 @@ mod tests {
                 assert_eq!(server.push_stats(), &stats_before, "{label}: stats moved");
             }
         }
+    }
+
+    #[test]
+    fn split_ranges_is_balanced_and_exhaustive() {
+        for len in 0..40usize {
+            for parts in 1..9usize {
+                let ranges = split_ranges(len, parts);
+                assert!(!ranges.is_empty());
+                assert!(ranges.len() <= parts);
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, len);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                }
+                let sizes: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
+                let min = sizes.iter().min().unwrap();
+                let max = sizes.iter().max().unwrap();
+                assert!(max - min <= 1, "len={len} parts={parts}: {sizes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_off_ranges_gives_disjoint_views() {
+        let mut data: Vec<u32> = (0..10).collect();
+        let ranges = vec![0..3, 3..3, 5..10];
+        let chunks = split_off_ranges(&mut data, &ranges);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks[0], &[0, 1, 2]);
+        assert!(chunks[1].is_empty());
+        assert_eq!(chunks[2], &[5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn split_off_ranges_rejects_overlap() {
+        let mut data = [0u8; 4];
+        split_off_ranges(&mut data, &[0..2, 1..3]);
+    }
+
+    #[test]
+    fn run_tasks_preserves_order_over_disjoint_chunks() {
+        let mut data = vec![0u8; 100];
+        let ranges = split_ranges(data.len(), 4);
+        let chunks = split_off_ranges(&mut data, &ranges);
+        let tasks: Vec<_> = chunks.into_iter().enumerate().collect();
+        let out = run_tasks(tasks, |(k, chunk)| {
+            chunk.fill(k as u8 + 1);
+            k * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30]);
+        assert_eq!((data[0], data[99]), (1, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard panicked")]
+    fn shard_panics_propagate() {
+        run_tasks(vec![0usize, 1], |t| {
+            if t == 1 {
+                panic!("boom");
+            }
+        });
     }
 
     #[test]

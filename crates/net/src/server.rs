@@ -66,9 +66,9 @@ pub struct ServeOptions {
     /// original fail-stop semantics: any mid-run disconnect aborts, and
     /// no pull-batch history is retained.
     pub max_rejoins: u32,
-    /// Codec/aggregation threads for the server core (`0` = one per
-    /// hardware core). A performance hint only: the trained model is
-    /// bit-identical at any setting.
+    /// Aggregation shards for the server core (`0` = one per hardware
+    /// core). A performance hint only: the trained model is bit-identical
+    /// at any setting.
     pub threads: usize,
     /// Where to write the flight-recorder dump (`<out>.flight.json`).
     /// When set, a dump is written automatically if the run aborts, a

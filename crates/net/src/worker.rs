@@ -56,9 +56,6 @@ pub struct WorkerOptions {
     pub max_retries: u32,
     /// Backoff before the first retry; doubles each retry, capped at 10 s.
     pub initial_backoff: Duration,
-    /// Codec threads for push compression (`0` = one per hardware core).
-    /// A performance hint only: payloads are bit-identical at any setting.
-    pub threads: usize,
     /// Mid-run reconnect-and-resume attempts after an established
     /// connection dies. `0` restores strict fail-stop behavior. Must not
     /// exceed the server's budget, or late rejoins are refused and time
@@ -85,7 +82,6 @@ impl WorkerOptions {
             io_timeout: Duration::from_secs(30),
             max_retries: 5,
             initial_backoff: Duration::from_millis(100),
-            threads: 1,
             max_rejoins: 4,
             fault: None,
             start_rejoined: false,
@@ -296,7 +292,6 @@ fn run_session(
     let problem = Problem::build(&config);
     let n_params = problem.num_tensors();
     let mut replica = WorkerReplica::new(&problem, usize::from(opts.worker));
-    replica.set_threads(opts.threads);
     // Adaptive policies: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of

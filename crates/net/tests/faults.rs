@@ -34,7 +34,6 @@ fn run_faulted(
     config: ExperimentConfig,
     serve_opts: ServeOptions,
     faults: &[Option<FaultPlan>],
-    threads: usize,
 ) -> (
     Result<NetReport, threelc_net::NetError>,
     Vec<Result<WorkerOutcome, threelc_net::NetError>>,
@@ -50,7 +49,6 @@ fn run_faulted(
             let fault = faults[usize::from(w)];
             thread::spawn(move || {
                 let mut opts = WorkerOptions::new(addr, w);
-                opts.threads = threads;
                 opts.fault = fault;
                 opts.max_rejoins = worker_max_rejoins;
                 run_worker(&opts)
@@ -115,7 +113,7 @@ fn assert_bit_identical(
 fn disconnect_fault_rejoins_and_matches_simulator() {
     let config = chaos_config(8);
     let fault = FaultPlan::parse("disconnect@3").expect("spec");
-    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
+    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None]);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 0);
     // The disconnect and the rejoin both happened at the armed step: the
@@ -127,16 +125,16 @@ fn disconnect_fault_rejoins_and_matches_simulator() {
 }
 
 #[test]
-fn disconnect_fault_matches_simulator_with_four_codec_threads() {
-    // Same fault, 4 codec threads on every node: replay and resync are
-    // thread-count-invariant, like everything else in the stack.
+fn disconnect_fault_matches_simulator_with_four_aggregation_shards() {
+    // Same fault, 4 aggregation shards on the server: replay and resync
+    // are shard-count-invariant, like everything else in the stack.
     let config = chaos_config(8);
     let fault = FaultPlan::parse("disconnect@3").expect("spec");
     let serve_opts = ServeOptions {
         threads: 4,
         ..ServeOptions::default()
     };
-    let (report, outcomes) = run_faulted(config, serve_opts, &[Some(fault), None], 4);
+    let (report, outcomes) = run_faulted(config, serve_opts, &[Some(fault), None]);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 0);
 }
@@ -149,7 +147,7 @@ fn drop_after_push_fault_rejoins_and_matches_simulator() {
     // final model must still match the simulator.
     let config = chaos_config(8);
     let fault = FaultPlan::parse("drop-after-push@2").expect("spec");
-    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
+    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None]);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 0);
 }
@@ -160,7 +158,7 @@ fn crc_corruption_fault_rejoins_and_matches_simulator() {
     // drops the connection; the worker rejoins and re-pushes clean bytes.
     let config = chaos_config(8);
     let fault = FaultPlan::parse("crc@2:7").expect("spec");
-    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[None, Some(fault)], 1);
+    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[None, Some(fault)]);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 1);
 }
@@ -176,7 +174,7 @@ fn adaptive_policy_survives_disconnect_and_rejoin() {
         threelc_distsim::PolicySpec::parse("feedback:ratio=10000,start=1.2,gain=0.05,hold=1")
             .expect("spec");
     let fault = FaultPlan::parse("disconnect@3").expect("spec");
-    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
+    let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None]);
     let report = report.expect("server survived the fault");
     assert_bit_identical(&config, &report, &outcomes, 0);
 
@@ -200,7 +198,7 @@ fn fail_stop_mode_aborts_on_the_same_fault() {
         step_timeout: Duration::from_secs(30),
         ..ServeOptions::default()
     };
-    let (report, outcomes) = run_faulted(config, serve_opts, &[Some(fault), None], 1);
+    let (report, outcomes) = run_faulted(config, serve_opts, &[Some(fault), None]);
     assert!(report.is_err(), "fail-stop server must abort");
     assert!(
         outcomes[0].is_err(),
@@ -217,8 +215,7 @@ fn fault_injection_is_fully_deterministic() {
     let config = chaos_config(6);
     let fault = FaultPlan::parse("crc@2:9").expect("spec");
     let run = || {
-        let (report, outcomes) =
-            run_faulted(config, ServeOptions::default(), &[Some(fault), None], 1);
+        let (report, outcomes) = run_faulted(config, ServeOptions::default(), &[Some(fault), None]);
         let report = report.expect("server survived the fault");
         let models: Vec<Vec<threelc_tensor::Tensor>> = outcomes
             .into_iter()

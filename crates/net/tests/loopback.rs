@@ -209,9 +209,8 @@ fn adaptive_policy_loopback_matches_simulator_bit_for_bit() {
 
 #[test]
 fn sharded_loopback_matches_simulator_bit_for_bit() {
-    // Server with sharded aggregation (2 shards) and chunk-parallel codec
-    // workers on both roles: the trained model must still be bit-identical
-    // to the (serial) in-process simulator.
+    // Server with sharded aggregation (2 shards): the trained model must
+    // still be bit-identical to the (serial) in-process simulator.
     let config = ExperimentConfig {
         total_steps: 6,
         eval_every: 0,
@@ -227,11 +226,7 @@ fn sharded_loopback_matches_simulator_bit_for_bit() {
     let clients: Vec<_> = (0..config.workers as u16)
         .map(|w| {
             let addr = addr.clone();
-            thread::spawn(move || {
-                let mut wopts = WorkerOptions::new(addr, w);
-                wopts.threads = 2;
-                run_worker(&wopts)
-            })
+            thread::spawn(move || run_worker(&WorkerOptions::new(addr, w)))
         })
         .collect();
     let outcomes: Vec<_> = clients

@@ -34,7 +34,7 @@ fn dense_config(scheme: SchemeKind) -> ExperimentConfig {
 }
 
 /// `"<final model crc32> <final test loss bits>"`, both in hex, of the
-/// simulator's `residual_mlp` run on `threads` codec/aggregation threads.
+/// simulator's `residual_mlp` run on `threads` server aggregation shards.
 fn dense_run(scheme: SchemeKind, threads: usize) -> String {
     let config = dense_config(scheme);
     let mut cluster = Cluster::new(config);
