@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, build, the full test suite, the
-# step-ledger smoke, the end-to-end CLI smokes and the policy / recorder /
-# analyze overhead gates. Everything runs offline against the vendored
-# compat/ stubs.
+# step-ledger smoke and tests, and the end-to-end CLI smokes. Everything
+# runs offline against the vendored compat/ stubs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 # Snapshot the tree up front; the final stage fails if any stage below
-# (tests, benches) created or modified tracked-or-untracked files.
+# created or modified tracked-or-untracked files.
 status_before="$(git status --porcelain)"
 
 echo "==> toolchain vs MSRV"
@@ -49,29 +48,30 @@ cargo test -q --offline --workspace
 echo "==> cargo test --release (core + net)"
 cargo test -q --offline --release -p threelc -p threelc-net
 
-echo "==> step ledger (builds against the crates' public API; --quick smoke)"
+echo "==> step ledger (builds against the crates' public API; tests + --quick smoke)"
 # ledger/ is a package of its own, not a workspace member, so no stage above
 # compiles it: an API change in tensor/learning/distsim/net that breaks the
 # benchmark would otherwise surface only in the benchmark driver. --quick is
 # one short and one 5-step real loopback run plus a 3-step replay, with
 # every output check on. Build output goes to ledger/target (git-ignored).
 #
-# A change that claims a gain (ISSUE.md's archetype is perf_opt) is judged
-# by its parent commit's benchmark, so it may not touch ledger/ or
-# BENCHMARK.json: the unedited ledger must build against the changed
-# crates. Each PR of the stack is one commit, so the parent is HEAD while
-# the change is still uncommitted and HEAD~1 once it is HEAD.
+# A perf_opt or simplicity change is judged by its parent commit's
+# benchmark, so it may not touch ledger/ or BENCHMARK.json (only a
+# benchmark change may): the unedited ledger must build against the
+# changed crates. Each PR of the stack is one commit, so the parent is
+# HEAD while the change is still uncommitted and HEAD~1 once it is HEAD.
 if [ -n "$status_before" ]; then base=HEAD; else base=HEAD~1; fi
-if grep -q '^# ISSUE [0-9]* · \[perf_opt\]' ISSUE.md && {
+if grep -Eq '^# ISSUE [0-9]* · \[(perf_opt|simplicity)\]' ISSUE.md && {
     ! git diff --quiet "$base" -- ledger BENCHMARK.json ||
         [ -n "$(git status --porcelain -- ledger BENCHMARK.json)" ]
 }; then
-    echo "a gain-claiming change may not edit ledger/ or BENCHMARK.json:" >&2
+    echo "a perf_opt or simplicity change may not edit ledger/ or BENCHMARK.json:" >&2
     git status --porcelain -- ledger BENCHMARK.json >&2
     git diff --stat "$base" -- ledger BENCHMARK.json >&2
     exit 1
 fi
 cargo build --release --offline --manifest-path ledger/Cargo.toml
+cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
 echo "==> codec dispatch matrix (forced scalar / swar / simd tiers)"
@@ -526,76 +526,10 @@ if "$threelc" trace "$flight" --check >/dev/null 2>&1; then
 fi
 echo "    kill@2 left $flight; trace renders it and --check fails on it"
 
-if [ -n "${THREELC_CODEC_IMPL:-}" ]; then
-    echo "==> bench stages SKIPPED: THREELC_CODEC_IMPL=$THREELC_CODEC_IMPL is set"
-    echo "    The checked-in baselines were measured under auto tier selection;"
-    echo "    gating a forced (possibly scalar) tier against them would fail for"
-    echo "    reasons that are not regressions. Run ci.sh without the override"
-    echo "    for the performance gates."
-else
-
-mkdir -p target/bench
-
-echo "==> policy bench gate vs BENCH_pr6.json"
-gate_ok=0
-for attempt in 1 2 3; do
-    cargo run -q --release --offline -p threelc-bench --bin bench_policy -- \
-        target/bench/BENCH_policy_current.json --reps 10
-    if cargo run -q --release --offline -p threelc-bench --bin bench_policy -- \
-        --gate target/bench/BENCH_policy_current.json BENCH_pr6.json; then
-        gate_ok=1
-        break
-    fi
-    echo "policy bench gate attempt $attempt failed; re-measuring" >&2
-    sleep 2
-done
-if [ "$gate_ok" != 1 ]; then
-    echo "policy bench gate failed on all attempts" >&2
-    exit 1
-fi
-
-echo "==> recorder bench gate vs BENCH_pr7.json"
-gate_ok=0
-for attempt in 1 2 3; do
-    cargo run -q --release --offline -p threelc-bench --bin bench_recorder -- \
-        target/bench/BENCH_recorder_current.json --reps 10
-    if cargo run -q --release --offline -p threelc-bench --bin bench_recorder -- \
-        --gate target/bench/BENCH_recorder_current.json BENCH_pr7.json; then
-        gate_ok=1
-        break
-    fi
-    echo "recorder bench gate attempt $attempt failed; re-measuring" >&2
-    sleep 2
-done
-if [ "$gate_ok" != 1 ]; then
-    echo "recorder bench gate failed on all attempts" >&2
-    exit 1
-fi
-
-echo "==> analyze bench gate vs BENCH_pr9.json"
-gate_ok=0
-for attempt in 1 2 3; do
-    cargo run -q --release --offline -p threelc-bench --bin bench_analyze -- \
-        target/bench/BENCH_analyze_current.json --reps 10
-    if cargo run -q --release --offline -p threelc-bench --bin bench_analyze -- \
-        --gate target/bench/BENCH_analyze_current.json BENCH_pr9.json; then
-        gate_ok=1
-        break
-    fi
-    echo "analyze bench gate attempt $attempt failed; re-measuring" >&2
-    sleep 2
-done
-if [ "$gate_ok" != 1 ]; then
-    echo "analyze bench gate failed on all attempts" >&2
-    exit 1
-fi
-
-fi # bench stages (skipped when THREELC_CODEC_IMPL forces a tier)
-
 echo "==> working tree must stay clean"
 status_after="$(git status --porcelain)"
 if [ "$status_before" != "$status_after" ]; then
-    echo "tests or benches dirtied the working tree:" >&2
+    echo "a stage dirtied the working tree:" >&2
     diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") >&2 || true
     exit 1
 fi

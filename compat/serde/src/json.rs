@@ -272,12 +272,21 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, escape or control byte, validating only that
+                    // run: every byte is looked at once, so parsing stays
+                    // linear in the document.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
+                        Ok(run) => out.push_str(run),
+                        Err(e) => {
+                            self.pos = start + e.valid_up_to();
+                            return Err(self.err("invalid UTF-8"));
+                        }
+                    }
                 }
             }
         }
@@ -363,6 +372,62 @@ mod tests {
     fn unicode_escapes() {
         let v = parse(r#""A😀""#).unwrap();
         assert_eq!(v, Value::String("A😀".to_string()));
+    }
+
+    #[test]
+    fn string_rejections_name_the_byte() {
+        for (bad, why) in [
+            ("\"a\u{1}b\"", "control character in string at byte 2"),
+            ("\"ab\\u12", "truncated \\u escape at byte 5"),
+            ("\"ab\\q\"", "invalid escape at byte 4"),
+            ("\"ab", "unterminated string at byte 3"),
+        ] {
+            let err = parse(bad).unwrap_err().to_string();
+            assert!(err.contains(why), "{bad:?}: got {err}");
+        }
+    }
+
+    #[test]
+    fn four_byte_char_at_the_end_of_input() {
+        // Whole: the last plain run ends in a 4-byte char right before
+        // the closing quote, the final byte of the document.
+        assert_eq!(parse("\"ab😀\"").unwrap(), Value::String("ab😀".into()));
+        // Cut anywhere inside the char (only reachable below `parse`,
+        // whose `&str` input is already valid): a typed error at the
+        // char's first byte, never a slice past the end.
+        let whole = "\"ab😀".as_bytes();
+        for cut in 1..4 {
+            let mut p = Parser {
+                bytes: &whole[..whole.len() - cut],
+                pos: 0,
+            };
+            let err = p.string().unwrap_err().to_string();
+            assert!(err.contains("invalid UTF-8 at byte 3"), "cut {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn large_string_heavy_document_parses_in_linear_time() {
+        // 16 MiB of strings: finishes only if each byte is validated once,
+        // not once per character that precedes it.
+        let item = format!("\"{}é😀\\n{}\"", "x".repeat(500), "y".repeat(500));
+        let count = (16 << 20) / item.len() + 1;
+        let mut text = String::with_capacity(count * (item.len() + 1) + 2);
+        text.push('[');
+        for i in 0..count {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(&item);
+        }
+        text.push(']');
+        assert!(text.len() >= 16 << 20);
+        let Value::Array(items) = parse(&text).unwrap() else {
+            panic!("expected an array");
+        };
+        assert_eq!(items.len(), count);
+        let want = format!("{}é😀\n{}", "x".repeat(500), "y".repeat(500));
+        assert_eq!(items[count - 1], Value::String(want));
     }
 
     #[test]

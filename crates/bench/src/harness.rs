@@ -1,37 +1,8 @@
 //! Command-line options and experiment grids shared by the bench binaries.
 
-use std::hint::black_box;
-use std::time::Instant;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::config::STANDARD_STEPS;
 use threelc_distsim::ExperimentConfig;
-
-/// Best-of-`reps` wall time of `f`, in nanoseconds.
-pub(crate) fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9);
-    }
-    best
-}
-
-/// The fixed calibration workload: a strided sum over 1 Mi `f32`s.
-/// Pure scalar arithmetic and sequential memory traffic — the same
-/// resources the codec leans on — with no allocation in the timed loop.
-/// Every perf report carries its time so a gate can scale a baseline
-/// recorded on another host before applying its threshold.
-pub(crate) fn calibrate(reps: usize) -> f64 {
-    let data: Vec<f32> = (0..1 << 20).map(|i| (i % 251) as f32 * 0.5).collect();
-    best_of(reps, || {
-        let mut acc = 0.0f32;
-        for &x in black_box(&data) {
-            acc += x;
-        }
-        black_box(acc);
-    })
-}
 
 /// Options accepted by every table/figure binary.
 ///

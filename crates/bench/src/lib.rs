@@ -11,12 +11,9 @@
 //!   (`--steps`, `--quick`, `--seed`, `--fresh`) and the experiment grids.
 //! - [`table`] — fixed-width text table rendering.
 
-pub mod analyze_perf;
 pub mod cache;
 pub mod harness;
 pub mod plot;
-pub mod policy_perf;
-pub mod recorder_perf;
 pub mod schema;
 pub mod table;
 

@@ -96,11 +96,9 @@ global flags (any command):
 
 /// Magic bytes identifying a `.3lc` container.
 const MAGIC: &[u8; 4] = b"3LC\0";
-/// Version-2 container header: magic + u32 version + u64 element count +
-/// f32 sparsity multiplier. Version-1 files lack the sparsity field and
-/// remain readable (the multiplier shows as unrecorded).
+/// Container header: magic + u32 version + u64 element count + f32
+/// sparsity multiplier.
 const FILE_HEADER_LEN: usize = 4 + 4 + 8 + 4;
-const V1_HEADER_LEN: usize = 4 + 4 + 8;
 const VERSION: u32 = 2;
 
 type CliResult = Result<String, Box<dyn Error>>;
@@ -261,7 +259,8 @@ fn codec(args: &[String]) -> CliResult {
 struct Container {
     /// Claimed element count, validated against the payload size.
     count: usize,
-    /// Multiplier recorded at compress time; `None` for v1 files.
+    /// Multiplier recorded at compress time; `None` when the stored
+    /// value is out of range.
     sparsity: Option<f32>,
     /// The 3LC wire payload following the header.
     wire: Vec<u8>,
@@ -271,37 +270,25 @@ fn parse_container(bytes: &[u8], path: &str) -> Result<Container, Box<dyn Error>
     if bytes.len() < MAGIC.len() || &bytes[0..4] != MAGIC {
         return Err(format!("{path}: not a .3lc file").into());
     }
-    if bytes.len() < V1_HEADER_LEN {
+    if bytes.len() < FILE_HEADER_LEN {
         return Err(format!(
-            "{path}: truncated .3lc file ({} bytes, the smallest header is {V1_HEADER_LEN})",
+            "{path}: truncated .3lc file ({} bytes, the header alone is {FILE_HEADER_LEN})",
             bytes.len()
         )
         .into());
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let (header_len, sparsity) = match version {
-        1 => (V1_HEADER_LEN, None),
-        VERSION => {
-            if bytes.len() < FILE_HEADER_LEN {
-                return Err(format!(
-                    "{path}: truncated .3lc file ({} bytes, the version-{VERSION} header \
-                     alone is {FILE_HEADER_LEN})",
-                    bytes.len()
-                )
-                .into());
-            }
-            // The stored multiplier is display metadata: decode never
-            // consults it (the scale travels inside the wire payload), so
-            // an out-of-range value degrades to "unrecorded" rather than
-            // rejecting an otherwise-valid file.
-            let s = f32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-            let s = SparsityMultiplier::new(s).ok().map(|m| m.value());
-            (FILE_HEADER_LEN, s)
-        }
-        other => return Err(format!("{path}: unsupported version {other}").into()),
-    };
+    if version != VERSION {
+        return Err(format!("{path}: unsupported version {version}").into());
+    }
+    // The stored multiplier is display metadata: decode never consults it
+    // (the scale travels inside the wire payload), so an out-of-range
+    // value degrades to "unrecorded" rather than rejecting an
+    // otherwise-valid file.
+    let sparsity = f32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
+    let sparsity = SparsityMultiplier::new(sparsity).ok().map(|m| m.value());
     let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let wire = &bytes[header_len..];
+    let wire = &bytes[FILE_HEADER_LEN..];
     if wire.len() < threelc::sizing::WIRE_HEADER_LEN {
         return Err(format!(
             "{path}: truncated .3lc file (payload is {} bytes, the wire header alone is {})",
@@ -408,7 +395,7 @@ fn inspect(args: &[String]) -> CliResult {
     writeln!(report, "  file bytes:    {}", bytes.len())?;
     match stored_s {
         Some(v) => writeln!(report, "  sparsity s:    {v}")?,
-        None => writeln!(report, "  sparsity s:    unrecorded (v1 container)")?,
+        None => writeln!(report, "  sparsity s:    unrecorded")?,
     }
     writeln!(
         report,
@@ -793,8 +780,9 @@ mod tests {
         assert!(report.contains("zero-run       s"), "got: {report}");
         assert!(report.contains("  1.75\n"), "got: {report}");
 
-        // A version-1 container (no sparsity field) still parses; the
-        // multiplier shows as unrecorded.
+        // A version-1 container (no sparsity field) and an unknown future
+        // version are both rejected up front, by `inspect` and
+        // `decompress` alike.
         let v2 = std::fs::read(&packed).unwrap();
         let mut v1 = Vec::new();
         v1.extend_from_slice(&v2[0..4]);
@@ -803,21 +791,19 @@ mod tests {
         v1.extend_from_slice(&v2[FILE_HEADER_LEN..]);
         let old = tmp("sv-v1.3lc");
         std::fs::write(&old, &v1).unwrap();
-        let report = run(&s(&["inspect", old.to_str().unwrap()])).expect("v1 inspect");
-        assert!(
-            report.contains("sparsity s:    unrecorded (v1 container)"),
-            "got: {report}"
-        );
         let back = tmp("sv-v1.f32");
-        run(&s(&[
-            "decompress",
-            old.to_str().unwrap(),
-            back.to_str().unwrap(),
-        ]))
-        .expect("v1 decompress");
-        assert_eq!(read_f32_file(&back).expect("read back").len(), 500);
+        for args in [
+            vec!["inspect", old.to_str().unwrap()],
+            vec!["decompress", old.to_str().unwrap(), back.to_str().unwrap()],
+        ] {
+            let err = run(&s(&args)).expect_err("version 1");
+            assert!(
+                err.to_string().contains("unsupported version 1"),
+                "got: {err}"
+            );
+        }
+        assert!(!back.exists(), "decompress wrote output for a v1 file");
 
-        // Unknown future versions are rejected up front.
         let mut v9 = v2.clone();
         v9[4..8].copy_from_slice(&9u32.to_le_bytes());
         let fut = tmp("sv-v9.3lc");

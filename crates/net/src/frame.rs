@@ -68,8 +68,8 @@ pub enum MsgType {
     /// Worker → server: one uncompressed gradient tensor (f32 LE).
     PushRaw = 4,
     /// Worker → server: end of push; `payload = loss (f32 LE) +
-    /// codec seconds (f64 LE) [+ residual L2 (f64 LE) [+ step seconds
-    /// (f64 LE)]]` — length-gated, older short forms still decode.
+    /// codec seconds (f64 LE) + residual L2 (f64 LE) + step seconds
+    /// (f64 LE)`, 28 bytes.
     PushDone = 5,
     /// Server → worker: one compressed model-delta tensor.
     PullTensor = 6,
@@ -81,15 +81,12 @@ pub enum MsgType {
     Shutdown = 9,
     /// Worker → server: shutdown acknowledged.
     ShutdownAck = 10,
-    /// Scraper → server: request a metrics snapshot (empty payload).
-    MetricsRequest = 11,
-    /// Server → scraper: `payload = threelc_obs::Snapshot JSON`.
-    MetricsSnapshot = 12,
-    /// Server → worker (or scraper → server): request the peer's span
-    /// buffer (empty payload).
-    TraceDumpRequest = 13,
-    /// Reply: `payload = threelc_obs::NodeTrace JSON`.
-    TraceDump = 14,
+    /// Scraper → server, or server → worker at shutdown: request one
+    /// observability view; `payload = kind (u8)`, see
+    /// [`ScrapeKind`](crate::protocol::ScrapeKind).
+    Scrape = 11,
+    /// Reply to [`MsgType::Scrape`]: `payload = the view as JSON`.
+    ScrapeReply = 12,
     /// Worker → server: reconnect mid-run; `payload = worker id (u16 LE)`.
     Rejoin = 15,
     /// Server → worker: resume grant; `payload = resume step (u64 LE) +
@@ -102,12 +99,6 @@ pub enum MsgType {
     /// policy is active, so static runs stay byte-identical to the
     /// pre-policy protocol.
     PolicyUpdate = 17,
-    /// Scraper → server: request the run's time-series store (empty
-    /// payload). Answered on the metrics side-door, like
-    /// [`MsgType::MetricsRequest`].
-    SeriesRequest = 18,
-    /// Server → scraper: `payload = threelc_obs::RunSeries JSON`.
-    SeriesDump = 19,
 }
 
 impl MsgType {
@@ -124,15 +115,11 @@ impl MsgType {
             8 => Some(MsgType::PullDone),
             9 => Some(MsgType::Shutdown),
             10 => Some(MsgType::ShutdownAck),
-            11 => Some(MsgType::MetricsRequest),
-            12 => Some(MsgType::MetricsSnapshot),
-            13 => Some(MsgType::TraceDumpRequest),
-            14 => Some(MsgType::TraceDump),
+            11 => Some(MsgType::Scrape),
+            12 => Some(MsgType::ScrapeReply),
             15 => Some(MsgType::Rejoin),
             16 => Some(MsgType::RejoinAck),
             17 => Some(MsgType::PolicyUpdate),
-            18 => Some(MsgType::SeriesRequest),
-            19 => Some(MsgType::SeriesDump),
             _ => None,
         }
     }
@@ -705,12 +692,18 @@ mod tests {
 
     #[test]
     fn msg_type_roundtrip() {
-        for v in 1..=19u8 {
-            let m = MsgType::from_u8(v).expect("valid discriminant");
-            assert_eq!(m as u8, v);
+        let mut known = 0;
+        for v in 0..=u8::MAX {
+            if let Some(m) = MsgType::from_u8(v) {
+                assert_eq!(m as u8, v);
+                known += 1;
+            }
         }
-        assert!(MsgType::from_u8(0).is_none());
-        assert!(MsgType::from_u8(20).is_none());
+        assert_eq!(known, 15);
+        // 0 and the retired per-view scrape types are unknown.
+        for v in [0, 13, 14, 18, 19, 20] {
+            assert!(MsgType::from_u8(v).is_none(), "type byte {v}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use counters::ConnCounters;
 pub use faults::{FaultAction, FaultInjector, FaultKind, FaultPlan, FAULT_ENV, KILL_EXIT_CODE};
 pub use frame::{Frame, FrameError, MsgType, HEADER_LEN, MAX_PAYLOAD};
 pub use metrics::{scrape_metrics, scrape_series, scrape_trace, Conn, NetMetrics};
-pub use protocol::{model_crc32, NetError};
+pub use protocol::{model_crc32, NetError, ScrapeKind};
 pub use report::{ConnReport, FaultEvent, FaultsReport, NetReport};
 pub use server::{serve, ServeOptions};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome};

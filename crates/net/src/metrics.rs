@@ -10,7 +10,8 @@
 
 use crate::counters::ConnCounters;
 use crate::frame::{read_frame, write_frame, MsgType};
-use crate::protocol::{decode_metrics_snapshot, decode_series_dump, decode_trace_dump, NetError};
+use crate::protocol::{decode_scrape_reply, NetError, ScrapeKind};
+use serde::de::DeserializeOwned;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -129,10 +130,10 @@ impl Conn {
 
 /// Scrapes a live metrics snapshot from a serving parameter server.
 ///
-/// Opens a fresh connection to `addr`, sends one `MetricsRequest` frame,
-/// and parses the `MetricsSnapshot` reply. Works at any point in the
-/// server's lifetime — during the connection handshake phase and during
-/// training — without disturbing worker connections.
+/// Opens a fresh connection to `addr`, sends one `Scrape` frame, and
+/// parses the `ScrapeReply`. Works at any point in the server's lifetime
+/// — during the connection handshake phase and during training —
+/// without disturbing worker connections.
 ///
 /// # Errors
 ///
@@ -140,72 +141,52 @@ impl Conn {
 /// `timeout`, and [`NetError::Protocol`]/[`NetError::Frame`] if the reply
 /// is not a well-formed snapshot.
 pub fn scrape_metrics(addr: &str, timeout: Duration) -> Result<Snapshot, NetError> {
-    let stream = connect_scrape(addr, timeout)?;
-    write_frame(&mut &stream, MsgType::MetricsRequest, 0, 0, &[])?;
-    let reply = read_frame(&mut &stream)?;
-    if reply.msg != MsgType::MetricsSnapshot {
-        return Err(NetError::Protocol(format!(
-            "expected MetricsSnapshot, got {:?}",
-            reply.msg
-        )));
-    }
-    decode_metrics_snapshot(&reply.payload)
+    scrape(addr, ScrapeKind::Metrics, timeout)
 }
 
-/// Scrapes a live (non-draining) snapshot of the server's own span buffer
-/// from a serving parameter server.
-///
-/// Like [`scrape_metrics`] this opens a fresh connection, so it works at
-/// any point in the server's lifetime without disturbing workers. Only
-/// the server's clock domain is visible live; worker buffers are
-/// collected at shutdown into [`NetReport`](crate::NetReport). Empty
-/// unless the server runs with `THREELC_TRACE=1`.
+/// Scrapes a live (non-draining) snapshot of the server's own span
+/// buffer, like [`scrape_metrics`]. Only the server's clock domain is
+/// visible live; worker buffers are collected at shutdown into
+/// [`NetReport`](crate::NetReport). Empty unless the server runs with
+/// `THREELC_TRACE=1`.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Io`] if the server is unreachable within
-/// `timeout`, and [`NetError::Protocol`]/[`NetError::Frame`] if the reply
-/// is not a well-formed trace dump.
+/// As [`scrape_metrics`].
 pub fn scrape_trace(addr: &str, timeout: Duration) -> Result<NodeTrace, NetError> {
-    let stream = connect_scrape(addr, timeout)?;
-    write_frame(&mut &stream, MsgType::TraceDumpRequest, 0, 0, &[])?;
-    let reply = read_frame(&mut &stream)?;
-    if reply.msg != MsgType::TraceDump {
-        return Err(NetError::Protocol(format!(
-            "expected TraceDump, got {:?}",
-            reply.msg
-        )));
-    }
-    decode_trace_dump(&reply.payload)
+    scrape(addr, ScrapeKind::Trace, timeout)
 }
 
-/// Scrapes the run's live time-series store from a serving parameter
-/// server.
-///
-/// Like [`scrape_metrics`] this opens a fresh connection, so it works at
-/// any point in the server's lifetime without disturbing workers. The
-/// reply is the bounded per-worker/run-level series store fed at every
-/// barrier — what `threelc top` renders and `threelc top --json` prints.
+/// Scrapes the run's live time-series store, like [`scrape_metrics`]:
+/// the bounded per-worker/run-level series fed at every barrier — what
+/// `threelc top` renders and `threelc top --json` prints.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Io`] if the server is unreachable within
-/// `timeout`, and [`NetError::Protocol`]/[`NetError::Frame`] if the reply
-/// is not a well-formed series dump.
+/// As [`scrape_metrics`].
 pub fn scrape_series(addr: &str, timeout: Duration) -> Result<RunSeries, NetError> {
+    scrape(addr, ScrapeKind::Series, timeout)
+}
+
+/// One `Scrape`/`ScrapeReply` exchange on a short-lived connection.
+fn scrape<T: DeserializeOwned>(
+    addr: &str,
+    kind: ScrapeKind,
+    timeout: Duration,
+) -> Result<T, NetError> {
     let stream = connect_scrape(addr, timeout)?;
-    write_frame(&mut &stream, MsgType::SeriesRequest, 0, 0, &[])?;
+    write_frame(&mut &stream, MsgType::Scrape, 0, 0, &[kind as u8])?;
     let reply = read_frame(&mut &stream)?;
-    if reply.msg != MsgType::SeriesDump {
+    if reply.msg != MsgType::ScrapeReply {
         return Err(NetError::Protocol(format!(
-            "expected SeriesDump, got {:?}",
+            "expected ScrapeReply, got {:?}",
             reply.msg
         )));
     }
-    decode_series_dump(&reply.payload)
+    decode_scrape_reply(&reply.payload)
 }
 
-/// Opens the short-lived connection both scrape clients use.
+/// Opens the short-lived connection a scrape uses.
 fn connect_scrape(addr: &str, timeout: Duration) -> Result<TcpStream, NetError> {
     let addrs: Vec<SocketAddr> = addr
         .to_socket_addrs()

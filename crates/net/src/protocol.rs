@@ -2,6 +2,8 @@
 //! type.
 
 use crate::frame::FrameError;
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::io;
 use threelc_tensor::{Shape, Tensor};
 
@@ -163,83 +165,22 @@ pub fn encode_push_done(
     out
 }
 
-/// Encodes the `MetricsSnapshot` payload: the snapshot as JSON.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] if the snapshot does not serialize
-/// (which would indicate a non-finite value slipped into a metric).
-pub fn encode_metrics_snapshot(snapshot: &threelc_obs::Snapshot) -> Result<Vec<u8>, NetError> {
-    serde_json::to_string(snapshot)
-        .map(String::into_bytes)
-        .map_err(|e| NetError::Protocol(format!("snapshot does not serialize: {e}")))
-}
-
-/// Decodes the `MetricsSnapshot` payload.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] on a malformed payload.
-pub fn decode_metrics_snapshot(payload: &[u8]) -> Result<threelc_obs::Snapshot, NetError> {
-    let json = std::str::from_utf8(payload)
-        .map_err(|_| NetError::Protocol("metrics snapshot payload is not UTF-8".into()))?;
-    serde_json::from_str(json)
-        .map_err(|e| NetError::Protocol(format!("metrics snapshot does not parse: {e}")))
-}
-
 /// Decodes the `PushDone` payload.
 ///
-/// Accepts the current 28-byte form, the pre-latency 20-byte form
-/// (step seconds read as 0.0), and the pre-residual 12-byte form
-/// (residual and step seconds read as 0.0), so a newer server keeps
-/// working with older workers.
-///
 /// # Errors
 ///
-/// Returns [`NetError::Protocol`] on a malformed payload.
+/// Returns [`NetError::Protocol`] unless the payload is exactly the
+/// 28 bytes [`encode_push_done`] writes.
 pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64, f64, f64), NetError> {
-    if payload.len() != 12 && payload.len() != 20 && payload.len() != 28 {
+    if payload.len() != 28 {
         return Err(NetError::Protocol(format!(
-            "push-done payload is {} bytes, want 12, 20, or 28",
+            "push-done payload is {} bytes, want 28",
             payload.len()
         )));
     }
+    let f64_at = |at: usize| f64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
     let loss = f32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
-    let codec = f64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
-    let residual = if payload.len() >= 20 {
-        f64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"))
-    } else {
-        0.0
-    };
-    let step_seconds = if payload.len() >= 28 {
-        f64::from_le_bytes(payload[20..28].try_into().expect("8 bytes"))
-    } else {
-        0.0
-    };
-    Ok((loss, codec, residual, step_seconds))
-}
-
-/// Encodes the `SeriesDump` payload: the run's time-series store as JSON.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] if the store does not serialize.
-pub fn encode_series_dump(series: &threelc_obs::RunSeries) -> Result<Vec<u8>, NetError> {
-    serde_json::to_string(series)
-        .map(String::into_bytes)
-        .map_err(|e| NetError::Protocol(format!("series store does not serialize: {e}")))
-}
-
-/// Decodes the `SeriesDump` payload.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] on a malformed payload.
-pub fn decode_series_dump(payload: &[u8]) -> Result<threelc_obs::RunSeries, NetError> {
-    let json = std::str::from_utf8(payload)
-        .map_err(|_| NetError::Protocol("series dump payload is not UTF-8".into()))?;
-    serde_json::from_str(json)
-        .map_err(|e| NetError::Protocol(format!("series dump does not parse: {e}")))
+    Ok((loss, f64_at(4), f64_at(12), f64_at(20)))
 }
 
 /// Encodes the `PolicyUpdate` payload: the per-tensor decisions for the
@@ -308,27 +249,62 @@ pub fn decode_policy_update(payload: &[u8]) -> Result<Vec<threelc_policy::Decisi
     Ok(decisions)
 }
 
-/// Encodes the `TraceDump` payload: one node's span buffer as JSON.
+/// Which observability view a [`MsgType::Scrape`](crate::MsgType::Scrape)
+/// frame asks for; the discriminant is the frame's one payload byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum ScrapeKind {
+    /// The global metrics registry (`threelc_obs::Snapshot`).
+    Metrics = 0,
+    /// The answering node's span buffer (`threelc_obs::NodeTrace`): a
+    /// non-draining snapshot from a server, the drained buffer from a
+    /// worker at shutdown.
+    Trace = 1,
+    /// The run's time-series store (`threelc_obs::RunSeries`).
+    Series = 2,
+}
+
+/// Decodes the `Scrape` payload.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Protocol`] if the trace does not serialize.
-pub fn encode_trace_dump(trace: &threelc_obs::NodeTrace) -> Result<Vec<u8>, NetError> {
-    serde_json::to_string(trace)
-        .map(String::into_bytes)
-        .map_err(|e| NetError::Protocol(format!("trace dump does not serialize: {e}")))
+/// Returns [`NetError::Protocol`] unless the payload is one byte naming
+/// a known [`ScrapeKind`].
+pub fn decode_scrape(payload: &[u8]) -> Result<ScrapeKind, NetError> {
+    match payload {
+        [0] => Ok(ScrapeKind::Metrics),
+        [1] => Ok(ScrapeKind::Trace),
+        [2] => Ok(ScrapeKind::Series),
+        [kind] => Err(NetError::Protocol(format!("unknown scrape kind {kind}"))),
+        _ => Err(NetError::Protocol(format!(
+            "scrape payload is {} bytes, want 1",
+            payload.len()
+        ))),
+    }
 }
 
-/// Decodes the `TraceDump` payload.
+/// Encodes the `ScrapeReply` payload: the requested view as JSON.
+///
+/// # Errors
+///
+/// Returns [`NetError::Protocol`] if the view does not serialize (which
+/// would indicate a non-finite value slipped into a metric).
+pub fn encode_scrape_reply<T: Serialize>(view: &T) -> Result<Vec<u8>, NetError> {
+    serde_json::to_string(view)
+        .map(String::into_bytes)
+        .map_err(|e| NetError::Protocol(format!("scrape reply does not serialize: {e}")))
+}
+
+/// Decodes the `ScrapeReply` payload as the view the caller asked for.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Protocol`] on a malformed payload.
-pub fn decode_trace_dump(payload: &[u8]) -> Result<threelc_obs::NodeTrace, NetError> {
+pub fn decode_scrape_reply<T: DeserializeOwned>(payload: &[u8]) -> Result<T, NetError> {
     let json = std::str::from_utf8(payload)
-        .map_err(|_| NetError::Protocol("trace dump payload is not UTF-8".into()))?;
+        .map_err(|_| NetError::Protocol("scrape reply payload is not UTF-8".into()))?;
     serde_json::from_str(json)
-        .map_err(|e| NetError::Protocol(format!("trace dump does not parse: {e}")))
+        .map_err(|e| NetError::Protocol(format!("scrape reply does not parse: {e}")))
 }
 
 #[cfg(test)]
@@ -351,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_roundtrip() {
-        let reg = threelc_obs::Registry::new();
-        reg.counter("frames").add(4);
-        reg.histogram("seconds").record(0.5);
-        let snap = reg.snapshot();
-        let bytes = encode_metrics_snapshot(&snap).unwrap();
-        let back = decode_metrics_snapshot(&bytes).unwrap();
-        assert_eq!(back, snap);
-        assert!(decode_metrics_snapshot(b"not json").is_err());
-        assert!(decode_metrics_snapshot(&[0xFF, 0xFE]).is_err());
-    }
-
-    #[test]
     fn hello_and_push_done_roundtrip() {
         assert_eq!(decode_hello(&encode_hello(513)).unwrap(), 513);
         assert!(decode_hello(&[1, 2, 3]).is_err());
@@ -373,10 +336,15 @@ mod tests {
         assert_eq!(codec, 1.5);
         assert_eq!(residual, 2.25);
         assert_eq!(step_seconds, 0.125);
-        assert!(decode_push_done(&[0u8; 11]).is_err());
-        assert!(decode_push_done(&[0u8; 16]).is_err());
-        assert!(decode_push_done(&[0u8; 21]).is_err());
-        assert!(decode_push_done(&[0u8; 29]).is_err());
+    }
+
+    #[test]
+    fn push_done_of_any_other_length_is_rejected() {
+        // Including the 12- and 20-byte forms older builds sent.
+        for len in [0, 11, 12, 16, 20, 21, 27, 29] {
+            let err = decode_push_done(&vec![0u8; len]).unwrap_err();
+            assert!(err.to_string().contains("want 28"), "{len} bytes: {err}");
+        }
     }
 
     #[test]
@@ -414,46 +382,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_12_byte_push_done_still_decodes() {
-        // A pre-residual worker sends loss + codec seconds only.
-        let mut old = Vec::new();
-        old.extend_from_slice(&0.5f32.to_le_bytes());
-        old.extend_from_slice(&3.0f64.to_le_bytes());
-        let (loss, codec, residual, step_seconds) = decode_push_done(&old).unwrap();
-        assert_eq!(loss, 0.5);
-        assert_eq!(codec, 3.0);
-        assert_eq!(residual, 0.0);
-        assert_eq!(step_seconds, 0.0);
-        // A pre-latency worker adds the residual but not the step time.
-        old.extend_from_slice(&2.0f64.to_le_bytes());
-        let (_, _, residual, step_seconds) = decode_push_done(&old).unwrap();
-        assert_eq!(residual, 2.0);
-        assert_eq!(step_seconds, 0.0);
-    }
-
-    #[test]
-    fn series_dump_roundtrip() {
-        use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
-        let mut rec = RunRecorder::new(2);
-        rec.record_step(
-            0,
-            &[WorkerDelta {
-                worker: 0,
-                wire_bytes: 512,
-                ratio: 8.0,
-                residual_l2: 0.25,
-                loss: 1.5,
-                multiplier: 1.0,
-                rejoins: 0,
-                step_seconds: 0.001,
-                barrier_wait_seconds: 0.0,
-            }],
+    fn scrape_reply_rejects_what_is_not_the_requested_view() {
+        // Round trips of all three views through real frames, and the
+        // kind byte's rejections, live in tests/frame_proptests.rs.
+        let reg = threelc_obs::Registry::new();
+        reg.counter("frames").add(4);
+        let snap = reg.snapshot();
+        let bytes = encode_scrape_reply(&snap).unwrap();
+        assert_eq!(
+            decode_scrape_reply::<threelc_obs::Snapshot>(&bytes).unwrap(),
+            snap
         );
-        let bytes = encode_series_dump(rec.store()).unwrap();
-        let back = decode_series_dump(&bytes).unwrap();
-        assert_eq!(&back, rec.store());
-        assert!(decode_series_dump(b"not json").is_err());
-        assert!(decode_series_dump(&[0xFF, 0xFE]).is_err());
+        assert!(decode_scrape_reply::<threelc_obs::Snapshot>(b"not json").is_err());
+        assert!(decode_scrape_reply::<threelc_obs::Snapshot>(&[0xFF, 0xFE]).is_err());
+        // A well-formed reply of another shape is a mismatch, not a default.
+        assert!(decode_scrape_reply::<threelc_obs::RunSeries>(b"[1,2]").is_err());
     }
 
     #[test]
@@ -532,29 +475,5 @@ mod tests {
         let mut bad_reason = good.clone();
         bad_reason[6] = 99;
         assert!(decode_policy_update(&bad_reason).is_err());
-    }
-
-    #[test]
-    fn trace_dump_roundtrip() {
-        let node = threelc_obs::NodeTrace {
-            clock: "worker3".into(),
-            spans: vec![threelc_obs::SpanRecord {
-                trace: 7,
-                span: 1,
-                parent: 0,
-                name: "network".into(),
-                node: "worker3".into(),
-                step: 4,
-                worker: 3,
-                start_ns: 100,
-                end_ns: 250,
-            }],
-            dropped: 2,
-        };
-        let bytes = encode_trace_dump(&node).unwrap();
-        let back = decode_trace_dump(&bytes).unwrap();
-        assert_eq!(back, node);
-        assert!(decode_trace_dump(b"not json").is_err());
-        assert!(decode_trace_dump(&[0xFF, 0xFE]).is_err());
     }
 }

@@ -78,7 +78,7 @@ pub struct NetReport {
     #[serde(default)]
     pub anomalies: Vec<Anomaly>,
     /// The run's final time-series store (per-worker + run-level), exactly
-    /// what the last live `SeriesRequest` scrape would have returned. Its
+    /// what the last live series scrape would have returned. Its
     /// [`RunSeries::deterministic`] view equals the simulator's for the
     /// same configuration. Empty in reports written before the field
     /// existed.

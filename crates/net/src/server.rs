@@ -26,9 +26,9 @@ use crate::counters::ConnCounters;
 use crate::frame::{read_frame, write_frame, MsgType};
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
-    bytes_to_tensor, decode_hello, decode_push_done, decode_trace_dump, encode_metrics_snapshot,
-    encode_policy_update, encode_rejoin_ack, encode_series_dump, encode_trace_dump, model_crc32,
-    tensor_to_bytes, NetError,
+    bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
+    encode_policy_update, encode_rejoin_ack, encode_scrape_reply, model_crc32, tensor_to_bytes,
+    NetError, ScrapeKind,
 };
 use crate::report::{ConnReport, FaultEvent, FaultsReport, NetReport};
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -178,7 +178,7 @@ pub fn serve(
     config: &ExperimentConfig,
     opts: &ServeOptions,
 ) -> Result<NetReport, NetError> {
-    // The recorder is shared with the metrics side-door (live `SeriesRequest`
+    // The recorder is shared with the metrics side-door (live series
     // scrapes); the flight recorder is coordinator-only.
     let recorder = Arc::new(Mutex::new(RunRecorder::new(config.workers)));
     let mut flight = FlightRecorder::new();
@@ -284,8 +284,8 @@ fn serve_run(
     let trace_id = trace::run_trace_id(config.seed);
     let server_buf = Arc::clone(server_buf);
 
-    // ---- Handshake: fill every worker slot. Metrics/trace scrapes
-    // arriving in this phase are answered inline without consuming a slot.
+    // ---- Handshake: fill every worker slot. Scrapes arriving
+    // in this phase are answered inline without consuming a slot.
     let (to_coord, from_handlers) = mpsc::channel::<ToCoord>();
     let mut pull_txs: Vec<Option<mpsc::Sender<FromCoord>>> = (0..workers).map(|_| None).collect();
     let mut handles = Vec::with_capacity(workers);
@@ -328,9 +328,9 @@ fn serve_run(
 
     // Training phase: the main thread no longer accepts, so hand the
     // listener to a background side-door thread that keeps answering
-    // `MetricsRequest`/`TraceDumpRequest` connections and forwards
-    // mid-run `Rejoin` connections to the coordinator. Dropped (stopping
-    // the thread and restoring the listener) on every exit path.
+    // `Scrape` connections and forwards mid-run `Rejoin` connections to
+    // the coordinator. Dropped (stopping the thread and restoring the
+    // listener) on every exit path.
     let _scraper = MetricsScraper::start(
         listener,
         opts.io_timeout,
@@ -1011,12 +1011,12 @@ enum Handshake {
     /// A worker joined: validated id plus the handshake-frame counters
     /// (carried into the handler's accounting).
     Worker(usize, ConnCounters),
-    /// A metrics scrape, already answered; the connection is done.
+    /// A scrape, already answered; the connection is done.
     Scrape,
 }
 
 /// Dispatches the first frame of a fresh connection: either the worker
-/// Hello/HelloAck handshake, or a one-shot metrics/trace scrape. A
+/// Hello/HelloAck handshake, or a one-shot scrape. A
 /// `Rejoin` in this phase (a leftover from some earlier run) is refused
 /// by dropping the connection.
 #[allow(clippy::too_many_arguments)]
@@ -1036,16 +1036,8 @@ fn handshake(
     let t0 = Instant::now();
     let hello = read_frame(&mut &*stream)?;
     counters.note_read(hello.payload.len(), t0.elapsed().as_secs_f64());
-    if hello.msg == MsgType::MetricsRequest {
-        answer_scrape(stream)?;
-        return Ok(Handshake::Scrape);
-    }
-    if hello.msg == MsgType::TraceDumpRequest {
-        answer_trace_scrape(stream, server_buf)?;
-        return Ok(Handshake::Scrape);
-    }
-    if hello.msg == MsgType::SeriesRequest {
-        answer_series_scrape(stream, recorder)?;
+    if hello.msg == MsgType::Scrape {
+        answer_scrape(stream, decode_scrape(&hello.payload)?, server_buf, recorder)?;
         return Ok(Handshake::Scrape);
     }
     if hello.msg == MsgType::Rejoin {
@@ -1085,41 +1077,37 @@ fn handshake(
     Ok(Handshake::Worker(worker, counters))
 }
 
-/// Replies to a `MetricsRequest` with a snapshot of the global registry.
-fn answer_scrape(stream: &TcpStream) -> Result<(), NetError> {
-    let payload = encode_metrics_snapshot(&threelc_obs::global().snapshot())?;
-    write_frame(&mut &*stream, MsgType::MetricsSnapshot, 0, 0, &payload)?;
-    (&*stream).flush()?;
-    threelc_obs::event!(Level::Info, "server.metrics_scraped", bytes = payload.len());
-    Ok(())
-}
-
-/// Replies to a `TraceDumpRequest` with a (non-draining) snapshot of the
-/// server's span buffer, so a live run can be inspected mid-training.
-fn answer_trace_scrape(stream: &TcpStream, buf: &Arc<TraceBuffer>) -> Result<(), NetError> {
-    let payload = encode_trace_dump(&buf.snapshot("server"))?;
-    write_frame(&mut &*stream, MsgType::TraceDump, 0, 0, &payload)?;
-    (&*stream).flush()?;
-    threelc_obs::event!(Level::Info, "server.trace_scraped", bytes = payload.len());
-    Ok(())
-}
-
-/// Replies to a `SeriesRequest` with a snapshot of the run's time-series
-/// store, so `threelc top` can render a live dashboard mid-training.
-fn answer_series_scrape(
+/// Replies to a `Scrape` with the view it names: the global metrics
+/// registry, a (non-draining) snapshot of the server's span buffer, or
+/// the run's time-series store — so `metrics`, `trace`/`analyze` and
+/// `top` can inspect a live run mid-training.
+fn answer_scrape(
     stream: &TcpStream,
+    kind: ScrapeKind,
+    server_buf: &Arc<TraceBuffer>,
     recorder: &Arc<Mutex<RunRecorder>>,
 ) -> Result<(), NetError> {
-    let payload = encode_series_dump(&recorder.lock().expect("series recorder lock").snapshot())?;
-    write_frame(&mut &*stream, MsgType::SeriesDump, 0, 0, &payload)?;
+    let payload = match kind {
+        ScrapeKind::Metrics => encode_scrape_reply(&threelc_obs::global().snapshot()),
+        ScrapeKind::Trace => encode_scrape_reply(&server_buf.snapshot("server")),
+        ScrapeKind::Series => {
+            encode_scrape_reply(&recorder.lock().expect("series recorder lock").snapshot())
+        }
+    }?;
+    write_frame(&mut &*stream, MsgType::ScrapeReply, 0, 0, &payload)?;
     (&*stream).flush()?;
-    threelc_obs::event!(Level::Info, "server.series_scraped", bytes = payload.len());
+    threelc_obs::event!(
+        Level::Info,
+        "server.scraped",
+        kind = kind,
+        bytes = payload.len()
+    );
     Ok(())
 }
 
 /// Background thread owning the listener while the coordinator is busy
 /// training (the main accept loop only runs during the handshake phase):
-/// answers metrics/trace scrapes itself and forwards mid-run `Rejoin`
+/// answers scrapes itself and forwards mid-run `Rejoin`
 /// connections — stream and all — to the coordinator.
 ///
 /// The listener clone shares its file description with the original, so
@@ -1206,9 +1194,12 @@ fn serve_side_door(
     let frame = read_frame(&mut &stream)?;
     counters.note_read(frame.payload.len(), t0.elapsed().as_secs_f64());
     match frame.msg {
-        MsgType::MetricsRequest => answer_scrape(&stream),
-        MsgType::TraceDumpRequest => answer_trace_scrape(&stream, server_buf),
-        MsgType::SeriesRequest => answer_series_scrape(&stream, recorder),
+        MsgType::Scrape => answer_scrape(
+            &stream,
+            decode_scrape(&frame.payload)?,
+            server_buf,
+            recorder,
+        ),
         MsgType::Rejoin => {
             let worker = usize::from(decode_hello(&frame.payload)?);
             to_coord
@@ -1390,19 +1381,20 @@ fn run_handler(
     // ---- Collect the worker's span buffer before shutting it down.
     let worker_trace = if tracing {
         let t0 = Instant::now();
-        write_frame(&mut writer, MsgType::TraceDumpRequest, 0, total_steps, &[])?;
+        let request = [ScrapeKind::Trace as u8];
+        write_frame(&mut writer, MsgType::Scrape, 0, total_steps, &request)?;
         writer.flush()?;
-        conn.note_write(0, t0.elapsed().as_secs_f64());
+        conn.note_write(request.len(), t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         let dump = read_frame(&mut reader)?;
         conn.note_read(dump.payload.len(), t0.elapsed().as_secs_f64());
-        if dump.msg != MsgType::TraceDump {
+        if dump.msg != MsgType::ScrapeReply {
             return Err(NetError::Protocol(format!(
-                "worker {worker} answered TraceDumpRequest with {:?}",
+                "worker {worker} answered the trace scrape with {:?}",
                 dump.msg
             )));
         }
-        Some(decode_trace_dump(&dump.payload)?)
+        Some(decode_scrape_reply(&dump.payload)?)
     } else {
         None
     };

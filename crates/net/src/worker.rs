@@ -26,8 +26,8 @@ use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::frame::{read_frame, write_frame, Frame, FrameError, MsgType, HEADER_LEN};
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
-    bytes_to_tensor, decode_policy_update, decode_rejoin_ack, encode_hello, encode_push_done,
-    encode_trace_dump, tensor_to_bytes, NetError,
+    bytes_to_tensor, decode_policy_update, decode_rejoin_ack, decode_scrape, encode_hello,
+    encode_push_done, encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
 };
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -311,7 +311,7 @@ fn run_session(
     // loopback run every node shares one process, so node identity must
     // live in the buffer, not in process globals). The run-wide trace id
     // is derived from the seed, identically on every node, so it never
-    // needs to cross the wire. Drained into the server's TraceDumpRequest
+    // needs to cross the wire. Drained into the server's trace `Scrape`
     // at shutdown. A rejoined session starts a fresh buffer: spans from
     // the lost connection die with it.
     let tracing = trace::trace_enabled();
@@ -476,7 +476,7 @@ fn run_session(
     }
 
     // ---- Graceful shutdown handshake. The server may first ask for this
-    // worker's span buffer (TraceDumpRequest); answer any number of those
+    // worker's span buffer (a trace `Scrape`); answer any number of those
     // — even with tracing off the reply is just an empty buffer — then
     // ack the Shutdown.
     loop {
@@ -484,12 +484,18 @@ fn run_session(
         let fin = read_frame(&mut reader)?;
         conn.note_read(fin.payload.len(), t0.elapsed().as_secs_f64());
         match fin.msg {
-            MsgType::TraceDumpRequest => {
-                let dump = encode_trace_dump(&buffer.drain(&node))?;
+            MsgType::Scrape => {
+                let kind = decode_scrape(&fin.payload)?;
+                if kind != ScrapeKind::Trace {
+                    return Err(NetError::Protocol(format!(
+                        "a worker answers only trace scrapes, got {kind:?}"
+                    )));
+                }
+                let dump = encode_scrape_reply(&buffer.drain(&node))?;
                 let t0 = Instant::now();
                 write_frame(
                     &mut writer,
-                    MsgType::TraceDump,
+                    MsgType::ScrapeReply,
                     0,
                     config.total_steps,
                     &dump,

@@ -3,10 +3,30 @@
 //! over-read, never over-allocate).
 
 use proptest::prelude::*;
-use threelc_net::frame::{self, Frame, MsgType, TraceContext, HEADER_LEN};
+use serde::{de::DeserializeOwned, Serialize};
+use threelc_net::frame::{self, Frame, FrameError, MsgType, TraceContext, HEADER_LEN, MAX_PAYLOAD};
+use threelc_net::protocol::{decode_scrape, decode_scrape_reply, encode_scrape_reply};
+use threelc_net::{NetError, ScrapeKind};
+use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
+
+/// Every type byte the protocol defines.
+const MSG_BYTES: [u8; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17];
+
+/// Type bytes of the per-view scrape frames `Scrape`/`ScrapeReply`
+/// replaced; unknown types now.
+const RETIRED_MSG_BYTES: [u8; 4] = [13, 14, 18, 19];
 
 fn arb_msg() -> impl Strategy<Value = MsgType> {
-    (1u8..=14).prop_map(|b| MsgType::from_u8(b).expect("1..=14 are valid"))
+    (0..MSG_BYTES.len()).prop_map(|i| MsgType::from_u8(MSG_BYTES[i]).expect("defined type"))
+}
+
+/// Sends `view` through a `ScrapeReply` frame and back.
+fn reply_roundtrip<T: Serialize + DeserializeOwned>(view: &T, step: u64) -> T {
+    let payload = encode_scrape_reply(view).expect("serializes");
+    let frame = Frame::new(MsgType::ScrapeReply, 0, step, payload);
+    let (back, _) = Frame::decode(&frame.encode()).expect("own encoding decodes");
+    assert_eq!(back.msg, MsgType::ScrapeReply);
+    decode_scrape_reply(&back.payload).expect("parses")
 }
 
 /// Any trace context, including the absent one (which makes the frame a
@@ -82,7 +102,10 @@ proptest! {
     }
 
     #[test]
-    fn trace_dump_payloads_roundtrip(
+    fn scrape_pair_roundtrips_every_kind(
+        step in any::<u64>(),
+        count in any::<u64>(),
+        seconds in 0.0f64..100.0,
         clock_i in 0usize..4,
         dropped in any::<u64>(),
         spans in prop::collection::vec(
@@ -90,6 +113,19 @@ proptest! {
             0..20,
         ),
     ) {
+        for kind in [ScrapeKind::Metrics, ScrapeKind::Trace, ScrapeKind::Series] {
+            let request = Frame::new(MsgType::Scrape, 0, step, vec![kind as u8]);
+            let (back, _) = Frame::decode(&request.encode()).expect("own encoding decodes");
+            prop_assert_eq!(back.msg, MsgType::Scrape);
+            prop_assert_eq!(decode_scrape(&back.payload).expect("known kind"), kind);
+        }
+
+        let reg = threelc_obs::Registry::new();
+        reg.counter("frames").add(count);
+        reg.histogram("seconds").record(seconds);
+        let snapshot = reg.snapshot();
+        prop_assert_eq!(reply_roundtrip(&snapshot, step), snapshot);
+
         let names = ["quantize", "encode", "serialize", "network", "pull", "recv_push", "send_pull", "barrier"];
         let clock: String = ["server", "worker0", "worker1", "sim"][clock_i].into();
         let node = threelc_obs::NodeTrace {
@@ -110,9 +146,54 @@ proptest! {
                 .collect(),
             dropped,
         };
-        let payload = threelc_net::protocol::encode_trace_dump(&node).expect("serializes");
-        let back = threelc_net::protocol::decode_trace_dump(&payload).expect("parses");
-        prop_assert_eq!(back, node);
+        prop_assert_eq!(reply_roundtrip(&node, step), node);
+
+        let mut recorder = RunRecorder::new(2);
+        recorder.record_step(
+            0,
+            &[WorkerDelta {
+                worker: clock_i % 2,
+                wire_bytes: count % (1 << 40),
+                ratio: 1.0 + seconds,
+                residual_l2: seconds / 7.0,
+                loss: seconds,
+                multiplier: 1.0,
+                rejoins: 0,
+                step_seconds: seconds / 1000.0,
+                barrier_wait_seconds: 0.0,
+            }],
+        );
+        prop_assert_eq!(&reply_roundtrip(recorder.store(), step), recorder.store());
+    }
+
+    #[test]
+    fn retired_scrape_types_are_rejected_from_the_header_alone(
+        which in 0..RETIRED_MSG_BYTES.len(),
+        claimed_len in 0u32..=(MAX_PAYLOAD as u32),
+    ) {
+        // A bare header — nothing behind it — naming a retired type and
+        // claiming up to the payload cap. `BadMsgType` (not `Truncated`,
+        // not an I/O error) shows the type check ran before anything was
+        // allocated or read for the claimed length.
+        let retired = RETIRED_MSG_BYTES[which];
+        let mut wire = Frame::new(MsgType::Scrape, 0, 0, vec![]).encode();
+        wire[5] = retired;
+        wire[16..20].copy_from_slice(&claimed_len.to_le_bytes());
+        prop_assert_eq!(wire.len(), HEADER_LEN);
+        prop_assert!(matches!(Frame::decode(&wire), Err(FrameError::BadMsgType(b)) if b == retired));
+        prop_assert!(matches!(
+            frame::read_frame(&mut wire.as_slice()),
+            Err(FrameError::BadMsgType(b)) if b == retired
+        ));
+    }
+
+    #[test]
+    fn malformed_scrape_kinds_are_typed_errors(kind in 3u8..=255, extra in prop::collection::vec(any::<u8>(), 1..8)) {
+        prop_assert!(matches!(decode_scrape(&[kind]), Err(NetError::Protocol(_))));
+        prop_assert!(matches!(decode_scrape(&[]), Err(NetError::Protocol(_))));
+        let mut long = vec![ScrapeKind::Trace as u8];
+        long.extend_from_slice(&extra);
+        prop_assert!(matches!(decode_scrape(&long), Err(NetError::Protocol(_))));
     }
 
     #[test]

@@ -12,7 +12,8 @@ use threelc_distsim::{
 use threelc_net::frame::{read_frame, write_frame};
 use threelc_net::protocol::{encode_hello, encode_push_done, tensor_to_bytes};
 use threelc_net::{
-    run_worker, scrape_metrics, scrape_series, serve, MsgType, ServeOptions, WorkerOptions,
+    run_worker, scrape_metrics, scrape_series, scrape_trace, serve, MsgType, ServeOptions,
+    WorkerOptions,
 };
 
 fn loopback_config(scheme: SchemeKind) -> ExperimentConfig {
@@ -288,7 +289,7 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
     threelc_obs::set_trace_enabled(false);
 
     // One span buffer per node: the server's, then each worker's
-    // (collected over the wire via TraceDumpRequest at shutdown).
+    // (collected over the wire by a trace `Scrape` at shutdown).
     assert_eq!(report.node_traces.len(), 1 + config.workers);
     assert_eq!(report.node_traces[0].clock, "server");
     assert_eq!(report.node_traces.iter().map(|n| n.dropped).sum::<u64>(), 0);
@@ -377,14 +378,15 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
         );
     }
 
-    // A healthy loopback run must not trip the watchdog on any wire
-    // phase. The worker-local `compute` phase is exempt: debug-build
-    // step-0 warm-up on a loaded host can genuinely exceed 4x the median
-    // (a true straggler by the definition, just not a codec bug).
+    // A healthy loopback run must not trip the watchdog. Only its
+    // deterministic detectors are asserted here: `straggler` compares
+    // wall-clock phase times, which a loaded host can genuinely stretch
+    // past the threshold; it is pinned on synthetic spans in
+    // `watchdog.rs` and by `ci.sh`'s injected-straggler gate.
     let unexpected: Vec<_> = report
         .anomalies
         .iter()
-        .filter(|a| a.phase != "compute")
+        .filter(|a| a.kind == "ratio-drift" || a.kind == "residual-blowup")
         .collect();
     assert!(
         unexpected.is_empty(),
@@ -618,7 +620,7 @@ fn recorded_series_match_the_simulator_bit_for_bit() {
 
 #[test]
 fn series_scrape_during_handshake_returns_an_empty_store() {
-    // Like the metrics handshake-phase scrape: a SeriesRequest before the
+    // Like the metrics handshake-phase scrape: a series `Scrape` before the
     // run starts must answer (an empty, correctly-shaped store) without
     // consuming a worker slot.
     let config = ExperimentConfig {
@@ -648,7 +650,7 @@ fn series_scrape_during_handshake_returns_an_empty_store() {
 fn series_scrape_works_mid_training() {
     // One worker slot, driven by hand (the metrics mid-training pattern):
     // after Hello/HelloAck the coordinator parks at the push barrier, so
-    // the side-door thread answers the SeriesRequest.
+    // the side-door thread answers the series `Scrape`.
     let config = ExperimentConfig {
         workers: 1,
         ..loopback_config(SchemeKind::Float32)
@@ -671,6 +673,61 @@ fn series_scrape_works_mid_training() {
     let store = scrape_series(&addr, Duration::from_secs(5)).expect("mid-training scrape");
     assert_eq!(store.workers.len(), 1);
     assert_eq!(store.steps_recorded, 0, "no push landed yet");
+
+    drop(stream);
+    assert!(server.join().expect("server thread").is_err());
+}
+
+#[test]
+fn side_door_answers_every_kind_and_drops_malformed_scrapes() {
+    // Hand-driven single worker parked at the push barrier, as above.
+    let config = ExperimentConfig {
+        workers: 1,
+        ..loopback_config(SchemeKind::Float32)
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let opts = ServeOptions {
+        io_timeout: Duration::from_secs(5),
+        step_timeout: Duration::from_secs(5),
+        max_rejoins: 0,
+        ..ServeOptions::default()
+    };
+    let server = thread::spawn(move || serve(&listener, &config, &opts));
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+    let ack = read_frame(&mut &stream).expect("hello ack");
+    assert_eq!(ack.msg, MsgType::HelloAck);
+
+    // A live trace scrape is a snapshot, not a drain: asking twice never
+    // loses what the first answer held.
+    let first = scrape_trace(&addr, Duration::from_secs(5)).expect("trace scrape");
+    let second = scrape_trace(&addr, Duration::from_secs(5)).expect("trace scrape again");
+    assert_eq!(first.clock, "server");
+    assert_eq!(second.clock, "server");
+    assert!(second.spans.len() >= first.spans.len());
+
+    // An unknown kind byte, an empty kind, and a frame that is no scrape
+    // at all: each connection is dropped without a reply...
+    for (msg, payload) in [
+        (MsgType::Scrape, &[3u8][..]),
+        (MsgType::Scrape, &[][..]),
+        (MsgType::PullDone, &[][..]),
+    ] {
+        let probe = TcpStream::connect(&addr).expect("connect probe");
+        probe
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        write_frame(&mut &probe, msg, 0, 0, payload).expect("probe frame");
+        assert!(
+            read_frame(&mut &probe).is_err(),
+            "{msg:?} {payload:?} was answered"
+        );
+    }
+    // ...and the side door keeps serving well-formed ones.
+    let store = scrape_series(&addr, Duration::from_secs(5)).expect("scrape after probes");
+    assert_eq!(store.workers.len(), 1);
 
     drop(stream);
     assert!(server.join().expect("server thread").is_err());

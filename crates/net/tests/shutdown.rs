@@ -1,6 +1,6 @@
 //! Shutdown-handshake edge cases, driven by a hand-rolled server against
-//! the real `run_worker`: the worker must answer any number of trace-dump
-//! requests (with an empty buffer when tracing is off), and answer an
+//! the real `run_worker`: the worker must answer any number of trace
+//! scrapes (with an empty buffer when tracing is off), and answer an
 //! unexpected message with a protocol error — never a hang.
 
 use std::net::{TcpListener, TcpStream};
@@ -9,8 +9,12 @@ use std::time::Duration;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::ExperimentConfig;
 use threelc_net::frame::{read_frame, write_frame};
-use threelc_net::protocol::decode_trace_dump;
-use threelc_net::{run_worker, MsgType, NetError, WorkerOptions};
+use threelc_net::protocol::decode_scrape_reply;
+use threelc_net::{run_worker, MsgType, NetError, ScrapeKind, WorkerOptions};
+use threelc_obs::NodeTrace;
+
+/// The `Scrape` payload asking for the span buffer.
+const TRACE: [u8; 1] = [ScrapeKind::Trace as u8];
 
 /// A zero-step run: the worker handshakes, skips the BSP loop entirely,
 /// and goes straight to the shutdown phase — the phase under test.
@@ -55,7 +59,7 @@ fn spawn_worker(addr: String) -> thread::JoinHandle<Result<threelc_net::WorkerOu
 }
 
 #[test]
-fn worker_answers_repeated_trace_dump_requests() {
+fn worker_answers_repeated_trace_scrapes() {
     let config = shutdown_only_config();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
@@ -65,10 +69,10 @@ fn worker_answers_repeated_trace_dump_requests() {
     // The shutdown phase may legitimately ask for the span buffer more
     // than once (e.g. a retried collection). Every request gets a reply.
     for round in 0..2 {
-        write_frame(&mut &stream, MsgType::TraceDumpRequest, 0, 0, &[]).expect("request");
+        write_frame(&mut &stream, MsgType::Scrape, 0, 0, &TRACE).expect("request");
         let dump = read_frame(&mut &stream).expect("dump frame");
-        assert_eq!(dump.msg, MsgType::TraceDump, "round {round}");
-        let node = decode_trace_dump(&dump.payload).expect("dump payload");
+        assert_eq!(dump.msg, MsgType::ScrapeReply, "round {round}");
+        let node: NodeTrace = decode_scrape_reply(&dump.payload).expect("dump payload");
         // Tracing is off in this process: the reply is a well-formed,
         // empty buffer — not an error, not silence.
         assert_eq!(node.clock, "worker0", "round {round}");
@@ -94,7 +98,7 @@ fn unexpected_message_during_shutdown_is_a_protocol_error() {
     let worker = spawn_worker(addr);
     let stream = accept_worker(&listener, &config);
 
-    // A push-phase message where Shutdown/TraceDumpRequest belongs: the
+    // A push-phase message where Shutdown/Scrape belongs: the
     // worker must reject it by name instead of hanging or acking.
     write_frame(&mut &stream, MsgType::PushTensor, 0, 0, &[1, 2, 3]).expect("bogus frame");
     let result = worker.join().expect("worker thread");
@@ -123,16 +127,16 @@ fn tracing_enabled_worker_drains_real_spans_once() {
     let worker = spawn_worker(addr);
     let stream = accept_worker(&listener, &config);
 
-    write_frame(&mut &stream, MsgType::TraceDumpRequest, 0, 0, &[]).expect("request");
+    write_frame(&mut &stream, MsgType::Scrape, 0, 0, &TRACE).expect("request");
     let first = read_frame(&mut &stream).expect("dump frame");
-    assert_eq!(first.msg, MsgType::TraceDump);
-    let node = decode_trace_dump(&first.payload).expect("dump payload");
+    assert_eq!(first.msg, MsgType::ScrapeReply);
+    let node: NodeTrace = decode_scrape_reply(&first.payload).expect("dump payload");
     assert_eq!(node.clock, "worker0");
 
     // The drain emptied the buffer; a retry is still answered.
-    write_frame(&mut &stream, MsgType::TraceDumpRequest, 0, 0, &[]).expect("request");
+    write_frame(&mut &stream, MsgType::Scrape, 0, 0, &TRACE).expect("request");
     let second = read_frame(&mut &stream).expect("dump frame");
-    let node = decode_trace_dump(&second.payload).expect("dump payload");
+    let node: NodeTrace = decode_scrape_reply(&second.payload).expect("dump payload");
     assert!(node.spans.is_empty());
 
     write_frame(&mut &stream, MsgType::Shutdown, 0, 0, &[]).expect("shutdown");

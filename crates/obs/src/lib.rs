@@ -10,10 +10,8 @@
 //!    [`Gauge`]s, and log-bucketed [`Histogram`]s. Metrics are lock-free
 //!    atomics; the name → metric map is a sharded mutex, so hot paths
 //!    cache the returned `Arc` handles and never touch a lock again.
-//! 2. **Hierarchical spans** ([`SpanGuard`], the [`span!`] macro) with
-//!    monotonic timing that feed the histograms — `span!("compress")`
-//!    records into the `span.compress.seconds` histogram when the guard
-//!    drops.
+//! 2. **Timed spans** ([`SpanGuard`]): RAII guards with monotonic
+//!    timing that record into a cached histogram handle when dropped.
 //! 3. **A structured JSONL event sink** ([`sink`], the [`event!`] macro)
 //!    with level filtering via the `THREELC_LOG` environment variable
 //!    (`off` by default). Probes are guarded by a relaxed atomic level

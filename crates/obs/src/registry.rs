@@ -2,7 +2,6 @@
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{CounterEntry, GaugeEntry, HistEntry, Snapshot};
-use crate::span::SpanGuard;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,16 +77,6 @@ impl Registry {
         }
     }
 
-    /// Starts a span feeding the histogram `span.<name>.seconds`.
-    ///
-    /// The returned guard records the elapsed monotonic seconds when
-    /// dropped (or explicitly via [`SpanGuard::finish`]). Hot paths that
-    /// open the same span per item should cache the histogram once and
-    /// use [`SpanGuard::on`] instead.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        SpanGuard::on(self.histogram(&format!("span.{name}.seconds")))
-    }
-
     /// A point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
@@ -149,20 +138,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("x");
         reg.histogram("x");
-    }
-
-    #[test]
-    fn span_feeds_a_namespaced_histogram() {
-        let reg = Registry::new();
-        {
-            let _guard = reg.span("encode");
-        }
-        let snap = reg.snapshot();
-        let h = snap
-            .histogram("span.encode.seconds")
-            .expect("span histogram");
-        assert_eq!(h.count, 1);
-        assert!(h.min >= 0.0);
     }
 
     #[test]

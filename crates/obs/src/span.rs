@@ -5,8 +5,8 @@ use crate::metrics::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A live span. Created by [`Registry::span`](crate::Registry::span), the
-/// [`span!`](crate::span!) macro, or [`SpanGuard::on`] with a cached histogram handle.
+/// A live span, created by [`SpanGuard::on`] with a cached histogram
+/// handle.
 ///
 /// Dropping the guard records the elapsed seconds; [`finish`](Self::finish)
 /// does the same but also returns the measured duration.
@@ -53,29 +53,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a span on the global registry: `span!("compress")` returns a
-/// guard recording into `span.compress.seconds` when dropped.
-///
-/// Optional `key = value` fields emit a `Debug`-level structured event at
-/// span open (only when debug logging is enabled):
-/// `span!("compress", tensor = id)`.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::global().span($name)
-    };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {{
-        if $crate::log_enabled($crate::Level::Debug) {
-            $crate::emit(
-                $crate::Level::Debug,
-                concat!("span.", $name),
-                &[$((stringify!($key), format!("{:?}", $value))),+],
-            );
-        }
-        $crate::global().span($name)
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,17 +88,5 @@ mod tests {
         let snap = hist.snapshot();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.sum, secs);
-    }
-
-    #[test]
-    fn span_macro_uses_the_global_registry() {
-        {
-            let _guard = crate::span!("macro_test", tensor = 3usize);
-        }
-        let snap = crate::global().snapshot();
-        let h = snap
-            .histogram("span.macro_test.seconds")
-            .expect("span histogram registered globally");
-        assert!(h.count >= 1);
     }
 }

@@ -323,7 +323,7 @@ impl WorkerSeries {
 }
 
 /// The run-wide series store: per-worker series plus run-level
-/// aggregates. This is what the `SeriesDump` protocol message carries and
+/// aggregates. This is what a series scrape returns and
 /// what `threelc top --json` prints.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunSeries {

@@ -20,7 +20,7 @@
 //!   scope is active record into that scope's buffer with parent links
 //!   maintained by a per-thread span stack.
 //! - [`NodeTrace`] is the wire/export form of one buffer: the clock-domain
-//!   label plus the records. `threelc-net`'s `TraceDump` message carries
+//!   label plus the records. `threelc-net`'s trace `ScrapeReply` carries
 //!   exactly this, JSON-encoded, so the server can collect every node's
 //!   records after a run.
 //!
@@ -155,7 +155,7 @@ impl SpanRecord {
     }
 }
 
-/// One node's collected records: what `TraceDump` carries and what the
+/// One node's collected records: what a trace scrape returns and what the
 /// timeline reconstruction consumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeTrace {
