@@ -112,6 +112,11 @@ for tier in $tiers; do
         echo "THREELC_CODEC_IMPL=$tier did not activate the $tier tier" >&2
         exit 1
     fi
+    # The core suite holds the fused decode (`unpack_dequant`, the kernel
+    # every push and pull now goes through) to its two-pass oracle on all
+    # tiers in each leg and runs the compressor's own tests on the forced
+    # one; the loopback suite then drives the engine's `decode_into` calls
+    # on it end to end.
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
     THREELC_CODEC_IMPL="$tier" "$threelc" compress "$matrixdir/input.f32" \

@@ -1,5 +1,6 @@
 //! The uncompressed 32-bit float baseline.
 
+use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
 
@@ -52,6 +53,19 @@ impl Compressor for Float32Compressor {
     }
 
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
+        let mut data = vec![0f32; self.shape.num_elements()];
+        self.decode_into(payload, DequantOp::Assign, &mut data)?;
+        Ok(Tensor::from_vec(data, self.shape.clone()))
+    }
+
+    /// The floats go from the wire straight through `op` into `out`: no
+    /// model-sized tensor per payload in between.
+    fn decode_into(
+        &self,
+        payload: &[u8],
+        op: DequantOp,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
         let n = self.shape.num_elements();
         if payload.len() != n * 4 {
             return Err(DecodeError::BodyLengthMismatch {
@@ -59,11 +73,11 @@ impl Compressor for Float32Compressor {
                 expected: n,
             });
         }
-        let data = payload
+        let wire = payload
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        Ok(Tensor::from_vec(data, self.shape.clone()))
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
+        op.apply(wire, out);
+        Ok(())
     }
 }
 
@@ -99,6 +113,36 @@ mod tests {
             cx.decompress(&[0u8; 7]),
             Err(DecodeError::BodyLengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn decode_into_matches_decompress_then_op_by_bit_pattern() {
+        let values = [0.0f32, -0.0, 1.5, -2.25e-40, f32::MAX, 3.0e-3];
+        let acc = [-0.0f32, 0.0, 0.1, 1.0e-40, f32::MAX, -3.0e-3];
+        let t = Tensor::from_slice(&values);
+        let mut cx = Float32Compressor::new(t.shape().clone());
+        let wire = cx.compress(&t).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for op in [
+            DequantOp::Assign,
+            DequantOp::Add,
+            DequantOp::AssignScaled(0.5),
+            DequantOp::AddScaled(1.0 / 3.0),
+        ] {
+            // The dense route: a tensor, then the op over it.
+            let mut want = acc;
+            op.apply(cx.decompress(&wire).unwrap().iter().copied(), &mut want);
+            let mut got = acc;
+            cx.decode_into(&wire, op, &mut got).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{op:?}");
+        }
+        // Same error as `decompress`, nothing written.
+        let mut out = acc;
+        assert_eq!(
+            cx.decode_into(&wire[..23], DequantOp::Assign, &mut out),
+            Err(cx.decompress(&wire[..23]).unwrap_err())
+        );
+        assert_eq!(bits(&out), bits(&acc));
     }
 
     #[test]

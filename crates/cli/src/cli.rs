@@ -20,7 +20,7 @@ usage:
   threelc serve      --addr A [--workers N] [--steps N] [--seed N]
                      [--scheme float32|fp16|int8|3lc] [--sparsity S]
                      [--policy SPEC] [--width N] [--blocks N] [--batch N]
-                     [--eval-every N] [--threads N] [--json report.json]
+                     [--eval-every N] [--json report.json]
                      [--rejoin-timeout SECS] [--max-rejoins N]
                      [--flight dump.flight.json]
   threelc worker     --addr A --id N [--max-rejoins N]
@@ -28,7 +28,6 @@ usage:
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme ...]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
-                     [--threads N]
   threelc metrics    <addr> [--json|--prom] [--watch SECS]
   threelc metrics    --from <log.jsonl|report.json> [--json|--prom]
   threelc top        <addr> [--interval SECS] [--once] [--json]
@@ -37,8 +36,9 @@ usage:
   threelc analyze    <report.json|flight.json|addr> [--json] [--steps N]
                      [--check] [--expect-blame NODE:PHASE]
 
---threads N (serve, simulate) splits server aggregation over up to N
-tensor shards (0 = one per core); the model is bit-identical at every N.
+serve and simulate split the server step over tensor shards on their own
+(one per core, at most one per 256 Ki model values); the model is
+bit-identical at every count.
 
 codec prints the encode implementation tier in use (scalar, swar, or
 simd — auto-selected at startup, overridable via THREELC_CODEC_IMPL)
@@ -641,37 +641,24 @@ mod tests {
     }
 
     #[test]
-    fn threads_is_an_aggregation_flag_only() {
-        // The file codec and the worker have no thread knob: the flag is
-        // an unknown-flag error there, named in the message.
+    fn threads_is_an_unknown_flag_everywhere() {
+        // Nothing has a thread knob: the codec is single-threaded and the
+        // server derives its shard count. The flag is an unknown-flag
+        // error on every command that once took it, named in the message.
+        const FLAG: &str = "--threads";
         for cmd in [
-            &["compress", "a", "b", "--threads", "2"][..],
-            &["decompress", "a", "b", "--threads", "2"],
-            &[
-                "worker",
-                "--addr",
-                "127.0.0.1:1",
-                "--id",
-                "0",
-                "--threads",
-                "2",
-            ],
+            &["compress", "a", "b", FLAG, "2"][..],
+            &["decompress", "a", "b", FLAG, "2"],
+            &["worker", "--addr", "127.0.0.1:1", "--id", "0", FLAG, "2"],
+            &["serve", "--addr", "127.0.0.1:1", FLAG, "2"],
+            &["simulate", "--steps", "2", FLAG, "2"],
         ] {
-            let err = run(&s(cmd)).expect_err("--threads must be rejected");
-            assert!(err.to_string().contains("`--threads`"), "{cmd:?}: {err}");
+            let err = run(&s(cmd)).expect_err("the retired flag must be rejected");
+            assert!(
+                err.to_string().contains(&format!("`{FLAG}`")),
+                "{cmd:?}: {err}"
+            );
         }
-        // serve and simulate still take it (aggregation shards): serve
-        // gets past flag checking to the missing --addr, simulate runs.
-        let err = run(&s(&["serve", "--threads", "2"])).expect_err("no --addr");
-        assert!(err.to_string().contains("--addr is required"), "{err}");
-        let args = ["simulate", "--steps", "2", "--width", "8", "--blocks", "1"];
-        let serial = run(&s(&args)).expect("simulate");
-        let sharded = run(&s(&[&args[..], &["--threads", "2"]].concat())).expect("simulate");
-        let crc = |out: &str| {
-            let line = out.lines().find(|l| l.starts_with("final model crc32"));
-            line.expect("crc line").to_string()
-        };
-        assert_eq!(crc(&serial), crc(&sharded));
     }
 
     #[test]

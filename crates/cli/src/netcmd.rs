@@ -136,7 +136,6 @@ pub fn serve_cmd(args: &[String]) -> CliResult {
         "--batch",
         "--eval-every",
         "--policy",
-        "--threads",
         "--json",
         "--rejoin-timeout",
         "--max-rejoins",
@@ -147,10 +146,7 @@ pub fn serve_cmd(args: &[String]) -> CliResult {
         flag_value(args, "--addr").ok_or("--addr is required (e.g. --addr 127.0.0.1:7171)")?;
     let config = config_from_flags(args)?;
 
-    let mut opts = ServeOptions {
-        threads: parse_flag(args, "--threads")?.unwrap_or(1),
-        ..ServeOptions::default()
-    };
+    let mut opts = ServeOptions::default();
     if let Some(secs) = parse_flag::<u64>(args, "--rejoin-timeout")? {
         opts.rejoin_timeout = Duration::from_secs(secs);
     }
@@ -488,13 +484,10 @@ fn snapshot_from_log(path: &str, text: &str) -> Result<Snapshot, Box<dyn Error>>
 /// line. The chaos smoke in CI compares this line against a faulted
 /// networked run's — bit-identical recovery, checked from the shell.
 pub fn simulate_cmd(args: &[String]) -> CliResult {
-    let mut flags: Vec<&str> = CONFIG_FLAGS.to_vec();
-    flags.push("--threads");
-    check_flags(args, &flags, &[])?;
+    check_flags(args, CONFIG_FLAGS, &[])?;
     let config = config_from_flags(args)?;
 
     let mut cluster = Cluster::new(config);
-    cluster.set_threads(parse_flag(args, "--threads")?.unwrap_or(1));
     for _ in 0..config.total_steps {
         cluster.step();
     }

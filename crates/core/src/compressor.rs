@@ -1,6 +1,6 @@
 //! The stateful 3LC compression context and its wire format.
 
-use crate::kernels::{self, CodecImpl};
+use crate::kernels::{self, CodecImpl, DequantOp};
 use crate::telemetry::{l2_norm, CompressTelemetry};
 use crate::tlq::SparsityMultiplier;
 use crate::{quartic, zrle, CompressError, Compressor, DecodeError};
@@ -217,6 +217,20 @@ impl Compressor for ThreeLcCompressor {
         out
     }
 
+    fn decode_into(
+        &self,
+        payload: &[u8],
+        op: DequantOp,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        let start = Instant::now();
+        let res = self.decode_into_inner(payload, op, out);
+        self.telemetry
+            .decompress_seconds
+            .record(start.elapsed().as_secs_f64());
+        res
+    }
+
     fn decompress_symbols(
         &self,
         payload: &[u8],
@@ -315,13 +329,7 @@ impl ThreeLcCompressor {
         quartic_bytes.resize(bl, 0);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
         if let Some(buffer) = buffer.as_deref_mut() {
-            let mut rest = buffer.as_mut_slice();
-            let mut five: [&mut [f32]; 5] = std::array::from_fn(|_| {
-                let len = bl.min(rest.len());
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                rest = tail;
-                head
-            });
+            let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
             kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes);
         } else {
             let five: [&[f32]; 5] =
@@ -403,10 +411,14 @@ impl ThreeLcCompressor {
         Ok((flags & FLAG_ZRE != 0, scale, &payload[HEADER_LEN..]))
     }
 
-    /// Header check, zero-run expansion into this context's scratch and
-    /// quartic decode: the payload's ternary symbols in `out`, its scale
-    /// returned.
-    fn decode_symbols_inner(&self, payload: &[u8], out: &mut Vec<i8>) -> Result<f32, DecodeError> {
+    /// Header check, then zero-run expansion into this context's scratch
+    /// (or the body itself without ZRE): hands `consume` the payload's
+    /// scale and its quartic bytes, not yet scanned for invalid ones.
+    fn with_quartic_bytes<T>(
+        &self,
+        payload: &[u8],
+        consume: impl FnOnce(f32, &[u8]) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
         let (zre, scale, body) = self.parse_header(payload)?;
         let count = self.shape.num_elements();
         let quartic_len = count.div_ceil(quartic::VALUES_PER_BYTE);
@@ -426,12 +438,49 @@ impl ThreeLcCompressor {
             }
             body
         };
-        quartic::decode_into_impl(self.codec, quartic_bytes, count, out)?;
-        Ok(scale)
+        consume(scale, quartic_bytes)
+    }
+
+    /// The fused decode: invalid-byte scan, then quartic bytes to `op` on
+    /// `out` in one pass ([`kernels::unpack_dequant`]), no symbol ever
+    /// stored and `out` untouched unless the payload decodes.
+    fn decode_into_inner(
+        &self,
+        payload: &[u8],
+        op: DequantOp,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        assert_eq!(
+            out.len(),
+            self.shape.num_elements(),
+            "output must match the context's element count"
+        );
+        self.with_quartic_bytes(payload, |scale, quartic_bytes| {
+            if let Some(offset) = kernels::find_invalid_quartic(self.codec, quartic_bytes) {
+                return Err(DecodeError::InvalidQuarticByte {
+                    byte: quartic_bytes[offset],
+                    offset,
+                });
+            }
+            kernels::unpack_dequant(self.codec, quartic_bytes, scale, op, out);
+            Ok(())
+        })
+    }
+
+    /// The two-pass oracle's first half: the payload's ternary symbols in
+    /// `out`, its scale returned.
+    fn decode_symbols_inner(&self, payload: &[u8], out: &mut Vec<i8>) -> Result<f32, DecodeError> {
+        let count = self.shape.num_elements();
+        self.with_quartic_bytes(payload, |scale, quartic_bytes| {
+            quartic::decode_into_impl(self.codec, quartic_bytes, count, out)?;
+            Ok(scale)
+        })
     }
 
     /// The dense decode: the symbols, then one multiply per element
-    /// (`sym as f32 · scale`, Equation 3).
+    /// (`sym as f32 · scale`, Equation 3) — the two-pass oracle, kept off
+    /// the fused kernel so that tests comparing `decode_into` with it
+    /// compare two implementations.
     fn decompress_inner(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
         let mut syms = Vec::new();
         let scale = self.decode_symbols_inner(payload, &mut syms)?;

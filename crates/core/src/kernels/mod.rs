@@ -1,8 +1,9 @@
-//! Runtime-dispatched encode kernels: scalar reference, branchless u64
+//! Runtime-dispatched codec kernels: scalar reference, branchless u64
 //! SWAR, and `core::arch` x86-64 intrinsics.
 //!
-//! The 3LC encode path — max-magnitude reduction, fused ternary
-//! quantization + quartic packing, and zero-run scanning — exists in
+//! The 3LC hot paths — max-magnitude reduction, fused ternary
+//! quantization + quartic packing, zero-run scanning, and the fused
+//! unpack + dequantize + accumulate of the decode side — exist in
 //! three implementation tiers behind one dispatch point:
 //!
 //! - [`CodecImpl::Scalar`]: the straightforward reference loops. Always
@@ -59,6 +60,14 @@
 //!   first `!= 121`, first `> 242`); word- and vector-at-a-time scans
 //!   refine their last word/vector to the exact first index, so offsets
 //!   in emitted runs and in `InvalidQuarticByte` errors are identical.
+//!
+//! - **Fused decode** ([`unpack_dequant`]): the base-3 digits come from
+//!   exact integer arithmetic, each value is the one IEEE multiply
+//!   `sym as f32 · scale` (the AVX2 tier selects among the three products
+//!   that multiply can yield), and the accumulate and averaging steps
+//!   stay a separate add and multiply in the order the two-pass oracle
+//!   (`quartic::decode_into_impl`, then [`dequant_assign`] /
+//!   [`dequant_add`], then a `· k` sweep) performs them.
 //!
 //! `tests/dispatch_identity.rs` enforces all of this differentially on
 //! adversarial inputs (NaN/inf/subnormals, all-zero and no-zero tensors,
@@ -258,6 +267,19 @@ fn runnable(imp: CodecImpl) -> CodecImpl {
     }
 }
 
+/// Splits a tensor's values into its five quartic partitions of length
+/// `len = ⌈n / 5⌉`: plane `j` is `xs[j·len .. (j+1)·len]` clamped to
+/// `xs.len()`, so the last planes are short or empty when `n` is not a
+/// multiple of five.
+pub(crate) fn planes_mut(mut xs: &mut [f32], len: usize) -> [&mut [f32]; 5] {
+    std::array::from_fn(|_| {
+        let plane = len.min(xs.len());
+        let (head, tail) = std::mem::take(&mut xs).split_at_mut(plane);
+        xs = tail;
+        head
+    })
+}
+
 /// Max `|x|` and all-finite flag over `xs` (Equation 1's reduction).
 ///
 /// Exactly the fold `(m.max(x.abs()), ok && x.is_finite())` starting from
@@ -367,9 +389,12 @@ pub fn pack_ternary(imp: CodecImpl, srcs: &[&[i8]; 5], out: &mut [u8]) {
     }
 }
 
-/// Dequantize-assign: `out[i] = syms[i] as f32 · scale`.
+/// Dequantize-assign: `out[i] = syms[i] as f32 · scale` — with
+/// [`dequant_add`] the second pass of the two-pass oracle that
+/// [`unpack_dequant`] is tested against (nothing in the runtime stores
+/// symbols any more).
 ///
-/// The first accepted worker of a symbol-domain aggregation *assigns*
+/// The first accepted worker of an aggregation *assigns*
 /// into the accumulator (rather than adding to a zeroed one) so that
 /// `-0.0` products — e.g. `scale == 0.0`, `sym == -1` — survive exactly
 /// as they do when the dense reference moves the first decoded tensor
@@ -411,6 +436,88 @@ pub fn dequant_add(imp: CodecImpl, syms: &[i8], scale: f32, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
         CodecImpl::Simd => unsafe { simd_x86::dequant_add(syms, scale, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
+    }
+}
+
+/// What a fused decode does with each dequantized value
+/// `v = sym as f32 · scale` ([`unpack_dequant`],
+/// [`Compressor::decode_into`](crate::Compressor::decode_into)).
+///
+/// An aggregation's first accepted payload assigns, the rest add, and the
+/// last one also applies the `1/accepted` average `k` — each form is the
+/// per-element float operations of the separate sweeps it replaces, in the
+/// same order, so the result is bit-identical to running them apart.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DequantOp {
+    /// `out = v`.
+    Assign,
+    /// `out = out + v`.
+    Add,
+    /// `out = v · k`.
+    AssignScaled(f32),
+    /// `out = (out + v) · k`.
+    AddScaled(f32),
+}
+
+impl DequantOp {
+    /// The dense form: applies the op with `vs` as the already decoded
+    /// values — what a payload without a symbol form (raw tensors, floats
+    /// read off the wire, the baseline schemes' default `decode_into`)
+    /// goes through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vs` does not yield exactly `out.len()` values.
+    pub fn apply(self, vs: impl ExactSizeIterator<Item = f32>, out: &mut [f32]) {
+        assert_eq!(vs.len(), out.len(), "output must match value count");
+        let pairs = out.iter_mut().zip(vs);
+        // Matched outside the loop so each arm is one branch-free sweep.
+        match self {
+            DequantOp::Assign => pairs.for_each(|(o, v)| *o = v),
+            DequantOp::Add => pairs.for_each(|(o, v)| *o += v),
+            DequantOp::AssignScaled(k) => pairs.for_each(|(o, v)| *o = v * k),
+            DequantOp::AddScaled(k) => pairs.for_each(|(o, v)| *o = (*o + v) * k),
+        }
+    }
+}
+
+/// Fused quartic unpack + dequantize + `op`: with `L = bytes.len()`,
+/// plane `j` of `out` (`out[j·L .. (j+1)·L]` clamped to `out.len()`) takes
+/// `v = (digit_j(bytes[i]) − 1) as f32 · scale` at index `i` and applies
+/// `op` — [`crate::quartic::decode_into_impl`] followed by
+/// [`dequant_assign`]/[`dequant_add`] (and a `· k` sweep), without the
+/// symbols in between ever being stored.
+///
+/// Bit-identical to that oracle on every tier: `v` is the same single
+/// IEEE multiply (the AVX2 tier selects among the three products
+/// `−1.0·scale`, `0.0·scale`, `1.0·scale`, computed once as real
+/// multiplies — `sym as f32` takes no other value), followed by the same
+/// add and multiply in the same order.
+///
+/// `bytes` must already be valid quartic bytes (`≤ 242`, see
+/// [`find_invalid_quartic`]); larger bytes yield unspecified but
+/// memory-safe values.
+///
+/// # Panics
+///
+/// Panics if `bytes.len() != out.len().div_ceil(5)`.
+pub fn unpack_dequant(imp: CodecImpl, bytes: &[u8], scale: f32, op: DequantOp, out: &mut [f32]) {
+    let len = bytes.len();
+    assert_eq!(
+        len,
+        out.len().div_ceil(crate::quartic::VALUES_PER_BYTE),
+        "quartic bytes must match output length"
+    );
+    let mut planes = planes_mut(out, len);
+    match runnable(imp) {
+        CodecImpl::Scalar | CodecImpl::Swar => {
+            scalar::unpack_dequant(bytes, scale, op, &mut planes)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
+        CodecImpl::Simd => unsafe { simd_x86::unpack_dequant(bytes, scale, op, &mut planes) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }

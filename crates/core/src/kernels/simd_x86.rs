@@ -24,7 +24,7 @@
 //!   `trailing_zeros`, so error offsets are exact, not rounded to a
 //!   vector boundary.
 
-use super::{HALF_BITS, INF_BITS, WEIGHTS};
+use super::{DequantOp, HALF_BITS, INF_BITS, WEIGHTS};
 use crate::quartic::{MAX_QUARTIC_BYTE, ZERO_BYTE};
 use core::arch::x86_64::*;
 
@@ -177,6 +177,112 @@ pub(super) unsafe fn dequant_add(syms: &[i8], scale: f32, out: &mut [f32]) {
     while i < n {
         out[i] += syms[i] as f32 * scale;
         i += 1;
+    }
+}
+
+/// Fused quartic unpack + dequantize + `op` (see
+/// [`super::unpack_dequant`], which validates the lengths and splits the
+/// planes before calling this).
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Nothing else: the vector loop is bounded by
+/// the shortest plane and `bytes`, and the tail uses checked indexing.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn unpack_dequant(
+    bytes: &[u8],
+    scale: f32,
+    op: DequantOp,
+    planes: &mut [&mut [f32]; 5],
+) {
+    match op {
+        DequantOp::Assign => unpack_dequant_op::<false, false>(bytes, scale, 1.0, planes),
+        DequantOp::Add => unpack_dequant_op::<true, false>(bytes, scale, 1.0, planes),
+        DequantOp::AssignScaled(k) => unpack_dequant_op::<false, true>(bytes, scale, k, planes),
+        DequantOp::AddScaled(k) => unpack_dequant_op::<true, true>(bytes, scale, k, planes),
+    }
+}
+
+/// Sixteen bytes per iteration. The bytes widen to u16 lanes
+/// (`vpmovzxbw`) and a chain of four `÷ 3` steps — `vpmulhuw` by
+/// 21846 = ⌈2¹⁶ / 3⌉, exact for every `x < 32768` — peels the five base-3
+/// digits off, least significant (plane 4) first; the last quotient is
+/// plane 0's digit because a valid byte is below 3⁵. Each plane's digits
+/// widen to i32 (`vpmovzxwd`) and index `vpermilps` into the three
+/// products `−1.0·scale`, `0.0·scale`, `1.0·scale`, computed once by real
+/// multiplies: the value the scalar tier's `sym as f32 * scale` produces,
+/// for every scale (negative, zero, subnormal) and with `−0.0` where the
+/// multiply gives it. `ADD` then loads and adds, `SCALED` multiplies by
+/// `k` — separate `vaddps`/`vmulps`, the scalar rounding sequence.
+///
+/// # Safety
+///
+/// As [`unpack_dequant`].
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_dequant_op<const ADD: bool, const SCALED: bool>(
+    bytes: &[u8],
+    scale: f32,
+    k: f32,
+    planes: &mut [&mut [f32]; 5],
+) {
+    let shortest = planes
+        .iter()
+        .map(|p| p.len())
+        .min()
+        .expect("5 planes")
+        .min(bytes.len());
+    let blocks = shortest / 16;
+    // Lane `d` of each 128-bit half holds `(d − 1) as f32 · scale`; index 3
+    // is never selected (digits are at most 2).
+    let [neg, zero, pos] = [-1.0f32, 0.0, 1.0].map(|sym| sym * scale);
+    let products = _mm256_setr_ps(neg, zero, pos, zero, neg, zero, pos, zero);
+    let third = _mm256_set1_epi16(21846);
+    let kv = _mm256_set1_ps(k);
+    for b in 0..blocks {
+        let i = b * 16;
+        // SAFETY: `i + 16 <= blocks * 16 <= bytes.len()`.
+        let raw = _mm_loadu_si128(bytes.as_ptr().add(i) as *const __m128i);
+        let mut q = _mm256_cvtepu8_epi16(raw);
+        for j in (0..5).rev() {
+            let digits = if j == 0 {
+                q
+            } else {
+                let next = _mm256_mulhi_epu16(q, third);
+                let three = _mm256_add_epi16(next, _mm256_add_epi16(next, next));
+                let d = _mm256_sub_epi16(q, three);
+                q = next;
+                d
+            };
+            let halves = [
+                _mm256_castsi256_si128(digits),
+                _mm256_extracti128_si256::<1>(digits),
+            ];
+            // SAFETY: `i + 16 <= blocks * 16 <= planes[j].len()`, so both
+            // 8-float halves lie inside the plane.
+            let p = planes[j].as_mut_ptr().add(i);
+            for (h, half) in halves.into_iter().enumerate() {
+                let mut v = _mm256_permutevar_ps(products, _mm256_cvtepu16_epi32(half));
+                let dst = p.add(h * 8);
+                if ADD {
+                    v = _mm256_add_ps(_mm256_loadu_ps(dst), v);
+                }
+                if SCALED {
+                    v = _mm256_mul_ps(v, kv);
+                }
+                _mm256_storeu_ps(dst, v);
+            }
+        }
+    }
+    let products = [neg, zero, pos];
+    for (i, &b) in bytes.iter().enumerate().skip(blocks * 16) {
+        for (plane, weight) in planes.iter_mut().zip(WEIGHTS) {
+            if let Some(o) = plane.get_mut(i) {
+                let v = products[((b / weight) % 3) as usize];
+                let sum = if ADD { *o + v } else { v };
+                *o = if SCALED { sum * k } else { sum };
+            }
+        }
     }
 }
 

@@ -96,9 +96,9 @@ pub fn decode(bytes: &[u8], count: usize) -> Result<Vec<i8>, DecodeError> {
 }
 
 /// [`decode`] into a caller-owned buffer on an explicit codec tier: `out`
-/// is resized to `count` and overwritten. Reusing one buffer across calls
-/// is what lets symbol-domain consumers (compressed-domain aggregation)
-/// decode a stream of payloads without a fresh allocation per payload.
+/// is resized to `count` and overwritten. The first pass of the two-pass
+/// oracle [`crate::kernels::unpack_dequant`] is tested against, which
+/// produces the same digits without storing them.
 ///
 /// # Errors
 ///

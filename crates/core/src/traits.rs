@@ -1,5 +1,6 @@
 //! The [`Compressor`] trait shared by 3LC and the baseline schemes.
 
+use crate::kernels::DequantOp;
 use crate::{CompressError, DecodeError};
 use serde::{Deserialize, Serialize};
 use threelc_tensor::Tensor;
@@ -43,6 +44,35 @@ pub trait Compressor: Send {
     /// Returns a [`DecodeError`] for any structurally malformed payload.
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError>;
 
+    /// Decodes a wire payload straight into `out` under `op`:
+    /// `out[e] = op(out[e], decompress(payload)[e])`, bit for bit, without
+    /// the tensor in between. This is how a server sums the pushes it
+    /// receives (first `Assign`, then `Add`, the average folded into the
+    /// last) and how a worker adds a pull into its parameters.
+    ///
+    /// The default decodes densely and applies `op`; schemes that can do
+    /// better (3LC never stores the symbols, `Float32` reads the floats
+    /// off the wire) override it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`DecodeError`]s [`decompress`](Self::decompress)
+    /// reports for the same payload; `out` is untouched on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the context's element count.
+    fn decode_into(
+        &self,
+        payload: &[u8],
+        op: DequantOp,
+        out: &mut [f32],
+    ) -> Result<(), DecodeError> {
+        let dense = self.decompress(payload)?;
+        op.apply(dense.iter().copied(), out);
+        Ok(())
+    }
+
     /// Decodes a wire payload to its raw quantization symbols, without
     /// materializing a `Tensor`.
     ///
@@ -50,12 +80,12 @@ pub trait Compressor: Send {
     /// `{-1, 0, 1}`) write the symbols into `out` (resized to the tensor's
     /// element count) and return `Ok(Some(scale))`, such that
     /// `decompress(payload)[e] == out[e] as f32 * scale` bit for bit.
-    /// Servers use this to aggregate in the symbol domain — summing
-    /// `scale · sym` per worker, or integer symbol lanes per scale group —
-    /// without a per-worker tensor allocation and dequantize pass.
+    /// Nothing in the runtime stores symbols any more
+    /// ([`decode_into`](Self::decode_into) fuses them away); this is the
+    /// two-pass oracle the fused decode is tested against, and what the
+    /// step ledger's kernel replay times.
     ///
-    /// The default returns `Ok(None)`: the scheme has no symbol form and
-    /// callers must fall back to [`decompress`](Self::decompress). `out`
+    /// The default returns `Ok(None)`: the scheme has no symbol form. `out`
     /// is unspecified after a `None` or error return.
     ///
     /// # Errors

@@ -9,6 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use threelc::kernels::DequantOp;
 use threelc::{zrle, Compressor, DecodeError, SparsityMultiplier, ThreeLcCompressor};
 use threelc_tensor::{Shape, Tensor};
 
@@ -101,6 +102,13 @@ fn hostile_zero_run_body_is_rejected_without_allocating_its_expansion() {
     let (res, allocated) = allocated_by(|| cx.decompress(&wire));
     assert_eq!(res, Err(mismatch(2)));
     assert_eq!(allocated, 0, "decompress allocated for a hostile body");
+    // And through the fused decode the runtime uses, which also must not
+    // have written anything.
+    let mut out = [7.0f32; 10];
+    let (res, allocated) = allocated_by(|| cx.decode_into(&wire, DequantOp::Add, &mut out));
+    assert_eq!(res, Err(mismatch(2)));
+    assert_eq!(allocated, 0, "decode_into allocated for a hostile body");
+    assert_eq!(out, [7.0f32; 10]);
 }
 
 #[test]
@@ -124,6 +132,17 @@ fn a_decode_only_context_never_allocates_a_residual_buffer() {
     assert!(
         allocated < 2 * N,
         "a decode-only context allocated {allocated} bytes for {N} values"
+    );
+    // The fused decode the runtime uses needs only the quartic scratch.
+    let mut out = vec![0f32; N];
+    let ((), allocated) = allocated_by(|| {
+        ThreeLcCompressor::new(Shape::new(&[N]), SparsityMultiplier::default())
+            .decode_into(&wire, DequantOp::Assign, &mut out)
+            .expect("own payload decodes")
+    });
+    assert!(
+        allocated < N / 2,
+        "a fused decode allocated {allocated} bytes for {N} values"
     );
     // Until something is compressed the residual reads as all zeros.
     assert_eq!(mirror.residual_sq(), 0.0);

@@ -12,6 +12,7 @@
 //! against it pairwise.
 
 use proptest::prelude::*;
+use threelc::kernels::{self, DequantOp};
 use threelc::{
     quartic, tlq::TernaryTensor, zrle, CodecImpl, Compressor, SparsityMultiplier,
     ThreeLcCompressor, ThreeLcOptions,
@@ -84,6 +85,63 @@ fn options() -> impl Strategy<Value = ThreeLcOptions> {
         zero_run_encoding: zre,
         error_accumulation: ea,
     })
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The four fused ops, with averaging factors a step would use.
+fn all_ops() -> [DequantOp; 6] {
+    [
+        DequantOp::Assign,
+        DequantOp::Add,
+        DequantOp::AssignScaled(0.5),
+        DequantOp::AddScaled(0.5),
+        DequantOp::AssignScaled(1.0 / 3.0),
+        DequantOp::AddScaled(1.0 / 3.0),
+    ]
+}
+
+/// What `op` must leave in `acc`, by the two-pass oracle on the scalar
+/// tier: `dequant_assign` / `dequant_add` of the stored symbols, then the
+/// averaging sweep `x · k` as its own pass.
+fn oracle_apply(syms: &[i8], scale: f32, op: DequantOp, acc: &mut [f32]) {
+    let (add, k) = match op {
+        DequantOp::Assign => (false, None),
+        DequantOp::Add => (true, None),
+        DequantOp::AssignScaled(k) => (false, Some(k)),
+        DequantOp::AddScaled(k) => (true, Some(k)),
+    };
+    if add {
+        kernels::dequant_add(CodecImpl::Scalar, syms, scale, acc);
+    } else {
+        kernels::dequant_assign(CodecImpl::Scalar, syms, scale, acc);
+    }
+    if let Some(k) = k {
+        acc.iter_mut().for_each(|x| *x *= k);
+    }
+}
+
+/// `unpack_dequant` on every tier against `quartic::decode_into_impl` +
+/// [`oracle_apply`], by bit pattern, for every op, from the accumulator
+/// contents `start`.
+fn assert_unpack_dequant_matches_oracle(bytes: &[u8], n: usize, scale: f32, start: &[f32]) {
+    let mut syms = Vec::new();
+    quartic::decode_into_impl(CodecImpl::Scalar, bytes, n, &mut syms).expect("valid stream");
+    for op in all_ops() {
+        let mut want = start.to_vec();
+        oracle_apply(&syms, scale, op, &mut want);
+        for imp in available_tiers() {
+            let mut got = start.to_vec();
+            kernels::unpack_dequant(imp, bytes, scale, op, &mut got);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "n={n} scale={scale:e} {op:?} on {imp}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -221,7 +279,6 @@ proptest! {
         let n = workers.iter().map(Vec::len).min().unwrap_or(0);
         let workers: Vec<&[i8]> = workers.iter().map(|w| &w[..n]).collect();
         let scale = scale_bits;
-        use threelc::kernels;
 
         // Reference: scalar dequant assign-then-add in worker order.
         let mut want = vec![0f32; n];
@@ -245,6 +302,25 @@ proptest! {
             let got_bits: Vec<u32> = got.iter().map(|f| f.to_bits()).collect();
             prop_assert!(got_bits == want_bits, "dequant diverged on {}", imp);
         }
+    }
+
+    #[test]
+    fn unpack_dequant_matches_the_two_pass_oracle_on_every_tier(
+        stream in quartic_stream(false),
+        short in 0usize..5,
+        scale in prop_oneof![
+            Just(0.0f32), Just(-0.0f32), Just(1.0f32), Just(f32::MAX), Just(-f32::MAX),
+            (1u32..0x0080_0000).prop_map(f32::from_bits), // subnormal scales
+            (1u32..0x0080_0000).prop_map(|b| -f32::from_bits(b)),
+            -2.0f32..2.0,
+        ],
+        start in adversarial_floats(1001),
+    ) {
+        // Up to four values short of five per byte: the last planes end
+        // early.
+        let n = (stream.len() * 5).saturating_sub(short);
+        let start: Vec<f32> = start.iter().copied().cycle().take(n).collect();
+        assert_unpack_dequant_matches_oracle(&stream, n, scale, &start);
     }
 
     #[test]
@@ -274,6 +350,18 @@ proptest! {
                         prop_assert!(
                             (s as f32 * scale).to_bits() == x.to_bits(),
                             "symbol {} · scale diverged from dense decode at {} on {}", s, e, imp
+                        );
+                    }
+                    // The fused decode is that pair put through the op,
+                    // from an accumulator holding the input itself.
+                    for op in all_ops() {
+                        let mut want = v.clone();
+                        oracle_apply(&syms, scale, op, &mut want);
+                        let mut got = v.clone();
+                        cx.decode_into(&wire, op, &mut got).expect("decompress accepted it");
+                        prop_assert!(
+                            bits(&got) == bits(&want),
+                            "decode_into {:?} diverged from the symbol oracle on {}", op, imp
                         );
                     }
                 }
@@ -437,6 +525,60 @@ fn subnormal_scale_corner_is_identical_and_valid_on_every_tier() {
 }
 
 #[test]
+fn unpack_dequant_handles_short_planes_and_block_edges_on_every_tier() {
+    // Every value count from 0 through two 16-byte vector blocks and the
+    // edges of the third: n = 1, 6, 11 leave planes 3 and 4 (or all but
+    // plane 0) empty, 79 / 80 / 81 straddle the first full block.
+    let mut r = threelc_tensor::rng(43);
+    use rand::Rng as _;
+    let scales = [
+        0.0f32,
+        -0.0,
+        0.375,
+        -1.5,
+        f32::from_bits(5),
+        -f32::from_bits(5),
+        f32::MAX,
+    ];
+    for n in (0..=170usize).chain([239, 240, 241, 1279, 1280, 1281]) {
+        let bytes: Vec<u8> = (0..n.div_ceil(5))
+            .map(|_| match r.gen_range(0..4) {
+                0 => quartic::ZERO_BYTE,
+                1 => quartic::MAX_QUARTIC_BYTE,
+                2 => 0,
+                _ => r.gen_range(0u8..=quartic::MAX_QUARTIC_BYTE),
+            })
+            .collect();
+        // Accumulators holding both zeros: `-0.0 + 0.0` and `0.0 + -0.0`
+        // are where an add in the wrong order or a skipped one shows.
+        let start: Vec<f32> = (0..n)
+            .map(|e| match e % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => r.gen_range(-1.0f32..1.0),
+            })
+            .collect();
+        for scale in scales {
+            assert_unpack_dequant_matches_oracle(&bytes, n, scale, &start);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "quartic bytes must match output length")]
+fn unpack_dequant_rejects_a_byte_count_that_is_not_the_outputs() {
+    // Checked by the safe wrapper on every tier, release builds included,
+    // before any kernel sees the slices.
+    kernels::unpack_dequant(
+        CodecImpl::best_available(),
+        &[121; 4],
+        1.0,
+        DequantOp::Add,
+        &mut [0.0; 21],
+    );
+}
+
+#[test]
 fn corrupted_wire_errors_identically_on_every_tier() {
     // Corrupt a real payload body byte-by-byte; decode must fail (or
     // succeed) identically under every tier-pinned compressor. Decode is
@@ -464,7 +606,29 @@ fn corrupted_wire_errors_identically_on_every_tier() {
         for imp in available_tiers() {
             let cx = ThreeLcCompressor::new(input.shape().clone(), SparsityMultiplier::default())
                 .with_codec_impl(imp);
-            outcomes.push((imp, cx.decompress(&bad).map(|t| t.as_slice().to_vec())));
+            let dense = cx.decompress(&bad).map(|t| t.as_slice().to_vec());
+            // The fused entry point is the same validator: decompress's
+            // error with decompress's offsets, and not one value of `out`
+            // written unless the payload decodes.
+            let canary = f32::from_bits(0x7fc0_beef);
+            for op in all_ops() {
+                let mut out = vec![canary; n];
+                match (&dense, cx.decode_into(&bad, op, &mut out)) {
+                    (Err(want), Err(got)) => {
+                        assert_eq!(&got, want, "byte {pos} {op:?} on {imp}");
+                        assert!(
+                            out.iter().all(|x| x.to_bits() == canary.to_bits()),
+                            "byte {pos} {op:?} on {imp}: out written on error"
+                        );
+                    }
+                    (Ok(t), Ok(())) if op == DequantOp::Assign => {
+                        assert_eq!(bits(&out), bits(t), "byte {pos} on {imp}");
+                    }
+                    (Ok(_), Ok(())) => {}
+                    (d, f) => panic!("byte {pos} {op:?} on {imp}: {d:?} vs {f:?}"),
+                }
+            }
+            outcomes.push((imp, dense));
         }
         for w in outcomes.windows(2) {
             assert_eq!(
@@ -478,7 +642,6 @@ fn corrupted_wire_errors_identically_on_every_tier() {
 
 #[test]
 fn scan_kernels_agree_with_scalar_reference() {
-    use threelc::kernels;
     let mut r = threelc_tensor::rng(37);
     use rand::Rng as _;
     for _ in 0..200 {

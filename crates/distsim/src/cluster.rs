@@ -83,14 +83,6 @@ impl Cluster {
         &self.config
     }
 
-    /// Requests up to `threads` server aggregation shards (`0` = one per
-    /// hardware core; see [`ServerCore::set_threads`]). A pure performance
-    /// hint — training dynamics are bit-identical at any setting, so the
-    /// thread count is deliberately *not* part of [`ExperimentConfig`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.server.set_threads(threads);
-    }
-
     /// The server's full-precision global model.
     pub fn global_model(&self) -> &Network {
         self.server.global()

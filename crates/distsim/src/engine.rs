@@ -32,7 +32,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use threelc::kernels::{self, CodecImpl};
+use threelc::kernels::DequantOp;
 use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
@@ -247,9 +247,6 @@ pub struct WorkerReplica {
     push_ctxs: Vec<Option<Box<dyn Compressor>>>,
     /// Decode-only mirrors of the server's pull contexts.
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
-    /// Symbol scratch of [`Self::apply_pulls`], reused across tensors and
-    /// steps (it settles at the largest tensor's element count).
-    syms: Vec<i8>,
     /// The gradient tensors, between steps: [`Self::compute`] hands them
     /// out filled, [`Self::encode_push`] takes them back, and the next
     /// `compute` overwrites them in place. Empty before the first step and
@@ -268,7 +265,6 @@ impl WorkerReplica {
             rng: threelc_tensor::rng(worker_rng_seed(&problem.config, w)),
             push_ctxs: problem.push_ctxs(w),
             pull_ctxs: problem.pull_ctxs(),
-            syms: Vec::new(),
             grads: Vec::new(),
             encode_seconds: threelc_obs::global().histogram("engine.encode_push_seconds"),
         }
@@ -357,12 +353,11 @@ impl WorkerReplica {
     }
 
     /// Applies one step's pull batch to the local replica: each compressed
-    /// payload decodes to symbols in a reused buffer and
-    /// [`kernels::dequant_add`] adds `sym as f32 · scale` straight into the
-    /// parameter — the product `decompress` would have stored in a dense
-    /// tensor and the `+=` [`Self::apply_deltas`] would have applied to
-    /// it, without the tensor. Schemes without a symbol form decode
-    /// densely and add; raw tensors add as they are.
+    /// payload goes from wire bytes to `param += delta` in one fused pass
+    /// ([`Compressor::decode_into`] under [`DequantOp::Add`]) — the product
+    /// `decompress` would have stored in a dense tensor and the `+=`
+    /// [`Self::apply_deltas`] would have applied to it, without the tensor
+    /// (or, for 3LC, the symbols) in between. Raw tensors add as they are.
     ///
     /// # Errors
     ///
@@ -376,7 +371,6 @@ impl WorkerReplica {
     /// Panics if the payload count or a raw tensor's shape disagrees with
     /// the model.
     pub fn apply_pulls(&mut self, pulls: &[TensorPayload]) -> Result<(), (usize, DecodeError)> {
-        let imp = kernels::active();
         let mut params = self.model.params_mut();
         assert_eq!(params.len(), pulls.len(), "pull count mismatch");
         for (i, (param, pull)) in params.iter_mut().zip(pulls).enumerate() {
@@ -386,17 +380,8 @@ impl WorkerReplica {
                         let reason = "compressed payload for a tensor sent uncompressed".into();
                         (i, DecodeError::Malformed { reason })
                     })?;
-                    match ctx
-                        .decompress_symbols(wire, &mut self.syms)
-                        .map_err(|e| (i, e))?
-                    {
-                        Some(scale) => {
-                            kernels::dequant_add(imp, &self.syms, scale, param.as_mut_slice())
-                        }
-                        None => param
-                            .add_assign(&ctx.decompress(wire).map_err(|e| (i, e))?)
-                            .expect("a context decodes to its tensor's shape"),
-                    }
+                    ctx.decode_into(wire, DequantOp::Add, param.as_mut_slice())
+                        .map_err(|e| (i, e))?;
                 }
                 TensorPayload::Raw(delta) => param.add_assign(delta).expect("same shapes"),
             }
@@ -457,9 +442,6 @@ pub struct ServerCore {
     /// `global_after − global_before` the pull contexts encode. Holds a
     /// partial sum after a step that failed to decode.
     update: Vec<Tensor>,
-    /// One symbol scratch per aggregation shard, kept across steps (each
-    /// settles at its shard's largest tensor's element count).
-    syms: Vec<Vec<i8>>,
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
     optimizer: SgdMomentum,
     schedule: LrSchedule,
@@ -474,146 +456,126 @@ pub struct ServerCore {
     /// Decisions governing the upcoming step (empty when static).
     current_decisions: Vec<Decision>,
     step: u64,
-    /// Shard-thread budget for [`Self::apply_step`] (1 = serial).
-    threads: usize,
+    /// The contiguous tensor range each shard of [`Self::apply_step`]
+    /// owns, balanced by element count ([`split_ranges`]); one range runs
+    /// the step inline.
+    shards: Vec<Range<usize>>,
     /// Cached handle into the global registry (see [`WorkerReplica`]).
     apply_seconds: Arc<Histogram>,
     /// `engine.shard.busy_seconds` — per-shard busy time of a step that
     /// runs more than one shard.
     shard_busy_seconds: Arc<Histogram>,
-    /// `engine.aggregate.symbol_decode_seconds` — payload→symbol decode
-    /// time (payload→tensor for schemes without a symbol form), recorded
-    /// once per aggregation pass per shard. With
-    /// `engine.aggregate.accumulate_seconds` this splits the aggregate
-    /// phase so `threelc analyze` can attribute time to the right half.
-    aggregate_decode_seconds: Arc<Histogram>,
-    /// `engine.aggregate.accumulate_seconds` — pure accumulate arithmetic
-    /// (dequantize-sum, float adds), once per pass per shard.
-    aggregate_accumulate_seconds: Arc<Histogram>,
+    /// `engine.aggregate.seconds` — wire bytes to averaged gradient, once
+    /// per step per shard. The pass is fused, so there is no decode /
+    /// accumulate boundary left to time.
+    aggregate_seconds: Arc<Histogram>,
 }
 
-/// The aggregate phase's two-way timing split (DESIGN.md §16).
-#[derive(Default, Clone, Copy)]
-struct AggTimings {
-    /// Payload→symbol decode (payload→tensor without a symbol form).
-    decode: f64,
-    /// Accumulate arithmetic: dequantize-sums and float adds.
-    accumulate: f64,
-}
+/// The fewest model values a shard is worth spawning for. A server step
+/// costs about 4 ns per value and a scoped spawn tens of microseconds
+/// (three per step, one per phase), so at 256 Ki values a shard has about
+/// a millisecond of work to set against them; below that the step runs
+/// inline.
+const MIN_SHARD_VALUES: usize = 256 * 1024;
 
-/// Decodes and averages one tensor's accepted pushes in the symbol
-/// domain: each payload decodes to i8 symbols plus a scale (into the
-/// reused `syms` buffer) and the accumulator takes the per-element
-/// worker-order float sum `Σ scale_w · sym_w`. That is bit-identical to
-/// decoding every payload to a dense tensor and summing those — each term
-/// is the one IEEE multiply `sym as f32 · scale` the dequantizer would
-/// have produced, and the adds run in the same order — without a tensor
-/// allocation per worker or a separate dequantize pass. The first
-/// accepted worker *assigns* (preserving `-0.0` products exactly as moving
-/// the first decoded tensor into a sum does — and making `avg`'s previous
-/// contents irrelevant, so the accumulator is reused without re-zeroing);
-/// schemes without a symbol form decode densely per payload and accumulate
-/// the same float values.
+/// Decodes and averages one tensor's accepted pushes, each payload in one
+/// fused pass from wire bytes to the accumulator
+/// ([`Compressor::decode_into`]): `ops[w]` is what worker `w`'s payload
+/// does to it (`None` for a dropped straggler) — the first accepted worker
+/// assigns, the rest add in worker-id order, and the last one also applies
+/// the `1/accepted` average ([`accumulate_ops`]). That is bit-identical to
+/// decoding every payload to a dense tensor, summing those and scaling the
+/// sum: each term is the one IEEE multiply `sym as f32 · scale` the
+/// dequantizer would have produced, and the adds and the final multiply
+/// run in the same order. Assigning first preserves `-0.0` products exactly
+/// as moving the first decoded tensor into a sum does, and makes `avg`'s
+/// previous contents irrelevant, so the accumulator is reused without
+/// re-zeroing. Raw tensors go through the same op.
 ///
-/// `ctx_row` holds the tensor's per-worker decode contexts. The caller
-/// guarantees at least one accepted worker ([`ServerCore::apply_step`]
-/// returns [`EngineError::NoAcceptedPushes`] otherwise). A payload that
-/// does not decode fails the tensor with the worker's id and the
-/// decoder's error, leaving a partial sum in `avg`.
-#[allow(clippy::too_many_arguments)] // one bookkeeping sink per output
+/// `ctx_row` holds the tensor's per-worker decode contexts. A payload that
+/// does not decode fails the tensor with the worker's id and the decoder's
+/// error, leaving a partial sum in `avg`.
 fn aggregate_tensor(
-    imp: CodecImpl,
     avg: &mut Tensor,
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
+    ops: &[Option<DequantOp>],
     i: usize,
-    accepted_count: usize,
-    syms: &mut Vec<i8>,
     stats: &mut CompressionStats,
-    timings: &mut AggTimings,
 ) -> Result<(), (usize, DecodeError)> {
-    let n = avg.len();
     let acc = avg.as_mut_slice();
-    let mut first = true;
-    for (w, worker_payloads) in payloads.iter().enumerate() {
-        if worker_payloads.is_empty() {
-            continue; // dropped straggler
-        }
+    for (w, (worker_payloads, op)) in payloads.iter().zip(ops).enumerate() {
+        let Some(op) = *op else { continue };
         match &worker_payloads[i] {
             TensorPayload::Compressed(wire) => {
                 let ctx = ctx_row[w].as_ref().ok_or_else(|| {
                     let reason = "compressed payload for a tensor sent uncompressed".into();
                     (w, DecodeError::Malformed { reason })
                 })?;
-                let t0 = Instant::now();
-                match ctx.decompress_symbols(wire, syms).map_err(|e| (w, e))? {
-                    Some(scale) => {
-                        timings.decode += t0.elapsed().as_secs_f64();
-                        stats.record(n, wire.len());
-                        let a0 = Instant::now();
-                        if first {
-                            kernels::dequant_assign(imp, syms, scale, acc);
-                        } else {
-                            kernels::dequant_add(imp, syms, scale, acc);
-                        }
-                        timings.accumulate += a0.elapsed().as_secs_f64();
-                    }
-                    None => {
-                        // No symbol form (f32/baseline schemes): dense
-                        // decode, then accumulate the identical floats.
-                        let g = ctx.decompress(wire).map_err(|e| (w, e))?;
-                        timings.decode += t0.elapsed().as_secs_f64();
-                        stats.record(n, wire.len());
-                        let a0 = Instant::now();
-                        accumulate_dense(g.as_slice(), first, acc);
-                        timings.accumulate += a0.elapsed().as_secs_f64();
-                    }
-                }
+                ctx.decode_into(wire, op, acc).map_err(|e| (w, e))?;
+                stats.record(acc.len(), wire.len());
             }
-            TensorPayload::Raw(grad) => {
-                let a0 = Instant::now();
-                accumulate_dense(grad.as_slice(), first, acc);
-                timings.accumulate += a0.elapsed().as_secs_f64();
-            }
+            TensorPayload::Raw(grad) => op.apply(grad.iter().copied(), acc),
         }
-        first = false;
     }
-    let a0 = Instant::now();
-    avg.scale_inplace(1.0 / accepted_count as f32);
-    timings.accumulate += a0.elapsed().as_secs_f64();
     Ok(())
 }
 
-/// `acc = xs` (first worker) or `acc += xs`: the dense half of the
-/// accumulation, element-for-element what `Tensor::add_assign` (and
-/// moving the first tensor into the sum) computes.
-fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
-    if first {
-        acc.copy_from_slice(xs);
-    } else {
-        for (a, &x) in acc.iter_mut().zip(xs) {
-            *a += x;
-        }
-    }
+/// What each worker's payloads do to the accumulators this step: `None`
+/// for a dropped straggler (an empty payload list); of the accepted ones
+/// the first assigns, the rest add, and the last also multiplies by
+/// `1 / accepted_count` — `(acc + v) · k` is the add, then the multiply,
+/// a separate averaging sweep would have performed.
+fn accumulate_ops(
+    payloads: &[Vec<TensorPayload>],
+    accepted_count: usize,
+) -> Vec<Option<DequantOp>> {
+    let k = 1.0 / accepted_count as f32;
+    let first = payloads.iter().position(|p| !p.is_empty());
+    let last = payloads.iter().rposition(|p| !p.is_empty());
+    payloads
+        .iter()
+        .enumerate()
+        .map(|(w, push)| {
+            (!push.is_empty()).then(|| match (Some(w) == first, Some(w) == last) {
+                (true, true) => DequantOp::AssignScaled(k),
+                (true, false) => DequantOp::Assign,
+                (false, true) => DequantOp::AddScaled(k),
+                (false, false) => DequantOp::Add,
+            })
+        })
+        .collect()
 }
 
-/// Splits `0..len` into at most `parts` contiguous ascending ranges whose
-/// sizes differ by at most one (the first `len % parts` ranges get the
-/// extra element). Always returns at least one range; never returns more
-/// ranges than `len` (except `len == 0`, which yields a single empty
-/// range).
-fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
+/// Splits tensors of the given `sizes` (element counts) into
+/// `min(parts, sizes.len())` contiguous, ascending, non-empty index ranges
+/// of about equal element totals: range `k` ends at the tensor boundary
+/// nearest to `(k + 1) / parts` of all elements that still leaves a tensor
+/// for every range after it. No tensors (or `parts == 0`) yield one range,
+/// empty for no tensors.
+fn split_ranges(sizes: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let n = sizes.len();
+    let parts = parts.clamp(1, n.max(1));
+    // ends[i]: elements in tensors `0..=i`.
+    let ends: Vec<usize> = sizes
+        .iter()
+        .scan(0, |sum, &size| {
+            *sum += size;
+            Some(*sum)
+        })
+        .collect();
+    let total = ends.last().copied().unwrap_or(0);
     let mut out = Vec::with_capacity(parts);
     let mut start = 0;
-    for k in 0..parts {
-        let size = base + usize::from(k < extra);
-        out.push(start..start + size);
-        start += size;
+    for k in 1..parts {
+        let target = total * k / parts;
+        let cut = (start + 1..=n - (parts - k))
+            .min_by_key(|&cut| ends[cut - 1].abs_diff(target))
+            .expect("parts <= n leaves a tensor for every range");
+        out.push(start..cut);
+        start = cut;
     }
-    debug_assert_eq!(start, len);
+    out.push(start..n);
     out
 }
 
@@ -668,33 +630,31 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
     })
 }
 
-/// Runs one server phase over `split_ranges(rows.len(), scratch.len())`,
-/// one shard per entry of the per-shard `scratch`: `body` gets a
-/// contiguous tensor index range, that range's exclusive slice of the
-/// per-tensor `rows`, its shard's scratch, and private traffic-stats and
-/// codec-seconds accumulators. A single range runs inline on the calling
-/// thread, so one shard and many execute the same body; tensors are
-/// independent and keep their worker-id order inside `body`, so the shard
-/// count never changes a result. Every shard hands its (order-insensitive)
-/// `u64` traffic counters and measured codec seconds back by value; their
-/// totals, merged in range order, come back beside the per-shard outputs.
-/// `busy` is `engine.shard.busy_seconds`, recorded once per shard of a
-/// phase that runs more than one.
-fn run_shards<C: Send, S: Send, T: Send>(
+/// Runs one server phase, one shard per entry of `ranges` (contiguous,
+/// ascending, covering `rows`): `body` gets its tensor index range, that
+/// range's exclusive slice of the per-tensor `rows`, and private
+/// traffic-stats and codec-seconds accumulators. A single range runs
+/// inline on the calling thread, so one shard and many execute the same
+/// body; tensors are independent and keep their worker-id order inside
+/// `body`, so the shard count never changes a result. Every shard hands its
+/// (order-insensitive) `u64` traffic counters and measured codec seconds
+/// back by value; their totals, merged in range order, come back beside the
+/// per-shard outputs. `busy` is `engine.shard.busy_seconds`, recorded once
+/// per shard of a phase that runs more than one.
+fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
-    scratch: &mut [S],
+    ranges: &[Range<usize>],
     busy: &Histogram,
-    body: impl Fn(Range<usize>, &mut [C], &mut S, &mut CompressionStats, &mut f64) -> T + Sync,
+    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats, &mut f64) -> T + Sync,
 ) -> (Vec<T>, CompressionStats, f64) {
-    let ranges = split_ranges(rows.len(), scratch.len());
     let sharded = ranges.len() > 1;
-    let chunks = split_off_ranges(rows, &ranges);
-    let tasks: Vec<_> = ranges.into_iter().zip(chunks).zip(scratch).collect();
-    let shards = run_tasks(tasks, |((range, chunk), scratch)| {
+    let chunks = split_off_ranges(rows, ranges);
+    let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).collect();
+    let shards = run_tasks(tasks, |(range, chunk)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
         let mut codec = 0.0f64;
-        let out = body(range, chunk, scratch, &mut stats, &mut codec);
+        let out = body(range, chunk, &mut stats, &mut codec);
         if sharded {
             busy.record(t0.elapsed().as_secs_f64());
         }
@@ -741,7 +701,7 @@ impl ServerCore {
             (None, Vec::new())
         };
         let reg = threelc_obs::global();
-        ServerCore {
+        let mut core = ServerCore {
             global: problem.init.clone(),
             decode_ctxs,
             update: problem
@@ -749,7 +709,6 @@ impl ServerCore {
                 .iter()
                 .map(|s| Tensor::zeros(s.clone()))
                 .collect(),
-            syms: vec![Vec::new()],
             pull_ctxs: problem.pull_ctxs(),
             optimizer: SgdMomentum::new(config.momentum, config.weight_decay),
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
@@ -759,13 +718,19 @@ impl ServerCore {
             policy,
             current_decisions,
             step: 0,
-            threads: 1,
+            shards: Vec::new(),
             apply_seconds: reg.histogram("engine.apply_step_seconds"),
             shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
-            aggregate_decode_seconds: reg.histogram("engine.aggregate.symbol_decode_seconds"),
-            aggregate_accumulate_seconds: reg.histogram("engine.aggregate.accumulate_seconds"),
+            aggregate_seconds: reg.histogram("engine.aggregate.seconds"),
             config,
-        }
+        };
+        // As many shards as the host has cores and the model has
+        // `MIN_SHARD_VALUES`-sized shares of work (and, inside
+        // `split_ranges`, tensors to hand out).
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let values: usize = problem.shapes.iter().map(Shape::num_elements).sum();
+        core.set_threads(cores.min(values / MIN_SHARD_VALUES));
+        core
     }
 
     /// The decisions governing the *next* step's encodes (empty when the
@@ -778,28 +743,16 @@ impl ServerCore {
         &self.current_decisions
     }
 
-    /// Requests up to `threads` aggregation shards for [`Self::apply_step`]
-    /// (`0` = one per hardware core); every codec context stays serial. A
-    /// pure performance hint: the sharded step is bit-identical to the
-    /// serial one (each shard owns a disjoint tensor range, and per-tensor
-    /// arithmetic keeps worker-id order).
+    /// Forces [`Self::apply_step`] onto up to `threads` shards instead of
+    /// the count [`Self::new`] derived from the host and the model. A test
+    /// hook, like `ThreeLcCompressor::with_codec_impl`: the step is
+    /// bit-identical at every count (each shard owns a disjoint tensor
+    /// range, and per-tensor arithmetic keeps worker-id order), and the
+    /// tests that say so need counts the host would not pick.
+    #[doc(hidden)]
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        };
-        self.syms
-            .resize_with(self.plan_shards(self.shapes.len()), Vec::new);
-    }
-
-    /// Shard count for a step over `n` tensors (the length of `syms`).
-    fn plan_shards(&self, n: usize) -> usize {
-        if self.threads <= 1 || n < 2 {
-            1
-        } else {
-            self.threads.min(n)
-        }
+        let sizes: Vec<usize> = self.shapes.iter().map(Shape::num_elements).collect();
+        self.shards = split_ranges(&sizes, threads);
     }
 
     /// The server's full-precision global model.
@@ -837,7 +790,9 @@ impl ServerCore {
     /// Executes one server step: decodes and averages the accepted pushes
     /// (in worker-id order — float addition is not associative, so order
     /// is part of the contract), applies SGD-with-momentum to the global
-    /// model, and compresses the resulting model delta for the pull path.
+    /// model, and compresses the resulting model delta for the pull path —
+    /// three phases, each over the same per-shard tensor ranges, each
+    /// finished on every shard before the next starts.
     ///
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a dropped straggler whose push is not aggregated.
@@ -903,10 +858,19 @@ impl ServerCore {
         } else {
             0
         };
-        // The optimizer's own sweep turns the averaged gradient into the
-        // step's model delta where it lies; nothing snapshots the model.
-        self.optimizer
-            .apply_with_delta(&mut self.global, &mut self.update, lr);
+        // Every payload of every tensor has decoded: only now may the
+        // model move. The optimizer's own sweep turns the averaged
+        // gradient into the step's model delta where it lies; nothing
+        // snapshots the model.
+        let mut steps = self
+            .optimizer
+            .steps_with_delta(&mut self.global, &mut self.update);
+        run_shards(
+            &mut steps,
+            &self.shards,
+            &self.shard_busy_seconds,
+            |_, steps, _, _| steps.iter_mut().for_each(|step| step.apply(lr)),
+        );
 
         // Compress model deltas (shared pull contexts, Fig. 2b).
         let t_reencode = if tracing {
@@ -998,53 +962,42 @@ impl ServerCore {
     /// order within the tensor ([`aggregate_tensor`]), into `update`,
     /// over one tensor range per shard ([`run_shards`]). The model,
     /// optimizer and traffic statistics do not change unless every payload
-    /// decodes.
+    /// decodes. The fused pass is all codec time: there is no boundary
+    /// between decoding a payload and summing it.
     fn decode_aggregate(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
         server_codec: &mut f64,
     ) -> Result<(), EngineError> {
-        let imp = kernels::active();
         let step = self.step;
-        let decode_seconds = &self.aggregate_decode_seconds;
-        let accumulate_seconds = &self.aggregate_accumulate_seconds;
+        let ops = accumulate_ops(payloads, accepted_count);
+        let aggregate_seconds = &self.aggregate_seconds;
         // Each tensor's contexts beside its accumulator, so a shard owns
         // both (`&mut` because a context is `Send`, not `Sync`).
         let mut rows: Vec<_> = self.decode_ctxs.iter_mut().zip(&mut self.update).collect();
         let (outs, stats, codec) = run_shards(
             &mut rows,
-            &mut self.syms,
+            &self.shards,
             &self.shard_busy_seconds,
-            |range, rows, syms, stats, codec| {
-                let mut timings = AggTimings::default();
+            |range, rows, stats, codec| {
+                let t0 = Instant::now();
                 let out = rows
                     .iter_mut()
                     .zip(range)
                     .try_for_each(|((ctx_row, avg), i)| {
-                        aggregate_tensor(
-                            imp,
-                            avg,
-                            ctx_row,
-                            payloads,
-                            i,
-                            accepted_count,
-                            syms,
-                            stats,
-                            &mut timings,
-                        )
-                        .map_err(|(worker, source)| {
-                            EngineError::UndecodablePush {
+                        aggregate_tensor(avg, ctx_row, payloads, &ops, i, stats).map_err(
+                            |(worker, source)| EngineError::UndecodablePush {
                                 step,
                                 worker,
                                 tensor: i,
                                 source,
-                            }
-                        })
+                            },
+                        )
                     });
-                decode_seconds.record(timings.decode);
-                accumulate_seconds.record(timings.accumulate);
-                *codec += timings.decode;
+                let elapsed = t0.elapsed().as_secs_f64();
+                aggregate_seconds.record(elapsed);
+                *codec += elapsed;
                 out
             },
         );
@@ -1064,13 +1017,11 @@ impl ServerCore {
         let workers = self.config.workers;
         let shared_pull = self.config.shared_pull_compression;
         let delta = &self.update;
-        // The encode side needs no scratch of ours: `syms` only says how
-        // many shards there are.
         let (outs, stats, codec) = run_shards(
             &mut self.pull_ctxs,
-            &mut self.syms,
+            &self.shards,
             &self.shard_busy_seconds,
-            |range, ctxs, _syms, stats, codec| {
+            |range, ctxs, stats, codec| {
                 let mut pulls = Vec::with_capacity(range.len());
                 for (ctx, i) in ctxs.iter_mut().zip(range) {
                     let delta = &delta[i];
@@ -1277,6 +1228,82 @@ mod tests {
     }
 
     #[test]
+    fn rejoin_replay_against_a_sharded_server_matches_serial_bit_for_bit() {
+        // The networked runtime's disconnect fault, with the shard count
+        // forced (a `serve` derives its own: one on a model this small or
+        // on a 1-core host). Worker 0 is lost before step 3 and comes back
+        // as a fresh replica that re-runs the completed steps against the
+        // server's retained pull history — compute and encode for their
+        // state (RNG draws, residual), the payloads going nowhere — then
+        // trains live. On 1 shard and on 4, the history, the global model
+        // and both replicas must equal an undisturbed one-shard run's.
+        const FAULT_STEP: u64 = 3;
+        for scheme in [SchemeKind::three_lc(1.0), SchemeKind::Float32] {
+            let config = tiny(scheme);
+            let problem = Problem::build(&config);
+            let replicas = || -> Vec<WorkerReplica> {
+                (0..config.workers)
+                    .map(|w| WorkerReplica::new(&problem, w))
+                    .collect()
+            };
+            let mut truth_workers = replicas();
+            let mut truth = ServerCore::new(&problem);
+            truth.set_threads(1);
+            let truth_history: Vec<ServerStepOutput> = (0..config.total_steps)
+                .map(|_| engine_step(&problem, &mut truth_workers, &mut truth))
+                .collect();
+
+            for threads in [1, 4] {
+                let mut workers = replicas();
+                let mut server = ServerCore::new(&problem);
+                server.set_threads(threads);
+                let mut history: Vec<ServerStepOutput> = Vec::new();
+                for step in 0..config.total_steps {
+                    if step == FAULT_STEP {
+                        let mut rejoined = WorkerReplica::new(&problem, 0);
+                        for done in &history {
+                            let (_loss, grads) =
+                                rejoined.compute(&problem.data, config.batch_per_worker);
+                            let _ = rejoined.encode_push(grads);
+                            rejoined.apply_pulls(&done.pulls).expect("replayed pulls");
+                            rejoined.apply_policy(&done.next_decisions);
+                        }
+                        workers[0] = rejoined;
+                    }
+                    history.push(engine_step(&problem, &mut workers, &mut server));
+                }
+                for (step, (a, b)) in truth_history.iter().zip(&history).enumerate() {
+                    for (i, (x, y)) in a.pulls.iter().zip(&b.pulls).enumerate() {
+                        let same = match (x, y) {
+                            (TensorPayload::Compressed(x), TensorPayload::Compressed(y)) => x == y,
+                            (TensorPayload::Raw(x), TensorPayload::Raw(y)) => x == y,
+                            _ => false,
+                        };
+                        assert!(
+                            same,
+                            "pull diverged: shards={threads} step={step} tensor={i}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    server.global().snapshot(),
+                    truth.global().snapshot(),
+                    "global model diverged under {scheme} on {threads} shard(s)"
+                );
+                for (w, (a, b)) in truth_workers.iter().zip(&workers).enumerate() {
+                    assert_eq!(
+                        a.model().snapshot(),
+                        b.model().snapshot(),
+                        "worker {w} diverged under {scheme} on {threads} shard(s)"
+                    );
+                }
+                assert_eq!(server.push_stats(), truth.push_stats());
+                assert_eq!(server.pull_stats(), truth.pull_stats());
+            }
+        }
+    }
+
+    #[test]
     fn all_rejected_step_is_a_typed_error_not_a_panic() {
         // One shard or several, aggregation must refuse an all-rejected
         // step with `NoAcceptedPushes` and leave the server
@@ -1364,30 +1391,43 @@ mod tests {
             // A compressed body where the model sends raw floats.
             (raw_tensor, |_| {}, "sent uncompressed"),
         ];
+        let push = |workers: &mut [WorkerReplica]| -> Vec<Vec<TensorPayload>> {
+            workers
+                .iter_mut()
+                .map(|w| {
+                    let (_, grads) = w.compute(&problem.data, config.batch_per_worker);
+                    w.encode_push(grads).payloads
+                })
+                .collect()
+        };
         for threads in [1usize, 4] {
             for (case, &(target, corrupt, expected)) in corruptions.iter().enumerate() {
                 let mut workers: Vec<WorkerReplica> = (0..config.workers)
                     .map(|w| WorkerReplica::new(&problem, w))
                     .collect();
+                // The twin never sees the corrupt step.
                 let mut server = ServerCore::new(&problem);
+                let mut twin = ServerCore::new(&problem);
                 server.set_threads(threads);
-                engine_step(&problem, &mut workers, &mut server);
+                twin.set_threads(threads);
+                let first = push(&mut workers);
+                twin.apply_step(&first, config.workers, 0.0).expect("clean");
+                let out = server.apply_step(&first, config.workers, 0.0);
+                for w in &mut workers {
+                    w.apply_pulls(&out.as_ref().expect("clean").pulls)
+                        .expect("the server's own pulls");
+                }
                 let before = server.global().snapshot();
                 let stats_before = server.push_stats().clone();
 
-                let mut payloads: Vec<Vec<TensorPayload>> = workers
-                    .iter_mut()
-                    .map(|w| {
-                        let (_, grads) = w.compute(&problem.data, config.batch_per_worker);
-                        w.encode_push(grads).payloads
-                    })
-                    .collect();
+                let mut payloads = push(&mut workers);
                 let mut wire = match &payloads[1][tensor] {
                     TensorPayload::Compressed(wire) => wire.clone(),
                     TensorPayload::Raw(_) => unreachable!("tensor is compressible"),
                 };
                 corrupt(&mut wire);
-                payloads[1][target] = TensorPayload::Compressed(wire);
+                let clean =
+                    std::mem::replace(&mut payloads[1][target], TensorPayload::Compressed(wire));
 
                 let label = format!("threads={threads} case={case}");
                 let err = server
@@ -1412,17 +1452,65 @@ mod tests {
                 assert_eq!(server.step_number(), 1, "{label}: step counter moved");
                 assert_eq!(server.global().snapshot(), before, "{label}: model moved");
                 assert_eq!(server.push_stats(), &stats_before, "{label}: stats moved");
+
+                // The optimizer phase never ran: fed the clean step, the
+                // server lands where the twin does (a touched velocity
+                // would carry into this update).
+                payloads[1][target] = clean;
+                for core in [&mut server, &mut twin] {
+                    core.apply_step(&payloads, config.workers, 0.0)
+                        .expect("clean");
+                }
+                assert_eq!(
+                    server.global().snapshot(),
+                    twin.global().snapshot(),
+                    "{label}: the failed step left something behind"
+                );
+                assert_eq!(server.push_stats(), twin.push_stats(), "{label}: stats");
+            }
+
+            // Several bad payloads: the lowest tensor is named, then the
+            // lowest worker — whichever shard met its error first.
+            let (low, high) = (0, problem.num_tensors() - 1);
+            for (bad, (want_worker, want_tensor)) in [
+                (&[(0, high), (1, low)][..], (1, low)),
+                (&[(1, low), (0, low), (0, high)], (0, low)),
+            ] {
+                let mut workers: Vec<WorkerReplica> = (0..config.workers)
+                    .map(|w| WorkerReplica::new(&problem, w))
+                    .collect();
+                let mut server = ServerCore::new(&problem);
+                server.set_threads(threads);
+                let mut payloads = push(&mut workers);
+                for &(w, t) in bad {
+                    payloads[w][t] = TensorPayload::Compressed(vec![0; 4]);
+                }
+                let err = server.apply_step(&payloads, config.workers, 0.0).err();
+                assert!(
+                    matches!(
+                        err,
+                        Some(EngineError::UndecodablePush { step: 0, worker, tensor: t, .. })
+                            if (worker, t) == (want_worker, want_tensor)
+                    ),
+                    "threads={threads} bad={bad:?}: wrong error {err:?}"
+                );
+                assert_eq!(server.global().snapshot(), problem.init.snapshot());
             }
         }
     }
 
     #[test]
     fn split_ranges_is_balanced_and_exhaustive() {
+        // Equal tensors: contiguous, non-empty, sizes within one of each
+        // other — and never more ranges than tensors.
         for len in 0..40usize {
             for parts in 1..9usize {
-                let ranges = split_ranges(len, parts);
-                assert!(!ranges.is_empty());
-                assert!(ranges.len() <= parts);
+                let ranges = split_ranges(&vec![7; len], parts);
+                assert_eq!(
+                    ranges.len(),
+                    parts.min(len).max(1),
+                    "len={len} parts={parts}"
+                );
                 assert_eq!(ranges[0].start, 0);
                 assert_eq!(ranges.last().unwrap().end, len);
                 for w in ranges.windows(2) {
@@ -1432,8 +1520,35 @@ mod tests {
                 let min = sizes.iter().min().unwrap();
                 let max = sizes.iter().max().unwrap();
                 assert!(max - min <= 1, "len={len} parts={parts}: {sizes:?}");
+                assert!(len == 0 || *min > 0, "len={len} parts={parts}: {sizes:?}");
             }
         }
+    }
+
+    #[test]
+    fn split_ranges_balances_by_element_count() {
+        // One giant tensor among small ones gets a shard to itself, the
+        // small ones share — by tensor count this would be 0..3 | 3..6.
+        assert_eq!(
+            split_ranges(&[1000, 10, 10, 10, 10, 10], 2),
+            vec![0..1, 1..6]
+        );
+        assert_eq!(
+            split_ranges(&[10, 1000, 10, 10, 10, 10], 3),
+            vec![0..1, 1..2, 2..6]
+        );
+        // The residual MLP at width 1024 (stem, two blocks of bn-fc-bn-fc,
+        // head; 4.4 M values): split inside the first block's last layer,
+        // 2.30 M to 2.11 M.
+        let block = [1024, 1024, 1_048_576, 1024, 1024, 1024, 1_048_576, 1024];
+        let mlp = [&[196_608, 1024][..], &block, &block, &[10_240, 10]].concat();
+        assert_eq!(split_ranges(&mlp, 2), vec![0..9, 9..20]);
+        // More shards than tensors: one tensor each, no empty shard.
+        assert_eq!(split_ranges(&[5, 5, 5], 8), vec![0..1, 1..2, 2..3]);
+        // Zero tensors: one empty range, so a phase still runs (inline).
+        assert_eq!(split_ranges(&[], 4), vec![0..0]);
+        // Empty tensors only: still exhaustive and non-overlapping.
+        assert_eq!(split_ranges(&[0, 0, 0], 2), vec![0..1, 1..3]);
     }
 
     #[test]
@@ -1457,7 +1572,7 @@ mod tests {
     #[test]
     fn run_tasks_preserves_order_over_disjoint_chunks() {
         let mut data = vec![0u8; 100];
-        let ranges = split_ranges(data.len(), 4);
+        let ranges = split_ranges(&[1; 100], 4);
         let chunks = split_off_ranges(&mut data, &ranges);
         let tasks: Vec<_> = chunks.into_iter().enumerate().collect();
         let out = run_tasks(tasks, |(k, chunk)| {
@@ -1479,12 +1594,27 @@ mod tests {
     }
 
     #[test]
-    fn set_threads_zero_resolves_to_hardware_cores() {
-        let config = tiny(SchemeKind::Float32);
-        let problem = Problem::build(&config);
+    fn shard_count_is_derived_from_the_host_and_the_model() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // 8.6 k values: far below one shard's worth, whatever the host.
+        let small = ServerCore::new(&Problem::build(&tiny(SchemeKind::Float32)));
+        assert_eq!(small.shards.len(), 1);
+        // Width 512: 1.16 M values in 20 tensors, four shards' worth.
+        let problem = Problem::build(&ExperimentConfig {
+            model_width: 512,
+            model_blocks: 2,
+            ..tiny(SchemeKind::Float32)
+        });
+        let values: usize = problem.shapes.iter().map(Shape::num_elements).sum();
+        assert_eq!(values / MIN_SHARD_VALUES, 4);
         let mut server = ServerCore::new(&problem);
+        assert_eq!(server.shards.len(), cores.min(4));
+        assert_eq!(server.shards.last().unwrap().end, problem.num_tensors());
+        // The test hook overrides it.
+        server.set_threads(3);
+        assert_eq!(server.shards.len(), 3);
         server.set_threads(0);
-        assert!(server.threads >= 1);
+        assert_eq!(server.shards.len(), 1);
     }
 
     #[test]

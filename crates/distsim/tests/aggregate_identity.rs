@@ -1,13 +1,14 @@
-//! Property tests holding the server's symbol-domain aggregation to a
-//! dense f32 reference: **summing `scale · sym` straight from decoded
-//! symbols is bit-identical to decoding every accepted payload to a
+//! Property tests holding the server's fused aggregation to a dense f32
+//! reference: **taking every accepted payload from wire bytes to the
+//! accumulator in one pass, the average folded into the last, is
+//! bit-identical to decoding every accepted payload to a
 //! tensor, summing those in worker order, and dividing** — same pull
 //! wires, same decoded pulls, same global model bit patterns — across
 //! thread counts and adversarial inputs (all-zero tensors, denormal
 //! scales, ±0.0, single-worker steps, and payloads rejected mid-step).
 //!
 //! The pull side is held to its dense reference the same way: **adding
-//! `scale · sym` straight into the parameters
+//! a pull straight from its wire bytes into the parameters
 //! ([`WorkerReplica::apply_pulls`]) is bit-identical to decoding every
 //! pull to a tensor and adding that** (`decompress` + `apply_deltas`) —
 //! over the same generators, without zero-run encoding, for a scheme with
@@ -20,9 +21,11 @@
 //! re-encode run on the oracle's numbers and every output must match the
 //! server under test bit for bit.
 //!
-//! Codec-tier coverage (scalar / SWAR / SIMD) comes from re-running this
-//! suite under `THREELC_CODEC_IMPL` in ci.sh's codec matrix: the engine
-//! aggregates with the process-wide active tier, so one env var pins it.
+//! This suite runs on the process-wide active codec tier. The tiers are
+//! held to each other one level down — `dispatch_identity.rs` in
+//! `threelc` compares the fused decode on scalar / SWAR / SIMD by bit
+//! pattern for every op this file's cases select — and ci.sh's codec
+//! matrix re-runs the networked loopback suite under each forced tier.
 //!
 //! Bit patterns are compared directly (`f32::to_bits`), which is strictly
 //! stronger than the CRC32 comparison the networked loopback tests use.
@@ -365,6 +368,67 @@ proptest! {
             prop_assert!(
                 bits(&fused.model().snapshot()) == bits(&dense.model().snapshot()),
                 "replica diverged at batch {step} (kind {kind})"
+            );
+        }
+    }
+}
+
+/// Which accepted worker assigns, which ones add and which one carries the
+/// average is decided from the accepted subset, so every shape of subset
+/// is held to the oracle: one of three accepted (the first is also the
+/// last), the first worker dropped, the last dropped, a gap in the middle,
+/// nobody dropped. Every step's small tensors travel raw, so a raw tensor
+/// is the last payload of its row in each case.
+#[test]
+fn accepted_subsets_pin_the_op_selection() {
+    let workers = 3usize;
+    let problem = Problem::build(&config(workers, SchemeKind::three_lc(1.5)));
+    assert!(problem.compressible.iter().any(|&c| c));
+    assert!(problem.compressible.iter().any(|&c| !c));
+    let subsets: [[bool; 3]; 7] = [
+        [false, true, false],
+        [false, false, true],
+        [true, false, false],
+        [false, true, true],
+        [true, true, false],
+        [true, false, true],
+        [true, true, true],
+    ];
+    for threads in [1usize, 4] {
+        let mut server = ServerCore::new(&problem);
+        let mut reference = ServerCore::new(&problem);
+        server.set_threads(threads);
+        reference.set_threads(threads);
+        let mut ctxs: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
+        for (step, subset) in subsets.iter().enumerate() {
+            let payloads: Vec<Vec<TensorPayload>> = (0..workers)
+                .map(|w| {
+                    let kind = (w + step) as u8;
+                    let push = crafted_push(&problem, &mut ctxs[w], kind, (w * 31 + step) as u64);
+                    if subset[w] {
+                        push
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
+            let accepted = subset.iter().filter(|&&a| a).count();
+            let out = server
+                .apply_step(&payloads, accepted, 0.0)
+                .expect("someone is accepted");
+            let want = reference
+                .apply_step(
+                    &oracle_average(&problem, &ctxs, &payloads, accepted),
+                    1,
+                    0.0,
+                )
+                .expect("the oracle's push is accepted");
+            let label = format!("threads={threads} accepted={subset:?}");
+            assert_outputs_identical(&problem, &want, &out, &label).expect("identical outputs");
+            assert_eq!(
+                bits(&reference.global().snapshot()),
+                bits(&server.global().snapshot()),
+                "global model diverged: {label}"
             );
         }
     }

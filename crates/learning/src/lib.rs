@@ -58,5 +58,5 @@ pub use layers::{
 pub use loss::softmax_cross_entropy;
 pub use metrics::{accuracy, Evaluation};
 pub use network::Network;
-pub use optim::SgdMomentum;
+pub use optim::{SgdMomentum, TensorStep};
 pub use schedule::LrSchedule;

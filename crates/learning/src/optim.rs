@@ -62,15 +62,40 @@ impl SgdMomentum {
     ///
     /// As [`apply`](Self::apply).
     pub fn apply_with_delta(&mut self, net: &mut Network, grads: &mut [Tensor], lr: f32) {
-        let mut params = net.params_mut();
+        for step in &mut self.steps_with_delta(net, grads) {
+            step.apply(lr);
+        }
+    }
+
+    /// [`apply_with_delta`](Self::apply_with_delta) taken apart by tensor:
+    /// one [`TensorStep`] per parameter, in parameter order. No element's
+    /// update reads another's, so a caller may apply the steps on as many
+    /// threads as it likes (the parameter server runs them under its
+    /// aggregation shards) and end on the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply`](Self::apply).
+    pub fn steps_with_delta<'a>(
+        &'a mut self,
+        net: &'a mut Network,
+        grads: &'a mut [Tensor],
+    ) -> Vec<TensorStep<'a>> {
+        let params = net.params_mut();
         self.check(&params, grads);
         let (momentum, weight_decay) = (self.momentum, self.weight_decay);
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            let (pd, gd, vd) = (p.as_mut_slice(), g.as_mut_slice(), v.as_mut_slice());
-            for i in 0..pd.len() {
-                gd[i] = step(&mut pd[i], gd[i], &mut vd[i], momentum, weight_decay, lr);
-            }
-        }
+        params
+            .into_iter()
+            .zip(grads)
+            .zip(&mut self.velocity)
+            .map(|((param, grad), velocity)| TensorStep {
+                param,
+                grad,
+                velocity,
+                momentum,
+                weight_decay,
+            })
+            .collect()
     }
 
     /// Holds `grads` to the parameter list and, on the first call, creates
@@ -102,6 +127,31 @@ impl SgdMomentum {
     /// The configured weight decay.
     pub fn weight_decay(&self) -> f32 {
         self.weight_decay
+    }
+}
+
+/// One tensor's share of [`SgdMomentum::apply_with_delta`]: its parameter,
+/// its gradient and its velocity ([`SgdMomentum::steps_with_delta`]).
+#[derive(Debug)]
+pub struct TensorStep<'a> {
+    param: &'a mut Tensor,
+    grad: &'a mut Tensor,
+    velocity: &'a mut Tensor,
+    momentum: f32,
+    weight_decay: f32,
+}
+
+impl TensorStep<'_> {
+    /// Updates the parameter and velocity with learning rate `lr` and
+    /// leaves the parameter's change in the gradient's place.
+    pub fn apply(&mut self, lr: f32) {
+        let (momentum, weight_decay) = (self.momentum, self.weight_decay);
+        let params = self.param.as_mut_slice().iter_mut();
+        let grads = self.grad.as_mut_slice().iter_mut();
+        let velocity = self.velocity.as_mut_slice().iter_mut();
+        for ((p, g), v) in params.zip(grads).zip(velocity) {
+            *g = step(p, *g, v, momentum, weight_decay, lr);
+        }
     }
 }
 

@@ -66,10 +66,6 @@ pub struct ServeOptions {
     /// original fail-stop semantics: any mid-run disconnect aborts, and
     /// no pull-batch history is retained.
     pub max_rejoins: u32,
-    /// Aggregation shards for the server core (`0` = one per hardware
-    /// core). A performance hint only: the trained model is bit-identical
-    /// at any setting.
-    pub threads: usize,
     /// Where to write the flight-recorder dump (`<out>.flight.json`).
     /// When set, a dump is written automatically if the run aborts, a
     /// handler panics, a fault fires, or the end-of-run watchdog flags
@@ -85,7 +81,6 @@ impl Default for ServeOptions {
             step_timeout: Duration::from_secs(300),
             rejoin_timeout: Duration::from_secs(60),
             max_rejoins: 4,
-            threads: 1,
             flight: None,
         }
     }
@@ -269,7 +264,6 @@ fn serve_run(
         )));
     }
     let mut server = ServerCore::new(&problem);
-    server.set_threads(opts.threads);
     let shapes: Arc<Vec<Shape>> = Arc::new(problem.shapes.clone());
     let workers = config.workers;
     let config_json = Arc::new(

@@ -7,7 +7,7 @@ use std::thread;
 use std::time::Duration;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::{
-    run_experiment, Cluster, ExperimentConfig, Problem, TensorPayload, WorkerReplica,
+    run_experiment, Cluster, ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica,
 };
 use threelc_net::frame::{read_frame, write_frame};
 use threelc_net::protocol::{encode_hello, encode_push_done, tensor_to_bytes};
@@ -210,19 +210,21 @@ fn adaptive_policy_loopback_matches_simulator_bit_for_bit() {
 
 #[test]
 fn sharded_loopback_matches_simulator_bit_for_bit() {
-    // Server with sharded aggregation (2 shards): the trained model must
-    // still be bit-identical to the (serial) in-process simulator.
+    // A model large enough (0.63 M values) that the server derives two
+    // aggregation shards on any host with two cores: the trained model
+    // must still be bit-identical to the in-process simulator, whose
+    // server derives the same count, and to one forced onto one shard
+    // (`engine`'s own tests force 1 against 4).
     let config = ExperimentConfig {
         total_steps: 6,
         eval_every: 0,
+        model_width: 512,
+        batch_per_worker: 2,
         ..loopback_config(SchemeKind::three_lc(1.0))
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let opts = ServeOptions {
-        threads: 2,
-        ..ServeOptions::default()
-    };
+    let opts = ServeOptions::default();
     let server = thread::spawn(move || serve(&listener, &config, &opts));
     let clients: Vec<_> = (0..config.workers as u16)
         .map(|w| {
@@ -243,15 +245,38 @@ fn sharded_loopback_matches_simulator_bit_for_bit() {
         assert_eq!(net.push_bytes, sim.push_bytes, "step {}", sim.step);
         assert_eq!(net.pull_bytes, sim.pull_bytes, "step {}", sim.step);
     }
-    let mut cluster = Cluster::new(config);
+    // The same steps through the engine with the server forced serial.
+    let problem = Problem::build(&config);
+    let mut replicas: Vec<WorkerReplica> = (0..config.workers)
+        .map(|w| WorkerReplica::new(&problem, w))
+        .collect();
+    let mut serial = ServerCore::new(&problem);
+    serial.set_threads(1);
     for _ in 0..config.total_steps {
-        cluster.step();
+        let payloads: Vec<_> = replicas
+            .iter_mut()
+            .map(|w| {
+                let (_, grads) = w.compute(&problem.data, config.batch_per_worker);
+                w.encode_push(grads).payloads
+            })
+            .collect();
+        let out = serial
+            .apply_step(&payloads, config.workers, 0.0)
+            .expect("every push accepted");
+        for w in &mut replicas {
+            w.apply_pulls(&out.pulls).expect("the server's own pulls");
+        }
     }
-    for (w, outcome) in outcomes.iter().enumerate() {
+    assert_eq!(
+        report.final_model_crc32,
+        threelc_net::model_crc32(serial.global()),
+        "sharded serve diverged from the serial engine"
+    );
+    for (outcome, replica) in outcomes.iter().zip(&replicas) {
         assert_eq!(
             outcome.model.snapshot(),
-            cluster.worker_model(w).snapshot(),
-            "worker {w} replica diverged from the serial simulator"
+            replica.model().snapshot(),
+            "a worker replica diverged from the serial engine"
         );
     }
 }

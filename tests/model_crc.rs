@@ -11,8 +11,10 @@
 //! `threelc serve` print as `final model crc32`.
 
 use threelc_baselines::{build_compressor, SchemeKind};
-use threelc_distsim::{run_experiment, Cluster, ExperimentConfig};
-use threelc_learning::{models, SgdMomentum, SyntheticImages};
+use threelc_distsim::{
+    run_experiment, Cluster, ExperimentConfig, Problem, ServerCore, WorkerReplica,
+};
+use threelc_learning::{models, Evaluation, SgdMomentum, SyntheticImages};
 use threelc_net::model_crc32;
 
 const STEPS: u64 = 3;
@@ -34,11 +36,10 @@ fn dense_config(scheme: SchemeKind) -> ExperimentConfig {
 }
 
 /// `"<final model crc32> <final test loss bits>"`, both in hex, of the
-/// simulator's `residual_mlp` run on `threads` server aggregation shards.
-fn dense_run(scheme: SchemeKind, threads: usize) -> String {
+/// simulator's `residual_mlp` run.
+fn dense_run(scheme: SchemeKind) -> String {
     let config = dense_config(scheme);
     let mut cluster = Cluster::new(config);
-    cluster.set_threads(threads);
     for _ in 0..STEPS {
         cluster.step();
     }
@@ -52,6 +53,42 @@ fn dense_run(scheme: SchemeKind, threads: usize) -> String {
         "{:08x} {:08x}",
         model_crc32(cluster.global_model()),
         result.final_eval.loss.to_bits()
+    )
+}
+
+/// [`dense_run`] with the server forced onto `shards` aggregation shards
+/// (this model is far too small for the server to derive more than one):
+/// the same steps through the engine's own types, the way the networked
+/// runtime drives them.
+fn dense_run_on_shards(scheme: SchemeKind, shards: usize) -> String {
+    let config = dense_config(scheme);
+    let problem = Problem::build(&config);
+    let mut workers: Vec<WorkerReplica> = (0..config.workers)
+        .map(|w| WorkerReplica::new(&problem, w))
+        .collect();
+    let mut server = ServerCore::new(&problem);
+    server.set_threads(shards);
+    for _ in 0..STEPS {
+        let payloads: Vec<_> = workers
+            .iter_mut()
+            .map(|w| {
+                let (_, grads) = w.compute(&problem.data, config.batch_per_worker);
+                w.encode_push(grads).payloads
+            })
+            .collect();
+        let out = server
+            .apply_step(&payloads, config.workers, 0.0)
+            .expect("every push accepted");
+        for w in &mut workers {
+            w.apply_pulls(&out.pulls).expect("the server's own pulls");
+        }
+    }
+    format!(
+        "{:08x} {:08x}",
+        model_crc32(server.global()),
+        Evaluation::of(server.global(), &problem.test)
+            .loss
+            .to_bits()
     )
 }
 
@@ -88,19 +125,22 @@ fn conv_run(scheme: SchemeKind) -> String {
 
 #[test]
 fn dense_float32_model_is_pinned() {
-    assert_eq!(dense_run(SchemeKind::Float32, 1), "ccef37b4 405122a2");
+    assert_eq!(dense_run(SchemeKind::Float32), "ccef37b4 405122a2");
 }
 
 #[test]
 fn dense_three_lc_model_is_pinned() {
-    assert_eq!(dense_run(SchemeKind::three_lc(1.0), 1), "f50c5d02 40531939");
+    assert_eq!(dense_run(SchemeKind::three_lc(1.0)), "f50c5d02 40531939");
 }
 
 /// One shard and four run the same per-tensor server code, so the thread
 /// count must not move the model.
 #[test]
 fn dense_three_lc_model_is_pinned_on_four_threads() {
-    assert_eq!(dense_run(SchemeKind::three_lc(1.0), 4), "f50c5d02 40531939");
+    assert_eq!(
+        dense_run_on_shards(SchemeKind::three_lc(1.0), 4),
+        "f50c5d02 40531939"
+    );
 }
 
 #[test]
