@@ -26,10 +26,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --offline --all-targets -- -D warnings
 
 echo "==> cargo doc (-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps
 
 echo "==> cargo build --no-default-features (per crate)"
 for crate in threelc-tensor threelc threelc-baselines threelc-learning \
@@ -40,10 +40,10 @@ for crate in threelc-tensor threelc threelc-baselines threelc-learning \
 done
 
 echo "==> cargo build --release"
-cargo build --release --offline --workspace
+cargo build --release --offline
 
 echo "==> cargo test"
-cargo test -q --offline --workspace
+cargo test -q --offline
 
 echo "==> cargo test --release (core + net)"
 cargo test -q --offline --release -p threelc -p threelc-net

@@ -152,7 +152,9 @@ mod tests {
 
     #[test]
     fn anomaly_summary_reports_flagged_runs_only() {
-        let mut result = run_cached(&tiny(), true);
+        // Run uncached: `cached_run_roundtrips` runs beside this test and
+        // owns `tiny()`'s cache file between its write and its read.
+        let mut result = run_experiment(&tiny());
         assert_eq!(anomaly_summary(&result), None, "tiny run should be clean");
         result.trace.anomalies.push(threelc_obs::Anomaly {
             kind: "residual-blowup".into(),

@@ -21,11 +21,11 @@
 //!   conserve (Σ buckets drifts from measured wall time) or when any
 //!   bottleneck is flagged — the inverse gate for clean runs.
 
+use crate::netcmd::{flag_value, has_flag, parse_flag, sole_positional, split_flags};
+use crate::tracecmd::Source;
 use std::error::Error;
 use std::fmt::Write as _;
-use std::time::Duration;
-use threelc_net::NetReport;
-use threelc_obs::{AnalysisConfig, FlightDump, MergedTimeline, RunAnalysis};
+use threelc_obs::{MergedTimeline, RunAnalysis};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -40,42 +40,22 @@ const MAX_CONSERVATION_ERROR: f64 = 0.05;
 /// `threelc analyze <report.json|flight.json|addr> [--json] [--steps N]
 /// [--check] [--expect-blame NODE:PHASE]`.
 pub fn analyze_cmd(args: &[String]) -> CliResult {
-    let mut source: Option<&str> = None;
-    let mut json = false;
-    let mut check = false;
-    let mut expect: Option<(&str, &str)> = None;
-    let mut max_steps = DEFAULT_MAX_STEPS;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--check" => check = true,
-            "--steps" => {
-                let v = it.next().ok_or("--steps requires a value")?;
-                max_steps = v
-                    .parse()
-                    .map_err(|_| format!("invalid value `{v}` for --steps"))?;
-            }
-            "--expect-blame" => {
-                let v = it.next().ok_or("--expect-blame requires NODE:PHASE")?;
-                expect = Some(v.split_once(':').ok_or_else(|| {
-                    format!(
-                        "invalid --expect-blame `{v}` (expected NODE:PHASE, e.g. worker1:network)"
-                    )
-                })?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`").into());
-            }
-            other => {
-                if source.replace(other).is_some() {
-                    return Err("analyze takes exactly one report file or server address".into());
-                }
-            }
-        }
-    }
-    let source = source
-        .ok_or("analyze requires a `threelc serve --json` report file or a live server address")?;
+    const VALUED: &[(&str, &str)] = &[("--steps", "a value"), ("--expect-blame", "NODE:PHASE")];
+    let source = sole_positional(
+        &split_flags(args, VALUED, &["--json", "--check"])?,
+        "analyze requires a `threelc serve --json` report file or a live server address",
+        "analyze takes exactly one report file or server address",
+    )?;
+    let json = has_flag(args, "--json");
+    let check = has_flag(args, "--check");
+    let max_steps = parse_flag(args, "--steps")?.unwrap_or(DEFAULT_MAX_STEPS);
+    let expect = flag_value(args, "--expect-blame")
+        .map(|v| {
+            v.split_once(':').ok_or_else(|| {
+                format!("invalid --expect-blame `{v}` (expected NODE:PHASE, e.g. worker1:network)")
+            })
+        })
+        .transpose()?;
 
     let analysis = load_analysis(source)?;
     let mut out = if json {
@@ -153,49 +133,41 @@ pub fn analyze_cmd(args: &[String]) -> CliResult {
 /// rebuild reflects the analyzer that ships with this binary, not the
 /// one the server ran.
 fn load_analysis(source: &str) -> Result<RunAnalysis, Box<dyn Error>> {
-    let cfg = AnalysisConfig::default();
-    if std::path::Path::new(source).is_file() {
-        let text = std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?;
-        if let Ok(dump) = FlightDump::from_json(&text) {
+    let nodes = match Source::load(source)? {
+        Source::Flight(dump) => {
             if dump.spans.iter().all(|n| n.spans.is_empty()) {
                 return Err(format!(
                     "{source}: flight dump has no spans; dump a THREELC_TRACE=1 run"
                 )
                 .into());
             }
-            return Ok(RunAnalysis::build(
-                &MergedTimeline::build(&dump.spans),
-                &cfg,
-            ));
+            dump.spans
         }
-        let report: NetReport = serde_json::from_str(&text).map_err(|e| {
-            format!("{source}: not a `threelc serve --json` report or flight dump: {e}")
-        })?;
-        let span_count: usize = report.node_traces.iter().map(|n| n.spans.len()).sum();
-        if span_count > 0 {
-            return Ok(RunAnalysis::build(
-                &MergedTimeline::build(&report.node_traces),
-                &cfg,
-            ));
+        Source::Report(report) => {
+            if report.node_traces.iter().all(|n| n.spans.is_empty()) {
+                return report.analysis.ok_or_else(|| {
+                    format!(
+                        "{source}: no trace data and no embedded analysis; \
+                         run the server and workers with THREELC_TRACE=1"
+                    )
+                    .into()
+                });
+            }
+            report.node_traces
         }
-        if let Some(analysis) = report.analysis {
-            return Ok(analysis);
-        }
-        Err(format!(
-            "{source}: no trace data and no embedded analysis; \
-             run the server and workers with THREELC_TRACE=1"
-        )
-        .into())
-    } else {
         // Live mode: one snapshot of the server's own clock domain.
-        let node = threelc_net::scrape_trace(source, Duration::from_secs(5))?;
-        if node.spans.is_empty() {
-            return Err(
-                format!("{source}: server has no spans; start it with THREELC_TRACE=1").into(),
-            );
+        Source::Live(addr) => {
+            let node = Source::scrape(&addr)?;
+            if node.spans.is_empty() {
+                return Err(format!(
+                    "{source}: server has no spans; start it with THREELC_TRACE=1"
+                )
+                .into());
+            }
+            vec![node]
         }
-        Ok(RunAnalysis::build(&MergedTimeline::build(&[node]), &cfg))
-    }
+    };
+    Ok(RunAnalysis::build(&MergedTimeline::build(&nodes)))
 }
 
 #[cfg(test)]
@@ -203,6 +175,7 @@ mod tests {
     use super::*;
     use threelc_baselines::SchemeKind;
     use threelc_distsim::{run_experiment, ExperimentConfig};
+    use threelc_net::NetReport;
     use threelc_obs::trace::NO_WORKER;
     use threelc_obs::{NodeTrace, SpanRecord};
 
@@ -440,8 +413,7 @@ mod tests {
         for step in 0..3 {
             nodes.extend(net_step(step, 0));
         }
-        let analysis =
-            RunAnalysis::build(&MergedTimeline::build(&nodes), &AnalysisConfig::default());
+        let analysis = RunAnalysis::build(&MergedTimeline::build(&nodes));
         let path = write_report(
             "embedded.json",
             &report_with(vec![], Some(analysis.clone())),

@@ -19,26 +19,65 @@ use threelc_obs::{Level, Snapshot};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
-/// Rejects unknown flags and flags missing their value. Flags in `known`
-/// take exactly one value; flags in `boolean` take none.
-fn check_flags(args: &[String], known: &[&str], boolean: &[&str]) -> Result<(), Box<dyn Error>> {
+/// The one flag walker: flags in `valued` — `(name, what it needs)` pairs
+/// — take exactly one value, flags in `boolean` take none, and any other
+/// `--flag` is an error. Returns the positional arguments, in order.
+pub(crate) fn split_flags<'a>(
+    args: &'a [String],
+    valued: &[(&str, &str)],
+    boolean: &[&str],
+) -> Result<Vec<&'a str>, Box<dyn Error>> {
+    let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if boolean.contains(&a.as_str()) {
             continue;
         }
-        if !known.contains(&a.as_str()) {
+        if let Some((_, needs)) = valued.iter().find(|(name, _)| name == a) {
+            if it.next().is_none() {
+                return Err(format!("{a} requires {needs}").into());
+            }
+        } else if a.starts_with("--") {
             return Err(format!("unknown argument `{a}`").into());
-        }
-        if it.next().is_none() {
-            return Err(format!("{a} requires a value").into());
+        } else {
+            positional.push(a.as_str());
         }
     }
-    Ok(())
+    Ok(positional)
+}
+
+/// Rejects unknown flags, flags missing their value, and positional
+/// arguments. Flags in `known` take exactly one value; flags in `boolean`
+/// take none.
+fn check_flags(args: &[String], known: &[&str], boolean: &[&str]) -> Result<(), Box<dyn Error>> {
+    let valued: Vec<(&str, &str)> = known.iter().map(|&k| (k, "a value")).collect();
+    match split_flags(args, &valued, boolean)?.first() {
+        Some(a) => Err(format!("unknown argument `{a}`").into()),
+        None => Ok(()),
+    }
+}
+
+/// The single positional argument a reader command takes, or the
+/// command's own error for none / too many.
+pub(crate) fn sole_positional<'a>(
+    positional: &[&'a str],
+    none: &str,
+    many: &str,
+) -> Result<&'a str, Box<dyn Error>> {
+    match positional {
+        [one] => Ok(one),
+        [] => Err(none.into()),
+        _ => Err(many.into()),
+    }
+}
+
+/// Whether the boolean flag `name` is present.
+pub(crate) fn has_flag(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
 }
 
 /// The value following `name`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
@@ -46,7 +85,7 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 /// Parses the value following `name`, if present.
-fn parse_flag<T: std::str::FromStr>(
+pub(crate) fn parse_flag<T: std::str::FromStr>(
     args: &[String],
     name: &str,
 ) -> Result<Option<T>, Box<dyn Error>> {
@@ -294,42 +333,21 @@ fn write_policy_summary(
 /// SECS` keeps re-scraping every interval and prints what changed since
 /// the previous snapshot, exiting cleanly once the server goes away.
 pub fn metrics_cmd(args: &[String]) -> CliResult {
-    let mut addr: Option<&str> = None;
-    let mut from: Option<&str> = None;
-    let mut json = false;
-    let mut prom = false;
-    let mut watch: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--prom" => prom = true,
-            "--from" => {
-                from = Some(
-                    it.next()
-                        .ok_or("--from requires a JSONL file path")?
-                        .as_str(),
-                );
-            }
-            "--watch" => {
-                let v = it.next().ok_or("--watch requires an interval in seconds")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid value `{v}` for --watch"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--watch interval must be positive".into());
-                }
-                watch = Some(secs);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`").into());
-            }
-            other => {
-                if addr.replace(other).is_some() {
-                    return Err("metrics takes exactly one server address".into());
-                }
-            }
-        }
+    const VALUED: &[(&str, &str)] = &[
+        ("--from", "a JSONL file path"),
+        ("--watch", "an interval in seconds"),
+    ];
+    let addr = match split_flags(args, VALUED, &["--json", "--prom"])?[..] {
+        [] => None,
+        [addr] => Some(addr),
+        _ => return Err("metrics takes exactly one server address".into()),
+    };
+    let from = flag_value(args, "--from");
+    let json = has_flag(args, "--json");
+    let prom = has_flag(args, "--prom");
+    let watch: Option<f64> = parse_flag(args, "--watch")?;
+    if watch.is_some_and(|secs| !secs.is_finite() || secs <= 0.0) {
+        return Err("--watch interval must be positive".into());
     }
     if json && prom {
         return Err("--json and --prom are mutually exclusive".into());

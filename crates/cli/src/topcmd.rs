@@ -10,6 +10,7 @@
 //! recent wire bytes. `--once` renders a single frame and exits (the CI
 //! smoke), `--json` dumps the raw store instead of the dashboard.
 
+use crate::netcmd::{has_flag, parse_flag, sole_positional, split_flags};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -17,7 +18,7 @@ use threelc_net::scrape_series;
 use threelc_obs::timeseries::{
     RunSeries, Series, S_BARRIER_WAIT, S_RATIO, S_REJOINS, S_STEP_SECONDS, S_WIRE_BYTES,
 };
-use threelc_obs::{watchdog, WatchdogConfig};
+use threelc_obs::watchdog;
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -29,41 +30,23 @@ const SPARK_POINTS: usize = 16;
 /// any CI log renders them).
 const SPARK_GLYPHS: &[u8] = b" .:-=+*#%@";
 /// Barrier lateness (seconds) below which the bottleneck column shows
-/// `-`. Matches the analyzer's `blame_min_seconds` floor so the live
-/// column and `threelc analyze` flag the same worker.
-const BOTTLENECK_FLOOR_SECONDS: f64 = 0.1;
+/// `-`: the analyzer's own floor, so the live column and `threelc analyze`
+/// flag the same worker.
+const BOTTLENECK_FLOOR_SECONDS: f64 = threelc_obs::critical::BLAME_MIN_SECONDS;
 
 /// `threelc top <addr> [--interval SECS] [--once] [--json]`.
 pub fn top_cmd(args: &[String]) -> CliResult {
-    let mut addr: Option<&str> = None;
-    let mut interval = DEFAULT_INTERVAL;
-    let mut once = false;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--once" => once = true,
-            "--json" => json = true,
-            "--interval" => {
-                let v = it.next().ok_or("--interval requires seconds")?;
-                interval = v
-                    .parse()
-                    .map_err(|_| format!("invalid value `{v}` for --interval"))?;
-                if !interval.is_finite() || interval <= 0.0 {
-                    return Err("--interval must be positive".into());
-                }
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`").into());
-            }
-            other => {
-                if addr.replace(other).is_some() {
-                    return Err("top takes exactly one server address".into());
-                }
-            }
-        }
+    let addr = sole_positional(
+        &split_flags(args, &[("--interval", "seconds")], &["--once", "--json"])?,
+        "top requires a server address (e.g. threelc top 127.0.0.1:7171)",
+        "top takes exactly one server address",
+    )?;
+    let once = has_flag(args, "--once");
+    let json = has_flag(args, "--json");
+    let interval: f64 = parse_flag(args, "--interval")?.unwrap_or(DEFAULT_INTERVAL);
+    if !interval.is_finite() || interval <= 0.0 {
+        return Err("--interval must be positive".into());
     }
-    let addr = addr.ok_or("top requires a server address (e.g. threelc top 127.0.0.1:7171)")?;
 
     if once {
         let store = scrape_series(addr, Duration::from_secs(5))?;
@@ -125,7 +108,7 @@ pub fn render_dashboard(store: &RunSeries) -> String {
         .iter()
         .map(|w| last_value(w.series(S_STEP_SECONDS)).unwrap_or(0.0))
         .collect();
-    let stragglers = watchdog::straggler_workers(&latencies, &WatchdogConfig::default());
+    let stragglers = watchdog::straggler_workers(&latencies);
 
     let _ = writeln!(
         out,

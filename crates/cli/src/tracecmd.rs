@@ -1,9 +1,10 @@
 //! The `trace` subcommand: cross-node timeline reconstruction, Chrome
 //! trace export, and the watchdog gate.
 //!
-//! Reads either a `threelc serve --json` report (the usual path: the
-//! server collects every node's span buffer at shutdown) or a live server
-//! address (a non-draining snapshot of the server's own buffer). The
+//! Reads a `threelc serve --json` report (the usual path: the server
+//! collects every node's span buffer at shutdown), a `.flight.json` dump,
+//! or a live server address (a non-draining snapshot of the server's own
+//! buffer) — [`Source`], which `analyze` shares. The
 //! per-node buffers merge onto one clock-aligned axis via the barrier
 //! round-trip offset estimate in `threelc_obs::timeline`, render as a
 //! per-step phase breakdown, and optionally export Chrome-trace JSON for
@@ -11,65 +12,81 @@
 //! the command exits nonzero when the anomaly watchdog flags stragglers,
 //! compression-ratio drift, or residual-L2 blowups — the CI gate.
 
+use crate::netcmd::{flag_value, has_flag, parse_flag, sole_positional, split_flags};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
 use threelc_net::NetReport;
-use threelc_obs::{watchdog, FlightDump, MergedTimeline, NodeTrace, StepStats, WatchdogConfig};
+use threelc_obs::{watchdog, FlightDump, MergedTimeline, NodeTrace};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
 /// Default row cap of the per-step phase table (`--steps 0` = all).
 const DEFAULT_MAX_STEPS: usize = 20;
 
-/// `threelc trace <report.json|addr> [--chrome out.json] [--check]
-/// [--steps N]`.
-pub fn trace_cmd(args: &[String]) -> CliResult {
-    let mut source: Option<&str> = None;
-    let mut chrome: Option<&str> = None;
-    let mut check = false;
-    let mut max_steps = DEFAULT_MAX_STEPS;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--chrome" => {
-                chrome = Some(
-                    it.next()
-                        .ok_or("--chrome requires an output path")?
-                        .as_str(),
-                );
-            }
-            "--check" => check = true,
-            "--steps" => {
-                let v = it.next().ok_or("--steps requires a value")?;
-                max_steps = v
-                    .parse()
-                    .map_err(|_| format!("invalid value `{v}` for --steps"))?;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`").into());
-            }
-            other => {
-                if source.replace(other).is_some() {
-                    return Err("trace takes exactly one report file or server address".into());
-                }
-            }
-        }
-    }
-    let source = source
-        .ok_or("trace requires a `threelc serve --json` report file or a live server address")?;
+/// What `trace` and `analyze` read: a finished run's report, a flight
+/// dump, or a live server to scrape.
+pub(crate) enum Source {
+    /// A `threelc serve --json` report.
+    Report(Box<NetReport>),
+    /// A `.flight.json` post-mortem dump.
+    Flight(FlightDump),
+    /// Not a file: a live server address.
+    Live(String),
+}
 
-    // A `.flight.json` post-mortem dump is its own artifact (trigger,
-    // anomaly ring, series store); render it directly instead of forcing
-    // it through the report schema.
-    if std::path::Path::new(source).is_file() {
+impl Source {
+    /// Loads `source`: a file is a flight dump if it parses as one, else
+    /// it must be a report; anything that is not a file is an address.
+    pub(crate) fn load(source: &str) -> Result<Source, Box<dyn Error>> {
+        if !std::path::Path::new(source).is_file() {
+            return Ok(Source::Live(source.into()));
+        }
         let text = std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?;
         if let Ok(dump) = FlightDump::from_json(&text) {
-            return render_flight(&dump, check, max_steps);
+            return Ok(Source::Flight(dump));
         }
+        let report = serde_json::from_str(&text).map_err(|e| {
+            format!("{source}: not a `threelc serve --json` report or flight dump: {e}")
+        })?;
+        Ok(Source::Report(Box::new(report)))
     }
 
-    let (node_traces, step_stats) = load_traces(source)?;
+    /// One live (non-draining) snapshot of the server's own span buffer.
+    pub(crate) fn scrape(addr: &str) -> Result<NodeTrace, Box<dyn Error>> {
+        Ok(threelc_net::scrape_trace(addr, Duration::from_secs(5))?)
+    }
+}
+
+/// `threelc trace <report.json|flight.json|addr> [--chrome out.json]
+/// [--check] [--steps N]`.
+pub fn trace_cmd(args: &[String]) -> CliResult {
+    const VALUED: &[(&str, &str)] = &[("--chrome", "an output path"), ("--steps", "a value")];
+    let source = sole_positional(
+        &split_flags(args, VALUED, &["--check"])?,
+        "trace requires a `threelc serve --json` report file or a live server address",
+        "trace takes exactly one report file or server address",
+    )?;
+    let chrome = flag_value(args, "--chrome");
+    let check = has_flag(args, "--check");
+    let max_steps = parse_flag(args, "--steps")?.unwrap_or(DEFAULT_MAX_STEPS);
+
+    let (node_traces, step_stats) = match Source::load(source)? {
+        // A post-mortem dump is its own artifact (trigger, anomalies,
+        // series store); render it directly instead of forcing it through
+        // the report schema.
+        Source::Flight(dump) => return render_flight(&dump, check, max_steps),
+        Source::Report(report) => {
+            let workers = report.result.config.workers as u64;
+            let steps = &report.result.trace.steps;
+            let stats = steps.iter().map(|s| s.stats(workers)).collect();
+            (report.node_traces, stats)
+        }
+        // Live mode sees the server's clock domain only, and step
+        // statistics only exist in the final report, so the step-level
+        // checks have nothing to chew on.
+        Source::Live(addr) => (vec![Source::scrape(&addr)?], Vec::new()),
+    };
     let span_count: usize = node_traces.iter().map(|n| n.spans.len()).sum();
     if span_count == 0 {
         return Err(format!(
@@ -79,7 +96,7 @@ pub fn trace_cmd(args: &[String]) -> CliResult {
     }
 
     let timeline = MergedTimeline::build(&node_traces);
-    let anomalies = watchdog::check(&timeline, &step_stats, &WatchdogConfig::default());
+    let anomalies = watchdog::check(&timeline, &step_stats);
 
     let mut out = String::new();
     writeln!(
@@ -149,36 +166,4 @@ fn render_flight(dump: &FlightDump, check: bool, max_steps: usize) -> CliResult 
         writeln!(out, "trace check passed: no anomalies")?;
     }
     Ok(out)
-}
-
-/// Loads per-node span buffers and per-step compression statistics from a
-/// report file, or scrapes a live server when `source` is not a file.
-fn load_traces(source: &str) -> Result<(Vec<NodeTrace>, Vec<StepStats>), Box<dyn Error>> {
-    if std::path::Path::new(source).is_file() {
-        let text = std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?;
-        let report: NetReport = serde_json::from_str(&text)
-            .map_err(|e| format!("{source}: not a `threelc serve --json` report: {e}"))?;
-        let workers = report.result.config.workers as u64;
-        let stats = report
-            .result
-            .trace
-            .steps
-            .iter()
-            .map(|s| {
-                let bits = s.push_bits_per_value(workers);
-                StepStats {
-                    step: s.step,
-                    compression_ratio: if bits > 0.0 { 32.0 / bits } else { 0.0 },
-                    residual_l2: s.residual_l2,
-                }
-            })
-            .collect();
-        Ok((report.node_traces, stats))
-    } else {
-        // Live mode: one snapshot of the server's own clock domain. Step
-        // statistics only exist in the final report, so the step-level
-        // checks have nothing to chew on here.
-        let node = threelc_net::scrape_trace(source, Duration::from_secs(5))?;
-        Ok((vec![node], Vec::new()))
-    }
 }

@@ -1,12 +1,12 @@
 //! The bulk-synchronous parameter-server cluster.
 
 use crate::config::ExperimentConfig;
-use crate::engine::{self, Problem, ServerCore, TensorPayload, WorkerReplica};
+use crate::engine::{self, Problem, ServerCore, TensorPayload, WorkerPush, WorkerReplica};
 use crate::trace::StepRecord;
 use threelc::CompressionStats;
 use threelc_learning::{Batch, Evaluation, Network, SyntheticImages};
 use threelc_obs::trace::{self, TraceScope, TraceSpan};
-use threelc_obs::{RunRecorder, RunSeries, WorkerDelta};
+use threelc_obs::{RunRecorder, RunSeries};
 use threelc_policy::PolicyTrace;
 use threelc_tensor::Rng;
 
@@ -156,7 +156,6 @@ impl Cluster {
         let workers = self.config.workers;
         let (accepted, compute_multiplier) =
             engine::sample_stragglers(&self.config, &mut self.straggler_rng);
-        let accepted_count = accepted.iter().filter(|&&a| a).count();
 
         // All simulated lanes share one process (one clock domain), so
         // trace scopes record into the global buffer with per-lane node
@@ -178,32 +177,16 @@ impl Cluster {
 
         // ---- Worker phase: local compute + gradient push compression.
         // Workers dropped as stragglers skip the step entirely: their
-        // gradients never reach the server (backup-worker semantics).
+        // gradients never reach the server (backup-worker semantics). The
+        // step's books (per-worker series points, traffic, the StepRecord)
+        // are kept by the engine's one accountant, which the networked
+        // server feeds the same way.
         let mut payloads: Vec<Vec<TensorPayload>> = Vec::with_capacity(workers);
-        let mut loss_sum = 0.0f64;
-        let mut worker_codec_max = 0.0f64;
-        let mut push_bytes = 0u64;
-        let mut raw_bytes = 0u64;
-        // Per-server traffic for the sharded-model timing (Figure 1:
-        // tensor i lives on server i mod servers).
-        let servers = self.config.servers.max(1);
-        let mut server_bytes = vec![0u64; servers];
-        let mut residual_l2 = 0.0f64;
-        // The per-step policy multiplier, read before apply_step swaps in
-        // the next step's decisions — the networked server reads it at the
-        // same point, so the recorded series match bit for bit.
-        let step_multiplier = {
-            let decisions = self.server.current_decisions();
-            if decisions.is_empty() {
-                f64::from(engine::base_sparsity(&self.config).value())
-            } else {
-                f64::from(decisions[0].s.value())
-            }
-        };
-        let mut deltas = Vec::with_capacity(workers);
+        let mut account = self.server.begin_step(compute_multiplier);
         for (wi, (w, &participating)) in self.workers.iter_mut().zip(&accepted).enumerate() {
             if !participating {
                 payloads.push(Vec::new());
+                account.push(None);
                 continue;
             }
             let _scope = worker_scope(wi);
@@ -211,44 +194,21 @@ impl Cluster {
             let compute_span = TraceSpan::start("compute");
             let (loss, grads) = w.compute(&self.data, self.config.batch_per_worker);
             compute_span.finish();
-            loss_sum += loss as f64;
             // quantize/encode spans are recorded inside the compression
             // contexts under this worker's scope.
             let encoded = w.encode_push(grads);
-            residual_l2 = residual_l2.max(w.residual_l2());
-            worker_codec_max = worker_codec_max.max(encoded.codec_seconds);
-            let mut worker_wire = 0u64;
-            let mut worker_push = 0u64;
-            for (i, payload) in encoded.payloads.iter().enumerate() {
-                let bytes = payload.wire_len();
-                server_bytes[i % servers] += bytes;
-                worker_wire += bytes;
-                match payload {
-                    TensorPayload::Compressed(_) => {
-                        push_bytes += bytes;
-                        worker_push += bytes;
-                    }
-                    TensorPayload::Raw(_) => raw_bytes += bytes,
-                }
-            }
-            deltas.push(WorkerDelta {
-                worker: wi,
-                wire_bytes: worker_wire,
-                ratio: if worker_push > 0 {
-                    (self.compressible_values as f64 * 32.0) / (worker_push as f64 * 8.0)
-                } else {
-                    0.0
-                },
+            account.push(Some(WorkerPush {
+                payloads: &encoded.payloads,
+                loss,
+                codec_seconds: encoded.codec_seconds,
                 residual_l2: w.residual_l2(),
-                loss: f64::from(loss),
-                multiplier: step_multiplier,
-                rejoins: 0,
                 step_seconds: step_t0.elapsed().as_secs_f64(),
                 barrier_wait_seconds: 0.0,
-            });
+                rejoins: 0,
+            }));
             payloads.push(encoded.payloads);
         }
-        self.recorder.record_step(step, &deltas);
+        self.recorder.record_step(step, account.deltas());
 
         // ---- Server phase: decompress, aggregate, update global model,
         // then compress the model deltas for the pull path.
@@ -266,7 +226,7 @@ impl Cluster {
         // in the simulator.
         let out = self
             .server
-            .apply_step(&payloads, accepted_count, residual_l2)
+            .apply_step(&payloads, account.accepted(), account.residual_l2())
             .expect("straggler sampling guarantees at least one accepted push");
         drop(server_scope);
 
@@ -282,17 +242,8 @@ impl Cluster {
             .records
             .extend(out.policy_records.iter().copied());
 
-        let mut pull_bytes = 0u64;
-        for (i, payload) in out.pulls.iter().enumerate() {
-            let bytes = payload.wire_len() * workers as u64;
-            if self.config.staleness == 0 {
-                server_bytes[i % servers] += bytes;
-            }
-            match payload {
-                TensorPayload::Compressed(_) => pull_bytes += bytes,
-                TensorPayload::Raw(_) => raw_bytes += bytes,
-            }
-        }
+        // With stale pulls the transfer overlaps later compute.
+        let record = account.finish(&out, self.config.staleness > 0);
 
         // Apply the pulls that have cleared the staleness pipeline. In BSP
         // (staleness 0) that is this step's own batch; with staleness k,
@@ -311,21 +262,7 @@ impl Cluster {
             }
         }
 
-        StepRecord {
-            step,
-            lr: out.lr,
-            loss: (loss_sum / accepted_count as f64) as f32,
-            push_bytes,
-            pull_bytes,
-            raw_bytes,
-            compressible_values: self.compressible_values,
-            worker_codec_seconds: worker_codec_max,
-            server_codec_seconds: out.server_codec_seconds,
-            compute_multiplier,
-            pull_overlapped: self.config.staleness > 0,
-            critical_bytes: server_bytes.iter().copied().max().unwrap_or(0),
-            residual_l2,
-        }
+        record
     }
 }
 
@@ -765,7 +702,7 @@ mod tests {
         // over the global buffer's spans, attribution is conserved and the
         // blame lands on lanes that did real work (sim/net parity for the
         // analyzer — no network spans exist here at all).
-        use threelc_obs::{AnalysisConfig, MergedTimeline, RunAnalysis};
+        use threelc_obs::{MergedTimeline, RunAnalysis};
         threelc_obs::set_trace_enabled(true);
         let seed = 0xC0_FFEE;
         let mut cluster = Cluster::new(ExperimentConfig {
@@ -785,7 +722,7 @@ mod tests {
         assert!(!dump.spans.is_empty(), "traced run recorded no spans");
 
         let timeline = MergedTimeline::build(&[dump]);
-        let analysis = RunAnalysis::build(&timeline, &AnalysisConfig::default());
+        let analysis = RunAnalysis::build(&timeline);
         assert_eq!(analysis.steps.len(), 4);
         assert!(
             analysis.conservation_error < 1e-9,

@@ -28,6 +28,7 @@
 //! anything proportional to the model, only the payloads it sends.
 
 use crate::config::ExperimentConfig;
+use crate::trace::StepRecord;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +37,7 @@ use threelc::kernels::DequantOp;
 use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
-use threelc_obs::{trace, Histogram};
+use threelc_obs::{trace, Histogram, WorkerDelta};
 use threelc_policy::{Decision, Policy, PolicyRecord, TensorObs};
 use threelc_tensor::{Rng, Shape, Tensor};
 
@@ -446,6 +447,8 @@ pub struct ServerCore {
     optimizer: SgdMomentum,
     schedule: LrSchedule,
     shapes: Vec<Shape>,
+    /// [`Problem::compressible_values`], for the step's accounting.
+    compressible_values: u64,
     push_stats: CompressionStats,
     pull_stats: CompressionStats,
     /// The adaptive policy, if the config asks for one. Evaluated *only*
@@ -713,6 +716,7 @@ impl ServerCore {
             optimizer: SgdMomentum::new(config.momentum, config.weight_decay),
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
             shapes: problem.shapes.clone(),
+            compressible_values: problem.compressible_values(),
             push_stats: CompressionStats::new(),
             pull_stats: CompressionStats::new(),
             policy,
@@ -741,6 +745,40 @@ impl ServerCore {
     /// `PolicySpec::initial_decisions`.
     pub fn current_decisions(&self) -> &[Decision] {
         &self.current_decisions
+    }
+
+    /// Opens the upcoming step's books ([`StepAccount`]). Must be called
+    /// before [`Self::apply_step`], which swaps in the next step's policy
+    /// decisions: the multiplier the per-worker series record is the one
+    /// that governed *this* step's pushes. `compute_multiplier` is the
+    /// step's [`sample_stragglers`] gate.
+    pub fn begin_step(&self, compute_multiplier: f64) -> StepAccount {
+        StepAccount {
+            record: StepRecord {
+                step: self.step,
+                lr: 0.0,
+                loss: 0.0,
+                push_bytes: 0,
+                pull_bytes: 0,
+                raw_bytes: 0,
+                compressible_values: self.compressible_values,
+                worker_codec_seconds: 0.0,
+                server_codec_seconds: 0.0,
+                compute_multiplier,
+                pull_overlapped: false,
+                critical_bytes: 0,
+                residual_l2: 0.0,
+            },
+            workers: self.config.workers,
+            multiplier: f64::from(match self.current_decisions.first() {
+                Some(d) => d.s.value(),
+                None => base_sparsity(&self.config).value(),
+            }),
+            next_worker: 0,
+            deltas: Vec::with_capacity(self.config.workers),
+            loss_sum: 0.0,
+            server_bytes: vec![0; self.config.servers.max(1)],
+        }
     }
 
     /// Forces [`Self::apply_step`] onto up to `threads` shards instead of
@@ -1048,6 +1086,130 @@ impl ServerCore {
         self.pull_stats.merge(&stats);
         *server_codec += codec;
         outs.into_iter().flatten().collect()
+    }
+}
+
+/// One worker's push as the step's accountant sees it
+/// ([`StepAccount::push`]).
+pub struct WorkerPush<'a> {
+    /// The push batch, one payload per tensor in parameter order.
+    pub payloads: &'a [TensorPayload],
+    /// The worker's local training loss.
+    pub loss: f32,
+    /// Worker-side codec seconds for this push.
+    pub codec_seconds: f64,
+    /// The worker's error-accumulation residual L2 after encoding.
+    pub residual_l2: f64,
+    /// Wall-clock seconds from compute to the finished push.
+    pub step_seconds: f64,
+    /// How long the push arrived after the step's first (0 in-process).
+    pub barrier_wait_seconds: f64,
+    /// Cumulative rejoins of this worker (0 in-process).
+    pub rejoins: u64,
+}
+
+/// The one accountant of a BSP step, shared by the simulator
+/// ([`Cluster::step`](crate::Cluster::step)) and the networked server so
+/// their [`StepRecord`]s and per-worker series cannot drift apart: opened
+/// by [`ServerCore::begin_step`], fed every worker's push in worker-id
+/// order, read for the [`WorkerDelta`]s and [`ServerCore::apply_step`]'s
+/// inputs, and closed over the step's pulls by [`Self::finish`].
+///
+/// Traffic is the payloads' wire length — frame headers, `PushDone` and
+/// policy broadcasts are transport, not state change, and are counted by
+/// neither runtime. Tensor `i` lives on server `i mod servers` (Figure 1);
+/// the busiest server's bytes are the step's `critical_bytes`.
+pub struct StepAccount {
+    /// The record being built: traffic, the workers' codec maximum and the
+    /// residual maximum accumulate in its own fields.
+    record: StepRecord,
+    /// Pull fan-out: every worker pulls, dropped stragglers included.
+    workers: usize,
+    multiplier: f64,
+    next_worker: usize,
+    deltas: Vec<WorkerDelta>,
+    loss_sum: f64,
+    server_bytes: Vec<u64>,
+}
+
+impl StepAccount {
+    /// Books the next worker's push (`None`: a straggler dropped this
+    /// step, which pushes nothing and gets no series point).
+    pub fn push(&mut self, push: Option<WorkerPush<'_>>) {
+        let worker = self.next_worker;
+        self.next_worker += 1;
+        let Some(push) = push else { return };
+        let rec = &mut self.record;
+        self.loss_sum += f64::from(push.loss);
+        rec.worker_codec_seconds = rec.worker_codec_seconds.max(push.codec_seconds);
+        rec.residual_l2 = rec.residual_l2.max(push.residual_l2);
+        let servers = self.server_bytes.len();
+        let (mut wire, mut compressed) = (0u64, 0u64);
+        for (i, payload) in push.payloads.iter().enumerate() {
+            let bytes = payload.wire_len();
+            self.server_bytes[i % servers] += bytes;
+            wire += bytes;
+            match payload {
+                TensorPayload::Compressed(_) => compressed += bytes,
+                TensorPayload::Raw(_) => rec.raw_bytes += bytes,
+            }
+        }
+        rec.push_bytes += compressed;
+        self.deltas.push(WorkerDelta {
+            worker,
+            wire_bytes: wire,
+            ratio: if compressed > 0 {
+                (rec.compressible_values as f64 * 32.0) / (compressed as f64 * 8.0)
+            } else {
+                0.0
+            },
+            residual_l2: push.residual_l2,
+            loss: f64::from(push.loss),
+            multiplier: self.multiplier,
+            rejoins: push.rejoins,
+            step_seconds: push.step_seconds,
+            barrier_wait_seconds: push.barrier_wait_seconds,
+        });
+    }
+
+    /// One series point per accepted worker, in worker-id order — what
+    /// the run recorder takes for this step.
+    pub fn deltas(&self) -> &[WorkerDelta] {
+        &self.deltas
+    }
+
+    /// Pushes accepted so far ([`ServerCore::apply_step`]'s divisor).
+    pub fn accepted(&self) -> usize {
+        self.deltas.len()
+    }
+
+    /// Largest residual L2 any accepted worker reported.
+    pub fn residual_l2(&self) -> f64 {
+        self.record.residual_l2
+    }
+
+    /// Closes the books over the step's outcome. Pull bytes are one shared
+    /// payload times every worker; with `pull_overlapped` (stale-pull
+    /// mode) they stay off the per-server critical path.
+    pub fn finish(mut self, out: &ServerStepOutput, pull_overlapped: bool) -> StepRecord {
+        let rec = &mut self.record;
+        let servers = self.server_bytes.len();
+        for (i, payload) in out.pulls.iter().enumerate() {
+            let bytes = payload.wire_len() * self.workers as u64;
+            if !pull_overlapped {
+                self.server_bytes[i % servers] += bytes;
+            }
+            match payload {
+                TensorPayload::Compressed(_) => rec.pull_bytes += bytes,
+                TensorPayload::Raw(_) => rec.raw_bytes += bytes,
+            }
+        }
+        rec.lr = out.lr;
+        rec.loss = (self.loss_sum / self.deltas.len() as f64) as f32;
+        rec.server_codec_seconds = out.server_codec_seconds;
+        rec.pull_overlapped = pull_overlapped;
+        rec.critical_bytes = self.server_bytes.iter().copied().max().unwrap_or(0);
+        self.record
     }
 }
 
@@ -1665,6 +1827,91 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
         assert_eq!(TensorPayload::Raw(t).wire_len(), 12);
         assert_eq!(TensorPayload::Compressed(vec![0; 5]).wire_len(), 5);
+    }
+
+    #[test]
+    fn step_account_folds_hand_built_pushes_and_pulls() {
+        // Three workers, two servers, worker 1 dropped as a straggler.
+        // Tensor 0 lives on server 0, tensor 1 (raw) on server 1, tensor 2
+        // on server 0 again.
+        let config = ExperimentConfig {
+            workers: 3,
+            servers: 2,
+            ..tiny(SchemeKind::three_lc(1.0))
+        };
+        let problem = Problem::build(&config);
+        let server = ServerCore::new(&problem);
+        let values = problem.compressible_values();
+        let raw = |n: usize| TensorPayload::Raw(Tensor::from_vec(vec![0.5; n], [n]));
+        let wire = |n: usize| TensorPayload::Compressed(vec![0; n]);
+        let push0 = [wire(100), raw(4), wire(50)];
+        let push2 = [wire(0), raw(4), wire(0)];
+        let worker_push = |payloads, loss, codec_seconds, residual_l2| WorkerPush {
+            payloads,
+            loss,
+            codec_seconds,
+            residual_l2,
+            step_seconds: 0.25,
+            barrier_wait_seconds: 0.5,
+            rejoins: 2,
+        };
+
+        let fold = |pull_overlapped: bool| {
+            let mut account = server.begin_step(1.5);
+            account.push(Some(worker_push(&push0[..], 1.0, 0.01, 3.0)));
+            account.push(None);
+            account.push(Some(worker_push(&push2[..], 2.0, 0.03, 1.0)));
+            assert_eq!(account.accepted(), 2);
+            assert_eq!(account.residual_l2(), 3.0);
+            let deltas = account.deltas().to_vec();
+            let out = ServerStepOutput {
+                lr: 0.125,
+                pulls: vec![wire(10), raw(4), wire(30)],
+                server_codec_seconds: 0.07,
+                policy_records: Vec::new(),
+                next_decisions: Vec::new(),
+            };
+            (deltas, account.finish(&out, pull_overlapped))
+        };
+
+        let (deltas, rec) = fold(false);
+        // One series point per accepted worker, under its own id.
+        assert_eq!(deltas.len(), 2);
+        assert_eq!((deltas[0].worker, deltas[1].worker), (0, 2));
+        assert_eq!(deltas[0].wire_bytes, 166);
+        assert_eq!(deltas[0].ratio, values as f64 * 32.0 / (150.0 * 8.0));
+        assert_eq!(deltas[0].multiplier, 1.0);
+        assert_eq!((deltas[0].loss, deltas[0].residual_l2), (1.0, 3.0));
+        assert_eq!(deltas[0].rejoins, 2);
+        assert_eq!(deltas[0].step_seconds, 0.25);
+        assert_eq!(deltas[0].barrier_wait_seconds, 0.5);
+        // Zero compressed bytes: the ratio is "unknown", not infinite.
+        assert_eq!(deltas[1].wire_bytes, 16);
+        assert_eq!(deltas[1].ratio, 0.0);
+
+        assert_eq!(rec.step, 0);
+        assert_eq!(rec.lr, 0.125);
+        assert_eq!(rec.loss, 1.5, "mean over the accepted workers");
+        assert_eq!(rec.push_bytes, 150);
+        // Pulls fan out to all three workers, the dropped one included.
+        assert_eq!(rec.pull_bytes, 40 * 3);
+        assert_eq!(rec.raw_bytes, 16 + 16 + 16 * 3);
+        assert_eq!(rec.compressible_values, values);
+        assert_eq!(rec.worker_codec_seconds, 0.03);
+        assert_eq!(rec.server_codec_seconds, 0.07);
+        assert_eq!(rec.compute_multiplier, 1.5);
+        assert_eq!(rec.residual_l2, 3.0);
+        assert!(!rec.pull_overlapped);
+        // Server 0: 150 pushed + 40·3 pulled; server 1: 32 + 16·3.
+        assert_eq!(rec.critical_bytes, 270);
+
+        // Overlapped pulls keep their totals but leave the critical path:
+        // server 0 carries the 150 pushed bytes only.
+        let (_, rec) = fold(true);
+        assert!(rec.pull_overlapped);
+        assert_eq!(rec.pull_bytes, 120);
+        assert_eq!(rec.raw_bytes, 80);
+        assert_eq!(rec.critical_bytes, 150);
     }
 
     #[test]

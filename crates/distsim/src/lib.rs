@@ -34,7 +34,10 @@ pub mod trace;
 
 pub use cluster::Cluster;
 pub use config::{ExperimentConfig, TimingModel};
-pub use engine::{base_sparsity, EngineError, Problem, ServerCore, TensorPayload, WorkerReplica};
+pub use engine::{
+    base_sparsity, EngineError, Problem, ServerCore, StepAccount, TensorPayload, WorkerPush,
+    WorkerReplica,
+};
 pub use experiment::{run_experiment, ExperimentResult};
 pub use netmodel::NetworkModel;
 pub use threelc_policy::{PolicySpec, PolicyTrace};

@@ -76,6 +76,18 @@ impl StepRecord {
         self.pull_bytes as f64 * 8.0 / (self.compressible_values * workers) as f64
     }
 
+    /// The step as the watchdog's step-level checks see it: achieved push
+    /// compression ratio (32 bits over the pushed bits per value; 0 when
+    /// nothing compressible was pushed) and residual L2.
+    pub fn stats(&self, workers: u64) -> threelc_obs::StepStats {
+        let bits = self.push_bits_per_value(workers);
+        threelc_obs::StepStats {
+            step: self.step,
+            compression_ratio: if bits > 0.0 { 32.0 / bits } else { 0.0 },
+            residual_l2: self.residual_l2,
+        }
+    }
+
     /// Simulated duration of this step under a given link and timing model.
     ///
     /// `scale` is [`TimingModel::scale_for`] of the model size.
@@ -203,20 +215,8 @@ impl TrainingTrace {
     /// Deterministic: a simulated and a networked run of the same
     /// configuration flag the same steps.
     pub fn run_watchdog(&mut self, workers: u64) {
-        let stats: Vec<threelc_obs::StepStats> = self
-            .steps
-            .iter()
-            .map(|s| {
-                let bits = s.push_bits_per_value(workers);
-                threelc_obs::StepStats {
-                    step: s.step,
-                    compression_ratio: if bits > 0.0 { 32.0 / bits } else { 0.0 },
-                    residual_l2: s.residual_l2,
-                }
-            })
-            .collect();
-        self.anomalies =
-            threelc_obs::watchdog::check_steps(&stats, &threelc_obs::WatchdogConfig::default());
+        let stats: Vec<_> = self.steps.iter().map(|s| s.stats(workers)).collect();
+        self.anomalies = threelc_obs::watchdog::check_steps(&stats);
     }
 }
 

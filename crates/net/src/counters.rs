@@ -1,26 +1,27 @@
 //! Per-connection traffic and time accounting.
 
-use crate::frame::HEADER_LEN;
 use serde::{Deserialize, Serialize};
 
 /// Counters kept by each side of a connection: raw traffic, retry count,
 /// and a split of CPU time into codec work (compress/decompress and
-/// f32 serialization) versus socket work (blocking reads and writes).
+/// f32 serialization) versus socket work (blocking reads, writes and
+/// flushes). Traffic and socket time are booked by
+/// [`Conn`](crate::Conn)'s frame I/O, nowhere else.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConnCounters {
     /// Frames received.
     pub frames_in: u64,
     /// Frames sent.
     pub frames_out: u64,
-    /// Bytes received (headers + payloads).
+    /// Bytes received (headers, trace extensions and payloads).
     pub bytes_in: u64,
-    /// Bytes sent (headers + payloads).
+    /// Bytes sent (headers, trace extensions and payloads).
     pub bytes_out: u64,
     /// Connection attempts that failed and were retried.
     pub retries: u64,
     /// Seconds spent in codec work.
     pub codec_seconds: f64,
-    /// Seconds spent blocked on socket reads/writes.
+    /// Seconds spent blocked on socket reads/writes/flushes.
     pub socket_seconds: f64,
     /// Seconds spent sleeping in connect-retry backoff. Defaults to zero
     /// when absent, so reports written before this field existed still
@@ -30,22 +31,6 @@ pub struct ConnCounters {
 }
 
 impl ConnCounters {
-    /// Records one received frame of `payload_len` payload bytes that took
-    /// `seconds` of blocking read time.
-    pub fn note_read(&mut self, payload_len: usize, seconds: f64) {
-        self.frames_in += 1;
-        self.bytes_in += (HEADER_LEN + payload_len) as u64;
-        self.socket_seconds += seconds;
-    }
-
-    /// Records one sent frame of `payload_len` payload bytes that took
-    /// `seconds` of blocking write time.
-    pub fn note_write(&mut self, payload_len: usize, seconds: f64) {
-        self.frames_out += 1;
-        self.bytes_out += (HEADER_LEN + payload_len) as u64;
-        self.socket_seconds += seconds;
-    }
-
     /// Records one failed connection attempt and the backoff sleep that
     /// preceded it.
     pub fn note_retry(&mut self, backoff_seconds: f64) {
@@ -69,18 +54,6 @@ impl ConnCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn notes_count_header_bytes() {
-        let mut c = ConnCounters::default();
-        c.note_read(100, 0.5);
-        c.note_write(0, 0.25);
-        assert_eq!(c.frames_in, 1);
-        assert_eq!(c.frames_out, 1);
-        assert_eq!(c.bytes_in, (HEADER_LEN + 100) as u64);
-        assert_eq!(c.bytes_out, HEADER_LEN as u64);
-        assert!((c.socket_seconds - 0.75).abs() < 1e-12);
-    }
 
     #[test]
     fn merge_accumulates_everything() {

@@ -7,14 +7,20 @@
 //! and codec operation also lands in a process-global
 //! [`threelc_obs`] histogram under `net.server.*` / `net.worker.*`, so a
 //! live scrape shows latency percentiles, not just totals.
+//!
+//! Frame I/O accounts for itself: [`Conn::read_frame`],
+//! [`Conn::write_frame`] and [`Conn::flush`] time the call and book the
+//! bytes that actually moved, so no call site holds a clock or restates a
+//! frame's size.
 
 use crate::counters::ConnCounters;
-use crate::frame::{read_frame, write_frame, MsgType};
+use crate::frame::{read_frame, write_frame, Frame, FrameError, MsgType};
 use crate::protocol::{decode_scrape_reply, NetError, ScrapeKind};
 use serde::de::DeserializeOwned;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use threelc_obs::{global, Counter, Histogram, NodeTrace, RunSeries, Snapshot};
 
 /// Cached handles to one role's `net.*` metrics. Resolved once per
@@ -23,17 +29,16 @@ use threelc_obs::{global, Counter, Histogram, NodeTrace, RunSeries, Snapshot};
 pub struct NetMetrics {
     /// Per-operation codec time (compress/decompress/serialize).
     pub codec_seconds: Arc<Histogram>,
-    /// Per-operation blocking socket time.
+    /// Per-operation blocking socket time (one frame read, one frame
+    /// write, or one flush).
     pub socket_seconds: Arc<Histogram>,
-    /// Whole-frame handling time (read + dispatch, or encode + write).
-    pub frame_seconds: Arc<Histogram>,
     /// Whole-BSP-step time.
     pub step_seconds: Arc<Histogram>,
     /// Connect-retry backoff sleeps.
     pub backoff_seconds: Arc<Histogram>,
-    /// Total bytes received (headers + payloads).
+    /// Total bytes received (headers, trace extensions and payloads).
     pub bytes_in: Arc<Counter>,
-    /// Total bytes sent (headers + payloads).
+    /// Total bytes sent (headers, trace extensions and payloads).
     pub bytes_out: Arc<Counter>,
     /// Mid-run connection losses survived (server: worker disconnects
     /// tolerated; worker: sessions lost and retried).
@@ -48,7 +53,6 @@ impl NetMetrics {
         NetMetrics {
             codec_seconds: reg.histogram(&format!("{prefix}.codec_seconds")),
             socket_seconds: reg.histogram(&format!("{prefix}.socket_seconds")),
-            frame_seconds: reg.histogram(&format!("{prefix}.frame_seconds")),
             step_seconds: reg.histogram(&format!("{prefix}.step_seconds")),
             backoff_seconds: reg.histogram(&format!("{prefix}.backoff_seconds")),
             bytes_in: reg.counter(&format!("{prefix}.bytes_in")),
@@ -72,7 +76,7 @@ impl NetMetrics {
 impl std::fmt::Debug for NetMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetMetrics")
-            .field("frames", &self.frame_seconds.count())
+            .field("socket_ops", &self.socket_seconds.count())
             .finish()
     }
 }
@@ -94,24 +98,82 @@ impl Conn {
         Conn { counters, metrics }
     }
 
-    /// Records one received frame of `payload_len` payload bytes that
-    /// took `seconds` of blocking read time.
-    pub fn note_read(&mut self, payload_len: usize, seconds: f64) {
-        self.counters.note_read(payload_len, seconds);
-        self.metrics.socket_seconds.record(seconds);
-        self.metrics
-            .bytes_in
-            .add((crate::frame::HEADER_LEN + payload_len) as u64);
+    /// Reads one frame ([`read_frame`]), booking the blocked time and the
+    /// frame's full encoded length.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`]; a failed read books nothing.
+    pub fn read_frame<R: Read>(&mut self, r: &mut R) -> Result<Frame, FrameError> {
+        let t0 = Instant::now();
+        let frame = read_frame(r)?;
+        self.note_socket(t0);
+        let bytes = frame.encoded_len() as u64;
+        self.counters.frames_in += 1;
+        self.counters.bytes_in += bytes;
+        self.metrics.bytes_in.add(bytes);
+        Ok(frame)
     }
 
-    /// Records one sent frame of `payload_len` payload bytes that took
-    /// `seconds` of blocking write time.
-    pub fn note_write(&mut self, payload_len: usize, seconds: f64) {
-        self.counters.note_write(payload_len, seconds);
+    /// Writes one frame ([`write_frame`]: stamped with the thread's trace
+    /// context), booking the blocked time and the bytes written.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_frame`]; a failed write books nothing.
+    pub fn write_frame<W: Write>(
+        &mut self,
+        w: &mut W,
+        msg: MsgType,
+        tensor: u16,
+        step: u64,
+        payload: &[u8],
+    ) -> io::Result<usize> {
+        let t0 = Instant::now();
+        let written = write_frame(w, msg, tensor, step, payload)?;
+        self.note_write(t0, written);
+        Ok(written)
+    }
+
+    /// Writes one already-encoded frame byte for byte (the fault
+    /// injector's deliberately corrupted push), booked like
+    /// [`Self::write_frame`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the stream's write failure; a failed write books nothing.
+    pub fn write_encoded<W: Write>(&mut self, w: &mut W, frame: &[u8]) -> io::Result<()> {
+        let t0 = Instant::now();
+        w.write_all(frame)?;
+        self.note_write(t0, frame.len());
+        Ok(())
+    }
+
+    /// Flushes `w`, booking the blocked time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the stream's flush failure.
+    pub fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
+        let t0 = Instant::now();
+        w.flush()?;
+        self.note_socket(t0);
+        Ok(())
+    }
+
+    /// Books the time since `t0` as one blocking socket operation.
+    fn note_socket(&mut self, t0: Instant) {
+        let seconds = t0.elapsed().as_secs_f64();
+        self.counters.socket_seconds += seconds;
         self.metrics.socket_seconds.record(seconds);
-        self.metrics
-            .bytes_out
-            .add((crate::frame::HEADER_LEN + payload_len) as u64);
+    }
+
+    /// Books one sent frame of `bytes` encoded bytes, written since `t0`.
+    fn note_write(&mut self, t0: Instant, bytes: usize) {
+        self.note_socket(t0);
+        self.counters.frames_out += 1;
+        self.counters.bytes_out += bytes as u64;
+        self.metrics.bytes_out.add(bytes as u64);
     }
 
     /// Records `seconds` of codec work (one compress/decompress/serialize
@@ -206,25 +268,108 @@ fn connect_scrape(addr: &str, timeout: Duration) -> Result<TcpStream, NetError> 
 mod tests {
     use super::*;
 
+    /// A writer that counts what reaches it, standing in for the socket.
+    #[derive(Default)]
+    struct Pipe {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
     #[test]
-    fn conn_updates_counters_and_histograms_together() {
+    fn frame_io_books_the_bytes_that_moved_on_both_ends() {
+        use crate::frame::{HEADER_LEN, TRACE_EXT_LEN};
+        use threelc_obs::{TraceBuffer, TraceScope};
+
+        let mut tx = Conn::new(ConnCounters::default(), NetMetrics::worker());
+        let out_before = tx.metrics.bytes_out.get();
+        let socket_before = tx.metrics.socket_seconds.count();
+        let mut pipe = Pipe::default();
+        let mut returned = 0usize;
+
+        // Two version-1 frames (no live scope) ...
+        returned += tx
+            .write_frame(&mut pipe, MsgType::PushTensor, 0, 3, &[7u8; 100])
+            .unwrap();
+        returned += tx
+            .write_frame(&mut pipe, MsgType::PushDone, 0, 3, &[])
+            .unwrap();
+        assert_eq!(returned, 2 * HEADER_LEN + 100);
+        // ... two version-2 frames under a live trace scope (tracing is a
+        // process-wide switch; no other test in this binary opens a
+        // scope, so flipping it here touches only these two frames) ...
+        threelc_obs::set_trace_enabled(true);
+        let buffer = Arc::new(TraceBuffer::default());
+        {
+            let _scope = TraceScope::enter(&buffer, "worker0", 9, 3, 0);
+            returned += tx
+                .write_frame(&mut pipe, MsgType::PushTensor, 1, 3, &[1u8; 40])
+                .unwrap();
+            returned += tx
+                .write_frame(&mut pipe, MsgType::PushDone, 0, 3, &[2u8; 28])
+                .unwrap();
+        }
+        threelc_obs::set_trace_enabled(false);
+        assert_eq!(
+            returned,
+            4 * HEADER_LEN + 2 * TRACE_EXT_LEN + 168,
+            "a live scope makes version-2 frames"
+        );
+        // ... and one pre-encoded frame.
+        let raw = Frame::new(MsgType::PushRaw, 2, 3, vec![5u8; 12]).encode();
+        tx.write_encoded(&mut pipe, &raw).unwrap();
+        returned += raw.len();
+        tx.flush(&mut pipe).unwrap();
+
+        // Writer: counters, the global counter and the pipe agree.
+        assert_eq!(tx.counters.frames_out, 5);
+        assert_eq!(tx.counters.bytes_out, returned as u64);
+        assert_eq!(pipe.bytes.len(), returned);
+        assert_eq!(pipe.flushes, 1);
+        assert_eq!(tx.metrics.bytes_out.get() - out_before, returned as u64);
+        // Five writes and one flush, each one socket operation.
+        assert_eq!(tx.metrics.socket_seconds.count() - socket_before, 6);
+        assert!(tx.counters.socket_seconds >= 0.0);
+
+        // Reader: the same bytes, frame for frame.
+        let mut rx = Conn::new(ConnCounters::default(), NetMetrics::server());
+        let in_before = rx.metrics.bytes_in.get();
+        let mut cursor = io::Cursor::new(pipe.bytes);
+        let mut traced = 0;
+        for _ in 0..5 {
+            let frame = rx.read_frame(&mut cursor).unwrap();
+            traced += usize::from(!frame.trace.is_none());
+        }
+        assert_eq!(traced, 2);
+        assert_eq!(rx.counters.frames_in, 5);
+        assert_eq!(rx.counters.bytes_in, returned as u64);
+        assert_eq!(rx.metrics.bytes_in.get() - in_before, returned as u64);
+        // A failed read books nothing.
+        assert!(rx.read_frame(&mut cursor).is_err());
+        assert_eq!(rx.counters.frames_in, 5);
+        assert_eq!(rx.counters.bytes_in, returned as u64);
+    }
+
+    #[test]
+    fn codec_and_retry_notes_reach_counters_and_histograms() {
         let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
-        let socket_before = conn.metrics.socket_seconds.count();
-        let bytes_in_before = conn.metrics.bytes_in.get();
-        conn.note_read(100, 0.25);
-        conn.note_write(50, 0.5);
+        let codec_before = conn.metrics.codec_seconds.count();
         conn.note_codec(0.125);
         conn.note_retry(0.0625);
-        assert_eq!(conn.counters.frames_in, 1);
-        assert_eq!(conn.counters.frames_out, 1);
         assert_eq!(conn.counters.retries, 1);
         assert!((conn.counters.codec_seconds - 0.125).abs() < 1e-12);
         assert!((conn.counters.backoff_seconds - 0.0625).abs() < 1e-12);
-        assert_eq!(conn.metrics.socket_seconds.count(), socket_before + 2);
-        assert_eq!(
-            conn.metrics.bytes_in.get() - bytes_in_before,
-            (crate::frame::HEADER_LEN + 100) as u64
-        );
+        assert_eq!(conn.metrics.codec_seconds.count(), codec_before + 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::counters::ConnCounters;
 use serde::{Deserialize, Serialize};
 use threelc_distsim::ExperimentResult;
+pub use threelc_obs::FaultEvent;
 use threelc_obs::{Anomaly, NodeTrace, RunAnalysis, RunSeries, Snapshot};
 
 /// One connection's summary in the final report.
@@ -14,20 +15,6 @@ pub struct ConnReport {
     pub peer: String,
     /// Traffic and time counters.
     pub counters: ConnCounters,
-}
-
-/// One server-visible fault during a run: a worker disconnect or a
-/// successful rejoin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultEvent {
-    /// Step the coordinator was at when the event happened.
-    pub step: u64,
-    /// Worker involved.
-    pub worker: usize,
-    /// `disconnect` or `rejoin`.
-    pub kind: String,
-    /// Human-readable cause (the handler error for disconnects).
-    pub detail: String,
 }
 
 /// The fault-tolerance section of the report: how turbulent the run was.

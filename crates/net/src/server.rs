@@ -23,7 +23,7 @@
 //! is out), so a dead peer cannot wedge the server.
 
 use crate::counters::ConnCounters;
-use crate::frame::{read_frame, write_frame, MsgType};
+use crate::frame::MsgType;
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
@@ -31,22 +31,21 @@ use crate::protocol::{
     NetError, ScrapeKind,
 };
 use crate::report::{ConnReport, FaultEvent, FaultsReport, NetReport};
-use std::io::{self, BufReader, BufWriter, Write as _};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload};
-use threelc_distsim::trace::{EvalRecord, StepRecord, TrainingTrace};
+use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload, WorkerPush};
+use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_learning::Evaluation;
 use threelc_obs::flight::trigger;
 use threelc_obs::{
-    trace, write_flight_dump, AnalysisConfig, FaultSample, FlightRecorder, Level, MergedTimeline,
-    NodeTrace, RunAnalysis, RunRecorder, SpanGuard, TraceBuffer, TraceScope, TraceSpan,
-    WatchdogConfig, WorkerDelta,
+    trace, write_flight_dump, FlightDump, Level, MergedTimeline, NodeTrace, RunAnalysis,
+    RunRecorder, TraceBuffer, TraceScope, TraceSpan,
 };
 use threelc_tensor::Shape;
 
@@ -66,11 +65,10 @@ pub struct ServeOptions {
     /// original fail-stop semantics: any mid-run disconnect aborts, and
     /// no pull-batch history is retained.
     pub max_rejoins: u32,
-    /// Where to write the flight-recorder dump (`<out>.flight.json`).
-    /// When set, a dump is written automatically if the run aborts, a
-    /// handler panics, a fault fires, or the end-of-run watchdog flags
-    /// anomalies. `None` disables dumping (series are still recorded and
-    /// scrapeable).
+    /// Where to write the flight dump (`<out>.flight.json`). When set, a
+    /// dump is written automatically if the run aborts, a handler panics,
+    /// a fault fires, or the end-of-run watchdog flags anomalies. `None`
+    /// disables dumping (series are still recorded and scrapeable).
     pub flight: Option<String>,
 }
 
@@ -86,6 +84,16 @@ impl Default for ServeOptions {
     }
 }
 
+/// One worker's contribution at the push barrier, as its `PushDone`
+/// reported it.
+struct Push {
+    payloads: Vec<TensorPayload>,
+    loss: f32,
+    codec_seconds: f64,
+    residual_l2: f64,
+    step_seconds: f64,
+}
+
 /// Handler → coordinator messages. Every message carries the sender's
 /// per-worker generation, so messages from a superseded connection (one
 /// the worker already rejoined past) are recognizably stale.
@@ -95,11 +103,7 @@ enum ToCoord {
         worker: usize,
         gen: u64,
         step: u64,
-        payloads: Vec<TensorPayload>,
-        loss: f32,
-        codec_seconds: f64,
-        residual_l2: f64,
-        step_seconds: f64,
+        push: Push,
     },
     /// The handler finished (cleanly or with an error). Handler panics
     /// arrive here too, converted to an error by the catch-unwind wrapper
@@ -123,10 +127,6 @@ enum ToCoord {
         counters: ConnCounters,
     },
 }
-
-/// One worker's contribution at the push barrier: tensor payloads, local
-/// loss, codec seconds, residual L2, wall-clock step seconds.
-type PushSlot = (Vec<TensorPayload>, f32, f64, f64, f64);
 
 /// One step's shared pull batch, encoded once and broadcast to every
 /// handler (shared pull compression, paper Fig. 2b). Retained in the
@@ -152,6 +152,300 @@ struct RejoinTask {
     replay: Vec<Arc<PullBatch>>,
 }
 
+/// What [`Coordinator::admit`] grants a rejoining worker: its new
+/// generation, the receiving end of its pull channel, and the replay.
+struct Admission {
+    gen: u64,
+    pulls: mpsc::Receiver<FromCoord>,
+    replay: Vec<Arc<PullBatch>>,
+}
+
+/// The coordinator's state: who is connected under which generation, the
+/// open barrier, the pull history, and the run's one fault ledger. A plain
+/// value — no sockets, no threads — so [`serve`] can own it across
+/// [`serve_run`]'s early returns (an aborted run's flight dump still
+/// reads the faults) and a test can drive it message by message.
+///
+/// Every fault is written exactly once, as a [`FaultEvent`], by
+/// [`Self::retire`] (a disconnect) or [`Self::admit`] (a rejoin), which
+/// also bump the `net.server.*` counter and log the event. The run report,
+/// the rejoin-flap check and the flight dump all read that ledger.
+struct Coordinator {
+    max_rejoins: u64,
+    step_timeout: Duration,
+    rejoin_timeout: Duration,
+    metrics: NetMetrics,
+    /// Per-worker connection generation; bumped on every admitted rejoin.
+    gens: Vec<u64>,
+    /// Cumulative admitted rejoins per worker, recorded as a series so the
+    /// dashboard can show flapping workers.
+    rejoin_counts: Vec<u64>,
+    /// Traffic of a worker's finished (lost or superseded) connections,
+    /// folded into its final ConnReport.
+    lost: Vec<ConnCounters>,
+    /// The sending end of each worker's pull channel; `None` while the
+    /// worker is out (never connected, or retired and not yet rejoined).
+    pull_txs: Vec<Option<mpsc::Sender<FromCoord>>>,
+    /// Every completed step's pull batch, the replay a rejoiner resyncs
+    /// from. Arc'd frames, so the history costs one encoded copy per step;
+    /// disabled (empty) in fail-stop mode.
+    history: Vec<Arc<PullBatch>>,
+    faults: FaultsReport,
+    /// The open barrier: its step, each worker's landed push with its
+    /// wall-clock arrival, and the deadline — which extends when a worker
+    /// disconnects or rejoins, parking the barrier instead of aborting.
+    step: u64,
+    slots: Vec<Option<(Push, Instant)>>,
+    deadline: Instant,
+}
+
+impl Coordinator {
+    fn new(workers: usize, opts: &ServeOptions) -> Self {
+        Coordinator {
+            max_rejoins: u64::from(opts.max_rejoins),
+            step_timeout: opts.step_timeout,
+            rejoin_timeout: opts.rejoin_timeout,
+            metrics: NetMetrics::server(),
+            gens: vec![0; workers],
+            rejoin_counts: vec![0; workers],
+            lost: vec![ConnCounters::default(); workers],
+            pull_txs: (0..workers).map(|_| None).collect(),
+            history: Vec::new(),
+            faults: FaultsReport::default(),
+            step: 0,
+            slots: (0..workers).map(|_| None).collect(),
+            deadline: Instant::now(),
+        }
+    }
+
+    /// A barrier wait while any worker is out covers both a normal step
+    /// and a rejoin-plus-replay, whichever is longer.
+    fn park_timeout(&self) -> Duration {
+        self.step_timeout.max(self.rejoin_timeout)
+    }
+
+    /// Connects `worker`: opens its pull channel and returns the handler's
+    /// end.
+    fn connect(&mut self, worker: usize) -> mpsc::Receiver<FromCoord> {
+        let (tx, rx) = mpsc::channel();
+        self.pull_txs[worker] = Some(tx);
+        rx
+    }
+
+    fn connected(&self, worker: usize) -> bool {
+        self.pull_txs[worker].is_some()
+    }
+
+    /// The stale-generation rule, for every phase: a message counts only
+    /// if it comes from the worker's current connection.
+    fn is_current(&self, worker: usize, gen: u64) -> bool {
+        gen == self.gens[worker]
+    }
+
+    /// Opens `step`'s barrier with every slot empty.
+    fn open_barrier(&mut self, step: u64) {
+        self.step = step;
+        self.slots.iter_mut().for_each(|s| *s = None);
+        self.deadline = Instant::now()
+            + if self.pull_txs.iter().all(Option::is_some) {
+                self.step_timeout
+            } else {
+                self.park_timeout()
+            };
+    }
+
+    /// Pushes the open barrier still waits for.
+    fn missing(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_none()).count()
+    }
+
+    /// The barrier's time left, or the timeout error naming who is out.
+    fn time_left(&self) -> Result<Duration, NetError> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            return Ok(left);
+        }
+        let step = self.step;
+        let out: Vec<usize> = (0..self.pull_txs.len())
+            .filter(|&w| !self.connected(w))
+            .collect();
+        Err(NetError::Protocol(if out.is_empty() {
+            format!("timed out waiting for pushes in step {step}")
+        } else {
+            format!("timed out waiting for worker(s) {out:?} to rejoin in step {step}")
+        }))
+    }
+
+    /// Lands one worker's push in the open barrier. A push from a
+    /// superseded connection (it raced its connection's death) is dropped.
+    fn accept_push(
+        &mut self,
+        worker: usize,
+        gen: u64,
+        step: u64,
+        push: Push,
+    ) -> Result<(), NetError> {
+        if !self.is_current(worker, gen) {
+            return Ok(());
+        }
+        if step != self.step {
+            return Err(NetError::Protocol(format!(
+                "worker {worker} pushed step {step} during step {}",
+                self.step
+            )));
+        }
+        if self.slots[worker].is_some() {
+            return Err(NetError::Protocol(format!(
+                "worker {worker} pushed twice in step {step}"
+            )));
+        }
+        self.slots[worker] = Some((push, Instant::now()));
+        Ok(())
+    }
+
+    /// A handler finished mid-training. Its traffic is always kept; if it
+    /// was the worker's live connection, the worker is retired.
+    fn finished(
+        &mut self,
+        worker: usize,
+        gen: u64,
+        counters: &ConnCounters,
+        error: Option<String>,
+    ) -> Result<(), NetError> {
+        self.lost[worker].merge(counters);
+        if !self.is_current(worker, gen) || !self.connected(worker) {
+            // A superseded or already-retired connection winding down.
+            return Ok(());
+        }
+        self.retire(worker, error.unwrap_or_else(|| "closed early".into()))
+    }
+
+    /// Marks a worker's connection dead: closes its pull channel, discards
+    /// its push if one landed (the rejoined worker re-pushes this step, and
+    /// deterministic replay makes the re-push byte-identical), extends the
+    /// barrier's deadline by the rejoin timeout, and writes the fault. When
+    /// the rejoin budget is already spent (or rejoins are disabled) this is
+    /// the fail-stop error that aborts the run.
+    fn retire(&mut self, worker: usize, detail: String) -> Result<(), NetError> {
+        let step = self.step;
+        self.pull_txs[worker] = None;
+        self.slots[worker] = None;
+        self.deadline = self.deadline.max(Instant::now() + self.rejoin_timeout);
+        self.metrics.disconnects.add(1);
+        threelc_obs::event!(
+            Level::Warn,
+            "server.worker_disconnected",
+            worker = worker,
+            step = step,
+            detail = detail
+        );
+        self.faults.disconnects += 1;
+        let error = (self.faults.rejoins >= self.max_rejoins).then(|| {
+            NetError::Protocol(format!("worker {worker} left during step {step}: {detail}"))
+        });
+        self.faults.events.push(FaultEvent {
+            step,
+            worker,
+            kind: "disconnect".into(),
+            detail,
+        });
+        error.map_or(Ok(()), Err)
+    }
+
+    /// Admits a mid-run rejoin at the open barrier, or refuses it (`None`:
+    /// the caller drops the stream). If the worker's old connection still
+    /// counts as connected it is half-dead — its `Finished` has not landed
+    /// yet — and is retired first; the generation bump then makes whatever
+    /// it still sends stale.
+    fn admit(&mut self, worker: usize) -> Result<Option<Admission>, NetError> {
+        let refusal = if worker >= self.gens.len() {
+            Some("id out of range")
+        } else if self.faults.rejoins >= self.max_rejoins {
+            Some("rejoin budget exhausted")
+        } else {
+            None
+        };
+        if let Some(reason) = refusal {
+            threelc_obs::event!(
+                Level::Warn,
+                "server.rejoin_refused",
+                worker = worker,
+                reason = reason
+            );
+            return Ok(None);
+        }
+        if self.connected(worker) {
+            self.retire(worker, "superseded by a rejoin".into())?;
+        }
+        let step = self.step;
+        debug_assert_eq!(self.history.len() as u64, step);
+        self.gens[worker] += 1;
+        self.rejoin_counts[worker] += 1;
+        self.faults.rejoins += 1;
+        self.metrics.rejoins.add(1);
+        threelc_obs::event!(
+            Level::Info,
+            "server.worker_rejoined",
+            worker = worker,
+            step = step,
+            gen = self.gens[worker]
+        );
+        self.faults.events.push(FaultEvent {
+            step,
+            worker,
+            kind: "rejoin".into(),
+            detail: format!(
+                "resumed at step {step} after a replay of {} step(s)",
+                self.history.len()
+            ),
+        });
+        self.deadline = self.deadline.max(Instant::now() + self.park_timeout());
+        Ok(Some(Admission {
+            gen: self.gens[worker],
+            pulls: self.connect(worker),
+            replay: self.history.clone(),
+        }))
+    }
+
+    /// Closes a full barrier: every worker's push with its barrier-wait
+    /// charge, the lag past the earliest arrival.
+    fn close_barrier(&mut self) -> Vec<(Push, f64)> {
+        let landed: Vec<(Push, Instant)> = self
+            .slots
+            .iter_mut()
+            .map(|s| s.take().expect("barrier filled every slot"))
+            .collect();
+        let first = landed.iter().map(|(_, at)| *at).min();
+        landed
+            .into_iter()
+            .map(|(push, at)| {
+                let wait = first.map_or(0.0, |f| at.saturating_duration_since(f).as_secs_f64());
+                (push, wait)
+            })
+            .collect()
+    }
+
+    /// Hands the step's pull batch to every connected handler and keeps it
+    /// for replays. A handler that died between its push and the broadcast
+    /// is retired here; its `Finished` (with the underlying error) is still
+    /// in the channel and [`Self::finished`] then changes nothing more.
+    fn broadcast(&mut self, batch: &Arc<PullBatch>) -> Result<(), NetError> {
+        if self.max_rejoins > 0 {
+            self.history.push(Arc::clone(batch));
+        }
+        for w in 0..self.pull_txs.len() {
+            let alive = match &self.pull_txs[w] {
+                Some(tx) => tx.send(FromCoord::Pulls(Arc::clone(batch))).is_ok(),
+                None => true, // already retired
+            };
+            if !alive {
+                self.retire(w, "pull channel closed".into())?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Runs a full training experiment as the parameter server.
 ///
 /// Accepts `config.workers` connections on `listener`, drives
@@ -174,17 +468,16 @@ pub fn serve(
     opts: &ServeOptions,
 ) -> Result<NetReport, NetError> {
     // The recorder is shared with the metrics side-door (live series
-    // scrapes); the flight recorder is coordinator-only.
+    // scrapes). It, the coordinator (whose fault ledger a dump reads) and
+    // the server's span buffer are owned here, not inside serve_run, so an
+    // aborted run can still be dumped.
     let recorder = Arc::new(Mutex::new(RunRecorder::new(config.workers)));
-    let mut flight = FlightRecorder::new();
-    // Owned here (not inside serve_run) so an aborted run's flight dump can
-    // still carry the server's spans — the global buffer the recorder
-    // snapshots belongs to the in-process simulator, not this runtime.
+    let mut coord = Coordinator::new(config.workers, opts);
     let server_buf = Arc::new(TraceBuffer::default());
-    let result = serve_run(listener, config, opts, &recorder, &mut flight, &server_buf);
+    let result = serve_run(listener, config, opts, &recorder, &mut coord, &server_buf);
     if let Some(path) = &opts.flight {
-        let series = recorder.lock().expect("series recorder lock").snapshot();
-        let dump = match &result {
+        let faults = &coord.faults.events;
+        let cause = match &result {
             Err(e) => {
                 let text = e.to_string();
                 let cause = if text.contains("panicked") {
@@ -192,44 +485,30 @@ pub fn serve(
                 } else {
                     trigger::ABORT
                 };
-                Some(flight.dump(cause, &text, series, &[]))
+                Some((cause, text, Vec::new()))
             }
             Ok(report) => {
                 let mut findings = report.anomalies.clone();
                 findings.extend(report.result.trace.anomalies.iter().cloned());
                 if !findings.is_empty() {
-                    Some(flight.dump(
-                        trigger::WATCHDOG,
-                        "end-of-run watchdog flagged anomalies",
-                        series,
-                        &findings,
-                    ))
-                } else if !flight.events().is_empty() {
-                    Some(flight.dump(
-                        trigger::FAULT,
-                        "transport faults occurred during the run",
-                        series,
-                        &[],
-                    ))
+                    let detail = "end-of-run watchdog flagged anomalies";
+                    Some((trigger::WATCHDOG, detail.into(), findings))
+                } else if !faults.is_empty() {
+                    let detail = "transport faults occurred during the run";
+                    Some((trigger::FAULT, detail.into(), findings))
                 } else {
                     None
                 }
             }
         };
-        let dump = dump.map(|mut d| {
-            // The recorder snapshots the in-process (simulator) span buffer;
-            // this runtime's spans live in `server_buf`. Swap them in so
-            // `threelc trace`/`analyze <dump.flight.json>` see the timeline.
-            d.spans.retain(|n| !n.spans.is_empty());
-            if trace::trace_enabled() {
-                let nt = server_buf.snapshot("server");
-                if !nt.spans.is_empty() {
-                    d.spans.push(nt);
-                }
-            }
-            d
-        });
-        if let Some(dump) = dump {
+        if let Some((cause, detail, findings)) = cause {
+            let series = recorder.lock().expect("series recorder lock").snapshot();
+            // The spans a dump carries are what the server's buffer still
+            // holds: an aborted run's whole timeline; nothing after a
+            // completed run, whose buffer was drained into the report.
+            let mut spans = vec![server_buf.snapshot("server")];
+            spans.retain(|n| !n.spans.is_empty());
+            let dump = FlightDump::new(cause, &detail, series, faults, &findings, spans);
             if let Err(e) = write_flight_dump(path, &dump) {
                 threelc_obs::event!(
                     Level::Warn,
@@ -245,14 +524,14 @@ pub fn serve(
 
 /// The body of [`serve`]: the actual accept/handshake/train/shutdown
 /// sequence, recording per-worker series into `recorder` at every barrier
-/// and transport faults into `flight` as they happen. Split out so the
-/// wrapper can still reach both stores after an early-error return.
+/// and transport faults into `coord` as they happen. Split out so the
+/// wrapper can still reach both after an early-error return.
 fn serve_run(
     listener: &TcpListener,
     config: &ExperimentConfig,
     opts: &ServeOptions,
     recorder: &Arc<Mutex<RunRecorder>>,
-    flight: &mut FlightRecorder,
+    coord: &mut Coordinator,
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
     validate_config(config)?;
@@ -276,33 +555,27 @@ fn serve_run(
     // trace id is derived from the seed, identically on every node.
     let tracing = trace::trace_enabled();
     let trace_id = trace::run_trace_id(config.seed);
-    let server_buf = Arc::clone(server_buf);
 
     // ---- Handshake: fill every worker slot. Scrapes arriving
     // in this phase are answered inline without consuming a slot.
     let (to_coord, from_handlers) = mpsc::channel::<ToCoord>();
-    let mut pull_txs: Vec<Option<mpsc::Sender<FromCoord>>> = (0..workers).map(|_| None).collect();
     let mut handles = Vec::with_capacity(workers);
-    // A barrier wait while any worker is out covers both a normal step
-    // and a rejoin-plus-replay, whichever is longer.
-    let park_timeout = opts.step_timeout.max(opts.rejoin_timeout);
+    let park_timeout = coord.park_timeout();
     while handles.len() < workers {
         let (stream, _) = listener.accept().map_err(NetError::Io)?;
         let (worker, handshake_counters) = match handshake(
             &stream,
             opts.io_timeout,
             workers,
-            &pull_txs,
+            &coord.pull_txs,
             &config_json,
-            &server_buf,
+            server_buf,
             recorder,
         )? {
             Handshake::Worker(worker, counters) => (worker, counters),
             Handshake::Scrape => continue,
         };
         threelc_obs::event!(Level::Info, "server.worker_connected", worker = worker);
-        let (tx, rx) = mpsc::channel::<FromCoord>();
-        pull_txs[worker] = Some(tx);
         handles.push(spawn_handler(
             stream,
             worker,
@@ -311,10 +584,10 @@ fn serve_run(
             config.total_steps,
             Arc::clone(&shapes),
             to_coord.clone(),
-            rx,
+            coord.connect(worker),
             handshake_counters,
             park_timeout,
-            Arc::clone(&server_buf),
+            Arc::clone(server_buf),
             trace_id,
             None,
         ));
@@ -328,370 +601,137 @@ fn serve_run(
     let _scraper = MetricsScraper::start(
         listener,
         opts.io_timeout,
-        Arc::clone(&server_buf),
+        Arc::clone(server_buf),
         Arc::clone(recorder),
         to_coord.clone(),
     )?;
-    let server_metrics = NetMetrics::server();
-
-    // ---- Fault-tolerance state.
-    let max_rejoins = u64::from(opts.max_rejoins);
-    // Per-worker connection generation; bumped on every admitted rejoin.
-    let mut gens: Vec<u64> = vec![0; workers];
-    let mut connected: Vec<bool> = vec![true; workers];
-    // Cumulative admitted rejoins per worker, recorded as a series so the
-    // dashboard can show flapping workers.
-    let mut rejoin_counts: Vec<u64> = vec![0; workers];
-    // Traffic of a worker's finished (lost or superseded) connections,
-    // folded into its final ConnReport.
-    let mut lost: Vec<ConnCounters> = vec![ConnCounters::default(); workers];
-    let mut faults = FaultsReport::default();
-    // Every completed step's pull batch, the replay a rejoiner resyncs
-    // from. Arc'd frames, so the history costs one encoded copy per step;
-    // disabled (empty) in fail-stop mode.
-    let mut history: Vec<Arc<PullBatch>> = Vec::new();
 
     // ---- Barrier-synchronized BSP training loop.
     let mut trace = TrainingTrace::default();
     trace.policy.label = config.policy.label();
     let mut straggler_rng = threelc_tensor::rng(config.seed ^ 0x5357_4147);
-    let compressible_values = problem.compressible_values();
-    let servers = config.servers.max(1);
     for step in 0..config.total_steps {
-        let step_span = SpanGuard::on(Arc::clone(&server_metrics.step_seconds));
+        let step_t0 = Instant::now();
         let _coord_scope = tracing
-            .then(|| TraceScope::enter(&server_buf, "server", trace_id, step, trace::NO_WORKER));
+            .then(|| TraceScope::enter(server_buf, "server", trace_id, step, trace::NO_WORKER));
         let (_accepted, compute_multiplier) = engine::sample_stragglers(config, &mut straggler_rng);
 
-        // Collect every worker's push batch (the barrier). The deadline
-        // extends when a worker disconnects or rejoins, parking the
-        // barrier instead of aborting.
+        // Collect every worker's push batch (the barrier).
         let barrier_span = TraceSpan::start("barrier");
-        let mut slots: Vec<Option<PushSlot>> = (0..workers).map(|_| None).collect();
-        // Wall-clock arrival of each worker's complete push: the lag past
-        // the earliest arrival is that worker's barrier-wait charge.
-        let mut arrivals: Vec<Option<Instant>> = (0..workers).map(|_| None).collect();
-        let mut missing = workers;
-        let mut deadline = Instant::now()
-            + if connected.iter().all(|&c| c) {
-                opts.step_timeout
-            } else {
-                park_timeout
+        coord.open_barrier(step);
+        while coord.missing() > 0 {
+            let msg = match from_handlers.recv_timeout(coord.time_left()?) {
+                Ok(msg) => msg,
+                Err(_) => continue, // time_left decides
             };
-        while missing > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                let out: Vec<usize> = (0..workers).filter(|&w| !connected[w]).collect();
-                return Err(NetError::Protocol(if out.is_empty() {
-                    format!("timed out waiting for pushes in step {step}")
-                } else {
-                    format!("timed out waiting for worker(s) {out:?} to rejoin in step {step}")
-                }));
-            }
-            match from_handlers.recv_timeout(remaining) {
-                Ok(ToCoord::Pushed {
+            match msg {
+                ToCoord::Pushed {
                     worker,
                     gen,
                     step: s,
-                    payloads,
-                    loss,
-                    codec_seconds,
-                    residual_l2,
-                    step_seconds,
-                }) => {
-                    if gen != gens[worker] {
-                        // A superseded connection's push raced its death.
-                        continue;
-                    }
-                    if s != step {
-                        return Err(NetError::Protocol(format!(
-                            "worker {worker} pushed step {s} during step {step}"
-                        )));
-                    }
-                    if slots[worker].is_some() {
-                        return Err(NetError::Protocol(format!(
-                            "worker {worker} pushed twice in step {step}"
-                        )));
-                    }
-                    slots[worker] =
-                        Some((payloads, loss, codec_seconds, residual_l2, step_seconds));
-                    arrivals[worker] = Some(Instant::now());
-                    missing -= 1;
-                }
-                Ok(ToCoord::Finished {
+                    push,
+                } => coord.accept_push(worker, gen, s, push)?,
+                ToCoord::Finished {
                     worker,
                     gen,
                     counters,
                     error,
                     ..
-                }) => {
-                    lost[worker].merge(&counters);
-                    if gen != gens[worker] || !connected[worker] {
-                        // A superseded or already-noted connection winding
-                        // down; its traffic is kept, nothing else changes.
-                        continue;
-                    }
-                    let detail = error.unwrap_or_else(|| "closed early".into());
-                    note_disconnect(
-                        worker,
-                        step,
-                        detail,
-                        max_rejoins,
-                        &mut faults,
-                        &mut connected,
-                        &mut pull_txs,
-                        &server_metrics,
-                        flight,
-                    )?;
-                    // The dead connection's push (if it landed) is
-                    // discarded: the rejoined worker re-pushes this step,
-                    // and deterministic replay makes the re-push
-                    // byte-identical.
-                    if slots[worker].take().is_some() {
-                        arrivals[worker] = None;
-                        missing += 1;
-                    }
-                    deadline = deadline.max(Instant::now() + opts.rejoin_timeout);
-                }
-                Ok(ToCoord::Rejoin {
+                } => coord.finished(worker, gen, &counters, error)?,
+                ToCoord::Rejoin {
                     worker,
                     stream,
                     counters,
-                }) => {
-                    if worker >= workers {
-                        threelc_obs::event!(
-                            Level::Warn,
-                            "server.rejoin_refused",
-                            worker = worker,
-                            reason = "id out of range"
-                        );
-                        continue; // dropping the stream refuses the rejoin
-                    }
-                    if faults.rejoins >= max_rejoins {
-                        threelc_obs::event!(
-                            Level::Warn,
-                            "server.rejoin_refused",
-                            worker = worker,
-                            reason = "rejoin budget exhausted"
-                        );
+                } => {
+                    // A refusal drops the stream, which is the refusal.
+                    let Some(admission) = coord.admit(worker)? else {
                         continue;
-                    }
-                    if connected[worker] {
-                        // The old connection is half-dead (its Finished
-                        // has not landed yet). Retire it; the generation
-                        // bump below makes its remaining messages stale.
-                        note_disconnect(
-                            worker,
-                            step,
-                            "superseded by a rejoin".into(),
-                            max_rejoins,
-                            &mut faults,
-                            &mut connected,
-                            &mut pull_txs,
-                            &server_metrics,
-                            flight,
-                        )?;
-                        if slots[worker].take().is_some() {
-                            arrivals[worker] = None;
-                            missing += 1;
-                        }
-                    }
-                    gens[worker] += 1;
-                    faults.rejoins += 1;
-                    rejoin_counts[worker] += 1;
-                    let rejoin_detail = format!(
-                        "resumed at step {step} after a replay of {} step(s)",
-                        history.len()
-                    );
-                    flight.note_fault(step, &format!("worker{worker}"), "rejoin", &rejoin_detail);
-                    faults.events.push(FaultEvent {
-                        step,
-                        worker,
-                        kind: "rejoin".into(),
-                        detail: rejoin_detail,
-                    });
-                    server_metrics.rejoins.add(1);
-                    threelc_obs::event!(
-                        Level::Info,
-                        "server.worker_rejoined",
-                        worker = worker,
-                        step = step,
-                        gen = gens[worker]
-                    );
-                    debug_assert_eq!(history.len() as u64, step);
-                    let (tx, rx) = mpsc::channel::<FromCoord>();
-                    pull_txs[worker] = Some(tx);
-                    connected[worker] = true;
+                    };
                     handles.push(spawn_handler(
                         stream,
                         worker,
-                        gens[worker],
+                        admission.gen,
                         step,
                         config.total_steps,
                         Arc::clone(&shapes),
                         to_coord.clone(),
-                        rx,
+                        admission.pulls,
                         counters,
                         park_timeout,
-                        Arc::clone(&server_buf),
+                        Arc::clone(server_buf),
                         trace_id,
                         Some(RejoinTask {
                             resume_step: step,
                             config_json: Arc::clone(&config_json),
-                            replay: history.clone(),
+                            replay: admission.replay,
                         }),
                     ));
-                    deadline = deadline.max(Instant::now() + park_timeout);
                 }
-                Err(_) => continue, // the deadline check above decides
             }
         }
         barrier_span.finish();
 
-        // Worker-order accounting, exactly as the simulator does it. The
-        // per-step policy multiplier must be read before apply_step swaps
-        // in the next step's decisions (the simulator reads it at the same
-        // point, so the recorded series match bit for bit).
-        let decisions = server.current_decisions();
-        let step_multiplier = if decisions.is_empty() {
-            f64::from(engine::base_sparsity(config).value())
-        } else {
-            f64::from(decisions[0].s.value())
-        };
-        let mut payloads_by_worker = Vec::with_capacity(workers);
-        let mut deltas = Vec::with_capacity(workers);
-        let mut loss_sum = 0.0f64;
-        let mut worker_codec_max = 0.0f64;
-        let mut residual_l2 = 0.0f64;
-        let mut push_bytes = 0u64;
-        let mut raw_bytes = 0u64;
-        let mut server_bytes = vec![0u64; servers];
-        let first_arrival = arrivals.iter().flatten().min().copied();
-        for (w, slot) in slots.iter_mut().enumerate() {
-            let (payloads, loss, codec, residual, step_seconds) =
-                slot.take().expect("barrier filled every slot");
-            loss_sum += loss as f64;
-            worker_codec_max = worker_codec_max.max(codec);
-            residual_l2 = residual_l2.max(residual);
-            let mut worker_wire = 0u64;
-            let mut worker_push = 0u64;
-            for (i, payload) in payloads.iter().enumerate() {
-                let bytes = payload.wire_len();
-                server_bytes[i % servers] += bytes;
-                worker_wire += bytes;
-                match payload {
-                    TensorPayload::Compressed(_) => {
-                        push_bytes += bytes;
-                        worker_push += bytes;
-                    }
-                    TensorPayload::Raw(_) => raw_bytes += bytes,
-                }
-            }
-            deltas.push(WorkerDelta {
-                worker: w,
-                wire_bytes: worker_wire,
-                ratio: if worker_push > 0 {
-                    (compressible_values as f64 * 32.0) / (worker_push as f64 * 8.0)
-                } else {
-                    0.0
-                },
-                residual_l2: residual,
-                loss: loss as f64,
-                multiplier: step_multiplier,
-                rejoins: rejoin_counts[w],
-                step_seconds,
-                barrier_wait_seconds: match (arrivals[w], first_arrival) {
-                    (Some(at), Some(first)) => at.saturating_duration_since(first).as_secs_f64(),
-                    _ => 0.0,
-                },
-            });
-            payloads_by_worker.push(payloads);
+        // Worker-order accounting by the engine's one step accountant —
+        // the simulator feeds it the same way, so the recorded series and
+        // StepRecords match bit for bit.
+        let pushes = coord.close_barrier();
+        let mut account = server.begin_step(compute_multiplier);
+        for (w, (push, barrier_wait_seconds)) in pushes.iter().enumerate() {
+            account.push(Some(WorkerPush {
+                payloads: &push.payloads,
+                loss: push.loss,
+                codec_seconds: push.codec_seconds,
+                residual_l2: push.residual_l2,
+                step_seconds: push.step_seconds,
+                barrier_wait_seconds: *barrier_wait_seconds,
+                rejoins: coord.rejoin_counts[w],
+            }));
         }
         recorder
             .lock()
             .expect("series recorder lock")
-            .record_step(step, &deltas);
+            .record_step(step, account.deltas());
 
+        let payloads_by_worker: Vec<_> = pushes.into_iter().map(|(p, _)| p.payloads).collect();
         let out = server
-            .apply_step(&payloads_by_worker, workers, residual_l2)
+            .apply_step(
+                &payloads_by_worker,
+                account.accepted(),
+                account.residual_l2(),
+            )
             .map_err(aggregation_error)?;
         trace
             .policy
             .records
             .extend(out.policy_records.iter().copied());
+        let record = account.finish(&out, false);
 
         // Encode the shared pull batch once; handlers fan it out.
-        let mut pull_bytes = 0u64;
         let mut frames = Vec::with_capacity(n_params + 1);
-        for (i, payload) in out.pulls.into_iter().enumerate() {
-            let bytes = payload.wire_len() * workers as u64;
-            server_bytes[i % servers] += bytes;
-            match payload {
-                TensorPayload::Compressed(wire) => {
-                    pull_bytes += bytes;
-                    frames.push((MsgType::PullTensor, wire));
-                }
-                TensorPayload::Raw(t) => {
-                    raw_bytes += bytes;
-                    frames.push((MsgType::PullRaw, tensor_to_bytes(&t)));
-                }
-            }
+        for payload in out.pulls {
+            frames.push(match payload {
+                TensorPayload::Compressed(wire) => (MsgType::PullTensor, wire),
+                TensorPayload::Raw(t) => (MsgType::PullRaw, tensor_to_bytes(&t)),
+            });
         }
         // Adaptive policies broadcast the next step's decisions with the
         // pull batch. Appending them here puts them in the replay history
         // too, so a rejoining worker reconstructs the exact decision
-        // sequence. (Deliberately excluded from the traffic accounting:
-        // the simulator's StepRecords carry no policy bytes either, and
-        // the two must stay bit-identical.)
+        // sequence. (The step's accounting was closed above, over the
+        // tensor payloads only: policy bytes are transport.)
         if !out.next_decisions.is_empty() {
             frames.push((
                 MsgType::PolicyUpdate,
                 encode_policy_update(&out.next_decisions)?,
             ));
         }
-        let batch = Arc::new(PullBatch { step, frames });
-        if max_rejoins > 0 {
-            history.push(Arc::clone(&batch));
-        }
-        for w in 0..workers {
-            let alive = match &pull_txs[w] {
-                Some(tx) => tx.send(FromCoord::Pulls(Arc::clone(&batch))).is_ok(),
-                None => true, // already marked disconnected
-            };
-            if !alive {
-                // The handler died between its push and our broadcast. Its
-                // Finished message (with the underlying error) is still in
-                // the channel; the connected[] check deduplicates it.
-                note_disconnect(
-                    w,
-                    step,
-                    "pull channel closed".into(),
-                    max_rejoins,
-                    &mut faults,
-                    &mut connected,
-                    &mut pull_txs,
-                    &server_metrics,
-                    flight,
-                )?;
-            }
-        }
+        coord.broadcast(&Arc::new(PullBatch { step, frames }))?;
 
-        trace.record_step(StepRecord {
-            step,
-            lr: out.lr,
-            loss: (loss_sum / workers as f64) as f32,
-            push_bytes,
-            pull_bytes,
-            raw_bytes,
-            compressible_values,
-            worker_codec_seconds: worker_codec_max,
-            server_codec_seconds: out.server_codec_seconds,
-            compute_multiplier,
-            pull_overlapped: false,
-            critical_bytes: server_bytes.iter().copied().max().unwrap_or(0),
-            residual_l2,
-        });
-        step_span.finish();
+        trace.record_step(record);
+        coord
+            .metrics
+            .step_seconds
+            .record(step_t0.elapsed().as_secs_f64());
         let due = config.eval_every > 0 && (step + 1) % config.eval_every == 0;
         if due && step + 1 < config.total_steps {
             trace.evals.push(EvalRecord {
@@ -726,8 +766,8 @@ fn serve_run(
                 trace,
                 error,
             }) => {
-                if gen != gens[worker] {
-                    lost[worker].merge(&counters);
+                if !coord.is_current(worker, gen) {
+                    coord.lost[worker].merge(&counters);
                     continue;
                 }
                 if let Some(e) = error {
@@ -735,7 +775,7 @@ fn serve_run(
                         "worker {worker} failed to shut down cleanly: {e}"
                     )));
                 }
-                let mut total = lost[worker];
+                let mut total = coord.lost[worker];
                 total.merge(&counters);
                 connections[worker] = Some(ConnReport {
                     worker,
@@ -748,12 +788,11 @@ fn serve_run(
             Ok(ToCoord::Pushed {
                 worker, gen, step, ..
             }) => {
-                if gen != gens[worker] {
-                    continue;
+                if coord.is_current(worker, gen) {
+                    return Err(NetError::Protocol(format!(
+                        "worker {worker} pushed step {step} after training ended"
+                    )));
                 }
-                return Err(NetError::Protocol(format!(
-                    "worker {worker} pushed step {step} after training ended"
-                )));
             }
             Ok(ToCoord::Rejoin { worker, .. }) => {
                 threelc_obs::event!(
@@ -762,9 +801,8 @@ fn serve_run(
                     worker = worker,
                     reason = "training already ended"
                 );
-                continue;
             }
-            Err(_) => continue, // the deadline check above decides
+            Err(_) => {} // the deadline check above decides
         }
     }
     for handle in handles {
@@ -793,11 +831,11 @@ fn serve_run(
         node_traces.push(server_buf.drain("server"));
         node_traces.extend(worker_traces.into_iter().flatten());
         let timeline = MergedTimeline::build(&node_traces);
-        anomalies = threelc_obs::watchdog::check_timeline(&timeline, &WatchdogConfig::default());
+        anomalies = threelc_obs::watchdog::check_timeline(&timeline);
         // Critical-path attribution over the same merged timeline; the
         // blame buckets land in the report and in the global registry so
         // `threelc metrics` (and `--prom` scrapers) see them too.
-        let run_analysis = RunAnalysis::build(&timeline, &AnalysisConfig::default());
+        let run_analysis = RunAnalysis::build(&timeline);
         if !run_analysis.steps.is_empty() {
             run_analysis.export_gauges(threelc_obs::global());
             analysis = Some(run_analysis);
@@ -805,19 +843,7 @@ fn serve_run(
     }
     // Fault anomalies (rejoin flapping) need no tracing — the coordinator
     // saw every disconnect itself.
-    let samples: Vec<FaultSample> = faults
-        .events
-        .iter()
-        .map(|e| FaultSample {
-            step: e.step,
-            node: format!("worker{}", e.worker),
-            kind: e.kind.clone(),
-        })
-        .collect();
-    anomalies.extend(threelc_obs::watchdog::check_faults(
-        &samples,
-        &WatchdogConfig::default(),
-    ));
+    anomalies.extend(threelc_obs::watchdog::check_faults(&coord.faults.events));
     for a in &anomalies {
         threelc_obs::event!(
             Level::Warn,
@@ -840,54 +866,13 @@ fn serve_run(
             .into_iter()
             .map(|c| c.expect("every slot reported"))
             .collect(),
-        faults,
+        faults: coord.faults.clone(),
         node_traces,
         anomalies,
         series: recorder.lock().expect("series recorder lock").snapshot(),
         analysis,
         metrics: threelc_obs::global().snapshot(),
     })
-}
-
-/// Marks a worker's connection dead: closes its pull channel, records the
-/// fault, and — when the rejoin budget is already spent (or rejoins are
-/// disabled) — aborts the run with the fail-stop error.
-#[allow(clippy::too_many_arguments)]
-fn note_disconnect(
-    worker: usize,
-    step: u64,
-    detail: String,
-    max_rejoins: u64,
-    faults: &mut FaultsReport,
-    connected: &mut [bool],
-    pull_txs: &mut [Option<mpsc::Sender<FromCoord>>],
-    metrics: &NetMetrics,
-    flight: &mut FlightRecorder,
-) -> Result<(), NetError> {
-    connected[worker] = false;
-    pull_txs[worker] = None;
-    metrics.disconnects.add(1);
-    flight.note_fault(step, &format!("worker{worker}"), "disconnect", &detail);
-    threelc_obs::event!(
-        Level::Warn,
-        "server.worker_disconnected",
-        worker = worker,
-        step = step,
-        detail = detail
-    );
-    faults.disconnects += 1;
-    faults.events.push(FaultEvent {
-        step,
-        worker,
-        kind: "disconnect".into(),
-        detail: detail.clone(),
-    });
-    if faults.rejoins >= max_rejoins {
-        return Err(NetError::Protocol(format!(
-            "worker {worker} left during step {step}: {detail}"
-        )));
-    }
-    Ok(())
 }
 
 /// Spawns one connection's handler thread. The handler body runs under
@@ -1026,12 +1011,11 @@ fn handshake(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
-    let mut counters = ConnCounters::default();
-    let t0 = Instant::now();
-    let hello = read_frame(&mut &*stream)?;
-    counters.note_read(hello.payload.len(), t0.elapsed().as_secs_f64());
+    let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
+    let hello = conn.read_frame(&mut &*stream)?;
     if hello.msg == MsgType::Scrape {
-        answer_scrape(stream, decode_scrape(&hello.payload)?, server_buf, recorder)?;
+        let kind = decode_scrape(&hello.payload)?;
+        answer_scrape(stream, &mut conn, kind, server_buf, recorder)?;
         return Ok(Handshake::Scrape);
     }
     if hello.msg == MsgType::Rejoin {
@@ -1059,16 +1043,14 @@ fn handshake(
             "worker id {worker} connected twice"
         )));
     }
-    let t0 = Instant::now();
-    write_frame(
+    conn.write_frame(
         &mut &*stream,
         MsgType::HelloAck,
         0,
         0,
         config_json.as_bytes(),
     )?;
-    counters.note_write(config_json.len(), t0.elapsed().as_secs_f64());
-    Ok(Handshake::Worker(worker, counters))
+    Ok(Handshake::Worker(worker, conn.counters))
 }
 
 /// Replies to a `Scrape` with the view it names: the global metrics
@@ -1077,6 +1059,7 @@ fn handshake(
 /// `top` can inspect a live run mid-training.
 fn answer_scrape(
     stream: &TcpStream,
+    conn: &mut Conn,
     kind: ScrapeKind,
     server_buf: &Arc<TraceBuffer>,
     recorder: &Arc<Mutex<RunRecorder>>,
@@ -1088,8 +1071,8 @@ fn answer_scrape(
             encode_scrape_reply(&recorder.lock().expect("series recorder lock").snapshot())
         }
     }?;
-    write_frame(&mut &*stream, MsgType::ScrapeReply, 0, 0, &payload)?;
-    (&*stream).flush()?;
+    conn.write_frame(&mut &*stream, MsgType::ScrapeReply, 0, 0, &payload)?;
+    conn.flush(&mut &*stream)?;
     threelc_obs::event!(
         Level::Info,
         "server.scraped",
@@ -1183,24 +1166,20 @@ fn serve_side_door(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
-    let mut counters = ConnCounters::default();
-    let t0 = Instant::now();
-    let frame = read_frame(&mut &stream)?;
-    counters.note_read(frame.payload.len(), t0.elapsed().as_secs_f64());
+    let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
+    let frame = conn.read_frame(&mut &stream)?;
     match frame.msg {
-        MsgType::Scrape => answer_scrape(
-            &stream,
-            decode_scrape(&frame.payload)?,
-            server_buf,
-            recorder,
-        ),
+        MsgType::Scrape => {
+            let kind = decode_scrape(&frame.payload)?;
+            answer_scrape(&stream, &mut conn, kind, server_buf, recorder)
+        }
         MsgType::Rejoin => {
             let worker = usize::from(decode_hello(&frame.payload)?);
             to_coord
                 .send(ToCoord::Rejoin {
                     worker,
                     stream,
-                    counters,
+                    counters: conn.counters,
                 })
                 .map_err(|_| NetError::Protocol("coordinator is gone".into()))
         }
@@ -1245,29 +1224,23 @@ fn run_handler(
         // Resume grant: the step to resume at plus the configuration (a
         // replacement process joins with nothing but an address and id).
         let payload = encode_rejoin_ack(task.resume_step, &task.config_json);
-        let t0 = Instant::now();
-        write_frame(
+        conn.write_frame(
             &mut writer,
             MsgType::RejoinAck,
             0,
             task.resume_step,
             &payload,
         )?;
-        conn.note_write(payload.len(), t0.elapsed().as_secs_f64());
         // Replay the full pull history. The worker interleaves reading
         // these with recomputing each step, so the stream drains as fast
         // as the worker replays.
         for batch in &task.replay {
             for (i, (msg, payload)) in batch.frames.iter().enumerate() {
-                let t0 = Instant::now();
-                write_frame(&mut writer, *msg, i as u16, batch.step, payload)?;
-                conn.note_write(payload.len(), t0.elapsed().as_secs_f64());
+                conn.write_frame(&mut writer, *msg, i as u16, batch.step, payload)?;
             }
-            let t0 = Instant::now();
-            write_frame(&mut writer, MsgType::PullDone, 0, batch.step, &[])?;
-            conn.note_write(0, t0.elapsed().as_secs_f64());
+            conn.write_frame(&mut writer, MsgType::PullDone, 0, batch.step, &[])?;
         }
-        writer.flush()?;
+        conn.flush(&mut writer)?;
     }
 
     for step in start_step..total_steps {
@@ -1283,12 +1256,7 @@ fn run_handler(
         let mut recv_span = TraceSpan::start("recv_push");
         let mut payloads: Vec<TensorPayload> = Vec::with_capacity(n_params);
         let (loss, codec_seconds, residual_l2, step_seconds) = loop {
-            // One span per incoming frame: read plus dispatch (dropped at
-            // the end of the iteration, including on break/error).
-            let _frame_span = SpanGuard::on(Arc::clone(&conn.metrics.frame_seconds));
-            let t0 = Instant::now();
-            let frame = read_frame(&mut reader)?;
-            conn.note_read(frame.payload.len(), t0.elapsed().as_secs_f64());
+            let frame = conn.read_frame(&mut reader)?;
             if frame.step != step {
                 return Err(NetError::Protocol(format!(
                     "worker {worker} sent step {} during step {step}",
@@ -1338,11 +1306,13 @@ fn run_handler(
                 worker,
                 gen,
                 step,
-                payloads,
-                loss,
-                codec_seconds,
-                residual_l2,
-                step_seconds,
+                push: Push {
+                    payloads,
+                    loss,
+                    codec_seconds,
+                    residual_l2,
+                    step_seconds,
+                },
             })
             .map_err(|_| NetError::Protocol("coordinator is gone".into()))?;
 
@@ -1360,28 +1330,19 @@ fn run_handler(
         }
         let send_span = TraceSpan::start("send_pull");
         for (i, (msg, payload)) in batch.frames.iter().enumerate() {
-            let _frame_span = SpanGuard::on(Arc::clone(&conn.metrics.frame_seconds));
-            let t0 = Instant::now();
-            write_frame(&mut writer, *msg, i as u16, step, payload)?;
-            conn.note_write(payload.len(), t0.elapsed().as_secs_f64());
+            conn.write_frame(&mut writer, *msg, i as u16, step, payload)?;
         }
-        let t0 = Instant::now();
-        write_frame(&mut writer, MsgType::PullDone, 0, step, &[])?;
-        writer.flush()?;
-        conn.note_write(0, t0.elapsed().as_secs_f64());
+        conn.write_frame(&mut writer, MsgType::PullDone, 0, step, &[])?;
+        conn.flush(&mut writer)?;
         send_span.finish();
     }
 
     // ---- Collect the worker's span buffer before shutting it down.
     let worker_trace = if tracing {
-        let t0 = Instant::now();
         let request = [ScrapeKind::Trace as u8];
-        write_frame(&mut writer, MsgType::Scrape, 0, total_steps, &request)?;
-        writer.flush()?;
-        conn.note_write(request.len(), t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let dump = read_frame(&mut reader)?;
-        conn.note_read(dump.payload.len(), t0.elapsed().as_secs_f64());
+        conn.write_frame(&mut writer, MsgType::Scrape, 0, total_steps, &request)?;
+        conn.flush(&mut writer)?;
+        let dump = conn.read_frame(&mut reader)?;
         if dump.msg != MsgType::ScrapeReply {
             return Err(NetError::Protocol(format!(
                 "worker {worker} answered the trace scrape with {:?}",
@@ -1394,13 +1355,9 @@ fn run_handler(
     };
 
     // ---- Graceful shutdown handshake.
-    let t0 = Instant::now();
-    write_frame(&mut writer, MsgType::Shutdown, 0, total_steps, &[])?;
-    writer.flush()?;
-    conn.note_write(0, t0.elapsed().as_secs_f64());
-    let t0 = Instant::now();
-    let ack = read_frame(&mut reader)?;
-    conn.note_read(ack.payload.len(), t0.elapsed().as_secs_f64());
+    conn.write_frame(&mut writer, MsgType::Shutdown, 0, total_steps, &[])?;
+    conn.flush(&mut writer)?;
+    let ack = conn.read_frame(&mut reader)?;
     if ack.msg != MsgType::ShutdownAck {
         return Err(NetError::Protocol(format!(
             "worker {worker} answered shutdown with {:?}",
@@ -1454,6 +1411,213 @@ mod tests {
         for part in ["step 3", "worker 1", "tensor 4", "250"] {
             assert!(msg.contains(part), "error must mention `{part}`: {msg}");
         }
+    }
+
+    // ---- The coordinator, driven message by message with no socket.
+
+    fn coordinator(workers: usize, max_rejoins: u32) -> Coordinator {
+        let opts = ServeOptions {
+            max_rejoins,
+            ..ServeOptions::default()
+        };
+        let mut coord = Coordinator::new(workers, &opts);
+        for w in 0..workers {
+            // The handlers' ends are dropped: nothing here broadcasts.
+            let _ = coord.connect(w);
+        }
+        coord
+    }
+
+    fn push(loss: f32) -> Push {
+        Push {
+            payloads: Vec::new(),
+            loss,
+            codec_seconds: 0.0,
+            residual_l2: 0.0,
+            step_seconds: 0.0,
+        }
+    }
+
+    fn counters(bytes_in: u64) -> ConnCounters {
+        ConnCounters {
+            bytes_in,
+            ..ConnCounters::default()
+        }
+    }
+
+    #[test]
+    fn a_push_from_a_stale_generation_is_dropped() {
+        let mut coord = coordinator(2, 4);
+        coord.open_barrier(0);
+        coord.gens[1] = 1; // worker 1 already rejoined once
+        coord
+            .accept_push(1, 0, 0, push(9.0))
+            .expect("stale is not an error");
+        assert_eq!(coord.missing(), 2, "the stale push must not land");
+        coord.accept_push(1, 1, 0, push(1.0)).expect("current push");
+        assert_eq!(coord.missing(), 1);
+        // Protocol violations from the live connection still abort.
+        let twice = coord.accept_push(1, 1, 0, push(1.0)).unwrap_err();
+        assert!(twice.to_string().contains("pushed twice"), "{twice}");
+        let early = coord.accept_push(0, 0, 3, push(1.0)).unwrap_err();
+        assert!(early.to_string().contains("pushed step 3 during step 0"));
+        assert!(coord.faults.events.is_empty());
+    }
+
+    #[test]
+    fn finished_from_a_superseded_connection_only_keeps_its_traffic() {
+        let mut coord = coordinator(2, 4);
+        coord.open_barrier(2);
+        coord.gens[0] = 1;
+        coord.accept_push(0, 1, 2, push(1.0)).unwrap();
+        coord
+            .finished(0, 0, &counters(100), Some("reset".into()))
+            .expect("a stale Finished never aborts");
+        assert_eq!(coord.lost[0].bytes_in, 100);
+        assert!(coord.connected(0));
+        assert_eq!(coord.missing(), 1, "the live connection's push stays");
+        assert!(coord.faults.events.is_empty());
+        assert_eq!(coord.faults.disconnects, 0);
+    }
+
+    #[test]
+    fn a_live_disconnect_retires_the_worker_and_writes_one_fault() {
+        let mut coord = coordinator(2, 4);
+        coord.open_barrier(5);
+        coord.accept_push(1, 0, 5, push(1.0)).unwrap();
+        let before = coord.deadline;
+        coord
+            .finished(1, 0, &counters(7), Some("frame I/O: reset".into()))
+            .expect("budget left: the barrier parks");
+        assert!(!coord.connected(1));
+        assert_eq!(
+            coord.missing(),
+            2,
+            "the dead connection's push is discarded"
+        );
+        assert!(coord.deadline >= before);
+        assert_eq!(coord.faults.disconnects, 1);
+        assert_eq!(
+            coord.faults.events,
+            [FaultEvent {
+                step: 5,
+                worker: 1,
+                kind: "disconnect".into(),
+                detail: "frame I/O: reset".into(),
+            }]
+        );
+        // Its Finished landing again (the broadcast raced it) adds traffic
+        // and nothing else.
+        coord.finished(1, 0, &counters(1), None).unwrap();
+        assert_eq!(coord.lost[1].bytes_in, 8);
+        assert_eq!(coord.faults.events.len(), 1);
+    }
+
+    #[test]
+    fn a_rejoin_over_a_half_dead_connection_retires_it_first() {
+        let mut coord = coordinator(2, 4);
+        coord.open_barrier(3);
+        coord.history = (0..3)
+            .map(|step| {
+                Arc::new(PullBatch {
+                    step,
+                    frames: Vec::new(),
+                })
+            })
+            .collect();
+        // The old connection's push landed, its Finished has not.
+        coord.accept_push(0, 0, 3, push(1.0)).unwrap();
+        let admission = coord.admit(0).unwrap().expect("budget left");
+        assert_eq!(admission.gen, 1);
+        assert_eq!(admission.replay.len(), 3);
+        assert_eq!(coord.gens[0], 1);
+        assert_eq!(coord.rejoin_counts, [1, 0]);
+        assert!(coord.connected(0));
+        assert_eq!(coord.missing(), 2, "the landed push is discarded");
+        let kinds: Vec<_> = coord
+            .faults
+            .events
+            .iter()
+            .map(|e| (e.step, e.worker, e.kind.as_str(), e.detail.as_str()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (3, 0, "disconnect", "superseded by a rejoin"),
+                (
+                    3,
+                    0,
+                    "rejoin",
+                    "resumed at step 3 after a replay of 3 step(s)"
+                ),
+            ]
+        );
+        assert_eq!((coord.faults.disconnects, coord.faults.rejoins), (1, 1));
+        // What the old connection still sends is stale now.
+        coord.accept_push(0, 0, 3, push(1.0)).unwrap();
+        coord
+            .finished(0, 0, &counters(5), Some("eof".into()))
+            .unwrap();
+        assert_eq!(coord.missing(), 2);
+        assert_eq!(coord.faults.events.len(), 2);
+        // Out-of-range ids and a spent budget are refused without a trace.
+        assert!(coord.admit(9).unwrap().is_none());
+        let mut spent = coordinator(1, 1);
+        spent.open_barrier(0);
+        spent.faults.rejoins = 1;
+        assert!(spent.admit(0).unwrap().is_none());
+        assert!(spent.faults.events.is_empty());
+    }
+
+    #[test]
+    fn a_disconnect_with_the_budget_spent_is_the_fail_stop_error() {
+        let mut coord = coordinator(2, 0);
+        coord.open_barrier(2);
+        let err = coord
+            .finished(0, 0, &counters(0), Some("frame I/O: eof".into()))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            NetError::Protocol("worker 0 left during step 2: frame I/O: eof".into()).to_string()
+        );
+        // The fault is on the ledger even though the run aborts: the
+        // flight dump reads it from there.
+        assert_eq!(coord.faults.events.len(), 1);
+        assert_eq!(coord.faults.events[0].kind, "disconnect");
+        // A broadcast into a dropped handler channel takes the same path.
+        let mut coord = coordinator(1, 0);
+        coord.open_barrier(0);
+        let batch = Arc::new(PullBatch {
+            step: 0,
+            frames: Vec::new(),
+        });
+        let err = coord.broadcast(&batch).unwrap_err();
+        assert!(err.to_string().contains("pull channel closed"), "{err}");
+        assert!(coord.history.is_empty(), "fail-stop keeps no history");
+        assert_eq!(coord.faults.events.len(), 1);
+    }
+
+    #[test]
+    fn a_full_barrier_closes_with_each_workers_lag_past_the_first() {
+        let mut coord = coordinator(2, 4);
+        coord.open_barrier(0);
+        assert!(coord.time_left().is_ok());
+        coord.accept_push(1, 0, 0, push(2.0)).unwrap();
+        thread::sleep(Duration::from_millis(2));
+        coord.accept_push(0, 0, 0, push(1.0)).unwrap();
+        assert_eq!(coord.missing(), 0);
+        let pushes = coord.close_barrier();
+        assert_eq!(pushes[0].0.loss, 1.0);
+        assert_eq!(pushes[1].1, 0.0, "the first arrival waits for nobody");
+        assert!(pushes[0].1 >= 0.002, "lag {}", pushes[0].1);
+        // An expired deadline names who is out.
+        coord.open_barrier(1);
+        coord.retire(1, "gone".into()).unwrap();
+        coord.deadline = Instant::now();
+        let err = coord.time_left().unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("worker(s) [1] to rejoin in step 1"));
     }
 
     #[test]

@@ -23,13 +23,13 @@
 
 use crate::counters::ConnCounters;
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
-use crate::frame::{read_frame, write_frame, Frame, FrameError, MsgType, HEADER_LEN};
+use crate::frame::{Frame, FrameError, MsgType, HEADER_LEN};
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_policy_update, decode_rejoin_ack, decode_scrape, encode_hello,
     encode_push_done, encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
 };
-use std::io::{self, BufReader, BufWriter, Write as _};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use threelc_distsim::engine::{Problem, TensorPayload, WorkerReplica};
 use threelc_distsim::{base_sparsity, ExperimentConfig};
 use threelc_learning::Network;
-use threelc_obs::{trace, Level, SpanGuard, TraceBuffer, TraceScope, TraceSpan};
+use threelc_obs::{trace, Level, TraceBuffer, TraceScope, TraceSpan};
 use threelc_policy::Decision;
 
 /// Worker connection and retry knobs.
@@ -252,13 +252,9 @@ fn run_session(
     } else {
         (MsgType::Hello, MsgType::HelloAck)
     };
-    let t0 = Instant::now();
-    write_frame(&mut writer, open_msg, 0, 0, &hello_payload)?;
-    writer.flush()?;
-    conn.note_write(hello_payload.len(), t0.elapsed().as_secs_f64());
-    let t0 = Instant::now();
-    let ack = read_frame(&mut reader)?;
-    conn.note_read(ack.payload.len(), t0.elapsed().as_secs_f64());
+    conn.write_frame(&mut writer, open_msg, 0, 0, &hello_payload)?;
+    conn.flush(&mut writer)?;
+    let ack = conn.read_frame(&mut reader)?;
     if ack.msg != ack_msg {
         return Err(NetError::Protocol(format!(
             "expected {ack_msg:?}, got {:?}",
@@ -352,7 +348,6 @@ fn run_session(
 
     // ---- The BSP loop.
     for step in resume_step..config.total_steps {
-        let _step_span = SpanGuard::on(Arc::clone(&conn.metrics.step_seconds));
         let _scope =
             tracing.then(|| TraceScope::enter(&buffer, &node, trace_id, step, opts.worker as i64));
 
@@ -373,7 +368,8 @@ fn run_session(
 
         // Step latency for the per-worker time series: compute through
         // the flushed push batch (straggle sleeps included — that is the
-        // latency a live dashboard should surface).
+        // latency a live dashboard should surface). Read again after the
+        // pull is applied for the whole-step histogram.
         let step_t0 = Instant::now();
         let compute_span = TraceSpan::start("compute");
         if straggle > 0 {
@@ -403,7 +399,6 @@ fn run_session(
                 // frame, so the byte layout is fixed), flip one
                 // deterministically chosen payload byte, and send it raw.
                 // The server's CRC check rejects it and drops us.
-                let len = bytes.len();
                 let mut raw = Frame::new(msg, 0, step, bytes.to_vec()).encode();
                 injector.corrupt_push(step, &mut raw, HEADER_LEN);
                 threelc_obs::event!(
@@ -412,14 +407,10 @@ fn run_session(
                     kind = "crc",
                     step = step
                 );
-                let t0 = Instant::now();
-                writer.write_all(&raw)?;
-                conn.note_write(len, t0.elapsed().as_secs_f64());
+                conn.write_encoded(&mut writer, &raw)?;
                 continue;
             }
-            let t0 = Instant::now();
-            write_frame(&mut writer, msg, i as u16, step, bytes)?;
-            conn.note_write(bytes.len(), t0.elapsed().as_secs_f64());
+            conn.write_frame(&mut writer, msg, i as u16, step, bytes)?;
         }
         conn.note_codec(codec_seconds);
         serialize_span.finish();
@@ -436,10 +427,8 @@ fn run_session(
             residual_l2,
             step_t0.elapsed().as_secs_f64(),
         );
-        let t0 = Instant::now();
-        write_frame(&mut writer, MsgType::PushDone, 0, step, &done)?;
-        writer.flush()?;
-        conn.note_write(done.len(), t0.elapsed().as_secs_f64());
+        conn.write_frame(&mut writer, MsgType::PushDone, 0, step, &done)?;
+        conn.flush(&mut writer)?;
 
         match injector.after_push(step) {
             Some(FaultAction::Kill) => {
@@ -473,6 +462,9 @@ fn run_session(
             replica.apply_policy(&decisions);
         }
         pull_span.finish();
+        conn.metrics
+            .step_seconds
+            .record(step_t0.elapsed().as_secs_f64());
     }
 
     // ---- Graceful shutdown handshake. The server may first ask for this
@@ -480,9 +472,7 @@ fn run_session(
     // — even with tracing off the reply is just an empty buffer — then
     // ack the Shutdown.
     loop {
-        let t0 = Instant::now();
-        let fin = read_frame(&mut reader)?;
-        conn.note_read(fin.payload.len(), t0.elapsed().as_secs_f64());
+        let fin = conn.read_frame(&mut reader)?;
         match fin.msg {
             MsgType::Scrape => {
                 let kind = decode_scrape(&fin.payload)?;
@@ -492,16 +482,14 @@ fn run_session(
                     )));
                 }
                 let dump = encode_scrape_reply(&buffer.drain(&node))?;
-                let t0 = Instant::now();
-                write_frame(
+                conn.write_frame(
                     &mut writer,
                     MsgType::ScrapeReply,
                     0,
                     config.total_steps,
                     &dump,
                 )?;
-                writer.flush()?;
-                conn.note_write(dump.len(), t0.elapsed().as_secs_f64());
+                conn.flush(&mut writer)?;
             }
             MsgType::Shutdown => break,
             other => {
@@ -511,16 +499,14 @@ fn run_session(
             }
         }
     }
-    let t0 = Instant::now();
-    write_frame(
+    conn.write_frame(
         &mut writer,
         MsgType::ShutdownAck,
         0,
         config.total_steps,
         &[],
     )?;
-    writer.flush()?;
-    conn.note_write(0, t0.elapsed().as_secs_f64());
+    conn.flush(&mut writer)?;
 
     Ok((config, replica.into_model()))
 }
@@ -557,9 +543,7 @@ fn read_pull_batch<R: io::Read>(
     let mut pull_frames = Vec::with_capacity(n_params);
     let mut policy: Option<Vec<Decision>> = None;
     loop {
-        let t0 = Instant::now();
-        let frame = read_frame(reader)?;
-        conn.note_read(frame.payload.len(), t0.elapsed().as_secs_f64());
+        let frame = conn.read_frame(reader)?;
         if frame.step != step {
             return Err(NetError::Protocol(format!(
                 "server sent step {} during step {step}",

@@ -210,6 +210,41 @@ fn fail_stop_mode_aborts_on_the_same_fault() {
 }
 
 #[test]
+fn aborted_run_still_writes_the_fault_into_its_flight_dump() {
+    // `serve` returns the fail-stop error, and the dump it leaves behind
+    // carries the disconnect that caused it — read off the coordinator's
+    // fault ledger, which outlives the aborted run.
+    let config = chaos_config(8);
+    let fault = FaultPlan::parse("disconnect@2").expect("spec");
+    let path = std::env::temp_dir().join(format!(
+        "threelc-faults-abort-{}.flight.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let serve_opts = ServeOptions {
+        max_rejoins: 0,
+        step_timeout: Duration::from_secs(30),
+        flight: Some(path.to_str().expect("utf8 temp path").into()),
+        ..ServeOptions::default()
+    };
+    let (report, _outcomes) = run_faulted(config, serve_opts, &[Some(fault), None]);
+    let error = report.expect_err("fail-stop server must abort").to_string();
+    assert!(error.contains("worker 0 left during step 2"), "{error}");
+    let text = std::fs::read_to_string(&path).expect("an aborted run still dumps");
+    let dump = threelc_obs::FlightDump::from_json(&text).expect("flight dump parses");
+    assert_eq!(dump.trigger, "abort");
+    assert_eq!(dump.detail, error);
+    assert_eq!(dump.steps_recorded, 2);
+    let faults: Vec<_> = dump
+        .anomalies
+        .iter()
+        .map(|a| (a.kind.as_str(), a.step, a.node.as_str()))
+        .collect();
+    assert_eq!(faults, [("fault-disconnect", 2, "worker0")]);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn fault_injection_is_fully_deterministic() {
     // Two identical faulted runs: same fault sequence (step, worker,
     // kind), same final model bits. Event detail strings are exempt —

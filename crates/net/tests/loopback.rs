@@ -2,7 +2,10 @@
 //! all in one process over 127.0.0.1, checked bit-for-bit against the
 //! in-process simulator.
 
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 use threelc_baselines::SchemeKind;
@@ -146,7 +149,6 @@ fn loopback_run_matches_simulator_bit_for_bit() {
         "net.worker.socket_seconds",
         "net.server.step_seconds",
         "net.worker.step_seconds",
-        "net.server.frame_seconds",
         "trace.push_bytes",
     ] {
         let hist = snap.histogram(name).unwrap_or_else(|| {
@@ -301,8 +303,12 @@ fn loopback_uncompressed_scheme_also_matches() {
     assert_eq!(outcomes.len(), config.workers);
 }
 
+/// Tracing is one process-wide switch; the tests that flip it take turns.
+static TRACE_SWITCH: Mutex<()> = Mutex::new(());
+
 #[test]
 fn traced_loopback_produces_a_complete_cross_node_timeline() {
+    let _turn = TRACE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     // THREELC_TRACE=1 equivalent: enable span recording for this run.
     threelc_obs::set_trace_enabled(true);
     let config = ExperimentConfig {
@@ -417,6 +423,89 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
         unexpected.is_empty(),
         "unexpected anomalies: {unexpected:?}"
     );
+}
+
+/// Copies `from` to `to` until EOF, counting the bytes that crossed.
+fn relay(mut from: TcpStream, mut to: TcpStream, count: Arc<AtomicU64>) {
+    let mut buf = [0u8; 16 * 1024];
+    while let Ok(n) = from.read(&mut buf) {
+        if n == 0 || to.write_all(&buf[..n]).is_err() {
+            break;
+        }
+        count.fetch_add(n as u64, Ordering::Relaxed);
+    }
+    let _ = to.shutdown(Shutdown::Write);
+}
+
+#[test]
+fn traced_loopback_counters_agree_with_the_bytes_on_the_wire() {
+    // The workers reach the server through a byte-counting relay, so the
+    // wire has a count of its own. With tracing on, every frame written
+    // under a trace scope is a version-2 frame carrying a 16-byte
+    // extension; both ends' counters must include it.
+    let _turn = TRACE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    threelc_obs::set_trace_enabled(true);
+    let config = ExperimentConfig {
+        total_steps: 4,
+        eval_every: 0,
+        ..loopback_config(SchemeKind::three_lc(1.0))
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let server_addr = listener.local_addr().expect("local addr");
+    let front = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let relay_addr = front.local_addr().expect("relay addr").to_string();
+    let (up, down) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let relays = {
+        let (up, down) = (Arc::clone(&up), Arc::clone(&down));
+        thread::spawn(move || {
+            let mut copiers = Vec::new();
+            for _ in 0..config.workers {
+                let (client, _) = front.accept().expect("relay accept");
+                let upstream = TcpStream::connect(server_addr).expect("relay connect");
+                let (c2, u2) = (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+                let (up, down) = (Arc::clone(&up), Arc::clone(&down));
+                copiers.push(thread::spawn(move || relay(client, upstream, up)));
+                copiers.push(thread::spawn(move || relay(u2, c2, down)));
+            }
+            for c in copiers {
+                c.join().expect("relay thread");
+            }
+        })
+    };
+    let server = thread::spawn(move || serve(&listener, &config, &ServeOptions::default()));
+    let clients: Vec<_> = (0..config.workers as u16)
+        .map(|w| {
+            let addr = relay_addr.clone();
+            thread::spawn(move || run_worker(&WorkerOptions::new(addr, w)))
+        })
+        .collect();
+    let outcomes: Vec<_> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread").expect("worker run"))
+        .collect();
+    let report = server.join().expect("server thread").expect("serve run");
+    relays.join().expect("relay acceptor");
+    threelc_obs::set_trace_enabled(false);
+
+    let sum = |f: &dyn Fn(&threelc_net::ConnCounters) -> u64| -> (u64, u64) {
+        (
+            outcomes.iter().map(|o| f(&o.counters)).sum(),
+            report.connections.iter().map(|c| f(&c.counters)).sum(),
+        )
+    };
+    let (worker_out, server_out) = sum(&|c| c.bytes_out);
+    let (worker_in, server_in) = sum(&|c| c.bytes_in);
+    assert_eq!(worker_out, up.load(Ordering::Relaxed), "worker bytes_out");
+    assert_eq!(server_in, up.load(Ordering::Relaxed), "server bytes_in");
+    assert_eq!(server_out, down.load(Ordering::Relaxed), "server bytes_out");
+    assert_eq!(worker_in, down.load(Ordering::Relaxed), "worker bytes_in");
+    let (worker_frames_out, server_frames_out) = sum(&|c| c.frames_out);
+    let (worker_frames_in, server_frames_in) = sum(&|c| c.frames_in);
+    assert_eq!(worker_frames_out, server_frames_in);
+    assert_eq!(server_frames_out, worker_frames_in);
+    // The run really did put version-2 frames on the wire: each step's
+    // push batch travels under the worker's trace scope.
+    assert_eq!(report.node_traces.len(), 1 + config.workers);
 }
 
 #[test]

@@ -84,38 +84,21 @@ const LEAF_PHASES: &[&str] = &[
 ];
 
 /// Thresholds for flagging a worker as a run-level bottleneck.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AnalysisConfig {
-    /// A worker's critical network seconds must exceed `blame_k ×` the
-    /// median worker's to be flagged (same shape as the watchdog's
-    /// straggler rule, so jitter on a fast loopback never trips it).
-    pub blame_k: f64,
-    /// Absolute floor in seconds below which no flag fires.
-    pub blame_min_seconds: f64,
-    /// Leading steps excluded from the aggregated totals, what-ifs, and
-    /// bottleneck flags. Step 0's barrier genuinely waits out one-time
-    /// worker startup (process spawn, dataset derivation) and the blame
-    /// lands on whichever worker happened to arrive last — real time,
-    /// but noise for steady-state attribution. The per-step ledgers and
-    /// the conservation check still cover every step. Ignored when the
-    /// run has no post-warmup steps left.
-    #[serde(default = "default_warmup")]
-    pub warmup_steps: usize,
-}
-
-fn default_warmup() -> usize {
-    1
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            blame_k: 4.0,
-            blame_min_seconds: 0.1,
-            warmup_steps: default_warmup(),
-        }
-    }
-}
+///
+/// A worker's critical network seconds must exceed this many times the
+/// median worker's to be flagged (same shape as the watchdog's straggler
+/// rule, so jitter on a fast loopback never trips it).
+pub const BLAME_K: f64 = 4.0;
+/// Absolute floor in seconds below which no bottleneck flag fires.
+pub const BLAME_MIN_SECONDS: f64 = 0.1;
+/// Leading steps excluded from the aggregated totals, what-ifs, and
+/// bottleneck flags. Step 0's barrier genuinely waits out one-time worker
+/// startup (process spawn, dataset derivation) and the blame lands on
+/// whichever worker happened to arrive last — real time, but noise for
+/// steady-state attribution. The per-step ledgers and the conservation
+/// check still cover every step. Ignored when the run has no post-warmup
+/// steps left.
+pub const WARMUP_STEPS: usize = 1;
 
 /// One `{node × phase}` attribution bucket (seconds of critical path).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,7 +179,7 @@ pub struct RunAnalysis {
     /// Per-step critical paths, ascending step.
     pub steps: Vec<StepAnalysis>,
     /// Leading steps excluded from `totals`/`what_ifs`/`bottlenecks`
-    /// (see [`AnalysisConfig::warmup_steps`]); `steps` still lists them.
+    /// (see [`WARMUP_STEPS`]); `steps` still lists them.
     #[serde(default)]
     pub warmup_steps: usize,
     /// Σ of per-step wall seconds over the measured (post-warmup) steps.
@@ -505,7 +488,7 @@ fn sort_buckets(buckets: &mut [BlameBucket]) {
 
 impl RunAnalysis {
     /// Builds the full run analysis from a merged timeline.
-    pub fn build(timeline: &MergedTimeline, cfg: &AnalysisConfig) -> RunAnalysis {
+    pub fn build(timeline: &MergedTimeline) -> RunAnalysis {
         let mut by_step: BTreeMap<u64, Vec<&AlignedSpan>> = BTreeMap::new();
         for s in &timeline.spans {
             by_step.entry(s.step).or_default().push(s);
@@ -517,8 +500,8 @@ impl RunAnalysis {
 
         // Conservation is a tiler invariant, so it covers every step;
         // the aggregates skip the warmup prefix (when any steps remain).
-        let warmup = if steps.len() > cfg.warmup_steps {
-            cfg.warmup_steps
+        let warmup = if steps.len() > WARMUP_STEPS {
+            WARMUP_STEPS
         } else {
             0
         };
@@ -552,7 +535,7 @@ impl RunAnalysis {
         sort_buckets(&mut totals);
 
         let what_ifs = what_ifs(&totals, total_wall);
-        let bottlenecks = flag_bottlenecks(&timeline.spans, &totals, total_wall, cfg);
+        let bottlenecks = flag_bottlenecks(&timeline.spans, &totals, total_wall);
 
         RunAnalysis {
             steps,
@@ -703,13 +686,12 @@ fn what_ifs(totals: &[BlameBucket], total_wall: f64) -> Vec<WhatIf> {
 }
 
 /// Flags workers whose network blame dominates the way an injected delay
-/// would: `blame_k ×` the median worker's, above an absolute floor, with
+/// would: [`BLAME_K`] × the median worker's, above an absolute floor, with
 /// at least two workers to compare.
 fn flag_bottlenecks(
     spans: &[AlignedSpan],
     totals: &[BlameBucket],
     total_wall: f64,
-    cfg: &AnalysisConfig,
 ) -> Vec<Bottleneck> {
     let workers: BTreeSet<String> = spans
         .iter()
@@ -732,7 +714,7 @@ fn flag_bottlenecks(
     let mut out = Vec::new();
     for lane in &workers {
         let s = net_of(lane);
-        if s > cfg.blame_min_seconds && s > cfg.blame_k * median {
+        if s > BLAME_MIN_SECONDS && s > BLAME_K * median {
             let share = if total_wall > 0.0 {
                 s / total_wall
             } else {
@@ -895,7 +877,7 @@ mod tests {
     }
 
     fn analyze(nodes: &[NodeTrace]) -> RunAnalysis {
-        RunAnalysis::build(&MergedTimeline::build(nodes), &AnalysisConfig::default())
+        RunAnalysis::build(&MergedTimeline::build(nodes))
     }
 
     #[test]
@@ -1052,7 +1034,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_analyzes_to_nothing() {
-        let a = RunAnalysis::build(&MergedTimeline::default(), &AnalysisConfig::default());
+        let a = RunAnalysis::build(&MergedTimeline::default());
         assert!(a.steps.is_empty());
         assert!(a.top().is_none());
         assert_eq!(a.total_wall_seconds, 0.0);

@@ -1,22 +1,22 @@
-//! Always-on flight recorder: a bounded ring of anomaly events that,
-//! combined with the [`RunRecorder`](crate::timeseries::RunRecorder)'s
-//! series store and the recent span buffer, dumps a self-contained
-//! post-mortem artifact (`<out>.flight.json`) when a run goes wrong.
+//! The flight dump: a self-contained post-mortem artifact
+//! (`<out>.flight.json`) assembled when a run goes wrong — the watchdog
+//! firing, a handler panic, a transport fault, or an abort.
 //!
-//! The recorder costs nothing while the run is healthy: noting an event
-//! is a bounded `Vec` push, and the dump only materializes on a trigger —
-//! the watchdog firing, a handler panic, an injected fault, or an abort.
+//! Nothing is recorded for it while the run is healthy. A dump is
+//! *assembled* from records that already exist for their own reasons: the
+//! coordinator's fault log ([`FaultEvent`]s, mapped here to `fault-*`
+//! anomalies), the watchdog's findings, the
+//! [`RunRecorder`](crate::timeseries::RunRecorder)'s series store, and
+//! whatever span buffers the caller hands over.
 //! `threelc trace <dump.flight.json>` reads the artifact back.
 
 use crate::timeseries::RunSeries;
 use crate::trace::NodeTrace;
-use crate::watchdog::Anomaly;
+use crate::watchdog::{Anomaly, FaultEvent};
 use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every dump.
 pub const FLIGHT_VERSION: u32 = 1;
-/// Events kept in the ring by default.
-pub const DEFAULT_EVENT_CAPACITY: usize = 128;
 
 /// Trigger names stamped into dumps.
 pub mod trigger {
@@ -31,7 +31,8 @@ pub mod trigger {
 }
 
 /// A complete post-mortem artifact: the last N steps of every series,
-/// the anomaly/event ring, and recent spans (empty unless tracing was on).
+/// the run's faults and watchdog findings, and the spans it was handed
+/// (empty unless tracing was on).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
     /// Schema version ([`FLIGHT_VERSION`]).
@@ -42,77 +43,42 @@ pub struct FlightDump {
     pub detail: String,
     /// Steps the series store had fully recorded when the dump was taken.
     pub steps_recorded: u64,
-    /// Everything anomalous: watchdog findings plus recorded fault,
-    /// panic, and abort events, in the order they were observed.
+    /// Everything anomalous: the run's transport faults (as `fault-*`
+    /// anomalies, in coordinator order), then the watchdog's findings.
     pub anomalies: Vec<Anomaly>,
     /// The bounded series store (per-worker + run-level).
     pub series: RunSeries,
-    /// Recent spans from the local trace buffer (empty when tracing off).
+    /// The span buffers the dump was assembled with (empty when tracing
+    /// was off).
     #[serde(default)]
     pub spans: Vec<NodeTrace>,
 }
 
-/// The bounded event ring. Transport faults, panics, and abort reasons
-/// are noted as [`Anomaly`] values as they happen; old events fall off
-/// the front once [`DEFAULT_EVENT_CAPACITY`] is reached.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
-    events: Vec<Anomaly>,
-    capacity: usize,
-}
-
-impl FlightRecorder {
-    /// An empty recorder with the default event capacity.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder {
-            events: Vec::new(),
-            capacity: DEFAULT_EVENT_CAPACITY,
-        }
-    }
-
-    /// Notes one event, evicting the oldest when the ring is full.
-    pub fn note(&mut self, event: Anomaly) {
-        if self.events.len() >= self.capacity {
-            self.events.remove(0);
-        }
-        self.events.push(event);
-    }
-
-    /// Notes a transport fault (disconnect, kill, injected error).
-    pub fn note_fault(&mut self, step: u64, node: &str, kind: &str, detail: &str) {
-        self.note(Anomaly {
-            kind: format!("fault-{kind}"),
-            step,
-            node: node.to_string(),
-            phase: String::new(),
-            value: 0.0,
-            threshold: 0.0,
-            detail: detail.to_string(),
-        });
-    }
-
-    /// Events noted so far, oldest first.
-    pub fn events(&self) -> &[Anomaly] {
-        &self.events
-    }
-
-    /// Assembles a dump: the event ring plus `extra` watchdog findings,
-    /// the series store, and — when tracing is enabled — a non-draining
-    /// snapshot of the local span buffer.
-    pub fn dump(
-        &self,
+impl FlightDump {
+    /// Assembles a dump from the run's own records: every fault becomes a
+    /// `fault-<kind>` anomaly, followed by the watchdog `findings`;
+    /// `spans` are carried as given.
+    pub fn new(
         trigger: &str,
         detail: &str,
         series: RunSeries,
-        extra: &[Anomaly],
+        faults: &[FaultEvent],
+        findings: &[Anomaly],
+        spans: Vec<NodeTrace>,
     ) -> FlightDump {
-        let mut anomalies = self.events.clone();
-        anomalies.extend_from_slice(extra);
-        let spans = if crate::trace::trace_enabled() {
-            vec![crate::trace::global_buffer().snapshot("flight")]
-        } else {
-            Vec::new()
-        };
+        let mut anomalies: Vec<Anomaly> = faults
+            .iter()
+            .map(|e| Anomaly {
+                kind: format!("fault-{}", e.kind),
+                step: e.step,
+                node: e.node(),
+                phase: String::new(),
+                value: 0.0,
+                threshold: 0.0,
+                detail: e.detail.clone(),
+            })
+            .collect();
+        anomalies.extend_from_slice(findings);
         FlightDump {
             version: FLIGHT_VERSION,
             trigger: trigger.to_string(),
@@ -123,9 +89,7 @@ impl FlightRecorder {
             spans,
         }
     }
-}
 
-impl FlightDump {
     /// Parses a dump from JSON text. Errors on schema mismatch.
     pub fn from_json(text: &str) -> Result<FlightDump, String> {
         let dump: FlightDump =
@@ -204,22 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_is_bounded() {
-        let mut fr = FlightRecorder::new();
-        for step in 0..(DEFAULT_EVENT_CAPACITY as u64 + 10) {
-            fr.note_fault(step, "worker0", "disconnect", "injected");
-        }
-        assert_eq!(fr.events().len(), DEFAULT_EVENT_CAPACITY);
-        assert_eq!(fr.events()[0].step, 10, "oldest events evicted first");
-    }
-
-    #[test]
-    fn dump_combines_events_watchdog_findings_and_series() {
+    fn dump_combines_faults_watchdog_findings_and_series() {
         let mut rec = RunRecorder::new(1);
         rec.record_step(0, &[delta(0)]);
         rec.record_step(1, &[delta(0)]);
-        let mut fr = FlightRecorder::new();
-        fr.note_fault(1, "worker0", "kill", "injected kill@1");
+        let fault = FaultEvent {
+            step: 1,
+            worker: 0,
+            kind: "kill".into(),
+            detail: "injected kill@1".into(),
+        };
         let wd = Anomaly {
             kind: "straggler".into(),
             step: 1,
@@ -229,12 +187,21 @@ mod tests {
             threshold: 0.1,
             detail: "slow".into(),
         };
-        let dump = fr.dump(trigger::ABORT, "barrier timed out", rec.snapshot(), &[wd]);
+        let dump = FlightDump::new(
+            trigger::ABORT,
+            "barrier timed out",
+            rec.snapshot(),
+            &[fault],
+            &[wd],
+            Vec::new(),
+        );
         assert_eq!(dump.version, FLIGHT_VERSION);
         assert_eq!(dump.trigger, "abort");
         assert_eq!(dump.steps_recorded, 2);
         assert_eq!(dump.anomalies.len(), 2);
         assert_eq!(dump.anomalies[0].kind, "fault-kill");
+        assert_eq!(dump.anomalies[0].node, "worker0");
+        assert_eq!(dump.anomalies[0].detail, "injected kill@1");
         assert_eq!(dump.anomalies[1].kind, "straggler");
         assert_eq!(dump.series.workers.len(), 1);
         let text = dump.render_text();
@@ -244,8 +211,8 @@ mod tests {
 
     #[test]
     fn dump_json_roundtrips_and_rejects_future_versions() {
-        let fr = FlightRecorder::new();
-        let dump = fr.dump(trigger::WATCHDOG, "", RunRecorder::new(2).snapshot(), &[]);
+        let series = RunRecorder::new(2).snapshot();
+        let dump = FlightDump::new(trigger::WATCHDOG, "", series, &[], &[], Vec::new());
         let json = serde_json::to_string(&dump).expect("serialize");
         let back = FlightDump::from_json(&json).expect("parse");
         assert_eq!(back, dump);
@@ -257,13 +224,8 @@ mod tests {
     fn write_flight_dump_creates_a_readable_file() {
         let path = std::env::temp_dir().join("threelc-flight-test.json");
         let path = path.to_str().expect("utf8 temp path").to_string();
-        let fr = FlightRecorder::new();
-        let dump = fr.dump(
-            trigger::FAULT,
-            "kill@2",
-            RunRecorder::new(1).snapshot(),
-            &[],
-        );
+        let series = RunRecorder::new(1).snapshot();
+        let dump = FlightDump::new(trigger::FAULT, "kill@2", series, &[], &[], Vec::new());
         write_flight_dump(&path, &dump).expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
         let back = FlightDump::from_json(&text).expect("parse");

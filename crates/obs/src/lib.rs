@@ -4,50 +4,54 @@
 //! wall-clock — so every layer of this workspace reports into one shared
 //! instrumentation layer instead of growing its own ad-hoc counters. The
 //! crate is std-only (the vendored `serde` stubs are its only
-//! dependencies) and provides eleven pieces:
+//! dependencies) and provides ten pieces:
 //!
 //! 1. **A metrics registry** ([`Registry`]) of named [`Counter`]s,
 //!    [`Gauge`]s, and log-bucketed [`Histogram`]s. Metrics are lock-free
 //!    atomics; the name → metric map is a sharded mutex, so hot paths
-//!    cache the returned `Arc` handles and never touch a lock again.
-//! 2. **Timed spans** ([`SpanGuard`]): RAII guards with monotonic
-//!    timing that record into a cached histogram handle when dropped.
-//! 3. **A structured JSONL event sink** ([`sink`], the [`event!`] macro)
+//!    cache the returned `Arc` handles and never touch a lock again. A
+//!    duration reaches a histogram from the `Instant` the call site
+//!    already holds — there is no timing guard type.
+//! 2. **A structured JSONL event sink** ([`sink`], the [`event!`] macro)
 //!    with level filtering via the `THREELC_LOG` environment variable
 //!    (`off` by default). Probes are guarded by a relaxed atomic level
 //!    check, so disabled logging costs one atomic load.
-//! 4. **Snapshot exporters** ([`Snapshot`]): a point-in-time copy of every
+//! 3. **Snapshot exporters** ([`Snapshot`]): a point-in-time copy of every
 //!    registered metric, serializable to JSON (the payload of the network
 //!    scrape protocol in `threelc-net`) and renderable as text (the
 //!    output of `threelc metrics`).
-//! 5. **Distributed tracing** ([`trace`]): per-node ring buffers of
+//! 4. **Distributed tracing** ([`trace`]): per-node ring buffers of
 //!    [`SpanRecord`]s with parent links and a run-wide
 //!    trace id, off by default via `THREELC_TRACE`. Trace context rides
 //!    the `threelc-net` wire format so a step's spans connect across
 //!    nodes.
-//! 6. **Timeline reconstruction** ([`timeline`]): merges per-node buffers
+//! 5. **Timeline reconstruction** ([`timeline`]): merges per-node buffers
 //!    onto one axis — estimating per-worker clock offsets from barrier
 //!    round-trips — and exports Chrome-trace JSON or a terminal per-step
 //!    phase breakdown (`threelc trace`).
-//! 7. **An anomaly watchdog** ([`watchdog`]): flags straggler workers,
+//! 6. **An anomaly watchdog** ([`watchdog`]): flags straggler workers,
 //!    compression-ratio drift, residual-L2 blowups, and rejoin-flapping
-//!    nodes from collected telemetry (`threelc trace --check`).
-//! 8. **Per-worker time series** ([`timeseries`]): fixed-capacity
+//!    nodes from collected telemetry (`threelc trace --check`), against
+//!    constant thresholds. It also defines [`FaultEvent`], the one record
+//!    of a transport fault that the run report, the flap check and the
+//!    flight dump all read.
+//! 7. **Per-worker time series** ([`timeseries`]): fixed-capacity
 //!    step-indexed ring buffers with tiered downsampling (raw recent
 //!    window, min/max/mean/count buckets of doubling width for older
 //!    points) and a [`RunRecorder`] that folds per-worker step deltas
 //!    into a run-wide store — what `threelc top` renders live.
-//! 9. **A flight recorder** ([`flight`]): a bounded anomaly-event ring
-//!    that combines with the series store and recent spans into a
-//!    self-contained `<out>.flight.json` post-mortem dump when the
-//!    watchdog fires, a handler panics, a fault injects, or a run aborts.
-//! 10. **A critical-path profiler** ([`critical`]): rebuilds the per-step
-//!     BSP dependency DAG from the clock-aligned timeline, attributes
-//!     every nanosecond of step wall-clock to a {phase × node} blame
-//!     bucket (barrier-wait charged to the causing straggler), computes
-//!     Amdahl-style what-if projections, and flags bottlenecks — the
-//!     engine behind `threelc analyze`.
-//! 11. **Prometheus exposition** ([`prom`]): renders any [`Snapshot`] in
+//! 8. **The flight dump** ([`flight`]): a self-contained
+//!    `<out>.flight.json` post-mortem assembled — not recorded — from the
+//!    fault log, the watchdog's findings, the series store and the span
+//!    buffers it is handed, when the watchdog fires, a handler panics, a
+//!    fault occurs, or a run aborts.
+//! 9. **A critical-path profiler** ([`critical`]): rebuilds the per-step
+//!    BSP dependency DAG from the clock-aligned timeline, attributes
+//!    every nanosecond of step wall-clock to a {phase × node} blame
+//!    bucket (barrier-wait charged to the causing straggler), computes
+//!    Amdahl-style what-if projections, and flags bottlenecks — the
+//!    engine behind `threelc analyze`.
+//! 10. **Prometheus exposition** ([`prom`]): renders any [`Snapshot`] in
 //!     the Prometheus text format for standard scrapers
 //!     (`threelc metrics --prom`).
 //!
@@ -75,23 +79,19 @@ pub mod prom;
 pub mod registry;
 pub mod sink;
 pub mod snapshot;
-pub mod span;
 pub mod timeline;
 pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
 
-pub use critical::{
-    AnalysisConfig, BlameBucket, Bottleneck, PathSegment, RunAnalysis, StepAnalysis, WhatIf,
-};
-pub use flight::{write_flight_dump, FlightDump, FlightRecorder, FLIGHT_VERSION};
+pub use critical::{BlameBucket, Bottleneck, PathSegment, RunAnalysis, StepAnalysis, WhatIf};
+pub use flight::{write_flight_dump, FlightDump, FLIGHT_VERSION};
 pub use prom::render_prometheus;
 
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{global, Registry};
 pub use sink::{emit, log_enabled, set_level, set_log_file, set_writer, Level};
 pub use snapshot::{CounterEntry, GaugeEntry, HistEntry, HistogramSnapshot, Snapshot};
-pub use span::SpanGuard;
 pub use timeline::{AlignedSpan, ClockOffset, MergedTimeline, PHASES};
 pub use timeseries::{
     Bucket, Point, RunRecorder, RunSeries, Series, WorkerDelta, WorkerSeries, WALL_CLOCK_SERIES,
@@ -100,4 +100,4 @@ pub use trace::{
     current_ctx, global_buffer, now_ns, run_trace_id, set_trace_enabled, trace_enabled, NodeTrace,
     SpanRecord, TraceBuffer, TraceCtx, TraceScope, TraceSpan, NO_WORKER,
 };
-pub use watchdog::{Anomaly, FaultSample, StepStats, WatchdogConfig};
+pub use watchdog::{Anomaly, FaultEvent, StepStats};

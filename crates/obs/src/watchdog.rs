@@ -11,41 +11,27 @@ use crate::trace::NO_WORKER;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Detection thresholds. Defaults are deliberately loose: the watchdog is
-/// a tripwire for pathology (a 4× straggler, a 10× residual blowup), not
-/// a micro-benchmark regression gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// A worker's phase is a straggler when its duration exceeds
-    /// `straggler_k` × the median duration of that phase across workers
-    /// in the same step (strictly greater; exactly k·median passes).
-    pub straggler_k: f64,
-    /// Phases shorter than this (seconds) are never stragglers, however
-    /// skewed — guards against flagging microsecond noise.
-    pub straggler_min_seconds: f64,
-    /// A step's compression ratio drifts when it falls below
-    /// median ratio / `ratio_drift_factor`.
-    pub ratio_drift_factor: f64,
-    /// A step's residual L2 blows up when it exceeds
-    /// `residual_blowup_factor` × the median residual.
-    pub residual_blowup_factor: f64,
-    /// A node is flapping when it rejoins at least this many times in one
-    /// run. One rejoin is recovery working as designed; repeated rejoins
-    /// of the same node point at a bad link or host.
-    pub rejoin_flap_count: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            straggler_k: 4.0,
-            straggler_min_seconds: 0.005,
-            ratio_drift_factor: 2.0,
-            residual_blowup_factor: 10.0,
-            rejoin_flap_count: 3,
-        }
-    }
-}
+/// Detection thresholds, deliberately loose: the watchdog is a tripwire
+/// for pathology (a 4× straggler, a 10× residual blowup), not a
+/// micro-benchmark regression gate.
+///
+/// A worker's phase is a straggler when its duration exceeds this many
+/// times the median duration of that phase across workers in the same
+/// step (strictly greater; exactly k·median passes).
+pub const STRAGGLER_K: f64 = 4.0;
+/// Phases shorter than this (seconds) are never stragglers, however
+/// skewed — guards against flagging microsecond noise.
+pub const STRAGGLER_MIN_SECONDS: f64 = 0.005;
+/// A step's compression ratio drifts when it falls below the median ratio
+/// divided by this.
+pub const RATIO_DRIFT_FACTOR: f64 = 2.0;
+/// A step's residual L2 blows up when it exceeds this many times the
+/// median residual.
+pub const RESIDUAL_BLOWUP_FACTOR: f64 = 10.0;
+/// A node is flapping when it rejoins at least this many times in one
+/// run. One rejoin is recovery working as designed; repeated rejoins of
+/// the same node point at a bad link or host.
+pub const REJOIN_FLAP_COUNT: u64 = 3;
 
 /// One detected anomaly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,7 +82,7 @@ const STRAGGLER_SKIP: [&str; 6] = [
 /// (lower-middle median, so with two workers the baseline is the faster
 /// one). Requires at least two worker lanes per phase — a single worker
 /// has no peers to lag behind.
-pub fn check_timeline(timeline: &MergedTimeline, cfg: &WatchdogConfig) -> Vec<Anomaly> {
+pub fn check_timeline(timeline: &MergedTimeline) -> Vec<Anomaly> {
     // (step, phase) → per-(node,worker) total seconds.
     let mut groups: BTreeMap<(u64, String), BTreeMap<(String, i64), f64>> = BTreeMap::new();
     for s in &timeline.spans {
@@ -120,9 +106,9 @@ pub fn check_timeline(timeline: &MergedTimeline, cfg: &WatchdogConfig) -> Vec<An
         let mut durs: Vec<f64> = lanes.values().copied().collect();
         durs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
         let median = durs[(durs.len() - 1) / 2];
-        let threshold = cfg.straggler_k * median;
+        let threshold = STRAGGLER_K * median;
         for ((node, worker), &dur) in lanes {
-            if dur > threshold && dur > cfg.straggler_min_seconds {
+            if dur > threshold && dur > STRAGGLER_MIN_SECONDS {
                 anomalies.push(Anomaly {
                     kind: "straggler".into(),
                     step: *step,
@@ -134,7 +120,7 @@ pub fn check_timeline(timeline: &MergedTimeline, cfg: &WatchdogConfig) -> Vec<An
                         "step {step}: worker {worker} ({node}) spent {:.3} ms in {phase}, \
                          > {:.1}x the {:.3} ms median",
                         dur * 1e3,
-                        cfg.straggler_k,
+                        STRAGGLER_K,
                         median * 1e3
                     ),
                 });
@@ -147,7 +133,7 @@ pub fn check_timeline(timeline: &MergedTimeline, cfg: &WatchdogConfig) -> Vec<An
 /// Flags compression-ratio drift and residual-L2 blowups against the
 /// run's median (lower-middle). Steps with zero/unknown values are
 /// excluded from both the baseline and the checks.
-pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
+pub fn check_steps(stats: &[StepStats]) -> Vec<Anomaly> {
     let mut anomalies = Vec::new();
 
     let mut ratios: Vec<f64> = stats
@@ -158,7 +144,7 @@ pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
     if ratios.len() >= 2 {
         ratios.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
         let median = ratios[(ratios.len() - 1) / 2];
-        let floor = median / cfg.ratio_drift_factor;
+        let floor = median / RATIO_DRIFT_FACTOR;
         for s in stats {
             if s.compression_ratio > 0.0 && s.compression_ratio < floor {
                 anomalies.push(Anomaly {
@@ -171,7 +157,7 @@ pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
                     detail: format!(
                         "step {}: compression ratio {:.2}x fell below {:.2}x \
                          (median {:.2}x / {:.1})",
-                        s.step, s.compression_ratio, floor, median, cfg.ratio_drift_factor
+                        s.step, s.compression_ratio, floor, median, RATIO_DRIFT_FACTOR
                     ),
                 });
             }
@@ -186,7 +172,7 @@ pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
     if residuals.len() >= 2 {
         residuals.sort_by(|a, b| a.partial_cmp(b).expect("residuals are finite"));
         let median = residuals[(residuals.len() - 1) / 2];
-        let ceil = median * cfg.residual_blowup_factor;
+        let ceil = median * RESIDUAL_BLOWUP_FACTOR;
         for s in stats {
             if s.residual_l2 > ceil {
                 anomalies.push(Anomaly {
@@ -199,7 +185,7 @@ pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
                     detail: format!(
                         "step {}: residual L2 {:.4} exceeded {:.4} \
                          ({:.1}x the {:.4} median)",
-                        s.step, s.residual_l2, ceil, cfg.residual_blowup_factor, median
+                        s.step, s.residual_l2, ceil, RESIDUAL_BLOWUP_FACTOR, median
                     ),
                 });
             }
@@ -210,45 +196,54 @@ pub fn check_steps(stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
     anomalies
 }
 
-/// One fault observation the rejoin-flap check consumes (the obs-side
-/// view of a transport fault event — the transport layer converts its own
-/// event type into this).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSample {
-    /// Step the fault happened at.
+/// One server-visible fault during a run: a worker disconnect or a
+/// successful rejoin. Written once, by the coordinator in `threelc-net`;
+/// the run report's fault log, [`check_faults`] and a flight dump's
+/// `fault-*` anomalies ([`crate::FlightDump::new`]) all read this record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultEvent {
+    /// Step the coordinator was at when the event happened.
     pub step: u64,
-    /// Node involved (e.g. `worker3`).
-    pub node: String,
+    /// Worker involved.
+    pub worker: usize,
     /// `disconnect` or `rejoin`.
     pub kind: String,
+    /// Human-readable cause (the handler error for disconnects).
+    pub detail: String,
 }
 
-/// Flags nodes that rejoined at least `rejoin_flap_count` times — one
+impl FaultEvent {
+    /// The timeline lane of the worker involved (`worker3`).
+    pub fn node(&self) -> String {
+        format!("worker{}", self.worker)
+    }
+}
+
+/// Flags nodes that rejoined at least [`REJOIN_FLAP_COUNT`] times — one
 /// `rejoin-flap` anomaly per flapping node, anchored at its last rejoin
 /// step.
-pub fn check_faults(samples: &[FaultSample], cfg: &WatchdogConfig) -> Vec<Anomaly> {
-    let mut rejoins: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    for s in samples {
-        if s.kind == "rejoin" {
-            rejoins.entry(&s.node).or_default().push(s.step);
+pub fn check_faults(events: &[FaultEvent]) -> Vec<Anomaly> {
+    let mut rejoins: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    for e in events {
+        if e.kind == "rejoin" {
+            rejoins.entry(e.node()).or_default().push(e.step);
         }
     }
     let mut anomalies = Vec::new();
     for (node, steps) in rejoins {
         let count = steps.len() as u64;
-        if cfg.rejoin_flap_count > 0 && count >= cfg.rejoin_flap_count {
+        if count >= REJOIN_FLAP_COUNT {
             anomalies.push(Anomaly {
                 kind: "rejoin-flap".into(),
                 step: steps.iter().copied().max().unwrap_or(0),
-                node: node.into(),
-                phase: String::new(),
                 value: count as f64,
-                threshold: cfg.rejoin_flap_count as f64,
+                threshold: REJOIN_FLAP_COUNT as f64,
                 detail: format!(
-                    "{node} rejoined {count} times (>= {}); \
-                     its link or host looks unhealthy",
-                    cfg.rejoin_flap_count
+                    "{node} rejoined {count} times (>= {REJOIN_FLAP_COUNT}); \
+                     its link or host looks unhealthy"
                 ),
+                node,
+                phase: String::new(),
             });
         }
     }
@@ -257,27 +252,27 @@ pub fn check_faults(samples: &[FaultSample], cfg: &WatchdogConfig) -> Vec<Anomal
 
 /// Flags stragglers from per-worker step-latency observations (the live
 /// check `threelc top` runs on the `step_seconds` series): worker `i`
-/// straggles when its latency exceeds `straggler_k` × the cross-worker
-/// lower-middle median and the `straggler_min_seconds` floor. With fewer
+/// straggles when its latency exceeds [`STRAGGLER_K`] × the cross-worker
+/// lower-middle median and the [`STRAGGLER_MIN_SECONDS`] floor. With fewer
 /// than two workers there is no peer to lag behind, so nothing flags.
-pub fn straggler_workers(seconds: &[f64], cfg: &WatchdogConfig) -> Vec<bool> {
+pub fn straggler_workers(seconds: &[f64]) -> Vec<bool> {
     if seconds.len() < 2 {
         return vec![false; seconds.len()];
     }
     let mut sorted = seconds.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let median = sorted[(sorted.len() - 1) / 2];
-    let threshold = cfg.straggler_k * median;
+    let threshold = STRAGGLER_K * median;
     seconds
         .iter()
-        .map(|&s| s > threshold && s > cfg.straggler_min_seconds)
+        .map(|&s| s > threshold && s > STRAGGLER_MIN_SECONDS)
         .collect()
 }
 
 /// Runs both the timeline and step-level checks.
-pub fn check(timeline: &MergedTimeline, stats: &[StepStats], cfg: &WatchdogConfig) -> Vec<Anomaly> {
-    let mut anomalies = check_timeline(timeline, cfg);
-    anomalies.extend(check_steps(stats, cfg));
+pub fn check(timeline: &MergedTimeline, stats: &[StepStats]) -> Vec<Anomaly> {
+    let mut anomalies = check_timeline(timeline);
+    anomalies.extend(check_steps(stats));
     anomalies
 }
 
@@ -325,7 +320,7 @@ mod tests {
             span("encode", "worker1", 1, 1, 0, 10),
             span("encode", "worker2", 1, 2, 0, 100),
         ]);
-        let found = check_timeline(&tl, &WatchdogConfig::default());
+        let found = check_timeline(&tl);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].kind, "straggler");
         assert_eq!(found[0].node, "worker2");
@@ -342,7 +337,7 @@ mod tests {
             span("encode", "worker1", 0, 1, 0, 10),
             span("encode", "worker2", 0, 2, 0, 40),
         ]);
-        assert!(check_timeline(&tl, &WatchdogConfig::default()).is_empty());
+        assert!(check_timeline(&tl).is_empty());
     }
 
     #[test]
@@ -352,7 +347,7 @@ mod tests {
             span("quantize", "worker0", 0, 0, 0, 0),
             span("quantize", "worker1", 0, 1, 0, 2),
         ]);
-        assert!(check_timeline(&tl, &WatchdogConfig::default()).is_empty());
+        assert!(check_timeline(&tl).is_empty());
     }
 
     #[test]
@@ -363,7 +358,7 @@ mod tests {
             span("compute", "worker0", 2, 0, 0, 10),
             span("compute", "worker1", 2, 1, 0, 100),
         ]);
-        let found = check_timeline(&tl, &WatchdogConfig::default());
+        let found = check_timeline(&tl);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].node, "worker1");
     }
@@ -377,7 +372,7 @@ mod tests {
             // one lane only: no peers, no comparison.
             span("encode", "worker0", 0, 0, 0, 500),
         ]);
-        assert!(check_timeline(&tl, &WatchdogConfig::default()).is_empty());
+        assert!(check_timeline(&tl).is_empty());
     }
 
     #[test]
@@ -389,7 +384,7 @@ mod tests {
                 residual_l2: 1.0,
             })
             .collect();
-        let found = check_steps(&stats, &WatchdogConfig::default());
+        let found = check_steps(&stats);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].kind, "ratio-drift");
         assert_eq!(found[0].step, 4);
@@ -404,7 +399,7 @@ mod tests {
                 residual_l2: if step == 3 { 25.0 } else { 2.0 },
             })
             .collect();
-        let found = check_steps(&stats, &WatchdogConfig::default());
+        let found = check_steps(&stats);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].kind, "residual-blowup");
         assert_eq!(found[0].step, 3);
@@ -424,17 +419,17 @@ mod tests {
                 residual_l2: 1.0 + step as f64 * 0.05,
             })
             .collect();
-        assert!(check(&tl, &stats, &WatchdogConfig::default()).is_empty());
+        assert!(check(&tl, &stats).is_empty());
     }
 
     #[test]
     fn rejoin_flap_needs_the_threshold_count() {
-        let sample = |node: &str, step: u64, kind: &str| FaultSample {
+        let sample = |node: &str, step: u64, kind: &str| FaultEvent {
             step,
-            node: node.into(),
+            worker: node["worker".len()..].parse().expect("worker lane"),
             kind: kind.into(),
+            detail: String::new(),
         };
-        let cfg = WatchdogConfig::default();
         // Two rejoins (threshold 3): recovery, not pathology.
         let calm = vec![
             sample("worker0", 2, "disconnect"),
@@ -442,13 +437,13 @@ mod tests {
             sample("worker0", 5, "disconnect"),
             sample("worker0", 5, "rejoin"),
         ];
-        assert!(check_faults(&calm, &cfg).is_empty());
+        assert!(check_faults(&calm).is_empty());
         // A third rejoin of the same node trips the flap check; another
         // node's single rejoin does not.
         let mut flappy = calm.clone();
         flappy.push(sample("worker0", 7, "rejoin"));
         flappy.push(sample("worker1", 4, "rejoin"));
-        let found = check_faults(&flappy, &cfg);
+        let found = check_faults(&flappy);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].kind, "rejoin-flap");
         assert_eq!(found[0].node, "worker0");
@@ -460,7 +455,7 @@ mod tests {
             sample("worker2", 2, "disconnect"),
             sample("worker2", 3, "disconnect"),
         ];
-        assert!(check_faults(&lost, &cfg).is_empty());
+        assert!(check_faults(&lost).is_empty());
     }
 
     #[test]

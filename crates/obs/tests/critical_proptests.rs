@@ -5,9 +5,7 @@
 //! must be the sum of the post-warmup per-step ledgers.
 
 use proptest::prelude::*;
-use threelc_obs::{
-    AnalysisConfig, MergedTimeline, NodeTrace, RunAnalysis, SpanRecord, StepAnalysis, NO_WORKER,
-};
+use threelc_obs::{MergedTimeline, NodeTrace, RunAnalysis, SpanRecord, StepAnalysis, NO_WORKER};
 
 /// Every name the analyzer consumes, plus envelope/junk names it must
 /// ignore without misattributing.
@@ -71,10 +69,7 @@ fn trace_of(raw: &[RawSpan]) -> Vec<NodeTrace> {
 }
 
 fn analyze(raw: &[RawSpan]) -> RunAnalysis {
-    RunAnalysis::build(
-        &MergedTimeline::build(&trace_of(raw)),
-        &AnalysisConfig::default(),
-    )
+    RunAnalysis::build(&MergedTimeline::build(&trace_of(raw)))
 }
 
 /// `Σ buckets == wall` up to float rounding of the ns → s conversion.
