@@ -169,7 +169,7 @@ done
 grep -q "invalid quartic byte" "$matrixdir/corrupt.$first_tier.err"
 echo "    corrupt container rejected identically by every tier"
 
-echo "==> unsafe-code stage (sanitizer over the intrinsics kernels)"
+echo "==> unsafe-code stage (sanitizer over the intrinsics kernels and the CRC fold)"
 # cargo miri would be the first choice, but the component is not
 # installable on this image (offline). AddressSanitizer on a nightly
 # toolchain covers the unsafe SIMD paths instead; the MSRV and stable
@@ -180,11 +180,14 @@ if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2
         -p threelc --lib kernels --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p threelc --test dispatch_identity --target x86_64-unknown-linux-gnu
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+        -p threelc-net --lib crc32 --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
+    echo "    + the frame checksum's pclmulqdq fold"
 else
     echo "    SKIPPED: no nightly toolchain for -Zsanitizer=address (cargo miri is"
-    echo "    not installed and cannot be fetched offline); the unsafe kernels ran"
-    echo "    un-sanitized in the suites above"
+    echo "    not installed and cannot be fetched offline); the unsafe kernels and"
+    echo "    the CRC fold ran un-sanitized in the suites above"
 fi
 
 echo "==> trace smoke (loopback 2-worker collect -> merge -> export)"

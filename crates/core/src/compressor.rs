@@ -254,9 +254,9 @@ impl Compressor for ThreeLcCompressor {
     fn residual_sq(&self) -> f64 {
         // No buffer yet means nothing was ever compressed: an all-zero
         // residual, answered without materialising one.
-        self.buffer.get().map_or(0.0, |r| {
-            r.as_slice().iter().map(|&x| x as f64 * x as f64).sum()
-        })
+        self.buffer
+            .get()
+            .map_or(0.0, |r| kernels::sum_squares(r.as_slice()))
     }
 
     fn set_sparsity(&mut self, s: SparsityMultiplier) {

@@ -573,6 +573,39 @@ pub fn find_nonzero_byte(imp: CodecImpl, h: &[u8], from: usize) -> usize {
     }
 }
 
+/// `Σ x²` in `f64`: the residual energy behind
+/// [`Compressor::residual_sq`](crate::Compressor::residual_sq), on every
+/// tier and in every runtime.
+///
+/// Sixteen accumulators, value `i` into lane `i mod 16` over the whole
+/// 16-value blocks, the lanes then added in index order and the remainder
+/// values after them in order. That order *is* the definition — `simulate`,
+/// `serve` and a rejoin replay compare the result bit for bit — and it is
+/// what lets the loop vectorize: one strict-order `f64` accumulator is a
+/// chain LLVM may not reassociate, one add per FP-add latency, while
+/// sixteen independent lanes are plain portable code the compiler turns
+/// into vector adds. Each square is exact in `f64` (24-bit × 24-bit
+/// mantissas), so only the adds round.
+pub fn sum_squares(xs: &[f32]) -> f64 {
+    let mut lanes = [0f64; 16];
+    let mut blocks = xs.chunks_exact(16);
+    for block in &mut blocks {
+        for (lane, &x) in lanes.iter_mut().zip(block) {
+            let x = f64::from(x);
+            *lane += x * x;
+        }
+    }
+    let mut sum = 0f64;
+    for lane in lanes {
+        sum += lane;
+    }
+    for &x in blocks.remainder() {
+        let x = f64::from(x);
+        sum += x * x;
+    }
+    sum
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +673,57 @@ mod tests {
         assert_eq!(digit_of(0.0, f32::INFINITY), 1);
         assert_eq!(digit_of(1.0e-40, f32::INFINITY), 2);
         assert_eq!(digit_of(-1.0e-40, f32::INFINITY), 0);
+    }
+
+    /// The definition, written out: lane `i mod 16` over the whole blocks,
+    /// lanes in index order, then the remainder in order.
+    fn sixteen_lane_reference(xs: &[f32]) -> f64 {
+        let whole = xs.len() / 16 * 16;
+        let mut lanes = [0f64; 16];
+        for i in 0..whole {
+            lanes[i % 16] += xs[i] as f64 * xs[i] as f64;
+        }
+        let mut sum = 0f64;
+        for lane in lanes {
+            sum += lane;
+        }
+        for &x in &xs[whole..] {
+            sum += x as f64 * x as f64;
+        }
+        sum
+    }
+
+    #[test]
+    fn sum_squares_is_the_sixteen_lane_sum_and_close_to_the_sequential_one() {
+        // A fixed LCG, mapped to roughly normal magnitudes around 1e-2.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((seed >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * 0.04
+        };
+        let normal: Vec<f32> = (0..10_007).map(|_| next()).collect();
+        let subnormal: Vec<f32> = (1..=1_000).map(|i| f32::from_bits(i * 7919)).collect();
+        let mut spike = vec![0f32; 4_099];
+        spike[1_234] = -3.5e19;
+        let mut inputs = vec![normal.clone(), subnormal, vec![0f32; 1_000], spike];
+        inputs.extend((0..=33).map(|len| normal[..len].to_vec()));
+        for xs in &inputs {
+            let got = sum_squares(xs);
+            assert_eq!(
+                got.to_bits(),
+                sixteen_lane_reference(xs).to_bits(),
+                "len {}",
+                xs.len()
+            );
+            let sequential: f64 = xs.iter().map(|&x| x as f64 * x as f64).sum();
+            assert!(
+                (got - sequential).abs() <= 1e-12 * sequential,
+                "len {}: {got:e} vs sequential {sequential:e}",
+                xs.len()
+            );
+        }
+        assert_eq!(sum_squares(&[]).to_bits(), 0f64.to_bits());
+        assert_eq!(sum_squares(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

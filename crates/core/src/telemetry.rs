@@ -85,11 +85,7 @@ impl std::fmt::Debug for CompressTelemetry {
 
 /// L2 norm of a slice, in one pass.
 pub(crate) fn l2_norm(values: &[f32]) -> f64 {
-    values
-        .iter()
-        .map(|&v| f64::from(v) * f64::from(v))
-        .sum::<f64>()
-        .sqrt()
+    crate::kernels::sum_squares(values).sqrt()
 }
 
 #[cfg(test)]

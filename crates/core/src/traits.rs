@@ -108,14 +108,19 @@ pub trait Compressor: Send {
     }
 
     /// The squared L2 norm of the residual buffer (0.0 for stateless
-    /// schemes). A cheap O(n) read the telemetry watchdog sums across a
-    /// replica's contexts each step to track residual blowups; kept
-    /// separate from [`residual`](Self::residual) so implementations can
-    /// answer without materializing a tensor view.
+    /// schemes), as [`kernels::sum_squares`](crate::kernels::sum_squares)
+    /// defines it. The telemetry watchdog sums it across a replica's
+    /// contexts each step to track residual blowups. It is a pass of its
+    /// own over every residual value — a quarter to a half of what the 3LC
+    /// encode of the same tensor costs, not a free read. The simulator,
+    /// `serve` and a rejoin replay report the result bit for bit alike, so
+    /// the lane order of `sum_squares` is part of the cross-runtime
+    /// contract: an implementation that sums its buffer any other way
+    /// breaks it. Kept separate from [`residual`](Self::residual) so
+    /// implementations can answer without materializing a tensor view.
     fn residual_sq(&self) -> f64 {
-        self.residual().map_or(0.0, |r| {
-            r.as_slice().iter().map(|&x| x as f64 * x as f64).sum()
-        })
+        self.residual()
+            .map_or(0.0, |r| crate::kernels::sum_squares(r.as_slice()))
     }
 
     /// Changes the sparsity multiplier for **subsequent** `compress` calls

@@ -9,7 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use threelc::kernels::DequantOp;
+use threelc::kernels::{self, DequantOp};
 use threelc::{zrle, Compressor, DecodeError, SparsityMultiplier, ThreeLcCompressor};
 use threelc_tensor::{Shape, Tensor};
 
@@ -147,13 +147,19 @@ fn a_decode_only_context_never_allocates_a_residual_buffer() {
     // Until something is compressed the residual reads as all zeros.
     assert_eq!(mirror.residual_sq(), 0.0);
     assert_eq!(mirror.residual(), Some(&Tensor::zeros([N])));
-    // The encoder's is real, and what `residual_sq` sums.
+    // The encoder's is real, and what `residual_sq` sums: exactly
+    // `kernels::sum_squares` of it, which is the sequential sum to within
+    // the rounding of its adds.
     let residual = encoder.residual().expect("error accumulation is on");
     assert!(residual.max_abs() > 0.0);
-    let sum: f64 = residual
+    assert_eq!(
+        encoder.residual_sq(),
+        kernels::sum_squares(residual.as_slice())
+    );
+    let sequential: f64 = residual
         .as_slice()
         .iter()
         .map(|&x| x as f64 * x as f64)
         .sum();
-    assert_eq!(encoder.residual_sq(), sum);
+    assert!((encoder.residual_sq() - sequential).abs() <= 1e-12 * sequential);
 }

@@ -700,6 +700,9 @@ fn serve_run(
                 account.residual_l2(),
             )
             .map_err(aggregation_error)?;
+        // Aggregated: free every worker's push before the pull frames are
+        // built and broadcast beside them.
+        drop(payloads_by_worker);
         trace
             .policy
             .records

@@ -429,6 +429,9 @@ fn run_session(
         );
         conn.write_frame(&mut writer, MsgType::PushDone, 0, step, &done)?;
         conn.flush(&mut writer)?;
+        // The batch is on the wire; do not hold a model's worth of payload
+        // through the wait for the pull and the pull's own arrival.
+        drop(encoded);
 
         match injector.after_push(step) {
             Some(FaultAction::Kill) => {
