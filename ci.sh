@@ -282,102 +282,11 @@ if "$threelc" analyze "$smokedir/delayed.json" --check >/dev/null 2>&1; then
 fi
 echo "    delay@2:250 blamed on worker1/network; --check exits nonzero"
 
-echo "==> chaos smoke (faulted runs must recover bit-identically)"
-chaosdir=target/chaos-smoke
-rm -rf "$chaosdir"
-mkdir -p "$chaosdir"
-chaos_flags=(--workers 2 --steps 6 --width 16 --blocks 1 --batch 8
-    --scheme 3lc --sparsity 1.5)
-crc_of() { sed -n 's/^final model crc32: \(.*\)$/\1/p' "$1"; }
-"$threelc" simulate "${chaos_flags[@]}" >"$chaosdir/sim.txt"
-sim_crc="$(crc_of "$chaosdir/sim.txt")"
-if [ -z "$sim_crc" ]; then
-    echo "simulate printed no final-model fingerprint" >&2
-    exit 1
-fi
-
-# A worker drops its connection mid-run, rejoins, and the recovered run's
-# final model must equal the undisturbed simulation's, bit for bit.
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" >"$chaosdir/serve.log" &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault disconnect@2 \
-    >"$chaosdir/w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$chaosdir/w1.log" &
-w1=$!
-wait "$w0"
-wait "$w1"
-wait "$serve_pid"
-grep -q "faults: 1 disconnect(s), 1 rejoin(s)" "$chaosdir/serve.log"
-grep -q "rejoined 1 time(s)" "$chaosdir/w0.log"
-net_crc="$(crc_of "$chaosdir/serve.log")"
-if [ "$net_crc" != "$sim_crc" ]; then
-    echo "recovered run diverged: serve crc $net_crc != simulate crc $sim_crc" >&2
-    exit 1
-fi
-echo "    disconnect@2 recovered; crc $net_crc matches the simulator"
-
-# A worker killed between push and pull (exit code 43) is resumed by a
-# fresh process with --rejoin; the run must still match the simulator.
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" >"$chaosdir/kill-serve.log" &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
-    >"$chaosdir/kill-w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$chaosdir/kill-w1.log" &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" != 43 ]; then
-    echo "kill@2 worker exited $rc, expected the kill exit code 43" >&2
-    exit 1
-fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin >"$chaosdir/kill-w0b.log" &
-w0b=$!
-wait "$w0b"
-wait "$w1"
-wait "$serve_pid"
-net_crc="$(crc_of "$chaosdir/kill-serve.log")"
-if [ "$net_crc" != "$sim_crc" ]; then
-    echo "killed-and-resumed run diverged: crc $net_crc != $sim_crc" >&2
-    exit 1
-fi
-echo "    kill@2 + --rejoin resumed; crc matches the simulator"
-
-echo "==> chaos gate (the same fault under --max-rejoins 0 must abort)"
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --max-rejoins 0 \
-    >"$chaosdir/failstop-serve.log" 2>&1 &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault disconnect@2 \
-    --max-rejoins 0 >"$chaosdir/failstop-w0.log" 2>&1 &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$chaosdir/failstop-w1.log" 2>&1 &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" = 0 ]; then
-    echo "fail-stop worker survived its injected disconnect" >&2
-    exit 1
-fi
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" = 0 ]; then
-    echo "fail-stop server completed despite a worker disconnect" >&2
-    exit 1
-fi
-rc=0
-wait "$w1" || rc=$?
-echo "    --max-rejoins 0 aborts on the injected fault; gate holds both ways"
-
-# (No aggregation-mode matrix: there is one aggregation path, and its
-# serve == simulate crc is asserted by the chaos smoke above and by
-# loopback_run_matches_simulator_bit_for_bit under `cargo test`.)
+# (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's
+# crc, and the same fault aborting under --max-rejoins 0, are
+# crates/cli/tests/chaos_e2e.rs under `cargo test`. No aggregation-mode
+# matrix either: there is one aggregation path, and its serve == simulate
+# crc is asserted there and by loopback_run_matches_simulator_bit_for_bit.)
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke
@@ -385,6 +294,7 @@ rm -rf "$policydir"
 mkdir -p "$policydir"
 policy_flags=(--workers 2 --steps 6 --width 16 --blocks 1 --batch 8
     --scheme 3lc)
+crc_of() { sed -n 's/^final model crc32: \(.*\)$/\1/p' "$1"; }
 # "policy [label]: N distinct multiplier(s); ..." -> N
 distinct_of() { sed -n 's/^policy \[.*\]: \([0-9]*\) distinct.*/\1/p' "$1"; }
 for spec in "schedule:from=1.0,to=1.9,over=4" \
@@ -407,7 +317,7 @@ for spec in "schedule:from=1.0,to=1.9,over=4" \
 done
 
 # A networked feedback run — including a worker killed mid-run and
-# resumed with --rejoin — must reproduce the simulator's fingerprint AND
+# resumed by launching it again — must reproduce the simulator's fingerprint AND
 # its exact decision sequence (PolicyUpdate frames replay during resync).
 spec="feedback:ratio=10000,start=1.2,gain=0.05,hold=1"
 "$threelc" simulate "${policy_flags[@]}" --policy "$spec" >"$policydir/sim.txt"
@@ -429,7 +339,7 @@ if [ "$rc" != 43 ]; then
     echo "kill@2 policy worker exited $rc, expected the kill exit code 43" >&2
     exit 1
 fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin >"$policydir/w0b.log" &
+"$threelc" worker --addr "$addr" --id 0 >"$policydir/w0b.log" &
 w0b=$!
 wait "$w0b"
 wait "$w1"
@@ -449,7 +359,7 @@ if [ "$distinct_s" -lt 2 ]; then
     echo "NetReport multiplier sequence is constant ($distinct_s value)" >&2
     exit 1
 fi
-echo "    kill@2 + --rejoin: crc and decision sequence match the simulator"
+echo "    kill@2 + relaunch: crc and decision sequence match the simulator"
 
 echo "==> observability smoke (threelc top + metrics --watch on a live run)"
 obsdir=target/obs-smoke
@@ -496,8 +406,8 @@ echo "    top rendered every worker row; --watch followed the run to the end"
 echo "==> flight gate (aborted run must leave a post-mortem dump)"
 port=$((20000 + RANDOM % 20000))
 addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --max-rejoins 0 \
-    --json "$obsdir/aborted.json" >"$obsdir/aborted-serve.log" 2>&1 &
+"$threelc" serve --addr "$addr" "${policy_flags[@]}" --sparsity 1.5 \
+    --max-rejoins 0 --json "$obsdir/aborted.json" >"$obsdir/aborted-serve.log" 2>&1 &
 serve_pid=$!
 "$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
     >"$obsdir/aborted-w0.log" 2>&1 &

@@ -24,7 +24,7 @@ usage:
                      [--rejoin-timeout SECS] [--max-rejoins N]
                      [--flight dump.flight.json]
   threelc worker     --addr A --id N [--max-rejoins N]
-                     [--inject-fault SPEC] [--rejoin] [--policy SPEC]
+                     [--inject-fault SPEC] [--policy SPEC]
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme ...]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
@@ -50,8 +50,8 @@ serve tolerates worker disconnects: a worker may reconnect and resume
 mid-run (up to --max-rejoins times, waiting --rejoin-timeout seconds per
 barrier; --max-rejoins 0 restores fail-stop). worker --inject-fault arms
 a deterministic fault (disconnect@N, drop-after-push@N, kill@N, crc@N[:S],
-delay@N:MS; also via THREELC_FAULT); --rejoin resumes a previous worker's
-run after a kill. simulate runs the same experiment in-process and prints
+delay@N:MS; also via THREELC_FAULT); after a kill, launching the same worker
+command again resumes the run. simulate runs the same experiment in-process and prints
 the same `final model crc32` line a fault-free or recovered serve prints.
 
 --policy selects the compression-policy engine deciding the sparsity
@@ -1038,6 +1038,9 @@ mod tests {
         assert!(run(&s(&["worker", "--addr", "127.0.0.1:1"])).is_err()); // --id missing
         assert!(run(&s(&["worker", "--id", "0"])).is_err()); // --addr missing
         assert!(run(&s(&["worker", "--addr", "not-an-address", "--id", "0"])).is_err());
+        // A relaunched worker takes no flag to resume: the old one is unknown.
+        let retired = run(&s(&["worker", "--addr", "x", "--id", "0", "--rejoin"])).unwrap_err();
+        assert!(retired.to_string().contains("`--rejoin`"), "got: {retired}");
         // Fault-tolerance flags are validated up front.
         assert!(run(&s(&["serve", "--addr", "x", "--max-rejoins", "many"])).is_err());
         assert!(run(&s(&["serve", "--addr", "x", "--rejoin-timeout"])).is_err());

@@ -47,11 +47,10 @@ pub(crate) fn split_flags<'a>(
 }
 
 /// Rejects unknown flags, flags missing their value, and positional
-/// arguments. Flags in `known` take exactly one value; flags in `boolean`
-/// take none.
-fn check_flags(args: &[String], known: &[&str], boolean: &[&str]) -> Result<(), Box<dyn Error>> {
+/// arguments. Every flag in `known` takes exactly one value.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), Box<dyn Error>> {
     let valued: Vec<(&str, &str)> = known.iter().map(|&k| (k, "a value")).collect();
-    match split_flags(args, &valued, boolean)?.first() {
+    match split_flags(args, &valued, &[])?.first() {
         Some(a) => Err(format!("unknown argument `{a}`").into()),
         None => Ok(()),
     }
@@ -180,7 +179,7 @@ pub fn serve_cmd(args: &[String]) -> CliResult {
         "--max-rejoins",
         "--flight",
     ];
-    check_flags(args, FLAGS, &[])?;
+    check_flags(args, FLAGS)?;
     let addr =
         flag_value(args, "--addr").ok_or("--addr is required (e.g. --addr 127.0.0.1:7171)")?;
     let config = config_from_flags(args)?;
@@ -502,7 +501,7 @@ fn snapshot_from_log(path: &str, text: &str) -> Result<Snapshot, Box<dyn Error>>
 /// line. The chaos smoke in CI compares this line against a faulted
 /// networked run's — bit-identical recovery, checked from the shell.
 pub fn simulate_cmd(args: &[String]) -> CliResult {
-    check_flags(args, CONFIG_FLAGS, &[])?;
+    check_flags(args, CONFIG_FLAGS)?;
     let config = config_from_flags(args)?;
 
     let mut cluster = Cluster::new(config);
@@ -542,8 +541,7 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
         "--inject-fault",
         "--policy",
     ];
-    const BOOL_FLAGS: &[&str] = &["--rejoin"];
-    check_flags(args, FLAGS, BOOL_FLAGS)?;
+    check_flags(args, FLAGS)?;
     let addr =
         flag_value(args, "--addr").ok_or("--addr is required (e.g. --addr 127.0.0.1:7171)")?;
     let id: u16 = parse_flag(args, "--id")?.ok_or("--id is required (0-based worker id)")?;
@@ -558,7 +556,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
     if let Some(spec) = flag_value(args, "--policy") {
         PolicySpec::parse(spec).map_err(|e| format!("--policy: {e}"))?;
     }
-    wopts.start_rejoined = args.iter().any(|a| a == "--rejoin");
     wopts.fault = match flag_value(args, "--inject-fault") {
         Some(spec) => Some(FaultPlan::parse(spec)?),
         None => FaultPlan::from_env()?,

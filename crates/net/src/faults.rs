@@ -28,8 +28,8 @@
 use std::time::Duration;
 
 /// Exit code a worker process uses for an injected [`FaultKind::Kill`],
-/// so a supervisor (or the `ci.sh` chaos stage) can tell an injected kill
-/// from a real failure and restart the worker with `--rejoin`.
+/// so a supervisor (or `chaos_e2e.rs`) can tell an injected kill from a
+/// real failure and launch the same worker command again to resume.
 pub const KILL_EXIT_CODE: i32 = 43;
 
 /// Environment variable consulted for a fault spec when no `--inject-fault`

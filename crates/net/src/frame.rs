@@ -61,7 +61,10 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 pub enum MsgType {
     /// Worker → server: `payload = worker id (u16 LE)`.
     Hello = 1,
-    /// Server → worker: `payload = ExperimentConfig JSON`.
+    /// Server → worker: the join grant; `payload = ExperimentConfig JSON`,
+    /// header `step` = the step to resume at. Followed by a replay of
+    /// that many completed steps' pull batches — step 0 and none for a
+    /// worker's first join, every completed step for a rejoin.
     HelloAck = 2,
     /// Worker → server: one compressed gradient tensor.
     PushTensor = 3,
@@ -87,12 +90,6 @@ pub enum MsgType {
     Scrape = 11,
     /// Reply to [`MsgType::Scrape`]: `payload = the view as JSON`.
     ScrapeReply = 12,
-    /// Worker → server: reconnect mid-run; `payload = worker id (u16 LE)`.
-    Rejoin = 15,
-    /// Server → worker: resume grant; `payload = resume step (u64 LE) +
-    /// ExperimentConfig JSON`. Followed by a replay of every completed
-    /// step's pull batch.
-    RejoinAck = 16,
     /// Server → worker: the compression-policy decisions for the *next*
     /// step, broadcast with the pull batch; `payload = count (u16 LE) +
     /// count × [s (f32 LE) + reason (u8)]`. Only emitted when an adaptive
@@ -117,8 +114,6 @@ impl MsgType {
             10 => Some(MsgType::ShutdownAck),
             11 => Some(MsgType::Scrape),
             12 => Some(MsgType::ScrapeReply),
-            15 => Some(MsgType::Rejoin),
-            16 => Some(MsgType::RejoinAck),
             17 => Some(MsgType::PolicyUpdate),
             _ => None,
         }
@@ -699,9 +694,10 @@ mod tests {
                 known += 1;
             }
         }
-        assert_eq!(known, 15);
-        // 0 and the retired per-view scrape types are unknown.
-        for v in [0, 13, 14, 18, 19, 20] {
+        assert_eq!(known, 13);
+        // 0, the retired per-view scrape types and the retired rejoin pair
+        // are unknown.
+        for v in [0, 13, 14, 15, 16, 18, 19, 20] {
             assert!(MsgType::from_u8(v).is_none(), "type byte {v}");
         }
     }

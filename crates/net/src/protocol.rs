@@ -102,36 +102,6 @@ pub fn decode_hello(payload: &[u8]) -> Result<u16, NetError> {
     Ok(u16::from_le_bytes(bytes))
 }
 
-/// Encodes the `RejoinAck` payload: the step the rejoining worker must
-/// resume at (u64 LE), followed by the `ExperimentConfig` JSON — so a
-/// freshly started replacement process needs nothing beyond the ack to
-/// rebuild its replica.
-pub fn encode_rejoin_ack(resume_step: u64, config_json: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + config_json.len());
-    out.extend_from_slice(&resume_step.to_le_bytes());
-    out.extend_from_slice(config_json.as_bytes());
-    out
-}
-
-/// Decodes the `RejoinAck` payload into the resume step and the config
-/// JSON.
-///
-/// # Errors
-///
-/// Returns [`NetError::Protocol`] on a malformed payload.
-pub fn decode_rejoin_ack(payload: &[u8]) -> Result<(u64, &str), NetError> {
-    if payload.len() < 8 {
-        return Err(NetError::Protocol(format!(
-            "rejoin-ack payload is {} bytes, want at least 8",
-            payload.len()
-        )));
-    }
-    let resume_step = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let json = std::str::from_utf8(&payload[8..])
-        .map_err(|_| NetError::Protocol("rejoin-ack config is not UTF-8".into()))?;
-    Ok((resume_step, json))
-}
-
 /// A stable fingerprint of a model: CRC-32 (IEEE) over every parameter
 /// tensor's little-endian `f32` bytes, in parameter order. Bit-identical
 /// models hash identically, so a networked run — even one that survived
@@ -345,23 +315,6 @@ mod tests {
             let err = decode_push_done(&vec![0u8; len]).unwrap_err();
             assert!(err.to_string().contains("want 28"), "{len} bytes: {err}");
         }
-    }
-
-    #[test]
-    fn rejoin_ack_roundtrip() {
-        let payload = encode_rejoin_ack(17, "{\"workers\":2}");
-        let (step, json) = decode_rejoin_ack(&payload).unwrap();
-        assert_eq!(step, 17);
-        assert_eq!(json, "{\"workers\":2}");
-        // An empty config is structurally valid at this layer.
-        let empty = encode_rejoin_ack(0, "");
-        let (step, json) = decode_rejoin_ack(&empty).unwrap();
-        assert_eq!(step, 0);
-        assert_eq!(json, "");
-        assert!(decode_rejoin_ack(&[0u8; 7]).is_err());
-        let mut bad = encode_rejoin_ack(3, "");
-        bad.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(decode_rejoin_ack(&bad).is_err());
     }
 
     #[test]

@@ -1,22 +1,32 @@
 //! The parameter-server side of the networked runtime.
 //!
-//! One OS thread per worker connection handles framing; a coordinator
-//! (the calling thread) owns the [`ServerCore`] and enforces the BSP
-//! barrier: it waits for every worker's push batch, applies the step, and
-//! broadcasts one shared pull batch back to all handlers. The arithmetic
-//! is exactly [`threelc_distsim::engine`]'s, so a networked run matches
-//! the in-process simulator bit for bit.
+//! One acceptor thread owns the listener for the whole run: it reads each
+//! new connection's first frame, answers scrapes itself and forwards every
+//! `Hello` to the coordinator. One OS thread per worker connection handles
+//! framing; the coordinator (the calling thread) owns the [`ServerCore`]
+//! and enforces the BSP barrier: it waits for every worker's push batch,
+//! applies the step, and broadcasts one shared pull batch back to all
+//! handlers. The arithmetic is exactly [`threelc_distsim::engine`]'s, so a
+//! networked run matches the in-process simulator bit for bit.
+//!
+//! There is one way into a run: a `Hello`, answered by a `HelloAck` that
+//! names the step to resume at, followed by a replay of every completed
+//! pull batch, from which the worker deterministically rebuilds a
+//! bit-identical replica (see `DESIGN.md` §11). A first join is the case
+//! "step 0, nothing to replay"; whether a `Hello` is one is the
+//! coordinator's call (`Coordinator::admit`), made from whether that
+//! worker's slot has been filled before.
 //!
 //! Failure semantics are fault-tolerant by default: when a worker's
 //! connection dies mid-run (timeout, checksum mismatch, reset), the
 //! coordinator parks the barrier for up to [`ServeOptions::rejoin_timeout`]
-//! and lets the worker reconnect with a `Rejoin` frame. The rejoined
-//! worker is granted the current step and a replay of every completed
-//! pull batch, from which it deterministically rebuilds a bit-identical
-//! replica (see `DESIGN.md` §11). With [`ServeOptions::max_rejoins`] `= 0`
-//! the runtime is strictly fail-stop, as it was before rejoin existed:
+//! and lets the worker — or a replacement process — join again. With
+//! [`ServeOptions::max_rejoins`] `= 0` the runtime is strictly fail-stop:
 //! any mid-run disconnect aborts the run. Protocol violations (wrong
 //! step, out-of-order tensors) always abort — those are bugs, not faults.
+//! A connection whose *first* frame is malformed, unexpected or refused is
+//! closed, counted and logged, in every phase of the run, and the run goes
+//! on (`refuse`).
 //! Every blocking socket operation is bounded by
 //! [`ServeOptions::io_timeout`], and every barrier wait by
 //! [`ServeOptions::step_timeout`] (or the rejoin timeout while a worker
@@ -27,12 +37,11 @@ use crate::frame::MsgType;
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
-    encode_policy_update, encode_rejoin_ack, encode_scrape_reply, model_crc32, tensor_to_bytes,
-    NetError, ScrapeKind,
+    encode_policy_update, encode_scrape_reply, model_crc32, tensor_to_bytes, NetError, ScrapeKind,
 };
 use crate::report::{ConnReport, FaultEvent, FaultsReport, NetReport};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -94,9 +103,9 @@ struct Push {
     step_seconds: f64,
 }
 
-/// Handler → coordinator messages. Every message carries the sender's
-/// per-worker generation, so messages from a superseded connection (one
-/// the worker already rejoined past) are recognizably stale.
+/// Handler and acceptor → coordinator messages. A handler's messages carry
+/// its per-worker generation, so messages from a superseded connection
+/// (one the worker already rejoined past) are recognizably stale.
 enum ToCoord {
     /// One worker's complete push batch for a step.
     Pushed {
@@ -119,9 +128,10 @@ enum ToCoord {
         trace: Option<NodeTrace>,
         error: Option<String>,
     },
-    /// A worker reconnected mid-run through the side door; the stream has
-    /// consumed its `Rejoin` frame and awaits a `RejoinAck`.
-    Rejoin {
+    /// A connection opened with a `Hello`; the stream has consumed it and
+    /// awaits the `HelloAck`. First join or rejoin is for
+    /// [`Coordinator::admit`] to say.
+    Join {
         worker: usize,
         stream: TcpStream,
         counters: ConnCounters,
@@ -143,69 +153,81 @@ enum FromCoord {
     Pulls(Arc<PullBatch>),
 }
 
-/// Everything a handler spawned for a rejoined worker must send before
-/// entering the normal per-step loop: the resume grant and the replay of
-/// every completed step's pull batch.
-struct RejoinTask {
-    resume_step: u64,
-    config_json: Arc<String>,
-    replay: Vec<Arc<PullBatch>>,
-}
-
-/// What [`Coordinator::admit`] grants a rejoining worker: its new
-/// generation, the receiving end of its pull channel, and the replay.
+/// What [`Coordinator::admit`] grants a joining worker: its connection's
+/// generation, the receiving end of its pull channel, and where it
+/// resumes — the open barrier's step, after a replay of every completed
+/// step's pull batch (step 0 and no replay for a first join).
 struct Admission {
     gen: u64,
     pulls: mpsc::Receiver<FromCoord>,
+    resume_step: u64,
     replay: Vec<Arc<PullBatch>>,
 }
 
-/// The coordinator's state: who is connected under which generation, the
+/// The coordinator's state: who is in the run under which generation, the
 /// open barrier, the pull history, and the run's one fault ledger. A plain
 /// value — no sockets, no threads — so [`serve`] can own it across
 /// [`serve_run`]'s early returns (an aborted run's flight dump still
 /// reads the faults) and a test can drive it message by message.
+///
+/// It is the single place that decides who is in the run:
+/// [`Self::admit`] is the only way in, for a first join and a rejoin
+/// alike, and [`Self::retire`] the only way out before the end.
 ///
 /// Every fault is written exactly once, as a [`FaultEvent`], by
 /// [`Self::retire`] (a disconnect) or [`Self::admit`] (a rejoin), which
 /// also bump the `net.server.*` counter and log the event. The run report,
 /// the rejoin-flap check and the flight dump all read that ledger.
 struct Coordinator {
+    total_steps: u64,
     max_rejoins: u64,
     step_timeout: Duration,
     rejoin_timeout: Duration,
     metrics: NetMetrics,
+    /// Whether each worker's slot has ever been filled: what makes a
+    /// `Hello` a first join or a rejoin.
+    joined: Vec<bool>,
     /// Per-worker connection generation; bumped on every admitted rejoin.
     gens: Vec<u64>,
     /// Cumulative admitted rejoins per worker, recorded as a series so the
     /// dashboard can show flapping workers.
     rejoin_counts: Vec<u64>,
-    /// Traffic of a worker's finished (lost or superseded) connections,
-    /// folded into its final ConnReport.
+    /// Traffic of a worker's finished connections, folded into its final
+    /// ConnReport.
     lost: Vec<ConnCounters>,
     /// The sending end of each worker's pull channel; `None` while the
-    /// worker is out (never connected, or retired and not yet rejoined).
+    /// worker is out (never joined, or retired and not yet rejoined).
     pull_txs: Vec<Option<mpsc::Sender<FromCoord>>>,
     /// Every completed step's pull batch, the replay a rejoiner resyncs
     /// from. Arc'd frames, so the history costs one encoded copy per step;
     /// disabled (empty) in fail-stop mode.
     history: Vec<Arc<PullBatch>>,
     faults: FaultsReport,
-    /// The open barrier: its step, each worker's landed push with its
-    /// wall-clock arrival, and the deadline — which extends when a worker
-    /// disconnects or rejoins, parking the barrier instead of aborting.
+    /// The open barrier: its step (`total_steps` once training is over and
+    /// the handlers are shutting their workers down), each worker's landed
+    /// push with its wall-clock arrival, and the deadline. Step 0's barrier
+    /// is open from the start — a worker may push it while later ones are
+    /// still joining — but the deadline is armed only once every slot has
+    /// been filled: the server waits for its first full set of workers
+    /// indefinitely. It extends when a worker disconnects or rejoins,
+    /// parking the barrier instead of aborting.
     step: u64,
     slots: Vec<Option<(Push, Instant)>>,
-    deadline: Instant,
+    deadline: Option<Instant>,
+    /// Each worker's connection report and span buffer, as its handler
+    /// reported in after the shutdown handshake.
+    reports: Vec<Option<(ConnReport, Option<NodeTrace>)>>,
 }
 
 impl Coordinator {
-    fn new(workers: usize, opts: &ServeOptions) -> Self {
+    fn new(workers: usize, total_steps: u64, opts: &ServeOptions) -> Self {
         Coordinator {
+            total_steps,
             max_rejoins: u64::from(opts.max_rejoins),
             step_timeout: opts.step_timeout,
             rejoin_timeout: opts.rejoin_timeout,
             metrics: NetMetrics::server(),
+            joined: vec![false; workers],
             gens: vec![0; workers],
             rejoin_counts: vec![0; workers],
             lost: vec![ConnCounters::default(); workers],
@@ -214,7 +236,8 @@ impl Coordinator {
             faults: FaultsReport::default(),
             step: 0,
             slots: (0..workers).map(|_| None).collect(),
-            deadline: Instant::now(),
+            deadline: None,
+            reports: (0..workers).map(|_| None).collect(),
         }
     }
 
@@ -224,16 +247,27 @@ impl Coordinator {
         self.step_timeout.max(self.rejoin_timeout)
     }
 
-    /// Connects `worker`: opens its pull channel and returns the handler's
-    /// end.
-    fn connect(&mut self, worker: usize) -> mpsc::Receiver<FromCoord> {
-        let (tx, rx) = mpsc::channel();
-        self.pull_txs[worker] = Some(tx);
-        rx
+    /// How long a freshly opened barrier may wait.
+    fn barrier_timeout(&self) -> Duration {
+        if self.pull_txs.iter().all(Option::is_some) {
+            self.step_timeout
+        } else {
+            self.park_timeout()
+        }
     }
 
     fn connected(&self, worker: usize) -> bool {
         self.pull_txs[worker].is_some()
+    }
+
+    /// Every slot has been filled at least once.
+    fn assembled(&self) -> bool {
+        self.joined.iter().all(|&j| j)
+    }
+
+    /// Every worker's handler reported in after the shutdown handshake.
+    fn shut_down(&self) -> bool {
+        self.reports.iter().all(Option::is_some)
     }
 
     /// The stale-generation rule, for every phase: a message counts only
@@ -242,34 +276,35 @@ impl Coordinator {
         gen == self.gens[worker]
     }
 
-    /// Opens `step`'s barrier with every slot empty.
-    fn open_barrier(&mut self, step: u64) {
-        self.step = step;
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.deadline = Instant::now()
-            + if self.pull_txs.iter().all(Option::is_some) {
-                self.step_timeout
-            } else {
-                self.park_timeout()
-            };
-    }
-
     /// Pushes the open barrier still waits for.
     fn missing(&self) -> usize {
         self.slots.iter().filter(|s| s.is_none()).count()
     }
 
-    /// The barrier's time left, or the timeout error naming who is out.
-    fn time_left(&self) -> Result<Duration, NetError> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
+    /// The open barrier's time left (`None`: no deadline, workers are still
+    /// joining for the first time), or the timeout error naming who is out.
+    fn time_left(&self) -> Result<Option<Duration>, NetError> {
+        let Some(deadline) = self.deadline else {
+            return Ok(None);
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
         if !left.is_zero() {
-            return Ok(left);
+            return Ok(Some(left));
         }
         let step = self.step;
-        let out: Vec<usize> = (0..self.pull_txs.len())
-            .filter(|&w| !self.connected(w))
+        let shutting_down = step == self.total_steps;
+        let out: Vec<usize> = (0..self.slots.len())
+            .filter(|&w| {
+                if shutting_down {
+                    self.reports[w].is_none()
+                } else {
+                    !self.connected(w)
+                }
+            })
             .collect();
-        Err(NetError::Protocol(if out.is_empty() {
+        Err(NetError::Protocol(if shutting_down {
+            format!("timed out waiting for worker(s) {out:?} to shut down")
+        } else if out.is_empty() {
             format!("timed out waiting for pushes in step {step}")
         } else {
             format!("timed out waiting for worker(s) {out:?} to rejoin in step {step}")
@@ -288,7 +323,7 @@ impl Coordinator {
         if !self.is_current(worker, gen) {
             return Ok(());
         }
-        if step != self.step {
+        if step != self.step || step >= self.total_steps {
             return Err(NetError::Protocol(format!(
                 "worker {worker} pushed step {step} during step {}",
                 self.step
@@ -303,21 +338,43 @@ impl Coordinator {
         Ok(())
     }
 
-    /// A handler finished mid-training. Its traffic is always kept; if it
-    /// was the worker's live connection, the worker is retired.
+    /// A handler finished. Its traffic is always kept. If it was the
+    /// worker's current connection: mid-training the worker is retired;
+    /// once training is over this is the shutdown handshake reporting in,
+    /// and a failed one aborts — there are no steps left to resume into.
     fn finished(
         &mut self,
         worker: usize,
         gen: u64,
+        peer: String,
         counters: &ConnCounters,
+        trace: Option<NodeTrace>,
         error: Option<String>,
     ) -> Result<(), NetError> {
         self.lost[worker].merge(counters);
-        if !self.is_current(worker, gen) || !self.connected(worker) {
-            // A superseded or already-retired connection winding down.
+        if !self.is_current(worker, gen) {
+            // A superseded connection winding down.
             return Ok(());
         }
-        self.retire(worker, error.unwrap_or_else(|| "closed early".into()))
+        if self.step < self.total_steps {
+            if self.connected(worker) {
+                self.retire(worker, error.unwrap_or_else(|| "closed early".into()))?;
+            }
+            // Else a broadcast found it dead already.
+            return Ok(());
+        }
+        if let Some(e) = error {
+            return Err(NetError::Protocol(format!(
+                "worker {worker} failed to shut down cleanly: {e}"
+            )));
+        }
+        let report = ConnReport {
+            worker,
+            peer,
+            counters: self.lost[worker],
+        };
+        self.reports[worker] = Some((report, trace));
+        Ok(())
     }
 
     /// Marks a worker's connection dead: closes its pull channel, discards
@@ -330,7 +387,8 @@ impl Coordinator {
         let step = self.step;
         self.pull_txs[worker] = None;
         self.slots[worker] = None;
-        self.deadline = self.deadline.max(Instant::now() + self.rejoin_timeout);
+        let parked = Instant::now() + self.rejoin_timeout;
+        self.deadline = self.deadline.map(|d| d.max(parked));
         self.metrics.disconnects.add(1);
         threelc_obs::event!(
             Level::Warn,
@@ -352,57 +410,82 @@ impl Coordinator {
         error.map_or(Ok(()), Err)
     }
 
-    /// Admits a mid-run rejoin at the open barrier, or refuses it (`None`:
-    /// the caller drops the stream). If the worker's old connection still
-    /// counts as connected it is half-dead — its `Finished` has not landed
-    /// yet — and is retired first; the generation bump then makes whatever
-    /// it still sends stale.
+    /// Admits a `Hello` at the open barrier, or refuses it (`None`: the
+    /// caller drops the stream). What the `Hello` means is read off the
+    /// coordinator's own state:
+    ///
+    /// - the slot was never filled: a first join — generation 0, no fault,
+    ///   no charge to the rejoin budget;
+    /// - the slot still counts as connected while other workers have yet
+    ///   to join for the first time: two processes were launched with one
+    ///   id, which aborts the run naming it;
+    /// - otherwise a rejoin, under the budget. If the old connection still
+    ///   counts as connected it is half-dead — its `Finished` has not
+    ///   landed yet — and is retired first; the generation bump then makes
+    ///   whatever it still sends stale.
     fn admit(&mut self, worker: usize) -> Result<Option<Admission>, NetError> {
-        let refusal = if worker >= self.gens.len() {
-            Some("id out of range")
-        } else if self.faults.rejoins >= self.max_rejoins {
-            Some("rejoin budget exhausted")
-        } else {
-            None
-        };
-        if let Some(reason) = refusal {
-            threelc_obs::event!(
-                Level::Warn,
-                "server.rejoin_refused",
-                worker = worker,
-                reason = reason
-            );
+        let workers = self.joined.len();
+        if worker >= workers {
+            refuse(&format!(
+                "worker id {worker} out of range (cluster has {workers})"
+            ));
             return Ok(None);
         }
-        if self.connected(worker) {
-            self.retire(worker, "superseded by a rejoin".into())?;
-        }
         let step = self.step;
-        debug_assert_eq!(self.history.len() as u64, step);
-        self.gens[worker] += 1;
-        self.rejoin_counts[worker] += 1;
-        self.faults.rejoins += 1;
-        self.metrics.rejoins.add(1);
-        threelc_obs::event!(
-            Level::Info,
-            "server.worker_rejoined",
-            worker = worker,
-            step = step,
-            gen = self.gens[worker]
-        );
-        self.faults.events.push(FaultEvent {
-            step,
-            worker,
-            kind: "rejoin".into(),
-            detail: format!(
-                "resumed at step {step} after a replay of {} step(s)",
-                self.history.len()
-            ),
-        });
-        self.deadline = self.deadline.max(Instant::now() + self.park_timeout());
+        debug_assert!(self.max_rejoins == 0 || self.history.len() as u64 == step);
+        let rejoin = self.joined[worker];
+        if !rejoin {
+            self.joined[worker] = true;
+            threelc_obs::event!(Level::Info, "server.worker_connected", worker = worker);
+        } else if self.connected(worker) && !self.assembled() {
+            return Err(NetError::Protocol(format!(
+                "worker id {worker} connected twice"
+            )));
+        } else if self.faults.rejoins >= self.max_rejoins {
+            refuse(&format!("worker {worker}: rejoin budget exhausted"));
+            return Ok(None);
+        } else {
+            if self.connected(worker) {
+                self.retire(worker, "superseded by a rejoin".into())?;
+            }
+            self.gens[worker] += 1;
+            self.rejoin_counts[worker] += 1;
+            self.faults.rejoins += 1;
+            self.metrics.rejoins.add(1);
+            threelc_obs::event!(
+                Level::Info,
+                "server.worker_rejoined",
+                worker = worker,
+                step = step,
+                gen = self.gens[worker]
+            );
+            self.faults.events.push(FaultEvent {
+                step,
+                worker,
+                kind: "rejoin".into(),
+                detail: format!(
+                    "resumed at step {step} after a replay of {} step(s)",
+                    self.history.len()
+                ),
+            });
+        }
+        let (tx, pulls) = mpsc::channel();
+        self.pull_txs[worker] = Some(tx);
+        if self.assembled() {
+            // The last first join arms step 0's deadline; a rejoin extends
+            // the open barrier's by its replay.
+            let wait = if rejoin {
+                self.park_timeout()
+            } else {
+                self.barrier_timeout()
+            };
+            let until = Instant::now() + wait;
+            self.deadline = Some(self.deadline.map_or(until, |d| d.max(until)));
+        }
         Ok(Some(Admission {
             gen: self.gens[worker],
-            pulls: self.connect(worker),
+            pulls,
+            resume_step: step,
             replay: self.history.clone(),
         }))
     }
@@ -425,10 +508,12 @@ impl Coordinator {
             .collect()
     }
 
-    /// Hands the step's pull batch to every connected handler and keeps it
-    /// for replays. A handler that died between its push and the broadcast
-    /// is retired here; its `Finished` (with the underlying error) is still
-    /// in the channel and [`Self::finished`] then changes nothing more.
+    /// Ends the step: hands its pull batch to every connected handler,
+    /// keeps it for replays, and opens the next barrier (every slot is
+    /// already empty — [`Self::close_barrier`] took the pushes). A handler
+    /// that died between its push and the broadcast is retired here; its
+    /// `Finished` (with the underlying error) is still in the channel and
+    /// [`Self::finished`] then changes nothing more.
     fn broadcast(&mut self, batch: &Arc<PullBatch>) -> Result<(), NetError> {
         if self.max_rejoins > 0 {
             self.history.push(Arc::clone(batch));
@@ -442,16 +527,19 @@ impl Coordinator {
                 self.retire(w, "pull channel closed".into())?;
             }
         }
+        self.step += 1;
+        self.deadline = Some(Instant::now() + self.barrier_timeout());
         Ok(())
     }
 }
 
 /// Runs a full training experiment as the parameter server.
 ///
-/// Accepts `config.workers` connections on `listener`, drives
-/// `config.total_steps` barrier-synchronized BSP steps (surviving up to
-/// [`ServeOptions::max_rejoins`] mid-run worker reconnects), shuts the
-/// workers down gracefully, and returns the final report (the standard
+/// Waits — indefinitely — for `config.workers` workers to join on
+/// `listener`, drives `config.total_steps` barrier-synchronized BSP steps
+/// (surviving up to [`ServeOptions::max_rejoins`] mid-run worker
+/// reconnects), shuts the workers down gracefully, and returns the final
+/// report (the standard
 /// [`ExperimentResult`] plus per-connection transport counters and the
 /// run's fault log).
 ///
@@ -467,12 +555,11 @@ pub fn serve(
     config: &ExperimentConfig,
     opts: &ServeOptions,
 ) -> Result<NetReport, NetError> {
-    // The recorder is shared with the metrics side-door (live series
-    // scrapes). It, the coordinator (whose fault ledger a dump reads) and
+    // The recorder is shared with the acceptor (live series scrapes). It, the coordinator (whose fault ledger a dump reads) and
     // the server's span buffer are owned here, not inside serve_run, so an
     // aborted run can still be dumped.
     let recorder = Arc::new(Mutex::new(RunRecorder::new(config.workers)));
-    let mut coord = Coordinator::new(config.workers, opts);
+    let mut coord = Coordinator::new(config.workers, config.total_steps, opts);
     let server_buf = Arc::new(TraceBuffer::default());
     let result = serve_run(listener, config, opts, &recorder, &mut coord, &server_buf);
     if let Some(path) = &opts.flight {
@@ -522,10 +609,10 @@ pub fn serve(
     result
 }
 
-/// The body of [`serve`]: the actual accept/handshake/train/shutdown
-/// sequence, recording per-worker series into `recorder` at every barrier
-/// and transport faults into `coord` as they happen. Split out so the
-/// wrapper can still reach both after an early-error return.
+/// The body of [`serve`]: the assemble/train/shutdown sequence, recording
+/// per-worker series into `recorder` at every barrier and transport faults
+/// into `coord` as they happen. Split out so the wrapper can still reach
+/// both after an early-error return.
 fn serve_run(
     listener: &TcpListener,
     config: &ExperimentConfig,
@@ -543,12 +630,9 @@ fn serve_run(
         )));
     }
     let mut server = ServerCore::new(&problem);
-    let shapes: Arc<Vec<Shape>> = Arc::new(problem.shapes.clone());
     let workers = config.workers;
-    let config_json = Arc::new(
-        serde_json::to_string(config)
-            .map_err(|e| NetError::Config(format!("config does not serialize: {e}")))?,
-    );
+    let config_json = serde_json::to_string(config)
+        .map_err(|e| NetError::Config(format!("config does not serialize: {e}")))?;
 
     // Tracing: the server's own span buffer (its clock domain is the
     // reference the timeline aligns every worker against). The run-wide
@@ -556,55 +640,32 @@ fn serve_run(
     let tracing = trace::trace_enabled();
     let trace_id = trace::run_trace_id(config.seed);
 
-    // ---- Handshake: fill every worker slot. Scrapes arriving
-    // in this phase are answered inline without consuming a slot.
-    let (to_coord, from_handlers) = mpsc::channel::<ToCoord>();
-    let mut handles = Vec::with_capacity(workers);
-    let park_timeout = coord.park_timeout();
-    while handles.len() < workers {
-        let (stream, _) = listener.accept().map_err(NetError::Io)?;
-        let (worker, handshake_counters) = match handshake(
-            &stream,
-            opts.io_timeout,
-            workers,
-            &coord.pull_txs,
-            &config_json,
-            server_buf,
-            recorder,
-        )? {
-            Handshake::Worker(worker, counters) => (worker, counters),
-            Handshake::Scrape => continue,
-        };
-        threelc_obs::event!(Level::Info, "server.worker_connected", worker = worker);
-        handles.push(spawn_handler(
-            stream,
-            worker,
-            0,
-            0,
-            config.total_steps,
-            Arc::clone(&shapes),
-            to_coord.clone(),
-            coord.connect(worker),
-            handshake_counters,
-            park_timeout,
-            Arc::clone(server_buf),
-            trace_id,
-            None,
-        ));
-    }
-
-    // Training phase: the main thread no longer accepts, so hand the
-    // listener to a background side-door thread that keeps answering
-    // `Scrape` connections and forwards mid-run `Rejoin` connections to
-    // the coordinator. Dropped (stopping the thread and restoring the
-    // listener) on every exit path.
-    let _scraper = MetricsScraper::start(
+    let (to_coord, from_all) = mpsc::channel::<ToCoord>();
+    // Owns the listener until this function returns, on every path.
+    let _acceptor = Acceptor::start(
         listener,
         opts.io_timeout,
         Arc::clone(server_buf),
         Arc::clone(recorder),
         to_coord.clone(),
     )?;
+    let mut inbox = Inbox {
+        from_all,
+        handles: Vec::new(),
+        run: Arc::new(RunShared {
+            total_steps: config.total_steps,
+            shapes: problem.shapes.clone(),
+            config_json,
+            to_coord,
+            pull_timeout: coord.park_timeout(),
+            server_buf: Arc::clone(server_buf),
+            trace_id,
+        }),
+    };
+
+    // ---- Assembly: every slot filled once. Step 0's barrier is already
+    // open, so an early worker's push lands while later ones still join.
+    inbox.pump(coord, Coordinator::assembled)?;
 
     // ---- Barrier-synchronized BSP training loop.
     let mut trace = TrainingTrace::default();
@@ -617,58 +678,9 @@ fn serve_run(
         let (_accepted, compute_multiplier) = engine::sample_stragglers(config, &mut straggler_rng);
 
         // Collect every worker's push batch (the barrier).
+        debug_assert_eq!(coord.step, step);
         let barrier_span = TraceSpan::start("barrier");
-        coord.open_barrier(step);
-        while coord.missing() > 0 {
-            let msg = match from_handlers.recv_timeout(coord.time_left()?) {
-                Ok(msg) => msg,
-                Err(_) => continue, // time_left decides
-            };
-            match msg {
-                ToCoord::Pushed {
-                    worker,
-                    gen,
-                    step: s,
-                    push,
-                } => coord.accept_push(worker, gen, s, push)?,
-                ToCoord::Finished {
-                    worker,
-                    gen,
-                    counters,
-                    error,
-                    ..
-                } => coord.finished(worker, gen, &counters, error)?,
-                ToCoord::Rejoin {
-                    worker,
-                    stream,
-                    counters,
-                } => {
-                    // A refusal drops the stream, which is the refusal.
-                    let Some(admission) = coord.admit(worker)? else {
-                        continue;
-                    };
-                    handles.push(spawn_handler(
-                        stream,
-                        worker,
-                        admission.gen,
-                        step,
-                        config.total_steps,
-                        Arc::clone(&shapes),
-                        to_coord.clone(),
-                        admission.pulls,
-                        counters,
-                        park_timeout,
-                        Arc::clone(server_buf),
-                        trace_id,
-                        Some(RejoinTask {
-                            resume_step: step,
-                            config_json: Arc::clone(&config_json),
-                            replay: admission.replay,
-                        }),
-                    ));
-                }
-            }
-        }
+        inbox.pump(coord, |c| c.missing() == 0)?;
         barrier_span.finish();
 
         // Worker-order accounting by the engine's one step accountant —
@@ -746,69 +758,9 @@ fn serve_run(
 
     // ---- Graceful shutdown: handlers collect each worker's span buffer
     // (when tracing) and run the Shutdown/ShutdownAck handshake on their
-    // own after the last pull, then report in. A disconnect in this phase
-    // aborts — rejoin is a mid-run mechanism; there are no steps left to
-    // resume into.
-    let mut connections: Vec<Option<ConnReport>> = (0..workers).map(|_| None).collect();
-    let mut worker_traces: Vec<Option<NodeTrace>> = (0..workers).map(|_| None).collect();
-    let mut remaining = workers;
-    let shutdown_deadline = Instant::now() + opts.step_timeout;
-    while remaining > 0 {
-        let left = shutdown_deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(NetError::Protocol(
-                "timed out waiting for workers to shut down".into(),
-            ));
-        }
-        match from_handlers.recv_timeout(left) {
-            Ok(ToCoord::Finished {
-                worker,
-                gen,
-                peer,
-                counters,
-                trace,
-                error,
-            }) => {
-                if !coord.is_current(worker, gen) {
-                    coord.lost[worker].merge(&counters);
-                    continue;
-                }
-                if let Some(e) = error {
-                    return Err(NetError::Protocol(format!(
-                        "worker {worker} failed to shut down cleanly: {e}"
-                    )));
-                }
-                let mut total = coord.lost[worker];
-                total.merge(&counters);
-                connections[worker] = Some(ConnReport {
-                    worker,
-                    peer,
-                    counters: total,
-                });
-                worker_traces[worker] = trace;
-                remaining -= 1;
-            }
-            Ok(ToCoord::Pushed {
-                worker, gen, step, ..
-            }) => {
-                if coord.is_current(worker, gen) {
-                    return Err(NetError::Protocol(format!(
-                        "worker {worker} pushed step {step} after training ended"
-                    )));
-                }
-            }
-            Ok(ToCoord::Rejoin { worker, .. }) => {
-                threelc_obs::event!(
-                    Level::Warn,
-                    "server.rejoin_refused",
-                    worker = worker,
-                    reason = "training already ended"
-                );
-            }
-            Err(_) => {} // the deadline check above decides
-        }
-    }
-    for handle in handles {
+    // own after the last pull, then report in.
+    inbox.pump(coord, Coordinator::shut_down)?;
+    for handle in inbox.handles {
         if handle.join().is_err() {
             // run_handler panics are caught and reported as Finished
             // errors; a join failure means the reporting wrapper itself
@@ -818,6 +770,11 @@ fn serve_run(
             ));
         }
     }
+    let (connections, worker_traces): (Vec<ConnReport>, Vec<Option<NodeTrace>>) = coord
+        .reports
+        .iter_mut()
+        .map(|r| r.take().expect("every worker reported in"))
+        .unzip();
 
     let final_eval = Evaluation::of(server.global(), &problem.test);
     trace.evals.push(EvalRecord {
@@ -865,10 +822,7 @@ fn serve_run(
             trace,
         },
         final_model_crc32: model_crc32(server.global()),
-        connections: connections
-            .into_iter()
-            .map(|c| c.expect("every slot reported"))
-            .collect(),
+        connections,
         faults: coord.faults.clone(),
         node_traces,
         anomalies,
@@ -878,49 +832,105 @@ fn serve_run(
     })
 }
 
+/// What every handler thread of one run shares.
+struct RunShared {
+    total_steps: u64,
+    shapes: Vec<Shape>,
+    /// The `HelloAck` payload.
+    config_json: String,
+    to_coord: mpsc::Sender<ToCoord>,
+    /// How long a handler waits at the barrier for its pull batch.
+    pull_timeout: Duration,
+    server_buf: Arc<TraceBuffer>,
+    trace_id: u64,
+}
+
+/// The coordinator's one inbox — fed by the acceptor and every handler —
+/// and the handler threads spawned from it.
+struct Inbox {
+    from_all: mpsc::Receiver<ToCoord>,
+    handles: Vec<thread::JoinHandle<()>>,
+    run: Arc<RunShared>,
+}
+
+impl Inbox {
+    /// Feeds `coord` from the inbox until it is `done`, spawning a handler
+    /// for every admitted join, under whatever deadline the coordinator
+    /// has armed.
+    fn pump(
+        &mut self,
+        coord: &mut Coordinator,
+        done: impl Fn(&Coordinator) -> bool,
+    ) -> Result<(), NetError> {
+        while !done(coord) {
+            let msg = match coord.time_left()? {
+                Some(left) => match self.from_all.recv_timeout(left) {
+                    Ok(msg) => msg,
+                    Err(_) => continue, // time_left decides
+                },
+                None => self
+                    .from_all
+                    .recv()
+                    .expect("the inbox outlives its senders: it holds one"),
+            };
+            match msg {
+                ToCoord::Pushed {
+                    worker,
+                    gen,
+                    step,
+                    push,
+                } => coord.accept_push(worker, gen, step, push)?,
+                ToCoord::Finished {
+                    worker,
+                    gen,
+                    peer,
+                    counters,
+                    trace,
+                    error,
+                } => coord.finished(worker, gen, peer, &counters, trace, error)?,
+                ToCoord::Join {
+                    worker,
+                    stream,
+                    counters,
+                } => {
+                    // A refusal drops the stream, which is the refusal.
+                    if let Some(admission) = coord.admit(worker)? {
+                        self.handles.push(spawn_handler(
+                            stream,
+                            worker,
+                            admission,
+                            counters,
+                            Arc::clone(&self.run),
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Spawns one connection's handler thread. The handler body runs under
 /// `catch_unwind`, so a panic is reported to the coordinator as a
 /// `Finished { error }` exactly like any other handler failure — the
 /// barrier sees it immediately instead of timing out, and the run is
 /// never misreported as clean.
-#[allow(clippy::too_many_arguments)]
 fn spawn_handler(
     stream: TcpStream,
     worker: usize,
-    gen: u64,
-    start_step: u64,
-    total_steps: u64,
-    shapes: Arc<Vec<Shape>>,
-    to_coord: mpsc::Sender<ToCoord>,
-    pulls: mpsc::Receiver<FromCoord>,
-    handshake_counters: ConnCounters,
-    pull_timeout: Duration,
-    server_buf: Arc<TraceBuffer>,
-    trace_id: u64,
-    rejoin: Option<RejoinTask>,
+    admission: Admission,
+    hello_counters: ConnCounters,
+    run: Arc<RunShared>,
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "unknown".into());
-        let mut conn = Conn::new(handshake_counters, NetMetrics::server());
+        let gen = admission.gen;
+        let mut conn = Conn::new(hello_counters, NetMetrics::server());
         let (trace_dump, error) = match catch_unwind(AssertUnwindSafe(|| {
-            run_handler(
-                stream,
-                worker,
-                gen,
-                start_step,
-                total_steps,
-                &shapes,
-                &to_coord,
-                pulls,
-                &mut conn,
-                pull_timeout,
-                &server_buf,
-                trace_id,
-                rejoin,
-            )
+            run_handler(stream, worker, admission, &run, &mut conn)
         })) {
             Ok(Ok(dump)) => (dump, None),
             Ok(Err(e)) => (None, Some(e.to_string())),
@@ -933,7 +943,7 @@ fn spawn_handler(
             ),
         };
         // The coordinator may already be gone on abort; ignore.
-        let _ = to_coord.send(ToCoord::Finished {
+        let _ = run.to_coord.send(ToCoord::Finished {
             worker,
             gen,
             peer,
@@ -988,74 +998,6 @@ fn aggregation_error(e: EngineError) -> NetError {
     NetError::Protocol(format!("server aggregation failed: {e}"))
 }
 
-/// What a fresh connection's first frame turned out to be.
-enum Handshake {
-    /// A worker joined: validated id plus the handshake-frame counters
-    /// (carried into the handler's accounting).
-    Worker(usize, ConnCounters),
-    /// A scrape, already answered; the connection is done.
-    Scrape,
-}
-
-/// Dispatches the first frame of a fresh connection: either the worker
-/// Hello/HelloAck handshake, or a one-shot scrape. A
-/// `Rejoin` in this phase (a leftover from some earlier run) is refused
-/// by dropping the connection.
-#[allow(clippy::too_many_arguments)]
-fn handshake(
-    stream: &TcpStream,
-    io_timeout: Duration,
-    workers: usize,
-    taken: &[Option<mpsc::Sender<FromCoord>>],
-    config_json: &str,
-    server_buf: &Arc<TraceBuffer>,
-    recorder: &Arc<Mutex<RunRecorder>>,
-) -> Result<Handshake, NetError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
-    let hello = conn.read_frame(&mut &*stream)?;
-    if hello.msg == MsgType::Scrape {
-        let kind = decode_scrape(&hello.payload)?;
-        answer_scrape(stream, &mut conn, kind, server_buf, recorder)?;
-        return Ok(Handshake::Scrape);
-    }
-    if hello.msg == MsgType::Rejoin {
-        threelc_obs::event!(
-            Level::Warn,
-            "server.rejoin_refused",
-            reason = "run has not started"
-        );
-        return Ok(Handshake::Scrape);
-    }
-    if hello.msg != MsgType::Hello {
-        return Err(NetError::Protocol(format!(
-            "expected Hello, got {:?}",
-            hello.msg
-        )));
-    }
-    let worker = usize::from(decode_hello(&hello.payload)?);
-    if worker >= workers {
-        return Err(NetError::Protocol(format!(
-            "worker id {worker} out of range (cluster has {workers})"
-        )));
-    }
-    if taken[worker].is_some() {
-        return Err(NetError::Protocol(format!(
-            "worker id {worker} connected twice"
-        )));
-    }
-    conn.write_frame(
-        &mut &*stream,
-        MsgType::HelloAck,
-        0,
-        0,
-        config_json.as_bytes(),
-    )?;
-    Ok(Handshake::Worker(worker, conn.counters))
-}
-
 /// Replies to a `Scrape` with the view it names: the global metrics
 /// registry, a (non-draining) snapshot of the server's span buffer, or
 /// the run's time-series store — so `metrics`, `trace`/`analyze` and
@@ -1085,87 +1027,122 @@ fn answer_scrape(
     Ok(())
 }
 
-/// Background thread owning the listener while the coordinator is busy
-/// training (the main accept loop only runs during the handshake phase):
-/// answers scrapes itself and forwards mid-run `Rejoin`
-/// connections — stream and all — to the coordinator.
-///
-/// The listener clone shares its file description with the original, so
-/// switching it to non-blocking affects both — safe here precisely
-/// because the main thread is done accepting. Dropping the scraper stops
-/// the thread and restores blocking mode, covering early-error returns
-/// from `serve` too.
-struct MetricsScraper<'a> {
-    listener: &'a TcpListener,
+/// The one first-frame policy, in every phase of the run: a connection
+/// whose first frame is malformed, unexpected or inadmissible is closed
+/// (the caller drops it), counted and logged — and the run goes on. A stray
+/// probe must not be able to kill a server, least of all one still waiting
+/// for its workers.
+fn refuse(reason: &str) {
+    threelc_obs::global().counter("net.server.refused").add(1);
+    threelc_obs::event!(Level::Warn, "server.connection_refused", reason = reason);
+}
+
+/// How long the acceptor backs off after a failed `accept`, doubling from
+/// the first bound to the second while the failure persists.
+const ACCEPT_BACKOFF: (Duration, Duration) = (Duration::from_millis(20), Duration::from_secs(1));
+
+/// The thread that owns the listener for the whole run: it blocks in
+/// `accept`, hands each connection to [`first_frame`], and applies
+/// [`refuse`] to whatever that rejects. Dropping the acceptor stops the
+/// thread with a wake-up connection and joins it, which covers early-error
+/// returns from `serve_run` too.
+struct Acceptor {
     stop: Arc<AtomicBool>,
+    wake: SocketAddr,
     handle: Option<thread::JoinHandle<()>>,
 }
 
-impl<'a> MetricsScraper<'a> {
+impl Acceptor {
     fn start(
-        listener: &'a TcpListener,
+        listener: &TcpListener,
         io_timeout: Duration,
         server_buf: Arc<TraceBuffer>,
         recorder: Arc<Mutex<RunRecorder>>,
         to_coord: mpsc::Sender<ToCoord>,
     ) -> Result<Self, NetError> {
-        let clone = listener.try_clone().map_err(NetError::Io)?;
-        clone.set_nonblocking(true).map_err(NetError::Io)?;
+        let listener = listener.try_clone()?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let stopping = Arc::clone(&stop);
         let handle = thread::spawn(move || {
-            while !thread_stop.load(Ordering::Relaxed) {
-                match clone.accept() {
+            let mut backoff = ACCEPT_BACKOFF.0;
+            loop {
+                let accepted = listener.accept();
+                if stopping.load(Ordering::SeqCst) {
+                    return;
+                }
+                match accepted {
                     Ok((stream, _)) => {
-                        // Anything other than a well-formed scrape or
-                        // rejoin on a mid-training connection is dropped.
-                        let _ =
-                            serve_side_door(stream, io_timeout, &server_buf, &recorder, &to_coord);
+                        backoff = ACCEPT_BACKOFF.0;
+                        if let Err(e) =
+                            first_frame(stream, io_timeout, &server_buf, &recorder, &to_coord)
+                        {
+                            refuse(&e.to_string());
+                        }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(20));
+                    Err(e) => {
+                        // E.g. EMFILE: say so, and do not spin on it.
+                        threelc_obs::event!(
+                            Level::Warn,
+                            "server.accept_failed",
+                            error = e.to_string(),
+                            backoff_ms = backoff.as_millis()
+                        );
+                        thread::sleep(backoff);
+                        backoff = (backoff * 2).min(ACCEPT_BACKOFF.1);
                     }
-                    Err(_) => thread::sleep(Duration::from_millis(20)),
                 }
             }
         });
-        Ok(MetricsScraper {
-            listener,
+        Ok(Acceptor {
             stop,
+            wake,
             handle: Some(handle),
         })
     }
 }
 
-impl Drop for MetricsScraper<'_> {
+impl Drop for Acceptor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            if handle.join().is_err() {
-                // Nothing to propagate from a Drop; say it loudly instead
-                // of swallowing it — scrapes and rejoins were unavailable
-                // for some part of the run.
-                threelc_obs::event!(Level::Warn, "server.side_door_panicked");
-            }
+        self.stop.store(true, Ordering::SeqCst);
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        // Nothing to propagate from a Drop; say it loudly instead of
+        // swallowing it.
+        if let Err(e) = TcpStream::connect_timeout(&self.wake, Duration::from_secs(5)) {
+            // Unwoken, the thread sits in `accept` until the next
+            // connection; joining it would hang this one.
+            threelc_obs::event!(
+                Level::Warn,
+                "server.acceptor_not_woken",
+                error = e.to_string()
+            );
+        } else if handle.join().is_err() {
+            // Scrapes and joins were unavailable for some part of the run.
+            threelc_obs::event!(Level::Warn, "server.acceptor_panicked");
         }
-        let _ = self.listener.set_nonblocking(false);
     }
 }
 
-/// Handles one connection accepted by the side-door thread: scrapes are
-/// answered inline; a `Rejoin` hands the prepared stream (plus the
-/// counters of the frame just read) to the coordinator for admission at
-/// the current barrier.
-fn serve_side_door(
+/// Reads a fresh connection's first frame — the one place bytes from
+/// outside the run enter the server — and dispatches it: a `Scrape` is
+/// answered inline without consuming a worker slot, a `Hello` goes to the
+/// coordinator as a [`ToCoord::Join`] (the stream and the frame's counters
+/// with it). Everything else is an error the acceptor [`refuse`]s.
+fn first_frame(
     stream: TcpStream,
     io_timeout: Duration,
     server_buf: &Arc<TraceBuffer>,
     recorder: &Arc<Mutex<RunRecorder>>,
     to_coord: &mpsc::Sender<ToCoord>,
 ) -> Result<(), NetError> {
-    // The accepting listener is non-blocking and the stream inherits
-    // that; side-door I/O should block (bounded by the timeouts).
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
@@ -1176,10 +1153,10 @@ fn serve_side_door(
             let kind = decode_scrape(&frame.payload)?;
             answer_scrape(&stream, &mut conn, kind, server_buf, recorder)
         }
-        MsgType::Rejoin => {
+        MsgType::Hello => {
             let worker = usize::from(decode_hello(&frame.payload)?);
             to_coord
-                .send(ToCoord::Rejoin {
+                .send(ToCoord::Join {
                     worker,
                     stream,
                     counters: conn.counters,
@@ -1187,66 +1164,63 @@ fn serve_side_door(
                 .map_err(|_| NetError::Protocol("coordinator is gone".into()))
         }
         other => Err(NetError::Protocol(format!(
-            "unexpected {other:?} on a mid-training connection"
+            "unexpected {other:?} as a connection's first frame"
         ))),
     }
 }
 
-/// One connection's framing loop: collect pushes, forward to the
-/// coordinator, fan the shared pull batch back out, and finally collect
-/// the worker's trace dump (when tracing) and run the shutdown handshake.
+/// One connection's framing loop: grant the join, then collect pushes,
+/// forward to the coordinator, fan the shared pull batch back out, and
+/// finally collect the worker's trace dump (when tracing) and run the
+/// shutdown handshake.
 ///
-/// For a rejoined worker the loop is preceded by the `RejoinAck` and a
-/// replay of every completed step's pull batch (the resync the worker
-/// rebuilds its replica from), and starts at `start_step` instead of 0.
+/// The grant is the `HelloAck` — the configuration, and in its header the
+/// step to resume at — and a replay of every completed step's pull batch
+/// (the resync the worker rebuilds its replica from): step 0 and nothing
+/// for a first join.
 ///
 /// On success, returns the worker's span buffer if the trace-dump
 /// exchange ran.
-#[allow(clippy::too_many_arguments)]
 fn run_handler(
     stream: TcpStream,
     worker: usize,
-    gen: u64,
-    start_step: u64,
-    total_steps: u64,
-    shapes: &[Shape],
-    to_coord: &mpsc::Sender<ToCoord>,
-    pulls: mpsc::Receiver<FromCoord>,
+    admission: Admission,
+    run: &RunShared,
     conn: &mut Conn,
-    pull_timeout: Duration,
-    server_buf: &Arc<TraceBuffer>,
-    trace_id: u64,
-    rejoin: Option<RejoinTask>,
 ) -> Result<Option<NodeTrace>, NetError> {
+    let Admission {
+        gen,
+        pulls,
+        resume_step,
+        replay,
+    } = admission;
+    let (total_steps, trace_id) = (run.total_steps, run.trace_id);
+    let (shapes, to_coord, server_buf) = (&run.shapes, &run.to_coord, &run.server_buf);
     let tracing = trace::trace_enabled();
     let n_params = shapes.len();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
-    if let Some(task) = &rejoin {
-        // Resume grant: the step to resume at plus the configuration (a
-        // replacement process joins with nothing but an address and id).
-        let payload = encode_rejoin_ack(task.resume_step, &task.config_json);
-        conn.write_frame(
-            &mut writer,
-            MsgType::RejoinAck,
-            0,
-            task.resume_step,
-            &payload,
-        )?;
-        // Replay the full pull history. The worker interleaves reading
-        // these with recomputing each step, so the stream drains as fast
-        // as the worker replays.
-        for batch in &task.replay {
-            for (i, (msg, payload)) in batch.frames.iter().enumerate() {
-                conn.write_frame(&mut writer, *msg, i as u16, batch.step, payload)?;
-            }
-            conn.write_frame(&mut writer, MsgType::PullDone, 0, batch.step, &[])?;
+    // A worker — or a replacement process — joins with nothing but an
+    // address and an id; the ack carries the rest.
+    conn.write_frame(
+        &mut writer,
+        MsgType::HelloAck,
+        0,
+        resume_step,
+        run.config_json.as_bytes(),
+    )?;
+    // The worker interleaves reading the replay with recomputing each
+    // step, so the stream drains as fast as the worker replays.
+    for batch in replay {
+        for (i, (msg, payload)) in batch.frames.iter().enumerate() {
+            conn.write_frame(&mut writer, *msg, i as u16, batch.step, payload)?;
         }
-        conn.flush(&mut writer)?;
+        conn.write_frame(&mut writer, MsgType::PullDone, 0, batch.step, &[])?;
     }
+    conn.flush(&mut writer)?;
 
-    for step in start_step..total_steps {
+    for step in resume_step..total_steps {
         // Handler spans land in the server's buffer (server clock), tagged
         // with this worker's id — the timeline pairs them with the worker's
         // own network span to estimate the worker clock's offset.
@@ -1321,7 +1295,7 @@ fn run_handler(
 
         // ---- Wait at the barrier, then fan out the shared pulls. The
         // wait covers a sibling worker's rejoin-plus-replay too.
-        let batch = match pulls.recv_timeout(pull_timeout) {
+        let batch = match pulls.recv_timeout(run.pull_timeout) {
             Ok(FromCoord::Pulls(batch)) => batch,
             Err(_) => return Err(NetError::Protocol("no pull batch from coordinator".into())),
         };
@@ -1418,17 +1392,43 @@ mod tests {
 
     // ---- The coordinator, driven message by message with no socket.
 
-    fn coordinator(workers: usize, max_rejoins: u32) -> Coordinator {
+    /// A coordinator of a 100-step run whose workers have all joined once,
+    /// parked at `step`'s barrier.
+    fn coordinator(workers: usize, max_rejoins: u32, step: u64) -> Coordinator {
         let opts = ServeOptions {
             max_rejoins,
             ..ServeOptions::default()
         };
-        let mut coord = Coordinator::new(workers, &opts);
+        let mut coord = Coordinator::new(workers, 100, &opts);
         for w in 0..workers {
             // The handlers' ends are dropped: nothing here broadcasts.
-            let _ = coord.connect(w);
+            let first = coord.admit(w).unwrap().expect("a first join");
+            assert_eq!((first.gen, first.resume_step), (0, 0));
         }
+        assert!(coord.faults.events.is_empty(), "first joins are no faults");
+        coord.step = step;
         coord
+    }
+
+    fn finish(
+        coord: &mut Coordinator,
+        worker: usize,
+        gen: u64,
+        bytes_in: u64,
+        error: Option<&str>,
+    ) -> Result<(), NetError> {
+        let counters = ConnCounters {
+            bytes_in,
+            ..ConnCounters::default()
+        };
+        coord.finished(
+            worker,
+            gen,
+            "test".into(),
+            &counters,
+            None,
+            error.map(Into::into),
+        )
     }
 
     fn push(loss: f32) -> Push {
@@ -1441,17 +1441,9 @@ mod tests {
         }
     }
 
-    fn counters(bytes_in: u64) -> ConnCounters {
-        ConnCounters {
-            bytes_in,
-            ..ConnCounters::default()
-        }
-    }
-
     #[test]
     fn a_push_from_a_stale_generation_is_dropped() {
-        let mut coord = coordinator(2, 4);
-        coord.open_barrier(0);
+        let mut coord = coordinator(2, 4, 0);
         coord.gens[1] = 1; // worker 1 already rejoined once
         coord
             .accept_push(1, 0, 0, push(9.0))
@@ -1469,13 +1461,10 @@ mod tests {
 
     #[test]
     fn finished_from_a_superseded_connection_only_keeps_its_traffic() {
-        let mut coord = coordinator(2, 4);
-        coord.open_barrier(2);
+        let mut coord = coordinator(2, 4, 2);
         coord.gens[0] = 1;
         coord.accept_push(0, 1, 2, push(1.0)).unwrap();
-        coord
-            .finished(0, 0, &counters(100), Some("reset".into()))
-            .expect("a stale Finished never aborts");
+        finish(&mut coord, 0, 0, 100, Some("reset")).expect("a stale Finished never aborts");
         assert_eq!(coord.lost[0].bytes_in, 100);
         assert!(coord.connected(0));
         assert_eq!(coord.missing(), 1, "the live connection's push stays");
@@ -1485,12 +1474,10 @@ mod tests {
 
     #[test]
     fn a_live_disconnect_retires_the_worker_and_writes_one_fault() {
-        let mut coord = coordinator(2, 4);
-        coord.open_barrier(5);
+        let mut coord = coordinator(2, 4, 5);
         coord.accept_push(1, 0, 5, push(1.0)).unwrap();
         let before = coord.deadline;
-        coord
-            .finished(1, 0, &counters(7), Some("frame I/O: reset".into()))
+        finish(&mut coord, 1, 0, 7, Some("frame I/O: reset"))
             .expect("budget left: the barrier parks");
         assert!(!coord.connected(1));
         assert_eq!(
@@ -1511,15 +1498,14 @@ mod tests {
         );
         // Its Finished landing again (the broadcast raced it) adds traffic
         // and nothing else.
-        coord.finished(1, 0, &counters(1), None).unwrap();
+        finish(&mut coord, 1, 0, 1, None).unwrap();
         assert_eq!(coord.lost[1].bytes_in, 8);
         assert_eq!(coord.faults.events.len(), 1);
     }
 
     #[test]
     fn a_rejoin_over_a_half_dead_connection_retires_it_first() {
-        let mut coord = coordinator(2, 4);
-        coord.open_barrier(3);
+        let mut coord = coordinator(2, 4, 3);
         coord.history = (0..3)
             .map(|step| {
                 Arc::new(PullBatch {
@@ -1558,15 +1544,12 @@ mod tests {
         assert_eq!((coord.faults.disconnects, coord.faults.rejoins), (1, 1));
         // What the old connection still sends is stale now.
         coord.accept_push(0, 0, 3, push(1.0)).unwrap();
-        coord
-            .finished(0, 0, &counters(5), Some("eof".into()))
-            .unwrap();
+        finish(&mut coord, 0, 0, 5, Some("eof")).unwrap();
         assert_eq!(coord.missing(), 2);
         assert_eq!(coord.faults.events.len(), 2);
         // Out-of-range ids and a spent budget are refused without a trace.
         assert!(coord.admit(9).unwrap().is_none());
-        let mut spent = coordinator(1, 1);
-        spent.open_barrier(0);
+        let mut spent = coordinator(1, 1, 0);
         spent.faults.rejoins = 1;
         assert!(spent.admit(0).unwrap().is_none());
         assert!(spent.faults.events.is_empty());
@@ -1574,11 +1557,8 @@ mod tests {
 
     #[test]
     fn a_disconnect_with_the_budget_spent_is_the_fail_stop_error() {
-        let mut coord = coordinator(2, 0);
-        coord.open_barrier(2);
-        let err = coord
-            .finished(0, 0, &counters(0), Some("frame I/O: eof".into()))
-            .unwrap_err();
+        let mut coord = coordinator(2, 0, 2);
+        let err = finish(&mut coord, 0, 0, 0, Some("frame I/O: eof")).unwrap_err();
         assert_eq!(
             err.to_string(),
             NetError::Protocol("worker 0 left during step 2: frame I/O: eof".into()).to_string()
@@ -1588,8 +1568,7 @@ mod tests {
         assert_eq!(coord.faults.events.len(), 1);
         assert_eq!(coord.faults.events[0].kind, "disconnect");
         // A broadcast into a dropped handler channel takes the same path.
-        let mut coord = coordinator(1, 0);
-        coord.open_barrier(0);
+        let mut coord = coordinator(1, 0, 0);
         let batch = Arc::new(PullBatch {
             step: 0,
             frames: Vec::new(),
@@ -1602,8 +1581,7 @@ mod tests {
 
     #[test]
     fn a_full_barrier_closes_with_each_workers_lag_past_the_first() {
-        let mut coord = coordinator(2, 4);
-        coord.open_barrier(0);
+        let mut coord = coordinator(2, 4, 0);
         assert!(coord.time_left().is_ok());
         coord.accept_push(1, 0, 0, push(2.0)).unwrap();
         thread::sleep(Duration::from_millis(2));
@@ -1614,13 +1592,269 @@ mod tests {
         assert_eq!(pushes[1].1, 0.0, "the first arrival waits for nobody");
         assert!(pushes[0].1 >= 0.002, "lag {}", pushes[0].1);
         // An expired deadline names who is out.
-        coord.open_barrier(1);
+        coord.step = 1;
         coord.retire(1, "gone".into()).unwrap();
-        coord.deadline = Instant::now();
+        coord.deadline = Some(Instant::now());
         let err = coord.time_left().unwrap_err();
         assert!(err
             .to_string()
             .contains("worker(s) [1] to rejoin in step 1"));
+    }
+
+    // ---- The coordinator under seeded interleavings: a script of
+    // messages in random order, checked after every one against what the
+    // test itself knows about each connection.
+
+    /// One worker as the script sees it, independently of the coordinator.
+    #[derive(Default)]
+    struct Peer {
+        joined: bool,
+        /// The live connection's generation and its handler's end of the
+        /// pull channel — `None` once the handler died with its `Finished`
+        /// still in flight.
+        live: Option<(u64, Option<mpsc::Receiver<FromCoord>>)>,
+        /// The live connection pushed the open step.
+        pushed: bool,
+        /// Generations of superseded or retired connections whose
+        /// `Finished` is still in flight.
+        zombies: Vec<u64>,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        Join(usize),
+        Push(usize),
+        /// The live handler dies; its `Finished` comes later.
+        Die(usize),
+        /// The live handler's `Finished`, clean or with an error.
+        Finish(usize, bool),
+        StalePush(usize),
+        StaleFinish(usize),
+    }
+
+    /// Drives one seeded script to the end of the run. `Ok` is a run whose
+    /// every step closed and every worker shut down; `Err` the error that
+    /// aborted it.
+    fn run_script(seed: u64, workers: usize, max_rejoins: u32, steps: u64) -> Result<(), NetError> {
+        let opts = ServeOptions {
+            max_rejoins,
+            ..ServeOptions::default()
+        };
+        let mut coord = Coordinator::new(workers, steps, &opts);
+        let mut peers: Vec<Peer> = (0..workers).map(|_| Peer::default()).collect();
+        let (mut events, mut disconnects, mut rejoins) = (0usize, 0u64, 0u64);
+        let budget = u64::from(max_rejoins);
+        // A push carries its connection's generation, so a closed barrier
+        // can be checked against the generations current at its close.
+        let tagged = |gen: u64| push(gen as f32);
+        let mut rng = threelc_tensor::rng(seed);
+        let draws = threelc_tensor::Initializer::Uniform {
+            low: 0.0,
+            high: 1.0,
+        }
+        .init(&mut rng, [4096]);
+
+        for &draw in draws.iter() {
+            let training = coord.step < steps;
+            let mut acts = Vec::new();
+            for (w, peer) in peers.iter().enumerate() {
+                // A first join is likelier than a second one; a push
+                // likelier than a fault.
+                acts.extend(vec![Act::Join(w); if peer.joined { 1 } else { 30 }]);
+                match &peer.live {
+                    Some((_, Some(_))) => {
+                        if training && !peer.pushed {
+                            acts.extend([Act::Push(w); 120]);
+                        }
+                        acts.push(Act::Die(w));
+                        acts.push(Act::Finish(w, true));
+                        acts.extend(vec![Act::Finish(w, false); if training { 1 } else { 120 }]);
+                    }
+                    Some((_, None)) => acts.extend([Act::Finish(w, true); 2]),
+                    None => {}
+                }
+                if !peer.zombies.is_empty() {
+                    acts.push(Act::StalePush(w));
+                    acts.extend([Act::StaleFinish(w); 2]);
+                }
+            }
+            let act = acts[(draw * acts.len() as f32) as usize % acts.len()];
+            match act {
+                Act::Join(w) => {
+                    let duplicate = coord.connected(w) && !coord.assembled();
+                    let was_connected = coord.connected(w);
+                    let step = coord.step;
+                    match coord.admit(w) {
+                        Err(e) => {
+                            assert!(peers[w].joined && duplicate, "seed {seed}: {e}");
+                            assert!(e.to_string().contains(&format!("worker id {w} connected")));
+                            return Err(e);
+                        }
+                        Ok(None) => {
+                            assert!(peers[w].joined && rejoins >= budget, "seed {seed}");
+                        }
+                        Ok(Some(admission)) => {
+                            assert!(!duplicate, "seed {seed}: a duplicate was admitted");
+                            assert_eq!(admission.resume_step, step);
+                            assert_eq!(admission.replay.len() as u64, step.min(budget * step));
+                            let peer = &mut peers[w];
+                            if peer.joined {
+                                // A rejoin, over a half-dead connection or
+                                // after its disconnect.
+                                assert!(rejoins < budget, "seed {seed}");
+                                rejoins += 1;
+                                events += 1;
+                                if was_connected {
+                                    disconnects += 1;
+                                    events += 1;
+                                }
+                                if let Some((old, _)) = peer.live.take() {
+                                    peer.zombies.push(old);
+                                }
+                            } else {
+                                assert_eq!(admission.gen, 0);
+                            }
+                            peer.joined = true;
+                            peer.live = Some((admission.gen, Some(admission.pulls)));
+                            peer.pushed = false;
+                        }
+                    }
+                }
+                Act::Push(w) => {
+                    let gen = peers[w].live.as_ref().expect("live").0;
+                    coord.accept_push(w, gen, coord.step, tagged(gen))?;
+                    peers[w].pushed = true;
+                }
+                Act::Die(w) => peers[w].live.as_mut().expect("live").1 = None,
+                Act::Finish(w, with_error) => {
+                    let (gen, _) = peers[w].live.take().expect("live");
+                    peers[w].pushed = false;
+                    // Live from the script's side, but the coordinator may
+                    // have retired it at a broadcast already.
+                    let retires = coord.connected(w) && training;
+                    if retires {
+                        disconnects += 1;
+                        events += 1;
+                    }
+                    let result = finish(&mut coord, w, gen, 1, with_error.then_some("reset"));
+                    if let Err(e) = result {
+                        let text = e.to_string();
+                        if training {
+                            assert!(retires && rejoins >= budget, "seed {seed}: {text}");
+                            assert!(text.contains(&format!("worker {w} left during step")));
+                        } else {
+                            assert!(with_error, "seed {seed}: {text}");
+                            assert!(text.contains(&format!("worker {w} failed to shut down")));
+                        }
+                        return Err(e);
+                    }
+                    assert!(!retires || rejoins < budget, "seed {seed}: no fail-stop");
+                    assert!(
+                        training || !with_error,
+                        "seed {seed}: a failed shutdown passed"
+                    );
+                }
+                Act::StalePush(w) => {
+                    let gen = peers[w].zombies[0];
+                    let missing = coord.missing();
+                    // Stale by generation; one from the retired current
+                    // generation is a handler that is already dead.
+                    if gen < coord.gens[w] {
+                        coord.accept_push(w, gen, coord.step, tagged(gen))?;
+                    }
+                    assert_eq!(coord.missing(), missing, "seed {seed}: a stale push landed");
+                }
+                Act::StaleFinish(w) => {
+                    let gen = peers[w].zombies.remove(0);
+                    finish(&mut coord, w, gen, 1, Some("eof"))?;
+                }
+            }
+
+            // The barrier closes the moment it is full, as `serve_run`
+            // closes it.
+            if training && coord.missing() == 0 {
+                let step = coord.step;
+                let pushes = coord.close_barrier();
+                assert_eq!(pushes.len(), workers);
+                for (w, (push, _)) in pushes.iter().enumerate() {
+                    assert_eq!(push.loss, coord.gens[w] as f32, "seed {seed} step {step}");
+                    peers[w].pushed = false;
+                }
+                // Handlers that died since their push are found out here.
+                let dead: Vec<usize> = (0..workers)
+                    .filter(|&w| matches!(peers[w].live, Some((_, None))) && coord.connected(w))
+                    .collect();
+                disconnects += dead.len() as u64;
+                events += dead.len();
+                let batch = Arc::new(PullBatch {
+                    step,
+                    frames: Vec::new(),
+                });
+                if let Err(e) = coord.broadcast(&batch) {
+                    assert!(!dead.is_empty() && rejoins >= budget, "seed {seed}: {e}");
+                    assert!(e.to_string().contains("left during step"), "{e}");
+                    return Err(e);
+                }
+                assert!(
+                    dead.is_empty() || rejoins < budget,
+                    "seed {seed}: no fail-stop"
+                );
+                assert_eq!(coord.step, step + 1);
+                for peer in &peers {
+                    if let Some((_, Some(pulls))) = &peer.live {
+                        let FromCoord::Pulls(got) = pulls.try_recv().expect("a pull batch");
+                        assert_eq!(got.step, step, "seed {seed}");
+                        assert!(pulls.try_recv().is_err(), "seed {seed}: two batches");
+                    }
+                }
+            }
+
+            // After every message: the ledger grew by exactly what the
+            // script did, the budget holds, and nothing can wait forever.
+            assert_eq!(
+                coord.faults.events.len(),
+                events,
+                "seed {seed} after {act:?}"
+            );
+            assert_eq!(coord.faults.disconnects, disconnects, "seed {seed}");
+            assert_eq!(coord.faults.rejoins, rejoins, "seed {seed}");
+            assert!(rejoins <= budget, "seed {seed}");
+            let everyone = (0..workers).all(|w| coord.connected(w));
+            assert!(
+                coord.deadline.is_some() || !everyone,
+                "seed {seed}: everyone connected, {} push(es) missing, no deadline",
+                coord.missing()
+            );
+            if coord.shut_down() {
+                assert_eq!(coord.step, steps);
+                assert_eq!(coord.history.len() as u64, steps.min(budget * steps));
+                return Ok(());
+            }
+        }
+        panic!("seed {seed}: the run neither finished nor aborted");
+    }
+
+    #[test]
+    fn seeded_interleavings_end_in_a_finished_run_or_an_error_naming_a_worker() {
+        let (mut finished, mut aborted, mut duplicates) = (0, 0, 0);
+        for seed in 0..240u64 {
+            let workers = 2 + (seed % 2) as usize;
+            let max_rejoins = [4, 0, 2, 8][(seed / 2 % 4) as usize];
+            match run_script(seed, workers, max_rejoins, 8 + seed % 3) {
+                Ok(()) => finished += 1,
+                Err(e) => {
+                    let text = e.to_string();
+                    assert!(text.contains("worker"), "seed {seed}: {text}");
+                    aborted += 1;
+                    duplicates += usize::from(text.contains("connected twice"));
+                }
+            }
+        }
+        // The scripts reach every ending.
+        assert!(
+            finished >= 50 && aborted >= 50 && duplicates >= 5,
+            "{finished} finished, {aborted} aborted, {duplicates} on a duplicate id"
+        );
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! BSP loop: compute → compress → push, pull → decode → apply. Every
 //! blocking socket operation is bounded by [`WorkerOptions::io_timeout`].
 //!
-//! The BSP loop runs inside a reconnect-and-resume outer loop: when an
-//! established connection dies mid-run (and the rejoin budget allows),
-//! the worker dials back, sends a `Rejoin` frame, and resynchronizes from
-//! the server's `RejoinAck` — rebuilding a fresh replica and replaying
-//! every completed step (recomputing gradients to advance its RNG and
-//! residual state, applying the server's replayed pull batches) so its
-//! state is bit-identical to an undisturbed worker's before it resumes
-//! live training (see `DESIGN.md` §11). A replacement process for a
-//! worker that died outright starts the same way via
-//! [`WorkerOptions::start_rejoined`].
+//! There is one way into a run. The `HelloAck`'s header names the step to
+//! resume at and is followed by that many replayed pull batches: the
+//! worker builds a fresh replica and re-runs every completed step
+//! (recomputing gradients to advance its RNG and residual state, applying
+//! the server's replayed pull batches), so its state is bit-identical to
+//! an undisturbed worker's before it trains live (see `DESIGN.md` §11).
+//! A first join is the case "step 0, nothing to replay". The BSP loop runs
+//! inside a reconnect-and-resume outer loop: when an established
+//! connection dies mid-run (and the rejoin budget allows), the worker
+//! dials back and joins again the same way — as does a replacement
+//! process for a worker that died outright. Only the server knows which
+//! of the three it is talking to.
 //!
 //! The [`crate::faults`] injector hooks into the loop at fixed points
 //! (before the push, while writing it, after flushing it), so chaos tests
@@ -26,8 +28,8 @@ use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::frame::{Frame, FrameError, MsgType, HEADER_LEN};
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
-    bytes_to_tensor, decode_policy_update, decode_rejoin_ack, decode_scrape, encode_hello,
-    encode_push_done, encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
+    bytes_to_tensor, decode_policy_update, decode_scrape, encode_hello, encode_push_done,
+    encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
 };
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -64,10 +66,6 @@ pub struct WorkerOptions {
     /// Deterministic fault to inject into the BSP loop (chaos testing);
     /// `None` for a normal run.
     pub fault: Option<FaultPlan>,
-    /// Open with a `Rejoin` handshake instead of `Hello`: this process
-    /// replaces a worker that died mid-run (e.g. after an injected kill),
-    /// and resynchronizes from the server's replay before training live.
-    pub start_rejoined: bool,
 }
 
 impl WorkerOptions {
@@ -84,7 +82,6 @@ impl WorkerOptions {
             initial_backoff: Duration::from_millis(100),
             max_rejoins: 4,
             fault: None,
-            start_rejoined: false,
         }
     }
 }
@@ -186,11 +183,10 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerOutcome, NetError> {
     // Counters of connections already lost, folded into the final total.
     let mut carried = ConnCounters::default();
     let mut rejoins_used: u32 = 0;
-    let mut rejoining = opts.start_rejoined;
     loop {
         let mut conn = Conn::new(ConnCounters::default(), NetMetrics::worker());
         let mut established = false;
-        match run_session(opts, rejoining, &mut injector, &mut conn, &mut established) {
+        match run_session(opts, &mut injector, &mut conn, &mut established) {
             Ok((config, model)) => {
                 let mut counters = carried;
                 counters.merge(&conn.counters);
@@ -219,19 +215,17 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerOutcome, NetError> {
                     attempt = rejoins_used,
                     cause = error.to_string()
                 );
-                rejoining = true;
             }
         }
     }
 }
 
-/// One connection's lifetime: handshake (or rejoin resync), the BSP loop,
-/// and the shutdown handshake. Returns the configuration and the final
-/// model on a clean run; `established` reports whether the handshake
+/// One connection's lifetime: the join handshake and its replay, the BSP
+/// loop, and the shutdown handshake. Returns the configuration and the
+/// final model on a clean run; `established` reports whether the handshake
 /// completed (the rejoin-eligibility line).
 fn run_session(
     opts: &WorkerOptions,
-    rejoining: bool,
     injector: &mut FaultInjector,
     conn: &mut Conn,
     established: &mut bool,
@@ -243,31 +237,22 @@ fn run_session(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
-    // ---- Hello / HelloAck (or Rejoin / RejoinAck): the server
-    // distributes the configuration either way, so a worker — or a
-    // replacement for a dead one — needs nothing but an address and an id.
+    // ---- Hello / HelloAck: the server distributes the configuration and
+    // the step to resume at, so a worker — or a replacement for a dead one
+    // — needs nothing but an address and an id.
     let hello_payload = encode_hello(opts.worker);
-    let (open_msg, ack_msg) = if rejoining {
-        (MsgType::Rejoin, MsgType::RejoinAck)
-    } else {
-        (MsgType::Hello, MsgType::HelloAck)
-    };
-    conn.write_frame(&mut writer, open_msg, 0, 0, &hello_payload)?;
+    conn.write_frame(&mut writer, MsgType::Hello, 0, 0, &hello_payload)?;
     conn.flush(&mut writer)?;
     let ack = conn.read_frame(&mut reader)?;
-    if ack.msg != ack_msg {
+    if ack.msg != MsgType::HelloAck {
         return Err(NetError::Protocol(format!(
-            "expected {ack_msg:?}, got {:?}",
+            "expected HelloAck, got {:?}",
             ack.msg
         )));
     }
-    let (resume_step, config_json) = if rejoining {
-        decode_rejoin_ack(&ack.payload)?
-    } else {
-        let json = std::str::from_utf8(&ack.payload)
-            .map_err(|_| NetError::Protocol("config payload is not UTF-8".into()))?;
-        (0, json)
-    };
+    let resume_step = ack.step;
+    let config_json = std::str::from_utf8(&ack.payload)
+        .map_err(|_| NetError::Protocol("config payload is not UTF-8".into()))?;
     let config: ExperimentConfig = serde_json::from_str(config_json)
         .map_err(|e| NetError::Protocol(format!("config does not parse: {e}")))?;
     if usize::from(opts.worker) >= config.workers {
@@ -321,8 +306,9 @@ fn run_session(
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
 
-    // ---- Replay: resynchronize a rejoined replica by re-running every
-    // completed step against the server's replayed pull batches. Compute
+    // ---- Replay: resynchronize the fresh replica by re-running every
+    // completed step against the server's replayed pull batches (none on
+    // a first join). Compute
     // and encode_push run for their *state* (RNG draws, residual
     // accumulation) — the payloads go nowhere. After the last replayed
     // step the replica is bit-identical to one that never disconnected.
@@ -337,7 +323,7 @@ fn run_session(
             replica.apply_policy(&decisions);
         }
     }
-    if rejoining {
+    if resume_step > 0 {
         threelc_obs::event!(
             Level::Info,
             "worker.resynced",
@@ -441,9 +427,9 @@ fn run_session(
                     kind = "kill",
                     step = step
                 );
-                // A real death, not an error path: the replacement process
-                // rejoins via --rejoin (ci.sh's chaos stage does exactly
-                // that, keying on this exit code).
+                // A real death, not an error path: a replacement process
+                // launched the same way resumes the run (chaos_e2e.rs does
+                // exactly that, keying on this exit code).
                 std::process::exit(KILL_EXIT_CODE);
             }
             Some(FaultAction::Disconnect) => {

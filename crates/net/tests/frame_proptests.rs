@@ -10,11 +10,12 @@ use threelc_net::{NetError, ScrapeKind};
 use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
 
 /// Every type byte the protocol defines.
-const MSG_BYTES: [u8; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17];
+const MSG_BYTES: [u8; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 17];
 
 /// Type bytes of the per-view scrape frames `Scrape`/`ScrapeReply`
-/// replaced; unknown types now.
-const RETIRED_MSG_BYTES: [u8; 4] = [13, 14, 18, 19];
+/// replaced and of the rejoin pair `Hello`/`HelloAck` absorbed; unknown
+/// types now.
+const RETIRED_MSG_BYTES: [u8; 6] = [13, 14, 15, 16, 18, 19];
 
 fn arb_msg() -> impl Strategy<Value = MsgType> {
     (0..MSG_BYTES.len()).prop_map(|i| MsgType::from_u8(MSG_BYTES[i]).expect("defined type"))

@@ -526,23 +526,103 @@ fn worker_retry_budget_is_bounded() {
 
 #[test]
 fn server_rejects_a_garbage_hello() {
+    // A server still waiting for its workers meets four stray connections,
+    // none of which may cost it the run: garbage where a frame should be,
+    // a probe that connects and closes, a scrape naming no view, and a
+    // `Hello` for a worker id the cluster does not have. The server closes
+    // each one and counts it; the workers that join afterwards train to the
+    // simulator's exact model.
     let config = ExperimentConfig {
-        workers: 1,
-        ..loopback_config(SchemeKind::Float32)
+        total_steps: 4,
+        eval_every: 0,
+        ..loopback_config(SchemeKind::three_lc(1.0))
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let opts = ServeOptions {
-        io_timeout: Duration::from_secs(2),
-        step_timeout: Duration::from_secs(2),
-        ..ServeOptions::default()
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let refused = threelc_obs::global().counter("net.server.refused");
+    let refused_before = refused.get();
+    let server = thread::spawn(move || serve(&listener, &config, &ServeOptions::default()));
+
+    let stray = |bytes: &[u8]| {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(bytes).expect("write");
+        // Closed by the server: end of stream, or a reset if it closed with
+        // our bytes unread — never an answer, never a read that times out.
+        match stream.read(&mut [0u8; 64]) {
+            Ok(n) => assert_eq!(n, 0, "the server answered a stray connection"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the server left a stray connection open: {e}"
+            ),
+        }
     };
-    let server = thread::spawn(move || serve(&listener, &config, &opts));
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    use std::io::Write as _;
-    stream.write_all(&[0xAB; 64]).expect("write garbage");
-    let result = server.join().expect("server thread");
-    assert!(result.is_err(), "garbage magic must abort the handshake");
+    stray(&[0xAB; 64]);
+    drop(TcpStream::connect(&addr).expect("probe"));
+    let frame = |msg, payload: &[u8]| threelc_net::frame::Frame::new(msg, 0, 0, payload.to_vec());
+    stray(&frame(MsgType::Scrape, &[0xFF]).encode());
+    stray(&frame(MsgType::Hello, &encode_hello(2)).encode());
+
+    let clients: Vec<_> = (0..config.workers as u16)
+        .map(|w| {
+            let addr = addr.clone();
+            thread::spawn(move || run_worker(&WorkerOptions::new(addr, w)))
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread").expect("worker run");
+    }
+    let report = server.join().expect("server thread").expect("serve run");
+
+    let mut cluster = Cluster::new(config);
+    for _ in 0..config.total_steps {
+        cluster.step();
+    }
+    assert_eq!(
+        report.final_model_crc32,
+        threelc_net::model_crc32(cluster.global_model()),
+        "the run after the stray connections diverged from the simulator"
+    );
+    assert_eq!(report.faults, threelc_net::FaultsReport::default());
+    // One counter, whatever the reason (other tests in this process may
+    // have bumped it too).
+    assert!(
+        refused.get() >= refused_before + 4,
+        "net.server.refused went {refused_before} -> {}",
+        refused.get()
+    );
+}
+
+#[test]
+fn a_duplicate_worker_id_at_launch_aborts_the_run_naming_it() {
+    // Two processes launched with one id while the server is still waiting
+    // for its first full set of workers: an operator error, not a fault to
+    // recover from.
+    let config = loopback_config(SchemeKind::Float32);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let server = thread::spawn(move || serve(&listener, &config, &ServeOptions::default()));
+
+    let first = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut &first, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+    let ack = read_frame(&mut &first).expect("hello ack");
+    assert_eq!((ack.msg, ack.step), (MsgType::HelloAck, 0));
+    let second = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut &second, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+
+    let err = server
+        .join()
+        .expect("server thread")
+        .expect_err("a duplicate id must abort the run");
+    assert!(
+        err.to_string().contains("worker id 0 connected twice"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,7 +1,9 @@
-//! Shutdown-handshake edge cases, driven by a hand-rolled server against
-//! the real `run_worker`: the worker must answer any number of trace
-//! scrapes (with an empty buffer when tracing is off), and answer an
-//! unexpected message with a protocol error — never a hang.
+//! Handshake edge cases at both ends of a run, driven by a hand-rolled
+//! server against the real `run_worker`. Shutdown: the worker must answer
+//! any number of trace scrapes (with an empty buffer when tracing is off),
+//! and answer an unexpected message with a protocol error — never a hang.
+//! Join: the `HelloAck`'s resume step and the replay behind it are checked
+//! before the worker trusts either.
 
 use std::net::{TcpListener, TcpStream};
 use std::thread;
@@ -32,9 +34,18 @@ fn shutdown_only_config() -> ExperimentConfig {
     }
 }
 
-/// Accepts one worker and completes the Hello/HelloAck handshake,
-/// returning the connected stream.
+/// Accepts one worker and completes the Hello/HelloAck handshake of a
+/// first join, returning the connected stream.
 fn accept_worker(listener: &TcpListener, config: &ExperimentConfig) -> TcpStream {
+    accept_worker_at(listener, config, 0)
+}
+
+/// As [`accept_worker`], granting `resume_step` in the ack's header.
+fn accept_worker_at(
+    listener: &TcpListener,
+    config: &ExperimentConfig,
+    resume_step: u64,
+) -> TcpStream {
     let (stream, _) = listener.accept().expect("accept worker");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -45,7 +56,14 @@ fn accept_worker(listener: &TcpListener, config: &ExperimentConfig) -> TcpStream
     let hello = read_frame(&mut &stream).expect("hello frame");
     assert_eq!(hello.msg, MsgType::Hello);
     let json = serde_json::to_string(config).expect("config json");
-    write_frame(&mut &stream, MsgType::HelloAck, 0, 0, json.as_bytes()).expect("hello ack");
+    write_frame(
+        &mut &stream,
+        MsgType::HelloAck,
+        0,
+        resume_step,
+        json.as_bytes(),
+    )
+    .expect("hello ack");
     stream
 }
 
@@ -147,4 +165,32 @@ fn tracing_enabled_worker_drains_real_spans_once() {
         .expect("worker thread")
         .expect("zero-step run completes");
     threelc_obs::set_trace_enabled(false);
+}
+
+#[test]
+fn a_resume_step_or_replay_that_does_not_fit_the_run_is_a_protocol_error() {
+    let protocol_error = |config: ExperimentConfig, resume_step: u64, replay_step: Option<u64>| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let worker = spawn_worker(addr);
+        let stream = accept_worker_at(&listener, &config, resume_step);
+        if let Some(step) = replay_step {
+            write_frame(&mut &stream, MsgType::PullDone, 0, step, &[]).expect("replay frame");
+        }
+        match worker.join().expect("worker thread") {
+            Err(NetError::Protocol(msg)) => msg,
+            Err(other) => panic!("expected a protocol error, got: {other}"),
+            Ok(_) => panic!("the worker trusted a resume step of {resume_step}"),
+        }
+    };
+    // The ack's header grants a step the run does not have.
+    let msg = protocol_error(shutdown_only_config(), 1, None);
+    assert!(msg.contains("resume step 1 beyond the 0-step run"), "{msg}");
+    // The grant fits, but the replay behind it is not step 0's batch.
+    let two_steps = ExperimentConfig {
+        total_steps: 2,
+        ..shutdown_only_config()
+    };
+    let msg = protocol_error(two_steps, 1, Some(1));
+    assert!(msg.contains("server sent step 1 during step 0"), "{msg}");
 }
