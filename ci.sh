@@ -244,49 +244,15 @@ fi
 grep -q straggler "$smokedir/straggle.txt"
 echo "    straggler detected; --check exits nonzero"
 
-echo "==> analyze smoke (clean run: attribution conserved, no bottleneck)"
-"$threelc" analyze "$smokedir/report.json" --check >"$smokedir/analyze.txt"
-grep -q "attribution conserved" "$smokedir/analyze.txt"
-grep -q "critical path over" "$smokedir/analyze.txt"
-"$threelc" metrics --from "$smokedir/report.json" --prom \
-    >"$smokedir/analyze.prom"
-grep -q '^critical_conservation_error ' "$smokedir/analyze.prom"
-echo "    clean attribution conserved; blame gauges exported as OpenMetrics"
-
-echo "==> analyze gate (injected delay must be blamed on the right worker)"
-# Worker 1 sleeps 250 ms before its step-2 push. The analyzer must pin
-# the slowdown on worker1's network phase — the causal ground truth —
-# and the same report must then fail --check (the inverted gate).
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-THREELC_TRACE=1 "$threelc" serve --addr "$addr" --workers 2 --steps 5 \
-    --width 16 --blocks 1 --batch 8 --scheme 3lc --sparsity 1.5 \
-    --json "$smokedir/delayed.json" >"$smokedir/delayed.log" &
-serve_pid=$!
-THREELC_TRACE=1 "$threelc" worker --addr "$addr" --id 0 \
-    >"$smokedir/delayed.w0.log" &
-w0=$!
-THREELC_TRACE=1 "$threelc" worker --addr "$addr" --id 1 \
-    --inject-fault delay@2:250 >"$smokedir/delayed.w1.log" &
-w1=$!
-wait "$w0"
-wait "$w1"
-wait "$serve_pid"
-"$threelc" analyze "$smokedir/delayed.json" --expect-blame worker1:network \
-    >"$smokedir/delayed-analyze.txt"
-grep -q "blame check passed" "$smokedir/delayed-analyze.txt"
-grep -q "bottleneck \[worker1/network\]" "$smokedir/delayed-analyze.txt"
-if "$threelc" analyze "$smokedir/delayed.json" --check >/dev/null 2>&1; then
-    echo "analyze --check passed despite an injected 250 ms delay" >&2
-    exit 1
-fi
-echo "    delay@2:250 blamed on worker1/network; --check exits nonzero"
-
 # (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's
 # crc, and the same fault aborting under --max-rejoins 0, are
 # crates/cli/tests/chaos_e2e.rs under `cargo test`. No aggregation-mode
 # matrix either: there is one aggregation path, and its serve == simulate
-# crc is asserted there and by loopback_run_matches_simulator_bit_for_bit.)
+# crc is asserted there and by loopback_run_matches_simulator_bit_for_bit.
+# No analyze or flight stanzas: conserved attribution on a clean run, a
+# delay@2:250 blamed on worker1/network and failing `analyze --check`, and
+# an aborted run's flight dump rendering and failing `trace --check`, are
+# crates/cli/tests/analyze_e2e.rs and flight_abort.rs.)
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke
@@ -402,47 +368,6 @@ wait "$serve_pid"
 wait "$watch_pid"
 grep -q "server went away" "$obsdir/watch.txt"
 echo "    top rendered every worker row; --watch followed the run to the end"
-
-echo "==> flight gate (aborted run must leave a post-mortem dump)"
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${policy_flags[@]}" --sparsity 1.5 \
-    --max-rejoins 0 --json "$obsdir/aborted.json" >"$obsdir/aborted-serve.log" 2>&1 &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
-    >"$obsdir/aborted-w0.log" 2>&1 &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$obsdir/aborted-w1.log" 2>&1 &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" != 43 ]; then
-    echo "kill@2 worker exited $rc, expected the kill exit code 43" >&2
-    exit 1
-fi
-rc=0
-wait "$w1" || rc=$?
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" = 0 ]; then
-    echo "fail-stop server completed despite its worker being killed" >&2
-    exit 1
-fi
-flight="$obsdir/aborted.flight.json"
-if [ ! -f "$flight" ]; then
-    echo "aborted run left no flight dump at $flight" >&2
-    exit 1
-fi
-grep -qF '"trigger":"abort"' "$flight"
-grep -qF '"anomalies":[{' "$flight" # non-empty anomaly list
-"$threelc" trace "$flight" >"$obsdir/flight.txt"
-grep -q "trigger=abort" "$obsdir/flight.txt"
-grep -q "fault-disconnect" "$obsdir/flight.txt"
-if "$threelc" trace "$flight" --check >/dev/null 2>&1; then
-    echo "trace --check passed on a flight dump full of anomalies" >&2
-    exit 1
-fi
-echo "    kill@2 left $flight; trace renders it and --check fails on it"
 
 echo "==> working tree must stay clean"
 status_after="$(git status --porcelain)"

@@ -1,7 +1,8 @@
 //! End-to-end causal-attribution test against the real `threelc` binary:
 //! a traced loopback serve/worker run with an injected 250 ms delay on
 //! worker 1, then `threelc analyze` must blame worker 1's network phase
-//! — the same ground-truth gate ci.sh runs, exercised hermetically here.
+//! — the ground-truth gate, exercised hermetically (ci.sh runs it only
+//! through `cargo test`).
 
 use std::process::Command;
 
@@ -232,4 +233,39 @@ fn clean_run_attribution_is_conserved() {
             st.wall_seconds
         );
     }
+
+    // The text path renders the same analysis, and `--check` gates on the
+    // same invariant: whatever it says about bottlenecks (see above), it
+    // must not report a broken conservation, and a pass says so.
+    let text = threelc()
+        .args(["analyze", report.to_str().unwrap()])
+        .output()
+        .expect("run analyze");
+    assert!(text.status.success());
+    let text = String::from_utf8_lossy(&text.stdout);
+    assert!(text.contains("critical path over"), "got: {text}");
+    let check = threelc()
+        .args(["analyze", report.to_str().unwrap(), "--check"])
+        .output()
+        .expect("run analyze --check");
+    let stdout = String::from_utf8_lossy(&check.stdout);
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert!(!stderr.contains("attribution not conserved"), "{stderr}");
+    assert!(
+        !check.status.success() || stdout.contains("attribution conserved"),
+        "got: {stdout}"
+    );
+
+    // A clean report exports the conservation gauge as OpenMetrics too.
+    let prom = threelc()
+        .args(["metrics", "--from", report.to_str().unwrap(), "--prom"])
+        .output()
+        .expect("run metrics --prom");
+    assert!(prom.status.success());
+    let prom = String::from_utf8_lossy(&prom.stdout);
+    assert!(
+        prom.lines()
+            .any(|l| l.starts_with("critical_conservation_error ")),
+        "got: {prom}"
+    );
 }

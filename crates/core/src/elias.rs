@@ -43,7 +43,8 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
+    #[cfg(test)]
+    fn bit_len(&self) -> usize {
         self.bytes.len() * 8
             - if self.used == 0 {
                 0
@@ -99,11 +100,6 @@ impl<'a> BitReader<'a> {
             v = (v << 1) | self.read_bit()?;
         }
         Ok(v)
-    }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
     }
 }
 

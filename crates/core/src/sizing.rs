@@ -27,12 +27,6 @@ pub fn quartic_len(values: usize) -> usize {
     values.div_ceil(quartic::VALUES_PER_BYTE)
 }
 
-/// Largest possible 3LC payload for `values` values: header plus the full
-/// quartic stream (zero-run encoding never expands).
-pub fn max_payload_len(values: usize) -> usize {
-    WIRE_HEADER_LEN + quartic_len(values)
-}
-
 /// Smallest possible 3LC payload for `values` values: header plus the
 /// quartic stream with every zero run maximally collapsed.
 pub fn min_payload_len(values: usize) -> usize {
@@ -56,6 +50,12 @@ mod tests {
     use crate::tlq::SparsityMultiplier;
     use crate::{Compressor, ThreeLcCompressor, ThreeLcOptions};
     use threelc_tensor::{Shape, Tensor};
+
+    /// Largest possible 3LC payload for `values` values: header plus the
+    /// full quartic stream (zero-run encoding never expands).
+    fn max_payload_len(values: usize) -> usize {
+        WIRE_HEADER_LEN + quartic_len(values)
+    }
 
     #[test]
     fn bounds_bracket_real_payloads() {

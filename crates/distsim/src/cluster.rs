@@ -97,11 +97,6 @@ impl Cluster {
         self.workers[w].model()
     }
 
-    /// Steps executed so far.
-    pub fn steps_done(&self) -> u64 {
-        self.server.step_number()
-    }
-
     /// Cumulative gradient-push traffic statistics.
     pub fn push_stats(&self) -> &CompressionStats {
         self.server.push_stats()
@@ -140,14 +135,6 @@ impl Cluster {
     /// dedicated evaluation node reading a model snapshot).
     pub fn evaluate(&self) -> Evaluation {
         Evaluation::of(self.server.global(), &self.test)
-    }
-
-    /// Evaluates the global model on a training-data sample (used for the
-    /// training-loss curves of Figure 7).
-    pub fn training_loss_sample(&self, batch_size: usize) -> f32 {
-        let mut rng = threelc_tensor::rng(self.config.seed ^ 0x5A5A ^ self.server.step_number());
-        let batch = self.data.sample_train_batch(&mut rng, batch_size);
-        self.server.global().loss(&batch)
     }
 
     /// Executes one bulk-synchronous training step and returns its record.
@@ -581,7 +568,7 @@ mod tests {
     #[test]
     fn accessors_and_stats_track_progress() {
         let mut cluster = Cluster::new(tiny_config(SchemeKind::three_lc(1.0)));
-        assert_eq!(cluster.steps_done(), 0);
+        assert_eq!(cluster.server.step_number(), 0);
         assert!(cluster.push_stats().payloads == 0);
         let eval0 = cluster.evaluate();
         assert!(eval0.loss.is_finite());
@@ -589,14 +576,12 @@ mod tests {
         for _ in 0..3 {
             cluster.step();
         }
-        assert_eq!(cluster.steps_done(), 3);
+        assert_eq!(cluster.server.step_number(), 3);
         // 3 workers × compressible tensors × 3 steps payloads on push;
         // pull compresses once per tensor per step.
         assert!(cluster.push_stats().payloads > 0);
         assert!(cluster.pull_stats().payloads > 0);
         assert!(cluster.push_stats().compression_ratio() > 5.0);
-        let sampled = cluster.training_loss_sample(16);
-        assert!(sampled.is_finite());
         assert!(cluster.num_params() > cluster.compressible_values());
         assert_eq!(cluster.config().workers, 3);
     }

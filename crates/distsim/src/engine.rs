@@ -990,12 +990,6 @@ impl ServerCore {
         })
     }
 
-    /// Whether an adaptive policy is active (decisions must then be
-    /// forwarded to workers after every step).
-    pub fn policy_active(&self) -> bool {
-        self.policy.is_some()
-    }
-
     /// Decode + aggregate: every tensor's accepted pushes, in worker-id
     /// order within the tensor ([`aggregate_tensor`]), into `update`,
     /// over one tensor range per shard ([`run_shards`]). The model,

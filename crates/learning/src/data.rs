@@ -159,11 +159,6 @@ impl SyntheticImages {
         self.config.spec
     }
 
-    /// Number of training examples.
-    pub fn train_len(&self) -> usize {
-        self.train_images.len()
-    }
-
     /// Number of test examples.
     pub fn test_len(&self) -> usize {
         self.test_images.len()
@@ -252,7 +247,7 @@ mod tests {
     fn standard_dataset_shapes() {
         let d = SyntheticImages::standard(1);
         assert_eq!(d.spec().feature_dim(), 192);
-        assert_eq!(d.train_len(), 4096);
+        assert_eq!(d.train_images.len(), 4096);
         assert_eq!(d.test_len(), 1024);
         let t = d.test_batch();
         assert_eq!(t.inputs.shape().dims(), &[1024, 192]);

@@ -1,7 +1,7 @@
 //! Batch normalization (Ioffe & Szegedy), the paper's canonical
 //! "small layer" excluded from compression (§5.1).
 
-use super::{Layer, LayerBackward, LayerCache};
+use super::{Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
@@ -91,7 +91,16 @@ impl Layer for BatchNormLayer {
         )
     }
 
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
+    fn backward(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+        need_input: bool,
+    ) -> Option<Tensor> {
+        let [grad_gamma, grad_beta] = param_grads else {
+            panic!("a batch-norm layer has two parameters");
+        };
         let x_hat = &cache.tensors[0];
         let inv_std = cache.tensors[1].as_slice();
         let (b, f) = (grad_output.shape().dim(0), grad_output.shape().dim(1));
@@ -99,14 +108,24 @@ impl Layer for BatchNormLayer {
         let xh = x_hat.as_slice();
         let gamma = self.gamma.as_slice();
 
-        // Per-feature reductions: Σ dy and Σ dy·x̂.
-        let mut sum_dy = vec![0.0f32; f];
-        let mut sum_dy_xhat = vec![0.0f32; f];
+        // Per-feature reductions: dγ = Σ dy·x̂ and dβ = Σ dy.
+        assert_eq!(
+            (grad_gamma.len(), grad_beta.len()),
+            (f, f),
+            "the slots have γ's and β's shape"
+        );
+        let sum_dy_xhat = grad_gamma.as_mut_slice();
+        let sum_dy = grad_beta.as_mut_slice();
+        sum_dy_xhat.fill(0.0);
+        sum_dy.fill(0.0);
         for r in 0..b {
             for j in 0..f {
                 sum_dy[j] += dy[r * f + j];
                 sum_dy_xhat[j] += dy[r * f + j] * xh[r * f + j];
             }
+        }
+        if !need_input {
+            return None;
         }
 
         // dx = γ/σ · (dy − mean(dy) − x̂ · mean(dy·x̂))
@@ -119,13 +138,7 @@ impl Layer for BatchNormLayer {
                 dx[r * f + j] = gamma[j] * inv_std[j] * term;
             }
         }
-        LayerBackward {
-            grad_input: Tensor::from_vec(dx, grad_output.shape().clone()),
-            param_grads: vec![
-                Tensor::from_vec(sum_dy_xhat, [1, f]),
-                Tensor::from_vec(sum_dy, [1, f]),
-            ],
-        }
+        Some(Tensor::from_vec(dx, grad_output.shape().clone()))
     }
 
     fn params(&self) -> Vec<&Tensor> {

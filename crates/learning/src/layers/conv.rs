@@ -1,6 +1,6 @@
 //! 2-D convolution over flattened `[batch, C·H·W]` activations.
 
-use super::{Layer, LayerBackward, LayerCache};
+use super::{Layer, LayerCache};
 use threelc_tensor::{Initializer, Rng, Tensor};
 
 /// A same-padded 3×3-style 2-D convolution with stride 1.
@@ -123,51 +123,6 @@ impl Conv2dLayer {
         out
     }
 
-    /// The parameter gradients and, if `input_gradient`, the gradient with
-    /// respect to the layer's input (a GEMM and a col2im per example that
-    /// the bottom layer of a network has no use for).
-    fn gradients(
-        &self,
-        cache: &LayerCache,
-        grad_output: &Tensor,
-        input_gradient: bool,
-    ) -> (Option<Tensor>, Vec<Tensor>) {
-        let batch = grad_output.shape().dim(0);
-        let (h, w, o) = (self.height, self.width, self.out_channels);
-        let row_len = self.in_channels * self.kernel * self.kernel;
-        let mut grad_weight = Tensor::zeros(self.weight.shape().clone());
-        let mut grad_bias = vec![0.0f32; o];
-        let mut grad_input = input_gradient.then(|| vec![0.0f32; batch * self.in_dim()]);
-        for b in 0..batch {
-            let col = &cache.tensors[b];
-            let go = &grad_output.as_slice()[b * self.out_dim_len()..(b + 1) * self.out_dim_len()];
-            // Reassemble dY as [H·W, O].
-            let mut dy = vec![0.0f32; h * w * o];
-            for pix in 0..h * w {
-                for oc in 0..o {
-                    let g = go[oc * h * w + pix];
-                    dy[pix * o + oc] = g;
-                    grad_bias[oc] += g;
-                }
-            }
-            let dy = Tensor::from_vec(dy, [h * w, o]);
-            // dW += colᵀ · dY
-            let dw = col.matmul_tn(&dy).expect("dims match");
-            grad_weight.add_assign(&dw).expect("same shape");
-            if let Some(grad_input) = &mut grad_input {
-                // dcol = dY · Wᵀ, then scatter back.
-                let dcol = dy.matmul_nt(&self.weight).expect("dims match");
-                debug_assert_eq!(dcol.shape().dims(), &[h * w, row_len]);
-                let dx = self.col2im(&dcol);
-                grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
-            }
-        }
-        (
-            grad_input.map(|g| Tensor::from_vec(g, [batch, self.in_dim()])),
-            vec![grad_weight, Tensor::from_vec(grad_bias, [1, o])],
-        )
-    }
-
     fn in_dim(&self) -> usize {
         self.in_channels * self.height * self.width
     }
@@ -214,16 +169,52 @@ impl Layer for Conv2dLayer {
         )
     }
 
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let (grad_input, param_grads) = self.gradients(cache, grad_output, true);
-        LayerBackward {
-            grad_input: grad_input.expect("input gradient was requested"),
-            param_grads,
+    fn backward(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+        need_input: bool,
+    ) -> Option<Tensor> {
+        let [grad_weight, grad_bias] = param_grads else {
+            panic!("a conv2d layer has two parameters");
+        };
+        let batch = grad_output.shape().dim(0);
+        let (h, w, o) = (self.height, self.width, self.out_channels);
+        let row_len = self.in_channels * self.kernel * self.kernel;
+        grad_weight.as_mut_slice().fill(0.0);
+        assert_eq!(grad_bias.len(), o, "the slot has the bias's shape");
+        let grad_bias = grad_bias.as_mut_slice();
+        grad_bias.fill(0.0);
+        // The input gradient costs a GEMM and a col2im per example.
+        let mut grad_input = need_input.then(|| vec![0.0f32; batch * self.in_dim()]);
+        for b in 0..batch {
+            let col = &cache.tensors[b];
+            let go = &grad_output.as_slice()[b * self.out_dim_len()..(b + 1) * self.out_dim_len()];
+            // Reassemble dY as [H·W, O].
+            let mut dy = vec![0.0f32; h * w * o];
+            for pix in 0..h * w {
+                for oc in 0..o {
+                    let g = go[oc * h * w + pix];
+                    dy[pix * o + oc] = g;
+                    grad_bias[oc] += g;
+                }
+            }
+            let dy = Tensor::from_vec(dy, [h * w, o]);
+            // dW += colᵀ · dY
+            let dw = col.matmul_tn(&dy).expect("dims match");
+            grad_weight
+                .add_assign(&dw)
+                .expect("the slot has the weight's shape");
+            if let Some(grad_input) = &mut grad_input {
+                // dcol = dY · Wᵀ, then scatter back.
+                let dcol = dy.matmul_nt(&self.weight).expect("dims match");
+                debug_assert_eq!(dcol.shape().dims(), &[h * w, row_len]);
+                let dx = self.col2im(&dcol);
+                grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
+            }
         }
-    }
-
-    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
-        self.gradients(cache, grad_output, false).1
+        grad_input.map(|g| Tensor::from_vec(g, [batch, self.in_dim()]))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -287,7 +278,16 @@ impl Layer for GlobalAvgPoolLayer {
         (Tensor::from_vec(out, [batch, c]), LayerCache::empty())
     }
 
-    fn backward(&self, _cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
+    fn backward(
+        &self,
+        _cache: &LayerCache,
+        grad_output: &Tensor,
+        _param_grads: &mut [Tensor],
+        need_input: bool,
+    ) -> Option<Tensor> {
+        if !need_input {
+            return None;
+        }
         let batch = grad_output.shape().dim(0);
         let (c, s) = (self.channels, self.spatial);
         let dy = grad_output.as_slice();
@@ -301,10 +301,7 @@ impl Layer for GlobalAvgPoolLayer {
                 }
             }
         }
-        LayerBackward {
-            grad_input: Tensor::from_vec(dx, [batch, c * s]),
-            param_grads: Vec::new(),
-        }
+        Some(Tensor::from_vec(dx, [batch, c * s]))
     }
 
     fn params(&self) -> Vec<&Tensor> {

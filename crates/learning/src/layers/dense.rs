@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layers.
 
-use super::{Layer, LayerBackward, LayerCache};
+use super::{Layer, LayerCache};
 use threelc_tensor::{Initializer, Rng, Tensor};
 
 /// A fully-connected layer: `y = x · W + b`.
@@ -55,14 +55,6 @@ impl DenseLayer {
     pub fn out_dim(&self) -> usize {
         self.weight.shape().dim(1)
     }
-
-    /// Fresh gradient tensors for the entry points that return them.
-    fn zero_grads(&self) -> Vec<Tensor> {
-        vec![
-            Tensor::zeros(self.weight.shape().clone()),
-            Tensor::zeros(self.bias.shape().clone()),
-        ]
-    }
 }
 
 impl Layer for DenseLayer {
@@ -89,40 +81,13 @@ impl Layer for DenseLayer {
         )
     }
 
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let mut param_grads = self.zero_grads();
-        let grad_input = self.backward_into(cache, grad_output, &mut param_grads);
-        LayerBackward {
-            grad_input,
-            param_grads,
-        }
-    }
-
-    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
-        let mut grads = self.zero_grads();
-        self.backward_params_into(cache, grad_output, &mut grads);
-        grads
-    }
-
-    fn backward_into(
+    fn backward(
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
         param_grads: &mut [Tensor],
-    ) -> Tensor {
-        self.backward_params_into(cache, grad_output, param_grads);
-        // dX = dY · Wᵀ
-        grad_output
-            .matmul_nt(&self.weight)
-            .expect("grad dims match")
-    }
-
-    fn backward_params_into(
-        &self,
-        cache: &LayerCache,
-        grad_output: &Tensor,
-        param_grads: &mut [Tensor],
-    ) {
+        need_input: bool,
+    ) -> Option<Tensor> {
         let [grad_weight, grad_bias] = param_grads else {
             panic!("a dense layer has two parameters");
         };
@@ -141,6 +106,12 @@ impl Layer for DenseLayer {
                 grad_bias[c] += g[r * out_dim + c];
             }
         }
+        // dX = dY · Wᵀ
+        need_input.then(|| {
+            grad_output
+                .matmul_nt(&self.weight)
+                .expect("grad dims match")
+        })
     }
 
     fn params(&self) -> Vec<&Tensor> {

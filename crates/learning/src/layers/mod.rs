@@ -2,8 +2,9 @@
 //!
 //! Every layer implements [`Layer`]: a pure `forward` that returns the
 //! output plus a [`LayerCache`] of whatever intermediate tensors `backward`
-//! needs, and a `backward` that consumes the cache and the upstream
-//! gradient to produce the input gradient and per-parameter gradients.
+//! needs, and one `backward` that takes the cache and the upstream
+//! gradient, writes the per-parameter gradients into tensors the caller
+//! keeps and returns the input gradient if it is asked for.
 //! Keeping the cache explicit (instead of hiding state in the layer) makes
 //! layers `&self` during the forward/backward pair, which is what lets the
 //! cluster simulator run several logical workers over clones of one
@@ -13,14 +14,12 @@ mod batchnorm;
 mod conv;
 mod dense;
 mod relu;
-mod residual;
 mod residual_any;
 
 pub use batchnorm::BatchNormLayer;
 pub use conv::{Conv2dLayer, GlobalAvgPoolLayer};
 pub use dense::DenseLayer;
 pub use relu::ReluLayer;
-pub use residual::ResidualBlock;
 pub use residual_any::Residual;
 
 use threelc_tensor::Tensor;
@@ -34,7 +33,7 @@ pub struct LayerCache {
     /// Saved tensors, in layer-defined order.
     pub tensors: Vec<Tensor>,
     /// Caches of nested layers (used by composite layers like
-    /// [`ResidualBlock`]).
+    /// [`Residual`]).
     pub children: Vec<LayerCache>,
 }
 
@@ -43,16 +42,6 @@ impl LayerCache {
     pub fn empty() -> Self {
         LayerCache::default()
     }
-}
-
-/// Result of a layer's backward pass.
-#[derive(Debug, Clone)]
-pub struct LayerBackward {
-    /// Gradient of the loss with respect to the layer's input.
-    pub grad_input: Tensor,
-    /// Gradients for each parameter, in the same order as
-    /// [`Layer::params`].
-    pub param_grads: Vec<Tensor>,
 }
 
 /// A differentiable network layer.
@@ -65,57 +54,27 @@ pub trait Layer: Send {
     /// Computes the layer output and the cache `backward` will need.
     fn forward(&self, input: &Tensor) -> (Tensor, LayerCache);
 
-    /// Computes input and parameter gradients from the upstream gradient.
+    /// Writes the gradient of every parameter into `param_grads` — one
+    /// tensor per parameter, in [`params`](Layer::params) order and of the
+    /// parameter's shape, whatever it held before — so a training loop
+    /// hands the same tensors in every step. Returns the gradient with
+    /// respect to the layer's input if `need_input`, and `None` otherwise:
+    /// nobody reads the input gradient of a network's bottom layer, and
+    /// where it costs a GEMM it is skipped. The parameter gradients are
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
-    /// May panic if `cache` was not produced by this layer's `forward` on a
-    /// compatible input.
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward;
-
-    /// The `param_grads` of [`backward`](Layer::backward) alone, for the
-    /// bottom layer of a network, whose input gradient nobody reads. Layers
-    /// whose input gradient costs a GEMM override this to skip it; the
-    /// parameter gradients are bit-identical either way.
-    fn backward_params(&self, cache: &LayerCache, grad_output: &Tensor) -> Vec<Tensor> {
-        self.backward(cache, grad_output).param_grads
-    }
-
-    /// [`backward`](Layer::backward) with the parameter gradients written
-    /// into `param_grads` — one tensor per parameter, of the parameter's
-    /// shape, whatever it held before — and the input gradient returned. A
-    /// training loop hands the same tensors in every step. The default
-    /// moves `backward`'s fresh tensors into the slots; layers whose
-    /// parameter gradients are as large as the model overwrite the slots in
-    /// place instead. The values are bit-identical either way.
-    fn backward_into(
+    /// Panics if `param_grads` is not one tensor of the right shape per
+    /// parameter, and may panic if `cache` was not produced by this
+    /// layer's `forward` on a compatible input.
+    fn backward(
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
         param_grads: &mut [Tensor],
-    ) -> Tensor {
-        let back = self.backward(cache, grad_output);
-        for (slot, grad) in param_grads.iter_mut().zip(back.param_grads) {
-            *slot = grad;
-        }
-        back.grad_input
-    }
-
-    /// [`backward_params`](Layer::backward_params) into `param_grads`, as
-    /// [`backward_into`](Layer::backward_into) is to `backward`.
-    fn backward_params_into(
-        &self,
-        cache: &LayerCache,
-        grad_output: &Tensor,
-        param_grads: &mut [Tensor],
-    ) {
-        for (slot, grad) in param_grads
-            .iter_mut()
-            .zip(self.backward_params(cache, grad_output))
-        {
-            *slot = grad;
-        }
-    }
+        need_input: bool,
+    ) -> Option<Tensor>;
 
     /// Immutable views of the layer's parameter tensors.
     fn params(&self) -> Vec<&Tensor>;
@@ -136,19 +95,42 @@ pub trait Layer: Send {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
-/// Splits `param_grads` — one slot per parameter of `layers`, in order —
-/// into each layer's own slots, for [`Layer::backward_into`].
-pub(crate) fn split_slots<'a, 'l>(
-    layers: impl IntoIterator<Item = &'l dyn Layer>,
-    mut param_grads: &'a mut [Tensor],
-) -> Vec<&'a mut [Tensor]> {
-    let mut slots = Vec::new();
+/// Runs `input` up a stack of layers, keeping each layer's cache.
+pub(crate) fn forward_stack(
+    layers: &[Box<dyn Layer>],
+    input: &Tensor,
+) -> (Tensor, Vec<LayerCache>) {
+    let mut caches = Vec::with_capacity(layers.len());
+    let mut h = None;
     for layer in layers {
-        let (mine, rest) = param_grads.split_at_mut(layer.params().len());
-        slots.push(mine);
-        param_grads = rest;
+        let (out, cache) = layer.forward(h.as_ref().unwrap_or(input));
+        caches.push(cache);
+        h = Some(out);
     }
-    slots
+    (h.unwrap_or_else(|| input.clone()), caches)
+}
+
+/// [`Layer::backward`] down a stack of layers: `param_grads` holds one slot
+/// per parameter of `layers`, in order, and every layer but the bottom one
+/// is asked for its input gradient whether or not the caller wants the
+/// stack's. `None` also for an empty stack, whose input gradient is
+/// `grad_output` itself.
+pub(crate) fn backward_stack(
+    layers: &[Box<dyn Layer>],
+    caches: &[LayerCache],
+    grad_output: &Tensor,
+    mut param_grads: &mut [Tensor],
+    need_input: bool,
+) -> Option<Tensor> {
+    let mut grad = None;
+    for (i, (layer, cache)) in layers.iter().zip(caches).enumerate().rev() {
+        let slots = param_grads
+            .split_off_mut(param_grads.len() - layer.params().len()..)
+            .expect("the range ends where the slots do");
+        let upstream = grad.as_ref().unwrap_or(grad_output);
+        grad = layer.backward(cache, upstream, slots, need_input || i > 0);
+    }
+    grad
 }
 
 impl Clone for Box<dyn Layer> {
@@ -178,13 +160,7 @@ pub(crate) mod gradcheck {
     pub fn check_layer(layer: &mut dyn Layer, input: &Tensor, tol: f32) {
         let (out, cache) = layer.forward(input);
         let probe = Tensor::from_fn(out.shape().clone(), |i| ((i % 7) as f32 - 3.0) * 0.25);
-        let back = layer.backward(&cache, &probe);
-        assert_eq!(
-            layer.backward_params(&cache, &probe),
-            back.param_grads,
-            "skipping the input gradient must not change a parameter gradient"
-        );
-        // The reusing variants, over slots that hold something else.
+        // Slots that hold something else: every element must be written.
         let stale = || -> Vec<Tensor> {
             let params = layer.params();
             params
@@ -192,20 +168,21 @@ pub(crate) mod gradcheck {
                 .map(|p| Tensor::full(p.shape().clone(), f32::NAN))
                 .collect()
         };
-        let mut slots = stale();
-        let grad_input = layer.backward_into(&cache, &probe, &mut slots);
-        assert_eq!(bits(&slots), bits(&back.param_grads), "backward_into");
-        assert_eq!(
-            bits(std::slice::from_ref(&grad_input)),
-            bits(std::slice::from_ref(&back.grad_input)),
-            "backward_into's input gradient"
+        let mut param_grads = stale();
+        let grad_input = layer
+            .backward(&cache, &probe, &mut param_grads, true)
+            .expect("the input gradient was asked for");
+        let mut params_only = stale();
+        assert!(
+            layer
+                .backward(&cache, &probe, &mut params_only, false)
+                .is_none(),
+            "the input gradient was not asked for"
         );
-        let mut slots = stale();
-        layer.backward_params_into(&cache, &probe, &mut slots);
         assert_eq!(
-            bits(&slots),
-            bits(&back.param_grads),
-            "backward_params_into"
+            bits(&params_only),
+            bits(&param_grads),
+            "skipping the input gradient must not change a parameter gradient"
         );
 
         let eps = 1e-3f32;
@@ -218,17 +195,15 @@ pub(crate) mod gradcheck {
             let (op, _) = layer.forward(&plus);
             let (om, _) = layer.forward(&minus);
             let num = (op.dot(&probe).unwrap() - om.dot(&probe).unwrap()) / (2.0 * eps);
-            let ana = back.grad_input.as_slice()[i];
+            let ana = grad_input.as_slice()[i];
             assert!(
                 (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
                 "input grad [{i}]: numeric {num} vs analytic {ana}"
             );
         }
         // Parameter gradients.
-        let n_params = layer.params().len();
-        for p in 0..n_params {
-            let plen = layer.params()[p].len();
-            for i in 0..plen {
+        for (p, param_grad) in param_grads.iter().enumerate() {
+            for i in 0..param_grad.len() {
                 let orig = layer.params()[p].as_slice()[i];
                 layer.params_mut()[p].as_mut_slice()[i] = orig + eps;
                 let (op, _) = layer.forward(input);
@@ -236,12 +211,84 @@ pub(crate) mod gradcheck {
                 let (om, _) = layer.forward(input);
                 layer.params_mut()[p].as_mut_slice()[i] = orig;
                 let num = (op.dot(&probe).unwrap() - om.dot(&probe).unwrap()) / (2.0 * eps);
-                let ana = back.param_grads[p].as_slice()[i];
+                let ana = param_grad.as_slice()[i];
                 assert!(
                     (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
                     "param {p} grad [{i}]: numeric {num} vs analytic {ana}"
                 );
             }
+        }
+    }
+}
+
+/// [`Residual`] over the dense pre-activation path `residual_mlp` builds.
+/// (The module is named for the test ids these checks have always had.)
+#[cfg(test)]
+mod residual {
+    mod tests {
+        use crate::layers::{gradcheck::check_layer, Layer};
+        use crate::models::dense_block;
+        use threelc_tensor::{Initializer, Tensor};
+
+        #[test]
+        fn identity_preserved_with_zero_weights() {
+            let mut rng = threelc_tensor::rng(0);
+            let mut block = dense_block("r", 3, 5, &mut rng);
+            for p in block.params_mut() {
+                p.map_inplace(|_| 0.0);
+            }
+            let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], [1, 3]);
+            let (y, _) = block.forward(&x);
+            assert_eq!(y, x, "zero transform path must reduce to identity");
+        }
+
+        #[test]
+        fn gradients_match_finite_differences() {
+            let mut rng = threelc_tensor::rng(3);
+            let mut block = dense_block("r", 3, 4, &mut rng);
+            let x = Initializer::Normal {
+                mean: 0.5,
+                std_dev: 1.0,
+            }
+            .init(&mut rng, [2, 3]);
+            check_layer(&mut block, &x, 3e-2);
+        }
+
+        #[test]
+        fn shortcut_always_passes_gradient() {
+            // Even with all-zero weights (transform path dead), the input
+            // gradient equals the output gradient through the shortcut.
+            let mut rng = threelc_tensor::rng(1);
+            let mut block = dense_block("r", 2, 2, &mut rng);
+            for p in block.params_mut() {
+                p.map_inplace(|_| 0.0);
+            }
+            let x = Tensor::from_vec(vec![1.0, 1.0], [1, 2]);
+            let (_, cache) = block.forward(&x);
+            let g = Tensor::from_vec(vec![0.3, -0.7], [1, 2]);
+            let mut param_grads: Vec<Tensor> = block.params().into_iter().cloned().collect();
+            let grad_input = block.backward(&cache, &g, &mut param_grads, true);
+            assert_eq!(grad_input, Some(g));
+        }
+
+        #[test]
+        fn param_bookkeeping() {
+            let block = dense_block("blk0", 4, 8, &mut threelc_tensor::rng(0));
+            assert_eq!(block.params().len(), 8);
+            assert_eq!(
+                block.param_names(),
+                vec![
+                    "blk0/bn1/gamma",
+                    "blk0/bn1/beta",
+                    "blk0/fc1/weight",
+                    "blk0/fc1/bias",
+                    "blk0/bn2/gamma",
+                    "blk0/bn2/beta",
+                    "blk0/fc2/weight",
+                    "blk0/fc2/bias"
+                ]
+            );
+            assert_eq!(block.output_dim(4), 4);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Rectified linear unit activation.
 
-use super::{Layer, LayerBackward, LayerCache};
+use super::{Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 /// Elementwise `max(0, x)` activation. Parameterless.
@@ -30,15 +30,18 @@ impl Layer for ReluLayer {
         )
     }
 
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let input = &cache.tensors[0];
-        let grad_input = input
-            .zip_with(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })
-            .expect("cache input matches grad shape");
-        LayerBackward {
-            grad_input,
-            param_grads: Vec::new(),
-        }
+    fn backward(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        _param_grads: &mut [Tensor],
+        need_input: bool,
+    ) -> Option<Tensor> {
+        need_input.then(|| {
+            cache.tensors[0]
+                .zip_with(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })
+                .expect("cache input matches grad shape")
+        })
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -79,9 +82,9 @@ mod tests {
         let relu = ReluLayer::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0], [1, 2]);
         let (_, cache) = relu.forward(&x);
-        let back = relu.backward(&cache, &Tensor::from_vec(vec![5.0, 7.0], [1, 2]));
-        assert_eq!(back.grad_input.as_slice(), &[0.0, 7.0]);
-        assert!(back.param_grads.is_empty());
+        let grad = Tensor::from_vec(vec![5.0, 7.0], [1, 2]);
+        let grad_input = relu.backward(&cache, &grad, &mut [], true);
+        assert_eq!(grad_input.unwrap().as_slice(), &[0.0, 7.0]);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! A generic residual wrapper around an arbitrary layer path.
+//! The residual (identity-mapping) wrapper around a layer path.
 
-use super::{Layer, LayerBackward, LayerCache};
+use super::{backward_stack, forward_stack, Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 /// Wraps any stack of layers in an identity shortcut: `y = x + path(x)`.
 ///
-/// The path must preserve dimensionality. [`ResidualBlock`](super::ResidualBlock)
-/// is the dense specialization; this wrapper lets convolutional or custom
-/// paths get the same identity mapping (the structural property the paper
-/// picks ResNet for, §5.2).
+/// The paper deliberately evaluates on ResNet because identity mappings are
+/// the common building block of modern high-accuracy architectures and
+/// their small parameter-to-computation ratio stresses communication
+/// reduction (§5.2). This wrapper carries the same structural property
+/// into the substitute workloads — the gradient flows both through the
+/// shortcut and through the path — over a dense pre-activation path in
+/// [`residual_mlp`](crate::models::residual_mlp) and a convolutional one in
+/// [`conv_resnet`](crate::models::conv_resnet). The path must preserve
+/// dimensionality.
 pub struct Residual {
     path: Vec<Box<dyn Layer>>,
 }
@@ -46,20 +51,12 @@ impl std::fmt::Debug for Residual {
 
 impl Layer for Residual {
     fn kind(&self) -> &'static str {
-        "residual-any"
+        "residual"
     }
 
     fn forward(&self, input: &Tensor) -> (Tensor, LayerCache) {
-        let mut children = Vec::with_capacity(self.path.len());
-        let mut h = None;
-        for layer in &self.path {
-            let (out, cache) = layer.forward(h.as_ref().unwrap_or(input));
-            children.push(cache);
-            h = Some(out);
-        }
-        let out = input
-            .add(h.as_ref().unwrap_or(input))
-            .expect("residual path preserves shape");
+        let (h, children) = forward_stack(&self.path, input);
+        let out = input.add(&h).expect("residual path preserves shape");
         (
             out,
             LayerCache {
@@ -69,23 +66,27 @@ impl Layer for Residual {
         )
     }
 
-    fn backward(&self, cache: &LayerCache, grad_output: &Tensor) -> LayerBackward {
-        let mut grad = None;
-        let mut grads: Vec<Vec<Tensor>> = vec![Vec::new(); self.path.len()];
-        for (i, layer) in self.path.iter().enumerate().rev() {
-            let back = layer.backward(&cache.children[i], grad.as_ref().unwrap_or(grad_output));
-            grad = Some(back.grad_input);
-            grads[i] = back.param_grads;
-        }
-        let grad_input = grad
-            .as_ref()
-            .unwrap_or(grad_output)
-            .add(grad_output)
-            .expect("shapes match");
-        LayerBackward {
-            grad_input,
-            param_grads: grads.into_iter().flatten().collect(),
-        }
+    fn backward(
+        &self,
+        cache: &LayerCache,
+        grad_output: &Tensor,
+        param_grads: &mut [Tensor],
+        need_input: bool,
+    ) -> Option<Tensor> {
+        let grad = backward_stack(
+            &self.path,
+            &cache.children,
+            grad_output,
+            param_grads,
+            need_input,
+        );
+        // Shortcut: the identity contributes grad_output directly.
+        need_input.then(|| {
+            grad.as_ref()
+                .unwrap_or(grad_output)
+                .add(grad_output)
+                .expect("shapes match")
+        })
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -114,7 +115,9 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{gradcheck::check_layer, DenseLayer, ReluLayer};
+    use crate::layers::{
+        gradcheck::check_layer, BatchNormLayer, Conv2dLayer, DenseLayer, ReluLayer,
+    };
     use threelc_tensor::Initializer;
 
     fn block(seed: u64) -> Residual {
@@ -145,6 +148,19 @@ mod tests {
             std_dev: 1.0,
         }
         .init(&mut rng, [2, 3]);
+        check_layer(&mut r, &x, 3e-2);
+
+        // And over a convolutional path, as `conv_resnet` wraps one.
+        let mut r = Residual::new(vec![
+            Box::new(BatchNormLayer::new("p/bn", 18)),
+            Box::new(ReluLayer::new()),
+            Box::new(Conv2dLayer::new("p/conv", 2, 2, 3, 3, 3, &mut rng)),
+        ]);
+        let x = Initializer::Normal {
+            mean: 0.3,
+            std_dev: 1.0,
+        }
+        .init(&mut rng, [3, 18]);
         check_layer(&mut r, &x, 3e-2);
     }
 

@@ -13,7 +13,17 @@
 //!
 //! - [`Network`] — an ordered stack of [`Layer`]s with named parameter
 //!   tensors, exposing exactly the interface a parameter server needs:
-//!   read/overwrite parameters and compute per-parameter gradients.
+//!   read/overwrite parameters ([`Network::snapshot`] /
+//!   [`Network::restore`] are the in-memory checkpoint) and compute
+//!   per-parameter gradients into tensors the caller keeps
+//!   ([`Network::loss_and_gradients_into`]).
+//! - [`Layer`] — `forward` plus one [`backward`](Layer::backward) that
+//!   writes every parameter gradient into the caller's slots and returns
+//!   the input gradient only when asked. Dense, batch-norm, ReLU, conv and
+//!   pooling layers implement it, and so does [`Residual`], the one
+//!   identity-shortcut wrapper both [`models::residual_mlp`] and
+//!   [`models::conv_resnet`] build their blocks from. The one loss is
+//!   [`softmax_cross_entropy`].
 //! - [`SgdMomentum`] — TensorFlow `MomentumOptimizer` semantics plus weight
 //!   decay.
 //! - [`LrSchedule`] — cosine decay without restarts (Loshchilov & Hutter),
@@ -38,7 +48,6 @@
 //! }
 //! ```
 
-pub mod checkpoint;
 pub mod data;
 pub mod layers;
 pub mod loss;
@@ -46,14 +55,12 @@ pub mod metrics;
 pub mod models;
 pub mod network;
 pub mod optim;
-pub mod regression;
 pub mod schedule;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use data::{Batch, DataSpec, SyntheticImages};
 pub use layers::{
     BatchNormLayer, Conv2dLayer, DenseLayer, GlobalAvgPoolLayer, Layer, LayerCache, ReluLayer,
-    ResidualBlock,
+    Residual,
 };
 pub use loss::softmax_cross_entropy;
 pub use metrics::{accuracy, Evaluation};

@@ -1,8 +1,9 @@
 //! Standard model constructors for the reproduction experiments.
 
 use crate::data::DataSpec;
-use crate::layers::{DenseLayer, Layer, ReluLayer, ResidualBlock};
+use crate::layers::{BatchNormLayer, DenseLayer, Layer, ReluLayer, Residual};
 use crate::network::Network;
+use threelc_tensor::Rng;
 
 /// Builds the reproduction's stand-in for ResNet-110: an input projection,
 /// `blocks` residual blocks of width `width`, and a logit head.
@@ -29,7 +30,7 @@ pub fn residual_mlp(spec: &DataSpec, width: usize, blocks: usize, seed: u64) -> 
         &mut rng,
     )));
     for b in 0..blocks {
-        layers.push(Box::new(ResidualBlock::new(
+        layers.push(Box::new(dense_block(
             &format!("block{b}"),
             width,
             width,
@@ -44,6 +45,19 @@ pub fn residual_mlp(spec: &DataSpec, width: usize, blocks: usize, seed: u64) -> 
         &mut rng,
     )));
     Network::new(spec.feature_dim(), layers)
+}
+
+/// A pre-activation residual block over `dim` features with a `hidden`-wide
+/// transform path: `y = x + W₂·relu(bn₂(W₁·relu(bn₁(x))))`.
+pub(crate) fn dense_block(name: &str, dim: usize, hidden: usize, rng: &mut Rng) -> Residual {
+    Residual::new(vec![
+        Box::new(BatchNormLayer::new(format!("{name}/bn1"), dim)),
+        Box::new(ReluLayer::new()),
+        Box::new(DenseLayer::new(format!("{name}/fc1"), dim, hidden, rng)),
+        Box::new(BatchNormLayer::new(format!("{name}/bn2"), hidden)),
+        Box::new(ReluLayer::new()),
+        Box::new(DenseLayer::new(format!("{name}/fc2"), hidden, dim, rng)),
+    ])
 }
 
 /// A plain multilayer perceptron (no residual connections), for tests and
@@ -71,12 +85,6 @@ pub fn mlp(spec: &DataSpec, hidden: &[usize], seed: u64) -> Network {
     Network::new(spec.feature_dim(), layers)
 }
 
-/// The default experiment model: matches the scale used throughout the
-/// benchmark harness (width 96, 4 residual blocks, ≈ 93k parameters).
-pub fn experiment_model(spec: &DataSpec, seed: u64) -> Network {
-    residual_mlp(spec, 96, 4, seed)
-}
-
 /// A small convolutional ResNet in the style of the paper's workload:
 /// a conv stem, `blocks` residual conv blocks (BN → ReLU → conv, twice),
 /// global average pooling, and a dense head.
@@ -85,7 +93,7 @@ pub fn experiment_model(spec: &DataSpec, seed: u64) -> Network {
 /// so this model backs fidelity spot-checks and tests rather than the
 /// default experiment grid.
 pub fn conv_resnet(spec: &DataSpec, channels: usize, blocks: usize, seed: u64) -> Network {
-    use crate::layers::{BatchNormLayer, Conv2dLayer, GlobalAvgPoolLayer, Residual};
+    use crate::layers::{Conv2dLayer, GlobalAvgPoolLayer};
     let mut rng = threelc_tensor::rng(seed);
     let (h, w) = (spec.height, spec.width);
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
@@ -200,6 +208,32 @@ mod tests {
             grads.iter().any(|g| g.max_abs() > 0.0),
             "gradients must flow through the conv stack"
         );
+    }
+
+    #[test]
+    fn gradient_slots_keep_their_storage_across_steps() {
+        // Every layer writes into the tensors it is handed: a second step
+        // over the same `grads` reallocates none of them.
+        let data = SyntheticImages::generate(
+            crate::data::SyntheticConfig {
+                train_examples: 64,
+                test_examples: 16,
+                ..Default::default()
+            },
+            1,
+        );
+        let mut rng = threelc_tensor::rng(2);
+        for net in [
+            residual_mlp(&data.spec(), 16, 1, 0),
+            conv_resnet(&data.spec(), 4, 1, 0),
+        ] {
+            let mut grads = Vec::new();
+            net.loss_and_gradients_into(&data.sample_train_batch(&mut rng, 4), &mut grads);
+            let before: Vec<_> = grads.iter().map(|g| g.as_slice().as_ptr()).collect();
+            net.loss_and_gradients_into(&data.sample_train_batch(&mut rng, 4), &mut grads);
+            let after: Vec<_> = grads.iter().map(|g| g.as_slice().as_ptr()).collect();
+            assert_eq!(before, after, "{:?}", net.param_names());
+        }
     }
 
     #[test]

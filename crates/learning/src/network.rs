@@ -1,7 +1,7 @@
 //! The [`Network`] type: an ordered layer stack with named parameters.
 
 use crate::data::Batch;
-use crate::layers::{split_slots, Layer};
+use crate::layers::{backward_stack, forward_stack, Layer};
 use crate::loss::softmax_cross_entropy;
 use threelc_tensor::Tensor;
 
@@ -79,39 +79,9 @@ impl Network {
     /// caller keeps: `grads` comes back holding one gradient per parameter,
     /// and handed in again — as a training loop does every step — its
     /// tensors are overwritten in place instead of reallocated
-    /// ([`Layer::backward_into`]). Anything else in `grads` (nothing, or
-    /// tensors of other shapes) is replaced.
+    /// ([`Layer::backward`]). Anything else in `grads` (nothing, or tensors
+    /// of other shapes) is replaced.
     pub fn loss_and_gradients_into(&self, batch: &Batch, grads: &mut Vec<Tensor>) -> f32 {
-        self.backprop(
-            &batch.inputs,
-            |logits| softmax_cross_entropy(logits, &batch.labels),
-            grads,
-        )
-    }
-
-    /// Computes gradients under an arbitrary loss: `loss` maps the
-    /// network's output to `(loss value, d loss / d output)`.
-    ///
-    /// This is what makes the training substrate loss-agnostic — the
-    /// regression workload plugs in mean squared error here while the
-    /// classification path uses softmax cross-entropy.
-    pub fn loss_and_gradients_with(
-        &self,
-        inputs: &Tensor,
-        loss: impl FnOnce(&Tensor) -> (f32, Tensor),
-    ) -> (f32, Vec<Tensor>) {
-        let mut grads = Vec::new();
-        let loss = self.backprop(inputs, loss, &mut grads);
-        (loss, grads)
-    }
-
-    /// Forward, loss, backward: the gradients land in `grads`' tensors.
-    fn backprop(
-        &self,
-        inputs: &Tensor,
-        loss: impl FnOnce(&Tensor) -> (f32, Tensor),
-        grads: &mut Vec<Tensor>,
-    ) -> f32 {
         // One slot per parameter, of its shape.
         let params = self.params();
         let reusable = grads.len() == params.len()
@@ -125,28 +95,11 @@ impl Network {
                 .map(|p| Tensor::zeros(p.shape().clone()))
                 .collect();
         }
-        let slots = split_slots(self.layers.iter().map(|l| &**l), grads);
-
-        // Forward, keeping caches.
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut h = None;
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(h.as_ref().unwrap_or(inputs));
-            caches.push(cache);
-            h = Some(out);
-        }
-        let (loss_value, mut grad) = loss(h.as_ref().unwrap_or(inputs));
-
-        // Backward. Nothing reads the bottom layer's input gradient.
-        let mut layers = self.layers.iter().zip(&caches).zip(slots);
-        let bottom = layers.next();
-        for ((layer, cache), slots) in layers.rev() {
-            grad = layer.backward_into(cache, &grad, slots);
-        }
-        if let Some(((layer, cache), slots)) = bottom {
-            layer.backward_params_into(cache, &grad, slots);
-        }
-        loss_value
+        let (logits, caches) = forward_stack(&self.layers, &batch.inputs);
+        let (loss, grad) = softmax_cross_entropy(&logits, &batch.labels);
+        // Nothing reads the bottom layer's input gradient.
+        backward_stack(&self.layers, &caches, &grad, grads, false);
+        loss
     }
 
     /// Mean loss on a batch without computing gradients.
@@ -218,7 +171,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{DenseLayer, ReluLayer, ResidualBlock};
+    use crate::layers::{DenseLayer, ReluLayer};
+    use crate::models::dense_block;
 
     fn tiny_net(seed: u64) -> Network {
         let mut rng = threelc_tensor::rng(seed);
@@ -227,7 +181,7 @@ mod tests {
             vec![
                 Box::new(DenseLayer::new("fc0", 4, 8, &mut rng)),
                 Box::new(ReluLayer::new()),
-                Box::new(ResidualBlock::new("blk0", 8, 8, &mut rng)),
+                Box::new(dense_block("blk0", 8, 8, &mut rng)),
                 Box::new(DenseLayer::new_xavier("out", 8, 3, &mut rng)),
             ],
         )

@@ -52,26 +52,15 @@ impl SgdMomentum {
         }
     }
 
-    /// [`apply`](Self::apply), leaving in place of each gradient the change
-    /// it caused, `param_after − param_before` — the f32 subtraction a
-    /// before/after snapshot pair would perform, from inside the same sweep
-    /// and without the two model copies or a tensor to put the result in.
-    /// Parameters and velocity end bit-identical to `apply`'s.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply`](Self::apply).
-    pub fn apply_with_delta(&mut self, net: &mut Network, grads: &mut [Tensor], lr: f32) {
-        for step in &mut self.steps_with_delta(net, grads) {
-            step.apply(lr);
-        }
-    }
-
-    /// [`apply_with_delta`](Self::apply_with_delta) taken apart by tensor:
-    /// one [`TensorStep`] per parameter, in parameter order. No element's
-    /// update reads another's, so a caller may apply the steps on as many
-    /// threads as it likes (the parameter server runs them under its
-    /// aggregation shards) and end on the same bits.
+    /// [`apply`](Self::apply) taken apart by tensor: one [`TensorStep`] per
+    /// parameter, in parameter order, each leaving in place of its gradient
+    /// the change it caused, `param_after − param_before` — the f32
+    /// subtraction a before/after snapshot pair would perform, from inside
+    /// the same sweep and without the two model copies or a tensor to put
+    /// the result in. Parameters and velocity end bit-identical to
+    /// `apply`'s. No element's update reads another's, so a caller may
+    /// apply the steps on as many threads as it likes (the parameter server
+    /// runs them under its aggregation shards) and end on the same bits.
     ///
     /// # Panics
     ///
@@ -130,8 +119,8 @@ impl SgdMomentum {
     }
 }
 
-/// One tensor's share of [`SgdMomentum::apply_with_delta`]: its parameter,
-/// its gradient and its velocity ([`SgdMomentum::steps_with_delta`]).
+/// One tensor's share of an optimizer step: its parameter, its gradient and
+/// its velocity ([`SgdMomentum::steps_with_delta`]).
 #[derive(Debug)]
 pub struct TensorStep<'a> {
     param: &'a mut Tensor,
@@ -156,8 +145,8 @@ impl TensorStep<'_> {
 }
 
 /// One element's update — what [`SgdMomentum::apply`] and
-/// [`SgdMomentum::apply_with_delta`] both do to it — returning the
-/// parameter's change `after − before`.
+/// [`TensorStep::apply`] both do to it — returning the parameter's change
+/// `after − before`.
 #[inline(always)]
 fn step(p: &mut f32, grad: f32, v: &mut f32, momentum: f32, weight_decay: f32, lr: f32) -> f32 {
     let before = *p;
@@ -269,7 +258,9 @@ mod tests {
                 .map(|(now, was)| now.sub(was).unwrap())
                 .collect();
             let mut deltas = grads.clone();
-            fused_opt.apply_with_delta(&mut fused, &mut deltas, 0.05);
+            for step in &mut fused_opt.steps_with_delta(&mut fused, &mut deltas) {
+                step.apply(0.05);
+            }
             assert_eq!(
                 bits(&fused.snapshot()),
                 bits(&plain.snapshot()),

@@ -16,9 +16,11 @@
 use crate::counters::ConnCounters;
 use crate::frame::{read_frame, write_frame, Frame, FrameError, MsgType};
 use crate::protocol::{decode_scrape_reply, NetError, ScrapeKind};
+use crate::worker::{connect_any, resolve};
 use serde::de::DeserializeOwned;
+use std::fmt::Debug;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use threelc_obs::{global, Counter, Histogram, NodeTrace, RunSeries, Snapshot};
@@ -231,12 +233,15 @@ pub fn scrape_series(addr: &str, timeout: Duration) -> Result<RunSeries, NetErro
 }
 
 /// One `Scrape`/`ScrapeReply` exchange on a short-lived connection.
-fn scrape<T: DeserializeOwned>(
-    addr: &str,
+pub(crate) fn scrape<T: DeserializeOwned>(
+    addr: impl ToSocketAddrs + Debug,
     kind: ScrapeKind,
     timeout: Duration,
 ) -> Result<T, NetError> {
-    let stream = connect_scrape(addr, timeout)?;
+    let stream = connect_any(&resolve(addr)?, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
     write_frame(&mut &stream, MsgType::Scrape, 0, 0, &[kind as u8])?;
     let reply = read_frame(&mut &stream)?;
     if reply.msg != MsgType::ScrapeReply {
@@ -246,22 +251,6 @@ fn scrape<T: DeserializeOwned>(
         )));
     }
     decode_scrape_reply(&reply.payload)
-}
-
-/// Opens the short-lived connection a scrape uses.
-fn connect_scrape(addr: &str, timeout: Duration) -> Result<TcpStream, NetError> {
-    let addrs: Vec<SocketAddr> = addr
-        .to_socket_addrs()
-        .map_err(|e| NetError::Protocol(format!("bad address {addr:?}: {e}")))?
-        .collect();
-    let first = addrs
-        .first()
-        .ok_or_else(|| NetError::Protocol(format!("address {addr:?} resolved to nothing")))?;
-    let stream = TcpStream::connect_timeout(first, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    Ok(stream)
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use crate::protocol::{
     bytes_to_tensor, decode_policy_update, decode_scrape, encode_hello, encode_push_done,
     encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
 };
+use std::fmt::Debug;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -104,11 +105,25 @@ pub struct WorkerOutcome {
 
 const BACKOFF_CAP: Duration = Duration::from_secs(10);
 
+/// Resolves `addr` to the socket addresses [`connect_any`] dials.
+pub(crate) fn resolve(addr: impl ToSocketAddrs + Debug) -> Result<Vec<SocketAddr>, NetError> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| NetError::Protocol(format!("bad address {addr:?}: {e}")))?
+        .collect();
+    if addrs.is_empty() {
+        return Err(NetError::Protocol(format!(
+            "address {addr:?} resolved to nothing"
+        )));
+    }
+    Ok(addrs)
+}
+
 /// Dials the resolved addresses in order, returning the first stream that
 /// connects within `timeout` (per attempt). Multi-homed hostnames — e.g.
 /// `localhost` resolving to both `127.0.0.1` and `::1` — reach the server
 /// even when it listens on only one of them.
-fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> io::Result<TcpStream> {
+pub(crate) fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> io::Result<TcpStream> {
     let mut last_err: Option<io::Error> = None;
     for addr in addrs {
         match TcpStream::connect_timeout(addr, timeout) {
@@ -124,17 +139,7 @@ fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> io::Result<TcpStream>
 /// counting failed attempts and the measured backoff sleep time. Each
 /// attempt tries every resolved address.
 fn connect_with_retry(opts: &WorkerOptions, conn: &mut Conn) -> Result<TcpStream, NetError> {
-    let addrs: Vec<SocketAddr> = opts
-        .addr
-        .to_socket_addrs()
-        .map_err(|e| NetError::Protocol(format!("bad address {:?}: {e}", opts.addr)))?
-        .collect();
-    if addrs.is_empty() {
-        return Err(NetError::Protocol(format!(
-            "address {:?} resolved to nothing",
-            opts.addr
-        )));
-    }
+    let addrs = resolve(&opts.addr)?;
     let mut backoff = opts.initial_backoff;
     let mut last_err: Option<io::Error> = None;
     for attempt in 0..=opts.max_retries {
@@ -608,6 +613,9 @@ fn decode_and_apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use crate::metrics::scrape;
+    use crate::protocol::{encode_scrape_reply, ScrapeKind};
     use std::net::TcpListener;
 
     #[test]
@@ -624,9 +632,35 @@ mod tests {
         let stream = connect_any(&[dead_addr, live_addr], Duration::from_secs(1))
             .expect("second address is live");
         assert_eq!(stream.peer_addr().expect("peer"), live_addr);
+        drop(stream);
         // All-dead still errors, with the last failure.
         assert!(connect_any(&[dead_addr], Duration::from_secs(1)).is_err());
         assert!(connect_any(&[], Duration::from_secs(1)).is_err());
+
+        // A scrape dials the same way (`localhost` may resolve to an
+        // address the server does not listen on first).
+        let registry = threelc_obs::Registry::new();
+        registry.counter("frames").add(4);
+        let snapshot = registry.snapshot();
+        let reply = encode_scrape_reply(&snapshot).expect("serializes");
+        let server = thread::spawn(move || loop {
+            let (stream, _) = live.accept().expect("accept");
+            // The bare connection above arrives first and says nothing.
+            let Ok(frame) = read_frame(&mut &stream) else {
+                continue;
+            };
+            assert_eq!(frame.msg, MsgType::Scrape);
+            write_frame(&mut &stream, MsgType::ScrapeReply, 0, 0, &reply).expect("reply");
+            break;
+        });
+        let scraped: threelc_obs::Snapshot = scrape(
+            &[dead_addr, live_addr][..],
+            ScrapeKind::Metrics,
+            Duration::from_secs(1),
+        )
+        .expect("second address is live");
+        assert_eq!(scraped, snapshot);
+        server.join().expect("scrape responder");
     }
 
     #[test]

@@ -21,15 +21,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Elementwise product (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Applies `f` elementwise over two same-shaped tensors.
     ///
     /// # Errors
@@ -60,19 +51,6 @@ impl Tensor {
         self.check_same_shape(other)?;
         for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
-        }
-        Ok(())
-    }
-
-    /// In-place `self -= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<(), TensorError> {
-        self.check_same_shape(other)?;
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a -= b;
         }
         Ok(())
     }
@@ -226,7 +204,6 @@ mod tests {
         let b = t(&[10.0, 20.0, 30.0]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[11.0, 22.0, 33.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[9.0, 18.0, 27.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[10.0, 40.0, 90.0]);
     }
 
     #[test]
@@ -244,12 +221,10 @@ mod tests {
         let mut a = t(&[1.0, 2.0]);
         a.add_assign(&t(&[1.0, 1.0])).unwrap();
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-        a.sub_assign(&t(&[1.0, 1.0])).unwrap();
-        assert_eq!(a.as_slice(), &[1.0, 2.0]);
         a.axpy(2.0, &t(&[1.0, 10.0])).unwrap();
-        assert_eq!(a.as_slice(), &[3.0, 22.0]);
+        assert_eq!(a.as_slice(), &[4.0, 23.0]);
         a.scale_inplace(0.5);
-        assert_eq!(a.as_slice(), &[1.5, 11.0]);
+        assert_eq!(a.as_slice(), &[2.0, 11.5]);
     }
 
     #[test]
