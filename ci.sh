@@ -190,60 +190,6 @@ else
     echo "    the CRC fold ran un-sanitized in the suites above"
 fi
 
-echo "==> trace smoke (loopback 2-worker collect -> merge -> export)"
-threelc=target/release/threelc
-smokedir=target/trace-smoke
-rm -rf "$smokedir"
-mkdir -p "$smokedir"
-# Run a traced loopback cluster through the real binaries. Workers retry
-# with backoff, so starting them alongside the server is fine.
-run_traced_loopback() { # <report.json> <events.jsonl> <worker0-env...>
-    local report="$1" events="$2" straggle="${3:-}"
-    local port addr
-    port=$((20000 + RANDOM % 20000))
-    addr="127.0.0.1:$port"
-    THREELC_TRACE=1 "$threelc" serve --addr "$addr" --workers 2 --steps 4 \
-        --width 16 --blocks 1 --batch 8 --scheme 3lc --sparsity 1.5 \
-        --json "$report" --log-json "$events" >"$report.log" &
-    local serve_pid=$!
-    THREELC_TRACE=1 THREELC_STRAGGLE_MS="$straggle" \
-        "$threelc" worker --addr "$addr" --id 0 >"$report.w0.log" &
-    local w0=$!
-    THREELC_TRACE=1 "$threelc" worker --addr "$addr" --id 1 >"$report.w1.log" &
-    local w1=$!
-    # Waited individually: a multi-pid `wait` only reports the last
-    # pid's status, which would mask a failed worker.
-    wait "$w0"
-    wait "$w1"
-    wait "$serve_pid"
-}
-run_traced_loopback "$smokedir/report.json" "$smokedir/events.jsonl"
-"$threelc" trace "$smokedir/report.json" --chrome "$smokedir/trace.json" \
-    >"$smokedir/trace.txt"
-for phase in quantize encode serialize network barrier-wait server-decode \
-    aggregate re-encode pull; do
-    if ! grep -q "\"name\":\"$phase\"" "$smokedir/trace.json"; then
-        echo "phase $phase missing from Chrome trace export" >&2
-        exit 1
-    fi
-done
-"$threelc" trace "$smokedir/report.json" --check >/dev/null
-"$threelc" metrics --from "$smokedir/events.jsonl" >"$smokedir/metrics.txt"
-grep -q net.server "$smokedir/metrics.txt"
-"$threelc" metrics --from "$smokedir/events.jsonl" --prom >"$smokedir/metrics.prom"
-grep -q '^# TYPE ' "$smokedir/metrics.prom"
-echo "    all nine phases exported; --check clean; offline metrics render"
-
-echo "==> trace gate (injected straggler must fail --check)"
-run_traced_loopback "$smokedir/straggle.json" "$smokedir/straggle-events.jsonl" 250
-if "$threelc" trace "$smokedir/straggle.json" --check \
-    >"$smokedir/straggle.txt" 2>&1; then
-    echo "trace --check passed despite an injected 250 ms straggler" >&2
-    exit 1
-fi
-grep -q straggler "$smokedir/straggle.txt"
-echo "    straggler detected; --check exits nonzero"
-
 # (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's
 # crc, and the same fault aborting under --max-rejoins 0, are
 # crates/cli/tests/chaos_e2e.rs under `cargo test`. No aggregation-mode
@@ -252,7 +198,10 @@ echo "    straggler detected; --check exits nonzero"
 # No analyze or flight stanzas: conserved attribution on a clean run, a
 # delay@2:250 blamed on worker1/network and failing `analyze --check`, and
 # an aborted run's flight dump rendering and failing `trace --check`, are
-# crates/cli/tests/analyze_e2e.rs and flight_abort.rs.)
+# crates/cli/tests/analyze_e2e.rs and flight_abort.rs. No trace stanzas:
+# the nine-phase Chrome export, `trace --check` passing a healthy run and
+# failing a THREELC_STRAGGLE_MS=250 one, and the offline `metrics --from`
+# views are crates/cli/tests/trace_e2e.rs.)
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke

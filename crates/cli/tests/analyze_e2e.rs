@@ -4,93 +4,22 @@
 //! — the ground-truth gate, exercised hermetically (ci.sh runs it only
 //! through `cargo test`).
 
-use std::process::Command;
-
-fn threelc() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_threelc"));
-    // Trace every role; the analyzer needs all three span buffers.
-    cmd.env("THREELC_TRACE", "1");
-    cmd
-}
-
-fn ephemeral_addr() -> String {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-    probe.local_addr().expect("addr").to_string()
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("threelc-analyze-e2e");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{}-{name}", std::process::id()))
-}
-
-/// Blocks until the server answers a metrics scrape. Workers started
-/// before the server binds retry with a ~500 ms backoff, and that wait
-/// lands in their step-0 network span — real, but it would drown the
-/// 250 ms signal this test injects.
-fn wait_until_serving(addr: &str) {
-    for _ in 0..250 {
-        let probe = Command::new(env!("CARGO_BIN_EXE_threelc"))
-            .args(["metrics", addr])
-            .output()
-            .expect("run metrics probe");
-        if probe.status.success() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    panic!("server at {addr} never started serving");
-}
+mod common;
+use common::{run_cluster, threelc, tmp};
 
 #[test]
 fn injected_delay_is_blamed_on_the_right_worker_and_phase() {
-    let addr = ephemeral_addr();
     let report = tmp("delayed-report.json");
-
-    let mut server = threelc()
-        .args([
-            "serve",
-            "--addr",
-            &addr,
-            "--workers",
-            "2",
-            "--steps",
-            "5",
-            "--width",
-            "16",
-            "--blocks",
-            "1",
-            "--batch",
-            "8",
-            "--scheme",
-            "3lc",
-            "--json",
-            report.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("spawn serve");
-    wait_until_serving(&addr);
     // Worker 1 sleeps 250 ms before its step-2 push — from the server's
     // vantage point, a slow wire.
-    let mut w0 = threelc()
-        .args(["worker", "--addr", &addr, "--id", "0"])
-        .spawn()
-        .expect("spawn worker 0");
-    let mut w1 = threelc()
-        .args([
-            "worker",
-            "--addr",
-            &addr,
-            "--id",
-            "1",
-            "--inject-fault",
-            "delay@2:250",
-        ])
-        .spawn()
-        .expect("spawn worker 1");
-    assert!(w0.wait().expect("worker 0").success());
-    assert!(w1.wait().expect("worker 1").success());
-    assert!(server.wait().expect("server").success());
+    run_cluster(
+        &["--steps", "5", "--json", report.to_str().unwrap()],
+        |id, worker| {
+            if id == 1 {
+                worker.args(["--inject-fault", "delay@2:250"]);
+            }
+        },
+    );
 
     // The ground-truth gate: the injected delay must surface as worker1's
     // network phase topping the blame ledger AND being flagged.
@@ -168,44 +97,11 @@ fn injected_delay_is_blamed_on_the_right_worker_and_phase() {
 
 #[test]
 fn clean_run_attribution_is_conserved() {
-    let addr = ephemeral_addr();
     let report = tmp("clean-report.json");
-
-    let mut server = threelc()
-        .args([
-            "serve",
-            "--addr",
-            &addr,
-            "--workers",
-            "2",
-            "--steps",
-            "4",
-            "--width",
-            "16",
-            "--blocks",
-            "1",
-            "--batch",
-            "8",
-            "--scheme",
-            "3lc",
-            "--json",
-            report.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("spawn serve");
-    wait_until_serving(&addr);
-    let workers: Vec<_> = (0..2)
-        .map(|id| {
-            threelc()
-                .args(["worker", "--addr", &addr, "--id", &id.to_string()])
-                .spawn()
-                .expect("spawn worker")
-        })
-        .collect();
-    for mut w in workers {
-        assert!(w.wait().expect("worker").success());
-    }
-    assert!(server.wait().expect("server").success());
+    run_cluster(
+        &["--steps", "4", "--json", report.to_str().unwrap()],
+        |_, _| {},
+    );
 
     // Every step's buckets must sum to its measured wall time. The
     // bottleneck flag is deliberately not asserted here: a loaded host

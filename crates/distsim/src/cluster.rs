@@ -134,7 +134,7 @@ impl Cluster {
     /// Evaluates the global model on the held-out test set (the paper's
     /// dedicated evaluation node reading a model snapshot).
     pub fn evaluate(&self) -> Evaluation {
-        Evaluation::of(self.server.global(), &self.test)
+        self.server.evaluate(&self.test)
     }
 
     /// Executes one bulk-synchronous training step and returns its record.

@@ -36,7 +36,9 @@ use std::time::Instant;
 use threelc::kernels::DequantOp;
 use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
-use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
+use threelc_learning::{
+    models, Batch, Evaluation, LrSchedule, Network, SgdMomentum, SyntheticImages,
+};
 use threelc_obs::{trace, Histogram, WorkerDelta};
 use threelc_policy::{Decision, Policy, PolicyRecord, TensorObs};
 use threelc_tensor::{Rng, Shape, Tensor};
@@ -118,6 +120,15 @@ impl Problem {
     /// Number of parameter tensors.
     pub fn num_tensors(&self) -> usize {
         self.shapes.len()
+    }
+
+    /// Drops the initial model, leaving an empty network in its place. A
+    /// node that has built its [`WorkerReplica`] or [`ServerCore`] — each
+    /// holds its own copy — needs only the data, the test batch and the
+    /// shapes for the rest of the run, and the model is the largest thing
+    /// here (17.7 MB at width 1024).
+    pub fn release_init(&mut self) {
+        self.init = Network::new(0, Vec::new());
     }
 
     /// Number of values covered by compression (per direction per worker).
@@ -465,6 +476,8 @@ pub struct ServerCore {
     shards: Vec<Range<usize>>,
     /// Cached handle into the global registry (see [`WorkerReplica`]).
     apply_seconds: Arc<Histogram>,
+    /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]).
+    evaluate_seconds: Arc<Histogram>,
     /// `engine.shard.busy_seconds` — per-shard busy time of a step that
     /// runs more than one shard.
     shard_busy_seconds: Arc<Histogram>,
@@ -724,6 +737,7 @@ impl ServerCore {
             step: 0,
             shards: Vec::new(),
             apply_seconds: reg.histogram("engine.apply_step_seconds"),
+            evaluate_seconds: reg.histogram("engine.evaluate_seconds"),
             shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
             aggregate_seconds: reg.histogram("engine.aggregate.seconds"),
             config,
@@ -796,6 +810,16 @@ impl ServerCore {
     /// The server's full-precision global model.
     pub fn global(&self) -> &Network {
         &self.global
+    }
+
+    /// Scores the global model on `test` — the paper's dedicated evaluation
+    /// node reading a model snapshot (§5.2) — and records what the pass
+    /// cost under `engine.evaluate_seconds`.
+    pub fn evaluate(&self, test: &Batch) -> Evaluation {
+        let start = Instant::now();
+        let eval = Evaluation::of(&self.global, test);
+        self.evaluate_seconds.record(start.elapsed().as_secs_f64());
+        eval
     }
 
     /// Steps applied so far.
@@ -1333,6 +1357,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_node_that_released_the_initial_model_runs_and_scores_the_same() {
+        let config = tiny(SchemeKind::three_lc(1.5));
+        let kept = Problem::build(&config);
+        let mut released = Problem::build(&config);
+        let nodes = |problem: &Problem| {
+            let workers: Vec<_> = (0..config.workers)
+                .map(|w| WorkerReplica::new(problem, w))
+                .collect();
+            (workers, ServerCore::new(problem))
+        };
+        let (mut workers_a, mut server_a) = nodes(&kept);
+        let (mut workers_b, mut server_b) = nodes(&released);
+        released.release_init();
+        assert_eq!(released.init.num_params(), 0);
+        for _ in 0..3 {
+            engine_step(&kept, &mut workers_a, &mut server_a);
+            engine_step(&released, &mut workers_b, &mut server_b);
+        }
+        assert_eq!(server_a.global().snapshot(), server_b.global().snapshot());
+
+        // The one evaluation site is `Evaluation::of` with a number.
+        let recorded = threelc_obs::global().histogram("engine.evaluate_seconds");
+        let before = recorded.count();
+        let eval = server_b.evaluate(&released.test);
+        assert!(recorded.count() > before);
+        let want = Evaluation::of(server_a.global(), &kept.test);
+        assert_eq!(eval.loss.to_bits(), want.loss.to_bits());
+        assert_eq!(eval.accuracy, want.accuracy);
     }
 
     #[test]

@@ -102,27 +102,9 @@ impl Network {
         loss
     }
 
-    /// Mean loss on a batch without computing gradients.
-    pub fn loss(&self, batch: &Batch) -> f32 {
-        let logits = self.forward(&batch.inputs);
-        softmax_cross_entropy(&logits, &batch.labels).0
-    }
-
     /// Argmax class predictions for a batch of inputs.
     pub fn predict(&self, inputs: &Tensor) -> Vec<usize> {
-        let logits = self.forward(inputs);
-        let (batch, classes) = (logits.shape().dim(0), logits.shape().dim(1));
-        let data = logits.as_slice();
-        (0..batch)
-            .map(|r| {
-                let row = &data[r * classes..(r + 1) * classes];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
-                    .map(|(i, _)| i)
-                    .expect("at least one class")
-            })
-            .collect()
+        argmax_rows(&self.forward(inputs))
     }
 
     /// Immutable views of all parameters, in network order.
@@ -168,6 +150,23 @@ impl Network {
     }
 }
 
+/// The index of the largest value in every row of `[batch, classes]`
+/// logits (the last one among equals).
+pub(crate) fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    let classes = logits.shape().dim(1);
+    logits
+        .as_slice()
+        .chunks_exact(classes)
+        .map(|row| {
+            row.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
+                .map(|(i, _)| i)
+                .expect("at least one class")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +184,11 @@ mod tests {
                 Box::new(DenseLayer::new_xavier("out", 8, 3, &mut rng)),
             ],
         )
+    }
+
+    /// Mean loss on a batch, no gradients.
+    fn loss(net: &Network, batch: &Batch) -> f32 {
+        crate::Evaluation::of(net, batch).loss
     }
 
     fn tiny_batch(seed: u64) -> Batch {
@@ -256,9 +260,9 @@ mod tests {
             for i in (0..g.len()).step_by((g.len() / 3).max(1)) {
                 let orig = net_mut.params()[pi].as_slice()[i];
                 net_mut.params_mut()[pi].as_mut_slice()[i] = orig + eps;
-                let lp = net_mut.loss(&batch);
+                let lp = loss(&net_mut, &batch);
                 net_mut.params_mut()[pi].as_mut_slice()[i] = orig - eps;
-                let lm = net_mut.loss(&batch);
+                let lm = loss(&net_mut, &batch);
                 net_mut.params_mut()[pi].as_mut_slice()[i] = orig;
                 let num = (lp - lm) / (2.0 * eps);
                 let ana = g.as_slice()[i];
@@ -279,7 +283,7 @@ mod tests {
         let mut other = tiny_net(99); // different init
         other.restore(&snap);
         let batch = tiny_batch(4);
-        assert_eq!(net.loss(&batch), other.loss(&batch));
+        assert_eq!(loss(&net, &batch), loss(&other, &batch));
     }
 
     #[test]

@@ -50,7 +50,6 @@ use std::time::{Duration, Instant};
 use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload, WorkerPush};
 use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
-use threelc_learning::Evaluation;
 use threelc_obs::flight::trigger;
 use threelc_obs::{
     trace, write_flight_dump, FlightDump, Level, MergedTimeline, NodeTrace, RunAnalysis,
@@ -622,7 +621,7 @@ fn serve_run(
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
     validate_config(config)?;
-    let problem = Problem::build(config);
+    let mut problem = Problem::build(config);
     let n_params = problem.num_tensors();
     if n_params > usize::from(u16::MAX) {
         return Err(NetError::Config(format!(
@@ -630,6 +629,9 @@ fn serve_run(
         )));
     }
     let mut server = ServerCore::new(&problem);
+    // The server holds the model now; what is still read here is the test
+    // batch and the shapes.
+    problem.release_init();
     let workers = config.workers;
     let config_json = serde_json::to_string(config)
         .map_err(|e| NetError::Config(format!("config does not serialize: {e}")))?;
@@ -751,7 +753,7 @@ fn serve_run(
         if due && step + 1 < config.total_steps {
             trace.evals.push(EvalRecord {
                 step: step + 1,
-                eval: Evaluation::of(server.global(), &problem.test),
+                eval: server.evaluate(&problem.test),
             });
         }
     }
@@ -776,7 +778,7 @@ fn serve_run(
         .map(|r| r.take().expect("every worker reported in"))
         .unzip();
 
-    let final_eval = Evaluation::of(server.global(), &problem.test);
+    let final_eval = server.evaluate(&problem.test);
     trace.evals.push(EvalRecord {
         step: config.total_steps,
         eval: final_eval,

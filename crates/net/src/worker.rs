@@ -275,9 +275,12 @@ fn run_session(
     *established = true;
 
     // ---- Derive the identical problem instance locally.
-    let problem = Problem::build(&config);
+    let mut problem = Problem::build(&config);
     let n_params = problem.num_tensors();
     let mut replica = WorkerReplica::new(&problem, usize::from(opts.worker));
+    // The replica holds the model now; what is still read here is the data
+    // and the shapes.
+    problem.release_init();
     // Adaptive policies: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of

@@ -413,7 +413,7 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
     // deterministic detectors are asserted here: `straggler` compares
     // wall-clock phase times, which a loaded host can genuinely stretch
     // past the threshold; it is pinned on synthetic spans in
-    // `watchdog.rs` and by `ci.sh`'s injected-straggler gate.
+    // `watchdog.rs` and by `trace_e2e.rs`'s injected-straggler gate.
     let unexpected: Vec<_> = report
         .anomalies
         .iter()

@@ -12,9 +12,15 @@
 //! and a training loop reuses its buffer every step.
 //!
 //! No layout materialises a transposed operand. All three run the same
-//! loop nest (`gemm`) and differ only in how an element of the left
+//! loop nest (`gemm_rows`) and differ only in how an element of the left
 //! operand is addressed and in whether the right operand's tile is copied
 //! or turned as it is packed.
+//!
+//! A product large enough to be worth it — a test-set forward pass, not a
+//! training step — is split by output rows over the host's cores
+//! (`gemm_split`); each thread runs the same nest on its rows and packs
+//! its own panels. Rows share no accumulator, so the thread count changes
+//! no bit.
 //!
 //! The arithmetic contract — term order, no fusion, the zero-skip and when
 //! it is exact — is stated on [`Tensor::matmul`]. Blocking only changes
@@ -23,15 +29,47 @@
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
 
 use crate::{Tensor, TensorError};
+use std::sync::OnceLock;
 
 /// Width of a right-hand panel: the output columns advanced together.
 const NC: usize = 256;
 
 /// Height of a right-hand panel: the inner indices advanced together. A
-/// packed `KC × NC` panel is 32 KiB — the only scratch a GEMM allocates —
-/// and stays in L1 while every output row takes its terms from it, so each
-/// right-hand element is read from memory once per GEMM.
+/// packed `KC × NC` panel is 32 KiB — the only scratch a thread of a GEMM
+/// allocates — and stays in L1 while every output row of the block takes
+/// its terms from it, so each right-hand element is read from memory once
+/// per row block per thread.
 const KC: usize = 32;
+
+/// Height of a row block: the output rows taken through the nest together.
+/// The `MC × NC` output block being updated (128 KiB) and the block's
+/// left-operand rows stay in L2 while the right operand's panels stream
+/// past; taken all at once, a 1 024-row product sweeps a 1 MB output strip
+/// once per 32-deep panel. A product of `m ≤ MC` rows — every forward and
+/// input-gradient GEMM of a training step — is one block.
+const MC: usize = 128;
+
+/// The fewest multiply-adds a thread of a split product is worth spawning
+/// for. The nest runs about 15 G multiply-adds a second and a scoped spawn
+/// costs tens of microseconds, so at 2²⁵ a thread has about two
+/// milliseconds of work to set against it (the reasoning behind the
+/// server's `MIN_SHARD_VALUES`). The largest training GEMM of the ledger's
+/// workloads is 8.4 M multiply-adds (`[8, 1024] · [1024, 1024]`): a
+/// worker owns one core and its products stay on it. A test-set forward
+/// (`[1024, 1024] · [1024, 1024]`, 2³⁰) is split over every core.
+const MIN_PART_MULTIPLY_ADDS: usize = 1 << 25;
+
+/// How many threads a product of these dimensions is split over: one per
+/// core of the host (read once), at most one per
+/// [`MIN_PART_MULTIPLY_ADDS`] of work, at most one per output row.
+fn parts_for((m, n, k): (usize, usize, usize)) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    let work = m.saturating_mul(n).saturating_mul(k);
+    cores.min(work / MIN_PART_MULTIPLY_ADDS).min(m).max(1)
+}
 
 /// Adds the first `N` listed terms to every element of an output row
 /// strip: `out[j] = (…((out[j] + c₀·r₀[j]) + c₁·r₁[j]) + …)`, where `rₜ` is
@@ -55,11 +93,6 @@ fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], pa
 /// right operand, where `a(i, l) = a[i·a_row + l·a_col]` and the right
 /// operand is stored either as `k × n` row-major (`b_transposed = false`)
 /// or as `n × k` row-major (`b_transposed = true`).
-///
-/// For each `KC × NC` panel of the right operand, packed into contiguous
-/// rows, every output row lists its nonzero left factors over the panel's
-/// inner indices (in ascending order) and adds their terms eight at a
-/// time.
 fn gemm(
     dims: (usize, usize, usize),
     a: &[f32],
@@ -73,8 +106,29 @@ fn gemm(
 }
 
 /// [`gemm`] adding its terms to `out`, an `m × n` buffer the caller has
-/// filled with `+0.0`.
+/// filled with `+0.0`, on as many threads as [`parts_for`] says the
+/// product is worth.
 fn gemm_into(
+    dims: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    b_transposed: bool,
+    out: &mut [f32],
+) {
+    gemm_split(parts_for(dims), dims, a, a_strides, b, b_transposed, out);
+}
+
+/// [`gemm_into`] over `parts` contiguous blocks of output rows, one scoped
+/// thread per block, the first block on the calling thread; a thread takes
+/// its rows through the nest [`MC`] at a time with one panel buffer. A
+/// block of output rows goes with the matching rows of the left operand,
+/// whose element `(i, l)` is at `i·a_row + l·a_col` in either layout. An
+/// output element belongs to one block and gets the terms the nest over
+/// all rows would give it, in the same order, so the result depends on
+/// neither `parts` nor `MC`; one part spawns nothing.
+fn gemm_split(
+    parts: usize,
     (m, n, k): (usize, usize, usize),
     a: &[f32],
     (a_row, a_col): (usize, usize),
@@ -82,7 +136,45 @@ fn gemm_into(
     b_transposed: bool,
     out: &mut [f32],
 ) {
-    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+    // An empty sum leaves the zeros it was handed.
+    if out.is_empty() || k == 0 {
+        return;
+    }
+    let rows = m.div_ceil(parts);
+    let run = |(p, out): (usize, &mut [f32])| {
+        let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+        for (q, block) in out.chunks_mut(MC * n).enumerate() {
+            let a = &a[(p * rows + q * MC) * a_row..];
+            let dims = (block.len() / n, n, k);
+            gemm_rows(dims, a, (a_row, a_col), b, b_transposed, block, &mut panel);
+        }
+    };
+    if rows >= m {
+        return run((0, out));
+    }
+    std::thread::scope(|scope| {
+        let mut blocks = out.chunks_mut(rows * n).enumerate();
+        let first = blocks.next().expect("m > rows > 0, so there is a block");
+        for block in blocks {
+            scope.spawn(move || run(block));
+        }
+        run(first);
+    });
+}
+
+/// The loop nest. For each `KC × NC` panel of the right operand, packed
+/// into contiguous rows of `panel`, every output row lists its nonzero
+/// left factors over the panel's inner indices (in ascending order) and
+/// adds their terms eight at a time.
+fn gemm_rows(
+    (m, n, k): (usize, usize, usize),
+    a: &[f32],
+    (a_row, a_col): (usize, usize),
+    b: &[f32],
+    b_transposed: bool,
+    out: &mut [f32],
+    panel: &mut [f32],
+) {
     let mut coef = [0.0f32; KC];
     let mut offset = [0usize; KC];
     for j0 in (0..n).step_by(NC) {
@@ -306,6 +398,55 @@ mod tests {
         assert_eq!(a.matmul(&Tensor::zeros([4, 2])), inner(3, 4));
         assert_eq!(a.matmul_nt(&Tensor::zeros([2, 4])), inner(3, 4));
         assert_eq!(a.matmul_tn(&Tensor::zeros([3, 2])), inner(2, 3));
+    }
+
+    #[test]
+    fn the_ledger_workloads_training_gemms_stay_on_one_thread() {
+        // (batch, width) of `mlp512-*` and `mlp1024-*`; 192 is the input
+        // layer's fan-in, 10 the head's fan-out.
+        for (b, w) in [(32, 512), (8, 1024)] {
+            for (i, o) in [(192, w), (w, w), (w, 10)] {
+                // Y = X·W, dX = dY·Wᵀ, dW = Xᵀ·dY.
+                for dims in [(b, o, i), (b, i, o), (i, o, b)] {
+                    assert_eq!(parts_for(dims), 1, "{dims:?}");
+                }
+            }
+        }
+        // A product worth two threads gets them only where there are two
+        // cores and two rows.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(parts_for((1024, 1024, 1024)), cores.min(32));
+        assert_eq!(parts_for((1, 1 << 13, 1 << 13)), 1);
+    }
+
+    #[test]
+    fn every_part_count_gives_the_same_bits() {
+        // Ragged everywhere: 1 031 rows split 2, 3 or 4 ways leave a short
+        // last block, and no block is a multiple of `MC`.
+        let (m, n, k) = (1031, 70, 45);
+        let mut rng = crate::rng(5);
+        let mut values = |len: usize| -> Vec<f32> {
+            use rand::Rng as _;
+            (0..len)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => 0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        let (a, b) = (values(m * k), values(k * n));
+        // (left strides, right operand transposed): matmul, nt, tn.
+        for (strides, b_transposed) in [((k, 1), false), ((k, 1), true), ((1, m), false)] {
+            let run = |parts| {
+                let mut out = vec![0.0f32; m * n];
+                gemm_split(parts, (m, n, k), &a, strides, &b, b_transposed, &mut out);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let one = run(1);
+            for parts in [2, 3, 4, m + 1] {
+                assert_eq!(run(parts), one, "{parts} parts, {strides:?}");
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,42 @@ proptest! {
     }
 }
 
+/// Products large enough to be split by rows over the host's cores
+/// (`gemm.rs`: 2²⁵ multiply-adds per thread), with `m` a multiple of
+/// neither the 128-row block nor any thread count, `k` and `n` off the
+/// panel edges, and the usual zeros. `gemm.rs`'s own unit tests force 1 to
+/// 4 parts whatever the host has.
+#[test]
+fn split_products_match_the_naive_sum_bit_for_bit() {
+    let (m, n, k) = (1031, 300, 257);
+    assert!(m * n * k >= 2 << 25, "large enough for two threads");
+    let mut rng = threelc_tensor::rng(11);
+
+    let a = matrix(&mut rng, m, k);
+    let b = matrix(&mut rng, k, n);
+    let (x, y) = (a.as_slice(), b.as_slice());
+    let got = a.matmul(&b).unwrap();
+    let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[l * n + j]);
+    assert_eq!(first_difference(got.as_slice(), &want), None, "matmul");
+
+    let b = matrix(&mut rng, n, k);
+    let y = b.as_slice();
+    let got = a.matmul_nt(&b).unwrap();
+    let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[j * k + l]);
+    assert_eq!(first_difference(got.as_slice(), &want), None, "matmul_nt");
+
+    // `[k, m]ᵀ · [k, n]`: the rows handed to a thread are columns of `a`.
+    let a = matrix(&mut rng, k, m);
+    let c = matrix(&mut rng, k, n);
+    let (x, z) = (a.as_slice(), c.as_slice());
+    let want = naive((m, n, k), |i, l| x[l * m + i], |l, j| z[l * n + j]);
+    let got = a.matmul_tn(&c).unwrap();
+    assert_eq!(first_difference(got.as_slice(), &want), None, "matmul_tn");
+    let mut reused = Tensor::full([m, n], f32::NAN);
+    a.matmul_tn_into(&c, &mut reused).unwrap();
+    assert_eq!(first_difference(reused.as_slice(), &want), None, "into");
+}
+
 #[test]
 fn matmul_tn_into_rejects_an_output_of_the_wrong_shape() {
     let (a, c) = (Tensor::zeros([4, 3]), Tensor::zeros([4, 5]));
