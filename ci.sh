@@ -169,7 +169,7 @@ done
 grep -q "invalid quartic byte" "$matrixdir/corrupt.$first_tier.err"
 echo "    corrupt container rejected identically by every tier"
 
-echo "==> unsafe-code stage (sanitizer over the intrinsics kernels and the CRC fold)"
+echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold and the ChaCha8 refill)"
 # cargo miri would be the first choice, but the component is not
 # installable on this image (offline). AddressSanitizer on a nightly
 # toolchain covers the unsafe SIMD paths instead; the MSRV and stable
@@ -182,12 +182,14 @@ if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2
         -p threelc --test dispatch_identity --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p threelc-net --lib crc32 --target x86_64-unknown-linux-gnu
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+        -p rand_chacha --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
-    echo "    + the frame checksum's pclmulqdq fold"
+    echo "    + the frame checksum's pclmulqdq fold + the ChaCha8 SSE2 refill"
 else
     echo "    SKIPPED: no nightly toolchain for -Zsanitizer=address (cargo miri is"
-    echo "    not installed and cannot be fetched offline); the unsafe kernels and"
-    echo "    the CRC fold ran un-sanitized in the suites above"
+    echo "    not installed and cannot be fetched offline); the unsafe kernels, the"
+    echo "    CRC fold and the ChaCha8 refill ran un-sanitized in the suites above"
 fi
 
 # (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's
@@ -210,6 +212,22 @@ mkdir -p "$policydir"
 policy_flags=(--workers 2 --steps 6 --width 16 --blocks 1 --batch 8
     --scheme 3lc)
 crc_of() { sed -n 's/^final model crc32: \(.*\)$/\1/p' "$1"; }
+# serve_bg <stdout log> <serve flags...>: `threelc serve` in the background
+# on a port the kernel picks (no window for another process to take it);
+# sets serve_pid, and addr to the address serve reports once it has bound.
+serve_bg() {
+    local log="$1"
+    shift
+    "$threelc" serve --addr 127.0.0.1:0 "$@" >"$log" 2> >(tee "$log.err" >&2) &
+    serve_pid=$!
+    for _ in $(seq 1 200); do
+        addr="$(sed -n 's/^listening on //p' "$log.err")"
+        [ -n "$addr" ] && return 0
+        sleep 0.05
+    done
+    echo "serve never reported the address it bound" >&2
+    exit 1
+}
 # "policy [label]: N distinct multiplier(s); ..." -> N
 distinct_of() { sed -n 's/^policy \[.*\]: \([0-9]*\) distinct.*/\1/p' "$1"; }
 for spec in "schedule:from=1.0,to=1.9,over=4" \
@@ -238,11 +256,8 @@ spec="feedback:ratio=10000,start=1.2,gain=0.05,hold=1"
 "$threelc" simulate "${policy_flags[@]}" --policy "$spec" >"$policydir/sim.txt"
 psim_crc="$(crc_of "$policydir/sim.txt")"
 psim_policy="$(grep '^policy \[' "$policydir/sim.txt")"
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${policy_flags[@]}" --policy "$spec" \
-    --json "$policydir/report.json" >"$policydir/serve.log" &
-serve_pid=$!
+serve_bg "$policydir/serve.log" "${policy_flags[@]}" --policy "$spec" \
+    --json "$policydir/report.json"
 "$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
     >"$policydir/w0.log" &
 w0=$!
@@ -280,13 +295,10 @@ echo "==> observability smoke (threelc top + metrics --watch on a live run)"
 obsdir=target/obs-smoke
 rm -rf "$obsdir"
 mkdir -p "$obsdir"
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
 # A straggling worker 0 stretches the run to a couple of seconds, leaving
 # a window to scrape it live.
-"$threelc" serve --addr "$addr" --workers 2 --steps 20 --width 16 \
-    --blocks 1 --batch 8 --scheme 3lc --sparsity 1.5 >"$obsdir/serve.log" &
-serve_pid=$!
+serve_bg "$obsdir/serve.log" --workers 2 --steps 20 --width 16 \
+    --blocks 1 --batch 8 --scheme 3lc --sparsity 1.5
 THREELC_STRAGGLE_MS=100 "$threelc" worker --addr "$addr" --id 0 \
     >"$obsdir/w0.log" &
 w0=$!

@@ -46,6 +46,9 @@ and which tiers this host supports. Every tier is bit-identical; the
 choice only affects throughput. compress and inspect report the active
 tier inline.
 
+serve prints `listening on <addr>` to stderr once it has bound, so
+--addr 127.0.0.1:0 lets the kernel pick a free port.
+
 serve tolerates worker disconnects: a worker may reconnect and resume
 mid-run (up to --max-rejoins times, waiting --rejoin-timeout seconds per
 barrier; --max-rejoins 0 restores fail-stop). worker --inject-fault arms

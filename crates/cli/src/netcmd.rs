@@ -204,6 +204,10 @@ pub fn serve_cmd(args: &[String]) -> CliResult {
     };
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = listener.local_addr()?;
+    // The port actually bound, for a caller that asked for port 0: what it
+    // dials its workers at, with no window in which another process can
+    // take the port.
+    eprintln!("listening on {bound}");
     let result = serve(&listener, &config, &opts);
 
     // Leave the final metrics state in the structured log (when one is

@@ -8,6 +8,9 @@
 //! `kill@N` calls `std::process::exit`, so this drives processes rather
 //! than in-process threads (`crates/net/tests/faults.rs` covers those).
 
+mod common;
+
+use common::Server;
 use std::process::{Child, Command, Output, Stdio};
 use threelc_net::KILL_EXIT_CODE;
 
@@ -29,15 +32,21 @@ const EXPERIMENT: [&str; 14] = [
     "1.5",
 ];
 
-/// Spawns `threelc <args>` with its output captured. Workers dial with
-/// retries, so the roles of one run may start in any order.
+/// `threelc <args>` with its output captured.
+fn threelc(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_threelc"));
+    cmd.args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
+    cmd
+}
+
 fn spawn(args: &[&str]) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_threelc"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn threelc")
+    threelc(args).spawn().expect("spawn threelc")
+}
+
+/// `serve` with the shared experiment plus `extra` flags, on a port of its
+/// own choosing.
+fn serve(extra: &[&str]) -> Server {
+    Server::start(threelc(&[&["serve"][..], &EXPERIMENT, extra].concat()))
 }
 
 fn finish(child: Child) -> Output {
@@ -46,12 +55,6 @@ fn finish(child: Child) -> Output {
 
 fn stdout(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-/// An ephemeral loopback address that was just free.
-fn free_addr() -> String {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-    probe.local_addr().expect("addr").to_string()
 }
 
 /// The `final model crc32: …` line `simulate` and `serve` both print.
@@ -85,18 +88,18 @@ fn assert_recovered(serve: &Output) {
 
 #[test]
 fn a_dropped_connection_rejoins_and_recovers_the_simulators_model() {
-    let addr = free_addr();
-    let serve = spawn(&[&["serve", "--addr", &addr][..], &EXPERIMENT].concat());
+    let serve = serve(&[]);
+    let addr = &serve.addr;
     let w0 = spawn(&[
         "worker",
         "--addr",
-        &addr,
+        addr,
         "--id",
         "0",
         "--inject-fault",
         "disconnect@2",
     ]);
-    let w1 = spawn(&["worker", "--addr", &addr, "--id", "1"]);
+    let w1 = spawn(&["worker", "--addr", addr, "--id", "1"]);
     let w0 = finish(w0);
     assert!(w0.status.success(), "worker 0: {:?}", w0);
     assert!(
@@ -105,16 +108,16 @@ fn a_dropped_connection_rejoins_and_recovers_the_simulators_model() {
         stdout(&w0)
     );
     assert!(finish(w1).status.success());
-    assert_recovered(&finish(serve));
+    assert_recovered(&serve.finish());
 }
 
 #[test]
 fn a_killed_worker_relaunched_with_the_same_command_resumes_the_run() {
-    let addr = free_addr();
-    let serve = spawn(&[&["serve", "--addr", &addr][..], &EXPERIMENT].concat());
-    let worker0 = ["worker", "--addr", &addr, "--id", "0"];
+    let serve = serve(&[]);
+    let addr = &serve.addr;
+    let worker0 = ["worker", "--addr", addr, "--id", "0"];
     let doomed = spawn(&[&worker0[..], &["--inject-fault", "kill@2"]].concat());
-    let w1 = spawn(&["worker", "--addr", &addr, "--id", "1"]);
+    let w1 = spawn(&["worker", "--addr", addr, "--id", "1"]);
     // Killed between step 2's push and pull.
     assert_eq!(finish(doomed).status.code(), Some(KILL_EXIT_CODE));
     // The replacement knows nothing the original did not: the server
@@ -127,23 +130,17 @@ fn a_killed_worker_relaunched_with_the_same_command_resumes_the_run() {
         stdout(&replacement)
     );
     assert!(finish(w1).status.success());
-    assert_recovered(&finish(serve));
+    assert_recovered(&serve.finish());
 }
 
 #[test]
 fn the_same_fault_under_max_rejoins_0_aborts_server_and_worker() {
-    let addr = free_addr();
-    let serve = spawn(
-        &[
-            &["serve", "--addr", &addr, "--max-rejoins", "0"][..],
-            &EXPERIMENT,
-        ]
-        .concat(),
-    );
+    let serve = serve(&["--max-rejoins", "0"]);
+    let addr = &serve.addr;
     let w0 = spawn(&[
         "worker",
         "--addr",
-        &addr,
+        addr,
         "--id",
         "0",
         "--inject-fault",
@@ -151,12 +148,12 @@ fn the_same_fault_under_max_rejoins_0_aborts_server_and_worker() {
         "--max-rejoins",
         "0",
     ]);
-    let w1 = spawn(&["worker", "--addr", &addr, "--id", "1"]);
+    let w1 = spawn(&["worker", "--addr", addr, "--id", "1"]);
     assert!(
         !finish(w0).status.success(),
         "a fail-stop worker survived its injected disconnect"
     );
-    let serve = finish(serve);
+    let serve = serve.finish();
     assert!(
         !serve.status.success(),
         "a fail-stop server completed despite losing a worker"

@@ -7,27 +7,16 @@
 //! `kill@N` calls `std::process::exit`, so this test drives the real
 //! `threelc` binary rather than in-process threads.
 
+mod common;
+
+use common::{tmp, Server};
 use std::process::{Command, Stdio};
-use std::time::Duration;
 
 /// Exit code of a `kill@N`-faulted worker ([`threelc_net`]'s contract).
 const KILL_EXIT_CODE: i32 = 43;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("threelc-flight-abort-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{}-{name}", std::process::id()))
-}
-
-/// An ephemeral loopback address that was just free.
-fn free_addr() -> String {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-    probe.local_addr().expect("addr").to_string()
-}
-
 #[test]
 fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
-    let addr = free_addr();
     let json = tmp("report.json");
     let flight = tmp("report.flight.json");
     let log = tmp("log.jsonl");
@@ -35,11 +24,10 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
     let _ = std::fs::remove_file(&log);
 
     let bin = env!("CARGO_BIN_EXE_threelc");
-    let mut server = Command::new(bin)
+    let mut serve = Command::new(bin);
+    serve
         .args([
             "serve",
-            "--addr",
-            &addr,
             "--workers",
             "1",
             "--steps",
@@ -62,46 +50,33 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
             log.to_str().unwrap(),
         ])
         .env("THREELC_TRACE", "1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn server");
+        .stdout(Stdio::null());
+    let server = Server::start(serve);
 
     // The worker dies between push and pull of step 2; with fail-stop
     // (--max-rejoins 0) the server must then abort.
-    let mut worker_status = None;
-    for attempt in 0..50 {
-        let status = Command::new(bin)
-            .args([
-                "worker",
-                "--addr",
-                &addr,
-                "--id",
-                "0",
-                "--inject-fault",
-                "kill@2",
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
-            .expect("run worker");
-        if status.code() == Some(KILL_EXIT_CODE) {
-            worker_status = Some(status);
-            break;
-        }
-        // Connection refused before the server binds; retry.
-        assert!(attempt < 49, "worker never reached the server: {status}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let worker = Command::new(bin)
+        .args([
+            "worker",
+            "--addr",
+            &server.addr,
+            "--id",
+            "0",
+            "--inject-fault",
+            "kill@2",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run worker");
     assert_eq!(
-        worker_status.expect("worker ran").code(),
+        worker.code(),
         Some(KILL_EXIT_CODE),
         "kill@2 must exit the worker process with the kill code"
     );
 
-    let server_status = server.wait().expect("server exit");
     assert!(
-        !server_status.success(),
+        !server.finish().status.success(),
         "a fail-stop server must exit nonzero after losing its worker"
     );
 

@@ -14,7 +14,7 @@
 //! exactly as a real one does (see `DESIGN.md` §3).
 
 use rand::Rng as _;
-use threelc_tensor::init::sample_standard_normal;
+use threelc_tensor::init::fill_standard_normal;
 use threelc_tensor::{Rng, Tensor};
 
 /// Shape metadata for an image dataset.
@@ -94,9 +94,11 @@ impl Default for SyntheticConfig {
 #[derive(Debug, Clone)]
 pub struct SyntheticImages {
     config: SyntheticConfig,
-    train_images: Vec<Vec<f32>>,
+    /// Row-major `[train examples, feature_dim]`.
+    train_images: Vec<f32>,
     train_labels: Vec<usize>,
-    test_images: Vec<Vec<f32>>,
+    /// Row-major `[test examples, feature_dim]`: the test batch's inputs.
+    test_images: Vec<f32>,
     test_labels: Vec<usize>,
 }
 
@@ -128,19 +130,19 @@ impl SyntheticImages {
             .map(|_| smooth_prototype(&config.spec, config.signal, &mut rng))
             .collect();
 
+        // Example `i` is class `i % classes`'s prototype plus pixel noise,
+        // the noise drawn for every example of the split in one fill and
+        // the prototype added after it (IEEE addition commutes, so these
+        // are the bits of `prototype + noise`).
         let gen_split = |count: usize, rng: &mut Rng| {
-            let mut images = Vec::with_capacity(count);
-            let mut labels = Vec::with_capacity(count);
-            for i in 0..count {
-                let label = i % config.spec.classes;
-                let mut img = prototypes[label].clone();
-                for px in &mut img {
-                    *px += config.noise * sample_standard_normal(rng);
+            let mut images = vec![0.0f32; count * dim];
+            fill_standard_normal(rng, &mut images, |z| config.noise * z);
+            let labels: Vec<usize> = (0..count).map(|i| i % config.spec.classes).collect();
+            for (img, &label) in images.chunks_exact_mut(dim).zip(&labels) {
+                for (px, &p) in img.iter_mut().zip(&prototypes[label]) {
+                    *px += p;
                 }
-                images.push(img);
-                labels.push(label);
             }
-            debug_assert!(images.iter().all(|im| im.len() == dim));
             (images, labels)
         };
         let (train_images, train_labels) = gen_split(config.train_examples, &mut rng);
@@ -161,7 +163,7 @@ impl SyntheticImages {
 
     /// Number of test examples.
     pub fn test_len(&self) -> usize {
-        self.test_images.len()
+        self.test_labels.len()
     }
 
     /// Samples an augmented training batch (random shift + horizontal
@@ -172,11 +174,12 @@ impl SyntheticImages {
         let mut inputs = Vec::with_capacity(batch_size * dim);
         let mut labels = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
-            let idx = rng.gen_range(0..self.train_images.len());
+            let idx = rng.gen_range(0..self.train_labels.len());
             let dx = rng.gen_range(-1isize..=1);
             let dy = rng.gen_range(-1isize..=1);
             let flip = rng.gen::<bool>();
-            let img = augment(&self.train_images[idx], &self.config.spec, dx, dy, flip);
+            let img = &self.train_images[idx * dim..][..dim];
+            let img = augment(img, &self.config.spec, dx, dy, flip);
             inputs.extend_from_slice(&img);
             labels.push(self.train_labels[idx]);
         }
@@ -189,12 +192,8 @@ impl SyntheticImages {
     /// The full, unaugmented test set as one batch.
     pub fn test_batch(&self) -> Batch {
         let dim = self.config.spec.feature_dim();
-        let mut inputs = Vec::with_capacity(self.test_images.len() * dim);
-        for img in &self.test_images {
-            inputs.extend_from_slice(img);
-        }
         Batch {
-            inputs: Tensor::from_vec(inputs, [self.test_images.len(), dim]),
+            inputs: Tensor::from_vec(self.test_images.clone(), [self.test_len(), dim]),
             labels: self.test_labels.clone(),
         }
     }
@@ -247,7 +246,8 @@ mod tests {
     fn standard_dataset_shapes() {
         let d = SyntheticImages::standard(1);
         assert_eq!(d.spec().feature_dim(), 192);
-        assert_eq!(d.train_images.len(), 4096);
+        assert_eq!(d.train_labels.len(), 4096);
+        assert_eq!(d.train_images.len(), 4096 * 192);
         assert_eq!(d.test_len(), 1024);
         let t = d.test_batch();
         assert_eq!(t.inputs.shape().dims(), &[1024, 192]);
@@ -332,7 +332,7 @@ mod tests {
         let dim = d.spec().feature_dim();
         let mut means = vec![vec![0.0f64; dim]; 10];
         let mut counts = vec![0usize; 10];
-        for (img, &l) in d.train_images.iter().zip(&d.train_labels) {
+        for (img, &l) in d.train_images.chunks_exact(dim).zip(&d.train_labels) {
             for (m, &v) in means[l].iter_mut().zip(img) {
                 *m += v as f64;
             }
@@ -344,7 +344,7 @@ mod tests {
             }
         }
         let mut correct = 0;
-        for (img, &l) in d.test_images.iter().zip(&d.test_labels) {
+        for (img, &l) in d.test_images.chunks_exact(dim).zip(&d.test_labels) {
             let best = (0..10)
                 .min_by(|&a, &b| {
                     let da: f64 = means[a]

@@ -29,7 +29,6 @@
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
 
 use crate::{Tensor, TensorError};
-use std::sync::OnceLock;
 
 /// Width of a right-hand panel: the output columns advanced together.
 const NC: usize = 256;
@@ -63,12 +62,11 @@ const MIN_PART_MULTIPLY_ADDS: usize = 1 << 25;
 /// core of the host (read once), at most one per
 /// [`MIN_PART_MULTIPLY_ADDS`] of work, at most one per output row.
 fn parts_for((m, n, k): (usize, usize, usize)) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
     let work = m.saturating_mul(n).saturating_mul(k);
-    cores.min(work / MIN_PART_MULTIPLY_ADDS).min(m).max(1)
+    crate::cores()
+        .min(work / MIN_PART_MULTIPLY_ADDS)
+        .min(m)
+        .max(1)
 }
 
 /// Adds the first `N` listed terms to every element of an output row

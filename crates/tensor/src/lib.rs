@@ -50,3 +50,11 @@ pub fn rng(seed: u64) -> Rng {
     use rand::SeedableRng;
     Rng::seed_from_u64(seed)
 }
+
+/// The host's core count, read once: the most parts a large GEMM or a
+/// large normal fill is split into.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}

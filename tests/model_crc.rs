@@ -14,8 +14,11 @@ use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_distsim::{
     run_experiment, Cluster, ExperimentConfig, Problem, ServerCore, WorkerReplica,
 };
+use threelc_learning::data::SyntheticConfig;
 use threelc_learning::{models, Evaluation, SgdMomentum, SyntheticImages};
+use threelc_net::crc32::crc32;
 use threelc_net::model_crc32;
+use threelc_net::protocol::tensor_to_bytes;
 
 const STEPS: u64 = 3;
 
@@ -151,4 +154,29 @@ fn conv_float32_model_is_pinned() {
 #[test]
 fn conv_three_lc_model_is_pinned() {
     assert_eq!(conv_run(SchemeKind::three_lc(1.0)), "557a1d00");
+}
+
+/// The initial model of the ledger's `mlp1024-*` workloads at seed 42, as
+/// `Problem::build` makes it on every node: 4.4 M He-normal draws, every
+/// weight fill large enough to be split over the host's cores (the width-40
+/// runs above are drawn on one thread). Captured before the split.
+#[test]
+fn wide_initial_model_is_pinned() {
+    let spec = SyntheticConfig::default().spec;
+    let init = models::residual_mlp(&spec, 1024, 2, 42);
+    assert_eq!(format!("{:08x}", model_crc32(&init)), "2a0d1172");
+}
+
+/// The dataset of every seed-42 run (`Problem::build` seeds it with
+/// `42·31 + 7`): the training split's 786 Ki noise draws, then the test
+/// split's 197 Ki from where they ended. The test batch pins both the test
+/// values and that position; a sampled training batch pins training images.
+/// Captured before the split.
+#[test]
+fn standard_dataset_is_pinned() {
+    let data = SyntheticImages::standard(42 * 31 + 7);
+    let test = crc32(&tensor_to_bytes(&data.test_batch().inputs));
+    let train = data.sample_train_batch(&mut threelc_tensor::rng(1), 64);
+    let train = crc32(&tensor_to_bytes(&train.inputs));
+    assert_eq!(format!("{test:08x} {train:08x}"), "ace078d1 eabbccae");
 }
