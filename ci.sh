@@ -203,15 +203,11 @@ fi
 # crates/cli/tests/analyze_e2e.rs and flight_abort.rs. No trace stanzas:
 # the nine-phase Chrome export, `trace --check` passing a healthy run and
 # failing a THREELC_STRAGGLE_MS=250 one, and the offline `metrics --from`
-# views are crates/cli/tests/trace_e2e.rs.)
+# views are crates/cli/tests/trace_e2e.rs. No policy stanzas: adaptive
+# multipliers stable and non-constant under simulate, and a feedback serve
+# with a kill@2 worker relaunched matching simulate's crc and decision
+# sequence, are crates/cli/tests/policy_e2e.rs.)
 
-echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
-policydir=target/policy-smoke
-rm -rf "$policydir"
-mkdir -p "$policydir"
-policy_flags=(--workers 2 --steps 6 --width 16 --blocks 1 --batch 8
-    --scheme 3lc)
-crc_of() { sed -n 's/^final model crc32: \(.*\)$/\1/p' "$1"; }
 # serve_bg <stdout log> <serve flags...>: `threelc serve` in the background
 # on a port the kernel picks (no window for another process to take it);
 # sets serve_pid, and addr to the address serve reports once it has bound.
@@ -228,68 +224,6 @@ serve_bg() {
     echo "serve never reported the address it bound" >&2
     exit 1
 }
-# "policy [label]: N distinct multiplier(s); ..." -> N
-distinct_of() { sed -n 's/^policy \[.*\]: \([0-9]*\) distinct.*/\1/p' "$1"; }
-for spec in "schedule:from=1.0,to=1.9,over=4" \
-    "feedback:ratio=10000,start=1.2,gain=0.05,hold=1"; do
-    "$threelc" simulate "${policy_flags[@]}" --policy "$spec" \
-        >"$policydir/a.txt"
-    "$threelc" simulate "${policy_flags[@]}" --policy "$spec" \
-        >"$policydir/b.txt"
-    crc_a="$(crc_of "$policydir/a.txt")"
-    if [ -z "$crc_a" ] || [ "$crc_a" != "$(crc_of "$policydir/b.txt")" ]; then
-        echo "policy $spec: two identical runs disagreed on the model crc" >&2
-        exit 1
-    fi
-    distinct="$(distinct_of "$policydir/a.txt")"
-    if [ -z "$distinct" ] || [ "$distinct" -lt 2 ]; then
-        echo "policy $spec produced a constant multiplier sequence" >&2
-        exit 1
-    fi
-    echo "    $spec: crc $crc_a stable, $distinct distinct multipliers"
-done
-
-# A networked feedback run — including a worker killed mid-run and
-# resumed by launching it again — must reproduce the simulator's fingerprint AND
-# its exact decision sequence (PolicyUpdate frames replay during resync).
-spec="feedback:ratio=10000,start=1.2,gain=0.05,hold=1"
-"$threelc" simulate "${policy_flags[@]}" --policy "$spec" >"$policydir/sim.txt"
-psim_crc="$(crc_of "$policydir/sim.txt")"
-psim_policy="$(grep '^policy \[' "$policydir/sim.txt")"
-serve_bg "$policydir/serve.log" "${policy_flags[@]}" --policy "$spec" \
-    --json "$policydir/report.json"
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
-    >"$policydir/w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$policydir/w1.log" &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" != 43 ]; then
-    echo "kill@2 policy worker exited $rc, expected the kill exit code 43" >&2
-    exit 1
-fi
-"$threelc" worker --addr "$addr" --id 0 >"$policydir/w0b.log" &
-w0b=$!
-wait "$w0b"
-wait "$w1"
-wait "$serve_pid"
-net_crc="$(crc_of "$policydir/serve.log")"
-if [ "$net_crc" != "$psim_crc" ]; then
-    echo "adaptive run diverged: serve crc $net_crc != simulate crc $psim_crc" >&2
-    exit 1
-fi
-if ! grep -qF "$psim_policy" "$policydir/serve.log"; then
-    echo "serve printed a different decision sequence than simulate" >&2
-    exit 1
-fi
-distinct_s="$(grep -o '"s": *[0-9.eE+-]*' "$policydir/report.json" \
-    | sort -u | wc -l)"
-if [ "$distinct_s" -lt 2 ]; then
-    echo "NetReport multiplier sequence is constant ($distinct_s value)" >&2
-    exit 1
-fi
-echo "    kill@2 + relaunch: crc and decision sequence match the simulator"
 
 echo "==> observability smoke (threelc top + metrics --watch on a live run)"
 obsdir=target/obs-smoke

@@ -12,10 +12,6 @@
 //! | `25% / 5% sparsification` | top-magnitude selection with sampled threshold + bitmap | [`sparsify`] |
 //! | `2 local steps` | infrequent transmission with local accumulation | [`localsteps`] |
 //!
-//! Beyond the paper's Table 1, the crate also ships a QSGD-style
-//! multi-level stochastic quantizer with Elias coding ([`qsgd`]) as an
-//! extension comparator from the paper's related work (§6).
-//!
 //! The [`SchemeKind`] enum and [`build_compressor`] factory give the cluster
 //! simulator and the benchmark harness a uniform way to instantiate any
 //! scheme (including 3LC variants).
@@ -25,7 +21,6 @@ pub mod fp16;
 pub mod int8;
 pub mod localsteps;
 pub mod onebit;
-pub mod qsgd;
 pub mod scheme;
 pub mod sparsify;
 pub mod stochastic;
@@ -35,7 +30,6 @@ pub use fp16::Fp16Compressor;
 pub use int8::Int8Compressor;
 pub use localsteps::LocalStepsCompressor;
 pub use onebit::MqeOneBitCompressor;
-pub use qsgd::QsgdCompressor;
 pub use scheme::{build_compressor, SchemeKind};
 pub use sparsify::SparsifyCompressor;
 pub use stochastic::StochasticTernaryCompressor;

@@ -2,7 +2,7 @@
 
 use crate::{
     Float32Compressor, Fp16Compressor, Int8Compressor, LocalStepsCompressor, MqeOneBitCompressor,
-    QsgdCompressor, SparsifyCompressor, StochasticTernaryCompressor,
+    SparsifyCompressor, StochasticTernaryCompressor,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -38,12 +38,6 @@ pub enum SchemeKind {
     LocalSteps {
         /// Steps between transmissions.
         period: u32,
-    },
-    /// QSGD-style multi-level stochastic quantization with Elias coding
-    /// (related-work extension, not in the paper's Table 1).
-    Qsgd {
-        /// Number of quantization levels.
-        levels: u32,
     },
     /// The full 3LC design.
     ThreeLc {
@@ -115,7 +109,6 @@ pub fn build_compressor(kind: &SchemeKind, shape: Shape, seed: u64) -> Box<dyn C
         SchemeKind::MqeOneBit => Box::new(MqeOneBitCompressor::new(shape)),
         SchemeKind::Sparsify { fraction } => Box::new(SparsifyCompressor::new(shape, fraction)),
         SchemeKind::LocalSteps { period } => Box::new(LocalStepsCompressor::new(shape, period)),
-        SchemeKind::Qsgd { levels } => Box::new(QsgdCompressor::new(shape, levels, seed)),
         SchemeKind::ThreeLc {
             sparsity,
             zero_run_encoding,

@@ -13,7 +13,6 @@ fn any_scheme() -> impl Strategy<Value = SchemeKind> {
         Just(SchemeKind::MqeOneBit),
         (0.01f64..1.0).prop_map(|fraction| SchemeKind::Sparsify { fraction }),
         (1u32..5).prop_map(|period| SchemeKind::LocalSteps { period }),
-        (1u32..32).prop_map(|levels| SchemeKind::Qsgd { levels }),
         (1.0f32..1.99).prop_map(SchemeKind::three_lc),
     ]
 }

@@ -521,6 +521,20 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// Runs `serve` with `flags` (no `--addr`) on a thread, on a loopback
+    /// listener bound here first: the address to dial, and the thread.
+    /// `run` returns `Box<dyn Error>`, which is not `Send`, so the thread
+    /// stringifies its error.
+    fn serve_on_loopback(
+        flags: &[&str],
+    ) -> (String, std::thread::JoinHandle<Result<String, String>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let cmd = crate::netcmd::ServeCmd::parse(&s(flags)).expect("serve flags");
+        let server = std::thread::spawn(move || cmd.run(&listener).map_err(|e| e.to_string()));
+        (addr, server)
+    }
+
     #[test]
     fn compress_decompress_roundtrip_with_bounded_error() {
         let input = tmp("in.f32");
@@ -807,16 +821,9 @@ mod tests {
 
     #[test]
     fn policy_flag_drives_an_adaptive_loopback_run() {
-        let addr = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-            probe.local_addr().expect("addr").to_string()
-        };
         let json = tmp("policy-report.json");
         let spec = "schedule:from=1.0,to=1.9,over=3";
-        let serve_args = s(&[
-            "serve",
-            "--addr",
-            &addr,
+        let (addr, server) = serve_on_loopback(&[
             "--workers",
             "1",
             "--steps",
@@ -834,7 +841,6 @@ mod tests {
             "--json",
             json.to_str().unwrap(),
         ]);
-        let server = std::thread::spawn(move || run(&serve_args).map_err(|e| e.to_string()));
         // The worker accepts the same --policy flag (the server's config
         // is authoritative), so symmetric launch scripts work.
         let worker_args = s(&["worker", "--addr", &addr, "--id", "0", "--policy", spec]);
@@ -890,17 +896,8 @@ mod tests {
 
     #[test]
     fn serve_and_worker_commands_run_a_loopback_experiment() {
-        // Reserve an ephemeral port, then immediately reuse it. The worker
-        // commands retry with backoff, so they tolerate starting first.
-        let addr = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-            probe.local_addr().expect("addr").to_string()
-        };
         let json = tmp("net-report.json");
-        let serve_args = s(&[
-            "serve",
-            "--addr",
-            &addr,
+        let (addr, server) = serve_on_loopback(&[
             "--workers",
             "2",
             "--steps",
@@ -918,9 +915,6 @@ mod tests {
             "--json",
             json.to_str().unwrap(),
         ]);
-        // `run` returns `Box<dyn Error>`, which is not `Send`; stringify
-        // errors inside the threads.
-        let server = std::thread::spawn(move || run(&serve_args).map_err(|e| e.to_string()));
         let workers: Vec<_> = (0..2)
             .map(|id| {
                 let args = s(&["worker", "--addr", &addr, "--id", &id.to_string()]);
@@ -971,14 +965,7 @@ mod tests {
 
     #[test]
     fn metrics_command_scrapes_a_live_server() {
-        let addr = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-            probe.local_addr().expect("addr").to_string()
-        };
-        let serve_args = s(&[
-            "serve",
-            "--addr",
-            &addr,
+        let (addr, server) = serve_on_loopback(&[
             "--workers",
             "1",
             "--steps",
@@ -990,10 +977,9 @@ mod tests {
             "--batch",
             "8",
         ]);
-        let server = std::thread::spawn(move || run(&serve_args).map_err(|e| e.to_string()));
 
         // Scrape during the handshake phase (no worker yet), retrying
-        // until the server thread has bound the port.
+        // until the server thread answers.
         let mut text = None;
         for _ in 0..250 {
             match run(&s(&["metrics", &addr])) {
@@ -1078,6 +1064,21 @@ mod tests {
             let err = run(&s(&cmd)).expect_err("bad policy spec must be rejected");
             assert!(err.to_string().contains("policy"), "got: {err}");
         }
+    }
+
+    #[test]
+    fn serve_and_simulate_refuse_a_config_alike_before_binding() {
+        // An address already taken: a serve that bound before validating
+        // would fail on the bind instead.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = taken.local_addr().expect("addr").to_string();
+        let experiment = ["--workers", "0", "--steps", "1", "--width", "8"];
+        let simulate = run(&s(&[&["simulate"][..], &experiment].concat()))
+            .expect_err("simulate must refuse a run without workers");
+        let serve = run(&s(&[&["serve", "--addr", &addr][..], &experiment].concat()))
+            .expect_err("serve must refuse a run without workers");
+        assert_eq!(simulate.to_string(), "at least one worker required");
+        assert_eq!(serve.to_string(), simulate.to_string());
     }
 
     #[test]
@@ -1207,15 +1208,9 @@ mod tests {
     fn trace_command_renders_checks_and_exports_a_traced_loopback() {
         // End-to-end: a traced loopback serve/worker run through the CLI,
         // then `threelc trace` on the dumped report.
-        let addr = {
-            let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe");
-            probe.local_addr().expect("addr").to_string()
-        };
         let json = tmp("traced-report.json");
-        let serve_args = s(&[
-            "serve",
-            "--addr",
-            &addr,
+        threelc_obs::set_trace_enabled(true);
+        let (addr, server) = serve_on_loopback(&[
             "--workers",
             "2",
             "--steps",
@@ -1233,8 +1228,6 @@ mod tests {
             "--json",
             json.to_str().unwrap(),
         ]);
-        threelc_obs::set_trace_enabled(true);
-        let server = std::thread::spawn(move || run(&serve_args).map_err(|e| e.to_string()));
         let workers: Vec<_> = (0..2)
             .map(|id| {
                 let args = s(&["worker", "--addr", &addr, "--id", &id.to_string()]);

@@ -121,9 +121,19 @@ const CONFIG_FLAGS: &[&str] = &[
     "--policy",
 ];
 
+/// The flags only `serve` takes, beside [`CONFIG_FLAGS`].
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--json",
+    "--rejoin-timeout",
+    "--max-rejoins",
+    "--flight",
+];
+
 /// Builds the experiment configuration from the shared [`CONFIG_FLAGS`],
 /// so `serve` and `simulate` agree byte-for-byte on what a given command
-/// line trains.
+/// line trains, and refuse the same configurations with the same message
+/// ([`ExperimentConfig::validate`]) before either binds or builds anything.
 fn config_from_flags(args: &[String]) -> Result<ExperimentConfig, Box<dyn Error>> {
     let sparsity: f32 = parse_flag(args, "--sparsity")?.unwrap_or(1.0);
     SparsityMultiplier::new(sparsity).map_err(|_| "sparsity must be in [1.0, 2.0)")?;
@@ -156,145 +166,152 @@ fn config_from_flags(args: &[String]) -> Result<ExperimentConfig, Box<dyn Error>
     if let Some(spec) = flag_value(args, "--policy") {
         config.policy = PolicySpec::parse(spec).map_err(|e| format!("--policy: {e}"))?;
     }
+    config.validate()?;
     Ok(config)
 }
 
-/// `threelc serve`: bind, run a full experiment as the parameter server,
-/// and report (optionally dumping the full JSON report).
+/// `threelc serve`: parse, bind `--addr`, run a full experiment as the
+/// parameter server ([`ServeCmd::run`]), and report.
 pub fn serve_cmd(args: &[String]) -> CliResult {
-    const FLAGS: &[&str] = &[
-        "--addr",
-        "--workers",
-        "--steps",
-        "--scheme",
-        "--sparsity",
-        "--seed",
-        "--width",
-        "--blocks",
-        "--batch",
-        "--eval-every",
-        "--policy",
-        "--json",
-        "--rejoin-timeout",
-        "--max-rejoins",
-        "--flight",
-    ];
-    check_flags(args, FLAGS)?;
+    let cmd = ServeCmd::parse(args)?;
     let addr =
         flag_value(args, "--addr").ok_or("--addr is required (e.g. --addr 127.0.0.1:7171)")?;
-    let config = config_from_flags(args)?;
-
-    let mut opts = ServeOptions::default();
-    if let Some(secs) = parse_flag::<u64>(args, "--rejoin-timeout")? {
-        opts.rejoin_timeout = Duration::from_secs(secs);
-    }
-    if let Some(v) = parse_flag(args, "--max-rejoins")? {
-        opts.max_rejoins = v;
-    }
-    // The flight recorder dumps to an explicit --flight path, or rides
-    // along with --json as `<report>.flight.json`. Without either flag
-    // there is nowhere sensible to write, so no dump is armed.
-    opts.flight = match (flag_value(args, "--flight"), flag_value(args, "--json")) {
-        (Some(path), _) => Some(path.to_string()),
-        (None, Some(json)) => {
-            let stem = json.strip_suffix(".json").unwrap_or(json);
-            Some(format!("{stem}.flight.json"))
-        }
-        (None, None) => None,
-    };
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let bound = listener.local_addr()?;
     // The port actually bound, for a caller that asked for port 0: what it
     // dials its workers at, with no window in which another process can
     // take the port.
-    eprintln!("listening on {bound}");
-    let result = serve(&listener, &config, &opts);
+    eprintln!("listening on {}", listener.local_addr()?);
+    cmd.run(&listener)
+}
 
-    // Leave the final metrics state in the structured log (when one is
-    // enabled), so `threelc metrics --from <jsonl>` can render the run
-    // offline after the server is gone. Deliberately before the `?`: an
-    // aborted run is exactly when the post-mortem snapshot matters most.
-    if threelc_obs::log_enabled(Level::Info) {
-        let snapshot = serde_json::to_string(&threelc_obs::global().snapshot())?;
-        threelc_obs::emit(Level::Info, "metrics.snapshot", &[("snapshot", snapshot)]);
+/// A parsed `serve` command line: everything but the address to bind.
+pub(crate) struct ServeCmd {
+    config: ExperimentConfig,
+    opts: ServeOptions,
+    json: Option<String>,
+}
+
+impl ServeCmd {
+    /// Parses every `serve` flag but `--addr`, which it accepts and
+    /// ignores.
+    pub(crate) fn parse(args: &[String]) -> Result<ServeCmd, Box<dyn Error>> {
+        check_flags(args, &[CONFIG_FLAGS, SERVE_FLAGS].concat())?;
+        let config = config_from_flags(args)?;
+        let mut opts = ServeOptions::default();
+        if let Some(secs) = parse_flag::<u64>(args, "--rejoin-timeout")? {
+            opts.rejoin_timeout = Duration::from_secs(secs);
+        }
+        if let Some(v) = parse_flag(args, "--max-rejoins")? {
+            opts.max_rejoins = v;
+        }
+        let json = flag_value(args, "--json").map(str::to_string);
+        // The flight recorder dumps to an explicit --flight path, or rides
+        // along with --json as `<report>.flight.json`. Without either flag
+        // there is nowhere sensible to write, so no dump is armed.
+        opts.flight = match (flag_value(args, "--flight"), &json) {
+            (Some(path), _) => Some(path.to_string()),
+            (None, Some(json)) => {
+                let stem = json.strip_suffix(".json").unwrap_or(json);
+                Some(format!("{stem}.flight.json"))
+            }
+            (None, None) => None,
+        };
+        Ok(ServeCmd { config, opts, json })
     }
-    let report = result?;
 
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string(&report)?;
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-    }
+    /// Serves the run on `listener`, which the caller bound, and renders
+    /// the report.
+    pub(crate) fn run(&self, listener: &TcpListener) -> CliResult {
+        let ServeCmd { config, opts, json } = self;
+        let bound = listener.local_addr()?;
+        let result = serve(listener, config, opts);
 
-    let result = &report.result;
-    let (push, pull, raw) = result
-        .trace
-        .steps
-        .iter()
-        .fold((0u64, 0u64, 0u64), |acc, s| {
-            (
-                acc.0 + s.push_bytes,
-                acc.1 + s.pull_bytes,
-                acc.2 + s.raw_bytes,
-            )
-        });
-    let mut out = String::new();
-    writeln!(
-        out,
-        "served {} worker(s) for {} steps on {bound} [{}]",
-        config.workers, config.total_steps, result.scheme_label
-    )?;
-    writeln!(
-        out,
-        "final eval: loss {:.4}, accuracy {:.2}%",
-        result.final_eval.loss,
-        result.final_eval.accuracy * 100.0
-    )?;
-    writeln!(out, "final model crc32: {:08x}", report.final_model_crc32)?;
-    write_policy_summary(&mut out, &result.trace.policy)?;
-    if report.faults.disconnects > 0 || report.faults.rejoins > 0 {
+        // Leave the final metrics state in the structured log (when one is
+        // enabled), so `threelc metrics --from <jsonl>` can render the run
+        // offline after the server is gone. Deliberately before the `?`: an
+        // aborted run is exactly when the post-mortem snapshot matters most.
+        if threelc_obs::log_enabled(Level::Info) {
+            let snapshot = serde_json::to_string(&threelc_obs::global().snapshot())?;
+            threelc_obs::emit(Level::Info, "metrics.snapshot", &[("snapshot", snapshot)]);
+        }
+        let report = result?;
+
+        if let Some(path) = json {
+            let json = serde_json::to_string(&report)?;
+            std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+        }
+
+        let result = &report.result;
+        let (push, pull, raw) = result
+            .trace
+            .steps
+            .iter()
+            .fold((0u64, 0u64, 0u64), |acc, s| {
+                (
+                    acc.0 + s.push_bytes,
+                    acc.1 + s.pull_bytes,
+                    acc.2 + s.raw_bytes,
+                )
+            });
+        let mut out = String::new();
         writeln!(
             out,
-            "faults: {} disconnect(s), {} rejoin(s)",
-            report.faults.disconnects, report.faults.rejoins
+            "served {} worker(s) for {} steps on {bound} [{}]",
+            config.workers, config.total_steps, result.scheme_label
         )?;
-        for e in &report.faults.events {
+        writeln!(
+            out,
+            "final eval: loss {:.4}, accuracy {:.2}%",
+            result.final_eval.loss,
+            result.final_eval.accuracy * 100.0
+        )?;
+        writeln!(out, "final model crc32: {:08x}", report.final_model_crc32)?;
+        write_policy_summary(&mut out, &result.trace.policy)?;
+        if report.faults.disconnects > 0 || report.faults.rejoins > 0 {
             writeln!(
                 out,
-                "fault [{}] step {} worker {}: {}",
-                e.kind, e.step, e.worker, e.detail
+                "faults: {} disconnect(s), {} rejoin(s)",
+                report.faults.disconnects, report.faults.rejoins
+            )?;
+            for e in &report.faults.events {
+                writeln!(
+                    out,
+                    "fault [{}] step {} worker {}: {}",
+                    e.kind, e.step, e.worker, e.detail
+                )?;
+            }
+        }
+        writeln!(
+            out,
+            "traffic: push {push} B, pull {pull} B, raw {raw} B (payloads, all workers)"
+        )?;
+        for conn in &report.connections {
+            let c = &conn.counters;
+            writeln!(
+                out,
+                "worker {} @ {}: in {} B / {} frames, out {} B / {} frames, codec {:.3}s, socket {:.3}s",
+                conn.worker,
+                conn.peer,
+                c.bytes_in,
+                c.frames_in,
+                c.bytes_out,
+                c.frames_out,
+                c.codec_seconds,
+                c.socket_seconds
             )?;
         }
+        for a in report.anomalies.iter().chain(&result.trace.anomalies) {
+            writeln!(out, "anomaly [{}]: {}", a.kind, a.detail)?;
+        }
+        if !report.node_traces.is_empty() {
+            writeln!(
+                out,
+                "collected {} node trace(s); render with `threelc trace <report.json>`",
+                report.node_traces.len()
+            )?;
+        }
+        Ok(out)
     }
-    writeln!(
-        out,
-        "traffic: push {push} B, pull {pull} B, raw {raw} B (payloads, all workers)"
-    )?;
-    for conn in &report.connections {
-        let c = &conn.counters;
-        writeln!(
-            out,
-            "worker {} @ {}: in {} B / {} frames, out {} B / {} frames, codec {:.3}s, socket {:.3}s",
-            conn.worker,
-            conn.peer,
-            c.bytes_in,
-            c.frames_in,
-            c.bytes_out,
-            c.frames_out,
-            c.codec_seconds,
-            c.socket_seconds
-        )?;
-    }
-    for a in report.anomalies.iter().chain(&result.trace.anomalies) {
-        writeln!(out, "anomaly [{}]: {}", a.kind, a.detail)?;
-    }
-    if !report.node_traces.is_empty() {
-        writeln!(
-            out,
-            "collected {} node trace(s); render with `threelc trace <report.json>`",
-            report.node_traces.len()
-        )?;
-    }
-    Ok(out)
 }
 
 /// One line summarizing an adaptive run's decision sequence: the label,

@@ -42,7 +42,6 @@
 //! ```
 
 mod compressor;
-pub mod elias;
 mod error;
 pub mod huffman;
 pub mod kernels;

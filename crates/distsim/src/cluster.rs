@@ -1,14 +1,13 @@
 //! The bulk-synchronous parameter-server cluster.
 
 use crate::config::ExperimentConfig;
-use crate::engine::{self, Problem, ServerCore, TensorPayload, WorkerPush, WorkerReplica};
+use crate::engine::{Problem, ServerCore, WorkerPush, WorkerReplica};
 use crate::trace::StepRecord;
 use threelc::CompressionStats;
 use threelc_learning::{Batch, Evaluation, Network, SyntheticImages};
 use threelc_obs::trace::{self, TraceScope, TraceSpan};
 use threelc_obs::{RunRecorder, RunSeries};
 use threelc_policy::PolicyTrace;
-use threelc_tensor::Rng;
 
 /// An in-process parameter-server cluster (paper Figures 1–2).
 ///
@@ -20,9 +19,9 @@ use threelc_tensor::Rng;
 /// [`StepRecord`].
 ///
 /// The arithmetic lives in [`crate::engine`], which the TCP runtime
-/// (`threelc-net`) drives over real sockets; this type adds what a single
-/// process can simulate cheaply — straggler jitter, backup workers, the
-/// stale-pull pipeline, and per-server traffic accounting.
+/// (`threelc-net`) drives over real sockets; this type runs the same
+/// strict-BSP step over in-process replicas, so it can simulate exactly
+/// what `serve` runs and nothing else.
 pub struct Cluster {
     config: ExperimentConfig,
     server: ServerCore,
@@ -30,12 +29,6 @@ pub struct Cluster {
     data: SyntheticImages,
     test: Batch,
     compressible_values: u64,
-    /// RNG for per-step straggler jitter (separate stream so enabling
-    /// jitter does not perturb data sampling).
-    straggler_rng: Rng,
-    /// Stale-pull pipeline: pull batches, still compressed, waiting to be
-    /// applied to workers (`config.staleness` steps deep; empty in BSP).
-    pending_pulls: std::collections::VecDeque<Vec<TensorPayload>>,
     /// Every policy decision taken so far (empty under a static policy).
     policy_log: PolicyTrace,
     /// Per-worker/run-level time series, fed once per step with the same
@@ -47,7 +40,15 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster: global model, `config.workers` replicas, and
     /// per-tensor compression contexts on both paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ExperimentConfig::validate`]'s reason if the config
+    /// cannot run.
     pub fn new(config: ExperimentConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid experiment config: {e}");
+        }
         let problem = Problem::build(&config);
         let mut workers: Vec<WorkerReplica> = (0..config.workers)
             .map(|w| WorkerReplica::new(&problem, w))
@@ -67,8 +68,6 @@ impl Cluster {
             compressible_values: problem.compressible_values(),
             data: problem.data,
             test: problem.test,
-            straggler_rng: threelc_tensor::rng(config.seed ^ 0x5357_4147), // "STAG"
-            pending_pulls: std::collections::VecDeque::new(),
             policy_log: PolicyTrace {
                 label: config.policy.label(),
                 records: Vec::new(),
@@ -141,8 +140,6 @@ impl Cluster {
     pub fn step(&mut self) -> StepRecord {
         let step = self.server.step_number();
         let workers = self.config.workers;
-        let (accepted, compute_multiplier) =
-            engine::sample_stragglers(&self.config, &mut self.straggler_rng);
 
         // All simulated lanes share one process (one clock domain), so
         // trace scopes record into the global buffer with per-lane node
@@ -163,19 +160,12 @@ impl Cluster {
         };
 
         // ---- Worker phase: local compute + gradient push compression.
-        // Workers dropped as stragglers skip the step entirely: their
-        // gradients never reach the server (backup-worker semantics). The
-        // step's books (per-worker series points, traffic, the StepRecord)
-        // are kept by the engine's one accountant, which the networked
-        // server feeds the same way.
-        let mut payloads: Vec<Vec<TensorPayload>> = Vec::with_capacity(workers);
-        let mut account = self.server.begin_step(compute_multiplier);
-        for (wi, (w, &participating)) in self.workers.iter_mut().zip(&accepted).enumerate() {
-            if !participating {
-                payloads.push(Vec::new());
-                account.push(None);
-                continue;
-            }
+        // The step's books (per-worker series points, traffic, the
+        // StepRecord) are kept by the engine's one accountant, which the
+        // networked server feeds the same way.
+        let mut payloads = Vec::with_capacity(workers);
+        let mut account = self.server.begin_step();
+        for (wi, w) in self.workers.iter_mut().enumerate() {
             let _scope = worker_scope(wi);
             let step_t0 = std::time::Instant::now();
             let compute_span = TraceSpan::start("compute");
@@ -184,7 +174,7 @@ impl Cluster {
             // quantize/encode spans are recorded inside the compression
             // contexts under this worker's scope.
             let encoded = w.encode_push(grads);
-            account.push(Some(WorkerPush {
+            account.push(WorkerPush {
                 payloads: &encoded.payloads,
                 loss,
                 codec_seconds: encoded.codec_seconds,
@@ -192,7 +182,7 @@ impl Cluster {
                 step_seconds: step_t0.elapsed().as_secs_f64(),
                 barrier_wait_seconds: 0.0,
                 rejoins: 0,
-            }));
+            });
             payloads.push(encoded.payloads);
         }
         self.recorder.record_step(step, account.deltas());
@@ -208,18 +198,18 @@ impl Cluster {
                 trace::NO_WORKER,
             )
         });
-        // `sample_stragglers` keeps `backups < n`, so at least one worker's
-        // push is always accepted and the all-rejected error is unreachable
-        // in the simulator.
+        // Every worker pushed, and a config the cluster was built from has
+        // at least one (`ExperimentConfig::validate`), so the all-rejected
+        // error is unreachable in the simulator.
         let out = self
             .server
             .apply_step(&payloads, account.accepted(), account.residual_l2())
-            .expect("straggler sampling guarantees at least one accepted push");
+            .expect("every worker pushed");
         drop(server_scope);
 
-        // Deliver the next step's policy decisions to every replica —
-        // including dropped stragglers, exactly as the networked runtime's
-        // pull-batch broadcast reaches every connected worker.
+        // Deliver the next step's policy decisions to every replica, exactly
+        // as the networked runtime's pull-batch broadcast reaches every
+        // connected worker.
         if !out.next_decisions.is_empty() {
             for w in self.workers.iter_mut() {
                 w.apply_policy(&out.next_decisions);
@@ -229,24 +219,16 @@ impl Cluster {
             .records
             .extend(out.policy_records.iter().copied());
 
-        // With stale pulls the transfer overlaps later compute.
-        let record = account.finish(&out, self.config.staleness > 0);
+        let record = account.finish(&out);
 
-        // Apply the pulls that have cleared the staleness pipeline. In BSP
-        // (staleness 0) that is this step's own batch; with staleness k,
-        // workers run k steps behind the server's global model and pull
-        // transfers overlap subsequent compute. Every worker decodes the
-        // shared batch itself, as a networked worker does.
-        self.pending_pulls.push_back(out.pulls);
-        while self.pending_pulls.len() > self.config.staleness as usize {
-            let pulls = self.pending_pulls.pop_front().expect("nonempty");
-            for (wi, w) in self.workers.iter_mut().enumerate() {
-                let _scope = worker_scope(wi);
-                let pull_span = TraceSpan::start("pull");
-                w.apply_pulls(&pulls)
-                    .expect("the server's own pull contexts produced these payloads");
-                pull_span.finish();
-            }
+        // Every worker decodes the shared batch itself, as a networked
+        // worker does.
+        for (wi, w) in self.workers.iter_mut().enumerate() {
+            let _scope = worker_scope(wi);
+            let pull_span = TraceSpan::start("pull");
+            w.apply_pulls(&out.pulls)
+                .expect("the server's own pull contexts produced these payloads");
+            pull_span.finish();
         }
 
         record
@@ -269,6 +251,15 @@ mod tests {
             seed: 1,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid experiment config: at least one worker required")]
+    fn a_config_without_workers_is_refused_at_construction() {
+        Cluster::new(ExperimentConfig {
+            workers: 0,
+            ..tiny_config(SchemeKind::Float32)
+        });
     }
 
     #[test]
@@ -365,203 +356,6 @@ mod tests {
                 // Small tensors are exactly the excluded ones.
                 assert!(compressible <= total - p.len() as u64 + compressible);
             }
-        }
-    }
-
-    #[test]
-    fn backup_workers_drop_stragglers_but_stay_in_sync() {
-        let mut config = tiny_config(SchemeKind::Float32);
-        config.backup_workers = 1;
-        config.timing.straggler_jitter = 0.3;
-        let mut cluster = Cluster::new(config);
-        for _ in 0..5 {
-            let rec = cluster.step();
-            // Only 2 of 3 workers push: float32 traffic shrinks by 1/3.
-            let values = cluster.compressible_values();
-            assert_eq!(rec.push_bytes, values * 4 * 2);
-            // All 3 still pull.
-            assert_eq!(rec.pull_bytes, values * 4 * 3);
-            assert!(rec.compute_multiplier > 0.0);
-        }
-        // Dropped workers still receive deltas: replicas stay identical.
-        let first = cluster.worker_model(0).snapshot();
-        for w in 1..3 {
-            assert_eq!(cluster.worker_model(w).snapshot(), first);
-        }
-    }
-
-    #[test]
-    fn straggler_jitter_inflates_step_gate() {
-        let mut config = tiny_config(SchemeKind::Float32);
-        config.timing.straggler_jitter = 0.5;
-        let mut cluster = Cluster::new(config);
-        let gates: Vec<f64> = (0..10).map(|_| cluster.step().compute_multiplier).collect();
-        // The max of several lognormal samples is above 1 almost surely.
-        assert!(gates.iter().all(|&g| g > 0.0));
-        assert!(gates.iter().any(|&g| g > 1.0));
-        // And jitter must actually vary step to step.
-        assert!(gates.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9));
-    }
-
-    #[test]
-    fn backup_workers_shrink_the_gate() {
-        // Cutting the slowest worker lowers the step-gating multiplier in
-        // expectation — the whole point of backup workers (§2.1).
-        let mean_gate = |backups: usize| {
-            let mut config = tiny_config(SchemeKind::Float32);
-            config.workers = 6;
-            config.backup_workers = backups;
-            config.timing.straggler_jitter = 0.4;
-            let mut cluster = Cluster::new(config);
-            (0..10)
-                .map(|_| cluster.step().compute_multiplier)
-                .sum::<f64>()
-                / 10.0
-        };
-        assert!(
-            mean_gate(2) < mean_gate(0),
-            "dropping stragglers must reduce the expected gate"
-        );
-    }
-
-    #[test]
-    fn stale_pulls_delay_worker_updates() {
-        let mut bsp_cfg = tiny_config(SchemeKind::Float32);
-        bsp_cfg.total_steps = 8;
-        let mut stale_cfg = bsp_cfg;
-        stale_cfg.staleness = 2;
-
-        let mut bsp = Cluster::new(bsp_cfg);
-        let mut stale = Cluster::new(stale_cfg);
-        for _ in 0..5 {
-            bsp.step();
-            stale.step();
-        }
-        // Global models differ (workers computed on stale replicas), and
-        // the stale cluster's workers lag the global model by the pipeline
-        // depth.
-        assert_eq!(
-            bsp.worker_model(0).snapshot(),
-            bsp.global_model().snapshot(),
-            "BSP workers track the global model"
-        );
-        assert_ne!(
-            stale.worker_model(0).snapshot(),
-            stale.global_model().snapshot(),
-            "stale workers must lag the global model"
-        );
-        // Workers still agree with each other.
-        assert_eq!(
-            stale.worker_model(0).snapshot(),
-            stale.worker_model(1).snapshot()
-        );
-    }
-
-    #[test]
-    fn stale_pulls_hide_pull_traffic_in_step_time() {
-        let run = |staleness: u32| {
-            let mut config = tiny_config(SchemeKind::Float32);
-            config.staleness = staleness;
-            let mut cluster = Cluster::new(config);
-            cluster.step()
-        };
-        let mut bsp = run(0);
-        let mut stale = run(1);
-        assert!(!bsp.pull_overlapped);
-        assert!(stale.pull_overlapped);
-        // Zero the measured codec wall times: they are scheduler-noisy and
-        // irrelevant to what this test isolates (the comm term).
-        bsp.worker_codec_seconds = 0.0;
-        bsp.server_codec_seconds = 0.0;
-        stale.worker_codec_seconds = 0.0;
-        stale.server_codec_seconds = 0.0;
-        let net = crate::NetworkModel::ten_mbps();
-        // No overlap budget: isolate the raw comm term.
-        let timing = crate::TimingModel {
-            overlap_fraction: 0.0,
-            ..Default::default()
-        };
-        assert!(
-            stale.seconds_at(&net, &timing, 10.0) < bsp.seconds_at(&net, &timing, 10.0),
-            "hiding pulls must shorten slow-network steps"
-        );
-    }
-
-    #[test]
-    fn staleness_zero_matches_previous_bsp_behaviour() {
-        // A staleness-0 cluster applies deltas the same step (regression
-        // guard for the pipeline refactor).
-        let mut cluster = Cluster::new(tiny_config(SchemeKind::three_lc(1.0)));
-        for _ in 0..3 {
-            cluster.step();
-        }
-        // Worker replicas must reflect all three updates: training moved.
-        let w = cluster.worker_model(0).snapshot();
-        let init = Cluster::new(tiny_config(SchemeKind::three_lc(1.0)))
-            .worker_model(0)
-            .snapshot();
-        assert_ne!(w, init);
-    }
-
-    #[test]
-    fn sharding_reduces_critical_bytes_not_totals() {
-        let run = |servers: usize| {
-            let mut config = tiny_config(SchemeKind::Float32);
-            config.servers = servers;
-            let mut cluster = Cluster::new(config);
-            cluster.step()
-        };
-        let one = run(1);
-        let four = run(4);
-        // Learning dynamics and total traffic are unchanged.
-        assert_eq!(one.push_bytes, four.push_bytes);
-        assert_eq!(one.pull_bytes, four.pull_bytes);
-        assert_eq!(one.raw_bytes, four.raw_bytes);
-        // But the busiest-server share shrinks.
-        assert_eq!(
-            one.critical_bytes,
-            one.push_bytes + one.pull_bytes + one.raw_bytes
-        );
-        assert!(
-            four.critical_bytes < one.critical_bytes,
-            "sharding must cut the per-server critical path \
-             ({} vs {})",
-            four.critical_bytes,
-            one.critical_bytes
-        );
-        // And the sharded step is never slower under any link.
-        let net = crate::NetworkModel::ten_mbps();
-        let timing = crate::TimingModel {
-            overlap_fraction: 0.0,
-            ..Default::default()
-        };
-        let (mut a, mut b) = (one, four);
-        a.worker_codec_seconds = 0.0;
-        a.server_codec_seconds = 0.0;
-        b.worker_codec_seconds = 0.0;
-        b.server_codec_seconds = 0.0;
-        assert!(b.seconds_at(&net, &timing, 10.0) <= a.seconds_at(&net, &timing, 10.0));
-    }
-
-    #[test]
-    fn sharding_does_not_change_training() {
-        let run = |servers: usize| {
-            let mut config = tiny_config(SchemeKind::three_lc(1.0));
-            config.servers = servers;
-            let mut cluster = Cluster::new(config);
-            for _ in 0..4 {
-                cluster.step();
-            }
-            cluster.global_model().snapshot()
-        };
-        assert_eq!(run(1), run(3), "sharding is a placement decision only");
-    }
-
-    #[test]
-    fn no_jitter_means_unit_multiplier() {
-        let mut cluster = Cluster::new(tiny_config(SchemeKind::Float32));
-        for _ in 0..3 {
-            assert_eq!(cluster.step().compute_multiplier, 1.0);
         }
     }
 

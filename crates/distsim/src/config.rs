@@ -36,12 +36,6 @@ pub struct TimingModel {
     /// Parameter count the traffic/codec measurements are projected to
     /// (ResNet-110 ≈ 1.73 M).
     pub reference_params: u64,
-    /// Straggler jitter: per-worker, per-step compute time is multiplied
-    /// by `exp(jitter · N(0,1))`. `0` = perfectly uniform workers. In BSP
-    /// the slowest accepted worker gates the step, which is what backup
-    /// workers mitigate (§2.1).
-    #[serde(default)]
-    pub straggler_jitter: f64,
 }
 
 impl Default for TimingModel {
@@ -50,7 +44,6 @@ impl Default for TimingModel {
             compute_seconds_per_step: 0.41,
             overlap_fraction: 2.0,
             reference_params: 1_730_000,
-            straggler_jitter: 0.0,
         }
     }
 }
@@ -64,19 +57,16 @@ impl TimingModel {
     }
 }
 
-/// Full configuration of one distributed-training experiment.
+/// Full configuration of one distributed-training experiment. The
+/// simulator ([`crate::Cluster`]) and the networked runtime run every
+/// field: strict BSP, one parameter server, one shared pull encode per
+/// tensor (the paper's setting, §5.1–5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// The communication-reduction design under test.
     pub scheme: SchemeKind,
     /// Number of workers (the paper uses 10).
     pub workers: usize,
-    /// Number of parameter servers the model is partitioned across
-    /// (Figure 1; the paper's testbed uses one). Tensors are assigned
-    /// round-robin; each server has its own emulated link, so the step's
-    /// transfer time is gated by the busiest server.
-    #[serde(default = "one_server")]
-    pub servers: usize,
     /// Per-worker minibatch size (the paper uses 32).
     pub batch_per_worker: usize,
     /// Total training steps (the learning-rate schedule spans exactly this
@@ -93,20 +83,6 @@ pub struct ExperimentConfig {
     /// Linear learning-rate warmup steps (Goyal et al.'s large-batch
     /// guideline, which the paper's distributed configuration follows).
     pub warmup_steps: u64,
-    /// Backup workers (§2.1): the server advances once `workers −
-    /// backup_workers` gradient pushes arrive and drops the stragglers'
-    /// updates, as TensorFlow's `SyncReplicasOptimizer` does. `0` = plain
-    /// BSP.
-    #[serde(default)]
-    pub backup_workers: usize,
-    /// Pull staleness (§2.1 relaxed barriers): model deltas are applied to
-    /// workers `staleness` steps after the server produces them, letting
-    /// pull transfers overlap the next steps' compute entirely. `0` = BSP
-    /// (the paper's setting). Asynchrony trades convergence for latency
-    /// hiding — the paper's background observation that async transmission
-    /// "generally requires more training steps ... to similar accuracy".
-    #[serde(default)]
-    pub staleness: u32,
     /// Residual-block width of the model.
     pub model_width: usize,
     /// Number of residual blocks.
@@ -117,10 +93,6 @@ pub struct ExperimentConfig {
     /// Evaluate the global model on the test set every this many steps
     /// (`0` = only at the end).
     pub eval_every: u64,
-    /// Share one compressed pull payload across workers (Fig. 2b). When
-    /// `false`, the server compresses each worker's pull separately
-    /// (ablation; same traffic, more codec time).
-    pub shared_pull_compression: bool,
     /// Master seed: model init, data generation, and worker RNGs derive
     /// from it.
     pub seed: u64,
@@ -135,16 +107,11 @@ pub struct ExperimentConfig {
     pub timing: TimingModel,
 }
 
-fn one_server() -> usize {
-    1
-}
-
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
             scheme: SchemeKind::Float32,
             workers: 10,
-            servers: 1,
             batch_per_worker: 32,
             total_steps: STANDARD_STEPS,
             lr_max: 0.1,
@@ -152,13 +119,10 @@ impl Default for ExperimentConfig {
             momentum: 0.9,
             weight_decay: 1e-4,
             warmup_steps: 60,
-            backup_workers: 0,
-            staleness: 0,
             model_width: 64,
             model_blocks: 2,
             compress_threshold: 512,
             eval_every: 0,
-            shared_pull_compression: true,
             seed: 42,
             policy: PolicySpec::Static,
             timing: TimingModel::default(),
@@ -173,6 +137,25 @@ impl ExperimentConfig {
             scheme,
             ..Default::default()
         }
+    }
+
+    /// Checks what both runtimes need before anything is built or bound:
+    /// at least one worker, and no more than a `u16` worker id can name.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the configuration cannot run.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers == 0 {
+            return Err("at least one worker required".into());
+        }
+        if self.workers > usize::from(u16::MAX) {
+            return Err(format!(
+                "{} workers exceed the u16 worker-id space",
+                self.workers
+            ));
+        }
+        Ok(())
     }
 
     /// Returns a copy running `percent`% of this config's steps (the
@@ -224,6 +207,45 @@ mod tests {
         let t = TimingModel::default();
         assert!((t.scale_for(1_730_000) - 1.0).abs() < 1e-12);
         assert!((t.scale_for(173_000) - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validate_bounds_the_worker_count() {
+        let with = |workers| ExperimentConfig {
+            workers,
+            ..Default::default()
+        };
+        assert_eq!(
+            with(0).validate(),
+            Err("at least one worker required".into())
+        );
+        assert_eq!(with(1).validate(), Ok(()));
+        assert_eq!(with(usize::from(u16::MAX)).validate(), Ok(()));
+        assert_eq!(
+            with(70_000).validate(),
+            Err("70000 workers exceed the u16 worker-id space".into())
+        );
+    }
+
+    #[test]
+    fn configs_with_retired_keys_still_load() {
+        // An ExperimentConfig as the simulator serialized it while it still
+        // modelled sharded servers, backup workers, stale pulls, per-worker
+        // pull compression and straggler jitter: the retired keys are
+        // ignored.
+        let old = r#"{"scheme":"Float32","workers":1,"servers":1,"batch_per_worker":4,"total_steps":1,"lr_max":0.1,"lr_min":0.001,"momentum":0.9,"weight_decay":0.0001,"warmup_steps":60,"backup_workers":0,"staleness":0,"model_width":8,"model_blocks":1,"compress_threshold":512,"eval_every":0,"shared_pull_compression":true,"seed":42,"policy":"Static","timing":{"compute_seconds_per_step":0.41,"overlap_fraction":2,"reference_params":1730000,"straggler_jitter":0}}"#;
+        let back: ExperimentConfig = serde_json::from_str(old).unwrap();
+        assert_eq!(
+            back,
+            ExperimentConfig {
+                workers: 1,
+                batch_per_worker: 4,
+                total_steps: 1,
+                model_width: 8,
+                model_blocks: 1,
+                ..ExperimentConfig::for_scheme(SchemeKind::Float32)
+            }
+        );
     }
 
     #[test]

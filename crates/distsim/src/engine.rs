@@ -169,10 +169,11 @@ impl Problem {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// Every worker's push was rejected this step, leaving nothing to
-    /// aggregate. BSP callers that gate on `workers − backup_workers`
-    /// accepted pushes can never hit this; runtimes that drop payloads on
-    /// validation failures (the networked server under fault injection)
-    /// surface it as a named run error instead of a panic.
+    /// aggregate. A BSP step of a validated config
+    /// ([`ExperimentConfig::validate`]) that pushes from every worker never
+    /// hits this; runtimes that drop payloads on validation failures (the
+    /// networked server under fault injection) surface it as a named run
+    /// error instead of a panic.
     NoAcceptedPushes {
         /// The step that had no accepted pushes.
         step: u64,
@@ -497,7 +498,7 @@ const MIN_SHARD_VALUES: usize = 256 * 1024;
 /// Decodes and averages one tensor's accepted pushes, each payload in one
 /// fused pass from wire bytes to the accumulator
 /// ([`Compressor::decode_into`]): `ops[w]` is what worker `w`'s payload
-/// does to it (`None` for a dropped straggler) — the first accepted worker
+/// does to it (`None` for a rejected push) — the first accepted worker
 /// assigns, the rest add in worker-id order, and the last one also applies
 /// the `1/accepted` average ([`accumulate_ops`]). That is bit-identical to
 /// decoding every payload to a dense tensor, summing those and scaling the
@@ -538,7 +539,7 @@ fn aggregate_tensor(
 }
 
 /// What each worker's payloads do to the accumulators this step: `None`
-/// for a dropped straggler (an empty payload list); of the accepted ones
+/// for a rejected push (an empty payload list); of the accepted ones
 /// the first assigns, the rest add, and the last also multiplies by
 /// `1 / accepted_count` — `(acc + v) · k` is the add, then the multiply,
 /// a separate averaging sweep would have performed.
@@ -764,9 +765,8 @@ impl ServerCore {
     /// Opens the upcoming step's books ([`StepAccount`]). Must be called
     /// before [`Self::apply_step`], which swaps in the next step's policy
     /// decisions: the multiplier the per-worker series record is the one
-    /// that governed *this* step's pushes. `compute_multiplier` is the
-    /// step's [`sample_stragglers`] gate.
-    pub fn begin_step(&self, compute_multiplier: f64) -> StepAccount {
+    /// that governed *this* step's pushes.
+    pub fn begin_step(&self) -> StepAccount {
         StepAccount {
             record: StepRecord {
                 step: self.step,
@@ -778,9 +778,6 @@ impl ServerCore {
                 compressible_values: self.compressible_values,
                 worker_codec_seconds: 0.0,
                 server_codec_seconds: 0.0,
-                compute_multiplier,
-                pull_overlapped: false,
-                critical_bytes: 0,
                 residual_l2: 0.0,
             },
             workers: self.config.workers,
@@ -791,7 +788,6 @@ impl ServerCore {
             next_worker: 0,
             deltas: Vec::with_capacity(self.config.workers),
             loss_sum: 0.0,
-            server_bytes: vec![0; self.config.servers.max(1)],
         }
     }
 
@@ -857,7 +853,7 @@ impl ServerCore {
     /// finished on every shard before the next starts.
     ///
     /// `payloads` holds one entry per worker in worker-id order; an empty
-    /// vector marks a dropped straggler whose push is not aggregated.
+    /// vector marks a rejected push, which is not aggregated.
     ///
     /// `residual_l2` is the largest per-replica error-accumulation residual
     /// norm reported for this step (0.0 when unknown or stateless); it only
@@ -1071,7 +1067,6 @@ impl ServerCore {
     /// state never crosses a shard boundary.
     fn compress_pulls(&mut self, server_codec: &mut f64) -> Vec<TensorPayload> {
         let workers = self.config.workers;
-        let shared_pull = self.config.shared_pull_compression;
         let delta = &self.update;
         let (outs, stats, codec) = run_shards(
             &mut self.pull_ctxs,
@@ -1085,13 +1080,7 @@ impl ServerCore {
                         Some(ctx) => {
                             let t0 = Instant::now();
                             let wire = ctx.compress(delta).expect("delta shape matches context");
-                            let elapsed = t0.elapsed().as_secs_f64();
-                            *codec += elapsed;
-                            if !shared_pull {
-                                // Ablation: without sharing, the server pays
-                                // the codec cost once per worker.
-                                *codec += elapsed * (workers as f64 - 1.0);
-                            }
+                            *codec += t0.elapsed().as_secs_f64();
                             stats.record(delta.len() * workers, wire.len() * workers);
                             pulls.push(TensorPayload::Compressed(wire));
                         }
@@ -1135,37 +1124,31 @@ pub struct WorkerPush<'a> {
 ///
 /// Traffic is the payloads' wire length — frame headers, `PushDone` and
 /// policy broadcasts are transport, not state change, and are counted by
-/// neither runtime. Tensor `i` lives on server `i mod servers` (Figure 1);
-/// the busiest server's bytes are the step's `critical_bytes`.
+/// neither runtime.
 pub struct StepAccount {
     /// The record being built: traffic, the workers' codec maximum and the
     /// residual maximum accumulate in its own fields.
     record: StepRecord,
-    /// Pull fan-out: every worker pulls, dropped stragglers included.
+    /// Pull fan-out: every worker pulls.
     workers: usize,
     multiplier: f64,
     next_worker: usize,
     deltas: Vec<WorkerDelta>,
     loss_sum: f64,
-    server_bytes: Vec<u64>,
 }
 
 impl StepAccount {
-    /// Books the next worker's push (`None`: a straggler dropped this
-    /// step, which pushes nothing and gets no series point).
-    pub fn push(&mut self, push: Option<WorkerPush<'_>>) {
+    /// Books the next worker's push.
+    pub fn push(&mut self, push: WorkerPush<'_>) {
         let worker = self.next_worker;
         self.next_worker += 1;
-        let Some(push) = push else { return };
         let rec = &mut self.record;
         self.loss_sum += f64::from(push.loss);
         rec.worker_codec_seconds = rec.worker_codec_seconds.max(push.codec_seconds);
         rec.residual_l2 = rec.residual_l2.max(push.residual_l2);
-        let servers = self.server_bytes.len();
         let (mut wire, mut compressed) = (0u64, 0u64);
-        for (i, payload) in push.payloads.iter().enumerate() {
+        for payload in push.payloads {
             let bytes = payload.wire_len();
-            self.server_bytes[i % servers] += bytes;
             wire += bytes;
             match payload {
                 TensorPayload::Compressed(_) => compressed += bytes,
@@ -1207,16 +1190,11 @@ impl StepAccount {
     }
 
     /// Closes the books over the step's outcome. Pull bytes are one shared
-    /// payload times every worker; with `pull_overlapped` (stale-pull
-    /// mode) they stay off the per-server critical path.
-    pub fn finish(mut self, out: &ServerStepOutput, pull_overlapped: bool) -> StepRecord {
+    /// payload times every worker.
+    pub fn finish(mut self, out: &ServerStepOutput) -> StepRecord {
         let rec = &mut self.record;
-        let servers = self.server_bytes.len();
-        for (i, payload) in out.pulls.iter().enumerate() {
+        for payload in &out.pulls {
             let bytes = payload.wire_len() * self.workers as u64;
-            if !pull_overlapped {
-                self.server_bytes[i % servers] += bytes;
-            }
             match payload {
                 TensorPayload::Compressed(_) => rec.pull_bytes += bytes,
                 TensorPayload::Raw(_) => rec.raw_bytes += bytes,
@@ -1225,49 +1203,8 @@ impl StepAccount {
         rec.lr = out.lr;
         rec.loss = (self.loss_sum / self.deltas.len() as f64) as f32;
         rec.server_codec_seconds = out.server_codec_seconds;
-        rec.pull_overlapped = pull_overlapped;
-        rec.critical_bytes = self.server_bytes.iter().copied().max().unwrap_or(0);
         self.record
     }
-}
-
-/// Samples this step's per-worker compute multipliers and decides which
-/// workers participate: with `backup_workers = k`, the `k` slowest are
-/// dropped (their pushes never aggregated), as in TensorFlow's
-/// `SyncReplicasOptimizer` backup-worker design (§2.1). Returns the
-/// participation mask and the accepted slowest multiplier.
-pub fn sample_stragglers(config: &ExperimentConfig, rng: &mut Rng) -> (Vec<bool>, f64) {
-    let n = config.workers;
-    let jitter = config.timing.straggler_jitter;
-    let multipliers: Vec<f64> = (0..n)
-        .map(|_| {
-            if jitter > 0.0 {
-                (jitter * threelc_tensor::init::sample_standard_normal(rng) as f64).exp()
-            } else {
-                1.0
-            }
-        })
-        .collect();
-    let backups = config.backup_workers.min(n.saturating_sub(1));
-    let mut accepted = vec![true; n];
-    if backups > 0 {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            multipliers[b]
-                .partial_cmp(&multipliers[a])
-                .expect("multipliers are finite")
-        });
-        for &w in order.iter().take(backups) {
-            accepted[w] = false;
-        }
-    }
-    let gate = multipliers
-        .iter()
-        .zip(&accepted)
-        .filter(|(_, &a)| a)
-        .map(|(&m, _)| m)
-        .fold(0.0f64, f64::max);
-    (accepted, gate)
 }
 
 #[cfg(test)]
@@ -1880,21 +1817,15 @@ mod tests {
 
     #[test]
     fn step_account_folds_hand_built_pushes_and_pulls() {
-        // Three workers, two servers, worker 1 dropped as a straggler.
-        // Tensor 0 lives on server 0, tensor 1 (raw) on server 1, tensor 2
-        // on server 0 again.
-        let config = ExperimentConfig {
-            workers: 3,
-            servers: 2,
-            ..tiny(SchemeKind::three_lc(1.0))
-        };
+        // Two workers; tensor 1 is raw.
+        let config = tiny(SchemeKind::three_lc(1.0));
         let problem = Problem::build(&config);
         let server = ServerCore::new(&problem);
         let values = problem.compressible_values();
         let raw = |n: usize| TensorPayload::Raw(Tensor::from_vec(vec![0.5; n], [n]));
         let wire = |n: usize| TensorPayload::Compressed(vec![0; n]);
         let push0 = [wire(100), raw(4), wire(50)];
-        let push2 = [wire(0), raw(4), wire(0)];
+        let push1 = [wire(0), raw(4), wire(0)];
         let worker_push = |payloads, loss, codec_seconds, residual_l2| WorkerPush {
             payloads,
             loss,
@@ -1905,28 +1836,24 @@ mod tests {
             rejoins: 2,
         };
 
-        let fold = |pull_overlapped: bool| {
-            let mut account = server.begin_step(1.5);
-            account.push(Some(worker_push(&push0[..], 1.0, 0.01, 3.0)));
-            account.push(None);
-            account.push(Some(worker_push(&push2[..], 2.0, 0.03, 1.0)));
-            assert_eq!(account.accepted(), 2);
-            assert_eq!(account.residual_l2(), 3.0);
-            let deltas = account.deltas().to_vec();
-            let out = ServerStepOutput {
-                lr: 0.125,
-                pulls: vec![wire(10), raw(4), wire(30)],
-                server_codec_seconds: 0.07,
-                policy_records: Vec::new(),
-                next_decisions: Vec::new(),
-            };
-            (deltas, account.finish(&out, pull_overlapped))
+        let mut account = server.begin_step();
+        account.push(worker_push(&push0[..], 1.0, 0.01, 3.0));
+        account.push(worker_push(&push1[..], 2.0, 0.03, 1.0));
+        assert_eq!(account.accepted(), 2);
+        assert_eq!(account.residual_l2(), 3.0);
+        let deltas = account.deltas().to_vec();
+        let out = ServerStepOutput {
+            lr: 0.125,
+            pulls: vec![wire(10), raw(4), wire(30)],
+            server_codec_seconds: 0.07,
+            policy_records: Vec::new(),
+            next_decisions: Vec::new(),
         };
+        let rec = account.finish(&out);
 
-        let (deltas, rec) = fold(false);
-        // One series point per accepted worker, under its own id.
+        // One series point per worker, under its own id.
         assert_eq!(deltas.len(), 2);
-        assert_eq!((deltas[0].worker, deltas[1].worker), (0, 2));
+        assert_eq!((deltas[0].worker, deltas[1].worker), (0, 1));
         assert_eq!(deltas[0].wire_bytes, 166);
         assert_eq!(deltas[0].ratio, values as f64 * 32.0 / (150.0 * 8.0));
         assert_eq!(deltas[0].multiplier, 1.0);
@@ -1940,35 +1867,14 @@ mod tests {
 
         assert_eq!(rec.step, 0);
         assert_eq!(rec.lr, 0.125);
-        assert_eq!(rec.loss, 1.5, "mean over the accepted workers");
+        assert_eq!(rec.loss, 1.5, "mean over the workers");
         assert_eq!(rec.push_bytes, 150);
-        // Pulls fan out to all three workers, the dropped one included.
-        assert_eq!(rec.pull_bytes, 40 * 3);
-        assert_eq!(rec.raw_bytes, 16 + 16 + 16 * 3);
+        // Pulls fan out to both workers.
+        assert_eq!(rec.pull_bytes, 40 * 2);
+        assert_eq!(rec.raw_bytes, 16 + 16 + 16 * 2);
         assert_eq!(rec.compressible_values, values);
         assert_eq!(rec.worker_codec_seconds, 0.03);
         assert_eq!(rec.server_codec_seconds, 0.07);
-        assert_eq!(rec.compute_multiplier, 1.5);
         assert_eq!(rec.residual_l2, 3.0);
-        assert!(!rec.pull_overlapped);
-        // Server 0: 150 pushed + 40·3 pulled; server 1: 32 + 16·3.
-        assert_eq!(rec.critical_bytes, 270);
-
-        // Overlapped pulls keep their totals but leave the critical path:
-        // server 0 carries the 150 pushed bytes only.
-        let (_, rec) = fold(true);
-        assert!(rec.pull_overlapped);
-        assert_eq!(rec.pull_bytes, 120);
-        assert_eq!(rec.raw_bytes, 80);
-        assert_eq!(rec.critical_bytes, 150);
-    }
-
-    #[test]
-    fn stragglers_without_jitter_all_participate() {
-        let config = tiny(SchemeKind::Float32);
-        let mut rng = threelc_tensor::rng(1);
-        let (accepted, gate) = sample_stragglers(&config, &mut rng);
-        assert!(accepted.iter().all(|&a| a));
-        assert_eq!(gate, 1.0);
     }
 }

@@ -31,31 +31,11 @@ pub struct StepRecord {
     /// Measured server-side codec seconds (decompress pushes + compress
     /// pulls).
     pub server_codec_seconds: f64,
-    /// Compute-time multiplier of the slowest *accepted* worker this step
-    /// (1.0 without straggler jitter; see
-    /// [`TimingModel::straggler_jitter`]).
-    #[serde(default = "default_multiplier")]
-    pub compute_multiplier: f64,
-    /// Whether this step's pull transfer is fully overlapped with later
-    /// compute (stale-pull mode, `staleness > 0`): its bytes then do not
-    /// appear on the critical path.
-    #[serde(default)]
-    pub pull_overlapped: bool,
-    /// Bytes through the busiest parameter server this step (equals the
-    /// byte total with one server; less when the model is sharded and
-    /// servers transfer in parallel). `0` means "not recorded" — the
-    /// totals are used instead.
-    #[serde(default)]
-    pub critical_bytes: u64,
     /// Largest per-worker error-accumulation residual L2 norm after this
     /// step's pushes (0.0 for stateless schemes or old traces). The
     /// anomaly watchdog flags blowups against the run median.
     #[serde(default)]
     pub residual_l2: f64,
-}
-
-fn default_multiplier() -> f64 {
-    1.0
 }
 
 impl StepRecord {
@@ -92,24 +72,11 @@ impl StepRecord {
     ///
     /// `scale` is [`TimingModel::scale_for`] of the model size.
     pub fn seconds_at(&self, net: &NetworkModel, timing: &TimingModel, scale: f64) -> f64 {
-        let critical_pull = if self.pull_overlapped {
-            0
-        } else {
-            self.pull_bytes
-        };
-        let total = self.push_bytes + critical_pull + self.raw_bytes;
-        // Sharded models transfer through parallel server links: the
-        // busiest server gates the step (but never more than the total).
-        let bytes = if self.critical_bytes > 0 {
-            self.critical_bytes.min(total)
-        } else {
-            total
-        } as f64
-            * scale;
+        let bytes = (self.push_bytes + self.pull_bytes + self.raw_bytes) as f64 * scale;
         // One batched push transfer and one batched pull transfer.
         let comm = 2.0 * net.latency_s + bytes * 8.0 / net.bandwidth_bps;
         let codec = (self.worker_codec_seconds + self.server_codec_seconds) * scale;
-        let compute = timing.compute_seconds_per_step * self.compute_multiplier;
+        let compute = timing.compute_seconds_per_step;
         let visible_comm = (comm - timing.overlap_fraction * compute).max(0.0);
         compute + codec + visible_comm
     }
@@ -235,9 +202,6 @@ mod tests {
             compressible_values: values,
             worker_codec_seconds: 0.0,
             server_codec_seconds: 0.0,
-            compute_multiplier: 1.0,
-            pull_overlapped: false,
-            critical_bytes: 0,
             residual_l2: 0.0,
         }
     }
@@ -263,7 +227,6 @@ mod tests {
             compute_seconds_per_step: 0.5,
             overlap_fraction: 0.0,
             reference_params: 1,
-            ..Default::default()
         };
         // comm = 1e6 bytes → 1 s; codec 0.2 s; compute 0.5 s.
         let s = r.seconds_at(&net, &timing, 1.0);
@@ -278,7 +241,6 @@ mod tests {
             compute_seconds_per_step: 0.5,
             overlap_fraction: 2.0,
             reference_params: 1,
-            ..Default::default()
         };
         // comm 1 s, hidden budget 1 s → fully hidden.
         let s = r.seconds_at(&net, &timing, 1.0);

@@ -12,7 +12,7 @@
 //! ([`WorkerReplica::apply_pulls`]) is bit-identical to decoding every
 //! pull to a tensor and adding that** (`decompress` + `apply_deltas`) —
 //! over the same generators, without zero-run encoding, for a scheme with
-//! no symbol form, and through [`Cluster`]'s staleness queue.
+//! no symbol form, and through [`Cluster`].
 //!
 //! The reference is [`oracle_average`], the whole of the old f32 path that
 //! is worth keeping. Its average reaches a second, identically built
@@ -434,59 +434,48 @@ fn accepted_subsets_pin_the_op_selection() {
     }
 }
 
-/// `Cluster` applies pulls through `apply_pulls`, its staleness queue
-/// holding them compressed. A hand-driven engine that decodes every pull
-/// densely, queues the tensors and adds them with `apply_deltas` must end
-/// on the same replicas and the same global model, in BSP and two steps
-/// stale, with and without a symbol form.
+/// `Cluster` applies pulls through `apply_pulls`. A hand-driven engine
+/// that decodes every pull densely and adds it with `apply_deltas` must
+/// end on the same replicas and the same global model, with and without a
+/// symbol form.
 #[test]
-fn cluster_pulls_match_the_dense_reference_at_staleness_0_and_2() {
+fn cluster_pulls_match_the_dense_reference() {
     for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
-        for staleness in [0u32, 2] {
-            let config = ExperimentConfig {
-                staleness,
-                ..config(2, scheme)
-            };
-            let mut cluster = Cluster::new(config);
-            let problem = Problem::build(&config);
-            let mut replicas: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut server = ServerCore::new(&problem);
-            let mut pending = std::collections::VecDeque::new();
-            for _ in 0..6 {
-                cluster.step();
-                let mut payloads = Vec::new();
-                let mut residual = 0.0f64;
-                for w in replicas.iter_mut() {
-                    let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
-                    payloads.push(w.encode_push(grads).payloads);
-                    residual = residual.max(w.residual_l2());
-                }
-                let out = server
-                    .apply_step(&payloads, config.workers, residual)
-                    .expect("every worker accepted");
-                pending.push_back(decode_pulls(&problem, &out.pulls));
-                while pending.len() > staleness as usize {
-                    let deltas = pending.pop_front().expect("nonempty");
-                    for w in replicas.iter_mut() {
-                        w.apply_deltas(&deltas);
-                    }
-                }
+        let config = config(2, scheme);
+        let mut cluster = Cluster::new(config);
+        let problem = Problem::build(&config);
+        let mut replicas: Vec<WorkerReplica> = (0..config.workers)
+            .map(|w| WorkerReplica::new(&problem, w))
+            .collect();
+        let mut server = ServerCore::new(&problem);
+        for _ in 0..6 {
+            cluster.step();
+            let mut payloads = Vec::new();
+            let mut residual = 0.0f64;
+            for w in replicas.iter_mut() {
+                let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
+                payloads.push(w.encode_push(grads).payloads);
+                residual = residual.max(w.residual_l2());
             }
-            let label = format!("{scheme}, staleness {staleness}");
+            let out = server
+                .apply_step(&payloads, config.workers, residual)
+                .expect("every worker accepted");
+            let deltas = decode_pulls(&problem, &out.pulls);
+            for w in replicas.iter_mut() {
+                w.apply_deltas(&deltas);
+            }
+        }
+        assert_eq!(
+            bits(&cluster.global_model().snapshot()),
+            bits(&server.global().snapshot()),
+            "global model diverged: {scheme}"
+        );
+        for (w, replica) in replicas.iter().enumerate() {
             assert_eq!(
-                bits(&cluster.global_model().snapshot()),
-                bits(&server.global().snapshot()),
-                "global model diverged: {label}"
+                bits(&cluster.worker_model(w).snapshot()),
+                bits(&replica.model().snapshot()),
+                "worker {w} diverged: {scheme}"
             );
-            for (w, replica) in replicas.iter().enumerate() {
-                assert_eq!(
-                    bits(&cluster.worker_model(w).snapshot()),
-                    bits(&replica.model().snapshot()),
-                    "worker {w} diverged: {label}"
-                );
-            }
         }
     }
 }

@@ -12,10 +12,9 @@ fn any_record() -> impl Strategy<Value = StepRecord> {
         1u64..1_000_000,
         0.0f64..0.1,
         0.0f64..0.1,
-        0.5f64..3.0,
     )
         .prop_map(
-            |(step, push, pull, raw, values, wcodec, scodec, mult)| StepRecord {
+            |(step, push, pull, raw, values, wcodec, scodec)| StepRecord {
                 step,
                 lr: 0.1,
                 loss: 1.0,
@@ -25,9 +24,6 @@ fn any_record() -> impl Strategy<Value = StepRecord> {
                 compressible_values: values,
                 worker_codec_seconds: wcodec,
                 server_codec_seconds: scodec,
-                compute_multiplier: mult,
-                pull_overlapped: false,
-                critical_bytes: 0,
                 residual_l2: 0.0,
             },
         )
@@ -39,7 +35,6 @@ fn any_timing() -> impl Strategy<Value = TimingModel> {
             compute_seconds_per_step: compute,
             overlap_fraction: overlap,
             reference_params: reference,
-            straggler_jitter: 0.0,
         }
     })
 }
@@ -67,7 +62,7 @@ proptest! {
         scale in 0.1f64..100.0,
     ) {
         let net = NetworkModel::one_gbps();
-        let floor = timing.compute_seconds_per_step * r.compute_multiplier
+        let floor = timing.compute_seconds_per_step
             + (r.worker_codec_seconds + r.server_codec_seconds) * scale;
         prop_assert!(r.seconds_at(&net, &timing, scale) >= floor - 1e-12);
     }

@@ -174,6 +174,26 @@ mod tests {
             report
         );
         assert_eq!(old.faults, FaultsReport::default());
+        // A report as the server wrote it while the shared config still
+        // carried servers, backup workers, stale pulls, per-worker pull
+        // compression and straggler jitter, and every step record a
+        // compute multiplier, an overlap flag and a critical-byte count.
+        let retired = r#"{"result":{"config":{"scheme":"Float32","workers":1,"servers":1,"batch_per_worker":4,"total_steps":1,"lr_max":0.1,"lr_min":0.001,"momentum":0.9,"weight_decay":0.0001,"warmup_steps":60,"backup_workers":0,"staleness":0,"model_width":8,"model_blocks":1,"compress_threshold":512,"eval_every":0,"shared_pull_compression":true,"seed":42,"policy":"Static","timing":{"compute_seconds_per_step":0.41,"overlap_fraction":2,"reference_params":1730000,"straggler_jitter":0}},"scheme_label":"32-bit float","model_params":1810,"final_eval":{"loss":3.1904573,"accuracy":0.1064453125},"trace":{"steps":[{"step":0,"lr":0.0016666668,"loss":3.623241,"push_bytes":6144,"pull_bytes":6144,"raw_bytes":2192,"compressible_values":1536,"worker_codec_seconds":0.000003596,"server_codec_seconds":0.000009117,"compute_multiplier":1,"pull_overlapped":false,"critical_bytes":14480,"residual_l2":0}],"evals":[{"step":1,"eval":{"loss":3.1904573,"accuracy":0.1064453125}}],"anomalies":[],"policy":{"label":"static","records":[]}}},"final_model_crc32":0,"connections":[],"faults":{"disconnects":0,"rejoins":0,"events":[]},"node_traces":[],"anomalies":[],"series":{"steps_recorded":0,"workers":[],"run":[]},"analysis":null,"metrics":{"counters":[],"gauges":[],"histograms":[]}}"#;
+        let parsed: NetReport = serde_json::from_str(retired).unwrap();
+        assert_eq!(
+            parsed.result.config,
+            ExperimentConfig {
+                total_steps: 1,
+                ..result.config
+            }
+        );
+        let [step] = &parsed.result.trace.steps[..] else {
+            panic!("one step record");
+        };
+        assert_eq!(
+            (step.push_bytes, step.pull_bytes, step.raw_bytes),
+            (6144, 6144, 2192)
+        );
         // The embedded result stays readable by ExperimentResult readers
         // (bench's cache schema).
         let embedded = serde_json::to_string(&report.result).unwrap();

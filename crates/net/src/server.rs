@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload, WorkerPush};
+use threelc_distsim::engine::{EngineError, Problem, ServerCore, TensorPayload, WorkerPush};
 use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_obs::flight::trigger;
@@ -544,8 +544,8 @@ impl Coordinator {
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Config`] for configurations the networked runtime
-/// does not support (staleness, backup workers), and
+/// Returns [`NetError::Config`] for a configuration that cannot run
+/// ([`ExperimentConfig::validate`]), and
 /// [`NetError::Protocol`]/[`NetError::Frame`]/[`NetError::Io`] when any
 /// worker violates the protocol, exhausts the rejoin budget, or fails to
 /// rejoin in time.
@@ -620,7 +620,7 @@ fn serve_run(
     coord: &mut Coordinator,
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
-    validate_config(config)?;
+    config.validate().map_err(NetError::Config)?;
     let mut problem = Problem::build(config);
     let n_params = problem.num_tensors();
     if n_params > usize::from(u16::MAX) {
@@ -672,12 +672,10 @@ fn serve_run(
     // ---- Barrier-synchronized BSP training loop.
     let mut trace = TrainingTrace::default();
     trace.policy.label = config.policy.label();
-    let mut straggler_rng = threelc_tensor::rng(config.seed ^ 0x5357_4147);
     for step in 0..config.total_steps {
         let step_t0 = Instant::now();
         let _coord_scope = tracing
             .then(|| TraceScope::enter(server_buf, "server", trace_id, step, trace::NO_WORKER));
-        let (_accepted, compute_multiplier) = engine::sample_stragglers(config, &mut straggler_rng);
 
         // Collect every worker's push batch (the barrier).
         debug_assert_eq!(coord.step, step);
@@ -689,9 +687,9 @@ fn serve_run(
         // the simulator feeds it the same way, so the recorded series and
         // StepRecords match bit for bit.
         let pushes = coord.close_barrier();
-        let mut account = server.begin_step(compute_multiplier);
+        let mut account = server.begin_step();
         for (w, (push, barrier_wait_seconds)) in pushes.iter().enumerate() {
-            account.push(Some(WorkerPush {
+            account.push(WorkerPush {
                 payloads: &push.payloads,
                 loss: push.loss,
                 codec_seconds: push.codec_seconds,
@@ -699,7 +697,7 @@ fn serve_run(
                 step_seconds: push.step_seconds,
                 barrier_wait_seconds: *barrier_wait_seconds,
                 rejoins: coord.rejoin_counts[w],
-            }));
+            });
         }
         recorder
             .lock()
@@ -721,7 +719,7 @@ fn serve_run(
             .policy
             .records
             .extend(out.policy_records.iter().copied());
-        let record = account.finish(&out, false);
+        let record = account.finish(&out);
 
         // Encode the shared pull batch once; handlers fan it out.
         let mut frames = Vec::with_capacity(n_params + 1);
@@ -965,30 +963,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".into()
     }
-}
-
-/// Rejects configurations the barrier-synchronized runtime cannot honor.
-fn validate_config(config: &ExperimentConfig) -> Result<(), NetError> {
-    if config.workers == 0 {
-        return Err(NetError::Config("at least one worker required".into()));
-    }
-    if config.workers > usize::from(u16::MAX) {
-        return Err(NetError::Config(format!(
-            "{} workers exceed the u16 worker-id space",
-            config.workers
-        )));
-    }
-    if config.backup_workers != 0 {
-        return Err(NetError::Config(
-            "backup workers are simulator-only; the TCP runtime is strict BSP".into(),
-        ));
-    }
-    if config.staleness != 0 {
-        return Err(NetError::Config(
-            "stale pulls are simulator-only; the TCP runtime is strict BSP".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// Names an engine aggregation failure — an all-rejected step, or a push

@@ -80,9 +80,7 @@ fn loopback_run_matches_simulator_bit_for_bit() {
         assert_eq!(net.pull_bytes, sim.pull_bytes, "step {}", sim.step);
         assert_eq!(net.raw_bytes, sim.raw_bytes, "step {}", sim.step);
         assert_eq!(net.compressible_values, sim.compressible_values);
-        assert_eq!(net.critical_bytes, sim.critical_bytes, "step {}", sim.step);
-        assert_eq!(net.compute_multiplier, sim.compute_multiplier);
-        assert_eq!(net.pull_overlapped, sim.pull_overlapped);
+        assert_eq!(net.residual_l2.to_bits(), sim.residual_l2.to_bits());
     }
 
     // An undisturbed run reports a clean fault section, and the model
@@ -930,15 +928,14 @@ fn side_door_answers_every_kind_and_drops_malformed_scrapes() {
 #[test]
 fn server_rejects_unsupported_configs_before_accepting() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let opts = ServeOptions::default();
-    let stale = ExperimentConfig {
-        staleness: 1,
+    let none = ExperimentConfig {
+        workers: 0,
         ..loopback_config(SchemeKind::Float32)
     };
-    assert!(serve(&listener, &stale, &opts).is_err());
-    let backup = ExperimentConfig {
-        backup_workers: 1,
-        ..loopback_config(SchemeKind::Float32)
-    };
-    assert!(serve(&listener, &backup, &opts).is_err());
+    let err = serve(&listener, &none, &ServeOptions::default())
+        .expect_err("a run without workers is refused");
+    assert!(
+        err.to_string().contains("at least one worker required"),
+        "{err}"
+    );
 }

@@ -422,9 +422,9 @@ impl RunRecorder {
     }
 
     /// Folds one step's deltas in. `deltas` holds one entry per
-    /// participating worker (a simulated backup worker that skipped the
-    /// step simply has no entry); run-level aggregates are computed over
-    /// the participating set.
+    /// participating worker (a worker without an entry simply gets no
+    /// point this step); run-level aggregates are computed over the
+    /// participating set.
     pub fn record_step(&mut self, step: u64, deltas: &[WorkerDelta]) {
         for d in deltas {
             let Some(ws) = self.store.workers.get_mut(d.worker) else {
