@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, build, the full test suite, the
-# step-ledger smoke and tests, and the end-to-end CLI smokes. Everything
+# Repository CI gate: formatting, lints, build, the full test suite (the
+# end-to-end CLI checks included), the step-ledger smoke and tests, the
+# suites under each forced codec tier, and the sanitizer stage. Everything
 # runs offline against the vendored compat/ stubs.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -74,100 +75,20 @@ cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
-echo "==> codec dispatch matrix (forced scalar / swar / simd tiers)"
-threelc=target/release/threelc
-matrixdir=target/codec-matrix
-rm -rf "$matrixdir"
-mkdir -p "$matrixdir"
-"$threelc" codec | tee "$matrixdir/codec.txt"
-# Availability must be truthful: an x86-64 host with AVX2 that hides the
-# simd tier would silently rot this matrix down to scalar-only coverage.
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-    if ! grep -q '^available: scalar swar simd$' "$matrixdir/codec.txt"; then
-        echo "host CPU reports AVX2 but the simd tier claims unavailable" >&2
-        exit 1
-    fi
-fi
-tiers="$(sed -n 's/^available: //p' "$matrixdir/codec.txt")"
-# Deterministic mixed-sparsity input shared by every tier below.
-python3 - "$matrixdir/input.f32" <<'PYEOF'
-import math
-import struct
-import sys
-
-out = bytearray()
-for i in range(100003):
-    x = 0.0 if i % 3 == 0 else math.sin(i * 0.37) * 0.01
-    out += struct.pack("<f", x)
-with open(sys.argv[1], "wb") as f:
-    f.write(out)
-PYEOF
+echo "==> forced codec tiers (core suite + net loopback on each)"
+# Each leg forces one tier the host can run: the core suite holds the fused
+# decode (`unpack_dequant`, the kernel every push and pull goes through) to
+# its two-pass oracle on all tiers and runs the compressor's own tests on
+# the forced one; the loopback suite then drives the engine's `decode_into`
+# calls on it end to end. That the forced tier is the active one, that an
+# AVX2 host offers simd, and that every tier writes the same `.3lc` bytes
+# and rejects a corrupt one alike is crates/cli/tests/codec_matrix.rs.
+tiers="$(target/release/threelc codec | sed -n 's/^available: //p')"
 for tier in $tiers; do
-    echo "    tier $tier: forced selection, core suite, net loopback, CLI output"
-    # Forcing a tier the host supports must activate exactly that tier —
-    # a silent downgrade here would mean the matrix no longer tests what
-    # it claims to.
-    if ! THREELC_CODEC_IMPL="$tier" "$threelc" codec \
-        | grep -q "^active:    $tier (forced"; then
-        echo "THREELC_CODEC_IMPL=$tier did not activate the $tier tier" >&2
-        exit 1
-    fi
-    # The core suite holds the fused decode (`unpack_dequant`, the kernel
-    # every push and pull now goes through) to its two-pass oracle on all
-    # tiers in each leg and runs the compressor's own tests on the forced
-    # one; the loopback suite then drives the engine's `decode_into` calls
-    # on it end to end.
+    echo "    tier $tier"
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
-    THREELC_CODEC_IMPL="$tier" "$threelc" compress "$matrixdir/input.f32" \
-        "$matrixdir/$tier.3lc" --sparsity 1.5 >"$matrixdir/$tier.compress.log"
-    grep -q "codec: $tier" "$matrixdir/$tier.compress.log"
-    # A second container without zero-run encoding feeds the corrupt-input
-    # check below (0xff is unambiguously invalid only without ZRE escapes).
-    THREELC_CODEC_IMPL="$tier" "$threelc" compress "$matrixdir/input.f32" \
-        "$matrixdir/$tier.nozre.3lc" --sparsity 1.5 --no-zre >/dev/null
 done
-first_tier=""
-for tier in $tiers; do
-    if [ -z "$first_tier" ]; then
-        first_tier="$tier"
-        continue
-    fi
-    for suffix in 3lc nozre.3lc; do
-        if ! cmp -s "$matrixdir/$first_tier.$suffix" "$matrixdir/$tier.$suffix"; then
-            echo "tier $tier produced different .$suffix bytes than $first_tier" >&2
-            exit 1
-        fi
-    done
-done
-echo "    all tiers byte-identical on $(wc -c <"$matrixdir/$first_tier.3lc")-byte container"
-# Corrupt-input parity: plant an invalid quartic byte (0xff > 242) in the
-# payload; every tier must reject it with the *same* error text (same
-# kind, same offset).
-python3 - "$matrixdir/$first_tier.nozre.3lc" "$matrixdir/corrupt.3lc" <<'PYEOF'
-import sys
-
-data = bytearray(open(sys.argv[1], "rb").read())
-data[len(data) // 2] = 0xFF
-with open(sys.argv[2], "wb") as f:
-    f.write(data)
-PYEOF
-for tier in $tiers; do
-    rc=0
-    THREELC_CODEC_IMPL="$tier" "$threelc" decompress "$matrixdir/corrupt.3lc" \
-        "$matrixdir/corrupt.$tier.f32" >"$matrixdir/corrupt.$tier.err" 2>&1 || rc=$?
-    if [ "$rc" = 0 ]; then
-        echo "tier $tier decoded a corrupt container without error" >&2
-        exit 1
-    fi
-    if ! cmp -s "$matrixdir/corrupt.$first_tier.err" "$matrixdir/corrupt.$tier.err"; then
-        echo "tier $tier reported a different corrupt-input error than $first_tier:" >&2
-        diff "$matrixdir/corrupt.$first_tier.err" "$matrixdir/corrupt.$tier.err" >&2 || true
-        exit 1
-    fi
-done
-grep -q "invalid quartic byte" "$matrixdir/corrupt.$first_tier.err"
-echo "    corrupt container rejected identically by every tier"
 
 echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold and the ChaCha8 refill)"
 # cargo miri would be the first choice, but the component is not
@@ -206,63 +127,9 @@ fi
 # views are crates/cli/tests/trace_e2e.rs. No policy stanzas: adaptive
 # multipliers stable and non-constant under simulate, and a feedback serve
 # with a kill@2 worker relaunched matching simulate's crc and decision
-# sequence, are crates/cli/tests/policy_e2e.rs.)
-
-# serve_bg <stdout log> <serve flags...>: `threelc serve` in the background
-# on a port the kernel picks (no window for another process to take it);
-# sets serve_pid, and addr to the address serve reports once it has bound.
-serve_bg() {
-    local log="$1"
-    shift
-    "$threelc" serve --addr 127.0.0.1:0 "$@" >"$log" 2> >(tee "$log.err" >&2) &
-    serve_pid=$!
-    for _ in $(seq 1 200); do
-        addr="$(sed -n 's/^listening on //p' "$log.err")"
-        [ -n "$addr" ] && return 0
-        sleep 0.05
-    done
-    echo "serve never reported the address it bound" >&2
-    exit 1
-}
-
-echo "==> observability smoke (threelc top + metrics --watch on a live run)"
-obsdir=target/obs-smoke
-rm -rf "$obsdir"
-mkdir -p "$obsdir"
-# A straggling worker 0 stretches the run to a couple of seconds, leaving
-# a window to scrape it live.
-serve_bg "$obsdir/serve.log" --workers 2 --steps 20 --width 16 \
-    --blocks 1 --batch 8 --scheme 3lc --sparsity 1.5
-THREELC_STRAGGLE_MS=100 "$threelc" worker --addr "$addr" --id 0 \
-    >"$obsdir/w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$obsdir/w1.log" &
-w1=$!
-top_ok=0
-for _ in $(seq 1 100); do
-    if "$threelc" top "$addr" --once >"$obsdir/top.txt" 2>/dev/null; then
-        top_ok=1
-        break
-    fi
-    sleep 0.05
-done
-if [ "$top_ok" != 1 ]; then
-    echo "threelc top --once never rendered a frame from the live run" >&2
-    exit 1
-fi
-# One row per worker, always — even before a worker's first step lands.
-grep -q "^worker 0 " "$obsdir/top.txt"
-grep -q "^worker 1 " "$obsdir/top.txt"
-grep -q "2 worker(s)" "$obsdir/top.txt"
-# The watcher follows the run and exits cleanly when the server goes away.
-"$threelc" metrics "$addr" --watch 0.2 >"$obsdir/watch.txt" &
-watch_pid=$!
-wait "$w0"
-wait "$w1"
-wait "$serve_pid"
-wait "$watch_pid"
-grep -q "server went away" "$obsdir/watch.txt"
-echo "    top rendered every worker row; --watch followed the run to the end"
+# sequence, are crates/cli/tests/policy_e2e.rs. No observability stanza:
+# `top --once` rendering every worker row of a live run and `metrics
+# --watch` following it to its end are crates/cli/tests/observability_e2e.rs.)
 
 echo "==> working tree must stay clean"
 status_after="$(git status --porcelain)"

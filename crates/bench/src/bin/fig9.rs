@@ -15,7 +15,8 @@ use threelc_bench::{cache, run_cached, HarnessOptions, Table};
 struct Panel {
     sparsity: f32,
     without_zre_bits: f64,
-    /// (step, push bits/value, pull bits/value), downsampled.
+    /// (step, push bits/value, pull bits/value), each a mean over one
+    /// chunk of steps.
     samples: Vec<(u64, f64, f64)>,
 }
 

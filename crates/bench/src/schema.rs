@@ -53,7 +53,8 @@ pub struct BitsPanel {
     pub sparsity: f32,
     /// The fixed no-ZRE reference line (1.6 bits).
     pub without_zre_bits: f64,
-    /// (step, push bits/value, pull bits/value), downsampled.
+    /// (step, push bits/value, pull bits/value), each a mean over one
+    /// chunk of steps.
     pub samples: Vec<(u64, f64, f64)>,
 }
 

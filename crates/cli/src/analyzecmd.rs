@@ -25,6 +25,7 @@ use crate::netcmd::{flag_value, has_flag, parse_flag, sole_positional, split_fla
 use crate::tracecmd::Source;
 use std::error::Error;
 use std::fmt::Write as _;
+use threelc_obs::timeline::dropped_warning;
 use threelc_obs::{MergedTimeline, RunAnalysis};
 
 type CliResult = Result<String, Box<dyn Error>>;
@@ -57,13 +58,17 @@ pub fn analyze_cmd(args: &[String]) -> CliResult {
         })
         .transpose()?;
 
-    let analysis = load_analysis(source)?;
+    let (analysis, dropped) = load_analysis(source)?;
     let mut out = if json {
         let mut s = serde_json::to_string_pretty(&analysis)?;
         s.push('\n');
         s
     } else {
-        analysis.render_text(max_steps)
+        let mut s = analysis.render_text(max_steps);
+        if dropped > 0 {
+            s.push_str(&dropped_warning(dropped));
+        }
+        s
     };
 
     if let Some((node, phase)) = expect {
@@ -129,10 +134,10 @@ pub fn analyze_cmd(args: &[String]) -> CliResult {
 }
 
 /// Loads (or rebuilds) the run analysis from a report file, a flight
-/// dump, or a live server. Spans win over an embedded analysis — the
-/// rebuild reflects the analyzer that ships with this binary, not the
-/// one the server ran.
-fn load_analysis(source: &str) -> Result<RunAnalysis, Box<dyn Error>> {
+/// dump, or a live server, with the count of spans the ring buffers
+/// dropped. Spans win over an embedded analysis — the rebuild reflects
+/// the analyzer that ships with this binary, not the one the server ran.
+fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
     let nodes = match Source::load(source)? {
         Source::Flight(dump) => {
             if dump.spans.iter().all(|n| n.spans.is_empty()) {
@@ -145,13 +150,13 @@ fn load_analysis(source: &str) -> Result<RunAnalysis, Box<dyn Error>> {
         }
         Source::Report(report) => {
             if report.node_traces.iter().all(|n| n.spans.is_empty()) {
-                return report.analysis.ok_or_else(|| {
+                let analysis = report.analysis.ok_or_else(|| {
                     format!(
                         "{source}: no trace data and no embedded analysis; \
                          run the server and workers with THREELC_TRACE=1"
                     )
-                    .into()
-                });
+                })?;
+                return Ok((analysis, 0));
             }
             report.node_traces
         }
@@ -167,7 +172,8 @@ fn load_analysis(source: &str) -> Result<RunAnalysis, Box<dyn Error>> {
             vec![node]
         }
     };
-    Ok(RunAnalysis::build(&MergedTimeline::build(&nodes)))
+    let timeline = MergedTimeline::build(&nodes);
+    Ok((RunAnalysis::build(&timeline), timeline.dropped))
 }
 
 #[cfg(test)]
@@ -405,6 +411,29 @@ mod tests {
         let err = analyze_cmd(&s(&[path.to_str().unwrap(), "--check"]))
             .expect_err("bottleneck fails --check");
         assert!(err.to_string().contains("bottleneck"), "got: {err}");
+    }
+
+    #[test]
+    fn dropped_spans_are_warned_about_and_their_steps_left_out() {
+        let mut nodes = Vec::new();
+        for step in 0..4 {
+            nodes.extend(net_step(step, 0));
+        }
+        // Worker 1's ring lost its step 0 (five spans): its oldest step is
+        // 1, which may itself be cut, so the analysis starts at step 2.
+        let lost = nodes
+            .iter_mut()
+            .find(|n| n.clock == "worker1")
+            .expect("worker 1's step 0");
+        lost.dropped = lost.spans.len() as u64;
+        lost.spans.clear();
+        let path = write_report("dropped.json", &report_with(nodes, None));
+        let out = analyze_cmd(&s(&[path.to_str().unwrap()])).expect("analyze");
+        assert!(out.contains("critical path over 2 step(s)"), "got: {out}");
+        assert!(
+            out.contains("warning: 5 spans dropped by ring buffers\n"),
+            "got: {out}"
+        );
     }
 
     #[test]

@@ -167,3 +167,66 @@ fn render_flight(dump: &FlightDump, check: bool, max_steps: usize) -> CliResult 
     }
     Ok(out)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use threelc_obs::flight::trigger;
+    use threelc_obs::timeseries::{RunRecorder, RunSeries, WorkerDelta};
+    use threelc_obs::FaultEvent;
+
+    /// A deterministic 2-worker store, 100 steps long: longer than the
+    /// series window, so what it renders is the window's tail.
+    fn long_store() -> RunSeries {
+        let mut r = RunRecorder::new(2);
+        for step in 0..100u64 {
+            let deltas: Vec<WorkerDelta> = (0..2)
+                .map(|w| WorkerDelta {
+                    worker: w,
+                    wire_bytes: 4_000 + (step * step * 7 + w as u64 * 311) % 997,
+                    ratio: 12.0 + (step % 8) as f64 * 0.5,
+                    residual_l2: 0.25,
+                    loss: 2.0 - step as f64 / 128.0,
+                    multiplier: 1.5,
+                    rejoins: u64::from(w == 1 && step >= 60),
+                    step_seconds: if w == 1 { 0.125 } else { 0.015625 },
+                    barrier_wait_seconds: if w == 1 { 0.25 } else { 0.0 },
+                })
+                .collect();
+            r.record_step(step, &deltas);
+        }
+        r.snapshot()
+    }
+
+    #[test]
+    fn dashboard_and_flight_renders_match_the_pinned_text() {
+        // Both texts were rendered from this store when the series store
+        // also kept every older point in buckets; a window renders the
+        // same bytes.
+        let store = long_store();
+        assert_eq!(
+            crate::topcmd::render_dashboard(&store),
+            include_str!("../fixtures/top_100_steps.txt")
+        );
+        let fault = FaultEvent {
+            step: 99,
+            worker: 1,
+            kind: "disconnect".into(),
+            detail: "injected disconnect@99".into(),
+        };
+        let dump = FlightDump::new(
+            trigger::ABORT,
+            "barrier timed out at step 100",
+            store,
+            &[fault],
+            &[],
+            Vec::new(),
+        );
+        let path = std::env::temp_dir().join(format!("threelc-pin-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path").to_string();
+        threelc_obs::write_flight_dump(&path, &dump).expect("write dump");
+        let out = trace_cmd(std::slice::from_ref(&path)).expect("render dump");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out, include_str!("../fixtures/flight_100_steps.txt"));
+    }
+}

@@ -110,7 +110,7 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
             .series(name)
             .unwrap_or_else(|| panic!("series {name} missing"));
         assert_eq!(
-            s.count(),
+            s.raw.len() as u64,
             dump.steps_recorded,
             "series {name} must hold every completed step"
         );

@@ -1,0 +1,79 @@
+//! The live observability surfaces against a running `serve`: `top --once`
+//! renders the run headline and one row per worker mid-run, and `metrics
+//! --watch` follows the run until the server goes away.
+
+mod common;
+
+use common::Server;
+use std::process::{Command, Stdio};
+use std::time::Duration;
+
+fn threelc() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_threelc"))
+}
+
+#[test]
+fn top_and_metrics_watch_follow_a_live_run() {
+    let mut serve = threelc();
+    serve
+        .args(["serve", "--workers", "2", "--steps", "20"])
+        .args(["--width", "16", "--blocks", "1", "--batch", "8"])
+        .args(["--scheme", "3lc", "--sparsity", "1.5"])
+        .stdout(Stdio::null());
+    let server = Server::start(serve);
+    // A straggling worker 0 stretches the run to a couple of seconds,
+    // leaving a window to scrape it live.
+    let workers: Vec<_> = (0..2)
+        .map(|id| {
+            let mut cmd = threelc();
+            if id == 0 {
+                cmd.env("THREELC_STRAGGLE_MS", "100");
+            }
+            cmd.args(["worker", "--addr", &server.addr, "--id", &id.to_string()])
+                .stdout(Stdio::null())
+                .spawn()
+                .expect("spawn worker")
+        })
+        .collect();
+
+    let top = (0..100)
+        .find_map(|_| {
+            let out = threelc()
+                .args(["top", &server.addr, "--once"])
+                .output()
+                .expect("run top");
+            if out.status.success() {
+                return Some(String::from_utf8(out.stdout).expect("utf-8 dashboard"));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            None
+        })
+        .expect("top --once never rendered a frame from the live run");
+    // One row per worker, always — even before a worker's first step lands.
+    for row in ["worker 0 ", "worker 1 "] {
+        assert!(
+            top.lines().any(|l| l.starts_with(row)),
+            "no {row:?} row: {top}"
+        );
+    }
+    assert!(top.contains("2 worker(s)"), "{top}");
+
+    let watch = threelc()
+        .args(["metrics", &server.addr, "--watch", "0.2"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn metrics --watch");
+    for (id, mut w) in workers.into_iter().enumerate() {
+        assert!(w.wait().expect("worker").success(), "worker {id} failed");
+    }
+    let served = server.finish();
+    assert!(
+        served.status.success(),
+        "serve failed: {}",
+        String::from_utf8_lossy(&served.stderr)
+    );
+    let watched = watch.wait_with_output().expect("metrics --watch");
+    let text = String::from_utf8_lossy(&watched.stdout);
+    assert!(watched.status.success(), "metrics --watch failed: {text}");
+    assert!(text.contains("server went away"), "{text}");
+}

@@ -1,12 +1,10 @@
 //! The stateful 3LC compression context and its wire format.
 
 use crate::kernels::{self, CodecImpl, DequantOp};
-use crate::telemetry::{l2_norm, CompressTelemetry};
 use crate::tlq::SparsityMultiplier;
 use crate::{quartic, zrle, CompressError, Compressor, DecodeError};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Instant;
-use threelc_obs::{log_enabled, Level, TraceSpan};
+use threelc_obs::TraceSpan;
 use threelc_tensor::{Shape, Tensor};
 
 /// Wire-format header: 1 flags byte + 4-byte `f32` scale + 4-byte `u32`
@@ -98,8 +96,6 @@ pub struct ThreeLcCompressor {
     /// Body length of the last zero-run-encoded payload (0 before the
     /// first): sizes the next payload's allocation.
     last_body_len: usize,
-    /// Cached handles to the global `threelc.*` metrics.
-    telemetry: CompressTelemetry,
     /// Codec implementation tier the encode kernels run on. Every tier is
     /// bit-identical (see [`crate::kernels`]); this is purely a speed knob.
     codec: CodecImpl,
@@ -120,7 +116,6 @@ impl ThreeLcCompressor {
             buffer: OnceLock::new(),
             quartic: Mutex::new(Vec::new()),
             last_body_len: 0,
-            telemetry: CompressTelemetry::from_global(),
             codec: kernels::active(),
         }
     }
@@ -179,7 +174,6 @@ impl Clone for ThreeLcCompressor {
             buffer: self.buffer.clone(),
             quartic: Mutex::new(Vec::new()),
             last_body_len: self.last_body_len,
-            telemetry: self.telemetry.clone(),
             codec: self.codec,
         }
     }
@@ -199,22 +193,11 @@ impl Compressor for ThreeLcCompressor {
 
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         self.check_shape(input)?;
-        let wire = self.encode(input)?;
-        self.telemetry.record_encode(self.codec);
-        let raw_bytes = input.len() * std::mem::size_of::<f32>();
-        self.telemetry
-            .ratio
-            .record(raw_bytes as f64 / wire.len() as f64);
-        Ok(wire)
+        self.encode(input)
     }
 
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let start = Instant::now();
-        let out = self.decompress_inner(payload);
-        self.telemetry
-            .decompress_seconds
-            .record(start.elapsed().as_secs_f64());
-        out
+        self.decompress_inner(payload)
     }
 
     fn decode_into(
@@ -223,12 +206,7 @@ impl Compressor for ThreeLcCompressor {
         op: DequantOp,
         out: &mut [f32],
     ) -> Result<(), DecodeError> {
-        let start = Instant::now();
-        let res = self.decode_into_inner(payload, op, out);
-        self.telemetry
-            .decompress_seconds
-            .record(start.elapsed().as_secs_f64());
-        res
+        self.decode_into_inner(payload, op, out)
     }
 
     fn decompress_symbols(
@@ -236,12 +214,7 @@ impl Compressor for ThreeLcCompressor {
         payload: &[u8],
         out: &mut Vec<i8>,
     ) -> Result<Option<f32>, DecodeError> {
-        let start = Instant::now();
-        let res = self.decode_symbols_inner(payload, out);
-        self.telemetry
-            .decompress_seconds
-            .record(start.elapsed().as_secs_f64());
-        res.map(Some)
+        self.decode_symbols_inner(payload, out).map(Some)
     }
 
     fn residual(&self) -> Option<&Tensor> {
@@ -315,10 +288,8 @@ impl ThreeLcCompressor {
         // `x` bit-exactly, so no special casing is needed — including the
         // subnormal-scale corner where `inv` overflows to infinity (the
         // kernels clamp to valid ternary digits there; see
-        // `crate::kernels`).
-        let quartic_start = Instant::now();
-        // The partition length `L`: quartic partition `j` is elements
-        // `[j·L, (j+1)·L) ∩ [0, n)`.
+        // `crate::kernels`). The partition length `L`: quartic partition
+        // `j` is elements `[j·L, (j+1)·L) ∩ [0, n)`.
         let bl = n.div_ceil(quartic::VALUES_PER_BYTE);
         // Every byte is overwritten by the pack, so the scratch is only
         // ever sized, not cleared.
@@ -328,23 +299,13 @@ impl ThreeLcCompressor {
             .unwrap_or_else(PoisonError::into_inner);
         quartic_bytes.resize(bl, 0);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
-        if let Some(buffer) = buffer.as_deref_mut() {
+        if let Some(buffer) = buffer {
             let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
             kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes);
         } else {
             let five: [&[f32]; 5] =
                 std::array::from_fn(|j| &in_slice[(j * bl).min(n)..((j + 1) * bl).min(n)]);
             kernels::pack_chunk(imp, &five, inv, quartic_bytes);
-        }
-        self.telemetry
-            .quartic_seconds
-            .record(quartic_start.elapsed().as_secs_f64());
-
-        let debug_probes = log_enabled(Level::Debug);
-        if let (true, Some(buffer)) = (debug_probes, &buffer) {
-            self.telemetry
-                .residual_l2
-                .record(l2_norm(buffer.as_slice()));
         }
 
         // Phase 3: the payload. Zero-run encoding never expands, so `bl`
@@ -362,19 +323,8 @@ impl ThreeLcCompressor {
         wire.extend_from_slice(&scale.to_le_bytes());
         wire.extend_from_slice(&(n as u32).to_le_bytes());
         if zre {
-            let zre_start = Instant::now();
-            let run_hist = &self.telemetry.zero_run_length;
-            if debug_probes {
-                zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |run| {
-                    run_hist.record(run as f64)
-                })
-            } else {
-                zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
-            }
-            .expect("quartic output is always in range 0..=242");
-            self.telemetry
-                .zre_seconds
-                .record(zre_start.elapsed().as_secs_f64());
+            zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
+                .expect("quartic output is always in range 0..=242");
             wire.shrink_to_fit();
             self.last_body_len = wire.len() - HEADER_LEN;
         } else {
@@ -745,38 +695,6 @@ mod tests {
             },
         );
         assert_eq!(cx.name(), "3LC (s=1.75) no-ZRE no-EA");
-    }
-
-    #[test]
-    fn compress_records_global_telemetry() {
-        // The registry is process-global and shared with concurrently
-        // running tests, so assert deltas and presence, not exact totals.
-        let reg = threelc_obs::global();
-        let ratio_before = reg.histogram("threelc.compress.ratio").count();
-        let decomp_before = reg.histogram("threelc.decompress.seconds").count();
-        let n = 70 * 100;
-        let mut cx = ctx(n, 1.0);
-        let wire = cx.compress(&Tensor::zeros([n])).unwrap();
-        cx.decompress(&wire).unwrap();
-        let snap = reg.snapshot();
-        let ratio = snap.histogram("threelc.compress.ratio").unwrap();
-        assert!(ratio.count > ratio_before);
-        // The all-zero tensor compressed ~280× on the body (~257× with
-        // the 9-byte header); the histogram's max must have seen it.
-        assert!(ratio.max >= 250.0, "max ratio {}", ratio.max);
-        assert!(
-            snap.histogram("threelc.compress.quartic_seconds")
-                .unwrap()
-                .count
-                > 0
-        );
-        assert!(
-            snap.histogram("threelc.compress.zre_seconds")
-                .unwrap()
-                .count
-                > 0
-        );
-        assert!(snap.histogram("threelc.decompress.seconds").unwrap().count > decomp_before);
     }
 
     #[test]

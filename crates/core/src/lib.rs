@@ -47,7 +47,6 @@ pub mod huffman;
 pub mod kernels;
 pub mod quartic;
 pub mod sizing;
-pub mod telemetry;
 pub mod tlq;
 mod traits;
 pub mod zrle;
@@ -55,6 +54,5 @@ pub mod zrle;
 pub use compressor::{ThreeLcCompressor, ThreeLcOptions};
 pub use error::{CompressError, DecodeError};
 pub use kernels::{CodecImpl, CodecSelection, SelectionSource, CODEC_IMPL_ENV};
-pub use telemetry::CompressTelemetry;
 pub use tlq::{SparsityMultiplier, TernaryTensor};
 pub use traits::{CompressionStats, Compressor};

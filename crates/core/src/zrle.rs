@@ -47,8 +47,8 @@ pub fn encode(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
 /// The callback receives run lengths exactly as the encoder emits them —
 /// runs longer than [`MAX_RUN`] appear as multiple chunks of at most
 /// [`MAX_RUN`], and lone zero bytes are reported as runs of 1. This lets
-/// telemetry observe the run-length distribution from the encoding pass
-/// itself, with no second scan over the data.
+/// `threelc inspect` read the run-length distribution from the encoding
+/// pass itself, with no second scan over the data.
 ///
 /// # Errors
 ///

@@ -265,9 +265,6 @@ pub struct WorkerReplica {
     /// `compute` overwrites them in place. Empty before the first step and
     /// whenever a caller keeps the gradients instead of pushing them.
     grads: Vec<Tensor>,
-    /// Cached handle into the global registry — the sharded registry lock
-    /// is only touched here, at construction, never per step.
-    encode_seconds: Arc<Histogram>,
 }
 
 impl WorkerReplica {
@@ -279,7 +276,6 @@ impl WorkerReplica {
             push_ctxs: problem.push_ctxs(w),
             pull_ctxs: problem.pull_ctxs(),
             grads: Vec::new(),
-            encode_seconds: threelc_obs::global().histogram("engine.encode_push_seconds"),
         }
     }
 
@@ -332,7 +328,6 @@ impl WorkerReplica {
             }
         }
         self.grads = grads;
-        self.encode_seconds.record(codec_seconds);
         EncodedPush {
             payloads,
             codec_seconds,
@@ -475,17 +470,12 @@ pub struct ServerCore {
     /// owns, balanced by element count ([`split_ranges`]); one range runs
     /// the step inline.
     shards: Vec<Range<usize>>,
-    /// Cached handle into the global registry (see [`WorkerReplica`]).
-    apply_seconds: Arc<Histogram>,
-    /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]).
+    /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]),
+    /// a handle cached so the registry lock is taken once, here.
     evaluate_seconds: Arc<Histogram>,
     /// `engine.shard.busy_seconds` — per-shard busy time of a step that
-    /// runs more than one shard.
+    /// runs more than one shard (shard threads carry no trace scope).
     shard_busy_seconds: Arc<Histogram>,
-    /// `engine.aggregate.seconds` — wire bytes to averaged gradient, once
-    /// per step per shard. The pass is fused, so there is no decode /
-    /// accumulate boundary left to time.
-    aggregate_seconds: Arc<Histogram>,
 }
 
 /// The fewest model values a shard is worth spawning for. A server step
@@ -737,10 +727,8 @@ impl ServerCore {
             current_decisions,
             step: 0,
             shards: Vec::new(),
-            apply_seconds: reg.histogram("engine.apply_step_seconds"),
             evaluate_seconds: reg.histogram("engine.evaluate_seconds"),
             shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
-            aggregate_seconds: reg.histogram("engine.aggregate.seconds"),
             config,
         };
         // As many shards as the host has cores and the model has
@@ -886,7 +874,6 @@ impl ServerCore {
         if accepted_count == 0 || payloads.iter().all(|p| p.is_empty()) {
             return Err(EngineError::NoAcceptedPushes { step: self.step });
         }
-        let step_start = Instant::now();
         let lr = self.lr();
         let n_params = self.shapes.len();
         let mut server_codec = 0.0f64;
@@ -998,8 +985,6 @@ impl ServerCore {
             }
             None => (Vec::new(), Vec::new()),
         };
-        self.apply_seconds
-            .record(step_start.elapsed().as_secs_f64());
 
         Ok(ServerStepOutput {
             lr,
@@ -1024,7 +1009,6 @@ impl ServerCore {
     ) -> Result<(), EngineError> {
         let step = self.step;
         let ops = accumulate_ops(payloads, accepted_count);
-        let aggregate_seconds = &self.aggregate_seconds;
         // Each tensor's contexts beside its accumulator, so a shard owns
         // both (`&mut` because a context is `Send`, not `Sync`).
         let mut rows: Vec<_> = self.decode_ctxs.iter_mut().zip(&mut self.update).collect();
@@ -1047,9 +1031,7 @@ impl ServerCore {
                             },
                         )
                     });
-                let elapsed = t0.elapsed().as_secs_f64();
-                aggregate_seconds.record(elapsed);
-                *codec += elapsed;
+                *codec += t0.elapsed().as_secs_f64();
                 out
             },
         );

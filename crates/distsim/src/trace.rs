@@ -111,20 +111,9 @@ pub struct TrainingTrace {
 }
 
 impl TrainingTrace {
-    /// Appends one step record and mirrors it into the global metrics
-    /// registry (`trace.*` histograms, the `trace.loss` gauge, and the
-    /// `trace.steps` counter), so simulated and networked runs feed the
-    /// same observability surface.
+    /// Appends one step record. The record is the step's only copy: nothing
+    /// is mirrored into the metrics registry.
     pub fn record_step(&mut self, rec: StepRecord) {
-        let reg = threelc_obs::global();
-        reg.histogram("trace.push_bytes")
-            .record(rec.push_bytes as f64);
-        reg.histogram("trace.pull_bytes")
-            .record(rec.pull_bytes as f64);
-        reg.histogram("trace.raw_bytes")
-            .record(rec.raw_bytes as f64);
-        reg.gauge("trace.loss").set(rec.loss as f64);
-        reg.counter("trace.steps").add(1);
         self.steps.push(rec);
     }
 
@@ -268,17 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn record_step_feeds_trace_and_global_metrics() {
-        // Other tests in the process share the global registry, so assert
-        // deltas rather than absolute values.
-        let reg = threelc_obs::global();
-        let steps_before = reg.counter("trace.steps").get();
-        let push_before = reg.histogram("trace.push_bytes").count();
+    fn record_step_appends_and_registers_nothing() {
         let mut trace = TrainingTrace::default();
         trace.record_step(record(1000, 500, 100, 100));
-        assert_eq!(trace.steps.len(), 1);
-        assert_eq!(reg.counter("trace.steps").get(), steps_before + 1);
-        assert_eq!(reg.histogram("trace.push_bytes").count(), push_before + 1);
+        assert_eq!(trace.steps, [record(1000, 500, 100, 100)]);
+        let snap = threelc_obs::global().snapshot();
+        let names = snap.counters.iter().map(|c| &c.name);
+        let names = names.chain(snap.gauges.iter().map(|g| &g.name));
+        let names: Vec<_> = names
+            .chain(snap.histograms.iter().map(|h| &h.name))
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.starts_with("trace.")),
+            "a step leaked into the registry: {names:?}"
+        );
     }
 
     #[test]

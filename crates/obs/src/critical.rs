@@ -488,9 +488,25 @@ fn sort_buckets(buckets: &mut [BlameBucket]) {
 
 impl RunAnalysis {
     /// Builds the full run analysis from a merged timeline.
+    ///
+    /// When ring buffers dropped spans, each node's buffer holds a suffix
+    /// of its records, cut at a different step: the oldest surviving steps
+    /// miss whole lanes (and the cut step the head of one), and their blame
+    /// would land on whichever lanes are left. The analysis then starts at
+    /// the first step every lane holds whole — one past the latest lane's
+    /// oldest step.
     pub fn build(timeline: &MergedTimeline) -> RunAnalysis {
+        let mut first = 0;
+        if timeline.dropped > 0 {
+            let mut oldest: BTreeMap<&str, u64> = BTreeMap::new();
+            for s in &timeline.spans {
+                let e = oldest.entry(s.node.as_str()).or_insert(s.step);
+                *e = (*e).min(s.step);
+            }
+            first = oldest.values().max().map_or(0, |&step| step + 1);
+        }
         let mut by_step: BTreeMap<u64, Vec<&AlignedSpan>> = BTreeMap::new();
-        for s in &timeline.spans {
+        for s in timeline.spans.iter().filter(|s| s.step >= first) {
             by_step.entry(s.step).or_default().push(s);
         }
         let steps: Vec<StepAnalysis> = by_step
@@ -1030,6 +1046,32 @@ mod tests {
         let json = serde_json::to_string(&a).expect("serialize");
         let back: RunAnalysis = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn a_wrapped_ring_starts_the_analysis_where_every_lane_is_whole() {
+        let mut nodes: Vec<NodeTrace> = Vec::new();
+        for step in 0..7u64 {
+            for n in net_step(step, 0) {
+                match nodes.iter_mut().find(|m| m.clock == n.clock) {
+                    Some(m) => m.spans.extend(n.spans),
+                    None => nodes.push(n),
+                }
+            }
+        }
+        let full = analyze(&nodes);
+        // Worker 1's ring wrapped: steps 0–2 and the head of step 3 are
+        // gone (six spans a step), while the server and worker 0 still
+        // hold step 0.
+        let worker1 = nodes.iter_mut().find(|n| n.clock == "worker1").unwrap();
+        worker1.spans.drain(..3 * 6 + 2);
+        worker1.dropped = 3 * 6 + 2;
+        let wrapped = analyze(&nodes);
+        let steps: Vec<u64> = wrapped.steps.iter().map(|s| s.step).collect();
+        assert_eq!(steps, [4, 5, 6]);
+        for (w, f) in wrapped.steps.iter().zip(&full.steps[4..]) {
+            assert_eq!((w.wall_seconds, &w.buckets), (f.wall_seconds, &f.buckets));
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!    [`SpanRecord`]s with parent links and a run-wide
 //!    trace id, off by default via `THREELC_TRACE`. Trace context rides
 //!    the `threelc-net` wire format so a step's spans connect across
-//!    nodes.
+//!    nodes. Each recorded span also feeds `span.<name>.seconds` in the
+//!    global registry: the one record of a phase's time, viewed two ways.
 //! 5. **Timeline reconstruction** ([`timeline`]): merges per-node buffers
 //!    onto one axis — estimating per-worker clock offsets from barrier
 //!    round-trips — and exports Chrome-trace JSON or a terminal per-step
@@ -35,11 +36,10 @@
 //!    constant thresholds. It also defines [`FaultEvent`], the one record
 //!    of a transport fault that the run report, the flap check and the
 //!    flight dump all read.
-//! 7. **Per-worker time series** ([`timeseries`]): fixed-capacity
-//!    step-indexed ring buffers with tiered downsampling (raw recent
-//!    window, min/max/mean/count buckets of doubling width for older
-//!    points) and a [`RunRecorder`] that folds per-worker step deltas
-//!    into a run-wide store — what `threelc top` renders live.
+//! 7. **Per-worker time series** ([`timeseries`]): the last 64
+//!    step-indexed points of each series, and a [`RunRecorder`] that
+//!    folds per-worker step deltas into a run-wide store — what
+//!    `threelc top` renders live.
 //! 8. **The flight dump** ([`flight`]): a self-contained
 //!    `<out>.flight.json` post-mortem assembled — not recorded — from the
 //!    fault log, the watchdog's findings, the series store and the span
@@ -94,7 +94,7 @@ pub use sink::{emit, log_enabled, set_level, set_log_file, set_writer, Level};
 pub use snapshot::{CounterEntry, GaugeEntry, HistEntry, HistogramSnapshot, Snapshot};
 pub use timeline::{AlignedSpan, ClockOffset, MergedTimeline, PHASES};
 pub use timeseries::{
-    Bucket, Point, RunRecorder, RunSeries, Series, WorkerDelta, WorkerSeries, WALL_CLOCK_SERIES,
+    Point, RunRecorder, RunSeries, Series, WorkerDelta, WorkerSeries, WALL_CLOCK_SERIES,
 };
 pub use trace::{
     current_ctx, global_buffer, now_ns, run_trace_id, set_trace_enabled, trace_enabled, NodeTrace,

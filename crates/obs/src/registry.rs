@@ -108,10 +108,10 @@ impl Registry {
 
 /// The process-global registry.
 ///
-/// Every layer of the stack (core codec, step engine, network runtime)
-/// reports here by default, which is what makes one `threelc metrics`
-/// scrape of a server show compression, engine, and transport telemetry
-/// together.
+/// Every layer of the stack (core codec, step engine, tracing, network
+/// runtime) reports here by default, which is what makes one `threelc
+/// metrics` scrape of a server show the codec tier, the traced phases and
+/// the transport together.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

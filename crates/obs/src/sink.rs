@@ -26,8 +26,7 @@ pub enum Level {
     Warn = 2,
     /// Lifecycle milestones (connections, steps).
     Info = 3,
-    /// Per-tensor and per-frame detail; enables the expensive telemetry
-    /// probes in `threelc-core`.
+    /// Per-tensor and per-frame detail.
     Debug = 4,
     /// Everything.
     Trace = 5,
@@ -216,7 +215,7 @@ mod tests {
         set_level(Level::Info);
         assert!(log_enabled(Level::Error));
         assert!(log_enabled(Level::Info));
-        assert!(!log_enabled(Level::Debug));
+        assert!(!log_enabled(Level::Trace));
         emit(Level::Debug, "also_dropped", &[]);
         emit(
             Level::Info,

@@ -376,14 +376,16 @@ impl MergedTimeline {
             let _ = writeln!(out, "… {} more steps", steps.len() - shown);
         }
         if self.dropped > 0 {
-            let _ = writeln!(
-                out,
-                "warning: {} spans dropped by ring buffers",
-                self.dropped
-            );
+            out.push_str(&dropped_warning(self.dropped));
         }
         out
     }
+}
+
+/// The line `threelc trace` and `threelc analyze` print when ring buffers
+/// dropped spans.
+pub fn dropped_warning(dropped: u64) -> String {
+    format!("warning: {dropped} spans dropped by ring buffers\n")
 }
 
 /// Splits one aligned worker `network` span at the server-side barrier

@@ -1,17 +1,10 @@
-//! Per-metric time series with bounded memory: a raw tail window plus
-//! tiered downsampling for older points.
-//!
-//! A [`Series`] keeps the most recent `raw_window` points exactly and
-//! folds everything older into fixed-width [`Bucket`]s (min/max/sum/count
-//! per bucket). When the bucket ring itself fills, the bucket width
-//! doubles and adjacent buckets merge — so an arbitrarily long run always
-//! fits in `raw_window + bucket_capacity` slots, and the oldest history
-//! degrades gracefully from exact points to coarser aggregates instead of
-//! vanishing.
+//! Per-metric time series with bounded memory: each [`Series`] keeps the
+//! last [`WINDOW`] points, which is all its readers draw (`threelc top`'s
+//! latest values and sparklines, the flight dump's tail).
 //!
 //! Everything here is deterministic: values are indexed by **training
 //! step**, never by wall clock, and the stored state is a pure function
-//! of the pushed `(step, value)` sequence and the capacities. Two runs
+//! of the pushed `(step, value)` sequence. Two runs
 //! that record the same values (the simulator and a TCP run of the same
 //! seed) therefore hold bit-identical series. Wall-clock-derived series
 //! (step latency) are recorded too, but under names listed in
@@ -25,11 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Exact points kept in a series' raw tail window by default.
-pub const DEFAULT_RAW_WINDOW: usize = 64;
-/// Aggregated buckets kept per series by default. When exceeded, the
-/// bucket width doubles and adjacent buckets merge.
-pub const DEFAULT_BUCKET_CAPACITY: usize = 64;
+/// Points a series keeps: its most recent 64.
+pub const WINDOW: usize = 64;
 
 /// Per-worker series names recorded by [`RunRecorder::record_step`].
 pub const S_WIRE_BYTES: &str = "wire_bytes";
@@ -80,226 +70,45 @@ pub struct Point {
     pub value: f64,
 }
 
-/// One downsampled bucket: the aggregate of every point whose step falls
-/// in `[start_step, start_step + width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bucket {
-    /// First step covered (aligned to a multiple of `width`).
-    pub start_step: u64,
-    /// Steps covered.
-    pub width: u64,
-    /// Points folded in.
-    pub count: u64,
-    /// Smallest folded value.
-    pub min: f64,
-    /// Largest folded value.
-    pub max: f64,
-    /// Sum of folded values (mean = sum / count).
-    pub sum: f64,
-}
-
-impl Bucket {
-    /// A bucket of `width` steps holding just `p`.
-    pub fn of_point(p: Point, width: u64) -> Bucket {
-        Bucket {
-            start_step: p.step - p.step % width,
-            width,
-            count: 1,
-            min: p.value,
-            max: p.value,
-            sum: p.value,
-        }
-    }
-
-    /// Mean folded value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Folds one point in. The point's step must lie inside the bucket.
-    pub fn add_point(&mut self, p: Point) {
-        debug_assert!(p.step >= self.start_step && p.step - self.start_step < self.width);
-        self.count += 1;
-        self.min = self.min.min(p.value);
-        self.max = self.max.max(p.value);
-        self.sum += p.value;
-    }
-
-    /// Folds another bucket in. `count`, `min`, and `max` merge exactly;
-    /// `sum` is a float addition.
-    pub fn absorb(&mut self, other: &Bucket) {
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
-}
-
-/// Downsamples step-ordered points into width-aligned buckets.
-pub fn downsample(points: &[Point], width: u64) -> Vec<Bucket> {
-    assert!(width > 0, "bucket width must be positive");
-    let mut out: Vec<Bucket> = Vec::new();
-    for &p in points {
-        let start = p.step - p.step % width;
-        match out.last_mut() {
-            Some(last) if last.start_step == start => last.add_point(p),
-            _ => out.push(Bucket::of_point(p, width)),
-        }
-    }
-    out
-}
-
-/// Merges two step-ordered bucket lists of the same width: buckets with
-/// equal `start_step` absorb each other, everything else interleaves in
-/// step order. `merge_buckets(downsample(a, w), downsample(b, w))` equals
-/// `downsample(a ++ b, w)` for any split of a step-ordered sequence —
-/// exactly for `start_step`/`width`/`count`/`min`/`max`, and up to float
-/// associativity for `sum`.
-pub fn merge_buckets(a: &[Bucket], b: &[Bucket]) -> Vec<Bucket> {
-    let mut out: Vec<Bucket> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let next = if j >= b.len() || (i < a.len() && a[i].start_step <= b[j].start_step) {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        match out.last_mut() {
-            Some(last) if last.start_step == next.start_step => last.absorb(&next),
-            _ => out.push(next),
-        }
-    }
-    out
-}
-
-/// Re-tiers buckets to a coarser width (a multiple of the old one),
-/// merging buckets that land in the same new-aligned slot.
-fn retier(buckets: &[Bucket], width: u64) -> Vec<Bucket> {
-    let mut out: Vec<Bucket> = Vec::new();
-    for b in buckets {
-        let mut nb = *b;
-        nb.start_step = b.start_step - b.start_step % width;
-        nb.width = width;
-        match out.last_mut() {
-            Some(last) if last.start_step == nb.start_step => last.absorb(&nb),
-            _ => out.push(nb),
-        }
-    }
-    out
-}
-
-/// A fixed-capacity time series: recent points exact, older points
-/// downsampled into buckets of doubling width.
+/// A time series' recent window: the last [`WINDOW`] points, exact.
 ///
 /// Points must be pushed in non-decreasing step order (the recorder's
-/// callers all iterate steps forward).
+/// callers all iterate steps forward). The full history of a run is its
+/// `TrainingTrace`'s step records; the window is what `top` and the flight
+/// dump draw.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {
     /// Metric name (one of the `S_*` constants for recorder-fed series).
     pub name: String,
-    /// Exact points kept in the raw tail.
-    pub raw_window: usize,
-    /// Buckets kept before the tier doubles.
-    pub bucket_capacity: usize,
-    /// Current bucket width in steps (doubles on overflow).
-    pub bucket_width: u64,
-    /// Downsampled history, oldest first.
-    pub buckets: Vec<Bucket>,
-    /// Exact recent points, oldest first.
+    /// The most recent points, oldest first. Named `raw` so that reports
+    /// and flight dumps which also carry older points in bucket fields
+    /// still parse: those fields are ignored.
     pub raw: Vec<Point>,
 }
 
 impl Series {
-    /// An empty series with the default capacities.
+    /// An empty series.
     pub fn new(name: &str) -> Series {
-        Series::with_capacity(name, DEFAULT_RAW_WINDOW, DEFAULT_BUCKET_CAPACITY)
-    }
-
-    /// An empty series with explicit capacities (both must be ≥ 1).
-    pub fn with_capacity(name: &str, raw_window: usize, bucket_capacity: usize) -> Series {
-        assert!(raw_window >= 1, "raw window must hold at least one point");
-        assert!(
-            bucket_capacity >= 1,
-            "bucket ring must hold at least one bucket"
-        );
         Series {
             name: name.to_string(),
-            raw_window,
-            bucket_capacity,
-            bucket_width: 1,
-            buckets: Vec::new(),
             raw: Vec::new(),
         }
     }
 
-    /// Records one observation. Amortized O(1); evicted raw points fold
-    /// into the bucket tier, which compacts by doubling its width.
+    /// Records one observation, evicting the oldest beyond [`WINDOW`].
     pub fn push(&mut self, step: u64, value: f64) {
+        if self.raw.len() == WINDOW {
+            self.raw.remove(0);
+        }
         self.raw.push(Point { step, value });
-        while self.raw.len() > self.raw_window {
-            let p = self.raw.remove(0);
-            self.fold(p);
-        }
-    }
-
-    fn fold(&mut self, p: Point) {
-        let start = p.step - p.step % self.bucket_width;
-        match self.buckets.last_mut() {
-            Some(last) if last.start_step == start => last.add_point(p),
-            _ => self.buckets.push(Bucket::of_point(p, self.bucket_width)),
-        }
-        while self.buckets.len() > self.bucket_capacity {
-            self.bucket_width *= 2;
-            self.buckets = retier(&self.buckets, self.bucket_width);
-        }
-    }
-
-    /// Total observations held (raw + bucketed). Equals the number of
-    /// pushes — downsampling never loses counts.
-    pub fn count(&self) -> u64 {
-        self.raw.len() as u64 + self.buckets.iter().map(|b| b.count).sum::<u64>()
-    }
-
-    /// Exact minimum over every observation ever pushed (None when empty).
-    pub fn min(&self) -> Option<f64> {
-        let raw = self.raw.iter().map(|p| p.value);
-        let old = self.buckets.iter().map(|b| b.min);
-        raw.chain(old)
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// Exact maximum over every observation ever pushed (None when empty).
-    pub fn max(&self) -> Option<f64> {
-        let raw = self.raw.iter().map(|p| p.value);
-        let old = self.buckets.iter().map(|b| b.max);
-        raw.chain(old)
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Sum over every observation (float additions, so associativity
-    /// rounding applies).
-    pub fn sum(&self) -> f64 {
-        self.raw.iter().map(|p| p.value).sum::<f64>()
-            + self.buckets.iter().map(|b| b.sum).sum::<f64>()
     }
 
     /// The most recent observation.
     pub fn last(&self) -> Option<Point> {
-        self.raw.last().copied().or_else(|| {
-            self.buckets.last().map(|b| Point {
-                step: b.start_step,
-                value: b.mean(),
-            })
-        })
+        self.raw.last().copied()
     }
 
-    /// The last `n` exact points (fewer when the raw tail is shorter).
+    /// The last `n` points (fewer when the window holds fewer).
     pub fn recent(&self, n: usize) -> &[Point] {
         let skip = self.raw.len().saturating_sub(n);
         &self.raw[skip..]
@@ -395,28 +204,19 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// A recorder pre-sized for `workers` workers with default capacities.
+    /// A recorder pre-sized for `workers` workers.
     pub fn new(workers: usize) -> RunRecorder {
-        RunRecorder::with_capacity(workers, DEFAULT_RAW_WINDOW, DEFAULT_BUCKET_CAPACITY)
-    }
-
-    /// A recorder with explicit per-series capacities.
-    pub fn with_capacity(workers: usize, raw_window: usize, bucket_capacity: usize) -> RunRecorder {
-        let worker_set = |w: usize| WorkerSeries {
-            worker: w as u64,
-            series: WORKER_SERIES
-                .iter()
-                .map(|n| Series::with_capacity(n, raw_window, bucket_capacity))
-                .collect(),
-        };
+        let series = |names: &[&str]| names.iter().map(|n| Series::new(n)).collect();
         RunRecorder {
             store: RunSeries {
                 steps_recorded: 0,
-                workers: (0..workers).map(worker_set).collect(),
-                run: RUN_SERIES
-                    .iter()
-                    .map(|n| Series::with_capacity(n, raw_window, bucket_capacity))
+                workers: (0..workers)
+                    .map(|w| WorkerSeries {
+                        worker: w as u64,
+                        series: series(WORKER_SERIES),
+                    })
                     .collect(),
+                run: series(RUN_SERIES),
             },
         }
     }
@@ -481,62 +281,43 @@ mod tests {
         for step in 0..10 {
             s.push(step, step as f64);
         }
-        assert_eq!(s.raw.len(), 10);
-        assert!(s.buckets.is_empty());
-        assert_eq!(s.count(), 10);
-        assert_eq!(s.min(), Some(0.0));
-        assert_eq!(s.max(), Some(9.0));
+        let steps: Vec<u64> = s.raw.iter().map(|p| p.step).collect();
+        assert_eq!(steps, (0..10).collect::<Vec<_>>());
         assert_eq!(s.last().map(|p| p.value), Some(9.0));
+        assert_eq!(s.recent(3)[0].step, 7);
     }
 
     #[test]
-    fn long_series_downsamples_without_losing_extremes() {
-        let mut s = Series::with_capacity("x", 8, 4);
+    fn long_series_keeps_only_the_last_window() {
+        let mut s = Series::new("x");
         let n = 10_000u64;
         for step in 0..n {
-            // A spike early in the run must survive arbitrary compaction.
-            let v = if step == 17 { 1e9 } else { step as f64 };
-            s.push(step, v);
+            s.push(step, step as f64 * 0.5);
         }
-        assert_eq!(s.count(), n);
-        assert_eq!(s.min(), Some(0.0));
-        assert_eq!(s.max(), Some(1e9));
-        assert!(
-            s.buckets.len() <= 4,
-            "bucket ring overflowed: {}",
-            s.buckets.len()
-        );
-        assert_eq!(s.raw.len(), 8);
-        // Buckets tile the evicted prefix in order without overlap.
-        for w in s.buckets.windows(2) {
-            assert!(w[0].start_step + w[0].width <= w[1].start_step + w[1].width);
-            assert!(w[0].start_step < w[1].start_step);
+        assert_eq!(s.raw.len(), WINDOW);
+        for (p, step) in s.raw.iter().zip(n - WINDOW as u64..) {
+            assert_eq!((p.step, p.value), (step, step as f64 * 0.5));
         }
+        assert_eq!(s.recent(2 * WINDOW).len(), WINDOW);
     }
 
     #[test]
-    fn merge_of_downsampled_equals_downsample_of_merged() {
-        let points: Vec<Point> = (0..100)
-            .map(|i| Point {
-                step: i,
-                value: (i as f64) * 0.5 - 10.0,
+    fn a_store_with_buckets_beside_the_window_still_parses() {
+        // A series as stores that also kept older points wrote it, less
+        // two of its sizing keys: every key but `name` and `raw` is ignored.
+        let json = r#"{"name":"loss","raw_window":2,
+            "buckets":[{"start_step":0,"width":2,"count":2,"min":1.0,"max":3.0,"sum":4.0}],
+            "raw":[{"step":2,"value":0.5},{"step":3,"value":0.25}]}"#;
+        let s: Series = serde_json::from_str(json).expect("parse");
+        assert_eq!(s.name, "loss");
+        assert_eq!(
+            s.last(),
+            Some(Point {
+                step: 3,
+                value: 0.25
             })
-            .collect();
-        let whole = downsample(&points, 8);
-        for split in [0usize, 1, 7, 8, 50, 99, 100] {
-            let merged = merge_buckets(
-                &downsample(&points[..split], 8),
-                &downsample(&points[split..], 8),
-            );
-            assert_eq!(merged.len(), whole.len(), "split {split}");
-            for (m, w) in merged.iter().zip(&whole) {
-                assert_eq!(m.start_step, w.start_step);
-                assert_eq!(m.count, w.count);
-                assert_eq!(m.min, w.min);
-                assert_eq!(m.max, w.max);
-                assert!((m.sum - w.sum).abs() <= 1e-9 * (1.0 + w.sum.abs()));
-            }
-        }
+        );
+        assert_eq!(s.raw.len(), 2);
     }
 
     #[test]
@@ -596,8 +377,8 @@ mod tests {
 
     #[test]
     fn run_series_json_roundtrip() {
-        let mut r = RunRecorder::with_capacity(1, 2, 2);
-        for step in 0..20u64 {
+        let mut r = RunRecorder::new(1);
+        for step in 0..2 * WINDOW as u64 {
             r.record_step(
                 step,
                 &[WorkerDelta {

@@ -19,6 +19,10 @@
 //!   node name, trace id, step, worker id). [`TraceSpan`]s opened while a
 //!   scope is active record into that scope's buffer with parent links
 //!   maintained by a per-thread span stack.
+//! - Every recorded span's duration also lands in the global registry's
+//!   `span.<name>.seconds` histogram: the registry's view of a phase's
+//!   time is derived from the span, not timed a second time. An untraced
+//!   run records no span and registers no such histogram.
 //! - [`NodeTrace`] is the wire/export form of one buffer: the clock-domain
 //!   label plus the records. `threelc-net`'s trace `ScrapeReply` carries
 //!   exactly this, JSON-encoded, so the server can collect every node's
@@ -29,6 +33,7 @@
 //! [`timeline`](crate::timeline) module estimates per-node clock offsets
 //! from barrier round-trips and merges buffers onto one axis.
 
+use crate::metrics::Histogram;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -186,8 +191,12 @@ impl Default for TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Default ring capacity: enough for thousands of steps of the eight
-    /// per-step phases, small enough to never matter (~100 B/record).
+    /// Default ring capacity (~100 B/record, so ~6.5 MB full). A traced
+    /// run records 110–130 spans a step across its nodes (the step
+    /// ledger's `obs.spans_per_step`), most of them a worker's per-tensor
+    /// `quantize`/`encode` pairs: a worker's ring wraps after about a
+    /// thousand steps, the server's — a handful of spans a step — far
+    /// later.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Creates a buffer holding at most `cap` records (min 1).
@@ -354,11 +363,35 @@ pub fn current_ctx() -> Option<TraceCtx> {
     })
 }
 
+/// Pushes a finished span into the scope's buffer, and its duration into
+/// the derived view: the global registry's `span.<name>.seconds`
+/// histogram, one sample per recorded span. Each thread looks a name's
+/// histogram up once.
+fn record(scope: &ScopeState, name: &'static str, rec: SpanRecord) {
+    thread_local! {
+        static HISTOGRAMS: RefCell<Vec<(&'static str, Arc<Histogram>)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+    HISTOGRAMS.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let i = match cache.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                let hist = crate::global().histogram(&format!("span.{name}.seconds"));
+                cache.push((name, hist));
+                cache.len() - 1
+            }
+        };
+        cache[i].1.record(rec.seconds());
+    });
+    scope.buffer.push(rec);
+}
+
 /// Records an already-timed phase `[start_ns, end_ns]` under the current
 /// scope (parented to the innermost open span). Used where a phase
 /// boundary is known from measurements rather than bracketed by a guard
 /// (the engine's decode/aggregate/re-encode split). No-op without a scope.
-pub fn record_span(name: &str, start_ns: u64, end_ns: u64) {
+pub fn record_span(name: &'static str, start_ns: u64, end_ns: u64) {
     if !trace_enabled() {
         return;
     }
@@ -366,7 +399,7 @@ pub fn record_span(name: &str, start_ns: u64, end_ns: u64) {
         let scopes = scopes.borrow();
         if let Some(s) = scopes.last() {
             let span = s.buffer.next_span_id();
-            s.buffer.push(SpanRecord {
+            let rec = SpanRecord {
                 trace: s.trace,
                 span,
                 parent: s.stack.last().copied().unwrap_or(0),
@@ -376,7 +409,8 @@ pub fn record_span(name: &str, start_ns: u64, end_ns: u64) {
                 worker: s.worker,
                 start_ns,
                 end_ns,
-            });
+            };
+            record(s, name, rec);
         }
     });
 }
@@ -469,7 +503,7 @@ impl TraceSpan {
                 if let Some(pos) = s.stack.iter().rposition(|&id| id == self.span) {
                     s.stack.truncate(pos);
                 }
-                s.buffer.push(SpanRecord {
+                let rec = SpanRecord {
                     trace: s.trace,
                     span: self.span,
                     parent: self.parent,
@@ -479,7 +513,8 @@ impl TraceSpan {
                     worker: s.worker,
                     start_ns: self.start_ns,
                     end_ns,
-                });
+                };
+                record(s, self.name, rec);
             }
         });
     }
@@ -563,6 +598,9 @@ mod tests {
         record_span("orphan2", 1, 2);
         assert!(current_ctx().is_none());
         assert!(!scope_active());
+        // Nothing recorded, nothing registered: the histograms are a view.
+        let snap = crate::global().snapshot();
+        assert!(snap.histograms.iter().all(|h| !h.name.contains("orphan")));
         set_trace_enabled(false);
     }
 
@@ -632,6 +670,11 @@ mod tests {
         assert_eq!(nt.spans[0].start_ns, 100);
         assert_eq!(nt.spans[0].end_ns, 250);
         assert!((nt.spans[0].seconds() - 150e-9).abs() < 1e-15);
+        // The record's one sample in the derived view (no other test
+        // records this name).
+        let snap = crate::global().snapshot();
+        let view = snap.histogram("span.server-decode.seconds").expect("view");
+        assert_eq!((view.count, view.sum), (1, nt.spans[0].seconds()));
         set_trace_enabled(false);
     }
 
