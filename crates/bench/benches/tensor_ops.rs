@@ -28,11 +28,13 @@ fn bench_matmul(c: &mut Criterion) {
 }
 
 /// The three GEMMs of one `W × W` dense layer at the step ledger's shapes
-/// (`mlp1024-*`: batch 8, width 1024; `mlp512-*`: batch 32, width 512), so
-/// the kernel has a micro number next to the ledger's `tensor.matmul_us`,
-/// plus the `m = 1024` test-set forward that is most of `setup_s`. Dense
-/// normal operands: in the model half of `X` is ReLU zeros, whose terms the
-/// kernels skip.
+/// (`mlp1024-*`: batch 8, width 1024; `mlp512-*`: batch 32, width 512),
+/// plus the `m = 1024` test-set forward that is most of `setup_s`. These
+/// rows are the only per-layout numbers: the ledger's `tensor.matmul_us`
+/// runs `Tensor::matmul` (`A · B`) at all three of a layer's shapes and
+/// never calls `matmul_nt` or `matmul_tn_into`. Dense normal operands: in
+/// the model half of `X` is ReLU zeros, whose terms `matmul` and
+/// `matmul_tn` skip.
 fn bench_gemm_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     for &(batch, width) in &[(8usize, 1024usize), (32, 512), (1024, 1024), (1024, 512)] {

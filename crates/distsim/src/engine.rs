@@ -82,7 +82,8 @@ pub struct Problem {
     pub config: ExperimentConfig,
     /// The synthetic training dataset.
     pub data: SyntheticImages,
-    /// The held-out evaluation batch.
+    /// The held-out evaluation batch, moved out of `data`: the dataset's
+    /// test split lives here and only here.
     pub test: Batch,
     /// The initial model (server global and every replica start here).
     pub init: Network,
@@ -96,7 +97,7 @@ pub struct Problem {
 impl Problem {
     /// Derives the problem instance from a configuration.
     pub fn build(config: &ExperimentConfig) -> Self {
-        let data = SyntheticImages::standard(data_seed(config));
+        let mut data = SyntheticImages::standard(data_seed(config));
         let spec = data.spec();
         let init =
             models::residual_mlp(&spec, config.model_width, config.model_blocks, config.seed);
@@ -106,7 +107,7 @@ impl Problem {
             .iter()
             .map(|p| p.len() >= config.compress_threshold)
             .collect();
-        let test = data.test_batch();
+        let test = data.take_test_batch();
         Problem {
             config: *config,
             data,
@@ -129,6 +130,15 @@ impl Problem {
     /// here (17.7 MB at width 1024).
     pub fn release_init(&mut self) {
         self.init = Network::new(0, Vec::new());
+    }
+
+    /// Drops the test batch, leaving an empty one in its place: a worker
+    /// never evaluates, and the batch is 786 KB of inputs.
+    pub fn release_test(&mut self) {
+        self.test = Batch {
+            inputs: Tensor::zeros([0, self.test.inputs.shape().dim(1)]),
+            labels: Vec::new(),
+        };
     }
 
     /// Number of values covered by compression (per direction per worker).
@@ -1307,6 +1317,22 @@ mod tests {
         let want = Evaluation::of(server_a.global(), &kept.test);
         assert_eq!(eval.loss.to_bits(), want.loss.to_bits());
         assert_eq!(eval.accuracy, want.accuracy);
+    }
+
+    #[test]
+    fn the_test_batch_is_the_datasets_split_moved_out_of_it() {
+        let config = tiny(SchemeKind::three_lc(1.5));
+        let mut problem = Problem::build(&config);
+        let fresh = SyntheticImages::standard(data_seed(&config)).test_batch();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(problem.test.inputs.shape(), fresh.inputs.shape());
+        assert_eq!(bits(&problem.test.inputs), bits(&fresh.inputs));
+        assert_eq!(problem.test.labels, fresh.labels);
+        // One copy per node: the dataset no longer holds the split.
+        assert_eq!(problem.data.test_len(), 0);
+        // A worker drops the batch too.
+        problem.release_test();
+        assert!(problem.test.inputs.is_empty() && problem.test.labels.is_empty());
     }
 
     #[test]

@@ -197,6 +197,18 @@ impl SyntheticImages {
             labels: self.test_labels.clone(),
         }
     }
+
+    /// [`Self::test_batch`] without the copy: the test split is moved out,
+    /// and this dataset keeps only its training examples (`test_len` is 0).
+    pub fn take_test_batch(&mut self) -> Batch {
+        let dim = self.config.spec.feature_dim();
+        let labels = std::mem::take(&mut self.test_labels);
+        let images = std::mem::take(&mut self.test_images);
+        Batch {
+            inputs: Tensor::from_vec(images, [labels.len(), dim]),
+            labels,
+        }
+    }
 }
 
 /// Builds one smooth prototype image as a sum of random sinusoids.

@@ -279,8 +279,9 @@ fn run_session(
     let n_params = problem.num_tensors();
     let mut replica = WorkerReplica::new(&problem, usize::from(opts.worker));
     // The replica holds the model now; what is still read here is the data
-    // and the shapes.
+    // and the shapes. A worker never evaluates, so the test split goes too.
     problem.release_init();
+    problem.release_test();
     // Adaptive policies: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of
@@ -373,8 +374,13 @@ fn run_session(
         compute_span.finish();
 
         // encode_push emits the quantize/encode spans from inside the codec.
+        // The residual readout is a pass over the model-sized error buffers
+        // and part of the push's codec output (it travels in `PushDone`):
+        // an encode span of its own, or the analyzer charges it to the wire.
         let encoded = replica.encode_push(grads);
+        let residual_span = TraceSpan::start("encode");
         let residual_l2 = replica.residual_l2();
+        residual_span.finish();
         let mut codec_seconds = encoded.codec_seconds;
         let serialize_span = TraceSpan::start("serialize");
         for (i, payload) in encoded.payloads.iter().enumerate() {

@@ -421,6 +421,54 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
     );
 }
 
+/// Between a worker's codec and its first frame write nothing may run
+/// outside a span: `threelc analyze` charges a straggler's uncovered time to
+/// its network phase, so an unrecorded pass there reads as wire time. The
+/// residual readout is such a pass, over every error buffer of the model:
+/// 9–14 ms a step here when it ran outside any span. What is left is span
+/// bookkeeping, 15–35 µs in a debug build. One step in eight may exceed
+/// the bound, for the scheduler can preempt a worker in that window.
+#[test]
+fn a_worker_step_leaves_no_time_uncovered_between_encode_and_serialize() {
+    let _turn = TRACE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    threelc_obs::set_trace_enabled(true);
+    let config = ExperimentConfig {
+        total_steps: 4,
+        eval_every: 0,
+        model_width: 512,
+        ..loopback_config(SchemeKind::three_lc(1.0))
+    };
+    let (report, _outcomes) = run_loopback(config);
+    threelc_obs::set_trace_enabled(false);
+
+    let mut gaps = Vec::new();
+    for w in 0..config.workers {
+        let lane = format!("worker{w}");
+        for step in 0..config.total_steps {
+            let spans = || {
+                report
+                    .node_traces
+                    .iter()
+                    .flat_map(|n| &n.spans)
+                    .filter(|s| s.node == lane && s.step == step)
+            };
+            let encoded = spans().filter(|s| s.name == "encode").map(|s| s.end_ns);
+            let serialized = spans()
+                .filter(|s| s.name == "serialize")
+                .map(|s| s.start_ns);
+            let (Some(encoded), Some(serialized)) = (encoded.max(), serialized.min()) else {
+                panic!("step {step}: lane {lane} lacks an encode or a serialize span");
+            };
+            gaps.push((lane.clone(), step, serialized.saturating_sub(encoded)));
+        }
+    }
+    let uncovered = gaps.iter().filter(|&&(_, _, ns)| ns >= 1_000_000).count();
+    assert!(
+        uncovered <= 1,
+        "uncovered ns between the last encode span and serialize: {gaps:?}"
+    );
+}
+
 /// Copies `from` to `to` until EOF, counting the bytes that crossed.
 fn relay(mut from: TcpStream, mut to: TcpStream, count: Arc<AtomicU64>) {
     let mut buf = [0u8; 16 * 1024];

@@ -1,5 +1,5 @@
-//! Matrix multiplication: one blocked GEMM core and the three operand
-//! layouts the training framework needs.
+//! Matrix multiplication: the three operand layouts the training framework
+//! needs, over one blocked GEMM core and one lane kernel.
 //!
 //! | method | computes | used for |
 //! |---|---|---|
@@ -11,10 +11,12 @@
 //! keeps: the weight gradient is the one product as large as the model,
 //! and a training loop reuses its buffer every step.
 //!
-//! No layout materialises a transposed operand. All three run the same
-//! loop nest (`gemm_rows`) and differ only in how an element of the left
-//! operand is addressed and in whether the right operand's tile is copied
-//! or turned as it is packed.
+//! No layout materialises a transposed operand. `matmul` and `matmul_tn`
+//! run one loop nest (`gemm_rows`) over a row-major right operand and
+//! differ only in how an element of the left operand is addressed.
+//! `matmul_nt`, whose operands both run along the reduction index, has a
+//! kernel of its own (`gemm_nt`): it reads each row of the right operand
+//! once, in stored order, and advances eight output rows in lanes.
 //!
 //! A product large enough to be worth it — a test-set forward pass, not a
 //! training step — is split by output rows over the host's cores
@@ -34,7 +36,7 @@ use crate::{Tensor, TensorError};
 const NC: usize = 256;
 
 /// Height of a right-hand panel: the inner indices advanced together. A
-/// packed `KC × NC` panel is 32 KiB — the only scratch a thread of a GEMM
+/// packed `KC × NC` panel is 32 KiB — the only scratch a thread of the nest
 /// allocates — and stays in L1 while every output row of the block takes
 /// its terms from it, so each right-hand element is read from memory once
 /// per row block per thread.
@@ -44,9 +46,13 @@ const KC: usize = 32;
 /// The `MC × NC` output block being updated (128 KiB) and the block's
 /// left-operand rows stay in L2 while the right operand's panels stream
 /// past; taken all at once, a 1 024-row product sweeps a 1 MB output strip
-/// once per 32-deep panel. A product of `m ≤ MC` rows — every forward and
-/// input-gradient GEMM of a training step — is one block.
+/// once per 32-deep panel. A product of `m ≤ MC` rows — every forward GEMM
+/// of a training step — is one block.
 const MC: usize = 128;
+
+/// Output rows [`gemm_nt`] advances together, one lane each: two SSE2
+/// registers per right-operand row it reads.
+const LANES: usize = 8;
 
 /// The fewest multiply-adds a thread of a split product is worth spawning
 /// for. The nest runs about 15 G multiply-adds a second and a scoped spawn
@@ -87,19 +93,11 @@ fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], pa
     }
 }
 
-/// `out[i][j] = Σ_l a(i, l) · b(l, j)` for an `m × k` left and a `k × n`
-/// right operand, where `a(i, l) = a[i·a_row + l·a_col]` and the right
-/// operand is stored either as `k × n` row-major (`b_transposed = false`)
-/// or as `n × k` row-major (`b_transposed = true`).
-fn gemm(
-    dims: (usize, usize, usize),
-    a: &[f32],
-    a_strides: (usize, usize),
-    b: &[f32],
-    b_transposed: bool,
-) -> Vec<f32> {
+/// `out[i][j] = Σ_l a(i, l) · b[l·n + j]` for an `m × k` left and a
+/// row-major `k × n` right operand, where `a(i, l) = a[i·a_row + l·a_col]`.
+fn gemm(dims: (usize, usize, usize), a: &[f32], a_strides: (usize, usize), b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; dims.0 * dims.1];
-    gemm_into(dims, a, a_strides, b, b_transposed, &mut out);
+    gemm_into(dims, a, a_strides, b, &mut out);
     out
 }
 
@@ -111,10 +109,9 @@ fn gemm_into(
     a: &[f32],
     a_strides: (usize, usize),
     b: &[f32],
-    b_transposed: bool,
     out: &mut [f32],
 ) {
-    gemm_split(parts_for(dims), dims, a, a_strides, b, b_transposed, out);
+    gemm_split(parts_for(dims), dims, a, a_strides, b, out);
 }
 
 /// [`gemm_into`] over `parts` contiguous blocks of output rows, one scoped
@@ -131,7 +128,6 @@ fn gemm_split(
     a: &[f32],
     (a_row, a_col): (usize, usize),
     b: &[f32],
-    b_transposed: bool,
     out: &mut [f32],
 ) {
     // An empty sum leaves the zeros it was handed.
@@ -144,7 +140,7 @@ fn gemm_split(
         for (q, block) in out.chunks_mut(MC * n).enumerate() {
             let a = &a[(p * rows + q * MC) * a_row..];
             let dims = (block.len() / n, n, k);
-            gemm_rows(dims, a, (a_row, a_col), b, b_transposed, block, &mut panel);
+            gemm_rows(dims, a, (a_row, a_col), b, block, &mut panel);
         }
     };
     if rows >= m {
@@ -160,16 +156,15 @@ fn gemm_split(
     });
 }
 
-/// The loop nest. For each `KC × NC` panel of the right operand, packed
-/// into contiguous rows of `panel`, every output row lists its nonzero
-/// left factors over the panel's inner indices (in ascending order) and
-/// adds their terms eight at a time.
+/// The loop nest. For each `KC × NC` panel of the right operand, its row
+/// pieces copied into contiguous rows of `panel`, every output row lists
+/// its nonzero left factors over the panel's inner indices (in ascending
+/// order) and adds their terms eight at a time.
 fn gemm_rows(
     (m, n, k): (usize, usize, usize),
     a: &[f32],
     (a_row, a_col): (usize, usize),
     b: &[f32],
-    b_transposed: bool,
     out: &mut [f32],
     panel: &mut [f32],
 ) {
@@ -180,17 +175,8 @@ fn gemm_rows(
         for l0 in (0..k).step_by(KC) {
             let kc = KC.min(k - l0);
             let panel = &mut panel[..kc * nc];
-            if b_transposed {
-                for j in 0..nc {
-                    let src = &b[(j0 + j) * k + l0..][..kc];
-                    for (l, &v) in src.iter().enumerate() {
-                        panel[l * nc + j] = v;
-                    }
-                }
-            } else {
-                for (l, dst) in panel.chunks_exact_mut(nc).enumerate() {
-                    dst.copy_from_slice(&b[(l0 + l) * n + j0..][..nc]);
-                }
+            for (l, dst) in panel.chunks_exact_mut(nc).enumerate() {
+                dst.copy_from_slice(&b[(l0 + l) * n + j0..][..nc]);
             }
             for i in 0..m {
                 // Branch-free compaction: a zero is overwritten by the next
@@ -219,6 +205,72 @@ fn gemm_rows(
                 if coef.len() == 1 {
                     add_terms::<1>(out_row, coef, offset, panel);
                 }
+            }
+        }
+    }
+}
+
+/// `out[i][j] = Σ_l a[i·k + l] · b[j·k + l]` for an `m × k` left and an
+/// `n × k` right operand, both contiguous along the reduction index.
+///
+/// The left operand is copied once into `lanes`, block by block of
+/// [`LANES`] rows, so that element `(i0 + r, l)` of block `i0` sits at
+/// `i0·k + l·LANES + r` (a short last block is padded with zeros, whose
+/// lanes are never stored). The right operand is read `R` rows at a time in
+/// stored order, and every row block takes its terms from those rows before
+/// the next rows are read: at batch 32 the four rows stay in L1 across
+/// the four blocks. Each of the `R × LANES` sums starts at `+0.0`, takes its
+/// terms in ascending `l` with no zero-skip, and is stored once.
+fn gemm_nt((m, n, k): (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let mut lanes = vec![0.0f32; m.div_ceil(LANES) * LANES * k];
+    for (block, rows) in lanes.chunks_exact_mut(LANES * k).zip(a.chunks(LANES * k)) {
+        for (r, row) in rows.chunks_exact(k).enumerate() {
+            for (l, &v) in row.iter().enumerate() {
+                block[l * LANES + r] = v;
+            }
+        }
+    }
+    let mut j0 = 0;
+    while j0 + 4 <= n {
+        nt_rows::<4>((m, n, k), &lanes, b, j0, &mut out);
+        j0 += 4;
+    }
+    for j in j0..n {
+        nt_rows::<1>((m, n, k), &lanes, b, j, &mut out);
+    }
+    out
+}
+
+/// Output columns `j0 .. j0 + R` of [`gemm_nt`]: right-operand rows `j0 ..
+/// j0 + R` against every block of `lanes`.
+#[inline(always)]
+fn nt_rows<const R: usize>(
+    (m, n, k): (usize, usize, usize),
+    lanes: &[f32],
+    b: &[f32],
+    j0: usize,
+    out: &mut [f32],
+) {
+    let rows: [&[f32]; R] = std::array::from_fn(|t| &b[(j0 + t) * k..][..k]);
+    for (q, block) in lanes.chunks_exact(LANES * k).enumerate() {
+        let mut acc = [[0.0f32; LANES]; R];
+        for (l, a) in block.chunks_exact(LANES).enumerate() {
+            for t in 0..R {
+                let v = rows[t][l];
+                for (s, &x) in acc[t].iter_mut().zip(a) {
+                    *s += x * v;
+                }
+            }
+        }
+        let i0 = q * LANES;
+        for r in 0..LANES.min(m - i0) {
+            let dst = &mut out[(i0 + r) * n + j0..][..R];
+            for (d, sums) in dst.iter_mut().zip(&acc) {
+                *d = sums[r];
             }
         }
     }
@@ -255,10 +307,11 @@ impl Tensor {
     /// [`matmul_nt`](Tensor::matmul_nt) and [`matmul_tn`](Tensor::matmul_tn).
     ///
     /// Terms whose left factor is exactly zero are skipped (half of a ReLU
-    /// output is zeros). That is exact only while `other` is finite: the
-    /// skipped product is then `±0.0`, which cannot change an accumulator
-    /// that started at `+0.0`; opposite an infinity or a NaN in `other` the
-    /// naive loop would produce NaN and this method does not.
+    /// output is zeros), here and in [`matmul_tn`](Tensor::matmul_tn). That
+    /// is exact only while `other` is finite: the skipped product is then
+    /// `±0.0`, which cannot change an accumulator that started at `+0.0`;
+    /// opposite an infinity or a NaN in `other` the naive loop would produce
+    /// NaN and this method does not.
     ///
     /// # Errors
     ///
@@ -268,13 +321,17 @@ impl Tensor {
         let (m, k) = matrix_dims(self)?;
         let (k2, n) = matrix_dims(other)?;
         check_inner(k, k2)?;
-        let out = gemm((m, n, k), self.as_slice(), (k, 1), other.as_slice(), false);
+        let out = gemm((m, n, k), self.as_slice(), (k, 1), other.as_slice());
         Ok(Tensor::from_vec(out, [m, n]))
     }
 
     /// `self · otherᵀ` without forming the transpose:
-    /// `[m, k] × [n, k]ᵀ → [m, n]`. Bit-identical to
-    /// `self.matmul(&other.transpose()?)`, zero-skip included.
+    /// `[m, k] × [n, k]ᵀ → [m, n]`, on the calling thread.
+    ///
+    /// Its left factor is an output gradient, which has no zeros to speak
+    /// of, so no term is skipped: every output element is the naive loop's
+    /// sum for every input, an infinity or NaN in `other` included. With a
+    /// finite `other` that is also `self.matmul(&other.transpose()?)`.
     ///
     /// # Errors
     ///
@@ -285,7 +342,7 @@ impl Tensor {
         let (m, k) = matrix_dims(self)?;
         let (n, k2) = matrix_dims(other)?;
         check_inner(k, k2)?;
-        let out = gemm((m, n, k), self.as_slice(), (k, 1), other.as_slice(), true);
+        let out = gemm_nt((m, n, k), self.as_slice(), other.as_slice());
         Ok(Tensor::from_vec(out, [m, n]))
     }
 
@@ -302,7 +359,7 @@ impl Tensor {
         let (k, m) = matrix_dims(self)?;
         let (k2, n) = matrix_dims(other)?;
         check_inner(k, k2)?;
-        let out = gemm((m, n, k), self.as_slice(), (1, m), other.as_slice(), false);
+        let out = gemm((m, n, k), self.as_slice(), (1, m), other.as_slice());
         Ok(Tensor::from_vec(out, [m, n]))
     }
 
@@ -326,14 +383,7 @@ impl Tensor {
         }
         let out = out.as_mut_slice();
         out.fill(0.0);
-        gemm_into(
-            (m, n, k),
-            self.as_slice(),
-            (1, m),
-            other.as_slice(),
-            false,
-            out,
-        );
+        gemm_into((m, n, k), self.as_slice(), (1, m), other.as_slice(), out);
         Ok(())
     }
 }
@@ -404,8 +454,9 @@ mod tests {
         // layer's fan-in, 10 the head's fan-out.
         for (b, w) in [(32, 512), (8, 1024)] {
             for (i, o) in [(192, w), (w, w), (w, 10)] {
-                // Y = X·W, dX = dY·Wᵀ, dW = Xᵀ·dY.
-                for dims in [(b, o, i), (b, i, o), (i, o, b)] {
+                // Y = X·W, dW = Xᵀ·dY (dX = dY·Wᵀ has a kernel of its own
+                // and never splits).
+                for dims in [(b, o, i), (i, o, b)] {
                     assert_eq!(parts_for(dims), 1, "{dims:?}");
                 }
             }
@@ -433,11 +484,11 @@ mod tests {
                 .collect()
         };
         let (a, b) = (values(m * k), values(k * n));
-        // (left strides, right operand transposed): matmul, nt, tn.
-        for (strides, b_transposed) in [((k, 1), false), ((k, 1), true), ((1, m), false)] {
+        // Left strides of matmul and tn.
+        for strides in [(k, 1), (1, m)] {
             let run = |parts| {
                 let mut out = vec![0.0f32; m * n];
-                gemm_split(parts, (m, n, k), &a, strides, &b, b_transposed, &mut out);
+                gemm_split(parts, (m, n, k), &a, strides, &b, &mut out);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let one = run(1);

@@ -1,10 +1,12 @@
-//! Differential test of the GEMM core: all three layouts against the naive
+//! Differential test of the GEMM kernels: all three layouts against the naive
 //! triple loop, compared by bit pattern.
 //!
 //! The oracle is the definition — for every output element, products added
-//! to `+0.0` in ascending inner-index order, no zero-skip, no blocking. The
-//! kernels may differ from it only on non-finite operands (their zero-skip,
-//! see `gemm.rs`), so every generated value is finite.
+//! to `+0.0` in ascending inner-index order, no zero-skip, no blocking.
+//! `matmul` and `matmul_tn` may differ from it only on non-finite operands
+//! (their zero-skip, see `gemm.rs`), so every generated value is finite;
+//! `matmul_nt` skips nothing and is also held to it with infinities and
+//! NaNs in its right operand.
 
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -65,9 +67,13 @@ fn first_difference(got: &[f32], want: &[f32]) -> Option<(usize, u32, u32)> {
 proptest! {
     #[test]
     fn every_layout_matches_the_naive_sum_bit_for_bit(
-        // Below, at and above the eight terms added per pass; 33 also
-        // exceeds a panel's height when it is the inner dimension.
-        m in prop_oneof![Just(1usize), Just(7usize), Just(8usize), Just(9usize), Just(33usize)],
+        // Below, at and above the eight terms added per pass and the eight
+        // lanes of `matmul_nt`; 16 and 32 are whole lane blocks, and 33
+        // also exceeds a panel's height when it is the inner dimension.
+        m in prop_oneof![
+            Just(1usize), Just(7usize), Just(8usize), Just(9usize),
+            Just(16usize), Just(32usize), Just(33usize),
+        ],
         // Panels are 32 × 256: both ranges cross a tile edge and neither is
         // confined to multiples of it; `k = 0` is the empty sum.
         k in 0usize..70,
@@ -140,6 +146,43 @@ fn split_products_match_the_naive_sum_bit_for_bit() {
     let mut reused = Tensor::full([m, n], f32::NAN);
     a.matmul_tn_into(&c, &mut reused).unwrap();
     assert_eq!(first_difference(reused.as_slice(), &want), None, "into");
+}
+
+/// `matmul_nt` skips no term, so opposite a zero left factor an infinity
+/// gives NaN and a NaN stays NaN, exactly as in the naive loop. NaN payloads
+/// are not part of the contract: NaN positions are compared by `is_nan`,
+/// everything else by bits.
+#[test]
+fn matmul_nt_matches_the_naive_sum_on_non_finite_right_operands() {
+    let mut rng = threelc_tensor::rng(17);
+    // Every lane block shape: whole blocks, a short last block, one row.
+    for (m, n, k) in [(8, 9, 40), (32, 13, 70), (11, 6, 33), (1, 5, 3)] {
+        let a = matrix(&mut rng, m, k);
+        let mut w = matrix(&mut rng, n, k);
+        for (idx, v) in w.as_mut_slice().iter_mut().enumerate() {
+            match rng.gen_range(0..8u32) {
+                0 => *v = f32::INFINITY,
+                1 => *v = f32::NEG_INFINITY,
+                2 => *v = f32::NAN,
+                _ if idx % 5 == 0 => *v = f32::INFINITY,
+                _ => {}
+            }
+        }
+        let (x, y) = (a.as_slice(), w.as_slice());
+        let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[j * k + l]);
+        let got = a.matmul_nt(&w).unwrap();
+        assert!(
+            x.contains(&0.0) && want.iter().any(|v| v.is_nan()),
+            "the case must put zeros opposite non-finite values"
+        );
+        for (i, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "({m}, {n}, {k}) at {i}: {g} where NaN");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "({m}, {n}, {k}) at {i}");
+            }
+        }
+    }
 }
 
 #[test]
