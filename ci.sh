@@ -90,7 +90,7 @@ for tier in $tiers; do
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
 done
 
-echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold and the ChaCha8 refill)"
+echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold, the ChaCha8 refill and the AVX2 GEMM)"
 # cargo miri would be the first choice, but the component is not
 # installable on this image (offline). AddressSanitizer on a nightly
 # toolchain covers the unsafe SIMD paths instead; the MSRV and stable
@@ -105,12 +105,16 @@ if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2
         -p threelc-net --lib crc32 --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p rand_chacha --target x86_64-unknown-linux-gnu
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+        -p threelc-tensor --lib gemm --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
     echo "    + the frame checksum's pclmulqdq fold + the ChaCha8 SSE2 refill"
+    echo "    + the GEMM unit tests (AVX2 instantiation against the baseline)"
 else
     echo "    SKIPPED: no nightly toolchain for -Zsanitizer=address (cargo miri is"
     echo "    not installed and cannot be fetched offline); the unsafe kernels, the"
-    echo "    CRC fold and the ChaCha8 refill ran un-sanitized in the suites above"
+    echo "    CRC fold, the ChaCha8 refill and the AVX2 GEMM instantiation ran"
+    echo "    un-sanitized in the suites above"
 fi
 
 # (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's

@@ -45,11 +45,7 @@ impl Compressor for Float32Compressor {
                 actual: input.shape().dims().to_vec(),
             });
         }
-        let mut wire = Vec::with_capacity(input.len() * 4);
-        for &x in input.iter() {
-            wire.extend_from_slice(&x.to_le_bytes());
-        }
-        Ok(wire)
+        Ok(input.to_le_bytes())
     }
 
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {

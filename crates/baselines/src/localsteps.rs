@@ -65,11 +65,9 @@ impl Compressor for LocalStepsCompressor {
         if !self.step.is_multiple_of(self.period) {
             return Ok(vec![TAG_EMPTY]);
         }
-        let mut wire = Vec::with_capacity(1 + self.buffer.len() * 4);
-        wire.push(TAG_DATA);
-        for &x in self.buffer.iter() {
-            wire.extend_from_slice(&x.to_le_bytes());
-        }
+        let mut wire = vec![0u8; 1 + self.buffer.len() * 4];
+        wire[0] = TAG_DATA;
+        self.buffer.write_le_bytes(&mut wire[1..]);
         self.buffer.map_inplace(|_| 0.0);
         Ok(wire)
     }

@@ -44,7 +44,8 @@ codec prints the encode implementation tier in use (scalar, swar, or
 simd — auto-selected at startup, overridable via THREELC_CODEC_IMPL)
 and which tiers this host supports. Every tier is bit-identical; the
 choice only affects throughput. compress and inspect report the active
-tier inline.
+tier inline. Its last line names the GEMM instantiation worker compute
+runs (avx2 where the CPU has it, else baseline; same bits, no override).
 
 serve prints `listening on <addr>` to stderr once it has bound, so
 --addr 127.0.0.1:0 lets the kernel pick a free port.
@@ -235,8 +236,9 @@ fn compress(args: &[String]) -> CliResult {
     Ok(report)
 }
 
-/// Reports the active codec implementation tier and host support — the
-/// line format is stable (the CI dispatch matrix greps it).
+/// Reports the active codec implementation tier and host support, then the
+/// GEMM instantiation — the line format is stable (the CI dispatch matrix
+/// greps it).
 fn codec(args: &[String]) -> CliResult {
     if let Some(extra) = args.first() {
         return Err(format!("codec takes no arguments, got `{extra}`").into());
@@ -254,6 +256,11 @@ fn codec(args: &[String]) -> CliResult {
         report,
         "override:  {}=scalar|swar|simd",
         threelc::CODEC_IMPL_ENV
+    )?;
+    writeln!(
+        report,
+        "gemm:      {}",
+        threelc_tensor::gemm_instantiation()
     )?;
     Ok(report)
 }
@@ -614,6 +621,21 @@ mod tests {
             threelc::CodecImpl::parse(tier).is_some(),
             "active line must lead with a tier name, got: {active}"
         );
+        // The GEMM instantiation this process runs: AVX2 exactly where the
+        // CPU has it.
+        let gemm = report
+            .lines()
+            .find_map(|l| l.strip_prefix("gemm:      "))
+            .expect("gemm line");
+        #[cfg(target_arch = "x86_64")]
+        let want = if std::arch::is_x86_feature_detected!("avx2") {
+            "avx2"
+        } else {
+            "baseline"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "baseline";
+        assert_eq!(gemm, want, "got: {report}");
         assert!(run(&s(&["codec", "extra"])).is_err());
     }
 

@@ -196,6 +196,10 @@ impl Compressor for ThreeLcCompressor {
         self.encode(input)
     }
 
+    fn records_spans(&self) -> bool {
+        true
+    }
+
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
         self.decompress_inner(payload)
     }

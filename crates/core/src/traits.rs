@@ -123,6 +123,15 @@ pub trait Compressor: Send {
             .map_or(0.0, |r| crate::kernels::sum_squares(r.as_slice()))
     }
 
+    /// Whether [`compress`](Self::compress) records its own trace spans.
+    /// A traced caller wraps a call into a scheme that does not in one
+    /// `encode` span, so every codec call is covered once and none twice.
+    /// The default is `false`; 3LC records `quantize` and `encode` for its
+    /// phases and says `true`.
+    fn records_spans(&self) -> bool {
+        false
+    }
+
     /// Changes the sparsity multiplier for **subsequent** `compress` calls
     /// without rebuilding the context (the error-accumulation buffer and
     /// every other piece of stream state survive).

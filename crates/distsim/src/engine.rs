@@ -313,7 +313,9 @@ impl WorkerReplica {
 
     /// Runs each gradient through its push compression context (or passes
     /// it through raw), measuring codec CPU time. The tensors themselves
-    /// are kept as the next [`Self::compute`]'s gradient buffers.
+    /// are kept as the next [`Self::compute`]'s gradient buffers. Under a
+    /// trace scope a codec call that records no spans of its own
+    /// ([`Compressor::records_spans`]) runs inside an `encode` span.
     ///
     /// # Panics
     ///
@@ -327,9 +329,11 @@ impl WorkerReplica {
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
+                    let span = (!ctx.records_spans()).then(|| trace::TraceSpan::start("encode"));
                     let wire = ctx.compress(grad).unwrap_or_else(|e| {
                         panic!("cannot compress the gradient of tensor {i}: {e}")
                     });
+                    drop(span);
                     codec_seconds += t0.elapsed().as_secs_f64();
                     payloads.push(TensorPayload::Compressed(wire));
                 }

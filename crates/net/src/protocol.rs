@@ -55,12 +55,12 @@ impl From<io::Error> for NetError {
 }
 
 /// Serializes a tensor as little-endian `f32`s (the raw-tensor payload).
+///
+/// The same bytes as [`Tensor::to_le_bytes`], which this crate calls
+/// directly; the name stays for the ledger's replay and kernel rows and
+/// the root model-CRC test, which import it.
 pub fn tensor_to_bytes(t: &Tensor) -> Vec<u8> {
-    let mut out = Vec::with_capacity(t.len() * 4);
-    for &x in t.iter() {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
+    t.to_le_bytes()
 }
 
 /// Rebuilds a tensor of a known shape from little-endian `f32` bytes.
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn tensor_bytes_roundtrip_exactly() {
         let t = Tensor::from_vec(vec![0.1, -2.5, f32::MIN_POSITIVE, 0.0], [2, 2]);
-        let bytes = tensor_to_bytes(&t);
+        let bytes = t.to_le_bytes();
         let back = bytes_to_tensor(&bytes, t.shape()).expect("roundtrip");
         assert_eq!(back, t);
     }
@@ -353,11 +353,7 @@ mod tests {
         };
         // A 64 × 130 weight is two 16 KiB blocks and a ragged third.
         let net = models::mlp(&spec, &[130], 5);
-        let bytes: Vec<u8> = net
-            .params()
-            .iter()
-            .flat_map(|p| tensor_to_bytes(p))
-            .collect();
+        let bytes: Vec<u8> = net.params().iter().flat_map(|p| p.to_le_bytes()).collect();
         assert_eq!(model_crc32(&net), crate::crc32::crc32(&bytes));
     }
 

@@ -37,7 +37,7 @@ use crate::frame::MsgType;
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
-    encode_policy_update, encode_scrape_reply, model_crc32, tensor_to_bytes, NetError, ScrapeKind,
+    encode_policy_update, encode_scrape_reply, model_crc32, NetError, ScrapeKind,
 };
 use crate::report::{ConnReport, FaultEvent, FaultsReport, NetReport};
 use std::io::{BufReader, BufWriter};
@@ -726,7 +726,7 @@ fn serve_run(
         for payload in out.pulls {
             frames.push(match payload {
                 TensorPayload::Compressed(wire) => (MsgType::PullTensor, wire),
-                TensorPayload::Raw(t) => (MsgType::PullRaw, tensor_to_bytes(&t)),
+                TensorPayload::Raw(t) => (MsgType::PullRaw, t.to_le_bytes()),
             });
         }
         // Adaptive policies broadcast the next step's decisions with the

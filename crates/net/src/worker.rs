@@ -29,7 +29,7 @@ use crate::frame::{Frame, FrameError, MsgType, HEADER_LEN};
 use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_policy_update, decode_scrape, encode_hello, encode_push_done,
-    encode_scrape_reply, tensor_to_bytes, NetError, ScrapeKind,
+    encode_scrape_reply, NetError, ScrapeKind,
 };
 use std::fmt::Debug;
 use std::io::{self, BufReader, BufWriter};
@@ -373,7 +373,8 @@ fn run_session(
         let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
         compute_span.finish();
 
-        // encode_push emits the quantize/encode spans from inside the codec.
+        // encode_push's codec calls run under encode spans: 3LC's own
+        // quantize/encode, or one encode span around a baseline's call.
         // The residual readout is a pass over the model-sized error buffers
         // and part of the push's codec output (it travels in `PushDone`):
         // an encode span of its own, or the analyzer charges it to the wire.
@@ -389,7 +390,7 @@ fn run_session(
                 TensorPayload::Compressed(wire) => (MsgType::PushTensor, wire),
                 TensorPayload::Raw(t) => {
                     let t1 = Instant::now();
-                    raw = tensor_to_bytes(t);
+                    raw = t.to_le_bytes();
                     codec_seconds += t1.elapsed().as_secs_f64();
                     (MsgType::PushRaw, &raw)
                 }

@@ -24,6 +24,15 @@
 //! its own panels. Rows share no accumulator, so the thread count changes
 //! no bit.
 //!
+//! Both kernel bodies are compiled twice from one source: at the build's
+//! baseline, and inside a `#[target_feature(enable = "avx2")]` function
+//! where an eight-wide sum fits one register instead of two. The first
+//! product of a process asks the CPU once (`avx2_detected`), and every
+//! product runs the wider instantiation where the CPU has it; on other
+//! targets only the baseline is compiled. Lanes run across independent
+//! output elements and `fma` is never enabled, so the two give the same
+//! bits (DESIGN.md §17, "Host vector width").
+//!
 //! The arithmetic contract — term order, no fusion, the zero-skip and when
 //! it is exact — is stated on [`Tensor::matmul`]. Blocking only changes
 //! *which elements* are advanced together, never the order of the additions
@@ -31,6 +40,8 @@
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
 
 use crate::{Tensor, TensorError};
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Width of a right-hand panel: the output columns advanced together.
 const NC: usize = 256;
@@ -50,8 +61,8 @@ const KC: usize = 32;
 /// of a training step — is one block.
 const MC: usize = 128;
 
-/// Output rows [`gemm_nt`] advances together, one lane each: two SSE2
-/// registers per right-operand row it reads.
+/// Output rows [`gemm_nt`] advances together, one lane each: one AVX2
+/// register, or two SSE2 ones, per right-operand row it reads.
 const LANES: usize = 8;
 
 /// The fewest multiply-adds a thread of a split product is worth spawning
@@ -73,6 +84,51 @@ fn parts_for((m, n, k): (usize, usize, usize)) -> usize {
         .min(work / MIN_PART_MULTIPLY_ADDS)
         .min(m)
         .max(1)
+}
+
+/// Whether this CPU runs the AVX2 instantiation of the kernel bodies:
+/// asked once per process.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The instantiation of the GEMM kernels this process runs: `"avx2"` or
+/// `"baseline"`, for a log that says which kernels ran.
+pub fn gemm_instantiation() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// The kernel bodies compiled with AVX2 (and nothing else: no `fma`). Each
+/// is the baseline's source inlined into a function that carries the
+/// feature, so the compiler widens the same loops.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_rows(
+        dims: (usize, usize, usize),
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+        panel: &mut [f32],
+    ) {
+        super::gemm_rows_body(dims, a, a_strides, b, out, panel);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_nt(dims: (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
+        super::gemm_nt_body(dims, a, b)
+    }
 }
 
 /// Adds the first `N` listed terms to every element of an output row
@@ -161,6 +217,25 @@ fn gemm_split(
 /// its nonzero left factors over the panel's inner indices (in ascending
 /// order) and adds their terms eight at a time.
 fn gemm_rows(
+    dims: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    panel: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: `avx2_detected()` saw the feature, the only thing the
+        // instantiation requires; it reads through checked slices.
+        return unsafe { avx2::gemm_rows(dims, a, a_strides, b, out, panel) };
+    }
+    gemm_rows_body(dims, a, a_strides, b, out, panel);
+}
+
+/// The body of [`gemm_rows`], inlined into each instantiation.
+#[inline(always)]
+fn gemm_rows_body(
     (m, n, k): (usize, usize, usize),
     a: &[f32],
     (a_row, a_col): (usize, usize),
@@ -221,7 +296,19 @@ fn gemm_rows(
 /// the next rows are read: at batch 32 the four rows stay in L1 across
 /// the four blocks. Each of the `R × LANES` sums starts at `+0.0`, takes its
 /// terms in ascending `l` with no zero-skip, and is stored once.
-fn gemm_nt((m, n, k): (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
+fn gemm_nt(dims: (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: `avx2_detected()` saw the feature, the only thing the
+        // instantiation requires; it reads through checked slices.
+        return unsafe { avx2::gemm_nt(dims, a, b) };
+    }
+    gemm_nt_body(dims, a, b)
+}
+
+/// The body of [`gemm_nt`], inlined into each instantiation.
+#[inline(always)]
+fn gemm_nt_body((m, n, k): (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if out.is_empty() || k == 0 {
         return out;
@@ -494,6 +581,63 @@ mod tests {
             let one = run(1);
             for parts in [2, 3, 4, m + 1] {
                 assert_eq!(run(parts), one, "{parts} parts, {strides:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx2_instantiation_gives_the_baseline_bits() {
+        if !avx2_detected() {
+            eprintln!("SKIPPED: this CPU has no AVX2; only the baseline instantiation runs");
+            return;
+        }
+        use rand::Rng as _;
+        let mut rng = crate::rng(31);
+        // ReLU zeros, both zeros, subnormals of both signs, magnitudes far
+        // enough apart that any reassociation changes a rounding.
+        let value = |rng: &mut crate::Rng| match rng.gen_range(0..8u32) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+            4 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+            5 => rng.gen_range(-1e12f32..1e12),
+            _ => rng.gen_range(-2.0f32..2.0),
+        };
+        // A NaN is compared by position, any payload.
+        let bits = |xs: &[f32]| {
+            xs.iter()
+                .map(|x| (!x.is_nan()).then(|| x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for m in [1, 7, 8, 9, 16, 32, 33] {
+            // Either side of a panel's height and width, and of the
+            // eight-wide lanes.
+            for (k, n) in [(1, 1), (31, 255), (32, 256), (33, 257), (65, 9), (7, 520)] {
+                let a: Vec<f32> = (0..m * k).map(|_| value(&mut rng)).collect();
+                let b: Vec<f32> = (0..k * n).map(|_| value(&mut rng)).collect();
+                // matmul and matmul_tn: the nest's two left addressings,
+                // one row block of one part.
+                for strides in [(k, 1), (1, m)] {
+                    let mut want = vec![0.0f32; m * n];
+                    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+                    gemm_rows_body((m, n, k), &a, strides, &b, &mut want, &mut panel);
+                    let got = gemm((m, n, k), &a, strides, &b);
+                    assert_eq!(bits(&got), bits(&want), "m {m} k {k} n {n} {strides:?}");
+                }
+                // matmul_nt skips nothing: infinities and NaNs in the right
+                // operand meet zero left factors too.
+                let w: Vec<f32> = b
+                    .iter()
+                    .map(|&x| match rng.gen_range(0..16u32) {
+                        0 => f32::INFINITY,
+                        1 => f32::NEG_INFINITY,
+                        2 => f32::NAN,
+                        _ => x,
+                    })
+                    .collect();
+                let got = gemm_nt((m, n, k), &a, &w);
+                let want = gemm_nt_body((m, n, k), &a, &w);
+                assert_eq!(bits(&got), bits(&want), "nt: m {m} k {k} n {n}");
             }
         }
     }
