@@ -122,6 +122,10 @@ fi
 # crates/cli/tests/chaos_e2e.rs under `cargo test`. No aggregation-mode
 # matrix either: there is one aggregation path, and its serve == simulate
 # crc is asserted there and by loopback_run_matches_simulator_bit_for_bit.
+# No per-scheme stanzas: serve == simulate for every `--scheme` design
+# (final crc, per-step bytes, worker replicas) is loopback.rs's
+# every_scheme_design_serves_what_the_simulator_trains, run above under
+# every forced codec tier.
 # No analyze or flight stanzas: conserved attribution on a clean run, a
 # delay@2:250 blamed on worker1/network and failing `analyze --check`, and
 # an aborted run's flight dump rendering and failing `trace --check`, are

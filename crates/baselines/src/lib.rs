@@ -17,7 +17,6 @@
 //! scheme (including 3LC variants).
 
 pub mod float32;
-pub mod fp16;
 pub mod int8;
 pub mod localsteps;
 pub mod onebit;
@@ -26,7 +25,6 @@ pub mod sparsify;
 pub mod stochastic;
 
 pub use float32::Float32Compressor;
-pub use fp16::Fp16Compressor;
 pub use int8::Int8Compressor;
 pub use localsteps::LocalStepsCompressor;
 pub use onebit::MqeOneBitCompressor;

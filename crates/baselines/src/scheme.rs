@@ -1,7 +1,8 @@
-//! Uniform scheme selection for the simulator and benchmark harness.
+//! Uniform scheme selection for the simulator, the networked runtime,
+//! the CLI and the benchmark harness.
 
 use crate::{
-    Float32Compressor, Fp16Compressor, Int8Compressor, LocalStepsCompressor, MqeOneBitCompressor,
+    Float32Compressor, Int8Compressor, LocalStepsCompressor, MqeOneBitCompressor,
     SparsifyCompressor, StochasticTernaryCompressor,
 };
 use serde::{Deserialize, Serialize};
@@ -21,8 +22,6 @@ use threelc_tensor::Shape;
 pub enum SchemeKind {
     /// Uncompressed 32-bit floats (the baseline).
     Float32,
-    /// IEEE half-precision truncation (extension; ubiquitous in practice).
-    Fp16,
     /// TPU-style 8-bit quantization.
     Int8,
     /// TernGrad-like stochastic ternary quantization with quartic encoding.
@@ -49,6 +48,29 @@ pub enum SchemeKind {
         error_accumulation: bool,
     },
 }
+
+/// A design at the multiplier `--sparsity` gives.
+type DesignAt = fn(f32) -> SchemeKind;
+
+/// The designs a command line can name, one token each, in table order:
+/// Table 1's rows — its four 3LC rows folded into `3lc`, which takes the
+/// multiplier `--sparsity` gives — then Table 2's "No ZRE" row. Parsing,
+/// the CLI's usage text and the unknown-token error all read this list.
+const DESIGNS: &[(&str, DesignAt)] = &[
+    ("float32", |_| SchemeKind::Float32),
+    ("int8", |_| SchemeKind::Int8),
+    ("ternary", |_| SchemeKind::StochasticTernary),
+    ("onebit", |_| SchemeKind::MqeOneBit),
+    ("sparse25", |_| SchemeKind::Sparsify { fraction: 0.25 }),
+    ("sparse5", |_| SchemeKind::Sparsify { fraction: 0.05 }),
+    ("local2", |_| SchemeKind::LocalSteps { period: 2 }),
+    ("3lc", SchemeKind::three_lc),
+    ("3lc-nozre", |sparsity| SchemeKind::ThreeLc {
+        sparsity,
+        zero_run_encoding: false,
+        error_accumulation: true,
+    }),
+];
 
 impl SchemeKind {
     /// The full 3LC design with sparsity multiplier `s` and paper defaults.
@@ -77,6 +99,56 @@ impl SchemeKind {
         ]
     }
 
+    /// The command-line token of every design [`SchemeKind::parse`]
+    /// accepts, in table order.
+    pub fn tokens() -> impl Iterator<Item = &'static str> {
+        DESIGNS.iter().map(|&(token, _)| token)
+    }
+
+    /// The design `token` names (see [`SchemeKind::tokens`]); the 3LC
+    /// designs run at multiplier `sparsity`, the others ignore it.
+    ///
+    /// # Errors
+    ///
+    /// Names every token when `token` is none of them, and passes on
+    /// [`SchemeKind::validate`]'s reason when `sparsity` is out of range.
+    pub fn parse(token: &str, sparsity: f32) -> Result<SchemeKind, String> {
+        let &(_, design) = DESIGNS
+            .iter()
+            .find(|&&(name, _)| name == token)
+            .ok_or_else(|| {
+                let known: Vec<&str> = Self::tokens().collect();
+                format!("unknown scheme `{token}` (expected {})", known.join("|"))
+            })?;
+        let kind = design(sparsity);
+        kind.validate()?;
+        Ok(kind)
+    }
+
+    /// Range-checks the design's parameters: a multiplier in `[1, 2)`, a
+    /// sparsification fraction in `(0, 1]` and a local-steps period of at
+    /// least one. [`build_compressor`] panics on a kind that fails this,
+    /// so a kind that arrives from outside the program (a handshake, a
+    /// report) must pass it first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason, naming the parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            SchemeKind::Sparsify { fraction } if !(fraction > 0.0 && fraction <= 1.0) => Err(
+                format!("sparsification fraction {fraction} must be in (0, 1]"),
+            ),
+            SchemeKind::LocalSteps { period: 0 } => {
+                Err("local-steps period must be at least 1".into())
+            }
+            SchemeKind::ThreeLc { sparsity, .. } => SparsityMultiplier::new(sparsity)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            _ => Ok(()),
+        }
+    }
+
     /// Human-readable name matching the paper's tables.
     pub fn label(&self) -> String {
         // Build a throwaway instance to reuse the canonical name logic.
@@ -97,13 +169,10 @@ impl fmt::Display for SchemeKind {
 ///
 /// # Panics
 ///
-/// Panics if the kind carries invalid parameters (e.g. a sparsity
-/// multiplier outside `[1, 2)`); configurations come from code, not wire
-/// input, so this is a programming error.
+/// Panics if the kind fails [`SchemeKind::validate`].
 pub fn build_compressor(kind: &SchemeKind, shape: Shape, seed: u64) -> Box<dyn Compressor> {
     match *kind {
         SchemeKind::Float32 => Box::new(Float32Compressor::new(shape)),
-        SchemeKind::Fp16 => Box::new(Fp16Compressor::new(shape)),
         SchemeKind::Int8 => Box::new(Int8Compressor::new(shape)),
         SchemeKind::StochasticTernary => Box::new(StochasticTernaryCompressor::new(shape, seed)),
         SchemeKind::MqeOneBit => Box::new(MqeOneBitCompressor::new(shape)),
@@ -191,6 +260,76 @@ mod tests {
             let b = cx.compress(&t).unwrap().len();
             assert!(a + b < 2 * baseline, "{kind}: {a}+{b} vs {baseline}");
         }
+    }
+
+    #[test]
+    fn tokens_parse_to_every_table_design_and_no_zre() {
+        let tokens: Vec<&str> = SchemeKind::tokens().collect();
+        assert_eq!(
+            tokens,
+            [
+                "float32",
+                "int8",
+                "ternary",
+                "onebit",
+                "sparse25",
+                "sparse5",
+                "local2",
+                "3lc",
+                "3lc-nozre"
+            ]
+        );
+        // Table 1, row by row.
+        let rows = [
+            ("float32", 1.0),
+            ("int8", 1.0),
+            ("ternary", 1.0),
+            ("onebit", 1.0),
+            ("sparse25", 1.0),
+            ("sparse5", 1.0),
+            ("local2", 1.0),
+            ("3lc", 1.0),
+            ("3lc", 1.5),
+            ("3lc", 1.75),
+            ("3lc", 1.9),
+        ];
+        let parsed: Vec<SchemeKind> = rows
+            .iter()
+            .map(|&(token, s)| SchemeKind::parse(token, s).unwrap())
+            .collect();
+        assert_eq!(parsed, SchemeKind::table1_designs());
+        // Table 2's "No ZRE" row.
+        assert_eq!(
+            SchemeKind::parse("3lc-nozre", 1.5).unwrap().label(),
+            "3LC (s=1.50) no-ZRE"
+        );
+    }
+
+    #[test]
+    fn parse_names_every_token_and_rejects_out_of_range_parameters() {
+        let err = SchemeKind::parse("zstd", 1.0).unwrap_err();
+        for token in SchemeKind::tokens() {
+            assert!(err.contains(token), "{err}");
+        }
+        assert!(SchemeKind::parse("3lc", 2.0).is_err());
+        assert!(SchemeKind::parse("3lc-nozre", 0.5).is_err());
+        // Designs without a multiplier ignore it.
+        assert_eq!(SchemeKind::parse("int8", 7.0), Ok(SchemeKind::Int8));
+        for (bad, field) in [
+            (SchemeKind::three_lc(5.0), "sparsity multiplier 5"),
+            (SchemeKind::three_lc(f32::NAN), "sparsity multiplier NaN"),
+            (SchemeKind::Sparsify { fraction: 0.0 }, "fraction 0"),
+            (SchemeKind::Sparsify { fraction: 1.5 }, "fraction 1.5"),
+            (SchemeKind::Sparsify { fraction: f64::NAN }, "fraction NaN"),
+            (SchemeKind::LocalSteps { period: 0 }, "period"),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(field), "{bad:?}: {err}");
+        }
+        for kind in SchemeKind::table1_designs() {
+            assert_eq!(kind.validate(), Ok(()), "{kind}");
+        }
+        assert_eq!(SchemeKind::Sparsify { fraction: 1.0 }.validate(), Ok(()));
     }
 
     #[test]

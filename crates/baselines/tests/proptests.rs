@@ -7,7 +7,6 @@ use threelc_tensor::{Shape, Tensor};
 fn any_scheme() -> impl Strategy<Value = SchemeKind> {
     prop_oneof![
         Just(SchemeKind::Float32),
-        Just(SchemeKind::Fp16),
         Just(SchemeKind::Int8),
         Just(SchemeKind::StochasticTernary),
         Just(SchemeKind::MqeOneBit),

@@ -7,10 +7,18 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::path::Path;
 use threelc::{Compressor, SparsityMultiplier, TernaryTensor, ThreeLcCompressor, ThreeLcOptions};
+use threelc_baselines::SchemeKind;
 use threelc_tensor::{Shape, Tensor, TensorStats};
 
-/// Usage text printed on argument errors.
-pub const USAGE: &str = "\
+/// The usage text printed on argument errors, its `--scheme` tokens read
+/// from [`SchemeKind::tokens`].
+pub fn usage() -> String {
+    let schemes: Vec<&str> = SchemeKind::tokens().collect();
+    USAGE.replace("{schemes}", &schemes.join("|"))
+}
+
+/// [`usage`] before the scheme tokens are filled in.
+const USAGE: &str = "\
 usage:
   threelc compress   <input.f32> <output.3lc> [--sparsity S] [--no-zre]
   threelc decompress <input.3lc> <output.f32>
@@ -18,14 +26,13 @@ usage:
   threelc stats      <input.f32> [--sparsity S]
   threelc codec
   threelc serve      --addr A [--workers N] [--steps N] [--seed N]
-                     [--scheme float32|fp16|int8|3lc] [--sparsity S]
+                     [--scheme SCHEME] [--sparsity S]
                      [--policy SPEC] [--width N] [--blocks N] [--batch N]
                      [--eval-every N] [--json report.json]
                      [--rejoin-timeout SECS] [--max-rejoins N]
                      [--flight dump.flight.json]
-  threelc worker     --addr A --id N [--max-rejoins N]
-                     [--inject-fault SPEC] [--policy SPEC]
-  threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme ...]
+  threelc worker     --addr A --id N [--max-rejoins N] [--inject-fault SPEC]
+  threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme SCHEME]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
   threelc metrics    <addr> [--json|--prom] [--watch SECS]
@@ -35,6 +42,12 @@ usage:
                      [--check] [--steps N]
   threelc analyze    <report.json|flight.json|addr> [--json] [--steps N]
                      [--check] [--expect-blame NODE:PHASE]
+
+SCHEME names one design of the paper's Table 1, or Table 2's No-ZRE row:
+  {schemes}
+3lc and 3lc-nozre run at --sparsity S (default 1.0; Table 1's 3LC rows are
+1.0, 1.5, 1.75 and 1.9); the other designs ignore it. Without --scheme,
+serve and simulate run 3lc.
 
 serve and simulate split the server step over tensor shards on their own
 (one per core, at most one per 256 Ki model values); the model is
@@ -58,13 +71,14 @@ delay@N:MS; also via THREELC_FAULT); after a kill, launching the same worker
 command again resumes the run. simulate runs the same experiment in-process and prints
 the same `final model crc32` line a fault-free or recovered serve prints.
 
---policy selects the compression-policy engine deciding the sparsity
-multiplier per tensor per step: `static` (default), `fixed:S`,
-`schedule:from=A,to=B,over=N[,layer=K]` (linear warmup ramp),
-`feedback:ratio=R|residual=E,start=S[,gain=G][,band=B][,hold=H]`
-(bounded controller chasing a target), or `@file.json`. The server
-evaluates the policy and broadcasts each decision with the pull batch,
-so serve/worker runs stay bit-identical to `simulate --policy`.
+--policy decides the sparsity multiplier per tensor per step: `static`
+(default; the scheme's own multiplier) or
+`feedback:ratio=R,start=S[,gain=G][,band=B][,hold=H]`, a bounded
+controller that starts every tensor at S and nudges it by G until its
+compression ratio sits within B·R of R, holding H steps after each
+nudge. The server evaluates the policy and broadcasts each decision
+with the pull batch, so serve/worker runs stay bit-identical to
+`simulate --policy`.
 
 trace renders the cross-node step timeline of a THREELC_TRACE=1 run from
 a `serve --json` report (or a live server's own spans), exports Chrome/
@@ -844,7 +858,7 @@ mod tests {
     #[test]
     fn policy_flag_drives_an_adaptive_loopback_run() {
         let json = tmp("policy-report.json");
-        let spec = "schedule:from=1.0,to=1.9,over=3";
+        let spec = "feedback:ratio=10000,start=1.2,gain=0.05,hold=1";
         let (addr, server) = serve_on_loopback(&[
             "--workers",
             "1",
@@ -863,14 +877,13 @@ mod tests {
             "--json",
             json.to_str().unwrap(),
         ]);
-        // The worker accepts the same --policy flag (the server's config
-        // is authoritative), so symmetric launch scripts work.
-        let worker_args = s(&["worker", "--addr", &addr, "--id", "0", "--policy", spec]);
+        // The worker takes the policy from the server's config.
+        let worker_args = s(&["worker", "--addr", &addr, "--id", "0"]);
         let worker = std::thread::spawn(move || run(&worker_args).map_err(|e| e.to_string()));
         worker.join().expect("worker thread").expect("worker run");
         let report = server.join().expect("server thread").expect("serve run");
         assert!(
-            report.contains("policy [schedule:from=1,to=1.9,over=3,layer=0]"),
+            report.contains("policy [feedback:ratio=10000,start=1.2,gain=0.05,band=0.1,hold=1]"),
             "got: {report}"
         );
 
@@ -1067,25 +1080,48 @@ mod tests {
         .expect_err("unknown fault kind");
         assert!(bad_fault.to_string().contains("meteor"), "got: {bad_fault}");
         assert!(run(&s(&["simulate", "--bogus", "1"])).is_err());
-        assert!(run(&s(&["simulate", "--scheme", "zstd"])).is_err());
-        // Policy specs are validated at every entry point.
-        for cmd in [
-            vec!["serve", "--addr", "x", "--policy", "warp:9"],
-            vec!["simulate", "--policy", "fixed:5.0"],
-            vec!["simulate", "--policy", "schedule:from=1.0"],
-            vec![
-                "worker",
-                "--addr",
-                "127.0.0.1:1",
-                "--id",
-                "0",
-                "--policy",
-                "fixed:0.5",
-            ],
-        ] {
-            let err = run(&s(&cmd)).expect_err("bad policy spec must be rejected");
-            assert!(err.to_string().contains("policy"), "got: {err}");
+        // Unknown and retired schemes, named by the error beside every
+        // token the list holds.
+        for scheme in ["zstd", "fp16"] {
+            for cmd in [vec!["serve", "--addr", "x"], vec!["simulate"]] {
+                let err = run(&s(&[&cmd[..], &["--scheme", scheme]].concat()))
+                    .expect_err("an unknown scheme must be rejected");
+                let text = err.to_string();
+                assert!(text.contains(&format!("`{scheme}`")), "got: {text}");
+                for token in SchemeKind::tokens() {
+                    assert!(text.contains(token), "{token} missing from: {text}");
+                }
+            }
         }
+        // Policy specs are validated at every entry point, and the retired
+        // forms are gone.
+        for spec in [
+            "warp:9",
+            "feedback:ratio=12,start=5.0",
+            "schedule:from=1.0,to=1.9,over=3",
+            "fixed:1.5",
+            "static:1.5",
+            "feedback:residual=0.5,start=1.8",
+            "@x.json",
+        ] {
+            for cmd in [vec!["serve", "--addr", "x"], vec!["simulate"]] {
+                let err = run(&s(&[&cmd[..], &["--policy", spec]].concat()))
+                    .expect_err("bad policy spec must be rejected");
+                assert!(err.to_string().contains("policy"), "{spec}: {err}");
+            }
+        }
+        // The worker takes its policy from the server and no flag for it.
+        let err = run(&s(&[
+            "worker",
+            "--addr",
+            "127.0.0.1:1",
+            "--id",
+            "0",
+            "--policy",
+            "static",
+        ]))
+        .expect_err("worker --policy is not a flag");
+        assert!(err.to_string().contains("`--policy`"), "got: {err}");
     }
 
     #[test]
@@ -1101,6 +1137,37 @@ mod tests {
             .expect_err("serve must refuse a run without workers");
         assert_eq!(simulate.to_string(), "at least one worker required");
         assert_eq!(serve.to_string(), simulate.to_string());
+    }
+
+    #[test]
+    fn simulate_runs_every_scheme_token_under_its_paper_label() {
+        let usage = usage();
+        for token in SchemeKind::tokens() {
+            assert!(usage.contains(token), "usage lacks {token}");
+            let out = run(&s(&[
+                "simulate",
+                "--workers",
+                "2",
+                "--steps",
+                "2",
+                "--width",
+                "32",
+                "--blocks",
+                "1",
+                "--batch",
+                "4",
+                "--sparsity",
+                "1.5",
+                "--scheme",
+                token,
+            ]))
+            .unwrap_or_else(|e| panic!("simulate --scheme {token}: {e}"));
+            let label = SchemeKind::parse(token, 1.5).expect("listed token").label();
+            assert!(
+                out.contains(&format!("simulated 2 worker(s) for 2 steps [{label}]")),
+                "{token}: {out}"
+            );
+        }
     }
 
     #[test]

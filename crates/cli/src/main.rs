@@ -55,7 +55,7 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(err) => {
             eprintln!("error: {err}");
-            eprintln!("{}", cli::USAGE);
+            eprintln!("{}", cli::usage());
             return ExitCode::FAILURE;
         }
     };
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         }
         Err(err) => {
             eprintln!("error: {err}");
-            eprintln!("{}", cli::USAGE);
+            eprintln!("{}", cli::usage());
             ExitCode::FAILURE
         }
     }

@@ -97,16 +97,6 @@ pub(crate) fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-fn parse_scheme(name: &str, sparsity: f32) -> Result<SchemeKind, Box<dyn Error>> {
-    match name {
-        "float32" => Ok(SchemeKind::Float32),
-        "fp16" => Ok(SchemeKind::Fp16),
-        "int8" => Ok(SchemeKind::Int8),
-        "3lc" => Ok(SchemeKind::three_lc(sparsity)),
-        other => Err(format!("unknown scheme `{other}` (expected float32|fp16|int8|3lc)").into()),
-    }
-}
-
 /// The experiment-shape flags shared by `serve` and `simulate`.
 const CONFIG_FLAGS: &[&str] = &[
     "--workers",
@@ -138,7 +128,7 @@ fn config_from_flags(args: &[String]) -> Result<ExperimentConfig, Box<dyn Error>
     let sparsity: f32 = parse_flag(args, "--sparsity")?.unwrap_or(1.0);
     SparsityMultiplier::new(sparsity).map_err(|_| "sparsity must be in [1.0, 2.0)")?;
     let scheme = match flag_value(args, "--scheme") {
-        Some(name) => parse_scheme(name, sparsity)?,
+        Some(token) => SchemeKind::parse(token, sparsity)?,
         None => SchemeKind::three_lc(sparsity),
     };
     let mut config = ExperimentConfig::for_scheme(scheme);
@@ -555,13 +545,7 @@ pub fn simulate_cmd(args: &[String]) -> CliResult {
 
 /// `threelc worker`: join a serving parameter server and train.
 pub fn worker_cmd(args: &[String]) -> CliResult {
-    const FLAGS: &[&str] = &[
-        "--addr",
-        "--id",
-        "--max-rejoins",
-        "--inject-fault",
-        "--policy",
-    ];
+    const FLAGS: &[&str] = &["--addr", "--id", "--max-rejoins", "--inject-fault"];
     check_flags(args, FLAGS)?;
     let addr =
         flag_value(args, "--addr").ok_or("--addr is required (e.g. --addr 127.0.0.1:7171)")?;
@@ -570,12 +554,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
     let mut wopts = WorkerOptions::new(addr, id);
     if let Some(v) = parse_flag(args, "--max-rejoins")? {
         wopts.max_rejoins = v;
-    }
-    // The server's HelloAck config is authoritative for the policy; the
-    // flag is accepted (and validated) so launch scripts can pass the
-    // same arguments to every role.
-    if let Some(spec) = flag_value(args, "--policy") {
-        PolicySpec::parse(spec).map_err(|e| format!("--policy: {e}"))?;
     }
     wopts.fault = match flag_value(args, "--inject-fault") {
         Some(spec) => Some(FaultPlan::parse(spec)?),

@@ -69,7 +69,7 @@ fn distinct_multipliers(text: &str) -> usize {
 
 #[test]
 fn adaptive_policies_are_deterministic_and_not_constant() {
-    for spec in ["schedule:from=1.0,to=1.9,over=4", FEEDBACK] {
+    for spec in ["feedback:ratio=10000,start=1.2,gain=0.05,hold=0", FEEDBACK] {
         let a = simulate(spec);
         let b = simulate(spec);
         assert_eq!(

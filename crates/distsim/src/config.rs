@@ -140,12 +140,16 @@ impl ExperimentConfig {
     }
 
     /// Checks what both runtimes need before anything is built or bound:
-    /// at least one worker, and no more than a `u16` worker id can name.
+    /// at least one worker, no more than a `u16` worker id can name, and
+    /// in-range scheme and policy parameters
+    /// ([`SchemeKind::validate`], [`PolicySpec::validate`]).
     ///
     /// # Errors
     ///
     /// Returns the reason the configuration cannot run.
     pub fn validate(&self) -> Result<(), String> {
+        self.scheme.validate()?;
+        self.policy.validate().map_err(|e| e.to_string())?;
         if self.workers == 0 {
             return Err("at least one worker required".into());
         }
@@ -228,6 +232,29 @@ mod tests {
     }
 
     #[test]
+    fn validate_range_checks_scheme_and_policy_parameters() {
+        let with = |scheme| ExperimentConfig::for_scheme(scheme).validate();
+        assert_eq!(
+            with(SchemeKind::three_lc(5.0)),
+            Err("sparsity multiplier 5 is outside [1.0, 2.0)".into())
+        );
+        assert!(with(SchemeKind::Sparsify { fraction: 0.0 }).is_err());
+        assert!(with(SchemeKind::LocalSteps { period: 0 }).is_err());
+        let bad_policy = ExperimentConfig {
+            policy: PolicySpec::Feedback {
+                ratio: 12.0,
+                start: 3.0,
+                gain: 0.05,
+                band: 0.1,
+                hold: 2,
+            },
+            ..ExperimentConfig::default()
+        };
+        let err = bad_policy.validate().unwrap_err();
+        assert!(err.contains("start"), "{err}");
+    }
+
+    #[test]
     fn configs_with_retired_keys_still_load() {
         // An ExperimentConfig as the simulator serialized it while it still
         // modelled sharded servers, backup workers, stale pulls, per-worker
@@ -263,7 +290,6 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
-        assert!(back.policy.is_adaptive());
     }
 
     #[test]
@@ -276,6 +302,5 @@ mod tests {
         assert_ne!(stripped, json, "policy field must have been serialized");
         let back: ExperimentConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.policy, PolicySpec::Static);
-        assert!(!back.policy.is_adaptive());
     }
 }

@@ -40,7 +40,7 @@ use threelc_learning::{
     models, Batch, Evaluation, LrSchedule, Network, SgdMomentum, SyntheticImages,
 };
 use threelc_obs::{trace, Histogram, WorkerDelta};
-use threelc_policy::{Decision, Policy, PolicyRecord, TensorObs};
+use threelc_policy::{Decision, Feedback, PolicyRecord, TensorObs};
 use threelc_tensor::{Rng, Shape, Tensor};
 
 /// Seed of the synthetic dataset (shared by every node).
@@ -63,8 +63,7 @@ pub fn pull_ctx_seed(config: &ExperimentConfig, i: usize) -> u64 {
     config.seed ^ 0x5055_4C4C_0000_0000 ^ i as u64
 }
 
-/// The scheme's own sparsity multiplier — what a `Static` policy keeps
-/// and adaptive policies start reasoning from.
+/// The scheme's own sparsity multiplier — what a `static` policy keeps.
 pub fn base_sparsity(config: &ExperimentConfig) -> SparsityMultiplier {
     match config.scheme {
         SchemeKind::ThreeLc { sparsity, .. } => {
@@ -472,11 +471,11 @@ pub struct ServerCore {
     compressible_values: u64,
     push_stats: CompressionStats,
     pull_stats: CompressionStats,
-    /// The adaptive policy, if the config asks for one. Evaluated *only*
-    /// here — workers receive decisions, never compute them — so the
-    /// decision sequence is a pure function of (step, prior telemetry)
-    /// and the simulator and networked runtime cannot diverge.
-    policy: Option<Box<dyn Policy>>,
+    /// The feedback controller, if the config asks for one. Evaluated
+    /// *only* here — workers receive decisions, never compute them — so
+    /// the decision sequence is a pure function of prior telemetry and the
+    /// simulator and networked runtime cannot diverge.
+    policy: Option<Feedback>,
     /// Decisions governing the upcoming step (empty when static).
     current_decisions: Vec<Decision>,
     step: u64,
@@ -708,19 +707,13 @@ impl ServerCore {
             }
         }
         // The same construction workers run locally at step 0
-        // (`PolicySpec::initial_decisions`): both sides derive the initial
+        // (`Feedback::initial_decisions`): both sides derive the initial
         // multipliers from the config alone, so no wire round-trip is
         // needed before the first push.
-        let (policy, current_decisions) = if config.policy.is_adaptive() {
-            let mut p = config
-                .policy
-                .build(problem.num_tensors(), base_sparsity(&config))
-                .expect("policy spec is validated when the config is built");
-            let first = p.decide(0, &[]);
-            (Some(p), first)
-        } else {
-            (None, Vec::new())
-        };
+        let policy = config.policy.controller(problem.num_tensors());
+        let current_decisions = policy
+            .as_ref()
+            .map_or_else(Vec::new, Feedback::initial_decisions);
         let reg = threelc_obs::global();
         let mut core = ServerCore {
             global: problem.init.clone(),
@@ -759,7 +752,7 @@ impl ServerCore {
     /// decisions, which every worker must apply before its first push —
     /// [`crate::Cluster::new`] does it directly; the networked worker
     /// derives the same vector locally via
-    /// `PolicySpec::initial_decisions`.
+    /// `Feedback::initial_decisions`.
     pub fn current_decisions(&self) -> &[Decision] {
         &self.current_decisions
     }
@@ -857,11 +850,9 @@ impl ServerCore {
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a rejected push, which is not aggregated.
     ///
-    /// `residual_l2` is the largest per-replica error-accumulation residual
-    /// norm reported for this step (0.0 when unknown or stateless); it only
-    /// feeds residual-targeting policies and must be bit-reproducible
-    /// across runtimes (it is: workers compute it from their own contexts
-    /// and report it with the push).
+    /// The third argument, the step's largest per-replica residual norm,
+    /// is not read; the step ledger (`ledger/`) still passes it. The step
+    /// records take the norm from each push ([`StepAccount`]).
     ///
     /// # Errors
     ///
@@ -883,7 +874,7 @@ impl ServerCore {
         &mut self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
-        residual_l2: f64,
+        _residual_l2: f64,
     ) -> Result<ServerStepOutput, EngineError> {
         if accepted_count == 0 || payloads.iter().all(|p| p.is_empty()) {
             return Err(EngineError::NoAcceptedPushes { step: self.step });
@@ -947,9 +938,8 @@ impl ServerCore {
         self.step += 1;
 
         // Resolve this step's decisions against what the step actually
-        // measured, then ask the policy for the next step's decisions.
-        // Every input is exactly reproducible (integer byte counts, the
-        // workers' own residual norms) — wall-clock timings are
+        // measured, then ask the controller for the next step's decisions.
+        // Every input is an integer byte count — wall-clock timings are
         // deliberately excluded so the sequence replays bit-identically.
         let (policy_records, next_decisions) = match self.policy.as_mut() {
             Some(policy) => {
@@ -965,7 +955,6 @@ impl ServerCore {
                         values: self.shapes[i].num_elements(),
                         wire_bytes,
                         payloads: n_payloads,
-                        residual_l2,
                     });
                 }
                 let records: Vec<PolicyRecord> = self
@@ -993,7 +982,7 @@ impl ServerCore {
                         r
                     })
                     .collect();
-                let next = policy.decide(step + 1, &obs);
+                let next = policy.decide(&obs);
                 self.current_decisions = next.clone();
                 (records, next)
             }

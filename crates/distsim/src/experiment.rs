@@ -157,11 +157,12 @@ mod tests {
     fn adaptive_run_records_policy_decisions_in_the_trace() {
         let mut config = quick(SchemeKind::three_lc(1.0));
         config.policy =
-            threelc_policy::PolicySpec::parse("schedule:from=1.0,to=1.8,over=3").unwrap();
+            threelc_policy::PolicySpec::parse("feedback:ratio=10000,start=1.2,gain=0.05,hold=1")
+                .unwrap();
         let r = run_experiment(&config);
         assert_eq!(
             r.trace.policy.label,
-            "schedule:from=1,to=1.8,over=3,layer=0"
+            "feedback:ratio=10000,start=1.2,gain=0.05,band=0.1,hold=1"
         );
         assert!(!r.trace.policy.records.is_empty());
         assert!(!r.trace.policy.is_constant());

@@ -447,9 +447,17 @@ mod tests {
         let mut nan_s = good.clone();
         nan_s[2..6].copy_from_slice(&f32::NAN.to_le_bytes());
         assert!(decode_policy_update(&nan_s).is_err());
-        // Unknown reason codes are rejected.
-        let mut bad_reason = good.clone();
-        bad_reason[6] = 99;
-        assert!(decode_policy_update(&bad_reason).is_err());
+        // Unknown reason codes are rejected, the retired policies' among
+        // them.
+        for code in [0, 2, 6, 7, 99] {
+            let mut bad_reason = good.clone();
+            bad_reason[6] = code;
+            let err = decode_policy_update(&bad_reason).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown reason code {code}")),
+                "got: {err}"
+            );
+        }
     }
 }

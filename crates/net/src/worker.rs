@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use threelc_distsim::engine::{Problem, TensorPayload, WorkerReplica};
-use threelc_distsim::{base_sparsity, ExperimentConfig};
+use threelc_distsim::ExperimentConfig;
 use threelc_learning::Network;
 use threelc_obs::{trace, Level, TraceBuffer, TraceScope, TraceSpan};
 use threelc_policy::Decision;
@@ -260,6 +260,11 @@ fn run_session(
         .map_err(|_| NetError::Protocol("config payload is not UTF-8".into()))?;
     let config: ExperimentConfig = serde_json::from_str(config_json)
         .map_err(|e| NetError::Protocol(format!("config does not parse: {e}")))?;
+    // Everything below builds from this config, and the compressors panic
+    // on out-of-range parameters: refuse one before building anything.
+    config
+        .validate()
+        .map_err(|e| NetError::Config(format!("server config: {e}")))?;
     if usize::from(opts.worker) >= config.workers {
         return Err(NetError::Protocol(format!(
             "server config has {} workers, this is worker {}",
@@ -282,19 +287,15 @@ fn run_session(
     // and the shapes. A worker never evaluates, so the test split goes too.
     problem.release_init();
     problem.release_test();
-    // Adaptive policies: the step-0 decisions are a pure function of the
+    // An adaptive policy: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of
     // waiting for a broadcast. Every later step's decisions arrive as a
     // `PolicyUpdate` frame appended to the pull batch (replayed batches
     // included, so a rejoined replica reconstructs the exact decision
     // sequence).
-    if config.policy.is_adaptive() {
-        let first = config
-            .policy
-            .initial_decisions(n_params, base_sparsity(&config))
-            .map_err(|e| NetError::Config(format!("server config has a bad policy: {e}")))?;
-        replica.apply_policy(&first);
+    if let Some(controller) = config.policy.controller(n_params) {
+        replica.apply_policy(&controller.initial_decisions());
     }
 
     // Tracing: a worker-local span buffer (its own clock domain — in a

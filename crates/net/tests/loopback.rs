@@ -303,6 +303,83 @@ fn loopback_uncompressed_scheme_also_matches() {
 static TRACE_SWITCH: Mutex<()> = Mutex::new(());
 
 #[test]
+fn every_scheme_design_serves_what_the_simulator_trains() {
+    // Every design `--scheme` names, through `serve` and two real workers:
+    // the same final model, per-step traffic and worker replicas as the
+    // in-process simulator. Width 32 gives the model tensors above the
+    // compression threshold, so each design's own wire format crosses the
+    // socket.
+    for token in SchemeKind::tokens() {
+        let config = ExperimentConfig {
+            total_steps: 3,
+            eval_every: 0,
+            model_width: 32,
+            ..loopback_config(SchemeKind::parse(token, 1.0).expect("listed token"))
+        };
+        let (report, outcomes) = run_loopback(config);
+
+        let mut cluster = Cluster::new(config);
+        let steps: Vec<_> = (0..config.total_steps).map(|_| cluster.step()).collect();
+        assert_eq!(
+            report.final_model_crc32,
+            threelc_net::model_crc32(cluster.global_model()),
+            "{token}: final-model fingerprint diverged from the simulator"
+        );
+        assert_eq!(report.result.trace.steps.len(), steps.len(), "{token}");
+        for (net, sim) in report.result.trace.steps.iter().zip(&steps) {
+            let bytes = |r: &threelc_distsim::StepRecord| (r.push_bytes, r.pull_bytes, r.raw_bytes);
+            assert_eq!(bytes(net), bytes(sim), "{token}: step {}", sim.step);
+        }
+        assert!(
+            steps.iter().any(|r| r.push_bytes > 0),
+            "{token}: nothing compressed"
+        );
+        for (w, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(
+                outcome.model.snapshot(),
+                cluster.worker_model(w).snapshot(),
+                "{token}: worker {w} replica diverged from the simulator"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_worker_refuses_an_out_of_range_server_config_with_a_typed_error() {
+    // A server whose HelloAck carries parameters no compressor can be built
+    // with: the worker must return a configuration error, not panic while
+    // building its replica.
+    for scheme in [
+        SchemeKind::three_lc(5.0),
+        SchemeKind::Sparsify { fraction: 0.0 },
+        SchemeKind::LocalSteps { period: 0 },
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let config = loopback_config(scheme);
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let hello = read_frame(&mut &stream).expect("hello");
+            assert_eq!(hello.msg, MsgType::Hello);
+            let json = serde_json::to_string(&config).expect("config json");
+            write_frame(&mut &stream, MsgType::HelloAck, 0, 0, json.as_bytes()).expect("ack");
+            // Hold the connection until the worker has answered.
+            let _ = (&stream).read(&mut [0u8; 1]);
+        });
+        let worker = thread::spawn(move || run_worker(&WorkerOptions::new(addr, 0)));
+        let Err(err) = worker.join().expect("the worker must not panic") else {
+            panic!("{scheme:?}: an out-of-range config must be refused");
+        };
+        assert!(
+            matches!(err, threelc_net::NetError::Config(_)),
+            "{scheme:?}: {err}"
+        );
+        assert!(err.to_string().contains("server config"), "{err}");
+        server.join().expect("fake server");
+    }
+}
+
+#[test]
 fn traced_loopback_produces_a_complete_cross_node_timeline() {
     let _turn = TRACE_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     // THREELC_TRACE=1 equivalent: enable span recording for this run.
@@ -694,66 +771,70 @@ fn a_duplicate_worker_id_at_launch_aborts_the_run_naming_it() {
 #[test]
 fn server_rejects_an_undecodable_push_with_a_named_error() {
     // A worker that handshakes and frames correctly but sends one garbage
-    // 3LC body: frame CRCs pass (they prove transport, not content), so
-    // the body reaches aggregation — which must abort the run naming the
-    // tensor, not panic the coordinator or hang until the step timeout.
-    let config = ExperimentConfig {
-        workers: 1,
-        ..loopback_config(SchemeKind::three_lc(1.0))
-    };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let opts = ServeOptions {
-        io_timeout: Duration::from_secs(2),
-        step_timeout: Duration::from_secs(2),
-        ..ServeOptions::default()
-    };
-    let server = thread::spawn(move || serve(&listener, &config, &opts));
+    // body, under every design `--scheme` names: frame CRCs pass (they
+    // prove transport, not content), so the body reaches aggregation —
+    // which must abort the run naming the worker and the tensor, not panic
+    // the coordinator or hang until the step timeout.
+    for token in SchemeKind::tokens() {
+        let config = ExperimentConfig {
+            workers: 1,
+            model_width: 32,
+            ..loopback_config(SchemeKind::parse(token, 1.0).expect("listed token"))
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let opts = ServeOptions {
+            io_timeout: Duration::from_secs(2),
+            step_timeout: Duration::from_secs(2),
+            ..ServeOptions::default()
+        };
+        let server = thread::spawn(move || serve(&listener, &config, &opts));
 
-    let stream = TcpStream::connect(addr).expect("connect");
-    write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
-    let ack = read_frame(&mut &stream).expect("hello ack");
-    assert_eq!(ack.msg, MsgType::HelloAck);
+        let stream = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+        let ack = read_frame(&mut &stream).expect("hello ack");
+        assert_eq!(ack.msg, MsgType::HelloAck);
 
-    let problem = Problem::build(&config);
-    let mut replica = WorkerReplica::new(&problem, 0);
-    let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
-    let mut payloads = replica.encode_push(grads).payloads;
-    let bad = problem
-        .compressible
-        .iter()
-        .rposition(|&c| c)
-        .expect("a compressible tensor");
-    payloads[bad] = TensorPayload::Compressed(vec![0xFF; 16]);
-    for (i, payload) in payloads.iter().enumerate() {
-        match payload {
-            TensorPayload::Compressed(wire) => {
-                write_frame(&mut &stream, MsgType::PushTensor, i as u16, 0, wire)
+        let problem = Problem::build(&config);
+        let mut replica = WorkerReplica::new(&problem, 0);
+        let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
+        let mut payloads = replica.encode_push(grads).payloads;
+        let bad = problem
+            .compressible
+            .iter()
+            .rposition(|&c| c)
+            .expect("a compressible tensor");
+        payloads[bad] = TensorPayload::Compressed(vec![0xFF; 16]);
+        for (i, payload) in payloads.iter().enumerate() {
+            match payload {
+                TensorPayload::Compressed(wire) => {
+                    write_frame(&mut &stream, MsgType::PushTensor, i as u16, 0, wire)
+                }
+                TensorPayload::Raw(t) => write_frame(
+                    &mut &stream,
+                    MsgType::PushRaw,
+                    i as u16,
+                    0,
+                    &t.to_le_bytes(),
+                ),
             }
-            TensorPayload::Raw(t) => write_frame(
-                &mut &stream,
-                MsgType::PushRaw,
-                i as u16,
-                0,
-                &t.to_le_bytes(),
-            ),
+            .expect("push frame");
         }
-        .expect("push frame");
-    }
-    let done = encode_push_done(loss, 0.0, 0.0, 0.0);
-    write_frame(&mut &stream, MsgType::PushDone, 0, 0, &done).expect("push done");
+        let done = encode_push_done(loss, 0.0, 0.0, 0.0);
+        write_frame(&mut &stream, MsgType::PushDone, 0, 0, &done).expect("push done");
 
-    let err = server
-        .join()
-        .expect("the coordinator must not panic")
-        .expect_err("an undecodable push must abort the run");
-    let text = err.to_string();
-    assert!(
-        text.contains("worker 0")
-            && text.contains(&format!("tensor {bad}"))
-            && text.contains("does not decode"),
-        "error must name the worker, the tensor and the cause: {text}"
-    );
+        let err = server
+            .join()
+            .expect("the coordinator must not panic")
+            .expect_err("an undecodable push must abort the run");
+        let text = err.to_string();
+        assert!(
+            text.contains("worker 0")
+                && text.contains(&format!("tensor {bad}"))
+                && text.contains("does not decode"),
+            "{token}: error must name the worker, the tensor and the cause: {text}"
+        );
+    }
 }
 
 #[test]
@@ -840,7 +921,8 @@ fn recorded_series_match_the_simulator_bit_for_bit() {
         ..loopback_config(SchemeKind::three_lc(1.0))
     };
     config.policy =
-        threelc_distsim::PolicySpec::parse("schedule:from=1.0,to=1.9,over=6").expect("spec");
+        threelc_distsim::PolicySpec::parse("feedback:ratio=10000,start=1.2,gain=0.05,hold=1")
+            .expect("spec");
     let (report, _outcomes) = run_loopback(config);
 
     let mut cluster = Cluster::new(config);
@@ -861,13 +943,14 @@ fn recorded_series_match_the_simulator_bit_for_bit() {
         assert!(latency.raw.iter().all(|p| p.value >= 0.0));
     }
     // Spot-check the values are real: ratio > 5 under 3LC, bytes nonzero,
-    // and the multiplier series reproduces the schedule's endpoints.
+    // and the multiplier series starts at the controller's `start`, then
+    // climbs toward its unreachable target: one nudge every other step.
     let run = |name| report.series.run_series(name).expect("run series");
     assert!(run("ratio").raw.iter().all(|p| p.value > 5.0));
     assert!(run("wire_bytes").raw.iter().all(|p| p.value > 0.0));
     let mult = report.series.run_series("multiplier").expect("multiplier");
-    assert_eq!(mult.raw.first().map(|p| p.value), Some(1.0));
-    assert!((mult.last().expect("nonempty").value - 1.9).abs() < 1e-6);
+    assert_eq!(mult.raw.first().map(|p| p.value), Some(f64::from(1.2f32)));
+    assert!((mult.last().expect("nonempty").value - 1.5).abs() < 1e-5);
 }
 
 #[test]
