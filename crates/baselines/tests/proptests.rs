@@ -130,3 +130,81 @@ proptest! {
         }
     }
 }
+
+/// Every design a command line can name, as `serve` runs it.
+fn wire_designs() -> Vec<SchemeKind> {
+    SchemeKind::tokens()
+        .map(|token| SchemeKind::parse(token, 1.5).expect("every listed token parses"))
+        .collect()
+}
+
+/// `decode_into` on a hostile payload: the error `decompress` reports, with
+/// `out` untouched, or — where `decompress` succeeds — its values under
+/// `op`, bit for bit.
+fn decode_into_agrees_with_decompress(cx: &dyn threelc::Compressor, payload: &[u8], what: &str) {
+    use threelc::kernels::DequantOp;
+    let n = N_VALUES;
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let before: Vec<f32> = (0..n).map(|i| i as f32 * 0.25 - 3.0).collect();
+    for op in [DequantOp::Assign, DequantOp::AddScaled(0.5)] {
+        let mut out = before.clone();
+        let got = cx.decode_into(payload, op, &mut out);
+        match cx.decompress(payload) {
+            Ok(dense) => {
+                assert_eq!(got, Ok(()), "{what}: decompress decodes it");
+                let mut want = before.clone();
+                op.apply(dense.iter().copied(), &mut want);
+                assert_eq!(bits(&out), bits(&want), "{what}: values under {op:?}");
+            }
+            Err(e) => {
+                assert_eq!(got, Err(e), "{what}: the same error");
+                assert_eq!(bits(&out), bits(&before), "{what}: out touched on error");
+            }
+        }
+    }
+}
+
+/// Values in the tensor the hostile-payload test encodes: ragged against
+/// quartic's five-value bytes and every kernel's lanes.
+const N_VALUES: usize = 97;
+
+#[test]
+fn decode_into_matches_decompress_on_hostile_payloads() {
+    let input = Tensor::from_fn([N_VALUES], |i| {
+        // Zeros for the zero runs, a spread of magnitudes for the rest.
+        if i % 7 < 3 {
+            0.0
+        } else {
+            ((i * 37 % 23) as f32 - 11.0) * 0.01
+        }
+    });
+    for scheme in wire_designs() {
+        let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
+        // Two payloads: a stateful scheme's second differs from its first
+        // (a local-steps skip, an accumulated residual).
+        for step in 0..2 {
+            let valid = cx.compress(&input).expect("finite input compresses");
+            let what = |case: String| format!("{scheme} payload {step}, {case}");
+            decode_into_agrees_with_decompress(cx.as_ref(), &valid, &what("as sent".into()));
+            for cut in 0..valid.len() {
+                let case = what(format!("cut to {cut} bytes"));
+                decode_into_agrees_with_decompress(cx.as_ref(), &valid[..cut], &case);
+            }
+            let mut longer = valid.clone();
+            longer.push(0x79);
+            decode_into_agrees_with_decompress(
+                cx.as_ref(),
+                &longer,
+                &what("a trailing byte".into()),
+            );
+            for at in 0..valid.len() {
+                for corrupt in [|b: u8| b ^ 0xff, |b: u8| b.wrapping_add(1), |_| 0, |_| 0xff] {
+                    let mut bad = valid.clone();
+                    bad[at] = corrupt(bad[at]);
+                    let case = what(format!("byte {at} {:#04x} → {:#04x}", valid[at], bad[at]));
+                    decode_into_agrees_with_decompress(cx.as_ref(), &bad, &case);
+                }
+            }
+        }
+    }
+}

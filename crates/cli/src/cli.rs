@@ -127,8 +127,13 @@ type CliResult = Result<String, Box<dyn Error>>;
 /// # Errors
 ///
 /// Returns a human-readable error for unknown commands, bad flags,
-/// malformed files, or I/O failures.
+/// malformed files, or I/O failures. `help`, `--help` or `-h` — alone or
+/// after a command — is no error: the report is the usage text.
 pub fn run(args: &[String]) -> CliResult {
+    let asks_for_help = |arg: &String| matches!(arg.as_str(), "--help" | "-h");
+    if args.first().is_some_and(|a| a == "help") || args.iter().any(asks_for_help) {
+        return Ok(usage() + "\n");
+    }
     match args.first().map(String::as_str) {
         Some("compress") => compress(&args[1..]),
         Some("decompress") => decompress(&args[1..]),
@@ -728,6 +733,21 @@ mod tests {
             );
         }
         assert!(run(&s(&["compress", "a", "b", "--sparsity"])).is_err());
+    }
+
+    #[test]
+    fn help_is_the_usage_not_an_error() {
+        for cmd in [
+            &["--help"][..],
+            &["-h"],
+            &["help"],
+            &["serve", "--help"],
+            &["compress", "-h"],
+            &["inspect", "a.3lc", "--help"],
+        ] {
+            let out = run(&s(cmd)).unwrap_or_else(|e| panic!("{cmd:?}: {e}"));
+            assert_eq!(out, usage() + "\n", "{cmd:?}");
+        }
     }
 
     #[test]

@@ -65,6 +65,11 @@ impl Default for ThreeLcOptions {
 /// 4. quartic encoding,
 /// 5. zero-run encoding (if enabled).
 ///
+/// A producer that can add its input into the buffer itself — a weight
+/// gradient's GEMM — borrows it instead ([`Compressor::take_accumulator`])
+/// and hands it back to [`Compressor::compress_accumulator`], which starts
+/// at step 2.
+///
 /// ```
 /// use threelc::{Compressor, SparsityMultiplier, ThreeLcCompressor};
 /// use threelc_tensor::Tensor;
@@ -193,7 +198,53 @@ impl Compressor for ThreeLcCompressor {
 
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         self.check_shape(input)?;
-        self.encode(input)
+        let imp = self.codec;
+        let in_slice = input.as_slice();
+        // Distributed-tracing phase spans: inert unless the caller
+        // installed a `TraceScope` (see `threelc_obs::trace`). The
+        // per-element quantization is fused into the quartic pack, so the
+        // "quantize" span covers only the accumulate + scale reduction
+        // (phase 1) and "encode" covers the fused pack + ZRE (phases 2-3).
+        let quantize_span = TraceSpan::start("quantize");
+        // Phase 1: accumulate (error accumulation only) and reduce
+        // max |x| + finiteness. The residual is allocated by the first
+        // compress, and never without error accumulation.
+        let (max_abs, finite) = if self.options.error_accumulation {
+            self.buffer
+                .get_or_init(|| Tensor::zeros(self.shape.clone()));
+            let buffer = self.buffer.get_mut().expect("initialised above");
+            kernels::accumulate_max_abs_finite(imp, buffer.as_mut_slice(), in_slice)
+        } else {
+            kernels::max_abs_finite(imp, in_slice)
+        };
+        let max_abs = if finite { max_abs } else { f32::INFINITY };
+        let plain = (!self.options.error_accumulation).then_some(in_slice);
+        self.encode(quantize_span, plain, max_abs)
+    }
+
+    fn take_accumulator(&mut self) -> Option<Tensor> {
+        self.options.error_accumulation.then(|| {
+            self.buffer
+                .take()
+                .unwrap_or_else(|| Tensor::zeros(self.shape.clone()))
+        })
+    }
+
+    fn compress_accumulator(
+        &mut self,
+        accumulator: Tensor,
+        max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError> {
+        if !self.options.error_accumulation {
+            return self.compress(&accumulator);
+        }
+        self.check_shape(&accumulator)?;
+        // The accumulate was the producer's: this "quantize" span covers
+        // the scale alone, so that a traced step records the same phases
+        // on either entry.
+        let quantize_span = TraceSpan::start("quantize");
+        self.buffer = OnceLock::from(accumulator);
+        self.encode(quantize_span, None, max_abs)
     }
 
     fn records_spans(&self) -> bool {
@@ -242,44 +293,28 @@ impl Compressor for ThreeLcCompressor {
 }
 
 impl ThreeLcCompressor {
-    /// The encode pipeline: accumulate + max-reduce, fused quantize +
-    /// error write-back + quartic pack, then zero-run encoding — the
-    /// paper's steps, each one sequential pass on this context's codec
-    /// tier ([`Self::codec_impl`]). Returns the complete wire payload: the
-    /// quartic bytes land in this context's scratch and the body is
-    /// written once, straight behind the header. Output is bit-for-bit
-    /// independent of the tier ([`crate::kernels`]' bit-identity contract).
-    fn encode(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
+    /// The encode pipeline after phase 1 — the accumulate + max-reduce
+    /// that [`compress`](Compressor::compress) runs, or that the producer
+    /// of a [`compress_accumulator`](Compressor::compress_accumulator) input
+    /// folded into its own pass: the scale, fused quantize + error
+    /// write-back + quartic pack, then zero-run encoding — the paper's
+    /// steps, each one sequential pass on this context's codec tier
+    /// ([`Self::codec_impl`]). Packs `plain` without error accumulation
+    /// and the residual buffer with it; `max_abs` is the largest magnitude
+    /// in what it packs, or a non-finite value if that holds one. Returns
+    /// the complete wire payload: the quartic bytes land in this context's
+    /// scratch and the body is written once, straight behind the header.
+    /// Output is bit-for-bit independent of the tier ([`crate::kernels`]'
+    /// bit-identity contract).
+    fn encode(
+        &mut self,
+        quantize_span: TraceSpan,
+        plain: Option<&[f32]>,
+        max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError> {
         let imp = self.codec;
-        let n = input.len();
-        let ea = self.options.error_accumulation;
-        let in_slice = input.as_slice();
-        // The residual, allocated by the first compress; untouched (and
-        // never allocated) without error accumulation.
-        let mut buffer = if ea {
-            self.buffer
-                .get_or_init(|| Tensor::zeros(self.shape.clone()));
-            self.buffer.get_mut()
-        } else {
-            None
-        };
-
-        // Distributed-tracing phase spans: inert unless the caller
-        // installed a `TraceScope` (see `threelc_obs::trace`). The
-        // per-element quantization is fused into the quartic pack, so the
-        // "quantize" span covers only the accumulate + scale reduction
-        // (phase 1) and "encode" covers the fused pack + ZRE (phases 2-3).
-        let quantize_span = TraceSpan::start("quantize");
-
-        // Phase 1: accumulate (error accumulation only) and reduce
-        // max |x| + finiteness.
-        let (max_abs, finite) = match buffer.as_deref_mut() {
-            Some(buffer) => {
-                kernels::accumulate_max_abs_finite(imp, buffer.as_mut_slice(), in_slice)
-            }
-            None => kernels::max_abs_finite(imp, in_slice),
-        };
-        if !finite {
+        let n = self.shape.num_elements();
+        if !max_abs.is_finite() {
             return Err(CompressError::NonFiniteInput);
         }
         let scale = max_abs * self.options.sparsity.value();
@@ -303,13 +338,18 @@ impl ThreeLcCompressor {
             .unwrap_or_else(PoisonError::into_inner);
         quartic_bytes.resize(bl, 0);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
-        if let Some(buffer) = buffer {
-            let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
-            kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes);
-        } else {
+        if let Some(plain) = plain {
             let five: [&[f32]; 5] =
-                std::array::from_fn(|j| &in_slice[(j * bl).min(n)..((j + 1) * bl).min(n)]);
+                std::array::from_fn(|j| &plain[(j * bl).min(n)..((j + 1) * bl).min(n)]);
             kernels::pack_chunk(imp, &five, inv, quartic_bytes);
+        } else {
+            let buffer = self.buffer.get_mut().expect("phase 1 left a residual");
+            let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
+            // A value that turned non-finite after `max_abs` was folded (a
+            // caller writing into a lent buffer) is refused all the same.
+            if !kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes) {
+                return Err(CompressError::NonFiniteInput);
+            }
         }
 
         // Phase 3: the payload. Zero-run encoding never expands, so `bl`
@@ -447,6 +487,7 @@ impl ThreeLcCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use threelc_tensor::add_max_abs;
 
     fn ctx(n: usize, s: f32) -> ThreeLcCompressor {
         ThreeLcCompressor::new(Shape::new(&[n]), SparsityMultiplier::new(s).unwrap())
@@ -567,6 +608,64 @@ mod tests {
             assert_eq!(out.as_slice()[1], 0.0);
         }
         assert!(cx.residual().is_none());
+    }
+
+    #[test]
+    fn a_lent_accumulator_encodes_as_compress_does() {
+        use rand::Rng as _;
+        let n = 1037;
+        let mut r = threelc_tensor::rng(19);
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::from_fn([n], |_| r.gen_range(-1.0f32..1.0).powi(3)))
+            .collect();
+        let bits =
+            |t: Option<&Tensor>| t.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        for imp in CodecImpl::ALL.into_iter().filter(|i| i.is_available()) {
+            for (zero_run_encoding, error_accumulation) in
+                [(true, true), (false, true), (true, false)]
+            {
+                let options = ThreeLcOptions {
+                    zero_run_encoding,
+                    error_accumulation,
+                    ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
+                };
+                let what = format!("{imp}, zre {zero_run_encoding}, ea {error_accumulation}");
+                let mut twin =
+                    ThreeLcCompressor::with_options(Shape::new(&[n]), options).with_codec_impl(imp);
+                let mut cx = twin.clone();
+                for input in &inputs {
+                    let want = twin.compress(input).unwrap();
+                    let got = match cx.take_accumulator() {
+                        Some(mut acc) => {
+                            let max_abs = add_max_abs(acc.as_mut_slice(), input.as_slice());
+                            cx.compress_accumulator(acc, max_abs).unwrap()
+                        }
+                        None => {
+                            assert!(!error_accumulation, "{what}: lends its residual");
+                            cx.compress_accumulator(input.clone(), f32::NAN).unwrap()
+                        }
+                    };
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(bits(cx.residual()), bits(twin.residual()), "{what}");
+                }
+                if let Some(mut acc) = cx.take_accumulator() {
+                    // Written into after its max was folded: still refused.
+                    let max_abs = add_max_abs(acc.as_mut_slice(), inputs[0].as_slice());
+                    acc.as_mut_slice()[n - 1] = f32::NAN;
+                    assert_eq!(
+                        cx.compress_accumulator(acc, max_abs),
+                        Err(CompressError::NonFiniteInput),
+                        "{what}"
+                    );
+                    let acc = cx.take_accumulator().unwrap();
+                    assert_eq!(
+                        cx.compress_accumulator(acc, f32::INFINITY),
+                        Err(CompressError::NonFiniteInput),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

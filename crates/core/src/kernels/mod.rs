@@ -365,14 +365,17 @@ pub fn pack_chunk(imp: CodecImpl, srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) 
 
 /// [`pack_chunk`] over the error-accumulation buffer: additionally writes
 /// the post-quantization residual `x − q · scale` back into each source
-/// slice (Figure 3 steps (a)+(b)), fused into the same pass.
+/// slice (Figure 3 steps (a)+(b)), fused into the same pass. Returns
+/// whether every value it read was finite — [`max_abs_finite`]'s flag,
+/// folded on the way — so a buffer that took a non-finite value after its
+/// scale was reduced is still refused.
 pub fn pack_chunk_ea(
     imp: CodecImpl,
     srcs: &mut [&mut [f32]; 5],
     inv: f32,
     scale: f32,
     out: &mut [u8],
-) {
+) -> bool {
     for s in srcs.iter() {
         debug_assert!(s.len() <= out.len());
     }

@@ -38,13 +38,20 @@ pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     }
 }
 
-pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, out: &mut [u8]) {
+pub(super) fn pack_chunk_ea(
+    srcs: &mut [&mut [f32]; 5],
+    inv: f32,
+    scale: f32,
+    out: &mut [u8],
+) -> bool {
+    let mut finite = true;
     for (i, o) in out.iter_mut().enumerate() {
         let mut byte = 0u8;
         for (j, w) in WEIGHTS.into_iter().enumerate() {
             let s = &mut *srcs[j];
             let digit = if i < s.len() {
                 let x = s[i];
+                finite &= x.is_finite();
                 let d = digit_of(x, inv);
                 s[i] = x - (d as i8 - 1) as f32 * scale;
                 d
@@ -55,6 +62,7 @@ pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, ou
         }
         *o = byte;
     }
+    finite
 }
 
 pub(super) fn dequant_assign(syms: &[i8], scale: f32, out: &mut [f32]) {

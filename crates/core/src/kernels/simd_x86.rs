@@ -330,7 +330,7 @@ pub(super) unsafe fn pack_chunk_ea(
     inv: f32,
     scale: f32,
     out: &mut [u8],
-) {
+) -> bool {
     let full = srcs
         .iter()
         .map(|s| s.len())
@@ -341,11 +341,15 @@ pub(super) unsafe fn pack_chunk_ea(
     let invv = _mm256_set1_ps(inv);
     let scalev = _mm256_set1_ps(scale);
     let one = _mm256_set1_epi32(1);
+    let absmask = _mm256_set1_epi32(ABS as i32);
+    let mut magnitudes = _mm256_setzero_si256();
     for b in 0..blocks {
         let i = b * 8;
         let mut acc = _mm256_setzero_si256();
         for (j, s) in srcs.iter_mut().enumerate() {
             let x = _mm256_loadu_ps(s.as_ptr().add(i));
+            let bits = _mm256_and_si256(_mm256_castps_si256(x), absmask);
+            magnitudes = _mm256_max_epu32(magnitudes, bits);
             let d = digits_epi32(x, invv);
             // Write back x − q·scale: one multiply, one subtract — the
             // exact scalar rounding sequence (no FMA contraction).
@@ -360,12 +364,14 @@ pub(super) unsafe fn pack_chunk_ea(
         let word = pack_low_bytes(acc);
         out[i..i + 8].copy_from_slice(&word.to_le_bytes());
     }
+    let mut mb = hmax_epu32(magnitudes);
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
         for (j, w) in WEIGHTS.into_iter().enumerate() {
             let s = &mut *srcs[j];
             let digit = if i < s.len() {
                 let x = s[i];
+                mb = mb.max(x.to_bits() & ABS);
                 let d = super::digit_of(x, inv);
                 s[i] = x - (d as i8 - 1) as f32 * scale;
                 d
@@ -376,6 +382,7 @@ pub(super) unsafe fn pack_chunk_ea(
         }
         out[i] = byte;
     }
+    mb < INF_BITS
 }
 
 #[target_feature(enable = "avx2")]

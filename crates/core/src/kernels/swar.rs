@@ -154,7 +154,15 @@ pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
     }
 }
 
-pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, out: &mut [u8]) {
+pub(super) fn pack_chunk_ea(
+    srcs: &mut [&mut [f32]; 5],
+    inv: f32,
+    scale: f32,
+    out: &mut [u8],
+) -> bool {
+    // The same 8-lane `bits & ABS` max as `max_abs_finite`, over the
+    // values as they are read.
+    let mut lanes = [0u32; 8];
     let full = srcs
         .iter()
         .map(|s| s.len())
@@ -166,18 +174,22 @@ pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, ou
         let i = b * 8;
         let mut acc = 0u64;
         for (j, s) in srcs.iter_mut().enumerate() {
-            acc = acc.wrapping_add(
-                digits8_ea(&mut s[i..i + 8], inv, scale).wrapping_mul(WEIGHTS[j] as u64),
-            );
+            let s = &mut s[i..i + 8];
+            for k in 0..8 {
+                lanes[k] = lanes[k].max(s[k].to_bits() & ABS);
+            }
+            acc = acc.wrapping_add(digits8_ea(s, inv, scale).wrapping_mul(WEIGHTS[j] as u64));
         }
         out[i..i + 8].copy_from_slice(&acc.to_le_bytes());
     }
+    let mut mb = lanes.into_iter().max().unwrap_or(0);
     for i in blocks * 8..out.len() {
         let mut byte = 0u8;
         for (j, w) in WEIGHTS.into_iter().enumerate() {
             let s = &mut *srcs[j];
             let digit = if i < s.len() {
                 let x = s[i];
+                mb = mb.max(x.to_bits() & ABS);
                 let d = digit_of(x, inv);
                 s[i] = x - (d as i8 - 1) as f32 * scale;
                 d
@@ -188,6 +200,7 @@ pub(super) fn pack_chunk_ea(srcs: &mut [&mut [f32]; 5], inv: f32, scale: f32, ou
         }
         out[i] = byte;
     }
+    mb < INF_BITS
 }
 
 /// Eight ternary values (`{-1,0,1}` as `i8`) shifted to digits `{0,1,2}`,

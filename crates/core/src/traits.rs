@@ -37,6 +37,44 @@ pub trait Compressor: Send {
     /// this context was created for, or contains non-finite values.
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError>;
 
+    /// Lends this context's error-accumulation buffer to a producer that
+    /// adds its next input straight into it — a weight gradient's GEMM,
+    /// say — instead of storing the input for
+    /// [`compress`](Self::compress) to add. The buffer comes back through
+    /// [`compress_accumulator`](Self::compress_accumulator); until then the
+    /// context holds none, and lent twice it lends a zeroed one (the first
+    /// is the borrower's to return or lose).
+    ///
+    /// The default returns `None`: the scheme keeps no such buffer, and
+    /// its producer stores the input and calls `compress`.
+    fn take_accumulator(&mut self) -> Option<Tensor> {
+        None
+    }
+
+    /// Encodes `accumulator` — the buffer
+    /// [`take_accumulator`](Self::take_accumulator) lent, with this step's
+    /// input added into it element by element — and keeps it: the payload
+    /// and the buffer left behind are bit for bit what `compress(input)`
+    /// would have produced. `max_abs` is the largest magnitude in
+    /// `accumulator`, or a non-finite value if it holds one, as the
+    /// producer folded it on its way through
+    /// ([`Tensor::matmul_tn_add_into`], [`threelc_tensor::add_max_abs`]).
+    ///
+    /// The default, for a scheme that lends nothing, compresses
+    /// `accumulator` as an input.
+    ///
+    /// # Errors
+    ///
+    /// As [`compress`](Self::compress), for the input the buffer was lent
+    /// for.
+    fn compress_accumulator(
+        &mut self,
+        accumulator: Tensor,
+        _max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError> {
+        self.compress(&accumulator)
+    }
+
     /// Decompresses a wire payload produced by this context.
     ///
     /// # Errors

@@ -37,7 +37,7 @@ use threelc::kernels::DequantOp;
 use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{
-    models, Batch, Evaluation, LrSchedule, Network, SgdMomentum, SyntheticImages,
+    models, Batch, Evaluation, GradSlot, LrSchedule, Network, SgdMomentum, SyntheticImages,
 };
 use threelc_obs::{trace, Histogram, WorkerDelta};
 use threelc_policy::{Decision, Feedback, PolicyRecord, TensorObs};
@@ -269,11 +269,18 @@ pub struct WorkerReplica {
     push_ctxs: Vec<Option<Box<dyn Compressor>>>,
     /// Decode-only mirrors of the server's pull contexts.
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
-    /// The gradient tensors, between steps: [`Self::compute`] hands them
-    /// out filled, [`Self::encode_push`] takes them back, and the next
-    /// `compute` overwrites them in place. Empty before the first step and
-    /// whenever a caller keeps the gradients instead of pushing them.
-    grads: Vec<Tensor>,
+    /// Per tensor, between steps, the gradient tensor of a context that
+    /// lends no accumulator (or of a raw tensor): [`Self::compute`] hands
+    /// it out filled, [`Self::encode_push`] takes it back, and the next
+    /// `compute` overwrites it in place. `None` before the first step, for
+    /// a tensor whose gradient lands in its context's error-accumulation
+    /// buffer instead, and whenever a caller keeps the gradients instead
+    /// of pushing them.
+    grads: Vec<Option<Tensor>>,
+    /// Per tensor, from `compute` to `encode_push`: the largest magnitude
+    /// in the accumulator `compute` handed out in its place, `None` for a
+    /// written gradient.
+    lent: Vec<Option<f32>>,
 }
 
 impl WorkerReplica {
@@ -284,7 +291,8 @@ impl WorkerReplica {
             rng: threelc_tensor::rng(worker_rng_seed(&problem.config, w)),
             push_ctxs: problem.push_ctxs(w),
             pull_ctxs: problem.pull_ctxs(),
-            grads: Vec::new(),
+            grads: vec![None; problem.num_tensors()],
+            lent: vec![None; problem.num_tensors()],
         }
     }
 
@@ -299,22 +307,60 @@ impl WorkerReplica {
     }
 
     /// Samples a minibatch and computes the local loss and gradients.
+    ///
+    /// A tensor whose push context lends its error-accumulation buffer
+    /// ([`Compressor::take_accumulator`], 3LC's) has its gradient added
+    /// straight into that buffer by the backward pass ([`GradSlot::Add`]):
+    /// its entry in the returned list is the buffer, residual plus
+    /// gradient, and [`Self::encode_push`] hands it back to the context.
+    /// Every other entry is the gradient itself.
     pub fn compute(
         &mut self,
         data: &SyntheticImages,
         batch_per_worker: usize,
     ) -> (f32, Vec<Tensor>) {
         let batch = data.sample_train_batch(&mut self.rng, batch_per_worker);
-        let mut grads = std::mem::take(&mut self.grads);
-        let loss = self.model.loss_and_gradients_into(&batch, &mut grads);
+        let params = self.model.params();
+        let mut slots: Vec<GradSlot> = params
+            .iter()
+            .zip(&mut self.push_ctxs)
+            .zip(&mut self.grads)
+            .map(
+                |((param, ctx), kept)| match ctx.as_mut().and_then(|ctx| ctx.take_accumulator()) {
+                    Some(buffer) => GradSlot::Add {
+                        buffer,
+                        max_abs: 0.0,
+                    },
+                    None => GradSlot::Write(
+                        kept.take()
+                            .unwrap_or_else(|| Tensor::zeros(param.shape().clone())),
+                    ),
+                },
+            )
+            .collect();
+        let loss = self.model.loss_and_gradients_into(&batch, &mut slots);
+        let grads = slots
+            .into_iter()
+            .zip(&mut self.lent)
+            .map(|(slot, lent)| {
+                *lent = match slot {
+                    GradSlot::Add { max_abs, .. } => Some(max_abs),
+                    GradSlot::Write(_) => None,
+                };
+                slot.into_tensor()
+            })
+            .collect();
         (loss, grads)
     }
 
     /// Runs each gradient through its push compression context (or passes
-    /// it through raw), measuring codec CPU time. The tensors themselves
-    /// are kept as the next [`Self::compute`]'s gradient buffers. Under a
-    /// trace scope a codec call that records no spans of its own
-    /// ([`Compressor::records_spans`]) runs inside an `encode` span.
+    /// it through raw), measuring codec CPU time: an accumulator
+    /// [`Self::compute`] handed out goes back to its context
+    /// ([`Compressor::compress_accumulator`]), a written gradient is
+    /// compressed ([`Compressor::compress`]) and kept as the next
+    /// `compute`'s gradient buffer. Under a trace scope a codec call that
+    /// records no spans of its own ([`Compressor::records_spans`]) runs
+    /// inside an `encode` span.
     ///
     /// # Panics
     ///
@@ -324,12 +370,21 @@ impl WorkerReplica {
     pub fn encode_push(&mut self, grads: Vec<Tensor>) -> EncodedPush {
         let mut payloads = Vec::with_capacity(grads.len());
         let mut codec_seconds = 0.0f64;
-        for (i, grad) in grads.iter().enumerate() {
+        for (i, grad) in grads.into_iter().enumerate() {
+            let lent = self.lent[i].take();
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
                     let span = (!ctx.records_spans()).then(|| trace::TraceSpan::start("encode"));
-                    let wire = ctx.compress(grad).unwrap_or_else(|e| {
+                    let wire = match lent {
+                        Some(max_abs) => ctx.compress_accumulator(grad, max_abs),
+                        None => {
+                            let wire = ctx.compress(&grad);
+                            self.grads[i] = Some(grad);
+                            wire
+                        }
+                    };
+                    let wire = wire.unwrap_or_else(|e| {
                         panic!("cannot compress the gradient of tensor {i}: {e}")
                     });
                     drop(span);
@@ -337,10 +392,12 @@ impl WorkerReplica {
                     payloads.push(TensorPayload::Compressed(wire));
                 }
                 // A sub-threshold tensor: the copy is what is sent.
-                None => payloads.push(TensorPayload::Raw(grad.clone())),
+                None => {
+                    payloads.push(TensorPayload::Raw(grad.clone()));
+                    self.grads[i] = Some(grad);
+                }
             }
         }
-        self.grads = grads;
         EncodedPush {
             payloads,
             codec_seconds,
@@ -1764,6 +1821,64 @@ mod tests {
         assert_eq!(server.shards.len(), 3);
         server.set_threads(0);
         assert_eq!(server.shards.len(), 1);
+    }
+
+    #[test]
+    fn a_worker_step_is_loss_and_gradients_then_compress() {
+        let bits =
+            |t: Option<&Tensor>| t.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let no_ea = SchemeKind::ThreeLc {
+            sparsity: 1.5,
+            zero_run_encoding: true,
+            error_accumulation: false,
+        };
+        for scheme in [SchemeKind::three_lc(1.5), no_ea, SchemeKind::Float32] {
+            let config = ExperimentConfig {
+                workers: 1,
+                model_width: 32,
+                ..tiny(scheme)
+            };
+            let problem = Problem::build(&config);
+            let mut worker = WorkerReplica::new(&problem, 0);
+            let mut server = ServerCore::new(&problem);
+            // The twin: the same sampling RNG and push contexts, on the
+            // worker's own model, through the plain entry points.
+            let mut twin_rng = threelc_tensor::rng(worker_rng_seed(&config, 0));
+            let mut twin_ctxs = problem.push_ctxs(0);
+            let mut twin_slots = Vec::new();
+            for step in 0..4 {
+                let what = format!("{scheme}, step {step}");
+                let batch = problem
+                    .data
+                    .sample_train_batch(&mut twin_rng, config.batch_per_worker);
+                let want_loss = worker
+                    .model()
+                    .loss_and_gradients_into(&batch, &mut twin_slots);
+                let (loss, grads) = worker.compute(&problem.data, config.batch_per_worker);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what}");
+                let pushed = worker.encode_push(grads).payloads;
+                for (i, payload) in pushed.iter().enumerate() {
+                    let grad = twin_slots[i].tensor();
+                    match (payload, &mut twin_ctxs[i]) {
+                        (TensorPayload::Compressed(wire), Some(twin)) => {
+                            let want = twin.compress(grad).expect("finite gradient");
+                            assert_eq!(wire, &want, "{what}: tensor {i}");
+                            let ctx = worker.push_ctxs[i].as_ref().expect("compressed");
+                            assert_eq!(bits(ctx.residual()), bits(twin.residual()), "{what}");
+                        }
+                        (TensorPayload::Raw(raw), None) => {
+                            assert_eq!(bits(Some(raw)), bits(Some(grad)), "{what}: tensor {i}")
+                        }
+                        _ => panic!("{what}: tensor {i} took another path than its twin"),
+                    }
+                }
+                // Move the model, so every step has gradients of its own.
+                let out = server.apply_step(&[pushed], 1, 0.0).expect("accepted");
+                worker
+                    .apply_pulls(&out.pulls)
+                    .expect("the server's own pulls");
+            }
+        }
     }
 
     #[test]

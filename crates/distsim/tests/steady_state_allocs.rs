@@ -9,6 +9,9 @@
 //! The worker's half, `compute` + `encode_push`, keeps its gradient tensors
 //! from step to step and allocates activations, GEMM panels and payloads
 //! only: less than the model, where fresh gradients alone are all of it.
+//! And what a 3LC worker keeps is the model and its residuals: a gradient
+//! that lands in its context's error-accumulation buffer has no tensor of
+//! its own to keep (DESIGN.md §18).
 //!
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide. Counting is per thread, so the harness's own threads do
@@ -24,12 +27,24 @@ thread_local! {
     /// counting. Const-initialised and without a destructor, so touching
     /// it from inside the allocator allocates nothing.
     static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Bytes this thread has asked for minus the bytes it has given back,
+    /// while counting.
+    static HELD: Cell<Option<isize>> = const { Cell::new(None) };
 }
 
 struct Counting;
 
 fn count(bytes: usize) {
     COUNTED.with(|c| {
+        if let Some(total) = c.get() {
+            c.set(Some(total + bytes));
+        }
+    });
+    hold(bytes as isize);
+}
+
+fn hold(bytes: isize) {
+    HELD.with(|c| {
         if let Some(total) = c.get() {
             c.set(Some(total + bytes));
         }
@@ -52,12 +67,14 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        hold(-(layout.size() as isize));
         // SAFETY: the caller's obligations are `System.dealloc`'s.
         unsafe { System.dealloc(p, layout) }
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        hold(-(layout.size().saturating_sub(new_size) as isize));
         // SAFETY: the caller's obligations are `System.realloc`'s.
         unsafe { System.realloc(p, layout, new_size) }
     }
@@ -72,6 +89,60 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     let bytes = COUNTED.with(|c| c.take()).expect("counting was on");
     (out, bytes)
+}
+
+/// Bytes `f` left allocated on this thread, its result still alive.
+fn held_by<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    HELD.with(|c| c.set(Some(0)));
+    let out = f();
+    let bytes = HELD.with(|c| c.take()).expect("counting was on");
+    (out, bytes)
+}
+
+#[test]
+fn a_warmed_up_3lc_replica_retains_no_gradient_sized_buffer() {
+    let config = ExperimentConfig {
+        scheme: SchemeKind::three_lc(1.0),
+        workers: 1,
+        batch_per_worker: 8,
+        model_width: 256,
+        model_blocks: 2,
+        seed: 3,
+        ..Default::default()
+    };
+    let problem = Problem::build(&config);
+    let (replica, held) = held_by(|| {
+        let mut replica = WorkerReplica::new(&problem, 0);
+        for _ in 0..3 {
+            let (_loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
+            replica.encode_push(grads);
+        }
+        replica
+    });
+    // What the replica must keep: its model, a residual and the quartic
+    // scratch (a byte per five values) per compressed tensor, and the
+    // gradient of every raw one; plus a little bookkeeping per tensor.
+    let model_bytes = 4 * replica.model().num_params();
+    let (mut compressed, mut raw, mut quartic) = (0, 0, 0);
+    for (shape, &c) in problem.shapes.iter().zip(&problem.compressible) {
+        let n = shape.num_elements();
+        if c {
+            compressed += 4 * n;
+            quartic += n.div_ceil(5);
+        } else {
+            raw += 4 * n;
+        }
+    }
+    const PER_TENSOR: usize = 1024;
+    let kept = model_bytes + compressed + quartic + raw + PER_TENSOR * problem.num_tensors();
+    assert!(
+        held <= kept as isize,
+        "a warmed-up replica holds {held} bytes: {} more than its model ({model_bytes}), \
+         residuals ({compressed}), quartic scratch ({quartic}) and raw gradients ({raw}) \
+         — the compressed tensors' gradients are {compressed} bytes",
+        held - kept as isize
+    );
+    drop(replica);
 }
 
 #[test]

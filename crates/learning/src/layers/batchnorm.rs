@@ -1,7 +1,7 @@
 //! Batch normalization (Ioffe & Szegedy), the paper's canonical
 //! "small layer" excluded from compression (§5.1).
 
-use super::{Layer, LayerCache};
+use super::{GradSlot, Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
@@ -95,7 +95,7 @@ impl Layer for BatchNormLayer {
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        param_grads: &mut [Tensor],
+        param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
         let [grad_gamma, grad_beta] = param_grads else {
@@ -109,21 +109,16 @@ impl Layer for BatchNormLayer {
         let gamma = self.gamma.as_slice();
 
         // Per-feature reductions: dγ = Σ dy·x̂ and dβ = Σ dy.
-        assert_eq!(
-            (grad_gamma.len(), grad_beta.len()),
-            (f, f),
-            "the slots have γ's and β's shape"
-        );
-        let sum_dy_xhat = grad_gamma.as_mut_slice();
-        let sum_dy = grad_beta.as_mut_slice();
-        sum_dy_xhat.fill(0.0);
-        sum_dy.fill(0.0);
+        let mut sum_dy_xhat = vec![0.0f32; f];
+        let mut sum_dy = vec![0.0f32; f];
         for r in 0..b {
             for j in 0..f {
                 sum_dy[j] += dy[r * f + j];
                 sum_dy_xhat[j] += dy[r * f + j] * xh[r * f + j];
             }
         }
+        grad_gamma.put(&sum_dy_xhat);
+        grad_beta.put(&sum_dy);
         if !need_input {
             return None;
         }

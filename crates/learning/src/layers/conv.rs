@@ -1,6 +1,6 @@
 //! 2-D convolution over flattened `[batch, C·H·W]` activations.
 
-use super::{Layer, LayerCache};
+use super::{GradSlot, Layer, LayerCache};
 use threelc_tensor::{Initializer, Rng, Tensor};
 
 /// A same-padded 3×3-style 2-D convolution with stride 1.
@@ -173,19 +173,19 @@ impl Layer for Conv2dLayer {
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        param_grads: &mut [Tensor],
+        param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
-        let [grad_weight, grad_bias] = param_grads else {
+        let [weight_slot, bias_slot] = param_grads else {
             panic!("a conv2d layer has two parameters");
         };
         let batch = grad_output.shape().dim(0);
         let (h, w, o) = (self.height, self.width, self.out_channels);
         let row_len = self.in_channels * self.kernel * self.kernel;
-        grad_weight.as_mut_slice().fill(0.0);
-        assert_eq!(grad_bias.len(), o, "the slot has the bias's shape");
-        let grad_bias = grad_bias.as_mut_slice();
-        grad_bias.fill(0.0);
+        // Both gradients are sums over the batch, formed here and landed
+        // once.
+        let mut grad_weight = Tensor::zeros(self.weight.shape().clone());
+        let mut grad_bias = vec![0.0f32; o];
         // The input gradient costs a GEMM and a col2im per example.
         let mut grad_input = need_input.then(|| vec![0.0f32; batch * self.in_dim()]);
         for b in 0..batch {
@@ -205,7 +205,7 @@ impl Layer for Conv2dLayer {
             let dw = col.matmul_tn(&dy).expect("dims match");
             grad_weight
                 .add_assign(&dw)
-                .expect("the slot has the weight's shape");
+                .expect("dW has the weight's shape");
             if let Some(grad_input) = &mut grad_input {
                 // dcol = dY · Wᵀ, then scatter back.
                 let dcol = dy.matmul_nt(&self.weight).expect("dims match");
@@ -214,6 +214,8 @@ impl Layer for Conv2dLayer {
                 grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
             }
         }
+        weight_slot.put(grad_weight.as_slice());
+        bias_slot.put(&grad_bias);
         grad_input.map(|g| Tensor::from_vec(g, [batch, self.in_dim()]))
     }
 
@@ -282,7 +284,7 @@ impl Layer for GlobalAvgPoolLayer {
         &self,
         _cache: &LayerCache,
         grad_output: &Tensor,
-        _param_grads: &mut [Tensor],
+        _param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
         if !need_input {

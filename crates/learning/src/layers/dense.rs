@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layers.
 
-use super::{Layer, LayerCache};
+use super::{GradSlot, Layer, LayerCache};
 use threelc_tensor::{Initializer, Rng, Tensor};
 
 /// A fully-connected layer: `y = x · W + b`.
@@ -85,7 +85,7 @@ impl Layer for DenseLayer {
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        param_grads: &mut [Tensor],
+        param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
         let [grad_weight, grad_bias] = param_grads else {
@@ -93,19 +93,16 @@ impl Layer for DenseLayer {
         };
         let input = &cache.tensors[0];
         // dW = Xᵀ · dY ; db = column-sum(dY).
-        input
-            .matmul_tn_into(grad_output, grad_weight)
-            .expect("grad dims match and the slot has the weight's shape");
+        grad_weight.put_matmul_tn(input, grad_output);
         let (batch, out_dim) = (grad_output.shape().dim(0), grad_output.shape().dim(1));
-        assert_eq!(grad_bias.len(), out_dim, "the slot has the bias's shape");
-        let grad_bias = grad_bias.as_mut_slice();
-        grad_bias.fill(0.0);
+        let mut sums = vec![0.0f32; out_dim];
         let g = grad_output.as_slice();
         for r in 0..batch {
             for c in 0..out_dim {
-                grad_bias[c] += g[r * out_dim + c];
+                sums[c] += g[r * out_dim + c];
             }
         }
+        grad_bias.put(&sums);
         // dX = dY · Wᵀ
         need_input.then(|| {
             grad_output

@@ -3,7 +3,7 @@
 //! Every layer implements [`Layer`]: a pure `forward` that returns the
 //! output plus a [`LayerCache`] of whatever intermediate tensors `backward`
 //! needs, and one `backward` that takes the cache and the upstream
-//! gradient, writes the per-parameter gradients into tensors the caller
+//! gradient, puts the per-parameter gradients into [`GradSlot`]s the caller
 //! keeps and returns the input gradient if it is asked for.
 //! Keeping the cache explicit (instead of hiding state in the layer) makes
 //! layers `&self` during the forward/backward pair, which is what lets the
@@ -23,6 +23,80 @@ pub use relu::ReluLayer;
 pub use residual_any::Residual;
 
 use threelc_tensor::Tensor;
+
+/// Where [`Layer::backward`] puts one parameter's gradient: a tensor of the
+/// parameter's shape, and whether the gradient replaces what it holds or
+/// is added to it.
+///
+/// Either way every element of the gradient is formed as it always is —
+/// a sum from `+0.0` over the batch in ascending order — and lands once:
+/// an [`Add`](GradSlot::Add) slot ends holding exactly the values a
+/// [`Write`](GradSlot::Write) slot would, added to what it held, one IEEE
+/// add per element.
+#[derive(Debug, Clone)]
+pub enum GradSlot {
+    /// The gradient overwrites the tensor.
+    Write(Tensor),
+    /// The gradient is added into `buffer` — a compression context's
+    /// error-accumulation buffer (paper §3.1), lent for the step — and
+    /// `max_abs` is left holding the largest magnitude in `buffer`
+    /// afterwards: a non-finite value if any element is infinite or NaN.
+    Add {
+        /// The tensor the gradient is added into.
+        buffer: Tensor,
+        /// Set by the layer when the gradient lands.
+        max_abs: f32,
+    },
+}
+
+impl GradSlot {
+    /// The slot's tensor.
+    pub fn tensor(&self) -> &Tensor {
+        match self {
+            GradSlot::Write(t) | GradSlot::Add { buffer: t, .. } => t,
+        }
+    }
+
+    /// The slot's tensor, given up.
+    pub fn into_tensor(self) -> Tensor {
+        match self {
+            GradSlot::Write(t) | GradSlot::Add { buffer: t, .. } => t,
+        }
+    }
+
+    /// Lands a gradient formed elsewhere: copies it into a write slot, adds
+    /// it into an add slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is not one value per element of the slot.
+    pub fn put(&mut self, grad: &[f32]) {
+        match self {
+            GradSlot::Write(t) => t.as_mut_slice().copy_from_slice(grad),
+            GradSlot::Add { buffer, max_abs } => {
+                *max_abs = threelc_tensor::add_max_abs(buffer.as_mut_slice(), grad);
+            }
+        }
+    }
+
+    /// Lands the weight gradient `xᵀ · dy` without storing it anywhere
+    /// else: [`Tensor::matmul_tn_into`] a write slot,
+    /// [`Tensor::matmul_tn_add_into`] an add slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands' batch sizes differ or the slot is not
+    /// `[x columns, dy columns]`.
+    pub fn put_matmul_tn(&mut self, x: &Tensor, dy: &Tensor) {
+        const SHAPES: &str = "grad dims match and the slot has the weight's shape";
+        match self {
+            GradSlot::Write(t) => x.matmul_tn_into(dy, t).expect(SHAPES),
+            GradSlot::Add { buffer, max_abs } => {
+                *max_abs = x.matmul_tn_add_into(dy, buffer).expect(SHAPES);
+            }
+        }
+    }
+}
 
 /// Intermediate tensors saved by a forward pass for use in backward.
 ///
@@ -54,9 +128,10 @@ pub trait Layer: Send {
     /// Computes the layer output and the cache `backward` will need.
     fn forward(&self, input: &Tensor) -> (Tensor, LayerCache);
 
-    /// Writes the gradient of every parameter into `param_grads` — one
-    /// tensor per parameter, in [`params`](Layer::params) order and of the
-    /// parameter's shape, whatever it held before — so a training loop
+    /// Puts the gradient of every parameter into `param_grads` — one slot
+    /// per parameter, in [`params`](Layer::params) order and of the
+    /// parameter's shape — overwriting a [`GradSlot::Write`] whatever it
+    /// held before and adding into a [`GradSlot::Add`], so a training loop
     /// hands the same tensors in every step. Returns the gradient with
     /// respect to the layer's input if `need_input`, and `None` otherwise:
     /// nobody reads the input gradient of a network's bottom layer, and
@@ -65,14 +140,14 @@ pub trait Layer: Send {
     ///
     /// # Panics
     ///
-    /// Panics if `param_grads` is not one tensor of the right shape per
+    /// Panics if `param_grads` is not one slot of the right shape per
     /// parameter, and may panic if `cache` was not produced by this
     /// layer's `forward` on a compatible input.
     fn backward(
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        param_grads: &mut [Tensor],
+        param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor>;
 
@@ -119,7 +194,7 @@ pub(crate) fn backward_stack(
     layers: &[Box<dyn Layer>],
     caches: &[LayerCache],
     grad_output: &Tensor,
-    mut param_grads: &mut [Tensor],
+    mut param_grads: &mut [GradSlot],
     need_input: bool,
 ) -> Option<Tensor> {
     let mut grad = None;
@@ -152,6 +227,11 @@ pub(crate) mod gradcheck {
             .collect()
     }
 
+    /// The slots' tensors, given up.
+    pub fn tensors(slots: Vec<GradSlot>) -> Vec<Tensor> {
+        slots.into_iter().map(GradSlot::into_tensor).collect()
+    }
+
     /// Verifies `backward` against central finite differences through a
     /// scalar loss `sum(output * probe)`.
     ///
@@ -161,17 +241,18 @@ pub(crate) mod gradcheck {
         let (out, cache) = layer.forward(input);
         let probe = Tensor::from_fn(out.shape().clone(), |i| ((i % 7) as f32 - 3.0) * 0.25);
         // Slots that hold something else: every element must be written.
-        let stale = || -> Vec<Tensor> {
+        let stale = || -> Vec<GradSlot> {
             let params = layer.params();
             params
                 .iter()
-                .map(|p| Tensor::full(p.shape().clone(), f32::NAN))
+                .map(|p| GradSlot::Write(Tensor::full(p.shape().clone(), f32::NAN)))
                 .collect()
         };
-        let mut param_grads = stale();
+        let mut slots = stale();
         let grad_input = layer
-            .backward(&cache, &probe, &mut param_grads, true)
+            .backward(&cache, &probe, &mut slots, true)
             .expect("the input gradient was asked for");
+        let param_grads = tensors(slots);
         let mut params_only = stale();
         assert!(
             layer
@@ -180,10 +261,35 @@ pub(crate) mod gradcheck {
             "the input gradient was not asked for"
         );
         assert_eq!(
-            bits(&params_only),
+            bits(&tensors(params_only)),
             bits(&param_grads),
             "skipping the input gradient must not change a parameter gradient"
         );
+        // Add slots end at what they held plus the written gradient, one
+        // add per element, with the largest magnitude left beside them.
+        let held: Vec<Tensor> = param_grads
+            .iter()
+            .map(|g| Tensor::from_fn(g.shape().clone(), |i| ((i % 5) as f32 - 2.0) * 0.125))
+            .collect();
+        let mut added: Vec<GradSlot> = held
+            .iter()
+            .map(|h| GradSlot::Add {
+                buffer: h.clone(),
+                max_abs: f32::NAN,
+            })
+            .collect();
+        layer.backward(&cache, &probe, &mut added, true);
+        for ((slot, h), g) in added.iter().zip(&held).zip(&param_grads) {
+            let want = h.add(g).unwrap();
+            let GradSlot::Add { buffer, max_abs } = slot else {
+                unreachable!("built as add slots")
+            };
+            assert_eq!(
+                bits(std::slice::from_ref(buffer)),
+                bits(std::slice::from_ref(&want))
+            );
+            assert_eq!(max_abs.to_bits(), want.max_abs().to_bits());
+        }
 
         let eps = 1e-3f32;
         // Input gradient.
@@ -226,7 +332,7 @@ pub(crate) mod gradcheck {
 #[cfg(test)]
 mod residual {
     mod tests {
-        use crate::layers::{gradcheck::check_layer, Layer};
+        use crate::layers::{gradcheck::check_layer, GradSlot, Layer};
         use crate::models::dense_block;
         use threelc_tensor::{Initializer, Tensor};
 
@@ -266,7 +372,11 @@ mod residual {
             let x = Tensor::from_vec(vec![1.0, 1.0], [1, 2]);
             let (_, cache) = block.forward(&x);
             let g = Tensor::from_vec(vec![0.3, -0.7], [1, 2]);
-            let mut param_grads: Vec<Tensor> = block.params().into_iter().cloned().collect();
+            let mut param_grads: Vec<GradSlot> = block
+                .params()
+                .into_iter()
+                .map(|p| GradSlot::Write(p.clone()))
+                .collect();
             let grad_input = block.backward(&cache, &g, &mut param_grads, true);
             assert_eq!(grad_input, Some(g));
         }

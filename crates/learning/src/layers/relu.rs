@@ -1,6 +1,6 @@
 //! Rectified linear unit activation.
 
-use super::{Layer, LayerCache};
+use super::{GradSlot, Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 /// Elementwise `max(0, x)` activation. Parameterless.
@@ -34,7 +34,7 @@ impl Layer for ReluLayer {
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        _param_grads: &mut [Tensor],
+        _param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
         need_input.then(|| {

@@ -1,6 +1,6 @@
 //! The residual (identity-mapping) wrapper around a layer path.
 
-use super::{backward_stack, forward_stack, Layer, LayerCache};
+use super::{backward_stack, forward_stack, GradSlot, Layer, LayerCache};
 use threelc_tensor::Tensor;
 
 /// Wraps any stack of layers in an identity shortcut: `y = x + path(x)`.
@@ -70,7 +70,7 @@ impl Layer for Residual {
         &self,
         cache: &LayerCache,
         grad_output: &Tensor,
-        param_grads: &mut [Tensor],
+        param_grads: &mut [GradSlot],
         need_input: bool,
     ) -> Option<Tensor> {
         let grad = backward_stack(

@@ -15,10 +15,10 @@
 //!   tensors, exposing exactly the interface a parameter server needs:
 //!   read/overwrite parameters ([`Network::snapshot`] /
 //!   [`Network::restore`] are the in-memory checkpoint) and compute
-//!   per-parameter gradients into tensors the caller keeps
-//!   ([`Network::loss_and_gradients_into`]).
+//!   per-parameter gradients into tensors the caller keeps, written or
+//!   added into ([`Network::loss_and_gradients_into`], [`GradSlot`]).
 //! - [`Layer`] — `forward` plus one [`backward`](Layer::backward) that
-//!   writes every parameter gradient into the caller's slots and returns
+//!   puts every parameter gradient into the caller's slots and returns
 //!   the input gradient only when asked. Dense, batch-norm, ReLU, conv and
 //!   pooling layers implement it, and so does [`Residual`], the one
 //!   identity-shortcut wrapper both [`models::residual_mlp`] and
@@ -59,8 +59,8 @@ pub mod schedule;
 
 pub use data::{Batch, DataSpec, SyntheticImages};
 pub use layers::{
-    BatchNormLayer, Conv2dLayer, DenseLayer, GlobalAvgPoolLayer, Layer, LayerCache, ReluLayer,
-    Residual,
+    BatchNormLayer, Conv2dLayer, DenseLayer, GlobalAvgPoolLayer, GradSlot, Layer, LayerCache,
+    ReluLayer, Residual,
 };
 pub use loss::softmax_cross_entropy;
 pub use metrics::{accuracy, Evaluation};

@@ -113,7 +113,7 @@ mod tests {
             &self,
             _: &crate::LayerCache,
             grad_output: &Tensor,
-            _: &mut [Tensor],
+            _: &mut [crate::GradSlot],
             need_input: bool,
         ) -> Option<Tensor> {
             need_input.then(|| grad_output.clone())

@@ -229,9 +229,15 @@ mod tests {
         ] {
             let mut grads = Vec::new();
             net.loss_and_gradients_into(&data.sample_train_batch(&mut rng, 4), &mut grads);
-            let before: Vec<_> = grads.iter().map(|g| g.as_slice().as_ptr()).collect();
+            let before: Vec<_> = grads
+                .iter()
+                .map(|g| g.tensor().as_slice().as_ptr())
+                .collect();
             net.loss_and_gradients_into(&data.sample_train_batch(&mut rng, 4), &mut grads);
-            let after: Vec<_> = grads.iter().map(|g| g.as_slice().as_ptr()).collect();
+            let after: Vec<_> = grads
+                .iter()
+                .map(|g| g.tensor().as_slice().as_ptr())
+                .collect();
             assert_eq!(before, after, "{:?}", net.param_names());
         }
     }

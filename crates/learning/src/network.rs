@@ -1,7 +1,7 @@
 //! The [`Network`] type: an ordered layer stack with named parameters.
 
 use crate::data::Batch;
-use crate::layers::{backward_stack, forward_stack, Layer};
+use crate::layers::{backward_stack, forward_stack, GradSlot, Layer};
 use crate::loss::softmax_cross_entropy;
 use threelc_tensor::Tensor;
 
@@ -70,35 +70,36 @@ impl Network {
     /// Computes mean cross-entropy loss and per-parameter gradients for a
     /// batch. Gradient order matches [`param_names`](Network::param_names).
     pub fn loss_and_gradients(&self, batch: &Batch) -> (f32, Vec<Tensor>) {
-        let mut grads = Vec::new();
-        let loss = self.loss_and_gradients_into(batch, &mut grads);
-        (loss, grads)
+        let mut slots = Vec::new();
+        let loss = self.loss_and_gradients_into(batch, &mut slots);
+        (loss, slots.into_iter().map(GradSlot::into_tensor).collect())
     }
 
-    /// [`loss_and_gradients`](Network::loss_and_gradients) into tensors the
-    /// caller keeps: `grads` comes back holding one gradient per parameter,
+    /// [`loss_and_gradients`](Network::loss_and_gradients) into slots the
+    /// caller keeps: `slots` comes back holding one gradient per parameter,
     /// and handed in again — as a training loop does every step — its
-    /// tensors are overwritten in place instead of reallocated
-    /// ([`Layer::backward`]). Anything else in `grads` (nothing, or tensors
-    /// of other shapes) is replaced.
-    pub fn loss_and_gradients_into(&self, batch: &Batch, grads: &mut Vec<Tensor>) -> f32 {
+    /// tensors are overwritten in place instead of reallocated, or, for a
+    /// [`GradSlot::Add`], added into ([`Layer::backward`]). Anything else in
+    /// `slots` (nothing, or tensors of other shapes) is replaced by
+    /// [`GradSlot::Write`]s.
+    pub fn loss_and_gradients_into(&self, batch: &Batch, slots: &mut Vec<GradSlot>) -> f32 {
         // One slot per parameter, of its shape.
         let params = self.params();
-        let reusable = grads.len() == params.len()
-            && grads
+        let reusable = slots.len() == params.len()
+            && slots
                 .iter()
                 .zip(&params)
-                .all(|(g, p)| g.shape() == p.shape());
+                .all(|(g, p)| g.tensor().shape() == p.shape());
         if !reusable {
-            *grads = params
+            *slots = params
                 .iter()
-                .map(|p| Tensor::zeros(p.shape().clone()))
+                .map(|p| GradSlot::Write(Tensor::zeros(p.shape().clone())))
                 .collect();
         }
         let (logits, caches) = forward_stack(&self.layers, &batch.inputs);
         let (loss, grad) = softmax_cross_entropy(&logits, &batch.labels);
         // Nothing reads the bottom layer's input gradient.
-        backward_stack(&self.layers, &caches, &grad, grads, false);
+        backward_stack(&self.layers, &caches, &grad, slots, false);
         loss
     }
 
@@ -231,19 +232,23 @@ mod tests {
 
     #[test]
     fn gradients_into_reused_buffers_match_fresh_ones_bit_for_bit() {
-        use crate::layers::gradcheck::bits;
+        use crate::layers::gradcheck::{bits, tensors};
         let net = tiny_net(1);
         // Starts empty, is then reused across different batches, and
         // recovers from tensors that are not the model's.
-        let mut grads = Vec::new();
+        let mut slots = Vec::new();
         for seed in [2, 3, 4] {
             let batch = tiny_batch(seed);
             let (want_loss, want) = net.loss_and_gradients(&batch);
-            let loss = net.loss_and_gradients_into(&batch, &mut grads);
+            let loss = net.loss_and_gradients_into(&batch, &mut slots);
             assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss, batch {seed}");
-            assert_eq!(bits(&grads), bits(&want), "gradients, batch {seed}");
+            assert_eq!(
+                bits(&tensors(slots.clone())),
+                bits(&want),
+                "gradients, batch {seed}"
+            );
             if seed == 3 {
-                grads[0] = Tensor::zeros([2, 2]);
+                slots[0] = GradSlot::Write(Tensor::zeros([2, 2]));
             }
         }
     }

@@ -57,8 +57,8 @@ impl From<io::Error> for NetError {
 /// Serializes a tensor as little-endian `f32`s (the raw-tensor payload).
 ///
 /// The same bytes as [`Tensor::to_le_bytes`], which this crate calls
-/// directly; the name stays for the ledger's replay and kernel rows and
-/// the root model-CRC test, which import it.
+/// directly; the name stays for the ledger's replay and kernel rows, which
+/// import it.
 pub fn tensor_to_bytes(t: &Tensor) -> Vec<u8> {
     t.to_le_bytes()
 }

@@ -10,6 +10,9 @@
 //! [`Tensor::matmul_tn_into`] is `matmul_tn` into a tensor the caller
 //! keeps: the weight gradient is the one product as large as the model,
 //! and a training loop reuses its buffer every step.
+//! [`Tensor::matmul_tn_add_into`] adds the product into such a tensor
+//! instead — an error-accumulation buffer, which is all a 3LC worker keeps
+//! of a weight gradient — and returns the largest magnitude it left there.
 //!
 //! No layout materialises a transposed operand. `matmul` and `matmul_tn`
 //! run one loop nest (`gemm_rows`) over a row-major right operand and
@@ -24,7 +27,8 @@
 //! its own panels. Rows share no accumulator, so the thread count changes
 //! no bit.
 //!
-//! Both kernel bodies are compiled twice from one source: at the build's
+//! The kernel bodies — the nest, the lane kernel and the add-into
+//! epilogue — are compiled twice from one source: at the build's
 //! baseline, and inside a `#[target_feature(enable = "avx2")]` function
 //! where an eight-wide sum fits one register instead of two. The first
 //! product of a process asks the CPU once (`avx2_detected`), and every
@@ -38,6 +42,13 @@
 //! *which elements* are advanced together, never the order of the additions
 //! into any one of them: DESIGN.md §17 has the argument,
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
+//!
+//! An add-into product (`gemm_rows_add`) runs the same blocking and the
+//! same per-element term order, but forms each sum in a scratch — one
+//! row's worth on the stack when a single panel holds every inner index,
+//! a row block's otherwise — and adds it once, complete, into its
+//! element, folding the result's magnitude on the way (DESIGN.md §17, "The
+//! add-into epilogue"): the product is never stored at its full size.
 
 use crate::{Tensor, TensorError};
 #[cfg(target_arch = "x86_64")]
@@ -60,6 +71,10 @@ const KC: usize = 32;
 /// once per 32-deep panel. A product of `m ≤ MC` rows — every forward GEMM
 /// of a training step — is one block.
 const MC: usize = 128;
+
+/// Clears an IEEE-754 single's sign bit: what is left orders like the
+/// magnitude it spells, and exceeds `f32::INFINITY`'s bits only for a NaN.
+const ABS: u32 = 0x7fff_ffff;
 
 /// Output rows [`gemm_nt`] advances together, one lane each: one AVX2
 /// register, or two SSE2 ones, per right-operand row it reads.
@@ -129,6 +144,24 @@ mod avx2 {
     pub(super) fn gemm_nt(dims: (usize, usize, usize), a: &[f32], b: &[f32]) -> Vec<f32> {
         super::gemm_nt_body(dims, a, b)
     }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_rows_add(
+        dims: (usize, usize, usize),
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        acc: &mut [f32],
+        panel: &mut [f32],
+        sums: &mut [f32],
+    ) -> u32 {
+        super::gemm_rows_add_body(dims, a, a_strides, b, acc, panel, sums)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn add_max_abs_bits(acc: &mut [f32], xs: &[f32]) -> u32 {
+        super::add_max_abs_bits_body(acc, xs)
+    }
 }
 
 /// Adds the first `N` listed terms to every element of an output row
@@ -138,8 +171,15 @@ mod avx2 {
 /// which reorders nothing.
 #[inline(always)]
 fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], panel: &[f32]) {
-    let c: [f32; N] = std::array::from_fn(|t| coef[t]);
-    let rows: [&[f32]; N] = std::array::from_fn(|t| &panel[offset[t]..][..out.len()]);
+    // Filled by hand: `std::array::from_fn` is not always inlined into the
+    // AVX2 instantiation, and an out-of-line call here costs the nest a
+    // fifth of its speed.
+    let mut c = [0.0f32; N];
+    let mut rows: [&[f32]; N] = [&[]; N];
+    for t in 0..N {
+        c[t] = coef[t];
+        rows[t] = &panel[offset[t]..][..out.len()];
+    }
     for (j, o) in out.iter_mut().enumerate() {
         let mut acc = *o;
         for t in 0..N {
@@ -153,51 +193,74 @@ fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], pa
 /// row-major `k × n` right operand, where `a(i, l) = a[i·a_row + l·a_col]`.
 fn gemm(dims: (usize, usize, usize), a: &[f32], a_strides: (usize, usize), b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; dims.0 * dims.1];
-    gemm_into(dims, a, a_strides, b, &mut out);
+    gemm_into::<false>(dims, a, a_strides, b, &mut out);
     out
 }
 
-/// [`gemm`] adding its terms to `out`, an `m × n` buffer the caller has
-/// filled with `+0.0`, on as many threads as [`parts_for`] says the
-/// product is worth.
-fn gemm_into(
+/// [`gemm`] on as many threads as [`parts_for`] says the product is worth:
+/// adding its terms to `out`, an `m × n` buffer the caller has filled with
+/// `+0.0` (`ADD = false`), or adding each complete sum to what `out`
+/// holds (`ADD = true`). Returns the largest `bits & ABS` an add left in
+/// `out` — the largest magnitude there, or more than `f32::INFINITY`'s
+/// bits if a NaN was — and 0 for a plain product.
+fn gemm_into<const ADD: bool>(
     dims: (usize, usize, usize),
     a: &[f32],
     a_strides: (usize, usize),
     b: &[f32],
     out: &mut [f32],
-) {
-    gemm_split(parts_for(dims), dims, a, a_strides, b, out);
+) -> u32 {
+    gemm_split::<ADD>(parts_for(dims), dims, a, a_strides, b, out)
 }
 
 /// [`gemm_into`] over `parts` contiguous blocks of output rows, one scoped
 /// thread per block, the first block on the calling thread; a thread takes
-/// its rows through the nest [`MC`] at a time with one panel buffer. A
-/// block of output rows goes with the matching rows of the left operand,
-/// whose element `(i, l)` is at `i·a_row + l·a_col` in either layout. An
-/// output element belongs to one block and gets the terms the nest over
-/// all rows would give it, in the same order, so the result depends on
-/// neither `parts` nor `MC`; one part spawns nothing.
-fn gemm_split(
+/// its rows through the nest [`MC`] at a time with one panel buffer (and,
+/// for an add deeper than one panel, one `MC × NC` sum block). A block of
+/// output rows goes with the matching rows of the left operand, whose
+/// element `(i, l)` is at `i·a_row + l·a_col` in either layout. An output
+/// element belongs to one block and gets the terms the nest over all rows
+/// would give it, in the same order, so the result depends on neither
+/// `parts` nor `MC`; one part spawns nothing.
+fn gemm_split<const ADD: bool>(
     parts: usize,
     (m, n, k): (usize, usize, usize),
     a: &[f32],
     (a_row, a_col): (usize, usize),
     b: &[f32],
     out: &mut [f32],
-) {
-    // An empty sum leaves the zeros it was handed.
-    if out.is_empty() || k == 0 {
-        return;
+) -> u32 {
+    // An empty plain sum leaves the zeros it was handed; an empty added
+    // one still adds its +0.0.
+    if out.is_empty() || (k == 0 && !ADD) {
+        return 0;
     }
     let rows = m.div_ceil(parts);
     let run = |(p, out): (usize, &mut [f32])| {
-        let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+        let panel_len = if ADD && k <= KC {
+            k * n
+        } else {
+            KC.min(k) * NC.min(n)
+        };
+        let mut panel = vec![0.0f32; panel_len];
+        let sum_block = if ADD && k > KC {
+            MC.min(rows) * NC.min(n)
+        } else {
+            0
+        };
+        let mut sums = vec![0.0f32; sum_block];
+        let mut max_bits = 0;
         for (q, block) in out.chunks_mut(MC * n).enumerate() {
             let a = &a[(p * rows + q * MC) * a_row..];
             let dims = (block.len() / n, n, k);
-            gemm_rows(dims, a, (a_row, a_col), b, block, &mut panel);
+            if ADD {
+                let bits = gemm_rows_add(dims, a, (a_row, a_col), b, block, &mut panel, &mut sums);
+                max_bits = max_bits.max(bits);
+            } else {
+                gemm_rows(dims, a, (a_row, a_col), b, block, &mut panel);
+            }
         }
+        max_bits
     };
     if rows >= m {
         return run((0, out));
@@ -205,11 +268,16 @@ fn gemm_split(
     std::thread::scope(|scope| {
         let mut blocks = out.chunks_mut(rows * n).enumerate();
         let first = blocks.next().expect("m > rows > 0, so there is a block");
-        for block in blocks {
-            scope.spawn(move || run(block));
-        }
-        run(first);
-    });
+        let others: Vec<_> = blocks
+            .map(|block| scope.spawn(move || run(block)))
+            .collect();
+        others.into_iter().fold(run(first), |max_bits, other| {
+            let bits = other
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            max_bits.max(bits)
+        })
+    })
 }
 
 /// The loop nest. For each `KC × NC` panel of the right operand, its row
@@ -238,51 +306,204 @@ fn gemm_rows(
 fn gemm_rows_body(
     (m, n, k): (usize, usize, usize),
     a: &[f32],
-    (a_row, a_col): (usize, usize),
+    strides: (usize, usize),
     b: &[f32],
     out: &mut [f32],
     panel: &mut [f32],
 ) {
-    let mut coef = [0.0f32; KC];
-    let mut offset = [0usize; KC];
     for j0 in (0..n).step_by(NC) {
         let nc = NC.min(n - j0);
         for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            let panel = &mut panel[..kc * nc];
-            for (l, dst) in panel.chunks_exact_mut(nc).enumerate() {
-                dst.copy_from_slice(&b[(l0 + l) * n + j0..][..nc]);
-            }
+            let panel = pack_panel(b, n, (l0, KC.min(k - l0)), (j0, nc), panel);
             for i in 0..m {
-                // Branch-free compaction: a zero is overwritten by the next
-                // candidate because `count` did not move past it.
-                let mut count = 0;
-                for l in 0..kc {
-                    let v = a[i * a_row + (l0 + l) * a_col];
-                    coef[count] = v;
-                    offset[count] = l * nc;
-                    count += usize::from(v != 0.0);
-                }
-                let out_row = &mut out[i * n + j0..][..nc];
-                let (mut coef, mut offset) = (&coef[..count], &offset[..count]);
-                while coef.len() >= 8 {
-                    add_terms::<8>(out_row, coef, offset, panel);
-                    (coef, offset) = (&coef[8..], &offset[8..]);
-                }
-                if coef.len() >= 4 {
-                    add_terms::<4>(out_row, coef, offset, panel);
-                    (coef, offset) = (&coef[4..], &offset[4..]);
-                }
-                if coef.len() >= 2 {
-                    add_terms::<2>(out_row, coef, offset, panel);
-                    (coef, offset) = (&coef[2..], &offset[2..]);
-                }
-                if coef.len() == 1 {
-                    add_terms::<1>(out_row, coef, offset, panel);
-                }
+                add_row_terms(a, strides, i, l0, panel, &mut out[i * n + j0..][..nc]);
             }
         }
     }
+}
+
+/// The add-into nest: [`gemm_rows`]'s panels, compaction and term order,
+/// but every sum formed from `+0.0` in a scratch and, once complete, added
+/// into its element of `acc` ([`add_max_abs_bits`]). With one panel's
+/// depth (`k ≤ KC`: every training batch of the ledger's workloads) all
+/// `n / NC` panels are packed side by side into `panel` (`k × n` floats,
+/// 32 KiB at batch 8 and width 1 024), and each row of `acc` is then swept
+/// once, in order, a strip's sums complete after one pass and held in a
+/// stack array. Deeper, the nest keeps [`gemm_rows`]'s loop order and a
+/// row block's sums for one column panel live in `sums` (`MC × NC`) until
+/// the last panel has added to them. Returns the largest `bits & ABS`
+/// left in `acc`.
+fn gemm_rows_add(
+    dims: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    acc: &mut [f32],
+    panel: &mut [f32],
+    sums: &mut [f32],
+) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: `avx2_detected()` saw the feature, the only thing the
+        // instantiation requires; it reads through checked slices.
+        return unsafe { avx2::gemm_rows_add(dims, a, a_strides, b, acc, panel, sums) };
+    }
+    gemm_rows_add_body(dims, a, a_strides, b, acc, panel, sums)
+}
+
+/// The body of [`gemm_rows_add`], inlined into each instantiation.
+#[inline(always)]
+fn gemm_rows_add_body(
+    (m, n, k): (usize, usize, usize),
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    acc: &mut [f32],
+    panel: &mut [f32],
+    sums: &mut [f32],
+) -> u32 {
+    let mut max_bits = 0;
+    if k <= KC {
+        // Every column panel packed once, side by side, so that each row
+        // of `acc` is then swept once, in order.
+        for j0 in (0..n).step_by(NC) {
+            pack_panel(b, n, (0, k), (j0, NC.min(n - j0)), &mut panel[j0 * k..]);
+        }
+        let mut row = [0.0f32; NC];
+        for i in 0..m {
+            for j0 in (0..n).step_by(NC) {
+                let nc = NC.min(n - j0);
+                let row = &mut row[..nc];
+                row.fill(0.0);
+                add_row_terms(a, strides, i, 0, &panel[j0 * k..][..k * nc], row);
+                let bits = add_max_abs_bits_body(&mut acc[i * n + j0..][..nc], row);
+                max_bits = max_bits.max(bits);
+            }
+        }
+        return max_bits;
+    }
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        let block = &mut sums[..m * nc];
+        block.fill(0.0);
+        for l0 in (0..k).step_by(KC) {
+            let panel = pack_panel(b, n, (l0, KC.min(k - l0)), (j0, nc), panel);
+            for (i, row) in block.chunks_exact_mut(nc).enumerate() {
+                add_row_terms(a, strides, i, l0, panel, row);
+            }
+        }
+        for (i, row) in block.chunks_exact(nc).enumerate() {
+            let bits = add_max_abs_bits_body(&mut acc[i * n + j0..][..nc], row);
+            max_bits = max_bits.max(bits);
+        }
+    }
+    max_bits
+}
+
+/// Copies rows `l0 .. l0 + kc`, columns `j0 .. j0 + nc` of the row-major
+/// `k × n` right operand into contiguous rows of `panel`, and returns
+/// them.
+#[inline(always)]
+fn pack_panel<'p>(
+    b: &[f32],
+    n: usize,
+    (l0, kc): (usize, usize),
+    (j0, nc): (usize, usize),
+    panel: &'p mut [f32],
+) -> &'p [f32] {
+    let panel = &mut panel[..kc * nc];
+    for (l, dst) in panel.chunks_exact_mut(nc).enumerate() {
+        dst.copy_from_slice(&b[(l0 + l) * n + j0..][..nc]);
+    }
+    panel
+}
+
+/// Adds to `sums` the terms of output row `i` that the packed `panel`
+/// (inner indices from `l0`) holds: the row's nonzero left factors listed
+/// in ascending order, then added eight at a time, as [`gemm_rows`] does.
+#[inline(always)]
+fn add_row_terms(
+    a: &[f32],
+    (a_row, a_col): (usize, usize),
+    i: usize,
+    l0: usize,
+    panel: &[f32],
+    sums: &mut [f32],
+) {
+    let nc = sums.len();
+    let mut coef = [0.0f32; KC];
+    let mut offset = [0usize; KC];
+    let mut count = 0;
+    for l in 0..panel.len() / nc {
+        let v = a[i * a_row + (l0 + l) * a_col];
+        coef[count] = v;
+        offset[count] = l * nc;
+        count += usize::from(v != 0.0);
+    }
+    let (mut coef, mut offset) = (&coef[..count], &offset[..count]);
+    while coef.len() >= 8 {
+        add_terms::<8>(sums, coef, offset, panel);
+        (coef, offset) = (&coef[8..], &offset[8..]);
+    }
+    if coef.len() >= 4 {
+        add_terms::<4>(sums, coef, offset, panel);
+        (coef, offset) = (&coef[4..], &offset[4..]);
+    }
+    if coef.len() >= 2 {
+        add_terms::<2>(sums, coef, offset, panel);
+        (coef, offset) = (&coef[2..], &offset[2..]);
+    }
+    if coef.len() == 1 {
+        add_terms::<1>(sums, coef, offset, panel);
+    }
+}
+
+/// `acc[e] += xs[e]`, one IEEE add each, folding `bits & ABS` of every
+/// result into a max over eight lanes (which the compiler widens; a max
+/// over integers is the same in any order).
+fn add_max_abs_bits(acc: &mut [f32], xs: &[f32]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: `avx2_detected()` saw the feature, the only thing the
+        // instantiation requires; it reads through checked slices.
+        return unsafe { avx2::add_max_abs_bits(acc, xs) };
+    }
+    add_max_abs_bits_body(acc, xs)
+}
+
+/// The body of [`add_max_abs_bits`], inlined into each instantiation.
+#[inline(always)]
+fn add_max_abs_bits_body(acc: &mut [f32], xs: &[f32]) -> u32 {
+    assert_eq!(acc.len(), xs.len(), "one term per element");
+    let mut lanes = [0u32; 8];
+    let mut acc_chunks = acc.chunks_exact_mut(8);
+    let mut xs_chunks = xs.chunks_exact(8);
+    for (o, x) in (&mut acc_chunks).zip(&mut xs_chunks) {
+        for t in 0..8 {
+            let v = o[t] + x[t];
+            o[t] = v;
+            lanes[t] = lanes[t].max(v.to_bits() & ABS);
+        }
+    }
+    let tail = acc_chunks.into_remainder().iter_mut();
+    for (o, x) in tail.zip(xs_chunks.remainder()) {
+        *o += x;
+        lanes[0] = lanes[0].max(o.to_bits() & ABS);
+    }
+    lanes.into_iter().max().unwrap_or(0)
+}
+
+/// Adds `xs` into `acc` element by element, one IEEE add each, and returns
+/// the largest magnitude `acc` holds afterwards — a non-finite value if
+/// any element is infinite or NaN. The epilogue of
+/// [`Tensor::matmul_tn_add_into`], for gradients formed elsewhere (a bias's
+/// column sums, a batch norm's reductions).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn add_max_abs(acc: &mut [f32], xs: &[f32]) -> f32 {
+    f32::from_bits(add_max_abs_bits(acc, xs))
 }
 
 /// `out[i][j] = Σ_l a[i·k + l] · b[j·k + l]` for an `m × k` left and an
@@ -459,6 +680,39 @@ impl Tensor {
     /// As [`matmul_tn`](Tensor::matmul_tn), and
     /// [`TensorError::ShapeMismatch`] if `out` is not `[m, n]`.
     pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+        let dims = self.tn_dims(other, out)?;
+        let out = out.as_mut_slice();
+        out.fill(0.0);
+        gemm_into::<false>(dims, self.as_slice(), (1, dims.0), other.as_slice(), out);
+        Ok(())
+    }
+
+    /// Adds [`matmul_tn`](Tensor::matmul_tn) into `acc`, an `[m, n]` tensor:
+    /// `acc[e] += (selfᵀ · other)[e]`, each product element the sum
+    /// `matmul_tn` forms, added once, so `acc` ends bit-identical to adding
+    /// `matmul_tn`'s result to it element by element — without the product
+    /// ever being stored. Returns the largest magnitude `acc` holds
+    /// afterwards, folded on the way out: a non-finite value if any element
+    /// is infinite or NaN.
+    ///
+    /// # Errors
+    ///
+    /// As [`matmul_tn_into`](Tensor::matmul_tn_into); `acc` is untouched on
+    /// error.
+    pub fn matmul_tn_add_into(&self, other: &Tensor, acc: &mut Tensor) -> Result<f32, TensorError> {
+        let dims = self.tn_dims(other, acc)?;
+        let bits = gemm_into::<true>(
+            dims,
+            self.as_slice(),
+            (1, dims.0),
+            other.as_slice(),
+            acc.as_mut_slice(),
+        );
+        Ok(f32::from_bits(bits))
+    }
+
+    /// The `(m, n, k)` of `selfᵀ · other` into `out`, checked.
+    fn tn_dims(&self, other: &Tensor, out: &Tensor) -> Result<(usize, usize, usize), TensorError> {
         let (k, m) = matrix_dims(self)?;
         let (k2, n) = matrix_dims(other)?;
         check_inner(k, k2)?;
@@ -468,10 +722,7 @@ impl Tensor {
                 right: out.shape().dims().to_vec(),
             });
         }
-        let out = out.as_mut_slice();
-        out.fill(0.0);
-        gemm_into((m, n, k), self.as_slice(), (1, m), other.as_slice(), out);
-        Ok(())
+        Ok((m, n, k))
     }
 }
 
@@ -575,7 +826,7 @@ mod tests {
         for strides in [(k, 1), (1, m)] {
             let run = |parts| {
                 let mut out = vec![0.0f32; m * n];
-                gemm_split(parts, (m, n, k), &a, strides, &b, &mut out);
+                gemm_split::<false>(parts, (m, n, k), &a, strides, &b, &mut out);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let one = run(1);
@@ -583,6 +834,25 @@ mod tests {
                 assert_eq!(run(parts), one, "{parts} parts, {strides:?}");
             }
         }
+    }
+
+    /// The baseline instantiation of the nests over `m ≤ MC` rows, one
+    /// block, whatever this CPU would run.
+    fn baseline<const ADD: bool>(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        strides: (usize, usize),
+        b: &[f32],
+        out: &mut [f32],
+    ) -> u32 {
+        assert!(m <= MC, "one row block");
+        let mut panel = vec![0.0f32; KC.min(k) * n];
+        if !ADD {
+            gemm_rows_body((m, n, k), a, strides, b, out, &mut panel);
+            return 0;
+        }
+        let mut sums = vec![0.0f32; m * NC.min(n)];
+        gemm_rows_add_body((m, n, k), a, strides, b, out, &mut panel, &mut sums)
     }
 
     #[test]
@@ -619,8 +889,7 @@ mod tests {
                 // one row block of one part.
                 for strides in [(k, 1), (1, m)] {
                     let mut want = vec![0.0f32; m * n];
-                    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
-                    gemm_rows_body((m, n, k), &a, strides, &b, &mut want, &mut panel);
+                    baseline::<false>((m, n, k), &a, strides, &b, &mut want);
                     let got = gemm((m, n, k), &a, strides, &b);
                     assert_eq!(bits(&got), bits(&want), "m {m} k {k} n {n} {strides:?}");
                 }
@@ -640,6 +909,104 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "nt: m {m} k {k} n {n}");
             }
         }
+    }
+
+    #[test]
+    fn the_add_into_epilogue_adds_the_written_product_once() {
+        use rand::Rng as _;
+        let mut rng = crate::rng(47);
+        let normal = |rng: &mut crate::Rng| rng.gen_range(-2.0f32..2.0);
+        // A NaN is compared by position, any payload.
+        let bits = |xs: &[f32]| {
+            xs.iter()
+                .map(|x| (!x.is_nan()).then(|| x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // (batch, fan-in, fan-out): ragged against the panel and the lanes,
+        // batches either side of one panel's height, a fan-in over a row
+        // block, and a training step's thin batch.
+        for (k, m, n) in [
+            (1, 1, 1),
+            (8, 192, 300),
+            (8, 33, 257),
+            (31, 7, 9),
+            (32, 70, 513),
+            (33, 9, 40),
+            (70, 130, 17),
+        ] {
+            // A ReLU output (half zeros, whole dead columns) against an output
+            // gradient with the odd infinity or NaN.
+            let x: Vec<f32> = (0..k * m)
+                .map(|e| match rng.gen_range(0..2u32) {
+                    _ if e % m == 3 => 0.0,
+                    0 => 0.0,
+                    _ => normal(&mut rng).abs(),
+                })
+                .collect();
+            let dy: Vec<f32> = (0..k * n)
+                .map(|_| match rng.gen_range(0..64u32) {
+                    0 => f32::INFINITY,
+                    1 => f32::NEG_INFINITY,
+                    2 => f32::NAN,
+                    _ => normal(&mut rng),
+                })
+                .collect();
+            // A residual with both zeros and subnormals in it.
+            let acc: Vec<f32> = (0..m * n)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                    _ => normal(&mut rng) * 1e-3,
+                })
+                .collect();
+            let (x, dy) = (Tensor::from_vec(x, [k, m]), Tensor::from_vec(dy, [k, n]));
+
+            // The written product, then the codec's accumulate: `acc + g`
+            // element by element, max |·| folded over the result.
+            let mut grad = Tensor::full([m, n], f32::NAN);
+            x.matmul_tn_into(&dy, &mut grad).unwrap();
+            let want: Vec<f32> = acc
+                .iter()
+                .zip(grad.as_slice())
+                .map(|(a, g)| a + g)
+                .collect();
+            let want_max = want.iter().map(|v| v.to_bits() & ABS).max().unwrap_or(0);
+            let check = |got: &[f32], got_max: u32, what: &str| {
+                assert_eq!(bits(got), bits(&want), "{what}: k {k} m {m} n {n}");
+                if want_max < f32::INFINITY.to_bits() {
+                    assert_eq!(got_max, want_max, "{what}: max, k {k} m {m} n {n}");
+                } else {
+                    assert!(got_max >= f32::INFINITY.to_bits(), "{what}: finiteness");
+                }
+            };
+
+            let mut got = Tensor::from_vec(acc.clone(), [m, n]);
+            let got_max = x.matmul_tn_add_into(&dy, &mut got).unwrap();
+            check(got.as_slice(), got_max.to_bits(), "dispatched");
+            if m <= MC {
+                let mut got = acc.clone();
+                let max =
+                    baseline::<true>((m, n, k), x.as_slice(), (1, m), dy.as_slice(), &mut got);
+                check(&got, max, "baseline");
+            }
+            // Split over parts, as a product large enough to be worth it is.
+            let mut got = acc.clone();
+            let max =
+                gemm_split::<true>(3, (m, n, k), x.as_slice(), (1, m), dy.as_slice(), &mut got);
+            check(&got, max, "three parts");
+            let mut standalone = acc.clone();
+            let max = add_max_abs(&mut standalone, grad.as_slice());
+            check(&standalone, max.to_bits(), "add_max_abs");
+        }
+        let mut wrong = Tensor::zeros([2, 2]);
+        assert_eq!(
+            Tensor::zeros([3, 2]).matmul_tn_add_into(&Tensor::zeros([3, 3]), &mut wrong),
+            Err(TensorError::ShapeMismatch {
+                left: vec![2, 3],
+                right: vec![2, 2]
+            })
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod stats;
 mod tensor;
 
 pub use error::TensorError;
-pub use gemm::gemm_instantiation;
+pub use gemm::{add_max_abs, gemm_instantiation};
 pub use init::Initializer;
 pub use shape::Shape;
 pub use stats::{Histogram, TensorStats};

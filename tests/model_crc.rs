@@ -18,7 +18,6 @@ use threelc_learning::data::SyntheticConfig;
 use threelc_learning::{models, Evaluation, SgdMomentum, SyntheticImages};
 use threelc_net::crc32::crc32;
 use threelc_net::model_crc32;
-use threelc_net::protocol::tensor_to_bytes;
 
 const STEPS: u64 = 3;
 
@@ -175,8 +174,8 @@ fn wide_initial_model_is_pinned() {
 #[test]
 fn standard_dataset_is_pinned() {
     let data = SyntheticImages::standard(42 * 31 + 7);
-    let test = crc32(&tensor_to_bytes(&data.test_batch().inputs));
+    let test = crc32(&data.test_batch().inputs.to_le_bytes());
     let train = data.sample_train_batch(&mut threelc_tensor::rng(1), 64);
-    let train = crc32(&tensor_to_bytes(&train.inputs));
+    let train = crc32(&train.inputs.to_le_bytes());
     assert_eq!(format!("{test:08x} {train:08x}"), "ace078d1 eabbccae");
 }
