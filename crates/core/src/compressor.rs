@@ -235,9 +235,11 @@ impl Compressor for ThreeLcCompressor {
         accumulator: Tensor,
         max_abs: f32,
     ) -> Result<Vec<u8>, CompressError> {
-        if !self.options.error_accumulation {
-            return self.compress(&accumulator);
-        }
+        assert!(
+            self.options.error_accumulation,
+            "{} lends no accumulator to take back",
+            self.name()
+        );
         self.check_shape(&accumulator)?;
         // The accumulate was the producer's: this "quantize" span covers
         // the scale alone, so that a traced step records the same phases
@@ -621,51 +623,58 @@ mod tests {
         let bits =
             |t: Option<&Tensor>| t.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         for imp in CodecImpl::ALL.into_iter().filter(|i| i.is_available()) {
-            for (zero_run_encoding, error_accumulation) in
-                [(true, true), (false, true), (true, false)]
-            {
+            for zero_run_encoding in [true, false] {
                 let options = ThreeLcOptions {
                     zero_run_encoding,
-                    error_accumulation,
                     ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
                 };
-                let what = format!("{imp}, zre {zero_run_encoding}, ea {error_accumulation}");
+                let what = format!("{imp}, zre {zero_run_encoding}");
                 let mut twin =
                     ThreeLcCompressor::with_options(Shape::new(&[n]), options).with_codec_impl(imp);
                 let mut cx = twin.clone();
                 for input in &inputs {
                     let want = twin.compress(input).unwrap();
-                    let got = match cx.take_accumulator() {
-                        Some(mut acc) => {
-                            let max_abs = add_max_abs(acc.as_mut_slice(), input.as_slice());
-                            cx.compress_accumulator(acc, max_abs).unwrap()
-                        }
-                        None => {
-                            assert!(!error_accumulation, "{what}: lends its residual");
-                            cx.compress_accumulator(input.clone(), f32::NAN).unwrap()
-                        }
-                    };
+                    let mut acc = cx.take_accumulator().expect("lends its residual");
+                    let max_abs = add_max_abs(acc.as_mut_slice(), input.as_slice());
+                    let got = cx.compress_accumulator(acc, max_abs).unwrap();
                     assert_eq!(got, want, "{what}");
                     assert_eq!(bits(cx.residual()), bits(twin.residual()), "{what}");
                 }
-                if let Some(mut acc) = cx.take_accumulator() {
-                    // Written into after its max was folded: still refused.
-                    let max_abs = add_max_abs(acc.as_mut_slice(), inputs[0].as_slice());
-                    acc.as_mut_slice()[n - 1] = f32::NAN;
-                    assert_eq!(
-                        cx.compress_accumulator(acc, max_abs),
-                        Err(CompressError::NonFiniteInput),
-                        "{what}"
-                    );
-                    let acc = cx.take_accumulator().unwrap();
-                    assert_eq!(
-                        cx.compress_accumulator(acc, f32::INFINITY),
-                        Err(CompressError::NonFiniteInput),
-                        "{what}"
-                    );
-                }
+                // Written into after its max was folded: still refused.
+                let mut acc = cx.take_accumulator().unwrap();
+                let max_abs = add_max_abs(acc.as_mut_slice(), inputs[0].as_slice());
+                acc.as_mut_slice()[n - 1] = f32::NAN;
+                assert_eq!(
+                    cx.compress_accumulator(acc, max_abs),
+                    Err(CompressError::NonFiniteInput),
+                    "{what}"
+                );
+                let acc = cx.take_accumulator().unwrap();
+                assert_eq!(
+                    cx.compress_accumulator(acc, f32::INFINITY),
+                    Err(CompressError::NonFiniteInput),
+                    "{what}"
+                );
             }
         }
+        // Without error accumulation there is nothing to lend.
+        let options = ThreeLcOptions {
+            error_accumulation: false,
+            ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
+        };
+        let mut cx = ThreeLcCompressor::with_options(Shape::new(&[n]), options);
+        assert!(cx.take_accumulator().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "lends no accumulator")]
+    fn a_context_without_error_accumulation_takes_no_accumulator_back() {
+        let options = ThreeLcOptions {
+            error_accumulation: false,
+            ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
+        };
+        let mut cx = ThreeLcCompressor::with_options(Shape::new(&[4]), options);
+        let _ = cx.compress_accumulator(Tensor::zeros([4]), 0.0);
     }
 
     #[test]

@@ -59,20 +59,23 @@ pub trait Compressor: Send {
     /// `accumulator`, or a non-finite value if it holds one, as the
     /// producer folded it on its way through
     /// ([`Tensor::matmul_tn_add_into`], [`threelc_tensor::add_max_abs`]).
-    ///
-    /// The default, for a scheme that lends nothing, compresses
-    /// `accumulator` as an input.
+    /// Only a lent buffer comes back here: an input of a context that lends
+    /// none goes to `compress`.
     ///
     /// # Errors
     ///
     /// As [`compress`](Self::compress), for the input the buffer was lent
     /// for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this context lends no accumulator — the default.
     fn compress_accumulator(
         &mut self,
-        accumulator: Tensor,
+        _accumulator: Tensor,
         _max_abs: f32,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress(&accumulator)
+        panic!("{} lends no accumulator to take back", self.name())
     }
 
     /// Decompresses a wire payload produced by this context.

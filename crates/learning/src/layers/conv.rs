@@ -182,9 +182,17 @@ impl Layer for Conv2dLayer {
         let batch = grad_output.shape().dim(0);
         let (h, w, o) = (self.height, self.width, self.out_channels);
         let row_len = self.in_channels * self.kernel * self.kernel;
-        // Both gradients are sums over the batch, formed here and landed
-        // once.
-        let mut grad_weight = Tensor::zeros(self.weight.shape().clone());
+        // Both gradients are sums over the batch, formed from +0.0 and
+        // landed once: dW in place in a write slot, and in a scratch that
+        // is added once complete into an add slot.
+        let mut scratch = None;
+        let grad_weight = match weight_slot {
+            GradSlot::Write(t) => {
+                t.as_mut_slice().fill(0.0);
+                t
+            }
+            GradSlot::Add { .. } => scratch.insert(Tensor::zeros(self.weight.shape().clone())),
+        };
         let mut grad_bias = vec![0.0f32; o];
         // The input gradient costs a GEMM and a col2im per example.
         let mut grad_input = need_input.then(|| vec![0.0f32; batch * self.in_dim()]);
@@ -201,11 +209,9 @@ impl Layer for Conv2dLayer {
                 }
             }
             let dy = Tensor::from_vec(dy, [h * w, o]);
-            // dW += colᵀ · dY
-            let dw = col.matmul_tn(&dy).expect("dims match");
-            grad_weight
-                .add_assign(&dw)
-                .expect("dW has the weight's shape");
+            // dW += colᵀ · dY, each product element added once, unstored.
+            col.matmul_tn_add_into(&dy, grad_weight)
+                .expect("dims match and dW has the weight's shape");
             if let Some(grad_input) = &mut grad_input {
                 // dcol = dY · Wᵀ, then scatter back.
                 let dcol = dy.matmul_nt(&self.weight).expect("dims match");
@@ -214,7 +220,9 @@ impl Layer for Conv2dLayer {
                 grad_input[b * self.in_dim()..(b + 1) * self.in_dim()].copy_from_slice(&dx);
             }
         }
-        weight_slot.put(grad_weight.as_slice());
+        if let Some(grad_weight) = scratch {
+            weight_slot.put(grad_weight.as_slice());
+        }
         bias_slot.put(&grad_bias);
         grad_input.map(|g| Tensor::from_vec(g, [batch, self.in_dim()]))
     }

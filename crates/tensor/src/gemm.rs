@@ -43,12 +43,11 @@
 //! into any one of them: DESIGN.md §17 has the argument,
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
 //!
-//! An add-into product (`gemm_rows_add`) runs the same blocking and the
-//! same per-element term order, but forms each sum in a scratch — one
-//! row's worth on the stack when a single panel holds every inner index,
-//! a row block's otherwise — and adds it once, complete, into its
-//! element, folding the result's magnitude on the way (DESIGN.md §17, "The
-//! add-into epilogue"): the product is never stored at its full size.
+//! An add-into product (`gemm_rows_add`) runs the same panels and the
+//! same per-element term order, but sweeps the output row by row, forms
+//! each sum in a stack row and adds it once, complete, into its element,
+//! folding the result's magnitude on the way (DESIGN.md §17, "The add-into
+//! epilogue"): the product is never stored at its full size.
 
 use crate::{Tensor, TensorError};
 #[cfg(target_arch = "x86_64")]
@@ -153,9 +152,8 @@ mod avx2 {
         b: &[f32],
         acc: &mut [f32],
         panel: &mut [f32],
-        sums: &mut [f32],
     ) -> u32 {
-        super::gemm_rows_add_body(dims, a, a_strides, b, acc, panel, sums)
+        super::gemm_rows_add_body(dims, a, a_strides, b, acc, panel)
     }
 
     #[target_feature(enable = "avx2")]
@@ -215,8 +213,8 @@ fn gemm_into<const ADD: bool>(
 
 /// [`gemm_into`] over `parts` contiguous blocks of output rows, one scoped
 /// thread per block, the first block on the calling thread; a thread takes
-/// its rows through the nest [`MC`] at a time with one panel buffer (and,
-/// for an add deeper than one panel, one `MC × NC` sum block). A block of
+/// its rows through the nest [`MC`] at a time with one panel buffer (for
+/// an add, one holding all of `b`). A block of
 /// output rows goes with the matching rows of the left operand, whose
 /// element `(i, l)` is at `i·a_row + l·a_col` in either layout. An output
 /// element belongs to one block and gets the terms the nest over all rows
@@ -237,24 +235,14 @@ fn gemm_split<const ADD: bool>(
     }
     let rows = m.div_ceil(parts);
     let run = |(p, out): (usize, &mut [f32])| {
-        let panel_len = if ADD && k <= KC {
-            k * n
-        } else {
-            KC.min(k) * NC.min(n)
-        };
+        let panel_len = if ADD { k * n } else { KC.min(k) * NC.min(n) };
         let mut panel = vec![0.0f32; panel_len];
-        let sum_block = if ADD && k > KC {
-            MC.min(rows) * NC.min(n)
-        } else {
-            0
-        };
-        let mut sums = vec![0.0f32; sum_block];
         let mut max_bits = 0;
         for (q, block) in out.chunks_mut(MC * n).enumerate() {
             let a = &a[(p * rows + q * MC) * a_row..];
             let dims = (block.len() / n, n, k);
             if ADD {
-                let bits = gemm_rows_add(dims, a, (a_row, a_col), b, block, &mut panel, &mut sums);
+                let bits = gemm_rows_add(dims, a, (a_row, a_col), b, block, &mut panel);
                 max_bits = max_bits.max(bits);
             } else {
                 gemm_rows(dims, a, (a_row, a_col), b, block, &mut panel);
@@ -323,16 +311,13 @@ fn gemm_rows_body(
 }
 
 /// The add-into nest: [`gemm_rows`]'s panels, compaction and term order,
-/// but every sum formed from `+0.0` in a scratch and, once complete, added
-/// into its element of `acc` ([`add_max_abs_bits`]). With one panel's
-/// depth (`k ≤ KC`: every training batch of the ledger's workloads) all
-/// `n / NC` panels are packed side by side into `panel` (`k × n` floats,
-/// 32 KiB at batch 8 and width 1 024), and each row of `acc` is then swept
-/// once, in order, a strip's sums complete after one pass and held in a
-/// stack array. Deeper, the nest keeps [`gemm_rows`]'s loop order and a
-/// row block's sums for one column panel live in `sums` (`MC × NC`) until
-/// the last panel has added to them. Returns the largest `bits & ABS`
-/// left in `acc`.
+/// but every sum formed from `+0.0` in a stack row and, once complete,
+/// added into its element of `acc` ([`add_max_abs_bits`]). All of the right
+/// operand is packed first, each column panel's `KC × NC` blocks one after
+/// another into `panel` (`k × n` floats, 32 KiB at batch 8 and width
+/// 1 024), and each row of `acc` is then swept once, in order: a strip's
+/// sum takes its terms block by block in ascending inner index, as the
+/// write nest gives them. Returns the largest `bits & ABS` left in `acc`.
 fn gemm_rows_add(
     dims: (usize, usize, usize),
     a: &[f32],
@@ -340,15 +325,14 @@ fn gemm_rows_add(
     b: &[f32],
     acc: &mut [f32],
     panel: &mut [f32],
-    sums: &mut [f32],
 ) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_detected() {
         // SAFETY: `avx2_detected()` saw the feature, the only thing the
         // instantiation requires; it reads through checked slices.
-        return unsafe { avx2::gemm_rows_add(dims, a, a_strides, b, acc, panel, sums) };
+        return unsafe { avx2::gemm_rows_add(dims, a, a_strides, b, acc, panel) };
     }
-    gemm_rows_add_body(dims, a, a_strides, b, acc, panel, sums)
+    gemm_rows_add_body(dims, a, a_strides, b, acc, panel)
 }
 
 /// The body of [`gemm_rows_add`], inlined into each instantiation.
@@ -360,39 +344,25 @@ fn gemm_rows_add_body(
     b: &[f32],
     acc: &mut [f32],
     panel: &mut [f32],
-    sums: &mut [f32],
 ) -> u32 {
-    let mut max_bits = 0;
-    if k <= KC {
-        // Every column panel packed once, side by side, so that each row
-        // of `acc` is then swept once, in order.
-        for j0 in (0..n).step_by(NC) {
-            pack_panel(b, n, (0, k), (j0, NC.min(n - j0)), &mut panel[j0 * k..]);
-        }
-        let mut row = [0.0f32; NC];
-        for i in 0..m {
-            for j0 in (0..n).step_by(NC) {
-                let nc = NC.min(n - j0);
-                let row = &mut row[..nc];
-                row.fill(0.0);
-                add_row_terms(a, strides, i, 0, &panel[j0 * k..][..k * nc], row);
-                let bits = add_max_abs_bits_body(&mut acc[i * n + j0..][..nc], row);
-                max_bits = max_bits.max(bits);
-            }
-        }
-        return max_bits;
-    }
     for j0 in (0..n).step_by(NC) {
         let nc = NC.min(n - j0);
-        let block = &mut sums[..m * nc];
-        block.fill(0.0);
         for l0 in (0..k).step_by(KC) {
-            let panel = pack_panel(b, n, (l0, KC.min(k - l0)), (j0, nc), panel);
-            for (i, row) in block.chunks_exact_mut(nc).enumerate() {
-                add_row_terms(a, strides, i, l0, panel, row);
-            }
+            let kc = KC.min(k - l0);
+            pack_panel(b, n, (l0, kc), (j0, nc), &mut panel[j0 * k + l0 * nc..]);
         }
-        for (i, row) in block.chunks_exact(nc).enumerate() {
+    }
+    let mut max_bits = 0;
+    let mut row = [0.0f32; NC];
+    for i in 0..m {
+        for j0 in (0..n).step_by(NC) {
+            let nc = NC.min(n - j0);
+            let row = &mut row[..nc];
+            row.fill(0.0);
+            let strip = &panel[j0 * k..][..k * nc];
+            for (l0, block) in (0..k).step_by(KC).zip(strip.chunks(KC * nc)) {
+                add_row_terms(a, strides, i, l0, block, row);
+            }
             let bits = add_max_abs_bits_body(&mut acc[i * n + j0..][..nc], row);
             max_bits = max_bits.max(bits);
         }
@@ -846,13 +816,12 @@ mod tests {
         out: &mut [f32],
     ) -> u32 {
         assert!(m <= MC, "one row block");
-        let mut panel = vec![0.0f32; KC.min(k) * n];
+        let mut panel = vec![0.0f32; k * n];
         if !ADD {
             gemm_rows_body((m, n, k), a, strides, b, out, &mut panel);
             return 0;
         }
-        let mut sums = vec![0.0f32; m * NC.min(n)];
-        gemm_rows_add_body((m, n, k), a, strides, b, out, &mut panel, &mut sums)
+        gemm_rows_add_body((m, n, k), a, strides, b, out, &mut panel)
     }
 
     #[test]
