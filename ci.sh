@@ -75,11 +75,13 @@ cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
-echo "==> forced codec tiers (core suite + net loopback on each)"
+echo "==> forced codec tiers (core suite + server step oracle + net loopback on each)"
 # Each leg forces one tier the host can run: the core suite holds the fused
-# decode (`unpack_dequant`, the kernel every push and pull goes through) to
-# its two-pass oracle on all tiers and runs the compressor's own tests on
-# the forced one; the loopback suite then drives the engine's `decode_into`
+# decode (`unpack_dequant` and its plane kernel, which every push and pull
+# goes through) to its two-pass oracle on all tiers and runs the
+# compressor's own tests on the forced one; aggregate_identity then holds
+# the server step — stage, the fused strip sweep and re-encode — to its
+# dense f32 oracle on it; the loopback suite drives the engine's decode
 # calls on it end to end. That the forced tier is the active one, that an
 # AVX2 host offers simd, and that every tier writes the same `.3lc` bytes
 # and rejects a corrupt one alike is crates/cli/tests/codec_matrix.rs.
@@ -87,6 +89,7 @@ tiers="$(target/release/threelc codec | sed -n 's/^available: //p')"
 for tier in $tiers; do
     echo "    tier $tier"
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-distsim --test aggregate_identity
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
 done
 

@@ -140,16 +140,25 @@ fn wire_designs() -> Vec<SchemeKind> {
 
 /// `decode_into` on a hostile payload: the error `decompress` reports, with
 /// `out` untouched, or — where `decompress` succeeds — its values under
-/// `op`, bit for bit.
-fn decode_into_agrees_with_decompress(cx: &dyn threelc::Compressor, payload: &[u8], what: &str) {
+/// `op`, bit for bit. A context that `stages` (its design lends an
+/// accumulator, the selector the parameter server uses) must also return
+/// that error from `stage`, and on success its strips, cut at any width,
+/// must reproduce `decode_into` under every op.
+fn decode_into_agrees_with_decompress(
+    cx: &dyn threelc::Compressor,
+    stages: bool,
+    payload: &[u8],
+    what: &str,
+) {
     use threelc::kernels::DequantOp;
     let n = N_VALUES;
     let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let before: Vec<f32> = (0..n).map(|i| i as f32 * 0.25 - 3.0).collect();
+    let decoded = cx.decompress(payload);
     for op in [DequantOp::Assign, DequantOp::AddScaled(0.5)] {
         let mut out = before.clone();
         let got = cx.decode_into(payload, op, &mut out);
-        match cx.decompress(payload) {
+        match &decoded {
             Ok(dense) => {
                 assert_eq!(got, Ok(()), "{what}: decompress decodes it");
                 let mut want = before.clone();
@@ -157,11 +166,72 @@ fn decode_into_agrees_with_decompress(cx: &dyn threelc::Compressor, payload: &[u
                 assert_eq!(bits(&out), bits(&want), "{what}: values under {op:?}");
             }
             Err(e) => {
-                assert_eq!(got, Err(e), "{what}: the same error");
+                assert_eq!(got, Err(e.clone()), "{what}: the same error");
                 assert_eq!(bits(&out), bits(&before), "{what}: out touched on error");
             }
         }
     }
+    if !stages {
+        return;
+    }
+    let staged = cx.stage(payload);
+    assert_eq!(
+        staged,
+        decoded.as_ref().map(|_| ()).map_err(Clone::clone),
+        "{what}: stage"
+    );
+    if staged.is_err() {
+        return;
+    }
+    let len = threelc::sizing::quartic_len(n);
+    for width in [1, 7, 2048, len] {
+        for op in [
+            DequantOp::Assign,
+            DequantOp::Add,
+            DequantOp::AssignScaled(0.5),
+            DequantOp::AddScaled(0.5),
+        ] {
+            let mut want = before.clone();
+            cx.decode_into(payload, op, &mut want).expect("it staged");
+            let mut out = before.clone();
+            for start in (0..len).step_by(width) {
+                let bytes = start..(start + width).min(len);
+                let ranges = threelc::sizing::strip_planes(n, bytes.clone());
+                // The strip's planes as the server lays them out: one
+                // buffer, plane after plane.
+                let mut strip: Vec<f32> = ranges
+                    .iter()
+                    .flat_map(|r| &out[r.clone()])
+                    .copied()
+                    .collect();
+                let mut rest = &mut strip[..];
+                let mut planes = ranges.clone().map(|r| {
+                    let (plane, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                    rest = tail;
+                    plane
+                });
+                cx.decode_strip(payload, bytes, op, &mut planes);
+                let mut values = strip.iter();
+                for r in ranges {
+                    for o in &mut out[r] {
+                        *o = *values.next().expect("one value per element");
+                    }
+                }
+            }
+            assert_eq!(
+                bits(&out),
+                bits(&want),
+                "{what}: strips of {width} under {op:?}"
+            );
+        }
+    }
+}
+
+/// Whether `scheme`'s contexts stage: a fresh one lends an accumulator.
+fn stages(scheme: &SchemeKind) -> bool {
+    build_compressor(scheme, (&[N_VALUES]).into(), 0)
+        .take_accumulator()
+        .is_some()
 }
 
 /// Values in the tensor the hostile-payload test encodes: ragged against
@@ -178,22 +248,30 @@ fn decode_into_matches_decompress_on_hostile_payloads() {
             ((i * 37 % 23) as f32 - 11.0) * 0.01
         }
     });
+    assert!(wire_designs().iter().any(stages), "no design stages");
     for scheme in wire_designs() {
+        let stages = stages(&scheme);
         let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
         // Two payloads: a stateful scheme's second differs from its first
         // (a local-steps skip, an accumulated residual).
         for step in 0..2 {
             let valid = cx.compress(&input).expect("finite input compresses");
             let what = |case: String| format!("{scheme} payload {step}, {case}");
-            decode_into_agrees_with_decompress(cx.as_ref(), &valid, &what("as sent".into()));
+            decode_into_agrees_with_decompress(
+                cx.as_ref(),
+                stages,
+                &valid,
+                &what("as sent".into()),
+            );
             for cut in 0..valid.len() {
                 let case = what(format!("cut to {cut} bytes"));
-                decode_into_agrees_with_decompress(cx.as_ref(), &valid[..cut], &case);
+                decode_into_agrees_with_decompress(cx.as_ref(), stages, &valid[..cut], &case);
             }
             let mut longer = valid.clone();
             longer.push(0x79);
             decode_into_agrees_with_decompress(
                 cx.as_ref(),
+                stages,
                 &longer,
                 &what("a trailing byte".into()),
             );
@@ -202,9 +280,73 @@ fn decode_into_matches_decompress_on_hostile_payloads() {
                     let mut bad = valid.clone();
                     bad[at] = corrupt(bad[at]);
                     let case = what(format!("byte {at} {:#04x} → {:#04x}", valid[at], bad[at]));
-                    decode_into_agrees_with_decompress(cx.as_ref(), &bad, &case);
+                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
                 }
             }
         }
     }
+}
+
+/// Where a design's payload header keeps its length fields (element counts,
+/// sparsify's selected count `k`) and its scale fields, as byte offsets of
+/// little-endian `u32`s and `f32`s. `Float32` and `LocalSteps` carry raw
+/// floats behind at most a tag byte: neither has a field to lie with.
+fn header_fields(scheme: &SchemeKind) -> (&'static [usize], &'static [usize]) {
+    match scheme {
+        SchemeKind::Float32 | SchemeKind::LocalSteps { .. } => (&[], &[]),
+        SchemeKind::Int8 | SchemeKind::StochasticTernary => (&[4], &[0]),
+        SchemeKind::MqeOneBit => (&[8], &[0, 4]),
+        SchemeKind::Sparsify { .. } => (&[0, 4], &[]),
+        SchemeKind::ThreeLc { .. } => (&[5], &[1]),
+    }
+}
+
+/// ROADMAP 6(b)'s length-field lies and hostile scales, on every design a
+/// command line can name: each count field rewritten to 0, n − 1, n + 1 and
+/// `u32::MAX` (sparsify's `k` included), each scale field set to NaN, ±∞
+/// and a subnormal. `decode_into` (and `stage`, where the design stages)
+/// must answer as `decompress` does — the same error with `out` untouched,
+/// or the same values — and nothing may panic.
+#[test]
+fn decode_into_matches_decompress_on_length_lies_and_hostile_scales() {
+    let input = Tensor::from_fn([N_VALUES], |i| ((i * 29 % 17) as f32 - 8.0) * 0.03);
+    let n = N_VALUES as u32;
+    let mut covered = (0, 0);
+    for scheme in wire_designs() {
+        let stages = stages(&scheme);
+        let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
+        let (counts, scales) = header_fields(&scheme);
+        for step in 0..2 {
+            let valid = cx.compress(&input).expect("finite input compresses");
+            let rewrite = |at: usize, bytes: [u8; 4]| {
+                let mut bad = valid.clone();
+                if let Some(field) = bad.get_mut(at..at + 4) {
+                    field.copy_from_slice(&bytes);
+                }
+                bad
+            };
+            for &at in counts {
+                for lie in [0, n - 1, n + 1, u32::MAX] {
+                    let case = format!("{scheme} payload {step}, u32 at {at} = {lie}");
+                    let bad = rewrite(at, lie.to_le_bytes());
+                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
+                    covered.0 += 1;
+                }
+            }
+            for &at in scales {
+                for scale in [
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::from_bits(1),
+                ] {
+                    let case = format!("{scheme} payload {step}, f32 at {at} = {scale:e}");
+                    let bad = rewrite(at, scale.to_le_bytes());
+                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
+                    covered.1 += 1;
+                }
+            }
+        }
+    }
+    assert!(covered.0 > 0 && covered.1 > 0, "no field was rewritten");
 }

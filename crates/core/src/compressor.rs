@@ -2,7 +2,8 @@
 
 use crate::kernels::{self, CodecImpl, DequantOp};
 use crate::tlq::SparsityMultiplier;
-use crate::{quartic, zrle, CompressError, Compressor, DecodeError};
+use crate::{quartic, sizing, zrle, CompressError, Compressor, DecodeError};
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use threelc_obs::TraceSpan;
 use threelc_tensor::{Shape, Tensor};
@@ -93,7 +94,8 @@ pub struct ThreeLcCompressor {
     /// allocates it, never allocated when `error_accumulation` is off.
     buffer: OnceLock<Tensor>,
     /// The tensor's `⌈n / 5⌉` quartic bytes: the pack output on encode,
-    /// the zero-run expansion on symbol decode. One buffer for both,
+    /// the zero-run expansion on decode — kept from [`Compressor::stage`]
+    /// to the last [`Compressor::decode_strip`]. One buffer for both,
     /// allocated by whichever runs first; the mutex is only there because
     /// decoding takes `&self` (`compress` reaches it through `&mut self`
     /// without locking).
@@ -264,6 +266,41 @@ impl Compressor for ThreeLcCompressor {
         out: &mut [f32],
     ) -> Result<(), DecodeError> {
         self.decode_into_inner(payload, op, out)
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
+        self.with_quartic_bytes(
+            payload,
+            |_, quartic_bytes| match kernels::find_invalid_quartic(self.codec, quartic_bytes) {
+                Some(offset) => Err(DecodeError::InvalidQuarticByte {
+                    byte: quartic_bytes[offset],
+                    offset,
+                }),
+                None => Ok(()),
+            },
+        )
+    }
+
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let ranges = sizing::strip_planes(self.shape.num_elements(), bytes.clone());
+        debug_assert!(planes.iter().zip(ranges).all(|(p, r)| p.len() == r.len()));
+        let (zre, scale, body) = self
+            .parse_header(payload)
+            .expect("a staged payload has a valid header");
+        let scratch;
+        let quartic_bytes: &[u8] = if zre {
+            scratch = self.quartic.lock().unwrap_or_else(PoisonError::into_inner);
+            &scratch
+        } else {
+            body
+        };
+        kernels::unpack_dequant_planes(self.codec, &quartic_bytes[bytes], scale, op, planes);
     }
 
     fn decompress_symbols(
@@ -437,30 +474,26 @@ impl ThreeLcCompressor {
         consume(scale, quartic_bytes)
     }
 
-    /// The fused decode: invalid-byte scan, then quartic bytes to `op` on
-    /// `out` in one pass ([`kernels::unpack_dequant`]), no symbol ever
-    /// stored and `out` untouched unless the payload decodes.
+    /// The fused decode: `stage` (header, zero-run expansion,
+    /// invalid-byte scan), then one `decode_strip` over every quartic byte
+    /// ([`kernels::unpack_dequant`]'s plane kernel), no symbol ever stored
+    /// and `out` untouched unless the payload decodes.
     fn decode_into_inner(
         &self,
         payload: &[u8],
         op: DequantOp,
         out: &mut [f32],
     ) -> Result<(), DecodeError> {
+        let n = self.shape.num_elements();
         assert_eq!(
             out.len(),
-            self.shape.num_elements(),
+            n,
             "output must match the context's element count"
         );
-        self.with_quartic_bytes(payload, |scale, quartic_bytes| {
-            if let Some(offset) = kernels::find_invalid_quartic(self.codec, quartic_bytes) {
-                return Err(DecodeError::InvalidQuarticByte {
-                    byte: quartic_bytes[offset],
-                    offset,
-                });
-            }
-            kernels::unpack_dequant(self.codec, quartic_bytes, scale, op, out);
-            Ok(())
-        })
+        self.stage(payload)?;
+        let len = sizing::quartic_len(n);
+        self.decode_strip(payload, 0..len, op, &mut kernels::planes_mut(out, len));
+        Ok(())
     }
 
     /// The two-pass oracle's first half: the payload's ternary symbols in

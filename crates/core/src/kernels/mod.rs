@@ -526,14 +526,36 @@ pub fn unpack_dequant(imp: CodecImpl, bytes: &[u8], scale: f32, op: DequantOp, o
         out.len().div_ceil(crate::quartic::VALUES_PER_BYTE),
         "quartic bytes must match output length"
     );
-    let mut planes = planes_mut(out, len);
+    unpack_dequant_planes(imp, bytes, scale, op, &mut planes_mut(out, len));
+}
+
+/// [`unpack_dequant`]'s plane kernel on its own: `planes[j][i]` takes
+/// digit `j` of `bytes[i]` under `op`, for every `i` the plane reaches.
+/// A plane may be shorter than `bytes`, or empty — a tensor's last planes
+/// are, and so are those of a strip of bytes cut from a tensor's end
+/// ([`crate::sizing::strip_planes`]) — and its elements past its end are
+/// simply not there. The same kernel, tier and bit-identity as
+/// [`unpack_dequant`], which is this call on a whole tensor's planes.
+///
+/// # Panics
+///
+/// Panics if a plane is longer than `bytes`.
+pub fn unpack_dequant_planes(
+    imp: CodecImpl,
+    bytes: &[u8],
+    scale: f32,
+    op: DequantOp,
+    planes: &mut [&mut [f32]; 5],
+) {
+    assert!(
+        planes.iter().all(|p| p.len() <= bytes.len()),
+        "a plane longer than its quartic bytes"
+    );
     match runnable(imp) {
-        CodecImpl::Scalar | CodecImpl::Swar => {
-            scalar::unpack_dequant(bytes, scale, op, &mut planes)
-        }
+        CodecImpl::Scalar | CodecImpl::Swar => scalar::unpack_dequant(bytes, scale, op, planes),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::unpack_dequant(bytes, scale, op, &mut planes) },
+        CodecImpl::Simd => unsafe { simd_x86::unpack_dequant(bytes, scale, op, planes) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }

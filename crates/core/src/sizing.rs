@@ -15,6 +15,7 @@
 
 use crate::quartic;
 use crate::zrle;
+use std::ops::Range;
 
 /// Bytes of the 3LC wire header: flags (u8), scale (f32 LE), count (u32 LE).
 pub const WIRE_HEADER_LEN: usize = 9;
@@ -25,6 +26,27 @@ pub const WIRE_FLAG_ZRE: u8 = 0b0000_0001;
 /// Bytes of quartic encoding for `values` ternary values (fixed-rate).
 pub fn quartic_len(values: usize) -> usize {
     values.div_ceil(quartic::VALUES_PER_BYTE)
+}
+
+/// The element ranges quartic bytes `bytes` of a `values`-value tensor
+/// carry, one per partition: with `L = quartic_len(values)`, range `j` is
+/// `j·L + bytes.start .. j·L + bytes.end` clamped to `values` — the planes
+/// the codec splits a tensor into, cut down to a strip of its bytes. The
+/// last ranges are short or empty where the tensor ends inside them.
+///
+/// # Panics
+///
+/// Panics if `bytes` is reversed or reaches past `L`.
+pub fn strip_planes(values: usize, bytes: Range<usize>) -> [Range<usize>; 5] {
+    let len = quartic_len(values);
+    assert!(
+        bytes.start <= bytes.end && bytes.end <= len,
+        "byte strip {bytes:?} outside the tensor's {len} quartic bytes"
+    );
+    std::array::from_fn(|j| {
+        let at = |b: usize| (j * len + b).min(values);
+        at(bytes.start)..at(bytes.end)
+    })
 }
 
 /// Smallest possible 3LC payload for `values` values: header plus the
@@ -106,6 +128,39 @@ mod tests {
         // Truncated headers describe nothing.
         assert_eq!(max_values_for_payload(0), 0);
         assert_eq!(max_values_for_payload(WIRE_HEADER_LEN), 0);
+    }
+
+    #[test]
+    fn byte_strips_tile_the_tensor_plane_by_plane() {
+        for n in [0usize, 1, 4, 5, 6, 11, 97, 1000, 10_007] {
+            let len = quartic_len(n);
+            for width in [1usize, 3, 7, 64, len.max(1)] {
+                let mut covered = vec![0u8; n];
+                let mut next = [0usize; 5];
+                for start in (0..len).step_by(width) {
+                    let strip = strip_planes(n, start..(start + width).min(len));
+                    for (j, r) in strip.iter().enumerate() {
+                        // Plane j's ranges run on from where its last
+                        // strip stopped, inside plane j's own elements.
+                        if !r.is_empty() {
+                            assert_eq!(r.start, j * len + start, "n={n} width={width}");
+                            assert_eq!(r.start, next[j].max(j * len), "n={n} width={width}");
+                            next[j] = r.end;
+                        }
+                        assert!(r.end <= ((j + 1) * len).min(n), "n={n} width={width}");
+                        covered[r.clone()].iter_mut().for_each(|c| *c += 1);
+                    }
+                }
+                assert!(covered.iter().all(|&c| c == 1), "n={n} width={width}");
+            }
+        }
+        assert_eq!(strip_planes(6, 1..2), [1..2, 3..4, 5..6, 6..6, 6..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tensor")]
+    fn a_strip_past_the_tensor_panics() {
+        let _ = strip_planes(10, 1..3);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::kernels::DequantOp;
 use crate::{CompressError, DecodeError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use threelc_tensor::Tensor;
 
 /// A point-to-point, per-tensor state-change compressor.
@@ -112,6 +113,55 @@ pub trait Compressor: Send {
         let dense = self.decompress(payload)?;
         op.apply(dense.iter().copied(), out);
         Ok(())
+    }
+
+    /// The first half of [`decode_into`](Self::decode_into), for a caller
+    /// that applies a payload strip by strip
+    /// ([`decode_strip`](Self::decode_strip)): checks the whole payload and
+    /// keeps what the strips read. 3LC checks the header, expands a
+    /// zero-run-encoded body into this context's quartic scratch (a body
+    /// without zero-run encoding is read in place) and scans it for invalid
+    /// bytes. Returns exactly the [`DecodeError`]s `decode_into` returns
+    /// for the same payload, first to last, so a payload that stages
+    /// applies without error.
+    ///
+    /// A context that lends its accumulator
+    /// ([`take_accumulator`](Self::take_accumulator)) must also stage: a
+    /// parameter server adds the pushes it decodes into its pull
+    /// context's lent accumulator one strip at a time.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_into`](Self::decode_into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this context does not stage — the default.
+    fn stage(&self, _payload: &[u8]) -> Result<(), DecodeError> {
+        panic!("{} stages no payload", self.name())
+    }
+
+    /// The second half: applies quartic bytes `bytes` of the payload this
+    /// context last [`stage`](Self::stage)d — passed again as `payload` —
+    /// to `planes` under `op`, where `planes[j]` holds the tensor's
+    /// elements [`strip_planes`](crate::sizing::strip_planes)`(n, bytes)[j]`.
+    /// Applying a staged payload strip by strip, over any partition of its
+    /// bytes, is [`decode_into`](Self::decode_into) bit for bit. Another
+    /// payload than the one staged yields unspecified values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this context does not stage — the default — or if
+    /// `bytes` reaches past the payload's quartic bytes or a plane is
+    /// longer than `bytes`.
+    fn decode_strip(
+        &self,
+        _payload: &[u8],
+        _bytes: Range<usize>,
+        _op: DequantOp,
+        _planes: &mut [&mut [f32]; 5],
+    ) {
+        panic!("{} stages no payload", self.name())
     }
 
     /// Decodes a wire payload to its raw quantization symbols, without

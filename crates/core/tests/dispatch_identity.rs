@@ -12,9 +12,10 @@
 //! against it pairwise.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use threelc::kernels::{self, DequantOp};
 use threelc::{
-    quartic, tlq::TernaryTensor, zrle, CodecImpl, Compressor, SparsityMultiplier,
+    quartic, sizing, tlq::TernaryTensor, zrle, CodecImpl, Compressor, SparsityMultiplier,
     ThreeLcCompressor, ThreeLcOptions,
 };
 use threelc_tensor::Tensor;
@@ -570,6 +571,81 @@ fn unpack_dequant_handles_short_planes_and_block_edges_on_every_tier() {
             .collect();
         for scale in scales {
             assert_unpack_dequant_matches_oracle(&bytes, n, scale, &start);
+        }
+    }
+}
+
+/// The five planes `ranges` (ascending, disjoint) name inside `xs`.
+fn planes_at<'a>(mut xs: &'a mut [f32], ranges: &[Range<usize>; 5]) -> [&'a mut [f32]; 5] {
+    let mut pos = 0;
+    ranges.clone().map(|r| {
+        let (_, rest) = std::mem::take(&mut xs).split_at_mut(r.start - pos);
+        let (plane, rest) = rest.split_at_mut(r.len());
+        xs = rest;
+        pos = r.end;
+        plane
+    })
+}
+
+#[test]
+fn plane_kernel_on_byte_sub_strips_is_identical_on_every_tier() {
+    // A parameter server's fused sweep decodes a payload a strip of bytes
+    // at a time (`sizing::strip_planes`): planes that start mid-tensor
+    // (and off any vector alignment), a short or empty last plane where
+    // the tensor ends inside the strip, a short final strip. Cut at every
+    // width and first offset below, the strips must leave exactly what the
+    // whole-tensor decode leaves, on every tier.
+    let mut r = threelc_tensor::rng(44);
+    use rand::Rng as _;
+    for n in [1usize, 6, 11, 79, 80, 81, 97, 241, 1281, 5 * 64 + 3] {
+        let len = n.div_ceil(5);
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| match r.gen_range(0..3) {
+                0 => quartic::ZERO_BYTE,
+                1 => 0,
+                _ => r.gen_range(0u8..=quartic::MAX_QUARTIC_BYTE),
+            })
+            .collect();
+        let start: Vec<f32> = (0..n)
+            .map(|e| match e % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => r.gen_range(-1.0f32..1.0),
+            })
+            .collect();
+        for scale in [0.375f32, -0.0, f32::from_bits(5)] {
+            for op in all_ops() {
+                let mut want = start.clone();
+                kernels::unpack_dequant(CodecImpl::Scalar, &bytes, scale, op, &mut want);
+                for imp in available_tiers() {
+                    for width in [1usize, 3, 16, 17, 33, len] {
+                        for first in [0, 1, 5.min(len)] {
+                            // One strip of `first` bytes, then `width`s.
+                            let mut cuts = vec![0];
+                            cuts.extend((first..len).step_by(width));
+                            cuts.push(len);
+                            cuts.dedup();
+                            let mut got = start.clone();
+                            for pair in cuts.windows(2) {
+                                let strip = pair[0]..pair[1];
+                                let ranges = sizing::strip_planes(n, strip.clone());
+                                kernels::unpack_dequant_planes(
+                                    imp,
+                                    &bytes[strip],
+                                    scale,
+                                    op,
+                                    &mut planes_at(&mut got, &ranges),
+                                );
+                            }
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "n={n} scale={scale:e} {op:?} on {imp}, width {width} after {first}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

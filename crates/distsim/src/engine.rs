@@ -32,16 +32,17 @@ use crate::trace::StepRecord;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use threelc::kernels::DequantOp;
-use threelc::{CompressionStats, Compressor, DecodeError, SparsityMultiplier};
+use threelc::{sizing, CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{
     models, Batch, Evaluation, GradSlot, LrSchedule, Network, SgdMomentum, SyntheticImages,
+    TensorStep,
 };
 use threelc_obs::{trace, Histogram, WorkerDelta};
 use threelc_policy::{Decision, Feedback, PolicyRecord, TensorObs};
-use threelc_tensor::{Rng, Shape, Tensor};
+use threelc_tensor::{add_max_abs, Rng, Shape, Tensor};
 
 /// Seed of the synthetic dataset (shared by every node).
 pub fn data_seed(config: &ExperimentConfig) -> u64 {
@@ -491,7 +492,11 @@ pub struct ServerStepOutput {
     /// worker applies them with [`WorkerReplica::apply_pulls`]; decoding is
     /// pure, so all replicas move identically.
     pub pulls: Vec<TensorPayload>,
-    /// Measured server-side codec CPU seconds (push decode + pull encode).
+    /// Measured server-side codec CPU seconds: the stage phase (every
+    /// push checked, and decoded whole for a tensor whose pull context
+    /// lends no accumulator), a lending tensor's strip unpacks and
+    /// accumulates inside the fused sweep, and the pull encode — every
+    /// tensor's whole decode and error accumulation, never the optimizer.
     pub server_codec_seconds: f64,
     /// The policy decisions that governed **this** step, resolved against
     /// the step's observed telemetry (empty when the policy is static).
@@ -513,13 +518,8 @@ pub struct ServerCore {
     /// identically). Tensor-major so sharded aggregation can hand each
     /// shard a disjoint `&mut` block of tensor rows.
     decode_ctxs: Vec<Vec<Option<Box<dyn Compressor>>>>,
-    /// One model-sized buffer per tensor for the whole step, kept across
-    /// steps: the worker-order gradient sum and its average (the first
-    /// accepted worker *assigns*, so nothing is re-zeroed), then — left in
-    /// the gradient's place by the optimizer's own sweep — the model delta
-    /// `global_after − global_before` the pull contexts encode. Holds a
-    /// partial sum after a step that failed to decode.
-    update: Vec<Tensor>,
+    /// Per tensor, where the step's model delta lands ([`Landing`]).
+    landings: Vec<Landing>,
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
     optimizer: SgdMomentum,
     schedule: LrSchedule,
@@ -540,6 +540,11 @@ pub struct ServerCore {
     /// owns, balanced by element count ([`split_ranges`]); one range runs
     /// the step inline.
     shards: Vec<Range<usize>>,
+    /// One strip buffer per shard, [`STRIP_BYTES`]` · 5` values at most:
+    /// where the fused sweep sums a strip of the pushes, runs the
+    /// optimizer on it and leaves its delta. Sized on the first sweep
+    /// that needs it.
+    strips: Vec<Vec<f32>>,
     /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]),
     /// a handle cached so the registry lock is taken once, here.
     evaluate_seconds: Arc<Histogram>,
@@ -547,6 +552,51 @@ pub struct ServerCore {
     /// runs more than one shard (shard threads carry no trace scope).
     shard_busy_seconds: Arc<Histogram>,
 }
+
+/// Where one tensor's model delta lands in a server step
+/// ([`ServerCore::apply_step`]).
+enum Landing {
+    /// Not known yet: before the tensor's first step, and after a lent
+    /// accumulator went back to its pull context. The next stage phase
+    /// asks that context to lend ([`Compressor::take_accumulator`]).
+    Ask,
+    /// The pull context's error-accumulation buffer, lent for the step:
+    /// the fused sweep adds the delta into it strip by strip and folds its
+    /// largest magnitude into `max_abs`; the re-encode hands both back
+    /// ([`Compressor::compress_accumulator`]). Held by the server across a
+    /// step that failed to stage.
+    Lent { accumulator: Tensor, max_abs: f32 },
+    /// `update`, a model-sized buffer of the server's own for a tensor
+    /// whose pull context lends none (a baseline scheme's, or a raw
+    /// tensor), kept across steps: the worker-order gradient sum and its
+    /// average (the first accepted worker *assigns*, so nothing is
+    /// re-zeroed), then — left in the gradient's place by the optimizer —
+    /// the model delta `global_after − global_before`, which the pull
+    /// context compresses or the pull sends raw. Holds a partial sum after
+    /// a step that failed to decode.
+    Update(Tensor),
+}
+
+impl Landing {
+    /// Settles an [`Landing::Ask`]: the accumulator `pull` lends, or else
+    /// a zeroed `update` of `shape`.
+    fn settle(&mut self, pull: &mut Option<Box<dyn Compressor>>, shape: &Shape) {
+        if let Landing::Ask = self {
+            *self = match pull.as_mut().and_then(|c| c.take_accumulator()) {
+                Some(accumulator) => Landing::Lent {
+                    accumulator,
+                    max_abs: 0.0,
+                },
+                None => Landing::Update(Tensor::zeros(shape.clone())),
+            };
+        }
+    }
+}
+
+/// Quartic bytes per strip of the fused sweep: 10 240 values, 40 KiB of
+/// `f32`, which stays in L2 from the pushes' unpack through the
+/// optimizer to the add into the accumulator.
+const STRIP_BYTES: usize = 2048;
 
 /// The fewest model values a shard is worth spawning for. A server step
 /// costs about 4 ns per value and a scoped spawn tens of microseconds
@@ -585,17 +635,130 @@ fn aggregate_tensor(
         let Some(op) = *op else { continue };
         match &worker_payloads[i] {
             TensorPayload::Compressed(wire) => {
-                let ctx = ctx_row[w].as_ref().ok_or_else(|| {
-                    let reason = "compressed payload for a tensor sent uncompressed".into();
-                    (w, DecodeError::Malformed { reason })
-                })?;
-                ctx.decode_into(wire, op, acc).map_err(|e| (w, e))?;
+                decode_ctx(ctx_row, w)?
+                    .decode_into(wire, op, acc)
+                    .map_err(|e| (w, e))?;
                 stats.record(acc.len(), wire.len());
             }
             TensorPayload::Raw(grad) => op.apply(grad.iter().copied(), acc),
         }
     }
     Ok(())
+}
+
+/// Worker `w`'s decode context in a tensor's row, or the error a
+/// compressed payload for a tensor sent raw earns.
+fn decode_ctx(
+    ctx_row: &[Option<Box<dyn Compressor>>],
+    w: usize,
+) -> Result<&dyn Compressor, (usize, DecodeError)> {
+    ctx_row[w].as_deref().ok_or_else(|| {
+        let reason = "compressed payload for a tensor sent uncompressed".into();
+        (w, DecodeError::Malformed { reason })
+    })
+}
+
+/// The stage half of a lending tensor's aggregation: every accepted
+/// compressed payload of tensor `i`, in worker-id order, checked whole and
+/// staged in its decode context ([`Compressor::stage`]) for
+/// [`sweep_tensor`]; a raw one is only held to the tensor's `n` values. The
+/// errors, and their order, are [`aggregate_tensor`]'s, and nothing but the
+/// decode contexts' scratch is written.
+fn stage_tensor(
+    ctx_row: &[Option<Box<dyn Compressor>>],
+    payloads: &[Vec<TensorPayload>],
+    ops: &[Option<DequantOp>],
+    i: usize,
+    n: usize,
+    stats: &mut CompressionStats,
+) -> Result<(), (usize, DecodeError)> {
+    for (w, (worker_payloads, op)) in payloads.iter().zip(ops).enumerate() {
+        if op.is_none() {
+            continue;
+        }
+        match &worker_payloads[i] {
+            TensorPayload::Compressed(wire) => {
+                decode_ctx(ctx_row, w)?.stage(wire).map_err(|e| (w, e))?;
+                stats.record(n, wire.len());
+            }
+            TensorPayload::Raw(grad) => assert_eq!(grad.len(), n, "raw push of tensor {i}"),
+        }
+    }
+    Ok(())
+}
+
+/// The fused sweep over one lending tensor, whose pushes
+/// [`stage_tensor`] staged: for each strip of [`STRIP_BYTES`] quartic
+/// bytes, in order, every accepted push's values land in `strip` in
+/// worker-id order under its op ([`Compressor::decode_strip`]; a raw push
+/// through [`DequantOp::apply`]), the optimizer turns the averaged gradient
+/// there into the delta ([`TensorStep::apply`]), and the delta is added
+/// into the lent `accumulator` ([`threelc_tensor::add_max_abs`]). Returns
+/// the accumulator's largest magnitude, or a non-finite value if it holds
+/// one.
+///
+/// Per element that is the whole-tensor path's float operations in its
+/// order — the worker-order sum with the average folded into the last op,
+/// `step`, then the pull context's `residual + delta` — so the strips
+/// change no bit; they only keep the sum and the delta out of DRAM.
+///
+/// The unpack and the accumulate are codec work — what a non-lending
+/// tensor's whole decode and its pull context's `compress` are billed —
+/// so each strip's two are timed apart from its optimizer step and added
+/// to `codec`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_tensor(
+    step: &mut TensorStep<'_>,
+    accumulator: &mut Tensor,
+    ctx_row: &[Option<Box<dyn Compressor>>],
+    payloads: &[Vec<TensorPayload>],
+    ops: &[Option<DequantOp>],
+    i: usize,
+    strip: &mut [f32],
+    lr: f32,
+    codec: &mut f64,
+) -> f32 {
+    let n = accumulator.len();
+    let len = sizing::quartic_len(n);
+    let acc = accumulator.as_mut_slice();
+    let mut max_bits = 0u32;
+    let mut codec_time = Duration::ZERO;
+    for start in (0..len).step_by(STRIP_BYTES) {
+        let t_unpack = Instant::now();
+        let bytes = start..(start + STRIP_BYTES).min(len);
+        let ranges = sizing::strip_planes(n, bytes.clone());
+        let mut rest = &mut *strip;
+        let mut planes = ranges.clone().map(|r| {
+            let (plane, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            plane
+        });
+        for (w, (worker_payloads, op)) in payloads.iter().zip(ops).enumerate() {
+            let Some(op) = *op else { continue };
+            match &worker_payloads[i] {
+                TensorPayload::Compressed(wire) => ctx_row[w]
+                    .as_ref()
+                    .expect("a staged payload has a context")
+                    .decode_strip(wire, bytes.clone(), op, &mut planes),
+                TensorPayload::Raw(grad) => {
+                    for (plane, r) in planes.iter_mut().zip(&ranges) {
+                        op.apply(grad.as_slice()[r.clone()].iter().copied(), plane);
+                    }
+                }
+            }
+        }
+        codec_time += t_unpack.elapsed();
+        for (plane, r) in planes.iter_mut().zip(ranges.clone()) {
+            step.apply(r, plane, lr);
+        }
+        let t_accumulate = Instant::now();
+        for (plane, r) in planes.into_iter().zip(ranges) {
+            max_bits = max_bits.max(add_max_abs(&mut acc[r], plane).to_bits());
+        }
+        codec_time += t_accumulate.elapsed();
+    }
+    *codec += codec_time.as_secs_f64();
+    f32::from_bits(max_bits)
 }
 
 /// What each worker's payloads do to the accumulators this step: `None`
@@ -709,8 +872,9 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 
 /// Runs one server phase, one shard per entry of `ranges` (contiguous,
 /// ascending, covering `rows`): `body` gets its tensor index range, that
-/// range's exclusive slice of the per-tensor `rows`, and private
-/// traffic-stats and codec-seconds accumulators. A single range runs
+/// range's exclusive slice of the per-tensor `rows`, the shard's strip
+/// buffer (one per range in `strips`; only the fused sweep uses it), and
+/// private traffic-stats and codec-seconds accumulators. A single range runs
 /// inline on the calling thread, so one shard and many execute the same
 /// body; tensors are independent and keep their worker-id order inside
 /// `body`, so the shard count never changes a result. Every shard hands its
@@ -721,17 +885,19 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
     ranges: &[Range<usize>],
+    strips: &mut [Vec<f32>],
     busy: &Histogram,
-    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats, &mut f64) -> T + Sync,
+    body: impl Fn(Range<usize>, &mut [C], &mut Vec<f32>, &mut CompressionStats, &mut f64) -> T + Sync,
 ) -> (Vec<T>, CompressionStats, f64) {
+    assert_eq!(ranges.len(), strips.len(), "one strip per shard");
     let sharded = ranges.len() > 1;
     let chunks = split_off_ranges(rows, ranges);
-    let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).collect();
-    let shards = run_tasks(tasks, |(range, chunk)| {
+    let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).zip(strips).collect();
+    let shards = run_tasks(tasks, |((range, chunk), strip)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
         let mut codec = 0.0f64;
-        let out = body(range, chunk, &mut stats, &mut codec);
+        let out = body(range, chunk, strip, &mut stats, &mut codec);
         if sharded {
             busy.record(t0.elapsed().as_secs_f64());
         }
@@ -775,11 +941,7 @@ impl ServerCore {
         let mut core = ServerCore {
             global: problem.init.clone(),
             decode_ctxs,
-            update: problem
-                .shapes
-                .iter()
-                .map(|s| Tensor::zeros(s.clone()))
-                .collect(),
+            landings: problem.shapes.iter().map(|_| Landing::Ask).collect(),
             pull_ctxs: problem.pull_ctxs(),
             optimizer: SgdMomentum::new(config.momentum, config.weight_decay),
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
@@ -791,6 +953,7 @@ impl ServerCore {
             current_decisions,
             step: 0,
             shards: Vec::new(),
+            strips: Vec::new(),
             evaluate_seconds: reg.histogram("engine.evaluate_seconds"),
             shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
             config,
@@ -853,6 +1016,7 @@ impl ServerCore {
     pub fn set_threads(&mut self, threads: usize) {
         let sizes: Vec<usize> = self.shapes.iter().map(Shape::num_elements).collect();
         self.shards = split_ranges(&sizes, threads);
+        self.strips = vec![Vec::new(); self.shards.len()];
     }
 
     /// The server's full-precision global model.
@@ -902,7 +1066,21 @@ impl ServerCore {
     /// is part of the contract), applies SGD-with-momentum to the global
     /// model, and compresses the resulting model delta for the pull path —
     /// three phases, each over the same per-shard tensor ranges, each
-    /// finished on every shard before the next starts.
+    /// finished on every shard before the next starts:
+    ///
+    /// 1. **stage** (`server-decode`): every accepted push is checked
+    ///    whole. A tensor whose pull context lends its accumulator
+    ///    ([`Compressor::take_accumulator`], 3LC's) has its pushes staged
+    ///    ([`Compressor::stage`]); any other tensor has them decoded and
+    ///    averaged into its own `update` buffer.
+    /// 2. **fused sweep** (`aggregate`): a lending tensor goes strip by
+    ///    strip from the staged pushes through the optimizer into the lent
+    ///    accumulator ([`Compressor::decode_strip`],
+    ///    [`TensorStep::apply`]); any other has the optimizer run
+    ///    over its `update`, leaving the delta there.
+    /// 3. **re-encode** (`re-encode`): the accumulator goes back to its
+    ///    context to be encoded ([`Compressor::compress_accumulator`]); an
+    ///    `update` is compressed or sent raw.
     ///
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a rejected push, which is not aggregated.
@@ -939,6 +1117,7 @@ impl ServerCore {
         let lr = self.lr();
         let n_params = self.shapes.len();
         let mut server_codec = 0.0f64;
+        let ops = accumulate_ops(payloads, accepted_count);
 
         // The decisions governing this step also apply to the pull side:
         // the server re-encodes model deltas at the same multiplier the
@@ -957,7 +1136,7 @@ impl ServerCore {
         // no-op unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        self.decode_aggregate(payloads, accepted_count, &mut server_codec)?;
+        self.stage(payloads, &ops, &mut server_codec)?;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);
@@ -965,21 +1144,9 @@ impl ServerCore {
         } else {
             0
         };
-        // Every payload of every tensor has decoded: only now may the
-        // model move. The optimizer's own sweep turns the averaged
-        // gradient into the step's model delta where it lies; nothing
-        // snapshots the model.
-        let mut steps = self
-            .optimizer
-            .steps_with_delta(&mut self.global, &mut self.update);
-        run_shards(
-            &mut steps,
-            &self.shards,
-            &self.shard_busy_seconds,
-            |_, steps, _, _| steps.iter_mut().for_each(|step| step.apply(lr)),
-        );
-
-        // Compress model deltas (shared pull contexts, Fig. 2b).
+        // Every payload of every tensor has been checked: only now may the
+        // model move.
+        self.sweep(payloads, &ops, lr, &mut server_codec);
         let t_reencode = if tracing {
             let t = trace::now_ns();
             trace::record_span("aggregate", t_aggregate, t);
@@ -987,6 +1154,7 @@ impl ServerCore {
         } else {
             0
         };
+        // Compress model deltas (shared pull contexts, Fig. 2b).
         let pulls = self.compress_pulls(&mut server_codec);
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
@@ -1055,42 +1223,61 @@ impl ServerCore {
         })
     }
 
-    /// Decode + aggregate: every tensor's accepted pushes, in worker-id
-    /// order within the tensor ([`aggregate_tensor`]), into `update`,
-    /// over one tensor range per shard ([`run_shards`]). The model,
-    /// optimizer and traffic statistics do not change unless every payload
-    /// decodes. The fused pass is all codec time: there is no boundary
-    /// between decoding a payload and summing it.
-    fn decode_aggregate(
+    /// The stage phase: every tensor's accepted pushes, in worker-id order
+    /// within the tensor, over one tensor range per shard
+    /// ([`run_shards`]) — staged for the fused sweep ([`stage_tensor`]) if
+    /// the tensor's pull context lends its accumulator, else decoded and
+    /// averaged into the tensor's `update` ([`aggregate_tensor`]). A
+    /// tensor's landing is settled here on its first step
+    /// ([`Landing::Ask`]). The model, optimizer and traffic statistics do
+    /// not change unless every payload decodes. All of it is codec time.
+    fn stage(
         &mut self,
         payloads: &[Vec<TensorPayload>],
-        accepted_count: usize,
+        ops: &[Option<DequantOp>],
         server_codec: &mut f64,
     ) -> Result<(), EngineError> {
         let step = self.step;
-        let ops = accumulate_ops(payloads, accepted_count);
-        // Each tensor's contexts beside its accumulator, so a shard owns
-        // both (`&mut` because a context is `Send`, not `Sync`).
-        let mut rows: Vec<_> = self.decode_ctxs.iter_mut().zip(&mut self.update).collect();
+        let shapes = &self.shapes;
+        // Each tensor's contexts beside its landing, so a shard owns all of
+        // them (`&mut` because a context is `Send`, not `Sync`).
+        let mut rows: Vec<_> = self
+            .decode_ctxs
+            .iter_mut()
+            .zip(&mut self.pull_ctxs)
+            .zip(&mut self.landings)
+            .collect();
         let (outs, stats, codec) = run_shards(
             &mut rows,
             &self.shards,
+            &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, stats, codec| {
+            |range, rows, _, stats, codec| {
                 let t0 = Instant::now();
-                let out = rows
-                    .iter_mut()
-                    .zip(range)
-                    .try_for_each(|((ctx_row, avg), i)| {
-                        aggregate_tensor(avg, ctx_row, payloads, &ops, i, stats).map_err(
-                            |(worker, source)| EngineError::UndecodablePush {
-                                step,
-                                worker,
-                                tensor: i,
-                                source,
-                            },
-                        )
-                    });
+                let out =
+                    rows.iter_mut()
+                        .zip(range)
+                        .try_for_each(|(((ctx_row, pull), landing), i)| {
+                            landing.settle(pull, &shapes[i]);
+                            match landing {
+                                Landing::Lent { accumulator, .. } => {
+                                    let n = accumulator.len();
+                                    stage_tensor(ctx_row, payloads, ops, i, n, stats)
+                                }
+                                Landing::Update(update) => {
+                                    aggregate_tensor(update, ctx_row, payloads, ops, i, stats)
+                                }
+                                Landing::Ask => unreachable!("settled above"),
+                            }
+                            .map_err(|(worker, source)| {
+                                EngineError::UndecodablePush {
+                                    step,
+                                    worker,
+                                    tensor: i,
+                                    source,
+                                }
+                            })
+                        });
                 *codec += t0.elapsed().as_secs_f64();
                 out
             },
@@ -1103,31 +1290,116 @@ impl ServerCore {
         Ok(())
     }
 
+    /// The fused sweep, over one tensor range per shard ([`run_shards`]):
+    /// a lent accumulator takes its tensor's delta strip by strip
+    /// ([`sweep_tensor`]) in the shard's strip buffer; an `update` has the
+    /// optimizer's own sweep turn the averaged gradient into the delta
+    /// where it lies. Nothing snapshots the model. A strip's unpack and
+    /// accumulate are codec time, its optimizer step is not.
+    fn sweep(
+        &mut self,
+        payloads: &[Vec<TensorPayload>],
+        ops: &[Option<DequantOp>],
+        lr: f32,
+        server_codec: &mut f64,
+    ) {
+        let steps = self.optimizer.steps(&mut self.global);
+        let mut rows: Vec<_> = steps
+            .into_iter()
+            .zip(&mut self.decode_ctxs)
+            .zip(&mut self.landings)
+            .collect();
+        let (_, _, codec) = run_shards(
+            &mut rows,
+            &self.shards,
+            &mut self.strips,
+            &self.shard_busy_seconds,
+            |range, rows, strip, _, codec| {
+                // As long as the shard's longest strip, once.
+                let need = rows
+                    .iter()
+                    .filter_map(|(_, landing)| match landing {
+                        Landing::Lent { accumulator, .. } => Some(accumulator.len()),
+                        _ => None,
+                    })
+                    .map(|n| 5 * sizing::quartic_len(n).min(STRIP_BYTES))
+                    .max()
+                    .unwrap_or(0);
+                if strip.len() < need {
+                    strip.resize(need, 0.0);
+                }
+                for (((step, ctx_row), landing), i) in rows.iter_mut().zip(range) {
+                    match landing {
+                        Landing::Lent {
+                            accumulator,
+                            max_abs,
+                        } => {
+                            *max_abs = sweep_tensor(
+                                step,
+                                accumulator,
+                                ctx_row,
+                                payloads,
+                                ops,
+                                i,
+                                strip,
+                                lr,
+                                codec,
+                            );
+                        }
+                        Landing::Update(update) => {
+                            step.apply(0..update.len(), update.as_mut_slice(), lr);
+                        }
+                        Landing::Ask => unreachable!("the stage phase settled every landing"),
+                    }
+                }
+            },
+        );
+        *server_codec += codec;
+    }
+
     /// Re-encode: compresses this step's model delta through the shared
     /// pull contexts (Fig. 2b), over one tensor range per shard
-    /// ([`run_shards`]). Pull contexts are per tensor, so compression
-    /// state never crosses a shard boundary.
+    /// ([`run_shards`]) — a lent accumulator goes back to its context to
+    /// be encoded, an `update` is compressed or sent raw. Pull contexts are
+    /// per tensor, so compression state never crosses a shard boundary.
     fn compress_pulls(&mut self, server_codec: &mut f64) -> Vec<TensorPayload> {
         let workers = self.config.workers;
-        let delta = &self.update;
+        let mut rows: Vec<_> = self.pull_ctxs.iter_mut().zip(&mut self.landings).collect();
         let (outs, stats, codec) = run_shards(
-            &mut self.pull_ctxs,
+            &mut rows,
             &self.shards,
+            &mut self.strips,
             &self.shard_busy_seconds,
-            |range, ctxs, stats, codec| {
+            |range, rows, _, stats, codec| {
                 let mut pulls = Vec::with_capacity(range.len());
-                for (ctx, i) in ctxs.iter_mut().zip(range) {
-                    let delta = &delta[i];
-                    match ctx {
-                        Some(ctx) => {
-                            let t0 = Instant::now();
-                            let wire = ctx.compress(delta).expect("delta shape matches context");
-                            *codec += t0.elapsed().as_secs_f64();
-                            stats.record(delta.len() * workers, wire.len() * workers);
-                            pulls.push(TensorPayload::Compressed(wire));
+                for (ctx, landing) in rows.iter_mut() {
+                    let Some(ctx) = ctx else {
+                        let Landing::Update(delta) = landing else {
+                            unreachable!("a raw tensor's pull context lends nothing")
+                        };
+                        pulls.push(TensorPayload::Raw(delta.clone()));
+                        continue;
+                    };
+                    let t0 = Instant::now();
+                    let (n, wire) = match std::mem::replace(*landing, Landing::Ask) {
+                        Landing::Lent {
+                            accumulator,
+                            max_abs,
+                        } => (
+                            accumulator.len(),
+                            ctx.compress_accumulator(accumulator, max_abs),
+                        ),
+                        Landing::Update(delta) => {
+                            let out = (delta.len(), ctx.compress(&delta));
+                            **landing = Landing::Update(delta);
+                            out
                         }
-                        None => pulls.push(TensorPayload::Raw(delta.clone())),
-                    }
+                        Landing::Ask => unreachable!("the stage phase settled every landing"),
+                    };
+                    let wire = wire.expect("delta shape matches context");
+                    *codec += t0.elapsed().as_secs_f64();
+                    stats.record(n * workers, wire.len() * workers);
+                    pulls.push(TensorPayload::Compressed(wire));
                 }
                 pulls
             },
@@ -1430,6 +1702,43 @@ mod tests {
             }
             assert_eq!(serial.push_stats(), sharded.push_stats());
             assert_eq!(serial.pull_stats(), sharded.pull_stats());
+        }
+    }
+
+    /// The fused sweep's strip unpacks and accumulates are the decode and
+    /// error accumulation a baseline is billed whole, so they count as
+    /// server codec time; the optimizer's own sweep over an `update` does
+    /// not.
+    #[test]
+    fn the_fused_sweep_bills_its_unpack_and_accumulate_as_codec_time() {
+        for (scheme, lends) in [
+            (SchemeKind::three_lc(1.5), true),
+            (SchemeKind::Float32, false),
+        ] {
+            let config = tiny(scheme);
+            let problem = Problem::build(&config);
+            let mut workers: Vec<WorkerReplica> = (0..config.workers)
+                .map(|w| WorkerReplica::new(&problem, w))
+                .collect();
+            let mut server = ServerCore::new(&problem);
+            let payloads: Vec<_> = workers
+                .iter_mut()
+                .map(|w| {
+                    let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
+                    w.encode_push(grads).payloads
+                })
+                .collect();
+            let ops = accumulate_ops(&payloads, payloads.len());
+            server
+                .stage(&payloads, &ops, &mut 0.0)
+                .expect("valid pushes");
+            let mut codec = 0.0;
+            server.sweep(&payloads, &ops, server.lr(), &mut codec);
+            assert_eq!(
+                codec > 0.0,
+                lends,
+                "sweep codec seconds {codec} under {scheme}"
+            );
         }
     }
 

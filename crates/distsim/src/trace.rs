@@ -28,8 +28,10 @@ pub struct StepRecord {
     /// Measured worker-side codec seconds (max across workers — they run
     /// in parallel on real hardware).
     pub worker_codec_seconds: f64,
-    /// Measured server-side codec seconds (decompress pushes + compress
-    /// pulls).
+    /// Measured server-side codec seconds: staging (or decoding) the
+    /// pushes, a lending tensor's strip unpacks and accumulates, and
+    /// compressing the pulls — never the optimizer
+    /// ([`ServerStepOutput::server_codec_seconds`](crate::engine::ServerStepOutput::server_codec_seconds)).
     pub server_codec_seconds: f64,
     /// Largest per-worker error-accumulation residual L2 norm after this
     /// step's pushes (0.0 for stateless schemes or old traces). The

@@ -11,7 +11,9 @@
 //! only: less than the model, where fresh gradients alone are all of it.
 //! And what a 3LC worker keeps is the model and its residuals: a gradient
 //! that lands in its context's error-accumulation buffer has no tensor of
-//! its own to keep (DESIGN.md §18).
+//! its own to keep (DESIGN.md §18). The same holds on the server: a model
+//! delta that lands in its pull context's accumulator has no `update` of
+//! its own.
 //!
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide. Counting is per thread, so the harness's own threads do
@@ -143,6 +145,84 @@ fn a_warmed_up_3lc_replica_retains_no_gradient_sized_buffer() {
         held - kept as isize
     );
     drop(replica);
+}
+
+#[test]
+fn a_warmed_up_3lc_server_retains_no_update_sized_buffer() {
+    const WORKERS: usize = 2;
+    const STEPS: usize = 3;
+    let config = ExperimentConfig {
+        scheme: SchemeKind::three_lc(1.0),
+        workers: WORKERS,
+        batch_per_worker: 8,
+        model_width: 256,
+        model_blocks: 2,
+        seed: 3,
+        ..Default::default()
+    };
+    let problem = Problem::build(&config);
+    // The pushes first, outside the count: the server's heap is the
+    // question, not the replicas'.
+    let mut replicas: Vec<WorkerReplica> = (0..WORKERS)
+        .map(|w| WorkerReplica::new(&problem, w))
+        .collect();
+    let pushes: Vec<Vec<Vec<TensorPayload>>> = (0..STEPS)
+        .map(|_| {
+            replicas
+                .iter_mut()
+                .map(|w| {
+                    let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
+                    w.encode_push(grads).payloads
+                })
+                .collect()
+        })
+        .collect();
+    let shards = 1;
+    let (server, held) = held_by(|| {
+        let mut server = ServerCore::new(&problem);
+        // Counting is per thread: every shard runs on this one.
+        server.set_threads(shards);
+        for push in &pushes {
+            server
+                .apply_step(push, WORKERS, 0.0)
+                .expect("every worker accepted");
+        }
+        server
+    });
+    // What the server must keep: the global model and its velocity; per
+    // compressed tensor a pull residual, the pull context's quartic
+    // scratch and each worker's decode mirror's (a byte per five values);
+    // the `update` of every raw tensor; one strip per shard; plus a little
+    // bookkeeping per tensor.
+    let model_bytes = 4 * server.global().num_params();
+    let (mut compressed, mut raw, mut quartic) = (0, 0, 0);
+    for (shape, &c) in problem.shapes.iter().zip(&problem.compressible) {
+        let n = shape.num_elements();
+        if c {
+            compressed += 4 * n;
+            quartic += n.div_ceil(5);
+        } else {
+            raw += 4 * n;
+        }
+    }
+    let strips = shards * 4 * 5 * 2048;
+    const PER_TENSOR: usize = 1024;
+    let kept = 2 * model_bytes
+        + compressed
+        + (1 + WORKERS) * quartic
+        + raw
+        + strips
+        + PER_TENSOR * problem.num_tensors();
+    assert!(
+        held <= kept as isize,
+        "a warmed-up server holds {held} bytes: {} more than its model and velocity ({}), \
+         pull residuals ({compressed}), pull and decode quartic scratch ({}), raw updates \
+         ({raw}) and strips ({strips}) — the compressed tensors' updates are {compressed} bytes",
+        held - kept as isize,
+        2 * model_bytes,
+        (1 + WORKERS) * quartic,
+    );
+    drop(server);
 }
 
 #[test]

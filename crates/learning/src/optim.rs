@@ -1,6 +1,7 @@
 //! SGD with momentum and weight decay.
 
 use crate::network::Network;
+use std::ops::Range;
 use threelc_tensor::Tensor;
 
 /// TensorFlow `MomentumOptimizer` semantics with decoupled weight decay
@@ -53,33 +54,25 @@ impl SgdMomentum {
     }
 
     /// [`apply`](Self::apply) taken apart by tensor: one [`TensorStep`] per
-    /// parameter, in parameter order, each leaving in place of its gradient
-    /// the change it caused, `param_after − param_before` — the f32
+    /// parameter, in parameter order, each applied to any element range of
+    /// its parameter with that range's gradient — which it leaves holding
+    /// the change it caused, `param_after − param_before`: the f32
     /// subtraction a before/after snapshot pair would perform, from inside
-    /// the same sweep and without the two model copies or a tensor to put
-    /// the result in. Parameters and velocity end bit-identical to
-    /// `apply`'s. No element's update reads another's, so a caller may
-    /// apply the steps on as many threads as it likes (the parameter server
-    /// runs them under its aggregation shards) and end on the same bits.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply`](Self::apply).
-    pub fn steps_with_delta<'a>(
-        &'a mut self,
-        net: &'a mut Network,
-        grads: &'a mut [Tensor],
-    ) -> Vec<TensorStep<'a>> {
+    /// the same sweep and without the two model copies. Stepping every
+    /// element once, in any ranges and any order, ends on `apply`'s
+    /// parameters and velocity bit for bit. No element's update reads
+    /// another's, so a caller may step tensors on as many threads as it
+    /// likes (the parameter server runs them under its aggregation shards)
+    /// and a tensor strip by strip, each while its gradient is in cache.
+    pub fn steps<'a>(&'a mut self, net: &'a mut Network) -> Vec<TensorStep<'a>> {
         let params = net.params_mut();
-        self.check(&params, grads);
+        self.ensure_velocity(&params);
         let (momentum, weight_decay) = (self.momentum, self.weight_decay);
         params
             .into_iter()
-            .zip(grads)
             .zip(&mut self.velocity)
-            .map(|((param, grad), velocity)| TensorStep {
+            .map(|(param, velocity)| TensorStep {
                 param,
-                grad,
                 velocity,
                 momentum,
                 weight_decay,
@@ -91,16 +84,22 @@ impl SgdMomentum {
     /// the velocity.
     fn check(&mut self, params: &[&mut Tensor], grads: &[Tensor]) {
         assert_eq!(params.len(), grads.len(), "gradient count mismatch");
-        if self.velocity.is_empty() {
-            self.velocity = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.shape().clone()))
-                .collect();
-        }
-        assert_eq!(self.velocity.len(), grads.len(), "velocity count mismatch");
+        self.ensure_velocity(params);
         for (p, g) in params.iter().zip(grads) {
             assert_eq!(p.shape(), g.shape(), "gradient shape mismatch");
         }
+    }
+
+    /// Creates the velocity, zeros shaped like `params`, on the first call
+    /// and holds it to the parameter count on every later one.
+    fn ensure_velocity(&mut self, params: &[&mut Tensor]) {
+        if self.velocity.is_empty() {
+            self.velocity = params
+                .iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
+        }
+        assert_eq!(self.velocity.len(), params.len(), "velocity count mismatch");
     }
 
     /// Resets accumulated momentum (e.g. when restarting training).
@@ -119,26 +118,31 @@ impl SgdMomentum {
     }
 }
 
-/// One tensor's share of an optimizer step: its parameter, its gradient and
-/// its velocity ([`SgdMomentum::steps_with_delta`]).
+/// One tensor's share of an optimizer step: its parameter and its
+/// velocity ([`SgdMomentum::steps`]).
 #[derive(Debug)]
 pub struct TensorStep<'a> {
     param: &'a mut Tensor,
-    grad: &'a mut Tensor,
     velocity: &'a mut Tensor,
     momentum: f32,
     weight_decay: f32,
 }
 
 impl TensorStep<'_> {
-    /// Updates the parameter and velocity with learning rate `lr` and
-    /// leaves the parameter's change in the gradient's place.
-    pub fn apply(&mut self, lr: f32) {
+    /// Updates the parameter's and velocity's elements `range` with
+    /// learning rate `lr` and their gradient `grad`, and leaves each
+    /// element's change in its gradient's place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is outside the parameter or `grad` is not as long
+    /// as `range`.
+    pub fn apply(&mut self, range: Range<usize>, grad: &mut [f32], lr: f32) {
+        assert_eq!(range.len(), grad.len(), "one gradient per element");
         let (momentum, weight_decay) = (self.momentum, self.weight_decay);
-        let params = self.param.as_mut_slice().iter_mut();
-        let grads = self.grad.as_mut_slice().iter_mut();
-        let velocity = self.velocity.as_mut_slice().iter_mut();
-        for ((p, g), v) in params.zip(grads).zip(velocity) {
+        let params = self.param.as_mut_slice()[range.clone()].iter_mut();
+        let velocity = self.velocity.as_mut_slice()[range].iter_mut();
+        for ((p, g), v) in params.zip(grad).zip(velocity) {
             *g = step(p, *g, v, momentum, weight_decay, lr);
         }
     }
@@ -257,9 +261,15 @@ mod tests {
                 .zip(&before)
                 .map(|(now, was)| now.sub(was).unwrap())
                 .collect();
+            // Stepped strip by strip, the strips out of order.
             let mut deltas = grads.clone();
-            for step in &mut fused_opt.steps_with_delta(&mut fused, &mut deltas) {
-                step.apply(0.05);
+            for (tensor_step, delta) in fused_opt.steps(&mut fused).iter_mut().zip(&mut deltas) {
+                let n = delta.len();
+                let cut = n / 3;
+                let d = delta.as_mut_slice();
+                let (head, tail) = d.split_at_mut(cut);
+                tensor_step.apply(cut..n, tail, 0.05);
+                tensor_step.apply(0..cut, head, 0.05);
             }
             assert_eq!(
                 bits(&fused.snapshot()),
