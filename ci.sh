@@ -134,13 +134,13 @@ fi
 # an aborted run's flight dump rendering and failing `trace --check`, are
 # crates/cli/tests/analyze_e2e.rs and flight_abort.rs. No trace stanzas:
 # the nine-phase Chrome export, `trace --check` passing a healthy run and
-# failing a THREELC_STRAGGLE_MS=250 one, and the offline `metrics --from`
-# views are crates/cli/tests/trace_e2e.rs. No policy stanzas: adaptive
-# multipliers stable and non-constant under simulate, and a feedback serve
-# with a kill@2 worker relaunched matching simulate's crc and decision
-# sequence, are crates/cli/tests/policy_e2e.rs. No observability stanza:
-# `top --once` rendering every worker row of a live run and `metrics
-# --watch` following it to its end are crates/cli/tests/observability_e2e.rs.)
+# failing a THREELC_STRAGGLE_MS=250 one, and `metrics --from` rendering
+# its report offline are crates/cli/tests/trace_e2e.rs. No policy stanzas:
+# adaptive multipliers stable and non-constant under simulate, and a
+# feedback serve with a kill@2 worker relaunched matching simulate's crc
+# and decision sequence, are crates/cli/tests/policy_e2e.rs. No
+# observability stanza: `top --once` rendering every worker row of a live
+# run is crates/cli/tests/observability_e2e.rs.)
 
 echo "==> working tree must stay clean"
 status_after="$(git status --porcelain)"

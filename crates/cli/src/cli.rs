@@ -35,8 +35,8 @@ usage:
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme SCHEME]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
-  threelc metrics    <addr> [--json|--prom] [--watch SECS]
-  threelc metrics    --from <log.jsonl|report.json> [--json|--prom]
+  threelc metrics    <addr> [--json]
+  threelc metrics    --from <report.json|flight.json> [--json]
   threelc top        <addr> [--interval SECS] [--once] [--json]
   threelc trace      <report.json|flight.json|addr> [--chrome out.json]
                      [--check] [--steps N]
@@ -95,22 +95,22 @@ It prints first-order what-if projections (\"encode 2x faster => step
 NODE:PHASE exits nonzero unless that bucket tops the ledger and is
 flagged (the CI ground-truth gate for injected delays); --check exits
 nonzero when attribution fails to conserve or any bottleneck is flagged.
-metrics --prom renders any snapshot source in OpenMetrics/Prometheus
-text exposition format for standard scrapers; --from also accepts a
-`serve --json` report (its final registry snapshot is embedded).
+
+metrics prints a live server's registry snapshot (--json for the raw
+snapshot); --from reads the one a run left behind instead: the final
+snapshot of a `serve --json` report, or an aborted run's `.flight.json`.
 
 top renders a live per-worker dashboard (step, ratio, wire throughput,
 rejoins, latency with straggler flags, wire-byte sparklines) by polling
-the server's time-series store; --once prints a single frame. metrics
---watch re-scrapes every SECS seconds and prints counter deltas. serve
+the server's time-series store; --once prints a single frame. serve
 writes a `.flight.json` post-mortem dump (last steps of every series +
-recent spans + anomaly events) when a run aborts, a handler panics, a
-fault fires, or the watchdog flags anomalies; --flight names the dump
-(default: derived from --json as `<report>.flight.json`).
+recent spans + anomaly events + the metrics snapshot) when a run aborts,
+a handler panics, a fault fires, or the watchdog flags anomalies;
+--flight names the dump (default: derived from --json as
+`<report>.flight.json`).
 
-global flags (any command):
-  --log-json <path>  append structured JSONL events to <path>
-                     (level from THREELC_LOG, default info)";
+THREELC_LOG=error|warn|info|debug|trace prints structured JSONL events
+(accept failures, retries, rejoins, injected faults) on stderr.";
 
 /// Magic bytes identifying a `.3lc` container.
 const MAGIC: &[u8; 4] = b"3LC\0";
@@ -147,6 +147,7 @@ pub fn run(args: &[String]) -> CliResult {
         Some("top") => crate::topcmd::top_cmd(&args[1..]),
         Some("trace") => crate::tracecmd::trace_cmd(&args[1..]),
         Some("analyze") => crate::analyzecmd::analyze_cmd(&args[1..]),
+        Some(flag) if flag.starts_with("--") => Err(format!("unknown argument `{flag}`").into()),
         Some(other) => Err(format!("unknown command `{other}`").into()),
         None => Err("missing command".into()),
     }
@@ -1063,13 +1064,33 @@ mod tests {
         assert!(run(&s(&["metrics", "a", "b"])).is_err()); // two addrs
         assert!(run(&s(&["metrics", "127.0.0.1:1", "--bogus"])).is_err());
         assert!(run(&s(&["metrics", "not an address"])).is_err());
-        // --watch validation: value required, positive, live-only.
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--watch"])).is_err());
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--watch", "x"])).is_err());
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--watch", "0"])).is_err());
-        let err = run(&s(&["metrics", "--from", "f.jsonl", "--watch", "1"]))
-            .expect_err("--watch needs a live server");
-        assert!(err.to_string().contains("--watch"), "got: {err}");
+    }
+
+    #[test]
+    fn the_removed_exporter_flags_are_unknown_arguments() {
+        for (args, flag) in [
+            (&["--log-json", "x", "codec"][..], "--log-json"),
+            (
+                &["serve", "--addr", "127.0.0.1:0", "--log-json", "x"],
+                "--log-json",
+            ),
+            (&["metrics", "127.0.0.1:1", "--prom"], "--prom"),
+            (&["metrics", "127.0.0.1:1", "--watch", "1"], "--watch"),
+        ] {
+            let err = run(&s(args)).expect_err(flag).to_string();
+            let want = format!("unknown argument `{flag}`");
+            assert!(err.contains(&want), "{args:?}: got {err}");
+        }
+        // A structured event log is no snapshot source: --from names the two
+        // that are.
+        let log = tmp("events.jsonl");
+        std::fs::write(&log, "{\"ts_ms\":1,\"level\":\"info\",\"event\":\"x\"}\n").unwrap();
+        let err = run(&s(&["metrics", "--from", log.to_str().unwrap()])).expect_err("a JSONL log");
+        let err = err.to_string();
+        assert!(
+            err.contains("`serve --json` report") && err.contains("`.flight.json` dump"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -1221,7 +1242,7 @@ mod tests {
 
     #[test]
     fn metrics_from_renders_the_checked_in_fixture() {
-        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/metrics.jsonl");
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/metrics.flight.json");
         let text = run(&s(&["metrics", "--from", fixture])).expect("offline render");
         assert!(text.contains("net.server.bytes_in"), "got: {text}");
         assert!(text.contains("4096"), "got: {text}");
@@ -1239,40 +1260,11 @@ mod tests {
         assert_eq!(hist.hist.count, 2);
         assert!(text.contains(&hist.name), "got: {text}");
 
-        // --prom renders the same snapshot in Prometheus text exposition.
-        let prom = run(&s(&["metrics", "--from", fixture, "--prom"])).expect("prom render");
-        assert!(
-            prom.contains("# TYPE net_server_bytes_in counter"),
-            "got: {prom}"
-        );
-        assert!(prom.contains("net_server_bytes_in 4096"), "got: {prom}");
-        let prom_name = hist.name.replace('.', "_");
-        assert!(
-            prom.contains(&format!("# TYPE {prom_name} histogram")),
-            "got: {prom}"
-        );
-        assert!(
-            prom.contains(&format!("{prom_name}_bucket{{le=\"+Inf\"}} 2")),
-            "got: {prom}"
-        );
-        assert!(run(&s(&["metrics", "--from", fixture, "--prom", "--json"])).is_err());
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--prom", "--watch", "1"])).is_err());
-
         // Flag validation and failure modes.
         assert!(run(&s(&["metrics", "--from"])).is_err()); // path missing
         assert!(run(&s(&["metrics", "127.0.0.1:1", "--from", fixture])).is_err()); // both sources
-        assert!(run(&s(&["metrics", "--from", "/nonexistent/log.jsonl"])).is_err());
-        // A log with events but no snapshot fails with a pointed message.
-        let empty = tmp("nosnap.jsonl");
-        std::fs::write(&empty, "{\"ts_ms\":1,\"level\":\"info\",\"event\":\"x\"}\n").unwrap();
-        let err = run(&s(&["metrics", "--from", empty.to_str().unwrap()]))
-            .expect_err("no snapshot event");
-        assert!(
-            err.to_string().contains("no metrics.snapshot"),
-            "got: {err}"
-        );
-        // Garbage lines are rejected with the line number.
-        let junk = tmp("junk.jsonl");
+        assert!(run(&s(&["metrics", "--from", "/nonexistent/report.json"])).is_err());
+        let junk = tmp("junk.json");
         std::fs::write(&junk, "not json\n").unwrap();
         assert!(run(&s(&["metrics", "--from", junk.to_str().unwrap()])).is_err());
     }

@@ -7,15 +7,15 @@
 //! threelc stats      <input.f32> [--sparsity S]
 //! threelc serve      --addr A [--workers N] [--steps N] [...]
 //! threelc worker     --addr A --id N
-//! threelc metrics    <addr> [--json|--prom] [--watch SECS]
-//! threelc metrics    --from <log.jsonl|report.json> [--json|--prom]
+//! threelc metrics    <addr> [--json]
+//! threelc metrics    --from <report.json|flight.json> [--json]
 //! threelc top        <addr> [--interval SECS] [--once] [--json]
 //! threelc trace      <report.json|flight.json|addr> [--chrome out.json] [--check]
 //! threelc analyze    <report.json|flight.json|addr> [--check] [--expect-blame N:P]
 //! ```
 //!
-//! Every command accepts a global `--log-json <path>` flag that appends
-//! structured JSONL events to a file; `THREELC_LOG` selects the level.
+//! `THREELC_LOG` (`error` … `trace`) turns on structured JSONL events on
+//! stderr.
 //!
 //! Input tensors are flat little-endian `f32` files (the natural dump
 //! format of most numeric toolchains). The `.3lc` container prepends a
@@ -30,35 +30,8 @@ mod netcmd;
 mod topcmd;
 mod tracecmd;
 
-/// Strips the global `--log-json <path>` flag (valid before or after the
-/// subcommand) and, when present, routes structured events to that file.
-/// `THREELC_LOG` still selects the level; unset, the flag implies `info`
-/// so asking for a log file is never a silent no-op.
-fn apply_log_flag(mut args: Vec<String>) -> Result<Vec<String>, String> {
-    let Some(i) = args.iter().position(|a| a == "--log-json") else {
-        return Ok(args);
-    };
-    if i + 1 >= args.len() {
-        return Err("--log-json requires a file path".into());
-    }
-    let path = args.remove(i + 1);
-    args.remove(i);
-    if std::env::var_os("THREELC_LOG").is_none() {
-        threelc_obs::set_level(threelc_obs::Level::Info);
-    }
-    threelc_obs::set_log_file(&path).map_err(|e| format!("--log-json {path}: {e}"))?;
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match apply_log_flag(std::env::args().skip(1).collect()) {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("error: {err}");
-            eprintln!("{}", cli::usage());
-            return ExitCode::FAILURE;
-        }
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::run(&args) {
         Ok(report) => {
             print!("{report}");
@@ -69,30 +42,5 @@ fn main() -> ExitCode {
             eprintln!("{}", cli::usage());
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn log_flag_is_stripped_and_routes_events_to_the_file() {
-        // Missing path is a clean error.
-        assert!(super::apply_log_flag(vec!["inspect".into(), "--log-json".into()]).is_err());
-
-        let path = std::env::temp_dir().join(format!("threelc-log-{}.jsonl", std::process::id()));
-        let args = vec![
-            "--log-json".into(),
-            path.to_str().expect("utf-8 path").into(),
-            "stats".into(),
-        ];
-        let rest = super::apply_log_flag(args).expect("valid log flag");
-        assert_eq!(rest, vec!["stats".to_string()]);
-
-        // The flag implies info level when THREELC_LOG is unset, so this
-        // event must land in the file.
-        threelc_obs::event!(threelc_obs::Level::Info, "cli.log_flag_test", ok = true);
-        let contents = std::fs::read_to_string(&path).expect("log file");
-        assert!(contents.contains("cli.log_flag_test"), "got: {contents}");
-        let _ = std::fs::remove_file(&path);
     }
 }

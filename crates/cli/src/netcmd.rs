@@ -15,7 +15,7 @@ use threelc_distsim::{Cluster, ExperimentConfig, PolicySpec};
 use threelc_net::{
     model_crc32, run_worker, scrape_metrics, serve, FaultPlan, ServeOptions, WorkerOptions,
 };
-use threelc_obs::{Level, Snapshot};
+use threelc_obs::{FlightDump, Snapshot};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -214,17 +214,7 @@ impl ServeCmd {
     pub(crate) fn run(&self, listener: &TcpListener) -> CliResult {
         let ServeCmd { config, opts, json } = self;
         let bound = listener.local_addr()?;
-        let result = serve(listener, config, opts);
-
-        // Leave the final metrics state in the structured log (when one is
-        // enabled), so `threelc metrics --from <jsonl>` can render the run
-        // offline after the server is gone. Deliberately before the `?`: an
-        // aborted run is exactly when the post-mortem snapshot matters most.
-        if threelc_obs::log_enabled(Level::Info) {
-            let snapshot = serde_json::to_string(&threelc_obs::global().snapshot())?;
-            threelc_obs::emit(Level::Info, "metrics.snapshot", &[("snapshot", snapshot)]);
-        }
-        let report = result?;
+        let report = serve(listener, config, opts)?;
 
         if let Some(path) = json {
             let json = serde_json::to_string(&report)?;
@@ -335,176 +325,50 @@ fn write_policy_summary(
 
 /// `threelc metrics <addr>`: scrape a live metrics snapshot from a
 /// serving parameter server and print it (text by default, `--json` for
-/// the raw snapshot, `--prom` for OpenMetrics/Prometheus text
-/// exposition). `--from <file>` instead renders the last
-/// `metrics.snapshot` event recorded in a `--log-json` file — or the
-/// final registry snapshot embedded in a `serve --json` report — so a
-/// finished run stays inspectable (and scrapable) offline. `--watch
-/// SECS` keeps re-scraping every interval and prints what changed since
-/// the previous snapshot, exiting cleanly once the server goes away.
+/// the raw snapshot). `--from <file>` instead renders the snapshot a run
+/// left behind: the final one embedded in a `serve --json` report, or an
+/// aborted run's in its `.flight.json` dump.
 pub fn metrics_cmd(args: &[String]) -> CliResult {
-    const VALUED: &[(&str, &str)] = &[
-        ("--from", "a JSONL file path"),
-        ("--watch", "an interval in seconds"),
-    ];
-    let addr = match split_flags(args, VALUED, &["--json", "--prom"])?[..] {
+    const VALUED: &[(&str, &str)] = &[("--from", "a report or flight dump path")];
+    let addr = match split_flags(args, VALUED, &["--json"])?[..] {
         [] => None,
         [addr] => Some(addr),
         _ => return Err("metrics takes exactly one server address".into()),
     };
-    let from = flag_value(args, "--from");
-    let json = has_flag(args, "--json");
-    let prom = has_flag(args, "--prom");
-    let watch: Option<f64> = parse_flag(args, "--watch")?;
-    if watch.is_some_and(|secs| !secs.is_finite() || secs <= 0.0) {
-        return Err("--watch interval must be positive".into());
-    }
-    if json && prom {
-        return Err("--json and --prom are mutually exclusive".into());
-    }
-    if let Some(interval) = watch {
-        if prom {
-            return Err("--watch prints text or --json diffs, not --prom".into());
-        }
-        let (Some(addr), None) = (addr, from) else {
-            return Err("--watch needs a live server address (not --from)".into());
-        };
-        return watch_metrics(addr, interval, json);
-    }
-    let snapshot = match (addr, from) {
+    let snapshot = match (addr, flag_value(args, "--from")) {
         (Some(_), Some(_)) => {
-            return Err("pass either a server address or --from <jsonl>, not both".into());
+            return Err("pass either a server address or --from <file>, not both".into());
         }
         (Some(addr), None) => scrape_metrics(addr, Duration::from_secs(5))?,
         (None, Some(path)) => snapshot_from_file(path)?,
         (None, None) => {
             return Err("metrics requires a server address (e.g. threelc metrics \
-                 127.0.0.1:7171) or --from <jsonl>"
+                 127.0.0.1:7171) or --from <report.json|flight.json>"
                 .into());
         }
     };
-    if json {
+    if has_flag(args, "--json") {
         let mut out = serde_json::to_string_pretty(&snapshot)?;
         out.push('\n');
         Ok(out)
-    } else if prom {
-        Ok(threelc_obs::render_prometheus(&snapshot))
     } else {
         Ok(snapshot.render_text())
     }
 }
 
-/// The `--watch` loop: scrape every `interval` seconds and print the diff
-/// since the previous snapshot (or the full snapshot with `--json`). The
-/// server disappearing after at least one successful scrape is the normal
-/// way a watched run ends, so it exits cleanly.
-fn watch_metrics(addr: &str, interval: f64, json: bool) -> CliResult {
-    let mut prev: Option<Snapshot> = None;
-    let mut frames = 0u64;
-    loop {
-        match scrape_metrics(addr, Duration::from_secs(5)) {
-            Ok(snap) => {
-                if json {
-                    println!("{}", serde_json::to_string(&snap)?);
-                } else if let Some(prev) = &prev {
-                    print!("{}", diff_snapshots(prev, &snap));
-                } else {
-                    print!("{}", snap.render_text());
-                }
-                println!("---");
-                prev = Some(snap);
-                frames += 1;
-            }
-            Err(e) if frames > 0 => {
-                return Ok(format!("server went away after {frames} scrape(s): {e}\n"));
-            }
-            Err(e) => return Err(e.into()),
-        }
-        std::thread::sleep(Duration::from_secs_f64(interval));
-    }
-}
-
-/// What changed between two snapshots: counter increments, gauge moves,
-/// and new histogram samples. Metrics absent from `prev` (registered
-/// mid-run) diff against zero.
-fn diff_snapshots(prev: &Snapshot, curr: &Snapshot) -> String {
-    let mut out = String::new();
-    for c in &curr.counters {
-        let before = prev.counter(&c.name).unwrap_or(0);
-        if c.value != before {
-            let _ = writeln!(out, "{} +{} = {}", c.name, c.value - before, c.value);
-        }
-    }
-    for g in &curr.gauges {
-        let before = prev.gauge(&g.name);
-        if before != Some(g.value) {
-            let _ = writeln!(out, "{} = {}", g.name, g.value);
-        }
-    }
-    for h in &curr.histograms {
-        let before = prev.histogram(&h.name).map_or(0, |s| s.count);
-        if h.hist.count != before {
-            let _ = writeln!(
-                out,
-                "{} +{} sample(s) = {}",
-                h.name,
-                h.hist.count - before,
-                h.hist.count
-            );
-        }
-    }
-    if out.is_empty() {
-        out.push_str("(no change)\n");
-    }
-    out
-}
-
-/// Loads a snapshot from an offline `--from` file: a `serve --json`
-/// report (the final registry snapshot is embedded as `metrics`) or a
-/// structured `--log-json` JSONL file. A report is a single JSON
-/// document, a log is one event per line, so the parse disambiguates.
+/// Loads the snapshot an offline `--from` file carries: a `serve --json`
+/// report's `metrics`, or a `.flight.json` dump's.
 fn snapshot_from_file(path: &str) -> Result<Snapshot, Box<dyn Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     if let Ok(report) = serde_json::from_str::<threelc_net::NetReport>(&text) {
         return Ok(report.metrics);
     }
-    snapshot_from_log(path, &text)
-}
-
-/// Reconstructs the last `metrics.snapshot` event from a structured
-/// `--log-json` file. The server writes one at the end of every run (at
-/// `info` level, which `--log-json` enables by default).
-fn snapshot_from_log(path: &str, text: &str) -> Result<Snapshot, Box<dyn Error>> {
-    let mut snapshot: Option<Snapshot> = None;
-    let mut events = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let event: serde_json::Value = serde_json::from_str(line)
-            .map_err(|e| format!("{path}:{lineno}: not a JSONL event: {e}"))?;
-        events += 1;
-        if event.get("event").and_then(|e| e.as_str()) != Some("metrics.snapshot") {
-            continue;
-        }
-        let payload = event
-            .get("snapshot")
-            .and_then(|s| s.as_str())
-            .ok_or_else(|| format!("{path}:{lineno}: metrics.snapshot has no snapshot field"))?;
-        snapshot = Some(
-            serde_json::from_str(payload)
-                .map_err(|e| format!("{path}:{lineno}: bad snapshot payload: {e}"))?,
-        );
-    }
-    snapshot.ok_or_else(|| {
-        format!(
-            "{path}: no metrics.snapshot event among {events} log line(s); \
-             produce one with `threelc serve --log-json {path} ...`"
-        )
-        .into()
-    })
+    FlightDump::from_json(&text)
+        .map(|dump| dump.metrics)
+        .map_err(|e| {
+            format!("{path}: neither a `serve --json` report nor a `.flight.json` dump ({e})")
+                .into()
+        })
 }
 
 /// `threelc simulate`: run the same experiment a `serve`/`worker` pair

@@ -30,7 +30,7 @@ pub(crate) enum Source {
     /// A `threelc serve --json` report.
     Report(Box<NetReport>),
     /// A `.flight.json` post-mortem dump.
-    Flight(FlightDump),
+    Flight(Box<FlightDump>),
     /// Not a file: a live server address.
     Live(String),
 }
@@ -44,7 +44,7 @@ impl Source {
         }
         let text = std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?;
         if let Ok(dump) = FlightDump::from_json(&text) {
-            return Ok(Source::Flight(dump));
+            return Ok(Source::Flight(Box::new(dump)));
         }
         let report = serde_json::from_str(&text).map_err(|e| {
             format!("{source}: not a `threelc serve --json` report or flight dump: {e}")
@@ -221,6 +221,7 @@ mod tests {
             &[fault],
             &[],
             Vec::new(),
+            threelc_obs::Snapshot::default(),
         );
         let path = std::env::temp_dir().join(format!("threelc-pin-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path").to_string();

@@ -1,8 +1,7 @@
 //! End-to-end post-mortem forensics: a loopback run killed mid-flight
-//! must leave behind (a) a `.flight.json` dump with the per-worker series
-//! of every completed step plus the triggering anomaly, and (b) a
-//! `metrics.snapshot` event in the structured log even though the run
-//! aborted.
+//! must leave behind a `.flight.json` dump with the per-worker series of
+//! every completed step, the triggering anomaly, and the metrics snapshot
+//! the run wrote no report for.
 //!
 //! `kill@N` calls `std::process::exit`, so this test drives the real
 //! `threelc` binary rather than in-process threads.
@@ -19,9 +18,7 @@ const KILL_EXIT_CODE: i32 = 43;
 fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
     let json = tmp("report.json");
     let flight = tmp("report.flight.json");
-    let log = tmp("log.jsonl");
     let _ = std::fs::remove_file(&flight);
-    let _ = std::fs::remove_file(&log);
 
     let bin = env!("CARGO_BIN_EXE_threelc");
     let mut serve = Command::new(bin);
@@ -46,10 +43,9 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
             "5",
             "--json",
             json.to_str().unwrap(),
-            "--log-json",
-            log.to_str().unwrap(),
         ])
         .env("THREELC_TRACE", "1")
+        .env("THREELC_LOG", "warn")
         .stdout(Stdio::null());
     let server = Server::start(serve);
 
@@ -75,10 +71,19 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
         "kill@2 must exit the worker process with the kill code"
     );
 
+    let served = server.finish();
     assert!(
-        !server.finish().status.success(),
+        !served.status.success(),
         "a fail-stop server must exit nonzero after losing its worker"
     );
+    // THREELC_LOG prints the server's events as JSONL on stderr.
+    let events = String::from_utf8_lossy(&served.stderr);
+    for event in ["server.worker_disconnected", "flight.dump"] {
+        assert!(
+            events.contains(&format!("\"event\":\"{event}\"")),
+            "no {event} event on stderr: {events}"
+        );
+    }
 
     // The flight dump: derived from --json automatically, abort trigger,
     // the kill recorded as an anomaly, and both completed steps' series.
@@ -153,19 +158,20 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
     let out = String::from_utf8_lossy(&analyzed.stdout);
     assert!(out.contains("critical path over"), "got: {out}");
 
-    // Satellite regression: the aborted run still left its end-of-run
-    // metrics.snapshot event in the structured log, so `metrics --from`
-    // renders the dead run.
-    let log_text = std::fs::read_to_string(&log).expect("structured log exists");
+    // The aborted run's metrics survive in the dump, and `metrics --from`
+    // renders the dead run from it.
     assert!(
-        log_text.contains("\"event\":\"metrics.snapshot\""),
-        "aborted runs must still snapshot metrics; log: {log_text}"
+        dump.metrics.counter("net.server.bytes_in").unwrap_or(0) > 0,
+        "the dump must carry the server's byte counters: {:?}",
+        dump.metrics.counters
     );
     let from = Command::new(bin)
-        .args(["metrics", "--from", log.to_str().unwrap()])
+        .args(["metrics", "--from", flight.to_str().unwrap()])
         .output()
         .expect("metrics --from");
-    assert!(from.status.success(), "metrics --from on the aborted log");
+    assert!(from.status.success(), "metrics --from on the flight dump");
+    let out = String::from_utf8_lossy(&from.stdout);
+    assert!(out.contains("net.server"), "got: {out}");
 
     // No partial report: the run never finished, so --json wrote nothing.
     assert!(!json.exists(), "aborted runs must not write a final report");

@@ -1,6 +1,6 @@
 //! End-to-end trace collection against the real `threelc` binary: a traced
 //! loopback run is collected, merged and exported with every phase named,
-//! `trace --check` passes it, the structured log renders offline — and a
+//! `trace --check` passes it, its report's metrics render offline — and a
 //! worker slowed by `THREELC_STRAGGLE_MS` fails the same check as a
 //! straggler.
 
@@ -18,20 +18,10 @@ fn run(args: &[&str]) -> Output {
 
 #[test]
 fn a_traced_run_exports_every_phase_and_passes_the_check() {
-    let (report, events) = (tmp("trace-report.json"), tmp("trace-events.jsonl"));
-    let (report, events) = (report.to_str().unwrap(), events.to_str().unwrap());
-    let _ = std::fs::remove_file(events);
+    let report = tmp("trace-report.json");
+    let report = report.to_str().unwrap();
     run_cluster(
-        &[
-            "--steps",
-            "4",
-            "--sparsity",
-            "1.5",
-            "--json",
-            report,
-            "--log-json",
-            events,
-        ],
+        &["--steps", "4", "--sparsity", "1.5", "--json", report],
         |_, _| {},
     );
 
@@ -73,13 +63,10 @@ fn a_traced_run_exports_every_phase_and_passes_the_check() {
     );
     assert!(text(&check.stdout).contains("no anomalies"));
 
-    // The structured log alone is enough for the offline metrics views.
-    let table = run(&["metrics", "--from", events]);
+    // The report alone is enough for the offline metrics view.
+    let table = run(&["metrics", "--from", report]);
     assert!(table.status.success(), "{}", text(&table.stderr));
     assert!(text(&table.stdout).contains("net.server"));
-    let prom = run(&["metrics", "--from", events, "--prom"]);
-    assert!(prom.status.success(), "{}", text(&prom.stderr));
-    assert!(text(&prom.stdout).lines().any(|l| l.starts_with("# TYPE ")));
 }
 
 #[test]

@@ -1187,24 +1187,12 @@ impl ServerCore {
                     .iter()
                     .zip(&obs)
                     .enumerate()
-                    .map(|(i, (d, o))| {
-                        let r = PolicyRecord {
-                            step,
-                            tensor: i as u16,
-                            s: d.s.value(),
-                            reason: d.reason,
-                            achieved_ratio: o.achieved_ratio(),
-                        };
-                        threelc_obs::event!(
-                            threelc_obs::Level::Debug,
-                            "policy.decision",
-                            step = r.step,
-                            tensor = r.tensor,
-                            s = r.s,
-                            reason = r.reason.as_str(),
-                            achieved_ratio = r.achieved_ratio
-                        );
-                        r
+                    .map(|(i, (d, o))| PolicyRecord {
+                        step,
+                        tensor: i as u16,
+                        s: d.s.value(),
+                        reason: d.reason,
+                        achieved_ratio: o.achieved_ratio(),
                     })
                     .collect();
                 let next = policy.decide(&obs);

@@ -77,9 +77,10 @@ pub struct NetReport {
     /// `node_traces` and falls back to this embedded copy.
     #[serde(default)]
     pub analysis: Option<RunAnalysis>,
-    /// Final metrics-registry snapshot, so `threelc metrics --prom` can
-    /// expose a finished run to standard scrapers. Empty in reports
-    /// written before the field existed.
+    /// Final metrics-registry snapshot, so `threelc metrics --from
+    /// <report.json>` renders a finished run offline (an aborted run's is
+    /// in its flight dump). Empty in reports written before the field
+    /// existed.
     #[serde(default)]
     pub metrics: Snapshot,
 }

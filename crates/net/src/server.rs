@@ -594,7 +594,8 @@ pub fn serve(
             // completed run, whose buffer was drained into the report.
             let mut spans = vec![server_buf.snapshot("server")];
             spans.retain(|n| !n.spans.is_empty());
-            let dump = FlightDump::new(cause, &detail, series, faults, &findings, spans);
+            let metrics = threelc_obs::global().snapshot();
+            let dump = FlightDump::new(cause, &detail, series, faults, &findings, spans, metrics);
             if let Err(e) = write_flight_dump(path, &dump) {
                 threelc_obs::event!(
                     Level::Warn,
@@ -793,13 +794,8 @@ fn serve_run(
         let timeline = MergedTimeline::build(&node_traces);
         anomalies = threelc_obs::watchdog::check_timeline(&timeline);
         // Critical-path attribution over the same merged timeline; the
-        // blame buckets land in the report and in the global registry so
-        // `threelc metrics` (and `--prom` scrapers) see them too.
-        let run_analysis = RunAnalysis::build(&timeline);
-        if !run_analysis.steps.is_empty() {
-            run_analysis.export_gauges(threelc_obs::global());
-            analysis = Some(run_analysis);
-        }
+        // blame buckets land in the report, which `threelc analyze` reads.
+        analysis = Some(RunAnalysis::build(&timeline)).filter(|a| !a.steps.is_empty());
     }
     // Fault anomalies (rejoin flapping) need no tracing — the coordinator
     // saw every disconnect itself.

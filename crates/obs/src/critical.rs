@@ -54,7 +54,6 @@
 //! becoming critical), so they are upper bounds on the win — which is
 //! the right direction for "is this optimization worth a PR".
 
-use crate::registry::Registry;
 use crate::timeline::{AlignedSpan, MergedTimeline};
 use crate::trace::NO_WORKER;
 use serde::{Deserialize, Serialize};
@@ -569,24 +568,6 @@ impl RunAnalysis {
         self.totals.first()
     }
 
-    /// Exports the aggregated blame as gauges into `reg`:
-    /// `critical.<node>.<phase>.seconds` for every total bucket, plus
-    /// `critical.top.share` and `critical.conservation_error`.
-    pub fn export_gauges(&self, reg: &Registry) {
-        for b in &self.totals {
-            reg.gauge(&format!("critical.{}.{}.seconds", b.node, b.phase))
-                .set(b.seconds);
-        }
-        if let Some(top) = self.top() {
-            if self.total_wall_seconds > 0.0 {
-                reg.gauge("critical.top.share")
-                    .set(top.seconds / self.total_wall_seconds);
-            }
-        }
-        reg.gauge("critical.conservation_error")
-            .set(self.conservation_error);
-    }
-
     /// Terminal rendering: aggregated blame, per-step top contributors
     /// (capped at `max_steps`, 0 = all), what-ifs, and flags.
     pub fn render_text(&self, max_steps: usize) -> String {
@@ -1030,16 +1011,8 @@ mod tests {
     }
 
     #[test]
-    fn gauges_render_and_serde_roundtrip() {
+    fn analysis_renders_as_text_and_roundtrips_through_json() {
         let a = analyze(&net_step(0, 0));
-        let reg = Registry::new();
-        a.export_gauges(&reg);
-        let snap = reg.snapshot();
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|g| g.name.starts_with("critical.") && g.name.ends_with(".seconds")));
-        assert!(snap.gauges.iter().any(|g| g.name == "critical.top.share"));
         let text = a.render_text(5);
         assert!(text.contains("critical path over"));
         assert!(text.contains("what-if"));

@@ -6,10 +6,12 @@
 //! *assembled* from records that already exist for their own reasons: the
 //! coordinator's fault log ([`FaultEvent`]s, mapped here to `fault-*`
 //! anomalies), the watchdog's findings, the
-//! [`RunRecorder`](crate::timeseries::RunRecorder)'s series store, and
-//! whatever span buffers the caller hands over.
-//! `threelc trace <dump.flight.json>` reads the artifact back.
+//! [`RunRecorder`](crate::timeseries::RunRecorder)'s series store, the
+//! metrics registry's snapshot, and whatever span buffers the caller
+//! hands over. `threelc trace <dump.flight.json>` reads the artifact
+//! back, and `threelc metrics --from <dump.flight.json>` its metrics.
 
+use crate::snapshot::Snapshot;
 use crate::timeseries::RunSeries;
 use crate::trace::NodeTrace;
 use crate::watchdog::{Anomaly, FaultEvent};
@@ -31,8 +33,8 @@ pub mod trigger {
 }
 
 /// A complete post-mortem artifact: the last N steps of every series,
-/// the run's faults and watchdog findings, and the spans it was handed
-/// (empty unless tracing was on).
+/// the run's faults and watchdog findings, the metrics snapshot, and the
+/// spans it was handed (empty unless tracing was on).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
     /// Schema version ([`FLIGHT_VERSION`]).
@@ -52,12 +54,16 @@ pub struct FlightDump {
     /// was off).
     #[serde(default)]
     pub spans: Vec<NodeTrace>,
+    /// The metrics registry when the dump was taken: what an aborted run,
+    /// which writes no report, leaves of its counters and histograms.
+    #[serde(default)]
+    pub metrics: Snapshot,
 }
 
 impl FlightDump {
     /// Assembles a dump from the run's own records: every fault becomes a
     /// `fault-<kind>` anomaly, followed by the watchdog `findings`;
-    /// `spans` are carried as given.
+    /// `spans` and `metrics` are carried as given.
     pub fn new(
         trigger: &str,
         detail: &str,
@@ -65,6 +71,7 @@ impl FlightDump {
         faults: &[FaultEvent],
         findings: &[Anomaly],
         spans: Vec<NodeTrace>,
+        metrics: Snapshot,
     ) -> FlightDump {
         let mut anomalies: Vec<Anomaly> = faults
             .iter()
@@ -87,6 +94,7 @@ impl FlightDump {
             anomalies,
             series,
             spans,
+            metrics,
         }
     }
 
@@ -194,6 +202,7 @@ mod tests {
             &[fault],
             &[wd],
             Vec::new(),
+            Snapshot::default(),
         );
         assert_eq!(dump.version, FLIGHT_VERSION);
         assert_eq!(dump.trigger, "abort");
@@ -212,12 +221,26 @@ mod tests {
     #[test]
     fn dump_json_roundtrips_and_rejects_future_versions() {
         let series = RunRecorder::new(2).snapshot();
-        let dump = FlightDump::new(trigger::WATCHDOG, "", series, &[], &[], Vec::new());
+        let reg = crate::Registry::new();
+        reg.counter("net.server.bytes_in").add(4096);
+        let metrics = reg.snapshot();
+        let dump = FlightDump::new(trigger::WATCHDOG, "", series, &[], &[], Vec::new(), metrics);
         let json = serde_json::to_string(&dump).expect("serialize");
         let back = FlightDump::from_json(&json).expect("parse");
         assert_eq!(back, dump);
+        assert_eq!(back.metrics.counter("net.server.bytes_in"), Some(4096));
         let future = json.replace("\"version\":1", "\"version\":99");
         assert!(FlightDump::from_json(&future).is_err());
+        // A dump written before the snapshot field parses with none.
+        let none = FlightDump {
+            metrics: Snapshot::default(),
+            ..dump
+        };
+        let empty = ",\"metrics\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}";
+        let json = serde_json::to_string(&none).expect("serialize");
+        assert!(json.contains(empty), "{json}");
+        let old = FlightDump::from_json(&json.replace(empty, "")).expect("parse old dump");
+        assert_eq!(old, none);
     }
 
     #[test]
@@ -225,7 +248,15 @@ mod tests {
         let path = std::env::temp_dir().join("threelc-flight-test.json");
         let path = path.to_str().expect("utf8 temp path").to_string();
         let series = RunRecorder::new(1).snapshot();
-        let dump = FlightDump::new(trigger::FAULT, "kill@2", series, &[], &[], Vec::new());
+        let dump = FlightDump::new(
+            trigger::FAULT,
+            "kill@2",
+            series,
+            &[],
+            &[],
+            Vec::new(),
+            Snapshot::default(),
+        );
         write_flight_dump(&path, &dump).expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
         let back = FlightDump::from_json(&text).expect("parse");

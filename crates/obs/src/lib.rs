@@ -4,7 +4,7 @@
 //! wall-clock — so every layer of this workspace reports into one shared
 //! instrumentation layer instead of growing its own ad-hoc counters. The
 //! crate is std-only (the vendored `serde` stubs are its only
-//! dependencies) and provides ten pieces:
+//! dependencies) and provides nine pieces:
 //!
 //! 1. **A metrics registry** ([`Registry`]) of named [`Counter`]s,
 //!    [`Gauge`]s, and log-bucketed [`Histogram`]s. Metrics are lock-free
@@ -13,13 +13,14 @@
 //!    duration reaches a histogram from the `Instant` the call site
 //!    already holds — there is no timing guard type.
 //! 2. **A structured JSONL event sink** ([`sink`], the [`event!`] macro)
-//!    with level filtering via the `THREELC_LOG` environment variable
-//!    (`off` by default). Probes are guarded by a relaxed atomic level
-//!    check, so disabled logging costs one atomic load.
-//! 3. **Snapshot exporters** ([`Snapshot`]): a point-in-time copy of every
+//!    on stderr, with level filtering via the `THREELC_LOG` environment
+//!    variable (`off` by default). Probes are guarded by a relaxed atomic
+//!    level check, so disabled logging costs one atomic load.
+//! 3. **Snapshots** ([`Snapshot`]): a point-in-time copy of every
 //!    registered metric, serializable to JSON (the payload of the network
-//!    scrape protocol in `threelc-net`) and renderable as text (the
-//!    output of `threelc metrics`).
+//!    scrape protocol in `threelc-net`, and the `metrics` of a run report
+//!    or flight dump) and renderable as text (the output of
+//!    `threelc metrics`).
 //! 4. **Distributed tracing** ([`trace`]): per-node ring buffers of
 //!    [`SpanRecord`]s with parent links and a run-wide
 //!    trace id, off by default via `THREELC_TRACE`. Trace context rides
@@ -42,18 +43,15 @@
 //!    `threelc top` renders live.
 //! 8. **The flight dump** ([`flight`]): a self-contained
 //!    `<out>.flight.json` post-mortem assembled — not recorded — from the
-//!    fault log, the watchdog's findings, the series store and the span
-//!    buffers it is handed, when the watchdog fires, a handler panics, a
-//!    fault occurs, or a run aborts.
+//!    fault log, the watchdog's findings, the series store, the metrics
+//!    snapshot and the span buffers it is handed, when the watchdog
+//!    fires, a handler panics, a fault occurs, or a run aborts.
 //! 9. **A critical-path profiler** ([`critical`]): rebuilds the per-step
 //!    BSP dependency DAG from the clock-aligned timeline, attributes
 //!    every nanosecond of step wall-clock to a {phase × node} blame
 //!    bucket (barrier-wait charged to the causing straggler), computes
 //!    Amdahl-style what-if projections, and flags bottlenecks — the
 //!    engine behind `threelc analyze`.
-//! 10. **Prometheus exposition** ([`prom`]): renders any [`Snapshot`] in
-//!     the Prometheus text format for standard scrapers
-//!     (`threelc metrics --prom`).
 //!
 //! ```
 //! use threelc_obs::Registry;
@@ -75,7 +73,6 @@
 pub mod critical;
 pub mod flight;
 pub mod metrics;
-pub mod prom;
 pub mod registry;
 pub mod sink;
 pub mod snapshot;
@@ -84,18 +81,15 @@ pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
 
-pub use critical::{BlameBucket, Bottleneck, PathSegment, RunAnalysis, StepAnalysis, WhatIf};
-pub use flight::{write_flight_dump, FlightDump, FLIGHT_VERSION};
-pub use prom::render_prometheus;
+pub use critical::RunAnalysis;
+pub use flight::{write_flight_dump, FlightDump};
 
-pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
-pub use sink::{emit, log_enabled, set_level, set_log_file, set_writer, Level};
-pub use snapshot::{CounterEntry, GaugeEntry, HistEntry, HistogramSnapshot, Snapshot};
-pub use timeline::{AlignedSpan, ClockOffset, MergedTimeline, PHASES};
-pub use timeseries::{
-    Point, RunRecorder, RunSeries, Series, WorkerDelta, WorkerSeries, WALL_CLOCK_SERIES,
-};
+pub use sink::{emit, log_enabled, Level};
+pub use snapshot::Snapshot;
+pub use timeline::{MergedTimeline, PHASES};
+pub use timeseries::{Point, RunRecorder, RunSeries, Series, WorkerDelta};
 pub use trace::{
     current_ctx, global_buffer, now_ns, run_trace_id, set_trace_enabled, trace_enabled, NodeTrace,
     SpanRecord, TraceBuffer, TraceCtx, TraceScope, TraceSpan, NO_WORKER,

@@ -1,18 +1,16 @@
 //! Structured JSONL event sink with environment-driven level filtering.
 //!
 //! Logging is **off by default**. Setting `THREELC_LOG` (to `error`,
-//! `warn`, `info`, `debug`, or `trace`) enables it; [`set_level`]
-//! overrides at runtime. When disabled, an instrumented probe costs one
-//! relaxed atomic load — the arguments of [`event!`](crate::event) are never evaluated.
+//! `warn`, `info`, `debug`, or `trace`) enables it. When disabled, an
+//! instrumented probe costs one relaxed atomic load — the arguments of
+//! [`event!`](crate::event) are never evaluated.
 //!
-//! Events are one JSON object per line: timestamp, level, event name, and
-//! any structured fields. They go to stderr unless redirected with
-//! [`set_log_file`] (the CLI's `--log-json <path>` flag) or
-//! [`set_writer`].
+//! Events are one JSON object per line on stderr: timestamp, level, event
+//! name, and any structured fields.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity, ordered from `Off` (never emitted) to `Trace`.
@@ -70,7 +68,9 @@ impl Level {
 
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 static INIT: Once = Once::new();
-static WRITER: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
+/// Where the tests capture events instead of stderr.
+#[cfg(test)]
+static WRITER: std::sync::Mutex<Option<Box<dyn Write + Send>>> = std::sync::Mutex::new(None);
 
 fn init_from_env() {
     INIT.call_once(|| {
@@ -86,27 +86,6 @@ fn init_from_env() {
 pub fn log_enabled(level: Level) -> bool {
     init_from_env();
     level != Level::Off && LEVEL.load(Ordering::Relaxed) >= level as u8
-}
-
-/// Overrides the log level (wins over `THREELC_LOG`).
-pub fn set_level(level: Level) {
-    init_from_env(); // consume the env spec so it cannot override us later
-    LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// Redirects events to a file (append mode, created if missing).
-pub fn set_log_file(path: &str) -> std::io::Result<()> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    set_writer(Box::new(file));
-    Ok(())
-}
-
-/// Redirects events to an arbitrary writer (tests use an in-memory buffer).
-pub fn set_writer(w: Box<dyn Write + Send>) {
-    *WRITER.lock().expect("log writer poisoned") = Some(w);
 }
 
 /// Appends a JSON string literal (with escaping) to `out`.
@@ -155,16 +134,12 @@ pub fn emit(level: Level, event: &str, fields: &[(&str, String)]) {
     }
     line.push_str("}\n");
 
-    let mut writer = WRITER.lock().expect("log writer poisoned");
-    match writer.as_mut() {
-        Some(w) => {
-            let _ = w.write_all(line.as_bytes());
-            let _ = w.flush();
-        }
-        None => {
-            let _ = std::io::stderr().write_all(line.as_bytes());
-        }
+    #[cfg(test)]
+    if let Some(w) = WRITER.lock().expect("log writer poisoned").as_mut() {
+        let _ = w.write_all(line.as_bytes());
+        return;
     }
+    let _ = std::io::stderr().write_all(line.as_bytes());
 }
 
 /// Emits a structured event on the global sink:
@@ -184,7 +159,18 @@ macro_rules! event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+
+    /// Overrides the log level (wins over `THREELC_LOG`).
+    fn set_level(level: Level) {
+        init_from_env(); // consume the env spec so it cannot override us later
+        LEVEL.store(level as u8, Ordering::Relaxed);
+    }
+
+    /// Captures events in `w` instead of stderr.
+    fn set_writer(w: Box<dyn Write + Send>) {
+        *WRITER.lock().expect("log writer poisoned") = Some(w);
+    }
 
     /// A writer handing every byte to a shared buffer, so tests can read
     /// back what the sink wrote.

@@ -5,7 +5,8 @@
 //! must be the sum of the post-warmup per-step ledgers.
 
 use proptest::prelude::*;
-use threelc_obs::{MergedTimeline, NodeTrace, RunAnalysis, SpanRecord, StepAnalysis, NO_WORKER};
+use threelc_obs::critical::StepAnalysis;
+use threelc_obs::{MergedTimeline, NodeTrace, RunAnalysis, SpanRecord, NO_WORKER};
 
 /// Every name the analyzer consumes, plus envelope/junk names it must
 /// ignore without misattributing.

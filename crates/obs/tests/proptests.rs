@@ -3,7 +3,8 @@
 //! observations were sharded or in which order the shards are combined.
 
 use proptest::prelude::*;
-use threelc_obs::{Histogram, HistogramSnapshot};
+use threelc_obs::snapshot::HistogramSnapshot;
+use threelc_obs::Histogram;
 
 /// Records `values` into a fresh histogram and snapshots it.
 fn hist_of(values: &[f64]) -> HistogramSnapshot {
