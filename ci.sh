@@ -46,8 +46,12 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
-echo "==> cargo test --release (core + net)"
+echo "==> cargo test --release (core + net + paced link)"
+# The paced-link suite times real steps through the relay: its rate and
+# 3LC-vs-f32 ratio checks must hold at release compute speed, not only at
+# the debug speed of the stage above.
 cargo test -q --offline --release -p threelc -p threelc-net
+cargo test -q --offline --release -p threelc-bench --test paced_link
 
 echo "==> step ledger (builds against the crates' public API; tests + --quick smoke)"
 # ledger/ is a package of its own, not a workspace member, so no stage above

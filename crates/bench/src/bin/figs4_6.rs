@@ -3,98 +3,69 @@
 //! plotted designs, at 10 Mbps (Fig. 4), 100 Mbps (Fig. 5), and 1 Gbps
 //! (Fig. 6).
 //!
-//! Training dynamics are bandwidth-independent, so each (design, fraction)
-//! pair is trained once and its trace is re-priced under each link — the
-//! same extrapolation the paper uses (§5.2).
+//! Accuracy comes from one simulated run per (design, fraction); a
+//! point's time is its step count times the design's step measured
+//! through the paced relay over the figure's link ([`step_cached`]).
 //!
 //! ```text
 //! cargo run -p threelc-bench --release --bin figs4_6 [-- --steps N | --quick | --fresh]
 //! ```
 
-use serde::Serialize;
 use threelc_bench::harness::{figure_designs, STEP_FRACTIONS};
-use threelc_bench::{cache, run_cached, HarnessOptions, Table};
+use threelc_bench::schema::{TradeoffFigure, TradeoffPoint, TradeoffSeries};
+use threelc_bench::{cache, run_cached, step_cached, HarnessOptions, Table};
 use threelc_distsim::NetworkModel;
-
-#[derive(Debug, Serialize)]
-struct Point {
-    percent_steps: u64,
-    training_minutes: f64,
-    accuracy_pct: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct Series {
-    design: String,
-    points: Vec<Point>,
-}
-
-#[derive(Debug, Serialize)]
-struct Figure {
-    bandwidth: String,
-    series: Vec<Series>,
-}
 
 fn main() {
     let opts = HarnessOptions::from_env();
-    // Train every (design, fraction) once.
-    let mut runs = Vec::new();
+    let presets = NetworkModel::paper_presets();
+    let mut figures: Vec<TradeoffFigure> = presets
+        .iter()
+        .map(|(label, _)| TradeoffFigure {
+            bandwidth: label.to_string(),
+            series: Vec::new(),
+        })
+        .collect();
     for design in figure_designs() {
-        for pct in STEP_FRACTIONS {
+        let runs = STEP_FRACTIONS.map(|pct| {
             let config = opts.config(design).at_percent_steps(pct);
             eprintln!("running {} @ {pct}% steps ...", design.label());
-            runs.push((design.label(), pct, run_cached(&config, opts.fresh)));
+            let result = run_cached(&config, opts.fresh);
+            (pct, config.total_steps, result.final_eval.accuracy * 100.0)
+        });
+        eprintln!("relaying {} ...", design.label());
+        for ((_, link), figure) in presets.iter().zip(&mut figures) {
+            let step = step_cached(&opts.config(design), *link, opts.fresh);
+            let points = runs
+                .iter()
+                .map(|&(percent_steps, steps, accuracy_pct)| TradeoffPoint {
+                    percent_steps,
+                    training_minutes: steps as f64 * step.step_s / 60.0,
+                    accuracy_pct,
+                });
+            figure.series.push(TradeoffSeries {
+                design: design.label(),
+                points: points.collect(),
+            });
         }
     }
-
-    let mut figures = Vec::new();
-    for (fig_no, (label, net)) in [
-        (4, NetworkModel::ten_mbps()),
-        (5, NetworkModel::hundred_mbps()),
-        (6, NetworkModel::one_gbps()),
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, (a, b))| (i + 4, (a, b)))
-    {
+    for (fig_no, figure) in (4..).zip(&figures) {
         println!(
             "\nFigure {fig_no}: training time vs accuracy @ {} ({} standard steps)",
-            NetworkModel::paper_presets()[fig_no - 4].0,
-            opts.steps
+            figure.bandwidth, opts.steps
         );
-        let _ = label;
         let mut table = Table::new(&["Design", "% steps", "Time (min)", "Accuracy (%)"]);
-        let mut series: Vec<Series> = Vec::new();
-        for (design, pct, result) in &runs {
-            let minutes = result.total_seconds_at(net) / 60.0;
-            let acc = result.final_eval.accuracy * 100.0;
-            table.row_owned(vec![
-                design.clone(),
-                format!("{pct}"),
-                format!("{minutes:.1}"),
-                format!("{acc:.2}"),
-            ]);
-            match series.last_mut() {
-                Some(s) if &s.design == design => s.points.push(Point {
-                    percent_steps: *pct,
-                    training_minutes: minutes,
-                    accuracy_pct: acc,
-                }),
-                _ => series.push(Series {
-                    design: design.clone(),
-                    points: vec![Point {
-                        percent_steps: *pct,
-                        training_minutes: minutes,
-                        accuracy_pct: acc,
-                    }],
-                }),
+        for series in &figure.series {
+            for p in &series.points {
+                table.row_owned(vec![
+                    series.design.clone(),
+                    format!("{}", p.percent_steps),
+                    format!("{:.2}", p.training_minutes),
+                    format!("{:.2}", p.accuracy_pct),
+                ]);
             }
         }
         table.print();
-        figures.push(Figure {
-            bandwidth: NetworkModel::paper_presets()[fig_no - 4].0.to_owned(),
-            series,
-        });
     }
     let path = cache::write_output("figs4_6.json", &figures);
     println!("\nwrote {}", path.display());

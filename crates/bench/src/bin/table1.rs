@@ -2,38 +2,45 @@
 //! baseline at 10 Mbps / 100 Mbps / 1 Gbps, plus test accuracy, for all
 //! eleven compared designs using standard training steps.
 //!
+//! Accuracy comes from the simulated standard-step runs, averaged over
+//! `--runs`. Each design's step is measured through the paced relay over
+//! each of the paper's links ([`step_cached`], on the first repetition's
+//! config), and the speedup is f32's measured step over the design's, on
+//! our model as it is (scale 1). Beside them: the relayed window's bits
+//! per value and the full run's, and f32's compute per pushed megabyte.
+//!
 //! ```text
-//! cargo run -p threelc-bench --release --bin table1 [-- --steps N | --quick | --fresh]
+//! cargo run -p threelc-bench --release --bin table1 [-- --steps N | --quick | --runs N | --fresh]
 //! ```
 
 use serde::Serialize;
 use threelc_baselines::SchemeKind;
-use threelc_bench::{cache, run_cached, HarnessOptions, Table};
-use threelc_distsim::NetworkModel;
+use threelc_bench::link::WINDOW;
+use threelc_bench::{cache, run_cached, step_cached, HarnessOptions, Table};
+use threelc_distsim::{ExperimentConfig, NetworkModel};
 
 #[derive(Debug, Serialize)]
 struct Table1Row {
     design: String,
-    speedup_10mbps: f64,
-    speedup_100mbps: f64,
-    speedup_1gbps: f64,
+    /// Measured seconds per step and speedups at 10 Mbps / 100 Mbps / 1 Gbps.
+    step_s: [f64; 3],
+    speedup: [f64; 3],
     accuracy_pct: f64,
     accuracy_diff_pct: f64,
+    window_bits_per_value: f64,
+    bits_per_value: f64,
 }
 
 fn main() {
     let opts = HarnessOptions::from_env();
     let designs = SchemeKind::table1_designs();
-    let nets = NetworkModel::paper_presets();
-
     println!(
-        "Table 1: speedup over baseline and test accuracy ({} standard steps, {} run(s) averaged)\n",
+        "Table 1: measured speedup over baseline and test accuracy ({} standard steps, {} run(s) averaged)\n",
         opts.steps, opts.runs
     );
 
     // One result set per repetition (the paper averages 5 independent
-    // runs, §5.2); each repetition gets its own baseline for the speedup
-    // ratios.
+    // runs, §5.2).
     let repetitions: Vec<Vec<_>> = (0..opts.runs)
         .map(|run| {
             designs
@@ -45,60 +52,60 @@ fn main() {
                 .collect()
         })
         .collect();
-    let results = &repetitions[0];
-    let baseline = &results[0];
-    let base_acc: f64 = repetitions
-        .iter()
-        .map(|rep| rep[0].final_eval.accuracy * 100.0)
-        .sum::<f64>()
-        / opts.runs as f64;
+    let accuracy = |di: usize| {
+        let acc = repetitions.iter().map(|rep| rep[di].final_eval.accuracy);
+        acc.sum::<f64>() * 100.0 / opts.runs as f64
+    };
+    let presets = NetworkModel::paper_presets();
+    let step =
+        |d: &SchemeKind| presets.map(|(_, net)| step_cached(&opts.config(*d), net, opts.fresh));
+    let steps: Vec<_> = designs.iter().map(step).collect();
 
     let mut table = Table::new(&[
         "Design",
-        "@ 10 Mbps",
-        "@ 100 Mbps",
-        "@ 1 Gbps",
+        "step ms @ 10M / 100M / 1G",
+        "speedup @ 10M / 100M / 1G",
         "Accuracy (%)",
         "Difference",
+        "bits/value window / run",
     ]);
     let mut rows = Vec::new();
-    for (di, r) in results.iter().enumerate() {
-        // Average speedups and accuracy over repetitions.
-        let mut speedups = vec![0.0f64; nets.len()];
-        let mut acc = 0.0f64;
-        for rep in &repetitions {
-            for (si, (_, n)) in nets.iter().enumerate() {
-                speedups[si] += rep[0].total_seconds_at(n) / rep[di].total_seconds_at(n);
-            }
-            acc += rep[di].final_eval.accuracy * 100.0;
-        }
-        for s in &mut speedups {
-            *s /= opts.runs as f64;
-        }
-        acc /= opts.runs as f64;
-        let diff = acc - base_acc;
+    for (di, design) in designs.iter().enumerate() {
+        let step_s = steps[di].map(|s| s.step_s);
+        let window = ExperimentConfig {
+            total_steps: WINDOW,
+            ..opts.config(*design)
+        };
+        let row = Table1Row {
+            design: design.label(),
+            step_s,
+            speedup: [0, 1, 2].map(|li| steps[0][li].step_s / step_s[li]),
+            accuracy_pct: accuracy(di),
+            accuracy_diff_pct: accuracy(di) - accuracy(0),
+            window_bits_per_value: run_cached(&window, opts.fresh).bits_per_value(),
+            bits_per_value: repetitions[0][di].bits_per_value(),
+        };
+        let [s, x] = [row.step_s.map(|s| s * 1e3), row.speedup];
+        let (wb, b) = (row.window_bits_per_value, row.bits_per_value);
         table.row_owned(vec![
-            r.scheme_label.clone(),
-            format!("{:.2}", speedups[0]),
-            format!("{:.2}", speedups[1]),
-            format!("{:.2}", speedups[2]),
-            format!("{acc:.2}"),
-            if r.scheme_label == baseline.scheme_label {
-                String::new()
-            } else {
-                format!("{diff:+.2}")
-            },
+            row.design.clone(),
+            format!("{:.1} / {:.2} / {:.2}", s[0], s[1], s[2]),
+            format!("{:.2} / {:.2} / {:.2}", x[0], x[1], x[2]),
+            format!("{:.2}", row.accuracy_pct),
+            format!("{:+.2}", row.accuracy_diff_pct),
+            format!("{wb:.3} / {b:.3}"),
         ]);
-        rows.push(Table1Row {
-            design: r.scheme_label.clone(),
-            speedup_10mbps: speedups[0],
-            speedup_100mbps: speedups[1],
-            speedup_1gbps: speedups[2],
-            accuracy_pct: acc,
-            accuracy_diff_pct: diff,
-        });
+        rows.push(row);
     }
     table.print();
+
+    // The paper's ResNet-110 computes 0.41 s per 6.9 MB f32 push (§5.2).
+    let push_mb = repetitions[0][0].model_params as f64 * 4.0 / 1e6;
+    let compute_ms = steps[0][2].compute_s * 1e3;
+    println!(
+        "\nf32 compute per push: {compute_ms:.2} ms per {push_mb:.3} MB = {:.1} ms/MB (paper: 410 ms per 6.9 MB = 59 ms/MB)",
+        compute_ms / push_mb
+    );
     let path = cache::write_output("table1.json", &rows);
-    println!("\nwrote {}", path.display());
+    println!("wrote {}", path.display());
 }

@@ -1,9 +1,12 @@
-//! JSON-file caching of experiment results.
+//! JSON-file caching of experiment results and relayed step times.
 
+use crate::link::{relayed_run, LinkStep, WINDOW};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use threelc_distsim::{run_experiment, ExperimentConfig, ExperimentResult};
+use threelc_distsim::{run_experiment, ExperimentConfig, ExperimentResult, NetworkModel};
 
 /// Directory (relative to the workspace root) where cached runs live.
 pub const RUNS_DIR: &str = "results/runs";
@@ -58,33 +61,49 @@ fn cache_path(root: &Path, config: &ExperimentConfig) -> PathBuf {
 /// tables built on a pathological run should say so, whether the run was
 /// fresh or replayed from the cache.
 pub fn run_cached(config: &ExperimentConfig, fresh: bool) -> ExperimentResult {
-    let result = run_cached_inner(config, fresh);
+    let path = cache_path(&workspace_root(), config);
+    let result = cached(&path, fresh, || run_experiment(config));
     if let Some(summary) = anomaly_summary(&result) {
         eprintln!("warning: watchdog flagged {summary}");
     }
     result
 }
 
-fn run_cached_inner(config: &ExperimentConfig, fresh: bool) -> ExperimentResult {
-    let root = workspace_root();
-    let path = cache_path(&root, config);
-    if !fresh {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(result) = serde_json::from_str::<ExperimentResult>(&text) {
-                if &result.config == config {
-                    return result;
-                }
-            }
-        }
+/// The step of `config`'s design over `link`: a [`WINDOW`]-step
+/// [`relayed_run`] of `config`, reusing a cached measurement of the same
+/// window and link unless `fresh`.
+///
+/// # Panics
+///
+/// Panics if the relayed run fails.
+pub fn step_cached(config: &ExperimentConfig, link: NetworkModel, fresh: bool) -> LinkStep {
+    let window = ExperimentConfig {
+        total_steps: WINDOW,
+        ..*config
+    };
+    let name = format!("link-{}-{}.json", config_key(&window), link.bandwidth_bps);
+    cached(&workspace_root().join(RUNS_DIR).join(name), fresh, || {
+        let run = relayed_run(&window, link).unwrap_or_else(|e| panic!("relayed run: {e}"));
+        run.step
+    })
+}
+
+/// The value cached at `path` unless `fresh`, else `f`'s, written there.
+/// The file's name carries [`config_key`], so a file that parses holds
+/// the value asked for.
+fn cached<T: Serialize + DeserializeOwned>(path: &Path, fresh: bool, f: impl FnOnce() -> T) -> T {
+    let text = std::fs::read_to_string(path).ok().filter(|_| !fresh);
+    if let Some(value) = text.and_then(|text| serde_json::from_str(&text).ok()) {
+        return value;
     }
-    let result = run_experiment(config);
+    let value = f();
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    if let Ok(json) = serde_json::to_string(&result) {
-        let _ = std::fs::write(&path, json);
+    if let Ok(json) = serde_json::to_string(&value) {
+        let _ = std::fs::write(path, json);
     }
-    result
+    value
 }
 
 /// One-line summary of a result's watchdog findings, or `None` for a

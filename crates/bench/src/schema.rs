@@ -11,7 +11,8 @@ use serde::{Deserialize, Serialize};
 pub struct TradeoffPoint {
     /// Fraction of standard training steps (25/50/75/100).
     pub percent_steps: u64,
-    /// Total simulated training time, minutes.
+    /// Training time, minutes: the run's steps times the design's step
+    /// measured through the paced relay ([`crate::step_cached`]).
     pub training_minutes: f64,
     /// Final top-1 test accuracy, percent.
     pub accuracy_pct: f64,

@@ -269,14 +269,13 @@ impl ServeCmd {
             let c = &conn.counters;
             writeln!(
                 out,
-                "worker {} @ {}: in {} B / {} frames, out {} B / {} frames, codec {:.3}s, socket {:.3}s",
+                "worker {} @ {}: in {} B / {} frames, out {} B / {} frames, socket {:.3}s",
                 conn.worker,
                 conn.peer,
                 c.bytes_in,
                 c.frames_in,
                 c.bytes_out,
                 c.frames_out,
-                c.codec_seconds,
                 c.socket_seconds
             )?;
         }
@@ -444,10 +443,6 @@ pub fn worker_cmd(args: &[String]) -> CliResult {
         "traffic: in {} B / {} frames, out {} B / {} frames, {} retries",
         c.bytes_in, c.frames_in, c.bytes_out, c.frames_out, c.retries
     )?;
-    writeln!(
-        out,
-        "time: codec {:.3}s, socket {:.3}s",
-        c.codec_seconds, c.socket_seconds
-    )?;
+    writeln!(out, "time: socket {:.3}s", c.socket_seconds)?;
     Ok(out)
 }

@@ -14,9 +14,8 @@ use threelc_policy::PolicyTrace;
 /// Training dynamics are exact: every gradient flows through a real
 /// compression context on push, the server's SGD-with-momentum updates the
 /// full-precision global model, and every model delta flows through a real
-/// (shared) compression context on pull. Wall-clock time is *simulated*
-/// from the measured codec CPU time and byte counts recorded in each
-/// [`StepRecord`].
+/// (shared) compression context on pull. Each step's traffic is one
+/// [`StepRecord`]; the cluster keeps no clock of its own.
 ///
 /// The arithmetic lives in [`crate::engine`], which the TCP runtime
 /// (`threelc-net`) drives over real sockets; this type runs the same
@@ -177,7 +176,6 @@ impl Cluster {
             account.push(WorkerPush {
                 payloads: &encoded.payloads,
                 loss,
-                codec_seconds: encoded.codec_seconds,
                 residual_l2: w.residual_l2(),
                 step_seconds: step_t0.elapsed().as_secs_f64(),
                 barrier_wait_seconds: 0.0,

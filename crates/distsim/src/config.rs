@@ -1,4 +1,4 @@
-//! Experiment and timing configuration.
+//! Experiment configuration.
 
 use serde::{Deserialize, Serialize};
 use threelc_baselines::SchemeKind;
@@ -8,54 +8,6 @@ use threelc_policy::PolicySpec;
 /// 10 workers). Our scaled-down standard run: the fractions 25/50/75/100%
 /// used in Figures 4–6 apply to this number.
 pub const STANDARD_STEPS: u64 = 1200;
-
-/// Converts measured traffic and codec time into simulated wall-clock time.
-///
-/// The simulated duration of one training step is
-///
-/// ```text
-/// step = compute + codec·scale + max(0, comm − overlap·compute)
-/// comm = latency·2 + 8·(push_bytes + pull_bytes)·scale / bandwidth
-/// ```
-///
-/// where `scale = reference_params / model_params` projects our
-/// smaller-model measurements onto the paper's ResNet-110 scale (1.73 M
-/// parameters), and `overlap` models the communication the framework hides
-/// behind forward/backward compute via fine-grained per-layer barriers
-/// (§2.1). With the defaults, the 32-bit-float baseline reproduces the
-/// paper's ≈0.4 s/step at 1 Gbps and ≈2 orders of magnitude slowdown at
-/// 10 Mbps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimingModel {
-    /// Seconds of forward+backward compute per step (GPU-calibrated
-    /// constant; the paper's ResNet-110 takes ≈0.4 s/step on a GTX 980).
-    pub compute_seconds_per_step: f64,
-    /// Fraction of compute time that communication can hide behind
-    /// (per-layer pipelining overlaps transfers with both passes).
-    pub overlap_fraction: f64,
-    /// Parameter count the traffic/codec measurements are projected to
-    /// (ResNet-110 ≈ 1.73 M).
-    pub reference_params: u64,
-}
-
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            compute_seconds_per_step: 0.41,
-            overlap_fraction: 2.0,
-            reference_params: 1_730_000,
-        }
-    }
-}
-
-impl TimingModel {
-    /// The measurement-to-paper scale factor for a model of `model_params`
-    /// parameters.
-    pub fn scale_for(&self, model_params: u64) -> f64 {
-        assert!(model_params > 0, "model must have parameters");
-        self.reference_params as f64 / model_params as f64
-    }
-}
 
 /// Full configuration of one distributed-training experiment. The
 /// simulator ([`crate::Cluster`]) and the networked runtime run every
@@ -103,8 +55,6 @@ pub struct ExperimentConfig {
     /// workers, so every replica applies the identical decision sequence.
     #[serde(default)]
     pub policy: PolicySpec,
-    /// The simulated-time model.
-    pub timing: TimingModel,
 }
 
 impl Default for ExperimentConfig {
@@ -125,7 +75,6 @@ impl Default for ExperimentConfig {
             eval_every: 0,
             seed: 42,
             policy: PolicySpec::Static,
-            timing: TimingModel::default(),
         }
     }
 }
@@ -140,8 +89,8 @@ impl ExperimentConfig {
     }
 
     /// Checks what both runtimes need before anything is built or bound:
-    /// at least one worker, no more than a `u16` worker id can name, and
-    /// in-range scheme and policy parameters
+    /// at least one worker, no more than a `u16` worker id can name, a
+    /// positive batch, and in-range scheme and policy parameters
     /// ([`SchemeKind::validate`], [`PolicySpec::validate`]).
     ///
     /// # Errors
@@ -158,6 +107,9 @@ impl ExperimentConfig {
                 "{} workers exceed the u16 worker-id space",
                 self.workers
             ));
+        }
+        if self.batch_per_worker == 0 {
+            return Err("batch size must be positive".into());
         }
         Ok(())
     }
@@ -207,13 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_projects_to_reference() {
-        let t = TimingModel::default();
-        assert!((t.scale_for(1_730_000) - 1.0).abs() < 1e-12);
-        assert!((t.scale_for(173_000) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn validate_bounds_the_worker_count() {
         let with = |workers| ExperimentConfig {
             workers,
@@ -228,6 +173,14 @@ mod tests {
         assert_eq!(
             with(70_000).validate(),
             Err("70000 workers exceed the u16 worker-id space".into())
+        );
+        let no_batch = ExperimentConfig {
+            batch_per_worker: 0,
+            ..with(1)
+        };
+        assert_eq!(
+            no_batch.validate(),
+            Err("batch size must be positive".into())
         );
     }
 

@@ -32,7 +32,7 @@ use crate::trace::StepRecord;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use threelc::kernels::DequantOp;
 use threelc::{sizing, CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
@@ -257,7 +257,8 @@ impl TensorPayload {
 pub struct EncodedPush {
     /// One payload per parameter tensor, in parameter order.
     pub payloads: Vec<TensorPayload>,
-    /// Measured compression CPU seconds.
+    /// Measured compression CPU seconds (what the worker's `PushDone`
+    /// frame carries).
     pub codec_seconds: f64,
 }
 
@@ -492,12 +493,6 @@ pub struct ServerStepOutput {
     /// worker applies them with [`WorkerReplica::apply_pulls`]; decoding is
     /// pure, so all replicas move identically.
     pub pulls: Vec<TensorPayload>,
-    /// Measured server-side codec CPU seconds: the stage phase (every
-    /// push checked, and decoded whole for a tensor whose pull context
-    /// lends no accumulator), a lending tensor's strip unpacks and
-    /// accumulates inside the fused sweep, and the pull encode — every
-    /// tensor's whole decode and error accumulation, never the optimizer.
-    pub server_codec_seconds: f64,
     /// The policy decisions that governed **this** step, resolved against
     /// the step's observed telemetry (empty when the policy is static).
     pub policy_records: Vec<PolicyRecord>,
@@ -701,11 +696,6 @@ fn stage_tensor(
 /// order — the worker-order sum with the average folded into the last op,
 /// `step`, then the pull context's `residual + delta` — so the strips
 /// change no bit; they only keep the sum and the delta out of DRAM.
-///
-/// The unpack and the accumulate are codec work — what a non-lending
-/// tensor's whole decode and its pull context's `compress` are billed —
-/// so each strip's two are timed apart from its optimizer step and added
-/// to `codec`.
 #[allow(clippy::too_many_arguments)]
 fn sweep_tensor(
     step: &mut TensorStep<'_>,
@@ -716,15 +706,12 @@ fn sweep_tensor(
     i: usize,
     strip: &mut [f32],
     lr: f32,
-    codec: &mut f64,
 ) -> f32 {
     let n = accumulator.len();
     let len = sizing::quartic_len(n);
     let acc = accumulator.as_mut_slice();
     let mut max_bits = 0u32;
-    let mut codec_time = Duration::ZERO;
     for start in (0..len).step_by(STRIP_BYTES) {
-        let t_unpack = Instant::now();
         let bytes = start..(start + STRIP_BYTES).min(len);
         let ranges = sizing::strip_planes(n, bytes.clone());
         let mut rest = &mut *strip;
@@ -747,17 +734,13 @@ fn sweep_tensor(
                 }
             }
         }
-        codec_time += t_unpack.elapsed();
         for (plane, r) in planes.iter_mut().zip(ranges.clone()) {
             step.apply(r, plane, lr);
         }
-        let t_accumulate = Instant::now();
         for (plane, r) in planes.into_iter().zip(ranges) {
             max_bits = max_bits.max(add_max_abs(&mut acc[r], plane).to_bits());
         }
-        codec_time += t_accumulate.elapsed();
     }
-    *codec += codec_time.as_secs_f64();
     f32::from_bits(max_bits)
 }
 
@@ -874,21 +857,21 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 /// ascending, covering `rows`): `body` gets its tensor index range, that
 /// range's exclusive slice of the per-tensor `rows`, the shard's strip
 /// buffer (one per range in `strips`; only the fused sweep uses it), and
-/// private traffic-stats and codec-seconds accumulators. A single range runs
-/// inline on the calling thread, so one shard and many execute the same
-/// body; tensors are independent and keep their worker-id order inside
-/// `body`, so the shard count never changes a result. Every shard hands its
-/// (order-insensitive) `u64` traffic counters and measured codec seconds
-/// back by value; their totals, merged in range order, come back beside the
-/// per-shard outputs. `busy` is `engine.shard.busy_seconds`, recorded once
-/// per shard of a phase that runs more than one.
+/// a private traffic-stats accumulator. A single range runs inline on the
+/// calling thread, so one shard and many execute the same body; tensors
+/// are independent and keep their worker-id order inside `body`, so the
+/// shard count never changes a result. Every shard hands its
+/// (order-insensitive) `u64` traffic counters back by value; their total,
+/// merged in range order, comes back beside the per-shard outputs.
+/// `busy` is `engine.shard.busy_seconds`, recorded once per shard of a
+/// phase that runs more than one.
 fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
     ranges: &[Range<usize>],
     strips: &mut [Vec<f32>],
     busy: &Histogram,
-    body: impl Fn(Range<usize>, &mut [C], &mut Vec<f32>, &mut CompressionStats, &mut f64) -> T + Sync,
-) -> (Vec<T>, CompressionStats, f64) {
+    body: impl Fn(Range<usize>, &mut [C], &mut Vec<f32>, &mut CompressionStats) -> T + Sync,
+) -> (Vec<T>, CompressionStats) {
     assert_eq!(ranges.len(), strips.len(), "one strip per shard");
     let sharded = ranges.len() > 1;
     let chunks = split_off_ranges(rows, ranges);
@@ -896,22 +879,19 @@ fn run_shards<C: Send, T: Send>(
     let shards = run_tasks(tasks, |((range, chunk), strip)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
-        let mut codec = 0.0f64;
-        let out = body(range, chunk, strip, &mut stats, &mut codec);
+        let out = body(range, chunk, strip, &mut stats);
         if sharded {
             busy.record(t0.elapsed().as_secs_f64());
         }
-        (out, stats, codec)
+        (out, stats)
     });
     let mut outs = Vec::with_capacity(shards.len());
     let mut stats = CompressionStats::new();
-    let mut codec = 0.0f64;
-    for (out, s, c) in shards {
+    for (out, s) in shards {
         outs.push(out);
         stats.merge(&s);
-        codec += c;
     }
-    (outs, stats, codec)
+    (outs, stats)
 }
 
 impl ServerCore {
@@ -991,8 +971,6 @@ impl ServerCore {
                 pull_bytes: 0,
                 raw_bytes: 0,
                 compressible_values: self.compressible_values,
-                worker_codec_seconds: 0.0,
-                server_codec_seconds: 0.0,
                 residual_l2: 0.0,
             },
             workers: self.config.workers,
@@ -1116,7 +1094,6 @@ impl ServerCore {
         }
         let lr = self.lr();
         let n_params = self.shapes.len();
-        let mut server_codec = 0.0f64;
         let ops = accumulate_ops(payloads, accepted_count);
 
         // The decisions governing this step also apply to the pull side:
@@ -1136,7 +1113,7 @@ impl ServerCore {
         // no-op unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        self.stage(payloads, &ops, &mut server_codec)?;
+        self.stage(payloads, &ops)?;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);
@@ -1146,7 +1123,7 @@ impl ServerCore {
         };
         // Every payload of every tensor has been checked: only now may the
         // model move.
-        self.sweep(payloads, &ops, lr, &mut server_codec);
+        self.sweep(payloads, &ops, lr);
         let t_reencode = if tracing {
             let t = trace::now_ns();
             trace::record_span("aggregate", t_aggregate, t);
@@ -1155,7 +1132,7 @@ impl ServerCore {
             0
         };
         // Compress model deltas (shared pull contexts, Fig. 2b).
-        let pulls = self.compress_pulls(&mut server_codec);
+        let pulls = self.compress_pulls();
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
         }
@@ -1205,7 +1182,6 @@ impl ServerCore {
         Ok(ServerStepOutput {
             lr,
             pulls,
-            server_codec_seconds: server_codec,
             policy_records,
             next_decisions,
         })
@@ -1218,12 +1194,11 @@ impl ServerCore {
     /// averaged into the tensor's `update` ([`aggregate_tensor`]). A
     /// tensor's landing is settled here on its first step
     /// ([`Landing::Ask`]). The model, optimizer and traffic statistics do
-    /// not change unless every payload decodes. All of it is codec time.
+    /// not change unless every payload decodes.
     fn stage(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         ops: &[Option<DequantOp>],
-        server_codec: &mut f64,
     ) -> Result<(), EngineError> {
         let step = self.step;
         let shapes = &self.shapes;
@@ -1235,46 +1210,41 @@ impl ServerCore {
             .zip(&mut self.pull_ctxs)
             .zip(&mut self.landings)
             .collect();
-        let (outs, stats, codec) = run_shards(
+        let (outs, stats) = run_shards(
             &mut rows,
             &self.shards,
             &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, _, stats, codec| {
-                let t0 = Instant::now();
-                let out =
-                    rows.iter_mut()
-                        .zip(range)
-                        .try_for_each(|(((ctx_row, pull), landing), i)| {
-                            landing.settle(pull, &shapes[i]);
-                            match landing {
-                                Landing::Lent { accumulator, .. } => {
-                                    let n = accumulator.len();
-                                    stage_tensor(ctx_row, payloads, ops, i, n, stats)
-                                }
-                                Landing::Update(update) => {
-                                    aggregate_tensor(update, ctx_row, payloads, ops, i, stats)
-                                }
-                                Landing::Ask => unreachable!("settled above"),
+            |range, rows, _, stats| {
+                rows.iter_mut()
+                    .zip(range)
+                    .try_for_each(|(((ctx_row, pull), landing), i)| {
+                        landing.settle(pull, &shapes[i]);
+                        match landing {
+                            Landing::Lent { accumulator, .. } => {
+                                let n = accumulator.len();
+                                stage_tensor(ctx_row, payloads, ops, i, n, stats)
                             }
-                            .map_err(|(worker, source)| {
-                                EngineError::UndecodablePush {
-                                    step,
-                                    worker,
-                                    tensor: i,
-                                    source,
-                                }
-                            })
-                        });
-                *codec += t0.elapsed().as_secs_f64();
-                out
+                            Landing::Update(update) => {
+                                aggregate_tensor(update, ctx_row, payloads, ops, i, stats)
+                            }
+                            Landing::Ask => unreachable!("settled above"),
+                        }
+                        .map_err(|(worker, source)| {
+                            EngineError::UndecodablePush {
+                                step,
+                                worker,
+                                tensor: i,
+                                source,
+                            }
+                        })
+                    })
             },
         );
         // Shards come back in range order: the first error is the lowest
         // tensor's.
         outs.into_iter().collect::<Result<(), _>>()?;
         self.push_stats.merge(&stats);
-        *server_codec += codec;
         Ok(())
     }
 
@@ -1282,27 +1252,20 @@ impl ServerCore {
     /// a lent accumulator takes its tensor's delta strip by strip
     /// ([`sweep_tensor`]) in the shard's strip buffer; an `update` has the
     /// optimizer's own sweep turn the averaged gradient into the delta
-    /// where it lies. Nothing snapshots the model. A strip's unpack and
-    /// accumulate are codec time, its optimizer step is not.
-    fn sweep(
-        &mut self,
-        payloads: &[Vec<TensorPayload>],
-        ops: &[Option<DequantOp>],
-        lr: f32,
-        server_codec: &mut f64,
-    ) {
+    /// where it lies. Nothing snapshots the model.
+    fn sweep(&mut self, payloads: &[Vec<TensorPayload>], ops: &[Option<DequantOp>], lr: f32) {
         let steps = self.optimizer.steps(&mut self.global);
         let mut rows: Vec<_> = steps
             .into_iter()
             .zip(&mut self.decode_ctxs)
             .zip(&mut self.landings)
             .collect();
-        let (_, _, codec) = run_shards(
+        run_shards(
             &mut rows,
             &self.shards,
             &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, strip, _, codec| {
+            |range, rows, strip, _| {
                 // As long as the shard's longest strip, once.
                 let need = rows
                     .iter()
@@ -1331,7 +1294,6 @@ impl ServerCore {
                                 i,
                                 strip,
                                 lr,
-                                codec,
                             );
                         }
                         Landing::Update(update) => {
@@ -1342,7 +1304,6 @@ impl ServerCore {
                 }
             },
         );
-        *server_codec += codec;
     }
 
     /// Re-encode: compresses this step's model delta through the shared
@@ -1350,15 +1311,15 @@ impl ServerCore {
     /// ([`run_shards`]) — a lent accumulator goes back to its context to
     /// be encoded, an `update` is compressed or sent raw. Pull contexts are
     /// per tensor, so compression state never crosses a shard boundary.
-    fn compress_pulls(&mut self, server_codec: &mut f64) -> Vec<TensorPayload> {
+    fn compress_pulls(&mut self) -> Vec<TensorPayload> {
         let workers = self.config.workers;
         let mut rows: Vec<_> = self.pull_ctxs.iter_mut().zip(&mut self.landings).collect();
-        let (outs, stats, codec) = run_shards(
+        let (outs, stats) = run_shards(
             &mut rows,
             &self.shards,
             &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, _, stats, codec| {
+            |range, rows, _, stats| {
                 let mut pulls = Vec::with_capacity(range.len());
                 for (ctx, landing) in rows.iter_mut() {
                     let Some(ctx) = ctx else {
@@ -1368,7 +1329,6 @@ impl ServerCore {
                         pulls.push(TensorPayload::Raw(delta.clone()));
                         continue;
                     };
-                    let t0 = Instant::now();
                     let (n, wire) = match std::mem::replace(*landing, Landing::Ask) {
                         Landing::Lent {
                             accumulator,
@@ -1385,7 +1345,6 @@ impl ServerCore {
                         Landing::Ask => unreachable!("the stage phase settled every landing"),
                     };
                     let wire = wire.expect("delta shape matches context");
-                    *codec += t0.elapsed().as_secs_f64();
                     stats.record(n * workers, wire.len() * workers);
                     pulls.push(TensorPayload::Compressed(wire));
                 }
@@ -1393,7 +1352,6 @@ impl ServerCore {
             },
         );
         self.pull_stats.merge(&stats);
-        *server_codec += codec;
         outs.into_iter().flatten().collect()
     }
 }
@@ -1405,8 +1363,6 @@ pub struct WorkerPush<'a> {
     pub payloads: &'a [TensorPayload],
     /// The worker's local training loss.
     pub loss: f32,
-    /// Worker-side codec seconds for this push.
-    pub codec_seconds: f64,
     /// The worker's error-accumulation residual L2 after encoding.
     pub residual_l2: f64,
     /// Wall-clock seconds from compute to the finished push.
@@ -1428,8 +1384,8 @@ pub struct WorkerPush<'a> {
 /// policy broadcasts are transport, not state change, and are counted by
 /// neither runtime.
 pub struct StepAccount {
-    /// The record being built: traffic, the workers' codec maximum and the
-    /// residual maximum accumulate in its own fields.
+    /// The record being built: traffic and the residual maximum accumulate
+    /// in its own fields.
     record: StepRecord,
     /// Pull fan-out: every worker pulls.
     workers: usize,
@@ -1446,7 +1402,6 @@ impl StepAccount {
         self.next_worker += 1;
         let rec = &mut self.record;
         self.loss_sum += f64::from(push.loss);
-        rec.worker_codec_seconds = rec.worker_codec_seconds.max(push.codec_seconds);
         rec.residual_l2 = rec.residual_l2.max(push.residual_l2);
         let (mut wire, mut compressed) = (0u64, 0u64);
         for payload in push.payloads {
@@ -1504,7 +1459,6 @@ impl StepAccount {
         }
         rec.lr = out.lr;
         rec.loss = (self.loss_sum / self.deltas.len() as f64) as f32;
-        rec.server_codec_seconds = out.server_codec_seconds;
         self.record
     }
 }
@@ -1690,43 +1644,6 @@ mod tests {
             }
             assert_eq!(serial.push_stats(), sharded.push_stats());
             assert_eq!(serial.pull_stats(), sharded.pull_stats());
-        }
-    }
-
-    /// The fused sweep's strip unpacks and accumulates are the decode and
-    /// error accumulation a baseline is billed whole, so they count as
-    /// server codec time; the optimizer's own sweep over an `update` does
-    /// not.
-    #[test]
-    fn the_fused_sweep_bills_its_unpack_and_accumulate_as_codec_time() {
-        for (scheme, lends) in [
-            (SchemeKind::three_lc(1.5), true),
-            (SchemeKind::Float32, false),
-        ] {
-            let config = tiny(scheme);
-            let problem = Problem::build(&config);
-            let mut workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut server = ServerCore::new(&problem);
-            let payloads: Vec<_> = workers
-                .iter_mut()
-                .map(|w| {
-                    let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
-                    w.encode_push(grads).payloads
-                })
-                .collect();
-            let ops = accumulate_ops(&payloads, payloads.len());
-            server
-                .stage(&payloads, &ops, &mut 0.0)
-                .expect("valid pushes");
-            let mut codec = 0.0;
-            server.sweep(&payloads, &ops, server.lr(), &mut codec);
-            assert_eq!(
-                codec > 0.0,
-                lends,
-                "sweep codec seconds {codec} under {scheme}"
-            );
         }
     }
 
@@ -2239,10 +2156,9 @@ mod tests {
         let wire = |n: usize| TensorPayload::Compressed(vec![0; n]);
         let push0 = [wire(100), raw(4), wire(50)];
         let push1 = [wire(0), raw(4), wire(0)];
-        let worker_push = |payloads, loss, codec_seconds, residual_l2| WorkerPush {
+        let worker_push = |payloads, loss, residual_l2| WorkerPush {
             payloads,
             loss,
-            codec_seconds,
             residual_l2,
             step_seconds: 0.25,
             barrier_wait_seconds: 0.5,
@@ -2250,15 +2166,14 @@ mod tests {
         };
 
         let mut account = server.begin_step();
-        account.push(worker_push(&push0[..], 1.0, 0.01, 3.0));
-        account.push(worker_push(&push1[..], 2.0, 0.03, 1.0));
+        account.push(worker_push(&push0[..], 1.0, 3.0));
+        account.push(worker_push(&push1[..], 2.0, 1.0));
         assert_eq!(account.accepted(), 2);
         assert_eq!(account.residual_l2(), 3.0);
         let deltas = account.deltas().to_vec();
         let out = ServerStepOutput {
             lr: 0.125,
             pulls: vec![wire(10), raw(4), wire(30)],
-            server_codec_seconds: 0.07,
             policy_records: Vec::new(),
             next_decisions: Vec::new(),
         };
@@ -2286,8 +2201,6 @@ mod tests {
         assert_eq!(rec.pull_bytes, 40 * 2);
         assert_eq!(rec.raw_bytes, 16 + 16 + 16 * 2);
         assert_eq!(rec.compressible_values, values);
-        assert_eq!(rec.worker_codec_seconds, 0.03);
-        assert_eq!(rec.server_codec_seconds, 0.07);
         assert_eq!(rec.residual_l2, 3.0);
     }
 }

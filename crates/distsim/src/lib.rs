@@ -2,12 +2,13 @@
 //!
 //! The paper evaluates 3LC on a 10-GPU cluster running TensorFlow's
 //! `SyncReplicasOptimizer` with Linux Traffic Control emulating 10 Mbps /
-//! 100 Mbps / 1 Gbps links (§5.2). This crate is the from-scratch stand-in:
-//! an in-process bulk-synchronous parameter server whose *learning
-//! dynamics* are exact (real gradients flow through real compression
-//! contexts on both the push and pull paths) and whose *wall-clock time* is
-//! simulated from first principles — measured codec CPU time plus a
-//! calibrated compute constant plus a bandwidth/latency transfer model.
+//! 100 Mbps / 1 Gbps links (§5.2). This crate is the from-scratch stand-in
+//! for its *learning dynamics*: an in-process bulk-synchronous parameter
+//! server in which real gradients flow through real compression contexts
+//! on both the push and pull paths, bit-identical to the networked
+//! runtime (`threelc-net`). It keeps no clock: training time is measured
+//! by running that runtime through a paced link (`threelc-bench`'s
+//! `link` module).
 //!
 //! The architecture mirrors the paper's Figures 1 and 2:
 //!
@@ -19,11 +20,8 @@
 //! - small tensors (biases — the analog of the paper's batch-normalization
 //!   layers) bypass compression, per §5.1.
 //!
-//! Because training dynamics do not depend on link speed, a single training
-//! run records a [`TrainingTrace`] of per-step traffic and codec times from
-//! which [`ExperimentResult::total_seconds_at`] recovers the training time
-//! under *any* bandwidth — the same extrapolation methodology the paper
-//! uses for its 10 Mbps and 100 Mbps numbers.
+//! Because training dynamics do not depend on link speed, one run's
+//! [`TrainingTrace`] of per-step traffic serves every bandwidth.
 
 pub mod cluster;
 pub mod config;
@@ -33,7 +31,7 @@ pub mod netmodel;
 pub mod trace;
 
 pub use cluster::Cluster;
-pub use config::{ExperimentConfig, TimingModel};
+pub use config::ExperimentConfig;
 pub use engine::{
     base_sparsity, EngineError, Problem, ServerCore, StepAccount, TensorPayload, WorkerPush,
     WorkerReplica,

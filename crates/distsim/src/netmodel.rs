@@ -1,25 +1,23 @@
 //! Link bandwidth/latency model.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// A network link model: bandwidth plus per-transfer latency.
+/// A network link model: bandwidth plus one-way latency.
 ///
 /// All cluster traffic funnels through the parameter server's link (the
-/// bottleneck in the paper's topology of ten workers and one server), so
-/// transfer time for a step is the serialized byte total over this link.
+/// bottleneck in the paper's topology of ten workers and one server);
+/// `threelc-bench`'s paced relay shapes a loopback connection to it.
 ///
 /// ```
 /// use threelc_distsim::NetworkModel;
-/// let net = NetworkModel::ten_mbps();
-/// // 1.25 MB at 10 Mbps = 1 second (plus latency).
-/// assert!((net.transfer_seconds(1_250_000) - 1.001).abs() < 1e-9);
+/// let [(label, slowest), ..] = NetworkModel::paper_presets();
+/// assert_eq!((label, slowest.bandwidth_bps), ("10 Mbps", 10e6));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkModel {
     /// Link bandwidth in bits per second.
     pub bandwidth_bps: f64,
-    /// Fixed latency per transfer, in seconds.
+    /// Fixed one-way latency, in seconds.
     pub latency_s: f64,
 }
 
@@ -38,44 +36,15 @@ impl NetworkModel {
         }
     }
 
-    /// The paper's slowest emulated link: 10 Mbps (WAN-like).
-    pub fn ten_mbps() -> Self {
-        NetworkModel::new(10e6, 1e-3)
-    }
-
-    /// The paper's middle link: 100 Mbps.
-    pub fn hundred_mbps() -> Self {
-        NetworkModel::new(100e6, 1e-3)
-    }
-
-    /// The paper's fastest link: 1 Gbps (datacenter LAN).
-    pub fn one_gbps() -> Self {
-        NetworkModel::new(1e9, 1e-3)
-    }
-
-    /// The three bandwidths the paper evaluates, slowest first, with the
-    /// labels used in Table 1.
+    /// The three links the paper evaluates (§5.2), slowest first, with the
+    /// labels used in Table 1: 10 Mbps (WAN-like), 100 Mbps and 1 Gbps
+    /// (datacenter LAN), each with 1 ms of latency.
     pub fn paper_presets() -> [(&'static str, NetworkModel); 3] {
         [
-            ("10 Mbps", NetworkModel::ten_mbps()),
-            ("100 Mbps", NetworkModel::hundred_mbps()),
-            ("1 Gbps", NetworkModel::one_gbps()),
+            ("10 Mbps", NetworkModel::new(10e6, 1e-3)),
+            ("100 Mbps", NetworkModel::new(100e6, 1e-3)),
+            ("1 Gbps", NetworkModel::new(1e9, 1e-3)),
         ]
-    }
-
-    /// Seconds to transfer `bytes` over this link (one transfer).
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 * 8.0 / self.bandwidth_bps
-    }
-}
-
-impl fmt::Display for NetworkModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.bandwidth_bps >= 1e9 {
-            write!(f, "{:.0} Gbps", self.bandwidth_bps / 1e9)
-        } else {
-            write!(f, "{:.0} Mbps", self.bandwidth_bps / 1e6)
-        }
     }
 }
 
@@ -85,29 +54,8 @@ mod tests {
 
     #[test]
     fn presets_have_expected_bandwidths() {
-        assert_eq!(NetworkModel::ten_mbps().bandwidth_bps, 10e6);
-        assert_eq!(NetworkModel::hundred_mbps().bandwidth_bps, 100e6);
-        assert_eq!(NetworkModel::one_gbps().bandwidth_bps, 1e9);
-    }
-
-    #[test]
-    fn transfer_time_scales_linearly() {
-        let net = NetworkModel::new(8e6, 0.0);
-        assert_eq!(net.transfer_seconds(1_000_000), 1.0);
-        assert_eq!(net.transfer_seconds(2_000_000), 2.0);
-        assert_eq!(net.transfer_seconds(0), 0.0);
-    }
-
-    #[test]
-    fn latency_added_once() {
-        let net = NetworkModel::new(8e6, 0.5);
-        assert_eq!(net.transfer_seconds(0), 0.5);
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(NetworkModel::ten_mbps().to_string(), "10 Mbps");
-        assert_eq!(NetworkModel::one_gbps().to_string(), "1 Gbps");
+        let rates = NetworkModel::paper_presets().map(|(_, net)| net.bandwidth_bps);
+        assert_eq!(rates, [10e6, 100e6, 1e9]);
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Per-step training traces and derived traffic/time summaries.
+//! Per-step training traces and derived traffic summaries.
 
-use crate::config::TimingModel;
-use crate::netmodel::NetworkModel;
 use serde::{Deserialize, Serialize};
 use threelc_learning::Evaluation;
 
@@ -25,14 +23,6 @@ pub struct StepRecord {
     /// State-change values covered by compression, per direction per
     /// worker (i.e. the compressible parameter count).
     pub compressible_values: u64,
-    /// Measured worker-side codec seconds (max across workers — they run
-    /// in parallel on real hardware).
-    pub worker_codec_seconds: f64,
-    /// Measured server-side codec seconds: staging (or decoding) the
-    /// pushes, a lending tensor's strip unpacks and accumulates, and
-    /// compressing the pulls — never the optimizer
-    /// ([`ServerStepOutput::server_codec_seconds`](crate::engine::ServerStepOutput::server_codec_seconds)).
-    pub server_codec_seconds: f64,
     /// Largest per-worker error-accumulation residual L2 norm after this
     /// step's pushes (0.0 for stateless schemes or old traces). The
     /// anomaly watchdog flags blowups against the run median.
@@ -68,19 +58,6 @@ impl StepRecord {
             compression_ratio: if bits > 0.0 { 32.0 / bits } else { 0.0 },
             residual_l2: self.residual_l2,
         }
-    }
-
-    /// Simulated duration of this step under a given link and timing model.
-    ///
-    /// `scale` is [`TimingModel::scale_for`] of the model size.
-    pub fn seconds_at(&self, net: &NetworkModel, timing: &TimingModel, scale: f64) -> f64 {
-        let bytes = (self.push_bytes + self.pull_bytes + self.raw_bytes) as f64 * scale;
-        // One batched push transfer and one batched pull transfer.
-        let comm = 2.0 * net.latency_s + bytes * 8.0 / net.bandwidth_bps;
-        let codec = (self.worker_codec_seconds + self.server_codec_seconds) * scale;
-        let compute = timing.compute_seconds_per_step;
-        let visible_comm = (comm - timing.overlap_fraction * compute).max(0.0);
-        compute + codec + visible_comm
     }
 }
 
@@ -154,14 +131,6 @@ impl TrainingTrace {
         }
     }
 
-    /// Total simulated training seconds under a link/timing model.
-    pub fn total_seconds_at(&self, net: &NetworkModel, timing: &TimingModel, scale: f64) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| s.seconds_at(net, timing, scale))
-            .sum()
-    }
-
     /// The last recorded evaluation, if any.
     pub fn final_eval(&self) -> Option<&EvalRecord> {
         self.evals.last()
@@ -191,8 +160,6 @@ mod tests {
             pull_bytes: pull,
             raw_bytes: raw,
             compressible_values: values,
-            worker_codec_seconds: 0.0,
-            server_codec_seconds: 0.0,
             residual_l2: 0.0,
         }
     }
@@ -204,38 +171,6 @@ mod tests {
         let r = record(1000, 500, 0, 100);
         assert_eq!(r.push_bits_per_value(10), 8.0);
         assert_eq!(r.pull_bits_per_value(10), 4.0);
-    }
-
-    #[test]
-    fn step_seconds_additive_model() {
-        let r = StepRecord {
-            worker_codec_seconds: 0.1,
-            server_codec_seconds: 0.1,
-            ..record(500_000, 500_000, 0, 1)
-        };
-        let net = NetworkModel::new(8e6, 0.0);
-        let timing = TimingModel {
-            compute_seconds_per_step: 0.5,
-            overlap_fraction: 0.0,
-            reference_params: 1,
-        };
-        // comm = 1e6 bytes → 1 s; codec 0.2 s; compute 0.5 s.
-        let s = r.seconds_at(&net, &timing, 1.0);
-        assert!((s - 1.7).abs() < 1e-9, "step seconds {s}");
-    }
-
-    #[test]
-    fn overlap_hides_communication() {
-        let r = record(500_000, 500_000, 0, 1);
-        let net = NetworkModel::new(8e6, 0.0);
-        let timing = TimingModel {
-            compute_seconds_per_step: 0.5,
-            overlap_fraction: 2.0,
-            reference_params: 1,
-        };
-        // comm 1 s, hidden budget 1 s → fully hidden.
-        let s = r.seconds_at(&net, &timing, 1.0);
-        assert!((s - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -311,14 +246,5 @@ mod tests {
         let back: TrainingTrace = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, trace);
         assert!(back.policy.records.is_empty());
-    }
-
-    #[test]
-    fn faster_network_never_slower() {
-        let r = record(10_000, 10_000, 1000, 100);
-        let timing = TimingModel::default();
-        let slow = r.seconds_at(&NetworkModel::ten_mbps(), &timing, 10.0);
-        let fast = r.seconds_at(&NetworkModel::one_gbps(), &timing, 10.0);
-        assert!(fast <= slow);
     }
 }

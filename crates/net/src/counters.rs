@@ -3,10 +3,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Counters kept by each side of a connection: raw traffic, retry count,
-/// and a split of CPU time into codec work (compress/decompress and
-/// f32 serialization) versus socket work (blocking reads, writes and
-/// flushes). Traffic and socket time are booked by
-/// [`Conn`](crate::Conn)'s frame I/O, nowhere else.
+/// and socket time (blocking reads, writes and flushes). Traffic and
+/// socket time are booked by [`Conn`](crate::Conn)'s frame I/O, nowhere
+/// else; codec time is read from the trace spans (`threelc analyze`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConnCounters {
     /// Frames received.
@@ -19,8 +18,6 @@ pub struct ConnCounters {
     pub bytes_out: u64,
     /// Connection attempts that failed and were retried.
     pub retries: u64,
-    /// Seconds spent in codec work.
-    pub codec_seconds: f64,
     /// Seconds spent blocked on socket reads/writes/flushes.
     pub socket_seconds: f64,
     /// Seconds spent sleeping in connect-retry backoff. Defaults to zero
@@ -45,7 +42,6 @@ impl ConnCounters {
         self.bytes_in += other.bytes_in;
         self.bytes_out += other.bytes_out;
         self.retries += other.retries;
-        self.codec_seconds += other.codec_seconds;
         self.socket_seconds += other.socket_seconds;
         self.backoff_seconds += other.backoff_seconds;
     }
@@ -63,7 +59,6 @@ mod tests {
             bytes_in: 3,
             bytes_out: 4,
             retries: 5,
-            codec_seconds: 0.5,
             socket_seconds: 0.25,
             backoff_seconds: 0.125,
         };
@@ -73,7 +68,6 @@ mod tests {
         assert_eq!(a.bytes_in, 6);
         assert_eq!(a.bytes_out, 8);
         assert_eq!(a.retries, 10);
-        assert!((a.codec_seconds - 1.0).abs() < 1e-12);
         assert!((a.backoff_seconds - 0.25).abs() < 1e-12);
     }
 
@@ -91,7 +85,6 @@ mod tests {
         let c = ConnCounters {
             frames_in: 7,
             retries: 1,
-            codec_seconds: 0.125,
             backoff_seconds: 0.5,
             ..Default::default()
         };

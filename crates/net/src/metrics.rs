@@ -4,7 +4,7 @@
 //! [`ConnCounters`] keeps the exact per-connection totals that go into
 //! [`NetReport`](crate::NetReport) JSON (schema unchanged); this module
 //! layers distribution telemetry on top of them. Every socket read/write
-//! and codec operation also lands in a process-global
+//! also lands in a process-global
 //! [`threelc_obs`] histogram under `net.server.*` / `net.worker.*`, so a
 //! live scrape shows latency percentiles, not just totals.
 //!
@@ -29,8 +29,6 @@ use threelc_obs::{global, Counter, Histogram, NodeTrace, RunSeries, Snapshot};
 /// connection; recording is then a few relaxed atomics per frame.
 #[derive(Clone)]
 pub struct NetMetrics {
-    /// Per-operation codec time (compress/decompress/serialize).
-    pub codec_seconds: Arc<Histogram>,
     /// Per-operation blocking socket time (one frame read, one frame
     /// write, or one flush).
     pub socket_seconds: Arc<Histogram>,
@@ -53,7 +51,6 @@ impl NetMetrics {
     fn with_prefix(prefix: &str) -> Self {
         let reg = global();
         NetMetrics {
-            codec_seconds: reg.histogram(&format!("{prefix}.codec_seconds")),
             socket_seconds: reg.histogram(&format!("{prefix}.socket_seconds")),
             step_seconds: reg.histogram(&format!("{prefix}.step_seconds")),
             backoff_seconds: reg.histogram(&format!("{prefix}.backoff_seconds")),
@@ -176,13 +173,6 @@ impl Conn {
         self.counters.frames_out += 1;
         self.counters.bytes_out += bytes as u64;
         self.metrics.bytes_out.add(bytes as u64);
-    }
-
-    /// Records `seconds` of codec work (one compress/decompress/serialize
-    /// operation).
-    pub fn note_codec(&mut self, seconds: f64) {
-        self.counters.codec_seconds += seconds;
-        self.metrics.codec_seconds.record(seconds);
     }
 
     /// Records one failed connection attempt and its backoff sleep.
@@ -350,25 +340,23 @@ mod tests {
     }
 
     #[test]
-    fn codec_and_retry_notes_reach_counters_and_histograms() {
+    fn retry_notes_reach_counters_and_histograms() {
         let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
-        let codec_before = conn.metrics.codec_seconds.count();
-        conn.note_codec(0.125);
+        let backoff_before = conn.metrics.backoff_seconds.count();
         conn.note_retry(0.0625);
         assert_eq!(conn.counters.retries, 1);
-        assert!((conn.counters.codec_seconds - 0.125).abs() < 1e-12);
         assert!((conn.counters.backoff_seconds - 0.0625).abs() < 1e-12);
-        assert_eq!(conn.metrics.codec_seconds.count(), codec_before + 1);
+        assert_eq!(conn.metrics.backoff_seconds.count(), backoff_before + 1);
     }
 
     #[test]
     fn roles_use_distinct_metric_names() {
         let s = NetMetrics::server();
         let w = NetMetrics::worker();
-        assert!(!Arc::ptr_eq(&s.codec_seconds, &w.codec_seconds));
+        assert!(!Arc::ptr_eq(&s.socket_seconds, &w.socket_seconds));
         let snap = global().snapshot();
-        assert!(snap.histogram("net.server.codec_seconds").is_some());
-        assert!(snap.histogram("net.worker.codec_seconds").is_some());
+        assert!(snap.histogram("net.server.socket_seconds").is_some());
+        assert!(snap.histogram("net.worker.socket_seconds").is_some());
     }
 
     #[test]

@@ -97,7 +97,6 @@ impl Default for ServeOptions {
 struct Push {
     payloads: Vec<TensorPayload>,
     loss: f32,
-    codec_seconds: f64,
     residual_l2: f64,
     step_seconds: f64,
 }
@@ -693,7 +692,6 @@ fn serve_run(
             account.push(WorkerPush {
                 payloads: &push.payloads,
                 loss: push.loss,
-                codec_seconds: push.codec_seconds,
                 residual_l2: push.residual_l2,
                 step_seconds: push.step_seconds,
                 barrier_wait_seconds: *barrier_wait_seconds,
@@ -1204,7 +1202,7 @@ fn run_handler(
         // span that sent it (carried by the frame's trace context).
         let mut recv_span = TraceSpan::start("recv_push");
         let mut payloads: Vec<TensorPayload> = Vec::with_capacity(n_params);
-        let (loss, codec_seconds, residual_l2, step_seconds) = loop {
+        let (loss, _codec_seconds, residual_l2, step_seconds) = loop {
             let frame = conn.read_frame(&mut reader)?;
             if frame.step != step {
                 return Err(NetError::Protocol(format!(
@@ -1224,9 +1222,7 @@ fn run_handler(
                     if frame.msg == MsgType::PushTensor {
                         payloads.push(TensorPayload::Compressed(frame.payload));
                     } else {
-                        let t1 = Instant::now();
                         let tensor = bytes_to_tensor(&frame.payload, &shapes[i])?;
-                        conn.note_codec(t1.elapsed().as_secs_f64());
                         payloads.push(TensorPayload::Raw(tensor));
                     }
                 }
@@ -1258,7 +1254,6 @@ fn run_handler(
                 push: Push {
                     payloads,
                     loss,
-                    codec_seconds,
                     residual_l2,
                     step_seconds,
                 },
@@ -1407,7 +1402,6 @@ mod tests {
         Push {
             payloads: Vec::new(),
             loss,
-            codec_seconds: 0.0,
             residual_l2: 0.0,
             step_seconds: 0.0,
         }

@@ -328,7 +328,7 @@ fn run_session(
         let (_loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
         let _ = replica.encode_push(grads);
         let (pull_frames, policy) = read_pull_batch(&mut reader, conn, step, n_params)?;
-        decode_and_apply(pull_frames, &problem, &mut replica, conn)?;
+        decode_and_apply(pull_frames, &problem, &mut replica)?;
         if let Some(decisions) = policy {
             replica.apply_policy(&decisions);
         }
@@ -383,16 +383,13 @@ fn run_session(
         let residual_span = TraceSpan::start("encode");
         let residual_l2 = replica.residual_l2();
         residual_span.finish();
-        let mut codec_seconds = encoded.codec_seconds;
         let serialize_span = TraceSpan::start("serialize");
         for (i, payload) in encoded.payloads.iter().enumerate() {
             let raw;
             let (msg, bytes): (MsgType, &[u8]) = match payload {
                 TensorPayload::Compressed(wire) => (MsgType::PushTensor, wire),
                 TensorPayload::Raw(t) => {
-                    let t1 = Instant::now();
                     raw = t.to_le_bytes();
-                    codec_seconds += t1.elapsed().as_secs_f64();
                     (MsgType::PushRaw, &raw)
                 }
             };
@@ -414,7 +411,6 @@ fn run_session(
             }
             conn.write_frame(&mut writer, msg, i as u16, step, bytes)?;
         }
-        conn.note_codec(codec_seconds);
         serialize_span.finish();
 
         // The network span runs from flushing the push batch until the
@@ -425,7 +421,7 @@ fn run_session(
         let network_span = TraceSpan::start("network");
         let done = encode_push_done(
             loss,
-            codec_seconds,
+            encoded.codec_seconds,
             residual_l2,
             step_t0.elapsed().as_secs_f64(),
         );
@@ -460,7 +456,7 @@ fn run_session(
 
         // Decode the shared model delta and apply it.
         let pull_span = TraceSpan::start("pull");
-        decode_and_apply(pull_frames, &problem, &mut replica, conn)?;
+        decode_and_apply(pull_frames, &problem, &mut replica)?;
         // Decisions broadcast with step N's pull govern step N+1's push
         // encode, so they take effect after the delta is applied.
         if let Some(decisions) = policy {
@@ -594,15 +590,12 @@ fn read_pull_batch<R: io::Read>(
 
 /// Applies one step's pull batch to the replica
 /// ([`WorkerReplica::apply_pulls`]: compressed payloads decode to symbols
-/// and add straight into the parameters, no dense delta in between), timed
-/// whole as codec time.
+/// and add straight into the parameters, no dense delta in between).
 fn decode_and_apply(
     pull_frames: Vec<(MsgType, Vec<u8>)>,
     problem: &Problem,
     replica: &mut WorkerReplica,
-    conn: &mut Conn,
 ) -> Result<(), NetError> {
-    let t0 = Instant::now();
     let pulls = pull_frames
         .into_iter()
         .enumerate()
@@ -617,7 +610,6 @@ fn decode_and_apply(
     replica
         .apply_pulls(&pulls)
         .map_err(|(i, e)| NetError::Protocol(format!("pull payload {i} does not decode: {e}")))?;
-    conn.note_codec(t0.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -69,8 +69,7 @@ fn loopback_run_matches_simulator_bit_for_bit() {
     assert_eq!(report.result.final_eval, simulated.final_eval);
     assert_eq!(report.result.trace.evals, simulated.trace.evals);
 
-    // Every deterministic per-step field matches; only measured codec
-    // seconds may differ between a simulated and a networked run.
+    // Every per-step field matches: a step record holds no clock.
     assert_eq!(report.result.trace.steps.len(), simulated.trace.steps.len());
     for (net, sim) in report.result.trace.steps.iter().zip(&simulated.trace.steps) {
         assert_eq!(net.step, sim.step);
@@ -139,9 +138,7 @@ fn loopback_run_matches_simulator_bit_for_bit() {
     // process.)
     let snap = threelc_obs::global().snapshot();
     for name in [
-        "net.server.codec_seconds",
         "net.server.socket_seconds",
-        "net.worker.codec_seconds",
         "net.worker.socket_seconds",
         "net.server.step_seconds",
         "net.worker.step_seconds",
@@ -347,16 +344,21 @@ fn every_scheme_design_serves_what_the_simulator_trains() {
 #[test]
 fn a_worker_refuses_an_out_of_range_server_config_with_a_typed_error() {
     // A server whose HelloAck carries parameters no compressor can be built
-    // with: the worker must return a configuration error, not panic while
-    // building its replica.
-    for scheme in [
-        SchemeKind::three_lc(5.0),
-        SchemeKind::Sparsify { fraction: 0.0 },
-        SchemeKind::LocalSteps { period: 0 },
+    // with, or a batch no worker can sample: the worker must return a
+    // configuration error, not panic while building its replica.
+    let no_batch = ExperimentConfig {
+        batch_per_worker: 0,
+        ..loopback_config(SchemeKind::three_lc(1.0))
+    };
+    for config in [
+        loopback_config(SchemeKind::three_lc(5.0)),
+        loopback_config(SchemeKind::Sparsify { fraction: 0.0 }),
+        loopback_config(SchemeKind::LocalSteps { period: 0 }),
+        no_batch,
     ] {
+        let scheme = config.scheme;
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr").to_string();
-        let config = loopback_config(scheme);
         let server = thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             let hello = read_frame(&mut &stream).expect("hello");

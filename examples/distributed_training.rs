@@ -1,13 +1,15 @@
 //! Distributed training on the simulated parameter-server cluster:
 //! 10 workers train the experiment model with and without 3LC and report
-//! accuracy, traffic, and simulated wall-clock time at three bandwidths.
+//! accuracy and traffic. Training time over the paper's links is measured
+//! through a paced relay by `cargo run -p threelc-bench --release --bin
+//! table1`.
 //!
 //! ```text
 //! cargo run --release --example distributed_training [steps]
 //! ```
 
 use threelc_baselines::SchemeKind;
-use threelc_distsim::{run_experiment, ExperimentConfig, NetworkModel};
+use threelc_distsim::{run_experiment, ExperimentConfig};
 
 fn main() {
     let steps: u64 = std::env::args()
@@ -33,11 +35,5 @@ fn main() {
             result.trace.total_bytes() as f64 / 1e6,
             result.compression_ratio(),
         );
-        for (label, net) in NetworkModel::paper_presets() {
-            println!(
-                "    simulated training time @ {label:>8}: {:8.1} min",
-                result.total_seconds_at(&net) / 60.0
-            );
-        }
     }
 }
