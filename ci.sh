@@ -79,20 +79,24 @@ cargo build --release --offline --manifest-path ledger/Cargo.toml
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
-echo "==> forced codec tiers (core suite + server step oracle + net loopback on each)"
+echo "==> forced codec tiers (core suite + baseline strips + server step oracle + net loopback on each)"
 # Each leg forces one tier the host can run: the core suite holds the fused
 # decode (`unpack_dequant` and its plane kernel, which every push and pull
 # goes through) to its two-pass oracle on all tiers and runs the
-# compressor's own tests on the forced one; aggregate_identity then holds
-# the server step — stage, the fused strip sweep and re-encode — to its
-# dense f32 oracle on it; the loopback suite drives the engine's decode
-# calls on it end to end. That the forced tier is the active one, that an
+# compressor's own tests on the forced one; the baselines' proptests hold
+# every design's strips to its `decode_into` and its `stage` errors to its
+# `decompress` (stochastic ternary's strips run 3LC's plane kernel), since
+# every design's pushes are staged and swept strip by strip on the server;
+# aggregate_identity then holds every design's server step — stage, the
+# fused strip sweep and re-encode — to its dense f32 oracle on it; the
+# loopback suite drives the engine's decode calls on it end to end. That the forced tier is the active one, that an
 # AVX2 host offers simd, and that every tier writes the same `.3lc` bytes
 # and rejects a corrupt one alike is crates/cli/tests/codec_matrix.rs.
 tiers="$(target/release/threelc codec | sed -n 's/^available: //p')"
 for tier in $tiers; do
     echo "    tier $tier"
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-baselines --test proptests
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-distsim --test aggregate_identity
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
 done

@@ -1,5 +1,7 @@
 //! The uncompressed 32-bit float baseline.
 
+use crate::wire;
+use std::ops::Range;
 use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
@@ -24,12 +26,17 @@ use threelc_tensor::{Shape, Tensor};
 #[derive(Debug, Clone)]
 pub struct Float32Compressor {
     shape: Shape,
+    /// The scratch it lends: `None` until the first lend, and while lent.
+    scratch: Option<Tensor>,
 }
 
 impl Float32Compressor {
     /// Creates a context for tensors of `shape`.
     pub fn new(shape: Shape) -> Self {
-        Float32Compressor { shape }
+        Float32Compressor {
+            shape,
+            scratch: None,
+        }
     }
 }
 
@@ -38,30 +45,27 @@ impl Compressor for Float32Compressor {
         "32-bit float".to_owned()
     }
 
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
+        wire::check_shape(&self.shape, input)?;
         Ok(input.to_le_bytes())
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let mut data = vec![0f32; self.shape.num_elements()];
-        self.decode_into(payload, DequantOp::Assign, &mut data)?;
-        Ok(Tensor::from_vec(data, self.shape.clone()))
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.scratch.take().unwrap_or_else(zeros), DequantOp::Assign)
     }
 
-    /// The floats go from the wire straight through `op` into `out`: no
-    /// model-sized tensor per payload in between.
-    fn decode_into(
-        &self,
-        payload: &[u8],
-        op: DequantOp,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
+    fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
+        let payload = self.compress(&input)?;
+        self.scratch = Some(input);
+        Ok(payload)
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
         let n = self.shape.num_elements();
         if payload.len() != n * 4 {
             return Err(DecodeError::BodyLengthMismatch {
@@ -69,11 +73,20 @@ impl Compressor for Float32Compressor {
                 expected: n,
             });
         }
-        let wire = payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
-        op.apply(wire, out);
         Ok(())
+    }
+
+    /// The floats go from the wire straight through `op` into the planes.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        wire::apply_strip(self.shape.num_elements(), bytes, op, planes, |r| {
+            wire::floats(&payload[4 * r.start..4 * r.end])
+        });
     }
 }
 

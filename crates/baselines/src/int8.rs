@@ -1,6 +1,8 @@
 //! 8-bit integer quantization (the paper's `8-bit int` design).
 
 use crate::wire;
+use std::ops::Range;
+use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
 
@@ -16,12 +18,17 @@ const HEADER_LEN: usize = 8;
 #[derive(Debug, Clone)]
 pub struct Int8Compressor {
     shape: Shape,
+    /// The scratch it lends: `None` until the first lend, and while lent.
+    scratch: Option<Tensor>,
 }
 
 impl Int8Compressor {
     /// Creates a context for tensors of `shape`.
     pub fn new(shape: Shape) -> Self {
-        Int8Compressor { shape }
+        Int8Compressor {
+            shape,
+            scratch: None,
+        }
     }
 }
 
@@ -30,13 +37,12 @@ impl Compressor for Int8Compressor {
         "8-bit int".to_owned()
     }
 
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
+        wire::check_shape(&self.shape, input)?;
         let (max_abs, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
             (m.max(x.abs()), ok && x.is_finite())
         });
@@ -56,28 +62,42 @@ impl Compressor for Int8Compressor {
         Ok(wire)
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let scale = wire::read_f32(payload, 0)?;
-        if !scale.is_finite() {
-            return Err(DecodeError::NonFiniteScale);
-        }
-        let count = wire::read_u32(payload, 4)? as usize;
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.scratch.take().unwrap_or_else(zeros), DequantOp::Assign)
+    }
+
+    fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
+        let payload = self.compress(&input)?;
+        self.scratch = Some(input);
+        Ok(payload)
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
         let n = self.shape.num_elements();
-        if count != n {
-            return Err(DecodeError::ElementCountMismatch {
-                payload: count,
-                expected: n,
-            });
-        }
-        let body = &payload[HEADER_LEN..];
+        let (_, body) = wire::scaled_body(payload, n)?;
         if body.len() != n {
             return Err(DecodeError::BodyLengthMismatch {
                 decoded: body.len(),
                 expected: n,
             });
         }
-        let data = body.iter().map(|&b| (b as i8) as f32 * scale).collect();
-        Ok(Tensor::from_vec(data, self.shape.clone()))
+        Ok(())
+    }
+
+    /// Each byte is `(b as i8) as f32 · scale`, through `op`.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let n = self.shape.num_elements();
+        let (scale, body) = wire::scaled_body(payload, n).expect("a staged payload");
+        wire::apply_strip(n, bytes, op, planes, |r| {
+            body[r].iter().map(move |&b| (b as i8) as f32 * scale)
+        });
     }
 }
 

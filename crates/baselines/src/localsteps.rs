@@ -1,5 +1,8 @@
 //! Infrequent transmission (the paper's `2 local steps` design).
 
+use crate::wire;
+use std::ops::Range;
+use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
 
@@ -20,7 +23,8 @@ pub struct LocalStepsCompressor {
     shape: Shape,
     period: u32,
     step: u32,
-    buffer: Tensor,
+    /// The error-accumulation buffer: `None` until first used, and while lent.
+    buffer: Option<Tensor>,
 }
 
 impl LocalStepsCompressor {
@@ -31,18 +35,29 @@ impl LocalStepsCompressor {
     /// Panics if `period == 0`.
     pub fn new(shape: Shape, period: u32) -> Self {
         assert!(period > 0, "period must be positive");
-        let buffer = Tensor::zeros(shape.clone());
         LocalStepsCompressor {
             shape,
             period,
             step: 0,
-            buffer,
+            buffer: None,
         }
     }
 
-    /// The configured transmission period.
-    pub fn period(&self) -> u32 {
-        self.period
+    /// Sends the buffer, input already added, on every `period`-th step
+    /// and empties it; keeps it otherwise.
+    fn encode(&mut self, mut buffer: Tensor) -> Vec<u8> {
+        self.step += 1;
+        let wire = if self.step.is_multiple_of(self.period) {
+            let mut wire = vec![0u8; 1 + buffer.len() * 4];
+            wire[0] = TAG_DATA;
+            buffer.write_le_bytes(&mut wire[1..]);
+            buffer.map_inplace(|_| 0.0);
+            wire
+        } else {
+            vec![TAG_EMPTY]
+        };
+        self.buffer = Some(buffer);
+        wire
     }
 }
 
@@ -51,38 +66,37 @@ impl Compressor for LocalStepsCompressor {
         format!("{} local steps", self.period)
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
-        self.buffer
-            .add_assign(input)
-            .expect("buffer shape is validated");
-        self.step += 1;
-        if !self.step.is_multiple_of(self.period) {
-            return Ok(vec![TAG_EMPTY]);
-        }
-        let mut wire = vec![0u8; 1 + self.buffer.len() * 4];
-        wire[0] = TAG_DATA;
-        self.buffer.write_le_bytes(&mut wire[1..]);
-        self.buffer.map_inplace(|_| 0.0);
-        Ok(wire)
+    fn shape(&self) -> &Shape {
+        &self.shape
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
+    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, input)?;
+        let (mut buffer, _) = self.take_accumulator();
+        buffer.add_assign(input).expect("buffer shape is validated");
+        Ok(self.encode(buffer))
+    }
+
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.buffer.take().unwrap_or_else(zeros), DequantOp::Add)
+    }
+
+    /// Like `compress`, refuses no value: `max_abs` is not read.
+    fn compress_accumulator(
+        &mut self,
+        accumulator: Tensor,
+        _: f32,
+    ) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, &accumulator)?;
+        Ok(self.encode(accumulator))
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
         let n = self.shape.num_elements();
         match payload.first() {
-            Some(&TAG_EMPTY) if payload.len() == 1 => Ok(Tensor::zeros(self.shape.clone())),
-            Some(&TAG_DATA) if payload.len() == 1 + n * 4 => {
-                let data = payload[1..]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
-                Ok(Tensor::from_vec(data, self.shape.clone()))
-            }
+            Some(&TAG_EMPTY) if payload.len() == 1 => Ok(()),
+            Some(&TAG_DATA) if payload.len() == 1 + n * 4 => Ok(()),
             Some(&tag) if tag > TAG_DATA => Err(DecodeError::UnknownFormat { flags: tag }),
             _ => Err(DecodeError::BodyLengthMismatch {
                 decoded: payload.len().saturating_sub(1) / 4,
@@ -91,8 +105,27 @@ impl Compressor for LocalStepsCompressor {
         }
     }
 
+    /// A skipped step's values are zeros; a sent one's are its floats.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let n = self.shape.num_elements();
+        if payload[0] == TAG_DATA {
+            let floats = &payload[1..];
+            wire::apply_strip(n, bytes, op, planes, |r| {
+                wire::floats(&floats[4 * r.start..4 * r.end])
+            });
+        } else {
+            wire::apply_strip(n, bytes, op, planes, |r| std::iter::repeat_n(0.0, r.len()));
+        }
+    }
+
     fn residual(&self) -> Option<&Tensor> {
-        Some(&self.buffer)
+        self.buffer.as_ref()
     }
 }
 

@@ -1,6 +1,9 @@
 //! 1-bit quantization with minimum squared quantization error
 //! (the paper's `MQE 1-bit int` design, after Seide et al.'s 1-bit SGD).
 
+use crate::wire;
+use std::ops::Range;
+use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
 
@@ -21,39 +24,25 @@ const HEADER_LEN: usize = 12;
 #[derive(Debug, Clone)]
 pub struct MqeOneBitCompressor {
     shape: Shape,
-    buffer: Tensor,
+    /// The error-feedback buffer: `None` until first used, and while lent.
+    buffer: Option<Tensor>,
 }
 
 impl MqeOneBitCompressor {
     /// Creates a context for tensors of `shape`.
     pub fn new(shape: Shape) -> Self {
-        let buffer = Tensor::zeros(shape.clone());
-        MqeOneBitCompressor { shape, buffer }
-    }
-}
-
-impl Compressor for MqeOneBitCompressor {
-    fn name(&self) -> String {
-        "MQE 1-bit int".to_owned()
+        MqeOneBitCompressor {
+            shape,
+            buffer: None,
+        }
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
-        if input.iter().any(|x| !x.is_finite()) {
-            return Err(CompressError::NonFiniteInput);
-        }
-        self.buffer
-            .add_assign(input)
-            .expect("buffer shape is validated");
-
+    /// Quantizes the error-feedback buffer, input already added, to the
+    /// payload and leaves the quantization error in it.
+    fn encode(&mut self, mut buffer: Tensor) -> Vec<u8> {
         // Two-level MQE: level of each class is the class mean.
         let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u64, 0.0f64, 0u64);
-        for &x in self.buffer.iter() {
+        for &x in buffer.iter() {
             if x >= 0.0 {
                 pos_sum += x as f64;
                 pos_n += 1;
@@ -73,13 +62,13 @@ impl Compressor for MqeOneBitCompressor {
             0.0
         };
 
-        let n = self.buffer.len();
+        let n = buffer.len();
         let mut wire = Vec::with_capacity(HEADER_LEN + n.div_ceil(8));
         wire.extend_from_slice(&pos_level.to_le_bytes());
         wire.extend_from_slice(&neg_level.to_le_bytes());
         wire.extend_from_slice(&(n as u32).to_le_bytes());
         let mut bits = vec![0u8; n.div_ceil(8)];
-        for (i, &x) in self.buffer.as_slice().iter().enumerate() {
+        for (i, &x) in buffer.as_slice().iter().enumerate() {
             if x >= 0.0 {
                 bits[i / 8] |= 1 << (i % 8);
             }
@@ -87,26 +76,59 @@ impl Compressor for MqeOneBitCompressor {
         wire.extend_from_slice(&bits);
 
         // Error feedback: subtract what was transmitted.
-        for x in self.buffer.as_mut_slice() {
+        for x in buffer.as_mut_slice() {
             *x -= if *x >= 0.0 { pos_level } else { neg_level };
         }
-        Ok(wire)
+        self.buffer = Some(buffer);
+        wire
+    }
+}
+
+impl Compressor for MqeOneBitCompressor {
+    fn name(&self) -> String {
+        "MQE 1-bit int".to_owned()
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let pos_level = crate::wire::read_f32(payload, 0)?;
-        let neg_level = crate::wire::read_f32(payload, 4)?;
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, input)?;
+        if input.iter().any(|x| !x.is_finite()) {
+            return Err(CompressError::NonFiniteInput);
+        }
+        let (mut buffer, _) = self.take_accumulator();
+        buffer.add_assign(input).expect("buffer shape is validated");
+        Ok(self.encode(buffer))
+    }
+
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.buffer.take().unwrap_or_else(zeros), DequantOp::Add)
+    }
+
+    fn compress_accumulator(
+        &mut self,
+        accumulator: Tensor,
+        max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, &accumulator)?;
+        if !max_abs.is_finite() {
+            self.buffer = Some(accumulator);
+            return Err(CompressError::NonFiniteInput);
+        }
+        Ok(self.encode(accumulator))
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
+        let pos_level = wire::read_f32(payload, 0)?;
+        let neg_level = wire::read_f32(payload, 4)?;
         if !pos_level.is_finite() || !neg_level.is_finite() {
             return Err(DecodeError::NonFiniteScale);
         }
-        let count = crate::wire::read_u32(payload, 8)? as usize;
         let n = self.shape.num_elements();
-        if count != n {
-            return Err(DecodeError::ElementCountMismatch {
-                payload: count,
-                expected: n,
-            });
-        }
+        wire::check_count(wire::read_u32(payload, 8)?, n)?;
         let bits = &payload[HEADER_LEN..];
         if bits.len() != n.div_ceil(8) {
             return Err(DecodeError::BodyLengthMismatch {
@@ -114,20 +136,28 @@ impl Compressor for MqeOneBitCompressor {
                 expected: n,
             });
         }
-        let data = (0..n)
-            .map(|i| {
-                if bits[i / 8] & (1 << (i % 8)) != 0 {
-                    pos_level
-                } else {
-                    neg_level
-                }
-            })
-            .collect();
-        Ok(Tensor::from_vec(data, self.shape.clone()))
+        Ok(())
+    }
+
+    /// Each bit is its class's level, through `op`.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let staged = "a staged payload has both levels";
+        let pos = wire::read_f32(payload, 0).expect(staged);
+        let neg = wire::read_f32(payload, 4).expect(staged);
+        let bits = &payload[HEADER_LEN..];
+        let level = |i| if wire::bit(bits, i) { pos } else { neg };
+        let n = self.shape.num_elements();
+        wire::apply_strip(n, bytes, op, planes, |r| r.map(level));
     }
 
     fn residual(&self) -> Option<&Tensor> {
-        Some(&self.buffer)
+        self.buffer.as_ref()
     }
 }
 

@@ -1,5 +1,9 @@
 //! Magnitude sparsification (the paper's `25%` / `5% sparsification`).
 
+use crate::wire;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
+use threelc::kernels::DequantOp;
 use threelc::{CompressError, Compressor, DecodeError};
 use threelc_tensor::{Shape, Tensor};
 
@@ -10,6 +14,11 @@ const HEADER_LEN: usize = 8;
 /// (the paper avoids exhaustive sorting by sorting sampled values, after
 /// Aji & Heafield's gradient dropping).
 const THRESHOLD_SAMPLES: usize = 1024;
+
+/// Values per entry of the table [`Compressor::stage`] keeps (64 bitmap
+/// bytes): a strip's plane counts at most 511 bits to find its first
+/// value.
+const BLOCK: usize = 512;
 
 /// Top-magnitude sparsification with error accumulation, reproducing the
 /// common sparsification designs the paper compares against (§5.1):
@@ -22,11 +31,17 @@ const THRESHOLD_SAMPLES: usize = 1024;
 /// - accumulates unsent changes in a buffer for later transmission;
 /// - transmits a bitmap (1 bit per state change) plus the selected values
 ///   as 32-bit floats.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SparsifyCompressor {
     shape: Shape,
     fraction: f64,
-    buffer: Tensor,
+    /// The error-accumulation buffer: `None` until first used, and while lent.
+    buffer: Option<Tensor>,
+    /// What [`Compressor::stage`] keeps for the strips: per block of
+    /// [`BLOCK`] values, how many values the bitmap selects before it —
+    /// where the block's values start in the packed ones. The mutex is
+    /// only there because decoding takes `&self`.
+    starts: Mutex<Vec<u32>>,
 }
 
 impl SparsifyCompressor {
@@ -41,23 +56,17 @@ impl SparsifyCompressor {
             fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0, 1], got {fraction}"
         );
-        let buffer = Tensor::zeros(shape.clone());
         SparsifyCompressor {
             shape,
             fraction,
-            buffer,
+            buffer: None,
+            starts: Mutex::new(Vec::new()),
         }
     }
 
-    /// The configured selection fraction.
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
     /// Estimates the magnitude threshold above which roughly
-    /// `fraction` of the buffer's values lie, by sorting a strided sample.
-    fn estimate_threshold(&self) -> f32 {
-        let data = self.buffer.as_slice();
+    /// `fraction` of `data`'s values lie, by sorting a strided sample.
+    fn estimate_threshold(&self, data: &[f32]) -> f32 {
         let n = data.len();
         if n == 0 {
             return 0.0;
@@ -69,32 +78,15 @@ impl SparsifyCompressor {
         let idx = sample.len().saturating_sub(keep.max(1));
         sample[idx]
     }
-}
 
-impl Compressor for SparsifyCompressor {
-    fn name(&self) -> String {
-        format!("{}% sparsification", (self.fraction * 100.0).round() as u32)
-    }
-
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
-        if input.iter().any(|x| !x.is_finite()) {
-            return Err(CompressError::NonFiniteInput);
-        }
-        self.buffer
-            .add_assign(input)
-            .expect("buffer shape is validated");
-
-        let threshold = self.estimate_threshold();
-        let n = self.buffer.len();
+    /// Sends the buffer's largest values, input already added, and keeps
+    /// the rest in it.
+    fn encode(&mut self, mut buffer: Tensor) -> Vec<u8> {
+        let threshold = self.estimate_threshold(buffer.as_slice());
+        let n = buffer.len();
         let mut bitmap = vec![0u8; n.div_ceil(8)];
         let mut selected = Vec::new();
-        for (i, x) in self.buffer.as_mut_slice().iter_mut().enumerate() {
+        for (i, x) in buffer.as_mut_slice().iter_mut().enumerate() {
             // Send anything at/above the threshold; a zero threshold still
             // skips exact zeros (nothing to send).
             if x.abs() >= threshold && *x != 0.0 {
@@ -103,6 +95,7 @@ impl Compressor for SparsifyCompressor {
                 *x = 0.0; // transmitted in full; residual is zero
             }
         }
+        self.buffer = Some(buffer);
 
         let mut wire = Vec::with_capacity(HEADER_LEN + bitmap.len() + selected.len() * 4);
         wire.extend_from_slice(&(n as u32).to_le_bytes());
@@ -111,19 +104,52 @@ impl Compressor for SparsifyCompressor {
         for v in &selected {
             wire.extend_from_slice(&v.to_le_bytes());
         }
-        Ok(wire)
+        wire
+    }
+}
+
+impl Compressor for SparsifyCompressor {
+    fn name(&self) -> String {
+        format!("{}% sparsification", (self.fraction * 100.0).round() as u32)
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let count = crate::wire::read_u32(payload, 0)? as usize;
-        let k = crate::wire::read_u32(payload, 4)? as usize;
-        let n = self.shape.num_elements();
-        if count != n {
-            return Err(DecodeError::ElementCountMismatch {
-                payload: count,
-                expected: n,
-            });
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, input)?;
+        if input.iter().any(|x| !x.is_finite()) {
+            return Err(CompressError::NonFiniteInput);
         }
+        let (mut buffer, _) = self.take_accumulator();
+        buffer.add_assign(input).expect("buffer shape is validated");
+        Ok(self.encode(buffer))
+    }
+
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.buffer.take().unwrap_or_else(zeros), DequantOp::Add)
+    }
+
+    fn compress_accumulator(
+        &mut self,
+        accumulator: Tensor,
+        max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError> {
+        wire::check_shape(&self.shape, &accumulator)?;
+        if !max_abs.is_finite() {
+            self.buffer = Some(accumulator);
+            return Err(CompressError::NonFiniteInput);
+        }
+        Ok(self.encode(accumulator))
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
+        let count = wire::read_u32(payload, 0)?;
+        let k = wire::read_u32(payload, 4)? as usize;
+        let n = self.shape.num_elements();
+        wire::check_count(count, n)?;
         let bitmap_len = n.div_ceil(8);
         let expected_len = HEADER_LEN + bitmap_len + k * 4;
         if payload.len() != expected_len {
@@ -135,29 +161,56 @@ impl Compressor for SparsifyCompressor {
             });
         }
         let bitmap = &payload[HEADER_LEN..HEADER_LEN + bitmap_len];
-        let popcount: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+        let mut starts = self.starts.lock().unwrap_or_else(PoisonError::into_inner);
+        starts.clear();
+        let mut popcount = 0usize;
+        for block in bitmap.chunks(BLOCK / 8) {
+            starts.push(popcount as u32);
+            popcount += block.iter().map(|b| b.count_ones() as usize).sum::<usize>();
+        }
         if popcount != k {
             return Err(DecodeError::Malformed {
                 reason: format!("bitmap selects {popcount} values, header says {k}"),
             });
         }
+        Ok(())
+    }
+
+    /// A selected element takes the next packed value, counted from where
+    /// the staged table says its block's values start; the rest are zero.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let n = self.shape.num_elements();
+        let bitmap_len = n.div_ceil(8);
+        let bitmap = &payload[HEADER_LEN..HEADER_LEN + bitmap_len];
         let values = &payload[HEADER_LEN + bitmap_len..];
-        let mut data = vec![0.0f32; n];
-        let mut vi = 0;
-        for (i, slot) in data.iter_mut().enumerate() {
-            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                let bytes: [u8; 4] = values[vi * 4..vi * 4 + 4]
-                    .try_into()
-                    .expect("length validated above");
-                *slot = f32::from_le_bytes(bytes);
-                vi += 1;
-            }
-        }
-        Ok(Tensor::from_vec(data, self.shape.clone()))
+        let starts = self.starts.lock().unwrap_or_else(PoisonError::into_inner);
+        wire::apply_strip(n, bytes, op, planes, |r| {
+            // The packed index of element `r.start`: its block's, plus the
+            // selected elements between the block's start and it.
+            let block = r.start / BLOCK;
+            let first = starts.get(block).map_or(0, |&at| at as usize)
+                + (block * BLOCK..r.start)
+                    .filter(|&i| wire::bit(bitmap, i))
+                    .count();
+            let mut packed = wire::floats(&values[4 * first..]);
+            r.map(move |i| {
+                if wire::bit(bitmap, i) {
+                    packed.next().expect("the bitmap's count was staged")
+                } else {
+                    0.0
+                }
+            })
+        });
     }
 
     fn residual(&self) -> Option<&Tensor> {
-        Some(&self.buffer)
+        self.buffer.as_ref()
     }
 }
 
@@ -219,6 +272,21 @@ mod tests {
         // values it sends and defers the rest).
         let sum = out.add(resid).unwrap();
         assert!(sum.approx_eq(&t, 1e-6));
+    }
+
+    /// A tensor of many staged blocks, whose planes start inside blocks:
+    /// every sent value comes back where it was, and only those.
+    #[test]
+    fn a_payload_of_many_blocks_decodes_what_was_sent() {
+        let t = gaussian(5 * BLOCK + 37, 3);
+        let mut cx = SparsifyCompressor::new(t.shape().clone(), 0.25);
+        let wire = cx.compress(&t).unwrap();
+        let out = cx.decompress(&wire).unwrap();
+        let resid = cx.residual().unwrap();
+        for ((&x, &o), &r) in t.iter().zip(out.iter()).zip(resid.iter()) {
+            assert_eq!((o, r), if o != 0.0 { (x, 0.0) } else { (0.0, x) });
+        }
+        assert!(out.count_zeros() < t.len(), "something was sent");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Stochastic 3-value quantization with quartic encoding
 //! (the paper's `Stoch 3-value + QE` design, TernGrad-like).
 
+use crate::wire;
 use rand::Rng as _;
-use threelc::{quartic, CompressError, Compressor, DecodeError, TernaryTensor};
+use std::ops::Range;
+use threelc::kernels::{self, DequantOp};
+use threelc::{quartic, sizing, CompressError, Compressor, DecodeError};
 use threelc_tensor::{Rng, Shape, Tensor};
 
 /// Header: 4-byte `f32` scale + 4-byte `u32` element count.
@@ -22,7 +25,8 @@ const HEADER_LEN: usize = 8;
 pub struct StochasticTernaryCompressor {
     shape: Shape,
     rng: Rng,
-    clip_std_devs: Option<f32>,
+    /// The scratch it lends: `None` until the first lend, and while lent.
+    scratch: Option<Tensor>,
 }
 
 impl StochasticTernaryCompressor {
@@ -35,25 +39,7 @@ impl StochasticTernaryCompressor {
         StochasticTernaryCompressor {
             shape,
             rng: threelc_tensor::rng(seed),
-            clip_std_devs: None,
-        }
-    }
-
-    /// Creates a context with TernGrad's gradient clipping enabled:
-    /// values are clamped to `±c·σ` before quantization (Wen et al. use
-    /// `c = 2.5`), which shrinks `M` and reduces quantization variance at
-    /// the cost of biasing large gradients. The paper evaluates the
-    /// *unclipped* variant; this constructor exists for the comparison.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip_std_devs` is not positive.
-    pub fn with_clipping(shape: Shape, seed: u64, clip_std_devs: f32) -> Self {
-        assert!(clip_std_devs > 0.0, "clip threshold must be positive");
-        StochasticTernaryCompressor {
-            shape,
-            rng: threelc_tensor::rng(seed),
-            clip_std_devs: Some(clip_std_devs),
+            scratch: None,
         }
     }
 }
@@ -63,28 +49,18 @@ impl Compressor for StochasticTernaryCompressor {
         "Stoch 3-value + QE".to_owned()
     }
 
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        if input.shape() != &self.shape {
-            return Err(CompressError::ShapeMismatch {
-                expected: self.shape.dims().to_vec(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
-        let (max_abs, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
+        wire::check_shape(&self.shape, input)?;
+        let (scale, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
             (m.max(x.abs()), ok && x.is_finite())
         });
         if !finite {
             return Err(CompressError::NonFiniteInput);
         }
-        // Optional TernGrad-style clipping: cap magnitudes at c·σ.
-        let clip = self
-            .clip_std_devs
-            .map(|c| c * input.variance().sqrt())
-            .filter(|&c| c > 0.0);
-        let scale = match clip {
-            Some(c) => max_abs.min(c),
-            None => max_abs,
-        };
         let ternary: Vec<i8> = if scale == 0.0 {
             vec![0; input.len()]
         } else {
@@ -112,21 +88,52 @@ impl Compressor for StochasticTernaryCompressor {
         Ok(wire)
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
-        let scale = crate::wire::read_f32(payload, 0)?;
-        if !scale.is_finite() {
-            return Err(DecodeError::NonFiniteScale);
-        }
-        let count = crate::wire::read_u32(payload, 4)? as usize;
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        (self.scratch.take().unwrap_or_else(zeros), DequantOp::Assign)
+    }
+
+    fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
+        let payload = self.compress(&input)?;
+        self.scratch = Some(input);
+        Ok(payload)
+    }
+
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
         let n = self.shape.num_elements();
-        if count != n {
-            return Err(DecodeError::ElementCountMismatch {
-                payload: count,
+        let (_, body) = wire::scaled_body(payload, n)?;
+        if body.len() != sizing::quartic_len(n) {
+            return Err(DecodeError::BodyLengthMismatch {
+                decoded: body.len() * quartic::VALUES_PER_BYTE,
                 expected: n,
             });
         }
-        let ternary = quartic::decode(&payload[HEADER_LEN..], n)?;
-        Ok(TernaryTensor::from_parts(self.shape.clone(), ternary, scale).dequantize())
+        match kernels::find_invalid_quartic(kernels::active(), body) {
+            Some(offset) => Err(DecodeError::InvalidQuarticByte {
+                byte: body[offset],
+                offset,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The body is 3LC's quartic bytes, read in place by 3LC's plane
+    /// kernel: `sym as f32 · scale`, through `op`.
+    fn decode_strip(
+        &self,
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    ) {
+        let n = self.shape.num_elements();
+        let ranges = sizing::strip_planes(n, bytes.clone());
+        assert!(
+            planes.iter().zip(ranges).all(|(p, r)| p.len() == r.len()),
+            "a plane whose length is not its range's"
+        );
+        let (scale, body) = wire::scaled_body(payload, n).expect("a staged payload");
+        kernels::unpack_dequant_planes(kernels::active(), &body[bytes], scale, op, planes);
     }
 }
 
@@ -196,41 +203,6 @@ mod tests {
         let mut a = StochasticTernaryCompressor::new(t.shape().clone(), 5);
         let mut b = StochasticTernaryCompressor::new(t.shape().clone(), 5);
         assert_eq!(a.compress(&t).unwrap(), b.compress(&t).unwrap());
-    }
-
-    #[test]
-    fn clipping_caps_the_scale() {
-        // One huge outlier dominates max|T|; with 2.5σ clipping the scale
-        // drops well below it and small values transmit more often.
-        let mut data = vec![0.1f32; 1000];
-        data[0] = 100.0;
-        let t = Tensor::from_vec(data, [1000]);
-        let mut unclipped = StochasticTernaryCompressor::new(t.shape().clone(), 1);
-        let mut clipped = StochasticTernaryCompressor::with_clipping(t.shape().clone(), 1, 2.5);
-        let wu = unclipped.compress(&t).unwrap();
-        let wc = clipped.compress(&t).unwrap();
-        let scale_u = f32::from_le_bytes(wu[0..4].try_into().unwrap());
-        let scale_c = f32::from_le_bytes(wc[0..4].try_into().unwrap());
-        assert_eq!(scale_u, 100.0);
-        assert!(scale_c < 10.0, "clipped scale {scale_c}");
-        // More nonzeros survive with the smaller scale.
-        let nz = |cx: &StochasticTernaryCompressor, wire: &[u8]| {
-            cx.decompress(wire).unwrap().len() - cx.decompress(wire).unwrap().count_zeros()
-        };
-        // Expected nonzeros: ≈13 clipped vs ≈2 unclipped; allow slack for
-        // the stochastic draw.
-        assert!(
-            nz(&clipped, &wc) > nz(&unclipped, &wu) * 3,
-            "clipped {} vs unclipped {}",
-            nz(&clipped, &wc),
-            nz(&unclipped, &wu)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_clip_panics() {
-        StochasticTernaryCompressor::with_clipping(Shape::new(&[1]), 0, 0.0);
     }
 
     #[test]

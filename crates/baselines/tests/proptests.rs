@@ -140,16 +140,11 @@ fn wire_designs() -> Vec<SchemeKind> {
 
 /// `decode_into` on a hostile payload: the error `decompress` reports, with
 /// `out` untouched, or — where `decompress` succeeds — its values under
-/// `op`, bit for bit. A context that `stages` (its design lends an
-/// accumulator, the selector the parameter server uses) must also return
-/// that error from `stage`, and on success its strips, cut at any width,
-/// must reproduce `decode_into` under every op.
-fn decode_into_agrees_with_decompress(
-    cx: &dyn threelc::Compressor,
-    stages: bool,
-    payload: &[u8],
-    what: &str,
-) {
+/// `op`, bit for bit. `stage` must also return that error — every design's
+/// pushes are staged on the parameter server — and on success the
+/// payload's strips, cut at any width, must reproduce `decode_into` under
+/// every op.
+fn decode_into_agrees_with_decompress(cx: &dyn threelc::Compressor, payload: &[u8], what: &str) {
     use threelc::kernels::DequantOp;
     let n = N_VALUES;
     let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -170,9 +165,6 @@ fn decode_into_agrees_with_decompress(
                 assert_eq!(bits(&out), bits(&before), "{what}: out touched on error");
             }
         }
-    }
-    if !stages {
-        return;
     }
     let staged = cx.stage(payload);
     assert_eq!(
@@ -227,13 +219,6 @@ fn decode_into_agrees_with_decompress(
     }
 }
 
-/// Whether `scheme`'s contexts stage: a fresh one lends an accumulator.
-fn stages(scheme: &SchemeKind) -> bool {
-    build_compressor(scheme, (&[N_VALUES]).into(), 0)
-        .take_accumulator()
-        .is_some()
-}
-
 /// Values in the tensor the hostile-payload test encodes: ragged against
 /// quartic's five-value bytes and every kernel's lanes.
 const N_VALUES: usize = 97;
@@ -248,30 +233,22 @@ fn decode_into_matches_decompress_on_hostile_payloads() {
             ((i * 37 % 23) as f32 - 11.0) * 0.01
         }
     });
-    assert!(wire_designs().iter().any(stages), "no design stages");
     for scheme in wire_designs() {
-        let stages = stages(&scheme);
         let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
         // Two payloads: a stateful scheme's second differs from its first
         // (a local-steps skip, an accumulated residual).
         for step in 0..2 {
             let valid = cx.compress(&input).expect("finite input compresses");
             let what = |case: String| format!("{scheme} payload {step}, {case}");
-            decode_into_agrees_with_decompress(
-                cx.as_ref(),
-                stages,
-                &valid,
-                &what("as sent".into()),
-            );
+            decode_into_agrees_with_decompress(cx.as_ref(), &valid, &what("as sent".into()));
             for cut in 0..valid.len() {
                 let case = what(format!("cut to {cut} bytes"));
-                decode_into_agrees_with_decompress(cx.as_ref(), stages, &valid[..cut], &case);
+                decode_into_agrees_with_decompress(cx.as_ref(), &valid[..cut], &case);
             }
             let mut longer = valid.clone();
             longer.push(0x79);
             decode_into_agrees_with_decompress(
                 cx.as_ref(),
-                stages,
                 &longer,
                 &what("a trailing byte".into()),
             );
@@ -280,7 +257,7 @@ fn decode_into_matches_decompress_on_hostile_payloads() {
                     let mut bad = valid.clone();
                     bad[at] = corrupt(bad[at]);
                     let case = what(format!("byte {at} {:#04x} → {:#04x}", valid[at], bad[at]));
-                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
+                    decode_into_agrees_with_decompress(cx.as_ref(), &bad, &case);
                 }
             }
         }
@@ -304,16 +281,15 @@ fn header_fields(scheme: &SchemeKind) -> (&'static [usize], &'static [usize]) {
 /// ROADMAP 6(b)'s length-field lies and hostile scales, on every design a
 /// command line can name: each count field rewritten to 0, n − 1, n + 1 and
 /// `u32::MAX` (sparsify's `k` included), each scale field set to NaN, ±∞
-/// and a subnormal. `decode_into` (and `stage`, where the design stages)
-/// must answer as `decompress` does — the same error with `out` untouched,
-/// or the same values — and nothing may panic.
+/// and a subnormal. `decode_into` and `stage` must answer as `decompress`
+/// does — the same error with `out` untouched, or the same values — and
+/// nothing may panic.
 #[test]
 fn decode_into_matches_decompress_on_length_lies_and_hostile_scales() {
     let input = Tensor::from_fn([N_VALUES], |i| ((i * 29 % 17) as f32 - 8.0) * 0.03);
     let n = N_VALUES as u32;
     let mut covered = (0, 0);
     for scheme in wire_designs() {
-        let stages = stages(&scheme);
         let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
         let (counts, scales) = header_fields(&scheme);
         for step in 0..2 {
@@ -329,7 +305,7 @@ fn decode_into_matches_decompress_on_length_lies_and_hostile_scales() {
                 for lie in [0, n - 1, n + 1, u32::MAX] {
                     let case = format!("{scheme} payload {step}, u32 at {at} = {lie}");
                     let bad = rewrite(at, lie.to_le_bytes());
-                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
+                    decode_into_agrees_with_decompress(cx.as_ref(), &bad, &case);
                     covered.0 += 1;
                 }
             }
@@ -342,7 +318,7 @@ fn decode_into_matches_decompress_on_length_lies_and_hostile_scales() {
                 ] {
                     let case = format!("{scheme} payload {step}, f32 at {at} = {scale:e}");
                     let bad = rewrite(at, scale.to_le_bytes());
-                    decode_into_agrees_with_decompress(cx.as_ref(), stages, &bad, &case);
+                    decode_into_agrees_with_decompress(cx.as_ref(), &bad, &case);
                     covered.1 += 1;
                 }
             }

@@ -91,7 +91,9 @@ pub struct ThreeLcCompressor {
     shape: Shape,
     options: ThreeLcOptions,
     /// Error accumulation buffer: all zeros until the first `compress`
-    /// allocates it, never allocated when `error_accumulation` is off.
+    /// allocates it. When `error_accumulation` is off it is only the
+    /// scratch [`Compressor::take_accumulator`] lends, allocated by the
+    /// first lend.
     buffer: OnceLock<Tensor>,
     /// The tensor's `⌈n / 5⌉` quartic bytes: the pack output on encode,
     /// the zero-run expansion on decode — kept from [`Compressor::stage`]
@@ -155,11 +157,6 @@ impl ThreeLcCompressor {
         &self.options
     }
 
-    /// The tensor shape this context is bound to.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
     fn check_shape(&self, input: &Tensor) -> Result<(), CompressError> {
         if input.shape() != &self.shape {
             return Err(CompressError::ShapeMismatch {
@@ -198,6 +195,10 @@ impl Compressor for ThreeLcCompressor {
         name
     }
 
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         self.check_shape(input)?;
         let imp = self.codec;
@@ -224,12 +225,16 @@ impl Compressor for ThreeLcCompressor {
         self.encode(quantize_span, plain, max_abs)
     }
 
-    fn take_accumulator(&mut self) -> Option<Tensor> {
-        self.options.error_accumulation.then(|| {
-            self.buffer
-                .take()
-                .unwrap_or_else(|| Tensor::zeros(self.shape.clone()))
-        })
+    /// Lends the error-accumulation buffer under `Add`; without error
+    /// accumulation the same field is a scratch, lent under `Assign`.
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
+        let zeros = || Tensor::zeros(self.shape.clone());
+        let buffer = self.buffer.take().unwrap_or_else(zeros);
+        if self.options.error_accumulation {
+            (buffer, DequantOp::Add)
+        } else {
+            (buffer, DequantOp::Assign)
+        }
     }
 
     fn compress_accumulator(
@@ -237,11 +242,11 @@ impl Compressor for ThreeLcCompressor {
         accumulator: Tensor,
         max_abs: f32,
     ) -> Result<Vec<u8>, CompressError> {
-        assert!(
-            self.options.error_accumulation,
-            "{} lends no accumulator to take back",
-            self.name()
-        );
+        if !self.options.error_accumulation {
+            let wire = self.compress(&accumulator)?;
+            self.buffer = OnceLock::from(accumulator);
+            return Ok(wire);
+        }
         self.check_shape(&accumulator)?;
         // The accumulate was the producer's: this "quantize" span covers
         // the scale alone, so that a traced step records the same phases
@@ -257,15 +262,6 @@ impl Compressor for ThreeLcCompressor {
 
     fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
         self.decompress_inner(payload)
-    }
-
-    fn decode_into(
-        &self,
-        payload: &[u8],
-        op: DequantOp,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        self.decode_into_inner(payload, op, out)
     }
 
     fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {
@@ -289,7 +285,10 @@ impl Compressor for ThreeLcCompressor {
         planes: &mut [&mut [f32]; 5],
     ) {
         let ranges = sizing::strip_planes(self.shape.num_elements(), bytes.clone());
-        debug_assert!(planes.iter().zip(ranges).all(|(p, r)| p.len() == r.len()));
+        assert!(
+            planes.iter().zip(ranges).all(|(p, r)| p.len() == r.len()),
+            "a plane whose length is not its range's"
+        );
         let (zre, scale, body) = self
             .parse_header(payload)
             .expect("a staged payload has a valid header");
@@ -320,10 +319,12 @@ impl Compressor for ThreeLcCompressor {
 
     fn residual_sq(&self) -> f64 {
         // No buffer yet means nothing was ever compressed: an all-zero
-        // residual, answered without materialising one.
-        self.buffer
-            .get()
-            .map_or(0.0, |r| kernels::sum_squares(r.as_slice()))
+        // residual, answered without materialising one. Without error
+        // accumulation the buffer is a scratch, not a residual.
+        match self.buffer.get() {
+            Some(r) if self.options.error_accumulation => kernels::sum_squares(r.as_slice()),
+            _ => 0.0,
+        }
     }
 
     fn set_sparsity(&mut self, s: SparsityMultiplier) {
@@ -472,28 +473,6 @@ impl ThreeLcCompressor {
             body
         };
         consume(scale, quartic_bytes)
-    }
-
-    /// The fused decode: `stage` (header, zero-run expansion,
-    /// invalid-byte scan), then one `decode_strip` over every quartic byte
-    /// ([`kernels::unpack_dequant`]'s plane kernel), no symbol ever stored
-    /// and `out` untouched unless the payload decodes.
-    fn decode_into_inner(
-        &self,
-        payload: &[u8],
-        op: DequantOp,
-        out: &mut [f32],
-    ) -> Result<(), DecodeError> {
-        let n = self.shape.num_elements();
-        assert_eq!(
-            out.len(),
-            n,
-            "output must match the context's element count"
-        );
-        self.stage(payload)?;
-        let len = sizing::quartic_len(n);
-        self.decode_strip(payload, 0..len, op, &mut kernels::planes_mut(out, len));
-        Ok(())
     }
 
     /// The two-pass oracle's first half: the payload's ternary symbols in
@@ -667,14 +646,15 @@ mod tests {
                 let mut cx = twin.clone();
                 for input in &inputs {
                     let want = twin.compress(input).unwrap();
-                    let mut acc = cx.take_accumulator().expect("lends its residual");
+                    let (mut acc, op) = cx.take_accumulator();
+                    assert_eq!(op, DequantOp::Add, "{what}: lends its residual");
                     let max_abs = add_max_abs(acc.as_mut_slice(), input.as_slice());
                     let got = cx.compress_accumulator(acc, max_abs).unwrap();
                     assert_eq!(got, want, "{what}");
                     assert_eq!(bits(cx.residual()), bits(twin.residual()), "{what}");
                 }
                 // Written into after its max was folded: still refused.
-                let mut acc = cx.take_accumulator().unwrap();
+                let (mut acc, _) = cx.take_accumulator();
                 let max_abs = add_max_abs(acc.as_mut_slice(), inputs[0].as_slice());
                 acc.as_mut_slice()[n - 1] = f32::NAN;
                 assert_eq!(
@@ -682,7 +662,7 @@ mod tests {
                     Err(CompressError::NonFiniteInput),
                     "{what}"
                 );
-                let acc = cx.take_accumulator().unwrap();
+                let (acc, _) = cx.take_accumulator();
                 assert_eq!(
                     cx.compress_accumulator(acc, f32::INFINITY),
                     Err(CompressError::NonFiniteInput),
@@ -690,24 +670,33 @@ mod tests {
                 );
             }
         }
-        // Without error accumulation there is nothing to lend.
-        let options = ThreeLcOptions {
-            error_accumulation: false,
-            ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
-        };
-        let mut cx = ThreeLcCompressor::with_options(Shape::new(&[n]), options);
-        assert!(cx.take_accumulator().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "lends no accumulator")]
-    fn a_context_without_error_accumulation_takes_no_accumulator_back() {
+    fn a_context_without_error_accumulation_lends_a_scratch_to_overwrite() {
+        let n = 103;
         let options = ThreeLcOptions {
             error_accumulation: false,
             ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
         };
-        let mut cx = ThreeLcCompressor::with_options(Shape::new(&[4]), options);
-        let _ = cx.compress_accumulator(Tensor::zeros([4]), 0.0);
+        let mut twin = ThreeLcCompressor::with_options(Shape::new(&[n]), options);
+        let mut cx = twin.clone();
+        for step in 0..3 {
+            let input = Tensor::from_fn([n], |i| ((i * 7 + step) % 11) as f32 - 5.0);
+            let (mut scratch, op) = cx.take_accumulator();
+            assert_eq!(op, DequantOp::Assign);
+            op.apply(input.iter().copied(), scratch.as_mut_slice());
+            // The max is the context's to measure: a wrong one is not read.
+            let got = cx.compress_accumulator(scratch, f32::NAN).unwrap();
+            assert_eq!(got, twin.compress(&input).unwrap(), "step {step}");
+            assert!(cx.residual().is_none());
+            assert_eq!(cx.residual_sq(), 0.0);
+        }
+        // A buffer of another shape is refused, and not lent again.
+        let _ = cx.take_accumulator();
+        let wrong = cx.compress_accumulator(Tensor::zeros([n + 1]), 0.0);
+        assert!(matches!(wrong, Err(CompressError::ShapeMismatch { .. })));
+        assert_eq!(cx.take_accumulator().0.len(), n);
     }
 
     #[test]

@@ -480,8 +480,7 @@ pub enum DequantOp {
 impl DequantOp {
     /// The dense form: applies the op with `vs` as the already decoded
     /// values — what a payload without a symbol form (raw tensors, floats
-    /// read off the wire, the baseline schemes' default `decode_into`)
-    /// goes through.
+    /// read off the wire, the baseline schemes' strips) goes through.
     ///
     /// # Panics
     ///

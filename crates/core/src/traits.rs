@@ -4,7 +4,7 @@ use crate::kernels::DequantOp;
 use crate::{CompressError, DecodeError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use threelc_tensor::Tensor;
+use threelc_tensor::{Shape, Tensor};
 
 /// A point-to-point, per-tensor state-change compressor.
 ///
@@ -25,10 +25,31 @@ use threelc_tensor::Tensor;
 ///   [`DecodeError`].
 /// - Lossy schemes may return a different tensor; schemes with error
 ///   accumulation must fold `t − decompress(compress(t))` into later calls.
+///
+/// **Lending.** Every context lends the buffer its next input lands in
+/// ([`take_accumulator`](Self::take_accumulator)) and names the fold that
+/// lands it: [`DequantOp::Add`] into its error-accumulation buffer (3LC,
+/// 1-bit, sparsification, local steps), [`DequantOp::Assign`] over a
+/// scratch it owns (32-bit floats, 8-bit ints, stochastic ternary, 3LC
+/// without error accumulation). The producer — a worker's backward pass, a
+/// parameter server's sweep — folds its input in and hands the buffer
+/// back to [`compress_accumulator`](Self::compress_accumulator), which
+/// encodes what `compress(input)` would have and keeps the buffer for the
+/// next step, so neither side holds a model-sized buffer of its own.
+///
+/// **Staging.** Every context decodes in two halves:
+/// [`stage`](Self::stage) checks a whole payload and keeps what its strips
+/// read, then [`decode_strip`](Self::decode_strip) applies any strip of it
+/// at a cost in proportion to the strip. [`decode_into`](Self::decode_into)
+/// is the two over the whole tensor; a parameter server sums its pushes
+/// strip by strip.
 pub trait Compressor: Send {
     /// Human-readable scheme name as used in the paper's tables, e.g.
     /// `"3LC (s=1.00)"` or `"32-bit float"`.
     fn name(&self) -> String;
+
+    /// The tensor shape this context is bound to.
+    fn shape(&self) -> &Shape;
 
     /// Compresses one state-change tensor into a wire payload.
     ///
@@ -38,63 +59,50 @@ pub trait Compressor: Send {
     /// this context was created for, or contains non-finite values.
     fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError>;
 
-    /// Lends this context's error-accumulation buffer to a producer that
-    /// adds its next input straight into it — a weight gradient's GEMM,
-    /// say — instead of storing the input for
-    /// [`compress`](Self::compress) to add. The buffer comes back through
-    /// [`compress_accumulator`](Self::compress_accumulator); until then the
-    /// context holds none, and lent twice it lends a zeroed one (the first
-    /// is the borrower's to return or lose).
-    ///
-    /// The default returns `None`: the scheme keeps no such buffer, and
-    /// its producer stores the input and calls `compress`.
-    fn take_accumulator(&mut self) -> Option<Tensor> {
-        None
-    }
+    /// Lends the buffer this context's next input lands in, and the fold
+    /// that lands it (see **Lending** above). Until the buffer comes back
+    /// through [`compress_accumulator`](Self::compress_accumulator) the
+    /// context holds none; lent twice, it lends a zeroed one.
+    fn take_accumulator(&mut self) -> (Tensor, DequantOp);
 
     /// Encodes `accumulator` — the buffer
     /// [`take_accumulator`](Self::take_accumulator) lent, with this step's
-    /// input added into it element by element — and keeps it: the payload
-    /// and the buffer left behind are bit for bit what `compress(input)`
-    /// would have produced. `max_abs` is the largest magnitude in
+    /// input folded in — and keeps it: the payload and the state left
+    /// behind are bit for bit what `compress(input)` would have produced.
+    /// For an `Add` lend, `max_abs` is the largest magnitude in
     /// `accumulator`, or a non-finite value if it holds one, as the
     /// producer folded it on its way through
-    /// ([`Tensor::matmul_tn_add_into`], [`threelc_tensor::add_max_abs`]).
-    /// Only a lent buffer comes back here: an input of a context that lends
-    /// none goes to `compress`.
+    /// ([`Tensor::matmul_tn_add_into`], [`threelc_tensor::add_max_abs`]);
+    /// an `Assign` lend measures its input itself and does not read it.
     ///
     /// # Errors
     ///
     /// As [`compress`](Self::compress), for the input the buffer was lent
     /// for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this context lends no accumulator — the default.
     fn compress_accumulator(
         &mut self,
-        _accumulator: Tensor,
-        _max_abs: f32,
-    ) -> Result<Vec<u8>, CompressError> {
-        panic!("{} lends no accumulator to take back", self.name())
-    }
+        accumulator: Tensor,
+        max_abs: f32,
+    ) -> Result<Vec<u8>, CompressError>;
 
-    /// Decompresses a wire payload produced by this context.
+    /// Decompresses a wire payload produced by this context: a zeroed
+    /// tensor with the payload assigned over it
+    /// ([`decode_into`](Self::decode_into)).
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] for any structurally malformed payload.
-    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError>;
+    fn decompress(&self, payload: &[u8]) -> Result<Tensor, DecodeError> {
+        let mut out = Tensor::zeros(self.shape().clone());
+        self.decode_into(payload, DequantOp::Assign, out.as_mut_slice())?;
+        Ok(out)
+    }
 
     /// Decodes a wire payload straight into `out` under `op`:
     /// `out[e] = op(out[e], decompress(payload)[e])`, bit for bit, without
-    /// the tensor in between. This is how a server sums the pushes it
-    /// receives (first `Assign`, then `Add`, the average folded into the
-    /// last) and how a worker adds a pull into its parameters.
-    ///
-    /// The default decodes densely and applies `op`; schemes that can do
-    /// better (3LC never stores the symbols, `Float32` reads the floats
-    /// off the wire) override it.
+    /// the tensor in between. This is how a worker adds a pull into its
+    /// parameters. It is [`stage`](Self::stage) and one
+    /// [`decode_strip`](Self::decode_strip) over every quartic byte.
     ///
     /// # Errors
     ///
@@ -110,59 +118,53 @@ pub trait Compressor: Send {
         op: DequantOp,
         out: &mut [f32],
     ) -> Result<(), DecodeError> {
-        let dense = self.decompress(payload)?;
-        op.apply(dense.iter().copied(), out);
+        assert_eq!(
+            out.len(),
+            self.shape().num_elements(),
+            "output must match the context's element count"
+        );
+        self.stage(payload)?;
+        let len = crate::sizing::quartic_len(out.len());
+        let mut planes = crate::kernels::planes_mut(out, len);
+        self.decode_strip(payload, 0..len, op, &mut planes);
         Ok(())
     }
 
-    /// The first half of [`decode_into`](Self::decode_into), for a caller
-    /// that applies a payload strip by strip
-    /// ([`decode_strip`](Self::decode_strip)): checks the whole payload and
-    /// keeps what the strips read. 3LC checks the header, expands a
-    /// zero-run-encoded body into this context's quartic scratch (a body
-    /// without zero-run encoding is read in place) and scans it for invalid
-    /// bytes. Returns exactly the [`DecodeError`]s `decode_into` returns
-    /// for the same payload, first to last, so a payload that stages
-    /// applies without error.
-    ///
-    /// A context that lends its accumulator
-    /// ([`take_accumulator`](Self::take_accumulator)) must also stage: a
-    /// parameter server adds the pushes it decodes into its pull
-    /// context's lent accumulator one strip at a time.
+    /// The first half of a decode (see **Staging** above): checks the whole
+    /// payload and keeps what its strips read — 3LC its zero-run expansion
+    /// (a body without zero-run encoding is read in place), sparsification
+    /// where each block of its bitmap starts in the packed values. Returns
+    /// exactly the [`DecodeError`]s [`decompress`](Self::decompress)
+    /// returns for the same payload, so a payload that stages applies
+    /// without error.
     ///
     /// # Errors
     ///
-    /// As [`decode_into`](Self::decode_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this context does not stage — the default.
-    fn stage(&self, _payload: &[u8]) -> Result<(), DecodeError> {
-        panic!("{} stages no payload", self.name())
-    }
+    /// As [`decompress`](Self::decompress).
+    fn stage(&self, payload: &[u8]) -> Result<(), DecodeError>;
 
     /// The second half: applies quartic bytes `bytes` of the payload this
     /// context last [`stage`](Self::stage)d — passed again as `payload` —
     /// to `planes` under `op`, where `planes[j]` holds the tensor's
     /// elements [`strip_planes`](crate::sizing::strip_planes)`(n, bytes)[j]`.
+    /// Every design cuts its tensor into 3LC's five quartic planes, whether
+    /// its payload has a quartic form or not, so one sweep serves them all.
     /// Applying a staged payload strip by strip, over any partition of its
-    /// bytes, is [`decode_into`](Self::decode_into) bit for bit. Another
-    /// payload than the one staged yields unspecified values.
+    /// bytes, is [`decode_into`](Self::decode_into) bit for bit, at a cost
+    /// in proportion to the strip. Another payload than the one staged
+    /// yields unspecified values.
     ///
     /// # Panics
     ///
-    /// Panics if this context does not stage — the default — or if
-    /// `bytes` reaches past the payload's quartic bytes or a plane is
-    /// longer than `bytes`.
+    /// Panics if `bytes` reaches past the tensor's quartic bytes or a
+    /// plane's length is not its range's.
     fn decode_strip(
         &self,
-        _payload: &[u8],
-        _bytes: Range<usize>,
-        _op: DequantOp,
-        _planes: &mut [&mut [f32]; 5],
-    ) {
-        panic!("{} stages no payload", self.name())
-    }
+        payload: &[u8],
+        bytes: Range<usize>,
+        op: DequantOp,
+        planes: &mut [&mut [f32]; 5],
+    );
 
     /// Decodes a wire payload to its raw quantization symbols, without
     /// materializing a `Tensor`.
@@ -193,7 +195,9 @@ pub trait Compressor: Send {
 
     /// The error-accumulation (residual) buffer, if this scheme keeps one.
     ///
-    /// Exposed for tests and instrumentation; `None` for stateless schemes.
+    /// Exposed for tests and instrumentation; `None` for stateless schemes,
+    /// and for the baselines' error-feedback schemes before their first
+    /// encode (the buffer is allocated then) or while it is lent.
     fn residual(&self) -> Option<&Tensor> {
         None
     }

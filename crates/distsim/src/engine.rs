@@ -271,18 +271,9 @@ pub struct WorkerReplica {
     push_ctxs: Vec<Option<Box<dyn Compressor>>>,
     /// Decode-only mirrors of the server's pull contexts.
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
-    /// Per tensor, between steps, the gradient tensor of a context that
-    /// lends no accumulator (or of a raw tensor): [`Self::compute`] hands
-    /// it out filled, [`Self::encode_push`] takes it back, and the next
-    /// `compute` overwrites it in place. `None` before the first step, for
-    /// a tensor whose gradient lands in its context's error-accumulation
-    /// buffer instead, and whenever a caller keeps the gradients instead
-    /// of pushing them.
-    grads: Vec<Option<Tensor>>,
     /// Per tensor, from `compute` to `encode_push`: the largest magnitude
-    /// in the accumulator `compute` handed out in its place, `None` for a
-    /// written gradient.
-    lent: Vec<Option<f32>>,
+    /// in an accumulator `compute` handed out, 0.0 for a written gradient.
+    lent: Vec<f32>,
 }
 
 impl WorkerReplica {
@@ -293,8 +284,7 @@ impl WorkerReplica {
             rng: threelc_tensor::rng(worker_rng_seed(&problem.config, w)),
             push_ctxs: problem.push_ctxs(w),
             pull_ctxs: problem.pull_ctxs(),
-            grads: vec![None; problem.num_tensors()],
-            lent: vec![None; problem.num_tensors()],
+            lent: vec![0.0; problem.num_tensors()],
         }
     }
 
@@ -310,12 +300,13 @@ impl WorkerReplica {
 
     /// Samples a minibatch and computes the local loss and gradients.
     ///
-    /// A tensor whose push context lends its error-accumulation buffer
-    /// ([`Compressor::take_accumulator`], 3LC's) has its gradient added
-    /// straight into that buffer by the backward pass ([`GradSlot::Add`]):
-    /// its entry in the returned list is the buffer, residual plus
-    /// gradient, and [`Self::encode_push`] hands it back to the context.
-    /// Every other entry is the gradient itself.
+    /// A compressed tensor's gradient lands in the buffer its push context
+    /// lends ([`Compressor::take_accumulator`]): added by the backward pass
+    /// into an error-accumulation buffer ([`GradSlot::Add`]), whose entry
+    /// in the returned list is then residual plus gradient, or written
+    /// over a scratch ([`GradSlot::Write`]). [`Self::encode_push`] hands
+    /// the buffer back to the context. A raw tensor's entry is its
+    /// gradient.
     pub fn compute(
         &mut self,
         data: &SyntheticImages,
@@ -326,17 +317,14 @@ impl WorkerReplica {
         let mut slots: Vec<GradSlot> = params
             .iter()
             .zip(&mut self.push_ctxs)
-            .zip(&mut self.grads)
             .map(
-                |((param, ctx), kept)| match ctx.as_mut().and_then(|ctx| ctx.take_accumulator()) {
-                    Some(buffer) => GradSlot::Add {
+                |(param, ctx)| match ctx.as_mut().map(|ctx| ctx.take_accumulator()) {
+                    Some((buffer, DequantOp::Add)) => GradSlot::Add {
                         buffer,
                         max_abs: 0.0,
                     },
-                    None => GradSlot::Write(
-                        kept.take()
-                            .unwrap_or_else(|| Tensor::zeros(param.shape().clone())),
-                    ),
+                    Some((scratch, _)) => GradSlot::Write(scratch),
+                    None => GradSlot::Write(Tensor::zeros(param.shape().clone())),
                 },
             )
             .collect();
@@ -346,8 +334,8 @@ impl WorkerReplica {
             .zip(&mut self.lent)
             .map(|(slot, lent)| {
                 *lent = match slot {
-                    GradSlot::Add { max_abs, .. } => Some(max_abs),
-                    GradSlot::Write(_) => None,
+                    GradSlot::Add { max_abs, .. } => max_abs,
+                    GradSlot::Write(_) => 0.0,
                 };
                 slot.into_tensor()
             })
@@ -356,13 +344,11 @@ impl WorkerReplica {
     }
 
     /// Runs each gradient through its push compression context (or passes
-    /// it through raw), measuring codec CPU time: an accumulator
-    /// [`Self::compute`] handed out goes back to its context
-    /// ([`Compressor::compress_accumulator`]), a written gradient is
-    /// compressed ([`Compressor::compress`]) and kept as the next
-    /// `compute`'s gradient buffer. Under a trace scope a codec call that
-    /// records no spans of its own ([`Compressor::records_spans`]) runs
-    /// inside an `encode` span.
+    /// it through raw), measuring codec CPU time: the buffer
+    /// [`Self::compute`] handed out goes back to its context to be encoded
+    /// ([`Compressor::compress_accumulator`]); a raw gradient is its
+    /// payload. Under a trace scope a codec call that records no spans of
+    /// its own ([`Compressor::records_spans`]) runs inside an `encode` span.
     ///
     /// # Panics
     ///
@@ -373,31 +359,21 @@ impl WorkerReplica {
         let mut payloads = Vec::with_capacity(grads.len());
         let mut codec_seconds = 0.0f64;
         for (i, grad) in grads.into_iter().enumerate() {
-            let lent = self.lent[i].take();
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
                     let span = (!ctx.records_spans()).then(|| trace::TraceSpan::start("encode"));
-                    let wire = match lent {
-                        Some(max_abs) => ctx.compress_accumulator(grad, max_abs),
-                        None => {
-                            let wire = ctx.compress(&grad);
-                            self.grads[i] = Some(grad);
-                            wire
-                        }
-                    };
-                    let wire = wire.unwrap_or_else(|e| {
-                        panic!("cannot compress the gradient of tensor {i}: {e}")
-                    });
+                    let wire = ctx
+                        .compress_accumulator(grad, self.lent[i])
+                        .unwrap_or_else(|e| {
+                            panic!("cannot compress the gradient of tensor {i}: {e}")
+                        });
                     drop(span);
                     codec_seconds += t0.elapsed().as_secs_f64();
                     payloads.push(TensorPayload::Compressed(wire));
                 }
-                // A sub-threshold tensor: the copy is what is sent.
-                None => {
-                    payloads.push(TensorPayload::Raw(grad.clone()));
-                    self.grads[i] = Some(grad);
-                }
+                // A sub-threshold tensor: the gradient is what is sent.
+                None => payloads.push(TensorPayload::Raw(grad)),
             }
         }
         EncodedPush {
@@ -455,14 +431,9 @@ impl WorkerReplica {
         assert_eq!(params.len(), pulls.len(), "pull count mismatch");
         for (i, (param, pull)) in params.iter_mut().zip(pulls).enumerate() {
             match pull {
-                TensorPayload::Compressed(wire) => {
-                    let ctx = self.pull_ctxs[i].as_ref().ok_or_else(|| {
-                        let reason = "compressed payload for a tensor sent uncompressed".into();
-                        (i, DecodeError::Malformed { reason })
-                    })?;
-                    ctx.decode_into(wire, DequantOp::Add, param.as_mut_slice())
-                        .map_err(|e| (i, e))?;
-                }
+                TensorPayload::Compressed(wire) => decode_ctx(&self.pull_ctxs, i)?
+                    .decode_into(wire, DequantOp::Add, param.as_mut_slice())
+                    .map_err(|e| (i, e))?,
                 TensorPayload::Raw(delta) => param.add_assign(delta).expect("same shapes"),
             }
         }
@@ -513,8 +484,6 @@ pub struct ServerCore {
     /// identically). Tensor-major so sharded aggregation can hand each
     /// shard a disjoint `&mut` block of tensor rows.
     decode_ctxs: Vec<Vec<Option<Box<dyn Compressor>>>>,
-    /// Per tensor, where the step's model delta lands ([`Landing`]).
-    landings: Vec<Landing>,
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
     optimizer: SgdMomentum,
     schedule: LrSchedule,
@@ -535,11 +504,6 @@ pub struct ServerCore {
     /// owns, balanced by element count ([`split_ranges`]); one range runs
     /// the step inline.
     shards: Vec<Range<usize>>,
-    /// One strip buffer per shard, [`STRIP_BYTES`]` · 5` values at most:
-    /// where the fused sweep sums a strip of the pushes, runs the
-    /// optimizer on it and leaves its delta. Sized on the first sweep
-    /// that needs it.
-    strips: Vec<Vec<f32>>,
     /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]),
     /// a handle cached so the registry lock is taken once, here.
     evaluate_seconds: Arc<Histogram>,
@@ -548,49 +512,9 @@ pub struct ServerCore {
     shard_busy_seconds: Arc<Histogram>,
 }
 
-/// Where one tensor's model delta lands in a server step
-/// ([`ServerCore::apply_step`]).
-enum Landing {
-    /// Not known yet: before the tensor's first step, and after a lent
-    /// accumulator went back to its pull context. The next stage phase
-    /// asks that context to lend ([`Compressor::take_accumulator`]).
-    Ask,
-    /// The pull context's error-accumulation buffer, lent for the step:
-    /// the fused sweep adds the delta into it strip by strip and folds its
-    /// largest magnitude into `max_abs`; the re-encode hands both back
-    /// ([`Compressor::compress_accumulator`]). Held by the server across a
-    /// step that failed to stage.
-    Lent { accumulator: Tensor, max_abs: f32 },
-    /// `update`, a model-sized buffer of the server's own for a tensor
-    /// whose pull context lends none (a baseline scheme's, or a raw
-    /// tensor), kept across steps: the worker-order gradient sum and its
-    /// average (the first accepted worker *assigns*, so nothing is
-    /// re-zeroed), then — left in the gradient's place by the optimizer —
-    /// the model delta `global_after − global_before`, which the pull
-    /// context compresses or the pull sends raw. Holds a partial sum after
-    /// a step that failed to decode.
-    Update(Tensor),
-}
-
-impl Landing {
-    /// Settles an [`Landing::Ask`]: the accumulator `pull` lends, or else
-    /// a zeroed `update` of `shape`.
-    fn settle(&mut self, pull: &mut Option<Box<dyn Compressor>>, shape: &Shape) {
-        if let Landing::Ask = self {
-            *self = match pull.as_mut().and_then(|c| c.take_accumulator()) {
-                Some(accumulator) => Landing::Lent {
-                    accumulator,
-                    max_abs: 0.0,
-                },
-                None => Landing::Update(Tensor::zeros(shape.clone())),
-            };
-        }
-    }
-}
-
 /// Quartic bytes per strip of the fused sweep: 10 240 values, 40 KiB of
 /// `f32`, which stays in L2 from the pushes' unpack through the
-/// optimizer to the add into the accumulator.
+/// optimizer to the fold into the lent buffer.
 const STRIP_BYTES: usize = 2048;
 
 /// The fewest model values a shard is worth spawning for. A server step
@@ -600,65 +524,25 @@ const STRIP_BYTES: usize = 2048;
 /// inline.
 const MIN_SHARD_VALUES: usize = 256 * 1024;
 
-/// Decodes and averages one tensor's accepted pushes, each payload in one
-/// fused pass from wire bytes to the accumulator
-/// ([`Compressor::decode_into`]): `ops[w]` is what worker `w`'s payload
-/// does to it (`None` for a rejected push) — the first accepted worker
-/// assigns, the rest add in worker-id order, and the last one also applies
-/// the `1/accepted` average ([`accumulate_ops`]). That is bit-identical to
-/// decoding every payload to a dense tensor, summing those and scaling the
-/// sum: each term is the one IEEE multiply `sym as f32 · scale` the
-/// dequantizer would have produced, and the adds and the final multiply
-/// run in the same order. Assigning first preserves `-0.0` products exactly
-/// as moving the first decoded tensor into a sum does, and makes `avg`'s
-/// previous contents irrelevant, so the accumulator is reused without
-/// re-zeroing. Raw tensors go through the same op.
-///
-/// `ctx_row` holds the tensor's per-worker decode contexts. A payload that
-/// does not decode fails the tensor with the worker's id and the decoder's
-/// error, leaving a partial sum in `avg`.
-fn aggregate_tensor(
-    avg: &mut Tensor,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    ops: &[Option<DequantOp>],
-    i: usize,
-    stats: &mut CompressionStats,
-) -> Result<(), (usize, DecodeError)> {
-    let acc = avg.as_mut_slice();
-    for (w, (worker_payloads, op)) in payloads.iter().zip(ops).enumerate() {
-        let Some(op) = *op else { continue };
-        match &worker_payloads[i] {
-            TensorPayload::Compressed(wire) => {
-                decode_ctx(ctx_row, w)?
-                    .decode_into(wire, op, acc)
-                    .map_err(|e| (w, e))?;
-                stats.record(acc.len(), wire.len());
-            }
-            TensorPayload::Raw(grad) => op.apply(grad.iter().copied(), acc),
-        }
-    }
-    Ok(())
-}
-
-/// Worker `w`'s decode context in a tensor's row, or the error a
-/// compressed payload for a tensor sent raw earns.
+/// Context `w` of `ctxs` — a worker's decode context in a tensor's row, a
+/// tensor's pull context — or, with `w`, the error a compressed payload
+/// for a tensor sent raw earns.
 fn decode_ctx(
-    ctx_row: &[Option<Box<dyn Compressor>>],
+    ctxs: &[Option<Box<dyn Compressor>>],
     w: usize,
 ) -> Result<&dyn Compressor, (usize, DecodeError)> {
-    ctx_row[w].as_deref().ok_or_else(|| {
+    ctxs[w].as_deref().ok_or_else(|| {
         let reason = "compressed payload for a tensor sent uncompressed".into();
         (w, DecodeError::Malformed { reason })
     })
 }
 
-/// The stage half of a lending tensor's aggregation: every accepted
-/// compressed payload of tensor `i`, in worker-id order, checked whole and
-/// staged in its decode context ([`Compressor::stage`]) for
-/// [`sweep_tensor`]; a raw one is only held to the tensor's `n` values. The
-/// errors, and their order, are [`aggregate_tensor`]'s, and nothing but the
-/// decode contexts' scratch is written.
+/// The stage half of a tensor's aggregation: every accepted compressed
+/// payload of tensor `i`, in worker-id order, checked whole and staged in
+/// its decode context ([`Compressor::stage`]) for [`sweep_tensor`]; a raw
+/// one is only held to the tensor's `n` values. A payload that does not
+/// stage fails the tensor with the worker's id and the decoder's error,
+/// and nothing but the decode contexts' scratch is written.
 fn stage_tensor(
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
@@ -682,24 +566,25 @@ fn stage_tensor(
     Ok(())
 }
 
-/// The fused sweep over one lending tensor, whose pushes
-/// [`stage_tensor`] staged: for each strip of [`STRIP_BYTES`] quartic
-/// bytes, in order, every accepted push's values land in `strip` in
-/// worker-id order under its op ([`Compressor::decode_strip`]; a raw push
-/// through [`DequantOp::apply`]), the optimizer turns the averaged gradient
-/// there into the delta ([`TensorStep::apply`]), and the delta is added
-/// into the lent `accumulator` ([`threelc_tensor::add_max_abs`]). Returns
-/// the accumulator's largest magnitude, or a non-finite value if it holds
-/// one.
+/// The fused sweep over one tensor, whose pushes [`stage_tensor`] staged:
+/// for each strip of [`STRIP_BYTES`] quartic bytes, in order, every
+/// accepted push's values land in `strip` in worker-id order under its op
+/// ([`Compressor::decode_strip`]; a raw push through [`DequantOp::apply`]),
+/// the optimizer turns the averaged gradient there into the delta
+/// ([`TensorStep::apply`]), and the delta lands in `buffer`, which the pull
+/// context lent, under its `fold` — added into an error-accumulation buffer
+/// ([`threelc_tensor::add_max_abs`]), written over a scratch or a raw
+/// pull. Returns an added buffer's largest magnitude, or a non-finite
+/// value if it holds one; 0.0 for a written one.
 ///
-/// Per element that is the whole-tensor path's float operations in its
-/// order — the worker-order sum with the average folded into the last op,
-/// `step`, then the pull context's `residual + delta` — so the strips
-/// change no bit; they only keep the sum and the delta out of DRAM.
+/// Per element that is the worker-order sum with the average folded into
+/// the last op, `step`, then the fold, in that order: the strips only keep
+/// the sum and the delta out of DRAM.
 #[allow(clippy::too_many_arguments)]
 fn sweep_tensor(
     step: &mut TensorStep<'_>,
-    accumulator: &mut Tensor,
+    buffer: &mut Tensor,
+    fold: DequantOp,
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
     ops: &[Option<DequantOp>],
@@ -707,9 +592,9 @@ fn sweep_tensor(
     strip: &mut [f32],
     lr: f32,
 ) -> f32 {
-    let n = accumulator.len();
+    let n = buffer.len();
     let len = sizing::quartic_len(n);
-    let acc = accumulator.as_mut_slice();
+    let acc = buffer.as_mut_slice();
     let mut max_bits = 0u32;
     for start in (0..len).step_by(STRIP_BYTES) {
         let bytes = start..(start + STRIP_BYTES).min(len);
@@ -738,7 +623,12 @@ fn sweep_tensor(
             step.apply(r, plane, lr);
         }
         for (plane, r) in planes.into_iter().zip(ranges) {
-            max_bits = max_bits.max(add_max_abs(&mut acc[r], plane).to_bits());
+            match fold {
+                DequantOp::Add => {
+                    max_bits = max_bits.max(add_max_abs(&mut acc[r], plane).to_bits())
+                }
+                _ => fold.apply(plane.iter().copied(), &mut acc[r]),
+            }
         }
     }
     f32::from_bits(max_bits)
@@ -748,7 +638,9 @@ fn sweep_tensor(
 /// for a rejected push (an empty payload list); of the accepted ones
 /// the first assigns, the rest add, and the last also multiplies by
 /// `1 / accepted_count` — `(acc + v) · k` is the add, then the multiply,
-/// a separate averaging sweep would have performed.
+/// a separate averaging sweep would have performed. Assigning first keeps
+/// a `-0.0` term exactly as moving the first decoded tensor into a sum
+/// does, and makes the strip's previous contents irrelevant.
 fn accumulate_ops(
     payloads: &[Vec<TensorPayload>],
     accepted_count: usize,
@@ -855,9 +747,8 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 
 /// Runs one server phase, one shard per entry of `ranges` (contiguous,
 /// ascending, covering `rows`): `body` gets its tensor index range, that
-/// range's exclusive slice of the per-tensor `rows`, the shard's strip
-/// buffer (one per range in `strips`; only the fused sweep uses it), and
-/// a private traffic-stats accumulator. A single range runs inline on the
+/// range's exclusive slice of the per-tensor `rows`, and a private
+/// traffic-stats accumulator. A single range runs inline on the
 /// calling thread, so one shard and many execute the same body; tensors
 /// are independent and keep their worker-id order inside `body`, so the
 /// shard count never changes a result. Every shard hands its
@@ -868,18 +759,16 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
     ranges: &[Range<usize>],
-    strips: &mut [Vec<f32>],
     busy: &Histogram,
-    body: impl Fn(Range<usize>, &mut [C], &mut Vec<f32>, &mut CompressionStats) -> T + Sync,
+    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats) -> T + Sync,
 ) -> (Vec<T>, CompressionStats) {
-    assert_eq!(ranges.len(), strips.len(), "one strip per shard");
     let sharded = ranges.len() > 1;
     let chunks = split_off_ranges(rows, ranges);
-    let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).zip(strips).collect();
-    let shards = run_tasks(tasks, |((range, chunk), strip)| {
+    let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).collect();
+    let shards = run_tasks(tasks, |(range, chunk)| {
         let t0 = Instant::now();
         let mut stats = CompressionStats::new();
-        let out = body(range, chunk, strip, &mut stats);
+        let out = body(range, chunk, &mut stats);
         if sharded {
             busy.record(t0.elapsed().as_secs_f64());
         }
@@ -921,7 +810,6 @@ impl ServerCore {
         let mut core = ServerCore {
             global: problem.init.clone(),
             decode_ctxs,
-            landings: problem.shapes.iter().map(|_| Landing::Ask).collect(),
             pull_ctxs: problem.pull_ctxs(),
             optimizer: SgdMomentum::new(config.momentum, config.weight_decay),
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
@@ -933,7 +821,6 @@ impl ServerCore {
             current_decisions,
             step: 0,
             shards: Vec::new(),
-            strips: Vec::new(),
             evaluate_seconds: reg.histogram("engine.evaluate_seconds"),
             shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
             config,
@@ -994,7 +881,6 @@ impl ServerCore {
     pub fn set_threads(&mut self, threads: usize) {
         let sizes: Vec<usize> = self.shapes.iter().map(Shape::num_elements).collect();
         self.shards = split_ranges(&sizes, threads);
-        self.strips = vec![Vec::new(); self.shards.len()];
     }
 
     /// The server's full-precision global model.
@@ -1047,18 +933,15 @@ impl ServerCore {
     /// finished on every shard before the next starts:
     ///
     /// 1. **stage** (`server-decode`): every accepted push is checked
-    ///    whole. A tensor whose pull context lends its accumulator
-    ///    ([`Compressor::take_accumulator`], 3LC's) has its pushes staged
-    ///    ([`Compressor::stage`]); any other tensor has them decoded and
-    ///    averaged into its own `update` buffer.
-    /// 2. **fused sweep** (`aggregate`): a lending tensor goes strip by
-    ///    strip from the staged pushes through the optimizer into the lent
-    ///    accumulator ([`Compressor::decode_strip`],
-    ///    [`TensorStep::apply`]); any other has the optimizer run
-    ///    over its `update`, leaving the delta there.
-    /// 3. **re-encode** (`re-encode`): the accumulator goes back to its
-    ///    context to be encoded ([`Compressor::compress_accumulator`]); an
-    ///    `update` is compressed or sent raw.
+    ///    whole and staged in its decode context ([`Compressor::stage`]).
+    /// 2. **fused sweep** (`aggregate`): every tensor goes strip by strip
+    ///    from the staged pushes through the optimizer into the buffer its
+    ///    pull context lends ([`Compressor::take_accumulator`],
+    ///    [`Compressor::decode_strip`], [`TensorStep::apply`]) — or, for a
+    ///    raw tensor, into the tensor its pull sends.
+    /// 3. **re-encode** (`re-encode`): each lent buffer goes back to its
+    ///    context to be encoded ([`Compressor::compress_accumulator`]); a
+    ///    raw delta is sent as it is.
     ///
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a rejected push, which is not aggregated.
@@ -1123,7 +1006,7 @@ impl ServerCore {
         };
         // Every payload of every tensor has been checked: only now may the
         // model move.
-        self.sweep(payloads, &ops, lr);
+        let deltas = self.sweep(payloads, &ops, lr);
         let t_reencode = if tracing {
             let t = trace::now_ns();
             trace::record_span("aggregate", t_aggregate, t);
@@ -1132,7 +1015,7 @@ impl ServerCore {
             0
         };
         // Compress model deltas (shared pull contexts, Fig. 2b).
-        let pulls = self.compress_pulls();
+        let pulls = self.compress_pulls(deltas);
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
         }
@@ -1188,13 +1071,9 @@ impl ServerCore {
     }
 
     /// The stage phase: every tensor's accepted pushes, in worker-id order
-    /// within the tensor, over one tensor range per shard
-    /// ([`run_shards`]) — staged for the fused sweep ([`stage_tensor`]) if
-    /// the tensor's pull context lends its accumulator, else decoded and
-    /// averaged into the tensor's `update` ([`aggregate_tensor`]). A
-    /// tensor's landing is settled here on its first step
-    /// ([`Landing::Ask`]). The model, optimizer and traffic statistics do
-    /// not change unless every payload decodes.
+    /// within the tensor, over one tensor range per shard ([`run_shards`]),
+    /// staged for the fused sweep ([`stage_tensor`]). The model, optimizer
+    /// and traffic statistics do not change unless every payload stages.
     fn stage(
         &mut self,
         payloads: &[Vec<TensorPayload>],
@@ -1202,43 +1081,22 @@ impl ServerCore {
     ) -> Result<(), EngineError> {
         let step = self.step;
         let shapes = &self.shapes;
-        // Each tensor's contexts beside its landing, so a shard owns all of
-        // them (`&mut` because a context is `Send`, not `Sync`).
-        let mut rows: Vec<_> = self
-            .decode_ctxs
-            .iter_mut()
-            .zip(&mut self.pull_ctxs)
-            .zip(&mut self.landings)
-            .collect();
         let (outs, stats) = run_shards(
-            &mut rows,
+            &mut self.decode_ctxs,
             &self.shards,
-            &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, _, stats| {
-                rows.iter_mut()
-                    .zip(range)
-                    .try_for_each(|(((ctx_row, pull), landing), i)| {
-                        landing.settle(pull, &shapes[i]);
-                        match landing {
-                            Landing::Lent { accumulator, .. } => {
-                                let n = accumulator.len();
-                                stage_tensor(ctx_row, payloads, ops, i, n, stats)
-                            }
-                            Landing::Update(update) => {
-                                aggregate_tensor(update, ctx_row, payloads, ops, i, stats)
-                            }
-                            Landing::Ask => unreachable!("settled above"),
+            |range, rows, stats| {
+                rows.iter().zip(range).try_for_each(|(ctx_row, i)| {
+                    let n = shapes[i].num_elements();
+                    stage_tensor(ctx_row, payloads, ops, i, n, stats).map_err(|(worker, source)| {
+                        EngineError::UndecodablePush {
+                            step,
+                            worker,
+                            tensor: i,
+                            source,
                         }
-                        .map_err(|(worker, source)| {
-                            EngineError::UndecodablePush {
-                                step,
-                                worker,
-                                tensor: i,
-                                source,
-                            }
-                        })
                     })
+                })
             },
         );
         // Shards come back in range order: the first error is the lowest
@@ -1249,102 +1107,78 @@ impl ServerCore {
     }
 
     /// The fused sweep, over one tensor range per shard ([`run_shards`]):
-    /// a lent accumulator takes its tensor's delta strip by strip
-    /// ([`sweep_tensor`]) in the shard's strip buffer; an `update` has the
-    /// optimizer's own sweep turn the averaged gradient into the delta
-    /// where it lies. Nothing snapshots the model.
-    fn sweep(&mut self, payloads: &[Vec<TensorPayload>], ops: &[Option<DequantOp>], lr: f32) {
+    /// each tensor's delta lands strip by strip ([`sweep_tensor`]), in the
+    /// shard's strip buffer, in the buffer its pull context lends — a raw
+    /// tensor's in a fresh tensor, which its pull sends. Returns each
+    /// tensor's buffer with its largest magnitude, in tensor order.
+    /// Nothing snapshots the model.
+    fn sweep(
+        &mut self,
+        payloads: &[Vec<TensorPayload>],
+        ops: &[Option<DequantOp>],
+        lr: f32,
+    ) -> Vec<(Tensor, f32)> {
+        let shapes = &self.shapes;
         let steps = self.optimizer.steps(&mut self.global);
         let mut rows: Vec<_> = steps
             .into_iter()
             .zip(&mut self.decode_ctxs)
-            .zip(&mut self.landings)
+            .zip(&mut self.pull_ctxs)
             .collect();
-        run_shards(
+        let (outs, _) = run_shards(
             &mut rows,
             &self.shards,
-            &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, strip, _| {
-                // As long as the shard's longest strip, once.
-                let need = rows
-                    .iter()
-                    .filter_map(|(_, landing)| match landing {
-                        Landing::Lent { accumulator, .. } => Some(accumulator.len()),
-                        _ => None,
+            |range, rows, _| {
+                // Where a strip of the pushes is summed, stepped and left
+                // as the delta: 40 KiB, which stays in L2.
+                let mut strip = [0f32; 5 * STRIP_BYTES];
+                rows.iter_mut()
+                    .zip(range)
+                    .map(|(((step, ctx_row), pull), i)| {
+                        let (mut delta, fold) = match pull {
+                            Some(ctx) => ctx.take_accumulator(),
+                            None => (Tensor::zeros(shapes[i].clone()), DequantOp::Assign),
+                        };
+                        let max_abs = sweep_tensor(
+                            step, &mut delta, fold, ctx_row, payloads, ops, i, &mut strip, lr,
+                        );
+                        (delta, max_abs)
                     })
-                    .map(|n| 5 * sizing::quartic_len(n).min(STRIP_BYTES))
-                    .max()
-                    .unwrap_or(0);
-                if strip.len() < need {
-                    strip.resize(need, 0.0);
-                }
-                for (((step, ctx_row), landing), i) in rows.iter_mut().zip(range) {
-                    match landing {
-                        Landing::Lent {
-                            accumulator,
-                            max_abs,
-                        } => {
-                            *max_abs = sweep_tensor(
-                                step,
-                                accumulator,
-                                ctx_row,
-                                payloads,
-                                ops,
-                                i,
-                                strip,
-                                lr,
-                            );
-                        }
-                        Landing::Update(update) => {
-                            step.apply(0..update.len(), update.as_mut_slice(), lr);
-                        }
-                        Landing::Ask => unreachable!("the stage phase settled every landing"),
-                    }
-                }
+                    .collect::<Vec<_>>()
             },
         );
+        outs.into_iter().flatten().collect()
     }
 
-    /// Re-encode: compresses this step's model delta through the shared
+    /// Re-encode: compresses this step's model deltas through the shared
     /// pull contexts (Fig. 2b), over one tensor range per shard
-    /// ([`run_shards`]) — a lent accumulator goes back to its context to
-    /// be encoded, an `update` is compressed or sent raw. Pull contexts are
-    /// per tensor, so compression state never crosses a shard boundary.
-    fn compress_pulls(&mut self) -> Vec<TensorPayload> {
+    /// ([`run_shards`]) — each lent buffer goes back to its context to be
+    /// encoded; a raw tensor's delta is its pull. Pull contexts are per
+    /// tensor, so compression state never crosses a shard boundary.
+    fn compress_pulls(&mut self, deltas: Vec<(Tensor, f32)>) -> Vec<TensorPayload> {
         let workers = self.config.workers;
-        let mut rows: Vec<_> = self.pull_ctxs.iter_mut().zip(&mut self.landings).collect();
+        let mut rows: Vec<_> = self
+            .pull_ctxs
+            .iter_mut()
+            .zip(deltas.into_iter().map(Some))
+            .collect();
         let (outs, stats) = run_shards(
             &mut rows,
             &self.shards,
-            &mut self.strips,
             &self.shard_busy_seconds,
-            |range, rows, _, stats| {
+            |range, rows, stats| {
                 let mut pulls = Vec::with_capacity(range.len());
-                for (ctx, landing) in rows.iter_mut() {
+                for (ctx, delta) in rows.iter_mut() {
+                    let (delta, max_abs) = delta.take().expect("one delta per tensor");
                     let Some(ctx) = ctx else {
-                        let Landing::Update(delta) = landing else {
-                            unreachable!("a raw tensor's pull context lends nothing")
-                        };
-                        pulls.push(TensorPayload::Raw(delta.clone()));
+                        pulls.push(TensorPayload::Raw(delta));
                         continue;
                     };
-                    let (n, wire) = match std::mem::replace(*landing, Landing::Ask) {
-                        Landing::Lent {
-                            accumulator,
-                            max_abs,
-                        } => (
-                            accumulator.len(),
-                            ctx.compress_accumulator(accumulator, max_abs),
-                        ),
-                        Landing::Update(delta) => {
-                            let out = (delta.len(), ctx.compress(&delta));
-                            **landing = Landing::Update(delta);
-                            out
-                        }
-                        Landing::Ask => unreachable!("the stage phase settled every landing"),
-                    };
-                    let wire = wire.expect("delta shape matches context");
+                    let n = delta.len();
+                    let wire = ctx
+                        .compress_accumulator(delta, max_abs)
+                        .expect("delta shape matches context");
                     stats.record(n * workers, wire.len() * workers);
                     pulls.push(TensorPayload::Compressed(wire));
                 }
@@ -2046,7 +1880,10 @@ mod tests {
             zero_run_encoding: true,
             error_accumulation: false,
         };
-        for scheme in [SchemeKind::three_lc(1.5), no_ea, SchemeKind::Float32] {
+        // Every design's gradient lands in the buffer its context lends:
+        // added into a residual or written over a scratch.
+        let designs = SchemeKind::tokens().map(|t| SchemeKind::parse(t, 1.5).expect("listed"));
+        for scheme in designs.chain([no_ea]) {
             let config = ExperimentConfig {
                 workers: 1,
                 model_width: 32,

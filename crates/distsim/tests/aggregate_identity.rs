@@ -5,14 +5,16 @@
 //! tensor, summing those in worker order, and dividing** — same pull
 //! wires, same decoded pulls, same global model bit patterns — across
 //! thread counts and adversarial inputs (all-zero tensors, denormal
-//! scales, ±0.0, single-worker steps, and payloads rejected mid-step).
+//! scales, ±0.0, single-worker steps, and payloads rejected mid-step) —
+//! for every design a command line can name ([`SchemeKind::tokens`]),
+//! since every design's server stages its pushes and sweeps them strip by
+//! strip into the buffer its pull context lends.
 //!
 //! The pull side is held to its dense reference the same way: **adding
 //! a pull straight from its wire bytes into the parameters
 //! ([`WorkerReplica::apply_pulls`]) is bit-identical to decoding every
 //! pull to a tensor and adding that** (`decompress` + `apply_deltas`) —
-//! over the same generators, without zero-run encoding, for a scheme with
-//! no symbol form, and through [`Cluster`].
+//! over the same generators and designs, and through [`Cluster`].
 //!
 //! The reference is [`oracle_average`], the whole of the old f32 path that
 //! is worth keeping. Its average reaches a second, identically built
@@ -25,7 +27,8 @@
 //! held to each other one level down — `dispatch_identity.rs` in
 //! `threelc` compares the fused decode on scalar / SWAR / SIMD by bit
 //! pattern for every op this file's cases select — and ci.sh's codec
-//! matrix re-runs the networked loopback suite under each forced tier.
+//! matrix re-runs this suite and the networked loopback suite under each
+//! forced tier.
 //!
 //! Bit patterns are compared directly (`f32::to_bits`), which is strictly
 //! stronger than the CRC32 comparison the networked loopback tests use.
@@ -39,6 +42,20 @@ use threelc_distsim::{
 use threelc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Every design a command line can name, 3LC at s=1.50: each one's server
+/// runs the same stage → strip sweep → re-encode, through its own codec.
+fn designs() -> Vec<SchemeKind> {
+    SchemeKind::tokens()
+        .map(|token| SchemeKind::parse(token, 1.5).expect("a listed token"))
+        .collect()
+}
+
+/// One of [`designs`], drawn evenly.
+fn any_design() -> impl Strategy<Value = SchemeKind> {
+    let designs = designs();
+    (0..designs.len()).prop_map(move |i| designs[i])
+}
 
 fn config(workers: usize, scheme: SchemeKind) -> ExperimentConfig {
     ExperimentConfig {
@@ -225,6 +242,7 @@ proptest! {
     /// oracle's.
     #[test]
     fn symbol_aggregation_matches_the_f32_oracle_on_adversarial_pushes(
+        scheme in any_design(),
         workers in 1usize..5,
         threads_idx in 0usize..4,
         kinds in prop::collection::vec(0u8..4, 4..5),
@@ -232,7 +250,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let threads = THREAD_COUNTS[threads_idx];
-        let problem = Problem::build(&config(workers, SchemeKind::three_lc(1.5)));
+        let problem = Problem::build(&config(workers, scheme));
         let mut server = ServerCore::new(&problem);
         let mut reference = ServerCore::new(&problem);
         server.set_threads(threads);
@@ -267,21 +285,21 @@ proptest! {
             let want = reference
                 .apply_step(&oracle_average(&problem, &ctxs, &payloads, accepted), 1, 0.0)
                 .expect("the oracle's push is accepted");
-            assert_outputs_identical(&problem, &want, &out, &format!("step {step}"))?;
+            assert_outputs_identical(&problem, &want, &out, &format!("{scheme}, step {step}"))?;
         }
         prop_assert!(
             bits(&reference.global().snapshot()) == bits(&server.global().snapshot()),
-            "global model diverged"
+            "{scheme}: global model diverged"
         );
     }
 
     /// Full training loop (real gradients, error accumulation in every
-    /// worker) with one worker's push rejected at a random step: pull
-    /// wires and the final model must stay bit-identical to the oracle's,
-    /// for 3LC and for a scheme with no symbol form.
+    /// worker that has it) with one worker's push rejected at a random
+    /// step: pull wires and the final model must stay bit-identical to the
+    /// oracle's, for every design.
     #[test]
     fn symbol_aggregation_matches_the_f32_oracle_through_training(
-        scheme in prop_oneof![Just(SchemeKind::three_lc(1.5)), Just(SchemeKind::Float32)],
+        scheme in any_design(),
         threads_idx in 0usize..4,
         drop_step in 0usize..4,
         drop_worker in 0usize..2,
@@ -339,19 +357,10 @@ proptest! {
     /// batches: two replicas start equal, one applies each batch with
     /// `apply_pulls`, the other decodes it with `decompress` and adds the
     /// tensors with `apply_deltas`; their models must agree bit for bit
-    /// after every batch. Covers 3LC with and without the zero-run flag
-    /// and `Float32`, which has no symbol form.
+    /// after every batch, for every design.
     #[test]
     fn fused_pull_apply_matches_decompress_then_apply_deltas(
-        scheme in prop_oneof![
-            Just(SchemeKind::three_lc(1.5)),
-            Just(SchemeKind::ThreeLc {
-                sparsity: 1.0,
-                zero_run_encoding: false,
-                error_accumulation: true,
-            }),
-            Just(SchemeKind::Float32),
-        ],
+        scheme in any_design(),
         kinds in prop::collection::vec(0u8..4, 3..6),
         seed in any::<u64>(),
     ) {
@@ -382,9 +391,6 @@ proptest! {
 #[test]
 fn accepted_subsets_pin_the_op_selection() {
     let workers = 3usize;
-    let problem = Problem::build(&config(workers, SchemeKind::three_lc(1.5)));
-    assert!(problem.compressible.iter().any(|&c| c));
-    assert!(problem.compressible.iter().any(|&c| !c));
     let subsets: [[bool; 3]; 7] = [
         [false, true, false],
         [false, false, true],
@@ -394,7 +400,10 @@ fn accepted_subsets_pin_the_op_selection() {
         [true, false, true],
         [true, true, true],
     ];
-    for threads in [1usize, 4] {
+    for (scheme, threads) in designs().into_iter().flat_map(|s| [(s, 1usize), (s, 4)]) {
+        let problem = Problem::build(&config(workers, scheme));
+        assert!(problem.compressible.iter().any(|&c| c));
+        assert!(problem.compressible.iter().any(|&c| !c));
         let mut server = ServerCore::new(&problem);
         let mut reference = ServerCore::new(&problem);
         server.set_threads(threads);
@@ -423,7 +432,7 @@ fn accepted_subsets_pin_the_op_selection() {
                     0.0,
                 )
                 .expect("the oracle's push is accepted");
-            let label = format!("threads={threads} accepted={subset:?}");
+            let label = format!("{scheme}, threads={threads} accepted={subset:?}");
             assert_outputs_identical(&problem, &want, &out, &label).expect("identical outputs");
             assert_eq!(
                 bits(&reference.global().snapshot()),
@@ -436,11 +445,10 @@ fn accepted_subsets_pin_the_op_selection() {
 
 /// `Cluster` applies pulls through `apply_pulls`. A hand-driven engine
 /// that decodes every pull densely and adds it with `apply_deltas` must
-/// end on the same replicas and the same global model, with and without a
-/// symbol form.
+/// end on the same replicas and the same global model, for every design.
 #[test]
 fn cluster_pulls_match_the_dense_reference() {
-    for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
+    for scheme in designs() {
         let config = config(2, scheme);
         let mut cluster = Cluster::new(config);
         let problem = Problem::build(&config);

@@ -6,14 +6,15 @@
 //! an owner that outlives the step (DESIGN.md §18); a per-step
 //! `vec![0f32; n]`, model snapshot or dense pull decode — each four bytes
 //! per value against 3LC's fraction of a bit — breaks the bound at once.
-//! The worker's half, `compute` + `encode_push`, keeps its gradient tensors
-//! from step to step and allocates activations, GEMM panels and payloads
-//! only: less than the model, where fresh gradients alone are all of it.
+//! The worker's half, `compute` + `encode_push`, lands its gradients in
+//! the buffers its push contexts lend and allocates activations, GEMM
+//! panels and payloads only: less than the model, where fresh gradients
+//! alone are all of it.
 //! And what a 3LC worker keeps is the model and its residuals: a gradient
 //! that lands in its context's error-accumulation buffer has no tensor of
-//! its own to keep (DESIGN.md §18). The same holds on the server: a model
-//! delta that lands in its pull context's accumulator has no `update` of
-//! its own.
+//! its own to keep (DESIGN.md §18). The same holds on the server, for
+//! every design: a model delta lands in the buffer its pull context lends,
+//! and a decode context keeps no dense buffer, only 3LC's quartic scratch.
 //!
 //! Its own test binary, because the counting `#[global_allocator]` is
 //! process-wide. Counting is per thread, so the harness's own threads do
@@ -121,38 +122,39 @@ fn a_warmed_up_3lc_replica_retains_no_gradient_sized_buffer() {
         }
         replica
     });
-    // What the replica must keep: its model, a residual and the quartic
-    // scratch (a byte per five values) per compressed tensor, and the
-    // gradient of every raw one; plus a little bookkeeping per tensor.
+    // What the replica must keep: its model, and a residual and the
+    // quartic scratch (a byte per five values) per compressed tensor; plus
+    // a little bookkeeping per tensor. A raw gradient leaves as its push.
     let model_bytes = 4 * replica.model().num_params();
-    let (mut compressed, mut raw, mut quartic) = (0, 0, 0);
+    let (mut compressed, mut quartic) = (0, 0);
     for (shape, &c) in problem.shapes.iter().zip(&problem.compressible) {
-        let n = shape.num_elements();
         if c {
-            compressed += 4 * n;
-            quartic += n.div_ceil(5);
-        } else {
-            raw += 4 * n;
+            compressed += 4 * shape.num_elements();
+            quartic += shape.num_elements().div_ceil(5);
         }
     }
     const PER_TENSOR: usize = 1024;
-    let kept = model_bytes + compressed + quartic + raw + PER_TENSOR * problem.num_tensors();
+    let kept = model_bytes + compressed + quartic + PER_TENSOR * problem.num_tensors();
     assert!(
         held <= kept as isize,
         "a warmed-up replica holds {held} bytes: {} more than its model ({model_bytes}), \
-         residuals ({compressed}), quartic scratch ({quartic}) and raw gradients ({raw}) \
-         — the compressed tensors' gradients are {compressed} bytes",
+         residuals ({compressed}) and quartic scratch ({quartic}) — the compressed tensors' \
+         gradients are {compressed} bytes",
         held - kept as isize
     );
     drop(replica);
 }
 
-#[test]
-fn a_warmed_up_3lc_server_retains_no_update_sized_buffer() {
+/// What a warmed-up server of `scheme` holds beyond its model and
+/// velocity, per compressed tensor: the buffer its pull context lends, and
+/// for 3LC the pull context's and each decode mirror's quartic scratch (a
+/// byte per five values). Raw tensors hold nothing between steps: their
+/// delta leaves as the pull.
+fn a_warmed_up_server_retains_one_buffer_per_pull_context(scheme: SchemeKind) {
     const WORKERS: usize = 2;
     const STEPS: usize = 3;
     let config = ExperimentConfig {
-        scheme: SchemeKind::three_lc(1.0),
+        scheme,
         workers: WORKERS,
         batch_per_worker: 8,
         model_width: 256,
@@ -189,40 +191,46 @@ fn a_warmed_up_3lc_server_retains_no_update_sized_buffer() {
         }
         server
     });
-    // What the server must keep: the global model and its velocity; per
-    // compressed tensor a pull residual, the pull context's quartic
-    // scratch and each worker's decode mirror's (a byte per five values);
-    // the `update` of every raw tensor; one strip per shard; plus a little
-    // bookkeeping per tensor.
     let model_bytes = 4 * server.global().num_params();
-    let (mut compressed, mut raw, mut quartic) = (0, 0, 0);
+    let (mut compressed, mut quartic) = (0, 0);
     for (shape, &c) in problem.shapes.iter().zip(&problem.compressible) {
         let n = shape.num_elements();
         if c {
             compressed += 4 * n;
-            quartic += n.div_ceil(5);
-        } else {
-            raw += 4 * n;
+            if matches!(scheme, SchemeKind::ThreeLc { .. }) {
+                quartic += n.div_ceil(5);
+            }
         }
     }
-    let strips = shards * 4 * 5 * 2048;
     const PER_TENSOR: usize = 1024;
-    let kept = 2 * model_bytes
-        + compressed
-        + (1 + WORKERS) * quartic
-        + raw
-        + strips
-        + PER_TENSOR * problem.num_tensors();
+    let kept =
+        2 * model_bytes + compressed + (1 + WORKERS) * quartic + PER_TENSOR * problem.num_tensors();
     assert!(
         held <= kept as isize,
-        "a warmed-up server holds {held} bytes: {} more than its model and velocity ({}), \
-         pull residuals ({compressed}), pull and decode quartic scratch ({}), raw updates \
-         ({raw}) and strips ({strips}) — the compressed tensors' updates are {compressed} bytes",
+        "{scheme}: a warmed-up server holds {held} bytes: {} more than its model and velocity \
+         ({}), lent pull buffers ({compressed}) and pull and decode quartic scratch ({}) — one \
+         more model-sized buffer is {compressed} bytes",
         held - kept as isize,
         2 * model_bytes,
         (1 + WORKERS) * quartic,
     );
     drop(server);
+}
+
+#[test]
+fn a_warmed_up_3lc_server_retains_no_update_sized_buffer() {
+    a_warmed_up_server_retains_one_buffer_per_pull_context(SchemeKind::three_lc(1.0));
+}
+
+/// Every design a command line names, among them Float32, whose every
+/// compressed tensor kept a model-sized `update` of the server's own until
+/// each pull context lent the buffer its delta lands in.
+#[test]
+fn a_warmed_up_server_of_any_design_retains_no_update_sized_buffer() {
+    for token in SchemeKind::tokens() {
+        let scheme = SchemeKind::parse(token, 1.0).expect("a listed token");
+        a_warmed_up_server_retains_one_buffer_per_pull_context(scheme);
+    }
 }
 
 #[test]

@@ -125,6 +125,49 @@ fn conv_run(scheme: SchemeKind) -> String {
     format!("{:08x}", model_crc32(&net))
 }
 
+/// Every design a command line can name (`SchemeKind::tokens`, 3LC at
+/// s=1.00), plus 3LC without error accumulation, with the final model
+/// its server trains. Each design's pushes, server sweep and pulls run
+/// through its own codec, so a change to any one design's decode, fold
+/// or re-encode moves its row.
+const DESIGN_PINS: &[(&str, &str)] = &[
+    ("float32", "ccef37b4 405122a2"),
+    ("int8", "396595d1 40512404"),
+    ("ternary", "e62a3c14 4051e86f"),
+    ("onebit", "05c3e2aa 405382d8"),
+    ("sparse25", "a103b971 40518936"),
+    ("sparse5", "daab16d8 40531df4"),
+    ("local2", "17939336 40538c2f"),
+    ("3lc", "f50c5d02 40531939"),
+    ("3lc-nozre", "f50c5d02 40531939"),
+];
+
+#[test]
+fn every_design_model_is_pinned() {
+    let tokens: Vec<&str> = SchemeKind::tokens().collect();
+    let pinned: Vec<&str> = DESIGN_PINS.iter().map(|&(token, _)| token).collect();
+    assert_eq!(pinned, tokens, "one pin per design, in table order");
+    for &(token, want) in DESIGN_PINS {
+        let scheme = SchemeKind::parse(token, 1.0).expect("a listed token");
+        assert_eq!(dense_run(scheme), want, "{token}");
+    }
+    let no_ea = SchemeKind::ThreeLc {
+        sparsity: 1.0,
+        zero_run_encoding: true,
+        error_accumulation: false,
+    };
+    assert_eq!(dense_run(no_ea), "d1224d3c 4053b276", "3lc no-EA");
+}
+
+/// The server's shard count must not move any design's model.
+#[test]
+fn every_design_model_is_pinned_on_four_threads() {
+    for &(token, want) in DESIGN_PINS {
+        let scheme = SchemeKind::parse(token, 1.0).expect("a listed token");
+        assert_eq!(dense_run_on_shards(scheme, 4), want, "{token}");
+    }
+}
+
 #[test]
 fn dense_float32_model_is_pinned() {
     assert_eq!(dense_run(SchemeKind::Float32), "ccef37b4 405122a2");
