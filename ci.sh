@@ -80,9 +80,13 @@ cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
 echo "==> forced codec tiers (core suite + baseline strips + server step oracle + net loopback on each)"
-# Each leg forces one tier the host can run: the core suite holds the fused
-# decode (`unpack_dequant` and its plane kernel, which every push and pull
-# goes through) to its two-pass oracle on all tiers and runs the
+# Each leg forces one tier the host can run: the core suite covers the
+# zero-run kernels — the compressor zero-run-encodes in place on the forced
+# tier (the portable map-and-filter loop on scalar and SWAR, the AVX2
+# kernel on simd), and tests/zre_oracle.rs holds every tier's encoder and
+# the shared expander to the paper's byte-at-a-time loops — holds the
+# fused decode (`unpack_dequant` and its plane kernel, which every push
+# and pull goes through) to its two-pass oracle on all tiers and runs the
 # compressor's own tests on the forced one; the baselines' proptests hold
 # every design's strips to its `decode_into` and its `stage` errors to its
 # `decompress` (stochastic ternary's strips run 3LC's plane kernel), since
@@ -113,12 +117,15 @@ if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p threelc --test dispatch_identity --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+        -p threelc --test zre_oracle --target x86_64-unknown-linux-gnu
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p threelc-net --lib crc32 --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p rand_chacha --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
         -p threelc-tensor --lib gemm --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
+    echo "    + the zero-run oracle suite (every tier's in-place encoder and the expander)"
     echo "    + the frame checksum's pclmulqdq fold + the ChaCha8 SSE2 refill"
     echo "    + the GEMM unit tests (AVX2 instantiation against the baseline)"
 else

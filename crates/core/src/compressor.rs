@@ -96,15 +96,13 @@ pub struct ThreeLcCompressor {
     /// first lend.
     buffer: OnceLock<Tensor>,
     /// The tensor's `⌈n / 5⌉` quartic bytes: the pack output on encode,
+    /// zero-run encoded over itself before it is copied to the wire, and
     /// the zero-run expansion on decode — kept from [`Compressor::stage`]
     /// to the last [`Compressor::decode_strip`]. One buffer for both,
     /// allocated by whichever runs first; the mutex is only there because
     /// decoding takes `&self` (`compress` reaches it through `&mut self`
     /// without locking).
     quartic: Mutex<Vec<u8>>,
-    /// Body length of the last zero-run-encoded payload (0 before the
-    /// first): sizes the next payload's allocation.
-    last_body_len: usize,
     /// Codec implementation tier the encode kernels run on. Every tier is
     /// bit-identical (see [`crate::kernels`]); this is purely a speed knob.
     codec: CodecImpl,
@@ -124,7 +122,6 @@ impl ThreeLcCompressor {
             options,
             buffer: OnceLock::new(),
             quartic: Mutex::new(Vec::new()),
-            last_body_len: 0,
             codec: kernels::active(),
         }
     }
@@ -177,7 +174,6 @@ impl Clone for ThreeLcCompressor {
             options: self.options,
             buffer: self.buffer.clone(),
             quartic: Mutex::new(Vec::new()),
-            last_body_len: self.last_body_len,
             codec: self.codec,
         }
     }
@@ -343,7 +339,8 @@ impl ThreeLcCompressor {
     /// and the residual buffer with it; `max_abs` is the largest magnitude
     /// in what it packs, or a non-finite value if that holds one. Returns
     /// the complete wire payload: the quartic bytes land in this context's
-    /// scratch and the body is written once, straight behind the header.
+    /// scratch, are zero-run encoded there in place, and the body is copied
+    /// once, into a payload allocated at its exact length.
     /// Output is bit-for-bit independent of the tier ([`crate::kernels`]'
     /// bit-identity contract).
     fn encode(
@@ -392,28 +389,20 @@ impl ThreeLcCompressor {
             }
         }
 
-        // Phase 3: the payload. Zero-run encoding never expands, so `bl`
-        // body bytes always suffice; after the first payload the previous
-        // one's length plus a quarter sizes the allocation instead, which
-        // keeps a steady-state encode's allocation proportional to what it
-        // sends (a payload that outgrows the estimate grows the `Vec`).
+        // Phase 3: the payload, allocated once at its final length.
         let zre = self.options.zero_run_encoding;
-        let body_capacity = match self.last_body_len {
-            0 => bl,
-            last => (last + last / 4).min(bl),
+        let body = if zre {
+            let len = zrle::encode_in_place(imp, quartic_bytes)
+                .expect("quartic output is always in range 0..=242");
+            &quartic_bytes[..len]
+        } else {
+            &quartic_bytes[..]
         };
-        let mut wire = Vec::with_capacity(HEADER_LEN + body_capacity);
+        let mut wire = Vec::with_capacity(HEADER_LEN + body.len());
         wire.push(if zre { FLAG_ZRE } else { 0 });
         wire.extend_from_slice(&scale.to_le_bytes());
         wire.extend_from_slice(&(n as u32).to_le_bytes());
-        if zre {
-            zrle::encode_into_impl(imp, quartic_bytes, &mut wire, |_| {})
-                .expect("quartic output is always in range 0..=242");
-            wire.shrink_to_fit();
-            self.last_body_len = wire.len() - HEADER_LEN;
-        } else {
-            wire.extend_from_slice(quartic_bytes);
-        }
+        wire.extend_from_slice(body);
         encode_span.finish();
         Ok(wire)
     }

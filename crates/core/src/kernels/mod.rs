@@ -2,7 +2,7 @@
 //! SWAR, and `core::arch` x86-64 intrinsics.
 //!
 //! The 3LC hot paths — max-magnitude reduction, fused ternary
-//! quantization + quartic packing, zero-run scanning, and the fused
+//! quantization + quartic packing, zero-run encoding, and the fused
 //! unpack + dequantize + accumulate of the decode side — exist in
 //! three implementation tiers behind one dispatch point:
 //!
@@ -13,7 +13,9 @@
 //!   plain `u64` arithmetic ("SIMD within a register"). Always available,
 //!   100% safe code, and written so LLVM auto-vectorizes the float lanes.
 //! - [`CodecImpl::Simd`]: explicit AVX2 intrinsics (`core::arch::x86_64`),
-//!   selected at runtime only when the CPU reports AVX2.
+//!   selected at runtime only when the CPU reports AVX2. Its kernels are
+//!   safe `#[target_feature]` fns; the feature-guarded calls below are the
+//!   tier's only `unsafe`.
 //!
 //! Selection happens once per process ([`selection`]): the best available
 //! tier wins, unless `THREELC_CODEC_IMPL=scalar|swar|simd` forces one for
@@ -56,11 +58,12 @@
 //!   weighted by `{81, 27, 9, 3, 1}` never exceed 242, so the SWAR tier
 //!   can scale a whole 8-digit word with one `u64` multiply and sum the
 //!   five words without any lane ever carrying into its neighbour.
-//! - **Zero-run scanning** only locates byte positions (first `== 121`,
-//!   first `!= 121`, first `> 242`); word- and vector-at-a-time scans
-//!   refine their last word/vector to the exact first index, so offsets
-//!   in emitted runs and in `InvalidQuarticByte` errors are identical.
-//!
+//! - **Zero-run encoding** (`zre_compact`) is a per-byte function of the
+//!   byte, the next byte and the run's count modulo 14; the AVX2 tier
+//!   computes the count of every byte of a window at once (a prefix max)
+//!   and compacts in order, so every tier emits the same bytes. The
+//!   invalid-byte scan (first `> 242`) refines its last word/vector to the
+//!   exact first index, so `InvalidQuarticByte` offsets are identical.
 //! - **Fused decode** ([`unpack_dequant`]): the base-3 digits come from
 //!   exact integer arithmetic, each value is the one IEEE multiply
 //!   `sym as f32 · scale` (the AVX2 tier selects among the three products
@@ -91,6 +94,12 @@ const HALF_BITS: u32 = 0x3f00_0000;
 const INF_BITS: u32 = 0x7f80_0000;
 /// Quartic digit weights, most-significant partition first (`3⁴ … 3⁰`).
 const WEIGHTS: [u8; 5] = [81, 27, 9, 3, 1];
+/// The escape for a full run of [`zrle::MAX_RUN`](crate::zrle::MAX_RUN)
+/// zero bytes (255).
+const FULL_RUN_CODE: u8 =
+    crate::zrle::ESCAPE_BASE + (crate::zrle::MAX_RUN - crate::zrle::MIN_RUN) as u8;
+/// A run of `k ≥ 2` zero bytes escapes to `RUN_CODE_BIAS + k`.
+const RUN_CODE_BIAS: usize = crate::zrle::ESCAPE_BASE as usize - crate::zrle::MIN_RUN;
 
 /// One encode-kernel implementation tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -574,37 +583,24 @@ pub fn find_invalid_quartic(imp: CodecImpl, h: &[u8]) -> Option<usize> {
     }
 }
 
-/// First index `≥ from` holding the all-zero quartic byte 121, or
-/// `h.len()` when none remains (zero-run detection's forward scan).
-pub fn find_zero_byte(imp: CodecImpl, h: &[u8], from: usize) -> usize {
-    debug_assert!(from <= h.len());
+/// Zero-run encodes the valid quartic stream `buf` in place and returns
+/// the encoded length: the ZRE body is `buf[..len]`, the rest is
+/// unspecified. [`crate::zrle::encode_into_impl`] is the checked entry;
+/// bytes above 242 here yield unspecified but memory-safe output.
+///
+/// A map and a filter (DESIGN.md §14): every input byte emits at most one
+/// output byte — a literal itself, a zero byte 255 when it completes a run
+/// of 14, else its run's code when the next byte ends the run, else
+/// nothing — so the write cursor never passes the read cursor and the
+/// compaction needs no second buffer. A running count of the run modulo 14
+/// and one byte of lookahead decide each byte; no tier branches on where
+/// the zeros fall.
+pub(crate) fn zre_compact(imp: CodecImpl, buf: &mut [u8]) -> usize {
     match runnable(imp) {
-        CodecImpl::Scalar => h[from..]
-            .iter()
-            .position(|&b| b == crate::quartic::ZERO_BYTE)
-            .map_or(h.len(), |p| from + p),
-        CodecImpl::Swar => swar::find_zero_byte(h, from),
+        CodecImpl::Scalar | CodecImpl::Swar => scalar::zre_compact(buf),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::find_zero_byte(h, from) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
-/// First index `≥ from` holding anything but the all-zero quartic byte
-/// 121, or `h.len()`: measures the zero run starting at `from`.
-pub fn find_nonzero_byte(imp: CodecImpl, h: &[u8], from: usize) -> usize {
-    debug_assert!(from <= h.len());
-    match runnable(imp) {
-        CodecImpl::Scalar => h[from..]
-            .iter()
-            .position(|&b| b != crate::quartic::ZERO_BYTE)
-            .map_or(h.len(), |p| from + p),
-        CodecImpl::Swar => swar::find_nonzero_byte(h, from),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::find_nonzero_byte(h, from) },
+        CodecImpl::Simd => unsafe { simd_x86::zre_compact(buf) },
         #[cfg(not(target_arch = "x86_64"))]
         CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
     }

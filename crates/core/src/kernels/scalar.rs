@@ -1,7 +1,9 @@
 //! Scalar reference kernels: the straightforward per-element loops the
 //! SWAR and SIMD tiers must match bit for bit.
 
-use super::{digit_of, DequantOp, WEIGHTS};
+use super::{digit_of, DequantOp, FULL_RUN_CODE, RUN_CODE_BIAS, WEIGHTS};
+use crate::quartic::ZERO_BYTE;
+use crate::zrle::MAX_RUN;
 
 pub(super) fn max_abs_finite(xs: &[f32]) -> (f32, bool) {
     xs.iter().fold((0.0f32, true), |(m, ok), &x| {
@@ -134,4 +136,108 @@ pub(super) fn pack_ternary(srcs: &[&[i8]; 5], out: &mut [u8]) {
         }
         *o = byte;
     }
+}
+
+/// Where a zero-run compaction stands: the next byte to read, the next
+/// byte to write (never past `read`), and how many zero bytes of the
+/// current run are not yet covered by an escape (`0..MAX_RUN`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct ZreCursor {
+    pub(super) read: usize,
+    pub(super) write: usize,
+    pub(super) pending: usize,
+}
+
+/// The portable zero-run encoder, shared by the scalar and SWAR tiers:
+/// [`super::zre_compact`] from the start of `buf`.
+pub(super) fn zre_compact(buf: &mut [u8]) -> usize {
+    zre_compact_from(buf, ZreCursor::default())
+}
+
+/// Bytes a zero-run window covers — one AVX2 register, the SIMD tier's
+/// step: on every tier, a window of zero bytes that the byte after it
+/// continues advances in one step ([`zre_skip`]).
+pub(super) const ZRE_WINDOW: usize = 32;
+
+/// [`zre_compact`] from `at` on: the AVX2 tier hands its tail here.
+///
+/// A zero run the next byte continues advances a whole window, or else a
+/// word, at a time; every other byte takes [`zre_step`], which has no
+/// data-dependent branch. The word keeps a lone literal from sending its
+/// whole window through the byte loop.
+pub(super) fn zre_compact_from(buf: &mut [u8], mut at: ZreCursor) -> usize {
+    const WORD: usize = 8;
+    let n = buf.len();
+    while at.read < n {
+        let i = at.read;
+        if i + WORD < n && is_zero_run(&buf[i..=i + WORD]) {
+            if i + ZRE_WINDOW < n && is_zero_run(&buf[i..=i + ZRE_WINDOW]) {
+                zre_skip::<ZRE_WINDOW>(buf, &mut at);
+            } else {
+                zre_skip::<WORD>(buf, &mut at);
+            }
+        } else {
+            for _ in i..(i + WORD).min(n) {
+                zre_step(buf, &mut at);
+            }
+        }
+    }
+    at.write
+}
+
+/// Whether every byte of `bytes` is [`ZERO_BYTE`]; a whole-word fold the
+/// compiler vectorises, with no early exit.
+#[inline(always)]
+fn is_zero_run(bytes: &[u8]) -> bool {
+    const ZERO_WORD: u64 = u64::from_ne_bytes([ZERO_BYTE; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut diff = (&mut words).fold(0, |acc, w| {
+        acc | (u64::from_ne_bytes(w.try_into().expect("8 bytes")) ^ ZERO_WORD)
+    });
+    for &b in words.remainder() {
+        diff |= u64::from(b ^ ZERO_BYTE);
+    }
+    diff == 0
+}
+
+/// Consumes `WIDTH` zero bytes that the byte after them continues: only
+/// the escapes for the 14-runs they complete are emitted. Writes four
+/// escape bytes whatever the count (at most `(13 + WIDTH) / 14 ≤ 3` are
+/// kept), which lands inside the bytes just consumed. No division on the
+/// carried count: it wraps at most once.
+#[inline(always)]
+pub(super) fn zre_skip<const WIDTH: usize>(buf: &mut [u8], at: &mut ZreCursor) {
+    const { assert!(WIDTH >= 4 && WIDTH <= ZRE_WINDOW) };
+    let carry = at.pending + WIDTH % MAX_RUN;
+    let wraps = usize::from(carry >= MAX_RUN);
+    buf[at.write..at.write + 4].fill(FULL_RUN_CODE);
+    at.write += WIDTH / MAX_RUN + wraps;
+    at.pending = carry - wraps * MAX_RUN;
+    at.read += WIDTH;
+}
+
+/// One byte of the map-and-filter: a literal emits itself; a zero byte
+/// emits 255 when it completes a 14-run, else its run's code when the
+/// next byte ends the run, else nothing. The byte is always stored at the
+/// write cursor, which only advances when it is emitted.
+#[inline(always)]
+fn zre_step(buf: &mut [u8], at: &mut ZreCursor) {
+    let i = at.read;
+    let b = buf[i];
+    let next = buf.get(i + 1).copied().unwrap_or(0);
+    let zero = b == ZERO_BYTE;
+    let count = at.pending + 1;
+    let full = count == MAX_RUN;
+    let ends = next != ZERO_BYTE;
+    // Run code `ESCAPE_BASE + count − MIN_RUN`, or the zero byte itself
+    // for a run of one.
+    let code = if count == 1 {
+        ZERO_BYTE
+    } else {
+        (RUN_CODE_BIAS + count) as u8
+    };
+    buf[at.write] = if zero { code } else { b };
+    at.write += usize::from(!zero | full | ends);
+    at.pending = if zero & !full { count } else { 0 };
+    at.read = i + 1;
 }

@@ -13,19 +13,13 @@
 //! - **Per-byte increment** (`{-1,0,1}` → `{0,1,2}` as `u8` lanes):
 //!   `((v & 0x7f7f…) + 0x0101…) ^ (v & 0x8080…)` adds 1 to every byte
 //!   with the carry chain severed at each lane's top bit.
-//! - **First-zero-byte scan** (classic `strlen` trick): with
-//!   `x = v ^ 0x7979…`, `(x − 0x0101…) & !x & 0x8080…` flags zero bytes
-//!   of `x`; bytes below the first zero can neither borrow nor flag, so
-//!   `trailing_zeros / 8` is the exact first index.
 //! - **Bytes > 242**: `v & ((v & 0x7f7f…) + 0x0d0d…) & 0x8080…` flags a
 //!   byte iff its top bit is set and its low 7 bits are ≥ 0x73 — exactly
 //!   the range 243–255. No borrows are involved, so every flag is exact.
 
 use super::{digit_of, INF_BITS, WEIGHTS};
-use crate::quartic::{MAX_QUARTIC_BYTE, ZERO_BYTE};
+use crate::quartic::MAX_QUARTIC_BYTE;
 
-/// Eight copies of [`ZERO_BYTE`] (the all-zero quartic byte 121).
-const ZERO_WORD: u64 = 0x7979_7979_7979_7979;
 /// Low 7 bits of every byte lane.
 const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 /// Top bit of every byte lane.
@@ -285,40 +279,4 @@ pub(super) fn find_invalid_quartic(h: &[u8]) -> Option<usize> {
         .iter()
         .position(|&b| b > MAX_QUARTIC_BYTE)
         .map(|p| i + p)
-}
-
-pub(super) fn find_zero_byte(h: &[u8], from: usize) -> usize {
-    let mut i = from;
-    let mut chunks = h[from..].chunks_exact(8);
-    for c in chunks.by_ref() {
-        let x = u64::from_le_bytes(c.try_into().expect("8 bytes")) ^ ZERO_WORD;
-        let m = x.wrapping_sub(ONES) & !x & HI;
-        if m != 0 {
-            return i + (m.trailing_zeros() / 8) as usize;
-        }
-        i += 8;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&b| b == ZERO_BYTE)
-        .map_or(h.len(), |p| i + p)
-}
-
-pub(super) fn find_nonzero_byte(h: &[u8], from: usize) -> usize {
-    let mut i = from;
-    let mut chunks = h[from..].chunks_exact(8);
-    for c in chunks.by_ref() {
-        let x = u64::from_le_bytes(c.try_into().expect("8 bytes")) ^ ZERO_WORD;
-        if x != 0 {
-            // The lowest set bit of x sits inside the first differing byte.
-            return i + (x.trailing_zeros() / 8) as usize;
-        }
-        i += 8;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&b| b != ZERO_BYTE)
-        .map_or(h.len(), |p| i + p)
 }

@@ -10,6 +10,29 @@
 //! The code is byte-aligned — no bit-level operations and no lookup tables —
 //! which is what keeps 3LC's computation overhead low compared to entropy
 //! coders (§3.3, §6).
+//!
+//! Both directions cost the same whatever the runs look like:
+//!
+//! - **Encode** is a map and a filter. Each input byte emits at most one
+//!   output byte: a literal emits itself; a zero byte emits 255 when it
+//!   completes a run of [`MAX_RUN`], else its run's code when the next byte
+//!   ends the run, else nothing. A running count of the run modulo 14 and
+//!   one byte of lookahead decide every byte, so no byte branches on where
+//!   the zeros fall, and because the write cursor never passes the read
+//!   cursor the compaction runs in place. Whole windows of zero bytes that
+//!   the run continues past advance in one step. The kernels are
+//!   [`crate::kernels`]' (portable on the scalar and SWAR tiers, AVX2 on
+//!   the SIMD tier, whose in-register compaction indexes a shuffle-control
+//!   table — the kernel's, not the code's), identical to the byte at every
+//!   tier.
+//! - **Decode** expands byte by byte without a branch: the byte at the
+//!   cursor, sixteen [`ZERO_BYTE`]s from the cursor if it is an escape or
+//!   from just past it if it is a literal, then the cursor moves by 1 or by
+//!   the run length. The output keeps 16 bytes of slack past its end for
+//!   that store, and 16-byte blocks with no escape are copied whole. The
+//!   stream is sized with [`decoded_len`] first, so a body that does not
+//!   expand to its claimed length is refused before anything is written or
+//!   allocated.
 
 use crate::quartic::ZERO_BYTE;
 use crate::DecodeError;
@@ -47,8 +70,8 @@ pub fn encode(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
 /// The callback receives run lengths exactly as the encoder emits them —
 /// runs longer than [`MAX_RUN`] appear as multiple chunks of at most
 /// [`MAX_RUN`], and lone zero bytes are reported as runs of 1. This lets
-/// `threelc inspect` read the run-length distribution from the encoding
-/// pass itself, with no second scan over the data.
+/// `threelc inspect` read the run-length distribution off the encoding
+/// itself, with no second scan over the quartic bytes.
 ///
 /// # Errors
 ///
@@ -73,12 +96,14 @@ pub fn encode_with_runs_impl(
 /// on error. The output is never longer than the input, so a buffer with
 /// `input.len()` spare bytes does not grow.
 ///
-/// The scan-structured rewrite of the original byte-at-a-time loop:
-/// validate the whole stream, then alternate between bulk-copying the
-/// literal span up to the next zero byte and chunking the zero run up to
-/// the next non-zero byte into escapes of at most [`MAX_RUN`]. Emission
-/// order, run chunking, `on_run` reports, and error offsets are identical
-/// to the original loop on every tier (see [`crate::kernels`]).
+/// The stream is validated whole first, so an invalid byte is reported at
+/// its offset before anything is written. It is then copied behind `out`'s
+/// contents and compacted there by the map and filter of the module docs,
+/// as a compression context compacts its quartic scratch. The run reports
+/// are read off the output: every emitted escape is one run of its length,
+/// every emitted [`ZERO_BYTE`] a run of 1 (a literal is never 121). Bytes,
+/// reports and error offsets are identical on every tier (see
+/// [`crate::kernels`]).
 ///
 /// # Errors
 ///
@@ -89,57 +114,62 @@ pub fn encode_into_impl(
     out: &mut Vec<u8>,
     mut on_run: impl FnMut(usize),
 ) -> Result<(), DecodeError> {
-    if let Some(offset) = crate::kernels::find_invalid_quartic(imp, input) {
-        return Err(DecodeError::InvalidQuarticByte {
-            byte: input[offset],
-            offset,
-        });
-    }
-    let mut i = 0;
-    while i < input.len() {
-        // Literal span: everything up to the next zero byte passes
-        // through unchanged, as one bulk copy.
-        let z = crate::kernels::find_zero_byte(imp, input, i);
-        out.extend_from_slice(&input[i..z]);
-        if z == input.len() {
-            break;
+    check_quartic(imp, input)?;
+    let start = out.len();
+    out.extend_from_slice(input);
+    let len = crate::kernels::zre_compact(imp, &mut out[start..]);
+    out.truncate(start + len);
+    for &b in &out[start..] {
+        if b == ZERO_BYTE {
+            on_run(1);
+        } else if b >= ESCAPE_BASE {
+            on_run(run_len(b));
         }
-        // Zero run: measure it whole, then emit MAX_RUN-sized chunks
-        // exactly as the byte-at-a-time encoder did.
-        let end = crate::kernels::find_nonzero_byte(imp, input, z);
-        let mut remaining = end - z;
-        while remaining > 0 {
-            let run = remaining.min(MAX_RUN);
-            on_run(run);
-            if run >= MIN_RUN {
-                out.push(ESCAPE_BASE + (run - MIN_RUN) as u8);
-            } else {
-                out.push(ZERO_BYTE);
-            }
-            remaining -= run;
-        }
-        i = end;
     }
     Ok(())
 }
 
-/// Decodes a zero-run-encoded stream back into quartic bytes.
+/// Zero-run encodes the quartic stream `buf` over itself and returns the
+/// body's length: the encoding is `buf[..len]` and the bytes after it are
+/// unspecified. What a compression context runs on its quartic scratch, so
+/// the body is never copied before it is written to the wire.
 ///
 /// # Errors
 ///
-/// This function cannot fail structurally (every byte 0–255 is meaningful),
-/// but callers should verify the decoded length against the expected
-/// quartic length; [`decode_exact`] does that check.
-pub fn decode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() * 2);
-    for &b in input {
-        if b >= ESCAPE_BASE {
-            let run = (b - ESCAPE_BASE) as usize + MIN_RUN;
-            out.resize(out.len() + run, ZERO_BYTE);
-        } else {
-            out.push(b);
-        }
+/// Same as [`encode`]; `buf` is untouched then.
+pub(crate) fn encode_in_place(
+    imp: crate::kernels::CodecImpl,
+    buf: &mut [u8],
+) -> Result<usize, DecodeError> {
+    check_quartic(imp, buf)?;
+    Ok(crate::kernels::zre_compact(imp, buf))
+}
+
+/// Refuses a stream holding a byte above 242, at its first offset.
+fn check_quartic(imp: crate::kernels::CodecImpl, input: &[u8]) -> Result<(), DecodeError> {
+    match crate::kernels::find_invalid_quartic(imp, input) {
+        Some(offset) => Err(DecodeError::InvalidQuarticByte {
+            byte: input[offset],
+            offset,
+        }),
+        None => Ok(()),
     }
+}
+
+/// Length of the zero run an escape byte stands for.
+#[inline(always)]
+fn run_len(escape: u8) -> usize {
+    usize::from(escape - ESCAPE_BASE) + MIN_RUN
+}
+
+/// Decodes a zero-run-encoded stream back into quartic bytes.
+///
+/// Every byte 0–255 is meaningful, so this cannot fail; callers that know
+/// the expected quartic length should use [`decode_exact`], which checks
+/// it.
+pub fn decode(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    decode_exact_into(input, decoded_len(input), &mut out).expect("sized by decoded_len");
     out
 }
 
@@ -147,36 +177,19 @@ pub fn decode(input: &[u8]) -> Vec<u8> {
 ///
 /// Escape bytes expand to their run length; everything else is one byte.
 pub fn decoded_len(input: &[u8]) -> usize {
+    // An escape `b` adds `b − 242` bytes beyond its own; a literal adds
+    // none. Blocks small enough for a `u32` sum let the loop widen bytes
+    // four to a lane instead of eight.
     input
-        .iter()
-        .map(|&b| {
-            if b >= ESCAPE_BASE {
-                (b - ESCAPE_BASE) as usize + MIN_RUN
-            } else {
-                1
-            }
+        .chunks(1 << 16)
+        .map(|block| {
+            let extra: u32 = block
+                .iter()
+                .map(|&b| u32::from(b.saturating_sub(ESCAPE_BASE - 1)))
+                .sum();
+            block.len() + extra as usize
         })
         .sum()
-}
-
-/// Decodes a ZRE stream into an exactly-sized output slice.
-///
-/// # Panics
-///
-/// Panics if `out.len() != decoded_len(input)`.
-fn decode_into(input: &[u8], out: &mut [u8]) {
-    let mut pos = 0;
-    for &b in input {
-        if b >= ESCAPE_BASE {
-            let run = (b - ESCAPE_BASE) as usize + MIN_RUN;
-            out[pos..pos + run].fill(ZERO_BYTE);
-            pos += run;
-        } else {
-            out[pos] = b;
-            pos += 1;
-        }
-    }
-    assert_eq!(pos, out.len(), "output slice must match decoded length");
 }
 
 /// Decodes and verifies that exactly `expected_len` quartic bytes result.
@@ -193,9 +206,10 @@ pub fn decode_exact(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Decode
 
 /// [`decode_exact`] into a caller-owned buffer, resized to `expected_len`
 /// and overwritten; a buffer reused across calls of one length never
-/// reallocates. The stream is sized with [`decoded_len`] first, so a
-/// hostile body — every byte may expand 14× — is rejected before anything
-/// is allocated for it, leaving `out` untouched.
+/// reallocates (its capacity keeps the expander's 16 bytes of slack). The
+/// stream is sized with [`decoded_len`] first, so a hostile body — every
+/// byte may expand 14× — is rejected before anything is allocated for it
+/// or written, leaving `out` untouched.
 ///
 /// # Errors
 ///
@@ -212,9 +226,63 @@ pub fn decode_exact_into(
             expected: expected_len,
         });
     }
-    out.resize(expected_len, ZERO_BYTE);
-    decode_into(input, out);
+    out.resize(expected_len + EXPAND_SLACK, ZERO_BYTE);
+    expand(input, out);
+    out.truncate(expected_len);
     Ok(())
+}
+
+/// Bytes the expander may write past the decoded end: one run store.
+const EXPAND_SLACK: usize = 16;
+
+/// Expands `input` into `out`, which holds its decoded length plus
+/// [`EXPAND_SLACK`]: per byte, a run of zero bytes stored at the cursor
+/// whatever the byte ([`expand_byte`]) and the cursor moved by 1 or by the
+/// run length — no branch on the byte. A 16-byte block with no escape is
+/// copied whole.
+fn expand(input: &[u8], out: &mut [u8]) {
+    let mut pos = 0;
+    let mut blocks = input.chunks_exact(16);
+    for block in &mut blocks {
+        let block: &[u8; 16] = block.try_into().expect("16 bytes");
+        if has_escape(block) {
+            for &b in block {
+                pos = expand_byte(out, pos, b);
+            }
+        } else {
+            out[pos..pos + 16].copy_from_slice(block);
+            pos += 16;
+        }
+    }
+    for &b in blocks.remainder() {
+        pos = expand_byte(out, pos, b);
+    }
+}
+
+/// One byte of [`expand`] at `pos`; returns the next cursor. The byte is
+/// stored as it is, then sixteen zero bytes from the cursor if it is an
+/// escape, or from just past it if it is a literal: two unconditional
+/// stores, and a cursor step of `1 + (b − 242)` for an escape and 1 for a
+/// literal (`saturating_sub` is 0 below 243), so nothing branches on `b`.
+/// A literal at the last byte writes its zeros up to 16 bytes past the end.
+#[inline(always)]
+fn expand_byte(out: &mut [u8], pos: usize, b: u8) -> usize {
+    out[pos] = b;
+    let zeros_at = pos + 1 - usize::from(b >= ESCAPE_BASE);
+    out[zeros_at..zeros_at + EXPAND_SLACK].copy_from_slice(&[ZERO_BYTE; EXPAND_SLACK]);
+    pos + 1 + usize::from(b.saturating_sub(ESCAPE_BASE - 1))
+}
+
+/// Whether any of 16 bytes is 243 or above: a byte's top bit together
+/// with low 7 bits of at least `0x73` (`+ 0x0d` carries into the top bit),
+/// with no carry between bytes.
+#[inline(always)]
+fn has_escape(block: &[u8; 16]) -> bool {
+    const LO7: u128 = u128::from_ne_bytes([0x7f; 16]);
+    const HI: u128 = u128::from_ne_bytes([0x80; 16]);
+    const REP13: u128 = u128::from_ne_bytes([0x0d; 16]);
+    let v = u128::from_ne_bytes(*block);
+    v & ((v & LO7) + REP13) & HI != 0
 }
 
 #[cfg(test)]
@@ -325,8 +393,8 @@ mod tests {
         input.push(121);
         let enc = encode(&input).unwrap();
         assert_eq!(decoded_len(&enc), input.len());
-        let mut out = vec![0u8; input.len()];
-        decode_into(&enc, &mut out);
+        let mut out = vec![0u8; 3];
+        decode_exact_into(&enc, input.len(), &mut out).unwrap();
         assert_eq!(out, input);
     }
 

@@ -748,26 +748,6 @@ fn scan_kernels_agree_with_scalar_reference() {
                 want_invalid,
                 "{imp} {h:?}"
             );
-            for from in 0..=h.len() {
-                let wz = h[from..]
-                    .iter()
-                    .position(|&b| b == quartic::ZERO_BYTE)
-                    .map_or(h.len(), |p| from + p);
-                let wn = h[from..]
-                    .iter()
-                    .position(|&b| b != quartic::ZERO_BYTE)
-                    .map_or(h.len(), |p| from + p);
-                assert_eq!(
-                    kernels::find_zero_byte(imp, &h, from),
-                    wz,
-                    "{imp} from={from}"
-                );
-                assert_eq!(
-                    kernels::find_nonzero_byte(imp, &h, from),
-                    wn,
-                    "{imp} from={from}"
-                );
-            }
         }
     }
 }
