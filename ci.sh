@@ -144,13 +144,13 @@ fi
 # (final crc, per-step bytes, worker replicas) is loopback.rs's
 # every_scheme_design_serves_what_the_simulator_trains, run above under
 # every forced codec tier.
-# No analyze or flight stanzas: conserved attribution on a clean run, a
-# delay@2:250 blamed on worker1/network and failing `analyze --check`, and
-# an aborted run's flight dump rendering and failing `trace --check`, are
-# crates/cli/tests/analyze_e2e.rs and flight_abort.rs. No trace stanzas:
-# the nine-phase Chrome export, `trace --check` passing a healthy run and
-# failing a THREELC_STRAGGLE_MS=250 one, and `metrics --from` rendering
-# its report offline are crates/cli/tests/trace_e2e.rs. No policy stanzas:
+# No analyze or flight stanzas: conserved attribution and the per-tensor
+# view of a clean run, and a delay@2:250 blamed on worker1/network and
+# failing `analyze --check` (the one slow-worker gate), are
+# crates/cli/tests/analyze_e2e.rs; an aborted run's flight dump naming its
+# fault is flight_abort.rs. No trace stanzas: the nine-phase Chrome export
+# and `metrics --from` rendering a report offline are
+# crates/cli/tests/trace_e2e.rs. No policy stanzas:
 # adaptive multipliers stable and non-constant under simulate, and a
 # feedback serve with a kill@2 worker relaunched matching simulate's crc
 # and decision sequence, are crates/cli/tests/policy_e2e.rs. No

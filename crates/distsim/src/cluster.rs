@@ -2,7 +2,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::engine::{Problem, ServerCore, WorkerPush, WorkerReplica};
-use crate::trace::StepRecord;
+use crate::trace::{StepRecord, TensorTraffic};
 use threelc::CompressionStats;
 use threelc_learning::{Batch, Evaluation, Network, SyntheticImages};
 use threelc_obs::trace::{self, TraceScope, TraceSpan};
@@ -95,14 +95,19 @@ impl Cluster {
         self.workers[w].model()
     }
 
-    /// Cumulative gradient-push traffic statistics.
-    pub fn push_stats(&self) -> &CompressionStats {
+    /// Cumulative gradient-push traffic of the compressed tensors.
+    pub fn push_stats(&self) -> CompressionStats {
         self.server.push_stats()
     }
 
-    /// Cumulative model-delta-pull traffic statistics.
-    pub fn pull_stats(&self) -> &CompressionStats {
+    /// Cumulative model-delta-pull traffic of the compressed tensors.
+    pub fn pull_stats(&self) -> CompressionStats {
         self.server.pull_stats()
+    }
+
+    /// Cumulative push and pull traffic per tensor, in parameter order.
+    pub fn tensor_traffic(&self) -> &[TensorTraffic] {
+        self.server.tensor_traffic()
     }
 
     /// Every policy decision taken so far, in (step, tensor) order. Empty
@@ -353,6 +358,44 @@ mod tests {
             if p.len() < threshold {
                 // Small tensors are exactly the excluded ones.
                 assert!(compressible <= total - p.len() as u64 + compressible);
+            }
+        }
+    }
+
+    #[test]
+    fn per_tensor_traffic_sums_to_the_stats_and_the_step_records() {
+        let mut cluster = Cluster::new(tiny_config(SchemeKind::three_lc(1.0)));
+        let records: Vec<StepRecord> = (0..3).map(|_| cluster.step()).collect();
+        let rows = cluster.tensor_traffic();
+        let params = cluster.global_model().params();
+        assert_eq!(rows.len(), params.len());
+        let sum = |raw: bool, side: fn(&TensorTraffic) -> &CompressionStats| {
+            let mut total = CompressionStats::new();
+            for t in rows.iter().filter(|t| t.raw == raw) {
+                total.merge(side(t));
+            }
+            total
+        };
+        assert_eq!(sum(false, |t| &t.push), cluster.push_stats());
+        assert_eq!(sum(false, |t| &t.pull), cluster.pull_stats());
+        let bytes = |f: fn(&StepRecord) -> u64| records.iter().map(f).sum::<u64>();
+        assert_eq!(sum(false, |t| &t.push).wire_bytes, bytes(|r| r.push_bytes));
+        assert_eq!(sum(false, |t| &t.pull).wire_bytes, bytes(|r| r.pull_bytes));
+        let raw = sum(true, |t| &t.push).wire_bytes + sum(true, |t| &t.pull).wire_bytes;
+        assert_eq!(raw, bytes(|r| r.raw_bytes));
+        assert!(raw > 0, "the biases travel raw");
+        // A raw tensor reads exactly 32 bits per value both ways; a
+        // compressed one far less.
+        for (t, p) in rows.iter().zip(params) {
+            assert_eq!(t.values, p.len() as u64);
+            assert_eq!(t.raw, p.len() < cluster.config().compress_threshold);
+            for side in [&t.push, &t.pull] {
+                assert_eq!(side.values, 3 * 3 * t.values, "3 workers x 3 steps");
+                if t.raw {
+                    assert_eq!(side.bits_per_value(), 32.0);
+                } else {
+                    assert!(side.bits_per_value() < 4.0, "{side:?}");
+                }
             }
         }
     }

@@ -28,7 +28,7 @@
 //! anything proportional to the model, only the payloads it sends.
 
 use crate::config::ExperimentConfig;
-use crate::trace::StepRecord;
+use crate::trace::{StepRecord, TensorTraffic};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -348,7 +348,9 @@ impl WorkerReplica {
     /// [`Self::compute`] handed out goes back to its context to be encoded
     /// ([`Compressor::compress_accumulator`]); a raw gradient is its
     /// payload. Under a trace scope a codec call that records no spans of
-    /// its own ([`Compressor::records_spans`]) runs inside an `encode` span.
+    /// its own ([`Compressor::records_spans`]) runs inside an `encode` span,
+    /// and every span the call records is tagged with its tensor
+    /// ([`trace::set_tensor`]).
     ///
     /// # Panics
     ///
@@ -362,6 +364,7 @@ impl WorkerReplica {
             match &mut self.push_ctxs[i] {
                 Some(ctx) => {
                     let t0 = Instant::now();
+                    trace::set_tensor(i as i64);
                     let span = (!ctx.records_spans()).then(|| trace::TraceSpan::start("encode"));
                     let wire = ctx
                         .compress_accumulator(grad, self.lent[i])
@@ -369,6 +372,7 @@ impl WorkerReplica {
                             panic!("cannot compress the gradient of tensor {i}: {e}")
                         });
                     drop(span);
+                    trace::set_tensor(trace::NO_TENSOR);
                     codec_seconds += t0.elapsed().as_secs_f64();
                     payloads.push(TensorPayload::Compressed(wire));
                 }
@@ -396,9 +400,8 @@ impl WorkerReplica {
     }
 
     /// The L2 norm of this replica's error-accumulation residual, summed
-    /// over its push compression contexts (0.0 for stateless schemes).
-    /// Feeds the per-step `residual_l2` trace field the anomaly watchdog
-    /// monitors for blowups.
+    /// over its push compression contexts (0.0 for stateless schemes):
+    /// the per-step `residual_l2` trace field.
     pub fn residual_l2(&self) -> f64 {
         self.push_ctxs
             .iter()
@@ -490,8 +493,10 @@ pub struct ServerCore {
     shapes: Vec<Shape>,
     /// [`Problem::compressible_values`], for the step's accounting.
     compressible_values: u64,
-    push_stats: CompressionStats,
-    pull_stats: CompressionStats,
+    /// Per tensor, the run's push and pull payloads: the one traffic
+    /// count every other view sums ([`Self::push_stats`], the policy's
+    /// [`TensorObs`], the run's per-tensor table).
+    traffic: Vec<TensorTraffic>,
     /// The feedback controller, if the config asks for one. Evaluated
     /// *only* here — workers receive decisions, never compute them — so
     /// the decision sequence is a pure function of prior telemetry and the
@@ -540,30 +545,32 @@ fn decode_ctx(
 /// The stage half of a tensor's aggregation: every accepted compressed
 /// payload of tensor `i`, in worker-id order, checked whole and staged in
 /// its decode context ([`Compressor::stage`]) for [`sweep_tensor`]; a raw
-/// one is only held to the tensor's `n` values. A payload that does not
-/// stage fails the tensor with the worker's id and the decoder's error,
-/// and nothing but the decode contexts' scratch is written.
+/// one is only held to the tensor's `n` values. Returns the payloads'
+/// traffic. A payload that does not stage fails the tensor with the
+/// worker's id and the decoder's error, and nothing but the decode
+/// contexts' scratch is written.
 fn stage_tensor(
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
     ops: &[Option<DequantOp>],
     i: usize,
     n: usize,
-    stats: &mut CompressionStats,
-) -> Result<(), (usize, DecodeError)> {
+) -> Result<CompressionStats, (usize, DecodeError)> {
+    let mut stats = CompressionStats::new();
     for (w, (worker_payloads, op)) in payloads.iter().zip(ops).enumerate() {
         if op.is_none() {
             continue;
         }
-        match &worker_payloads[i] {
+        let payload = &worker_payloads[i];
+        match payload {
             TensorPayload::Compressed(wire) => {
-                decode_ctx(ctx_row, w)?.stage(wire).map_err(|e| (w, e))?;
-                stats.record(n, wire.len());
+                decode_ctx(ctx_row, w)?.stage(wire).map_err(|e| (w, e))?
             }
             TensorPayload::Raw(grad) => assert_eq!(grad.len(), n, "raw push of tensor {i}"),
         }
+        stats.record(n, payload.wire_len() as usize);
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// The fused sweep over one tensor, whose pushes [`stage_tensor`] staged:
@@ -747,40 +754,30 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 
 /// Runs one server phase, one shard per entry of `ranges` (contiguous,
 /// ascending, covering `rows`): `body` gets its tensor index range, that
-/// range's exclusive slice of the per-tensor `rows`, and a private
-/// traffic-stats accumulator. A single range runs inline on the
-/// calling thread, so one shard and many execute the same body; tensors
-/// are independent and keep their worker-id order inside `body`, so the
-/// shard count never changes a result. Every shard hands its
-/// (order-insensitive) `u64` traffic counters back by value; their total,
-/// merged in range order, comes back beside the per-shard outputs.
-/// `busy` is `engine.shard.busy_seconds`, recorded once per shard of a
-/// phase that runs more than one.
+/// range's exclusive slice of the per-tensor `rows`. A single range runs
+/// inline on the calling thread, so one shard and many execute the same
+/// body; tensors are independent and keep their worker-id order inside
+/// `body`, so the shard count never changes a result. The per-shard
+/// outputs come back in range order. `busy` is
+/// `engine.shard.busy_seconds`, recorded once per shard of a phase that
+/// runs more than one.
 fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
     ranges: &[Range<usize>],
     busy: &Histogram,
-    body: impl Fn(Range<usize>, &mut [C], &mut CompressionStats) -> T + Sync,
-) -> (Vec<T>, CompressionStats) {
+    body: impl Fn(Range<usize>, &mut [C]) -> T + Sync,
+) -> Vec<T> {
     let sharded = ranges.len() > 1;
     let chunks = split_off_ranges(rows, ranges);
     let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).collect();
-    let shards = run_tasks(tasks, |(range, chunk)| {
+    run_tasks(tasks, |(range, chunk)| {
         let t0 = Instant::now();
-        let mut stats = CompressionStats::new();
-        let out = body(range, chunk, &mut stats);
+        let out = body(range, chunk);
         if sharded {
             busy.record(t0.elapsed().as_secs_f64());
         }
-        (out, stats)
-    });
-    let mut outs = Vec::with_capacity(shards.len());
-    let mut stats = CompressionStats::new();
-    for (out, s) in shards {
-        outs.push(out);
-        stats.merge(&s);
-    }
-    (outs, stats)
+        out
+    })
 }
 
 impl ServerCore {
@@ -807,6 +804,13 @@ impl ServerCore {
             .as_ref()
             .map_or_else(Vec::new, Feedback::initial_decisions);
         let reg = threelc_obs::global();
+        let traffic = (problem.shapes.iter().zip(&problem.compressible))
+            .map(|(shape, &compressed)| TensorTraffic {
+                values: shape.num_elements() as u64,
+                raw: !compressed,
+                ..TensorTraffic::default()
+            })
+            .collect();
         let mut core = ServerCore {
             global: problem.init.clone(),
             decode_ctxs,
@@ -815,8 +819,7 @@ impl ServerCore {
             schedule: LrSchedule::cosine(config.lr_max, config.lr_min, config.total_steps),
             shapes: problem.shapes.clone(),
             compressible_values: problem.compressible_values(),
-            push_stats: CompressionStats::new(),
-            pull_stats: CompressionStats::new(),
+            traffic,
             policy,
             current_decisions,
             step: 0,
@@ -915,14 +918,31 @@ impl ServerCore {
         self.schedule.lr_at(self.step) * warmup
     }
 
-    /// Cumulative gradient-push traffic statistics.
-    pub fn push_stats(&self) -> &CompressionStats {
-        &self.push_stats
+    /// Cumulative gradient-push traffic of the compressed tensors: the sum
+    /// of their [`Self::tensor_traffic`] rows.
+    pub fn push_stats(&self) -> CompressionStats {
+        self.compressed_sum(|t| &t.push)
     }
 
-    /// Cumulative model-delta-pull traffic statistics.
-    pub fn pull_stats(&self) -> &CompressionStats {
-        &self.pull_stats
+    /// Cumulative model-delta-pull traffic of the compressed tensors.
+    pub fn pull_stats(&self) -> CompressionStats {
+        self.compressed_sum(|t| &t.pull)
+    }
+
+    fn compressed_sum(
+        &self,
+        side: impl Fn(&TensorTraffic) -> &CompressionStats,
+    ) -> CompressionStats {
+        let mut sum = CompressionStats::new();
+        for t in self.traffic.iter().filter(|t| !t.raw) {
+            sum.merge(side(t));
+        }
+        sum
+    }
+
+    /// Cumulative push and pull traffic per tensor, in parameter order.
+    pub fn tensor_traffic(&self) -> &[TensorTraffic] {
+        &self.traffic
     }
 
     /// Executes one server step: decodes and averages the accepted pushes
@@ -976,7 +996,6 @@ impl ServerCore {
             return Err(EngineError::NoAcceptedPushes { step: self.step });
         }
         let lr = self.lr();
-        let n_params = self.shapes.len();
         let ops = accumulate_ops(payloads, accepted_count);
 
         // The decisions governing this step also apply to the pull side:
@@ -996,7 +1015,7 @@ impl ServerCore {
         // no-op unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        self.stage(payloads, &ops)?;
+        let pushed = self.stage(payloads, &ops)?;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);
@@ -1028,20 +1047,13 @@ impl ServerCore {
         // deliberately excluded so the sequence replays bit-identically.
         let (policy_records, next_decisions) = match self.policy.as_mut() {
             Some(policy) => {
-                let mut obs = Vec::with_capacity(n_params);
-                for i in 0..n_params {
-                    let mut wire_bytes = 0usize;
-                    let mut n_payloads = 0usize;
-                    for worker_payloads in payloads.iter().filter(|p| !p.is_empty()) {
-                        wire_bytes += worker_payloads[i].wire_len() as usize;
-                        n_payloads += 1;
-                    }
-                    obs.push(TensorObs {
-                        values: self.shapes[i].num_elements(),
-                        wire_bytes,
-                        payloads: n_payloads,
-                    });
-                }
+                let obs: Vec<TensorObs> = (self.traffic.iter().zip(&pushed))
+                    .map(|(t, step)| TensorObs {
+                        values: t.values as usize,
+                        wire_bytes: step.wire_bytes as usize,
+                        payloads: step.payloads as usize,
+                    })
+                    .collect();
                 let records: Vec<PolicyRecord> = self
                     .current_decisions
                     .iter()
@@ -1072,38 +1084,48 @@ impl ServerCore {
 
     /// The stage phase: every tensor's accepted pushes, in worker-id order
     /// within the tensor, over one tensor range per shard ([`run_shards`]),
-    /// staged for the fused sweep ([`stage_tensor`]). The model, optimizer
-    /// and traffic statistics do not change unless every payload stages.
+    /// staged for the fused sweep ([`stage_tensor`]). Returns the step's
+    /// push traffic per tensor. The model, optimizer and traffic
+    /// statistics do not change unless every payload stages.
     fn stage(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         ops: &[Option<DequantOp>],
-    ) -> Result<(), EngineError> {
+    ) -> Result<Vec<CompressionStats>, EngineError> {
         let step = self.step;
         let shapes = &self.shapes;
-        let (outs, stats) = run_shards(
+        let outs = run_shards(
             &mut self.decode_ctxs,
             &self.shards,
             &self.shard_busy_seconds,
-            |range, rows, stats| {
-                rows.iter().zip(range).try_for_each(|(ctx_row, i)| {
-                    let n = shapes[i].num_elements();
-                    stage_tensor(ctx_row, payloads, ops, i, n, stats).map_err(|(worker, source)| {
-                        EngineError::UndecodablePush {
-                            step,
-                            worker,
-                            tensor: i,
-                            source,
-                        }
+            |range, rows| {
+                (rows.iter().zip(range))
+                    .map(|(ctx_row, i)| {
+                        let n = shapes[i].num_elements();
+                        stage_tensor(ctx_row, payloads, ops, i, n).map_err(|(worker, source)| {
+                            EngineError::UndecodablePush {
+                                step,
+                                worker,
+                                tensor: i,
+                                source,
+                            }
+                        })
                     })
-                })
+                    .collect::<Result<Vec<_>, _>>()
             },
         );
         // Shards come back in range order: the first error is the lowest
         // tensor's.
-        outs.into_iter().collect::<Result<(), _>>()?;
-        self.push_stats.merge(&stats);
-        Ok(())
+        let pushed: Vec<CompressionStats> = outs
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .flatten()
+            .collect();
+        for (t, step) in self.traffic.iter_mut().zip(&pushed) {
+            t.push.merge(step);
+        }
+        Ok(pushed)
     }
 
     /// The fused sweep, over one tensor range per shard ([`run_shards`]):
@@ -1125,11 +1147,11 @@ impl ServerCore {
             .zip(&mut self.decode_ctxs)
             .zip(&mut self.pull_ctxs)
             .collect();
-        let (outs, _) = run_shards(
+        let outs = run_shards(
             &mut rows,
             &self.shards,
             &self.shard_busy_seconds,
-            |range, rows, _| {
+            |range, rows| {
                 // Where a strip of the pushes is summed, stepped and left
                 // as the delta: 40 KiB, which stays in L2.
                 let mut strip = [0f32; 5 * STRIP_BYTES];
@@ -1155,38 +1177,42 @@ impl ServerCore {
     /// pull contexts (Fig. 2b), over one tensor range per shard
     /// ([`run_shards`]) — each lent buffer goes back to its context to be
     /// encoded; a raw tensor's delta is its pull. Pull contexts are per
-    /// tensor, so compression state never crosses a shard boundary.
+    /// tensor, so compression state never crosses a shard boundary. Every
+    /// worker pulls each payload, so each counts `workers` times.
     fn compress_pulls(&mut self, deltas: Vec<(Tensor, f32)>) -> Vec<TensorPayload> {
-        let workers = self.config.workers;
         let mut rows: Vec<_> = self
             .pull_ctxs
             .iter_mut()
             .zip(deltas.into_iter().map(Some))
             .collect();
-        let (outs, stats) = run_shards(
+        let outs = run_shards(
             &mut rows,
             &self.shards,
             &self.shard_busy_seconds,
-            |range, rows, stats| {
+            |range, rows| {
                 let mut pulls = Vec::with_capacity(range.len());
                 for (ctx, delta) in rows.iter_mut() {
                     let (delta, max_abs) = delta.take().expect("one delta per tensor");
-                    let Some(ctx) = ctx else {
-                        pulls.push(TensorPayload::Raw(delta));
-                        continue;
-                    };
-                    let n = delta.len();
-                    let wire = ctx
-                        .compress_accumulator(delta, max_abs)
-                        .expect("delta shape matches context");
-                    stats.record(n * workers, wire.len() * workers);
-                    pulls.push(TensorPayload::Compressed(wire));
+                    pulls.push(match ctx {
+                        Some(ctx) => TensorPayload::Compressed(
+                            ctx.compress_accumulator(delta, max_abs)
+                                .expect("delta shape matches context"),
+                        ),
+                        None => TensorPayload::Raw(delta),
+                    });
                 }
                 pulls
             },
         );
-        self.pull_stats.merge(&stats);
-        outs.into_iter().flatten().collect()
+        let pulls: Vec<TensorPayload> = outs.into_iter().flatten().collect();
+        let workers = self.config.workers;
+        for (t, pull) in self.traffic.iter_mut().zip(&pulls) {
+            t.pull.record(
+                t.values as usize * workers,
+                pull.wire_len() as usize * workers,
+            );
+        }
+        pulls
     }
 }
 
@@ -1476,8 +1502,7 @@ mod tests {
                     "replicas diverged under {scheme}"
                 );
             }
-            assert_eq!(serial.push_stats(), sharded.push_stats());
-            assert_eq!(serial.pull_stats(), sharded.pull_stats());
+            assert_eq!(serial.tensor_traffic(), sharded.tensor_traffic());
         }
     }
 
@@ -1551,8 +1576,7 @@ mod tests {
                         "worker {w} diverged under {scheme} on {threads} shard(s)"
                     );
                 }
-                assert_eq!(server.push_stats(), truth.push_stats());
-                assert_eq!(server.pull_stats(), truth.pull_stats());
+                assert_eq!(server.tensor_traffic(), truth.tensor_traffic());
             }
         }
     }
@@ -1672,7 +1696,7 @@ mod tests {
                         .expect("the server's own pulls");
                 }
                 let before = server.global().snapshot();
-                let stats_before = server.push_stats().clone();
+                let traffic_before = server.tensor_traffic().to_vec();
 
                 let mut payloads = push(&mut workers);
                 let mut wire = match &payloads[1][tensor] {
@@ -1705,7 +1729,11 @@ mod tests {
                 );
                 assert_eq!(server.step_number(), 1, "{label}: step counter moved");
                 assert_eq!(server.global().snapshot(), before, "{label}: model moved");
-                assert_eq!(server.push_stats(), &stats_before, "{label}: stats moved");
+                assert_eq!(
+                    server.tensor_traffic(),
+                    traffic_before,
+                    "{label}: stats moved"
+                );
 
                 // The optimizer phase never ran: fed the clean step, the
                 // server lands where the twin does (a touched velocity
@@ -1720,7 +1748,11 @@ mod tests {
                     twin.global().snapshot(),
                     "{label}: the failed step left something behind"
                 );
-                assert_eq!(server.push_stats(), twin.push_stats(), "{label}: stats");
+                assert_eq!(
+                    server.tensor_traffic(),
+                    twin.tensor_traffic(),
+                    "{label}: stats"
+                );
             }
 
             // Several bad payloads: the lowest tensor is named, then the

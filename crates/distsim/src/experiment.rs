@@ -70,7 +70,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         eval: final_eval,
     });
     trace.policy = cluster.policy_trace().clone();
-    trace.run_watchdog(config.workers as u64);
+    trace.tensors = cluster.tensor_traffic().to_vec();
     ExperimentResult {
         config: *config,
         scheme_label: config.scheme.label(),

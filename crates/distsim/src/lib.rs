@@ -39,4 +39,4 @@ pub use engine::{
 pub use experiment::{run_experiment, ExperimentResult};
 pub use netmodel::NetworkModel;
 pub use threelc_policy::{PolicySpec, PolicyTrace};
-pub use trace::{EvalRecord, StepRecord, TrainingTrace};
+pub use trace::{EvalRecord, StepRecord, TensorTraffic, TrainingTrace};

@@ -1,6 +1,7 @@
 //! Per-step training traces and derived traffic summaries.
 
 use serde::{Deserialize, Serialize};
+use threelc::CompressionStats;
 use threelc_learning::Evaluation;
 
 /// One training step's measurements.
@@ -24,8 +25,7 @@ pub struct StepRecord {
     /// worker (i.e. the compressible parameter count).
     pub compressible_values: u64,
     /// Largest per-worker error-accumulation residual L2 norm after this
-    /// step's pushes (0.0 for stateless schemes or old traces). The
-    /// anomaly watchdog flags blowups against the run median.
+    /// step's pushes (0.0 for stateless schemes or old traces).
     #[serde(default)]
     pub residual_l2: f64,
 }
@@ -47,18 +47,23 @@ impl StepRecord {
         }
         self.pull_bytes as f64 * 8.0 / (self.compressible_values * workers) as f64
     }
+}
 
-    /// The step as the watchdog's step-level checks see it: achieved push
-    /// compression ratio (32 bits over the pushed bits per value; 0 when
-    /// nothing compressible was pushed) and residual L2.
-    pub fn stats(&self, workers: u64) -> threelc_obs::StepStats {
-        let bits = self.push_bits_per_value(workers);
-        threelc_obs::StepStats {
-            step: self.step,
-            compression_ratio: if bits > 0.0 { 32.0 / bits } else { 0.0 },
-            residual_l2: self.residual_l2,
-        }
-    }
+/// One parameter tensor's traffic over a run, as the server counted it:
+/// every accepted push payload and every pull payload times the workers
+/// that pull it. A raw tensor's payloads count at 32 bits/value and land
+/// in the step records' `raw_bytes`; a compressed tensor's in
+/// `push_bytes`/`pull_bytes`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct TensorTraffic {
+    /// Elements in the tensor.
+    pub values: u64,
+    /// Sent uncompressed (below the compression threshold).
+    pub raw: bool,
+    /// Push payloads.
+    pub push: CompressionStats,
+    /// Pull payloads.
+    pub pull: CompressionStats,
 }
 
 /// A periodic test-set evaluation of the global model.
@@ -78,15 +83,14 @@ pub struct TrainingTrace {
     /// Periodic test evaluations (always includes the final step when the
     /// run was produced by [`run_experiment`](crate::run_experiment)).
     pub evals: Vec<EvalRecord>,
-    /// Anomalies the telemetry watchdog detected over the step records
-    /// (see [`run_watchdog`](Self::run_watchdog)). Empty on old traces.
-    #[serde(default)]
-    pub anomalies: Vec<threelc_obs::Anomaly>,
     /// The compression-policy decision log: per step per tensor, the
     /// sparsity multiplier used, why, and the ratio it achieved. Empty
     /// records under a static policy and on old traces.
     #[serde(default)]
     pub policy: threelc_policy::PolicyTrace,
+    /// Per-tensor traffic totals, in parameter order. Empty on old traces.
+    #[serde(default)]
+    pub tensors: Vec<TensorTraffic>,
 }
 
 impl TrainingTrace {
@@ -134,16 +138,6 @@ impl TrainingTrace {
     /// The last recorded evaluation, if any.
     pub fn final_eval(&self) -> Option<&EvalRecord> {
         self.evals.last()
-    }
-
-    /// Runs the step-level anomaly watchdog (compression-ratio drift and
-    /// residual-L2 blowups against the run median) over the recorded
-    /// steps and stores the findings in [`anomalies`](Self::anomalies).
-    /// Deterministic: a simulated and a networked run of the same
-    /// configuration flag the same steps.
-    pub fn run_watchdog(&mut self, workers: u64) {
-        let stats: Vec<_> = self.steps.iter().map(|s| s.stats(workers)).collect();
-        self.anomalies = threelc_obs::watchdog::check_steps(&stats);
     }
 }
 
@@ -208,31 +202,6 @@ mod tests {
             names.iter().all(|n| !n.starts_with("trace.")),
             "a step leaked into the registry: {names:?}"
         );
-    }
-
-    #[test]
-    fn watchdog_flags_drift_and_blowup_and_is_deterministic() {
-        let mut trace = TrainingTrace::default();
-        for step in 0..6 {
-            let mut r = record(1000, 500, 0, 1000);
-            r.step = step;
-            r.residual_l2 = if step == 4 { 50.0 } else { 1.0 };
-            if step == 2 {
-                r.push_bytes = 5000; // ratio 40x → 8x, past the 2x drift floor
-            }
-            trace.steps.push(r);
-        }
-        trace.run_watchdog(10);
-        let kinds: Vec<&str> = trace.anomalies.iter().map(|a| a.kind.as_str()).collect();
-        assert_eq!(kinds, ["ratio-drift", "residual-blowup"]);
-        assert_eq!(trace.anomalies[0].step, 2);
-        assert_eq!(trace.anomalies[1].step, 4);
-        let again = {
-            let mut t = trace.clone();
-            t.run_watchdog(10);
-            t.anomalies
-        };
-        assert_eq!(again, trace.anomalies);
     }
 
     #[test]

@@ -148,7 +148,10 @@ pub fn encode_push_done(
 /// # Errors
 ///
 /// Returns [`NetError::Protocol`] unless the payload is exactly the
-/// 28 bytes [`encode_push_done`] writes.
+/// 28 bytes [`encode_push_done`] writes and both durations (codec and
+/// step seconds) are finite and non-negative: a time is never either, and
+/// the step seconds feed the worker's latency series, where one NaN would
+/// poison every view after it.
 pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64, f64, f64), NetError> {
     if payload.len() != 28 {
         return Err(NetError::Protocol(format!(
@@ -158,7 +161,15 @@ pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64, f64, f64), NetError
     }
     let f64_at = |at: usize| f64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
     let loss = f32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
-    Ok((loss, f64_at(4), f64_at(12), f64_at(20)))
+    let (codec_seconds, step_seconds) = (f64_at(4), f64_at(20));
+    for (name, v) in [("codec", codec_seconds), ("step", step_seconds)] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(NetError::Protocol(format!(
+                "push-done {name} seconds are {v}, want a finite non-negative time"
+            )));
+        }
+    }
+    Ok((loss, codec_seconds, f64_at(12), step_seconds))
 }
 
 /// Encodes the `PolicyUpdate` payload: the per-tensor decisions for the

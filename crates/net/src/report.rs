@@ -4,7 +4,7 @@ use crate::counters::ConnCounters;
 use serde::{Deserialize, Serialize};
 use threelc_distsim::ExperimentResult;
 pub use threelc_obs::FaultEvent;
-use threelc_obs::{Anomaly, NodeTrace, RunAnalysis, RunSeries, Snapshot};
+use threelc_obs::{NodeTrace, RunSeries, Snapshot};
 
 /// One connection's summary in the final report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,14 +56,10 @@ pub struct NetReport {
     /// Per-node span buffers collected at shutdown (server first, then
     /// workers in id order). Empty unless the run traced
     /// (`THREELC_TRACE=1`); `threelc trace` rebuilds the cross-node
-    /// timeline from these.
+    /// timeline, and `threelc analyze` its critical path and per-tensor
+    /// view, from these.
     #[serde(default)]
     pub node_traces: Vec<NodeTrace>,
-    /// Cross-node anomalies (stragglers) the watchdog flagged in the
-    /// merged timeline. Step-level anomalies (compression-ratio drift,
-    /// residual blowups) live in `result.trace.anomalies`.
-    #[serde(default)]
-    pub anomalies: Vec<Anomaly>,
     /// The run's final time-series store (per-worker + run-level), exactly
     /// what the last live series scrape would have returned. Its
     /// [`RunSeries::deterministic`] view equals the simulator's for the
@@ -71,12 +67,6 @@ pub struct NetReport {
     /// existed.
     #[serde(default)]
     pub series: RunSeries,
-    /// Critical-path analysis of the run, computed server-side from the
-    /// merged timeline at shutdown (`None` unless the run traced).
-    /// `threelc analyze <report.json>` prefers rebuilding from
-    /// `node_traces` and falls back to this embedded copy.
-    #[serde(default)]
-    pub analysis: Option<RunAnalysis>,
     /// Final metrics-registry snapshot, so `threelc metrics --from
     /// <report.json>` renders a finished run offline (an aborted run's is
     /// in its flight dump). Empty in reports written before the field
@@ -124,22 +114,19 @@ mod tests {
                 spans: Vec::new(),
                 dropped: 0,
             }],
-            anomalies: Vec::new(),
             series: RunSeries::default(),
-            analysis: None,
             metrics: Snapshot::default(),
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: NetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         // Reports from pre-trace, pre-fault-tolerance builds (no
-        // node_traces/anomalies/faults/final_model_crc32 keys) still parse.
+        // node_traces/faults/final_model_crc32 keys) still parse.
         let stripped = json
             .replace(
                 ",\"node_traces\":[{\"clock\":\"server\",\"spans\":[],\"dropped\":0}]",
                 "",
             )
-            .replace(",\"anomalies\":[]", "")
             .replace("\"final_model_crc32\":3735928559,", "")
             .replace(
                 ",\"faults\":{\"disconnects\":1,\"rejoins\":1,\"events\":\
@@ -153,17 +140,14 @@ mod tests {
             !stripped.contains("final_model_crc32"),
             "crc key not stripped"
         );
-        // Pre-analyzer reports lack the analysis/metrics keys too.
-        let stripped = stripped.replace(",\"analysis\":null", "").replace(
+        // Pre-snapshot reports lack the metrics key too.
+        let stripped = stripped.replace(
             ",\"metrics\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}",
             "",
         );
-        assert!(!stripped.contains("analysis"), "analysis key not stripped");
         assert!(!stripped.contains("metrics"), "metrics key not stripped");
         let old: NetReport = serde_json::from_str(&stripped).unwrap();
         assert!(old.node_traces.is_empty());
-        assert!(old.anomalies.is_empty());
-        assert!(old.analysis.is_none());
         assert_eq!(old.metrics, Snapshot::default());
         assert_eq!(old.final_model_crc32, 0);
         // And reports from builds that recorded fields since retired

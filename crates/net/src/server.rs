@@ -52,8 +52,8 @@ use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_obs::flight::trigger;
 use threelc_obs::{
-    trace, write_flight_dump, FlightDump, Level, MergedTimeline, NodeTrace, RunAnalysis,
-    RunRecorder, TraceBuffer, TraceScope, TraceSpan,
+    trace, write_flight_dump, FlightDump, Level, NodeTrace, RunRecorder, TraceBuffer, TraceScope,
+    TraceSpan,
 };
 use threelc_tensor::Shape;
 
@@ -75,8 +75,8 @@ pub struct ServeOptions {
     pub max_rejoins: u32,
     /// Where to write the flight dump (`<out>.flight.json`). When set, a
     /// dump is written automatically if the run aborts, a handler panics,
-    /// a fault fires, or the end-of-run watchdog flags anomalies. `None`
-    /// disables dumping (series are still recorded and scrapeable).
+    /// or a fault fires. `None` disables dumping (series are still
+    /// recorded and scrapeable).
     pub flight: Option<String>,
 }
 
@@ -174,8 +174,8 @@ struct Admission {
 ///
 /// Every fault is written exactly once, as a [`FaultEvent`], by
 /// [`Self::retire`] (a disconnect) or [`Self::admit`] (a rejoin), which
-/// also bump the `net.server.*` counter and log the event. The run report,
-/// the rejoin-flap check and the flight dump all read that ledger.
+/// also bump the `net.server.*` counter and log the event. The run report
+/// and the flight dump both read that ledger.
 struct Coordinator {
     total_steps: u64,
     max_rejoins: u64,
@@ -570,23 +570,15 @@ pub fn serve(
                 } else {
                     trigger::ABORT
                 };
-                Some((cause, text, Vec::new()))
+                Some((cause, text))
             }
-            Ok(report) => {
-                let mut findings = report.anomalies.clone();
-                findings.extend(report.result.trace.anomalies.iter().cloned());
-                if !findings.is_empty() {
-                    let detail = "end-of-run watchdog flagged anomalies";
-                    Some((trigger::WATCHDOG, detail.into(), findings))
-                } else if !faults.is_empty() {
-                    let detail = "transport faults occurred during the run";
-                    Some((trigger::FAULT, detail.into(), findings))
-                } else {
-                    None
-                }
-            }
+            Ok(_) if !faults.is_empty() => Some((
+                trigger::FAULT,
+                "transport faults occurred during the run".into(),
+            )),
+            Ok(_) => None,
         };
-        if let Some((cause, detail, findings)) = cause {
+        if let Some((cause, detail)) = cause {
             let series = recorder.lock().expect("series recorder lock").snapshot();
             // The spans a dump carries are what the server's buffer still
             // holds: an aborted run's whole timeline; nothing after a
@@ -594,7 +586,7 @@ pub fn serve(
             let mut spans = vec![server_buf.snapshot("server")];
             spans.retain(|n| !n.spans.is_empty());
             let metrics = threelc_obs::global().snapshot();
-            let dump = FlightDump::new(cause, &detail, series, faults, &findings, spans, metrics);
+            let dump = FlightDump::new(cause, &detail, series, faults, spans, metrics);
             if let Err(e) = write_flight_dump(path, &dump) {
                 threelc_obs::event!(
                     Level::Warn,
@@ -632,7 +624,6 @@ fn serve_run(
     // The server holds the model now; what is still read here is the test
     // batch and the shapes.
     problem.release_init();
-    let workers = config.workers;
     let config_json = serde_json::to_string(config)
         .map_err(|e| NetError::Config(format!("config does not serialize: {e}")))?;
 
@@ -780,32 +771,12 @@ fn serve_run(
         step: config.total_steps,
         eval: final_eval,
     });
-    // Step-level anomalies (ratio drift, residual blowups) go into the
-    // embedded trace; cross-node stragglers come from the merged timeline.
-    trace.run_watchdog(workers as u64);
+    trace.tensors = server.tensor_traffic().to_vec();
+    // `threelc analyze` and `threelc trace` rebuild every view from these.
     let mut node_traces = Vec::new();
-    let mut anomalies = Vec::new();
-    let mut analysis = None;
     if tracing {
         node_traces.push(server_buf.drain("server"));
         node_traces.extend(worker_traces.into_iter().flatten());
-        let timeline = MergedTimeline::build(&node_traces);
-        anomalies = threelc_obs::watchdog::check_timeline(&timeline);
-        // Critical-path attribution over the same merged timeline; the
-        // blame buckets land in the report, which `threelc analyze` reads.
-        analysis = Some(RunAnalysis::build(&timeline)).filter(|a| !a.steps.is_empty());
-    }
-    // Fault anomalies (rejoin flapping) need no tracing — the coordinator
-    // saw every disconnect itself.
-    anomalies.extend(threelc_obs::watchdog::check_faults(&coord.faults.events));
-    for a in &anomalies {
-        threelc_obs::event!(
-            Level::Warn,
-            "server.trace_anomaly",
-            kind = a.kind,
-            step = a.step,
-            node = a.node
-        );
     }
     Ok(NetReport {
         result: ExperimentResult {
@@ -819,9 +790,7 @@ fn serve_run(
         connections,
         faults: coord.faults.clone(),
         node_traces,
-        anomalies,
         series: recorder.lock().expect("series recorder lock").snapshot(),
-        analysis,
         metrics: threelc_obs::global().snapshot(),
     })
 }

@@ -309,12 +309,6 @@ fn run_session(
     let node = format!("worker{}", opts.worker);
     let buffer = Arc::new(TraceBuffer::default());
     let trace_id = trace::run_trace_id(config.seed);
-    // Fault injection for exercising the straggler watchdog end to end:
-    // sleep this many milliseconds inside every compute span.
-    let straggle = std::env::var("THREELC_STRAGGLE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
 
     // ---- Replay: resynchronize the fresh replica by re-running every
     // completed step against the server's replayed pull batches (none on
@@ -363,14 +357,10 @@ fn run_session(
         }
 
         // Step latency for the per-worker time series: compute through
-        // the flushed push batch (straggle sleeps included — that is the
-        // latency a live dashboard should surface). Read again after the
-        // pull is applied for the whole-step histogram.
+        // the flushed push batch. Read again after the pull is applied for
+        // the whole-step histogram.
         let step_t0 = Instant::now();
         let compute_span = TraceSpan::start("compute");
-        if straggle > 0 {
-            thread::sleep(Duration::from_millis(straggle));
-        }
         let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
         compute_span.finish();
 

@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 use serde::{de::DeserializeOwned, Serialize};
 use threelc_net::frame::{self, Frame, FrameError, MsgType, TraceContext, HEADER_LEN, MAX_PAYLOAD};
-use threelc_net::protocol::{decode_scrape, decode_scrape_reply, encode_scrape_reply};
+use threelc_net::protocol::{
+    decode_hello, decode_policy_update, decode_push_done, decode_scrape, decode_scrape_reply,
+    encode_hello, encode_push_done, encode_scrape_reply,
+};
 use threelc_net::{NetError, ScrapeKind};
 use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
 
@@ -34,6 +37,44 @@ fn reply_roundtrip<T: Serialize + DeserializeOwned>(view: &T, step: u64) -> T {
 /// version-1 frame on the wire).
 fn arb_trace() -> impl Strategy<Value = TraceContext> {
     (any::<u64>(), any::<u64>()).prop_map(|(trace_id, span_id)| TraceContext { trace_id, span_id })
+}
+
+/// What a hostile float field can hold: NaN, ±∞, ±0, denormals of both
+/// signs, the extremes, and ordinary values.
+const F64_EDGES: [f64; 10] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE / 4.0,
+    -f64::MIN_POSITIVE / 4.0,
+    f64::MAX,
+    f64::MIN,
+    1.5,
+];
+
+fn arb_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0..F64_EDGES.len()).prop_map(|i| F64_EDGES[i]),
+        -10.0f64..10.0
+    ]
+}
+
+/// A sparsity multiplier's wire value: any edge (as `f32`) or one near
+/// the valid `[1, 2)` range.
+fn arb_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        (0..F64_EDGES.len()).prop_map(|i| F64_EDGES[i] as f32),
+        0.5f32..2.5
+    ]
+}
+
+/// `bytes` cut to `len`, or padded to it with `fill`: a truncation or a
+/// length lie.
+fn resize(mut bytes: Vec<u8>, len: usize, fill: u8) -> Vec<u8> {
+    bytes.resize(len, fill);
+    bytes
 }
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -141,6 +182,7 @@ proptest! {
                     node: clock.clone(),
                     step,
                     worker,
+                    tensor: worker,
                     start_ns: start,
                     end_ns: start.saturating_add(dur % 1_000_000),
                 })
@@ -208,6 +250,75 @@ proptest! {
         if claimed_len != 0 {
             prop_assert!(Frame::decode(&wire).is_err());
             prop_assert!(frame::read_frame(&mut wire.as_slice()).is_err());
+        }
+    }
+
+    #[test]
+    fn hello_decodes_exactly_two_bytes(id in any::<u16>(), len in 0usize..6, fill in any::<u8>()) {
+        let bytes = resize(encode_hello(id), len, fill);
+        match decode_hello(&bytes) {
+            Ok(back) => prop_assert!(len == 2 && back == id, "{len} bytes decoded to {back}"),
+            Err(NetError::Protocol(_)) => prop_assert!(len != 2),
+            Err(e) => prop_assert!(false, "untyped error {e}"),
+        }
+    }
+
+    #[test]
+    fn push_done_accepts_only_finite_non_negative_times(
+        loss in arb_f32(),
+        codec in arb_f64(),
+        residual in arb_f64(),
+        step in arb_f64(),
+        len in 20usize..36,
+        fill in any::<u8>(),
+    ) {
+        let bytes = resize(encode_push_done(loss, codec, residual, step), len, fill);
+        let time = |v: f64| v.is_finite() && v >= 0.0;
+        let valid = len == 28 && time(codec) && time(step);
+        match decode_push_done(&bytes) {
+            Ok((l, c, r, s)) => {
+                prop_assert!(valid, "accepted codec {codec}, step {step}, {len} bytes");
+                prop_assert_eq!(
+                    (l.to_bits(), c.to_bits(), r.to_bits(), s.to_bits()),
+                    (loss.to_bits(), codec.to_bits(), residual.to_bits(), step.to_bits())
+                );
+            }
+            Err(NetError::Protocol(_)) => prop_assert!(!valid, "rejected a valid payload"),
+            Err(e) => prop_assert!(false, "untyped error {e}"),
+        }
+    }
+
+    #[test]
+    fn policy_update_accepts_only_an_exact_count_of_valid_decisions(
+        decisions in prop::collection::vec((arb_f32(), 0u8..10), 0..12),
+        count_lie in prop_oneof![Just(0i32), -2i32..3],
+        cut in prop_oneof![Just(0usize), 1usize..8],
+    ) {
+        // The count field lies by `count_lie` (wrapping, so 0 - 1 claims
+        // 65 535); the body loses its last `cut` bytes.
+        let count = (decisions.len() as i32 + count_lie) as u16;
+        let mut bytes = count.to_le_bytes().to_vec();
+        for (s, reason) in &decisions {
+            bytes.extend_from_slice(&s.to_le_bytes());
+            bytes.push(*reason);
+        }
+        let full = bytes.len();
+        let bytes = resize(bytes, full.saturating_sub(cut), 0);
+        let valid = bytes.len() == full
+            && usize::from(count) == decisions.len()
+            && decisions.iter().all(|(s, r)| {
+                s.is_finite() && (1.0..2.0).contains(s) && threelc_policy::Reason::from_code(*r).is_some()
+            });
+        match decode_policy_update(&bytes) {
+            Ok(back) => {
+                prop_assert!(valid, "accepted {} bytes claiming {count}", bytes.len());
+                prop_assert_eq!(back.len(), decisions.len());
+                for (d, (s, r)) in back.iter().zip(&decisions) {
+                    prop_assert_eq!((d.s.value().to_bits(), d.reason.code()), (s.to_bits(), *r));
+                }
+            }
+            Err(NetError::Protocol(_)) => prop_assert!(!valid, "rejected a valid update"),
+            Err(e) => prop_assert!(false, "untyped error {e}"),
         }
     }
 }

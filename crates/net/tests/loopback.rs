@@ -331,6 +331,11 @@ fn every_scheme_design_serves_what_the_simulator_trains() {
             steps.iter().any(|r| r.push_bytes > 0),
             "{token}: nothing compressed"
         );
+        assert_eq!(
+            report.result.trace.tensors,
+            cluster.tensor_traffic(),
+            "{token}: per-tensor traffic diverged from the simulator"
+        );
         for (w, outcome) in outcomes.iter().enumerate() {
             assert_eq!(
                 outcome.model.snapshot(),
@@ -484,19 +489,48 @@ fn traced_loopback_produces_a_complete_cross_node_timeline() {
         );
     }
 
-    // A healthy loopback run must not trip the watchdog. Only its
-    // deterministic detectors are asserted here: `straggler` compares
-    // wall-clock phase times, which a loaded host can genuinely stretch
-    // past the threshold; it is pinned on synthetic spans in
-    // `watchdog.rs` and by `trace_e2e.rs`'s injected-straggler gate.
-    let unexpected: Vec<_> = report
-        .anomalies
-        .iter()
-        .filter(|a| a.kind == "ratio-drift" || a.kind == "residual-blowup")
+    // Every worker codec span names its tensor: 3LC records one
+    // `quantize` and one `encode` per compressed tensor per worker step,
+    // each tagged with it; the one untagged codec span of a worker step is
+    // the residual readout's `encode`. Server spans carry no tag.
+    let tensors = &report.result.trace.tensors;
+    let compressed: Vec<i64> = (0..tensors.len() as i64)
+        .filter(|&i| !tensors[i as usize].raw)
         .collect();
+    assert!(!compressed.is_empty() && compressed.len() < tensors.len());
+    let steps = config.total_steps;
+    let worker_steps = config.workers as u64 * steps;
+    for lane in &report.node_traces {
+        let codec = lane
+            .spans
+            .iter()
+            .filter(|s| s.name == "quantize" || s.name == "encode");
+        let mut tagged = std::collections::BTreeMap::<(i64, &str), u64>::new();
+        for s in codec {
+            *tagged.entry((s.tensor, s.name.as_str())).or_default() += 1;
+        }
+        if lane.clock == "server" {
+            assert!(tagged.keys().all(|&(t, _)| t == -1), "{tagged:?}");
+            continue;
+        }
+        let mut want: std::collections::BTreeMap<(i64, &str), u64> = compressed
+            .iter()
+            .flat_map(|&t| [((t, "quantize"), steps), ((t, "encode"), steps)])
+            .collect();
+        want.insert((-1, "encode"), steps);
+        assert_eq!(tagged, want, "{}", lane.clock);
+    }
+    let (by_tensor, untagged) = threelc_obs::critical::codec_us_per_step(&report.node_traces);
+    let worker_codec_us: f64 = (report.node_traces.iter().skip(1))
+        .flat_map(|n| &n.spans)
+        .filter(|s| s.name == "quantize" || s.name == "encode")
+        .map(|s| s.seconds() * 1e6)
+        .sum();
+    let column: f64 = by_tensor.iter().sum();
+    let per_step = worker_codec_us / worker_steps as f64;
     assert!(
-        unexpected.is_empty(),
-        "unexpected anomalies: {unexpected:?}"
+        (column + untagged - per_step).abs() <= 1e-9 * per_step,
+        "{column} + {untagged} != {per_step}"
     );
 }
 

@@ -55,7 +55,7 @@
 //! the right direction for "is this optimization worth a PR".
 
 use crate::timeline::{AlignedSpan, MergedTimeline};
-use crate::trace::NO_WORKER;
+use crate::trace::{NodeTrace, NO_WORKER};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -85,8 +85,8 @@ const LEAF_PHASES: &[&str] = &[
 /// Thresholds for flagging a worker as a run-level bottleneck.
 ///
 /// A worker's critical network seconds must exceed this many times the
-/// median worker's to be flagged (same shape as the watchdog's straggler
-/// rule, so jitter on a fast loopback never trips it).
+/// median worker's to be flagged, above an absolute floor, so jitter on a
+/// fast loopback never trips it.
 pub const BLAME_K: f64 = 4.0;
 /// Absolute floor in seconds below which no bottleneck flag fires.
 pub const BLAME_MIN_SECONDS: f64 = 0.1;
@@ -170,9 +170,48 @@ pub struct Bottleneck {
     pub detail: String,
 }
 
+/// One row of the per-tensor view: what a parameter tensor costs on the
+/// wire (the run's traffic counts) and in worker codec time (the spans a
+/// worker tags with it, [`crate::trace::set_tensor`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TensorRow {
+    /// Parameter index.
+    pub tensor: usize,
+    /// Elements in the tensor.
+    pub values: u64,
+    /// Sent uncompressed: 32 bits/value both ways.
+    pub raw: bool,
+    /// Push wire bits per pushed value.
+    pub push_bits_per_value: f64,
+    /// Pull wire bits per pulled value.
+    pub pull_bits_per_value: f64,
+    /// The tensor's push + pull wire bytes over the run's.
+    pub wire_share: f64,
+    /// Worker codec µs per worker step, from its tagged spans.
+    pub codec_us_per_step: f64,
+}
+
+/// Worker codec µs per worker step — a (lane, step) pair with spans —
+/// from `nodes`: every worker-lane `quantize`/`encode` span's time, by the
+/// tensor it is tagged with, and the untagged ones' (the residual readout).
+pub fn codec_us_per_step(nodes: &[NodeTrace]) -> (Vec<f64>, f64) {
+    let spans = (nodes.iter().flat_map(|n| &n.spans)).filter(|s| s.node.starts_with("worker"));
+    let worker_steps: BTreeSet<_> = spans.clone().map(|s| (s.node.as_str(), s.step)).collect();
+    let (mut by_tensor, mut untagged) = (Vec::new(), 0.0);
+    for s in spans.filter(|s| s.name == "quantize" || s.name == "encode") {
+        let us = s.seconds() * 1e6 / worker_steps.len() as f64;
+        match usize::try_from(s.tensor) {
+            Ok(t) if t < by_tensor.len() => by_tensor[t] += us,
+            Ok(t) => by_tensor.extend((by_tensor.len()..t).map(|_| 0.0).chain([us])),
+            Err(_) => untagged += us,
+        }
+    }
+    (by_tensor, untagged)
+}
+
 /// The run-level analysis: per-step ledgers, aggregated blame, what-if
-/// projections, and flagged bottlenecks. Embedded in `NetReport` when a
-/// traced run finishes; `threelc analyze` rebuilds or renders it.
+/// projections, flagged bottlenecks and the per-tensor view. `threelc
+/// analyze` builds it from a traced run's spans.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunAnalysis {
     /// Per-step critical paths, ascending step.
@@ -193,6 +232,14 @@ pub struct RunAnalysis {
     /// Max over steps of `|Σ buckets − wall| / wall` — the conservation
     /// residual. Zero up to float rounding unless the tiler has a bug.
     pub conservation_error: f64,
+    /// The per-tensor view, by descending wire bytes; empty unless the
+    /// source carried the run's per-tensor traffic.
+    #[serde(default)]
+    pub tensors: Vec<TensorRow>,
+    /// Worker `quantize`/`encode` µs per worker step that no tensor tag
+    /// covers ([`codec_us_per_step`]).
+    #[serde(default)]
+    pub untagged_codec_us_per_step: f64,
 }
 
 /// A tiling candidate: a clipped span with a priority class (lower wins).
@@ -560,6 +607,7 @@ impl RunAnalysis {
             what_ifs,
             bottlenecks,
             conservation_error,
+            ..RunAnalysis::default()
         }
     }
 
@@ -638,6 +686,28 @@ impl RunAnalysis {
         for b in &self.bottlenecks {
             let _ = writeln!(out, "bottleneck [{}/{}]: {}", b.node, b.phase, b.detail);
         }
+        if self.tensors.is_empty() {
+            return out;
+        }
+        let _ = writeln!(
+            out,
+            "per tensor, by wire bytes:\n  tensor     values  push b/v  pull b/v    wire  codec us/step"
+        );
+        for t in &self.tensors {
+            let _ = writeln!(
+                out,
+                "  {:>6} {:>10} {:>9.3} {:>9.3} {:>6.1}% {:>14.1}{}",
+                t.tensor,
+                t.values,
+                t.push_bits_per_value,
+                t.pull_bits_per_value,
+                t.wire_share * 100.0,
+                t.codec_us_per_step,
+                if t.raw { "  raw" } else { "" }
+            );
+        }
+        let untagged = self.untagged_codec_us_per_step;
+        let _ = writeln!(out, "  untagged codec (residual readout) {untagged:>26.1}");
         out
     }
 }
@@ -752,6 +822,7 @@ mod tests {
             node: node.into(),
             step,
             worker,
+            tensor: -1,
             start_ns: start,
             end_ns: end,
         }

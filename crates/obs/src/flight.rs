@@ -1,21 +1,58 @@
 //! The flight dump: a self-contained post-mortem artifact
-//! (`<out>.flight.json`) assembled when a run goes wrong — the watchdog
-//! firing, a handler panic, a transport fault, or an abort.
+//! (`<out>.flight.json`) assembled when a run goes wrong — a handler
+//! panic, a transport fault, or an abort.
 //!
 //! Nothing is recorded for it while the run is healthy. A dump is
 //! *assembled* from records that already exist for their own reasons: the
 //! coordinator's fault log ([`FaultEvent`]s, mapped here to `fault-*`
-//! anomalies), the watchdog's findings, the
-//! [`RunRecorder`](crate::timeseries::RunRecorder)'s series store, the
-//! metrics registry's snapshot, and whatever span buffers the caller
-//! hands over. `threelc trace <dump.flight.json>` reads the artifact
+//! [`Anomaly`] entries), the [`RunRecorder`](crate::RunRecorder)'s series
+//! store, the metrics registry's snapshot, and whatever span buffers the
+//! caller hands over. `threelc trace <dump.flight.json>` reads the artifact
 //! back, and `threelc metrics --from <dump.flight.json>` its metrics.
 
 use crate::snapshot::Snapshot;
 use crate::timeseries::RunSeries;
 use crate::trace::NodeTrace;
-use crate::watchdog::{Anomaly, FaultEvent};
 use serde::{Deserialize, Serialize};
+
+/// One server-visible fault during a run: a worker disconnect or a
+/// successful rejoin. Written once, by the coordinator in `threelc-net`;
+/// the run report's fault log and a flight dump's `fault-*` anomalies
+/// ([`FlightDump::new`]) both read this record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultEvent {
+    /// Step the coordinator was at when the event happened.
+    pub step: u64,
+    /// Worker involved.
+    pub worker: usize,
+    /// `disconnect` or `rejoin`.
+    pub kind: String,
+    /// Human-readable cause (the handler error for disconnects).
+    pub detail: String,
+}
+
+/// One entry of a dump's `anomalies` list: a [`FaultEvent`] as
+/// `fault-<kind>`. Dumps written by older builds also hold entries of
+/// other kinds, which parse the same way.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Anomaly {
+    /// `fault-disconnect`, `fault-rejoin`, … .
+    pub kind: String,
+    /// Step the anomaly occurred at.
+    pub step: u64,
+    /// Lane involved.
+    #[serde(default)]
+    pub node: String,
+    /// Phase involved; empty for a fault.
+    #[serde(default)]
+    pub phase: String,
+    /// The observed value; 0 for a fault.
+    pub value: f64,
+    /// The threshold the value crossed; 0 for a fault.
+    pub threshold: f64,
+    /// Human-readable summary.
+    pub detail: String,
+}
 
 /// Schema version stamped into every dump.
 pub const FLIGHT_VERSION: u32 = 1;
@@ -24,8 +61,6 @@ pub const FLIGHT_VERSION: u32 = 1;
 pub mod trigger {
     /// The run returned an error (barrier timeout, exhausted rejoins, …).
     pub const ABORT: &str = "abort";
-    /// The end-of-run watchdog flagged anomalies on an otherwise clean run.
-    pub const WATCHDOG: &str = "watchdog";
     /// A handler thread panicked (caught by the coordinator).
     pub const PANIC: &str = "panic";
     /// An injected fault fired.
@@ -33,8 +68,8 @@ pub mod trigger {
 }
 
 /// A complete post-mortem artifact: the last N steps of every series,
-/// the run's faults and watchdog findings, the metrics snapshot, and the
-/// spans it was handed (empty unless tracing was on).
+/// the run's faults, the metrics snapshot, and the spans it was handed
+/// (empty unless tracing was on).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
     /// Schema version ([`FLIGHT_VERSION`]).
@@ -45,8 +80,8 @@ pub struct FlightDump {
     pub detail: String,
     /// Steps the series store had fully recorded when the dump was taken.
     pub steps_recorded: u64,
-    /// Everything anomalous: the run's transport faults (as `fault-*`
-    /// anomalies, in coordinator order), then the watchdog's findings.
+    /// The run's transport faults, as `fault-*` anomalies in coordinator
+    /// order.
     pub anomalies: Vec<Anomaly>,
     /// The bounded series store (per-worker + run-level).
     pub series: RunSeries,
@@ -62,30 +97,27 @@ pub struct FlightDump {
 
 impl FlightDump {
     /// Assembles a dump from the run's own records: every fault becomes a
-    /// `fault-<kind>` anomaly, followed by the watchdog `findings`;
-    /// `spans` and `metrics` are carried as given.
+    /// `fault-<kind>` anomaly; `spans` and `metrics` are carried as given.
     pub fn new(
         trigger: &str,
         detail: &str,
         series: RunSeries,
         faults: &[FaultEvent],
-        findings: &[Anomaly],
         spans: Vec<NodeTrace>,
         metrics: Snapshot,
     ) -> FlightDump {
-        let mut anomalies: Vec<Anomaly> = faults
+        let anomalies = faults
             .iter()
             .map(|e| Anomaly {
                 kind: format!("fault-{}", e.kind),
                 step: e.step,
-                node: e.node(),
+                node: format!("worker{}", e.worker),
                 phase: String::new(),
                 value: 0.0,
                 threshold: 0.0,
                 detail: e.detail.clone(),
             })
             .collect();
-        anomalies.extend_from_slice(findings);
         FlightDump {
             version: FLIGHT_VERSION,
             trigger: trigger.to_string(),
@@ -176,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_combines_faults_watchdog_findings_and_series() {
+    fn dump_maps_faults_to_anomalies_and_carries_the_series() {
         let mut rec = RunRecorder::new(1);
         rec.record_step(0, &[delta(0)]);
         rec.record_step(1, &[delta(0)]);
@@ -186,32 +218,21 @@ mod tests {
             kind: "kill".into(),
             detail: "injected kill@1".into(),
         };
-        let wd = Anomaly {
-            kind: "straggler".into(),
-            step: 1,
-            node: "worker0".into(),
-            phase: "encode".into(),
-            value: 1.0,
-            threshold: 0.1,
-            detail: "slow".into(),
-        };
         let dump = FlightDump::new(
             trigger::ABORT,
             "barrier timed out",
             rec.snapshot(),
             &[fault],
-            &[wd],
             Vec::new(),
             Snapshot::default(),
         );
         assert_eq!(dump.version, FLIGHT_VERSION);
         assert_eq!(dump.trigger, "abort");
         assert_eq!(dump.steps_recorded, 2);
-        assert_eq!(dump.anomalies.len(), 2);
+        assert_eq!(dump.anomalies.len(), 1);
         assert_eq!(dump.anomalies[0].kind, "fault-kill");
         assert_eq!(dump.anomalies[0].node, "worker0");
         assert_eq!(dump.anomalies[0].detail, "injected kill@1");
-        assert_eq!(dump.anomalies[1].kind, "straggler");
         assert_eq!(dump.series.workers.len(), 1);
         let text = dump.render_text();
         assert!(text.contains("trigger=abort"), "{text}");
@@ -224,7 +245,7 @@ mod tests {
         let reg = crate::Registry::new();
         reg.counter("net.server.bytes_in").add(4096);
         let metrics = reg.snapshot();
-        let dump = FlightDump::new(trigger::WATCHDOG, "", series, &[], &[], Vec::new(), metrics);
+        let dump = FlightDump::new(trigger::FAULT, "", series, &[], Vec::new(), metrics);
         let json = serde_json::to_string(&dump).expect("serialize");
         let back = FlightDump::from_json(&json).expect("parse");
         assert_eq!(back, dump);
@@ -252,7 +273,6 @@ mod tests {
             trigger::FAULT,
             "kill@2",
             series,
-            &[],
             &[],
             Vec::new(),
             Snapshot::default(),

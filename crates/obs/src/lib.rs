@@ -4,7 +4,7 @@
 //! wall-clock — so every layer of this workspace reports into one shared
 //! instrumentation layer instead of growing its own ad-hoc counters. The
 //! crate is std-only (the vendored `serde` stubs are its only
-//! dependencies) and provides nine pieces:
+//! dependencies) and provides eight pieces:
 //!
 //! 1. **A metrics registry** ([`Registry`]) of named [`Counter`]s,
 //!    [`Gauge`]s, and log-bucketed [`Histogram`]s. Metrics are lock-free
@@ -31,27 +31,23 @@
 //!    onto one axis — estimating per-worker clock offsets from barrier
 //!    round-trips — and exports Chrome-trace JSON or a terminal per-step
 //!    phase breakdown (`threelc trace`).
-//! 6. **An anomaly watchdog** ([`watchdog`]): flags straggler workers,
-//!    compression-ratio drift, residual-L2 blowups, and rejoin-flapping
-//!    nodes from collected telemetry (`threelc trace --check`), against
-//!    constant thresholds. It also defines [`FaultEvent`], the one record
-//!    of a transport fault that the run report, the flap check and the
-//!    flight dump all read.
-//! 7. **Per-worker time series** ([`timeseries`]): the last 64
+//! 6. **Per-worker time series** ([`timeseries`]): the last 64
 //!    step-indexed points of each series, and a [`RunRecorder`] that
 //!    folds per-worker step deltas into a run-wide store — what
 //!    `threelc top` renders live.
-//! 8. **The flight dump** ([`flight`]): a self-contained
+//! 7. **The flight dump** ([`flight`]): a self-contained
 //!    `<out>.flight.json` post-mortem assembled — not recorded — from the
-//!    fault log, the watchdog's findings, the series store, the metrics
-//!    snapshot and the span buffers it is handed, when the watchdog
-//!    fires, a handler panics, a fault occurs, or a run aborts.
-//! 9. **A critical-path profiler** ([`critical`]): rebuilds the per-step
+//!    fault log, the series store, the metrics snapshot and the span
+//!    buffers it is handed, when a handler panics, a fault occurs, or a
+//!    run aborts. It also defines [`FaultEvent`], the one record of a
+//!    transport fault that the run report and the dump both read.
+//! 8. **A critical-path profiler** ([`critical`]): rebuilds the per-step
 //!    BSP dependency DAG from the clock-aligned timeline, attributes
 //!    every nanosecond of step wall-clock to a {phase × node} blame
 //!    bucket (barrier-wait charged to the causing straggler), computes
-//!    Amdahl-style what-if projections, and flags bottlenecks — the
-//!    engine behind `threelc analyze`.
+//!    Amdahl-style what-if projections, flags bottlenecks, and folds the
+//!    codec spans a worker tags with their tensor into a per-tensor view
+//!    — the engine behind `threelc analyze`.
 //!
 //! ```
 //! use threelc_obs::Registry;
@@ -79,10 +75,9 @@ pub mod snapshot;
 pub mod timeline;
 pub mod timeseries;
 pub mod trace;
-pub mod watchdog;
 
 pub use critical::RunAnalysis;
-pub use flight::{write_flight_dump, FlightDump};
+pub use flight::{write_flight_dump, FaultEvent, FlightDump};
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
@@ -94,4 +89,3 @@ pub use trace::{
     current_ctx, global_buffer, now_ns, run_trace_id, set_trace_enabled, trace_enabled, NodeTrace,
     SpanRecord, TraceBuffer, TraceCtx, TraceScope, TraceSpan, NO_WORKER,
 };
-pub use watchdog::{Anomaly, FaultEvent, StepStats};

@@ -527,6 +527,7 @@ mod tests {
             node: node.into(),
             step,
             worker,
+            tensor: -1,
             start_ns,
             end_ns,
         }

@@ -106,6 +106,9 @@ pub fn run_trace_id(seed: u64) -> u64 {
 /// Worker id recorded on spans that are not specific to one worker.
 pub const NO_WORKER: i64 = -1;
 
+/// Tensor index recorded on spans that are not one tensor's codec call.
+pub const NO_TENSOR: i64 = -1;
+
 /// A cross-node trace context: the run's trace id and the sender's
 /// currently open span (the remote parent). All-zero means "absent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,6 +146,10 @@ pub struct SpanRecord {
     /// Worker id the span concerns, or [`NO_WORKER`].
     #[serde(default = "no_worker")]
     pub worker: i64,
+    /// Parameter tensor whose codec call the span covers ([`set_tensor`]),
+    /// or [`NO_TENSOR`].
+    #[serde(default = "no_tensor")]
+    pub tensor: i64,
     /// Start, nanoseconds on the recording process's clock.
     pub start_ns: u64,
     /// End, nanoseconds on the recording process's clock.
@@ -151,6 +158,10 @@ pub struct SpanRecord {
 
 fn no_worker() -> i64 {
     NO_WORKER
+}
+
+fn no_tensor() -> i64 {
+    NO_TENSOR
 }
 
 impl SpanRecord {
@@ -278,6 +289,8 @@ struct ScopeState {
     trace: u64,
     step: u64,
     worker: i64,
+    /// The tensor [`set_tensor`] names, stamped on every span that ends.
+    tensor: i64,
     /// Open span ids, innermost last (the parent stack).
     stack: Vec<u64>,
 }
@@ -322,6 +335,7 @@ impl TraceScope {
                 trace,
                 step,
                 worker,
+                tensor: NO_TENSOR,
                 stack: Vec::new(),
             });
         });
@@ -340,6 +354,21 @@ impl Drop for TraceScope {
             });
         }
     }
+}
+
+/// Tags every span that ends under the innermost scope with `tensor`
+/// (or, given [`NO_TENSOR`], with none) until the next call: a worker
+/// names the tensor around each codec call, so the codec's own spans
+/// carry it. A relaxed atomic load when tracing is off.
+pub fn set_tensor(tensor: i64) {
+    if !trace_enabled() {
+        return;
+    }
+    SCOPES.with(|scopes| {
+        if let Some(s) = scopes.borrow_mut().last_mut() {
+            s.tensor = tensor;
+        }
+    });
 }
 
 /// Whether a recording scope is active on this thread (the guard for
@@ -407,6 +436,7 @@ pub fn record_span(name: &'static str, start_ns: u64, end_ns: u64) {
                 node: s.node.clone(),
                 step: s.step,
                 worker: s.worker,
+                tensor: s.tensor,
                 start_ns,
                 end_ns,
             };
@@ -511,6 +541,7 @@ impl TraceSpan {
                     node: s.node.clone(),
                     step: s.step,
                     worker: s.worker,
+                    tensor: s.tensor,
                     start_ns: self.start_ns,
                     end_ns,
                 };
@@ -696,6 +727,36 @@ mod tests {
     }
 
     #[test]
+    fn set_tensor_tags_the_spans_that_end_until_cleared() {
+        let _g = lock();
+        let buf = scoped_buffer();
+        {
+            let _scope = TraceScope::enter(&buf, "worker0", 1, 0, 0);
+            TraceSpan::start("compute").finish();
+            set_tensor(2);
+            TraceSpan::start("quantize").finish();
+            record_span("encode", 5, 9);
+            set_tensor(NO_TENSOR);
+            TraceSpan::start("serialize").finish();
+        }
+        // Outside any scope it is a no-op.
+        set_tensor(7);
+        let tensors: Vec<i64> = buf
+            .drain("worker0")
+            .spans
+            .iter()
+            .map(|s| s.tensor)
+            .collect();
+        assert_eq!(tensors, [NO_TENSOR, 2, 2, NO_TENSOR]);
+        // A record written before the field existed reads as untagged.
+        let old =
+            r#"{"trace":1,"span":2,"name":"encode","node":"w","step":0,"start_ns":0,"end_ns":1}"#;
+        let rec: SpanRecord = serde_json::from_str(old).expect("old record");
+        assert_eq!((rec.worker, rec.tensor), (NO_WORKER, NO_TENSOR));
+        set_trace_enabled(false);
+    }
+
+    #[test]
     fn run_trace_id_is_stable_nonzero_and_seed_sensitive() {
         assert_eq!(run_trace_id(5), run_trace_id(5));
         assert_ne!(run_trace_id(5), run_trace_id(6));
@@ -715,6 +776,7 @@ mod tests {
                 node: "worker1".into(),
                 step: 4,
                 worker: 1,
+                tensor: 3,
                 start_ns: 10,
                 end_ns: 30,
             }],

@@ -58,6 +58,7 @@ fn trace_of(raw: &[RawSpan]) -> Vec<NodeTrace> {
             },
             step,
             worker,
+            tensor: -1,
             start_ns: start,
             end_ns: start + dur,
         })
