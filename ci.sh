@@ -44,14 +44,16 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test"
-cargo test -q --offline
+# --no-fail-fast: one failing suite must not hide the verdict of every
+# suite after it.
+cargo test -q --offline --no-fail-fast
 
 echo "==> cargo test --release (core + net + paced link)"
 # The paced-link suite times real steps through the relay: its rate and
 # 3LC-vs-f32 ratio checks must hold at release compute speed, not only at
 # the debug speed of the stage above.
-cargo test -q --offline --release -p threelc -p threelc-net
-cargo test -q --offline --release -p threelc-bench --test paced_link
+cargo test -q --offline --release --no-fail-fast -p threelc -p threelc-net
+cargo test -q --offline --release --no-fail-fast -p threelc-bench --test paced_link
 
 echo "==> step ledger (builds against the crates' public API; tests + --quick smoke)"
 # ledger/ is a package of its own, not a workspace member, so no stage above
@@ -80,7 +82,10 @@ cargo test -q --offline --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
 echo "==> forced codec tiers (core suite + baseline strips + server step oracle + net loopback on each)"
-# Each leg forces one tier the host can run: the core suite covers the
+# Each leg forces one tier the host can run: the core suite holds each
+# tier's encoder — the one lend-and-fold path every design and `compress`
+# take — to the paper-step oracle (quantize, quartic encode, zero-run
+# encode, run one by one, and the residual `acc − q·scale`), covers the
 # zero-run kernels — the compressor zero-run-encodes in place on the forced
 # tier (the portable map-and-filter loop on scalar and SWAR, the AVX2
 # kernel on simd), and tests/zre_oracle.rs holds every tier's encoder and

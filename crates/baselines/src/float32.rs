@@ -49,18 +49,14 @@ impl Compressor for Float32Compressor {
         &self.shape
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        wire::check_shape(&self.shape, input)?;
-        Ok(input.to_le_bytes())
-    }
-
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
         let zeros = || Tensor::zeros(self.shape.clone());
         (self.scratch.take().unwrap_or_else(zeros), DequantOp::Assign)
     }
 
     fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
-        let payload = self.compress(&input)?;
+        wire::check_shape(&self.shape, &input)?;
+        let payload = input.to_le_bytes();
         self.scratch = Some(input);
         Ok(payload)
     }

@@ -32,6 +32,27 @@ impl Int8Compressor {
     }
 }
 
+/// Scales `input` by `max|x| / 127` and rounds each value to one byte.
+fn encode(input: &Tensor) -> Result<Vec<u8>, CompressError> {
+    let (max_abs, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
+        (m.max(x.abs()), ok && x.is_finite())
+    });
+    if !finite {
+        return Err(CompressError::NonFiniteInput);
+    }
+    let scale = max_abs / 127.0;
+    let mut wire = Vec::with_capacity(HEADER_LEN + input.len());
+    wire.extend_from_slice(&scale.to_le_bytes());
+    wire.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    if scale == 0.0 {
+        wire.extend(std::iter::repeat_n(0u8, input.len()));
+    } else {
+        let inv = 1.0 / scale;
+        wire.extend(input.iter().map(|&x| ((x * inv).round() as i8) as u8));
+    }
+    Ok(wire)
+}
+
 impl Compressor for Int8Compressor {
     fn name(&self) -> String {
         "8-bit int".to_owned()
@@ -41,36 +62,16 @@ impl Compressor for Int8Compressor {
         &self.shape
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        wire::check_shape(&self.shape, input)?;
-        let (max_abs, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
-            (m.max(x.abs()), ok && x.is_finite())
-        });
-        if !finite {
-            return Err(CompressError::NonFiniteInput);
-        }
-        let scale = max_abs / 127.0;
-        let mut wire = Vec::with_capacity(HEADER_LEN + input.len());
-        wire.extend_from_slice(&scale.to_le_bytes());
-        wire.extend_from_slice(&(input.len() as u32).to_le_bytes());
-        if scale == 0.0 {
-            wire.extend(std::iter::repeat_n(0u8, input.len()));
-        } else {
-            let inv = 1.0 / scale;
-            wire.extend(input.iter().map(|&x| ((x * inv).round() as i8) as u8));
-        }
-        Ok(wire)
-    }
-
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
         let zeros = || Tensor::zeros(self.shape.clone());
         (self.scratch.take().unwrap_or_else(zeros), DequantOp::Assign)
     }
 
     fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
-        let payload = self.compress(&input)?;
+        wire::check_shape(&self.shape, &input)?;
+        let payload = encode(&input);
         self.scratch = Some(input);
-        Ok(payload)
+        payload
     }
 
     fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {

@@ -70,19 +70,12 @@ impl Compressor for LocalStepsCompressor {
         &self.shape
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        wire::check_shape(&self.shape, input)?;
-        let (mut buffer, _) = self.take_accumulator();
-        buffer.add_assign(input).expect("buffer shape is validated");
-        Ok(self.encode(buffer))
-    }
-
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
         let zeros = || Tensor::zeros(self.shape.clone());
         (self.buffer.take().unwrap_or_else(zeros), DequantOp::Add)
     }
 
-    /// Like `compress`, refuses no value: `max_abs` is not read.
+    /// Refuses no value: `max_abs` is not read.
     fn compress_accumulator(
         &mut self,
         accumulator: Tensor,

@@ -93,16 +93,6 @@ impl Compressor for MqeOneBitCompressor {
         &self.shape
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        wire::check_shape(&self.shape, input)?;
-        if input.iter().any(|x| !x.is_finite()) {
-            return Err(CompressError::NonFiniteInput);
-        }
-        let (mut buffer, _) = self.take_accumulator();
-        buffer.add_assign(input).expect("buffer shape is validated");
-        Ok(self.encode(buffer))
-    }
-
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
         let zeros = || Tensor::zeros(self.shape.clone());
         (self.buffer.take().unwrap_or_else(zeros), DequantOp::Add)

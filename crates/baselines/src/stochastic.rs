@@ -42,19 +42,10 @@ impl StochasticTernaryCompressor {
             scratch: None,
         }
     }
-}
 
-impl Compressor for StochasticTernaryCompressor {
-    fn name(&self) -> String {
-        "Stoch 3-value + QE".to_owned()
-    }
-
-    fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        wire::check_shape(&self.shape, input)?;
+    /// Draws each value's ternary symbol, `sign(x)` with probability
+    /// `|x| / max|x|`, and quartic-encodes them behind the header.
+    fn encode(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
         let (scale, finite) = input.as_slice().iter().fold((0.0f32, true), |(m, ok), &x| {
             (m.max(x.abs()), ok && x.is_finite())
         });
@@ -87,6 +78,16 @@ impl Compressor for StochasticTernaryCompressor {
         wire.extend_from_slice(&body);
         Ok(wire)
     }
+}
+
+impl Compressor for StochasticTernaryCompressor {
+    fn name(&self) -> String {
+        "Stoch 3-value + QE".to_owned()
+    }
+
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
 
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
         let zeros = || Tensor::zeros(self.shape.clone());
@@ -94,9 +95,10 @@ impl Compressor for StochasticTernaryCompressor {
     }
 
     fn compress_accumulator(&mut self, input: Tensor, _: f32) -> Result<Vec<u8>, CompressError> {
-        let payload = self.compress(&input)?;
+        wire::check_shape(&self.shape, &input)?;
+        let payload = self.encode(&input);
         self.scratch = Some(input);
-        Ok(payload)
+        payload
     }
 
     fn stage(&self, payload: &[u8]) -> Result<(), DecodeError> {

@@ -326,3 +326,41 @@ fn decode_into_matches_decompress_on_length_lies_and_hostile_scales() {
     }
     assert!(covered.0 > 0 && covered.1 > 0, "no field was rewritten");
 }
+
+/// `compress` is derived from the lend path, so it must refuse a wrongly
+/// shaped input before it lends anything: on every design a command line
+/// can name, and 3LC without error accumulation, the refusal is
+/// `ShapeMismatch` and leaves the context's own buffer — the same
+/// allocation, the same residual — to be lent next.
+#[test]
+fn a_wrongly_shaped_compress_is_refused_before_anything_is_lent() {
+    let input = Tensor::from_fn([N_VALUES], |i| ((i * 31 % 19) as f32 - 9.0) * 0.02);
+    let no_ea = SchemeKind::ThreeLc {
+        sparsity: 1.5,
+        zero_run_encoding: true,
+        error_accumulation: false,
+    };
+    let bits = |t: Option<&Tensor>| t.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    for scheme in wire_designs().into_iter().chain([no_ea]) {
+        let mut cx = build_compressor(&scheme, input.shape().clone(), 5);
+        cx.compress(&input).expect("finite input compresses");
+        // Where the context's buffer lives: lent once and handed back.
+        let (buffer, _) = cx.take_accumulator();
+        let at = buffer.as_slice().as_ptr();
+        let max_abs = buffer.max_abs();
+        cx.compress_accumulator(buffer, max_abs)
+            .expect("its own buffer back");
+        let residual = bits(cx.residual());
+        for dims in [&[N_VALUES + 1][..], &[N_VALUES - 1], &[1, N_VALUES]] {
+            let wrong = cx.compress(&Tensor::zeros(dims));
+            assert!(
+                matches!(wrong, Err(threelc::CompressError::ShapeMismatch { .. })),
+                "{scheme}, {dims:?}: {wrong:?}"
+            );
+            assert_eq!(bits(cx.residual()), residual, "{scheme}, {dims:?}");
+        }
+        let (buffer, _) = cx.take_accumulator();
+        assert_eq!(buffer.shape(), input.shape(), "{scheme}");
+        assert_eq!(buffer.as_slice().as_ptr(), at, "{scheme}: another buffer");
+    }
+}

@@ -3,6 +3,7 @@
 //! Kept separate from `main.rs` so every command is unit-testable without
 //! spawning processes.
 
+use crate::netcmd::{has_flag, parse_flag, split_flags};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -153,26 +154,13 @@ pub fn run(args: &[String]) -> CliResult {
     }
 }
 
+/// `--sparsity` and `--no-zre`, once `positional` has checked the flags.
 fn parse_sparsity(args: &[String]) -> Result<(SparsityMultiplier, bool), Box<dyn Error>> {
-    let mut sparsity = SparsityMultiplier::default();
-    let mut zre = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sparsity" => {
-                let v: f32 = it
-                    .next()
-                    .ok_or("--sparsity requires a value")?
-                    .parse()
-                    .map_err(|_| "invalid --sparsity value")?;
-                sparsity =
-                    SparsityMultiplier::new(v).map_err(|_| "sparsity must be in [1.0, 2.0)")?;
-            }
-            "--no-zre" => zre = false,
-            _ => {} // positional() has already rejected unknown flags
-        }
-    }
-    Ok((sparsity, zre))
+    let sparsity = match parse_flag(args, "--sparsity")? {
+        Some(v) => SparsityMultiplier::new(v).map_err(|_| "sparsity must be in [1.0, 2.0)")?,
+        None => SparsityMultiplier::default(),
+    };
+    Ok((sparsity, !has_flag(args, "--no-zre")))
 }
 
 fn read_f32_file(path: &Path) -> Result<Tensor, Box<dyn Error>> {
@@ -193,26 +181,17 @@ fn read_f32_file(path: &Path) -> Result<Tensor, Box<dyn Error>> {
     Ok(Tensor::from_vec(data, [n]))
 }
 
-/// Extracts exactly `count` positional (non-flag) arguments. Flags in
-/// `valued` take exactly one value (skipped here), flags in `boolean`
-/// take none; any other `--flag` is an error.
+/// Extracts exactly `count` positional (non-flag) arguments, by
+/// [`split_flags`]' rules: flags in `valued` take exactly one value, flags
+/// in `boolean` take none.
 fn positional<'a>(
     args: &'a [String],
     count: usize,
     valued: &[&str],
     boolean: &[&str],
-) -> Result<Vec<&'a String>, Box<dyn Error>> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if valued.contains(&a.as_str()) {
-            it.next().ok_or_else(|| format!("{a} requires a value"))?;
-        } else if !a.starts_with("--") {
-            out.push(a);
-        } else if !boolean.contains(&a.as_str()) {
-            return Err(format!("unknown flag `{a}`").into());
-        }
-    }
+) -> Result<Vec<&'a str>, Box<dyn Error>> {
+    let valued: Vec<(&str, &str)> = valued.iter().map(|&k| (k, "a value")).collect();
+    let out = split_flags(args, &valued, boolean)?;
     if out.len() != count {
         return Err(format!("expected {count} file argument(s), got {}", out.len()).into());
     }
@@ -807,6 +786,36 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_given_twice_is_refused_by_every_command() {
+        // Every flag reader takes one value; a repeat would silently lose
+        // the other, so each command refuses it and names the flag.
+        for (line, flag) in [
+            ("simulate --workers 1 --steps 1 --steps 0", "--steps"),
+            ("serve --addr 127.0.0.1:0 --json a --json b", "--json"),
+            ("worker --addr 127.0.0.1:1 --id 0 --id 1", "--id"),
+            ("metrics 127.0.0.1:1 --json --json", "--json"),
+            ("top 127.0.0.1:1 --once --once", "--once"),
+            ("trace r.json --steps 1 --steps 2", "--steps"),
+            ("analyze r.json --check --check", "--check"),
+            ("compress a b --sparsity 1.5 --sparsity 1.2", "--sparsity"),
+            ("stats a --no-zre --no-zre", "--no-zre"),
+        ] {
+            let cmd: Vec<&str> = line.split(' ').collect();
+            let err = run(&s(&cmd)).expect_err(line).to_string();
+            assert!(
+                err.contains(&format!("`{flag}` given twice")),
+                "{line}: {err}"
+            );
+        }
+        // A flag's value may still look like anything.
+        let args = s(&["--from", "--from"]);
+        assert_eq!(
+            split_flags(&args, &[("--from", "a path")], &[]).expect("one --from"),
+            Vec::<&str>::new()
+        );
+    }
+
+    #[test]
     fn help_is_the_usage_not_an_error() {
         for cmd in [
             &["--help"][..],
@@ -1321,7 +1330,9 @@ mod tests {
         let snap: threelc_obs::Snapshot = serde_json::from_str(&json).expect("parse snapshot");
         assert_eq!(snap.counter("net.server.bytes_in"), Some(4096));
         assert_eq!(snap.counter("trace.steps"), Some(4));
-        assert_eq!(snap.gauge("trace.loss"), Some(0.75));
+        // The fixture's `gauges` array, from a build whose registry still
+        // had them, is read past.
+        assert!(!json.contains("trace.loss"), "got: {json}");
         // The fixture's one histogram, under whatever name the run that
         // wrote it used, survives every rendering.
         let [hist] = &snap.histograms[..] else {

@@ -21,27 +21,33 @@ type CliResult = Result<String, Box<dyn Error>>;
 
 /// The one flag walker: flags in `valued` — `(name, what it needs)` pairs
 /// — take exactly one value, flags in `boolean` take none, and any other
-/// `--flag` is an error. Returns the positional arguments, in order.
+/// `--flag` is an error, as is a flag given twice (a reader of the flags
+/// would see only one of its values). Returns the positional arguments, in
+/// order.
 pub(crate) fn split_flags<'a>(
     args: &'a [String],
     valued: &[(&str, &str)],
     boolean: &[&str],
 ) -> Result<Vec<&'a str>, Box<dyn Error>> {
     let mut positional = Vec::new();
-    let mut it = args.iter();
+    let mut seen = Vec::new();
+    let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        if boolean.contains(&a.as_str()) {
-            continue;
-        }
-        if let Some((_, needs)) = valued.iter().find(|(name, _)| name == a) {
+        if let Some((_, needs)) = valued.iter().find(|(name, _)| *name == a) {
             if it.next().is_none() {
                 return Err(format!("{a} requires {needs}").into());
             }
-        } else if a.starts_with("--") {
-            return Err(format!("unknown argument `{a}`").into());
-        } else {
-            positional.push(a.as_str());
+        } else if !boolean.contains(&a) {
+            if a.starts_with("--") {
+                return Err(format!("unknown argument `{a}`").into());
+            }
+            positional.push(a);
+            continue;
         }
+        if seen.contains(&a) {
+            return Err(format!("`{a}` given twice").into());
+        }
+        seen.push(a);
     }
     Ok(positional)
 }

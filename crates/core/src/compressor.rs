@@ -4,7 +4,7 @@ use crate::kernels::{self, CodecImpl, DequantOp};
 use crate::tlq::SparsityMultiplier;
 use crate::{quartic, sizing, zrle, CompressError, Compressor, DecodeError};
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use threelc_obs::TraceSpan;
 use threelc_tensor::{Shape, Tensor};
 
@@ -55,21 +55,23 @@ impl Default for ThreeLcOptions {
 ///
 /// Owns the error-accumulation buffer and the quartic-byte scratch, both
 /// allocated on first use and kept for the context's life, so a
-/// steady-state `compress` allocates only the payload it returns and a
-/// context that only ever decodes never holds a residual buffer. Each
-/// [`compress`](Compressor::compress) call performs, in order:
+/// steady-state encode allocates only the payload it returns and a
+/// context that only ever decodes never holds a residual buffer. An
+/// encode is the paper's five steps, in order:
 ///
-/// 1. accumulate the input into the local buffer,
+/// 1. the input is added into the buffer — by whoever produced it, into
+///    the buffer [`Compressor::take_accumulator`] lent: a weight
+///    gradient's GEMM, the server's sweep, or [`Compressor::compress`];
 /// 2. 3-value quantization with sparsity multiplication of the buffer,
 /// 3. local dequantization and storing the remaining error back into the
 ///    buffer,
 /// 4. quartic encoding,
-/// 5. zero-run encoding (if enabled).
+/// 5. zero-run encoding (if enabled),
 ///
-/// A producer that can add its input into the buffer itself — a weight
-/// gradient's GEMM — borrows it instead ([`Compressor::take_accumulator`])
-/// and hands it back to [`Compressor::compress_accumulator`], which starts
-/// at step 2.
+/// steps 2–5 being [`Compressor::compress_accumulator`], the one encoder.
+/// Without error accumulation the buffer is a scratch the input is written
+/// over instead, and the error step 3 leaves in it is overwritten at the
+/// next lend.
 ///
 /// ```
 /// use threelc::{Compressor, SparsityMultiplier, ThreeLcCompressor};
@@ -90,17 +92,16 @@ impl Default for ThreeLcOptions {
 pub struct ThreeLcCompressor {
     shape: Shape,
     options: ThreeLcOptions,
-    /// Error accumulation buffer: all zeros until the first `compress`
-    /// allocates it. When `error_accumulation` is off it is only the
-    /// scratch [`Compressor::take_accumulator`] lends, allocated by the
-    /// first lend.
-    buffer: OnceLock<Tensor>,
+    /// The buffer [`Compressor::take_accumulator`] lends: `None` until the
+    /// first lend allocates it, and while it is lent. The error-accumulation
+    /// buffer, or without error accumulation a scratch.
+    buffer: Option<Tensor>,
     /// The tensor's `⌈n / 5⌉` quartic bytes: the pack output on encode,
     /// zero-run encoded over itself before it is copied to the wire, and
     /// the zero-run expansion on decode — kept from [`Compressor::stage`]
     /// to the last [`Compressor::decode_strip`]. One buffer for both,
     /// allocated by whichever runs first; the mutex is only there because
-    /// decoding takes `&self` (`compress` reaches it through `&mut self`
+    /// decoding takes `&self` (the encoder reaches it through `&mut self`
     /// without locking).
     quartic: Mutex<Vec<u8>>,
     /// Codec implementation tier the encode kernels run on. Every tier is
@@ -120,7 +121,7 @@ impl ThreeLcCompressor {
         ThreeLcCompressor {
             shape,
             options,
-            buffer: OnceLock::new(),
+            buffer: None,
             quartic: Mutex::new(Vec::new()),
             codec: kernels::active(),
         }
@@ -195,37 +196,13 @@ impl Compressor for ThreeLcCompressor {
         &self.shape
     }
 
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
-        self.check_shape(input)?;
-        let imp = self.codec;
-        let in_slice = input.as_slice();
-        // Distributed-tracing phase spans: inert unless the caller
-        // installed a `TraceScope` (see `threelc_obs::trace`). The
-        // per-element quantization is fused into the quartic pack, so the
-        // "quantize" span covers only the accumulate + scale reduction
-        // (phase 1) and "encode" covers the fused pack + ZRE (phases 2-3).
-        let quantize_span = TraceSpan::start("quantize");
-        // Phase 1: accumulate (error accumulation only) and reduce
-        // max |x| + finiteness. The residual is allocated by the first
-        // compress, and never without error accumulation.
-        let (max_abs, finite) = if self.options.error_accumulation {
-            self.buffer
-                .get_or_init(|| Tensor::zeros(self.shape.clone()));
-            let buffer = self.buffer.get_mut().expect("initialised above");
-            kernels::accumulate_max_abs_finite(imp, buffer.as_mut_slice(), in_slice)
-        } else {
-            kernels::max_abs_finite(imp, in_slice)
-        };
-        let max_abs = if finite { max_abs } else { f32::INFINITY };
-        let plain = (!self.options.error_accumulation).then_some(in_slice);
-        self.encode(quantize_span, plain, max_abs)
-    }
-
     /// Lends the error-accumulation buffer under `Add`; without error
     /// accumulation the same field is a scratch, lent under `Assign`.
     fn take_accumulator(&mut self) -> (Tensor, DequantOp) {
-        let zeros = || Tensor::zeros(self.shape.clone());
-        let buffer = self.buffer.take().unwrap_or_else(zeros);
+        let buffer = self
+            .buffer
+            .take()
+            .unwrap_or_else(|| Tensor::zeros(self.shape.clone()));
         if self.options.error_accumulation {
             (buffer, DequantOp::Add)
         } else {
@@ -238,18 +215,24 @@ impl Compressor for ThreeLcCompressor {
         accumulator: Tensor,
         max_abs: f32,
     ) -> Result<Vec<u8>, CompressError> {
-        if !self.options.error_accumulation {
-            let wire = self.compress(&accumulator)?;
-            self.buffer = OnceLock::from(accumulator);
-            return Ok(wire);
-        }
         self.check_shape(&accumulator)?;
-        // The accumulate was the producer's: this "quantize" span covers
-        // the scale alone, so that a traced step records the same phases
-        // on either entry.
+        // Distributed-tracing phase spans: inert unless the caller
+        // installed a `TraceScope` (see `threelc_obs::trace`). The
+        // accumulate was the producer's, and the per-element quantization
+        // is fused into the quartic pack, so "quantize" covers the max
+        // reduction a scratch needs and the scale, "encode" the fused
+        // pack and ZRE.
         let quantize_span = TraceSpan::start("quantize");
-        self.buffer = OnceLock::from(accumulator);
-        self.encode(quantize_span, None, max_abs)
+        let max_abs = if self.options.error_accumulation {
+            max_abs
+        } else {
+            match kernels::max_abs_finite(self.codec, accumulator.as_slice()) {
+                (max_abs, true) => max_abs,
+                (_, false) => f32::INFINITY,
+            }
+        };
+        self.buffer = Some(accumulator);
+        self.encode(quantize_span, max_abs)
     }
 
     fn records_spans(&self) -> bool {
@@ -306,21 +289,11 @@ impl Compressor for ThreeLcCompressor {
         self.decode_symbols_inner(payload, out).map(Some)
     }
 
+    /// Without error accumulation the buffer is a scratch, not a residual.
     fn residual(&self) -> Option<&Tensor> {
-        self.options.error_accumulation.then(|| {
-            self.buffer
-                .get_or_init(|| Tensor::zeros(self.shape.clone()))
-        })
-    }
-
-    fn residual_sq(&self) -> f64 {
-        // No buffer yet means nothing was ever compressed: an all-zero
-        // residual, answered without materialising one. Without error
-        // accumulation the buffer is a scratch, not a residual.
-        match self.buffer.get() {
-            Some(r) if self.options.error_accumulation => kernels::sum_squares(r.as_slice()),
-            _ => 0.0,
-        }
+        self.buffer
+            .as_ref()
+            .filter(|_| self.options.error_accumulation)
     }
 
     fn set_sparsity(&mut self, s: SparsityMultiplier) {
@@ -329,26 +302,18 @@ impl Compressor for ThreeLcCompressor {
 }
 
 impl ThreeLcCompressor {
-    /// The encode pipeline after phase 1 — the accumulate + max-reduce
-    /// that [`compress`](Compressor::compress) runs, or that the producer
-    /// of a [`compress_accumulator`](Compressor::compress_accumulator) input
-    /// folded into its own pass: the scale, fused quantize + error
+    /// The encode pipeline after the accumulate, over the buffer the
+    /// producer folded its input into: the scale, fused quantize + error
     /// write-back + quartic pack, then zero-run encoding — the paper's
     /// steps, each one sequential pass on this context's codec tier
-    /// ([`Self::codec_impl`]). Packs `plain` without error accumulation
-    /// and the residual buffer with it; `max_abs` is the largest magnitude
-    /// in what it packs, or a non-finite value if that holds one. Returns
-    /// the complete wire payload: the quartic bytes land in this context's
-    /// scratch, are zero-run encoded there in place, and the body is copied
-    /// once, into a payload allocated at its exact length.
-    /// Output is bit-for-bit independent of the tier ([`crate::kernels`]'
-    /// bit-identity contract).
-    fn encode(
-        &mut self,
-        quantize_span: TraceSpan,
-        plain: Option<&[f32]>,
-        max_abs: f32,
-    ) -> Result<Vec<u8>, CompressError> {
+    /// ([`Self::codec_impl`]). `max_abs` is the largest magnitude in the
+    /// buffer, or a non-finite value if it holds one. Returns the complete
+    /// wire payload: the quartic bytes land in this context's scratch, are
+    /// zero-run encoded there in place, and the body is copied once, into
+    /// a payload allocated at its exact length. Output is bit-for-bit
+    /// independent of the tier ([`crate::kernels`]' bit-identity
+    /// contract).
+    fn encode(&mut self, quantize_span: TraceSpan, max_abs: f32) -> Result<Vec<u8>, CompressError> {
         let imp = self.codec;
         let n = self.shape.num_elements();
         if !max_abs.is_finite() {
@@ -358,7 +323,7 @@ impl ThreeLcCompressor {
         quantize_span.finish();
 
         let encode_span = TraceSpan::start("encode");
-        // Phase 2: fused quantize + error write-back + quartic pack. A
+        // Steps 2–4: fused quantize + error write-back + quartic pack. A
         // zero scale makes `inv = 0`: every finite `x · 0 = ±0` quantizes
         // to digit 1 (byte 121) and the write-back `x − 0·scale` returns
         // `x` bit-exactly, so no special casing is needed — including the
@@ -375,21 +340,15 @@ impl ThreeLcCompressor {
             .unwrap_or_else(PoisonError::into_inner);
         quartic_bytes.resize(bl, 0);
         let inv = if scale != 0.0 { 1.0 / scale } else { 0.0 };
-        if let Some(plain) = plain {
-            let five: [&[f32]; 5] =
-                std::array::from_fn(|j| &plain[(j * bl).min(n)..((j + 1) * bl).min(n)]);
-            kernels::pack_chunk(imp, &five, inv, quartic_bytes);
-        } else {
-            let buffer = self.buffer.get_mut().expect("phase 1 left a residual");
-            let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
-            // A value that turned non-finite after `max_abs` was folded (a
-            // caller writing into a lent buffer) is refused all the same.
-            if !kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes) {
-                return Err(CompressError::NonFiniteInput);
-            }
+        let buffer = self.buffer.as_mut().expect("the encoder keeps the buffer");
+        let mut five = kernels::planes_mut(buffer.as_mut_slice(), bl);
+        // A value that turned non-finite after `max_abs` was folded (a
+        // caller writing into a lent buffer) is refused all the same.
+        if !kernels::pack_chunk_ea(imp, &mut five, inv, scale, quartic_bytes) {
+            return Err(CompressError::NonFiniteInput);
         }
 
-        // Phase 3: the payload, allocated once at its final length.
+        // Step 5 and the payload, allocated once at its final length.
         let zre = self.options.zero_run_encoding;
         let body = if zre {
             let len = zrle::encode_in_place(imp, quartic_bytes)
@@ -613,34 +572,82 @@ mod tests {
         assert!(cx.residual().is_none());
     }
 
+    /// The paper's steps one by one, as the oracle of the fused encoder:
+    /// the 9-byte header, `TernaryTensor::quantize_impl` of the
+    /// accumulated buffer, `quartic::encode_impl`, then `zrle::encode` (the
+    /// raw quartic body without ZRE), and the residual `acc − q·scale`.
+    fn paper_steps(imp: CodecImpl, options: &ThreeLcOptions, acc: &Tensor) -> (Vec<u8>, Vec<u32>) {
+        let q = crate::TernaryTensor::quantize_impl(imp, acc, options.sparsity).unwrap();
+        let quartic = quartic::encode_impl(imp, q.values());
+        let zre = options.zero_run_encoding;
+        let body = if zre {
+            zrle::encode(&quartic).unwrap()
+        } else {
+            quartic
+        };
+        let mut wire = vec![if zre { FLAG_ZRE } else { 0 }];
+        wire.extend_from_slice(&q.scale().to_le_bytes());
+        wire.extend_from_slice(&(acc.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&body);
+        let residual = acc
+            .iter()
+            .zip(q.values())
+            .map(|(&x, &v)| (x - v as f32 * q.scale()).to_bits())
+            .collect();
+        (wire, residual)
+    }
+
     #[test]
-    fn a_lent_accumulator_encodes_as_compress_does() {
+    fn a_lent_accumulator_encodes_as_the_paper_steps_do() {
         use rand::Rng as _;
         let n = 1037;
         let mut r = threelc_tensor::rng(19);
         let inputs: Vec<Tensor> = (0..4)
             .map(|_| Tensor::from_fn([n], |_| r.gen_range(-1.0f32..1.0).powi(3)))
             .collect();
-        let bits =
-            |t: Option<&Tensor>| t.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let bits = |t: &Tensor| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for imp in CodecImpl::ALL.into_iter().filter(|i| i.is_available()) {
-            for zero_run_encoding in [true, false] {
+            for (error_accumulation, zero_run_encoding) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
                 let options = ThreeLcOptions {
                     zero_run_encoding,
+                    error_accumulation,
                     ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
                 };
-                let what = format!("{imp}, zre {zero_run_encoding}");
-                let mut twin =
+                let what = format!("{imp}, ea {error_accumulation}, zre {zero_run_encoding}");
+                let mut cx =
                     ThreeLcCompressor::with_options(Shape::new(&[n]), options).with_codec_impl(imp);
-                let mut cx = twin.clone();
-                for input in &inputs {
-                    let want = twin.compress(input).unwrap();
+                // The oracle's own error-accumulation buffer.
+                let mut residual = Tensor::zeros([n]);
+                for (step, input) in inputs.iter().enumerate() {
                     let (mut acc, op) = cx.take_accumulator();
-                    assert_eq!(op, DequantOp::Add, "{what}: lends its residual");
-                    let max_abs = add_max_abs(acc.as_mut_slice(), input.as_slice());
+                    let want_op = if error_accumulation {
+                        DequantOp::Add
+                    } else {
+                        DequantOp::Assign
+                    };
+                    assert_eq!(op, want_op, "{what}");
+                    let max_abs = if error_accumulation {
+                        assert_eq!(bits(&acc), bits(&residual), "{what}: lends its residual");
+                        add_max_abs(acc.as_mut_slice(), input.as_slice())
+                    } else {
+                        op.apply(input.iter().copied(), acc.as_mut_slice());
+                        // The max is the context's to measure: a wrong one
+                        // is not read.
+                        [f32::NAN, 1.0e30, 0.0][step % 3]
+                    };
+                    let (want, want_residual) = paper_steps(imp, &options, &acc);
                     let got = cx.compress_accumulator(acc, max_abs).unwrap();
-                    assert_eq!(got, want, "{what}");
-                    assert_eq!(bits(cx.residual()), bits(twin.residual()), "{what}");
+                    assert_eq!(got, want, "{what}, step {step}");
+                    if error_accumulation {
+                        let kept = cx.residual().expect("a residual after an encode");
+                        assert_eq!(bits(kept), want_residual, "{what}, step {step}");
+                        residual = kept.clone();
+                    } else {
+                        assert!(cx.residual().is_none(), "{what}");
+                        assert_eq!(cx.residual_sq(), 0.0, "{what}");
+                    }
                 }
                 // Written into after its max was folded: still refused.
                 let (mut acc, _) = cx.take_accumulator();
@@ -651,12 +658,14 @@ mod tests {
                     Err(CompressError::NonFiniteInput),
                     "{what}"
                 );
-                let (acc, _) = cx.take_accumulator();
-                assert_eq!(
-                    cx.compress_accumulator(acc, f32::INFINITY),
-                    Err(CompressError::NonFiniteInput),
-                    "{what}"
-                );
+                if error_accumulation {
+                    let (acc, _) = cx.take_accumulator();
+                    assert_eq!(
+                        cx.compress_accumulator(acc, f32::INFINITY),
+                        Err(CompressError::NonFiniteInput),
+                        "{what}"
+                    );
+                }
             }
         }
     }
@@ -668,24 +677,39 @@ mod tests {
             error_accumulation: false,
             ..ThreeLcOptions::with_sparsity(SparsityMultiplier::new(1.5).unwrap())
         };
-        let mut twin = ThreeLcCompressor::with_options(Shape::new(&[n]), options);
-        let mut cx = twin.clone();
-        for step in 0..3 {
-            let input = Tensor::from_fn([n], |i| ((i * 7 + step) % 11) as f32 - 5.0);
-            let (mut scratch, op) = cx.take_accumulator();
-            assert_eq!(op, DequantOp::Assign);
-            op.apply(input.iter().copied(), scratch.as_mut_slice());
-            // The max is the context's to measure: a wrong one is not read.
-            let got = cx.compress_accumulator(scratch, f32::NAN).unwrap();
-            assert_eq!(got, twin.compress(&input).unwrap(), "step {step}");
-            assert!(cx.residual().is_none());
-            assert_eq!(cx.residual_sq(), 0.0);
+        for imp in CodecImpl::ALL.into_iter().filter(|i| i.is_available()) {
+            let mut cx =
+                ThreeLcCompressor::with_options(Shape::new(&[n]), options).with_codec_impl(imp);
+            let mut lent = None;
+            for step in 0..3 {
+                let input = Tensor::from_fn([n], |i| ((i * 7 + step) % 11) as f32 - 5.0);
+                let (mut scratch, op) = cx.take_accumulator();
+                assert_eq!(op, DequantOp::Assign);
+                // One scratch, lent again and again.
+                let at = scratch.as_slice().as_ptr();
+                assert_eq!(*lent.get_or_insert(at), at, "{imp}, step {step}");
+                op.apply(input.iter().copied(), scratch.as_mut_slice());
+                let got = cx.compress_accumulator(scratch, f32::NAN).unwrap();
+                assert_eq!(
+                    got,
+                    paper_steps(imp, &options, &input).0,
+                    "{imp}, step {step}"
+                );
+                // `compress` is the same lend: the same bytes.
+                assert_eq!(cx.compress(&input).unwrap(), got, "{imp}, step {step}");
+                assert!(cx.residual().is_none());
+                assert_eq!(cx.residual_sq(), 0.0);
+            }
+            // A non-finite input is refused, and the scratch is kept.
+            let mut bad = Tensor::zeros([n]);
+            bad.as_mut_slice()[7] = f32::INFINITY;
+            assert_eq!(cx.compress(&bad), Err(CompressError::NonFiniteInput));
+            assert_eq!(Some(cx.take_accumulator().0.as_slice().as_ptr()), lent);
+            // A buffer of another shape is refused, and not lent again.
+            let wrong = cx.compress_accumulator(Tensor::zeros([n + 1]), 0.0);
+            assert!(matches!(wrong, Err(CompressError::ShapeMismatch { .. })));
+            assert_eq!(cx.take_accumulator().0.len(), n);
         }
-        // A buffer of another shape is refused, and not lent again.
-        let _ = cx.take_accumulator();
-        let wrong = cx.compress_accumulator(Tensor::zeros([n + 1]), 0.0);
-        assert!(matches!(wrong, Err(CompressError::ShapeMismatch { .. })));
-        assert_eq!(cx.take_accumulator().0.len(), n);
     }
 
     #[test]

@@ -318,21 +318,6 @@ pub fn max_abs_finite(imp: CodecImpl, xs: &[f32]) -> (f32, bool) {
     }
 }
 
-/// Fused error-accumulation step: `buf[i] += xs[i]`, then the same
-/// reduction as [`max_abs_finite`] over the updated buffer.
-pub fn accumulate_max_abs_finite(imp: CodecImpl, buf: &mut [f32], xs: &[f32]) -> (f32, bool) {
-    debug_assert_eq!(buf.len(), xs.len());
-    match runnable(imp) {
-        CodecImpl::Scalar => scalar::accumulate_max_abs_finite(buf, xs),
-        CodecImpl::Swar => swar::accumulate_max_abs_finite(buf, xs),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::accumulate_max_abs_finite(buf, xs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
 /// Quantizes each `x` to `round(x · inv) ∈ {-1, 0, 1}` (Equation 2).
 ///
 /// # Panics
@@ -351,33 +336,17 @@ pub fn quantize_ternary(imp: CodecImpl, xs: &[f32], inv: f32, out: &mut [i8]) {
     }
 }
 
-/// Fused quantize + quartic pack of one tensor's `L = out.len()` bytes.
+/// Fused quantize + quartic pack + error write-back of one tensor's
+/// `L = out.len()` bytes (Figure 3 steps (a)+(b)): the one encode kernel.
 ///
-/// `srcs[j]` is quartic partition `j` (`input[j·L .. (j+1)·L]` clamped
+/// `srcs[j]` is quartic partition `j` (`buffer[j·L .. (j+1)·L]` clamped
 /// to the tensor length); output byte `i` combines digit
 /// `round(srcs[j][i] · inv) + 1` across the five partitions, with the
-/// padding digit 1 past each slice's end.
-pub fn pack_chunk(imp: CodecImpl, srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
-    for s in srcs {
-        debug_assert!(s.len() <= out.len());
-    }
-    match runnable(imp) {
-        CodecImpl::Scalar => scalar::pack_chunk(srcs, inv, out),
-        CodecImpl::Swar => swar::pack_chunk(srcs, inv, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` returns Simd only when AVX2 was detected.
-        CodecImpl::Simd => unsafe { simd_x86::pack_chunk(srcs, inv, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        CodecImpl::Simd => unreachable!("Simd resolves to Swar off x86-64"),
-    }
-}
-
-/// [`pack_chunk`] over the error-accumulation buffer: additionally writes
-/// the post-quantization residual `x − q · scale` back into each source
-/// slice (Figure 3 steps (a)+(b)), fused into the same pass. Returns
-/// whether every value it read was finite — [`max_abs_finite`]'s flag,
-/// folded on the way — so a buffer that took a non-finite value after its
-/// scale was reduced is still refused.
+/// padding digit 1 past each slice's end, and each value read is replaced
+/// by its residual `x − q · scale` in the same pass. Returns whether every
+/// value it read was finite — [`max_abs_finite`]'s flag, folded on the
+/// way — so a buffer that took a non-finite value after its scale was
+/// reduced is still refused.
 pub fn pack_chunk_ea(
     imp: CodecImpl,
     srcs: &mut [&mut [f32]; 5],

@@ -11,32 +11,9 @@ pub(super) fn max_abs_finite(xs: &[f32]) -> (f32, bool) {
     })
 }
 
-pub(super) fn accumulate_max_abs_finite(buf: &mut [f32], xs: &[f32]) -> (f32, bool) {
-    let mut m = 0.0f32;
-    let mut ok = true;
-    for (b, &x) in buf.iter_mut().zip(xs) {
-        *b += x;
-        m = m.max(b.abs());
-        ok = ok && b.is_finite();
-    }
-    (m, ok)
-}
-
 pub(super) fn quantize_ternary(xs: &[f32], inv: f32, out: &mut [i8]) {
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = digit_of(x, inv) as i8 - 1;
-    }
-}
-
-pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut byte = 0u8;
-        for (j, w) in WEIGHTS.into_iter().enumerate() {
-            let s = srcs[j];
-            let digit = if i < s.len() { digit_of(s[i], inv) } else { 1 };
-            byte += digit * w;
-        }
-        *o = byte;
     }
 }
 

@@ -104,27 +104,6 @@ pub(super) fn max_abs_finite(xs: &[f32]) -> (f32, bool) {
     (f32::from_bits(mb), mb < INF_BITS)
 }
 
-#[target_feature(enable = "avx2")]
-pub(super) fn accumulate_max_abs_finite(buf: &mut [f32], xs: &[f32]) -> (f32, bool) {
-    let n = buf.len().min(xs.len());
-    let absmask = _mm256_set1_epi32(ABS as i32);
-    let mut acc = _mm256_setzero_si256();
-    let mut bc = buf[..n].chunks_exact_mut(8);
-    let mut xc = xs[..n].chunks_exact(8);
-    for (b, x) in (&mut bc).zip(&mut xc) {
-        let s = _mm256_add_ps(load8_ps(b), load8_ps(x));
-        store8_ps(b, s);
-        acc = _mm256_max_epu32(acc, _mm256_and_si256(_mm256_castps_si256(s), absmask));
-    }
-    let mut mb = hmax_epu32(acc);
-    for (b, x) in bc.into_remainder().iter_mut().zip(xc.remainder()) {
-        let s = *b + x;
-        *b = s;
-        mb = mb.max(s.to_bits() & ABS);
-    }
-    (f32::from_bits(mb), mb < INF_BITS)
-}
-
 /// Eight quartic digits (i32 lanes in `{0, 1, 2}`) of `x · inv`: the
 /// vector form of [`super::digit_of`].
 #[inline]
@@ -305,43 +284,6 @@ fn unpack_dequant_op<const ADD: bool, const SCALED: bool>(
                 *o = if SCALED { sum * k } else { sum };
             }
         }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
-    let full = srcs
-        .iter()
-        .map(|s| s.len())
-        .min()
-        .expect("5 srcs")
-        .min(out.len());
-    let blocks = full / 8;
-    let invv = _mm256_set1_ps(inv);
-    for (b, o) in out.chunks_exact_mut(8).take(blocks).enumerate() {
-        let i = b * 8;
-        let mut acc = _mm256_setzero_si256();
-        for j in 0..5 {
-            let d = digits_epi32(load8_ps(&srcs[j][i..]), invv);
-            acc = _mm256_add_epi32(
-                acc,
-                _mm256_mullo_epi32(d, _mm256_set1_epi32(WEIGHTS[j] as i32)),
-            );
-        }
-        o.copy_from_slice(&pack_low_bytes(acc).to_le_bytes());
-    }
-    for i in blocks * 8..out.len() {
-        let mut byte = 0u8;
-        for (j, w) in WEIGHTS.into_iter().enumerate() {
-            let s = srcs[j];
-            let digit = if i < s.len() {
-                super::digit_of(s[i], inv)
-            } else {
-                1
-            };
-            byte += digit * w;
-        }
-        out[i] = byte;
     }
 }
 

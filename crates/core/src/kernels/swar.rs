@@ -56,31 +56,6 @@ pub(super) fn max_abs_finite(xs: &[f32]) -> (f32, bool) {
     (f32::from_bits(mb), mb < INF_BITS)
 }
 
-pub(super) fn accumulate_max_abs_finite(buf: &mut [f32], xs: &[f32]) -> (f32, bool) {
-    let mut lanes = [0u32; 8];
-    let n = buf.len().min(xs.len());
-    let mut i = 0;
-    while i + 8 <= n {
-        for k in 0..8 {
-            let b = buf[i + k] + xs[i + k];
-            buf[i + k] = b;
-            lanes[k] = lanes[k].max(b.to_bits() & ABS);
-        }
-        i += 8;
-    }
-    let mut mb = 0u32;
-    for &l in &lanes {
-        mb = mb.max(l);
-    }
-    while i < n {
-        let b = buf[i] + xs[i];
-        buf[i] = b;
-        mb = mb.max(b.to_bits() & ABS);
-        i += 1;
-    }
-    (f32::from_bits(mb), mb < INF_BITS)
-}
-
 pub(super) fn quantize_ternary(xs: &[f32], inv: f32, out: &mut [i8]) {
     let mut i = 0;
     while i + 8 <= xs.len() {
@@ -95,17 +70,8 @@ pub(super) fn quantize_ternary(xs: &[f32], inv: f32, out: &mut [i8]) {
     }
 }
 
-/// Eight quartic digits of `s[..8]` scaled by `inv`, one per output byte.
-#[inline(always)]
-fn digits8(s: &[f32], inv: f32) -> u64 {
-    let mut d = 0u64;
-    for (k, &x) in s[..8].iter().enumerate() {
-        d |= (digit_of(x, inv) as u64) << (8 * k);
-    }
-    d
-}
-
-/// [`digits8`] with the error-accumulation residual written back.
+/// Eight quartic digits of `s[..8]` scaled by `inv`, one per output byte,
+/// with the error-accumulation residual written back.
 #[inline(always)]
 fn digits8_ea(s: &mut [f32], inv: f32, scale: f32) -> u64 {
     let mut d = 0u64;
@@ -115,37 +81,6 @@ fn digits8_ea(s: &mut [f32], inv: f32, scale: f32) -> u64 {
         d |= (dg as u64) << (8 * k);
     }
     d
-}
-
-pub(super) fn pack_chunk(srcs: &[&[f32]; 5], inv: f32, out: &mut [u8]) {
-    // The word loop runs while all five partitions still have 8 elements;
-    // only the ragged tail (at most the last partition boundary) pays the
-    // padded per-byte path.
-    let full = srcs
-        .iter()
-        .map(|s| s.len())
-        .min()
-        .expect("5 srcs")
-        .min(out.len());
-    let blocks = full / 8;
-    for b in 0..blocks {
-        let i = b * 8;
-        let mut acc = 0u64;
-        for j in 0..5 {
-            acc =
-                acc.wrapping_add(digits8(&srcs[j][i..i + 8], inv).wrapping_mul(WEIGHTS[j] as u64));
-        }
-        out[i..i + 8].copy_from_slice(&acc.to_le_bytes());
-    }
-    for i in blocks * 8..out.len() {
-        let mut byte = 0u8;
-        for (j, w) in WEIGHTS.into_iter().enumerate() {
-            let s = srcs[j];
-            let digit = if i < s.len() { digit_of(s[i], inv) } else { 1 };
-            byte += digit * w;
-        }
-        out[i] = byte;
-    }
 }
 
 pub(super) fn pack_chunk_ea(

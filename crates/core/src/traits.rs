@@ -25,6 +25,10 @@ use threelc_tensor::{Shape, Tensor};
 ///   [`DecodeError`].
 /// - Lossy schemes may return a different tensor; schemes with error
 ///   accumulation must fold `t − decompress(compress(t))` into later calls.
+/// - A design implements one encoder,
+///   [`compress_accumulator`](Self::compress_accumulator);
+///   [`compress`](Self::compress) is derived from it, so each refuses
+///   exactly what the other does.
 ///
 /// **Lending.** Every context lends the buffer its next input lands in
 /// ([`take_accumulator`](Self::take_accumulator)) and names the fold that
@@ -32,10 +36,11 @@ use threelc_tensor::{Shape, Tensor};
 /// 1-bit, sparsification, local steps), [`DequantOp::Assign`] over a
 /// scratch it owns (32-bit floats, 8-bit ints, stochastic ternary, 3LC
 /// without error accumulation). The producer — a worker's backward pass, a
-/// parameter server's sweep — folds its input in and hands the buffer
-/// back to [`compress_accumulator`](Self::compress_accumulator), which
-/// encodes what `compress(input)` would have and keeps the buffer for the
-/// next step, so neither side holds a model-sized buffer of its own.
+/// parameter server's sweep, or [`compress`](Self::compress) itself —
+/// folds its input in and hands the buffer back to
+/// [`compress_accumulator`](Self::compress_accumulator), which encodes it
+/// and keeps it for the next step, so neither side holds a model-sized
+/// buffer of its own.
 ///
 /// **Staging.** Every context decodes in two halves:
 /// [`stage`](Self::stage) checks a whole payload and keeps what its strips
@@ -51,13 +56,35 @@ pub trait Compressor: Send {
     /// The tensor shape this context is bound to.
     fn shape(&self) -> &Shape;
 
-    /// Compresses one state-change tensor into a wire payload.
+    /// Compresses one state-change tensor into a wire payload: the lend
+    /// path with `input` as the producer. Refuses a wrongly shaped `input`
+    /// before anything is lent, then folds it into the lent buffer under
+    /// the lent op — [`threelc_tensor::add_max_abs`] under `Add`, a copy
+    /// over the scratch under `Assign` — and hands the buffer to
+    /// [`compress_accumulator`](Self::compress_accumulator).
     ///
     /// # Errors
     ///
-    /// Returns a [`CompressError`] if the tensor does not match the shape
-    /// this context was created for, or contains non-finite values.
-    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError>;
+    /// [`CompressError::ShapeMismatch`] if `input` does not match the
+    /// context's shape; otherwise what `compress_accumulator` refuses for
+    /// the folded buffer (such as [`CompressError::NonFiniteInput`]).
+    fn compress(&mut self, input: &Tensor) -> Result<Vec<u8>, CompressError> {
+        if input.shape() != self.shape() {
+            return Err(CompressError::ShapeMismatch {
+                expected: self.shape().dims().to_vec(),
+                actual: input.shape().dims().to_vec(),
+            });
+        }
+        let (mut acc, op) = self.take_accumulator();
+        let max_abs = match op {
+            DequantOp::Add => threelc_tensor::add_max_abs(acc.as_mut_slice(), input.as_slice()),
+            op => {
+                op.apply(input.iter().copied(), acc.as_mut_slice());
+                f32::NAN
+            }
+        };
+        self.compress_accumulator(acc, max_abs)
+    }
 
     /// Lends the buffer this context's next input lands in, and the fold
     /// that lands it (see **Lending** above). Until the buffer comes back
@@ -67,18 +94,19 @@ pub trait Compressor: Send {
 
     /// Encodes `accumulator` — the buffer
     /// [`take_accumulator`](Self::take_accumulator) lent, with this step's
-    /// input folded in — and keeps it: the payload and the state left
-    /// behind are bit for bit what `compress(input)` would have produced.
-    /// For an `Add` lend, `max_abs` is the largest magnitude in
-    /// `accumulator`, or a non-finite value if it holds one, as the
-    /// producer folded it on its way through
+    /// input folded in — and keeps it as the state the next step starts
+    /// from. This is the design's one encoder. For an `Add` lend,
+    /// `max_abs` is the largest magnitude in `accumulator`, or a non-finite
+    /// value if it holds one, as the producer folded it on its way through
     /// ([`Tensor::matmul_tn_add_into`], [`threelc_tensor::add_max_abs`]);
     /// an `Assign` lend measures its input itself and does not read it.
     ///
     /// # Errors
     ///
-    /// As [`compress`](Self::compress), for the input the buffer was lent
-    /// for.
+    /// Returns a [`CompressError`] if `accumulator` does not match the
+    /// shape this context was created for, or — for a design that refuses
+    /// them — holds a non-finite value. A buffer of the right shape stays
+    /// the context's after a refusal, non-finite values included.
     fn compress_accumulator(
         &mut self,
         accumulator: Tensor,
@@ -196,8 +224,8 @@ pub trait Compressor: Send {
     /// The error-accumulation (residual) buffer, if this scheme keeps one.
     ///
     /// Exposed for tests and instrumentation; `None` for stateless schemes,
-    /// and for the baselines' error-feedback schemes before their first
-    /// encode (the buffer is allocated then) or while it is lent.
+    /// and for an error-feedback scheme before its first lend (the buffer
+    /// is allocated then) or while it is lent.
     fn residual(&self) -> Option<&Tensor> {
         None
     }
@@ -211,14 +239,14 @@ pub trait Compressor: Send {
     /// `serve` and a rejoin replay report the result bit for bit alike, so
     /// the lane order of `sum_squares` is part of the cross-runtime
     /// contract: an implementation that sums its buffer any other way
-    /// breaks it. Kept separate from [`residual`](Self::residual) so
-    /// implementations can answer without materializing a tensor view.
+    /// breaks it.
     fn residual_sq(&self) -> f64 {
         self.residual()
             .map_or(0.0, |r| crate::kernels::sum_squares(r.as_slice()))
     }
 
-    /// Whether [`compress`](Self::compress) records its own trace spans.
+    /// Whether [`compress_accumulator`](Self::compress_accumulator)
+    /// records its own trace spans.
     /// A traced caller wraps a call into a scheme that does not in one
     /// `encode` span, so every codec call is covered once and none twice.
     /// The default is `false`; 3LC records `quantize` and `encode` for its
@@ -227,7 +255,7 @@ pub trait Compressor: Send {
         false
     }
 
-    /// Changes the sparsity multiplier for **subsequent** `compress` calls
+    /// Changes the sparsity multiplier for **subsequent** encodes
     /// without rebuilding the context (the error-accumulation buffer and
     /// every other piece of stream state survive).
     ///

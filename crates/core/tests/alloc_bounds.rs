@@ -144,9 +144,10 @@ fn a_decode_only_context_never_allocates_a_residual_buffer() {
         allocated < N / 2,
         "a fused decode allocated {allocated} bytes for {N} values"
     );
-    // Until something is compressed the residual reads as all zeros.
+    // Until something is compressed there is no residual, and its energy
+    // reads as zero.
     assert_eq!(mirror.residual_sq(), 0.0);
-    assert_eq!(mirror.residual(), Some(&Tensor::zeros([N])));
+    assert_eq!(mirror.residual(), None);
     // The encoder's is real, and what `residual_sq` sums: exactly
     // `kernels::sum_squares` of it, which is the sequential sum to within
     // the rounding of its adds.

@@ -55,12 +55,12 @@ pub fn worker_rng_seed(config: &ExperimentConfig, w: usize) -> u64 {
 }
 
 /// Seed of worker `w`'s push compression context for tensor `i`.
-pub fn push_ctx_seed(config: &ExperimentConfig, w: usize, i: usize) -> u64 {
+fn push_ctx_seed(config: &ExperimentConfig, w: usize, i: usize) -> u64 {
     config.seed ^ (w as u64) << 32 ^ i as u64
 }
 
 /// Seed of the shared pull compression context for tensor `i`.
-pub fn pull_ctx_seed(config: &ExperimentConfig, i: usize) -> u64 {
+fn pull_ctx_seed(config: &ExperimentConfig, i: usize) -> u64 {
     config.seed ^ 0x5055_4C4C_0000_0000 ^ i as u64
 }
 

@@ -194,7 +194,6 @@ mod tests {
         assert_eq!(trace.steps, [record(1000, 500, 100, 100)]);
         let snap = threelc_obs::global().snapshot();
         let names = snap.counters.iter().map(|c| &c.name);
-        let names = names.chain(snap.gauges.iter().map(|g| &g.name));
         let names: Vec<_> = names
             .chain(snap.histograms.iter().map(|h| &h.name))
             .collect();

@@ -141,10 +141,7 @@ mod tests {
             "crc key not stripped"
         );
         // Pre-snapshot reports lack the metrics key too.
-        let stripped = stripped.replace(
-            ",\"metrics\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}",
-            "",
-        );
+        let stripped = stripped.replace(",\"metrics\":{\"counters\":[],\"histograms\":[]}", "");
         assert!(!stripped.contains("metrics"), "metrics key not stripped");
         let old: NetReport = serde_json::from_str(&stripped).unwrap();
         assert!(old.node_traces.is_empty());

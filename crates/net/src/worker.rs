@@ -225,6 +225,39 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerOutcome, NetError> {
     }
 }
 
+/// The configuration a `HelloAck` grants worker `worker`, resuming at
+/// `resume_step`: UTF-8 JSON of an [`ExperimentConfig`] that
+/// [`ExperimentConfig::validate`] accepts, with a slot for this worker and
+/// the resume step inside the run. Everything the worker builds comes from
+/// it, and the compressors panic on out-of-range parameters, so a config
+/// is refused here before anything is built.
+fn accept_config(
+    payload: &[u8],
+    worker: u16,
+    resume_step: u64,
+) -> Result<ExperimentConfig, NetError> {
+    let config_json = std::str::from_utf8(payload)
+        .map_err(|_| NetError::Protocol("config payload is not UTF-8".into()))?;
+    let config: ExperimentConfig = serde_json::from_str(config_json)
+        .map_err(|e| NetError::Protocol(format!("config does not parse: {e}")))?;
+    config
+        .validate()
+        .map_err(|e| NetError::Config(format!("server config: {e}")))?;
+    if usize::from(worker) >= config.workers {
+        return Err(NetError::Protocol(format!(
+            "server config has {} workers, this is worker {worker}",
+            config.workers
+        )));
+    }
+    if resume_step > config.total_steps {
+        return Err(NetError::Protocol(format!(
+            "resume step {resume_step} beyond the {}-step run",
+            config.total_steps
+        )));
+    }
+    Ok(config)
+}
+
 /// One connection's lifetime: the join handshake and its replay, the BSP
 /// loop, and the shutdown handshake. Returns the configuration and the
 /// final model on a clean run; `established` reports whether the handshake
@@ -256,27 +289,7 @@ fn run_session(
         )));
     }
     let resume_step = ack.step;
-    let config_json = std::str::from_utf8(&ack.payload)
-        .map_err(|_| NetError::Protocol("config payload is not UTF-8".into()))?;
-    let config: ExperimentConfig = serde_json::from_str(config_json)
-        .map_err(|e| NetError::Protocol(format!("config does not parse: {e}")))?;
-    // Everything below builds from this config, and the compressors panic
-    // on out-of-range parameters: refuse one before building anything.
-    config
-        .validate()
-        .map_err(|e| NetError::Config(format!("server config: {e}")))?;
-    if usize::from(opts.worker) >= config.workers {
-        return Err(NetError::Protocol(format!(
-            "server config has {} workers, this is worker {}",
-            config.workers, opts.worker
-        )));
-    }
-    if resume_step > config.total_steps {
-        return Err(NetError::Protocol(format!(
-            "resume step {resume_step} beyond the {}-step run",
-            config.total_steps
-        )));
-    }
+    let config = accept_config(&ack.payload, opts.worker, resume_step)?;
     *established = true;
 
     // ---- Derive the identical problem instance locally.
@@ -606,6 +619,114 @@ fn decode_and_apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A `HelloAck` config as a server sends it: two workers, ten steps.
+    fn granted() -> (ExperimentConfig, String) {
+        let config = ExperimentConfig {
+            workers: 2,
+            total_steps: 10,
+            ..ExperimentConfig::for_scheme(threelc_baselines::SchemeKind::three_lc(1.5))
+        };
+        let json = serde_json::to_string(&config).expect("a config serializes");
+        (config, json)
+    }
+
+    /// `json` with the scalar value of the first `"key":` replaced.
+    fn lie(json: &str, key: &str, value: &str) -> String {
+        let key = format!("\"{key}\":");
+        let at = json.find(&key).expect("the key is there") + key.len();
+        let len = json[at..].find([',', '}']).expect("a scalar value");
+        format!("{}{value}{}", &json[..at], &json[at + len..])
+    }
+
+    /// What every `HelloAck` payload must meet: a typed error, or `Ok` only
+    /// for a config `validate` accepts with a slot for the worker and the
+    /// resume step inside the run.
+    fn holds(payload: &[u8], worker: u16, resume_step: u64) -> Result<(), TestCaseError> {
+        if let Ok(config) = accept_config(payload, worker, resume_step) {
+            prop_assert_eq!(config.validate(), Ok(()));
+            prop_assert!(usize::from(worker) < config.workers);
+            prop_assert!(resume_step <= config.total_steps);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_hello_ack_config_is_accepted_as_sent_and_its_lies_are_typed_errors() {
+        let (config, json) = granted();
+        assert_eq!(accept_config(json.as_bytes(), 1, 10).ok(), Some(config));
+        let config_error = |payload: String| {
+            matches!(
+                accept_config(payload.as_bytes(), 0, 0),
+                Err(NetError::Config(_))
+            )
+        };
+        assert!(config_error(lie(&json, "workers", "0")));
+        assert!(config_error(lie(&json, "workers", "70000")));
+        assert!(config_error(lie(&json, "batch_per_worker", "0")));
+        assert!(config_error(lie(&json, "sparsity", "2.0")));
+        let protocol_error = |payload: &[u8], worker, resume_step| {
+            matches!(
+                accept_config(payload, worker, resume_step),
+                Err(NetError::Protocol(_))
+            )
+        };
+        let unknown = json.replacen("ThreeLc", "FourLc", 1);
+        assert_ne!(unknown, json);
+        assert!(protocol_error(unknown.as_bytes(), 0, 0));
+        assert!(
+            protocol_error(json.as_bytes(), 2, 0),
+            "no slot for worker 2"
+        );
+        assert!(
+            protocol_error(json.as_bytes(), 0, 11),
+            "resume past the run"
+        );
+        assert!(protocol_error(b"\xff{}", 0, 0), "not UTF-8");
+        assert!(protocol_error(b"", 0, 0));
+    }
+
+    proptest! {
+        #[test]
+        fn a_truncated_hello_ack_config_is_a_typed_error(cut in 0usize..1000) {
+            let (_, json) = granted();
+            let cut = cut % json.len();
+            prop_assert!(accept_config(&json.as_bytes()[..cut], 0, 0).is_err());
+        }
+
+        #[test]
+        fn a_mutated_hello_ack_config_is_a_typed_error_or_a_valid_config(
+            flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+            worker in 0u16..3,
+            resume_step in 0u64..12,
+        ) {
+            let (_, json) = granted();
+            let mut payload = json.into_bytes();
+            for (at, mask) in flips {
+                let at = at % payload.len();
+                payload[at] ^= mask;
+            }
+            holds(&payload, worker, resume_step)?;
+        }
+
+        #[test]
+        fn a_hello_ack_config_with_lying_fields_is_a_typed_error_or_a_valid_config(
+            workers in (0usize..5).prop_map(|i| [0, 1, 2, 70_000, usize::MAX][i]),
+            batch in (0usize..3).prop_map(|i| [0, 1, usize::MAX][i]),
+            sparsity in (0usize..5).prop_map(|i| [0.5f32, 1.0, 1.5, 2.0, f32::MAX][i]),
+            total_steps in (0usize..3).prop_map(|i| [0u64, 10, u64::MAX][i]),
+            worker in 0u16..3,
+            resume_step in 0u64..12,
+        ) {
+            let (_, json) = granted();
+            let json = lie(&json, "workers", &workers.to_string());
+            let json = lie(&json, "batch_per_worker", &batch.to_string());
+            let json = lie(&json, "sparsity", &format!("{sparsity:?}"));
+            let json = lie(&json, "total_steps", &total_steps.to_string());
+            holds(json.as_bytes(), worker, resume_step)?;
+        }
+    }
     use crate::frame::{read_frame, write_frame};
     use crate::metrics::scrape;
     use crate::protocol::{encode_scrape_reply, ScrapeKind};

@@ -6,8 +6,8 @@
 //! crate is std-only (the vendored `serde` stubs are its only
 //! dependencies) and provides eight pieces:
 //!
-//! 1. **A metrics registry** ([`Registry`]) of named [`Counter`]s,
-//!    [`Gauge`]s, and log-bucketed [`Histogram`]s. Metrics are lock-free
+//! 1. **A metrics registry** ([`Registry`]) of named [`Counter`]s and
+//!    log-bucketed [`Histogram`]s. Metrics are lock-free
 //!    atomics; the name → metric map is a sharded mutex, so hot paths
 //!    cache the returned `Arc` handles and never touch a lock again. A
 //!    duration reaches a histogram from the `Instant` the call site
@@ -79,7 +79,7 @@ pub mod trace;
 pub use critical::RunAnalysis;
 pub use flight::{write_flight_dump, FaultEvent, FlightDump};
 
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Histogram};
 pub use registry::{global, Registry};
 pub use sink::{emit, log_enabled, Level};
 pub use snapshot::Snapshot;

@@ -1,5 +1,5 @@
-//! The three metric primitives: counters, gauges, and log-bucketed
-//! histograms. All of them are lock-free — safe to hammer from every
+//! The two metric primitives: counters and log-bucketed histograms. Both
+//! are lock-free — safe to hammer from every
 //! handler thread of a parameter server.
 
 use crate::snapshot::HistogramSnapshot;
@@ -36,33 +36,6 @@ impl Counter {
     /// The current count.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins measurement (stored as `f64` bits).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
-    }
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Gauge(AtomicU64::new(0.0f64.to_bits()))
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -202,15 +175,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
     }
 
     #[test]

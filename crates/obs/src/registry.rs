@@ -1,7 +1,7 @@
 //! The sharded name → metric registry and the process-global instance.
 
-use crate::metrics::{Counter, Gauge, Histogram};
-use crate::snapshot::{CounterEntry, GaugeEntry, HistEntry, Snapshot};
+use crate::metrics::{Counter, Histogram};
+use crate::snapshot::{CounterEntry, HistEntry, Snapshot};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -14,13 +14,12 @@ const SHARDS: usize = 16;
 /// One registered metric.
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
 /// A registry of named metrics.
 ///
-/// `counter`/`gauge`/`histogram` are get-or-create: the first call under
+/// `counter`/`histogram` are get-or-create: the first call under
 /// a name registers the metric, later calls return the same `Arc`.
 /// Registering one name as two different kinds is a programming error and
 /// panics with the offending name.
@@ -53,18 +52,6 @@ impl Registry {
         }
     }
 
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().expect("registry shard poisoned");
-        match shard
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` is already registered as a non-gauge"),
-        }
-    }
-
     /// The histogram registered under `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut shard = self.shard(name).lock().expect("registry shard poisoned");
@@ -88,10 +75,6 @@ impl Registry {
                         name: name.clone(),
                         value: c.get(),
                     }),
-                    Metric::Gauge(g) => snap.gauges.push(GaugeEntry {
-                        name: name.clone(),
-                        value: g.get(),
-                    }),
                     Metric::Histogram(h) => snap.histograms.push(HistEntry {
                         name: name.clone(),
                         hist: h.snapshot(),
@@ -100,7 +83,6 @@ impl Registry {
             }
         }
         snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         snap
     }
@@ -145,12 +127,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b");
         reg.counter("a");
-        reg.gauge("z");
         reg.histogram("m");
         let snap = reg.snapshot();
         let names: Vec<_> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
-        assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histograms.len(), 1);
     }
 

@@ -101,15 +101,6 @@ pub struct CounterEntry {
     pub value: u64,
 }
 
-/// One named gauge in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeEntry {
-    /// Metric name.
-    pub name: String,
-    /// Gauge value.
-    pub value: f64,
-}
-
 /// One named histogram in a snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistEntry {
@@ -125,8 +116,6 @@ pub struct HistEntry {
 pub struct Snapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterEntry>,
-    /// All gauges, sorted by name.
-    pub gauges: Vec<GaugeEntry>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistEntry>,
 }
@@ -140,11 +129,6 @@ impl Snapshot {
             .map(|c| c.value)
     }
 
-    /// The value of a gauge, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
     /// A histogram by name, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -154,18 +138,12 @@ impl Snapshot {
     }
 
     /// Folds another snapshot into this one (same-named histograms merge,
-    /// counters add, gauges take the other side's value).
+    /// counters add).
     pub fn merge(&mut self, other: &Snapshot) {
         for c in &other.counters {
             match self.counters.iter_mut().find(|e| e.name == c.name) {
                 Some(e) => e.value += c.value,
                 None => self.counters.push(c.clone()),
-            }
-        }
-        for g in &other.gauges {
-            match self.gauges.iter_mut().find(|e| e.name == g.name) {
-                Some(e) => e.value = g.value,
-                None => self.gauges.push(g.clone()),
             }
         }
         for h in &other.histograms {
@@ -175,24 +153,17 @@ impl Snapshot {
             }
         }
         self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// A human-readable table of every metric: counters and gauges one per
-    /// line, histograms with count/mean/min/p50/p95/p99/max.
+    /// A human-readable table of every metric: counters one per line,
+    /// histograms with count/mean/min/p50/p95/p99/max.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
             let _ = writeln!(out, "counters:");
             for c in &self.counters {
                 let _ = writeln!(out, "  {:<44} {}", c.name, c.value);
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for g in &self.gauges {
-                let _ = writeln!(out, "  {:<44} {:.6}", g.name, g.value);
             }
         }
         if !self.histograms.is_empty() {
@@ -296,10 +267,6 @@ mod tests {
                 name: "x".into(),
                 value: 2,
             }],
-            gauges: vec![GaugeEntry {
-                name: "g".into(),
-                value: 1.0,
-            }],
             histograms: vec![HistEntry {
                 name: "h".into(),
                 hist: hist_of(&[1.0]),
@@ -310,10 +277,6 @@ mod tests {
                 name: "x".into(),
                 value: 3,
             }],
-            gauges: vec![GaugeEntry {
-                name: "g".into(),
-                value: 7.0,
-            }],
             histograms: vec![HistEntry {
                 name: "h".into(),
                 hist: hist_of(&[4.0]),
@@ -321,7 +284,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.counter("x"), Some(5));
-        assert_eq!(a.gauge("g"), Some(7.0));
         let h = a.histogram("h").expect("merged histogram");
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 4.0);
@@ -332,11 +294,9 @@ mod tests {
     fn render_text_lists_every_metric() {
         let reg = crate::Registry::new();
         reg.counter("frames_total").add(7);
-        reg.gauge("loss").set(0.5);
         reg.histogram("seconds").record(0.125);
         let text = reg.snapshot().render_text();
         assert!(text.contains("frames_total"), "{text}");
-        assert!(text.contains("loss"), "{text}");
         assert!(text.contains("seconds"), "{text}");
         assert_eq!(
             crate::Registry::new().snapshot().render_text(),
@@ -351,7 +311,6 @@ mod tests {
                 name: "c".into(),
                 value: 9,
             }],
-            gauges: vec![],
             histograms: vec![HistEntry {
                 name: "h".into(),
                 hist: hist_of(&[0.5, 128.0]),
@@ -359,6 +318,16 @@ mod tests {
         };
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: Snapshot = serde_json::from_str(&json).expect("parse");
+        assert_eq!(back, snap);
+        // Snapshots written while the registry still had gauges carry a
+        // `gauges` array; it is read past.
+        let with_gauges = json.replacen(
+            "\"histograms\"",
+            "\"gauges\":[{\"name\":\"loss\",\"value\":0.5}],\"histograms\"",
+            1,
+        );
+        assert_ne!(with_gauges, json);
+        let back: Snapshot = serde_json::from_str(&with_gauges).expect("parse old snapshot");
         assert_eq!(back, snap);
     }
 }
