@@ -78,7 +78,7 @@ if grep -Eq '^# ISSUE [0-9]* · \[(perf_opt|simplicity)\]' ISSUE.md && {
     exit 1
 fi
 cargo build --release --offline --manifest-path ledger/Cargo.toml
-cargo test -q --offline --manifest-path ledger/Cargo.toml
+cargo test -q --offline --no-fail-fast --manifest-path ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
 
 echo "==> forced codec tiers (core suite + baseline strips + server step oracle + net loopback on each)"
@@ -104,10 +104,10 @@ echo "==> forced codec tiers (core suite + baseline strips + server step oracle 
 tiers="$(target/release/threelc codec | sed -n 's/^available: //p')"
 for tier in $tiers; do
     echo "    tier $tier"
-    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
-    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-baselines --test proptests
-    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-distsim --test aggregate_identity
-    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline --no-fail-fast -p threelc
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline --no-fail-fast -p threelc-baselines --test proptests
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline --no-fail-fast -p threelc-distsim --test aggregate_identity
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline --no-fail-fast -p threelc-net --test loopback
 done
 
 echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold, the ChaCha8 refill and the AVX2 GEMM)"
@@ -117,17 +117,17 @@ echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold
 # toolchains cannot pass -Zsanitizer, so without a nightly the stage
 # skips LOUDLY rather than failing hosts that lack one.
 if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2>&1; then
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc --lib kernels --target x86_64-unknown-linux-gnu
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc --test dispatch_identity --target x86_64-unknown-linux-gnu
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc --test zre_oracle --target x86_64-unknown-linux-gnu
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc-net --lib crc32 --target x86_64-unknown-linux-gnu
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p rand_chacha --target x86_64-unknown-linux-gnu
-    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline \
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc-tensor --lib gemm --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
     echo "    + the zero-run oracle suite (every tier's in-place encoder and the expander)"

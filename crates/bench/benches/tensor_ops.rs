@@ -82,10 +82,6 @@ fn bench_elementwise(c: &mut Criterion) {
         let mut acc = t.clone();
         b.iter(|| acc.add_assign(&u).expect("same shape"));
     });
-    group.bench_function("axpy", |b| {
-        let mut acc = t.clone();
-        b.iter(|| acc.axpy(0.9, &u).expect("same shape"));
-    });
     group.bench_function("scale", |b| b.iter(|| t.scale(0.5)));
     group.finish();
 }

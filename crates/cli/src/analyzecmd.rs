@@ -175,15 +175,14 @@ fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
     };
     let timeline = MergedTimeline::build(&nodes);
     let mut analysis = RunAnalysis::build(&timeline);
-    (analysis.tensors, analysis.untagged_codec_us_per_step) = tensor_rows(&traffic, &nodes);
+    analysis.tensors = tensor_rows(&traffic, &nodes);
     Ok((analysis, timeline.dropped))
 }
 
 /// One row per tensor of `traffic`, by descending wire bytes, with the
-/// worker codec µs per step its tagged spans in `nodes` carry; and the
-/// untagged codec µs per step.
-fn tensor_rows(traffic: &[TensorTraffic], nodes: &[NodeTrace]) -> (Vec<TensorRow>, f64) {
-    let (codec_us, untagged) = codec_us_per_step(nodes);
+/// worker codec µs per step its tagged spans in `nodes` carry.
+fn tensor_rows(traffic: &[TensorTraffic], nodes: &[NodeTrace]) -> Vec<TensorRow> {
+    let codec_us = codec_us_per_step(nodes);
     let wire = |t: &TensorTraffic| (t.push.wire_bytes + t.pull.wire_bytes) as f64;
     let total: f64 = traffic.iter().map(wire).sum();
     let mut rows: Vec<TensorRow> = (traffic.iter().enumerate())
@@ -198,7 +197,7 @@ fn tensor_rows(traffic: &[TensorTraffic], nodes: &[NodeTrace]) -> (Vec<TensorRow
         })
         .collect();
     rows.sort_by(|a, b| b.wire_share.total_cmp(&a.wire_share));
-    (rows, untagged)
+    rows
 }
 
 #[cfg(test)]
@@ -467,22 +466,17 @@ mod tests {
             nodes.extend(net_step(step, 0));
         }
         // Every worker step's 200 ns `encode` becomes tensor 0's codec
-        // call, followed by a 50 ns untagged readout.
+        // call, and a 50 ns `quantize` before it tensor 2's.
         for lane in nodes.iter_mut().filter(|n| n.clock.starts_with("worker")) {
-            let mut readouts = Vec::new();
+            let mut quantizes = Vec::new();
             for span in lane.spans.iter_mut().filter(|s| s.name == "encode") {
                 span.tensor = 0;
-                let (start, end) = (span.end_ns, span.end_ns + 50);
-                readouts.push(rec(
-                    "encode",
-                    &span.node,
-                    span.step,
-                    span.worker,
-                    start,
-                    end,
-                ));
+                let (start, end) = (span.start_ns - 50, span.start_ns);
+                let mut quantize = rec("quantize", &span.node, span.step, span.worker, start, end);
+                quantize.tensor = 2;
+                quantizes.push(quantize);
             }
-            lane.spans.extend(readouts);
+            lane.spans.extend(quantizes);
         }
         let report = report_with(nodes);
         let traffic = &report.result.trace.tensors;
@@ -505,15 +499,11 @@ mod tests {
             if r.raw {
                 assert_eq!((r.push_bits_per_value, r.pull_bits_per_value), (32.0, 32.0));
             }
-            let codec = if r.tensor == 0 { 0.2 } else { 0.0 };
+            let codec = [0.2, 0.0, 0.05].get(r.tensor).copied().unwrap_or(0.0);
             assert!((r.codec_us_per_step - codec).abs() < 1e-9, "{r:?}");
         }
-        assert!((parsed.untagged_codec_us_per_step - 0.05).abs() < 1e-9);
         let text = analyze_cmd(&s(&[path.to_str().unwrap()])).expect("text");
         assert!(text.contains("per tensor, by wire bytes"), "got: {text}");
-        assert!(
-            text.contains("untagged codec (residual readout)"),
-            "got: {text}"
-        );
+        assert!(!text.contains("readout"), "got: {text}");
     }
 }

@@ -198,9 +198,7 @@ mod tests {
                     worker: w,
                     wire_bytes: 1000 + step * 10 + w as u64,
                     ratio: 15.9,
-                    residual_l2: 0.2,
                     loss: 1.0,
-                    multiplier: 1.0,
                     rejoins: 0,
                     // Worker 1 is 10x slower than its peers.
                     step_seconds: if w == 1 { 0.1 } else { 0.01 },

@@ -143,9 +143,7 @@ mod tests {
                     worker: w,
                     wire_bytes: 4_000 + (step * step * 7 + w as u64 * 311) % 997,
                     ratio: 12.0 + (step % 8) as f64 * 0.5,
-                    residual_l2: 0.25,
                     loss: 2.0 - step as f64 / 128.0,
-                    multiplier: 1.5,
                     rejoins: u64::from(w == 1 && step >= 60),
                     step_seconds: if w == 1 { 0.125 } else { 0.015625 },
                     barrier_wait_seconds: if w == 1 { 0.25 } else { 0.0 },

@@ -117,9 +117,8 @@ fn clean_run_attribution_is_conserved() {
     }
 
     // The per-tensor view: one row per tensor, by wire bytes. Its shares
-    // are the report's per-tensor bytes, and its codec column plus the
-    // untagged readout is every worker `quantize`/`encode` µs per worker
-    // step.
+    // are the report's per-tensor bytes, and its codec column is every
+    // worker `quantize`/`encode` µs per worker step.
     let run: threelc_net::NetReport =
         serde_json::from_str(&std::fs::read_to_string(&report).expect("report"))
             .expect("parse report");
@@ -149,9 +148,8 @@ fn clean_run_attribution_is_conserved() {
     let column: f64 = analysis.tensors.iter().map(|r| r.codec_us_per_step).sum();
     let per_step = codec_us / worker_steps as f64;
     assert!(
-        (column + analysis.untagged_codec_us_per_step - per_step).abs() <= 1e-9 * per_step,
-        "{column} + {} != {per_step}",
-        analysis.untagged_codec_us_per_step
+        (column - per_step).abs() <= 1e-9 * per_step,
+        "{column} != {per_step}"
     );
 
     // The text path renders the same analysis, and `--check` gates on the

@@ -646,7 +646,6 @@ mod tests {
                         residual = kept.clone();
                     } else {
                         assert!(cx.residual().is_none(), "{what}");
-                        assert_eq!(cx.residual_sq(), 0.0, "{what}");
                     }
                 }
                 // Written into after its max was folded: still refused.
@@ -698,7 +697,6 @@ mod tests {
                 // `compress` is the same lend: the same bytes.
                 assert_eq!(cx.compress(&input).unwrap(), got, "{imp}, step {step}");
                 assert!(cx.residual().is_none());
-                assert_eq!(cx.residual_sq(), 0.0);
             }
             // A non-finite input is refused, and the scratch is kept.
             let mut bad = Tensor::zeros([n]);

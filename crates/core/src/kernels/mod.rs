@@ -575,14 +575,13 @@ pub(crate) fn zre_compact(imp: CodecImpl, buf: &mut [u8]) -> usize {
     }
 }
 
-/// `Σ x²` in `f64`: the residual energy behind
-/// [`Compressor::residual_sq`](crate::Compressor::residual_sq), on every
-/// tier and in every runtime.
+/// `Σ x²` in `f64`: the residual energy behind a `threelc-distsim` worker
+/// replica's residual norm, which only the step ledger's replay reads (no
+/// runtime step computes it). The same on every tier and host.
 ///
 /// Sixteen accumulators, value `i` into lane `i mod 16` over the whole
 /// 16-value blocks, the lanes then added in index order and the remainder
-/// values after them in order. That order *is* the definition — `simulate`,
-/// `serve` and a rejoin replay compare the result bit for bit — and it is
+/// values after them in order. That order *is* the definition, and it is
 /// what lets the loop vectorize: one strict-order `f64` accumulator is a
 /// chain LLVM may not reassociate, one add per FP-add latency, while
 /// sixteen independent lanes are plain portable code the compiler turns

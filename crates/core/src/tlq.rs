@@ -148,25 +148,6 @@ impl TernaryTensor {
         })
     }
 
-    /// Builds a ternary tensor from raw parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` does not match the shape's element count or
-    /// any value is outside `{-1, 0, 1}`.
-    pub fn from_parts(shape: Shape, values: Vec<i8>, scale: f32) -> Self {
-        assert_eq!(values.len(), shape.num_elements(), "value count mismatch");
-        assert!(
-            values.iter().all(|v| (-1..=1).contains(v)),
-            "values must be ternary"
-        );
-        TernaryTensor {
-            shape,
-            values,
-            scale,
-        }
-    }
-
     /// Dequantizes back to floats: `T_out = M · T_quantized` (Equation 3).
     pub fn dequantize(&self) -> Tensor {
         Tensor::from_vec(
@@ -335,18 +316,6 @@ mod tests {
         );
         let input = Tensor::from_slice(&[f32::INFINITY]);
         assert!(TernaryTensor::quantize(&input, s(1.0)).is_err());
-    }
-
-    #[test]
-    fn from_parts_roundtrip() {
-        let t = TernaryTensor::from_parts(Shape::new(&[3]), vec![-1, 0, 1], 0.25);
-        assert_eq!(t.dequantize().as_slice(), &[-0.25, 0.0, 0.25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ternary")]
-    fn from_parts_rejects_out_of_range() {
-        TernaryTensor::from_parts(Shape::new(&[1]), vec![2], 1.0);
     }
 
     #[test]

@@ -230,21 +230,6 @@ pub trait Compressor: Send {
         None
     }
 
-    /// The squared L2 norm of the residual buffer (0.0 for stateless
-    /// schemes), as [`kernels::sum_squares`](crate::kernels::sum_squares)
-    /// defines it. A replica sums it across its contexts each step for the
-    /// step records' `residual_l2`. It is a pass of its own over every
-    /// residual value — a quarter to a half of what the 3LC encode of the
-    /// same tensor costs, not a free read. The simulator,
-    /// `serve` and a rejoin replay report the result bit for bit alike, so
-    /// the lane order of `sum_squares` is part of the cross-runtime
-    /// contract: an implementation that sums its buffer any other way
-    /// breaks it.
-    fn residual_sq(&self) -> f64 {
-        self.residual()
-            .map_or(0.0, |r| crate::kernels::sum_squares(r.as_slice()))
-    }
-
     /// Whether [`compress_accumulator`](Self::compress_accumulator)
     /// records its own trace spans.
     /// A traced caller wraps a call into a scheme that does not in one

@@ -261,16 +261,6 @@ proptest! {
                     tiers[i].0, step
                 );
             }
-            // The energy the runtimes report is tier-free code over those
-            // bit-equal buffers; pin that it stays so.
-            let energy = tiers[0].1.residual_sq().to_bits();
-            for (imp, cx) in &tiers[1..] {
-                prop_assert!(
-                    cx.residual_sq().to_bits() == energy,
-                    "residual_sq diverged on {} (step={})",
-                    imp, step
-                );
-            }
         }
     }
 }

@@ -181,7 +181,6 @@ impl Cluster {
             account.push(WorkerPush {
                 payloads: &encoded.payloads,
                 loss,
-                residual_l2: w.residual_l2(),
                 step_seconds: step_t0.elapsed().as_secs_f64(),
                 barrier_wait_seconds: 0.0,
                 rejoins: 0,
@@ -206,7 +205,7 @@ impl Cluster {
         // error is unreachable in the simulator.
         let out = self
             .server
-            .apply_step(&payloads, account.accepted(), account.residual_l2())
+            .apply_step(&payloads, account.accepted(), 0.0)
             .expect("every worker pushed");
         drop(server_scope);
 

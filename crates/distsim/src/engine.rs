@@ -33,7 +33,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use threelc::kernels::DequantOp;
+use threelc::kernels::{self, DequantOp};
 use threelc::{sizing, CompressionStats, Compressor, DecodeError, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{
@@ -257,8 +257,9 @@ impl TensorPayload {
 pub struct EncodedPush {
     /// One payload per parameter tensor, in parameter order.
     pub payloads: Vec<TensorPayload>,
-    /// Measured compression CPU seconds (what the worker's `PushDone`
-    /// frame carries).
+    /// Measured compression CPU seconds. The worker's `PushDone` frame
+    /// carries it and no runtime reads it back; it stays because the step
+    /// ledger (`ledger/`) writes it into its own `PushDone`.
     pub codec_seconds: f64,
 }
 
@@ -399,14 +400,14 @@ impl WorkerReplica {
         }
     }
 
-    /// The L2 norm of this replica's error-accumulation residual, summed
-    /// over its push compression contexts (0.0 for stateless schemes):
-    /// the per-step `residual_l2` trace field.
+    /// The L2 norm of this replica's error-accumulation residual over its
+    /// push compression contexts (0.0 for stateless schemes). A pass over
+    /// every residual value that neither runtime's step takes: only the
+    /// step ledger's replay (`ledger/`) still calls it.
     pub fn residual_l2(&self) -> f64 {
-        self.push_ctxs
-            .iter()
-            .flatten()
-            .map(|ctx| ctx.residual_sq())
+        (self.push_ctxs.iter().flatten())
+            .filter_map(|ctx| ctx.residual())
+            .map(|r| kernels::sum_squares(r.as_slice()))
             .sum::<f64>()
             .sqrt()
     }
@@ -848,9 +849,8 @@ impl ServerCore {
     }
 
     /// Opens the upcoming step's books ([`StepAccount`]). Must be called
-    /// before [`Self::apply_step`], which swaps in the next step's policy
-    /// decisions: the multiplier the per-worker series record is the one
-    /// that governed *this* step's pushes.
+    /// before [`Self::apply_step`], which advances the step the record
+    /// is numbered by.
     pub fn begin_step(&self) -> StepAccount {
         StepAccount {
             record: StepRecord {
@@ -861,13 +861,8 @@ impl ServerCore {
                 pull_bytes: 0,
                 raw_bytes: 0,
                 compressible_values: self.compressible_values,
-                residual_l2: 0.0,
             },
             workers: self.config.workers,
-            multiplier: f64::from(match self.current_decisions.first() {
-                Some(d) => d.s.value(),
-                None => base_sparsity(&self.config).value(),
-            }),
             next_worker: 0,
             deltas: Vec::with_capacity(self.config.workers),
             loss_sum: 0.0,
@@ -966,9 +961,9 @@ impl ServerCore {
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a rejected push, which is not aggregated.
     ///
-    /// The third argument, the step's largest per-replica residual norm,
-    /// is not read; the step ledger (`ledger/`) still passes it. The step
-    /// records take the norm from each push ([`StepAccount`]).
+    /// The third argument is not read: it is kept only because the step
+    /// ledger (`ledger/`) passes a residual norm there. Both runtimes pass
+    /// `0.0`.
     ///
     /// # Errors
     ///
@@ -1223,8 +1218,6 @@ pub struct WorkerPush<'a> {
     pub payloads: &'a [TensorPayload],
     /// The worker's local training loss.
     pub loss: f32,
-    /// The worker's error-accumulation residual L2 after encoding.
-    pub residual_l2: f64,
     /// Wall-clock seconds from compute to the finished push.
     pub step_seconds: f64,
     /// How long the push arrived after the step's first (0 in-process).
@@ -1244,12 +1237,10 @@ pub struct WorkerPush<'a> {
 /// policy broadcasts are transport, not state change, and are counted by
 /// neither runtime.
 pub struct StepAccount {
-    /// The record being built: traffic and the residual maximum accumulate
-    /// in its own fields.
+    /// The record being built: traffic accumulates in its own fields.
     record: StepRecord,
     /// Pull fan-out: every worker pulls.
     workers: usize,
-    multiplier: f64,
     next_worker: usize,
     deltas: Vec<WorkerDelta>,
     loss_sum: f64,
@@ -1262,7 +1253,6 @@ impl StepAccount {
         self.next_worker += 1;
         let rec = &mut self.record;
         self.loss_sum += f64::from(push.loss);
-        rec.residual_l2 = rec.residual_l2.max(push.residual_l2);
         let (mut wire, mut compressed) = (0u64, 0u64);
         for payload in push.payloads {
             let bytes = payload.wire_len();
@@ -1281,9 +1271,7 @@ impl StepAccount {
             } else {
                 0.0
             },
-            residual_l2: push.residual_l2,
             loss: f64::from(push.loss),
-            multiplier: self.multiplier,
             rejoins: push.rejoins,
             step_seconds: push.step_seconds,
             barrier_wait_seconds: push.barrier_wait_seconds,
@@ -1299,11 +1287,6 @@ impl StepAccount {
     /// Pushes accepted so far ([`ServerCore::apply_step`]'s divisor).
     pub fn accepted(&self) -> usize {
         self.deltas.len()
-    }
-
-    /// Largest residual L2 any accepted worker reported.
-    pub fn residual_l2(&self) -> f64 {
-        self.record.residual_l2
     }
 
     /// Closes the books over the step's outcome. Pull bytes are one shared
@@ -1367,14 +1350,12 @@ mod tests {
         server: &mut ServerCore,
     ) -> ServerStepOutput {
         let mut payloads = Vec::with_capacity(workers.len());
-        let mut residual = 0.0f64;
         for w in workers.iter_mut() {
             let (_loss, grads) = w.compute(&problem.data, problem.config.batch_per_worker);
             payloads.push(w.encode_push(grads).payloads);
-            residual = residual.max(w.residual_l2());
         }
         let out = server
-            .apply_step(&payloads, workers.len(), residual)
+            .apply_step(&payloads, workers.len(), 0.0)
             .expect("every worker accepted in engine tests");
         for w in workers.iter_mut() {
             w.apply_pulls(&out.pulls).expect("the server's own pulls");
@@ -1407,6 +1388,14 @@ mod tests {
                     replica.model().snapshot(),
                     cluster.worker_model(w).snapshot(),
                     "worker {w} replica diverged under {scheme}"
+                );
+                // The ledger's residual readout: 3LC's error buffers hold
+                // something, float32 keeps none.
+                let l2 = replica.residual_l2();
+                let accumulates = matches!(scheme, SchemeKind::ThreeLc { .. });
+                assert!(
+                    l2.is_finite() && (l2 > 0.0) == accumulates,
+                    "{scheme}: {l2}"
                 );
             }
         }
@@ -2025,20 +2014,18 @@ mod tests {
         let wire = |n: usize| TensorPayload::Compressed(vec![0; n]);
         let push0 = [wire(100), raw(4), wire(50)];
         let push1 = [wire(0), raw(4), wire(0)];
-        let worker_push = |payloads, loss, residual_l2| WorkerPush {
+        let worker_push = |payloads, loss| WorkerPush {
             payloads,
             loss,
-            residual_l2,
             step_seconds: 0.25,
             barrier_wait_seconds: 0.5,
             rejoins: 2,
         };
 
         let mut account = server.begin_step();
-        account.push(worker_push(&push0[..], 1.0, 3.0));
-        account.push(worker_push(&push1[..], 2.0, 1.0));
+        account.push(worker_push(&push0[..], 1.0));
+        account.push(worker_push(&push1[..], 2.0));
         assert_eq!(account.accepted(), 2);
-        assert_eq!(account.residual_l2(), 3.0);
         let deltas = account.deltas().to_vec();
         let out = ServerStepOutput {
             lr: 0.125,
@@ -2053,8 +2040,7 @@ mod tests {
         assert_eq!((deltas[0].worker, deltas[1].worker), (0, 1));
         assert_eq!(deltas[0].wire_bytes, 166);
         assert_eq!(deltas[0].ratio, values as f64 * 32.0 / (150.0 * 8.0));
-        assert_eq!(deltas[0].multiplier, 1.0);
-        assert_eq!((deltas[0].loss, deltas[0].residual_l2), (1.0, 3.0));
+        assert_eq!(deltas[0].loss, 1.0);
         assert_eq!(deltas[0].rejoins, 2);
         assert_eq!(deltas[0].step_seconds, 0.25);
         assert_eq!(deltas[0].barrier_wait_seconds, 0.5);
@@ -2070,6 +2056,5 @@ mod tests {
         assert_eq!(rec.pull_bytes, 40 * 2);
         assert_eq!(rec.raw_bytes, 16 + 16 + 16 * 2);
         assert_eq!(rec.compressible_values, values);
-        assert_eq!(rec.residual_l2, 3.0);
     }
 }

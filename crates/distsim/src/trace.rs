@@ -24,10 +24,6 @@ pub struct StepRecord {
     /// State-change values covered by compression, per direction per
     /// worker (i.e. the compressible parameter count).
     pub compressible_values: u64,
-    /// Largest per-worker error-accumulation residual L2 norm after this
-    /// step's pushes (0.0 for stateless schemes or old traces).
-    #[serde(default)]
-    pub residual_l2: f64,
 }
 
 impl StepRecord {
@@ -154,7 +150,6 @@ mod tests {
             pull_bytes: pull,
             raw_bytes: raw,
             compressible_values: values,
-            residual_l2: 0.0,
         }
     }
 

@@ -318,11 +318,9 @@ proptest! {
 
         for step in 0..4usize {
             let mut payloads = Vec::with_capacity(workers);
-            let mut residual = 0.0f64;
             for w in replicas.iter_mut() {
                 let (_loss, grads) = w.compute(&problem.data, problem.config.batch_per_worker);
                 payloads.push(w.encode_push(grads).payloads);
-                residual = residual.max(w.residual_l2());
             }
             let mut accepted = workers;
             if step == drop_step {
@@ -332,13 +330,13 @@ proptest! {
                 accepted -= 1;
             }
             let out = server
-                .apply_step(&payloads, accepted, residual)
+                .apply_step(&payloads, accepted, 0.0)
                 .expect("at most one worker rejected");
             let want = reference
                 .apply_step(
                     &oracle_average(&problem, &decode_ctxs, &payloads, accepted),
                     1,
-                    residual,
+                    0.0,
                 )
                 .expect("the oracle's push is accepted");
             assert_outputs_identical(&problem, &want, &out, &format!("step {step}"))?;
@@ -459,14 +457,12 @@ fn cluster_pulls_match_the_dense_reference() {
         for _ in 0..6 {
             cluster.step();
             let mut payloads = Vec::new();
-            let mut residual = 0.0f64;
             for w in replicas.iter_mut() {
                 let (_loss, grads) = w.compute(&problem.data, config.batch_per_worker);
                 payloads.push(w.encode_push(grads).payloads);
-                residual = residual.max(w.residual_l2());
             }
             let out = server
-                .apply_step(&payloads, config.workers, residual)
+                .apply_step(&payloads, config.workers, 0.0)
                 .expect("every worker accepted");
             let deltas = decode_pulls(&problem, &out.pulls);
             for w in replicas.iter_mut() {

@@ -19,7 +19,6 @@ fn any_record() -> impl Strategy<Value = StepRecord> {
             pull_bytes: pull,
             raw_bytes: raw,
             compressible_values: values,
-            residual_l2: 0.0,
         })
 }
 

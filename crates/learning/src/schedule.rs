@@ -8,15 +8,15 @@ use serde::{Deserialize, Serialize};
 /// 0.1 to 0.001 and notes that the schedule always spans the *adjusted*
 /// total step count — when an experiment runs 25% of standard steps, the
 /// cosine sweeps the full learning-rate range over those fewer steps
-/// (§5.2 "Measurement Methodology"). [`LrSchedule::with_total_steps`]
-/// implements that re-stretching.
+/// (§5.2 "Measurement Methodology"). The runtimes get that re-stretching by
+/// building the schedule over the run's own total step count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LrSchedule {
     /// A constant learning rate.
     Constant {
         /// The learning rate.
         lr: f32,
-        /// Total steps (kept for re-stretching symmetry).
+        /// Total steps.
         total_steps: u64,
     },
     /// Cosine decay without restarts from `lr_max` to `lr_min`.
@@ -85,30 +85,6 @@ impl LrSchedule {
         }
     }
 
-    /// The same schedule re-stretched over a different total step count
-    /// (used for the 25/50/75% runs in Figures 4–6).
-    pub fn with_total_steps(&self, total_steps: u64) -> Self {
-        match *self {
-            LrSchedule::Constant { lr, .. } => LrSchedule::Constant { lr, total_steps },
-            LrSchedule::Cosine { lr_max, lr_min, .. } => LrSchedule::Cosine {
-                lr_max,
-                lr_min,
-                total_steps,
-            },
-            LrSchedule::Stepwise {
-                lr0,
-                factor,
-                milestones,
-                ..
-            } => LrSchedule::Stepwise {
-                lr0,
-                factor,
-                milestones,
-                total_steps,
-            },
-        }
-    }
-
     /// Total steps the schedule spans.
     pub fn total_steps(&self) -> u64 {
         match *self {
@@ -147,14 +123,6 @@ mod tests {
             assert!(lr <= prev + 1e-9, "lr increased at step {t}");
             prev = lr;
         }
-    }
-
-    #[test]
-    fn restretch_sweeps_full_range() {
-        let s = LrSchedule::paper_default(1000).with_total_steps(250);
-        assert!((s.lr_at(0) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(249) - 0.001).abs() < 1e-7);
-        assert_eq!(s.total_steps(), 250);
     }
 
     #[test]

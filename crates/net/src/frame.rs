@@ -71,8 +71,8 @@ pub enum MsgType {
     /// Worker → server: one uncompressed gradient tensor (f32 LE).
     PushRaw = 4,
     /// Worker → server: end of push; `payload = loss (f32 LE) +
-    /// codec seconds (f64 LE) + residual L2 (f64 LE) + step seconds
-    /// (f64 LE)`, 28 bytes.
+    /// codec seconds (f64 LE) + residual slot (f64 LE, written 0.0) +
+    /// step seconds (f64 LE)`, 28 bytes.
     PushDone = 5,
     /// Server → worker: one compressed model-delta tensor.
     PullTensor = 6,

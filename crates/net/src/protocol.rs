@@ -125,10 +125,13 @@ pub fn model_crc32(model: &threelc_learning::Network) -> u32 {
     crc.finish()
 }
 
-/// Encodes the `PushDone` payload: local loss, worker codec seconds, the
-/// L2 norm of the worker's accumulated quantization residual, and the
-/// wall-clock seconds the worker spent computing + encoding the step
-/// (the per-worker latency series the run recorder folds).
+/// Encodes the 28-byte `PushDone` payload: local loss, worker codec
+/// seconds, a residual slot, and the wall-clock seconds the worker spent
+/// computing + encoding the step (the per-worker latency series the run
+/// recorder folds). The worker writes `0.0` into the residual slot and the
+/// server reads neither it nor the codec seconds; the slot and this
+/// signature stay because the step ledger (`ledger/`) writes them and
+/// counts the frame's bytes.
 pub fn encode_push_done(
     loss: f32,
     codec_seconds: f64,
@@ -143,16 +146,18 @@ pub fn encode_push_done(
     out
 }
 
-/// Decodes the `PushDone` payload.
+/// Decodes the `PushDone` payload into the two fields the server reads:
+/// the loss and the step seconds.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Protocol`] unless the payload is exactly the
 /// 28 bytes [`encode_push_done`] writes and both durations (codec and
-/// step seconds) are finite and non-negative: a time is never either, and
-/// the step seconds feed the worker's latency series, where one NaN would
-/// poison every view after it.
-pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64, f64, f64), NetError> {
+/// step seconds) are finite and non-negative: the frame is input from
+/// outside the program, a time is never either, and the step seconds feed
+/// the worker's latency series, where one NaN would poison every view
+/// after it.
+pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64), NetError> {
     if payload.len() != 28 {
         return Err(NetError::Protocol(format!(
             "push-done payload is {} bytes, want 28",
@@ -169,7 +174,7 @@ pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64, f64, f64), NetError
             )));
         }
     }
-    Ok((loss, codec_seconds, f64_at(12), step_seconds))
+    Ok((loss, step_seconds))
 }
 
 /// Encodes the `PolicyUpdate` payload: the per-tensor decisions for the
@@ -319,12 +324,9 @@ mod tests {
     fn hello_and_push_done_roundtrip() {
         assert_eq!(decode_hello(&encode_hello(513)).unwrap(), 513);
         assert!(decode_hello(&[1, 2, 3]).is_err());
-        let (loss, codec, residual, step_seconds) =
-            decode_push_done(&encode_push_done(0.75, 1.5, 2.25, 0.125)).unwrap();
-        assert_eq!(loss, 0.75);
-        assert_eq!(codec, 1.5);
-        assert_eq!(residual, 2.25);
-        assert_eq!(step_seconds, 0.125);
+        let done = encode_push_done(0.75, 1.5, 2.25, 0.125);
+        assert_eq!(done.len(), 28);
+        assert_eq!(decode_push_done(&done).unwrap(), (0.75, 0.125));
     }
 
     #[test]

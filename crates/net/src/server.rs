@@ -97,7 +97,6 @@ impl Default for ServeOptions {
 struct Push {
     payloads: Vec<TensorPayload>,
     loss: f32,
-    residual_l2: f64,
     step_seconds: f64,
 }
 
@@ -683,7 +682,6 @@ fn serve_run(
             account.push(WorkerPush {
                 payloads: &push.payloads,
                 loss: push.loss,
-                residual_l2: push.residual_l2,
                 step_seconds: push.step_seconds,
                 barrier_wait_seconds: *barrier_wait_seconds,
                 rejoins: coord.rejoin_counts[w],
@@ -696,11 +694,7 @@ fn serve_run(
 
         let payloads_by_worker: Vec<_> = pushes.into_iter().map(|(p, _)| p.payloads).collect();
         let out = server
-            .apply_step(
-                &payloads_by_worker,
-                account.accepted(),
-                account.residual_l2(),
-            )
+            .apply_step(&payloads_by_worker, account.accepted(), 0.0)
             .map_err(aggregation_error)?;
         // Aggregated: free every worker's push before the pull frames are
         // built and broadcast beside them.
@@ -1171,7 +1165,7 @@ fn run_handler(
         // span that sent it (carried by the frame's trace context).
         let mut recv_span = TraceSpan::start("recv_push");
         let mut payloads: Vec<TensorPayload> = Vec::with_capacity(n_params);
-        let (loss, _codec_seconds, residual_l2, step_seconds) = loop {
+        let (loss, step_seconds) = loop {
             let frame = conn.read_frame(&mut reader)?;
             if frame.step != step {
                 return Err(NetError::Protocol(format!(
@@ -1223,7 +1217,6 @@ fn run_handler(
                 push: Push {
                     payloads,
                     loss,
-                    residual_l2,
                     step_seconds,
                 },
             })
@@ -1371,7 +1364,6 @@ mod tests {
         Push {
             payloads: Vec::new(),
             loss,
-            residual_l2: 0.0,
             step_seconds: 0.0,
         }
     }

@@ -379,13 +379,7 @@ fn run_session(
 
         // encode_push's codec calls run under encode spans: 3LC's own
         // quantize/encode, or one encode span around a baseline's call.
-        // The residual readout is a pass over the model-sized error buffers
-        // and part of the push's codec output (it travels in `PushDone`):
-        // an encode span of its own, or the analyzer charges it to the wire.
         let encoded = replica.encode_push(grads);
-        let residual_span = TraceSpan::start("encode");
-        let residual_l2 = replica.residual_l2();
-        residual_span.finish();
         let serialize_span = TraceSpan::start("serialize");
         for (i, payload) in encoded.payloads.iter().enumerate() {
             let raw;
@@ -425,7 +419,7 @@ fn run_session(
         let done = encode_push_done(
             loss,
             encoded.codec_seconds,
-            residual_l2,
+            0.0,
             step_t0.elapsed().as_secs_f64(),
         );
         conn.write_frame(&mut writer, MsgType::PushDone, 0, step, &done)?;

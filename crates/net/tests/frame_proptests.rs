@@ -198,9 +198,7 @@ proptest! {
                 worker: clock_i % 2,
                 wire_bytes: count % (1 << 40),
                 ratio: 1.0 + seconds,
-                residual_l2: seconds / 7.0,
                 loss: seconds,
-                multiplier: 1.0,
                 rejoins: 0,
                 step_seconds: seconds / 1000.0,
                 barrier_wait_seconds: 0.0,
@@ -276,12 +274,9 @@ proptest! {
         let time = |v: f64| v.is_finite() && v >= 0.0;
         let valid = len == 28 && time(codec) && time(step);
         match decode_push_done(&bytes) {
-            Ok((l, c, r, s)) => {
+            Ok((l, s)) => {
                 prop_assert!(valid, "accepted codec {codec}, step {step}, {len} bytes");
-                prop_assert_eq!(
-                    (l.to_bits(), c.to_bits(), r.to_bits(), s.to_bits()),
-                    (loss.to_bits(), codec.to_bits(), residual.to_bits(), step.to_bits())
-                );
+                prop_assert_eq!((l.to_bits(), s.to_bits()), (loss.to_bits(), step.to_bits()));
             }
             Err(NetError::Protocol(_)) => prop_assert!(!valid, "rejected a valid payload"),
             Err(e) => prop_assert!(false, "untyped error {e}"),

@@ -193,20 +193,23 @@ pub struct TensorRow {
 
 /// Worker codec µs per worker step — a (lane, step) pair with spans —
 /// from `nodes`: every worker-lane `quantize`/`encode` span's time, by the
-/// tensor it is tagged with, and the untagged ones' (the residual readout).
-pub fn codec_us_per_step(nodes: &[NodeTrace]) -> (Vec<f64>, f64) {
+/// tensor it is tagged with. A span without a tag is left out: the runtime
+/// tags every one, but an older report carries the retired residual
+/// readout's.
+pub fn codec_us_per_step(nodes: &[NodeTrace]) -> Vec<f64> {
     let spans = (nodes.iter().flat_map(|n| &n.spans)).filter(|s| s.node.starts_with("worker"));
     let worker_steps: BTreeSet<_> = spans.clone().map(|s| (s.node.as_str(), s.step)).collect();
-    let (mut by_tensor, mut untagged) = (Vec::new(), 0.0);
+    let mut by_tensor = Vec::new();
     for s in spans.filter(|s| s.name == "quantize" || s.name == "encode") {
-        let us = s.seconds() * 1e6 / worker_steps.len() as f64;
-        match usize::try_from(s.tensor) {
-            Ok(t) if t < by_tensor.len() => by_tensor[t] += us,
-            Ok(t) => by_tensor.extend((by_tensor.len()..t).map(|_| 0.0).chain([us])),
-            Err(_) => untagged += us,
+        let Ok(t) = usize::try_from(s.tensor) else {
+            continue;
+        };
+        if by_tensor.len() <= t {
+            by_tensor.resize(t + 1, 0.0);
         }
+        by_tensor[t] += s.seconds() * 1e6 / worker_steps.len() as f64;
     }
-    (by_tensor, untagged)
+    by_tensor
 }
 
 /// The run-level analysis: per-step ledgers, aggregated blame, what-if
@@ -236,10 +239,6 @@ pub struct RunAnalysis {
     /// source carried the run's per-tensor traffic.
     #[serde(default)]
     pub tensors: Vec<TensorRow>,
-    /// Worker `quantize`/`encode` µs per worker step that no tensor tag
-    /// covers ([`codec_us_per_step`]).
-    #[serde(default)]
-    pub untagged_codec_us_per_step: f64,
 }
 
 /// A tiling candidate: a clipped span with a priority class (lower wins).
@@ -706,8 +705,6 @@ impl RunAnalysis {
                 if t.raw { "  raw" } else { "" }
             );
         }
-        let untagged = self.untagged_codec_us_per_step;
-        let _ = writeln!(out, "  untagged codec (residual readout) {untagged:>26.1}");
         out
     }
 }

@@ -198,9 +198,7 @@ mod tests {
             worker,
             wire_bytes: 64,
             ratio: 8.0,
-            residual_l2: 0.1,
             loss: 1.0,
-            multiplier: 1.0,
             rejoins: 0,
             step_seconds: 0.0,
             barrier_wait_seconds: 0.0,

@@ -26,12 +26,8 @@ pub const S_WIRE_BYTES: &str = "wire_bytes";
 /// Achieved push compression ratio (32 / bits-per-value); 0 when the
 /// step pushed no compressed payloads.
 pub const S_RATIO: &str = "ratio";
-/// Residual (error-accumulation) L2 norm.
-pub const S_RESIDUAL_L2: &str = "residual_l2";
 /// Training loss observed by the worker.
 pub const S_LOSS: &str = "loss";
-/// Policy sparsity multiplier governing the step (tensor 0).
-pub const S_MULTIPLIER: &str = "multiplier";
 /// Cumulative rejoin count for the worker (always 0 in the simulator).
 pub const S_REJOINS: &str = "rejoins";
 /// Wall-clock seconds the worker spent computing + encoding the step.
@@ -50,16 +46,14 @@ pub const WALL_CLOCK_SERIES: &[&str] = &[S_STEP_SECONDS, S_BARRIER_WAIT];
 pub const WORKER_SERIES: &[&str] = &[
     S_WIRE_BYTES,
     S_RATIO,
-    S_RESIDUAL_L2,
     S_LOSS,
-    S_MULTIPLIER,
     S_REJOINS,
     S_STEP_SECONDS,
     S_BARRIER_WAIT,
 ];
 
 /// Run-level series names (aggregated across workers each step).
-pub const RUN_SERIES: &[&str] = &[S_WIRE_BYTES, S_RATIO, S_RESIDUAL_L2, S_LOSS, S_MULTIPLIER];
+pub const RUN_SERIES: &[&str] = &[S_WIRE_BYTES, S_RATIO, S_LOSS];
 
 /// One exactly-stored observation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -182,12 +176,8 @@ pub struct WorkerDelta {
     /// Achieved push compression ratio (32 / bits-per-value over the
     /// compressed payloads); 0 when nothing compressed.
     pub ratio: f64,
-    /// Residual L2 after encoding.
-    pub residual_l2: f64,
     /// Training loss.
     pub loss: f64,
-    /// Policy multiplier governing the step (tensor 0).
-    pub multiplier: f64,
     /// Cumulative rejoins for this worker so far.
     pub rejoins: u64,
     /// Wall-clock compute+encode seconds (non-deterministic).
@@ -233,9 +223,7 @@ impl RunRecorder {
             let values = [
                 d.wire_bytes as f64,
                 d.ratio,
-                d.residual_l2,
                 d.loss,
-                d.multiplier,
                 d.rejoins as f64,
                 d.step_seconds,
                 d.barrier_wait_seconds,
@@ -249,9 +237,7 @@ impl RunRecorder {
             let values = [
                 deltas.iter().map(|d| d.wire_bytes).sum::<u64>() as f64,
                 deltas.iter().map(|d| d.ratio).sum::<f64>() / n,
-                deltas.iter().map(|d| d.residual_l2).fold(0.0, f64::max),
                 deltas.iter().map(|d| d.loss).sum::<f64>() / n,
-                deltas.first().map(|d| d.multiplier).unwrap_or(1.0),
             ];
             for (s, v) in self.store.run.iter_mut().zip(values) {
                 s.push(step, v);
@@ -329,9 +315,7 @@ mod tests {
                     worker: w,
                     wire_bytes: 100 + w as u64,
                     ratio: 8.0,
-                    residual_l2: 0.5 + w as f64,
-                    loss: 1.0,
-                    multiplier: 1.5,
+                    loss: 1.0 + w as f64,
                     rejoins: 0,
                     step_seconds: 0.001,
                     barrier_wait_seconds: 0.0,
@@ -346,8 +330,8 @@ mod tests {
         assert_eq!(w1.last().map(|p| p.value), Some(101.0));
         let run_bytes = s.run_series(S_WIRE_BYTES).expect("run series");
         assert_eq!(run_bytes.last().map(|p| p.value), Some(201.0));
-        let run_res = s.run_series(S_RESIDUAL_L2).expect("run series");
-        assert_eq!(run_res.last().map(|p| p.value), Some(1.5));
+        let run_loss = s.run_series(S_LOSS).expect("run series");
+        assert_eq!(run_loss.last().map(|p| p.value), Some(1.5));
     }
 
     #[test]
@@ -359,9 +343,7 @@ mod tests {
                 worker: 0,
                 wire_bytes: 1,
                 ratio: 1.0,
-                residual_l2: 0.0,
                 loss: 0.0,
-                multiplier: 1.0,
                 rejoins: 0,
                 step_seconds: 0.123,
                 barrier_wait_seconds: 0.0,
@@ -385,9 +367,7 @@ mod tests {
                     worker: 0,
                     wire_bytes: step,
                     ratio: 4.0,
-                    residual_l2: 0.1,
                     loss: 2.0,
-                    multiplier: 1.0,
                     rejoins: 0,
                     step_seconds: 0.0,
                     barrier_wait_seconds: 0.0,

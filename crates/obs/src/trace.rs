@@ -748,7 +748,7 @@ mod tests {
             .map(|s| s.tensor)
             .collect();
         assert_eq!(tensors, [NO_TENSOR, 2, 2, NO_TENSOR]);
-        // A record written before the field existed reads as untagged.
+        // A record written before the field existed names no tensor.
         let old =
             r#"{"trace":1,"span":2,"name":"encode","node":"w","step":0,"start_ns":0,"end_ns":1}"#;
         let rec: SpanRecord = serde_json::from_str(old).expect("old record");

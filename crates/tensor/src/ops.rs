@@ -55,19 +55,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place `self += alpha * other` (axpy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<(), TensorError> {
-        self.check_same_shape(other)?;
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every element by `s`, returning a new tensor.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -221,10 +208,8 @@ mod tests {
         let mut a = t(&[1.0, 2.0]);
         a.add_assign(&t(&[1.0, 1.0])).unwrap();
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-        a.axpy(2.0, &t(&[1.0, 10.0])).unwrap();
-        assert_eq!(a.as_slice(), &[4.0, 23.0]);
         a.scale_inplace(0.5);
-        assert_eq!(a.as_slice(), &[2.0, 11.5]);
+        assert_eq!(a.as_slice(), &[1.0, 1.5]);
     }
 
     #[test]
