@@ -67,6 +67,8 @@ echo "==> step ledger (builds against the crates' public API; tests + --quick sm
 # benchmark change may): the unedited ledger must build against the
 # changed crates. Each PR of the stack is one commit, so the parent is
 # HEAD while the change is still uncommitted and HEAD~1 once it is HEAD.
+# --locked: a crate change that would rewrite ledger/Cargo.lock fails here,
+# naming the lockfile, rather than at the clean-tree stage below.
 if [ -n "$status_before" ]; then base=HEAD; else base=HEAD~1; fi
 if grep -Eq '^# ISSUE [0-9]* · \[(perf_opt|simplicity)\]' ISSUE.md && {
     ! git diff --quiet "$base" -- ledger BENCHMARK.json ||
@@ -77,9 +79,9 @@ if grep -Eq '^# ISSUE [0-9]* · \[(perf_opt|simplicity)\]' ISSUE.md && {
     git diff --stat "$base" -- ledger BENCHMARK.json >&2
     exit 1
 fi
-cargo build --release --offline --manifest-path ledger/Cargo.toml
-cargo test -q --offline --no-fail-fast --manifest-path ledger/Cargo.toml
-cargo run -q --release --offline --manifest-path ledger/Cargo.toml -- --quick
+cargo build --release --offline --locked --manifest-path ledger/Cargo.toml
+cargo test -q --offline --locked --no-fail-fast --manifest-path ledger/Cargo.toml
+cargo run -q --release --offline --locked --manifest-path ledger/Cargo.toml -- --quick
 
 echo "==> forced codec tiers (core suite + baseline strips + server step oracle + net loopback on each)"
 # Each leg forces one tier the host can run: the core suite holds each
@@ -154,7 +156,7 @@ fi
 # failing `analyze --check` (the one slow-worker gate), are
 # crates/cli/tests/analyze_e2e.rs; an aborted run's flight dump naming its
 # fault is flight_abort.rs. No trace stanzas: the nine-phase Chrome export
-# and `metrics --from` rendering a report offline are
+# of a traced run, and its report booking every connection's bytes, are
 # crates/cli/tests/trace_e2e.rs. No policy stanzas:
 # adaptive multipliers stable and non-constant under simulate, and a
 # feedback serve with a kill@2 worker relaunched matching simulate's crc

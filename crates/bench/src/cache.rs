@@ -32,7 +32,7 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// A stable cache key for a config (hash of its canonical JSON).
-pub fn config_key(config: &ExperimentConfig) -> String {
+fn config_key(config: &ExperimentConfig) -> String {
     let json = serde_json::to_string(config).expect("config serializes");
     let mut h = DefaultHasher::new();
     json.hash(&mut h);

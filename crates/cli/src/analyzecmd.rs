@@ -5,8 +5,7 @@
 //! report, a `.flight.json` post-mortem dump, or a live server address —
 //! rebuilds the clock-aligned timeline, and runs the critical-path
 //! analyzer from `threelc_obs::critical`: per-step dependency chains,
-//! conserved `{node × phase}` blame buckets, first-order what-if
-//! projections, and bottleneck flags. A report adds the per-tensor view:
+//! conserved `{node × phase}` blame buckets, and bottleneck flags. A report adds the per-tensor view:
 //! each tensor's push and pull bits/value and share of the wire bytes
 //! (the server's traffic counts) beside the worker codec time its tagged
 //! spans carry.
@@ -343,7 +342,6 @@ mod tests {
             faults: Default::default(),
             node_traces,
             series: Default::default(),
-            metrics: Default::default(),
         }
     }
 
@@ -384,7 +382,7 @@ mod tests {
         let out =
             analyze_cmd(&s(&[path.to_str().unwrap(), "--check", "--steps", "2"])).expect("clean");
         assert!(out.contains("critical path over 4 step(s)"), "got: {out}");
-        assert!(out.contains("what-if"), "got: {out}");
+        assert!(!out.contains("what-if"), "got: {out}");
         assert!(out.contains("… 2 more steps"), "got: {out}");
         assert!(out.contains("analyze check passed"), "got: {out}");
         // A clean run has no dominating lane, so an expectation fails.

@@ -36,8 +36,6 @@ usage:
   threelc simulate   [--workers N] [--steps N] [--seed N] [--scheme SCHEME]
                      [--sparsity S] [--policy SPEC] [--width N]
                      [--blocks N] [--batch N] [--eval-every N]
-  threelc metrics    <addr> [--json]
-  threelc metrics    --from <report.json|flight.json> [--json]
   threelc top        <addr> [--interval SECS] [--once] [--json]
   threelc trace      <report.json|flight.json|addr> [--chrome out.json]
                      [--steps N]
@@ -90,23 +88,18 @@ analyze reconstructs each BSP step's critical path from a traced run
 (THREELC_TRACE=1) and attributes the measured step time to {node x phase}
 buckets — time peers spend blocked at the barrier is charged to the
 straggler that caused it, so the buckets sum to the wall clock exactly.
-It prints first-order what-if projections (\"encode 2x faster => step
--N%\"), flags workers whose network blame dominates, and, for a report,
+It flags workers whose network blame dominates and, for a report, prints
 one row per tensor: values, push and pull bits/value, share of the wire
 bytes and worker codec us per step, by wire bytes. --expect-blame
 NODE:PHASE exits nonzero unless that bucket tops the ledger and is
 flagged (the CI ground-truth gate for injected delays); --check exits
 nonzero when attribution fails to conserve or any bottleneck is flagged.
 
-metrics prints a live server's registry snapshot (--json for the raw
-snapshot); --from reads the one a run left behind instead: the final
-snapshot of a `serve --json` report, or an aborted run's `.flight.json`.
-
 top renders a live per-worker dashboard (step, ratio, wire throughput,
 rejoins, latency, barrier lateness, wire-byte sparklines) by polling the
 server's time-series store; --once prints a single frame. serve writes a
 `.flight.json` post-mortem dump (last steps of every series + recent
-spans + the fault log + the metrics snapshot) when a run aborts, a
+spans + the fault log) when a run aborts, a
 handler panics, or a fault fires; --flight names the dump (default:
 derived from --json as `<report>.flight.json`).
 
@@ -144,7 +137,6 @@ pub fn run(args: &[String]) -> CliResult {
         Some("serve") => crate::netcmd::serve_cmd(&args[1..]),
         Some("worker") => crate::netcmd::worker_cmd(&args[1..]),
         Some("simulate") => crate::netcmd::simulate_cmd(&args[1..]),
-        Some("metrics") => crate::netcmd::metrics_cmd(&args[1..]),
         Some("top") => crate::topcmd::top_cmd(&args[1..]),
         Some("trace") => crate::tracecmd::trace_cmd(&args[1..]),
         Some("analyze") => crate::analyzecmd::analyze_cmd(&args[1..]),
@@ -467,21 +459,21 @@ fn inspect(args: &[String]) -> CliResult {
     } else {
         std::borrow::Cow::Borrowed(body)
     };
-    let runs = threelc_obs::Histogram::new();
-    threelc::zrle::encode_with_runs(&quartic_bytes, |run| runs.record(run as f64))
+    let mut runs = Vec::new();
+    threelc::zrle::encode_with_runs(&quartic_bytes, |run| runs.push(run))
         .map_err(|e| format!("{}: body is not a quartic stream: {e}", files[0]))?;
-    let r = runs.snapshot();
-    if r.count == 0 {
-        writeln!(report, "  zero runs:     none")?;
-    } else {
-        writeln!(
+    runs.sort_unstable();
+    // Nearest rank: the shortest run that `p` percent of runs do not exceed.
+    let percentile = |p: usize| runs[(runs.len() * p).div_ceil(100) - 1];
+    match runs.last() {
+        None => writeln!(report, "  zero runs:     none")?,
+        Some(max) => writeln!(
             report,
-            "  zero runs:     {} (p50 {:.0}, p95 {:.0}, max {:.0} quartic bytes)",
-            r.count,
-            r.percentile(50.0),
-            r.percentile(95.0),
-            r.max,
-        )?;
+            "  zero runs:     {} (p50 {}, p95 {}, max {max} quartic bytes)",
+            runs.len(),
+            percentile(50),
+            percentile(95),
+        )?,
     }
     Ok(report)
 }
@@ -793,7 +785,6 @@ mod tests {
             ("simulate --workers 1 --steps 1 --steps 0", "--steps"),
             ("serve --addr 127.0.0.1:0 --json a --json b", "--json"),
             ("worker --addr 127.0.0.1:1 --id 0 --id 1", "--id"),
-            ("metrics 127.0.0.1:1 --json --json", "--json"),
             ("top 127.0.0.1:1 --once --once", "--once"),
             ("trace r.json --steps 1 --steps 2", "--steps"),
             ("analyze r.json --check --check", "--check"),
@@ -1099,53 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_command_scrapes_a_live_server() {
-        let (addr, server) = serve_on_loopback(&[
-            "--workers",
-            "1",
-            "--steps",
-            "2",
-            "--width",
-            "16",
-            "--blocks",
-            "1",
-            "--batch",
-            "8",
-        ]);
-
-        // Scrape during the handshake phase (no worker yet), retrying
-        // until the server thread answers.
-        let mut text = None;
-        for _ in 0..250 {
-            match run(&s(&["metrics", &addr])) {
-                Ok(t) => {
-                    text = Some(t);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
-            }
-        }
-        let text = text.expect("metrics scrape against a live server");
-        assert!(!text.is_empty());
-        let json = run(&s(&["metrics", &addr, "--json"])).expect("json scrape");
-        let snap: threelc_obs::Snapshot = serde_json::from_str(&json).expect("parse snapshot");
-        assert!(!snap.render_text().is_empty());
-
-        // Let the run finish.
-        let worker = run(&s(&["worker", "--addr", &addr, "--id", "0"])).expect("worker run");
-        assert!(worker.contains("finished 2 steps"), "got: {worker}");
-        server.join().expect("server thread").expect("serve run");
-    }
-
-    #[test]
-    fn metrics_command_flags_are_validated() {
-        assert!(run(&s(&["metrics"])).is_err()); // addr missing
-        assert!(run(&s(&["metrics", "a", "b"])).is_err()); // two addrs
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--bogus"])).is_err());
-        assert!(run(&s(&["metrics", "not an address"])).is_err());
-    }
-
-    #[test]
     fn the_removed_exporter_flags_are_unknown_arguments() {
         for (args, flag) in [
             (&["--log-json", "x", "codec"][..], "--log-json"),
@@ -1153,23 +1097,11 @@ mod tests {
                 &["serve", "--addr", "127.0.0.1:0", "--log-json", "x"],
                 "--log-json",
             ),
-            (&["metrics", "127.0.0.1:1", "--prom"], "--prom"),
-            (&["metrics", "127.0.0.1:1", "--watch", "1"], "--watch"),
         ] {
             let err = run(&s(args)).expect_err(flag).to_string();
             let want = format!("unknown argument `{flag}`");
             assert!(err.contains(&want), "{args:?}: got {err}");
         }
-        // A structured event log is no snapshot source: --from names the two
-        // that are.
-        let log = tmp("events.jsonl");
-        std::fs::write(&log, "{\"ts_ms\":1,\"level\":\"info\",\"event\":\"x\"}\n").unwrap();
-        let err = run(&s(&["metrics", "--from", log.to_str().unwrap()])).expect_err("a JSONL log");
-        let err = err.to_string();
-        assert!(
-            err.contains("`serve --json` report") && err.contains("`.flight.json` dump"),
-            "got: {err}"
-        );
     }
 
     #[test]
@@ -1320,34 +1252,28 @@ mod tests {
     }
 
     #[test]
-    fn metrics_from_renders_the_checked_in_fixture() {
+    fn a_dump_with_a_metrics_snapshot_still_renders() {
+        // A flight dump from a build that embedded the metrics registry's
+        // snapshot (its `gauges` array included): `trace` reads past it.
         let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/metrics.flight.json");
-        let text = run(&s(&["metrics", "--from", fixture])).expect("offline render");
-        assert!(text.contains("net.server.bytes_in"), "got: {text}");
-        assert!(text.contains("4096"), "got: {text}");
-
-        let json = run(&s(&["metrics", "--from", fixture, "--json"])).expect("json render");
-        let snap: threelc_obs::Snapshot = serde_json::from_str(&json).expect("parse snapshot");
-        assert_eq!(snap.counter("net.server.bytes_in"), Some(4096));
-        assert_eq!(snap.counter("trace.steps"), Some(4));
-        // The fixture's `gauges` array, from a build whose registry still
-        // had them, is read past.
-        assert!(!json.contains("trace.loss"), "got: {json}");
-        // The fixture's one histogram, under whatever name the run that
-        // wrote it used, survives every rendering.
-        let [hist] = &snap.histograms[..] else {
-            panic!("fixture should carry one histogram");
-        };
-        assert_eq!(hist.hist.count, 2);
-        assert!(text.contains(&hist.name), "got: {text}");
-
-        // Flag validation and failure modes.
-        assert!(run(&s(&["metrics", "--from"])).is_err()); // path missing
-        assert!(run(&s(&["metrics", "127.0.0.1:1", "--from", fixture])).is_err()); // both sources
-        assert!(run(&s(&["metrics", "--from", "/nonexistent/report.json"])).is_err());
-        let junk = tmp("junk.json");
-        std::fs::write(&junk, "not json\n").unwrap();
-        assert!(run(&s(&["metrics", "--from", junk.to_str().unwrap()])).is_err());
+        let text = run(&s(&["trace", fixture])).expect("offline render");
+        assert!(
+            text.contains("flight recorder: trigger=abort steps_recorded=4"),
+            "got: {text}"
+        );
+        assert!(
+            text.contains("detail: worker 0 disconnected at step 4"),
+            "got: {text}"
+        );
+        assert!(!text.contains("net.server.bytes_in"), "got: {text}");
+        // The registry's reader went with it.
+        for args in [
+            &["metrics", "--from", fixture][..],
+            &["metrics", "127.0.0.1:1", "--json"],
+        ] {
+            let err = run(&s(args)).expect_err("no metrics command").to_string();
+            assert!(err.contains("unknown command `metrics`"), "got: {err}");
+        }
     }
 
     #[test]
@@ -1376,7 +1302,6 @@ mod tests {
             final_model_crc32: 0,
             faults: threelc_net::FaultsReport::default(),
             series: Default::default(),
-            metrics: Default::default(),
         };
         let path = tmp("untraced-report.json");
         std::fs::write(&path, serde_json::to_string(&report).unwrap()).unwrap();

@@ -7,8 +7,6 @@
 //! threelc stats      <input.f32> [--sparsity S]
 //! threelc serve      --addr A [--workers N] [--steps N] [...]
 //! threelc worker     --addr A --id N
-//! threelc metrics    <addr> [--json]
-//! threelc metrics    --from <report.json|flight.json> [--json]
 //! threelc top        <addr> [--interval SECS] [--once] [--json]
 //! threelc trace      <report.json|flight.json|addr> [--chrome out.json] [--steps N]
 //! threelc analyze    <report.json|flight.json|addr> [--check] [--expect-blame N:P]

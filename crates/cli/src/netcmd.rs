@@ -12,10 +12,7 @@ use std::time::Duration;
 use threelc::SparsityMultiplier;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::{Cluster, ExperimentConfig, PolicySpec};
-use threelc_net::{
-    model_crc32, run_worker, scrape_metrics, serve, FaultPlan, ServeOptions, WorkerOptions,
-};
-use threelc_obs::{FlightDump, Snapshot};
+use threelc_net::{model_crc32, run_worker, serve, FaultPlan, ServeOptions, WorkerOptions};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -323,54 +320,6 @@ fn write_policy_summary(
         mults.join(" ")
     )?;
     Ok(())
-}
-
-/// `threelc metrics <addr>`: scrape a live metrics snapshot from a
-/// serving parameter server and print it (text by default, `--json` for
-/// the raw snapshot). `--from <file>` instead renders the snapshot a run
-/// left behind: the final one embedded in a `serve --json` report, or an
-/// aborted run's in its `.flight.json` dump.
-pub fn metrics_cmd(args: &[String]) -> CliResult {
-    const VALUED: &[(&str, &str)] = &[("--from", "a report or flight dump path")];
-    let addr = match split_flags(args, VALUED, &["--json"])?[..] {
-        [] => None,
-        [addr] => Some(addr),
-        _ => return Err("metrics takes exactly one server address".into()),
-    };
-    let snapshot = match (addr, flag_value(args, "--from")) {
-        (Some(_), Some(_)) => {
-            return Err("pass either a server address or --from <file>, not both".into());
-        }
-        (Some(addr), None) => scrape_metrics(addr, Duration::from_secs(5))?,
-        (None, Some(path)) => snapshot_from_file(path)?,
-        (None, None) => {
-            return Err("metrics requires a server address (e.g. threelc metrics \
-                 127.0.0.1:7171) or --from <report.json|flight.json>"
-                .into());
-        }
-    };
-    if has_flag(args, "--json") {
-        let mut out = serde_json::to_string_pretty(&snapshot)?;
-        out.push('\n');
-        Ok(out)
-    } else {
-        Ok(snapshot.render_text())
-    }
-}
-
-/// Loads the snapshot an offline `--from` file carries: a `serve --json`
-/// report's `metrics`, or a `.flight.json` dump's.
-fn snapshot_from_file(path: &str) -> Result<Snapshot, Box<dyn Error>> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if let Ok(report) = serde_json::from_str::<threelc_net::NetReport>(&text) {
-        return Ok(report.metrics);
-    }
-    FlightDump::from_json(&text)
-        .map(|dump| dump.metrics)
-        .map_err(|e| {
-            format!("{path}: neither a `serve --json` report nor a `.flight.json` dump ({e})")
-                .into()
-        })
 }
 
 /// `threelc simulate`: run the same experiment a `serve`/`worker` pair

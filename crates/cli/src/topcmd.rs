@@ -1,8 +1,8 @@
 //! The `top` subcommand: a live terminal dashboard over the server's
 //! time-series store.
 //!
-//! Polls the metrics side-door with series `Scrape` frames (the same
-//! non-intrusive path `threelc metrics` uses), so watching a run costs
+//! Polls the server's side door with series `Scrape` frames (the same
+//! non-intrusive path `threelc trace <addr>` uses), so watching a run costs
 //! the server one store snapshot per interval and never touches worker
 //! connections. One row per worker: last recorded step, achieved push
 //! compression ratio, wire throughput, rejoin count, step latency, how

@@ -176,7 +176,6 @@ mod tests {
             store,
             &[fault],
             Vec::new(),
-            threelc_obs::Snapshot::default(),
         );
         let path = std::env::temp_dir().join(format!("threelc-pin-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path").to_string();

@@ -78,16 +78,16 @@ impl Server {
     }
 }
 
-/// Blocks until the server answers a metrics scrape, which it does once
+/// Blocks until the server answers a `top --once` scrape, which it does once
 /// its own `Problem::build` is done: a worker started before then would
 /// spend that wait inside its step-0 network span — real, but it would
 /// drown a 250 ms signal a test injects.
 fn wait_until_serving(addr: &str) {
     for _ in 0..250 {
         let probe = Command::new(env!("CARGO_BIN_EXE_threelc"))
-            .args(["metrics", addr])
+            .args(["top", addr, "--once"])
             .output()
-            .expect("run metrics probe");
+            .expect("run top probe");
         if probe.status.success() {
             return;
         }

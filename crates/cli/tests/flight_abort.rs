@@ -1,7 +1,7 @@
 //! End-to-end post-mortem forensics: a loopback run killed mid-flight
 //! must leave behind a `.flight.json` dump with the per-worker series of
-//! every completed step, the triggering fault, and the metrics snapshot
-//! the run wrote no report for.
+//! every completed step, the triggering fault and the server's spans, in
+//! place of the report it never wrote.
 //!
 //! `kill@N` calls `std::process::exit`, so this test drives the real
 //! `threelc` binary rather than in-process threads.
@@ -15,7 +15,7 @@ use std::process::{Command, Stdio};
 const KILL_EXIT_CODE: i32 = 43;
 
 #[test]
-fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
+fn aborted_run_leaves_a_flight_dump() {
     let json = tmp("report.json");
     let flight = tmp("report.flight.json");
     let _ = std::fs::remove_file(&flight);
@@ -161,21 +161,6 @@ fn aborted_run_leaves_a_flight_dump_and_a_metrics_snapshot() {
     );
     let out = String::from_utf8_lossy(&analyzed.stdout);
     assert!(out.contains("critical path over"), "got: {out}");
-
-    // The aborted run's metrics survive in the dump, and `metrics --from`
-    // renders the dead run from it.
-    assert!(
-        dump.metrics.counter("net.server.bytes_in").unwrap_or(0) > 0,
-        "the dump must carry the server's byte counters: {:?}",
-        dump.metrics.counters
-    );
-    let from = Command::new(bin)
-        .args(["metrics", "--from", flight.to_str().unwrap()])
-        .output()
-        .expect("metrics --from");
-    assert!(from.status.success(), "metrics --from on the flight dump");
-    let out = String::from_utf8_lossy(&from.stdout);
-    assert!(out.contains("net.server"), "got: {out}");
 
     // No partial report: the run never finished, so --json wrote nothing.
     assert!(!json.exists(), "aborted runs must not write a final report");

@@ -1,6 +1,6 @@
 //! End-to-end trace collection against the real `threelc` binary: a traced
 //! loopback run is collected, merged and exported with every phase named,
-//! and its report's metrics render offline. Blaming an injected slow
+//! and its report books every connection's bytes. Blaming an injected slow
 //! worker is `analyze_e2e.rs`'s.
 
 mod common;
@@ -16,7 +16,7 @@ fn run(args: &[&str]) -> Output {
 }
 
 #[test]
-fn a_traced_run_exports_every_phase_and_renders_its_metrics() {
+fn a_traced_run_exports_every_phase_and_reports_its_bytes() {
     let report = tmp("trace-report.json");
     let report = report.to_str().unwrap();
     run_cluster(
@@ -36,8 +36,12 @@ fn a_traced_run_exports_every_phase_and_renders_its_metrics() {
         );
     }
 
-    // The report alone is enough for the offline metrics view.
-    let table = run(&["metrics", "--from", report]);
-    assert!(table.status.success(), "{}", text(&table.stderr));
-    assert!(text(&table.stdout).contains("net.server"));
+    // The report's exact per-connection counters are the transport
+    // record: both workers' bytes, both ways.
+    let json = std::fs::read_to_string(report).expect("report file");
+    let parsed: threelc_net::NetReport = serde_json::from_str(&json).expect("parse report");
+    assert_eq!(parsed.connections.len(), 2);
+    for c in &parsed.connections {
+        assert!(c.counters.bytes_in > 0 && c.counters.bytes_out > 0, "{c:?}");
+    }
 }

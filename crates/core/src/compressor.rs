@@ -33,7 +33,7 @@ pub struct ThreeLcOptions {
 
 impl ThreeLcOptions {
     /// Options with a given sparsity multiplier and everything else default.
-    pub fn with_sparsity(sparsity: SparsityMultiplier) -> Self {
+    fn with_sparsity(sparsity: SparsityMultiplier) -> Self {
         ThreeLcOptions {
             sparsity,
             ..Default::default()

@@ -205,9 +205,7 @@ impl CodecSelection {
 /// Honors [`CODEC_IMPL_ENV`] (`scalar`/`swar`/`simd`); an unset or empty
 /// variable picks [`CodecImpl::best_available`]. A forced-but-unavailable tier
 /// falls back to the best available one and records the downgrade in
-/// [`SelectionSource::ForcedUnavailable`]. Resolving it bumps the global
-/// `threelc.codec.encode.<tier>` counter once, so a metrics dump names the
-/// tier the process ran.
+/// [`SelectionSource::ForcedUnavailable`]. `threelc codec` prints it.
 ///
 /// # Panics
 ///
@@ -216,13 +214,7 @@ impl CodecSelection {
 /// relies on the forced tier actually being the one under test.
 pub fn selection() -> CodecSelection {
     static SELECTION: OnceLock<CodecSelection> = OnceLock::new();
-    *SELECTION.get_or_init(|| {
-        let sel = resolve_selection();
-        threelc_obs::global()
-            .counter(&format!("threelc.codec.encode.{}", sel.imp))
-            .inc();
-        sel
-    })
+    *SELECTION.get_or_init(resolve_selection)
 }
 
 /// Reads [`CODEC_IMPL_ENV`] by [`selection`]'s rules.
@@ -731,17 +723,6 @@ mod tests {
     fn runnable_never_returns_an_unavailable_tier() {
         for imp in CodecImpl::ALL {
             assert!(runnable(imp).is_available());
-        }
-    }
-
-    #[test]
-    fn the_selected_tier_is_counted_once() {
-        let sel = selection();
-        selection();
-        let snap = threelc_obs::global().snapshot();
-        for imp in CodecImpl::ALL {
-            let count = snap.counter(&format!("threelc.codec.encode.{imp}"));
-            assert_eq!(count, (imp == sel.imp).then_some(1), "{imp}");
         }
     }
 }

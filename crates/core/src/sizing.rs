@@ -49,16 +49,11 @@ pub fn strip_planes(values: usize, bytes: Range<usize>) -> [Range<usize>; 5] {
     })
 }
 
-/// Smallest possible 3LC payload for `values` values: header plus the
-/// quartic stream with every zero run maximally collapsed.
-pub fn min_payload_len(values: usize) -> usize {
-    WIRE_HEADER_LEN + quartic_len(values).div_ceil(zrle::MAX_RUN)
-}
-
 /// Largest element count a payload of `payload_len` bytes could describe.
 ///
-/// The inverse of [`min_payload_len`]: any claimed count above this bound
-/// is malformed, no matter what the body holds. Saturates instead of
+/// The inverse of the smallest payload for a count (header plus the
+/// quartic stream with every zero run maximally collapsed): any claimed
+/// count above this bound is malformed, no matter what the body holds. Saturates instead of
 /// overflowing for absurd lengths.
 pub fn max_values_for_payload(payload_len: usize) -> usize {
     let body = payload_len.saturating_sub(WIRE_HEADER_LEN);
@@ -77,6 +72,12 @@ mod tests {
     /// full quartic stream (zero-run encoding never expands).
     fn max_payload_len(values: usize) -> usize {
         WIRE_HEADER_LEN + quartic_len(values)
+    }
+
+    /// Smallest possible 3LC payload for `values` values: header plus the
+    /// quartic stream with every zero run maximally collapsed.
+    fn min_payload_len(values: usize) -> usize {
+        WIRE_HEADER_LEN + quartic_len(values).div_ceil(zrle::MAX_RUN)
     }
 
     #[test]

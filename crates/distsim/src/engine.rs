@@ -31,7 +31,6 @@ use crate::config::ExperimentConfig;
 use crate::trace::{StepRecord, TensorTraffic};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 use threelc::kernels::{self, DequantOp};
 use threelc::{sizing, CompressionStats, Compressor, DecodeError, SparsityMultiplier};
@@ -40,17 +39,17 @@ use threelc_learning::{
     models, Batch, Evaluation, GradSlot, LrSchedule, Network, SgdMomentum, SyntheticImages,
     TensorStep,
 };
-use threelc_obs::{trace, Histogram, WorkerDelta};
+use threelc_obs::{trace, WorkerDelta};
 use threelc_policy::{Decision, Feedback, PolicyRecord, TensorObs};
 use threelc_tensor::{add_max_abs, Rng, Shape, Tensor};
 
 /// Seed of the synthetic dataset (shared by every node).
-pub fn data_seed(config: &ExperimentConfig) -> u64 {
+fn data_seed(config: &ExperimentConfig) -> u64 {
     config.seed.wrapping_mul(31).wrapping_add(7)
 }
 
 /// Seed of worker `w`'s data-sampling RNG.
-pub fn worker_rng_seed(config: &ExperimentConfig, w: usize) -> u64 {
+fn worker_rng_seed(config: &ExperimentConfig, w: usize) -> u64 {
     config.seed.wrapping_add(1000 + w as u64)
 }
 
@@ -510,12 +509,6 @@ pub struct ServerCore {
     /// owns, balanced by element count ([`split_ranges`]); one range runs
     /// the step inline.
     shards: Vec<Range<usize>>,
-    /// `engine.evaluate_seconds` — one test-set pass ([`Self::evaluate`]),
-    /// a handle cached so the registry lock is taken once, here.
-    evaluate_seconds: Arc<Histogram>,
-    /// `engine.shard.busy_seconds` — per-shard busy time of a step that
-    /// runs more than one shard (shard threads carry no trace scope).
-    shard_busy_seconds: Arc<Histogram>,
 }
 
 /// Quartic bytes per strip of the fused sweep: 10 240 values, 40 KiB of
@@ -759,26 +752,15 @@ fn run_tasks<I: Send, T: Send>(tasks: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<
 /// inline on the calling thread, so one shard and many execute the same
 /// body; tensors are independent and keep their worker-id order inside
 /// `body`, so the shard count never changes a result. The per-shard
-/// outputs come back in range order. `busy` is
-/// `engine.shard.busy_seconds`, recorded once per shard of a phase that
-/// runs more than one.
+/// outputs come back in range order.
 fn run_shards<C: Send, T: Send>(
     rows: &mut [C],
     ranges: &[Range<usize>],
-    busy: &Histogram,
     body: impl Fn(Range<usize>, &mut [C]) -> T + Sync,
 ) -> Vec<T> {
-    let sharded = ranges.len() > 1;
     let chunks = split_off_ranges(rows, ranges);
     let tasks: Vec<_> = ranges.iter().cloned().zip(chunks).collect();
-    run_tasks(tasks, |(range, chunk)| {
-        let t0 = Instant::now();
-        let out = body(range, chunk);
-        if sharded {
-            busy.record(t0.elapsed().as_secs_f64());
-        }
-        out
-    })
+    run_tasks(tasks, |(range, chunk)| body(range, chunk))
 }
 
 impl ServerCore {
@@ -804,7 +786,6 @@ impl ServerCore {
         let current_decisions = policy
             .as_ref()
             .map_or_else(Vec::new, Feedback::initial_decisions);
-        let reg = threelc_obs::global();
         let traffic = (problem.shapes.iter().zip(&problem.compressible))
             .map(|(shape, &compressed)| TensorTraffic {
                 values: shape.num_elements() as u64,
@@ -825,8 +806,6 @@ impl ServerCore {
             current_decisions,
             step: 0,
             shards: Vec::new(),
-            evaluate_seconds: reg.histogram("engine.evaluate_seconds"),
-            shard_busy_seconds: reg.histogram("engine.shard.busy_seconds"),
             config,
         };
         // As many shards as the host has cores and the model has
@@ -887,13 +866,9 @@ impl ServerCore {
     }
 
     /// Scores the global model on `test` — the paper's dedicated evaluation
-    /// node reading a model snapshot (§5.2) — and records what the pass
-    /// cost under `engine.evaluate_seconds`.
+    /// node reading a model snapshot (§5.2).
     pub fn evaluate(&self, test: &Batch) -> Evaluation {
-        let start = Instant::now();
-        let eval = Evaluation::of(&self.global, test);
-        self.evaluate_seconds.record(start.elapsed().as_secs_f64());
-        eval
+        Evaluation::of(&self.global, test)
     }
 
     /// Steps applied so far.
@@ -1089,26 +1064,21 @@ impl ServerCore {
     ) -> Result<Vec<CompressionStats>, EngineError> {
         let step = self.step;
         let shapes = &self.shapes;
-        let outs = run_shards(
-            &mut self.decode_ctxs,
-            &self.shards,
-            &self.shard_busy_seconds,
-            |range, rows| {
-                (rows.iter().zip(range))
-                    .map(|(ctx_row, i)| {
-                        let n = shapes[i].num_elements();
-                        stage_tensor(ctx_row, payloads, ops, i, n).map_err(|(worker, source)| {
-                            EngineError::UndecodablePush {
-                                step,
-                                worker,
-                                tensor: i,
-                                source,
-                            }
-                        })
+        let outs = run_shards(&mut self.decode_ctxs, &self.shards, |range, rows| {
+            (rows.iter().zip(range))
+                .map(|(ctx_row, i)| {
+                    let n = shapes[i].num_elements();
+                    stage_tensor(ctx_row, payloads, ops, i, n).map_err(|(worker, source)| {
+                        EngineError::UndecodablePush {
+                            step,
+                            worker,
+                            tensor: i,
+                            source,
+                        }
                     })
-                    .collect::<Result<Vec<_>, _>>()
-            },
-        );
+                })
+                .collect::<Result<Vec<_>, _>>()
+        });
         // Shards come back in range order: the first error is the lowest
         // tensor's.
         let pushed: Vec<CompressionStats> = outs
@@ -1142,29 +1112,24 @@ impl ServerCore {
             .zip(&mut self.decode_ctxs)
             .zip(&mut self.pull_ctxs)
             .collect();
-        let outs = run_shards(
-            &mut rows,
-            &self.shards,
-            &self.shard_busy_seconds,
-            |range, rows| {
-                // Where a strip of the pushes is summed, stepped and left
-                // as the delta: 40 KiB, which stays in L2.
-                let mut strip = [0f32; 5 * STRIP_BYTES];
-                rows.iter_mut()
-                    .zip(range)
-                    .map(|(((step, ctx_row), pull), i)| {
-                        let (mut delta, fold) = match pull {
-                            Some(ctx) => ctx.take_accumulator(),
-                            None => (Tensor::zeros(shapes[i].clone()), DequantOp::Assign),
-                        };
-                        let max_abs = sweep_tensor(
-                            step, &mut delta, fold, ctx_row, payloads, ops, i, &mut strip, lr,
-                        );
-                        (delta, max_abs)
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
+        let outs = run_shards(&mut rows, &self.shards, |range, rows| {
+            // Where a strip of the pushes is summed, stepped and left
+            // as the delta: 40 KiB, which stays in L2.
+            let mut strip = [0f32; 5 * STRIP_BYTES];
+            rows.iter_mut()
+                .zip(range)
+                .map(|(((step, ctx_row), pull), i)| {
+                    let (mut delta, fold) = match pull {
+                        Some(ctx) => ctx.take_accumulator(),
+                        None => (Tensor::zeros(shapes[i].clone()), DequantOp::Assign),
+                    };
+                    let max_abs = sweep_tensor(
+                        step, &mut delta, fold, ctx_row, payloads, ops, i, &mut strip, lr,
+                    );
+                    (delta, max_abs)
+                })
+                .collect::<Vec<_>>()
+        });
         outs.into_iter().flatten().collect()
     }
 
@@ -1180,25 +1145,20 @@ impl ServerCore {
             .iter_mut()
             .zip(deltas.into_iter().map(Some))
             .collect();
-        let outs = run_shards(
-            &mut rows,
-            &self.shards,
-            &self.shard_busy_seconds,
-            |range, rows| {
-                let mut pulls = Vec::with_capacity(range.len());
-                for (ctx, delta) in rows.iter_mut() {
-                    let (delta, max_abs) = delta.take().expect("one delta per tensor");
-                    pulls.push(match ctx {
-                        Some(ctx) => TensorPayload::Compressed(
-                            ctx.compress_accumulator(delta, max_abs)
-                                .expect("delta shape matches context"),
-                        ),
-                        None => TensorPayload::Raw(delta),
-                    });
-                }
-                pulls
-            },
-        );
+        let outs = run_shards(&mut rows, &self.shards, |range, rows| {
+            let mut pulls = Vec::with_capacity(range.len());
+            for (ctx, delta) in rows.iter_mut() {
+                let (delta, max_abs) = delta.take().expect("one delta per tensor");
+                pulls.push(match ctx {
+                    Some(ctx) => TensorPayload::Compressed(
+                        ctx.compress_accumulator(delta, max_abs)
+                            .expect("delta shape matches context"),
+                    ),
+                    None => TensorPayload::Raw(delta),
+                });
+            }
+            pulls
+        });
         let pulls: Vec<TensorPayload> = outs.into_iter().flatten().collect();
         let workers = self.config.workers;
         for (t, pull) in self.traffic.iter_mut().zip(&pulls) {
@@ -1422,11 +1382,7 @@ mod tests {
         }
         assert_eq!(server_a.global().snapshot(), server_b.global().snapshot());
 
-        // The one evaluation site is `Evaluation::of` with a number.
-        let recorded = threelc_obs::global().histogram("engine.evaluate_seconds");
-        let before = recorded.count();
         let eval = server_b.evaluate(&released.test);
-        assert!(recorded.count() > before);
         let want = Evaluation::of(server_a.global(), &kept.test);
         assert_eq!(eval.loss.to_bits(), want.loss.to_bits());
         assert_eq!(eval.accuracy, want.accuracy);

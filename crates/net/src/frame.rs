@@ -473,7 +473,7 @@ pub fn write_frame<W: Write>(
 /// # Errors
 ///
 /// Propagates stream write failures (including write timeouts).
-pub fn write_frame_traced<W: Write>(
+fn write_frame_traced<W: Write>(
     w: &mut W,
     msg: MsgType,
     tensor: u16,

@@ -35,17 +35,17 @@ pub mod counters;
 pub mod crc32;
 pub mod faults;
 pub mod frame;
-pub mod metrics;
 pub mod protocol;
 pub mod report;
+pub mod scrape;
 pub mod server;
 pub mod worker;
 
 pub use counters::ConnCounters;
 pub use faults::{FaultAction, FaultInjector, FaultKind, FaultPlan, FAULT_ENV, KILL_EXIT_CODE};
 pub use frame::{Frame, FrameError, MsgType, HEADER_LEN, MAX_PAYLOAD};
-pub use metrics::{scrape_metrics, scrape_series, scrape_trace, Conn, NetMetrics};
 pub use protocol::{model_crc32, NetError, ScrapeKind};
 pub use report::{ConnReport, FaultEvent, FaultsReport, NetReport};
+pub use scrape::{scrape_series, scrape_trace};
 pub use server::{serve, ServeOptions};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome};

@@ -245,11 +245,10 @@ pub fn decode_policy_update(payload: &[u8]) -> Result<Vec<threelc_policy::Decisi
 
 /// Which observability view a [`MsgType::Scrape`](crate::MsgType::Scrape)
 /// frame asks for; the discriminant is the frame's one payload byte.
+/// Byte 0 named the retired metrics-registry view and is now unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ScrapeKind {
-    /// The global metrics registry (`threelc_obs::Snapshot`).
-    Metrics = 0,
     /// The answering node's span buffer (`threelc_obs::NodeTrace`): a
     /// non-draining snapshot from a server, the drained buffer from a
     /// worker at shutdown.
@@ -266,7 +265,6 @@ pub enum ScrapeKind {
 /// a known [`ScrapeKind`].
 pub fn decode_scrape(payload: &[u8]) -> Result<ScrapeKind, NetError> {
     match payload {
-        [0] => Ok(ScrapeKind::Metrics),
         [1] => Ok(ScrapeKind::Trace),
         [2] => Ok(ScrapeKind::Series),
         [kind] => Err(NetError::Protocol(format!("unknown scrape kind {kind}"))),
@@ -372,18 +370,20 @@ mod tests {
 
     #[test]
     fn scrape_reply_rejects_what_is_not_the_requested_view() {
-        // Round trips of all three views through real frames, and the
-        // kind byte's rejections, live in tests/frame_proptests.rs.
-        let reg = threelc_obs::Registry::new();
-        reg.counter("frames").add(4);
-        let snap = reg.snapshot();
-        let bytes = encode_scrape_reply(&snap).unwrap();
+        // Round trips of both views through real frames, and the kind
+        // byte's rejections, live in tests/frame_proptests.rs.
+        let trace = threelc_obs::NodeTrace {
+            clock: "server".into(),
+            spans: Vec::new(),
+            dropped: 4,
+        };
+        let bytes = encode_scrape_reply(&trace).unwrap();
         assert_eq!(
-            decode_scrape_reply::<threelc_obs::Snapshot>(&bytes).unwrap(),
-            snap
+            decode_scrape_reply::<threelc_obs::NodeTrace>(&bytes).unwrap(),
+            trace
         );
-        assert!(decode_scrape_reply::<threelc_obs::Snapshot>(b"not json").is_err());
-        assert!(decode_scrape_reply::<threelc_obs::Snapshot>(&[0xFF, 0xFE]).is_err());
+        assert!(decode_scrape_reply::<threelc_obs::NodeTrace>(b"not json").is_err());
+        assert!(decode_scrape_reply::<threelc_obs::NodeTrace>(&[0xFF, 0xFE]).is_err());
         // A well-formed reply of another shape is a mismatch, not a default.
         assert!(decode_scrape_reply::<threelc_obs::RunSeries>(b"[1,2]").is_err());
     }

@@ -4,7 +4,7 @@ use crate::counters::ConnCounters;
 use serde::{Deserialize, Serialize};
 use threelc_distsim::ExperimentResult;
 pub use threelc_obs::FaultEvent;
-use threelc_obs::{NodeTrace, RunSeries, Snapshot};
+use threelc_obs::{NodeTrace, RunSeries};
 
 /// One connection's summary in the final report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,12 +67,6 @@ pub struct NetReport {
     /// existed.
     #[serde(default)]
     pub series: RunSeries,
-    /// Final metrics-registry snapshot, so `threelc metrics --from
-    /// <report.json>` renders a finished run offline (an aborted run's is
-    /// in its flight dump). Empty in reports written before the field
-    /// existed.
-    #[serde(default)]
-    pub metrics: Snapshot,
 }
 
 #[cfg(test)]
@@ -115,7 +109,6 @@ mod tests {
                 dropped: 0,
             }],
             series: RunSeries::default(),
-            metrics: Snapshot::default(),
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: NetReport = serde_json::from_str(&json).unwrap();
@@ -140,12 +133,8 @@ mod tests {
             !stripped.contains("final_model_crc32"),
             "crc key not stripped"
         );
-        // Pre-snapshot reports lack the metrics key too.
-        let stripped = stripped.replace(",\"metrics\":{\"counters\":[],\"histograms\":[]}", "");
-        assert!(!stripped.contains("metrics"), "metrics key not stripped");
         let old: NetReport = serde_json::from_str(&stripped).unwrap();
         assert!(old.node_traces.is_empty());
-        assert_eq!(old.metrics, Snapshot::default());
         assert_eq!(old.final_model_crc32, 0);
         // And reports from builds that recorded fields since retired
         // (PRs 10-12 wrote the server's aggregation mode) parse too:
@@ -159,7 +148,8 @@ mod tests {
         // A report as the server wrote it while the shared config still
         // carried servers, backup workers, stale pulls, per-worker pull
         // compression and straggler jitter, and every step record a
-        // compute multiplier, an overlap flag and a critical-byte count.
+        // compute multiplier, an overlap flag and a critical-byte count,
+        // and the report a metrics-registry snapshot.
         let retired = r#"{"result":{"config":{"scheme":"Float32","workers":1,"servers":1,"batch_per_worker":4,"total_steps":1,"lr_max":0.1,"lr_min":0.001,"momentum":0.9,"weight_decay":0.0001,"warmup_steps":60,"backup_workers":0,"staleness":0,"model_width":8,"model_blocks":1,"compress_threshold":512,"eval_every":0,"shared_pull_compression":true,"seed":42,"policy":"Static","timing":{"compute_seconds_per_step":0.41,"overlap_fraction":2,"reference_params":1730000,"straggler_jitter":0}},"scheme_label":"32-bit float","model_params":1810,"final_eval":{"loss":3.1904573,"accuracy":0.1064453125},"trace":{"steps":[{"step":0,"lr":0.0016666668,"loss":3.623241,"push_bytes":6144,"pull_bytes":6144,"raw_bytes":2192,"compressible_values":1536,"worker_codec_seconds":0.000003596,"server_codec_seconds":0.000009117,"compute_multiplier":1,"pull_overlapped":false,"critical_bytes":14480,"residual_l2":0}],"evals":[{"step":1,"eval":{"loss":3.1904573,"accuracy":0.1064453125}}],"anomalies":[],"policy":{"label":"static","records":[]}}},"final_model_crc32":0,"connections":[],"faults":{"disconnects":0,"rejoins":0,"events":[]},"node_traces":[],"anomalies":[],"series":{"steps_recorded":0,"workers":[],"run":[]},"analysis":null,"metrics":{"counters":[],"gauges":[],"histograms":[]}}"#;
         let parsed: NetReport = serde_json::from_str(retired).unwrap();
         assert_eq!(

@@ -25,8 +25,8 @@
 //! any mid-run disconnect aborts the run. Protocol violations (wrong
 //! step, out-of-order tensors) always abort — those are bugs, not faults.
 //! A connection whose *first* frame is malformed, unexpected or refused is
-//! closed, counted and logged, in every phase of the run, and the run goes
-//! on (`refuse`).
+//! closed and logged (a `server.connection_refused` warn event), in every
+//! phase of the run, and the run goes on (`refuse`).
 //! Every blocking socket operation is bounded by
 //! [`ServeOptions::io_timeout`], and every barrier wait by
 //! [`ServeOptions::step_timeout`] (or the rejoin timeout while a worker
@@ -34,7 +34,6 @@
 
 use crate::counters::ConnCounters;
 use crate::frame::MsgType;
-use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
     encode_policy_update, encode_scrape_reply, model_crc32, NetError, ScrapeKind,
@@ -173,14 +172,13 @@ struct Admission {
 ///
 /// Every fault is written exactly once, as a [`FaultEvent`], by
 /// [`Self::retire`] (a disconnect) or [`Self::admit`] (a rejoin), which
-/// also bump the `net.server.*` counter and log the event. The run report
+/// also log the event. The run report
 /// and the flight dump both read that ledger.
 struct Coordinator {
     total_steps: u64,
     max_rejoins: u64,
     step_timeout: Duration,
     rejoin_timeout: Duration,
-    metrics: NetMetrics,
     /// Whether each worker's slot has ever been filled: what makes a
     /// `Hello` a first join or a rejoin.
     joined: Vec<bool>,
@@ -223,7 +221,6 @@ impl Coordinator {
             max_rejoins: u64::from(opts.max_rejoins),
             step_timeout: opts.step_timeout,
             rejoin_timeout: opts.rejoin_timeout,
-            metrics: NetMetrics::server(),
             joined: vec![false; workers],
             gens: vec![0; workers],
             rejoin_counts: vec![0; workers],
@@ -386,7 +383,6 @@ impl Coordinator {
         self.slots[worker] = None;
         let parked = Instant::now() + self.rejoin_timeout;
         self.deadline = self.deadline.map(|d| d.max(parked));
-        self.metrics.disconnects.add(1);
         threelc_obs::event!(
             Level::Warn,
             "server.worker_disconnected",
@@ -448,7 +444,6 @@ impl Coordinator {
             self.gens[worker] += 1;
             self.rejoin_counts[worker] += 1;
             self.faults.rejoins += 1;
-            self.metrics.rejoins.add(1);
             threelc_obs::event!(
                 Level::Info,
                 "server.worker_rejoined",
@@ -584,8 +579,7 @@ pub fn serve(
             // completed run, whose buffer was drained into the report.
             let mut spans = vec![server_buf.snapshot("server")];
             spans.retain(|n| !n.spans.is_empty());
-            let metrics = threelc_obs::global().snapshot();
-            let dump = FlightDump::new(cause, &detail, series, faults, spans, metrics);
+            let dump = FlightDump::new(cause, &detail, series, faults, spans);
             if let Err(e) = write_flight_dump(path, &dump) {
                 threelc_obs::event!(
                     Level::Warn,
@@ -663,7 +657,6 @@ fn serve_run(
     let mut trace = TrainingTrace::default();
     trace.policy.label = config.policy.label();
     for step in 0..config.total_steps {
-        let step_t0 = Instant::now();
         let _coord_scope = tracing
             .then(|| TraceScope::enter(server_buf, "server", trace_id, step, trace::NO_WORKER));
 
@@ -727,10 +720,6 @@ fn serve_run(
         coord.broadcast(&Arc::new(PullBatch { step, frames }))?;
 
         trace.record_step(record);
-        coord
-            .metrics
-            .step_seconds
-            .record(step_t0.elapsed().as_secs_f64());
         let due = config.eval_every > 0 && (step + 1) % config.eval_every == 0;
         if due && step + 1 < config.total_steps {
             trace.evals.push(EvalRecord {
@@ -785,7 +774,6 @@ fn serve_run(
         faults: coord.faults.clone(),
         node_traces,
         series: recorder.lock().expect("series recorder lock").snapshot(),
-        metrics: threelc_obs::global().snapshot(),
     })
 }
 
@@ -876,7 +864,7 @@ fn spawn_handler(
     stream: TcpStream,
     worker: usize,
     admission: Admission,
-    hello_counters: ConnCounters,
+    mut counters: ConnCounters,
     run: Arc<RunShared>,
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
@@ -885,9 +873,8 @@ fn spawn_handler(
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "unknown".into());
         let gen = admission.gen;
-        let mut conn = Conn::new(hello_counters, NetMetrics::server());
         let (trace_dump, error) = match catch_unwind(AssertUnwindSafe(|| {
-            run_handler(stream, worker, admission, &run, &mut conn)
+            run_handler(stream, worker, admission, &run, &mut counters)
         })) {
             Ok(Ok(dump)) => (dump, None),
             Ok(Err(e)) => (None, Some(e.to_string())),
@@ -904,7 +891,7 @@ fn spawn_handler(
             worker,
             gen,
             peer,
-            counters: conn.counters,
+            counters,
             trace: trace_dump,
             error,
         });
@@ -931,19 +918,17 @@ fn aggregation_error(e: EngineError) -> NetError {
     NetError::Protocol(format!("server aggregation failed: {e}"))
 }
 
-/// Replies to a `Scrape` with the view it names: the global metrics
-/// registry, a (non-draining) snapshot of the server's span buffer, or
-/// the run's time-series store — so `metrics`, `trace`/`analyze` and
-/// `top` can inspect a live run mid-training.
+/// Replies to a `Scrape` with the view it names: a (non-draining) snapshot
+/// of the server's span buffer, or the run's time-series store — so
+/// `trace`/`analyze` and `top` can inspect a live run mid-training.
 fn answer_scrape(
     stream: &TcpStream,
-    conn: &mut Conn,
+    conn: &mut ConnCounters,
     kind: ScrapeKind,
     server_buf: &Arc<TraceBuffer>,
     recorder: &Arc<Mutex<RunRecorder>>,
 ) -> Result<(), NetError> {
     let payload = match kind {
-        ScrapeKind::Metrics => encode_scrape_reply(&threelc_obs::global().snapshot()),
         ScrapeKind::Trace => encode_scrape_reply(&server_buf.snapshot("server")),
         ScrapeKind::Series => {
             encode_scrape_reply(&recorder.lock().expect("series recorder lock").snapshot())
@@ -962,11 +947,10 @@ fn answer_scrape(
 
 /// The one first-frame policy, in every phase of the run: a connection
 /// whose first frame is malformed, unexpected or inadmissible is closed
-/// (the caller drops it), counted and logged — and the run goes on. A stray
+/// (the caller drops it) and logged — and the run goes on. A stray
 /// probe must not be able to kill a server, least of all one still waiting
 /// for its workers.
 fn refuse(reason: &str) {
-    threelc_obs::global().counter("net.server.refused").add(1);
     threelc_obs::event!(Level::Warn, "server.connection_refused", reason = reason);
 }
 
@@ -1079,12 +1063,12 @@ fn first_frame(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
-    let mut conn = Conn::new(ConnCounters::default(), NetMetrics::server());
-    let frame = conn.read_frame(&mut &stream)?;
+    let mut counters = ConnCounters::default();
+    let frame = counters.read_frame(&mut &stream)?;
     match frame.msg {
         MsgType::Scrape => {
             let kind = decode_scrape(&frame.payload)?;
-            answer_scrape(&stream, &mut conn, kind, server_buf, recorder)
+            answer_scrape(&stream, &mut counters, kind, server_buf, recorder)
         }
         MsgType::Hello => {
             let worker = usize::from(decode_hello(&frame.payload)?);
@@ -1092,7 +1076,7 @@ fn first_frame(
                 .send(ToCoord::Join {
                     worker,
                     stream,
-                    counters: conn.counters,
+                    counters,
                 })
                 .map_err(|_| NetError::Protocol("coordinator is gone".into()))
         }
@@ -1119,7 +1103,7 @@ fn run_handler(
     worker: usize,
     admission: Admission,
     run: &RunShared,
-    conn: &mut Conn,
+    conn: &mut ConnCounters,
 ) -> Result<Option<NodeTrace>, NetError> {
     let Admission {
         gen,

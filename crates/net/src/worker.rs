@@ -26,7 +26,6 @@
 use crate::counters::ConnCounters;
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::frame::{Frame, FrameError, MsgType, HEADER_LEN};
-use crate::metrics::{Conn, NetMetrics};
 use crate::protocol::{
     bytes_to_tensor, decode_policy_update, decode_scrape, encode_hello, encode_push_done,
     encode_scrape_reply, NetError, ScrapeKind,
@@ -138,7 +137,10 @@ pub(crate) fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> io::Result
 /// Connects with per-attempt timeout and bounded exponential backoff,
 /// counting failed attempts and the measured backoff sleep time. Each
 /// attempt tries every resolved address.
-fn connect_with_retry(opts: &WorkerOptions, conn: &mut Conn) -> Result<TcpStream, NetError> {
+fn connect_with_retry(
+    opts: &WorkerOptions,
+    conn: &mut ConnCounters,
+) -> Result<TcpStream, NetError> {
     let addrs = resolve(&opts.addr)?;
     let mut backoff = opts.initial_backoff;
     let mut last_err: Option<io::Error> = None;
@@ -189,12 +191,12 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerOutcome, NetError> {
     let mut carried = ConnCounters::default();
     let mut rejoins_used: u32 = 0;
     loop {
-        let mut conn = Conn::new(ConnCounters::default(), NetMetrics::worker());
+        let mut conn = ConnCounters::default();
         let mut established = false;
         match run_session(opts, &mut injector, &mut conn, &mut established) {
             Ok((config, model)) => {
                 let mut counters = carried;
-                counters.merge(&conn.counters);
+                counters.merge(&conn);
                 return Ok(WorkerOutcome {
                     steps: config.total_steps,
                     config,
@@ -204,15 +206,13 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerOutcome, NetError> {
                 });
             }
             Err(error) => {
-                carried.merge(&conn.counters);
+                carried.merge(&conn);
                 // Only established sessions rejoin: a handshake that never
                 // completed (wrong server, bad id) is not a mid-run fault.
                 if !established || !is_recoverable(&error) || rejoins_used >= opts.max_rejoins {
                     return Err(error);
                 }
                 rejoins_used += 1;
-                conn.metrics.disconnects.add(1);
-                conn.metrics.rejoins.add(1);
                 threelc_obs::event!(
                     Level::Warn,
                     "worker.rejoining",
@@ -265,7 +265,7 @@ fn accept_config(
 fn run_session(
     opts: &WorkerOptions,
     injector: &mut FaultInjector,
-    conn: &mut Conn,
+    conn: &mut ConnCounters,
     established: &mut bool,
 ) -> Result<(ExperimentConfig, Network), NetError> {
     let stream = connect_with_retry(opts, conn)?;
@@ -460,9 +460,6 @@ fn run_session(
             replica.apply_policy(&decisions);
         }
         pull_span.finish();
-        conn.metrics
-            .step_seconds
-            .record(step_t0.elapsed().as_secs_f64());
     }
 
     // ---- Graceful shutdown handshake. The server may first ask for this
@@ -534,7 +531,7 @@ fn injected_disconnect(kind: &str, step: u64) -> NetError {
 #[allow(clippy::type_complexity)]
 fn read_pull_batch<R: io::Read>(
     reader: &mut R,
-    conn: &mut Conn,
+    conn: &mut ConnCounters,
     step: u64,
     n_params: usize,
 ) -> Result<(Vec<(MsgType, Vec<u8>)>, Option<Vec<Decision>>), NetError> {
@@ -722,8 +719,8 @@ mod tests {
         }
     }
     use crate::frame::{read_frame, write_frame};
-    use crate::metrics::scrape;
     use crate::protocol::{encode_scrape_reply, ScrapeKind};
+    use crate::scrape::scrape;
     use std::net::TcpListener;
 
     #[test]
@@ -747,10 +744,12 @@ mod tests {
 
         // A scrape dials the same way (`localhost` may resolve to an
         // address the server does not listen on first).
-        let registry = threelc_obs::Registry::new();
-        registry.counter("frames").add(4);
-        let snapshot = registry.snapshot();
-        let reply = encode_scrape_reply(&snapshot).expect("serializes");
+        let buffer = threelc_obs::NodeTrace {
+            clock: "server".into(),
+            spans: Vec::new(),
+            dropped: 4,
+        };
+        let reply = encode_scrape_reply(&buffer).expect("serializes");
         let server = thread::spawn(move || loop {
             let (stream, _) = live.accept().expect("accept");
             // The bare connection above arrives first and says nothing.
@@ -761,13 +760,13 @@ mod tests {
             write_frame(&mut &stream, MsgType::ScrapeReply, 0, 0, &reply).expect("reply");
             break;
         });
-        let scraped: threelc_obs::Snapshot = scrape(
+        let scraped: threelc_obs::NodeTrace = scrape(
             &[dead_addr, live_addr][..],
-            ScrapeKind::Metrics,
+            ScrapeKind::Trace,
             Duration::from_secs(1),
         )
         .expect("second address is live");
-        assert_eq!(scraped, snapshot);
+        assert_eq!(scraped, buffer);
         server.join().expect("scrape responder");
     }
 

@@ -155,18 +155,12 @@ proptest! {
             0..20,
         ),
     ) {
-        for kind in [ScrapeKind::Metrics, ScrapeKind::Trace, ScrapeKind::Series] {
+        for kind in [ScrapeKind::Trace, ScrapeKind::Series] {
             let request = Frame::new(MsgType::Scrape, 0, step, vec![kind as u8]);
             let (back, _) = Frame::decode(&request.encode()).expect("own encoding decodes");
             prop_assert_eq!(back.msg, MsgType::Scrape);
             prop_assert_eq!(decode_scrape(&back.payload).expect("known kind"), kind);
         }
-
-        let reg = threelc_obs::Registry::new();
-        reg.counter("frames").add(count);
-        reg.histogram("seconds").record(seconds);
-        let snapshot = reg.snapshot();
-        prop_assert_eq!(reply_roundtrip(&snapshot, step), snapshot);
 
         let names = ["quantize", "encode", "serialize", "network", "pull", "recv_push", "send_pull", "barrier"];
         let clock: String = ["server", "worker0", "worker1", "sim"][clock_i].into();
@@ -231,6 +225,8 @@ proptest! {
     #[test]
     fn malformed_scrape_kinds_are_typed_errors(kind in 3u8..=255, extra in prop::collection::vec(any::<u8>(), 1..8)) {
         prop_assert!(matches!(decode_scrape(&[kind]), Err(NetError::Protocol(_))));
+        // Byte 0 asked for the retired metrics-registry view.
+        prop_assert!(matches!(decode_scrape(&[0]), Err(NetError::Protocol(_))));
         prop_assert!(matches!(decode_scrape(&[]), Err(NetError::Protocol(_))));
         let mut long = vec![ScrapeKind::Trace as u8];
         long.extend_from_slice(&extra);

@@ -15,8 +15,7 @@ use threelc_distsim::{
 use threelc_net::frame::{read_frame, write_frame};
 use threelc_net::protocol::{encode_hello, encode_push_done};
 use threelc_net::{
-    run_worker, scrape_metrics, scrape_series, scrape_trace, serve, MsgType, ServeOptions,
-    WorkerOptions,
+    run_worker, scrape_series, scrape_trace, serve, MsgType, ServeOptions, WorkerOptions,
 };
 
 fn loopback_config(scheme: SchemeKind) -> ExperimentConfig {
@@ -130,26 +129,6 @@ fn loopback_run_matches_simulator_bit_for_bit() {
         .sum();
     let workers_in: u64 = outcomes.iter().map(|o| o.counters.bytes_in).sum();
     assert_eq!(server_out, workers_in);
-
-    // The run also populated the global metrics registry with both
-    // transport roles' telemetry and the server's evaluation. (Presence
-    // checks only — the registry is shared with other tests in this
-    // process.)
-    let snap = threelc_obs::global().snapshot();
-    for name in [
-        "net.server.socket_seconds",
-        "net.worker.socket_seconds",
-        "net.server.step_seconds",
-        "net.worker.step_seconds",
-        "engine.evaluate_seconds",
-    ] {
-        let hist = snap.histogram(name).unwrap_or_else(|| {
-            panic!("histogram {name:?} missing after a loopback run");
-        });
-        assert!(hist.count > 0, "histogram {name:?} recorded nothing");
-    }
-    assert!(snap.counter("net.server.bytes_in").expect("counter") > 0);
-    assert!(snap.counter("net.worker.bytes_out").expect("counter") > 0);
 }
 
 #[test]
@@ -707,7 +686,7 @@ fn server_rejects_a_garbage_hello() {
     // none of which may cost it the run: garbage where a frame should be,
     // a probe that connects and closes, a scrape naming no view, and a
     // `Hello` for a worker id the cluster does not have. The server closes
-    // each one and counts it; the workers that join afterwards train to the
+    // each one; the workers that join afterwards train to the
     // simulator's exact model.
     let config = ExperimentConfig {
         total_steps: 4,
@@ -716,8 +695,6 @@ fn server_rejects_a_garbage_hello() {
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let refused = threelc_obs::global().counter("net.server.refused");
-    let refused_before = refused.get();
     let server = thread::spawn(move || serve(&listener, &config, &ServeOptions::default()));
 
     let stray = |bytes: &[u8]| {
@@ -766,13 +743,6 @@ fn server_rejects_a_garbage_hello() {
         "the run after the stray connections diverged from the simulator"
     );
     assert_eq!(report.faults, threelc_net::FaultsReport::default());
-    // One counter, whatever the reason (other tests in this process may
-    // have bumped it too).
-    assert!(
-        refused.get() >= refused_before + 4,
-        "net.server.refused went {refused_before} -> {}",
-        refused.get()
-    );
 }
 
 #[test]
@@ -872,77 +842,6 @@ fn server_rejects_an_undecodable_push_with_a_named_error() {
 }
 
 #[test]
-fn metrics_scrape_during_handshake_does_not_consume_a_worker_slot() {
-    // Two worker slots: connect one worker, scrape while the server is
-    // provably parked in the accept loop waiting for the second, then let
-    // the second worker join. The run must still complete bit-for-bit.
-    let config = ExperimentConfig {
-        total_steps: 4,
-        eval_every: 0,
-        ..loopback_config(SchemeKind::three_lc(1.0))
-    };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let server = thread::spawn(move || serve(&listener, &config, &ServeOptions::default()));
-
-    let addr0 = addr.clone();
-    let w0 = thread::spawn(move || run_worker(&WorkerOptions::new(addr0, 0)));
-    let snap = scrape_metrics(&addr, Duration::from_secs(5)).expect("handshake-phase scrape");
-    // The snapshot is a well-formed registry image (content depends on
-    // what else has run in this process, so no exact-value assertions).
-    assert!(!snap.render_text().is_empty());
-
-    let addr1 = addr.clone();
-    let w1 = thread::spawn(move || run_worker(&WorkerOptions::new(addr1, 1)));
-    w0.join().expect("worker 0 thread").expect("worker 0 run");
-    w1.join().expect("worker 1 thread").expect("worker 1 run");
-    let report = server.join().expect("server thread").expect("serve run");
-    assert_eq!(report.connections.len(), 2);
-}
-
-#[test]
-fn metrics_scrape_works_mid_training() {
-    // One worker slot, driven by hand: after the Hello/HelloAck handshake
-    // the server enters the training phase and blocks at the push barrier,
-    // so the background scraper thread is deterministically the only thing
-    // answering new connections.
-    let config = ExperimentConfig {
-        workers: 1,
-        ..loopback_config(SchemeKind::Float32)
-    };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let opts = ServeOptions {
-        io_timeout: Duration::from_secs(5),
-        step_timeout: Duration::from_secs(5),
-        // Fail-stop mode: the abandoned run below must abort promptly
-        // instead of parking the barrier for a rejoin.
-        max_rejoins: 0,
-        ..ServeOptions::default()
-    };
-    let server = thread::spawn(move || serve(&listener, &config, &opts));
-
-    let stream = TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
-    let ack = read_frame(&mut &stream).expect("hello ack");
-    assert_eq!(ack.msg, MsgType::HelloAck);
-
-    // The server now waits for our push; scrape through the side door.
-    // Plant a marker first: it is registered before the request is sent,
-    // so the (global-registry) snapshot must contain it — a deterministic
-    // proof the scrape returned live registry state.
-    threelc_obs::global()
-        .counter("test.mid_training_scrape_marker")
-        .add(1);
-    let snap = scrape_metrics(&addr, Duration::from_secs(5)).expect("mid-training scrape");
-    assert!(snap.counter("test.mid_training_scrape_marker").unwrap_or(0) > 0);
-
-    // Abandon the run; the server must fail stop rather than hang.
-    drop(stream);
-    assert!(server.join().expect("server thread").is_err());
-}
-
-#[test]
 fn recorded_series_match_the_simulator_bit_for_bit() {
     // An adaptive policy so the multiplier actually moves, plus
     // compressed and raw payloads so the wire-bytes/ratio series exercise
@@ -995,9 +894,9 @@ fn recorded_series_match_the_simulator_bit_for_bit() {
 
 #[test]
 fn series_scrape_during_handshake_returns_an_empty_store() {
-    // Like the metrics handshake-phase scrape: a series `Scrape` before the
-    // run starts must answer (an empty, correctly-shaped store) without
-    // consuming a worker slot.
+    // A series `Scrape` while the server is parked waiting for its second
+    // worker must answer (an empty, correctly-shaped store) without
+    // consuming a worker slot: the run still completes.
     let config = ExperimentConfig {
         total_steps: 4,
         eval_every: 0,
@@ -1023,9 +922,11 @@ fn series_scrape_during_handshake_returns_an_empty_store() {
 
 #[test]
 fn series_scrape_works_mid_training() {
-    // One worker slot, driven by hand (the metrics mid-training pattern):
-    // after Hello/HelloAck the coordinator parks at the push barrier, so
-    // the side-door thread answers the series `Scrape`.
+    // One worker slot, driven by hand: after Hello/HelloAck the server
+    // enters the training phase and blocks at the push barrier, so the
+    // side-door thread is deterministically the only thing answering new
+    // connections. Fail-stop mode: the abandoned run below must abort
+    // promptly instead of parking the barrier for a rejoin.
     let config = ExperimentConfig {
         workers: 1,
         ..loopback_config(SchemeKind::Float32)
@@ -1083,9 +984,11 @@ fn side_door_answers_every_kind_and_drops_malformed_scrapes() {
     assert_eq!(second.clock, "server");
     assert!(second.spans.len() >= first.spans.len());
 
-    // An unknown kind byte, an empty kind, and a frame that is no scrape
-    // at all: each connection is dropped without a reply...
+    // Unknown kind bytes (0 asked for the retired metrics-registry view),
+    // an empty kind, and a frame that is no scrape at all: each connection
+    // is dropped without a reply...
     for (msg, payload) in [
+        (MsgType::Scrape, &[0u8][..]),
         (MsgType::Scrape, &[3u8][..]),
         (MsgType::Scrape, &[][..]),
         (MsgType::PullDone, &[][..]),

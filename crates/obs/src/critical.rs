@@ -45,14 +45,6 @@
 //!   one-time worker startup, and that wait reads as a late push from
 //!   whichever worker happened to arrive last — real wall time (the
 //!   per-step ledger still shows it), but noise for steady-state blame.
-//!
-//! # What-ifs
-//!
-//! [`WhatIf`] projections are first-order Amdahl estimates: speeding a
-//! phase up by `k` removes `(1 − 1/k)` of its *critical-path* seconds
-//! from the run. They ignore second-order promotion (slack elsewhere
-//! becoming critical), so they are upper bounds on the win — which is
-//! the right direction for "is this optimization worth a PR".
 
 use crate::timeline::{AlignedSpan, MergedTimeline};
 use crate::trace::{NodeTrace, NO_WORKER};
@@ -90,8 +82,8 @@ const LEAF_PHASES: &[&str] = &[
 pub const BLAME_K: f64 = 4.0;
 /// Absolute floor in seconds below which no bottleneck flag fires.
 pub const BLAME_MIN_SECONDS: f64 = 0.1;
-/// Leading steps excluded from the aggregated totals, what-ifs, and
-/// bottleneck flags. Step 0's barrier genuinely waits out one-time worker
+/// Leading steps excluded from the aggregated totals and the bottleneck
+/// flags. Step 0's barrier genuinely waits out one-time worker
 /// startup (process spawn, dataset derivation) and the blame lands on
 /// whichever worker happened to arrive last — real time, but noise for
 /// steady-state attribution. The per-step ledgers and the conservation
@@ -137,21 +129,6 @@ pub struct StepAnalysis {
     pub path: Vec<PathSegment>,
     /// `path` folded by `{node × phase}`, descending seconds.
     pub buckets: Vec<BlameBucket>,
-}
-
-/// A first-order Amdahl projection over the run's critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WhatIf {
-    /// Human-readable scenario ("encode 3× faster", "wire bytes halved").
-    pub scenario: String,
-    /// Phase the scenario accelerates.
-    pub phase: String,
-    /// Speedup factor applied to that phase.
-    pub speedup: f64,
-    /// Critical-path seconds the scenario removes.
-    pub saved_seconds: f64,
-    /// Projected change in total step time, percent (negative = faster).
-    pub step_delta_pct: f64,
 }
 
 /// A flagged run-level bottleneck: one worker's network phase dominates
@@ -212,14 +189,14 @@ pub fn codec_us_per_step(nodes: &[NodeTrace]) -> Vec<f64> {
     by_tensor
 }
 
-/// The run-level analysis: per-step ledgers, aggregated blame, what-if
-/// projections, flagged bottlenecks and the per-tensor view. `threelc
+/// The run-level analysis: per-step ledgers, aggregated blame, flagged
+/// bottlenecks and the per-tensor view. `threelc
 /// analyze` builds it from a traced run's spans.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunAnalysis {
     /// Per-step critical paths, ascending step.
     pub steps: Vec<StepAnalysis>,
-    /// Leading steps excluded from `totals`/`what_ifs`/`bottlenecks`
+    /// Leading steps excluded from `totals`/`bottlenecks`
     /// (see [`WARMUP_STEPS`]); `steps` still lists them.
     #[serde(default)]
     pub warmup_steps: usize,
@@ -228,8 +205,6 @@ pub struct RunAnalysis {
     /// Per-step buckets summed over the measured steps, descending
     /// seconds.
     pub totals: Vec<BlameBucket>,
-    /// Amdahl projections over the aggregated critical path.
-    pub what_ifs: Vec<WhatIf>,
     /// Flagged bottlenecks (empty on a healthy run).
     pub bottlenecks: Vec<Bottleneck>,
     /// Max over steps of `|Σ buckets − wall| / wall` — the conservation
@@ -595,7 +570,6 @@ impl RunAnalysis {
             .collect();
         sort_buckets(&mut totals);
 
-        let what_ifs = what_ifs(&totals, total_wall);
         let bottlenecks = flag_bottlenecks(&timeline.spans, &totals, total_wall);
 
         RunAnalysis {
@@ -603,7 +577,6 @@ impl RunAnalysis {
             warmup_steps: warmup,
             total_wall_seconds: total_wall,
             totals,
-            what_ifs,
             bottlenecks,
             conservation_error,
             ..RunAnalysis::default()
@@ -616,7 +589,7 @@ impl RunAnalysis {
     }
 
     /// Terminal rendering: aggregated blame, per-step top contributors
-    /// (capped at `max_steps`, 0 = all), what-ifs, and flags.
+    /// (capped at `max_steps`, 0 = all), and flags.
     pub fn render_text(&self, max_steps: usize) -> String {
         let mut out = String::new();
         let warm = if self.warmup_steps > 0 {
@@ -678,10 +651,6 @@ impl RunAnalysis {
         if shown < self.steps.len() {
             let _ = writeln!(out, "  … {} more steps", self.steps.len() - shown);
         }
-        let _ = writeln!(out, "what-if projections (first-order Amdahl):");
-        for w in &self.what_ifs {
-            let _ = writeln!(out, "  {:<36} ⇒ step {:+.1}%", w.scenario, w.step_delta_pct);
-        }
         for b in &self.bottlenecks {
             let _ = writeln!(out, "bottleneck [{}/{}]: {}", b.node, b.phase, b.detail);
         }
@@ -707,46 +676,6 @@ impl RunAnalysis {
         }
         out
     }
-}
-
-/// First-order Amdahl projections over the aggregated critical path.
-fn what_ifs(totals: &[BlameBucket], total_wall: f64) -> Vec<WhatIf> {
-    let phase_total = |phase: &str| -> f64 {
-        totals
-            .iter()
-            .filter(|b| b.phase == phase)
-            .map(|b| b.seconds)
-            .sum()
-    };
-    let scenarios: &[(&str, f64, &str)] = &[
-        ("compute", 2.0, "compute 2× faster"),
-        ("quantize", 2.0, "quantize 2× faster"),
-        ("encode", 2.0, "encode 2× faster"),
-        ("encode", 3.0, "encode 3× faster"),
-        ("serialize", 2.0, "serialize 2× faster"),
-        ("network", 2.0, "wire bytes halved (network 2× faster)"),
-        ("server-decode", 2.0, "server decode 2× faster"),
-        ("aggregate", 2.0, "aggregate 2× faster"),
-        ("re-encode", 2.0, "re-encode 2× faster"),
-        ("pull", 2.0, "pull decode 2× faster"),
-    ];
-    scenarios
-        .iter()
-        .map(|&(phase, speedup, label)| {
-            let saved = phase_total(phase) * (1.0 - 1.0 / speedup);
-            WhatIf {
-                scenario: label.to_string(),
-                phase: phase.to_string(),
-                speedup,
-                saved_seconds: saved,
-                step_delta_pct: if total_wall > 0.0 {
-                    -100.0 * saved / total_wall
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
 }
 
 /// Flags workers whose network blame dominates the way an injected delay
@@ -1051,39 +980,10 @@ mod tests {
     }
 
     #[test]
-    fn what_ifs_scale_with_critical_seconds() {
-        let a = analyze(&net_step(0, 0));
-        let encode2 = a
-            .what_ifs
-            .iter()
-            .find(|w| w.phase == "encode" && w.speedup == 2.0)
-            .expect("encode what-if");
-        let encode3 = a
-            .what_ifs
-            .iter()
-            .find(|w| w.phase == "encode" && w.speedup == 3.0)
-            .expect("encode what-if");
-        assert!(encode2.saved_seconds >= 0.0);
-        assert!(encode3.saved_seconds >= encode2.saved_seconds);
-        assert!(encode3.step_delta_pct <= 0.0);
-        let net = a
-            .what_ifs
-            .iter()
-            .find(|w| w.phase == "network")
-            .expect("network what-if");
-        assert!(net.scenario.contains("wire bytes halved"));
-        // No projection can save more than the whole run.
-        for w in &a.what_ifs {
-            assert!(w.saved_seconds <= a.total_wall_seconds + 1e-12);
-        }
-    }
-
-    #[test]
     fn analysis_renders_as_text_and_roundtrips_through_json() {
         let a = analyze(&net_step(0, 0));
         let text = a.render_text(5);
         assert!(text.contains("critical path over"));
-        assert!(text.contains("what-if"));
         let json = serde_json::to_string(&a).expect("serialize");
         let back: RunAnalysis = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, a);

@@ -6,11 +6,9 @@
 //! *assembled* from records that already exist for their own reasons: the
 //! coordinator's fault log ([`FaultEvent`]s, mapped here to `fault-*`
 //! [`Anomaly`] entries), the [`RunRecorder`](crate::RunRecorder)'s series
-//! store, the metrics registry's snapshot, and whatever span buffers the
-//! caller hands over. `threelc trace <dump.flight.json>` reads the artifact
-//! back, and `threelc metrics --from <dump.flight.json>` its metrics.
+//! store, and whatever span buffers the caller hands over.
+//! `threelc trace <dump.flight.json>` reads the artifact back.
 
-use crate::snapshot::Snapshot;
 use crate::timeseries::RunSeries;
 use crate::trace::NodeTrace;
 use serde::{Deserialize, Serialize};
@@ -68,8 +66,9 @@ pub mod trigger {
 }
 
 /// A complete post-mortem artifact: the last N steps of every series,
-/// the run's faults, the metrics snapshot, and the spans it was handed
-/// (empty unless tracing was on).
+/// the run's faults, and the spans it was handed (empty unless tracing
+/// was on). Dumps written by older builds also carry a `metrics` key,
+/// which parses and is ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
     /// Schema version ([`FLIGHT_VERSION`]).
@@ -89,22 +88,17 @@ pub struct FlightDump {
     /// was off).
     #[serde(default)]
     pub spans: Vec<NodeTrace>,
-    /// The metrics registry when the dump was taken: what an aborted run,
-    /// which writes no report, leaves of its counters and histograms.
-    #[serde(default)]
-    pub metrics: Snapshot,
 }
 
 impl FlightDump {
     /// Assembles a dump from the run's own records: every fault becomes a
-    /// `fault-<kind>` anomaly; `spans` and `metrics` are carried as given.
+    /// `fault-<kind>` anomaly; `spans` are carried as given.
     pub fn new(
         trigger: &str,
         detail: &str,
         series: RunSeries,
         faults: &[FaultEvent],
         spans: Vec<NodeTrace>,
-        metrics: Snapshot,
     ) -> FlightDump {
         let anomalies = faults
             .iter()
@@ -126,7 +120,6 @@ impl FlightDump {
             anomalies,
             series,
             spans,
-            metrics,
         }
     }
 
@@ -167,13 +160,11 @@ impl FlightDump {
     }
 }
 
-/// Serializes a dump and writes it to `path`, then bumps the
-/// `obs.flight.dumps` counter and emits a `flight.dump` event so the
-/// structured log records where the artifact went.
+/// Serializes a dump and writes it to `path`, then emits a `flight.dump`
+/// event so the structured log records where the artifact went.
 pub fn write_flight_dump(path: &str, dump: &FlightDump) -> std::io::Result<()> {
     let json = serde_json::to_string(dump).map_err(std::io::Error::other)?;
     std::fs::write(path, json + "\n")?;
-    crate::global().counter("obs.flight.dumps").add(1);
     if crate::log_enabled(crate::Level::Warn) {
         crate::emit(
             crate::Level::Warn,
@@ -222,7 +213,6 @@ mod tests {
             rec.snapshot(),
             &[fault],
             Vec::new(),
-            Snapshot::default(),
         );
         assert_eq!(dump.version, FLIGHT_VERSION);
         assert_eq!(dump.trigger, "abort");
@@ -240,26 +230,18 @@ mod tests {
     #[test]
     fn dump_json_roundtrips_and_rejects_future_versions() {
         let series = RunRecorder::new(2).snapshot();
-        let reg = crate::Registry::new();
-        reg.counter("net.server.bytes_in").add(4096);
-        let metrics = reg.snapshot();
-        let dump = FlightDump::new(trigger::FAULT, "", series, &[], Vec::new(), metrics);
+        let dump = FlightDump::new(trigger::FAULT, "", series, &[], Vec::new());
         let json = serde_json::to_string(&dump).expect("serialize");
         let back = FlightDump::from_json(&json).expect("parse");
         assert_eq!(back, dump);
-        assert_eq!(back.metrics.counter("net.server.bytes_in"), Some(4096));
         let future = json.replace("\"version\":1", "\"version\":99");
         assert!(FlightDump::from_json(&future).is_err());
-        // A dump written before the snapshot field parses with none.
-        let none = FlightDump {
-            metrics: Snapshot::default(),
-            ..dump
-        };
-        let empty = ",\"metrics\":{\"counters\":[],\"histograms\":[]}";
-        let json = serde_json::to_string(&none).expect("serialize");
-        assert!(json.contains(empty), "{json}");
-        let old = FlightDump::from_json(&json.replace(empty, "")).expect("parse old dump");
-        assert_eq!(old, none);
+        // A dump written while the metrics registry existed still parses.
+        let body = json.strip_suffix('}').expect("an object");
+        let old = format!(
+            "{body},\"metrics\":{{\"counters\":[{{\"name\":\"net.server.bytes_in\",\"value\":4096}}],\"gauges\":[],\"histograms\":[]}}}}"
+        );
+        assert_eq!(FlightDump::from_json(&old).expect("parse old dump"), dump);
     }
 
     #[test]
@@ -267,14 +249,7 @@ mod tests {
         let path = std::env::temp_dir().join("threelc-flight-test.json");
         let path = path.to_str().expect("utf8 temp path").to_string();
         let series = RunRecorder::new(1).snapshot();
-        let dump = FlightDump::new(
-            trigger::FAULT,
-            "kill@2",
-            series,
-            &[],
-            Vec::new(),
-            Snapshot::default(),
-        );
+        let dump = FlightDump::new(trigger::FAULT, "kill@2", series, &[], Vec::new());
         write_flight_dump(&path, &dump).expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
         let back = FlightDump::from_json(&text).expect("parse");

@@ -14,7 +14,7 @@
 //! [`RunRecorder`] is the run-wide store: one set of named series per
 //! worker plus run-level aggregates, fed once per step from the server's
 //! barrier (or the simulator's worker loop) and scraped live over the
-//! metrics side-door.
+//! scrape side door.
 
 use serde::{Deserialize, Serialize};
 

@@ -19,10 +19,6 @@
 //!   node name, trace id, step, worker id). [`TraceSpan`]s opened while a
 //!   scope is active record into that scope's buffer with parent links
 //!   maintained by a per-thread span stack.
-//! - Every recorded span's duration also lands in the global registry's
-//!   `span.<name>.seconds` histogram: the registry's view of a phase's
-//!   time is derived from the span, not timed a second time. An untraced
-//!   run records no span and registers no such histogram.
 //! - [`NodeTrace`] is the wire/export form of one buffer: the clock-domain
 //!   label plus the records. `threelc-net`'s trace `ScrapeReply` carries
 //!   exactly this, JSON-encoded, so the server can collect every node's
@@ -33,7 +29,6 @@
 //! [`timeline`](crate::timeline) module estimates per-node clock offsets
 //! from barrier round-trips and merges buffers onto one axis.
 
-use crate::metrics::Histogram;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -392,30 +387,6 @@ pub fn current_ctx() -> Option<TraceCtx> {
     })
 }
 
-/// Pushes a finished span into the scope's buffer, and its duration into
-/// the derived view: the global registry's `span.<name>.seconds`
-/// histogram, one sample per recorded span. Each thread looks a name's
-/// histogram up once.
-fn record(scope: &ScopeState, name: &'static str, rec: SpanRecord) {
-    thread_local! {
-        static HISTOGRAMS: RefCell<Vec<(&'static str, Arc<Histogram>)>> =
-            const { RefCell::new(Vec::new()) };
-    }
-    HISTOGRAMS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let i = match cache.iter().position(|(n, _)| *n == name) {
-            Some(i) => i,
-            None => {
-                let hist = crate::global().histogram(&format!("span.{name}.seconds"));
-                cache.push((name, hist));
-                cache.len() - 1
-            }
-        };
-        cache[i].1.record(rec.seconds());
-    });
-    scope.buffer.push(rec);
-}
-
 /// Records an already-timed phase `[start_ns, end_ns]` under the current
 /// scope (parented to the innermost open span). Used where a phase
 /// boundary is known from measurements rather than bracketed by a guard
@@ -440,7 +411,7 @@ pub fn record_span(name: &'static str, start_ns: u64, end_ns: u64) {
                 start_ns,
                 end_ns,
             };
-            record(s, name, rec);
+            s.buffer.push(rec);
         }
     });
 }
@@ -545,7 +516,7 @@ impl TraceSpan {
                     start_ns: self.start_ns,
                     end_ns,
                 };
-                record(s, self.name, rec);
+                s.buffer.push(rec);
             }
         });
     }
@@ -629,9 +600,6 @@ mod tests {
         record_span("orphan2", 1, 2);
         assert!(current_ctx().is_none());
         assert!(!scope_active());
-        // Nothing recorded, nothing registered: the histograms are a view.
-        let snap = crate::global().snapshot();
-        assert!(snap.histograms.iter().all(|h| !h.name.contains("orphan")));
         set_trace_enabled(false);
     }
 
@@ -701,11 +669,6 @@ mod tests {
         assert_eq!(nt.spans[0].start_ns, 100);
         assert_eq!(nt.spans[0].end_ns, 250);
         assert!((nt.spans[0].seconds() - 150e-9).abs() < 1e-15);
-        // The record's one sample in the derived view (no other test
-        // records this name).
-        let snap = crate::global().snapshot();
-        let view = snap.histogram("span.server-decode.seconds").expect("view");
-        assert_eq!((view.count, view.sum), (1, nt.spans[0].seconds()));
         set_trace_enabled(false);
     }
 

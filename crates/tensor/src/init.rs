@@ -104,7 +104,7 @@ impl Initializer {
 /// We avoid `rand_distr` to keep the dependency set to the pre-approved
 /// crates; Box–Muller is exact and adequate for initialization and synthetic
 /// data generation.
-pub fn sample_standard_normal(rng: &mut Rng) -> f32 {
+fn sample_standard_normal(rng: &mut Rng) -> f32 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {
