@@ -43,6 +43,31 @@ done
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> no fused multiply-add in the AVX2 GEMM instantiation"
+# Every model CRC rests on each GEMM sum being separate IEEE multiplies and
+# adds (DESIGN.md §17): `gemm::avx2` enables avx2 and nothing else, and
+# Rust never contracts `a * b + c` on its own. Wider register blocks give
+# the compiler more room to fuse, so the release build's AVX2 symbols are
+# held to no vfmadd/vfmsub/vfnmadd/vfnmsub here.
+if [ "$(uname -m)" = x86_64 ]; then
+    avx2_asm="$(objdump -d --no-show-raw-insn -C target/release/threelc |
+        awk '/^[0-9a-f]+ <threelc_tensor::gemm::avx2::[^>]*>:$/ { keep = 1 }
+             /^$/ { keep = 0 }
+             keep')"
+    symbols="$(grep -c '^[0-9a-f]* <threelc_tensor::gemm::avx2::' <<<"$avx2_asm" || true)"
+    if [ "$symbols" -lt 4 ] || ! grep -q 'ymm' <<<"$avx2_asm"; then
+        echo "found $symbols gemm::avx2 symbols with ymm code in target/release/threelc, want 4" >&2
+        exit 1
+    fi
+    if grep -E '\svfn?m(add|sub)' <<<"$avx2_asm" >&2; then
+        echo "a fused multiply-add in gemm::avx2 (above) would move model bits" >&2
+        exit 1
+    fi
+    echo "    $symbols gemm::avx2 symbols, $(grep -c 'ymm' <<<"$avx2_asm") ymm instructions, 0 fused"
+else
+    echo "    SKIPPED: gemm::avx2 is compiled on x86_64 only"
+fi
+
 echo "==> cargo test"
 # --no-fail-fast: one failing suite must not hide the verdict of every
 # suite after it.

@@ -16,6 +16,8 @@
 //! simulator and the benchmark harness a uniform way to instantiate any
 //! scheme (including 3LC variants).
 
+#![forbid(unsafe_code)]
+
 pub mod float32;
 pub mod int8;
 pub mod localsteps;

@@ -35,8 +35,21 @@ fn bench_matmul(c: &mut Criterion) {
 /// never calls `matmul_nt` or `matmul_tn_into`. Dense normal operands: in
 /// the model half of `X` is ReLU zeros, whose terms `matmul` and
 /// `matmul_tn` skip.
+///
+/// `grad_weight_add_into` is the weight gradient a 3LC worker runs:
+/// `matmul_tn_add_into` into an error-accumulation buffer that holds a
+/// residual, at both widths and at the 192-wide input layer of the
+/// `mlp1024-*` model (`stem192`). `grad_weight_at_b` times the plain
+/// `matmul_tn`, which no 3LC worker runs.
 fn bench_gemm_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
+    // The `mlp1024-*` model's 192-wide input layer.
+    let (batch, fan_in, width) = (8, 192, 1024);
+    let x = gaussian(&[batch, fan_in], 1);
+    let dy = gaussian(&[batch, width], 3);
+    group.throughput(Throughput::Elements((2 * batch * fan_in * width) as u64));
+    let shape = format!("b{batch}_stem{fan_in}_w{width}");
+    grad_weight_add_into(&mut group, &shape, &x, &dy);
     for &(batch, width) in &[(8usize, 1024usize), (32, 512), (1024, 1024), (1024, 512)] {
         let x = gaussian(&[batch, width], 1);
         let w = gaussian(&[width, width], 2);
@@ -56,8 +69,31 @@ fn bench_gemm_layouts(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("grad_weight_at_b", &shape), |bench| {
             bench.iter(|| x.matmul_tn(&dy).expect("dW = Xᵀ · dY"));
         });
+        grad_weight_add_into(&mut group, &shape, &x, &dy);
     }
     group.finish();
+}
+
+/// `acc += Xᵀ · dY` into a buffer holding a small residual, as a 3LC
+/// worker's error-accumulation buffer does. The residual stays bounded:
+/// each iteration adds the product and takes it away again.
+fn grad_weight_add_into(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    shape: &str,
+    x: &Tensor,
+    dy: &Tensor,
+) {
+    let (fan_in, width) = (x.shape().dim(1), dy.shape().dim(1));
+    let mut acc = gaussian(&[fan_in, width], 4).scale(1e-3);
+    let minus_dy = dy.scale(-1.0);
+    group.bench_function(BenchmarkId::new("grad_weight_add_into", shape), |bench| {
+        let mut sign = false;
+        bench.iter(|| {
+            sign = !sign;
+            let dy = if sign { dy } else { &minus_dy };
+            x.matmul_tn_add_into(dy, &mut acc).expect("acc += Xᵀ · dY")
+        });
+    });
 }
 
 fn bench_reductions(c: &mut Criterion) {
@@ -69,6 +105,28 @@ fn bench_reductions(c: &mut Criterion) {
     group.bench_function("sum", |b| b.iter(|| t.sum()));
     group.bench_function("l2_norm", |b| b.iter(|| t.l2_norm()));
     group.bench_function("variance", |b| b.iter(|| t.variance()));
+    group.finish();
+}
+
+/// `add_max_abs`, the fold that lands every gradient formed outside the
+/// GEMM nest in its accumulator: one server sweep strip (10 240 values), a
+/// `[192, 1024]` weight (196 608) and a 1 M-value tensor.
+fn bench_add_max_abs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("add_max_abs");
+    for &n in &[10_240usize, 196_608, 1 << 20] {
+        let xs = gaussian(&[n], 6);
+        let minus = xs.scale(-1.0);
+        let mut acc = gaussian(&[n], 7);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
+            let mut sign = false;
+            bench.iter(|| {
+                sign = !sign;
+                let xs = if sign { &xs } else { &minus };
+                threelc_tensor::add_max_abs(acc.as_mut_slice(), xs.as_slice())
+            });
+        });
+    }
     group.finish();
 }
 
@@ -94,6 +152,7 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_matmul, bench_gemm_layouts, bench_reductions, bench_elementwise
+    targets = bench_matmul, bench_gemm_layouts, bench_add_max_abs, bench_reductions,
+        bench_elementwise
 }
 criterion_main!(benches);

@@ -12,6 +12,8 @@
 //! cargo run -p threelc-bench --release --bin ablation_encoding
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::time::Instant;
 use threelc::{huffman, quartic, zrle, SparsityMultiplier, TernaryTensor};

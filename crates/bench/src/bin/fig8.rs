@@ -7,6 +7,8 @@
 //! cargo run -p threelc-bench --release --bin fig8 [-- --steps N | --quick | --fresh]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use threelc_baselines::SchemeKind;
 use threelc_bench::harness::STEP_FRACTIONS;
 use threelc_bench::schema::{TradeoffPoint, TradeoffSeries};

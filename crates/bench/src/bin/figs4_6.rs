@@ -11,6 +11,8 @@
 //! cargo run -p threelc-bench --release --bin figs4_6 [-- --steps N | --quick | --fresh]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use threelc_bench::harness::{figure_designs, STEP_FRACTIONS};
 use threelc_bench::schema::{TradeoffFigure, TradeoffPoint, TradeoffSeries};
 use threelc_bench::{cache, run_cached, step_cached, HarnessOptions, Table};

@@ -6,6 +6,8 @@
 //! cargo run -p threelc-bench --release --bin plots
 //! ```
 
+#![forbid(unsafe_code)]
+
 use threelc_bench::cache::workspace_root;
 use threelc_bench::plot::{LinePlot, PlotSeries};
 use threelc_bench::schema::{BitsPanel, TradeoffFigure, TradeoffSeries, TrainingCurve};

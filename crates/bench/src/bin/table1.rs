@@ -13,6 +13,8 @@
 //! cargo run -p threelc-bench --release --bin table1 [-- --steps N | --quick | --runs N | --fresh]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use threelc_baselines::SchemeKind;
 use threelc_bench::link::WINDOW;

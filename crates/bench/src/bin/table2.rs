@@ -6,6 +6,8 @@
 //! cargo run -p threelc-bench --release --bin table2 [-- --steps N | --quick | --fresh]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use threelc_baselines::SchemeKind;
 use threelc_bench::{cache, run_cached, HarnessOptions, Table};

@@ -13,6 +13,8 @@
 //!   (`--steps`, `--quick`, `--seed`, `--fresh`) and the experiment grids.
 //! - [`table`] — fixed-width text table rendering.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod harness;
 pub mod link;

@@ -20,6 +20,8 @@
 //! 16-byte file header (magic, element count) to the wire payload from
 //! `threelc::ThreeLcCompressor` so files are self-describing.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 mod analyzecmd;

@@ -23,6 +23,8 @@
 //! Because training dynamics do not depend on link speed, one run's
 //! [`TrainingTrace`] of per-step traffic serves every bandwidth.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod config;
 pub mod engine;

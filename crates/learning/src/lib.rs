@@ -48,6 +48,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod layers;
 pub mod loss;

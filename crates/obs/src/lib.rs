@@ -55,6 +55,8 @@
 //! assert!(node.spans[0].seconds() >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod critical;
 pub mod flight;
 pub mod sink;

@@ -35,6 +35,8 @@
 //! feedback:ratio=12,start=1.2[,gain=0.05][,band=0.1][,hold=2]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use threelc::SparsityMultiplier;

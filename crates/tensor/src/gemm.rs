@@ -21,16 +21,21 @@
 //! kernel of its own (`gemm_nt`): it reads each row of the right operand
 //! once, in stored order, and advances eight output rows in lanes.
 //!
+//! Both nests keep a block of 64 adjacent output elements' running sums in
+//! registers while a whole group of terms goes by — a panel's worth in the
+//! write nest, the whole inner dimension in the add-into one — and touch
+//! the output once per group, not once per term.
+//!
 //! A product large enough to be worth it — a test-set forward pass, not a
 //! training step — is split by output rows over the host's cores
 //! (`gemm_split`); each thread runs the same nest on its rows and packs
 //! its own panels. Rows share no accumulator, so the thread count changes
 //! no bit.
 //!
-//! The kernel bodies — the nest, the lane kernel and the add-into
-//! epilogue — are compiled twice from one source: at the build's
-//! baseline, and inside a `#[target_feature(enable = "avx2")]` function
-//! where an eight-wide sum fits one register instead of two. The first
+//! The kernel bodies — the two nests, the lane kernel and the add-and-fold
+//! — are compiled twice from one source: at the build's baseline, and
+//! inside a `#[target_feature(enable = "avx2")]` function where an
+//! eight-wide sum fits one register instead of two. The first
 //! product of a process asks the CPU once (`avx2_detected`), and every
 //! product runs the wider instantiation where the CPU has it; on other
 //! targets only the baseline is compiled. Lanes run across independent
@@ -43,11 +48,12 @@
 //! into any one of them: DESIGN.md §17 has the argument,
 //! `tests/gemm_identity.rs` the differential test against the naive loop.
 //!
-//! An add-into product (`gemm_rows_add`) runs the same panels and the
-//! same per-element term order, but sweeps the output row by row, forms
-//! each sum in a stack row and adds it once, complete, into its element,
-//! folding the result's magnitude on the way (DESIGN.md §17, "The add-into
-//! epilogue"): the product is never stored at its full size.
+//! An add-into product (`gemm_rows_add`) keeps the same per-element term
+//! order but packs nothing: it sweeps the output row by row, forms each
+//! block's sums from `+0.0` straight from the right operand, and adds
+//! them once, complete, into their elements, folding the results'
+//! magnitude on the way (DESIGN.md §17, "The add-into epilogue"): the
+//! product is never stored at its full size.
 
 use crate::{Tensor, TensorError};
 #[cfg(target_arch = "x86_64")]
@@ -57,10 +63,10 @@ use std::sync::OnceLock;
 const NC: usize = 256;
 
 /// Height of a right-hand panel: the inner indices advanced together. A
-/// packed `KC × NC` panel is 32 KiB — the only scratch a thread of the nest
-/// allocates — and stays in L1 while every output row of the block takes
-/// its terms from it, so each right-hand element is read from memory once
-/// per row block per thread.
+/// packed `KC × NC` panel is 32 KiB — the only scratch a thread of the
+/// write nest allocates — and stays in L1 while every output row of the
+/// block takes its terms from it, so each right-hand element is read from
+/// memory once per row block per thread.
 const KC: usize = 32;
 
 /// Height of a row block: the output rows taken through the nest together.
@@ -76,8 +82,21 @@ const MC: usize = 128;
 const ABS: u32 = 0x7fff_ffff;
 
 /// Output rows [`gemm_nt`] advances together, one lane each: one AVX2
-/// register, or two SSE2 ones, per right-operand row it reads.
+/// register, or two SSE2 ones, per right-operand row it reads. Also the
+/// narrow block of a row's ragged tail.
 const LANES: usize = 8;
+
+/// Adjacent output elements the nests advance per term, their sums held in
+/// registers across a whole group of terms: eight AVX2 registers. The SSE2
+/// baseline needs all sixteen of its registers for them and spills some,
+/// yet measured faster at 64 than at 32 at every training shape (DESIGN.md
+/// §17, "Sums in registers"), so both instantiations use one width. Also
+/// the lanes of the magnitude fold.
+const BLOCK: usize = 64;
+
+/// One term of a sum: a nonzero left factor, and where the row of the right
+/// operand (or of its packed panel) that it multiplies starts.
+type Term = (f32, usize);
 
 /// The fewest multiply-adds a thread of a split product is worth spawning
 /// for. The nest runs about 15 G multiply-adds a second and a scoped spawn
@@ -151,39 +170,13 @@ mod avx2 {
         a_strides: (usize, usize),
         b: &[f32],
         acc: &mut [f32],
-        panel: &mut [f32],
     ) -> u32 {
-        super::gemm_rows_add_body(dims, a, a_strides, b, acc, panel)
+        super::gemm_rows_add_body(dims, a, a_strides, b, acc)
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn add_max_abs_bits(acc: &mut [f32], xs: &[f32]) -> u32 {
         super::add_max_abs_bits_body(acc, xs)
-    }
-}
-
-/// Adds the first `N` listed terms to every element of an output row
-/// strip: `out[j] = (…((out[j] + c₀·r₀[j]) + c₁·r₁[j]) + …)`, where `rₜ` is
-/// the panel row starting at `offset[t]`. `N` terms of each element's sum
-/// cost one load and one store of it; the loop vectorises across `j`,
-/// which reorders nothing.
-#[inline(always)]
-fn add_terms<const N: usize>(out: &mut [f32], coef: &[f32], offset: &[usize], panel: &[f32]) {
-    // Filled by hand: `std::array::from_fn` is not always inlined into the
-    // AVX2 instantiation, and an out-of-line call here costs the nest a
-    // fifth of its speed.
-    let mut c = [0.0f32; N];
-    let mut rows: [&[f32]; N] = [&[]; N];
-    for t in 0..N {
-        c[t] = coef[t];
-        rows[t] = &panel[offset[t]..][..out.len()];
-    }
-    for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = *o;
-        for t in 0..N {
-            acc += c[t] * rows[t][j];
-        }
-        *o = acc;
     }
 }
 
@@ -212,19 +205,19 @@ fn gemm_into<const ADD: bool>(
 }
 
 /// [`gemm_into`] over `parts` contiguous blocks of output rows, one scoped
-/// thread per block, the first block on the calling thread; a thread takes
-/// its rows through the nest [`MC`] at a time with one panel buffer (for
-/// an add, one holding all of `b`). A block of
+/// thread per block, the first block on the calling thread. A block of
 /// output rows goes with the matching rows of the left operand, whose
-/// element `(i, l)` is at `i·a_row + l·a_col` in either layout. An output
-/// element belongs to one block and gets the terms the nest over all rows
-/// would give it, in the same order, so the result depends on neither
-/// `parts` nor `MC`; one part spawns nothing.
+/// element `(i, l)` is at `i·a_row + l·a_col` in either layout. A plain
+/// product's thread takes its rows through the nest [`MC`] at a time with
+/// one panel buffer; an add's thread sweeps its rows once, from the right
+/// operand in place. An output element belongs to one block and gets the
+/// terms the nest over all rows would give it, in the same order, so the
+/// result depends on neither `parts` nor `MC`; one part spawns nothing.
 fn gemm_split<const ADD: bool>(
     parts: usize,
     (m, n, k): (usize, usize, usize),
     a: &[f32],
-    (a_row, a_col): (usize, usize),
+    strides: (usize, usize),
     b: &[f32],
     out: &mut [f32],
 ) -> u32 {
@@ -235,20 +228,16 @@ fn gemm_split<const ADD: bool>(
     }
     let rows = m.div_ceil(parts);
     let run = |(p, out): (usize, &mut [f32])| {
-        let panel_len = if ADD { k * n } else { KC.min(k) * NC.min(n) };
-        let mut panel = vec![0.0f32; panel_len];
-        let mut max_bits = 0;
-        for (q, block) in out.chunks_mut(MC * n).enumerate() {
-            let a = &a[(p * rows + q * MC) * a_row..];
-            let dims = (block.len() / n, n, k);
-            if ADD {
-                let bits = gemm_rows_add(dims, a, (a_row, a_col), b, block, &mut panel);
-                max_bits = max_bits.max(bits);
-            } else {
-                gemm_rows(dims, a, (a_row, a_col), b, block, &mut panel);
-            }
+        let a = &a[p * rows * strides.0..];
+        if ADD {
+            return gemm_rows_add((out.len() / n, n, k), a, strides, b, out);
         }
-        max_bits
+        let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
+        for (q, block) in out.chunks_mut(MC * n).enumerate() {
+            let a = &a[q * MC * strides.0..];
+            gemm_rows((block.len() / n, n, k), a, strides, b, block, &mut panel);
+        }
+        0
     };
     if rows >= m {
         return run((0, out));
@@ -271,7 +260,8 @@ fn gemm_split<const ADD: bool>(
 /// The loop nest. For each `KC × NC` panel of the right operand, its row
 /// pieces copied into contiguous rows of `panel`, every output row lists
 /// its nonzero left factors over the panel's inner indices (in ascending
-/// order) and adds their terms eight at a time.
+/// order) and adds all of their terms to one register block of its strip
+/// after another ([`row_terms`]).
 fn gemm_rows(
     dims: (usize, usize, usize),
     a: &[f32],
@@ -299,40 +289,43 @@ fn gemm_rows_body(
     out: &mut [f32],
     panel: &mut [f32],
 ) {
+    let mut terms = [(0.0f32, 0usize); KC];
+    let mut unused = [0u32; BLOCK];
     for j0 in (0..n).step_by(NC) {
         let nc = NC.min(n - j0);
         for l0 in (0..k).step_by(KC) {
-            let panel = pack_panel(b, n, (l0, KC.min(k - l0)), (j0, nc), panel);
+            let kc = KC.min(k - l0);
+            let panel = pack_panel(b, n, (l0, kc), (j0, nc), panel);
             for i in 0..m {
-                add_row_terms(a, strides, i, l0, panel, &mut out[i * n + j0..][..nc]);
+                let terms = list_terms(a, strides, i, (l0, kc), nc, &mut terms);
+                let strip = &mut out[i * n + j0..][..nc];
+                row_terms::<false>(strip, terms, panel, &mut unused);
             }
         }
     }
 }
 
-/// The add-into nest: [`gemm_rows`]'s panels, compaction and term order,
-/// but every sum formed from `+0.0` in a stack row and, once complete,
-/// added into its element of `acc` ([`add_max_abs_bits`]). All of the right
-/// operand is packed first, each column panel's `KC × NC` blocks one after
-/// another into `panel` (`k × n` floats, 32 KiB at batch 8 and width
-/// 1 024), and each row of `acc` is then swept once, in order: a strip's
-/// sum takes its terms block by block in ascending inner index, as the
-/// write nest gives them. Returns the largest `bits & ABS` left in `acc`.
+/// The add-into nest: [`gemm_rows`]'s compaction and term order, but each
+/// output row's nonzero left factors are listed over the whole inner
+/// dimension, their terms read from the right operand in place (at a
+/// training step's depth, `k × n` floats: 32 KiB at batch 8 and width
+/// 1 024), and every register block of sums, formed from `+0.0`, is added
+/// once, complete, into its elements of `acc`. Returns the largest
+/// `bits & ABS` left in `acc`.
 fn gemm_rows_add(
     dims: (usize, usize, usize),
     a: &[f32],
     a_strides: (usize, usize),
     b: &[f32],
     acc: &mut [f32],
-    panel: &mut [f32],
 ) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_detected() {
         // SAFETY: `avx2_detected()` saw the feature, the only thing the
         // instantiation requires; it reads through checked slices.
-        return unsafe { avx2::gemm_rows_add(dims, a, a_strides, b, acc, panel) };
+        return unsafe { avx2::gemm_rows_add(dims, a, a_strides, b, acc) };
     }
-    gemm_rows_add_body(dims, a, a_strides, b, acc, panel)
+    gemm_rows_add_body(dims, a, a_strides, b, acc)
 }
 
 /// The body of [`gemm_rows_add`], inlined into each instantiation.
@@ -343,31 +336,14 @@ fn gemm_rows_add_body(
     strides: (usize, usize),
     b: &[f32],
     acc: &mut [f32],
-    panel: &mut [f32],
 ) -> u32 {
-    for j0 in (0..n).step_by(NC) {
-        let nc = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            pack_panel(b, n, (l0, kc), (j0, nc), &mut panel[j0 * k + l0 * nc..]);
-        }
-    }
-    let mut max_bits = 0;
-    let mut row = [0.0f32; NC];
+    let mut terms = vec![(0.0f32, 0usize); k];
+    let mut lanes = [0u32; BLOCK];
     for i in 0..m {
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            let row = &mut row[..nc];
-            row.fill(0.0);
-            let strip = &panel[j0 * k..][..k * nc];
-            for (l0, block) in (0..k).step_by(KC).zip(strip.chunks(KC * nc)) {
-                add_row_terms(a, strides, i, l0, block, row);
-            }
-            let bits = add_max_abs_bits_body(&mut acc[i * n + j0..][..nc], row);
-            max_bits = max_bits.max(bits);
-        }
+        let terms = list_terms(a, strides, i, (0, k), n, &mut terms);
+        row_terms::<true>(&mut acc[i * n..][..n], terms, b, &mut lanes);
     }
-    max_bits
+    lanes.into_iter().max().unwrap_or(0)
 }
 
 /// Copies rows `l0 .. l0 + kc`, columns `j0 .. j0 + nc` of the row-major
@@ -388,49 +364,100 @@ fn pack_panel<'p>(
     panel
 }
 
-/// Adds to `sums` the terms of output row `i` that the packed `panel`
-/// (inner indices from `l0`) holds: the row's nonzero left factors listed
-/// in ascending order, then added eight at a time, as [`gemm_rows`] does.
+/// Lists the nonzero left factors `a(i, l)`, `l` in `l0 .. l0 + kc`, in
+/// ascending order — a branch-free compaction into `terms` — each with
+/// `(l − l0)·stride`, where the right-operand row it multiplies starts.
 #[inline(always)]
-fn add_row_terms(
+fn list_terms<'t>(
     a: &[f32],
     (a_row, a_col): (usize, usize),
     i: usize,
-    l0: usize,
-    panel: &[f32],
-    sums: &mut [f32],
-) {
-    let nc = sums.len();
-    let mut coef = [0.0f32; KC];
-    let mut offset = [0usize; KC];
+    (l0, kc): (usize, usize),
+    stride: usize,
+    terms: &'t mut [Term],
+) -> &'t [Term] {
     let mut count = 0;
-    for l in 0..panel.len() / nc {
+    for l in 0..kc {
         let v = a[i * a_row + (l0 + l) * a_col];
-        coef[count] = v;
-        offset[count] = l * nc;
+        terms[count] = (v, l * stride);
         count += usize::from(v != 0.0);
     }
-    let (mut coef, mut offset) = (&coef[..count], &offset[..count]);
-    while coef.len() >= 8 {
-        add_terms::<8>(sums, coef, offset, panel);
-        (coef, offset) = (&coef[8..], &offset[8..]);
+    &terms[..count]
+}
+
+/// Takes one output row through the listed terms, [`BLOCK`] adjacent
+/// elements at a time ([`block_terms`]), then [`LANES`], then one: the
+/// right operand's rows start at the terms' offsets into `b`, at the row's
+/// first column. Only which elements advance together depends on the block,
+/// never an element's terms or their order.
+#[inline(always)]
+fn row_terms<const ADD: bool>(
+    out: &mut [f32],
+    terms: &[Term],
+    b: &[f32],
+    lanes: &mut [u32; BLOCK],
+) {
+    let mut j = 0;
+    let mut blocks = out.chunks_exact_mut(BLOCK);
+    for block in &mut blocks {
+        let block = block.try_into().expect("BLOCK elements");
+        block_terms::<BLOCK, ADD>(block, terms, &b[j..], lanes);
+        j += BLOCK;
     }
-    if coef.len() >= 4 {
-        add_terms::<4>(sums, coef, offset, panel);
-        (coef, offset) = (&coef[4..], &offset[4..]);
+    let mut blocks = blocks.into_remainder().chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        let block = block.try_into().expect("LANES elements");
+        block_terms::<LANES, ADD>(block, terms, &b[j..], lanes);
+        j += LANES;
     }
-    if coef.len() >= 2 {
-        add_terms::<2>(sums, coef, offset, panel);
-        (coef, offset) = (&coef[2..], &offset[2..]);
-    }
-    if coef.len() == 1 {
-        add_terms::<1>(sums, coef, offset, panel);
+    for o in blocks.into_remainder() {
+        block_terms::<1, ADD>(std::array::from_mut(o), terms, &b[j..], lanes);
+        j += 1;
     }
 }
 
-/// `acc[e] += xs[e]`, one IEEE add each, folding `bits & ABS` of every
-/// result into a max over eight lanes (which the compiler widens; a max
-/// over integers is the same in any order).
+/// Takes `W` adjacent sums through every listed term, `s[j] = (…((s[j] +
+/// c₀·r₀[j]) + c₁·r₁[j]) + …)` with `rₜ` the row of `b` at the term's
+/// offset, the sums in registers from the first term to the last; the loop
+/// over `j` vectorises across elements, which reorders nothing. A write
+/// (`ADD = false`) continues the sums `out` holds and stores them back; an
+/// add forms them from `+0.0` and adds them, complete, into `out`
+/// ([`add_fold`]).
+#[inline(always)]
+fn block_terms<const W: usize, const ADD: bool>(
+    out: &mut [f32; W],
+    terms: &[Term],
+    b: &[f32],
+    lanes: &mut [u32; BLOCK],
+) {
+    let mut sums = if ADD { [0.0f32; W] } else { *out };
+    for &(c, offset) in terms {
+        let row: &[f32; W] = b[offset..][..W].try_into().expect("W columns");
+        for j in 0..W {
+            sums[j] += c * row[j];
+        }
+    }
+    if ADD {
+        add_fold(out, &sums, lanes);
+    } else {
+        *out = sums;
+    }
+}
+
+/// `acc[j] += xs[j]`, one IEEE add each, folding `bits & ABS` of each
+/// result into lane `j` of `lanes` (`W ≤ BLOCK`; a max over integers is
+/// the same in any order).
+#[inline(always)]
+fn add_fold<const W: usize>(acc: &mut [f32; W], xs: &[f32; W], lanes: &mut [u32; BLOCK]) {
+    for ((o, x), lane) in acc.iter_mut().zip(xs).zip(lanes.iter_mut()) {
+        let v = *o + x;
+        *o = v;
+        *lane = (*lane).max(v.to_bits() & ABS);
+    }
+}
+
+/// `acc[e] += xs[e]`, one IEEE add each, returning the largest `bits &
+/// ABS` of the results.
 fn add_max_abs_bits(acc: &mut [f32], xs: &[f32]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_detected() {
@@ -441,24 +468,22 @@ fn add_max_abs_bits(acc: &mut [f32], xs: &[f32]) -> u32 {
     add_max_abs_bits_body(acc, xs)
 }
 
-/// The body of [`add_max_abs_bits`], inlined into each instantiation.
+/// The body of [`add_max_abs_bits`], inlined into each instantiation:
+/// [`BLOCK`] elements at a time, folded over as many lanes (which the
+/// compiler widens), and the short tail one at a time.
 #[inline(always)]
 fn add_max_abs_bits_body(acc: &mut [f32], xs: &[f32]) -> u32 {
     assert_eq!(acc.len(), xs.len(), "one term per element");
-    let mut lanes = [0u32; 8];
-    let mut acc_chunks = acc.chunks_exact_mut(8);
-    let mut xs_chunks = xs.chunks_exact(8);
-    for (o, x) in (&mut acc_chunks).zip(&mut xs_chunks) {
-        for t in 0..8 {
-            let v = o[t] + x[t];
-            o[t] = v;
-            lanes[t] = lanes[t].max(v.to_bits() & ABS);
-        }
+    let mut lanes = [0u32; BLOCK];
+    let mut acc_blocks = acc.chunks_exact_mut(BLOCK);
+    let mut xs_blocks = xs.chunks_exact(BLOCK);
+    for (o, x) in (&mut acc_blocks).zip(&mut xs_blocks) {
+        let (o, x) = (o.try_into().expect("BLOCK"), x.try_into().expect("BLOCK"));
+        add_fold::<BLOCK>(o, x, &mut lanes);
     }
-    let tail = acc_chunks.into_remainder().iter_mut();
-    for (o, x) in tail.zip(xs_chunks.remainder()) {
-        *o += x;
-        lanes[0] = lanes[0].max(o.to_bits() & ABS);
+    let tail = acc_blocks.into_remainder().iter_mut();
+    for (o, x) in tail.zip(xs_blocks.remainder()) {
+        add_fold::<1>(std::array::from_mut(o), std::array::from_ref(x), &mut lanes);
     }
     lanes.into_iter().max().unwrap_or(0)
 }
@@ -806,6 +831,15 @@ mod tests {
         }
     }
 
+    /// Fan-outs either side of one and two register blocks ([`BLOCK`]) and
+    /// of a panel's width, each with a ragged tail of [`LANES`] and single
+    /// columns after its last whole block.
+    const BLOCK_EDGES: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 257];
+
+    /// Inner depths at the block edges: both training batches and one
+    /// deeper than a panel.
+    const DEPTHS: [usize; 3] = [8, 32, 70];
+
     /// The baseline instantiation of the nests over `m ≤ MC` rows, one
     /// block, whatever this CPU would run.
     fn baseline<const ADD: bool>(
@@ -816,12 +850,12 @@ mod tests {
         out: &mut [f32],
     ) -> u32 {
         assert!(m <= MC, "one row block");
-        let mut panel = vec![0.0f32; k * n];
         if !ADD {
+            let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
             gemm_rows_body((m, n, k), a, strides, b, out, &mut panel);
             return 0;
         }
-        gemm_rows_add_body((m, n, k), a, strides, b, out, &mut panel)
+        gemm_rows_add_body((m, n, k), a, strides, b, out)
     }
 
     #[test]
@@ -848,10 +882,15 @@ mod tests {
                 .map(|x| (!x.is_nan()).then(|| x.to_bits()))
                 .collect::<Vec<_>>()
         };
+        // Either side of a panel's height and width, of the eight-wide
+        // lanes, and of one and two register blocks at every depth.
+        let edges = BLOCK_EDGES.iter().flat_map(|&n| DEPTHS.map(|k| (k, n)));
+        let shapes: Vec<_> = [(1, 1), (31, 255), (32, 256), (33, 257), (65, 9), (7, 520)]
+            .into_iter()
+            .chain(edges)
+            .collect();
         for m in [1, 7, 8, 9, 16, 32, 33] {
-            // Either side of a panel's height and width, and of the
-            // eight-wide lanes.
-            for (k, n) in [(1, 1), (31, 255), (32, 256), (33, 257), (65, 9), (7, 520)] {
+            for &(k, n) in &shapes {
                 let a: Vec<f32> = (0..m * k).map(|_| value(&mut rng)).collect();
                 let b: Vec<f32> = (0..k * n).map(|_| value(&mut rng)).collect();
                 // matmul and matmul_tn: the nest's two left addressings,
@@ -876,6 +915,23 @@ mod tests {
                 let got = gemm_nt((m, n, k), &a, &w);
                 let want = gemm_nt_body((m, n, k), &a, &w);
                 assert_eq!(bits(&got), bits(&want), "nt: m {m} k {k} n {n}");
+                // The add-into nest, `matmul_tn`'s addressing, from the
+                // right operand in place into a residual, with the same
+                // infinities and NaNs.
+                let acc: Vec<f32> = (0..m * n).map(|_| value(&mut rng)).collect();
+                let mut want = acc.clone();
+                let want_max = baseline::<true>((m, n, k), &a, (1, m), &w, &mut want);
+                let mut got = acc;
+                let got_max = gemm_rows_add((m, n, k), &a, (1, m), &w, &mut got);
+                assert_eq!(bits(&got), bits(&want), "add: m {m} k {k} n {n}");
+                if want_max <= f32::INFINITY.to_bits() {
+                    assert_eq!(got_max, want_max, "add max: m {m} k {k} n {n}");
+                } else {
+                    assert!(
+                        got_max > f32::INFINITY.to_bits(),
+                        "add NaN: m {m} k {k} n {n}"
+                    );
+                }
             }
         }
     }
@@ -893,8 +949,10 @@ mod tests {
         };
         // (batch, fan-in, fan-out): ragged against the panel and the lanes,
         // batches either side of one panel's height, a fan-in over a row
-        // block, and a training step's thin batch.
-        for (k, m, n) in [
+        // block, and a training step's thin batch; then every fan-out at a
+        // register block's edge at both training batches and a deeper one.
+        let edges = BLOCK_EDGES.iter().flat_map(|&n| DEPTHS.map(|k| (k, 20, n)));
+        let shapes = [
             (1, 1, 1),
             (8, 192, 300),
             (8, 33, 257),
@@ -902,7 +960,8 @@ mod tests {
             (32, 70, 513),
             (33, 9, 40),
             (70, 130, 17),
-        ] {
+        ];
+        for (k, m, n) in shapes.into_iter().chain(edges) {
             // A ReLU output (half zeros, whole dead columns) against an output
             // gradient with the odd infinity or NaN.
             let x: Vec<f32> = (0..k * m)
@@ -976,6 +1035,55 @@ mod tests {
                 right: vec![2, 2]
             })
         );
+    }
+
+    #[test]
+    fn add_max_abs_folds_every_length_to_its_exact_max() {
+        use rand::Rng as _;
+        let mut rng = crate::rng(53);
+        // Empty, one element, either side of a block, and many blocks with a
+        // ragged tail; each all finite, then with an infinity, then a NaN,
+        // at a position that moves from case to case.
+        for len in [0, 1, 63, 64, 65, 10_243] {
+            for plant in [None, Some(f32::NEG_INFINITY), Some(f32::NAN)] {
+                let mut xs: Vec<f32> = (0..len)
+                    .map(|_| match rng.gen_range(0..8u32) {
+                        0 => -0.0,
+                        1 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                        _ => rng.gen_range(-1e3f32..1e3),
+                    })
+                    .collect();
+                let acc: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                if let (Some(v), false) = (plant, xs.is_empty()) {
+                    let at = rng.gen_range(0..len);
+                    xs[at] = v;
+                }
+                let want: Vec<f32> = acc.iter().zip(&xs).map(|(a, x)| a + x).collect();
+                let want_max = want.iter().map(|v| v.to_bits() & ABS).max().unwrap_or(0);
+                let mut got = acc.clone();
+                let got_max = add_max_abs(&mut got, &xs).to_bits();
+                for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+                    if w.is_nan() {
+                        assert!(g.is_nan(), "len {len} at {e}: {g} where NaN");
+                    } else {
+                        assert_eq!(g.to_bits(), w.to_bits(), "len {len} at {e}");
+                    }
+                }
+                if want_max <= f32::INFINITY.to_bits() {
+                    assert_eq!(got_max, want_max, "len {len} {plant:?}: max");
+                } else {
+                    assert!(got_max > f32::INFINITY.to_bits(), "len {len}: NaN max");
+                }
+                // The baseline body, whatever this CPU would run.
+                let mut base = acc;
+                assert_eq!(add_max_abs_bits_body(&mut base, &xs), got_max, "len {len}");
+                assert_eq!(
+                    base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "len {len}: body"
+                );
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,54 @@ fn split_products_match_the_naive_sum_bit_for_bit() {
     assert_eq!(first_difference(reused.as_slice(), &want), None, "into");
 }
 
+/// Fan-outs either side of one and two 64-wide register blocks and of a
+/// panel's width, each leaving a ragged tail of eight-wide and single
+/// columns, at both training batch depths and one deeper than a panel: the
+/// forward, the weight gradient written, and the weight gradient added into
+/// a residual, whose returned max must be the largest magnitude left.
+#[test]
+fn register_block_edges_match_the_naive_sum_bit_for_bit() {
+    let mut rng = threelc_tensor::rng(23);
+    for n in [1, 63, 64, 65, 127, 128, 129, 257] {
+        for k in [8, 32, 70] {
+            for m in [1, 9, 33] {
+                let a = matrix(&mut rng, m, k);
+                let b = matrix(&mut rng, k, n);
+                let (x, y) = (a.as_slice(), b.as_slice());
+                let want = naive((m, n, k), |i, l| x[i * k + l], |l, j| y[l * n + j]);
+                let got = a.matmul(&b).unwrap();
+                let at = format!("m {m} k {k} n {n}");
+                assert_eq!(first_difference(got.as_slice(), &want), None, "matmul {at}");
+
+                // `[k, m]ᵀ · [k, n]`: `k` is the batch, `m` the fan-in.
+                let a = matrix(&mut rng, k, m);
+                let x = a.as_slice();
+                let want = naive((m, n, k), |i, l| x[l * m + i], |l, j| y[l * n + j]);
+                let mut written = Tensor::full([m, n], f32::NAN);
+                a.matmul_tn_into(&b, &mut written).unwrap();
+                assert_eq!(
+                    first_difference(written.as_slice(), &want),
+                    None,
+                    "into {at}"
+                );
+
+                let residual = matrix(&mut rng, m, n);
+                let want: Vec<f32> = residual
+                    .as_slice()
+                    .iter()
+                    .zip(&want)
+                    .map(|(r, g)| r + g)
+                    .collect();
+                let mut acc = residual.clone();
+                let max = a.matmul_tn_add_into(&b, &mut acc).unwrap();
+                assert_eq!(first_difference(acc.as_slice(), &want), None, "add {at}");
+                let want_max = want.iter().map(|v| v.abs().to_bits()).max().unwrap_or(0);
+                assert_eq!(max.to_bits(), want_max, "add max {at}");
+            }
+        }
+    }
+}
+
 /// `matmul_nt` skips no term, so opposite a zero left factor an infinity
 /// gives NaN and a NaN stays NaN, exactly as in the naive loop. NaN payloads
 /// are not part of the contract: NaN positions are compared by `is_nan`,
