@@ -137,7 +137,7 @@ for tier in $tiers; do
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline --no-fail-fast -p threelc-net --test loopback
 done
 
-echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold, the ChaCha8 refill and the AVX2 GEMM)"
+echo "==> unsafe-code stage (sanitizer over the intrinsics kernels, the CRC fold, the ChaCha8 refill, the AVX2 GEMM and the AVX2 normal kernel)"
 # cargo miri would be the first choice, but the component is not
 # installable on this image (offline). AddressSanitizer on a nightly
 # toolchain covers the unsafe SIMD paths instead; the MSRV and stable
@@ -156,15 +156,18 @@ if [ "$(uname -m)" = x86_64 ] && rustup run nightly rustc --version >/dev/null 2
         -p rand_chacha --target x86_64-unknown-linux-gnu
     RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
         -p threelc-tensor --lib gemm --target x86_64-unknown-linux-gnu
+    RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q --offline --no-fail-fast \
+        -p threelc-tensor --lib init --target x86_64-unknown-linux-gnu
     echo "    AddressSanitizer clean: kernels unit tests + dispatch differential suite"
     echo "    + the zero-run oracle suite (every tier's in-place encoder and the expander)"
     echo "    + the frame checksum's pclmulqdq fold + the ChaCha8 SSE2 refill"
     echo "    + the GEMM unit tests (AVX2 instantiation against the baseline)"
+    echo "    + the init unit tests (AVX2 normal kernel against the baseline and libm)"
 else
     echo "    SKIPPED: no nightly toolchain for -Zsanitizer=address (cargo miri is"
     echo "    not installed and cannot be fetched offline); the unsafe kernels, the"
-    echo "    CRC fold, the ChaCha8 refill and the AVX2 GEMM instantiation ran"
-    echo "    un-sanitized in the suites above"
+    echo "    CRC fold, the ChaCha8 refill and the AVX2 GEMM and normal-kernel"
+    echo "    instantiations ran un-sanitized in the suites above"
 fi
 
 # (No chaos stanzas: disconnect@2 / kill@2 recovery onto the simulator's

@@ -3,9 +3,12 @@
 //! Implements the configuration and measurement surface this workspace's
 //! benches use (`criterion_group!` with `config =`, benchmark groups,
 //! throughput annotation, `bench_with_input`, `Bencher::iter`). Measurement
-//! is a simple calibrated wall-clock loop: enough batches to fill the
-//! configured measurement time, reporting mean time per iteration and
-//! throughput. No statistics, plots, or comparison to saved baselines.
+//! is a simple calibrated wall-clock loop: `sample_size` equal batches that
+//! together fill the configured measurement time, reporting the median
+//! per-iteration time of the samples with their quartiles, and throughput
+//! at the median. A mean over the whole window carries every host burst
+//! that lands in it; the median of many short samples does not. No plots
+//! or comparison to saved baselines.
 //!
 //! Like real criterion, passing `--test` on the command line (i.e.
 //! `cargo bench -- --test`) switches to smoke mode: every benchmark
@@ -185,12 +188,23 @@ impl BenchmarkGroup<'_> {
 /// [`iter`]: Bencher::iter
 pub struct Bencher {
     config: Config,
-    /// Mean seconds per iteration, filled by `iter`.
-    mean_seconds: f64,
+    /// Seconds per iteration of each sample, filled by `iter`.
+    samples: Vec<f64>,
+}
+
+/// The first quartile, median and third quartile of `xs` (sorted in
+/// place), each the nearest-rank element; NaN for no samples.
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    if xs.is_empty() {
+        return [f64::NAN; 3];
+    }
+    xs.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| xs[(q * (xs.len() - 1) + 2) / 4])
 }
 
 impl Bencher {
-    /// Measures `routine`, recording mean wall-clock time per call.
+    /// Measures `routine`, recording the wall-clock time per call of each
+    /// sample.
     pub fn iter<O, F>(&mut self, mut routine: F)
     where
         F: FnMut() -> O,
@@ -214,17 +228,15 @@ impl Bencher {
         let samples = self.config.sample_size as u64;
         let batch = ((budget / per_call) / samples as f64).ceil().max(1.0) as u64;
 
-        let mut total = Duration::ZERO;
-        let mut iters: u64 = 0;
-        for _ in 0..samples {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std_black_box(routine());
-            }
-            total += start.elapsed();
-            iters += batch;
-        }
-        self.mean_seconds = total.as_secs_f64() / iters.max(1) as f64;
+        self.samples = (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..batch {
+                    std_black_box(routine());
+                }
+                start.elapsed().as_secs_f64() / batch as f64
+            })
+            .collect();
     }
 }
 
@@ -234,14 +246,14 @@ where
 {
     let mut bencher = Bencher {
         config: config.clone(),
-        mean_seconds: f64::NAN,
+        samples: Vec::new(),
     };
     f(&mut bencher);
     if test_mode() {
         println!("{name:<48} ok (test mode: 1 iteration)");
         return;
     }
-    let per_iter = bencher.mean_seconds;
+    let [q1, per_iter, q3] = quartiles(&mut bencher.samples);
     let rate = match throughput {
         _ if !per_iter.is_finite() || per_iter <= 0.0 => String::new(),
         Some(Throughput::Elements(n)) => {
@@ -252,7 +264,12 @@ where
         }
         None => String::new(),
     };
-    println!("{name:<48} {:>12.3} us/iter{rate}", per_iter * 1e6);
+    println!(
+        "{name:<48} {:>12.3} us/iter [{:.3} {:.3}]{rate}",
+        per_iter * 1e6,
+        q1 * 1e6,
+        q3 * 1e6
+    );
 }
 
 /// Defines a runnable group of benchmark functions.
@@ -299,5 +316,15 @@ mod tests {
             b.iter(|| x.wrapping_mul(3));
         });
         group.finish();
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_elements() {
+        assert!(quartiles(&mut []).iter().all(|q| q.is_nan()));
+        assert_eq!(quartiles(&mut [3.0]), [3.0; 3]);
+        let mut xs = [9.0, 1.0, 5.0, 3.0, 7.0];
+        assert_eq!(quartiles(&mut xs), [3.0, 5.0, 7.0]);
+        let mut xs: Vec<f64> = (0..20).rev().map(f64::from).collect();
+        assert_eq!(quartiles(&mut xs), [5.0, 10.0, 14.0]);
     }
 }

@@ -237,6 +237,7 @@ impl SeedableRng for ChaCha8Rng {
 }
 
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         if self.index >= BUFFER_WORDS {
             self.refill();
@@ -246,6 +247,7 @@ impl RngCore for ChaCha8Rng {
         v
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         // rand_core::block::BlockRng::next_u64: low word first, with the
         // edge case where the pair straddles a refill.

@@ -1,8 +1,11 @@
 //! Criterion microbenchmarks for the tensor substrate: the operations on
 //! the simulator's critical path (matmul for forward/backward, the
-//! quantization reductions, elementwise updates).
+//! quantization reductions, elementwise updates) and the normal draws of a
+//! run's set-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use threelc_learning::{models, DataSpec};
+use threelc_tensor::init::fill_standard_normal;
 use threelc_tensor::{Initializer, Tensor};
 
 fn gaussian(shape: &[usize], seed: u64) -> Tensor {
@@ -130,6 +133,38 @@ fn bench_add_max_abs(c: &mut Criterion) {
     group.finish();
 }
 
+/// The normal draws every node of a run makes before its first step:
+/// `fill_standard_normal` at the standard dataset's 983 040 noise draws
+/// and at the width-1024 model's 4 390 912 He-normal draws, each as one
+/// fill, and the width-1024 model's whole build (`residual_mlp`, those
+/// draws plus the head's uniform ones). Divide a row's time by its
+/// elements for ns per draw.
+fn bench_init(c: &mut Criterion) {
+    const MODEL_DRAWS: usize = 192 * 1024 + 4 * 1024 * 1024;
+    let mut group = c.benchmark_group("init");
+    for &n in &[983_040usize, MODEL_DRAWS] {
+        let mut out = vec![0.0f32; n];
+        let mut rng = threelc_tensor::rng(42);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(
+            BenchmarkId::new("fill_standard_normal", n),
+            &n,
+            |bench, _| bench.iter(|| fill_standard_normal(&mut rng, &mut out, |z| z)),
+        );
+    }
+    let spec = DataSpec {
+        channels: 3,
+        height: 8,
+        width: 8,
+        classes: 10,
+    };
+    group.throughput(Throughput::Elements(MODEL_DRAWS as u64));
+    group.bench_function("residual_mlp/w1024", |bench| {
+        bench.iter(|| models::residual_mlp(&spec, 1024, 2, 42))
+    });
+    group.finish();
+}
+
 fn bench_elementwise(c: &mut Criterion) {
     const N: usize = 1 << 16;
     let t = gaussian(&[N], 4);
@@ -153,6 +188,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(1));
     targets = bench_matmul, bench_gemm_layouts, bench_add_max_abs, bench_reductions,
-        bench_elementwise
+        bench_elementwise, bench_init
 }
 criterion_main!(benches);

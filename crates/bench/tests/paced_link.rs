@@ -4,8 +4,13 @@
 //! The step checks use the default model (width 64, two blocks) and two
 //! workers at batch 2, so that the wire, not debug-build compute, owns an
 //! `f32` step at 10 Mbps.
+//!
+//! Every test here holds [`serial`]'s lock for its whole run: two relayed
+//! runs side by side share the host's cores, and a timed check then times
+//! the other run's compute, not its link.
 
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 use threelc_baselines::SchemeKind;
@@ -35,8 +40,18 @@ fn bind() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").unwrap()
 }
 
+/// The lock every test of this binary runs under, one at a time. A test
+/// that failed while holding it poisons nothing the next one uses.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn n_bytes_at_rate_r_arrive_after_n_times_8_over_r_plus_the_latency() {
+    let _serial = serial();
     // Two connections share the one bucket: together they take as long
     // as their sum would alone.
     const EACH: usize = 312_500;
@@ -82,6 +97,7 @@ fn n_bytes_at_rate_r_arrive_after_n_times_8_over_r_plus_the_latency() {
 
 #[test]
 fn a_relayed_run_counts_the_servers_bytes_and_reaches_the_simulators_model() {
+    let _serial = serial();
     let config = config(SchemeKind::three_lc(1.0), 4);
     let run = relayed_run(&config, NetworkModel::paper_presets()[2].1).expect("relayed run");
     assert_eq!(run.conns.len(), run.report.connections.len());
@@ -107,6 +123,7 @@ fn a_relayed_run_counts_the_servers_bytes_and_reaches_the_simulators_model() {
 
 #[test]
 fn three_lc_steps_in_under_an_eighth_of_f32s_time_at_ten_mbps() {
+    let _serial = serial();
     let f32 = run(SchemeKind::Float32, ten_mbps());
     let lc = run(SchemeKind::three_lc(1.0), ten_mbps());
     assert!(
@@ -119,6 +136,7 @@ fn three_lc_steps_in_under_an_eighth_of_f32s_time_at_ten_mbps() {
 
 #[test]
 fn where_f32s_wire_time_is_below_its_compute_3lc_is_under_twice_as_fast() {
+    let _serial = serial();
     // The rate at which f32's wire time is half its measured compute. Each
     // direction has its own bucket, but a BSP step crosses both in turn.
     let probe = run(SchemeKind::Float32, NetworkModel::paper_presets()[2].1);

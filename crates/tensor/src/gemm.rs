@@ -119,9 +119,9 @@ fn parts_for((m, n, k): (usize, usize, usize)) -> usize {
         .max(1)
 }
 
-/// Whether this CPU runs the AVX2 instantiation of the kernel bodies:
-/// asked once per process.
-fn avx2_detected() -> bool {
+/// Whether this CPU runs the AVX2 instantiation of the kernel bodies (the
+/// GEMM's here, the normal sampler's in `init`): asked once per process.
+pub(crate) fn avx2_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static AVX2: OnceLock<bool> = OnceLock::new();
@@ -386,10 +386,11 @@ fn list_terms<'t>(
 }
 
 /// Takes one output row through the listed terms, [`BLOCK`] adjacent
-/// elements at a time ([`block_terms`]), then [`LANES`], then one: the
-/// right operand's rows start at the terms' offsets into `b`, at the row's
-/// first column. Only which elements advance together depends on the block,
-/// never an element's terms or their order.
+/// elements at a time ([`block_terms`]), then [`LANES`], then the fewer
+/// than [`LANES`] left as one block ([`tail_terms`]): the right operand's
+/// rows start at the terms' offsets into `b`, at the row's first column.
+/// Only which elements advance together depends on the block, never an
+/// element's terms or their order.
 #[inline(always)]
 fn row_terms<const ADD: bool>(
     out: &mut [f32],
@@ -410,9 +411,39 @@ fn row_terms<const ADD: bool>(
         block_terms::<LANES, ADD>(block, terms, &b[j..], lanes);
         j += LANES;
     }
-    for o in blocks.into_remainder() {
-        block_terms::<1, ADD>(std::array::from_mut(o), terms, &b[j..], lanes);
-        j += 1;
+    tail_terms::<ADD>(blocks.into_remainder(), terms, &b[j..], lanes);
+}
+
+/// [`block_terms`] over a row's last `r < LANES` elements as one block of
+/// width `r`: each term's coefficient and offset are read once for all of
+/// them, as for a full block.
+#[inline(always)]
+fn tail_terms<const ADD: bool>(
+    out: &mut [f32],
+    terms: &[Term],
+    b: &[f32],
+    lanes: &mut [u32; BLOCK],
+) {
+    #[inline(always)]
+    fn width<const R: usize, const ADD: bool>(
+        out: &mut [f32],
+        terms: &[Term],
+        b: &[f32],
+        lanes: &mut [u32; BLOCK],
+    ) {
+        let out = out.try_into().expect("R elements");
+        block_terms::<R, ADD>(out, terms, b, lanes);
+    }
+    match out.len() {
+        0 => {}
+        1 => width::<1, ADD>(out, terms, b, lanes),
+        2 => width::<2, ADD>(out, terms, b, lanes),
+        3 => width::<3, ADD>(out, terms, b, lanes),
+        4 => width::<4, ADD>(out, terms, b, lanes),
+        5 => width::<5, ADD>(out, terms, b, lanes),
+        6 => width::<6, ADD>(out, terms, b, lanes),
+        7 => width::<7, ADD>(out, terms, b, lanes),
+        r => unreachable!("a remainder of {r} after blocks of {LANES}"),
     }
 }
 
@@ -832,9 +863,12 @@ mod tests {
     }
 
     /// Fan-outs either side of one and two register blocks ([`BLOCK`]) and
-    /// of a panel's width, each with a ragged tail of [`LANES`] and single
-    /// columns after its last whole block.
-    const BLOCK_EDGES: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 257];
+    /// of a panel's width, each with a ragged tail of [`LANES`] and
+    /// narrower blocks after its last whole block; and every tail narrower
+    /// than [`LANES`], alone and after eight-wide blocks (the head's ten).
+    const BLOCK_EDGES: [usize; 19] = [
+        1, 2, 3, 4, 5, 6, 7, 9, 10, 15, 63, 64, 65, 71, 127, 128, 129, 257, 263,
+    ];
 
     /// Inner depths at the block edges: both training batches and one
     /// deeper than a panel.

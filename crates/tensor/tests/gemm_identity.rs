@@ -149,14 +149,18 @@ fn split_products_match_the_naive_sum_bit_for_bit() {
 }
 
 /// Fan-outs either side of one and two 64-wide register blocks and of a
-/// panel's width, each leaving a ragged tail of eight-wide and single
-/// columns, at both training batch depths and one deeper than a panel: the
-/// forward, the weight gradient written, and the weight gradient added into
-/// a residual, whose returned max must be the largest magnitude left.
+/// panel's width, each leaving a ragged tail of eight-wide and narrower
+/// blocks, and every tail narrower than eight, alone and after eight-wide
+/// blocks (the model's ten-wide head), at both training batch depths and
+/// one deeper than a panel: the forward, the weight gradient written, and
+/// the weight gradient added into a residual, whose returned max must be
+/// the largest magnitude left.
 #[test]
 fn register_block_edges_match_the_naive_sum_bit_for_bit() {
     let mut rng = threelc_tensor::rng(23);
-    for n in [1, 63, 64, 65, 127, 128, 129, 257] {
+    for n in [
+        1, 2, 3, 4, 5, 6, 7, 9, 10, 15, 63, 64, 65, 71, 127, 128, 129, 257,
+    ] {
         for k in [8, 32, 70] {
             for m in [1, 9, 33] {
                 let a = matrix(&mut rng, m, k);
