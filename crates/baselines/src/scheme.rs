@@ -149,6 +149,13 @@ impl SchemeKind {
         }
     }
 
+    /// Whether the design's wire payload is the tensor's own `f32`s, four
+    /// bytes a value whatever the data: the one design whose step size the
+    /// plan alone fixes.
+    pub fn sends_floats(&self) -> bool {
+        matches!(self, SchemeKind::Float32)
+    }
+
     /// Human-readable name matching the paper's tables.
     pub fn label(&self) -> String {
         // Build a throwaway instance to reuse the canonical name logic.

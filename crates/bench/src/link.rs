@@ -4,22 +4,24 @@
 //! Each direction has one token bucket at the link rate that every worker
 //! connection shares (the server's NIC is the bottleneck, as in the
 //! paper's topology), kept as the instant the link next falls idle, plus a
-//! fixed one-way latency. Whole frames are relayed, since none is read
-//! before its CRC arrives: `n` bytes leave `n·8 / rate` seconds after the
-//! frames queued before them and arrive `latency` later.
+//! fixed one-way latency. Whole frames are relayed — a BSP step is one
+//! frame each way — since none is read before its CRC arrives: each is
+//! read and checked by the runtime's frame reader and written again by
+//! its writer, byte for byte, and its `n` bytes leave `n·8 / rate`
+//! seconds after the frames queued before them and arrive `latency`
+//! later.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
 use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
 use threelc_distsim::{ExperimentConfig, NetworkModel};
-use threelc_net::frame::TRACE_EXT_LEN;
+use threelc_net::frame::{read_frame_with, whole, write_frame_parts};
 use threelc_net::{run_worker, serve, MsgType, NetReport, ServeOptions, WorkerOptions};
-use threelc_net::{HEADER_LEN, MAX_PAYLOAD};
 use threelc_obs::timeseries::S_STEP_SECONDS;
 
 /// Steps in a relayed window. Its 10 step intervals are an even count, so
@@ -75,8 +77,8 @@ impl Link {
                     // and a writer delivers it at its arrival time.
                     let (tx, rx) = channel();
                     scope.spawn(move || {
-                        while let Ok(frame) = read_frame(&mut from) {
-                            let secs = frame.len() as f64 * 8.0 / self.net.bandwidth_bps;
+                        while let Ok(frame) = read_frame_with(&mut from, whole) {
+                            let secs = frame.0.wire_len as f64 * 8.0 / self.net.bandwidth_bps;
                             let mut idle = self.idle[dir].lock().expect("link lock");
                             *idle = (*idle).max(Instant::now()) + Duration::from_secs_f64(secs);
                             let arrival = *idle + Duration::from_secs_f64(self.net.latency_s);
@@ -87,16 +89,24 @@ impl Link {
                         }
                     });
                     scope.spawn(move || {
-                        for (arrival, frame) in rx {
+                        for (arrival, (head, payload)) in rx {
                             thread::sleep(arrival.saturating_duration_since(Instant::now()));
-                            if to.write_all(&frame).is_err() {
+                            let (msg, step) = (head.msg, head.step);
+                            let parts = [&payload[..]];
+                            let sent = write_frame_parts(
+                                &mut to,
+                                msg,
+                                head.tensor,
+                                step,
+                                head.trace,
+                                &parts,
+                            );
+                            if sent.is_err() {
                                 break;
                             }
                             self.conns.lock().expect("link lock")[conn].1[dir] +=
-                                frame.len() as u64;
-                            if dir == 1 && frame[5] == MsgType::PullDone as u8 {
-                                let step =
-                                    u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
+                                head.wire_len as u64;
+                            if dir == 1 && msg == MsgType::PullDone {
                                 let delivered = (step, Instant::now());
                                 self.pull_done.lock().expect("link lock").push(delivered);
                             }
@@ -108,23 +118,6 @@ impl Link {
             Ok(())
         });
     }
-}
-
-/// Reads one whole frame, header to payload ([`threelc_net::frame`]).
-fn read_frame(from: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut header = [0; HEADER_LEN];
-    from.read_exact(&mut header)?;
-    let ext = if header[4] >= 2 { TRACE_EXT_LEN } else { 0 };
-    let len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too long"));
-    }
-    // One zeroed allocation: `resize` would fill it a byte at a time in
-    // an unoptimised build, a cost an f32 frame pays and a 3LC one hardly.
-    let mut frame = vec![0; HEADER_LEN + ext + len];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    from.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(frame)
 }
 
 /// What one [`relayed_run`] measured.

@@ -66,7 +66,7 @@ fn n_bytes_at_rate_r_arrive_after_n_times_8_over_r_plus_the_latency() {
             scope.spawn(move || {
                 let mut conn = TcpStream::connect(relay_addr).unwrap();
                 let payload = vec![7; EACH - HEADER_LEN];
-                write_frame(&mut conn, MsgType::PushRaw, 0, 0, &payload).unwrap();
+                write_frame(&mut conn, MsgType::PushDone, 0, 0, &payload).unwrap();
                 conn.shutdown(Shutdown::Write).unwrap();
             });
         }

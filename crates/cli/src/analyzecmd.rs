@@ -140,6 +140,7 @@ pub fn analyze_cmd(args: &[String]) -> CliResult {
 /// dropped; a report's per-tensor traffic adds the per-tensor view.
 fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
     let mut traffic = Vec::new();
+    let mut payload_bits_per_value = 0.0;
     let nodes = match Source::load(source)? {
         Source::Flight(dump) => {
             if dump.spans.iter().all(|n| n.spans.is_empty()) {
@@ -157,6 +158,8 @@ fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
                 )
                 .into());
             }
+            let workers = report.result.config.workers as u64;
+            payload_bits_per_value = report.result.trace.payload_bits_per_value(workers);
             traffic = report.result.trace.tensors;
             report.node_traces
         }
@@ -175,6 +178,7 @@ fn load_analysis(source: &str) -> Result<(RunAnalysis, u64), Box<dyn Error>> {
     let timeline = MergedTimeline::build(&nodes);
     let mut analysis = RunAnalysis::build(&timeline);
     analysis.tensors = tensor_rows(&traffic, &nodes);
+    analysis.payload_bits_per_value = payload_bits_per_value;
     Ok((analysis, timeline.dropped))
 }
 

@@ -152,6 +152,24 @@ fn clean_run_attribution_is_conserved() {
         "{column} != {per_step}"
     );
 
+    // The view ends with the run's bits/value over every payload byte,
+    // raw tensors at 32: what the per-tensor traffic sums to as well.
+    let payload = (run.result.trace).payload_bits_per_value(run.result.config.workers as u64);
+    assert_eq!(analysis.payload_bits_per_value, payload);
+    let (bytes, values) = traffic.iter().fold((0, 0), |(b, v), t| {
+        let b = b + t.push.wire_bytes + t.pull.wire_bytes;
+        (b, v + t.push.values + t.pull.values)
+    });
+    let summed = bytes as f64 * 8.0 / values as f64;
+    assert!(
+        (payload - summed).abs() <= 1e-9 * summed,
+        "{payload} != {summed}"
+    );
+    assert!(
+        payload > run.result.bits_per_value(),
+        "the raw tensors cost more"
+    );
+
     // The text path renders the same analysis, and `--check` gates on the
     // same invariant: whatever it says about bottlenecks (see above), it
     // must not report a broken conservation, and a pass says so.
@@ -163,6 +181,12 @@ fn clean_run_attribution_is_conserved() {
     let text = String::from_utf8_lossy(&text.stdout);
     assert!(text.contains("critical path over"), "got: {text}");
     assert!(text.contains("per tensor, by wire bytes"), "got: {text}");
+    assert!(
+        text.contains(&format!(
+            "all payload, raw at 32 bits: {payload:.3} bits/value"
+        )),
+        "got: {text}"
+    );
     let check = threelc()
         .args(["analyze", report.to_str().unwrap(), "--check"])
         .output()

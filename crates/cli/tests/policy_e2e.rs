@@ -2,7 +2,7 @@
 //! policy's multipliers are deterministic and actually move, and a
 //! networked `feedback` run that loses a worker to `kill@2` — relaunched
 //! with the very same command — ends on `threelc simulate`'s model and
-//! prints its exact decision sequence (the `PolicyUpdate` frames replay
+//! prints its exact decision sequence (the pulls' policy tails replay
 //! during the rejoin).
 
 mod common;

@@ -256,9 +256,10 @@ impl TensorPayload {
 pub struct EncodedPush {
     /// One payload per parameter tensor, in parameter order.
     pub payloads: Vec<TensorPayload>,
-    /// Measured compression CPU seconds. The worker's `PushDone` frame
-    /// carries it and no runtime reads it back; it stays because the step
-    /// ledger (`ledger/`) writes it into its own `PushDone`.
+    /// Measured compression CPU seconds. The done fields at the head of a
+    /// worker's push carry it and no runtime reads it back; it stays
+    /// because the step ledger (`ledger/`) writes it into its own
+    /// `PushDone`, until ROADMAP 1(h).
     pub codec_seconds: f64,
 }
 
@@ -1193,9 +1194,9 @@ pub struct WorkerPush<'a> {
 /// order, read for the [`WorkerDelta`]s and [`ServerCore::apply_step`]'s
 /// inputs, and closed over the step's pulls by [`Self::finish`].
 ///
-/// Traffic is the payloads' wire length — frame headers, `PushDone` and
-/// policy broadcasts are transport, not state change, and are counted by
-/// neither runtime.
+/// Traffic is the payloads' wire length — frame headers, each segment's
+/// length, a push's done fields and a pull's policy tail are transport,
+/// not state change, and are counted by neither runtime.
 pub struct StepAccount {
     /// The record being built: traffic accumulates in its own fields.
     record: StepRecord,

@@ -119,6 +119,22 @@ impl TrainingTrace {
         }
     }
 
+    /// Bits per state-change value over every payload byte of the run, raw
+    /// tensors included at 32 bits a value, which
+    /// [`Self::average_bits_per_value`] leaves out (ROADMAP 19(a)).
+    pub fn payload_bits_per_value(&self, workers: u64) -> f64 {
+        let values: u64 = self
+            .steps
+            .iter()
+            .map(|s| s.compressible_values * workers * 2 + s.raw_bytes / 4)
+            .sum();
+        if values == 0 {
+            0.0
+        } else {
+            self.total_bytes() as f64 * 8.0 / values as f64
+        }
+    }
+
     /// End-to-end compression ratio versus 32-bit floats (Table 2's left
     /// column).
     pub fn compression_ratio(&self, workers: u64) -> f64 {
@@ -171,6 +187,9 @@ mod tests {
         // bytes = 6000, values = 100·10·2·2 = 4000 → 12 bits/value.
         assert_eq!(trace.average_bits_per_value(10), 12.0);
         assert!((trace.compression_ratio(10) - 32.0 / 12.0).abs() < 1e-12);
+        // Over every payload byte: 6 200 bytes over 4 000 compressed values
+        // and 200 / 4 = 50 raw ones.
+        assert_eq!(trace.payload_bits_per_value(10), 6200.0 * 8.0 / 4050.0);
     }
 
     #[test]
@@ -178,6 +197,7 @@ mod tests {
         let t = TrainingTrace::default();
         assert_eq!(t.total_bytes(), 0);
         assert_eq!(t.average_bits_per_value(10), 0.0);
+        assert_eq!(t.payload_bits_per_value(10), 0.0);
         assert!(t.final_eval().is_none());
     }
 

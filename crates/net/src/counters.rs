@@ -1,11 +1,11 @@
 //! Per-connection traffic and time accounting.
 //!
-//! Frame I/O accounts for itself: [`ConnCounters::read_frame`],
+//! Frame I/O accounts for itself: [`ConnCounters::read_frame_with`],
 //! [`ConnCounters::write_frame`] and [`ConnCounters::flush`] time the call
 //! and book the bytes that actually moved, so no call site holds a clock
 //! or restates a frame's size.
 
-use crate::frame::{read_frame, write_frame, Frame, FrameError, MsgType};
+use crate::frame::{read_frame_with, write_frame_parts, FrameError, FrameHead, MsgType, Payload};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::time::Instant;
@@ -36,37 +36,49 @@ pub struct ConnCounters {
 }
 
 impl ConnCounters {
-    /// Reads one frame ([`read_frame`]), booking the blocked time and the
-    /// frame's full encoded length.
+    /// Reads one frame through `parse` ([`read_frame_with`]), booking the
+    /// blocked time and the frame's full encoded length. The time includes
+    /// the parse: a step frame's tensors are built as its bytes arrive.
     ///
     /// # Errors
     ///
-    /// As [`read_frame`]; a failed read books nothing.
-    pub fn read_frame<R: Read>(&mut self, r: &mut R) -> Result<Frame, FrameError> {
+    /// As [`read_frame_with`]; a failed read books nothing.
+    pub fn read_frame_with<R: Read, T, E: From<FrameError>>(
+        &mut self,
+        r: &mut R,
+        parse: impl FnOnce(&FrameHead, &mut Payload<'_, R>) -> Result<T, E>,
+    ) -> Result<(FrameHead, T), E> {
         let t0 = Instant::now();
-        let frame = read_frame(r)?;
+        let (head, parsed) = read_frame_with(r, parse)?;
         self.note_socket(t0);
         self.frames_in += 1;
-        self.bytes_in += frame.encoded_len() as u64;
-        Ok(frame)
+        self.bytes_in += head.wire_len as u64;
+        Ok((head, parsed))
     }
 
-    /// Writes one frame ([`write_frame`]: stamped with the thread's trace
-    /// context), booking the blocked time and the bytes written.
+    /// Writes one frame whose payload is `parts` laid end to end
+    /// ([`write_frame_parts`], stamped with the thread's trace context),
+    /// booking the blocked time and the bytes written.
     ///
     /// # Errors
     ///
-    /// As [`write_frame`]; a failed write books nothing.
+    /// As [`write_frame_parts`]; a failed write books nothing.
     pub fn write_frame<W: Write>(
         &mut self,
         w: &mut W,
         msg: MsgType,
-        tensor: u16,
         step: u64,
-        payload: &[u8],
-    ) -> io::Result<usize> {
+        parts: &[&[u8]],
+    ) -> Result<usize, FrameError> {
         let t0 = Instant::now();
-        let written = write_frame(w, msg, tensor, step, payload)?;
+        let written = write_frame_parts(
+            w,
+            msg,
+            0,
+            step,
+            threelc_obs::current_ctx().unwrap_or_default(),
+            parts,
+        )?;
         self.note_write(t0, written);
         Ok(written)
     }
@@ -152,7 +164,7 @@ mod tests {
 
     #[test]
     fn frame_io_books_the_bytes_that_moved_on_both_ends() {
-        use crate::frame::{HEADER_LEN, TRACE_EXT_LEN};
+        use crate::frame::{whole, HEADER_LEN, TRACE_EXT_LEN};
         use std::sync::Arc;
         use threelc_obs::{TraceBuffer, TraceScope};
 
@@ -160,12 +172,12 @@ mod tests {
         let mut pipe = Pipe::default();
         let mut returned = 0usize;
 
-        // Two version-1 frames (no live scope) ...
+        // Two version-1 frames (no live scope), one of them in parts ...
         returned += tx
-            .write_frame(&mut pipe, MsgType::PushTensor, 0, 3, &[7u8; 100])
+            .write_frame(&mut pipe, MsgType::PushDone, 3, &[&[7u8; 60], &[8u8; 40]])
             .unwrap();
         returned += tx
-            .write_frame(&mut pipe, MsgType::PushDone, 0, 3, &[])
+            .write_frame(&mut pipe, MsgType::PullDone, 3, &[])
             .unwrap();
         assert_eq!(returned, 2 * HEADER_LEN + 100);
         // ... two version-2 frames under a live trace scope (tracing is a
@@ -176,10 +188,10 @@ mod tests {
         {
             let _scope = TraceScope::enter(&buffer, "worker0", 9, 3, 0);
             returned += tx
-                .write_frame(&mut pipe, MsgType::PushTensor, 1, 3, &[1u8; 40])
+                .write_frame(&mut pipe, MsgType::PushDone, 3, &[&[1u8; 40]])
                 .unwrap();
             returned += tx
-                .write_frame(&mut pipe, MsgType::PushDone, 0, 3, &[2u8; 28])
+                .write_frame(&mut pipe, MsgType::PullDone, 3, &[&[2u8; 28]])
                 .unwrap();
         }
         threelc_obs::set_trace_enabled(false);
@@ -189,7 +201,9 @@ mod tests {
             "a live scope makes version-2 frames"
         );
         // ... and one pre-encoded frame.
-        let raw = Frame::new(MsgType::PushRaw, 2, 3, vec![5u8; 12]).encode();
+        let mut raw = Vec::new();
+        let none = crate::frame::TraceCtx::default();
+        write_frame_parts(&mut raw, MsgType::PushDone, 0, 3, none, &[&[5u8; 12]]).unwrap();
         tx.write_encoded(&mut pipe, &raw).unwrap();
         returned += raw.len();
         tx.flush(&mut pipe).unwrap();
@@ -206,14 +220,14 @@ mod tests {
         let mut cursor = io::Cursor::new(pipe.bytes);
         let mut traced = 0;
         for _ in 0..5 {
-            let frame = rx.read_frame(&mut cursor).unwrap();
+            let (frame, _) = rx.read_frame_with(&mut cursor, whole).unwrap();
             traced += usize::from(!frame.trace.is_none());
         }
         assert_eq!(traced, 2);
         assert_eq!(rx.frames_in, 5);
         assert_eq!(rx.bytes_in, returned as u64);
         // A failed read books nothing.
-        assert!(rx.read_frame(&mut cursor).is_err());
+        assert!(rx.read_frame_with(&mut cursor, whole).is_err());
         assert_eq!(rx.frames_in, 5);
         assert_eq!(rx.bytes_in, returned as u64);
     }

@@ -6,7 +6,7 @@
 //! TCP bytestream boundary.
 //!
 //! Every payload byte of every frame passes through here twice (sender and
-//! receiver), so [`Crc32::update`] has two loops and picks by what it can
+//! receiver), so `Crc32::update` has two loops and picks by what it can
 //! observe — the slice length and the CPU — never by an option:
 //!
 //! - **Carry-less-multiply folding** (x86-64 with `pclmulqdq` and `sse4.1`,
@@ -231,7 +231,7 @@ mod clmul {
 
 /// Incremental CRC-32 over multiple slices (header, then payload).
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -256,13 +256,9 @@ impl Crc32 {
     }
 }
 
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
+/// One-shot CRC-32 of a byte slice. The runtime folds its frames through
+/// `Crc32`; this stays public for the step ledger's `net.crc32_gibps` row
+/// and the model-CRC pins.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);

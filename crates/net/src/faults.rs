@@ -22,7 +22,7 @@
 //! | `disconnect@N`       | drop the connection at the start of step N      |
 //! | `drop-after-push@N`  | drop it between step N's push and pull          |
 //! | `kill@N`             | exit the process (code [`KILL_EXIT_CODE`]) between push and pull |
-//! | `crc@N` / `crc@N:S`  | corrupt one byte of step N's first push frame (seed S) |
+//! | `crc@N` / `crc@N:S`  | corrupt one byte of step N's push frame (seed S) |
 //! | `delay@N:MS`         | sleep MS milliseconds before step N's push      |
 
 use std::time::Duration;
@@ -41,17 +41,17 @@ pub const FAULT_ENV: &str = "THREELC_FAULT";
 pub enum FaultKind {
     /// Close the connection at the start of the step, before pushing.
     Disconnect,
-    /// Close the connection after the push batch is flushed, before
+    /// Close the connection after the push frame is flushed, before
     /// reading the pull — the in-process stand-in for a worker killed
     /// between push and pull.
     DropAfterPush,
-    /// Exit the whole process (code [`KILL_EXIT_CODE`]) after the push is
-    /// flushed. Only meaningful for real worker processes; in-process
+    /// Exit the whole process (code [`KILL_EXIT_CODE`]) after the push
+    /// frame is flushed. Only meaningful for real worker processes; in-process
     /// tests use [`FaultKind::DropAfterPush`] instead.
     Kill,
-    /// Flip one payload byte of the step's first push frame, breaking its
-    /// CRC. The server rejects the frame and drops the connection, which
-    /// the worker survives by rejoining.
+    /// Flip one payload byte of the step's push frame, breaking its CRC.
+    /// The server rejects the frame and drops the connection, which the
+    /// worker survives by rejoining.
     CorruptCrc,
     /// Sleep before pushing (an I/O delay, not a failure).
     Delay,
@@ -94,50 +94,31 @@ impl FaultPlan {
                 .parse()
                 .map_err(|_| format!("fault spec `{spec}`: bad {what}"))
         };
-        let plan = match kind {
-            "disconnect" => FaultPlan {
-                kind: FaultKind::Disconnect,
-                step,
-                delay_ms: 0,
-                seed: 0,
-            },
-            "drop-after-push" => FaultPlan {
-                kind: FaultKind::DropAfterPush,
-                step,
-                delay_ms: 0,
-                seed: 0,
-            },
-            "kill" => FaultPlan {
-                kind: FaultKind::Kill,
-                step,
-                delay_ms: 0,
-                seed: 0,
-            },
-            "crc" => FaultPlan {
-                kind: FaultKind::CorruptCrc,
-                step,
-                delay_ms: 0,
-                seed: arg.map(|_| arg_num("seed")).transpose()?.unwrap_or(0),
-            },
-            "delay" => FaultPlan {
-                kind: FaultKind::Delay,
-                step,
-                delay_ms: arg_num("ms")?,
-                seed: 0,
-            },
-            other => {
+        let (kind, delay_ms, seed) = match (kind, arg) {
+            ("crc", _) => {
+                let seed = arg.map(|_| arg_num("seed")).transpose()?;
+                (FaultKind::CorruptCrc, 0, seed.unwrap_or(0))
+            }
+            ("delay", _) => (FaultKind::Delay, arg_num("ms")?, 0),
+            ("disconnect" | "drop-after-push" | "kill", Some(extra)) => {
+                return Err(format!("fault spec `{spec}`: `{kind}` takes no `:{extra}`"));
+            }
+            ("disconnect", None) => (FaultKind::Disconnect, 0, 0),
+            ("drop-after-push", None) => (FaultKind::DropAfterPush, 0, 0),
+            ("kill", None) => (FaultKind::Kill, 0, 0),
+            (other, _) => {
                 return Err(format!(
                     "unknown fault kind `{other}` \
                      (expected disconnect|drop-after-push|kill|crc|delay)"
                 ));
             }
         };
-        if kind != "crc" && kind != "delay" {
-            if let Some(extra) = arg {
-                return Err(format!("fault spec `{spec}`: `{kind}` takes no `:{extra}`"));
-            }
-        }
-        Ok(plan)
+        Ok(FaultPlan {
+            kind,
+            step,
+            delay_ms,
+            seed,
+        })
     }
 
     /// Reads a plan from [`FAULT_ENV`], if set.
@@ -182,16 +163,6 @@ impl FaultInjector {
         FaultInjector { plan, fired: false }
     }
 
-    /// An injector that never fires.
-    pub fn inert() -> Self {
-        FaultInjector::new(None)
-    }
-
-    /// Whether the armed fault has already fired.
-    pub fn fired(&self) -> bool {
-        self.fired
-    }
-
     fn due(&self, step: u64, kind: FaultKind) -> bool {
         !self.fired
             && self
@@ -215,7 +186,7 @@ impl FaultInjector {
         None
     }
 
-    /// Injection point after the push batch (including `PushDone`) is
+    /// Injection point after the step's one push frame (`PushDone`) is
     /// flushed, before the pull is read.
     pub fn after_push(&mut self, step: u64) -> Option<FaultAction> {
         if self.due(step, FaultKind::DropAfterPush) {
@@ -313,7 +284,7 @@ mod tests {
         assert_eq!(inj.before_push(0), None);
         assert_eq!(inj.before_push(1), None);
         assert_eq!(inj.before_push(2), Some(FaultAction::Disconnect));
-        assert!(inj.fired());
+        assert!(inj.fired);
         // Replaying the same step after a rejoin must not re-fire.
         assert_eq!(inj.before_push(2), None);
         assert_eq!(inj.after_push(2), None);
@@ -371,12 +342,12 @@ mod tests {
 
     #[test]
     fn inert_injector_never_fires() {
-        let mut inj = FaultInjector::inert();
+        let mut inj = FaultInjector::new(None);
         for step in 0..10 {
             assert_eq!(inj.before_push(step), None);
             assert_eq!(inj.after_push(step), None);
             assert!(!inj.corrupt_push(step, &mut [0u8; 32], 24));
         }
-        assert!(!inj.fired());
+        assert!(!inj.fired);
     }
 }

@@ -7,26 +7,11 @@
 //! ([`threelc_distsim::engine`]) so a networked run produces bit-identical
 //! models to a simulated run of the same configuration.
 //!
-//! # Frame format
-//!
-//! Every message is one length-prefixed frame (all integers little-endian):
-//!
-//! ```text
-//! offset  size  field
-//!      0     4  magic "3LCN"
-//!      4     1  protocol version (1 = no trace context, 2 = 16-byte ext)
-//!      5     1  message type
-//!      6     2  tensor id
-//!      8     8  step number
-//!     16     4  payload length
-//!     20     4  CRC-32 (IEEE) over header bytes 0..20 + ext + payload
-//!     24    16  [version 2 only] trace context: trace id + span id
-//!   24/40     n  payload (the 3LC wire format, raw f32s, or control data)
-//! ```
-//!
-//! Frames without a trace context are emitted as version 1, byte-for-byte
-//! identical to the pre-trace protocol, so old and new peers interoperate
-//! whenever tracing is off (see [`frame`]).
+//! Every message is one length-prefixed, checksummed frame ([`frame`]
+//! has the layout), and a BSP step is one frame each way: a worker's
+//! `PushDone` carries its done fields and every tensor's payload, the
+//! server's `PullDone` every tensor of the shared pull
+//! ([`protocol::StepPayload`]).
 //!
 //! See [`frame`] for the codec, [`server::serve`] and
 //! [`worker::run_worker`] for the two runtime roles.
@@ -42,8 +27,8 @@ pub mod server;
 pub mod worker;
 
 pub use counters::ConnCounters;
-pub use faults::{FaultAction, FaultInjector, FaultKind, FaultPlan, FAULT_ENV, KILL_EXIT_CODE};
-pub use frame::{Frame, FrameError, MsgType, HEADER_LEN, MAX_PAYLOAD};
+pub use faults::{FaultPlan, KILL_EXIT_CODE};
+pub use frame::{FrameError, MsgType, HEADER_LEN};
 pub use protocol::{model_crc32, NetError, ScrapeKind};
 pub use report::{ConnReport, FaultEvent, FaultsReport, NetReport};
 pub use scrape::{scrape_series, scrape_trace};

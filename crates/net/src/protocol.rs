@@ -1,10 +1,16 @@
 //! Payload encodings shared by server and worker, and the runtime error
 //! type.
+//!
+//! A BSP step is one frame each way, laid out by one segment encoder
+//! ([`StepPayload`]) and read by one segment parser (behind [`read_push`]
+//! and [`read_pull`]).
 
-use crate::frame::FrameError;
+use crate::frame::{FrameError, FrameHead, MsgType, Payload, MAX_PAYLOAD};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::io;
+use std::io::{self, Read};
+use threelc_distsim::engine::TensorPayload;
+use threelc_policy::Decision;
 use threelc_tensor::{Shape, Tensor};
 
 /// Failures of the networked runtime.
@@ -56,14 +62,15 @@ impl From<io::Error> for NetError {
 
 /// Serializes a tensor as little-endian `f32`s (the raw-tensor payload).
 ///
-/// The same bytes as [`Tensor::to_le_bytes`], which this crate calls
-/// directly; the name stays for the ledger's replay and kernel rows, which
-/// import it.
+/// Ledger-only: the same bytes as [`Tensor::to_le_bytes`], which this
+/// crate calls directly; the name stays for the ledger's replay and kernel
+/// rows, which import it, until ROADMAP 1(c).
 pub fn tensor_to_bytes(t: &Tensor) -> Vec<u8> {
     t.to_le_bytes()
 }
 
-/// Rebuilds a tensor of a known shape from little-endian `f32` bytes.
+/// Rebuilds a tensor of a known shape from little-endian `f32` bytes (a
+/// raw segment; the ledger's replay calls it too).
 ///
 /// # Errors
 ///
@@ -125,13 +132,14 @@ pub fn model_crc32(model: &threelc_learning::Network) -> u32 {
     crc.finish()
 }
 
-/// Encodes the 28-byte `PushDone` payload: local loss, worker codec
-/// seconds, a residual slot, and the wall-clock seconds the worker spent
-/// computing + encoding the step (the per-worker latency series the run
-/// recorder folds). The worker writes `0.0` into the residual slot and the
-/// server reads neither it nor the codec seconds; the slot and this
-/// signature stay because the step ledger (`ledger/`) writes them and
-/// counts the frame's bytes.
+/// Encodes the 28 done-field bytes that head a push ([`StepPayload`]):
+/// local loss, worker codec seconds, a residual slot, and the wall-clock
+/// seconds the worker spent computing + encoding the step (the per-worker
+/// latency series the run recorder folds). The worker writes `0.0` into
+/// the residual slot and the server reads neither it nor the codec
+/// seconds; the slot and this signature stay because the step ledger
+/// (`ledger/`) writes them into its own `PushDone` frame and counts its
+/// bytes, until ROADMAP 1(h).
 pub fn encode_push_done(
     loss: f32,
     codec_seconds: f64,
@@ -146,8 +154,8 @@ pub fn encode_push_done(
     out
 }
 
-/// Decodes the `PushDone` payload into the two fields the server reads:
-/// the loss and the step seconds.
+/// Decodes a push's done fields into the two the server reads: the loss
+/// and the step seconds.
 ///
 /// # Errors
 ///
@@ -158,9 +166,9 @@ pub fn encode_push_done(
 /// the worker's latency series, where one NaN would poison every view
 /// after it.
 pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64), NetError> {
-    if payload.len() != 28 {
+    if payload.len() != PUSH_DONE_LEN {
         return Err(NetError::Protocol(format!(
-            "push-done payload is {} bytes, want 28",
+            "push-done payload is {} bytes, want {PUSH_DONE_LEN}",
             payload.len()
         )));
     }
@@ -177,8 +185,9 @@ pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64), NetError> {
     Ok((loss, step_seconds))
 }
 
-/// Encodes the `PolicyUpdate` payload: the per-tensor decisions for the
-/// next step as `count (u16 LE) + count × [s (f32 LE) + reason (u8)]`.
+/// Encodes a pull's policy tail ([`StepPayload`]): the per-tensor
+/// decisions for the next step as `count (u16 LE) + count × [s (f32 LE) +
+/// reason (u8)]`.
 ///
 /// # Errors
 ///
@@ -205,7 +214,7 @@ pub fn encode_policy_update(decisions: &[threelc_policy::Decision]) -> Result<Ve
     Ok(out)
 }
 
-/// Decodes the `PolicyUpdate` payload, validating every multiplier
+/// Decodes a pull's policy tail, validating every multiplier
 /// through [`threelc::SparsityMultiplier::new`] and every reason code —
 /// a worker never applies an out-of-range or NaN multiplier no matter
 /// what arrives on the wire.
@@ -243,7 +252,218 @@ pub fn decode_policy_update(payload: &[u8]) -> Result<Vec<threelc_policy::Decisi
     Ok(decisions)
 }
 
-/// Which observability view a [`MsgType::Scrape`](crate::MsgType::Scrape)
+/// Length of a push's done fields ([`encode_push_done`]).
+const PUSH_DONE_LEN: usize = 28;
+
+/// One step's payload in one direction (a `PushDone` or `PullDone` frame),
+/// as the segment encoder lays it out: a head — a push's done fields
+/// ([`encode_push_done`]) — then each tensor's payload behind its `u32 LE`
+/// length in parameter order, then a tail — an adaptive pull's next
+/// decisions ([`encode_policy_update`]). Whether a segment is raw `f32`s
+/// is not on the wire: both ends read it off the plan
+/// (`Problem::compressible`).
+pub struct StepPayload {
+    head: Vec<u8>,
+    segments: Vec<([u8; 4], Vec<u8>)>,
+    tail: Vec<u8>,
+}
+
+impl StepPayload {
+    /// Lays out `payloads` between `head` and `tail`, consuming them, so no
+    /// more than one raw tensor is ever held twice.
+    pub fn new(head: Vec<u8>, payloads: Vec<TensorPayload>, tail: Vec<u8>) -> StepPayload {
+        let segments = payloads
+            .into_iter()
+            .map(|payload| {
+                let bytes = match payload {
+                    TensorPayload::Compressed(wire) => wire,
+                    TensorPayload::Raw(t) => t.to_le_bytes(),
+                };
+                // Past `u32` is past the frame cap: the writer refuses it.
+                let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+                (len.to_le_bytes(), bytes)
+            })
+            .collect();
+        StepPayload {
+            head,
+            segments,
+            tail,
+        }
+    }
+
+    /// The frame's payload parts, in wire order
+    /// ([`write_frame_parts`](crate::frame::write_frame_parts)).
+    pub fn parts(&self) -> Vec<&[u8]> {
+        let mut parts = Vec::with_capacity(2 * self.segments.len() + 2);
+        parts.push(&self.head[..]);
+        for (len, bytes) in &self.segments {
+            parts.push(&len[..]);
+            parts.push(bytes);
+        }
+        parts.push(&self.tail);
+        parts
+    }
+}
+
+/// Reads `len` more payload bytes, refusing — before allocating — a length
+/// beyond what the frame has left; `what` names the field in the error.
+fn take<R: Read>(
+    body: &mut Payload<'_, R>,
+    len: usize,
+    what: impl FnOnce() -> String,
+) -> Result<Vec<u8>, NetError> {
+    if len > body.remaining() {
+        return Err(NetError::Protocol(format!(
+            "{} is {len} bytes, the frame has {} left",
+            what(),
+            body.remaining()
+        )));
+    }
+    let mut bytes = vec![0u8; len];
+    body.read_exact(&mut bytes).map_err(FrameError::Io)?;
+    Ok(bytes)
+}
+
+/// The segment parser: one segment per tensor of the plan — a codec's wire
+/// bytes, or exactly `4·n` bytes of `f32`s built into the tensor here —
+/// then, only where `tail`, whatever is left. Every length is checked
+/// against the bytes left before anything is allocated for it.
+fn read_step<R: Read>(
+    body: &mut Payload<'_, R>,
+    (shapes, compressible): (&[Shape], &[bool]),
+    tail: bool,
+) -> Result<(Vec<TensorPayload>, Vec<u8>), NetError> {
+    let mut payloads = Vec::with_capacity(shapes.len());
+    for (i, (shape, &compressed)) in shapes.iter().zip(compressible).enumerate() {
+        let len = take(body, 4, || format!("tensor {i}'s length"))?;
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        let bytes = take(body, len, || format!("tensor {i}'s segment"))?;
+        payloads.push(if compressed {
+            TensorPayload::Compressed(bytes)
+        } else {
+            TensorPayload::Raw(bytes_to_tensor(&bytes, shape)?)
+        });
+    }
+    match body.remaining() {
+        left if left > 0 && !tail => Err(NetError::Protocol(format!(
+            "{left} bytes past the last of {} tensors",
+            shapes.len()
+        ))),
+        left => Ok((payloads, take(body, left, String::new)?)),
+    }
+}
+
+/// One worker's push, as its frame carried it.
+pub struct Push {
+    /// One payload per tensor, in parameter order.
+    pub payloads: Vec<TensorPayload>,
+    /// The worker's local training loss.
+    pub loss: f32,
+    /// Seconds the worker spent computing and encoding the step.
+    pub step_seconds: f64,
+}
+
+/// Refuses a frame that is not step `step`'s `msg`; `who` names the
+/// sender in the error.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] naming what was sent instead.
+pub fn expect_step(head: &FrameHead, msg: MsgType, step: u64, who: &str) -> Result<(), NetError> {
+    if head.msg != msg {
+        return Err(NetError::Protocol(format!(
+            "{who} sent {:?} during step {step}",
+            head.msg
+        )));
+    }
+    if head.step != step {
+        return Err(NetError::Protocol(format!(
+            "{who} sent step {} during step {step}",
+            head.step
+        )));
+    }
+    Ok(())
+}
+
+/// Parses a push frame's payload: the done fields, then one segment per
+/// tensor, then nothing.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] for bad done fields, a segment length beyond the
+/// bytes left, a raw segment that is not `4·n` bytes, or trailing bytes.
+pub fn read_push<R: Read>(
+    body: &mut Payload<'_, R>,
+    shapes: &[Shape],
+    compressible: &[bool],
+) -> Result<Push, NetError> {
+    let done = take(body, PUSH_DONE_LEN, || "the push's done fields".into())?;
+    let (loss, step_seconds) = decode_push_done(&done)?;
+    let (payloads, _) = read_step(body, (shapes, compressible), false)?;
+    Ok(Push {
+        payloads,
+        loss,
+        step_seconds,
+    })
+}
+
+/// Parses a pull frame's payload: one segment per tensor, then — exactly
+/// when `adaptive` — one policy update with a decision per tensor.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] for a segment [`read_push`] would refuse, or a
+/// policy tail that is not exactly one valid update of every tensor.
+#[allow(clippy::type_complexity)]
+pub fn read_pull<R: Read>(
+    body: &mut Payload<'_, R>,
+    shapes: &[Shape],
+    compressible: &[bool],
+    adaptive: bool,
+) -> Result<(Vec<TensorPayload>, Option<Vec<Decision>>), NetError> {
+    let (payloads, tail) = read_step(body, (shapes, compressible), adaptive)?;
+    match adaptive.then(|| decode_policy_update(&tail)).transpose()? {
+        Some(d) if d.len() != shapes.len() => Err(NetError::Protocol(format!(
+            "policy update carries {} decisions for {} tensors",
+            d.len(),
+            shapes.len()
+        ))),
+        decisions => Ok((payloads, decisions)),
+    }
+}
+
+/// Refuses a plan whose step frame would pass [`MAX_PAYLOAD`], counting
+/// the bytes the plan fixes: lengths, heads, tails and raw tensors — every
+/// tensor where the design sends `f32`s (`f32_wire`).
+///
+/// # Errors
+///
+/// [`NetError::Config`] naming the step's size and the cap.
+pub(crate) fn check_step_size(
+    shapes: &[Shape],
+    compressible: &[bool],
+    f32_wire: bool,
+    adaptive: bool,
+) -> Result<(), NetError> {
+    let fixed = |(shape, &compressed): (&Shape, &bool)| {
+        4 + if compressed && !f32_wire {
+            0
+        } else {
+            4 * shape.num_elements()
+        }
+    };
+    let tail = if adaptive { 2 + 5 * shapes.len() } else { 0 };
+    let bytes = shapes.iter().zip(compressible).map(fixed).sum::<usize>() + tail.max(PUSH_DONE_LEN);
+    if bytes > MAX_PAYLOAD {
+        return Err(NetError::Config(format!(
+            "a step of this model is at least {bytes} bytes a direction, \
+             above the {MAX_PAYLOAD}-byte frame cap"
+        )));
+    }
+    Ok(())
+}
+
+/// Which observability view a [`MsgType::Scrape`]
 /// frame asks for; the discriminant is the frame's one payload byte.
 /// Byte 0 named the retired metrics-registry view and is now unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,6 +554,96 @@ mod tests {
             let err = decode_push_done(&vec![0u8; len]).unwrap_err();
             assert!(err.to_string().contains("want 28"), "{len} bytes: {err}");
         }
+    }
+
+    /// Writes `payload` as one frame and parses it back with `parse`.
+    fn through_a_frame<T>(
+        payload: &StepPayload,
+        parse: impl FnOnce(&mut Payload<'_, &[u8]>) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let mut wire = Vec::new();
+        let none = crate::frame::TraceCtx::default();
+        let msg = MsgType::PullDone;
+        crate::frame::write_frame_parts(&mut wire, msg, 0, 4, none, &payload.parts())?;
+        let (_, parsed) = crate::frame::read_frame_with(&mut &wire[..], |_, body| parse(body))?;
+        Ok(parsed)
+    }
+
+    #[test]
+    fn a_step_round_trips_through_one_frame_and_its_plan() {
+        use threelc_policy::{Decision, Reason};
+        let shapes = [Shape::new(&[2, 3]), Shape::new(&[3]), Shape::new(&[1])];
+        let compressible = [true, false, false];
+        let raw = Tensor::from_vec(vec![0.5, -1.25, 3.0], [3]);
+        let one = Tensor::from_vec(vec![7.0], [1]);
+        let payloads = || {
+            vec![
+                TensorPayload::Compressed(vec![9, 8, 7, 6, 5]),
+                TensorPayload::Raw(raw.clone()),
+                TensorPayload::Raw(one.clone()),
+            ]
+        };
+        let same = |got: &[TensorPayload]| match got {
+            [TensorPayload::Compressed(w), TensorPayload::Raw(a), TensorPayload::Raw(b)] => {
+                *w == [9, 8, 7, 6, 5] && *a == raw && *b == one
+            }
+            _ => false,
+        };
+        let done = encode_push_done(0.5, 1.0, 0.0, 2.0);
+        let push = StepPayload::new(done, payloads(), Vec::new());
+        let got = through_a_frame(&push, |body| read_push(body, &shapes, &compressible)).unwrap();
+        assert_eq!((got.loss, got.step_seconds), (0.5, 2.0));
+        assert!(same(&got.payloads));
+
+        let pull = StepPayload::new(Vec::new(), payloads(), Vec::new());
+        let (got, policy) =
+            through_a_frame(&pull, |body| read_pull(body, &shapes, &compressible, false)).unwrap();
+        assert!(same(&got) && policy.is_none());
+        let hold = Decision {
+            s: threelc::SparsityMultiplier::new(1.5).unwrap(),
+            reason: Reason::Hold,
+        };
+        let tail = encode_policy_update(&[hold; 3]).unwrap();
+        let adaptive = StepPayload::new(Vec::new(), payloads(), tail);
+        let (got, policy) = through_a_frame(&adaptive, |body| {
+            read_pull(body, &shapes, &compressible, true)
+        })
+        .unwrap();
+        assert!(same(&got));
+        assert_eq!(policy, Some(vec![hold; 3]));
+        // A tail where the plan has none, and none where it has one, are
+        // both refused.
+        assert!(through_a_frame(&adaptive, |body| {
+            read_pull(body, &shapes, &compressible, false)
+        })
+        .is_err());
+        assert!(
+            through_a_frame(&pull, |body| read_pull(body, &shapes, &compressible, true)).is_err()
+        );
+    }
+
+    #[test]
+    fn a_plan_whose_step_passes_the_frame_cap_is_refused_before_it_runs() {
+        // 4 100² f32s are 67.2 MB, 64 MiB is 67.1 MB.
+        let big = [Shape::new(&[4100, 4100]), Shape::new(&[10])];
+        let small = [Shape::new(&[4000, 4000]), Shape::new(&[10])];
+        let too_big = |shapes: &[Shape], compressible: &[bool], f32_wire| {
+            matches!(
+                check_step_size(shapes, compressible, f32_wire, false),
+                Err(NetError::Config(m)) if m.contains("frame cap")
+            )
+        };
+        assert!(too_big(&big, &[false, false], false), "raw is 4·n bytes");
+        assert!(
+            too_big(&big, &[true, false], true),
+            "float32 sends 4·n bytes"
+        );
+        assert!(
+            !too_big(&big, &[true, false], false),
+            "a codec's size is the data's"
+        );
+        assert!(!too_big(&small, &[false, false], false));
+        assert!(!too_big(&small, &[true, false], true));
     }
 
     #[test]

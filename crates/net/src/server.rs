@@ -22,8 +22,9 @@
 //! coordinator parks the barrier for up to [`ServeOptions::rejoin_timeout`]
 //! and lets the worker — or a replacement process — join again. With
 //! [`ServeOptions::max_rejoins`] `= 0` the runtime is strictly fail-stop:
-//! any mid-run disconnect aborts the run. Protocol violations (wrong
-//! step, out-of-order tensors) always abort — those are bugs, not faults.
+//! any mid-run disconnect aborts the run. Protocol violations (a wrong
+//! step or frame kind, a malformed step frame) always abort — those are
+//! bugs, not faults.
 //! A connection whose *first* frame is malformed, unexpected or refused is
 //! closed and logged (a `server.connection_refused` warn event), in every
 //! phase of the run, and the run goes on (`refuse`).
@@ -33,10 +34,11 @@
 //! is out), so a dead peer cannot wedge the server.
 
 use crate::counters::ConnCounters;
-use crate::frame::MsgType;
+use crate::frame::{whole, MsgType};
 use crate::protocol::{
-    bytes_to_tensor, decode_hello, decode_push_done, decode_scrape, decode_scrape_reply,
-    encode_policy_update, encode_scrape_reply, model_crc32, NetError, ScrapeKind,
+    check_step_size, decode_hello, decode_scrape, decode_scrape_reply, encode_policy_update,
+    encode_scrape_reply, expect_step, model_crc32, read_push, NetError, Push, ScrapeKind,
+    StepPayload,
 };
 use crate::report::{ConnReport, FaultEvent, FaultsReport, NetReport};
 use std::io::{BufReader, BufWriter};
@@ -46,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use threelc_distsim::engine::{EngineError, Problem, ServerCore, TensorPayload, WorkerPush};
+use threelc_distsim::engine::{EngineError, Problem, ServerCore, WorkerPush};
 use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_obs::flight::trigger;
@@ -91,14 +93,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// One worker's contribution at the push barrier, as its `PushDone`
-/// reported it.
-struct Push {
-    payloads: Vec<TensorPayload>,
-    loss: f32,
-    step_seconds: f64,
-}
-
 /// Handler and acceptor → coordinator messages. A handler's messages carry
 /// its per-worker generation, so messages from a superseded connection
 /// (one the worker already rejoined past) are recognizably stale.
@@ -134,19 +128,14 @@ enum ToCoord {
     },
 }
 
-/// One step's shared pull batch, encoded once and broadcast to every
-/// handler (shared pull compression, paper Fig. 2b). Retained in the
-/// coordinator's history (when rejoins are enabled) so a rejoining worker
-/// can replay the run's full pull sequence.
+/// One step's shared pull, laid out once and broadcast to every handler
+/// (shared pull compression, paper Fig. 2b), each of which writes it as
+/// one `PullDone` frame. Retained in the coordinator's history (when
+/// rejoins are enabled) so a rejoining worker can replay the run's full
+/// pull sequence.
 struct PullBatch {
     step: u64,
-    /// `(message type, payload bytes)` per tensor, in parameter order.
-    frames: Vec<(MsgType, Vec<u8>)>,
-}
-
-/// Coordinator → handler messages.
-enum FromCoord {
-    Pulls(Arc<PullBatch>),
+    payload: StepPayload,
 }
 
 /// What [`Coordinator::admit`] grants a joining worker: its connection's
@@ -155,7 +144,7 @@ enum FromCoord {
 /// step's pull batch (step 0 and no replay for a first join).
 struct Admission {
     gen: u64,
-    pulls: mpsc::Receiver<FromCoord>,
+    pulls: mpsc::Receiver<Arc<PullBatch>>,
     resume_step: u64,
     replay: Vec<Arc<PullBatch>>,
 }
@@ -192,9 +181,9 @@ struct Coordinator {
     lost: Vec<ConnCounters>,
     /// The sending end of each worker's pull channel; `None` while the
     /// worker is out (never joined, or retired and not yet rejoined).
-    pull_txs: Vec<Option<mpsc::Sender<FromCoord>>>,
+    pull_txs: Vec<Option<mpsc::Sender<Arc<PullBatch>>>>,
     /// Every completed step's pull batch, the replay a rejoiner resyncs
-    /// from. Arc'd frames, so the history costs one encoded copy per step;
+    /// from. Arc'd pulls, so the history costs one encoded copy per step;
     /// disabled (empty) in fail-stop mode.
     history: Vec<Arc<PullBatch>>,
     faults: FaultsReport,
@@ -512,7 +501,7 @@ impl Coordinator {
         }
         for w in 0..self.pull_txs.len() {
             let alive = match &self.pull_txs[w] {
-                Some(tx) => tx.send(FromCoord::Pulls(Arc::clone(batch))).is_ok(),
+                Some(tx) => tx.send(Arc::clone(batch)).is_ok(),
                 None => true, // already retired
             };
             if !alive {
@@ -607,12 +596,12 @@ fn serve_run(
 ) -> Result<NetReport, NetError> {
     config.validate().map_err(NetError::Config)?;
     let mut problem = Problem::build(config);
-    let n_params = problem.num_tensors();
-    if n_params > usize::from(u16::MAX) {
-        return Err(NetError::Config(format!(
-            "{n_params} tensors exceed the u16 tensor-id space"
-        )));
-    }
+    check_step_size(
+        &problem.shapes,
+        &problem.compressible,
+        config.scheme.sends_floats(),
+        config.policy.controller(problem.num_tensors()).is_some(),
+    )?;
     let mut server = ServerCore::new(&problem);
     // The server holds the model now; what is still read here is the test
     // batch and the shapes.
@@ -641,6 +630,7 @@ fn serve_run(
         run: Arc::new(RunShared {
             total_steps: config.total_steps,
             shapes: problem.shapes.clone(),
+            compressible: problem.compressible.clone(),
             config_json,
             to_coord,
             pull_timeout: coord.park_timeout(),
@@ -698,26 +688,18 @@ fn serve_run(
             .extend(out.policy_records.iter().copied());
         let record = account.finish(&out);
 
-        // Encode the shared pull batch once; handlers fan it out.
-        let mut frames = Vec::with_capacity(n_params + 1);
-        for payload in out.pulls {
-            frames.push(match payload {
-                TensorPayload::Compressed(wire) => (MsgType::PullTensor, wire),
-                TensorPayload::Raw(t) => (MsgType::PullRaw, t.to_le_bytes()),
-            });
-        }
-        // Adaptive policies broadcast the next step's decisions with the
-        // pull batch. Appending them here puts them in the replay history
-        // too, so a rejoining worker reconstructs the exact decision
-        // sequence. (The step's accounting was closed above, over the
-        // tensor payloads only: policy bytes are transport.)
-        if !out.next_decisions.is_empty() {
-            frames.push((
-                MsgType::PolicyUpdate,
-                encode_policy_update(&out.next_decisions)?,
-            ));
-        }
-        coord.broadcast(&Arc::new(PullBatch { step, frames }))?;
+        // Lay the shared pull out once; handlers fan it out. Adaptive
+        // policies end it with the next step's decisions, which puts them
+        // in the replay history too, so a rejoining worker reconstructs the
+        // exact decision sequence. (The step's accounting was closed above,
+        // over the tensor payloads only: policy bytes are transport.)
+        let tail = if out.next_decisions.is_empty() {
+            Vec::new()
+        } else {
+            encode_policy_update(&out.next_decisions)?
+        };
+        let payload = StepPayload::new(Vec::new(), out.pulls, tail);
+        coord.broadcast(&Arc::new(PullBatch { step, payload }))?;
 
         trace.record_step(record);
         let due = config.eval_every > 0 && (step + 1) % config.eval_every == 0;
@@ -780,7 +762,10 @@ fn serve_run(
 /// What every handler thread of one run shares.
 struct RunShared {
     total_steps: u64,
+    /// The plan a push is parsed against: each tensor's shape and whether
+    /// it travels compressed.
     shapes: Vec<Shape>,
+    compressible: Vec<bool>,
     /// The `HelloAck` payload.
     config_json: String,
     to_coord: mpsc::Sender<ToCoord>,
@@ -934,7 +919,7 @@ fn answer_scrape(
             encode_scrape_reply(&recorder.lock().expect("series recorder lock").snapshot())
         }
     }?;
-    conn.write_frame(&mut &*stream, MsgType::ScrapeReply, 0, 0, &payload)?;
+    conn.write_frame(&mut &*stream, MsgType::ScrapeReply, 0, &[&payload])?;
     conn.flush(&mut &*stream)?;
     threelc_obs::event!(
         Level::Info,
@@ -1064,14 +1049,14 @@ fn first_frame(
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
     let mut counters = ConnCounters::default();
-    let frame = counters.read_frame(&mut &stream)?;
+    let (frame, payload) = counters.read_frame_with(&mut &stream, whole)?;
     match frame.msg {
         MsgType::Scrape => {
-            let kind = decode_scrape(&frame.payload)?;
+            let kind = decode_scrape(&payload)?;
             answer_scrape(&stream, &mut counters, kind, server_buf, recorder)
         }
         MsgType::Hello => {
-            let worker = usize::from(decode_hello(&frame.payload)?);
+            let worker = usize::from(decode_hello(&payload)?);
             to_coord
                 .send(ToCoord::Join {
                     worker,
@@ -1112,28 +1097,20 @@ fn run_handler(
         replay,
     } = admission;
     let (total_steps, trace_id) = (run.total_steps, run.trace_id);
-    let (shapes, to_coord, server_buf) = (&run.shapes, &run.to_coord, &run.server_buf);
+    let (to_coord, server_buf) = (&run.to_coord, &run.server_buf);
     let tracing = trace::trace_enabled();
-    let n_params = shapes.len();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
     // A worker — or a replacement process — joins with nothing but an
     // address and an id; the ack carries the rest.
-    conn.write_frame(
-        &mut writer,
-        MsgType::HelloAck,
-        0,
-        resume_step,
-        run.config_json.as_bytes(),
-    )?;
+    let config_json = run.config_json.as_bytes();
+    conn.write_frame(&mut writer, MsgType::HelloAck, resume_step, &[config_json])?;
     // The worker interleaves reading the replay with recomputing each
     // step, so the stream drains as fast as the worker replays.
     for batch in replay {
-        for (i, (msg, payload)) in batch.frames.iter().enumerate() {
-            conn.write_frame(&mut writer, *msg, i as u16, batch.step, payload)?;
-        }
-        conn.write_frame(&mut writer, MsgType::PullDone, 0, batch.step, &[])?;
+        let parts = batch.payload.parts();
+        conn.write_frame(&mut writer, MsgType::PullDone, batch.step, &parts)?;
     }
     conn.flush(&mut writer)?;
 
@@ -1144,72 +1121,32 @@ fn run_handler(
         let _scope =
             tracing.then(|| TraceScope::enter(server_buf, "server", trace_id, step, worker as i64));
 
-        // ---- Gather this worker's push batch. The recv_push span closes
-        // when the worker's PushDone lands, and is re-parented onto the
-        // span that sent it (carried by the frame's trace context).
+        // ---- Read this worker's push, its tensors built as its bytes
+        // arrive. The recv_push span closes when the frame has landed, and
+        // is re-parented onto the span that sent it (carried by the
+        // frame's trace context).
         let mut recv_span = TraceSpan::start("recv_push");
-        let mut payloads: Vec<TensorPayload> = Vec::with_capacity(n_params);
-        let (loss, step_seconds) = loop {
-            let frame = conn.read_frame(&mut reader)?;
-            if frame.step != step {
-                return Err(NetError::Protocol(format!(
-                    "worker {worker} sent step {} during step {step}",
-                    frame.step
-                )));
-            }
-            match frame.msg {
-                MsgType::PushTensor | MsgType::PushRaw => {
-                    let i = payloads.len();
-                    if i >= n_params || usize::from(frame.tensor) != i {
-                        return Err(NetError::Protocol(format!(
-                            "worker {worker} pushed tensor {} out of order (expected {i})",
-                            frame.tensor
-                        )));
-                    }
-                    if frame.msg == MsgType::PushTensor {
-                        payloads.push(TensorPayload::Compressed(frame.payload));
-                    } else {
-                        let tensor = bytes_to_tensor(&frame.payload, &shapes[i])?;
-                        payloads.push(TensorPayload::Raw(tensor));
-                    }
-                }
-                MsgType::PushDone => {
-                    if payloads.len() != n_params {
-                        return Err(NetError::Protocol(format!(
-                            "worker {worker} pushed {} of {n_params} tensors",
-                            payloads.len()
-                        )));
-                    }
-                    if let Some(ctx) = frame.trace.to_obs() {
-                        recv_span.set_remote_parent(ctx);
-                    }
-                    break decode_push_done(&frame.payload)?;
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "worker {worker} sent {other:?} during the push phase"
-                    )));
-                }
-            }
-        };
+        let (head, push) = conn.read_frame_with(&mut reader, |head, body| {
+            expect_step(head, MsgType::PushDone, step, &format!("worker {worker}"))?;
+            read_push(body, &run.shapes, &run.compressible)
+        })?;
+        if !head.trace.is_none() {
+            recv_span.set_remote_parent(head.trace);
+        }
         recv_span.finish();
-        to_coord
-            .send(ToCoord::Pushed {
-                worker,
-                gen,
-                step,
-                push: Push {
-                    payloads,
-                    loss,
-                    step_seconds,
-                },
-            })
-            .map_err(|_| NetError::Protocol("coordinator is gone".into()))?;
+        let pushed = ToCoord::Pushed {
+            worker,
+            gen,
+            step,
+            push,
+        };
+        let gone = |_| NetError::Protocol("coordinator is gone".into());
+        to_coord.send(pushed).map_err(gone)?;
 
-        // ---- Wait at the barrier, then fan out the shared pulls. The
-        // wait covers a sibling worker's rejoin-plus-replay too.
+        // ---- Wait at the barrier, then send the shared pull. The wait
+        // covers a sibling worker's rejoin-plus-replay too.
         let batch = match pulls.recv_timeout(run.pull_timeout) {
-            Ok(FromCoord::Pulls(batch)) => batch,
+            Ok(batch) => batch,
             Err(_) => return Err(NetError::Protocol("no pull batch from coordinator".into())),
         };
         if batch.step != step {
@@ -1219,10 +1156,7 @@ fn run_handler(
             )));
         }
         let send_span = TraceSpan::start("send_pull");
-        for (i, (msg, payload)) in batch.frames.iter().enumerate() {
-            conn.write_frame(&mut writer, *msg, i as u16, step, payload)?;
-        }
-        conn.write_frame(&mut writer, MsgType::PullDone, 0, step, &[])?;
+        conn.write_frame(&mut writer, MsgType::PullDone, step, &batch.payload.parts())?;
         conn.flush(&mut writer)?;
         send_span.finish();
     }
@@ -1230,24 +1164,24 @@ fn run_handler(
     // ---- Collect the worker's span buffer before shutting it down.
     let worker_trace = if tracing {
         let request = [ScrapeKind::Trace as u8];
-        conn.write_frame(&mut writer, MsgType::Scrape, 0, total_steps, &request)?;
+        conn.write_frame(&mut writer, MsgType::Scrape, total_steps, &[&request])?;
         conn.flush(&mut writer)?;
-        let dump = conn.read_frame(&mut reader)?;
+        let (dump, payload) = conn.read_frame_with(&mut reader, whole)?;
         if dump.msg != MsgType::ScrapeReply {
             return Err(NetError::Protocol(format!(
                 "worker {worker} answered the trace scrape with {:?}",
                 dump.msg
             )));
         }
-        Some(decode_scrape_reply(&dump.payload)?)
+        Some(decode_scrape_reply(&payload)?)
     } else {
         None
     };
 
     // ---- Graceful shutdown handshake.
-    conn.write_frame(&mut writer, MsgType::Shutdown, 0, total_steps, &[])?;
+    conn.write_frame(&mut writer, MsgType::Shutdown, total_steps, &[])?;
     conn.flush(&mut writer)?;
-    let ack = conn.read_frame(&mut reader)?;
+    let (ack, _) = conn.read_frame_with(&mut reader, whole)?;
     if ack.msg != MsgType::ShutdownAck {
         return Err(NetError::Protocol(format!(
             "worker {worker} answered shutdown with {:?}",
@@ -1421,7 +1355,7 @@ mod tests {
             .map(|step| {
                 Arc::new(PullBatch {
                     step,
-                    frames: Vec::new(),
+                    payload: StepPayload::new(Vec::new(), Vec::new(), Vec::new()),
                 })
             })
             .collect();
@@ -1482,7 +1416,7 @@ mod tests {
         let mut coord = coordinator(1, 0, 0);
         let batch = Arc::new(PullBatch {
             step: 0,
-            frames: Vec::new(),
+            payload: StepPayload::new(Vec::new(), Vec::new(), Vec::new()),
         });
         let err = coord.broadcast(&batch).unwrap_err();
         assert!(err.to_string().contains("pull channel closed"), "{err}");
@@ -1523,7 +1457,7 @@ mod tests {
         /// The live connection's generation and its handler's end of the
         /// pull channel — `None` once the handler died with its `Finished`
         /// still in flight.
-        live: Option<(u64, Option<mpsc::Receiver<FromCoord>>)>,
+        live: Option<(u64, Option<mpsc::Receiver<Arc<PullBatch>>>)>,
         /// The live connection pushed the open step.
         pushed: bool,
         /// Generations of superseded or retired connections whose
@@ -1699,7 +1633,7 @@ mod tests {
                 events += dead.len();
                 let batch = Arc::new(PullBatch {
                     step,
-                    frames: Vec::new(),
+                    payload: StepPayload::new(Vec::new(), Vec::new(), Vec::new()),
                 });
                 if let Err(e) = coord.broadcast(&batch) {
                     assert!(!dead.is_empty() && rejoins >= budget, "seed {seed}: {e}");
@@ -1713,7 +1647,7 @@ mod tests {
                 assert_eq!(coord.step, step + 1);
                 for peer in &peers {
                     if let Some((_, Some(pulls))) = &peer.live {
-                        let FromCoord::Pulls(got) = pulls.try_recv().expect("a pull batch");
+                        let got = pulls.try_recv().expect("a pull batch");
                         assert_eq!(got.step, step, "seed {seed}");
                         assert!(pulls.try_recv().is_err(), "seed {seed}: two batches");
                     }

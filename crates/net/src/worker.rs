@@ -19,16 +19,20 @@
 //! process for a worker that died outright. Only the server knows which
 //! of the three it is talking to.
 //!
+//! A step is one frame each way: the worker's `PushDone` carries its done
+//! fields and every tensor, the server's `PullDone` every tensor of the
+//! shared pull (and, under an adaptive policy, the next step's decisions).
+//!
 //! The [`crate::faults`] injector hooks into the loop at fixed points
 //! (before the push, while writing it, after flushing it), so chaos tests
 //! can produce each failure mode deterministically.
 
 use crate::counters::ConnCounters;
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
-use crate::frame::{Frame, FrameError, MsgType, HEADER_LEN};
+use crate::frame::{whole, write_frame_parts, FrameError, MsgType, TraceCtx, HEADER_LEN};
 use crate::protocol::{
-    bytes_to_tensor, decode_policy_update, decode_scrape, encode_hello, encode_push_done,
-    encode_scrape_reply, NetError, ScrapeKind,
+    decode_scrape, encode_hello, encode_push_done, encode_scrape_reply, expect_step, read_pull,
+    NetError, ScrapeKind, StepPayload,
 };
 use std::fmt::Debug;
 use std::io::{self, BufReader, BufWriter};
@@ -278,10 +282,10 @@ fn run_session(
     // ---- Hello / HelloAck: the server distributes the configuration and
     // the step to resume at, so a worker — or a replacement for a dead one
     // — needs nothing but an address and an id.
-    let hello_payload = encode_hello(opts.worker);
-    conn.write_frame(&mut writer, MsgType::Hello, 0, 0, &hello_payload)?;
+    let hello = encode_hello(opts.worker);
+    conn.write_frame(&mut writer, MsgType::Hello, 0, &[&hello])?;
     conn.flush(&mut writer)?;
-    let ack = conn.read_frame(&mut reader)?;
+    let (ack, config_json) = conn.read_frame_with(&mut reader, whole)?;
     if ack.msg != MsgType::HelloAck {
         return Err(NetError::Protocol(format!(
             "expected HelloAck, got {:?}",
@@ -289,12 +293,11 @@ fn run_session(
         )));
     }
     let resume_step = ack.step;
-    let config = accept_config(&ack.payload, opts.worker, resume_step)?;
+    let config = accept_config(&config_json, opts.worker, resume_step)?;
     *established = true;
 
     // ---- Derive the identical problem instance locally.
     let mut problem = Problem::build(&config);
-    let n_params = problem.num_tensors();
     let mut replica = WorkerReplica::new(&problem, usize::from(opts.worker));
     // The replica holds the model now; what is still read here is the data
     // and the shapes. A worker never evaluates, so the test split goes too.
@@ -303,13 +306,23 @@ fn run_session(
     // An adaptive policy: the step-0 decisions are a pure function of the
     // configuration — the server computes the identical vector in
     // `ServerCore::new` — so the worker derives them locally instead of
-    // waiting for a broadcast. Every later step's decisions arrive as a
-    // `PolicyUpdate` frame appended to the pull batch (replayed batches
-    // included, so a rejoined replica reconstructs the exact decision
-    // sequence).
-    if let Some(controller) = config.policy.controller(n_params) {
+    // waiting for a broadcast. Every later step's decisions end that
+    // step's pull (replayed pulls included, so a rejoined replica
+    // reconstructs the exact decision sequence).
+    let controller = config.policy.controller(problem.num_tensors());
+    let adaptive = controller.is_some();
+    if let Some(controller) = controller {
         replica.apply_policy(&controller.initial_decisions());
     }
+    // One step's pull frame, its tensors built as its bytes arrive. Shared
+    // by the replay and the live loop.
+    let read_pull_frame = |reader: &mut BufReader<TcpStream>, conn: &mut ConnCounters, step| {
+        let (_, pull) = conn.read_frame_with(reader, |head, body| {
+            expect_step(head, MsgType::PullDone, step, "server")?;
+            read_pull(body, &problem.shapes, &problem.compressible, adaptive)
+        })?;
+        Ok::<_, NetError>(pull)
+    };
 
     // Tracing: a worker-local span buffer (its own clock domain — in a
     // loopback run every node shares one process, so node identity must
@@ -334,11 +347,7 @@ fn run_session(
     for step in 0..resume_step {
         let (_loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
         let _ = replica.encode_push(grads);
-        let (pull_frames, policy) = read_pull_batch(&mut reader, conn, step, n_params)?;
-        decode_and_apply(pull_frames, &problem, &mut replica)?;
-        if let Some(decisions) = policy {
-            replica.apply_policy(&decisions);
-        }
+        apply_pull(&mut replica, read_pull_frame(&mut reader, conn, step)?)?;
     }
     if resume_step > 0 {
         threelc_obs::event!(
@@ -369,9 +378,7 @@ fn run_session(
             Some(FaultAction::Kill) | None => {}
         }
 
-        // Step latency for the per-worker time series: compute through
-        // the flushed push batch. Read again after the pull is applied for
-        // the whole-step histogram.
+        // Step latency for the per-worker time series: compute and encode.
         let step_t0 = Instant::now();
         let compute_span = TraceSpan::start("compute");
         let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);
@@ -381,52 +388,41 @@ fn run_session(
         // quantize/encode, or one encode span around a baseline's call.
         let encoded = replica.encode_push(grads);
         let serialize_span = TraceSpan::start("serialize");
-        for (i, payload) in encoded.payloads.iter().enumerate() {
-            let raw;
-            let (msg, bytes): (MsgType, &[u8]) = match payload {
-                TensorPayload::Compressed(wire) => (MsgType::PushTensor, wire),
-                TensorPayload::Raw(t) => {
-                    raw = t.to_le_bytes();
-                    (MsgType::PushRaw, &raw)
-                }
-            };
-            if i == 0 && injector.crc_due(step) {
-                // Injected corruption: encode the frame (a version-1
-                // frame, so the byte layout is fixed), flip one
-                // deterministically chosen payload byte, and send it raw.
-                // The server's CRC check rejects it and drops us.
-                let mut raw = Frame::new(msg, 0, step, bytes.to_vec()).encode();
-                injector.corrupt_push(step, &mut raw, HEADER_LEN);
-                threelc_obs::event!(
-                    Level::Warn,
-                    "worker.fault_injected",
-                    kind = "crc",
-                    step = step
-                );
-                conn.write_encoded(&mut writer, &raw)?;
-                continue;
-            }
-            conn.write_frame(&mut writer, msg, i as u16, step, bytes)?;
+        let seconds = step_t0.elapsed().as_secs_f64();
+        let done = encode_push_done(loss, encoded.codec_seconds, 0.0, seconds);
+        let push = StepPayload::new(done, encoded.payloads, Vec::new());
+        let parts = push.parts();
+        if injector.crc_due(step) {
+            // Injected corruption: lay the frame out (a version-1 frame, so
+            // the byte layout is fixed), flip one deterministically chosen
+            // payload byte, and send it raw. The server's CRC check rejects
+            // it and drops us.
+            let (mut raw, none) = (Vec::new(), TraceCtx::default());
+            write_frame_parts(&mut raw, MsgType::PushDone, 0, step, none, &parts)?;
+            injector.corrupt_push(step, &mut raw, HEADER_LEN);
+            threelc_obs::event!(
+                Level::Warn,
+                "worker.fault_injected",
+                kind = "crc",
+                step = step
+            );
+            conn.write_encoded(&mut writer, &raw)?;
+        } else {
+            conn.write_frame(&mut writer, MsgType::PushDone, step, &parts)?;
         }
         serialize_span.finish();
 
-        // The network span runs from flushing the push batch until the
-        // barrier releases us with a complete pull batch. Decoding is
-        // deliberately excluded (it happens below, under "pull"): the
-        // clock-offset estimator pairs this span's endpoints with the
-        // server's recv_push/send_pull spans.
+        // The network span runs from flushing the push until the barrier
+        // releases us with the whole pull. Applying it is deliberately
+        // excluded (it is the "pull" span): the clock-offset estimator
+        // pairs this span's endpoints with the server's recv_push/send_pull
+        // spans.
         let network_span = TraceSpan::start("network");
-        let done = encode_push_done(
-            loss,
-            encoded.codec_seconds,
-            0.0,
-            step_t0.elapsed().as_secs_f64(),
-        );
-        conn.write_frame(&mut writer, MsgType::PushDone, 0, step, &done)?;
         conn.flush(&mut writer)?;
-        // The batch is on the wire; do not hold a model's worth of payload
+        // The push is on the wire; do not hold a model's worth of payload
         // through the wait for the pull and the pull's own arrival.
-        drop(encoded);
+        drop(parts);
+        drop(push);
 
         match injector.after_push(step) {
             Some(FaultAction::Kill) => {
@@ -447,18 +443,13 @@ fn run_session(
             Some(FaultAction::Delay(_)) | None => {}
         }
 
-        // Read the shared pull batch.
-        let (pull_frames, policy) = read_pull_batch(&mut reader, conn, step, n_params)?;
+        // Read the shared pull.
+        let pulled = read_pull_frame(&mut reader, conn, step)?;
         network_span.finish();
 
-        // Decode the shared model delta and apply it.
+        // Apply the shared model delta.
         let pull_span = TraceSpan::start("pull");
-        decode_and_apply(pull_frames, &problem, &mut replica)?;
-        // Decisions broadcast with step N's pull govern step N+1's push
-        // encode, so they take effect after the delta is applied.
-        if let Some(decisions) = policy {
-            replica.apply_policy(&decisions);
-        }
+        apply_pull(&mut replica, pulled)?;
         pull_span.finish();
     }
 
@@ -466,24 +457,19 @@ fn run_session(
     // worker's span buffer (a trace `Scrape`); answer any number of those
     // — even with tracing off the reply is just an empty buffer — then
     // ack the Shutdown.
+    let end = config.total_steps;
     loop {
-        let fin = conn.read_frame(&mut reader)?;
+        let (fin, payload) = conn.read_frame_with(&mut reader, whole)?;
         match fin.msg {
             MsgType::Scrape => {
-                let kind = decode_scrape(&fin.payload)?;
+                let kind = decode_scrape(&payload)?;
                 if kind != ScrapeKind::Trace {
                     return Err(NetError::Protocol(format!(
                         "a worker answers only trace scrapes, got {kind:?}"
                     )));
                 }
                 let dump = encode_scrape_reply(&buffer.drain(&node))?;
-                conn.write_frame(
-                    &mut writer,
-                    MsgType::ScrapeReply,
-                    0,
-                    config.total_steps,
-                    &dump,
-                )?;
+                conn.write_frame(&mut writer, MsgType::ScrapeReply, end, &[&dump])?;
                 conn.flush(&mut writer)?;
             }
             MsgType::Shutdown => break,
@@ -494,13 +480,7 @@ fn run_session(
             }
         }
     }
-    conn.write_frame(
-        &mut writer,
-        MsgType::ShutdownAck,
-        0,
-        config.total_steps,
-        &[],
-    )?;
+    conn.write_frame(&mut writer, MsgType::ShutdownAck, end, &[])?;
     conn.flush(&mut writer)?;
 
     Ok((config, replica.into_model()))
@@ -522,88 +502,21 @@ fn injected_disconnect(kind: &str, step: u64) -> NetError {
     ))
 }
 
-/// Reads one step's complete pull batch (`PullTensor`/`PullRaw`* then
-/// `PullDone`), validating step and tensor order. An adaptive server
-/// appends at most one `PolicyUpdate` frame — the next step's decisions —
-/// which is returned alongside the tensors (its tensor id falls outside
-/// the pull sequence, so it is exempt from the in-order check). Shared by
-/// the live BSP loop and the rejoin replay.
-#[allow(clippy::type_complexity)]
-fn read_pull_batch<R: io::Read>(
-    reader: &mut R,
-    conn: &mut ConnCounters,
-    step: u64,
-    n_params: usize,
-) -> Result<(Vec<(MsgType, Vec<u8>)>, Option<Vec<Decision>>), NetError> {
-    let mut pull_frames = Vec::with_capacity(n_params);
-    let mut policy: Option<Vec<Decision>> = None;
-    loop {
-        let frame = conn.read_frame(reader)?;
-        if frame.step != step {
-            return Err(NetError::Protocol(format!(
-                "server sent step {} during step {step}",
-                frame.step
-            )));
-        }
-        match frame.msg {
-            MsgType::PullTensor | MsgType::PullRaw => {
-                let i = pull_frames.len();
-                if i >= n_params || usize::from(frame.tensor) != i {
-                    return Err(NetError::Protocol(format!(
-                        "server pulled tensor {} out of order (expected {i})",
-                        frame.tensor
-                    )));
-                }
-                pull_frames.push((frame.msg, frame.payload));
-            }
-            MsgType::PolicyUpdate => {
-                if policy.is_some() {
-                    return Err(NetError::Protocol(
-                        "server sent two PolicyUpdate frames in one pull batch".into(),
-                    ));
-                }
-                policy = Some(decode_policy_update(&frame.payload)?);
-            }
-            MsgType::PullDone => {
-                if pull_frames.len() != n_params {
-                    return Err(NetError::Protocol(format!(
-                        "server pulled {} of {n_params} tensors",
-                        pull_frames.len()
-                    )));
-                }
-                return Ok((pull_frames, policy));
-            }
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "server sent {other:?} during the pull phase"
-                )));
-            }
-        }
-    }
-}
-
-/// Applies one step's pull batch to the replica
-/// ([`WorkerReplica::apply_pulls`]: compressed payloads decode to symbols
-/// and add straight into the parameters, no dense delta in between).
-fn decode_and_apply(
-    pull_frames: Vec<(MsgType, Vec<u8>)>,
-    problem: &Problem,
+/// Applies one step's pull to the replica ([`WorkerReplica::apply_pulls`]:
+/// compressed payloads decode to symbols and add straight into the
+/// parameters, no dense delta in between). Decisions broadcast with step
+/// N's pull govern step N+1's push encode, so they take effect after the
+/// delta is applied.
+fn apply_pull(
     replica: &mut WorkerReplica,
+    (pulls, decisions): (Vec<TensorPayload>, Option<Vec<Decision>>),
 ) -> Result<(), NetError> {
-    let pulls = pull_frames
-        .into_iter()
-        .enumerate()
-        .map(|(i, (msg, payload))| {
-            Ok(if msg == MsgType::PullTensor {
-                TensorPayload::Compressed(payload)
-            } else {
-                TensorPayload::Raw(bytes_to_tensor(&payload, &problem.shapes[i])?)
-            })
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
     replica
         .apply_pulls(&pulls)
         .map_err(|(i, e)| NetError::Protocol(format!("pull payload {i} does not decode: {e}")))?;
+    if let Some(decisions) = decisions {
+        replica.apply_policy(&decisions);
+    }
     Ok(())
 }
 

@@ -170,7 +170,7 @@ fn crc_corruption_fault_rejoins_and_matches_simulator() {
 fn adaptive_policy_survives_disconnect_and_rejoin() {
     // The policy acceptance gate: a feedback run that loses a worker
     // mid-run must replay the exact decision sequence during resync (the
-    // PolicyUpdate frames ride in the recorded pull batches) and converge
+    // decisions ride in the recorded pulls' policy tails) and converge
     // to the undisturbed simulator's models, decisions included.
     let mut config = chaos_config(8);
     config.policy =

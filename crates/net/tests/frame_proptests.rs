@@ -1,42 +1,81 @@
-//! Property tests for the frame codec: roundtrips, and robustness against
-//! truncation, corruption, and arbitrary garbage (never panic, never
-//! over-read, never over-allocate).
+//! Property tests for the frame codec and the step frame's segments:
+//! roundtrips, and robustness against truncation, corruption, and
+//! arbitrary garbage (never panic, never over-read, never over-allocate).
 
 use proptest::prelude::*;
 use serde::{de::DeserializeOwned, Serialize};
-use threelc_net::frame::{self, Frame, FrameError, MsgType, TraceContext, HEADER_LEN, MAX_PAYLOAD};
+use threelc_distsim::TensorPayload;
+use threelc_net::frame::{
+    self, read_frame_with, write_frame_parts, Frame, FrameError, MsgType, TraceCtx, HEADER_LEN,
+    MAX_PAYLOAD,
+};
 use threelc_net::protocol::{
     decode_hello, decode_policy_update, decode_push_done, decode_scrape, decode_scrape_reply,
-    encode_hello, encode_push_done, encode_scrape_reply,
+    encode_hello, encode_policy_update, encode_push_done, encode_scrape_reply, read_pull,
+    read_push, StepPayload,
 };
 use threelc_net::{NetError, ScrapeKind};
 use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
+use threelc_tensor::{Shape, Tensor};
 
 /// Every type byte the protocol defines.
-const MSG_BYTES: [u8; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 17];
+const MSG_BYTES: [u8; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
 
 /// Type bytes of the per-view scrape frames `Scrape`/`ScrapeReply`
-/// replaced and of the rejoin pair `Hello`/`HelloAck` absorbed; unknown
-/// types now.
-const RETIRED_MSG_BYTES: [u8; 6] = [13, 14, 15, 16, 18, 19];
+/// replaced, of the rejoin pair `Hello`/`HelloAck` absorbed and of the
+/// policy frame a pull's tail replaced; unknown types now.
+const RETIRED_MSG_BYTES: [u8; 7] = [13, 14, 15, 16, 17, 18, 19];
 
 fn arb_msg() -> impl Strategy<Value = MsgType> {
     (0..MSG_BYTES.len()).prop_map(|i| MsgType::from_u8(MSG_BYTES[i]).expect("defined type"))
 }
 
+/// `frame` through the one writer.
+fn encode(frame: &Frame) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let parts = [&frame.payload[..]];
+    write_frame_parts(
+        &mut wire,
+        frame.msg,
+        frame.tensor,
+        frame.step,
+        frame.trace,
+        &parts,
+    )
+    .expect("writes");
+    wire
+}
+
+/// One frame off the front of `bytes` through the one reader, and the
+/// bytes it consumed.
+fn decode(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
+    let mut rest = bytes;
+    let frame = frame::read_frame(&mut rest)?;
+    Ok((frame, bytes.len() - rest.len()))
+}
+
 /// Sends `view` through a `ScrapeReply` frame and back.
 fn reply_roundtrip<T: Serialize + DeserializeOwned>(view: &T, step: u64) -> T {
     let payload = encode_scrape_reply(view).expect("serializes");
-    let frame = Frame::new(MsgType::ScrapeReply, 0, step, payload);
-    let (back, _) = Frame::decode(&frame.encode()).expect("own encoding decodes");
+    let frame = Frame {
+        msg: MsgType::ScrapeReply,
+        tensor: 0,
+        step,
+        trace: TraceCtx::default(),
+        payload,
+    };
+    let (back, _) = decode(&encode(&frame)).expect("own encoding decodes");
     assert_eq!(back.msg, MsgType::ScrapeReply);
     decode_scrape_reply(&back.payload).expect("parses")
 }
 
 /// Any trace context, including the absent one (which makes the frame a
 /// version-1 frame on the wire).
-fn arb_trace() -> impl Strategy<Value = TraceContext> {
-    (any::<u64>(), any::<u64>()).prop_map(|(trace_id, span_id)| TraceContext { trace_id, span_id })
+fn arb_trace() -> impl Strategy<Value = TraceCtx> {
+    (any::<u64>(), any::<u64>()).prop_map(|(trace_id, span_id)| TraceCtx {
+        trace: trace_id,
+        span: span_id,
+    })
 }
 
 /// What a hostile float field can hold: NaN, ±∞, ±0, denormals of both
@@ -77,6 +116,71 @@ fn resize(mut bytes: Vec<u8>, len: usize, fill: u8) -> Vec<u8> {
     bytes
 }
 
+/// The plan the step-frame properties parse against: a compressed 2×3
+/// tensor, then raw 3- and 1-value ones.
+fn plan() -> (Vec<Shape>, Vec<bool>) {
+    let shapes = vec![Shape::new(&[2, 3]), Shape::new(&[3]), Shape::new(&[1])];
+    (shapes, vec![true, false, false])
+}
+
+/// A step payload laid out by hand: `head`, then each segment behind its
+/// `u32 LE` length, then `tail`.
+fn step_bytes(head: &[u8], segments: &[Vec<u8>], tail: &[u8]) -> Vec<u8> {
+    let mut bytes = head.to_vec();
+    for segment in segments {
+        bytes.extend_from_slice(&(segment.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(segment);
+    }
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+/// The plan's segments: `wire` for the compressed tensor, the raw ones'
+/// `f32`s.
+fn segments(wire: Vec<u8>) -> Vec<Vec<u8>> {
+    let raw = |v: &[f32]| Tensor::from_slice(v).to_le_bytes();
+    vec![wire, raw(&[0.5, -1.0, 2.0]), raw(&[3.0])]
+}
+
+/// `payload` sent as one frame whose checksum holds, parsed by `parse`:
+/// what a peer that lies in its payload, not on the wire, gets.
+fn parse_step<T>(
+    msg: MsgType,
+    payload: &[u8],
+    parse: impl FnOnce(&mut frame::Payload<'_, &[u8]>) -> Result<T, NetError>,
+) -> Result<T, NetError> {
+    let mut wire = Vec::new();
+    write_frame_parts(&mut wire, msg, 0, 0, TraceCtx::default(), &[payload]).expect("writes");
+    read_frame_with(&mut wire.as_slice(), |_, body| parse(body)).map(|(_, parsed)| parsed)
+}
+
+fn parse_push(payload: &[u8]) -> Result<threelc_net::protocol::Push, NetError> {
+    let (shapes, compressible) = plan();
+    parse_step(MsgType::PushDone, payload, |body| {
+        read_push(body, &shapes, &compressible)
+    })
+}
+
+#[allow(clippy::type_complexity)]
+fn parse_pull(
+    payload: &[u8],
+    adaptive: bool,
+) -> Result<(Vec<TensorPayload>, Option<Vec<threelc_policy::Decision>>), NetError> {
+    let (shapes, compressible) = plan();
+    parse_step(MsgType::PullDone, payload, |body| {
+        read_pull(body, &shapes, &compressible, adaptive)
+    })
+}
+
+/// The next step's decisions for the plan's three tensors.
+fn decisions(s: f32) -> Vec<u8> {
+    let d = threelc_policy::Decision {
+        s: threelc::SparsityMultiplier::new(s).expect("valid"),
+        reason: threelc_policy::Reason::Hold,
+    };
+    encode_policy_update(&[d; 3]).expect("encodes")
+}
+
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (
         arb_msg(),
@@ -85,62 +189,68 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         prop::collection::vec(any::<u8>(), 0..600),
         arb_trace(),
     )
-        .prop_map(|(msg, tensor, step, payload, trace)| {
-            Frame::new(msg, tensor, step, payload).with_trace(trace)
+        .prop_map(|(msg, tensor, step, payload, trace)| Frame {
+            msg,
+            tensor,
+            step,
+            trace,
+            payload,
         })
 }
 
 proptest! {
     #[test]
     fn roundtrip_arbitrary_frames(frame in arb_frame()) {
-        let encoded = frame.encode();
-        prop_assert_eq!(encoded.len(), frame.encoded_len());
+        let encoded = encode(&frame);
+        let ext = if frame.trace.is_none() { 0 } else { frame::TRACE_EXT_LEN };
+        prop_assert_eq!(encoded.len(), HEADER_LEN + ext + frame.payload.len());
 
-        let (decoded, consumed) = Frame::decode(&encoded).expect("own encoding decodes");
+        let (decoded, consumed) = decode(&encoded).expect("own encoding decodes");
         prop_assert_eq!(consumed, encoded.len());
         prop_assert_eq!(&decoded, &frame);
 
-        // The streaming reader agrees with the slice decoder.
-        let streamed = frame::read_frame(&mut encoded.as_slice()).expect("stream decodes");
-        prop_assert_eq!(&streamed, &frame);
+        // A reader handed the payload in pieces sees the same frame.
+        let (head, payload) = read_frame_with(&mut encoded.as_slice(), frame::whole)
+            .expect("stream decodes");
+        prop_assert_eq!(head.wire_len, encoded.len());
+        prop_assert_eq!((head.msg, head.step, head.trace), (frame.msg, frame.step, frame.trace));
+        prop_assert_eq!(payload, frame.payload);
     }
 
     #[test]
     fn trailing_bytes_are_not_consumed(frame in arb_frame(), extra in prop::collection::vec(any::<u8>(), 1..64)) {
-        let mut wire = frame.encode();
+        let mut wire = encode(&frame);
         let frame_len = wire.len();
         wire.extend_from_slice(&extra);
-        let (decoded, consumed) = Frame::decode(&wire).expect("prefix decodes");
+        let (decoded, consumed) = decode(&wire).expect("prefix decodes");
         prop_assert_eq!(consumed, frame_len);
         prop_assert_eq!(decoded, frame);
     }
 
     #[test]
     fn every_truncation_errors(frame in arb_frame(), cut in any::<u16>()) {
-        let encoded = frame.encode();
+        let encoded = encode(&frame);
         let cut = (cut as usize) % encoded.len(); // strictly shorter
-        prop_assert!(Frame::decode(&encoded[..cut]).is_err());
-        prop_assert!(frame::read_frame(&mut &encoded[..cut]).is_err());
+        prop_assert!(decode(&encoded[..cut]).is_err());
     }
 
     #[test]
     fn every_single_byte_corruption_errors(frame in arb_frame(), pos in any::<u32>(), flip in 1u8..=255) {
-        let mut wire = frame.encode();
+        let mut wire = encode(&frame);
         let pos = (pos as usize) % wire.len();
         wire[pos] ^= flip;
         // Any change — header or payload — must be rejected, not
         // reinterpreted: the CRC covers both.
-        prop_assert!(Frame::decode(&wire).is_err());
+        prop_assert!(decode(&wire).is_err());
     }
 
     #[test]
     fn garbage_never_panics_and_never_over_reads(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        if let Ok((frame, consumed)) = Frame::decode(&bytes) {
+        if let Ok((frame, consumed)) = decode(&bytes) {
             prop_assert!(consumed <= bytes.len());
-            prop_assert_eq!(consumed, frame.encoded_len());
             prop_assert!(consumed >= HEADER_LEN + frame.payload.len());
+            prop_assert_eq!(encode(&frame), bytes[..consumed].to_vec());
         }
-        let _ = frame::read_frame(&mut bytes.as_slice());
     }
 
     #[test]
@@ -156,8 +266,14 @@ proptest! {
         ),
     ) {
         for kind in [ScrapeKind::Trace, ScrapeKind::Series] {
-            let request = Frame::new(MsgType::Scrape, 0, step, vec![kind as u8]);
-            let (back, _) = Frame::decode(&request.encode()).expect("own encoding decodes");
+            let request = Frame {
+                msg: MsgType::Scrape,
+                tensor: 0,
+                step,
+                trace: TraceCtx::default(),
+                payload: vec![kind as u8],
+            };
+            let (back, _) = decode(&encode(&request)).expect("own encoding decodes");
             prop_assert_eq!(back.msg, MsgType::Scrape);
             prop_assert_eq!(decode_scrape(&back.payload).expect("known kind"), kind);
         }
@@ -211,15 +327,12 @@ proptest! {
         // not an I/O error) shows the type check ran before anything was
         // allocated or read for the claimed length.
         let retired = RETIRED_MSG_BYTES[which];
-        let mut wire = Frame::new(MsgType::Scrape, 0, 0, vec![]).encode();
+        let mut wire = Vec::new();
+        frame::write_frame(&mut wire, MsgType::Scrape, 0, 0, &[]).expect("writes");
         wire[5] = retired;
         wire[16..20].copy_from_slice(&claimed_len.to_le_bytes());
         prop_assert_eq!(wire.len(), HEADER_LEN);
-        prop_assert!(matches!(Frame::decode(&wire), Err(FrameError::BadMsgType(b)) if b == retired));
-        prop_assert!(matches!(
-            frame::read_frame(&mut wire.as_slice()),
-            Err(FrameError::BadMsgType(b)) if b == retired
-        ));
+        prop_assert!(matches!(decode(&wire), Err(FrameError::BadMsgType(b)) if b == retired));
     }
 
     #[test]
@@ -238,12 +351,11 @@ proptest! {
         // Forge a header claiming an arbitrary payload length with a valid
         // CRC but no payload bytes behind it. Decoding must error without
         // trying to allocate or read `claimed_len` bytes.
-        let real = Frame::new(msg, 3, 9, vec![]);
-        let mut wire = real.encode();
+        let real = Frame { msg, tensor: 3, step: 9, trace: TraceCtx::default(), payload: vec![] };
+        let mut wire = encode(&real);
         wire[16..20].copy_from_slice(&claimed_len.to_le_bytes());
         if claimed_len != 0 {
-            prop_assert!(Frame::decode(&wire).is_err());
-            prop_assert!(frame::read_frame(&mut wire.as_slice()).is_err());
+            prop_assert!(decode(&wire).is_err());
         }
     }
 
@@ -311,5 +423,138 @@ proptest! {
             Err(NetError::Protocol(_)) => prop_assert!(!valid, "rejected a valid update"),
             Err(e) => prop_assert!(false, "untyped error {e}"),
         }
+    }
+    #[test]
+    fn a_step_frame_round_trips_its_segments(
+        wire in prop::collection::vec(any::<u8>(), 0..64),
+        adaptive in any::<bool>(),
+    ) {
+        let head = encode_push_done(0.25, 0.0, 0.0, 1.0);
+        let laid = |head: Vec<u8>, tail: Vec<u8>| {
+            let payloads = vec![
+                TensorPayload::Compressed(wire.clone()),
+                TensorPayload::Raw(Tensor::from_slice(&[0.5, -1.0, 2.0])),
+                TensorPayload::Raw(Tensor::from_slice(&[3.0])),
+            ];
+            StepPayload::new(head, payloads, tail).parts().concat()
+        };
+        let push = laid(head.clone(), Vec::new());
+        prop_assert_eq!(&push, &step_bytes(&head, &segments(wire.clone()), &[]));
+        let parsed = parse_push(&push).expect("a push parses");
+        prop_assert_eq!((parsed.loss, parsed.step_seconds), (0.25, 1.0));
+        let payloads = parsed.payloads;
+        prop_assert!(matches!(&payloads[0], TensorPayload::Compressed(w) if *w == wire));
+        prop_assert!(matches!(&payloads[2], TensorPayload::Raw(t) if t.as_slice() == [3.0]));
+        let tail = if adaptive { decisions(1.25) } else { Vec::new() };
+        let pull = laid(Vec::new(), tail);
+        let (payloads, policy) = parse_pull(&pull, adaptive).expect("a pull parses");
+        prop_assert_eq!(payloads.len(), 3);
+        prop_assert_eq!(policy.is_some(), adaptive);
+    }
+
+    #[test]
+    fn a_segment_length_beyond_the_bytes_left_is_a_typed_error(
+        wire in prop::collection::vec(any::<u8>(), 0..64),
+        which in 0usize..3,
+        past in 1u32..=u32::MAX,
+    ) {
+        // The length field of segment `which` claims `past` more bytes
+        // than the frame has left behind it — up to 4 GiB more, which a
+        // parser that allocated before checking would try to hold.
+        let head = encode_push_done(0.25, 0.0, 0.0, 1.0);
+        let segs = segments(wire);
+        let mut bytes = step_bytes(&head, &segs, &[]);
+        let at = head.len() + segs[..which].iter().map(|s| 4 + s.len()).sum::<usize>();
+        let left = (bytes.len() - at - 4) as u64;
+        let lie = (left + u64::from(past)).min(u64::from(u32::MAX)) as u32;
+        bytes[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+        let err = parse_push(&bytes).err().expect("a lying length parsed");
+        prop_assert!(matches!(&err, NetError::Protocol(m) if m.contains("left")), "{}", err);
+    }
+
+    #[test]
+    fn a_truncated_step_is_a_typed_error(
+        wire in prop::collection::vec(any::<u8>(), 0..64),
+        cut in any::<u16>(),
+        adaptive in any::<bool>(),
+    ) {
+        let head = encode_push_done(0.25, 0.0, 0.0, 1.0);
+        let push = step_bytes(&head, &segments(wire.clone()), &[]);
+        let at = usize::from(cut) % push.len();
+        prop_assert!(matches!(parse_push(&push[..at]), Err(NetError::Protocol(_))));
+        let tail = if adaptive { decisions(1.5) } else { Vec::new() };
+        let pull = step_bytes(&[], &segments(wire), &tail);
+        let at = usize::from(cut) % pull.len();
+        prop_assert!(matches!(parse_pull(&pull[..at], adaptive), Err(NetError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_segment_count_that_disagrees_with_the_model_is_a_typed_error(
+        wire in prop::collection::vec(any::<u8>(), 0..64),
+        keep in 0usize..3,
+        extra in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 1..3),
+    ) {
+        // Fewer segments than the model has tensors, or more.
+        let head = encode_push_done(0.25, 0.0, 0.0, 1.0);
+        let mut fewer = segments(wire.clone());
+        fewer.truncate(keep);
+        let mut more = segments(wire);
+        more.extend(extra);
+        for segs in [fewer, more] {
+            let push = step_bytes(&head, &segs, &[]);
+            prop_assert!(matches!(parse_push(&push), Err(NetError::Protocol(_))));
+            let pull = step_bytes(&[], &segs, &[]);
+            prop_assert!(matches!(parse_pull(&pull, false), Err(NetError::Protocol(_))));
+        }
+    }
+
+    #[test]
+    fn a_raw_segment_that_is_not_four_bytes_a_value_is_a_typed_error(
+        which in 1usize..3,
+        len in 0usize..24,
+        fill in any::<u8>(),
+    ) {
+        let mut segs = segments(vec![1, 2, 3]);
+        if len == segs[which].len() {
+            return Ok(());
+        }
+        segs[which] = vec![fill; len];
+        let push = step_bytes(&encode_push_done(0.25, 0.0, 0.0, 1.0), &segs, &[]);
+        let err = parse_push(&push).err().expect("a misshapen raw tensor parsed");
+        prop_assert!(matches!(&err, NetError::Protocol(m) if m.contains("raw tensor")), "{}", err);
+        let err = parse_pull(&step_bytes(&[], &segs, &[]), false).err().expect("parsed");
+        prop_assert!(matches!(&err, NetError::Protocol(m) if m.contains("raw tensor")), "{}", err);
+    }
+
+    #[test]
+    fn a_policy_tail_that_is_not_exactly_one_valid_update_is_a_typed_error(
+        form in 0usize..6,
+        s in arb_f32(),
+        extra in prop::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let one = decisions(1.5);
+        let tail = match form {
+            0 => Vec::new(),                                   // missing
+            1 => [one.clone(), one.clone()].concat(),          // two
+            2 => [one.clone(), extra].concat(),                // trailing bytes
+            3 => one[..one.len() - 1].to_vec(),                // cut short
+            4 => {
+                // One update for two tensors of three.
+                let d = decode_policy_update(&one).expect("valid");
+                encode_policy_update(&d[..2]).expect("encodes")
+            }
+            _ => {
+                // A multiplier no encoder may use.
+                let mut bad = one.clone();
+                let s = if (1.0..2.0).contains(&s) { s + 1.0 } else { s };
+                bad[2..6].copy_from_slice(&s.to_le_bytes());
+                bad
+            }
+        };
+        let pull = step_bytes(&[], &segments(vec![4, 5]), &tail);
+        prop_assert!(matches!(parse_pull(&pull, true), Err(NetError::Protocol(_))));
+        // And a valid update where the plan has none.
+        let pull = step_bytes(&[], &segments(vec![4, 5]), &one);
+        prop_assert!(matches!(parse_pull(&pull, false), Err(NetError::Protocol(_))));
     }
 }

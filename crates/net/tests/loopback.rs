@@ -12,8 +12,8 @@ use threelc_baselines::SchemeKind;
 use threelc_distsim::{
     run_experiment, Cluster, ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica,
 };
-use threelc_net::frame::{read_frame, write_frame};
-use threelc_net::protocol::{encode_hello, encode_push_done};
+use threelc_net::frame::{read_frame, write_frame, write_frame_parts, TraceCtx};
+use threelc_net::protocol::{encode_hello, encode_push_done, StepPayload};
 use threelc_net::{
     run_worker, scrape_series, scrape_trace, serve, MsgType, ServeOptions, WorkerOptions,
 };
@@ -103,11 +103,16 @@ fn loopback_run_matches_simulator_bit_for_bit() {
         );
     }
 
-    // Each side's transport counters mirror the other's.
+    // Each side's transport counters mirror the other's, and a step is one
+    // frame each way: a worker sends its Hello, one push a step and its
+    // ShutdownAck, and receives the HelloAck, one pull a step and the
+    // Shutdown.
     assert_eq!(report.connections.len(), config.workers);
     for (w, conn) in report.connections.iter().enumerate() {
         assert_eq!(conn.worker, w);
         let outcome = &outcomes[w];
+        assert_eq!(outcome.counters.frames_out, 1 + config.total_steps + 1);
+        assert_eq!(outcome.counters.frames_in, 1 + config.total_steps + 1);
         assert_eq!(conn.counters.bytes_in, outcome.counters.bytes_out);
         assert_eq!(conn.counters.bytes_out, outcome.counters.bytes_in);
         assert_eq!(conn.counters.frames_in, outcome.counters.frames_out);
@@ -718,9 +723,13 @@ fn server_rejects_a_garbage_hello() {
     };
     stray(&[0xAB; 64]);
     drop(TcpStream::connect(&addr).expect("probe"));
-    let frame = |msg, payload: &[u8]| threelc_net::frame::Frame::new(msg, 0, 0, payload.to_vec());
-    stray(&frame(MsgType::Scrape, &[0xFF]).encode());
-    stray(&frame(MsgType::Hello, &encode_hello(2)).encode());
+    let frame = |msg, payload: &[u8]| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, msg, 0, 0, payload).expect("a frame");
+        bytes
+    };
+    stray(&frame(MsgType::Scrape, &[0xFF]));
+    stray(&frame(MsgType::Hello, &encode_hello(2)));
 
     let clients: Vec<_> = (0..config.workers as u16)
         .map(|w| {
@@ -809,23 +818,11 @@ fn server_rejects_an_undecodable_push_with_a_named_error() {
             .rposition(|&c| c)
             .expect("a compressible tensor");
         payloads[bad] = TensorPayload::Compressed(vec![0xFF; 16]);
-        for (i, payload) in payloads.iter().enumerate() {
-            match payload {
-                TensorPayload::Compressed(wire) => {
-                    write_frame(&mut &stream, MsgType::PushTensor, i as u16, 0, wire)
-                }
-                TensorPayload::Raw(t) => write_frame(
-                    &mut &stream,
-                    MsgType::PushRaw,
-                    i as u16,
-                    0,
-                    &t.to_le_bytes(),
-                ),
-            }
-            .expect("push frame");
-        }
         let done = encode_push_done(loss, 0.0, 0.0, 0.0);
-        write_frame(&mut &stream, MsgType::PushDone, 0, 0, &done).expect("push done");
+        let push = StepPayload::new(done, payloads, Vec::new());
+        let none = TraceCtx::default();
+        write_frame_parts(&mut &stream, MsgType::PushDone, 0, 0, none, &push.parts())
+            .expect("push frame");
 
         let err = server
             .join()
@@ -839,6 +836,41 @@ fn server_rejects_an_undecodable_push_with_a_named_error() {
             "{token}: error must name the worker, the tensor and the cause: {text}"
         );
     }
+}
+
+#[test]
+fn a_joined_worker_that_pushes_a_tensor_frame_aborts_the_run_naming_it() {
+    // A step is one `PushDone`: the per-tensor kinds the ledger still
+    // frames its replay with are a protocol violation inside a run.
+    let config = ExperimentConfig {
+        workers: 1,
+        ..loopback_config(SchemeKind::Float32)
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let opts = ServeOptions {
+        io_timeout: Duration::from_secs(5),
+        step_timeout: Duration::from_secs(5),
+        max_rejoins: 0,
+        ..ServeOptions::default()
+    };
+    let server = thread::spawn(move || serve(&listener, &config, &opts));
+    let stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+    assert_eq!(
+        read_frame(&mut &stream).expect("ack").msg,
+        MsgType::HelloAck
+    );
+    write_frame(&mut &stream, MsgType::PushTensor, 0, 0, &[1, 2, 3]).expect("tensor frame");
+    let err = server
+        .join()
+        .expect("server thread")
+        .expect_err("a per-tensor push must abort a fail-stop run");
+    assert!(
+        err.to_string()
+            .contains("worker 0 sent PushTensor during step 0"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -991,7 +1023,7 @@ fn side_door_answers_every_kind_and_drops_malformed_scrapes() {
         (MsgType::Scrape, &[0u8][..]),
         (MsgType::Scrape, &[3u8][..]),
         (MsgType::Scrape, &[][..]),
-        (MsgType::PullDone, &[][..]),
+        (MsgType::PushTensor, &[1, 2, 3][..]),
     ] {
         let probe = TcpStream::connect(&addr).expect("connect probe");
         probe

@@ -9,11 +9,12 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 use threelc_baselines::SchemeKind;
-use threelc_distsim::ExperimentConfig;
-use threelc_net::frame::{read_frame, write_frame};
-use threelc_net::protocol::decode_scrape_reply;
+use threelc_distsim::{ExperimentConfig, Problem, TensorPayload};
+use threelc_net::frame::{read_frame, write_frame, write_frame_parts, TraceCtx};
+use threelc_net::protocol::{decode_scrape_reply, StepPayload};
 use threelc_net::{run_worker, MsgType, NetError, ScrapeKind, WorkerOptions};
 use threelc_obs::NodeTrace;
+use threelc_tensor::Tensor;
 
 /// The `Scrape` payload asking for the span buffer.
 const TRACE: [u8; 1] = [ScrapeKind::Trace as u8];
@@ -116,9 +117,9 @@ fn unexpected_message_during_shutdown_is_a_protocol_error() {
     let worker = spawn_worker(addr);
     let stream = accept_worker(&listener, &config);
 
-    // A push-phase message where Shutdown/Scrape belongs: the
-    // worker must reject it by name instead of hanging or acking.
-    write_frame(&mut &stream, MsgType::PushTensor, 0, 0, &[1, 2, 3]).expect("bogus frame");
+    // A step's pull where Shutdown/Scrape belongs: the worker must reject
+    // it by name instead of hanging or acking.
+    write_frame(&mut &stream, MsgType::PullDone, 0, 0, &[1, 2, 3]).expect("bogus frame");
     let result = worker.join().expect("worker thread");
     match result {
         Err(NetError::Protocol(msg)) => {
@@ -128,7 +129,7 @@ fn unexpected_message_during_shutdown_is_a_protocol_error() {
             );
         }
         Err(other) => panic!("expected a protocol error, got: {other}"),
-        Ok(_) => panic!("worker accepted a push frame during shutdown"),
+        Ok(_) => panic!("worker accepted a pull frame during shutdown"),
     }
 }
 
@@ -175,7 +176,27 @@ fn a_resume_step_or_replay_that_does_not_fit_the_run_is_a_protocol_error() {
         let worker = spawn_worker(addr);
         let stream = accept_worker_at(&listener, &config, resume_step);
         if let Some(step) = replay_step {
-            write_frame(&mut &stream, MsgType::PullDone, 0, step, &[]).expect("replay frame");
+            // A well-formed pull of the model's every tensor, stamped with
+            // the wrong step.
+            let problem = Problem::build(&config);
+            let zeros = (problem.shapes.iter().zip(&problem.compressible)).map(|(s, &c)| {
+                let zeros = Tensor::zeros(s.clone());
+                match c {
+                    true => TensorPayload::Compressed(zeros.to_le_bytes()),
+                    false => TensorPayload::Raw(zeros),
+                }
+            });
+            let pull = StepPayload::new(Vec::new(), zeros.collect(), Vec::new());
+            let none = TraceCtx::default();
+            write_frame_parts(
+                &mut &stream,
+                MsgType::PullDone,
+                0,
+                step,
+                none,
+                &pull.parts(),
+            )
+            .expect("replay frame");
         }
         match worker.join().expect("worker thread") {
             Err(NetError::Protocol(msg)) => msg,

@@ -214,6 +214,10 @@ pub struct RunAnalysis {
     /// source carried the run's per-tensor traffic.
     #[serde(default)]
     pub tensors: Vec<TensorRow>,
+    /// The run's bits per value over every payload byte, raw tensors at
+    /// 32, which ends the per-tensor view; 0 where it has none.
+    #[serde(default)]
+    pub payload_bits_per_value: f64,
 }
 
 /// A tiling candidate: a clipped span with a priority class (lower wins).
@@ -674,6 +678,11 @@ impl RunAnalysis {
                 if t.raw { "  raw" } else { "" }
             );
         }
+        let _ = writeln!(
+            out,
+            "  all payload, raw at 32 bits: {:.3} bits/value",
+            self.payload_bits_per_value
+        );
         out
     }
 }
