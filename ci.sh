@@ -23,6 +23,24 @@ if [ "$(printf '%s\n%s\n' "$msrv" "$have" | sort -V | head -n1)" != "$msrv" ]; t
 fi
 echo "    rustc $have >= MSRV $msrv"
 
+echo "==> obs stays below core in non-test lines"
+# The observability aim counts as met while the instrumentation is smaller
+# than the codec it observes. Non-test lines: each src/ file up to its first
+# column-0 `#[cfg(test)]`.
+nontest_lines() {
+    find "crates/$1/src" -name '*.rs' -exec awk 'FNR == 1 { keep = 1 }
+        /^#\[cfg\(test\)\]/ { keep = 0 }
+        keep { n++ }
+        END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
+}
+obs_lines="$(nontest_lines obs)"
+core_lines="$(nontest_lines core)"
+if [ "$obs_lines" -ge "$core_lines" ]; then
+    echo "crates/obs has $obs_lines non-test src/ lines, crates/core $core_lines: obs must stay below core" >&2
+    exit 1
+fi
+echo "    obs $obs_lines < core $core_lines"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

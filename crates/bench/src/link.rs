@@ -22,7 +22,6 @@ use std::time::{Duration, Instant};
 use threelc_distsim::{ExperimentConfig, NetworkModel};
 use threelc_net::frame::{read_frame_with, whole, write_frame_parts};
 use threelc_net::{run_worker, serve, MsgType, NetReport, ServeOptions, WorkerOptions};
-use threelc_obs::timeseries::S_STEP_SECONDS;
 
 /// Steps in a relayed window. Its 10 step intervals are an even count, so
 /// for a design that alternates full and empty steps (`2 local steps`)
@@ -183,11 +182,10 @@ pub fn relayed_run(config: &ExperimentConfig, net: NetworkModel) -> Result<Relay
         return Err("fewer than two steps to time".into());
     }
     let gaps = ends.windows(2).map(|w| (w[1] - w[0]).as_secs_f64());
-    let mut compute = Vec::new();
-    for worker in &report.series.workers {
-        let series = worker.series(S_STEP_SECONDS).into_iter();
-        compute.extend(series.flat_map(|s| s.raw.iter().map(|p| p.value)));
-    }
+    let rows = report.recent.rows.iter();
+    let compute: Vec<f64> = rows
+        .flat_map(|r| r.deltas.iter().map(|d| d.step_seconds))
+        .collect();
     Ok(RelayedRun {
         conns: link.conns.into_inner().expect("link lock"),
         step: LinkStep {

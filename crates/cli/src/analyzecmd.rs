@@ -345,7 +345,7 @@ mod tests {
             connections: vec![],
             faults: Default::default(),
             node_traces,
-            series: Default::default(),
+            recent: Default::default(),
         }
     }
 

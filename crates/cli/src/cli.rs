@@ -97,9 +97,9 @@ nonzero when attribution fails to conserve or any bottleneck is flagged.
 
 top renders a live per-worker dashboard (step, ratio, wire throughput,
 rejoins, latency, barrier lateness, wire-byte sparklines) by polling the
-server's time-series store; --once prints a single frame. serve writes a
-`.flight.json` post-mortem dump (last steps of every series + recent
-spans + the fault log) when a run aborts, a
+server's ring of recent steps; --once prints a single frame. serve writes
+a `.flight.json` post-mortem dump (the recent steps + recent spans + the
+fault log) when a run aborts, a
 handler panics, or a fault fires; --flight names the dump (default:
 derived from --json as `<report>.flight.json`).
 
@@ -1301,7 +1301,7 @@ mod tests {
             node_traces: vec![],
             final_model_crc32: 0,
             faults: threelc_net::FaultsReport::default(),
-            series: Default::default(),
+            recent: Default::default(),
         };
         let path = tmp("untraced-report.json");
         std::fs::write(&path, serde_json::to_string(&report).unwrap()).unwrap();

@@ -1,24 +1,22 @@
 //! The `top` subcommand: a live terminal dashboard over the server's
-//! time-series store.
+//! recent steps.
 //!
 //! Polls the server's side door with series `Scrape` frames (the same
 //! non-intrusive path `threelc trace <addr>` uses), so watching a run costs
-//! the server one store snapshot per interval and never touches worker
+//! the server one serialized ring per interval and never touches worker
 //! connections. One row per worker: last recorded step, achieved push
 //! compression ratio, wire throughput, rejoin count, step latency, how
 //! late its push reached the barrier (the live view of `threelc
 //! analyze`'s blame), and an ASCII sparkline of recent wire bytes.
 //! `--once` renders a single frame and exits (the CI smoke), `--json`
-//! dumps the raw store instead of the dashboard.
+//! prints the raw ring instead of the dashboard.
 
 use crate::netcmd::{has_flag, parse_flag, sole_positional, split_flags};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
 use threelc_net::scrape_series;
-use threelc_obs::timeseries::{
-    RunSeries, Series, S_BARRIER_WAIT, S_RATIO, S_REJOINS, S_STEP_SECONDS, S_WIRE_BYTES,
-};
+use threelc_obs::{RecentSteps, WorkerDelta};
 
 type CliResult = Result<String, Box<dyn Error>>;
 
@@ -49,16 +47,16 @@ pub fn top_cmd(args: &[String]) -> CliResult {
     }
 
     if once {
-        let store = scrape_series(addr, Duration::from_secs(5))?;
-        return render_output(&store, json);
+        let recent = scrape_series(addr, Duration::from_secs(5))?;
+        return render_output(&recent, json);
     }
     // Watch mode: one frame per interval until the server goes away (the
     // run finished or aborted), which is a clean exit, not an error.
     let mut frames = 0u64;
     loop {
         match scrape_series(addr, Duration::from_secs(5)) {
-            Ok(store) => {
-                print!("{}", render_output(&store, json)?);
+            Ok(recent) => {
+                print!("{}", render_output(&recent, json)?);
                 println!("---");
                 frames += 1;
             }
@@ -71,32 +69,36 @@ pub fn top_cmd(args: &[String]) -> CliResult {
     }
 }
 
-fn render_output(store: &RunSeries, json: bool) -> CliResult {
+fn render_output(recent: &RecentSteps, json: bool) -> CliResult {
     if json {
-        let mut out = serde_json::to_string_pretty(store)?;
+        let mut out = serde_json::to_string_pretty(recent)?;
         out.push('\n');
         Ok(out)
     } else {
-        Ok(render_dashboard(store))
+        Ok(render_dashboard(recent))
     }
-}
-
-/// The most recent value of a worker's named series, if any.
-fn last_value(series: Option<&Series>) -> Option<f64> {
-    series.and_then(|s| s.last()).map(|p| p.value)
 }
 
 /// Renders one dashboard frame: a run-level headline plus one row per
 /// worker. Every worker gets a row even before its first step lands.
-pub fn render_dashboard(store: &RunSeries) -> String {
+pub fn render_dashboard(recent: &RecentSteps) -> String {
     let mut out = String::new();
-    let run_ratio = last_value(store.run_series(S_RATIO)).unwrap_or(0.0);
-    let run_bytes = last_value(store.run_series(S_WIRE_BYTES)).unwrap_or(0.0);
+    // The headline sums and averages the newest row in worker order.
+    let last = recent.rows.last().map_or(&[][..], |r| &r.deltas[..]);
+    let (run_bytes, run_ratio) = if last.is_empty() {
+        (0.0, 0.0)
+    } else {
+        let n = last.len() as f64;
+        (
+            last.iter().map(|d| d.wire_bytes).sum::<u64>() as f64,
+            last.iter().map(|d| d.ratio).sum::<f64>() / n,
+        )
+    };
     let _ = writeln!(
         out,
         "run: {} step(s) recorded, {} worker(s), last step {} wire, ratio {:.1}x",
-        store.steps_recorded,
-        store.workers.len(),
+        recent.steps_recorded(),
+        recent.workers,
         human_bytes(run_bytes),
         run_ratio,
     );
@@ -106,64 +108,56 @@ pub fn render_dashboard(store: &RunSeries) -> String {
         "{:<8} {:<10} {:>8} {:>8} {:>12} {:>8} {:>10} {:>12}  wire trend",
         "worker", "state", "step", "ratio", "bytes/s", "rejoins", "latency", "bottleneck"
     );
-    for (i, w) in store.workers.iter().enumerate() {
-        let wire = w.series(S_WIRE_BYTES);
-        let step = wire
-            .and_then(|s| s.last())
-            .map(|p| p.step.to_string())
-            .unwrap_or_else(|| "-".into());
-        let ratio = last_value(w.series(S_RATIO)).unwrap_or(0.0);
-        let rejoins = last_value(w.series(S_REJOINS)).unwrap_or(0.0);
-        let latency = last_value(w.series(S_STEP_SECONDS)).unwrap_or(0.0);
-        let bytes = last_value(wire).unwrap_or(0.0);
-        let rate = if latency > 0.0 { bytes / latency } else { 0.0 };
-        let state = if wire.and_then(|s| s.last()).is_none() {
-            "waiting"
-        } else {
-            "ok"
+    for i in 0..recent.workers {
+        // This worker's deltas, oldest first, with the step of each.
+        let own: Vec<(u64, &WorkerDelta)> = recent
+            .rows
+            .iter()
+            .flat_map(|r| r.deltas.iter().map(move |d| (r.step, d)))
+            .filter(|(_, d)| d.worker == i)
+            .collect();
+        let (state, step, d) = match own.last() {
+            Some(&(step, d)) => ("ok", step.to_string(), *d),
+            None => ("waiting", "-".into(), WorkerDelta::default()),
         };
+        let latency = d.step_seconds;
+        let bytes = d.wire_bytes as f64;
+        let rate = if latency > 0.0 { bytes / latency } else { 0.0 };
         // How late this worker's push reached the barrier relative to the
         // fastest peer — the live proxy for critical-path blame (`threelc
         // analyze` attributes exactly this time to the late worker).
-        let behind = last_value(w.series(S_BARRIER_WAIT)).unwrap_or(0.0);
+        let behind = d.barrier_wait_seconds;
         let bottleneck = if behind >= BOTTLENECK_FLOOR_SECONDS {
             format!("net +{:.0}ms", behind * 1e3)
         } else {
             "-".into()
         };
+        let wire: Vec<f64> = own.iter().map(|(_, d)| d.wire_bytes as f64).collect();
         let _ = writeln!(
             out,
-            "worker {i:<1} {state:<10} {step:>8} {ratio:>7.1}x {:>12} {rejoins:>8.0} {:>9.1}ms {bottleneck:>12}  |{}|",
+            "worker {i:<1} {state:<10} {step:>8} {:>7.1}x {:>12} {:>8} {:>9.1}ms {bottleneck:>12}  |{}|",
+            d.ratio,
             human_bytes(rate),
+            d.rejoins,
             latency * 1e3,
-            sparkline(wire, SPARK_POINTS),
+            sparkline(&wire[wire.len().saturating_sub(SPARK_POINTS)..]),
         );
     }
     out
 }
 
-/// An ASCII sparkline over the series' most recent exact points,
-/// min-max normalized (a flat series renders as all-middle glyphs).
-fn sparkline(series: Option<&Series>, n: usize) -> String {
-    let Some(series) = series else {
-        return String::new();
-    };
-    let points = series.recent(n);
-    if points.is_empty() {
-        return String::new();
-    }
-    let min = points.iter().map(|p| p.value).fold(f64::INFINITY, f64::min);
-    let max = points
-        .iter()
-        .map(|p| p.value)
-        .fold(f64::NEG_INFINITY, f64::max);
+/// An ASCII sparkline over `values`, min-max normalized (a flat run
+/// renders as all-middle glyphs).
+fn sparkline(values: &[f64]) -> String {
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let span = max - min;
     let top = (SPARK_GLYPHS.len() - 1) as f64;
-    points
+    values
         .iter()
-        .map(|p| {
+        .map(|v| {
             let level = if span > 0.0 {
-                ((p.value - min) / span * top).round() as usize
+                ((v - min) / span * top).round() as usize
             } else {
                 SPARK_GLYPHS.len() / 2
             };
@@ -188,10 +182,9 @@ fn human_bytes(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threelc_obs::{RunRecorder, WorkerDelta};
 
-    fn store_with_steps(workers: usize, steps: u64) -> RunSeries {
-        let mut r = RunRecorder::new(workers);
+    fn store_with_steps(workers: usize, steps: u64) -> RecentSteps {
+        let mut r = RecentSteps::new(workers);
         for step in 0..steps {
             let deltas: Vec<WorkerDelta> = (0..workers)
                 .map(|w| WorkerDelta {
@@ -205,9 +198,9 @@ mod tests {
                     barrier_wait_seconds: if w == 1 { 0.25 } else { 0.0 },
                 })
                 .collect();
-            r.record_step(step, &deltas);
+            r.record(step, &deltas);
         }
-        r.snapshot()
+        r
     }
 
     #[test]
@@ -263,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_store_still_renders_every_worker_as_waiting() {
-        let out = render_dashboard(&RunRecorder::new(2).snapshot());
+        let out = render_dashboard(&RecentSteps::new(2));
         assert!(out.contains("0 step(s) recorded"), "{out}");
         assert!(out.contains("worker 0"), "{out}");
         assert!(out.contains("worker 1"), "{out}");
@@ -272,19 +265,15 @@ mod tests {
 
     #[test]
     fn sparkline_tracks_the_trend() {
-        let mut s = Series::new("x");
-        for step in 0..8 {
-            s.push(step, step as f64);
-        }
-        let line = sparkline(Some(&s), 8);
+        let rising: Vec<f64> = (0..8).map(f64::from).collect();
+        let line = sparkline(&rising);
         assert_eq!(line.len(), 8);
         assert!(line.starts_with(' '), "lowest value maps low: {line:?}");
         assert!(line.ends_with('@'), "highest value maps high: {line:?}");
-        // A flat series renders mid-level glyphs, not a panic.
-        let mut flat = Series::new("y");
-        flat.push(0, 5.0);
-        flat.push(1, 5.0);
-        assert_eq!(sparkline(Some(&flat), 8).len(), 2);
+        // A flat run renders mid-level glyphs, not a panic; none renders
+        // nothing.
+        assert_eq!(sparkline(&[5.0, 5.0]), "++");
+        assert_eq!(sparkline(&[]), "");
     }
 
     #[test]

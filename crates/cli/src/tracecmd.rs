@@ -71,7 +71,7 @@ pub fn trace_cmd(args: &[String]) -> CliResult {
 
     let node_traces = match Source::load(source)? {
         // A post-mortem dump is its own artifact (trigger, anomalies,
-        // series store); render it directly instead of forcing it through
+        // recent steps); render it directly instead of forcing it through
         // the report schema.
         Source::Flight(dump) => return render_flight(&dump, max_steps),
         Source::Report(report) => report.node_traces,
@@ -114,11 +114,11 @@ pub fn trace_cmd(args: &[String]) -> CliResult {
 }
 
 /// Renders a flight-recorder dump: the trigger and fault summary, the
-/// tail of every worker's series, and — when the dump carries spans — the
+/// dashboard of its recent steps, and — when the dump carries spans — the
 /// merged timeline.
 fn render_flight(dump: &FlightDump, max_steps: usize) -> CliResult {
     let mut out = dump.render_text();
-    out.push_str(&crate::topcmd::render_dashboard(&dump.series));
+    out.push_str(&crate::topcmd::render_dashboard(&dump.recent));
     if !dump.spans.is_empty() {
         let timeline = MergedTimeline::build(&dump.spans);
         out.push_str(&timeline.render_text(max_steps));
@@ -130,13 +130,12 @@ fn render_flight(dump: &FlightDump, max_steps: usize) -> CliResult {
 mod tests {
     use super::*;
     use threelc_obs::flight::trigger;
-    use threelc_obs::timeseries::{RunRecorder, RunSeries, WorkerDelta};
-    use threelc_obs::FaultEvent;
+    use threelc_obs::{FaultEvent, RecentSteps, WorkerDelta};
 
-    /// A deterministic 2-worker store, 100 steps long: longer than the
-    /// series window, so what it renders is the window's tail.
-    fn long_store() -> RunSeries {
-        let mut r = RunRecorder::new(2);
+    /// A deterministic 2-worker ring, 100 steps long: longer than the
+    /// window, so what it renders is the window's tail.
+    fn long_store() -> RecentSteps {
+        let mut r = RecentSteps::new(2);
         for step in 0..100u64 {
             let deltas: Vec<WorkerDelta> = (0..2)
                 .map(|w| WorkerDelta {
@@ -149,16 +148,16 @@ mod tests {
                     barrier_wait_seconds: if w == 1 { 0.25 } else { 0.0 },
                 })
                 .collect();
-            r.record_step(step, &deltas);
+            r.record(step, &deltas);
         }
-        r.snapshot()
+        r
     }
 
     #[test]
     fn dashboard_and_flight_renders_match_the_pinned_text() {
-        // Both texts were rendered from this store when the series store
-        // also kept every older point in buckets; a window renders the
-        // same bytes.
+        // Both texts were rendered from this run when a store of named
+        // per-worker series (and, before that, buckets of older points)
+        // stood in for the ring; the ring renders the same bytes.
         let store = long_store();
         assert_eq!(
             crate::topcmd::render_dashboard(&store),

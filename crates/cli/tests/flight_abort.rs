@@ -1,7 +1,7 @@
 //! End-to-end post-mortem forensics: a loopback run killed mid-flight
-//! must leave behind a `.flight.json` dump with the per-worker series of
-//! every completed step, the triggering fault and the server's spans, in
-//! place of the report it never wrote.
+//! must leave behind a `.flight.json` dump with one row of per-worker
+//! deltas for every completed step, the triggering fault and the server's
+//! spans, in place of the report it never wrote.
 //!
 //! `kill@N` calls `std::process::exit`, so this test drives the real
 //! `threelc` binary rather than in-process threads.
@@ -86,7 +86,7 @@ fn aborted_run_leaves_a_flight_dump() {
     }
 
     // The flight dump: derived from --json automatically, abort trigger,
-    // the kill recorded as an anomaly, and both completed steps' series.
+    // the kill recorded as an anomaly, and both completed steps' rows.
     let text = std::fs::read_to_string(&flight).expect("flight dump exists");
     let dump = threelc_obs::FlightDump::from_json(&text).expect("dump parses");
     assert_eq!(dump.trigger, "abort", "detail: {}", dump.detail);
@@ -109,16 +109,19 @@ fn aborted_run_leaves_a_flight_dump() {
         "got: {:?}",
         dump.anomalies
     );
-    assert_eq!(dump.series.workers.len(), 1);
-    for name in threelc_obs::timeseries::WORKER_SERIES {
-        let s = dump.series.workers[0]
-            .series(name)
-            .unwrap_or_else(|| panic!("series {name} missing"));
-        assert_eq!(
-            s.raw.len() as u64,
-            dump.steps_recorded,
-            "series {name} must hold every completed step"
-        );
+    assert_eq!(dump.recent.workers, 1);
+    let steps: Vec<u64> = dump.recent.rows.iter().map(|r| r.step).collect();
+    assert_eq!(
+        steps,
+        (0..dump.steps_recorded).collect::<Vec<_>>(),
+        "one row per completed step"
+    );
+    for row in &dump.recent.rows {
+        let [d] = &row.deltas[..] else {
+            panic!("step {} holds {} deltas", row.step, row.deltas.len());
+        };
+        assert_eq!(d.worker, 0);
+        assert!(d.wire_bytes > 0, "step {}: {d:?}", row.step);
     }
 
     // `threelc trace` reads the dump and names the fault: its kind, its

@@ -1,5 +1,6 @@
 //! The live dashboard against a running `serve`: `top --once` renders the
-//! run headline and one row per worker mid-run.
+//! run headline and one row per worker mid-run, and `top --once --json`
+//! prints the server's ring of recent steps.
 
 mod common;
 
@@ -54,6 +55,22 @@ fn top_once_renders_every_worker_of_a_live_run() {
         );
     }
     assert!(top.contains("2 worker(s)"), "{top}");
+
+    // The raw scrape reply: the ring, whatever steps it holds so far.
+    let out = threelc()
+        .args(["top", &server.addr, "--once", "--json"])
+        .output()
+        .expect("run top --json");
+    assert!(out.status.success(), "top --json failed: {out:?}");
+    let json = String::from_utf8(out.stdout).expect("utf-8 json");
+    let recent: threelc_obs::RecentSteps =
+        serde_json::from_str(&json).expect("top --json prints the ring");
+    assert_eq!(recent.workers, 2);
+    let steps: Vec<u64> = recent.rows.iter().map(|r| r.step).collect();
+    assert!(
+        steps.windows(2).all(|w| w[1] == w[0] + 1),
+        "row steps must rise by one: {steps:?}"
+    );
 
     for (id, mut w) in workers.into_iter().enumerate() {
         assert!(w.wait().expect("worker").success(), "worker {id} failed");

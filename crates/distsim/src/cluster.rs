@@ -6,7 +6,7 @@ use crate::trace::{StepRecord, TensorTraffic};
 use threelc::CompressionStats;
 use threelc_learning::{Batch, Evaluation, Network, SyntheticImages};
 use threelc_obs::trace::{self, TraceScope, TraceSpan};
-use threelc_obs::{RunRecorder, RunSeries};
+use threelc_obs::RecentSteps;
 use threelc_policy::PolicyTrace;
 
 /// An in-process parameter-server cluster (paper Figures 1–2).
@@ -30,10 +30,10 @@ pub struct Cluster {
     compressible_values: u64,
     /// Every policy decision taken so far (empty under a static policy).
     policy_log: PolicyTrace,
-    /// Per-worker/run-level time series, fed once per step with the same
-    /// values the networked server records at its barrier — the two stores
-    /// are bit-identical for identical runs (minus wall-clock series).
-    recorder: RunRecorder,
+    /// The last steps' per-worker deltas, fed once per step with the same
+    /// values the networked server records at its barrier — the two rings
+    /// are bit-identical for identical runs (minus the wall-clock fields).
+    recent: RecentSteps,
 }
 
 impl Cluster {
@@ -71,7 +71,7 @@ impl Cluster {
                 label: config.policy.label(),
                 records: Vec::new(),
             },
-            recorder: RunRecorder::new(config.workers),
+            recent: RecentSteps::new(config.workers),
             config,
         }
     }
@@ -116,12 +116,11 @@ impl Cluster {
         &self.policy_log
     }
 
-    /// The run's time-series store: per-worker and run-level series fed at
-    /// every step, matching the networked server's scrapeable store bit
-    /// for bit for identical runs (compare [`RunSeries::deterministic`]
-    /// views — the wall-clock `step_seconds` series necessarily differs).
-    pub fn series(&self) -> &RunSeries {
-        self.recorder.store()
+    /// The run's recent steps, matching the networked server's scrapeable
+    /// ring bit for bit for identical runs but for the wall-clock
+    /// `step_seconds` and `barrier_wait_seconds`, which necessarily differ.
+    pub fn recent(&self) -> &RecentSteps {
+        &self.recent
     }
 
     /// Total parameters in the model.
@@ -164,7 +163,7 @@ impl Cluster {
         };
 
         // ---- Worker phase: local compute + gradient push compression.
-        // The step's books (per-worker series points, traffic, the
+        // The step's books (per-worker deltas, traffic, the
         // StepRecord) are kept by the engine's one accountant, which the
         // networked server feeds the same way.
         let mut payloads = Vec::with_capacity(workers);
@@ -187,7 +186,7 @@ impl Cluster {
             });
             payloads.push(encoded.payloads);
         }
-        self.recorder.record_step(step, account.deltas());
+        self.recent.record(step, account.deltas());
 
         // ---- Server phase: decompress, aggregate, update global model,
         // then compress the model deltas for the pull path.

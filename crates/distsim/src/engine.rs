@@ -1189,7 +1189,7 @@ pub struct WorkerPush<'a> {
 
 /// The one accountant of a BSP step, shared by the simulator
 /// ([`Cluster::step`](crate::Cluster::step)) and the networked server so
-/// their [`StepRecord`]s and per-worker series cannot drift apart: opened
+/// their [`StepRecord`]s and per-worker deltas cannot drift apart: opened
 /// by [`ServerCore::begin_step`], fed every worker's push in worker-id
 /// order, read for the [`WorkerDelta`]s and [`ServerCore::apply_step`]'s
 /// inputs, and closed over the step's pulls by [`Self::finish`].
@@ -1239,8 +1239,8 @@ impl StepAccount {
         });
     }
 
-    /// One series point per accepted worker, in worker-id order — what
-    /// the run recorder takes for this step.
+    /// One delta per accepted worker, in worker-id order — this step's
+    /// row of the run's `RecentSteps` ring.
     pub fn deltas(&self) -> &[WorkerDelta] {
         &self.deltas
     }
@@ -1992,7 +1992,7 @@ mod tests {
         };
         let rec = account.finish(&out);
 
-        // One series point per worker, under its own id.
+        // One delta per worker, under its own id.
         assert_eq!(deltas.len(), 2);
         assert_eq!((deltas[0].worker, deltas[1].worker), (0, 1));
         assert_eq!(deltas[0].wire_bytes, 166);

@@ -134,8 +134,8 @@ pub fn model_crc32(model: &threelc_learning::Network) -> u32 {
 
 /// Encodes the 28 done-field bytes that head a push ([`StepPayload`]):
 /// local loss, worker codec seconds, a residual slot, and the wall-clock
-/// seconds the worker spent computing + encoding the step (the per-worker
-/// latency series the run recorder folds). The worker writes `0.0` into
+/// seconds the worker spent computing + encoding the step (its delta's
+/// `step_seconds` in the run's recent steps). The worker writes `0.0` into
 /// the residual slot and the server reads neither it nor the codec
 /// seconds; the slot and this signature stay because the step ledger
 /// (`ledger/`) writes them into its own `PushDone` frame and counts its
@@ -163,8 +163,8 @@ pub fn encode_push_done(
 /// 28 bytes [`encode_push_done`] writes and both durations (codec and
 /// step seconds) are finite and non-negative: the frame is input from
 /// outside the program, a time is never either, and the step seconds feed
-/// the worker's latency series, where one NaN would poison every view
-/// after it.
+/// the worker's recent-step deltas, where one NaN would poison every
+/// view of them.
 pub fn decode_push_done(payload: &[u8]) -> Result<(f32, f64), NetError> {
     if payload.len() != PUSH_DONE_LEN {
         return Err(NetError::Protocol(format!(
@@ -473,7 +473,7 @@ pub enum ScrapeKind {
     /// non-draining snapshot from a server, the drained buffer from a
     /// worker at shutdown.
     Trace = 1,
-    /// The run's time-series store (`threelc_obs::RunSeries`).
+    /// The run's recent steps (`threelc_obs::RecentSteps`).
     Series = 2,
 }
 
@@ -695,7 +695,7 @@ mod tests {
         assert!(decode_scrape_reply::<threelc_obs::NodeTrace>(b"not json").is_err());
         assert!(decode_scrape_reply::<threelc_obs::NodeTrace>(&[0xFF, 0xFE]).is_err());
         // A well-formed reply of another shape is a mismatch, not a default.
-        assert!(decode_scrape_reply::<threelc_obs::RunSeries>(b"[1,2]").is_err());
+        assert!(decode_scrape_reply::<threelc_obs::RecentSteps>(b"[1,2]").is_err());
     }
 
     #[test]

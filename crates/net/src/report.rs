@@ -4,7 +4,7 @@ use crate::counters::ConnCounters;
 use serde::{Deserialize, Serialize};
 use threelc_distsim::ExperimentResult;
 pub use threelc_obs::FaultEvent;
-use threelc_obs::{NodeTrace, RunSeries};
+use threelc_obs::{NodeTrace, RecentSteps};
 
 /// One connection's summary in the final report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,13 +60,12 @@ pub struct NetReport {
     /// view, from these.
     #[serde(default)]
     pub node_traces: Vec<NodeTrace>,
-    /// The run's final time-series store (per-worker + run-level), exactly
-    /// what the last live series scrape would have returned. Its
-    /// [`RunSeries::deterministic`] view equals the simulator's for the
-    /// same configuration. Empty in reports written before the field
-    /// existed.
+    /// The run's last steps, exactly what the last live series scrape
+    /// would have returned. Equal to the simulator's for the same
+    /// configuration but for the two wall-clock fields. Empty in reports
+    /// written before the field existed; their `series` key is ignored.
     #[serde(default)]
-    pub series: RunSeries,
+    pub recent: RecentSteps,
 }
 
 #[cfg(test)]
@@ -108,7 +107,7 @@ mod tests {
                 spans: Vec::new(),
                 dropped: 0,
             }],
-            series: RunSeries::default(),
+            recent: RecentSteps::default(),
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: NetReport = serde_json::from_str(&json).unwrap();

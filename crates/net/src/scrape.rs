@@ -8,7 +8,7 @@ use serde::de::DeserializeOwned;
 use std::fmt::Debug;
 use std::net::ToSocketAddrs;
 use std::time::Duration;
-use threelc_obs::{NodeTrace, RunSeries};
+use threelc_obs::{NodeTrace, RecentSteps};
 
 /// Scrapes a live (non-draining) snapshot of a serving parameter server's
 /// own span buffer.
@@ -30,14 +30,14 @@ pub fn scrape_trace(addr: &str, timeout: Duration) -> Result<NodeTrace, NetError
     scrape(addr, ScrapeKind::Trace, timeout)
 }
 
-/// Scrapes the run's live time-series store, like [`scrape_trace`]: the
-/// bounded per-worker/run-level series fed at every barrier — what
-/// `threelc top` renders and `threelc top --json` prints.
+/// Scrapes the run's recent steps, like [`scrape_trace`]: the ring of
+/// per-worker deltas fed at every barrier — what `threelc top` renders
+/// and `threelc top --json` prints.
 ///
 /// # Errors
 ///
 /// As [`scrape_trace`].
-pub fn scrape_series(addr: &str, timeout: Duration) -> Result<RunSeries, NetError> {
+pub fn scrape_series(addr: &str, timeout: Duration) -> Result<RecentSteps, NetError> {
     scrape(addr, ScrapeKind::Series, timeout)
 }
 

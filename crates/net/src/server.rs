@@ -53,7 +53,7 @@ use threelc_distsim::trace::{EvalRecord, TrainingTrace};
 use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_obs::flight::trigger;
 use threelc_obs::{
-    trace, write_flight_dump, FlightDump, Level, NodeTrace, RunRecorder, TraceBuffer, TraceScope,
+    trace, write_flight_dump, FlightDump, Level, NodeTrace, RecentSteps, TraceBuffer, TraceScope,
     TraceSpan,
 };
 use threelc_tensor::Shape;
@@ -76,8 +76,8 @@ pub struct ServeOptions {
     pub max_rejoins: u32,
     /// Where to write the flight dump (`<out>.flight.json`). When set, a
     /// dump is written automatically if the run aborts, a handler panics,
-    /// or a fault fires. `None` disables dumping (series are still
-    /// recorded and scrapeable).
+    /// or a fault fires. `None` disables dumping (the recent steps are
+    /// still recorded and scrapeable).
     pub flight: Option<String>,
 }
 
@@ -173,8 +173,8 @@ struct Coordinator {
     joined: Vec<bool>,
     /// Per-worker connection generation; bumped on every admitted rejoin.
     gens: Vec<u64>,
-    /// Cumulative admitted rejoins per worker, recorded as a series so the
-    /// dashboard can show flapping workers.
+    /// Cumulative admitted rejoins per worker, carried in every step's
+    /// delta so the dashboard can show flapping workers.
     rejoin_counts: Vec<u64>,
     /// Traffic of a worker's finished connections, folded into its final
     /// ConnReport.
@@ -536,13 +536,14 @@ pub fn serve(
     config: &ExperimentConfig,
     opts: &ServeOptions,
 ) -> Result<NetReport, NetError> {
-    // The recorder is shared with the acceptor (live series scrapes). It, the coordinator (whose fault ledger a dump reads) and
+    // The recent-steps ring is shared with the acceptor (live series
+    // scrapes). It, the coordinator (whose fault ledger a dump reads) and
     // the server's span buffer are owned here, not inside serve_run, so an
     // aborted run can still be dumped.
-    let recorder = Arc::new(Mutex::new(RunRecorder::new(config.workers)));
+    let recent = Arc::new(Mutex::new(RecentSteps::new(config.workers)));
     let mut coord = Coordinator::new(config.workers, config.total_steps, opts);
     let server_buf = Arc::new(TraceBuffer::default());
-    let result = serve_run(listener, config, opts, &recorder, &mut coord, &server_buf);
+    let result = serve_run(listener, config, opts, &recent, &mut coord, &server_buf);
     if let Some(path) = &opts.flight {
         let faults = &coord.faults.events;
         let cause = match &result {
@@ -562,13 +563,13 @@ pub fn serve(
             Ok(_) => None,
         };
         if let Some((cause, detail)) = cause {
-            let series = recorder.lock().expect("series recorder lock").snapshot();
+            let recent = recent.lock().expect("recent steps lock").clone();
             // The spans a dump carries are what the server's buffer still
             // holds: an aborted run's whole timeline; nothing after a
             // completed run, whose buffer was drained into the report.
             let mut spans = vec![server_buf.snapshot("server")];
             spans.retain(|n| !n.spans.is_empty());
-            let dump = FlightDump::new(cause, &detail, series, faults, spans);
+            let dump = FlightDump::new(cause, &detail, recent, faults, spans);
             if let Err(e) = write_flight_dump(path, &dump) {
                 threelc_obs::event!(
                     Level::Warn,
@@ -583,14 +584,14 @@ pub fn serve(
 }
 
 /// The body of [`serve`]: the assemble/train/shutdown sequence, recording
-/// per-worker series into `recorder` at every barrier and transport faults
-/// into `coord` as they happen. Split out so the wrapper can still reach
-/// both after an early-error return.
+/// each step's per-worker deltas into `recent` at its barrier and
+/// transport faults into `coord` as they happen. Split out so the wrapper
+/// can still reach both after an early-error return.
 fn serve_run(
     listener: &TcpListener,
     config: &ExperimentConfig,
     opts: &ServeOptions,
-    recorder: &Arc<Mutex<RunRecorder>>,
+    recent: &Arc<Mutex<RecentSteps>>,
     coord: &mut Coordinator,
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
@@ -621,7 +622,7 @@ fn serve_run(
         listener,
         opts.io_timeout,
         Arc::clone(server_buf),
-        Arc::clone(recorder),
+        Arc::clone(recent),
         to_coord.clone(),
     )?;
     let mut inbox = Inbox {
@@ -657,7 +658,7 @@ fn serve_run(
         barrier_span.finish();
 
         // Worker-order accounting by the engine's one step accountant —
-        // the simulator feeds it the same way, so the recorded series and
+        // the simulator feeds it the same way, so the recorded rows and
         // StepRecords match bit for bit.
         let pushes = coord.close_barrier();
         let mut account = server.begin_step();
@@ -670,10 +671,10 @@ fn serve_run(
                 rejoins: coord.rejoin_counts[w],
             });
         }
-        recorder
+        recent
             .lock()
-            .expect("series recorder lock")
-            .record_step(step, account.deltas());
+            .expect("recent steps lock")
+            .record(step, account.deltas());
 
         let payloads_by_worker: Vec<_> = pushes.into_iter().map(|(p, _)| p.payloads).collect();
         let out = server
@@ -755,7 +756,7 @@ fn serve_run(
         connections,
         faults: coord.faults.clone(),
         node_traces,
-        series: recorder.lock().expect("series recorder lock").snapshot(),
+        recent: recent.lock().expect("recent steps lock").clone(),
     })
 }
 
@@ -904,20 +905,18 @@ fn aggregation_error(e: EngineError) -> NetError {
 }
 
 /// Replies to a `Scrape` with the view it names: a (non-draining) snapshot
-/// of the server's span buffer, or the run's time-series store — so
+/// of the server's span buffer, or the run's recent steps — so
 /// `trace`/`analyze` and `top` can inspect a live run mid-training.
 fn answer_scrape(
     stream: &TcpStream,
     conn: &mut ConnCounters,
     kind: ScrapeKind,
     server_buf: &Arc<TraceBuffer>,
-    recorder: &Arc<Mutex<RunRecorder>>,
+    recent: &Arc<Mutex<RecentSteps>>,
 ) -> Result<(), NetError> {
     let payload = match kind {
         ScrapeKind::Trace => encode_scrape_reply(&server_buf.snapshot("server")),
-        ScrapeKind::Series => {
-            encode_scrape_reply(&recorder.lock().expect("series recorder lock").snapshot())
-        }
+        ScrapeKind::Series => encode_scrape_reply(&*recent.lock().expect("recent steps lock")),
     }?;
     conn.write_frame(&mut &*stream, MsgType::ScrapeReply, 0, &[&payload])?;
     conn.flush(&mut &*stream)?;
@@ -959,7 +958,7 @@ impl Acceptor {
         listener: &TcpListener,
         io_timeout: Duration,
         server_buf: Arc<TraceBuffer>,
-        recorder: Arc<Mutex<RunRecorder>>,
+        recent: Arc<Mutex<RecentSteps>>,
         to_coord: mpsc::Sender<ToCoord>,
     ) -> Result<Self, NetError> {
         let listener = listener.try_clone()?;
@@ -983,7 +982,7 @@ impl Acceptor {
                     Ok((stream, _)) => {
                         backoff = ACCEPT_BACKOFF.0;
                         if let Err(e) =
-                            first_frame(stream, io_timeout, &server_buf, &recorder, &to_coord)
+                            first_frame(stream, io_timeout, &server_buf, &recent, &to_coord)
                         {
                             refuse(&e.to_string());
                         }
@@ -1042,7 +1041,7 @@ fn first_frame(
     stream: TcpStream,
     io_timeout: Duration,
     server_buf: &Arc<TraceBuffer>,
-    recorder: &Arc<Mutex<RunRecorder>>,
+    recent: &Arc<Mutex<RecentSteps>>,
     to_coord: &mpsc::Sender<ToCoord>,
 ) -> Result<(), NetError> {
     stream.set_nodelay(true)?;
@@ -1053,7 +1052,7 @@ fn first_frame(
     match frame.msg {
         MsgType::Scrape => {
             let kind = decode_scrape(&payload)?;
-            answer_scrape(&stream, &mut counters, kind, server_buf, recorder)
+            answer_scrape(&stream, &mut counters, kind, server_buf, recent)
         }
         MsgType::Hello => {
             let worker = usize::from(decode_hello(&payload)?);

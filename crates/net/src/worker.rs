@@ -378,7 +378,7 @@ fn run_session(
             Some(FaultAction::Kill) | None => {}
         }
 
-        // Step latency for the per-worker time series: compute and encode.
+        // Step latency for the worker's step delta: compute and encode.
         let step_t0 = Instant::now();
         let compute_span = TraceSpan::start("compute");
         let (loss, grads) = replica.compute(&problem.data, config.batch_per_worker);

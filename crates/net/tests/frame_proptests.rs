@@ -15,7 +15,7 @@ use threelc_net::protocol::{
     read_push, StepPayload,
 };
 use threelc_net::{NetError, ScrapeKind};
-use threelc_obs::timeseries::{RunRecorder, WorkerDelta};
+use threelc_obs::{RecentSteps, WorkerDelta};
 use threelc_tensor::{Shape, Tensor};
 
 /// Every type byte the protocol defines.
@@ -301,8 +301,8 @@ proptest! {
         };
         prop_assert_eq!(reply_roundtrip(&node, step), node);
 
-        let mut recorder = RunRecorder::new(2);
-        recorder.record_step(
+        let mut recent = RecentSteps::new(2);
+        recent.record(
             0,
             &[WorkerDelta {
                 worker: clock_i % 2,
@@ -314,7 +314,7 @@ proptest! {
                 barrier_wait_seconds: 0.0,
             }],
         );
-        prop_assert_eq!(&reply_roundtrip(recorder.store(), step), recorder.store());
+        prop_assert_eq!(&reply_roundtrip(&recent, step), &recent);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use threelc_net::protocol::{encode_hello, encode_push_done, StepPayload};
 use threelc_net::{
     run_worker, scrape_series, scrape_trace, serve, MsgType, ServeOptions, WorkerOptions,
 };
+use threelc_obs::RecentSteps;
 
 fn loopback_config(scheme: SchemeKind) -> ExperimentConfig {
     ExperimentConfig {
@@ -876,10 +877,10 @@ fn a_joined_worker_that_pushes_a_tensor_frame_aborts_the_run_naming_it() {
 #[test]
 fn recorded_series_match_the_simulator_bit_for_bit() {
     // An adaptive policy so the multiplier actually moves, plus
-    // compressed and raw payloads so the wire-bytes/ratio series exercise
-    // both classifications. The networked store's deterministic view (the
-    // wall-clock step_seconds series stripped) must equal the simulator's
-    // exactly — same integers, same float bits.
+    // compressed and raw payloads so the wire bytes and ratio exercise
+    // both classifications. The networked ring, with its two wall-clock
+    // fields masked, must equal the simulator's exactly — same integers,
+    // same float bits.
     let mut config = ExperimentConfig {
         total_steps: 12,
         eval_every: 0,
@@ -894,23 +895,27 @@ fn recorded_series_match_the_simulator_bit_for_bit() {
     for _ in 0..config.total_steps {
         cluster.step();
     }
-    let sim = cluster.series();
-    assert_eq!(report.series.steps_recorded, config.total_steps);
+    let mask_wall_clock = |mut recent: RecentSteps| {
+        for d in recent.rows.iter_mut().flat_map(|r| &mut r.deltas) {
+            assert!(d.step_seconds >= 0.0 && d.barrier_wait_seconds >= 0.0);
+            (d.step_seconds, d.barrier_wait_seconds) = (0.0, 0.0);
+        }
+        recent
+    };
+    assert_eq!(report.recent.steps_recorded(), config.total_steps);
     assert_eq!(
-        report.series.deterministic(),
-        sim.deterministic(),
-        "networked series store diverged from the simulator's"
+        mask_wall_clock(report.recent.clone()),
+        mask_wall_clock(cluster.recent().clone()),
+        "networked rows diverged from the simulator's"
     );
-    // The non-deterministic series still recorded something per worker.
-    for w in &report.series.workers {
-        let latency = w.series("step_seconds").expect("step_seconds series");
-        assert_eq!(latency.raw.len() as u64, config.total_steps);
-        assert!(latency.raw.iter().all(|p| p.value >= 0.0));
+    // Every step holds every worker, in worker order, and the values are
+    // real: ratio > 5 under 3LC, bytes nonzero.
+    assert_eq!(report.recent.rows.len() as u64, config.total_steps);
+    for row in &report.recent.rows {
+        let workers: Vec<usize> = row.deltas.iter().map(|d| d.worker).collect();
+        assert_eq!(workers, (0..config.workers).collect::<Vec<_>>());
+        assert!(row.deltas.iter().all(|d| d.ratio > 5.0 && d.wire_bytes > 0));
     }
-    // Spot-check the values are real: ratio > 5 under 3LC, bytes nonzero.
-    let run = |name| report.series.run_series(name).expect("run series");
-    assert!(run("ratio").raw.iter().all(|p| p.value > 5.0));
-    assert!(run("wire_bytes").raw.iter().all(|p| p.value > 0.0));
     // The policy's decision log is the simulator's, and tensor 0's
     // multiplier starts at the controller's `start`, then climbs toward
     // its unreachable target: one nudge every other step.
@@ -940,16 +945,16 @@ fn series_scrape_during_handshake_returns_an_empty_store() {
 
     let addr0 = addr.clone();
     let w0 = thread::spawn(move || run_worker(&WorkerOptions::new(addr0, 0)));
-    let store = scrape_series(&addr, Duration::from_secs(5)).expect("handshake-phase scrape");
-    assert_eq!(store.steps_recorded, 0);
-    assert_eq!(store.workers.len(), config.workers);
+    let recent = scrape_series(&addr, Duration::from_secs(5)).expect("handshake-phase scrape");
+    assert_eq!(recent.steps_recorded(), 0);
+    assert_eq!(recent.workers, config.workers);
 
     let addr1 = addr.clone();
     let w1 = thread::spawn(move || run_worker(&WorkerOptions::new(addr1, 1)));
     w0.join().expect("worker 0 thread").expect("worker 0 run");
     w1.join().expect("worker 1 thread").expect("worker 1 run");
     let report = server.join().expect("server thread").expect("serve run");
-    assert_eq!(report.series.steps_recorded, config.total_steps);
+    assert_eq!(report.recent.steps_recorded(), config.total_steps);
 }
 
 #[test]
@@ -978,9 +983,9 @@ fn series_scrape_works_mid_training() {
     let ack = read_frame(&mut &stream).expect("hello ack");
     assert_eq!(ack.msg, MsgType::HelloAck);
 
-    let store = scrape_series(&addr, Duration::from_secs(5)).expect("mid-training scrape");
-    assert_eq!(store.workers.len(), 1);
-    assert_eq!(store.steps_recorded, 0, "no push landed yet");
+    let recent = scrape_series(&addr, Duration::from_secs(5)).expect("mid-training scrape");
+    assert_eq!(recent.workers, 1);
+    assert_eq!(recent.steps_recorded(), 0, "no push landed yet");
 
     drop(stream);
     assert!(server.join().expect("server thread").is_err());
@@ -1036,8 +1041,8 @@ fn side_door_answers_every_kind_and_drops_malformed_scrapes() {
         );
     }
     // ...and the side door keeps serving well-formed ones.
-    let store = scrape_series(&addr, Duration::from_secs(5)).expect("scrape after probes");
-    assert_eq!(store.workers.len(), 1);
+    let recent = scrape_series(&addr, Duration::from_secs(5)).expect("scrape after probes");
+    assert_eq!(recent.workers, 1);
 
     drop(stream);
     assert!(server.join().expect("server thread").is_err());

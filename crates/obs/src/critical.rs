@@ -79,7 +79,7 @@ const LEAF_PHASES: &[&str] = &[
 /// A worker's critical network seconds must exceed this many times the
 /// median worker's to be flagged, above an absolute floor, so jitter on a
 /// fast loopback never trips it.
-pub const BLAME_K: f64 = 4.0;
+const BLAME_K: f64 = 4.0;
 /// Absolute floor in seconds below which no bottleneck flag fires.
 pub const BLAME_MIN_SECONDS: f64 = 0.1;
 /// Leading steps excluded from the aggregated totals and the bottleneck
@@ -89,7 +89,7 @@ pub const BLAME_MIN_SECONDS: f64 = 0.1;
 /// steady-state attribution. The per-step ledgers and the conservation
 /// check still cover every step. Ignored when the run has no post-warmup
 /// steps left.
-pub const WARMUP_STEPS: usize = 1;
+const WARMUP_STEPS: usize = 1;
 
 /// One `{node × phase}` attribution bucket (seconds of critical path).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,7 +197,7 @@ pub struct RunAnalysis {
     /// Per-step critical paths, ascending step.
     pub steps: Vec<StepAnalysis>,
     /// Leading steps excluded from `totals`/`bottlenecks`
-    /// (see [`WARMUP_STEPS`]); `steps` still lists them.
+    /// (one, the constant `WARMUP_STEPS`); `steps` still lists them.
     #[serde(default)]
     pub warmup_steps: usize,
     /// Σ of per-step wall seconds over the measured (post-warmup) steps.

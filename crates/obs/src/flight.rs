@@ -5,11 +5,11 @@
 //! Nothing is recorded for it while the run is healthy. A dump is
 //! *assembled* from records that already exist for their own reasons: the
 //! coordinator's fault log ([`FaultEvent`]s, mapped here to `fault-*`
-//! [`Anomaly`] entries), the [`RunRecorder`](crate::RunRecorder)'s series
-//! store, and whatever span buffers the caller hands over.
+//! [`Anomaly`] entries), the run's [`RecentSteps`] ring, and whatever
+//! span buffers the caller hands over.
 //! `threelc trace <dump.flight.json>` reads the artifact back.
 
-use crate::timeseries::RunSeries;
+use crate::timeseries::RecentSteps;
 use crate::trace::NodeTrace;
 use serde::{Deserialize, Serialize};
 
@@ -65,9 +65,9 @@ pub mod trigger {
     pub const FAULT: &str = "fault";
 }
 
-/// A complete post-mortem artifact: the last N steps of every series,
-/// the run's faults, and the spans it was handed (empty unless tracing
-/// was on). Dumps written by older builds also carry a `metrics` key,
+/// A complete post-mortem artifact: the run's recent steps, its faults,
+/// and the spans it was handed (empty unless tracing was on). Dumps
+/// written by older builds also carry a `metrics` or a `series` key,
 /// which parses and is ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightDump {
@@ -77,13 +77,14 @@ pub struct FlightDump {
     pub trigger: String,
     /// Human-readable trigger detail (the abort error, the panic text…).
     pub detail: String,
-    /// Steps the series store had fully recorded when the dump was taken.
+    /// Steps the ring had recorded when the dump was taken.
     pub steps_recorded: u64,
     /// The run's transport faults, as `fault-*` anomalies in coordinator
     /// order.
     pub anomalies: Vec<Anomaly>,
-    /// The bounded series store (per-worker + run-level).
-    pub series: RunSeries,
+    /// The last steps' per-worker deltas (empty in older dumps).
+    #[serde(default)]
+    pub recent: RecentSteps,
     /// The span buffers the dump was assembled with (empty when tracing
     /// was off).
     #[serde(default)]
@@ -96,7 +97,7 @@ impl FlightDump {
     pub fn new(
         trigger: &str,
         detail: &str,
-        series: RunSeries,
+        recent: RecentSteps,
         faults: &[FaultEvent],
         spans: Vec<NodeTrace>,
     ) -> FlightDump {
@@ -116,9 +117,9 @@ impl FlightDump {
             version: FLIGHT_VERSION,
             trigger: trigger.to_string(),
             detail: detail.to_string(),
-            steps_recorded: series.steps_recorded,
+            steps_recorded: recent.steps_recorded(),
             anomalies,
-            series,
+            recent,
             spans,
         }
     }
@@ -143,9 +144,7 @@ impl FlightDump {
         let _ = writeln!(
             out,
             "flight recorder: trigger={} steps_recorded={} workers={}",
-            self.trigger,
-            self.steps_recorded,
-            self.series.workers.len()
+            self.trigger, self.steps_recorded, self.recent.workers
         );
         if !self.detail.is_empty() {
             let _ = writeln!(out, "  detail: {}", self.detail);
@@ -182,7 +181,7 @@ pub fn write_flight_dump(path: &str, dump: &FlightDump) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::{RunRecorder, WorkerDelta};
+    use crate::timeseries::WorkerDelta;
 
     fn delta(worker: usize) -> WorkerDelta {
         WorkerDelta {
@@ -198,9 +197,9 @@ mod tests {
 
     #[test]
     fn dump_maps_faults_to_anomalies_and_carries_the_series() {
-        let mut rec = RunRecorder::new(1);
-        rec.record_step(0, &[delta(0)]);
-        rec.record_step(1, &[delta(0)]);
+        let mut rec = RecentSteps::new(1);
+        rec.record(0, &[delta(0)]);
+        rec.record(1, &[delta(0)]);
         let fault = FaultEvent {
             step: 1,
             worker: 0,
@@ -210,7 +209,7 @@ mod tests {
         let dump = FlightDump::new(
             trigger::ABORT,
             "barrier timed out",
-            rec.snapshot(),
+            rec,
             &[fault],
             Vec::new(),
         );
@@ -221,7 +220,8 @@ mod tests {
         assert_eq!(dump.anomalies[0].kind, "fault-kill");
         assert_eq!(dump.anomalies[0].node, "worker0");
         assert_eq!(dump.anomalies[0].detail, "injected kill@1");
-        assert_eq!(dump.series.workers.len(), 1);
+        assert_eq!(dump.recent.workers, 1);
+        assert_eq!(dump.recent.rows[1].deltas, [delta(0)]);
         let text = dump.render_text();
         assert!(text.contains("trigger=abort"), "{text}");
         assert!(text.contains("fault-kill"), "{text}");
@@ -229,8 +229,7 @@ mod tests {
 
     #[test]
     fn dump_json_roundtrips_and_rejects_future_versions() {
-        let series = RunRecorder::new(2).snapshot();
-        let dump = FlightDump::new(trigger::FAULT, "", series, &[], Vec::new());
+        let dump = FlightDump::new(trigger::FAULT, "", RecentSteps::new(2), &[], Vec::new());
         let json = serde_json::to_string(&dump).expect("serialize");
         let back = FlightDump::from_json(&json).expect("parse");
         assert_eq!(back, dump);
@@ -242,14 +241,28 @@ mod tests {
             "{body},\"metrics\":{{\"counters\":[{{\"name\":\"net.server.bytes_in\",\"value\":4096}}],\"gauges\":[],\"histograms\":[]}}}}"
         );
         assert_eq!(FlightDump::from_json(&old).expect("parse old dump"), dump);
+        // So does one written while per-name series stood in for the ring:
+        // its `series` key is ignored and the ring reads empty.
+        let with_series = json.replace(
+            ",\"recent\":{\"workers\":2,\"rows\":[]}",
+            ",\"series\":{\"steps_recorded\":0,\"workers\":[],\"run\":[]}",
+        );
+        assert_ne!(with_series, json);
+        let old = FlightDump::from_json(&with_series).expect("parse series-era dump");
+        assert_eq!(old.recent, RecentSteps::default());
     }
 
     #[test]
     fn write_flight_dump_creates_a_readable_file() {
         let path = std::env::temp_dir().join("threelc-flight-test.json");
         let path = path.to_str().expect("utf8 temp path").to_string();
-        let series = RunRecorder::new(1).snapshot();
-        let dump = FlightDump::new(trigger::FAULT, "kill@2", series, &[], Vec::new());
+        let dump = FlightDump::new(
+            trigger::FAULT,
+            "kill@2",
+            RecentSteps::new(1),
+            &[],
+            Vec::new(),
+        );
         write_flight_dump(&path, &dump).expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
         let back = FlightDump::from_json(&text).expect("parse");

@@ -19,13 +19,12 @@
 //!    onto one axis — estimating per-worker clock offsets from barrier
 //!    round-trips — and exports Chrome-trace JSON or a terminal per-step
 //!    phase breakdown (`threelc trace`).
-//! 4. **Per-worker time series** ([`timeseries`]): the last 64
-//!    step-indexed points of each series, and a [`RunRecorder`] that
-//!    folds per-worker step deltas into a run-wide store — what
-//!    `threelc top` renders live.
+//! 4. **The recent steps** ([`timeseries`]): a ring of the last 64
+//!    steps, each row that step's [`WorkerDelta`]s as the engine's step
+//!    accountant booked them — what `threelc top` renders live.
 //! 5. **The flight dump** ([`flight`]): a self-contained
 //!    `<out>.flight.json` post-mortem assembled — not recorded — from the
-//!    fault log, the series store and the span buffers it is handed, when
+//!    fault log, the recent steps and the span buffers it is handed, when
 //!    a handler panics, a fault occurs, or a run aborts. It also defines
 //!    [`FaultEvent`], the one record of a transport fault that the run
 //!    report and the dump both read.
@@ -69,7 +68,7 @@ pub use flight::{write_flight_dump, FaultEvent, FlightDump};
 
 pub use sink::{emit, log_enabled, Level};
 pub use timeline::{MergedTimeline, PHASES};
-pub use timeseries::{Point, RunRecorder, RunSeries, Series, WorkerDelta};
+pub use timeseries::{RecentSteps, WorkerDelta};
 pub use trace::{
     current_ctx, global_buffer, now_ns, run_trace_id, set_trace_enabled, trace_enabled, NodeTrace,
     SpanRecord, TraceBuffer, TraceCtx, TraceScope, TraceSpan, NO_WORKER,

@@ -52,7 +52,7 @@ pub const PHASES: [&str; 9] = [
 ];
 
 /// Clock domain used as the reference axis when present.
-pub const REFERENCE_CLOCK: &str = "server";
+const REFERENCE_CLOCK: &str = "server";
 
 /// One span shifted onto the reference clock axis.
 #[derive(Debug, Clone, PartialEq)]

@@ -203,7 +203,7 @@ impl TraceBuffer {
     /// `quantize`/`encode` pairs: a worker's ring wraps after about a
     /// thousand steps, the server's — a handful of spans a step — far
     /// later.
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
+    const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Creates a buffer holding at most `cap` records (min 1).
     pub fn with_capacity(cap: usize) -> TraceBuffer {
